@@ -1,5 +1,5 @@
-//! Golden conformance suite: byte-stable snapshots of TEA / TEA+ cluster
-//! output on the two bundled binary datasets (`data/plc.x4.hkg`,
+//! Golden conformance suite: byte-stable snapshots of TEA / TEA+ /
+//! Monte-Carlo cluster output on the two bundled binary datasets (`data/plc.x4.hkg`,
 //! `data/3d-grid.x4.hkg`).
 //!
 //! Each fixture in `tests/golden/*.json` records, for a fixed parameter
@@ -74,12 +74,22 @@ struct GoldenCase {
     knobs: (f64, f64, f64, f64),
 }
 
+/// Monte-Carlo capped below the published walk count of either case, so
+/// the cap binds and the row stays cheap; 10k walks span three execution
+/// chunks, enough for a multi-tier ladder.
+const MONTE_CARLO: (&str, Method) = (
+    "Monte-Carlo",
+    Method::MonteCarlo {
+        max_walks: Some(10_000),
+    },
+);
+
 const CASES: &[GoldenCase] = &[
     GoldenCase {
         fixture: "plc_x4.json",
         dataset: "plc.x4.hkg",
         seeds: &[0, 1234, 9999],
-        methods: &[("TEA", Method::Tea), ("TEA+", Method::TeaPlus)],
+        methods: &[("TEA", Method::Tea), ("TEA+", Method::TeaPlus), MONTE_CARLO],
         // delta = 1e-2 keeps the sweep support (and so the fixture) small
         // while still exercising both push and walk phases.
         knobs: (5.0, 0.5, 1e-2, 0.01),
@@ -88,8 +98,18 @@ const CASES: &[GoldenCase] = &[
         fixture: "grid3d_x4.json",
         dataset: "3d-grid.x4.hkg",
         seeds: &[0, 500, 999],
-        methods: &[("TEA", Method::Tea), ("TEA+", Method::TeaPlus)],
+        methods: &[("TEA", Method::Tea), ("TEA+", Method::TeaPlus), MONTE_CARLO],
         knobs: (5.0, 0.5, 1e-3, 0.01),
+    },
+    GoldenCase {
+        fixture: "grid3d_x4_walk.json",
+        dataset: "3d-grid.x4.hkg",
+        seeds: &[0, 500, 999],
+        methods: &[("TEA+", Method::TeaPlus)],
+        // t = 10 outruns the hop cap on the grid: condition (11) fails and
+        // TEA+ runs its residue reduction and a multi-chunk walk phase,
+        // which the two cases above (early exit on every TEA+ row) never do.
+        knobs: (10.0, 0.5, 1e-3, 0.01),
     },
 ];
 
