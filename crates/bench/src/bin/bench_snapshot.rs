@@ -125,50 +125,30 @@ fn walk_kernel_snapshot(
     (nr, steps_per_walk, variants)
 }
 
-/// A/B-time the two scan reductions the `simd` feature vectorizes —
-/// the push phase's residue threshold scan (through full HK-Push+ runs)
-/// and the sweep's conductance membership scan (through full phase-two
-/// sweeps of precomputed estimates) — with the vector bodies toggled via
-/// `set_simd_enabled` so both run in one binary on identical inputs.
-/// Results are bit-identical by construction (asserted on the sweep
-/// side); only the time moves. Scalar-only builds report one entry per
-/// group. Returns `(push variants, sweep variants)`.
+/// A/B-time the scan reduction the `simd` feature vectorizes — the push
+/// phase's residue threshold scan, through full HK-Push+ runs — with the
+/// vector body toggled via `set_simd_enabled` so both run in one binary
+/// on identical inputs. Results are bit-identical by construction; only
+/// the time moves. Scalar-only builds report the scalar entry alone.
 fn simd_snapshot(
     graph: &hk_graph::Graph,
     params: &HkprParams,
     seeds: &[u32],
     reps: usize,
-) -> (Vec<Variant>, Vec<Variant>) {
+) -> Vec<Variant> {
     use hkpr_core::simd::{set_simd_enabled, simd_active, simd_compiled};
-    let cl = LocalClusterer::new(graph);
     let cfg = PushPlusConfig {
         hop_cap: params.hop_cap(),
         eps_abs: params.eps_abs(),
         budget: u64::MAX,
     };
-    // Phase-one outputs computed once: the sweep group times phase two
-    // only, on identical inputs for both bodies.
-    let mut scratch = QueryScratch::new();
-    let pre: Vec<_> = seeds
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            let (estimate, stats) = cl
-                .estimate_in(Method::TeaPlus, s, params, i as u64, &mut scratch.workspace)
-                .unwrap();
-            (s, estimate, stats)
-        })
-        .collect();
-
     let modes: &[(&'static str, bool)] = if simd_compiled() && simd_active() {
-        &[("scalar", false), ("simd", true)]
+        &[("push_scalar", false), ("push_simd", true)]
     } else {
-        &[("scalar", false)]
+        &[("push_scalar", false)]
     };
-    let mut push_best = vec![f64::INFINITY; modes.len()];
-    let mut sweep_best = vec![f64::INFINITY; modes.len()];
-    let mut push_ws = QueryWorkspace::new();
-    let mut reference: Vec<Option<hk_cluster::ClusterResult>> = vec![None; pre.len()];
+    let mut best = vec![f64::INFINITY; modes.len()];
+    let mut ws = QueryWorkspace::new();
     // Pass 0 is an untimed warm-up; passes interleave the modes so host
     // noise hits both alike, best-of-reps per mode.
     for rep in 0..reps.max(1) + 1 {
@@ -176,50 +156,20 @@ fn simd_snapshot(
             set_simd_enabled(on);
             let t0 = Instant::now();
             for &s in seeds {
-                hk_push_plus_ws(graph, params.poisson(), s, &cfg, &mut push_ws);
+                hk_push_plus_ws(graph, params.poisson(), s, &cfg, &mut ws);
             }
-            let push_ms = t0.elapsed().as_secs_f64() * 1000.0 / seeds.len() as f64;
-            let t0 = Instant::now();
-            for (qi, (s, estimate, stats)) in pre.iter().enumerate() {
-                let result = cl.sweep_in(*s, estimate.clone(), *stats, &mut scratch);
-                match &reference[qi] {
-                    None => reference[qi] = Some(result),
-                    // The whole point of gating on order-free reductions:
-                    // toggling the vector body never moves a bit.
-                    Some(want) => assert!(
-                        result.bitwise_eq(want),
-                        "sweep diverged between scan bodies on seed {s}"
-                    ),
-                }
-            }
-            let sweep_ms = t0.elapsed().as_secs_f64() * 1000.0 / pre.len() as f64;
+            let ms = t0.elapsed().as_secs_f64() * 1000.0 / seeds.len() as f64;
             if rep > 0 {
-                push_best[mi] = push_best[mi].min(push_ms);
-                sweep_best[mi] = sweep_best[mi].min(sweep_ms);
+                best[mi] = best[mi].min(ms);
             }
         }
     }
     set_simd_enabled(true);
-    let name = |group: &str, mode: &str| -> &'static str {
-        // Static names keep Variant simple; the matrix is tiny and fixed.
-        match (group, mode) {
-            ("push", "scalar") => "push_scalar",
-            ("push", "simd") => "push_simd",
-            ("sweep", "scalar") => "sweep_scalar",
-            _ => "sweep_simd",
-        }
-    };
-    let collect = |group: &str, best: &[f64]| {
-        modes
-            .iter()
-            .zip(best)
-            .map(|(&(mode, _), &avg_ms)| Variant {
-                name: name(group, mode),
-                avg_ms,
-            })
-            .collect()
-    };
-    (collect("push", &push_best), collect("sweep", &sweep_best))
+    modes
+        .iter()
+        .zip(&best)
+        .map(|(&(name, _), &avg_ms)| Variant { name, avg_ms })
+        .collect()
 }
 
 fn main() {
@@ -318,7 +268,7 @@ fn main() {
         .collect();
 
     let (walk_nr, steps_per_walk, walk_variants) = walk_kernel_snapshot(&graph, &params, reps);
-    let (simd_push, simd_sweep) = simd_snapshot(&graph, &params, &seeds, reps);
+    let simd_push = simd_snapshot(&graph, &params, &seeds, reps);
 
     let baseline = variants[0].avg_ms;
     let mut json = String::new();
@@ -364,32 +314,26 @@ fn main() {
         ));
     }
     json.push_str("    ]\n  },\n");
-    // Scalar-vs-vector scan bodies (identical bits, different time). On a
-    // scalar-only build each group carries just the scalar entry.
+    // Scalar-vs-vector push scan (identical bits, different time). On a
+    // scalar-only build the group carries just the scalar entry.
     json.push_str("  \"simd\": {\n");
     json.push_str(&format!(
         "    \"compiled\": {},\n    \"active\": {},\n",
         hkpr_core::simd::simd_compiled(),
         hkpr_core::simd::simd_active()
     ));
-    for (gi, (group, variants)) in [("push", &simd_push), ("sweep", &simd_sweep)]
-        .iter()
-        .enumerate()
-    {
-        json.push_str(&format!("    \"{group}\": [\n"));
-        let scalar_ms = variants[0].avg_ms;
-        for (i, v) in variants.iter().enumerate() {
-            json.push_str(&format!(
-                "      {{ \"name\": \"{}\", \"avg_ms_per_query\": {:.4}, \"speedup_vs_scalar\": {:.2} }}{}\n",
-                v.name,
-                v.avg_ms,
-                scalar_ms / v.avg_ms,
-                if i + 1 < variants.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(if gi == 0 { "    ],\n" } else { "    ]\n" });
+    json.push_str("    \"push\": [\n");
+    let scalar_ms = simd_push[0].avg_ms;
+    for (i, v) in simd_push.iter().enumerate() {
+        json.push_str(&format!(
+            "      {{ \"name\": \"{}\", \"avg_ms_per_query\": {:.4}, \"speedup_vs_scalar\": {:.2} }}{}\n",
+            v.name,
+            v.avg_ms,
+            scalar_ms / v.avg_ms,
+            if i + 1 < simd_push.len() { "," } else { "" }
+        ));
     }
-    json.push_str("  }\n}\n");
+    json.push_str("    ]\n  }\n}\n");
 
     std::fs::write(&out_path, &json).expect("write snapshot");
     print!("{json}");

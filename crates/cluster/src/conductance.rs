@@ -66,26 +66,6 @@ impl MemberScratch {
     }
 }
 
-/// How many of `nbrs` are current members (`stamps[u] == epoch`). Exact
-/// integer counting, so the AVX2 body (compiled under the `simd` feature,
-/// dispatched at runtime) returns the identical count as the scalar fold
-/// in any lane decomposition.
-#[inline]
-fn count_members(stamps: &[u32], epoch: u32, nbrs: &[NodeId]) -> usize {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if hkpr_core::simd::simd_active() {
-        // SAFETY: AVX2 support verified by `simd_active`; neighbor ids
-        // are < num_nodes() <= stamps.len() by the CSR invariant.
-        return unsafe { hkpr_core::simd::count_stamped_avx2(stamps, epoch, nbrs) };
-    }
-    let mut internal = 0usize;
-    for &u in nbrs {
-        // SAFETY: u < num_nodes() <= stamps.len().
-        internal += usize::from(unsafe { *stamps.get_unchecked(u as usize) } == epoch);
-    }
-    internal
-}
-
 /// Incremental conductance tracker used by the sweep: nodes are added one
 /// at a time and the cut/volume update in O(d(v)) per insertion.
 ///
@@ -170,11 +150,14 @@ impl<'g> SweepState<'g> {
         let nbrs = self.graph.neighbors(v);
         let m = self.member.scratch();
         let epoch = m.epoch;
-        let internal = count_members(&m.stamps, epoch, nbrs);
+        let mut internal = 0usize;
+        for &u in nbrs {
+            // SAFETY: u < num_nodes() <= stamps.len().
+            internal += usize::from(unsafe { *m.stamps.get_unchecked(u as usize) } == epoch);
+        }
+        m.stamps[v as usize] = epoch;
         self.vol += d;
         self.cut = self.cut + d - 2 * internal;
-        let m = self.member.scratch();
-        m.stamps[v as usize] = m.epoch;
         self.len += 1;
         self.conductance()
     }
@@ -290,33 +273,6 @@ mod tests {
         state.push(2);
         assert_eq!(state.volume(), 7);
         assert_eq!(state.cut(), 1);
-    }
-}
-
-#[cfg(all(test, feature = "simd"))]
-mod simd_tests {
-    use super::*;
-    use hk_graph::gen::erdos_renyi_gnm;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    /// The vector membership scan must reproduce the scalar fold's
-    /// conductance trajectory bit-for-bit (exact integer counts feeding
-    /// one division — no tolerance needed or allowed).
-    #[test]
-    fn sweep_trajectory_identical_scalar_vs_simd() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let g = erdos_renyi_gnm(200, 800, &mut rng).unwrap();
-        let run = |enabled: bool| -> Vec<u64> {
-            hkpr_core::simd::set_simd_enabled(enabled);
-            let mut state = SweepState::new(&g);
-            let traj = (0..200u32).map(|v| state.push(v).to_bits()).collect();
-            hkpr_core::simd::set_simd_enabled(true);
-            traj
-        };
-        let scalar = run(false);
-        let simd = run(true);
-        assert_eq!(scalar, simd);
     }
 }
 

@@ -7,8 +7,8 @@
 
 use hk_graph::{Graph, NodeId};
 use hkpr_core::{
-    cluster_hkpr::cluster_hkpr, hk_relax::hk_relax, monte_carlo::monte_carlo_in, ppr, tea::tea_in,
-    tea_plus::tea_plus_in, tea_plus_finalize, tea_plus_prepare, AccuracyTier, HkprError,
+    cluster_hkpr::cluster_hkpr, hk_relax::hk_relax, monte_carlo_anytime_in, ppr, tea::tea_in,
+    tea_plus_anytime_in, tea_plus_finalize, tea_plus_prepare, AccuracyTier, HkprError,
     HkprEstimate, HkprParams, QueryStats, QueryWorkspace, TeaPlusOptions, TeaPlusPrepared,
     TeaPlusWalkJob,
 };
@@ -153,8 +153,12 @@ impl<'g> LocalClusterer<'g> {
     }
 
     /// Compute only the HKPR estimate (phase one) on a reusable
-    /// [`QueryWorkspace`] — the serving-loop entry point. The workspace's
-    /// thread count controls TEA/TEA+/Monte-Carlo walk-phase parallelism.
+    /// [`QueryWorkspace`]. The workspace's thread count controls
+    /// TEA/TEA+/Monte-Carlo walk-phase parallelism.
+    ///
+    /// [`estimate_anytime_in`](Self::estimate_anytime_in) refined to
+    /// completion, all or nothing: an answer a fired cancel token left
+    /// degraded is [`HkprError::Cancelled`].
     pub fn estimate_in(
         &self,
         method: Method,
@@ -163,13 +167,51 @@ impl<'g> LocalClusterer<'g> {
         rng_seed: u64,
         ws: &mut QueryWorkspace,
     ) -> Result<(HkprEstimate, QueryStats), HkprError> {
+        let controls = hkpr_core::AnytimeControls::default();
+        let (estimate, stats, achieved) =
+            self.estimate_anytime_in(method, seed, params, rng_seed, controls, ws)?;
+        if achieved.is_some_and(|tier| tier.is_degraded()) {
+            return Err(HkprError::Cancelled);
+        }
+        Ok((estimate, stats))
+    }
+
+    /// Phase one of every query — the serving-loop entry point. TEA+ and
+    /// Monte-Carlo run on the tiered refinement path
+    /// ([`hkpr_core::anytime`]), so a cancellation fired mid-push or
+    /// mid-walk stops refinement at the best reachable tier instead of
+    /// erroring, and the returned [`AccuracyTier`] reports how far each
+    /// phase got. Methods without a tiered path return `None` (they keep
+    /// the all-or-nothing cancellation contract).
+    ///
+    /// `controls` threads the caller's refinement caps and push-tier
+    /// observer through to the estimator; TEA+ honors all of it,
+    /// Monte-Carlo (no push phase) honors `walk_tier_cap` only.
+    pub fn estimate_anytime_in(
+        &self,
+        method: Method,
+        seed: NodeId,
+        params: &HkprParams,
+        rng_seed: u64,
+        controls: hkpr_core::AnytimeControls<'_>,
+        ws: &mut QueryWorkspace,
+    ) -> Result<(HkprEstimate, QueryStats, Option<AccuracyTier>), HkprError> {
         let mut rng = SmallRng::seed_from_u64(rng_seed);
         let out = match method {
-            Method::Tea => tea_in(self.graph, params, seed, None, &mut rng, ws)?,
-            Method::TeaPlus => tea_plus_in(self.graph, params, seed, &mut rng, ws)?,
-            Method::MonteCarlo { max_walks } => {
-                monte_carlo_in(self.graph, params, seed, max_walks, &mut rng, ws)?
+            Method::TeaPlus => {
+                let opts = TeaPlusOptions::default();
+                let out =
+                    tea_plus_anytime_in(self.graph, params, seed, opts, controls, &mut rng, ws)?;
+                return Ok((out.estimate, out.stats, Some(out.achieved)));
             }
+            Method::MonteCarlo { max_walks } => {
+                let tier_cap = controls.walk_tier_cap;
+                let out = monte_carlo_anytime_in(
+                    self.graph, params, seed, max_walks, tier_cap, &mut rng, ws,
+                )?;
+                return Ok((out.estimate, out.stats, Some(out.achieved)));
+            }
+            Method::Tea => tea_in(self.graph, params, seed, None, &mut rng, ws)?,
             Method::ClusterHkpr { eps, max_walks } => {
                 cluster_hkpr(self.graph, params.poisson(), seed, eps, max_walks, &mut rng)?
             }
@@ -209,61 +251,7 @@ impl<'g> LocalClusterer<'g> {
                 ppr::fora(self.graph, seed, alpha, omega, &mut rng)?
             }
         };
-        Ok((out.estimate, out.stats))
-    }
-
-    /// Anytime variant of [`estimate_in`](Self::estimate_in): TEA+ and
-    /// Monte-Carlo run on the tiered refinement path
-    /// ([`hkpr_core::anytime`]), so a cancellation fired mid-push or
-    /// mid-walk stops refinement at the best reachable tier instead of
-    /// erroring, and the returned [`AccuracyTier`] reports how far each
-    /// phase got. Run to completion the output is bitwise identical to
-    /// [`estimate_in`](Self::estimate_in). Methods without a tiered path
-    /// fall through to the one-shot estimator and return `None` (they
-    /// keep the all-or-nothing cancellation contract).
-    ///
-    /// `controls` threads the caller's refinement caps and push-tier
-    /// observer through to the estimator; TEA+ honors all of it,
-    /// Monte-Carlo (no push phase) honors `walk_tier_cap` only.
-    pub fn estimate_anytime_in(
-        &self,
-        method: Method,
-        seed: NodeId,
-        params: &HkprParams,
-        rng_seed: u64,
-        controls: hkpr_core::AnytimeControls<'_>,
-        ws: &mut QueryWorkspace,
-    ) -> Result<(HkprEstimate, QueryStats, Option<AccuracyTier>), HkprError> {
-        let mut rng = SmallRng::seed_from_u64(rng_seed);
-        match method {
-            Method::TeaPlus => {
-                let out = hkpr_core::tea_plus_anytime_in(
-                    self.graph,
-                    params,
-                    seed,
-                    hkpr_core::TeaPlusOptions::default(),
-                    controls,
-                    &mut rng,
-                    ws,
-                )?;
-                Ok((out.estimate, out.stats, Some(out.achieved)))
-            }
-            Method::MonteCarlo { max_walks } => {
-                let out = hkpr_core::monte_carlo_anytime_in(
-                    self.graph,
-                    params,
-                    seed,
-                    max_walks,
-                    controls.walk_tier_cap,
-                    &mut rng,
-                    ws,
-                )?;
-                Ok((out.estimate, out.stats, Some(out.achieved)))
-            }
-            _ => self
-                .estimate_in(method, seed, params, rng_seed, ws)
-                .map(|(estimate, stats)| (estimate, stats, None)),
-        }
+        Ok((out.estimate, out.stats, None))
     }
 
     /// Full query: estimate + sweep (phase two), on a fresh workspace.

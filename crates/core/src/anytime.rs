@@ -11,20 +11,25 @@
 //!   resumable walk plan;
 //! * tier `k+1` costs only its increment: endpoint counts are additive
 //!   integer accumulators on chunk-indexed RNG streams, so resuming is
-//!   free and the **final tier is bitwise identical to a cold one-shot
-//!   run** at the requested parameters;
+//!   free and the final tier's deposits do not depend on where the
+//!   earlier tiers stopped;
 //! * if refinement stops early (cancellation or an explicit tier cap),
 //!   the deposited walks are exactly normalizable (`mass = alpha /
 //!   walks_done`), so the caller gets an unbiased estimate plus an
 //!   [`AccuracyTier`] describing how far refinement got.
 //!
-//! The anytime entry points are
 //! [`monte_carlo_anytime_in`](crate::monte_carlo::monte_carlo_anytime_in)
-//! and [`tea_plus_anytime_in`](crate::tea_plus::tea_plus_anytime_in);
-//! `hk-serve` uses them to turn watchdog cancellation into "stop
-//! refining" rather than "discard everything".
+//! and [`tea_plus_anytime_in`](crate::tea_plus::tea_plus_anytime_in) are
+//! the only TEA+ / Monte-Carlo drivers: the one-shot entry points
+//! (`tea_plus_in`, `monte_carlo_in`) run them to completion and return
+//! [`AnytimeOutput::into_complete`], and `hk-serve` uses them directly to
+//! turn watchdog cancellation into "stop refining" rather than "discard
+//! everything".
 
 use crate::estimate::{HkprEstimate, QueryStats};
+use crate::tea::TeaOutput;
+use crate::walk::WalkCursor;
+use crate::workspace::QueryWorkspace;
 
 /// Walk-count divisors of the tier ladder: tier `i` targets
 /// `total.div_ceil(TIER_DIVISORS[i])` walks, so each tier roughly
@@ -83,8 +88,7 @@ impl AccuracyTier {
     /// A tier describing a query that needed no walk phase (early exit or
     /// zero residue mass): complete by construction. Push-tier fields
     /// start at 0/0 (no push phase, e.g. Monte-Carlo with zero walks);
-    /// TEA+ paths that completed their push overwrite them via
-    /// [`with_push_complete`](Self::with_push_complete).
+    /// TEA+ overwrites them with what its push reached.
     pub fn complete_without_walks(eps_r: f64) -> Self {
         AccuracyTier {
             tiers_completed: 0,
@@ -98,15 +102,6 @@ impl AccuracyTier {
         }
     }
 
-    /// Mark the push phase as fully executed (`PUSH_TIER_DIVISORS.len()`
-    /// of `PUSH_TIER_DIVISORS.len()` tiers).
-    pub fn with_push_complete(mut self) -> Self {
-        let full = PUSH_TIER_DIVISORS.len() as u32;
-        self.push_tiers_completed = full;
-        self.push_tiers_planned = full;
-        self
-    }
-
     /// Whether refinement stopped short of the full-accuracy plan in
     /// *either* phase. A degraded answer is not the canonical cold
     /// answer for its parameters (even when `eps_r_achieved ==
@@ -118,8 +113,10 @@ impl AccuracyTier {
 }
 
 /// Caller-side controls threaded through one anytime TEA+ run
-/// ([`tea_plus_anytime_in`](crate::tea_plus::tea_plus_anytime_in)).
-/// `Default` means "refine both ladders to completion, observe nothing".
+/// ([`tea_plus_anytime_in`](crate::tea_plus::tea_plus_anytime_in)) down
+/// to its push steps ([`crate::push_plus::hk_push_plus_step`], which
+/// reads the two push fields). `Default` means "refine both ladders to
+/// completion, observe nothing".
 #[derive(Default)]
 pub struct AnytimeControls<'a> {
     /// Stop the walk ladder after this many walk tiers (deterministic
@@ -131,10 +128,13 @@ pub struct AnytimeControls<'a> {
     /// answer. `None` = push to natural termination.
     pub push_tier_cap: Option<u32>,
     /// Fired once per newly-certified push tier with the new 1-based
-    /// count. `Err(HkprError::Cancelled)` stops push refinement exactly
-    /// like a fired cancel token; other errors abort the query (the
-    /// workspace stays consistent). Serving layers hang failpoints and
-    /// deadline probes here.
+    /// count — at most `PUSH_TIER_DIVISORS.len() - 1` times, since the
+    /// final tier is natural termination, not a certificate.
+    /// `Err(HkprError::Cancelled)` stops push refinement exactly like a
+    /// fired cancel token; other errors abort the query (the workspace
+    /// stays consistent — hooks only run at hop boundaries, after the
+    /// per-hop sum flush). Serving layers hang failpoints and deadline
+    /// probes here.
     pub on_push_tier: Option<&'a mut dyn FnMut(u32) -> Result<(), crate::HkprError>>,
 }
 
@@ -142,10 +142,9 @@ pub struct AnytimeControls<'a> {
 /// unbiased) estimate, the usual cost counters, and the accuracy
 /// actually achieved.
 ///
-/// When `achieved.is_degraded()` is false, `estimate` and `stats` are
-/// bitwise identical to the corresponding cold one-shot estimator's
-/// output for the same RNG state — the conformance gate the golden and
-/// equivalence suites enforce.
+/// When `achieved.is_degraded()` is false, `estimate` and `stats` are the
+/// canonical answer for the parameters and RNG state — what the golden
+/// fixtures pin and the only thing serving layers may cache.
 #[derive(Clone, Debug)]
 pub struct AnytimeOutput {
     /// The HKPR estimate assembled from every deposited walk.
@@ -157,17 +156,56 @@ pub struct AnytimeOutput {
     pub achieved: AccuracyTier,
 }
 
+impl AnytimeOutput {
+    /// The all-or-nothing view the one-shot entry points return: the
+    /// estimate and stats of a run refined to completion, or
+    /// [`HkprError::Cancelled`](crate::HkprError::Cancelled) if either
+    /// ladder was cut short (a degraded answer is discarded, never
+    /// returned as if it were the full-accuracy one).
+    pub fn into_complete(self) -> Result<TeaOutput, crate::HkprError> {
+        if self.achieved.is_degraded() {
+            return Err(crate::HkprError::Cancelled);
+        }
+        Ok(TeaOutput {
+            estimate: self.estimate,
+            stats: self.stats,
+        })
+    }
+}
+
+/// One ladder's tier values: at most one per divisor, held inline so
+/// planning a ladder allocates nothing.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct TierLadder<T> {
+    tiers: [T; TIER_DIVISORS.len()],
+    len: usize,
+}
+
+impl<T: Copy + PartialEq> TierLadder<T> {
+    /// Append `tier` unless it repeats the last one.
+    fn push_dedup(&mut self, tier: T) {
+        if self.as_slice().last() != Some(&tier) {
+            self.tiers[self.len] = tier;
+            self.len += 1;
+        }
+    }
+
+    pub(crate) fn as_slice(&self) -> &[T] {
+        &self.tiers[..self.len]
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+}
+
 /// The deduplicated walk-count targets of the ladder for `total` planned
 /// walks (ascending, last entry == `total`; empty iff `total == 0`).
-pub(crate) fn tier_targets(total: u64) -> Vec<u64> {
-    let mut targets = Vec::with_capacity(TIER_DIVISORS.len());
-    if total == 0 {
-        return targets;
-    }
-    for d in TIER_DIVISORS {
-        let t = total.div_ceil(d);
-        if targets.last() != Some(&t) {
-            targets.push(t);
+pub(crate) fn tier_targets(total: u64) -> TierLadder<u64> {
+    let mut targets = TierLadder::default();
+    if total > 0 {
+        for d in TIER_DIVISORS {
+            targets.push_dedup(total.div_ceil(d));
         }
     }
     targets
@@ -179,25 +217,54 @@ pub(crate) fn tier_targets(total: u64) -> Vec<u64> {
 /// chunk. `chunk_walk_prefix` is the plan's cumulative walk prefix
 /// (`prefix[c]` = walks in chunks before `c`; strictly increasing since
 /// every chunk holds at least one walk).
-pub(crate) fn plan_tier_bounds(total: u64, chunk_walk_prefix: &[u64]) -> Vec<usize> {
+fn plan_tier_bounds(total: u64, chunk_walk_prefix: &[u64]) -> TierLadder<usize> {
     let num_chunks = chunk_walk_prefix.len().saturating_sub(1);
-    if num_chunks == 0 {
-        return Vec::new();
-    }
-    let mut bounds = Vec::with_capacity(TIER_DIVISORS.len());
-    for target in tier_targets(total) {
-        // First boundary whose cumulative walk count reaches the target.
-        let b = chunk_walk_prefix
-            .partition_point(|&w| w < target)
-            .min(num_chunks);
-        if bounds.last() != Some(&b) {
-            bounds.push(b);
+    let mut bounds = TierLadder::default();
+    if num_chunks > 0 {
+        for &target in tier_targets(total).as_slice() {
+            // First boundary whose cumulative walk count reaches the
+            // target; the final target is the whole plan.
+            let b = if target == total {
+                num_chunks
+            } else {
+                chunk_walk_prefix
+                    .partition_point(|&w| w < target)
+                    .min(num_chunks)
+            };
+            bounds.push_dedup(b);
         }
     }
-    if bounds.last() != Some(&num_chunks) {
-        bounds.push(num_chunks);
-    }
     bounds
+}
+
+/// Climb the walk ladder of the plan most recently built on `ws` (`total`
+/// planned walks): execute its chunks tier by tier — `run_through(ws,
+/// bound, cursor)` runs the not-yet-run chunks below `bound` — until the
+/// ladder completes, `tier_cap` tiers (clamped to at least 1) ran, or the
+/// workspace's cancel token stopped a tier short. Returns the cursor and
+/// `(tiers_completed, tiers_planned)`.
+pub(crate) fn climb_walk_ladder(
+    ws: &mut QueryWorkspace,
+    total: u64,
+    tier_cap: Option<u32>,
+    mut run_through: impl FnMut(&mut QueryWorkspace, usize, &mut WalkCursor),
+) -> (WalkCursor, u32, u32) {
+    let bounds = plan_tier_bounds(total, ws.walk_scratch.chunk_walk_prefix());
+    let tiers_planned = bounds.len() as u32;
+    let run_tiers = tier_cap.map_or(tiers_planned, |cap| cap.clamp(1, tiers_planned));
+    let mut cursor = WalkCursor::default();
+    let mut tiers_completed = 0;
+    for &bound in &bounds.as_slice()[..run_tiers as usize] {
+        if ws.is_cancelled() {
+            break;
+        }
+        run_through(ws, bound, &mut cursor);
+        if cursor.walks_done < ws.walk_scratch.planned_walks_through(bound) {
+            break; // cancel skipped chunks inside this tier
+        }
+        tiers_completed += 1;
+    }
+    (cursor, tiers_completed, tiers_planned)
 }
 
 /// The relative-error bound supported by `walks_done` out of
@@ -225,12 +292,12 @@ mod tests {
     #[test]
     fn targets_are_ascending_and_end_at_total() {
         for total in [1u64, 2, 63, 64, 65, 1000, 1 << 40] {
-            let t = tier_targets(total);
-            assert!(!t.is_empty());
+            let ladder = tier_targets(total);
+            let t = ladder.as_slice();
             assert_eq!(*t.last().unwrap(), total, "total {total}");
             assert!(t.windows(2).all(|w| w[0] < w[1]), "total {total}: {t:?}");
         }
-        assert!(tier_targets(0).is_empty());
+        assert_eq!(tier_targets(0).len(), 0);
     }
 
     #[test]
@@ -239,8 +306,8 @@ mod tests {
         let prefix = [0u64, 100, 200, 300, 400, 500];
         let bounds = plan_tier_bounds(500, &prefix);
         // Targets 8, 32, 125, 500 -> chunk bounds 1, 1, 2, 5 -> dedup.
-        assert_eq!(bounds, vec![1, 2, 5]);
-        assert!(plan_tier_bounds(0, &[0]).is_empty());
+        assert_eq!(bounds.as_slice(), [1, 2, 5]);
+        assert_eq!(plan_tier_bounds(0, &[0]).len(), 0);
     }
 
     #[test]
@@ -278,13 +345,13 @@ mod tests {
         // A cancelled push with a complete walk phase is still degraded
         // (non-canonical answer, must not be cached) even though the
         // statistical guarantee is intact.
-        let mut tier = AccuracyTier::complete_without_walks(0.5).with_push_complete();
+        let full = PUSH_TIER_DIVISORS.len() as u32;
+        let mut tier = AccuracyTier {
+            push_tiers_completed: full,
+            push_tiers_planned: full,
+            ..AccuracyTier::complete_without_walks(0.5)
+        };
         assert!(!tier.is_degraded());
-        assert_eq!(
-            tier.push_tiers_planned as usize,
-            PUSH_TIER_DIVISORS.len(),
-            "full ladder spans every divisor"
-        );
         tier.walks_planned = 100;
         tier.walks_done = 100;
         tier.push_tiers_completed = 2;

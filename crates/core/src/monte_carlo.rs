@@ -10,14 +10,12 @@
 use hk_graph::{Graph, NodeId};
 use rand::Rng;
 
-use crate::anytime::{achieved_eps_r, plan_tier_bounds, AccuracyTier, AnytimeOutput};
+use crate::anytime::{achieved_eps_r, climb_walk_ladder, AccuracyTier, AnytimeOutput};
 use crate::error::HkprError;
 use crate::estimate::{HkprEstimate, QueryStats};
 use crate::params::HkprParams;
 use crate::tea::TeaOutput;
-use crate::walk::{
-    plan_batched_fixed_walks, run_batched_fixed_walks, run_planned_fixed_walks, WalkCursor,
-};
+use crate::walk::{plan_batched_fixed_walks, run_planned_fixed_walks};
 use crate::workspace::QueryWorkspace;
 
 /// Run the Monte-Carlo estimator.
@@ -41,11 +39,10 @@ pub fn monte_carlo<R: Rng>(
     })
 }
 
-/// Monte-Carlo estimation on a reusable workspace: all `nr` walk lengths
-/// are sampled up front, grouped by length, and executed by the batched
-/// engine with endpoint counts accumulated densely (the per-walk hash-map
-/// deposit of the reference becomes one `count * mass` conversion at the
-/// end).
+/// Monte-Carlo estimation on a reusable workspace —
+/// [`monte_carlo_anytime_in`] refined to completion with the
+/// [`AccuracyTier`] dropped: all or nothing, a cancellation that cut the
+/// walk ladder short is [`HkprError::Cancelled`].
 pub fn monte_carlo_in<R: Rng>(
     graph: &Graph,
     params: &HkprParams,
@@ -54,79 +51,27 @@ pub fn monte_carlo_in<R: Rng>(
     rng: &mut R,
     ws: &mut QueryWorkspace,
 ) -> Result<TeaOutput, HkprError> {
-    params.validate_seed(seed)?;
-    let published = params.monte_carlo_walks();
-    let nr = match max_walks {
-        Some(0) => return Err(HkprError::InvalidParameter("max_walks must be >= 1".into())),
-        Some(cap) => published.min(cap),
-        None => published,
-    };
-
-    let clock = std::time::Instant::now();
-    ws.begin(graph.num_nodes());
-    let mut stats = QueryStats {
-        alpha: 1.0,
-        ..QueryStats::default()
-    };
-    let mass = 1.0 / nr as f64;
-    let poisson = params.poisson();
-
-    // Sample every walk length up front into a Poisson histogram. The
-    // published count can reach tens of millions, so the loop polls the
-    // workspace's cancellation token every 64Ki draws.
-    let mut length_counts = vec![0u64; poisson.k_max() + 1];
-    for i in 0..nr {
-        if i & 0xFFFF == 0 {
-            ws.check_cancelled()?;
-        }
-        length_counts[poisson.sample_length(rng)] += 1;
-    }
-    let push_ns = clock.elapsed().as_nanos() as u64;
-    stats.random_walks = nr;
-    stats.walk_steps = length_counts
-        .iter()
-        .enumerate()
-        .map(|(len, &c)| len as u64 * c)
-        .sum();
-
-    let threads = ws.threads();
-    let cancel = ws.cancel_token().cloned();
-    run_batched_fixed_walks(
-        graph,
-        seed,
-        &length_counts,
-        rng.next_u64(),
-        threads,
-        cancel.as_ref(),
-        &mut ws.counts,
-        &mut ws.walk_scratch,
-    );
-    ws.check_cancelled()?;
-
-    let entries = ws.assemble_estimate(mass);
-    ws.set_phase_times(push_ns, clock.elapsed().as_nanos() as u64 - push_ns);
-    Ok(TeaOutput {
-        estimate: HkprEstimate::from_sorted_entries(entries),
-        stats,
-    })
+    monte_carlo_anytime_in(graph, params, seed, max_walks, None, rng, ws)?.into_complete()
 }
 
-/// Anytime Monte-Carlo estimation: the same computation as
-/// [`monte_carlo_in`] — identical RNG consumption, identical walk plan —
-/// but executed as a ladder of accuracy tiers on the resumable walk
-/// engine (see [`crate::anytime`]).
+/// Monte-Carlo estimation as a ladder of accuracy tiers on the resumable
+/// walk engine (see [`crate::anytime`]) — the one Monte-Carlo driver. All
+/// `nr` walk lengths are sampled up front, grouped by length, and
+/// executed by the batched engine with endpoint counts accumulated
+/// densely (the per-walk hash-map deposit of the reference becomes one
+/// `count * mass` conversion at the end).
 ///
 /// Semantics:
 ///
-/// * run to completion, and the returned estimate/stats are **bitwise
-///   identical** to [`monte_carlo_in`] for the same starting RNG state;
+/// * run to completion, `achieved.is_degraded()` is false and the answer
+///   is the published estimator's;
 /// * a cancellation fired mid-walk stops refinement at the next chunk
 ///   boundary instead of erroring — the walks already deposited are
 ///   renormalized (`mass = 1/walks_done`, still unbiased) and
 ///   `achieved.is_degraded()` reports the shortfall;
 /// * cancellation before any walk deposited (during length sampling or
-///   at the very first chunk) still yields [`HkprError::Cancelled`] —
-///   with zero walks there is nothing to normalize;
+///   at the very first chunk) yields [`HkprError::Cancelled`] — with zero
+///   walks there is nothing to normalize;
 /// * `tier_cap` (`Some(k)`, clamped to at least 1) stops after `k`
 ///   ladder tiers regardless of cancellation — a deterministic degraded
 ///   run for tests and benches. `None` runs the full ladder.
@@ -156,8 +101,10 @@ pub fn monte_carlo_anytime_in<R: Rng>(
     };
     let poisson = params.poisson();
 
-    // Length sampling is identical to the cold path (same draws, same
-    // cancellation cadence): a cancel here aborts with nothing deposited.
+    // Sample every walk length up front into a Poisson histogram. The
+    // published count can reach tens of millions, so the loop polls the
+    // workspace's cancellation token every 64Ki draws; a cancel here
+    // aborts with nothing deposited.
     let mut length_counts = vec![0u64; poisson.k_max() + 1];
     for i in 0..nr {
         if i & 0xFFFF == 0 {
@@ -170,53 +117,35 @@ pub fn monte_carlo_anytime_in<R: Rng>(
     let master_seed = rng.next_u64();
     let threads = ws.threads();
     let cancel = ws.cancel_token().cloned();
-    let plan =
-        plan_batched_fixed_walks(graph, &length_counts, &mut ws.counts, &mut ws.walk_scratch);
-    debug_assert_eq!(plan.total_walks, nr);
-    let bounds = plan_tier_bounds(nr, ws.walk_scratch.chunk_walk_prefix());
-    let tiers_planned = bounds.len() as u32;
-    let run_tiers = tier_cap.map_or(tiers_planned, |cap| cap.clamp(1, tiers_planned));
-
-    let mut cursor = WalkCursor::default();
-    let mut tiers_completed = 0u32;
-    for &bound in bounds.iter().take(run_tiers as usize) {
-        if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            break;
-        }
-        run_planned_fixed_walks(
-            graph,
-            seed,
-            master_seed,
-            threads,
-            cancel.as_ref(),
-            bound,
-            &mut cursor,
-            &mut ws.counts,
-            &mut ws.walk_scratch,
-        );
-        if cursor.walks_done < ws.walk_scratch.planned_walks_through(bound) {
-            break; // cancel skipped chunks inside this tier
-        }
-        tiers_completed += 1;
-    }
+    plan_batched_fixed_walks(graph, &length_counts, &mut ws.counts, &mut ws.walk_scratch);
+    let (cursor, tiers_completed, tiers_planned) =
+        climb_walk_ladder(ws, nr, tier_cap, |ws, bound, cursor| {
+            run_planned_fixed_walks(
+                graph,
+                seed,
+                master_seed,
+                threads,
+                cancel.as_ref(),
+                bound,
+                cursor,
+                &mut ws.counts,
+                &mut ws.walk_scratch,
+            )
+        });
 
     let walks_done = cursor.walks_done;
     if walks_done == 0 {
-        // Nothing deposited: either cancelled before the first chunk ran,
-        // or the plan was empty (impossible here since nr >= 1). Degrade
-        // to the cold path's contract.
-        ws.check_cancelled()?;
+        // Nothing deposited: cancelled before the first chunk ran (the
+        // plan is never empty, nr >= 1).
         return Err(HkprError::Cancelled);
     }
-    let complete = walks_done == nr;
     // Renormalize over executed walks — unbiased because every chunk is
-    // an independent batch of walk samples. Bitwise equal to the cold
-    // path's `1/nr` when complete.
+    // an independent batch of walk samples.
     let mass = 1.0 / walks_done as f64;
     stats.random_walks = walks_done;
-    stats.walk_steps = if complete {
-        // The cold path reports the analytic step total (it knows every
-        // sampled length); match it exactly.
+    stats.walk_steps = if walks_done == nr {
+        // A complete run reports the analytic step total (it knows every
+        // sampled length, including those of walks that could not move).
         length_counts
             .iter()
             .enumerate()

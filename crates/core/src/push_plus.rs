@@ -45,7 +45,7 @@
 
 use hk_graph::{Graph, NodeId};
 
-use crate::anytime::PUSH_TIER_DIVISORS;
+use crate::anytime::{AnytimeControls, PUSH_TIER_DIVISORS};
 use crate::error::HkprError;
 use crate::fxhash::FxHashMap;
 use crate::poisson::PoissonTable;
@@ -252,23 +252,6 @@ impl PushResumeState {
     }
 }
 
-/// Controls for one [`hk_push_plus_step`] call.
-#[derive(Default)]
-pub struct PushStepControls<'a> {
-    /// Pause at the next hop boundary where at least this many
-    /// certificate tiers are certified (clamped to at least 1), instead
-    /// of refining further. `None` runs to natural termination.
-    pub pause_after_tiers: Option<u32>,
-    /// Fired once per newly-certified tier with the new 1-based count —
-    /// at most `PUSH_TIER_DIVISORS.len() - 1` times, since the final
-    /// tier is natural termination, not a certificate. An
-    /// `Err(HkprError::Cancelled)` stops the push exactly like a fired
-    /// cancel token; any other error aborts the step (the checkpoint
-    /// stays consistent — hooks only run at hop boundaries, after the
-    /// per-hop sum flush).
-    pub on_tier: Option<&'a mut dyn FnMut(u32) -> Result<(), HkprError>>,
-}
-
 /// Why one [`hk_push_plus_step`] call returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PushStepOutcome {
@@ -276,7 +259,7 @@ pub enum PushStepOutcome {
     /// or push budget exhausted): the push phase is *complete* — call
     /// [`hk_push_plus_finalize`] and proceed exactly like a cold run.
     Complete,
-    /// Paused at a hop boundary with `pause_after_tiers` satisfied. Step
+    /// Paused at a hop boundary with `push_tier_cap` satisfied. Step
     /// again to keep refining, or finalize to stop here (degraded).
     Paused {
         /// Certificate tiers certified so far.
@@ -380,7 +363,7 @@ pub fn hk_push_plus_begin(
 }
 
 /// Advance a resumable `HK-Push+` run until it pauses (a certificate
-/// tier satisfied `pause_after_tiers`), is cancelled, or terminates
+/// tier satisfied `controls.push_tier_cap`), is cancelled, or terminates
 /// naturally. Pauses only happen at hop boundaries, where the per-hop
 /// sums are flushed and the hint row is exact — so a ladder resumed to
 /// completion replays the cold schedule bit-for-bit.
@@ -392,7 +375,7 @@ pub fn hk_push_plus_step(
     graph: &Graph,
     poisson: &PoissonTable,
     cfg: &PushPlusConfig,
-    controls: &mut PushStepControls<'_>,
+    controls: &mut AnytimeControls<'_>,
     ws: &mut crate::workspace::QueryWorkspace,
 ) -> Result<PushStepOutcome, HkprError> {
     let k_cap = cfg.hop_cap;
@@ -570,7 +553,7 @@ pub fn hk_push_plus_step(
                         <= PUSH_TIER_DIVISORS[st.tiers_certified as usize] as f64 * cfg.eps_abs
                 {
                     st.tiers_certified += 1;
-                    if let Some(on_tier) = controls.on_tier.as_mut() {
+                    if let Some(on_tier) = controls.on_push_tier.as_mut() {
                         if let Err(e) = on_tier(st.tiers_certified) {
                             match e {
                                 HkprError::Cancelled => {
@@ -593,7 +576,7 @@ pub fn hk_push_plus_step(
                     }
                 }
                 if st.k < k_cap {
-                    if let Some(pause) = controls.pause_after_tiers {
+                    if let Some(pause) = controls.push_tier_cap {
                         if st.tiers_certified >= pause.max(1) {
                             ws.push_resume = st;
                             return Ok(PushStepOutcome::Paused {
@@ -680,12 +663,13 @@ pub fn hk_push_plus_finalize(
 ///   sum (identical per-hop maxima folded in identical hop order).
 ///
 /// Implemented as [`hk_push_plus_begin`] + one uncontrolled
-/// [`hk_push_plus_step`] + [`hk_push_plus_finalize`]: the resumable
-/// ladder and the cold one-shot run share one loop, so their bitwise
-/// agreement holds by construction. A fired cancel token stops the step
-/// early; the returned stats stay internally consistent (budget-style
-/// stop, `satisfied_condition_11` never claimed) and the cold drivers
-/// discard them behind their own `check_cancelled`.
+/// [`hk_push_plus_step`] + [`hk_push_plus_finalize`] — the push phase of
+/// a TEA+ query run to its natural stop, on its own (the equivalence
+/// suite's and the push benches' entry point; TEA+ itself drives the
+/// three calls directly). A fired cancel token stops the step early; the
+/// returned stats stay internally consistent (budget-style stop,
+/// `satisfied_condition_11` never claimed), and a caller that installed
+/// a token must check it before trusting them.
 pub fn hk_push_plus_ws(
     graph: &Graph,
     poisson: &PoissonTable,
@@ -694,7 +678,7 @@ pub fn hk_push_plus_ws(
     ws: &mut crate::workspace::QueryWorkspace,
 ) -> PushPlusWsStats {
     hk_push_plus_begin(graph, seed, cfg, ws);
-    let step = hk_push_plus_step(graph, poisson, cfg, &mut PushStepControls::default(), ws);
+    let step = hk_push_plus_step(graph, poisson, cfg, &mut AnytimeControls::default(), ws);
     debug_assert!(step.is_ok(), "no tier hook installed");
     hk_push_plus_finalize(cfg, ws)
 }
@@ -899,9 +883,10 @@ mod tests {
                     fired.push(t);
                     Ok(())
                 };
-                let mut controls = PushStepControls {
-                    pause_after_tiers: Some(next_pause),
-                    on_tier: Some(&mut hook),
+                let mut controls = AnytimeControls {
+                    push_tier_cap: Some(next_pause),
+                    on_push_tier: Some(&mut hook),
+                    ..Default::default()
                 };
                 steps += 1;
                 match hk_push_plus_step(&g, &p, &cfg, &mut controls, &mut ws).unwrap() {
@@ -947,9 +932,9 @@ mod tests {
         let mut ws = crate::workspace::QueryWorkspace::new();
         hk_push_plus_begin(&g, 0, &cfg, &mut ws);
         let mut hook = |_t: u32| Err(HkprError::Cancelled);
-        let mut controls = PushStepControls {
-            pause_after_tiers: None,
-            on_tier: Some(&mut hook),
+        let mut controls = AnytimeControls {
+            on_push_tier: Some(&mut hook),
+            ..Default::default()
         };
         match hk_push_plus_step(&g, &p, &cfg, &mut controls, &mut ws).unwrap() {
             PushStepOutcome::Cancelled { tiers_certified } => {

@@ -119,7 +119,7 @@ impl<'g> ExchangeSession<'g> {
         let table = AliasTable::try_new(weights)?;
         let mut counts = EpochCounter::new();
         let mut scratch = WalkScratch::default();
-        let plan = plan_batched_walks_kernel(
+        let planned = plan_batched_walks_kernel(
             graph,
             entries,
             &table,
@@ -129,8 +129,8 @@ impl<'g> ExchangeSession<'g> {
             None,
             &mut counts,
             &mut scratch,
-        )
-        .expect("planning cannot be cancelled without a token");
+        );
+        assert!(planned, "planning cannot be cancelled without a token");
         Ok(ExchangeSession {
             graph,
             lengths: poisson.length_tables(),
@@ -138,7 +138,7 @@ impl<'g> ExchangeSession<'g> {
             work: scratch.work().to_vec(),
             chunks: scratch.chunks().to_vec(),
             master_seed,
-            total_walks: plan.total_walks,
+            total_walks: nr,
             counts,
             steps: 0,
             completed_walks: 0,

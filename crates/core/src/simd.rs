@@ -1,25 +1,22 @@
 //! Runtime dispatch for the explicit-SIMD hot-path kernels.
 //!
 //! The `simd` cargo feature (off by default, mirroring `hk-graph`'s
-//! `mmap`) compiles `core::arch` vector paths for the order-free scan
-//! reductions the lanes walk kernel never touched:
+//! `mmap`) compiles a `core::arch` vector path for the push phase's
+//! residue threshold scan
+//! ([`crate::workspace::EpochVec::max_value_over_deg`] — the
+//! condition-(11) `max_v r[v]/d(v)` probe).
 //!
-//! * the push phase's residue threshold scan
-//!   ([`crate::workspace::EpochVec::max_value_over_deg`] — the
-//!   condition-(11) `max_v r[v]/d(v)` probe);
-//! * the sweep's conductance membership scan (`hk-cluster`'s
-//!   `SweepState::push`, which reuses this module's dispatch).
-//!
-//! Both loops are **reduction-order-independent** — a max over a NaN-free
-//! multiset and an exact integer count — so the vector paths produce the
-//! same f64/usize bits as the scalar folds and every golden fixture and
-//! bitwise equivalence suite passes unchanged, with no re-bless. Float
+//! The loop is **reduction-order-independent** — a max over a NaN-free
+//! multiset — so the vector path produces the same f64 bits as the scalar
+//! fold and every golden fixture and bitwise equivalence suite passes
+//! unchanged, with no re-bless. (The sweep's membership count had an AVX2
+//! gather body too; it measured 0.98x and was removed.) Float
 //! *sums* (residue accumulation, hop sums) are deliberately **not**
 //! vectorized: reordering them would reassociate the additions and break
 //! the bit-determinism contract. For the same reason the push propagation
 //! frontier keeps its exact scalar pop order — reordering it (e.g. by
 //! degree) would reorder the scatter adds; the degree-sorted locality
-//! pass lives where order is free (these scans, and `hk-serve`'s hub
+//! pass lives where order is free (this scan, and `hk-serve`'s hub
 //! precompute frontier, which runs seeds in descending-degree order).
 //!
 //! Dispatch is decided at runtime: the vector path runs only on x86_64
@@ -78,66 +75,4 @@ pub fn set_simd_enabled(enabled: bool) {
 /// bench snapshots so a scalar-only binary labels its rows honestly).
 pub const fn simd_compiled() -> bool {
     cfg!(feature = "simd")
-}
-
-/// AVX2 kernel for the sweep's membership count: how many of `nbrs` have
-/// `stamps[u] == epoch`. Exact integer counting — any processing order
-/// and lane decomposition yields the identical count, so this is
-/// bit-equivalent to the scalar fold by construction.
-///
-/// # Safety
-/// Every id in `nbrs` must be a valid index into `stamps` (the CSR
-/// invariant `u < num_nodes() <= stamps.len()`, same contract as the
-/// scalar path's `get_unchecked`).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-pub unsafe fn count_stamped_avx2(stamps: &[u32], epoch: u32, nbrs: &[u32]) -> usize {
-    use std::arch::x86_64::*;
-
-    let want = _mm256_set1_epi32(epoch as i32);
-    let base = stamps.as_ptr() as *const i32;
-    let mut count = 0usize;
-    let chunks = nbrs.len() / 8;
-    for c in 0..chunks {
-        // SAFETY: 8-id chunk within `nbrs`; every id indexes `stamps`.
-        let idx = _mm256_loadu_si256(nbrs.as_ptr().add(c * 8) as *const __m256i);
-        let got = _mm256_i32gather_epi32::<4>(base, idx);
-        let eq = _mm256_cmpeq_epi32(got, want);
-        count += _mm256_movemask_ps(_mm256_castsi256_ps(eq)).count_ones() as usize;
-    }
-    for &u in &nbrs[chunks * 8..] {
-        count += usize::from(*stamps.get_unchecked(u as usize) == epoch);
-    }
-    count
-}
-
-#[cfg(all(test, feature = "simd", target_arch = "x86_64"))]
-mod tests {
-    #[test]
-    fn avx2_count_matches_scalar_on_random_inputs() {
-        if !super::cpu_supported() {
-            return;
-        }
-        // Deterministic xorshift-ish stream; no external RNG needed.
-        let mut x = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for len in [0usize, 1, 7, 8, 9, 31, 64, 257] {
-            let n = 512usize;
-            let epoch = 3u32;
-            let stamps: Vec<u32> = (0..n).map(|_| (next() % 5) as u32).collect();
-            let nbrs: Vec<u32> = (0..len).map(|_| (next() % n as u64) as u32).collect();
-            let scalar: usize = nbrs
-                .iter()
-                .map(|&u| usize::from(stamps[u as usize] == epoch))
-                .sum();
-            // SAFETY: all ids in `nbrs` are < n == stamps.len().
-            let simd = unsafe { super::count_stamped_avx2(&stamps, epoch, &nbrs) };
-            assert_eq!(scalar, simd, "len={len}");
-        }
-    }
 }

@@ -24,21 +24,20 @@ use hk_graph::{Graph, NodeId};
 use rand::Rng;
 
 use crate::alias::AliasTable;
+use std::time::Instant;
+
 use crate::anytime::{
-    achieved_eps_r, plan_tier_bounds, tier_targets, AccuracyTier, AnytimeControls, AnytimeOutput,
+    achieved_eps_r, climb_walk_ladder, tier_targets, AccuracyTier, AnytimeControls, AnytimeOutput,
     PUSH_TIER_DIVISORS,
 };
 use crate::error::HkprError;
 use crate::estimate::{HkprEstimate, QueryStats};
 use crate::params::HkprParams;
 use crate::push_plus::{
-    hk_push_plus_begin, hk_push_plus_finalize, hk_push_plus_step, hk_push_plus_ws, PushPlusConfig,
-    PushStepControls, PushStepOutcome,
+    hk_push_plus_begin, hk_push_plus_finalize, hk_push_plus_step, PushPlusConfig, PushStepOutcome,
 };
 use crate::tea::TeaOutput;
-use crate::walk::{
-    plan_batched_walks_kernel, run_batched_walks_kernel, run_planned_walks_kernel, WalkCursor,
-};
+use crate::walk::{plan_batched_walks_kernel, run_planned_walks_kernel};
 use crate::workspace::QueryWorkspace;
 
 /// Ablation switches for [`tea_plus_with_options`]. The defaults are the
@@ -106,11 +105,16 @@ pub fn tea_plus_in<R: Rng>(
 }
 
 /// Full TEA+ (Algorithm 5) on a reusable workspace: dense budgeted push
-/// with the incremental condition-(11) check
-/// ([`hk_push_plus_ws`]), residue reduction straight off the dense hop
-/// arrays, and the batched walk engine. The workspace's thread count
-/// controls the walk-phase fan-out; results are bit-identical across
-/// thread counts for a fixed `rng` state.
+/// with the incremental condition-(11) check, residue reduction straight
+/// off the dense hop arrays, and the batched walk engine. The workspace's
+/// thread count controls the walk-phase fan-out; results are bit-identical
+/// across thread counts for a fixed `rng` state.
+///
+/// This is [`tea_plus_anytime_in`] refined to completion with the
+/// [`AccuracyTier`](crate::anytime::AccuracyTier) dropped: all or
+/// nothing. A cancellation that cut either ladder short — which the
+/// anytime entry point would report as a degraded answer — is
+/// [`HkprError::Cancelled`] here.
 pub fn tea_plus_with_options_in<R: Rng>(
     graph: &Graph,
     params: &HkprParams,
@@ -119,34 +123,156 @@ pub fn tea_plus_with_options_in<R: Rng>(
     rng: &mut R,
     ws: &mut QueryWorkspace,
 ) -> Result<TeaOutput, HkprError> {
+    let controls = AnytimeControls::default();
+    tea_plus_anytime_in(graph, params, seed, opts, controls, rng, ws)?.into_complete()
+}
+
+/// Outcome of [`tea_plus_prepare`]: either the answer is already final,
+/// or a walk phase remains to be executed (possibly on other processes).
+#[derive(Debug)]
+pub enum TeaPlusPrepared {
+    /// The query completed during preparation — condition-(11) early exit,
+    /// or the residue reduction emptied the walk work. Final answer.
+    Done(TeaOutput),
+    /// Push + residue reduction are done and a walk phase is required.
+    /// The walk-start entries and weights stay in the workspace
+    /// ([`QueryWorkspace::walk_entries`] /
+    /// [`QueryWorkspace::walk_weights`]); execute the walks — locally or
+    /// distributed — merge the integer endpoint counts, and hand them to
+    /// [`tea_plus_finalize`] on the *same* workspace.
+    NeedWalks(TeaPlusWalkJob),
+}
+
+/// The walk phase split out of a prepared TEA+ query. Everything a remote
+/// executor needs beyond the entries/weights left in the workspace.
+#[derive(Clone, Copy, Debug)]
+pub struct TeaPlusWalkJob {
+    /// Total reduced residue mass `alpha` (> 0).
+    pub alpha: f64,
+    /// Planned walk count `ceil(alpha * omega)` (> 0).
+    pub nr: u64,
+    /// Master seed of the chunked walk RNG streams, drawn from the query
+    /// RNG right after the walk weights validate — the only draw a TEA+
+    /// query makes from it.
+    pub master_seed: u64,
+    /// Query stats accumulated through the push phase (including `alpha`).
+    pub stats: QueryStats,
+    /// Push-phase wall time (telemetry passthrough to finalize).
+    pub push_ns: u64,
+}
+
+/// A walk phase ready to execute on the workspace that prepared it.
+struct WalkPhase {
+    job: TeaPlusWalkJob,
+    /// Alias table over the workspace's walk weights.
+    table: AliasTable,
+    /// What the push achieved; the walk fields still read "no walks".
+    achieved: AccuracyTier,
+    /// When the push phase ended (start of the walk-phase timing).
+    push_done: Instant,
+}
+
+/// Where the push + residue-reduction half of a query leaves it.
+enum Front {
+    /// Final without a walk: condition-(11) early exit, or the reduction
+    /// left nothing to walk from.
+    Done(AnytimeOutput),
+    Walk(WalkPhase),
+}
+
+impl TeaPlusOptions {
+    /// Lines 18-19: the `eps_r*delta/2 * d(v)` offset, stored as an O(1)
+    /// coefficient (the paper's "record the value along with rho_hat").
+    /// Only meaningful when the reduction actually removed mass.
+    fn offset_coeff(&self, params: &HkprParams) -> Option<f64> {
+        (self.residue_reduction && self.offset).then(|| params.eps_abs() / 2.0)
+    }
+}
+
+/// Assemble reserve + `count * mass` into the final estimate and record
+/// the phase times (`since` = start of the walk phase).
+fn assemble(
+    ws: &mut QueryWorkspace,
+    mass: f64,
+    offset_coeff: Option<f64>,
+    push_ns: u64,
+    since: Instant,
+) -> HkprEstimate {
+    let entries = ws.assemble_estimate(mass);
+    ws.set_phase_times(push_ns, since.elapsed().as_nanos() as u64);
+    let mut estimate = HkprEstimate::from_sorted_entries(entries);
+    if let Some(coeff) = offset_coeff {
+        estimate.set_offset_coeff(coeff);
+    }
+    estimate
+}
+
+/// The front half of every TEA+ run: the push ladder
+/// ([`hk_push_plus_begin`] / [`hk_push_plus_step`] /
+/// [`hk_push_plus_finalize`]) and the lines 8-11 residue reduction,
+/// ending in an early exit, an empty walk phase, or a [`WalkPhase`] whose
+/// entries and weights sit in the workspace. Honors
+/// `controls.push_tier_cap` and `controls.on_push_tier`; a push
+/// cancelled before it certified any tier is [`HkprError::Cancelled`].
+fn push_and_reduce<R: Rng>(
+    graph: &Graph,
+    params: &HkprParams,
+    seed: NodeId,
+    opts: TeaPlusOptions,
+    mut controls: AnytimeControls<'_>,
+    rng: &mut R,
+    ws: &mut QueryWorkspace,
+) -> Result<Front, HkprError> {
     params.validate_seed(seed)?;
     let cfg = PushPlusConfig {
         hop_cap: params.hop_cap(),
         eps_abs: params.eps_abs(),
         budget: params.push_budget(),
     };
-    let clock = std::time::Instant::now();
-    let push = hk_push_plus_ws(graph, params.poisson(), seed, &cfg, ws);
-    ws.check_cancelled()?;
-    let push_ns = clock.elapsed().as_nanos() as u64;
+    let clock = Instant::now();
+    let full_push = PUSH_TIER_DIVISORS.len() as u32;
+    hk_push_plus_begin(graph, seed, &cfg, ws);
+    let push_tiers_completed =
+        match hk_push_plus_step(graph, params.poisson(), &cfg, &mut controls, ws)? {
+            // Natural termination — including a budget stop — is the
+            // final tier: the walk phase compensates whatever residues
+            // remain, exactly as Algorithm 5 specifies.
+            PushStepOutcome::Complete => full_push,
+            PushStepOutcome::Paused { tiers_certified } => tiers_certified,
+            // Nothing usable: the reserve certifies no tier.
+            PushStepOutcome::Cancelled { tiers_certified: 0 } => return Err(HkprError::Cancelled),
+            PushStepOutcome::Cancelled { tiers_certified } => tiers_certified,
+        };
+    let push = hk_push_plus_finalize(&cfg, ws);
+    let push_done = Instant::now();
+    let push_ns = (push_done - clock).as_nanos() as u64;
     let mut stats = QueryStats {
         push_operations: push.push_operations,
         early_exit: push.satisfied_condition_11 && opts.early_exit,
         ..QueryStats::default()
     };
 
+    let achieved = AccuracyTier {
+        push_tiers_completed,
+        push_tiers_planned: full_push,
+        ..AccuracyTier::complete_without_walks(params.eps_r())
+    };
+
     // Line 7: condition (11) held — the reserve is already good enough.
-    if push.satisfied_condition_11 && opts.early_exit {
-        let entries = ws.assemble_estimate(0.0);
-        ws.set_phase_times(push_ns, clock.elapsed().as_nanos() as u64 - push_ns);
-        return Ok(TeaOutput {
-            estimate: HkprEstimate::from_sorted_entries(entries),
+    // Only naturally-finished pushes can claim it (see finalize), so the
+    // push ladder is complete here by construction.
+    if stats.early_exit {
+        return Ok(Front::Done(AnytimeOutput {
+            estimate: assemble(ws, 0.0, None, push_ns, push_done),
             stats,
-        });
+            achieved,
+        }));
     }
 
     // Lines 8-11: residue reduction. beta_k proportional to the hop sums,
     // applied in one pass over the dense hop arrays' touched lists.
+    // Inequality 19 holds for whatever residues exist, so the reduction
+    // stays sound on the stop state of a cut-short push.
     let total = ws.residues.total_sum();
     let eps_abs = params.eps_abs();
     ws.entries.clear();
@@ -194,91 +320,132 @@ pub fn tea_plus_with_options_in<R: Rng>(
         }
     }
 
-    // Lines 12-17: walks from the reduced residues (same as TEA), batched.
+    // Walk counts are planned from the stop state's residual mass, so any
+    // push stop + a complete walk phase carries the full statistical
+    // guarantee.
     stats.alpha = alpha;
-    let mut mass = 0.0;
-    if alpha > 0.0 && !ws.entries.is_empty() {
-        let omega = params.omega_tea_plus();
-        let nr = (alpha * omega).ceil() as u64;
-        if nr > 0 {
-            let table = AliasTable::try_new(&ws.weights)?;
-            mass = alpha / nr as f64;
-            let threads = ws.threads();
-            let kernel = ws.walk_kernel();
-            let cancel = ws.cancel_token().cloned();
-            let steps = run_batched_walks_kernel(
-                graph,
-                params.poisson(),
-                &ws.entries,
-                &table,
+    let nr = (alpha * params.omega_tea_plus()).ceil() as u64;
+    if alpha > 0.0 && !ws.entries.is_empty() && nr > 0 {
+        // A degenerate weight vector fails *before* the master-seed draw.
+        let table = AliasTable::try_new(&ws.weights)?;
+        return Ok(Front::Walk(WalkPhase {
+            job: TeaPlusWalkJob {
+                alpha,
                 nr,
-                rng.next_u64(),
-                threads,
-                kernel,
-                cancel.as_ref(),
-                &mut ws.counts,
-                &mut ws.walk_scratch,
-            );
-            ws.check_cancelled()?;
-            stats.random_walks = nr;
-            stats.walk_steps = steps;
+                master_seed: rng.next_u64(),
+                stats,
+                push_ns,
+            },
+            table,
+            achieved,
+            push_done,
+        }));
+    }
+
+    // No walk phase: the reserve alone is the answer.
+    Ok(Front::Done(AnytimeOutput {
+        estimate: assemble(ws, 0.0, opts.offset_coeff(params), push_ns, push_done),
+        stats,
+        achieved,
+    }))
+}
+
+/// The back half: lines 12-17 as a ladder of walk tiers on the resumable
+/// walk engine, then assembly. `walk_tier_cap` and the workspace's cancel
+/// token stop refinement at a tier / chunk boundary; the walks deposited
+/// by then are renormalized (`mass = alpha / walks_done`, unbiased).
+fn walk_and_assemble(
+    graph: &Graph,
+    params: &HkprParams,
+    opts: TeaPlusOptions,
+    phase: WalkPhase,
+    walk_tier_cap: Option<u32>,
+    ws: &mut QueryWorkspace,
+) -> AnytimeOutput {
+    let WalkPhase {
+        job,
+        table,
+        mut achieved,
+        push_done,
+    } = phase;
+    let mut stats = job.stats;
+    achieved.walks_planned = job.nr;
+    let mut mass = 0.0;
+    let threads = ws.threads();
+    let kernel = ws.walk_kernel();
+    let cancel = ws.cancel_token().cloned();
+    let planned = plan_batched_walks_kernel(
+        graph,
+        &ws.entries,
+        &table,
+        job.nr,
+        job.master_seed,
+        kernel,
+        cancel.as_ref(),
+        &mut ws.counts,
+        &mut ws.walk_scratch,
+    );
+    if !planned {
+        // Cancelled while sampling walk starts: the plan's chunk
+        // decomposition was never built, so only the nominal ladder depth
+        // is known. The reserve-only estimate below is still sound (mass
+        // stays 0.0).
+        achieved.tiers_planned = tier_targets(job.nr).len() as u32;
+        achieved.eps_r_achieved = f64::INFINITY;
+    } else {
+        let (cursor, tiers_completed, tiers_planned) =
+            climb_walk_ladder(ws, job.nr, walk_tier_cap, |ws, bound, cursor| {
+                run_planned_walks_kernel(
+                    graph,
+                    params.poisson(),
+                    &ws.entries,
+                    job.master_seed,
+                    threads,
+                    kernel,
+                    cancel.as_ref(),
+                    bound,
+                    cursor,
+                    &mut ws.counts,
+                    &mut ws.walk_scratch,
+                )
+            });
+        achieved.tiers_completed = tiers_completed;
+        achieved.tiers_planned = tiers_planned;
+        achieved.walks_done = cursor.walks_done;
+        achieved.eps_r_achieved = achieved_eps_r(params.eps_r(), job.nr, cursor.walks_done);
+        if cursor.walks_done > 0 {
+            mass = job.alpha / cursor.walks_done as f64;
+            stats.random_walks = cursor.walks_done;
+            stats.walk_steps = cursor.steps;
         }
     }
 
-    let entries = ws.assemble_estimate(mass);
-    ws.set_phase_times(push_ns, clock.elapsed().as_nanos() as u64 - push_ns);
-    let mut estimate = HkprEstimate::from_sorted_entries(entries);
-
-    // Lines 18-19: the eps_r*delta/2 * d(v) offset, stored as an O(1)
-    // coefficient (the paper's "record the value along with rho_hat").
-    // Only meaningful when the reduction actually removed mass.
-    if opts.residue_reduction && opts.offset {
-        estimate.set_offset_coeff(eps_abs / 2.0);
+    if achieved.walks_done == 0 && achieved.push_tiers_completed < achieved.push_tiers_planned {
+        // Reserve-only answer off a cut-short push: the tightest
+        // certified divisor is the surviving guarantee — the reserve is a
+        // `(d, D * eps_r, delta)`-approximation by Theorem 2 at the
+        // coarsened threshold, which beats the infinite bound the walk
+        // shortfall alone would advertise.
+        achieved.eps_r_achieved = PUSH_TIER_DIVISORS[(achieved.push_tiers_completed - 1) as usize]
+            as f64
+            * params.eps_r();
     }
 
-    Ok(TeaOutput { estimate, stats })
+    AnytimeOutput {
+        estimate: assemble(ws, mass, opts.offset_coeff(params), job.push_ns, push_done),
+        stats,
+        achieved,
+    }
 }
 
-/// Outcome of [`tea_plus_prepare`]: either the answer is already final,
-/// or a walk phase remains to be executed (possibly on other processes).
-#[derive(Debug)]
-pub enum TeaPlusPrepared {
-    /// The query completed during preparation — condition-(11) early exit,
-    /// or the residue reduction emptied the walk work. Final answer.
-    Done(TeaOutput),
-    /// Push + residue reduction are done and a walk phase is required.
-    /// The walk-start entries and weights stay in the workspace
-    /// ([`QueryWorkspace::walk_entries`] /
-    /// [`QueryWorkspace::walk_weights`]); execute the walks — locally or
-    /// distributed — merge the integer endpoint counts, and hand them to
-    /// [`tea_plus_finalize`] on the *same* workspace.
-    NeedWalks(TeaPlusWalkJob),
-}
-
-/// The walk phase split out of a prepared TEA+ query. Everything a remote
-/// executor needs beyond the entries/weights left in the workspace.
-#[derive(Clone, Copy, Debug)]
-pub struct TeaPlusWalkJob {
-    /// Total reduced residue mass `alpha` (> 0).
-    pub alpha: f64,
-    /// Planned walk count `ceil(alpha * omega)` (> 0).
-    pub nr: u64,
-    /// Master seed of the chunked walk RNG streams, drawn from the query
-    /// RNG at exactly the point the monolithic path draws it — so the
-    /// split is invisible to RNG consumers.
-    pub master_seed: u64,
-    /// Query stats accumulated through the push phase (including `alpha`).
-    pub stats: QueryStats,
-    /// Push-phase wall time (telemetry passthrough to finalize).
-    pub push_ns: u64,
-}
-
-/// The push + residue-reduction half of [`tea_plus_with_options_in`],
-/// stopping right before the walk phase. Recomposing
-/// `prepare -> run walks -> finalize` on one process is bitwise identical
-/// to the monolithic call for the same starting RNG state and workspace
-/// walk kernel; the distributed engine replaces the middle step with
-/// frontier-exchange rounds across shards.
+/// The push + residue-reduction half of a TEA+ query, stopping right
+/// before the walk phase — the same front half every other TEA+ entry
+/// point runs. Recomposing `prepare -> run walks -> finalize` on one
+/// process is bitwise identical to [`tea_plus_with_options_in`] for the
+/// same starting RNG state and workspace walk kernel; the distributed
+/// engine replaces the middle step with frontier-exchange rounds across
+/// shards. All or nothing, like the one-shot entry points: a fired cancel
+/// token is [`HkprError::Cancelled`].
 pub fn tea_plus_prepare<R: Rng>(
     graph: &Graph,
     params: &HkprParams,
@@ -287,92 +454,13 @@ pub fn tea_plus_prepare<R: Rng>(
     rng: &mut R,
     ws: &mut QueryWorkspace,
 ) -> Result<TeaPlusPrepared, HkprError> {
-    params.validate_seed(seed)?;
-    let cfg = PushPlusConfig {
-        hop_cap: params.hop_cap(),
-        eps_abs: params.eps_abs(),
-        budget: params.push_budget(),
-    };
-    let clock = std::time::Instant::now();
-    let push = hk_push_plus_ws(graph, params.poisson(), seed, &cfg, ws);
+    let controls = AnytimeControls::default();
+    let front = push_and_reduce(graph, params, seed, opts, controls, rng, ws)?;
     ws.check_cancelled()?;
-    let push_ns = clock.elapsed().as_nanos() as u64;
-    let mut stats = QueryStats {
-        push_operations: push.push_operations,
-        early_exit: push.satisfied_condition_11 && opts.early_exit,
-        ..QueryStats::default()
-    };
-
-    if push.satisfied_condition_11 && opts.early_exit {
-        let entries = ws.assemble_estimate(0.0);
-        ws.set_phase_times(push_ns, clock.elapsed().as_nanos() as u64 - push_ns);
-        return Ok(TeaPlusPrepared::Done(TeaOutput {
-            estimate: HkprEstimate::from_sorted_entries(entries),
-            stats,
-        }));
-    }
-
-    // Residue reduction, identical to the monolithic path.
-    let total = ws.residues.total_sum();
-    let eps_abs = params.eps_abs();
-    ws.entries.clear();
-    ws.weights.clear();
-    let mut alpha = 0.0f64;
-    if total > 0.0 {
-        let num_hops = ws.residues.num_hops();
-        for k in 0..num_hops {
-            let beta = ws.residues.hop_sum(k) / total;
-            let cut = if opts.residue_reduction {
-                beta * eps_abs
-            } else {
-                0.0
-            };
-            if ws
-                .hop_max_frozen
-                .get(k)
-                .is_some_and(|&bound| bound < cut * (1.0 - 1e-9))
-            {
-                continue;
-            }
-            if let Some(hop) = ws.residues.hop(k) {
-                for (u, r, deg) in hop.iter_nonzero_with_deg() {
-                    let r2 = r - cut * deg as f64;
-                    if r2 > 0.0 {
-                        ws.entries.push((k as u32, u));
-                        ws.weights.push(r2);
-                        alpha += r2;
-                    }
-                }
-            }
-        }
-    }
-
-    stats.alpha = alpha;
-    if alpha > 0.0 && !ws.entries.is_empty() {
-        let nr = (alpha * params.omega_tea_plus()).ceil() as u64;
-        if nr > 0 {
-            // Same error point as the monolithic path: a degenerate weight
-            // vector fails *before* the master-seed draw.
-            let _ = AliasTable::try_new(&ws.weights)?;
-            let master_seed = rng.next_u64();
-            return Ok(TeaPlusPrepared::NeedWalks(TeaPlusWalkJob {
-                alpha,
-                nr,
-                master_seed,
-                stats,
-                push_ns,
-            }));
-        }
-    }
-
-    // No walk phase: assemble the reserve-only estimate now.
-    let entries = ws.assemble_estimate(0.0);
-    ws.set_phase_times(push_ns, clock.elapsed().as_nanos() as u64 - push_ns);
-    let mut estimate = HkprEstimate::from_sorted_entries(entries);
-    if opts.residue_reduction && opts.offset {
-        estimate.set_offset_coeff(eps_abs / 2.0);
-    }
-    Ok(TeaPlusPrepared::Done(TeaOutput { estimate, stats }))
+    Ok(match front {
+        Front::Done(out) => TeaPlusPrepared::Done(out.into_complete()?),
+        Front::Walk(phase) => TeaPlusPrepared::NeedWalks(phase.job),
+    })
 }
 
 /// Complete a prepared TEA+ query from externally executed walks. Must
@@ -392,7 +480,7 @@ pub fn tea_plus_finalize(
     steps: u64,
     ws: &mut QueryWorkspace,
 ) -> TeaOutput {
-    let clock = std::time::Instant::now();
+    let clock = Instant::now();
     let mut stats = job.stats;
     stats.random_walks = job.nr;
     stats.walk_steps = steps;
@@ -403,36 +491,31 @@ pub fn tea_plus_finalize(
             ws.counts.inc(v, c);
         }
     }
-    let entries = ws.assemble_estimate(mass);
-    ws.set_phase_times(job.push_ns, clock.elapsed().as_nanos() as u64);
-    let mut estimate = HkprEstimate::from_sorted_entries(entries);
-    if opts.residue_reduction && opts.offset {
-        estimate.set_offset_coeff(params.eps_abs() / 2.0);
+    TeaOutput {
+        estimate: assemble(ws, mass, opts.offset_coeff(params), job.push_ns, clock),
+        stats,
     }
-    TeaOutput { estimate, stats }
 }
 
-/// Anytime TEA+ — the same computation as [`tea_plus_with_options_in`]
-/// (identical push schedule, residue reduction and RNG consumption) with
-/// **both** phases executed as ladders of accuracy tiers: the push runs
+/// TEA+ with **both** phases executed as ladders of accuracy tiers — the
+/// one implementation behind every TEA+ entry point. The push runs
 /// through the resumable certificate checkpoints of
 /// [`hk_push_plus_step`], the walks through the resumable walk engine
 /// (see [`crate::anytime`]).
 ///
 /// Semantics:
 ///
-/// * run to completion (or condition-(11) early exit), and the returned
-///   estimate/stats are **bitwise identical** to
-///   [`tea_plus_with_options_in`] for the same starting RNG state;
+/// * run to completion (or condition-(11) early exit), the answer is the
+///   published Algorithm 5 and `achieved.is_degraded()` is false;
 /// * a cancellation fired during the *push* stops refinement at the next
 ///   probe or hop boundary. If the stop state certifies at least one
 ///   coarsened condition-(11) tier, the query keeps going — finalize,
-///   residue reduction on the stop state (Inequality 19 holds for
-///   whatever residues exist, so the reduction stays sound), then the
-///   walk phase on whatever deadline remains — and returns a degraded
-///   answer with `push_tiers_completed < push_tiers_planned`. With zero
-///   certified tiers the reserve bounds nothing:
-///   [`HkprError::Cancelled`] as before;
+///   residue reduction on the stop state, then the walk phase on whatever
+///   deadline remains — and returns a degraded answer with
+///   `push_tiers_completed < push_tiers_planned` (it is not the canonical
+///   answer and must never be cached, even when the walk phase then
+///   completes). With zero certified tiers the reserve bounds nothing:
+///   [`HkprError::Cancelled`];
 /// * a cancellation during the *walk* phase stops refinement at the next
 ///   chunk boundary; the deposited walks are renormalized
 ///   (`mass = alpha/walks_done`, unbiased). With zero walks deposited
@@ -456,200 +539,13 @@ pub fn tea_plus_anytime_in<R: Rng>(
     rng: &mut R,
     ws: &mut QueryWorkspace,
 ) -> Result<AnytimeOutput, HkprError> {
-    params.validate_seed(seed)?;
-    let cfg = PushPlusConfig {
-        hop_cap: params.hop_cap(),
-        eps_abs: params.eps_abs(),
-        budget: params.push_budget(),
-    };
-    let clock = std::time::Instant::now();
-    let full_push = PUSH_TIER_DIVISORS.len() as u32;
-    hk_push_plus_begin(graph, seed, &cfg, ws);
-    let mut push_controls = PushStepControls {
-        pause_after_tiers: controls.push_tier_cap,
-        on_tier: controls.on_push_tier,
-    };
-    let push_tiers_completed =
-        match hk_push_plus_step(graph, params.poisson(), &cfg, &mut push_controls, ws)? {
-            // Natural termination — including a budget stop — is the
-            // final tier: the walk phase compensates whatever residues
-            // remain, exactly as Algorithm 5 specifies.
-            PushStepOutcome::Complete => full_push,
-            PushStepOutcome::Paused { tiers_certified } => tiers_certified,
-            PushStepOutcome::Cancelled { tiers_certified } => {
-                if tiers_certified == 0 {
-                    // Nothing usable: the reserve certifies no tier.
-                    return Err(HkprError::Cancelled);
-                }
-                tiers_certified
-            }
-        };
-    let push = hk_push_plus_finalize(&cfg, ws);
-    let push_ns = clock.elapsed().as_nanos() as u64;
-    let mut stats = QueryStats {
-        push_operations: push.push_operations,
-        early_exit: push.satisfied_condition_11 && opts.early_exit,
-        ..QueryStats::default()
-    };
-
-    // Line 7: condition (11) held — full accuracy without any walk. Only
-    // naturally-finished pushes can claim it (see finalize), so the push
-    // ladder is complete here by construction.
-    if push.satisfied_condition_11 && opts.early_exit {
-        let entries = ws.assemble_estimate(0.0);
-        ws.set_phase_times(push_ns, clock.elapsed().as_nanos() as u64 - push_ns);
-        return Ok(AnytimeOutput {
-            estimate: HkprEstimate::from_sorted_entries(entries),
-            stats,
-            achieved: AccuracyTier::complete_without_walks(params.eps_r()).with_push_complete(),
-        });
-    }
-
-    // Lines 8-11: residue reduction, identical to the cold path.
-    let total = ws.residues.total_sum();
-    let eps_abs = params.eps_abs();
-    ws.entries.clear();
-    ws.weights.clear();
-    let mut alpha = 0.0f64;
-    if total > 0.0 {
-        let num_hops = ws.residues.num_hops();
-        for k in 0..num_hops {
-            let beta = ws.residues.hop_sum(k) / total;
-            let cut = if opts.residue_reduction {
-                beta * eps_abs
-            } else {
-                0.0
-            };
-            if ws
-                .hop_max_frozen
-                .get(k)
-                .is_some_and(|&bound| bound < cut * (1.0 - 1e-9))
-            {
-                continue;
-            }
-            if let Some(hop) = ws.residues.hop(k) {
-                for (u, r, deg) in hop.iter_nonzero_with_deg() {
-                    let r2 = r - cut * deg as f64;
-                    if r2 > 0.0 {
-                        ws.entries.push((k as u32, u));
-                        ws.weights.push(r2);
-                        alpha += r2;
-                    }
-                }
-            }
-        }
-    }
-
-    // Lines 12-17: the walk phase, tiered. Walk counts are planned from
-    // the stop state's residual mass, so any push stop + a complete walk
-    // phase carries the full statistical guarantee (the answer is still
-    // marked degraded when the push ladder was cut short: it is not the
-    // canonical cold answer and must never be cached).
-    stats.alpha = alpha;
-    let mut mass = 0.0;
-    let mut achieved = AccuracyTier::complete_without_walks(params.eps_r());
-    achieved.push_tiers_planned = full_push;
-    achieved.push_tiers_completed = push_tiers_completed;
-    if alpha > 0.0 && !ws.entries.is_empty() {
-        let omega = params.omega_tea_plus();
-        let nr = (alpha * omega).ceil() as u64;
-        if nr > 0 {
-            let table = AliasTable::try_new(&ws.weights)?;
-            let master_seed = rng.next_u64();
-            let threads = ws.threads();
-            let kernel = ws.walk_kernel();
-            let cancel = ws.cancel_token().cloned();
-            let plan = plan_batched_walks_kernel(
-                graph,
-                &ws.entries,
-                &table,
-                nr,
-                master_seed,
-                kernel,
-                cancel.as_ref(),
-                &mut ws.counts,
-                &mut ws.walk_scratch,
-            );
-            achieved.walks_planned = nr;
-            achieved.eps_r_achieved = f64::INFINITY;
-            match plan {
-                None => {
-                    // Cancelled while sampling walk starts: the plan's
-                    // chunk decomposition was never built, so only the
-                    // nominal ladder depth is known. The reserve-only
-                    // estimate below is still sound (mass stays 0.0).
-                    achieved.tiers_planned = tier_targets(nr).len() as u32;
-                }
-                Some(_) => {
-                    let bounds = plan_tier_bounds(nr, ws.walk_scratch.chunk_walk_prefix());
-                    achieved.tiers_planned = bounds.len() as u32;
-                    let run_tiers = controls
-                        .walk_tier_cap
-                        .map_or(achieved.tiers_planned, |cap| {
-                            cap.clamp(1, achieved.tiers_planned)
-                        });
-                    let mut cursor = WalkCursor::default();
-                    for &bound in bounds.iter().take(run_tiers as usize) {
-                        if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                            break;
-                        }
-                        run_planned_walks_kernel(
-                            graph,
-                            params.poisson(),
-                            &ws.entries,
-                            master_seed,
-                            threads,
-                            kernel,
-                            cancel.as_ref(),
-                            bound,
-                            &mut cursor,
-                            &mut ws.counts,
-                            &mut ws.walk_scratch,
-                        );
-                        if cursor.walks_done < ws.walk_scratch.planned_walks_through(bound) {
-                            break; // cancel skipped chunks inside this tier
-                        }
-                        achieved.tiers_completed += 1;
-                    }
-                    achieved.walks_done = cursor.walks_done;
-                    achieved.eps_r_achieved = achieved_eps_r(params.eps_r(), nr, cursor.walks_done);
-                    if cursor.walks_done > 0 {
-                        // Bitwise equal to the cold `alpha/nr` at completion.
-                        mass = alpha / cursor.walks_done as f64;
-                        stats.random_walks = cursor.walks_done;
-                        stats.walk_steps = cursor.steps;
-                    }
-                }
-            }
-        }
-    }
-
-    if achieved.walks_done == 0
-        && achieved.walks_planned > 0
-        && (1..full_push).contains(&achieved.push_tiers_completed)
-    {
-        // Reserve-only answer off a cut-short push: the tightest
-        // certified divisor is the surviving guarantee — the reserve is a
-        // `(d, D * eps_r, delta)`-approximation by Theorem 2 at the
-        // coarsened threshold, which beats the infinite bound the walk
-        // shortfall alone would advertise.
-        achieved.eps_r_achieved = PUSH_TIER_DIVISORS[(achieved.push_tiers_completed - 1) as usize]
-            as f64
-            * params.eps_r();
-    }
-
-    let entries = ws.assemble_estimate(mass);
-    ws.set_phase_times(push_ns, clock.elapsed().as_nanos() as u64 - push_ns);
-    let mut estimate = HkprEstimate::from_sorted_entries(entries);
-    if opts.residue_reduction && opts.offset {
-        estimate.set_offset_coeff(eps_abs / 2.0);
-    }
-
-    Ok(AnytimeOutput {
-        estimate,
-        stats,
-        achieved,
-    })
+    let walk_tier_cap = controls.walk_tier_cap;
+    Ok(
+        match push_and_reduce(graph, params, seed, opts, controls, rng, ws)? {
+            Front::Done(out) => out,
+            Front::Walk(phase) => walk_and_assemble(graph, params, opts, phase, walk_tier_cap, ws),
+        },
+    )
 }
 
 #[cfg(test)]

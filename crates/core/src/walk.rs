@@ -160,22 +160,11 @@ impl WalkScratch {
     }
 }
 
-/// A planned (sampled + chunked) walk phase awaiting execution.
-///
-/// Produced by [`plan_batched_walks_kernel`] / [`plan_batched_fixed_walks`];
-/// executed — possibly in several chunk-prefix increments — by
-/// [`run_planned_walks_kernel`] / [`run_planned_fixed_walks`]. The plan's
-/// state (work items, chunk bounds, walk prefix) lives in the
-/// [`WalkScratch`] it was planned on and stays valid until the next plan.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct WalkPlan {
-    /// Number of execution chunks.
-    pub num_chunks: usize,
-    /// Total planned walks across all chunks.
-    pub total_walks: u64,
-}
-
-/// Progress cursor over a planned walk phase. Executing chunks
+/// Progress cursor over a planned walk phase — the chunk decomposition
+/// [`plan_batched_walks_kernel`] / [`plan_batched_fixed_walks`] leave in
+/// the [`WalkScratch`] they planned on, valid until the next plan and
+/// executed, possibly in several chunk-prefix increments, by
+/// [`run_planned_walks_kernel`] / [`run_planned_fixed_walks`]. Executing chunks
 /// `[0, a)` then `[a, b)` deposits bit-identically to executing `[0, b)`
 /// in one call: chunk RNG streams are keyed by *absolute* chunk index and
 /// endpoint counts merge exactly (integer accumulators), which is what
@@ -304,7 +293,7 @@ pub fn run_batched_walks_kernel(
     counts: &mut EpochCounter,
     scratch: &mut WalkScratch,
 ) -> u64 {
-    let Some(plan) = plan_batched_walks_kernel(
+    if !plan_batched_walks_kernel(
         graph,
         entries,
         table,
@@ -314,10 +303,11 @@ pub fn run_batched_walks_kernel(
         cancel,
         counts,
         scratch,
-    ) else {
+    ) {
         return 0;
-    };
+    }
     let mut cursor = WalkCursor::default();
+    let all_chunks = scratch.chunks.len();
     run_planned_walks_kernel(
         graph,
         poisson,
@@ -326,7 +316,7 @@ pub fn run_batched_walks_kernel(
         threads,
         kernel,
         cancel,
-        plan.num_chunks,
+        all_chunks,
         &mut cursor,
         counts,
         scratch,
@@ -336,8 +326,8 @@ pub fn run_batched_walks_kernel(
 
 /// Plan the batched walk phase: begin the endpoint accumulator, sample
 /// every walk start (phase 1) and build the chunk decomposition (phase 2)
-/// without executing anything. Returns `None` if the cancel token fired
-/// during start sampling (the accumulator holds nothing yet).
+/// without executing anything. Returns `false` if the cancel token fired
+/// during start sampling (nothing is planned, the accumulator is empty).
 ///
 /// The plan is a pure function of `(entries, table, nr, master_seed,
 /// kernel)` — executing it in any sequence of chunk-prefix increments via
@@ -354,7 +344,7 @@ pub(crate) fn plan_batched_walks_kernel(
     cancel: Option<&CancelToken>,
     counts: &mut EpochCounter,
     scratch: &mut WalkScratch,
-) -> Option<WalkPlan> {
+) -> bool {
     debug_assert_eq!(table.len(), entries.len());
     counts.begin(graph.num_nodes());
     if nr == 0 || entries.is_empty() {
@@ -362,10 +352,7 @@ pub(crate) fn plan_batched_walks_kernel(
         scratch.chunk_progress.clear();
         scratch.chunk_walk_prefix.clear();
         scratch.chunk_walk_prefix.push(0);
-        return Some(WalkPlan {
-            num_chunks: 0,
-            total_walks: 0,
-        });
+        return true;
     }
     let WalkScratch {
         start_counts,
@@ -388,14 +375,14 @@ pub(crate) fn plan_batched_walks_kernel(
     if kernel == WalkKernel::Stepwise {
         for i in 0..nr {
             if i & 0xFFFF == 0 && cancelled() {
-                return None;
+                return false;
             }
             start_counts[table.sample(&mut rng)] += 1;
         }
     } else {
         for i in 0..nr {
             if i & 0xFFFF == 0 && cancelled() {
-                return None;
+                return false;
             }
             start_counts[table.sample_fast(&mut rng)] += 1;
         }
@@ -403,14 +390,10 @@ pub(crate) fn plan_batched_walks_kernel(
 
     // Phase 2: group into work items and fixed-size chunks.
     build_chunks(start_counts, work, chunks);
-    let num_chunks = chunks.len();
     chunk_progress.clear();
-    chunk_progress.resize(num_chunks, (0, 0));
+    chunk_progress.resize(chunks.len(), (0, 0));
     fill_chunk_walk_prefix(work, chunks, chunk_walk_prefix);
-    Some(WalkPlan {
-        num_chunks,
-        total_walks: nr,
-    })
+    true
 }
 
 /// Execute planned chunks `[cursor.next_chunk, upto_chunk)` of the most
@@ -434,6 +417,77 @@ pub(crate) fn run_planned_walks_kernel(
     counts: &mut EpochCounter,
     scratch: &mut WalkScratch,
 ) {
+    let lengths = (kernel != WalkKernel::Stepwise).then(|| poisson.length_tables());
+    let stop_probs = poisson.stop_probs();
+    let run_items = move |items: &[(u32, u64)],
+                          rng: &mut SmallRng,
+                          sink: &mut EpochCounter,
+                          buf: &mut WalkBuf|
+          -> u64 {
+        match kernel {
+            WalkKernel::Stepwise => {
+                let mut steps = 0u64;
+                for &(entry_idx, walk_count) in items {
+                    let (hop0, start) = entries[entry_idx as usize];
+                    for _ in 0..walk_count {
+                        let (end, s) = walk_dense(graph, stop_probs, start, hop0 as usize, rng);
+                        sink.inc(end, 1);
+                        steps += s as u64;
+                    }
+                }
+                steps
+            }
+            WalkKernel::Presampled => {
+                let lengths = lengths.expect("length tables resolved for presampling kernels");
+                run_presampled(graph, entries, lengths, items, rng, sink)
+            }
+            WalkKernel::Lanes => {
+                let lengths = lengths.expect("length tables resolved for presampling kernels");
+                fill_walk_buf(graph, entries, lengths, items, rng, sink, buf);
+                run_lanes(graph, buf, rng, sink)
+            }
+        }
+    };
+    execute_chunk_range(
+        scratch,
+        upto_chunk,
+        cursor,
+        master_seed,
+        threads,
+        cancel,
+        graph.num_nodes(),
+        counts,
+        &run_items,
+    );
+}
+
+/// One chunk's walks: `(work items, chunk RNG stream, endpoint sink,
+/// lane buffer) -> steps walked`.
+type RunItems<'a> =
+    dyn Fn(&[(u32, u64)], &mut SmallRng, &mut EpochCounter, &mut WalkBuf) -> u64 + Sync + 'a;
+
+/// Run planned chunks `[cursor.next_chunk, upto_chunk)` of the plan on
+/// `scratch`, inline or across workers, and advance the cursor over them —
+/// the shared body of the two `run_planned_*` entry points. Each chunk
+/// that runs gets its own RNG stream, keyed by its absolute index; once
+/// `cancel` fires, remaining chunks are skipped whole (their walks are
+/// simply never deposited). For a full-range call this partitions chunks
+/// exactly like the pre-refactor engine (`per_worker =
+/// span.div_ceil(threads)`, contiguous ranges, merged in worker order);
+/// for partial ranges the partition differs per call, which is invisible
+/// in the output because integer merges are exact.
+#[allow(clippy::too_many_arguments)]
+fn execute_chunk_range(
+    scratch: &mut WalkScratch,
+    upto_chunk: usize,
+    cursor: &mut WalkCursor,
+    master_seed: u64,
+    threads: usize,
+    cancel: Option<&CancelToken>,
+    num_nodes: usize,
+    counts: &mut EpochCounter,
+    run_items: &RunItems<'_>,
+) {
     let WalkScratch {
         work,
         chunks,
@@ -442,125 +496,61 @@ pub(crate) fn run_planned_walks_kernel(
         lane_bufs,
         ..
     } = scratch;
+    let (work, chunks) = (&*work, &*chunks);
+    let run_chunk = |chunk_idx: usize, sink: &mut EpochCounter, buf: &mut WalkBuf| {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return (0, 0);
+        }
+        let (lo, hi) = chunks[chunk_idx];
+        let items = &work[lo as usize..hi as usize];
+        let walks: u64 = items.iter().map(|&(_, c)| c).sum();
+        let mut rng = chunk_rng(master_seed, chunk_idx as u64);
+        (run_items(items, &mut rng, sink, buf), walks as u32)
+    };
     let from = cursor.next_chunk;
-    let upto = upto_chunk.min(chunks.len());
+    let upto = upto_chunk.min(chunk_progress.len());
     if from >= upto {
-        cursor.next_chunk = cursor.next_chunk.max(upto);
         return;
     }
-
-    let lengths = (kernel != WalkKernel::Stepwise).then(|| poisson.length_tables());
-    let stop_probs = poisson.stop_probs();
-    let work = &*work;
-    let chunks = &*chunks;
-    let run_chunk =
-        move |chunk_idx: usize, sink: &mut EpochCounter, buf: &mut WalkBuf| -> (u64, u32) {
-            // Chunk-boundary cancellation: skip the chunk's work entirely
-            // once the token fires (the walks are simply never deposited).
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return (0, 0);
-            }
-            let (lo, hi) = chunks[chunk_idx];
-            let items = &work[lo as usize..hi as usize];
-            let walks: u64 = items.iter().map(|&(_, c)| c).sum();
-            let mut rng = chunk_rng(master_seed, chunk_idx as u64);
-            let steps = match kernel {
-                WalkKernel::Stepwise => {
-                    let mut steps = 0u64;
-                    for &(entry_idx, walk_count) in items {
-                        let (hop0, start) = entries[entry_idx as usize];
-                        for _ in 0..walk_count {
-                            let (end, s) =
-                                walk_dense(graph, stop_probs, start, hop0 as usize, &mut rng);
-                            sink.inc(end, 1);
-                            steps += s as u64;
-                        }
-                    }
-                    steps
-                }
-                WalkKernel::Presampled => {
-                    let lengths = lengths.expect("length tables resolved for presampling kernels");
-                    run_presampled(graph, entries, lengths, items, &mut rng, sink)
-                }
-                WalkKernel::Lanes => {
-                    let lengths = lengths.expect("length tables resolved for presampling kernels");
-                    fill_walk_buf(graph, entries, lengths, items, &mut rng, sink, buf);
-                    run_lanes(graph, buf, &mut rng, sink)
-                }
-            };
-            (steps, walks as u32)
-        };
-
-    execute_chunk_range(
-        from,
-        upto,
-        threads,
-        graph.num_nodes(),
-        counts,
-        chunk_progress,
-        worker_counts,
-        lane_bufs,
-        &run_chunk,
-    );
+    let span = upto - from;
+    let threads = threads.max(1).min(span);
+    if lane_bufs.len() < threads {
+        lane_bufs.resize_with(threads, Vec::new);
+    }
+    if threads == 1 {
+        let buf = &mut lane_bufs[0];
+        for (off, slot) in chunk_progress[from..upto].iter_mut().enumerate() {
+            *slot = run_chunk(from + off, counts, buf);
+        }
+    } else {
+        // Parallel fan-out: contiguous chunk ranges per worker, merged in
+        // worker order. Exactness of the integer merge makes the outcome
+        // independent of the split.
+        let per_worker = span.div_ceil(threads);
+        if worker_counts.len() < threads {
+            worker_counts.resize_with(threads, EpochCounter::new);
+        }
+        let workers = &mut worker_counts[..threads];
+        for w in workers.iter_mut() {
+            w.begin(num_nodes);
+        }
+        run_chunks_parallel(
+            from,
+            per_worker,
+            workers,
+            &mut lane_bufs[..threads],
+            &mut chunk_progress[from..upto],
+            &run_chunk,
+        );
+        for w in workers.iter() {
+            counts.merge_from(w);
+        }
+    }
     for &(steps, walks) in &chunk_progress[from..upto] {
         cursor.steps += steps;
         cursor.walks_done += walks as u64;
     }
     cursor.next_chunk = upto;
-}
-
-/// Run chunks `[from, upto)` inline or across workers. For a full-range
-/// call this partitions chunks exactly like the pre-refactor engine
-/// (`per_worker = span.div_ceil(threads)`, contiguous ranges, merged in
-/// worker order); for partial ranges the partition differs per call, which
-/// is invisible in the output because integer merges are exact.
-#[allow(clippy::too_many_arguments)]
-fn execute_chunk_range(
-    from: usize,
-    upto: usize,
-    threads: usize,
-    num_nodes: usize,
-    counts: &mut EpochCounter,
-    chunk_progress: &mut [(u64, u32)],
-    worker_counts: &mut Vec<EpochCounter>,
-    lane_bufs: &mut Vec<WalkBuf>,
-    run_chunk: &(dyn Fn(usize, &mut EpochCounter, &mut WalkBuf) -> (u64, u32) + Sync),
-) {
-    let span = upto - from;
-    let threads = threads.max(1).min(span.max(1));
-    if lane_bufs.len() < threads {
-        lane_bufs.resize_with(threads, Vec::new);
-    }
-    if threads <= 1 {
-        let buf = &mut lane_bufs[0];
-        for (off, slot) in chunk_progress[from..upto].iter_mut().enumerate() {
-            *slot = run_chunk(from + off, counts, buf);
-        }
-        return;
-    }
-
-    // Parallel fan-out: contiguous chunk ranges per worker, merged in
-    // worker order. Exactness of the integer merge makes the outcome
-    // independent of the split.
-    let per_worker = span.div_ceil(threads);
-    if worker_counts.len() < threads {
-        worker_counts.resize_with(threads, EpochCounter::new);
-    }
-    let workers = &mut worker_counts[..threads];
-    for w in workers.iter_mut() {
-        w.begin(num_nodes);
-    }
-    run_chunks_parallel(
-        from,
-        per_worker,
-        workers,
-        &mut lane_bufs[..threads],
-        &mut chunk_progress[from..upto],
-        run_chunk,
-    );
-    for w in workers.iter() {
-        counts.merge_from(w);
-    }
 }
 
 /// Presample one chunk's *movable* walks into `buf`: per work group
@@ -872,38 +862,9 @@ fn run_chunks_parallel(
     }
 }
 
-/// Batched fixed-length walks — the Monte-Carlo walk phase. Walk lengths
-/// were already sampled into `length_counts[len] = multiplicity`; all
-/// walks start at `seed` and run through the interleaved lane kernel.
-/// Endpoint multiplicities land in `counts`; returns nothing extra (steps
-/// are `sum(len * count)`, computed by the caller exactly).
-#[allow(clippy::too_many_arguments)]
-pub fn run_batched_fixed_walks(
-    graph: &Graph,
-    seed: NodeId,
-    length_counts: &[u64],
-    master_seed: u64,
-    threads: usize,
-    cancel: Option<&CancelToken>,
-    counts: &mut EpochCounter,
-    scratch: &mut WalkScratch,
-) {
-    let plan = plan_batched_fixed_walks(graph, length_counts, counts, scratch);
-    let mut cursor = WalkCursor::default();
-    run_planned_fixed_walks(
-        graph,
-        seed,
-        master_seed,
-        threads,
-        cancel,
-        plan.num_chunks,
-        &mut cursor,
-        counts,
-        scratch,
-    );
-}
-
-/// Plan the fixed-length walk phase: begin the endpoint accumulator and
+/// Plan the fixed-length walk phase (the Monte-Carlo walk phase: every
+/// walk starts at the seed, lengths were already sampled into
+/// `length_counts[len] = multiplicity`): begin the endpoint accumulator and
 /// build the chunk decomposition of `length_counts` without executing
 /// anything. Unlike the entry-walk planner there is no sampling phase —
 /// the length histogram *is* the multiplicity table — so planning is
@@ -913,7 +874,7 @@ pub(crate) fn plan_batched_fixed_walks(
     length_counts: &[u64],
     counts: &mut EpochCounter,
     scratch: &mut WalkScratch,
-) -> WalkPlan {
+) {
     counts.begin(graph.num_nodes());
     let WalkScratch {
         work,
@@ -925,14 +886,9 @@ pub(crate) fn plan_batched_fixed_walks(
 
     // Reuse the chunk machinery with work items of (length, count).
     build_chunks(length_counts, work, chunks);
-    let num_chunks = chunks.len();
     chunk_progress.clear();
-    chunk_progress.resize(num_chunks, (0, 0));
+    chunk_progress.resize(chunks.len(), (0, 0));
     fill_chunk_walk_prefix(work, chunks, chunk_walk_prefix);
-    WalkPlan {
-        num_chunks,
-        total_walks: *chunk_walk_prefix.last().unwrap_or(&0),
-    }
 }
 
 /// Execute planned chunks `[cursor.next_chunk, upto_chunk)` of the most
@@ -950,63 +906,37 @@ pub(crate) fn run_planned_fixed_walks(
     counts: &mut EpochCounter,
     scratch: &mut WalkScratch,
 ) {
-    let WalkScratch {
-        work,
-        chunks,
-        chunk_progress,
-        worker_counts,
-        lane_bufs,
-        ..
-    } = scratch;
-    let from = cursor.next_chunk;
-    let upto = upto_chunk.min(chunks.len());
-    if from >= upto {
-        cursor.next_chunk = cursor.next_chunk.max(upto);
-        return;
-    }
-
-    let work = &*work;
-    let chunks = &*chunks;
     let seed_degree = graph.degree(seed);
-    let run_chunk =
-        move |chunk_idx: usize, sink: &mut EpochCounter, buf: &mut WalkBuf| -> (u64, u32) {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return (0, 0);
-            }
-            let (lo, hi) = chunks[chunk_idx];
-            let items = &work[lo as usize..hi as usize];
-            let walks: u64 = items.iter().map(|&(_, c)| c).sum();
-            let mut rng = chunk_rng(master_seed, chunk_idx as u64);
-            buf.clear();
-            for &(len, walk_count) in items {
-                if len == 0 || seed_degree == 0 {
-                    // Immobile walks deposit at the seed without lane cost.
-                    sink.inc(seed, walk_count);
-                } else {
-                    for _ in 0..walk_count {
-                        buf.push((seed, len));
-                    }
+    // Work items are `(length, count)` here.
+    let run_items = move |items: &[(u32, u64)],
+                          rng: &mut SmallRng,
+                          sink: &mut EpochCounter,
+                          buf: &mut WalkBuf|
+          -> u64 {
+        buf.clear();
+        for &(len, walk_count) in items {
+            if len == 0 || seed_degree == 0 {
+                // Immobile walks deposit at the seed without lane cost.
+                sink.inc(seed, walk_count);
+            } else {
+                for _ in 0..walk_count {
+                    buf.push((seed, len));
                 }
             }
-            (run_lanes(graph, buf, &mut rng, sink), walks as u32)
-        };
-
+        }
+        run_lanes(graph, buf, rng, sink)
+    };
     execute_chunk_range(
-        from,
-        upto,
+        scratch,
+        upto_chunk,
+        cursor,
+        master_seed,
         threads,
+        cancel,
         graph.num_nodes(),
         counts,
-        chunk_progress,
-        worker_counts,
-        lane_bufs,
-        &run_chunk,
+        &run_items,
     );
-    for &(steps, walks) in &chunk_progress[from..upto] {
-        cursor.steps += steps;
-        cursor.walks_done += walks as u64;
-    }
-    cursor.next_chunk = upto;
 }
 
 /// Independent RNG stream for one chunk (SplitMix64 expansion inside
@@ -1341,5 +1271,87 @@ mod tests {
             &mut scratch,
         );
         assert!(scratch.memory_bytes() > baseline);
+    }
+    #[test]
+    fn executing_a_plan_in_prefix_increments_deposits_like_one_call() {
+        // What makes the tier ladders of `crate::anytime` free: chunk RNG
+        // streams are keyed by absolute chunk index and counts merge
+        // exactly, so where earlier calls stopped cannot show — for both
+        // planners, every kernel, any thread count.
+        let mut gen_rng = SmallRng::seed_from_u64(41);
+        let g = hk_graph::gen::holme_kim(1_500, 4, 0.3, &mut gen_rng).unwrap();
+        let p = PoissonTable::new(5.0);
+        let entries: Vec<(u32, NodeId)> = (0..48).map(|i| (i % 3, i as NodeId)).collect();
+        let weights: Vec<f64> = (0..entries.len()).map(|i| 1.0 + i as f64).collect();
+        let table = AliasTable::new(&weights);
+        let lengths = [500u64, 4_000, 9_000, 7_000, 2_500, 0, 1_000];
+        let run = |splits: &[usize], threads: usize, kernel: Option<WalkKernel>| {
+            let mut counts = EpochCounter::new();
+            let mut scratch = WalkScratch::default();
+            match kernel {
+                Some(kernel) => assert!(plan_batched_walks_kernel(
+                    &g,
+                    &entries,
+                    &table,
+                    30_000,
+                    5,
+                    kernel,
+                    None,
+                    &mut counts,
+                    &mut scratch,
+                )),
+                None => plan_batched_fixed_walks(&g, &lengths, &mut counts, &mut scratch),
+            }
+            let num_chunks = scratch.chunks().len();
+            assert!(num_chunks >= 4, "fixture must span several chunks");
+            let mut cursor = WalkCursor::default();
+            for &upto in splits.iter().chain([&num_chunks]) {
+                match kernel {
+                    Some(kernel) => run_planned_walks_kernel(
+                        &g,
+                        &p,
+                        &entries,
+                        5,
+                        threads,
+                        kernel,
+                        None,
+                        upto,
+                        &mut cursor,
+                        &mut counts,
+                        &mut scratch,
+                    ),
+                    None => run_planned_fixed_walks(
+                        &g,
+                        3,
+                        5,
+                        threads,
+                        None,
+                        upto,
+                        &mut cursor,
+                        &mut counts,
+                        &mut scratch,
+                    ),
+                }
+            }
+            assert_eq!(cursor.walks_done, scratch.planned_walks_through(num_chunks));
+            let mut deposits: Vec<(NodeId, u64)> = counts.iter().collect();
+            deposits.sort_unstable();
+            (deposits, cursor.steps)
+        };
+        for kernel in [
+            None,
+            Some(WalkKernel::Stepwise),
+            Some(WalkKernel::Presampled),
+            Some(WalkKernel::Lanes),
+        ] {
+            let one_call = run(&[], 1, kernel);
+            for (splits, threads) in [(&[1usize][..], 1usize), (&[1, 2, 3], 2), (&[3, 3], 4)] {
+                assert_eq!(
+                    run(splits, threads, kernel),
+                    one_call,
+                    "{kernel:?}: splits {splits:?} at {threads} threads"
+                );
+            }
+        }
     }
 }

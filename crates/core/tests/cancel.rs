@@ -6,7 +6,12 @@
 //!    fires produces bit-identical results to running without one (the
 //!    checks are pure control flow, which is what keeps the serving
 //!    layer's golden fixtures stable);
-//! 3. **Cancellation at arbitrary points never corrupts scratch** — a
+//! 3. **A token fired once the walk phase is reached is still all or
+//!    nothing for the one-shot entry points** — `tea_plus_in` and
+//!    `monte_carlo_in` are the resumable ladder run to completion, and
+//!    what the ladder would hand back as a degraded answer they report
+//!    as `Cancelled`;
+//! 4. **Cancellation at arbitrary points never corrupts scratch** — a
 //!    query raced by an asynchronous cancel (fired after a random delay)
 //!    either completes normally or reports `Cancelled`, and either way
 //!    the *next* query on the same workspace is bit-identical to a
@@ -18,7 +23,7 @@ use hkpr_core::{
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn fixture_graph() -> hk_graph::Graph {
     let mut rng = SmallRng::seed_from_u64(0xCA9CE1);
@@ -131,6 +136,86 @@ fn cancelled_walk_engine_skips_chunks() {
         &mut scratch,
     );
     assert_eq!(steps, 0, "cancelled engine must not walk");
+}
+
+/// Query RNG that counts its draws and fires a cancel token on draw
+/// number `fire_at` — a deterministic stand-in for a watchdog firing at
+/// a known point of a query. Both estimators draw the walk phase's
+/// master seed last, after the push (TEA+) or the length sampling
+/// (Monte-Carlo), so "fire on the last draw" is "fire as the walk phase
+/// starts".
+struct FiringRng {
+    inner: SmallRng,
+    draws: u64,
+    fire_at: u64,
+    token: CancelToken,
+}
+
+impl Rng for FiringRng {
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        if self.draws == self.fire_at {
+            self.token.cancel();
+        }
+        self.inner.next_u64()
+    }
+}
+
+#[test]
+fn token_fired_at_the_walk_phase_is_cancelled_and_leaves_the_workspace_reusable() {
+    // A sparse graph and a long diffusion: condition (11) fails at the hop
+    // cap, so TEA+ cannot exit early and must walk (~32k walks).
+    let g = hk_graph::gen::holme_kim(3_000, 3, 0.3, &mut SmallRng::seed_from_u64(15)).unwrap();
+    let params = HkprParams::builder(&g)
+        .t(30.0)
+        .eps_r(0.5)
+        .delta(3e-4)
+        .p_f(1e-3)
+        .build()
+        .unwrap();
+    type Estimator =
+        fn(&hk_graph::Graph, &HkprParams, &mut FiringRng, &mut QueryWorkspace) -> QueryOutcome;
+    type QueryOutcome = Result<hkpr_core::TeaOutput, HkprError>;
+    let estimators: [(&str, Estimator); 2] = [
+        ("TEA+", |g, params, rng, ws| {
+            tea_plus_in(g, params, 3, rng, ws)
+        }),
+        ("Monte-Carlo", |g, params, rng, ws| {
+            monte_carlo_in(g, params, 3, Some(40_000), rng, ws)
+        }),
+    ];
+    for (label, estimate) in estimators {
+        let mut ws = QueryWorkspace::new();
+        let token = CancelToken::new();
+        ws.set_cancel_token(Some(token.clone()));
+        let rng = |fire_at: u64| FiringRng {
+            inner: SmallRng::seed_from_u64(21),
+            draws: 0,
+            fire_at,
+            token: token.clone(),
+        };
+        // Dry run: never fires; counts the draws and is the reference.
+        let mut counting = rng(u64::MAX);
+        let reference = estimate(&g, &params, &mut counting, &mut ws).unwrap();
+        assert!(reference.stats.random_walks > 0, "{label}: no walk phase");
+        assert!(!token.is_cancelled());
+
+        let raced = estimate(&g, &params, &mut rng(counting.draws), &mut ws);
+        assert!(token.is_cancelled(), "{label}: the token never fired");
+        assert!(
+            matches!(raced, Err(HkprError::Cancelled)),
+            "{label}: one-shot entry points are all or nothing, got {raced:?}"
+        );
+
+        // Nothing of the abandoned ladder survives in the workspace.
+        ws.set_cancel_token(None);
+        let reused = estimate(&g, &params, &mut rng(u64::MAX), &mut ws).unwrap();
+        assert_eq!(reused.stats, reference.stats, "{label}");
+        assert!(
+            estimates_bitwise_eq(&reused.estimate, &reference.estimate),
+            "{label}: query after a cancelled walk phase diverged"
+        );
+    }
 }
 
 proptest! {

@@ -75,7 +75,6 @@ use std::sync::{mpsc, Mutex};
 use hk_cluster::{ClusterResult, Method};
 use hk_graph::NodeId;
 use hkpr_core::fxhash::{FxHashMap, FxHasher};
-use hkpr_core::WalkKernel;
 use std::sync::Arc;
 
 /// Buckets per decade of the knob quantizer: `q(x) = round(16 log10 x)`.
@@ -169,19 +168,6 @@ impl MethodKey {
     }
 }
 
-/// Stable wire/cache discriminant of a walk kernel. Kernels draw from
-/// the RNG stream differently, so results computed under different
-/// kernels are distinct cache identities even for identical knobs — a
-/// sharded (Presampled) engine and a local (Lanes) engine sharing a
-/// cache must never serve each other's bytes.
-pub fn kernel_tag(kernel: WalkKernel) -> u8 {
-    match kernel {
-        WalkKernel::Stepwise => 0,
-        WalkKernel::Presampled => 1,
-        WalkKernel::Lanes => 2,
-    }
-}
-
 /// Full identity of a cacheable query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
@@ -195,9 +181,6 @@ pub struct CacheKey {
     pub params: ParamsKey,
     /// Exactly-encoded method.
     pub method: MethodKey,
-    /// Walk-kernel discriminant ([`kernel_tag`]) — part of the identity
-    /// because kernels consume the RNG stream differently.
-    pub kernel: u8,
 }
 
 /// Hit/miss/eviction counters, readable while the cache is live.
@@ -486,21 +469,7 @@ mod tests {
             rng_seed: 1,
             params: ParamsKey::new(5.0, 0.5, 1e-4, 1e-6),
             method: MethodKey::new(Method::TeaPlus),
-            kernel: kernel_tag(WalkKernel::Lanes),
         }
-    }
-
-    #[test]
-    fn kernel_is_part_of_the_identity() {
-        let cache = ResultCache::new(1 << 20, 2);
-        let lanes = key(3);
-        let sharded = CacheKey {
-            kernel: kernel_tag(WalkKernel::Presampled),
-            ..lanes
-        };
-        cache.insert(lanes, result_of_size(4));
-        assert!(cache.get(&lanes).is_some());
-        assert!(cache.get(&sharded).is_none());
     }
 
     #[test]

@@ -59,8 +59,9 @@
 //! [`run_batch`](crate::run_batch) runs the *same* [`execute`] core as
 //! the scheduler's workers, on scoped threads over a one-shot work list
 //! (no cache, no deadlines). The persistent and batch paths therefore
-//! cannot drift: every query, in either mode, executes `estimate_in` +
-//! `sweep_in` on a per-worker scratch with a per-request RNG stream.
+//! cannot drift: every query, in either mode, executes
+//! `estimate_anytime_in` + `sweep_in` on a per-worker scratch with a
+//! per-request RNG stream.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -70,7 +71,7 @@ use std::time::{Duration, Instant};
 use hk_cluster::{ClusterResult, LocalClusterer, Method, QueryScratch};
 use hk_graph::{Graph, NodeId};
 use hkpr_core::fxhash::{FxHashMap, FxHasher};
-use hkpr_core::{AccuracyTier, CancelToken, HkprError, HkprParams, WalkKernel};
+use hkpr_core::{AccuracyTier, AnytimeControls, CancelToken, HkprError, HkprParams, WalkKernel};
 
 use crate::cache::{
     CacheKey, CacheStats, FlightClaim, FlightResult, MethodKey, ParamsKey, ResultCache,
@@ -389,12 +390,6 @@ pub struct EngineConfig {
     /// TEA+ hop-cap constant `c` applied to every canonical parameter set
     /// (paper recommendation 2.5).
     pub hop_c: f64,
-    /// Walk kernel every worker's workspace runs
-    /// ([`hkpr_core::WalkKernel::Lanes`] by default). Part of the cache
-    /// identity: kernels consume the RNG stream differently, so a
-    /// `Presampled` engine (the sharded-conformance configuration) and a
-    /// `Lanes` engine sharing a cache never exchange results.
-    pub walk_kernel: WalkKernel,
 }
 
 impl Default for EngineConfig {
@@ -410,7 +405,6 @@ impl Default for EngineConfig {
             cache_bytes: 32 << 20,
             cache_shards: 16,
             hop_c: 2.5,
-            walk_kernel: WalkKernel::Lanes,
         }
     }
 }
@@ -801,18 +795,6 @@ struct SchedShared {
     /// Walk-phase threads per query; a worker rebuilds its scratch with
     /// this after containing a panic.
     walk_threads: usize,
-    /// Walk kernel every worker's workspace runs (cache-key relevant).
-    walk_kernel: WalkKernel,
-}
-
-impl SchedShared {
-    /// A fresh per-worker scratch configured for this scheduler's walk
-    /// phase (thread fan-out + kernel).
-    fn fresh_scratch(&self) -> QueryScratch {
-        let mut scratch = QueryScratch::with_threads(self.walk_threads);
-        scratch.workspace.set_walk_kernel(self.walk_kernel);
-        scratch
-    }
 }
 
 impl SchedShared {
@@ -873,7 +855,6 @@ impl Scheduler {
             admission: Mutex::new(FxHashMap::default()),
             worker_count,
             walk_threads: config.walk_threads.max(1),
-            walk_kernel: config.walk_kernel,
         });
         let workers = (0..worker_count)
             .map(|i| {
@@ -881,7 +862,7 @@ impl Scheduler {
                 std::thread::Builder::new()
                     .name(format!("hk-serve-{i}"))
                     .spawn(move || {
-                        let mut scratch = shared.fresh_scratch();
+                        let mut scratch = QueryScratch::with_threads(shared.walk_threads);
                         worker_loop(&shared, &mut scratch);
                     })
                     .expect("spawn hk-serve worker")
@@ -982,7 +963,6 @@ impl Scheduler {
             rng_seed: req.rng_seed,
             params: params_key,
             method: MethodKey::new(req.method),
-            kernel: crate::cache::kernel_tag(shared.walk_kernel),
         };
         // Hub store before the cache: precomputed answers are pinned (the
         // cache may have evicted them) and counted separately, so the
@@ -1174,7 +1154,7 @@ fn worker_loop(shared: &SchedShared, scratch: &mut QueryScratch) {
                 }));
                 if let Err(payload) = unwound {
                     shared.panics.fetch_add(1, Ordering::Relaxed);
-                    *scratch = shared.fresh_scratch();
+                    *scratch = QueryScratch::with_threads(shared.walk_threads);
                     let err = ServeError::Internal {
                         detail: panic_detail(payload),
                     };
@@ -1189,19 +1169,14 @@ fn worker_loop(shared: &SchedShared, scratch: &mut QueryScratch) {
     }
 }
 
-/// Per-phase timings of one executed query (queue/total added by the
-/// caller).
-pub(crate) struct ExecTiming {
-    push_ns: u64,
-    walk_ns: u64,
-    estimate_ns: u64,
-    sweep_ns: u64,
-}
-
-/// The execution core both the scheduler's workers and [`run_batch`]
-/// share: phase one (`estimate_in`) + phase two (`sweep_in`) on a
-/// reusable scratch. Cancellation, if armed, rides on the token installed
-/// in `scratch.workspace`.
+/// The execution core the scheduler's workers, [`run_batch`] and the hub
+/// build all share: phase one (`estimate_anytime_in`, the tiered
+/// refinement path, so a mid-run cancellation means "stop refining", not
+/// "discard everything") + phase two (`sweep_in`) on a reusable scratch.
+/// Cancellation, if armed, rides on the token installed in
+/// `scratch.workspace`; `controls` carries the caller's ladder observer.
+/// With neither, the returned tier is never degraded. The returned timing
+/// holds the per-phase split; queue and total are the caller's to add.
 pub(crate) fn execute(
     clusterer: &LocalClusterer<'_>,
     scratch: &mut QueryScratch,
@@ -1209,59 +1184,10 @@ pub(crate) fn execute(
     method: Method,
     params: &HkprParams,
     rng_seed: u64,
-) -> Result<(ClusterResult, ExecTiming), HkprError> {
+    controls: AnytimeControls<'_>,
+) -> Result<(ClusterResult, Option<AccuracyTier>, QueryTiming), HkprError> {
     let started = Instant::now();
     scratch.workspace.clear_phase_times();
-    let (estimate, stats) =
-        clusterer.estimate_in(method, seed, params, rng_seed, &mut scratch.workspace)?;
-    let estimate_done = Instant::now();
-    let phases = scratch.workspace.last_phase_times();
-    let result = clusterer.sweep_in(seed, estimate, stats, scratch);
-    Ok((
-        result,
-        ExecTiming {
-            push_ns: phases.push_ns,
-            walk_ns: phases.walk_ns,
-            estimate_ns: (estimate_done - started).as_nanos() as u64,
-            sweep_ns: estimate_done.elapsed().as_nanos() as u64,
-        },
-    ))
-}
-
-/// The anytime variant of [`execute`] the scheduler's workers run:
-/// phase one through the tiered-refinement estimator path (so a mid-run
-/// cancellation means "stop refining", not "discard everything"), phase
-/// two (`sweep_in`) on whatever the ladder produced. With no cancellation
-/// the final tier is **bitwise identical** to [`execute`]'s cold one-shot
-/// run (gated by the core conformance suite and the golden differential
-/// tests), which is what keeps the cached, batch and served paths
-/// byte-equal.
-fn execute_anytime(
-    clusterer: &LocalClusterer<'_>,
-    scratch: &mut QueryScratch,
-    seed: NodeId,
-    method: Method,
-    params: &HkprParams,
-    rng_seed: u64,
-) -> Result<(ClusterResult, Option<AccuracyTier>, ExecTiming), HkprError> {
-    let started = Instant::now();
-    scratch.workspace.clear_phase_times();
-    // The `core.push_tier` failpoint rides the push-ladder observer: an
-    // injected Error cancels refinement at the certifying hop boundary
-    // (→ typed degraded answer), an injected Panic unwinds into the
-    // worker's containment, a Delay holds the push at the boundary long
-    // enough for the deadline watchdog to fire deterministically.
-    #[cfg(feature = "testing")]
-    let mut on_push_tier = |_tier: u32| -> Result<(), HkprError> {
-        crate::fault::fire("core.push_tier").map_err(|_| HkprError::Cancelled)
-    };
-    #[cfg(feature = "testing")]
-    let controls = hkpr_core::AnytimeControls {
-        on_push_tier: Some(&mut on_push_tier),
-        ..Default::default()
-    };
-    #[cfg(not(feature = "testing"))]
-    let controls = hkpr_core::AnytimeControls::default();
     let (estimate, stats, achieved) = clusterer.estimate_anytime_in(
         method,
         seed,
@@ -1276,17 +1202,18 @@ fn execute_anytime(
     Ok((
         result,
         achieved,
-        ExecTiming {
+        QueryTiming {
             push_ns: phases.push_ns,
             walk_ns: phases.walk_ns,
             estimate_ns: (estimate_done - started).as_nanos() as u64,
             sweep_ns: estimate_done.elapsed().as_nanos() as u64,
+            ..QueryTiming::default()
         },
     ))
 }
 
 /// Execute one job on a worker's scratch: deadline re-check, watchdog
-/// arming, the [`execute_anytime`] core, cache insert + flight
+/// arming, the [`execute`] core, cache insert + flight
 /// settlement, reply. A job the watchdog cancelled after at least one
 /// accuracy tier completed — a certified push tier *or* a walk tier —
 /// still returns a typed best-effort answer
@@ -1321,13 +1248,29 @@ fn process(shared: &SchedShared, scratch: &mut QueryScratch, job: Job) {
     }
     scratch.workspace.set_cancel_token(Some(job.cancel.clone()));
     let clusterer = LocalClusterer::new(&job.graph);
-    let outcome = execute_anytime(
+    // The `core.push_tier` failpoint rides the push-ladder observer of
+    // worker queries only (never `run_batch` or hub builds): an injected
+    // Error cancels refinement at the certifying hop boundary (→ typed
+    // degraded answer), an injected Panic unwinds into the worker's
+    // containment, a Delay holds the push at the boundary long enough
+    // for the deadline watchdog to fire deterministically.
+    #[cfg(feature = "testing")]
+    let mut on_push_tier = |_tier: u32| -> Result<(), HkprError> {
+        crate::fault::fire("core.push_tier").map_err(|_| HkprError::Cancelled)
+    };
+    let controls = AnytimeControls {
+        #[cfg(feature = "testing")]
+        on_push_tier: Some(&mut on_push_tier),
+        ..Default::default()
+    };
+    let outcome = execute(
         &clusterer,
         scratch,
         job.seed,
         job.method,
         &job.params,
         job.rng_seed,
+        controls,
     );
     scratch.workspace.set_cancel_token(None);
     match outcome {
@@ -1385,11 +1328,8 @@ fn process(shared: &SchedShared, scratch: &mut QueryScratch, job: Job) {
                 degraded,
                 timing: QueryTiming {
                     queue_ns,
-                    push_ns: t.push_ns,
-                    walk_ns: t.walk_ns,
-                    estimate_ns: t.estimate_ns,
-                    sweep_ns: t.sweep_ns,
                     total_ns: queue_ns + started.elapsed().as_nanos() as u64,
+                    ..t
                 },
             }));
         }
@@ -1587,7 +1527,8 @@ impl std::fmt::Debug for QueryEngine {
 /// stream from `rng_seed + index`, so a batch run is bit-identical to the
 /// equivalent sequential loop — and to the same requests served through a
 /// persistent engine, because both paths run the scheduler's [`execute`]
-/// core (`estimate_in` + `sweep_in` on a per-worker scratch). This
+/// core (`estimate_anytime_in` + `sweep_in` on a per-worker scratch;
+/// with no deadline and no ladder observer here, always to completion). This
 /// one-shot mode uses scoped threads claiming indices from a shared
 /// atomic counter, no cache and no deadlines; every worker owns one
 /// [`QueryScratch`] reused across its whole share of the batch, so
@@ -1646,8 +1587,9 @@ pub fn run_batch_with_kernel(
                 method,
                 params,
                 rng_seed.wrapping_add(i as u64),
+                AnytimeControls::default(),
             )
-            .map(|(result, _)| result);
+            .map(|(result, _, _)| result);
             let _ = tx.send((i, out));
         }
     };

@@ -17,8 +17,9 @@
 //!
 //! A precomputed answer must be indistinguishable from a cold
 //! recomputation. The build therefore runs the scheduler's own
-//! [`execute`] core — `estimate_in` + `sweep_in` on a scratch configured
-//! with the engine's walk-thread count and walk kernel — under the
+//! [`execute`] core — `estimate_anytime_in` + `sweep_in` on a scratch
+//! configured with the engine's walk-thread count, with no cancel token
+//! and no ladder observer, so always to completion — under the
 //! *canonicalized* default knobs (the same [`ParamsKey`] bucket snap the
 //! submit path applies) and RNG stream 0. Every ingredient of the cache
 //! key is reproduced exactly, so the stored bytes are byte-equal to what
@@ -52,9 +53,9 @@ use std::time::Instant;
 use hk_cluster::{ClusterResult, LocalClusterer, Method, QueryScratch};
 use hk_graph::NodeId;
 use hkpr_core::fxhash::{FxHashMap, FxHashSet};
-use hkpr_core::WalkKernel;
+use hkpr_core::AnytimeControls;
 
-use crate::cache::{kernel_tag, CacheKey, MethodKey};
+use crate::cache::{CacheKey, MethodKey};
 use crate::engine::{execute, GraphFront, Knobs};
 
 /// Counters of a [`HubStore`] (all zero when hub precomputation is
@@ -99,8 +100,6 @@ pub(crate) struct HubStore {
     /// Walk-phase threads of the build scratch — must match the serving
     /// pool's, or the stored bytes would diverge from a recomputation.
     walk_threads: usize,
-    /// Walk kernel of the build scratch (cache-key relevant).
-    walk_kernel: WalkKernel,
     pinned: Mutex<FxHashMap<CacheKey, Arc<ClusterResult>>>,
     state: Mutex<BuildState>,
     /// Signals `in_flight` reaching 0.
@@ -111,17 +110,11 @@ pub(crate) struct HubStore {
 }
 
 impl HubStore {
-    pub(crate) fn new(
-        top_k: usize,
-        byte_budget: usize,
-        walk_threads: usize,
-        walk_kernel: WalkKernel,
-    ) -> HubStore {
+    pub(crate) fn new(top_k: usize, byte_budget: usize, walk_threads: usize) -> HubStore {
         HubStore {
             top_k,
             byte_budget,
             walk_threads: walk_threads.max(1),
-            walk_kernel,
             pinned: Mutex::new(FxHashMap::default()),
             state: Mutex::new(BuildState::default()),
             idle: Condvar::new(),
@@ -132,7 +125,7 @@ impl HubStore {
     }
 
     /// Probe the store for an exact key match, counting a hit on success.
-    /// The key's fingerprint/params/kernel/rng components make a stale or
+    /// The key's fingerprint/params/rng components make a stale or
     /// differently-configured answer unmatchable by construction.
     pub(crate) fn lookup(&self, key: &CacheKey) -> Option<Arc<ClusterResult>> {
         let hit = self.pinned.lock().unwrap().get(key).cloned();
@@ -195,12 +188,17 @@ impl HubStore {
         seeds.sort_unstable_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
         seeds.truncate(self.top_k);
         let mut scratch = QueryScratch::with_threads(self.walk_threads);
-        scratch.workspace.set_walk_kernel(self.walk_kernel);
         let clusterer = LocalClusterer::new(graph);
         for seed in seeds {
-            let Ok((result, _)) =
-                execute(&clusterer, &mut scratch, seed, Method::TeaPlus, &params, 0)
-            else {
+            let Ok((result, _, _)) = execute(
+                &clusterer,
+                &mut scratch,
+                seed,
+                Method::TeaPlus,
+                &params,
+                0,
+                AnytimeControls::default(),
+            ) else {
                 continue;
             };
             let cost = result.memory_bytes();
@@ -219,7 +217,6 @@ impl HubStore {
                 rng_seed: 0,
                 params: params_key,
                 method: MethodKey::new(Method::TeaPlus),
-                kernel: kernel_tag(self.walk_kernel),
             };
             self.pinned.lock().unwrap().insert(key, Arc::new(result));
         }

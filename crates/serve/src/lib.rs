@@ -89,7 +89,7 @@ pub mod hub;
 pub mod registry;
 
 pub use cache::{
-    kernel_tag, CacheKey, CacheStats, FlightClaim, FlightResult, MethodKey, ParamsKey, ResultCache,
+    CacheKey, CacheStats, FlightClaim, FlightResult, MethodKey, ParamsKey, ResultCache,
 };
 pub use engine::{
     run_batch, run_batch_with_kernel, CacheOutcome, Degraded, EngineConfig, EngineStats, Knobs,

@@ -610,7 +610,6 @@ impl MultiEngine {
                     config.hub_top_k,
                     config.hub_bytes,
                     config.engine.walk_threads,
-                    config.engine.walk_kernel,
                 ))
             }),
         }

@@ -7,7 +7,9 @@
 //! internal errors), `cache.insert` (insertion failures degrade to
 //! cache-miss behavior, never to wrong answers), `core.push_tier`
 //! (faults mid-push-ladder yield typed degraded answers or contained
-//! panics, never a corrupted worker scratch or a poisoned cache).
+//! panics, never a corrupted worker scratch or a poisoned cache — and
+//! only on worker queries: `run_batch` and hub builds run the same
+//! execution core without the failpoint).
 
 #![cfg(feature = "testing")]
 
@@ -15,13 +17,15 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use hk_cluster::Method;
+use hk_cluster::{ClusterResult, LocalClusterer, Method};
 use hk_graph::gen::planted_partition;
-use hk_graph::Graph;
+use hk_graph::{Graph, NodeId};
 use hk_serve::fault::{self, Fault};
 use hk_serve::{
-    CacheOutcome, EngineConfig, GraphRegistry, Knobs, QueryEngine, QueryRequest, ServeError,
+    run_batch, CacheOutcome, EngineConfig, GraphRegistry, Knobs, MultiEngine, MultiEngineConfig,
+    QueryEngine, QueryRequest, ServeError,
 };
+use hkpr_core::HkprParams;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -413,4 +417,80 @@ fn push_tier_fault_marker_is_shared_by_coalesced_followers() {
     let clean = e.query(req).expect("clean repeat");
     assert_eq!(clean.outcome, CacheOutcome::Miss);
     assert!(clean.degraded.is_none());
+}
+
+/// Build the hub store for the fixture graph's top-`k` seeds and read
+/// the pinned answers back (hub lookups happen at submit, off the
+/// workers). The build is triggered by a TEA query: it routes through
+/// the front like any request but has no push ladder to fault.
+fn hub_answers(g: &Arc<Graph>, seeds: &[NodeId]) -> Vec<Arc<ClusterResult>> {
+    let me = MultiEngine::new(MultiEngineConfig {
+        engine: EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        },
+        hub_top_k: seeds.len(),
+        ..MultiEngineConfig::default()
+    });
+    me.registry().register_graph("g", Arc::clone(g));
+    me.query("g", QueryRequest::new(0).method(Method::Tea))
+        .unwrap();
+    me.wait_hub_builds();
+    seeds
+        .iter()
+        .map(|&seed| {
+            let resp = me.query("g", QueryRequest::new(seed)).unwrap();
+            assert_eq!(resp.outcome, CacheOutcome::Precomputed, "seed {seed}");
+            resp.result
+        })
+        .collect()
+}
+
+#[test]
+fn push_tier_fault_never_reaches_run_batch_or_hub_builds() {
+    let _guard = armed();
+    let g = graph();
+    // The hub store's own selection: degree descending, id ascending.
+    let mut seeds: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
+    seeds.sort_unstable_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+    seeds.truncate(6);
+    let clusterer = LocalClusterer::new(&g);
+    // The knobs of `push_heavy_request`: every coarsened tier certifies.
+    let params = HkprParams::builder(&g).delta(1e-6).build().unwrap();
+    let batch = || run_batch(&clusterer, Method::TeaPlus, &seeds, &params, 7, 2);
+
+    let clean_batch = batch();
+    let clean_hubs = hub_answers(&g, &seeds);
+
+    // One shot is enough: if either path reached the failpoint, the site
+    // would disarm (and the answer would degrade or differ).
+    fault::inject("core.push_tier", Fault::Error, 1);
+    let faulted_batch = batch();
+    let faulted_hubs = hub_answers(&g, &seeds);
+    assert_eq!(fault::armed(), ["core.push_tier"], "the failpoint fired");
+    for (i, &seed) in seeds.iter().enumerate() {
+        let (clean, faulted) = (
+            clean_batch[i].as_ref().unwrap(),
+            faulted_batch[i].as_ref().unwrap(),
+        );
+        assert!(clean.bitwise_eq(faulted), "run_batch seed {seed}");
+        assert!(
+            clean_hubs[i].bitwise_eq(&faulted_hubs[i]),
+            "hub entry seed {seed}"
+        );
+    }
+
+    // The very computations above do reach it on a worker: the hub
+    // build's own request (default knobs), then the batch's.
+    let e = engine(EngineConfig {
+        workers: 1,
+        cache_bytes: 0,
+        ..EngineConfig::default()
+    });
+    for req in [QueryRequest::new(seeds[0]), push_heavy_request(seeds[0])] {
+        fault::inject("core.push_tier", Fault::Error, 1);
+        let resp = e.query(req).unwrap();
+        assert!(resp.degraded.is_some(), "worker queries keep the failpoint");
+        assert!(fault::armed().is_empty());
+    }
 }
