@@ -136,11 +136,28 @@ impl<'g> SweepState<'g> {
         }
     }
 
+    /// Hint the CPU to pull what a coming [`push`](Self::push) of `v`
+    /// reads first: `v`'s CSR offsets. Hints only — no state changes.
+    #[inline]
+    pub fn prefetch_offsets(&self, v: NodeId) {
+        self.graph.prefetch_node(v);
+    }
+
+    /// Second hint for a coming push of `v`: the head of its adjacency
+    /// row (reads the offsets [`prefetch_offsets`](Self::prefetch_offsets)
+    /// asked for).
+    #[inline]
+    pub fn prefetch_row(&self, v: NodeId) {
+        if (v as usize) < self.graph.num_nodes() {
+            self.graph
+                .prefetch_neighbor_row(self.graph.neighbor_row(v).0);
+        }
+    }
+
     /// Add `v` (must not already be a member) and return the new
     /// conductance.
     pub fn push(&mut self, v: NodeId) -> f64 {
         debug_assert!(!self.member.contains(v), "node {v} already in sweep set");
-        let d = self.graph.degree(v);
         // Every edge to an existing member stops being cut; every other
         // incident edge becomes cut. The membership probe per incident
         // edge is the sweep's hot load: a branchless unchecked stamp
@@ -148,6 +165,9 @@ impl<'g> SweepState<'g> {
         // stamp array is sized to n) keeps this one gather + one add per
         // edge. Pure integer counting, so the result is exact regardless.
         let nbrs = self.graph.neighbors(v);
+        // The row's length is d(v); the degree array would be one more
+        // random read.
+        let d = nbrs.len();
         let m = self.member.scratch();
         let epoch = m.epoch;
         let mut internal = 0usize;

@@ -44,6 +44,16 @@ pub fn sweep_ranked_with(
     run_sweep(ranked, SweepState::with_scratch(graph, member))
 }
 
+/// Lookahead distances of [`run_sweep`], in ranking positions ahead of
+/// the node being added. The ranking is known in full after the sort, so
+/// the two dependent random reads that lead to a coming node's neighbours
+/// — its CSR offsets, then the row they locate — are asked for one stage
+/// at a time while earlier nodes are being counted. The membership stamps
+/// the row names are not: the counting loop is branchless, its loads
+/// already overlap, and a third stage measured slower than none.
+const AHEAD_OFFSETS: usize = 12;
+const AHEAD_ROW: usize = 7;
+
 fn run_sweep(ranked: &[(NodeId, f64)], mut state: SweepState<'_>) -> Option<SweepResult> {
     if ranked.is_empty() {
         return None;
@@ -51,6 +61,12 @@ fn run_sweep(ranked: &[(NodeId, f64)], mut state: SweepState<'_>) -> Option<Swee
     let mut best_phi = f64::INFINITY;
     let mut best_prefix = 0usize;
     for (i, &(v, _)) in ranked.iter().enumerate() {
+        if let Some(&(ahead, _)) = ranked.get(i + AHEAD_OFFSETS) {
+            state.prefetch_offsets(ahead);
+        }
+        if let Some(&(ahead, _)) = ranked.get(i + AHEAD_ROW) {
+            state.prefetch_row(ahead);
+        }
         let phi = state.push(v);
         if phi < best_phi {
             best_phi = phi;
@@ -166,6 +182,41 @@ mod tests {
         assert_eq!(res.best_prefix, 1);
         // {0} has vol 3, cut 3 -> conductance 1.
         assert!((res.conductance - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn lookahead_declines_at_the_ends_of_the_csr_arrays() {
+        // Rankings shorter than every lookahead distance, over a graph
+        // whose last nodes are isolated (their rows start at `volume()`,
+        // one past the neighbor array), and a one-node graph: the hints
+        // must decline, and the sweep must agree with a recount.
+        let mut b = hk_graph::GraphBuilder::new();
+        b.add_edge(0, 1);
+        b.add_edge(1, 2);
+        b.ensure_nodes(5);
+        let g = b.build();
+        assert_eq!(g.neighbor_row(4), (g.volume(), 0));
+        let ranked: Vec<(NodeId, f64)> = vec![(4, 0.9), (1, 0.8), (3, 0.7), (0, 0.6), (2, 0.5)];
+        for len in 1..=ranked.len() {
+            let res = sweep_ranked(&g, &ranked[..len]).unwrap();
+            assert_eq!(res.support_size, len);
+            assert!((res.conductance - conductance(&g, &res.cluster)).abs() < 1e-12);
+        }
+
+        let mut b = hk_graph::GraphBuilder::new();
+        b.ensure_nodes(1);
+        let lone = b.build();
+        let res = sweep_ranked(&lone, &[(0, 1.0)]).unwrap();
+        assert_eq!((res.cluster, res.conductance), (vec![0], 1.0));
+
+        // A scratch sized for a larger graph, reused on a smaller one.
+        let mut member = MemberScratch::new();
+        let big = two_cliques();
+        let all: Vec<(NodeId, f64)> = (0..8).map(|v| (v, 1.0 / (v + 1) as f64)).collect();
+        let on_big = sweep_ranked_with(&big, &all, &mut member).unwrap();
+        assert_eq!(on_big.cluster, vec![0, 1, 2, 3]);
+        let on_small = sweep_ranked_with(&g, &ranked, &mut member).unwrap();
+        assert_eq!(on_small.cluster, sweep_ranked(&g, &ranked).unwrap().cluster);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use hk_graph::{Graph, NodeId};
 
 use crate::fxhash::FxHashMap;
 use crate::poisson::PoissonTable;
+use crate::push_plus::{drain_hop, DrainCounters, HopDrain};
 use crate::sparse::ResidueTable;
 
 /// Output of [`hk_push`]: the reserve vector `q_s`, the residue vectors
@@ -120,6 +121,11 @@ pub struct PushWsStats {
 /// `ws.reserve` / `ws.residues`. Equivalence is asserted bit-for-bit by
 /// `tests/equivalence.rs`.
 ///
+/// Each hop level is drained by `push_plus::drain_hop` — the
+/// loop `HK-Push+` runs, here with `rmax` as the threshold coefficient
+/// and neither budget nor probe — until a hop pushes nothing above the
+/// threshold into the next.
+///
 /// Polls the workspace's [`CancelToken`](crate::CancelToken) at hop
 /// boundaries and stops early when it fires; the driver (`tea_in`) then
 /// reports [`crate::HkprError::Cancelled`] and the partial state is
@@ -132,66 +138,28 @@ pub fn hk_push_ws(
     ws: &mut crate::workspace::QueryWorkspace,
 ) -> PushWsStats {
     assert!(rmax > 0.0, "rmax must be positive");
-    assert!((seed as usize) < graph.num_nodes(), "seed out of range");
 
-    let n = graph.num_nodes();
-    ws.begin(n);
-    ws.residues.begin(1, n);
-    ws.residues.add(0, seed, 1.0);
-    let mut push_operations = 0u64;
-    let mut iterations = 0u64;
-
-    if ws.queues.is_empty() {
-        ws.queues.push(Vec::new());
-    }
-    for q in &mut ws.queues {
-        q.clear();
-    }
-    ws.queues[0].push((seed, graph.degree(seed) as u32));
-
+    ws.begin_push(graph, seed, 1, rmax);
+    let mut counters = DrainCounters::default();
     let mut k = 0usize;
-    while k < ws.queues.len() {
-        if ws.is_cancelled() {
+    while !ws.is_cancelled() {
+        let drain = HopDrain {
+            k,
+            stop: poisson.stop_prob(k),
+            thr_coeff: rmax,
+            enqueue: true,
+            plus: None,
+        };
+        drain_hop(graph, &drain, &mut counters, ws);
+        k += 1;
+        if ws.queues[k].is_empty() {
             break;
         }
-        while let Some((v, d32)) = ws.queues[k].pop() {
-            let d = d32 as usize;
-            let r = ws.residues.get(k, v);
-            if r <= rmax * d as f64 {
-                continue; // stale queue entry
-            }
-            iterations += 1;
-            ws.residues.take(k, v);
-            if d == 0 {
-                ws.reserve.add(v, r);
-                continue;
-            }
-            let stop = poisson.stop_prob(k);
-            ws.reserve.add(v, stop * r);
-            let remain = (1.0 - stop) * r;
-            if remain <= 0.0 {
-                continue;
-            }
-            let share = remain / d as f64;
-            push_operations += d as u64;
-            if k + 1 >= ws.queues.len() {
-                ws.queues.push(Vec::new());
-            }
-            for &u in graph.neighbors(v) {
-                let (old, new) = ws.residues.add(k + 1, u, share);
-                let du = graph.degree(u);
-                let thr = rmax * du as f64;
-                if old <= thr && new > thr {
-                    ws.queues[k + 1].push((u, du as u32));
-                }
-            }
-        }
-        k += 1;
     }
 
     PushWsStats {
-        push_operations,
-        iterations,
+        push_operations: counters.push_operations,
+        iterations: counters.processed,
     }
 }
 

@@ -42,10 +42,25 @@
 //! tier is natural termination itself — drained, satisfied, or budget
 //! exhausted, all of which the downstream walk phase compensates exactly
 //! as Algorithm 5 already specifies for the budget stop.
+//!
+//! ## The hop drain
+//!
+//! One hop level is drained by `drain_hop`, the only push loop over the
+//! dense workspace: HK-Push+ calls it with its budget and probe, TEA's
+//! `HK-Push` ([`crate::push::hk_push_ws`]) without. While hop `k` drains,
+//! pushes only append to hop `k + 1`'s worklist, so hop `k`'s worklist is
+//! known in full and the loop is software-pipelined over it: a few
+//! entries ahead of the one being processed it prefetches that entry's
+//! residue and reserve slots and CSR offsets, then the head of its
+//! adjacency row, then the next-hop slot of each of its neighbours, so
+//! the dependent random reads of one entry overlap the arithmetic of the
+//! entries before it. Prefetches are hints: schedule and arithmetic are
+//! those of the hash-map references, bit for bit.
 
 use hk_graph::{Graph, NodeId};
 
 use crate::anytime::{AnytimeControls, PUSH_TIER_DIVISORS};
+use crate::cancel::CancelToken;
 use crate::error::HkprError;
 use crate::fxhash::FxHashMap;
 use crate::poisson::PoissonTable;
@@ -207,12 +222,11 @@ pub struct PushPlusWsStats {
 pub struct PushResumeState {
     /// Next hop level to process.
     k: usize,
-    /// Push operations performed so far (`i` in Algorithm 4).
-    push_operations: u64,
-    /// Processed-node counter driving the `CHECK_INTERVAL` probe cadence
-    /// (carried across resumes, so a resumed ladder probes at exactly
-    /// the cold schedule's points).
-    processed: u64,
+    /// Push operations and processed nodes so far. The processed count
+    /// drives the `CHECK_INTERVAL` probe cadence and is carried across
+    /// resumes, so a resumed ladder probes at exactly the cold
+    /// schedule's points.
+    counters: DrainCounters,
     /// Left-fold of frozen per-hop maxima over drained hops (the
     /// incremental condition-(11) prefix sum).
     frozen_sum: f64,
@@ -277,15 +291,249 @@ pub enum PushStepOutcome {
     },
 }
 
-/// Max of `r/d` over the live entries of one hop (order-independent, so
-/// it equals the reference's hashmap-scan value exactly). Degrees ride
-/// in the slots (memoized by the kernel's adds), so the scan touches one
-/// array instead of two; the division form matches the reference's scan
-/// bit-for-bit. Delegates to [`crate::workspace::EpochVec`]'s scan, which
-/// carries an AVX2 body under the `simd` feature — bit-identical because
-/// a NaN-free max is reduction-order-free.
-fn live_hop_max(hop: &crate::workspace::EpochVec) -> f64 {
-    hop.max_value_over_deg()
+/// Lookahead distances of `drain_hop`'s pipeline, in worklist entries
+/// ahead of the one being processed. Each stage consumes what the stage
+/// before it fetched: slots and CSR offsets first, then the adjacency row
+/// those offsets locate, then the next-hop slots that row names.
+const AHEAD_SLOTS: usize = 12;
+const AHEAD_ROW: usize = 7;
+const AHEAD_NEIGHBOURS: usize = 2;
+
+/// Push operations and node-processing iterations of a push phase,
+/// accumulated over its hop drains.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct DrainCounters {
+    /// Push operations (`d(v)` per processed node).
+    pub(crate) push_operations: u64,
+    /// Processed nodes.
+    pub(crate) processed: u64,
+}
+
+/// One hop level's drain, as its caller specifies it.
+pub(crate) struct HopDrain<'a> {
+    /// The hop level to drain.
+    pub(crate) k: usize,
+    /// `eta(k) / psi(k)`: the share of a pushed residue that settles.
+    pub(crate) stop: f64,
+    /// A node is pushed while `r^(k)[v] > thr_coeff * d(v)`.
+    pub(crate) thr_coeff: f64,
+    /// Whether hop `k + 1` will itself be drained, i.e. whether threshold
+    /// crossings there are worth a worklist entry (false at a hop cap).
+    pub(crate) enqueue: bool,
+    /// `HK-Push+`'s additions; `None` drains as Algorithm 1 does.
+    pub(crate) plus: Option<PlusDrain<'a>>,
+}
+
+/// What `HK-Push+` adds to a hop drain: the push budget, and every
+/// `CHECK_INTERVAL` processed nodes a cancellation poll and the
+/// condition-(11) probe (which keep `hop_max_hint` current).
+pub(crate) struct PlusDrain<'a> {
+    /// Condition (11)'s right-hand side.
+    pub(crate) eps_abs: f64,
+    /// Push-operation budget `np`.
+    pub(crate) budget: u64,
+    /// Condition-(11) sum over the hops already frozen.
+    pub(crate) frozen_sum: f64,
+    /// Polled at the probe: pure control flow, so a never-fired token
+    /// changes nothing, and cancel latency on a huge hop is bounded by
+    /// `CHECK_INTERVAL` processed nodes instead of the hop.
+    pub(crate) cancel: Option<&'a CancelToken>,
+}
+
+/// Why one hop level's drain stopped.
+pub(crate) enum HopOutcome {
+    /// The worklist emptied; the hop is frozen (see
+    /// `DenseResidues::freeze`) and `max` is the
+    /// exact `max_v r^(k)[v] / d(v)` over its survivors.
+    Drained { max: f64 },
+    /// A probe found condition (11) satisfied.
+    Satisfied,
+    /// The next push would exceed the budget.
+    Budget,
+    /// The cancel token fired at a probe.
+    Cancelled,
+}
+
+/// Drain hop `k`'s worklist: the loop of Algorithm 1 / Algorithm 4 over
+/// the dense workspace, for one hop level. See the module docs for the
+/// pipeline. The two algorithms' reference transcriptions
+/// ([`crate::push::hk_push`], [`hk_push_plus`]) differ in two places that
+/// show in output bits, and the drain follows whichever it serves:
+///
+/// * hop sums — Algorithm 1's table moves them per residue added or
+///   taken, Algorithm 4's kernel per processed node (`r` out, `(1 -
+///   stop) r` in). Different association, different low bits, and both
+///   feed walk counts (`alpha`, `beta_k`);
+/// * a residue that settles whole (`stop = 1` beyond the Poisson table)
+///   is not spread and not charged push operations by Algorithm 1, and
+///   is both (as zeros) by Algorithm 4, whose budget counts them.
+pub(crate) fn drain_hop(
+    graph: &Graph,
+    drain: &HopDrain<'_>,
+    counters: &mut DrainCounters,
+    ws: &mut crate::workspace::QueryWorkspace,
+) -> HopOutcome {
+    let HopDrain {
+        k,
+        stop,
+        thr_coeff,
+        enqueue,
+        ref plus,
+    } = *drain;
+    if enqueue && ws.queues.len() < k + 2 {
+        ws.queues.resize_with(k + 2, Vec::new);
+    }
+    // Hoisted split borrows: current hop, next hop, reserve, the two
+    // worklists and the hint row are each resolved once per hop level
+    // instead of once per touched neighbor.
+    let (cur, next, hop_sums) = ws.residues.drain_parts(k);
+    let (cur_queues, next_queues) = ws.queues.split_at_mut(k + 1);
+    let queue = &mut cur_queues[k];
+    let mut next_queue = next_queues.first_mut().filter(|_| enqueue);
+    let reserve = &mut ws.reserve;
+    let hint = &mut ws.hop_max_hint;
+    let per_entry_sums = plus.is_none();
+    // Algorithm 1: the two hop sums themselves. Algorithm 4: what left
+    // hop k and what entered hop k+1, flushed on exit.
+    let mut cur_sum = hop_sums[k];
+    let mut next_sum = hop_sums[k + 1];
+    let mut sum_removed = 0.0f64;
+    let mut sum_added = 0.0f64;
+
+    // LIFO, like the references' `pop`; `i` is the entry being processed.
+    let mut i = queue.len();
+    let outcome = loop {
+        if i == 0 {
+            break None;
+        }
+        i -= 1;
+        // `i - AHEAD` wraps below zero near the bottom of the list, and
+        // `get` then declines.
+        if let Some(&(ahead, _)) = queue.get(i.wrapping_sub(AHEAD_SLOTS)) {
+            cur.prefetch(ahead);
+            reserve.prefetch(ahead);
+            graph.prefetch_node(ahead);
+        }
+        if let Some(&(ahead, _)) = queue.get(i.wrapping_sub(AHEAD_ROW)) {
+            graph.prefetch_neighbor_row(graph.neighbor_row(ahead).0);
+        }
+        if let Some(&(ahead, _)) = queue.get(i.wrapping_sub(AHEAD_NEIGHBOURS)) {
+            for &u in graph.neighbors(ahead) {
+                next.prefetch(u);
+            }
+        }
+
+        let (v, d32) = queue[i];
+        let d = d32 as usize;
+        let r = cur.get(v);
+        if r <= thr_coeff * d as f64 {
+            continue; // stale entry
+        }
+        if let Some(plus) = plus {
+            // Algorithm 4 line 6, first disjunct, before the work is
+            // spent.
+            if counters.push_operations + d as u64 > plus.budget {
+                break Some(HopOutcome::Budget);
+            }
+        }
+
+        counters.processed += 1;
+        cur.take(v);
+        if per_entry_sums {
+            cur_sum -= r;
+        } else {
+            sum_removed += r;
+        }
+        if d == 0 {
+            reserve.add(v, r);
+            continue;
+        }
+        reserve.add(v, stop * r);
+        let remain = (1.0 - stop) * r;
+        if per_entry_sums && remain <= 0.0 {
+            continue;
+        }
+        let share = remain / d as f64;
+        sum_added += remain;
+        counters.push_operations += d as u64;
+        for &u in graph.neighbors(v) {
+            let (old, new, du32) = next.add_memo_deg(u, share, || graph.degree_nz(u) as u32);
+            if per_entry_sums {
+                next_sum += share;
+            }
+            if let Some(q) = next_queue.as_deref_mut() {
+                let thr = thr_coeff * du32 as f64;
+                if old <= thr && new > thr {
+                    q.push((u, du32));
+                }
+            }
+        }
+
+        if let Some(plus) = plus {
+            if counters.processed.is_multiple_of(CHECK_INTERVAL) {
+                if plus.cancel.is_some_and(|c| c.is_cancelled()) {
+                    break Some(HopOutcome::Cancelled);
+                }
+                // The reference maintains max_hint[k+1] per traversal;
+                // hop k+1 only ever receives positive additions while
+                // hop k drains, so each node's running quotient is
+                // maximized by its current value and the running max
+                // equals a scan of the current values — the same f64
+                // bit for bit (max of the same quotient multiset, fold
+                // order irrelevant). Recomputing it here, at the rare
+                // probe, moves the r/d division out of the
+                // per-traversal hot loop entirely.
+                hint[k + 1] = next.max_value_over_deg();
+                let hint_sum: f64 = hint.iter().sum();
+                if hint_sum <= plus.eps_abs {
+                    // Incremental exact evaluation: frozen hops + one
+                    // scan of the current hop + the (exact) running
+                    // max of hop k+1; hops beyond k+1 hold no mass yet.
+                    let exact = plus.frozen_sum + cur.max_value_over_deg() + hint[k + 1];
+                    if exact <= plus.eps_abs {
+                        break Some(HopOutcome::Satisfied);
+                    }
+                }
+            }
+        }
+    };
+    queue.truncate(i);
+
+    if per_entry_sums {
+        hop_sums[k] = cur_sum;
+        hop_sums[k + 1] = next_sum;
+    } else {
+        hop_sums[k] -= sum_removed;
+        hop_sums[k + 1] += sum_added;
+    }
+    // Hop k+1 has stopped receiving mass: one scan of it finds its exact
+    // running max (same bitwise value the reference's per-traversal hint
+    // holds at this point; it goes stale-high in both implementations
+    // once hop k+1 starts being consumed) and, when hop k drained and
+    // hop k+1 will be, sets hop k+1's survivors aside.
+    let (outcome, next_max) = match outcome {
+        None => {
+            let max = ws.residues.freeze(k);
+            let next_max = if enqueue {
+                ws.residues.sift(k + 1, thr_coeff)
+            } else {
+                next_hop_max(ws, k)
+            };
+            (HopOutcome::Drained { max }, next_max)
+        }
+        Some(cut_short) => (cut_short, next_hop_max(ws, k)),
+    };
+    if plus.is_some() {
+        ws.hop_max_hint[k + 1] = next_max;
+    }
+    outcome
+}
+
+/// `max_v r^(k+1)[v] / d(v)` by a scan of hop `k + 1`'s live array.
+fn next_hop_max(ws: &crate::workspace::QueryWorkspace, k: usize) -> f64 {
+    ws.residues
+        .live_hop(k + 1)
+        .map_or(0.0, |hop| hop.max_value_over_deg())
 }
 
 /// The exact condition-(11) sum of the current stop state, by the same
@@ -300,7 +548,9 @@ fn stop_state_sum(
     match st.broke_at_hop.or((!st.finished).then_some(st.k)) {
         Some(k) => {
             st.frozen_sum
-                + ws.residues.hop(k).map_or(0.0, live_hop_max)
+                + ws.residues
+                    .live_hop(k)
+                    .map_or(0.0, |hop| hop.max_value_over_deg())
                 + ws.hop_max_hint.get(k + 1).copied().unwrap_or(0.0)
         }
         None => st.frozen_sum + ws.hop_max_hint[cfg.hop_cap],
@@ -333,15 +583,9 @@ pub fn hk_push_plus_begin(
 ) {
     assert!(cfg.hop_cap >= 1, "hop cap K must be at least 1");
     assert!(cfg.eps_abs > 0.0, "eps_abs must be positive");
-    assert!((seed as usize) < graph.num_nodes(), "seed out of range");
 
     let k_cap = cfg.hop_cap;
-    let n = graph.num_nodes();
-
-    ws.begin(n);
-    ws.residues.begin(k_cap + 1, n);
-    ws.residues
-        .add_with_deg(0, seed, 1.0, graph.degree_nz(seed) as u32);
+    ws.begin_push(graph, seed, k_cap + 1, cfg.eps_abs / k_cap as f64);
 
     // Monotone per-hop max hints (scheduler) and frozen exact maxima of
     // finished hops (incremental condition evaluation).
@@ -350,14 +594,6 @@ pub fn hk_push_plus_begin(
     ws.hop_max_frozen.clear();
     ws.hop_max_frozen.resize(k_cap + 1, 0.0);
     ws.hop_max_hint[0] = 1.0 / graph.degree_nz(seed) as f64;
-
-    while ws.queues.len() < k_cap {
-        ws.queues.push(Vec::new());
-    }
-    for q in &mut ws.queues {
-        q.clear();
-    }
-    ws.queues[0].push((seed, graph.degree(seed) as u32));
 
     ws.push_resume = PushResumeState::default();
 }
@@ -391,15 +627,6 @@ pub fn hk_push_plus_step(
         return Ok(PushStepOutcome::Cancelled { tiers_certified });
     }
 
-    /// Why one hop level's processing stopped.
-    enum HopOutcome {
-        Drained,
-        Satisfied,
-        Budget,
-        /// The cancel token fired at a `CHECK_INTERVAL` probe.
-        Cancelled,
-    }
-
     while st.k < k_cap {
         let k = st.k;
         // Cooperative cancellation at hop boundaries: pure control flow,
@@ -412,106 +639,19 @@ pub fn hk_push_plus_step(
             let tiers_certified = stop_state_tiers(cfg, &st, ws);
             return Ok(PushStepOutcome::Cancelled { tiers_certified });
         }
-        let stop = poisson.stop_prob(k);
-        // Hoisted split borrows: current hop, next hop, reserve, the two
-        // worklists and the hint row are each resolved once per hop level
-        // instead of once per touched neighbor, and hop sums are batched
-        // into two local accumulators flushed on exit.
-        let (outcome, frozen) = {
-            let (cur_hop, next_hop, hop_sums) = ws.residues.push_kernel_parts(k);
-            let (cur_queues, next_queues) = ws.queues.split_at_mut(k + 1);
-            let queue = &mut cur_queues[k];
-            let mut next_queue = next_queues.first_mut();
-            let reserve = &mut ws.reserve;
-            let hint = &mut ws.hop_max_hint;
-            let mut sum_removed = 0.0f64;
-            let mut sum_added = 0.0f64;
-
-            let outcome = loop {
-                let Some((v, d32)) = queue.pop() else {
-                    break HopOutcome::Drained;
-                };
-                let d = d32 as usize;
-                let r = cur_hop.get(v);
-                if r <= thr_coeff * d as f64 {
-                    continue; // stale entry
-                }
-
-                if st.push_operations + d as u64 > cfg.budget {
-                    break HopOutcome::Budget;
-                }
-
-                st.processed += 1;
-                cur_hop.take(v);
-                sum_removed += r;
-                if d == 0 {
-                    reserve.add(v, r);
-                    continue;
-                }
-                reserve.add(v, stop * r);
-                let remain = (1.0 - stop) * r;
-                let share = remain / d as f64;
-                sum_added += remain;
-                st.push_operations += d as u64;
-                for &u in graph.neighbors(v) {
-                    let (old, new, du32) =
-                        next_hop.add_memo_deg(u, share, || graph.degree_nz(u) as u32);
-                    if let Some(q) = next_queue.as_deref_mut() {
-                        let thr = thr_coeff * du32 as f64;
-                        if old <= thr && new > thr {
-                            q.push((u, du32));
-                        }
-                    }
-                }
-
-                if st.processed.is_multiple_of(CHECK_INTERVAL) {
-                    // Cancellation poll at the probe: pure control flow (a
-                    // never-fired token changes nothing), bounding cancel
-                    // latency on huge hops to CHECK_INTERVAL processed
-                    // nodes instead of a whole hop level.
-                    if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                        break HopOutcome::Cancelled;
-                    }
-                    // The reference maintains max_hint[k+1] per traversal;
-                    // hop k+1 only ever receives positive additions while
-                    // hop k drains, so each node's running quotient is
-                    // maximized by its current value and the running max
-                    // equals a scan of the current values — the same f64
-                    // bit for bit (max of the same quotient multiset, fold
-                    // order irrelevant). Recomputing it here, at the rare
-                    // probe, moves the r/d division out of the
-                    // per-traversal hot loop entirely.
-                    hint[k + 1] = live_hop_max(next_hop);
-                    let hint_sum: f64 = hint.iter().sum();
-                    if hint_sum <= cfg.eps_abs {
-                        // Incremental exact evaluation: frozen hops + one
-                        // scan of the current hop + the (exact) running
-                        // max of hop k+1; hops beyond k+1 hold no mass yet.
-                        let exact = st.frozen_sum + live_hop_max(cur_hop) + hint[k + 1];
-                        if exact <= cfg.eps_abs {
-                            break HopOutcome::Satisfied;
-                        }
-                    }
-                }
-            };
-
-            // Publish hop k+1's exact running max (same bitwise value the
-            // reference's per-traversal hint holds at this point; it goes
-            // stale-high in both implementations once hop k+1 starts being
-            // consumed).
-            hint[k + 1] = live_hop_max(next_hop);
-            hop_sums[k] -= sum_removed;
-            hop_sums[k + 1] += sum_added;
-            // Hop k drained: its surviving residues are final — their max
-            // is computed once here and frozen by the caller.
-            let frozen = match outcome {
-                HopOutcome::Drained => live_hop_max(cur_hop),
-                _ => 0.0,
-            };
-            (outcome, frozen)
+        let drain = HopDrain {
+            k,
+            stop: poisson.stop_prob(k),
+            thr_coeff,
+            enqueue: k + 1 < k_cap,
+            plus: Some(PlusDrain {
+                eps_abs: cfg.eps_abs,
+                budget: cfg.budget,
+                frozen_sum: st.frozen_sum,
+                cancel: cancel.as_ref(),
+            }),
         };
-
-        match outcome {
+        match drain_hop(graph, &drain, &mut st.counters, ws) {
             HopOutcome::Satisfied => {
                 st.satisfied = true;
                 st.stopped_at_hop = Some(k);
@@ -534,11 +674,12 @@ pub fn hk_push_plus_step(
                 let tiers_certified = stop_state_tiers(cfg, &st, ws);
                 return Ok(PushStepOutcome::Cancelled { tiers_certified });
             }
-            HopOutcome::Drained => {
-                // Fold the frozen max into the running prefix sum and move
-                // to the next hop level.
-                ws.hop_max_frozen[k] = frozen;
-                st.frozen_sum += frozen;
+            HopOutcome::Drained { max } => {
+                // Hop k's surviving residues are final: fold their max
+                // into the running prefix sum and move to the next hop
+                // level.
+                ws.hop_max_frozen[k] = max;
+                st.frozen_sum += max;
                 st.k = k + 1;
 
                 // Certificate checkpoint (pure reads): at this boundary
@@ -636,7 +777,7 @@ pub fn hk_push_plus_finalize(
     }
 
     PushPlusWsStats {
-        push_operations: st.push_operations,
+        push_operations: st.counters.push_operations,
         satisfied_condition_11: satisfied,
     }
 }
@@ -914,6 +1055,96 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn token_fired_at_a_probe_stops_mid_hop_on_the_reference_state() {
+        // The drain polls its token at the CHECK_INTERVAL probe only (hop
+        // boundaries are the step's business), so driving the hops by
+        // hand with a fired token stops the push, deterministically, at
+        // the first probe: mid-hop, the hops below frozen, that hop and
+        // the next live. Every reader must then see what the hash-map
+        // reference holds after the same number of push operations.
+        use hk_graph::gen::holme_kim;
+        use rand::{rngs::SmallRng, SeedableRng};
+        let g = holme_kim(30_000, 5, 0.3, &mut SmallRng::seed_from_u64(3)).unwrap();
+        let p = PoissonTable::new(5.0);
+        let mut cfg = PushPlusConfig {
+            hop_cap: 8,
+            eps_abs: 1e-6,
+            budget: u64::MAX,
+        };
+        let fired = CancelToken::new();
+        fired.cancel();
+
+        let mut ws = crate::workspace::QueryWorkspace::new();
+        hk_push_plus_begin(&g, 0, &cfg, &mut ws);
+        let mut st = PushResumeState::default();
+        let k = loop {
+            let k = st.k;
+            let drain = HopDrain {
+                k,
+                stop: p.stop_prob(k),
+                thr_coeff: cfg.eps_abs / cfg.hop_cap as f64,
+                enqueue: k + 1 < cfg.hop_cap,
+                plus: Some(PlusDrain {
+                    eps_abs: cfg.eps_abs,
+                    budget: cfg.budget,
+                    frozen_sum: st.frozen_sum,
+                    cancel: Some(&fired),
+                }),
+            };
+            match drain_hop(&g, &drain, &mut st.counters, &mut ws) {
+                HopOutcome::Drained { max } => {
+                    ws.hop_max_frozen[k] = max;
+                    st.frozen_sum += max;
+                    st.k = k + 1;
+                }
+                HopOutcome::Cancelled => break k,
+                HopOutcome::Satisfied | HopOutcome::Budget => panic!("no such stop configured"),
+            }
+        };
+        assert_eq!(
+            st.counters.processed, CHECK_INTERVAL,
+            "stopped at the probe"
+        );
+        assert!(
+            k >= 2 && !ws.queues[k].is_empty(),
+            "mid-hop, past frozen hops"
+        );
+        st.broke_at_hop = Some(k);
+        st.stopped_at_hop = Some(k);
+        st.cancelled = true;
+        ws.push_resume = st;
+        let stats = hk_push_plus_finalize(&cfg, &mut ws);
+        assert!(!stats.satisfied_condition_11);
+
+        // The reference, out of budget at the same node.
+        cfg.budget = stats.push_operations;
+        let reference = hk_push_plus(&g, &p, 0, &cfg);
+        assert_eq!(reference.push_operations, stats.push_operations);
+        let dense: Vec<_> = ws.residues().entries().collect();
+        let expect: Vec<_> = reference.residues.entries_first_touch().collect();
+        assert_eq!(dense, expect, "entries(), order included");
+        assert_eq!(ws.residues().nnz(), expect.len());
+        let mut exact = vec![0.0f64; cfg.hop_cap + 1];
+        for &(j, v, r) in &expect {
+            exact[j] = exact[j].max(r / g.degree_nz(v) as f64);
+        }
+        for (j, &exact) in exact.iter().enumerate() {
+            let (dense, expect) = (ws.residues().hop_sum(j), reference.residues.hop_sum(j));
+            assert!((dense - expect).abs() <= 1e-12, "hop_sum({j})");
+            // Exact below and above the interrupted hop, whose hint may
+            // be stale-high by what the drain consumed.
+            if j == k {
+                assert!(ws.residue_bounds()[j] >= exact);
+            } else {
+                assert_eq!(ws.residue_bounds()[j], exact, "bound of hop {j}");
+            }
+        }
+        for (v, q) in reference.reserve {
+            assert_eq!(ws.reserve().get(v), q, "reserve[{v}]");
         }
     }
 

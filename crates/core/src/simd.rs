@@ -4,7 +4,12 @@
 //! `mmap`) compiles a `core::arch` vector path for the push phase's
 //! residue threshold scan
 //! ([`crate::workspace::EpochVec::max_value_over_deg`] — the
-//! condition-(11) `max_v r[v]/d(v)` probe).
+//! condition-(11) `max_v r[v]/d(v)` probe over a live hop array). That
+//! scan runs at the `CHECK_INTERVAL` probes, for the last hop level, and
+//! on the stop state of a push cut short; at an ordinary hop boundary the
+//! same maximum falls out of the one scalar pass that also sets the
+//! hop's survivors aside
+//! (`DenseResidues::sift`).
 //!
 //! The loop is **reduction-order-independent** — a max over a NaN-free
 //! multiset — so the vector path produces the same f64 bits as the scalar

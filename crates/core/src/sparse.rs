@@ -15,6 +15,9 @@ use crate::fxhash::FxHashMap;
 pub struct ResidueTable {
     hops: Vec<FxHashMap<u32, f64>>,
     hop_sums: Vec<f64>,
+    /// Per hop, the nodes in the order [`add`](Self::add) first created
+    /// their entry.
+    first_touch: Vec<Vec<u32>>,
 }
 
 impl ResidueTable {
@@ -24,6 +27,7 @@ impl ResidueTable {
         ResidueTable {
             hops: (0..num_hops).map(|_| FxHashMap::default()).collect(),
             hop_sums: vec![0.0; num_hops],
+            first_touch: vec![Vec::new(); num_hops],
         }
     }
 
@@ -49,8 +53,13 @@ impl ResidueTable {
         if k >= self.hops.len() {
             self.hops.resize_with(k + 1, FxHashMap::default);
             self.hop_sums.resize(k + 1, 0.0);
+            self.first_touch.resize_with(k + 1, Vec::new);
         }
-        let entry = self.hops[k].entry(v).or_insert(0.0);
+        let first_touch = &mut self.first_touch[k];
+        let entry = self.hops[k].entry(v).or_insert_with(|| {
+            first_touch.push(v);
+            0.0
+        });
         let old = *entry;
         *entry += delta;
         self.hop_sums[k] += delta;
@@ -106,6 +115,24 @@ impl ResidueTable {
             .iter()
             .enumerate()
             .flat_map(|(k, h)| h.iter().map(move |(&v, &r)| (k, v, r)))
+    }
+
+    /// Iterate the non-zero `(k, v, r)` entries hop-major and, within a
+    /// hop, in the order their entries were first created — the order the
+    /// dense workspace's
+    /// [`entries`](crate::workspace::DenseResidues::entries) promises,
+    /// which the equivalence suite holds it to.
+    pub fn entries_first_touch(&self) -> impl Iterator<Item = (usize, u32, f64)> + '_ {
+        self.first_touch
+            .iter()
+            .enumerate()
+            .flat_map(move |(k, order)| {
+                let mut seen = crate::fxhash::FxHashSet::default();
+                order.iter().filter_map(move |&v| {
+                    let r = self.get(k, v);
+                    (r != 0.0 && seen.insert(v)).then_some((k, v, r))
+                })
+            })
     }
 
     /// Read-only view of one hop level.

@@ -270,7 +270,8 @@ fn push_and_reduce<R: Rng>(
     }
 
     // Lines 8-11: residue reduction. beta_k proportional to the hop sums,
-    // applied in one pass over the dense hop arrays' touched lists.
+    // applied in one pass over the hops' entries (a sequential walk of
+    // the frozen lists, plus whatever hop a stop left live).
     // Inequality 19 holds for whatever residues exist, so the reduction
     // stays sound on the stop state of a cut-short push.
     let total = ws.residues.total_sum();
@@ -304,19 +305,17 @@ fn push_and_reduce<R: Rng>(
             {
                 continue;
             }
-            if let Some(hop) = ws.residues.hop(k) {
-                // Residue entries never sit on degree-0 nodes (such a
-                // node's whole mass settles the moment it is processed),
-                // so the slot-memoized degree equals the true degree.
-                for (u, r, deg) in hop.iter_nonzero_with_deg() {
-                    let r2 = r - cut * deg as f64;
-                    if r2 > 0.0 {
-                        ws.entries.push((k as u32, u));
-                        ws.weights.push(r2);
-                        alpha += r2;
-                    }
+            // Residue entries never sit on degree-0 nodes (such a node's
+            // whole mass settles the moment it is processed), so the
+            // memoized degree equals the true degree.
+            ws.residues.for_each_in_hop(k, |u, r, deg| {
+                let r2 = r - cut * deg as f64;
+                if r2 > 0.0 {
+                    ws.entries.push((k as u32, u));
+                    ws.weights.push(r2);
+                    alpha += r2;
                 }
-            }
+            });
         }
     }
 

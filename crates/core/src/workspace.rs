@@ -14,18 +14,22 @@
 //!   what converts the dense arrays back into the sparse outputs
 //!   (`HkprEstimate`, residue entries) in O(touched) rather than O(n);
 //! * a [`QueryWorkspace`] owns all of the buffers an end-to-end query
-//!   needs (reserve, per-hop residues, walk-endpoint counters, worklists,
-//!   walk scratch), so a long-lived serving thread allocates once and runs
+//!   needs (reserve, residues, walk-endpoint counters, worklists, walk
+//!   scratch), so a long-lived serving thread allocates once and runs
 //!   arbitrarily many queries allocation-free.
 //!
-//! The structure is deliberately paper-shaped: `DenseResidues` mirrors
+//! The push phases work hop by hop, and while hop `k` drains only hops
+//! `k` and `k + 1` are ever written. [`DenseResidues`] therefore keeps
+//! **two** dense arrays, whatever the hop count: a drained hop's
+//! survivors are compacted into a contiguous list and its array is
+//! reused two hops later. It answers the same questions as
 //! [`crate::sparse::ResidueTable`] (per-hop vectors `r^(0..K)` with
 //! incrementally maintained hop sums for `alpha` and `beta_k`), and the
 //! workspace additionally maintains the per-hop residue maxima that make
 //! the TEA+ condition-(11) check incremental (see
 //! [`crate::push_plus::hk_push_plus_ws`]).
 
-use hk_graph::NodeId;
+use hk_graph::{Graph, NodeId};
 
 /// One dense slot: epoch stamp + payload, kept adjacent so a random
 /// access touches one cache line instead of two parallel arrays. For
@@ -36,6 +40,35 @@ struct Slot<T> {
     stamp: u32,
     deg: u32,
     value: T,
+}
+
+/// How far ahead of their cursor the touched-list scans prefetch slots:
+/// the list is known in full, so the random slot read of entry `i + 32`
+/// overlaps the work on entry `i`.
+const SCAN_AHEAD: usize = 32;
+
+/// Hint the CPU to pull slot `v` into L1. A no-op for an out-of-range
+/// `v` and on architectures without a stable prefetch intrinsic.
+#[inline(always)]
+fn prefetch_slot<T>(slots: &[Slot<T>], v: NodeId) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(slot) = slots.get(v as usize) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: the address is that of a live reference; prefetch has
+        // no other effect.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(slot as *const Slot<T> as *const i8) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (slots, v);
+}
+
+/// One surviving residue of a drained hop: what a slot held when its hop
+/// froze, in a form the residue readers walk sequentially.
+#[derive(Clone, Copy, Debug)]
+struct Frozen {
+    node: NodeId,
+    deg: u32,
+    value: f64,
 }
 
 /// Dense `f64` vector with O(1) logical clear via epoch stamps and a
@@ -80,6 +113,14 @@ impl EpochVec {
         } else {
             0.0
         }
+    }
+
+    /// Hint the CPU to pull slot `v` into L1 ahead of a
+    /// [`get`](Self::get) / [`add`](Self::add) / [`take`](Self::take) on
+    /// it. Bounds-checked; changes no state.
+    #[inline]
+    pub fn prefetch(&self, v: NodeId) {
+        prefetch_slot(&self.slots, v);
     }
 
     /// Add `delta` to slot `v`; returns `(old, new)` so callers can detect
@@ -154,10 +195,7 @@ impl EpochVec {
     /// Iterate `(node, value)` for touched slots with non-zero value, in
     /// first-touch order.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.touched.iter().filter_map(move |&v| {
-            let x = self.slots[v as usize].value;
-            (x != 0.0).then_some((v, x))
-        })
+        self.iter_nonzero_with_deg().map(|(v, x, _)| (v, x))
     }
 
     /// [`iter_nonzero`](Self::iter_nonzero) plus each slot's memoized
@@ -166,7 +204,10 @@ impl EpochVec {
     /// (condition-(11) scans, TEA+ reduction) skip the per-entry degree
     /// lookup — the value rides in the cache line already loaded.
     pub fn iter_nonzero_with_deg(&self) -> impl Iterator<Item = (NodeId, f64, u32)> + '_ {
-        self.touched.iter().filter_map(move |&v| {
+        self.touched.iter().enumerate().filter_map(move |(i, &v)| {
+            if let Some(&ahead) = self.touched.get(i + SCAN_AHEAD) {
+                prefetch_slot(&self.slots, ahead);
+            }
             let s = &self.slots[v as usize];
             (s.value != 0.0).then_some((v, s.value, s.deg))
         })
@@ -205,6 +246,30 @@ impl EpochVec {
             }
         }
         max
+    }
+
+    /// One pass over the touched list for the two questions a hop level
+    /// raises once it has stopped receiving mass. Returns `(max_all,
+    /// max_kept)`: [`max_value_over_deg`](Self::max_value_over_deg), and
+    /// the same maximum over the slots with `value <= thr_coeff * deg` —
+    /// which are appended to `out`, non-zero ones only, in first-touch
+    /// order. The quotient and the `!= 0.0` filter are the scan's own and
+    /// a max is fold-order-free, so `max_all` is the scan's bit for bit.
+    fn sift_into(&self, thr_coeff: f64, out: &mut Vec<Frozen>) -> (f64, f64) {
+        let (mut max_all, mut max_kept) = (0.0f64, 0.0f64);
+        for (node, value, deg) in self.iter_nonzero_with_deg() {
+            let norm = value / deg as f64;
+            if norm > max_all {
+                max_all = norm;
+            }
+            if value <= thr_coeff * deg as f64 {
+                out.push(Frozen { node, deg, value });
+                if norm > max_kept {
+                    max_kept = norm;
+                }
+            }
+        }
+        (max_all, max_kept)
     }
 
     /// Vector body of [`max_value_over_deg`]: gathers `(value, deg)`
@@ -363,11 +428,41 @@ impl EpochCounter {
 /// Dense multi-hop residue store: the epoch-stamped counterpart of
 /// [`crate::sparse::ResidueTable`]. Hop sums are maintained incrementally
 /// (TEA's `alpha`, TEA+'s `beta_k`).
+///
+/// The push phases drain hop `0`, then hop `1`, … and while hop `k`
+/// drains they write hops `k` and `k + 1` only. So the store holds two
+/// dense arrays — hop `k` lives in `live[k & 1]` — and a drained hop's
+/// non-zero survivors sit, in first-touch order, on one contiguous list
+/// while its array serves hop `k + 2` after an epoch bump. The footprint
+/// is two arrays plus the survivors, whatever the hop count.
+///
+/// Each hop's array is scanned once, when the hop below it has drained
+/// and it stops receiving mass (`sift`). A node is on hop
+/// `k`'s worklist exactly if its residue ended above the push threshold,
+/// and a drain zeroes every node on its worklist, so the entries at or
+/// under the threshold at that moment *are* hop `k`'s survivors, final
+/// values and all: the scan that computes hop `k`'s running maximum for
+/// condition (11) also lays them out, and `freeze`
+/// merely commits them once the drain has run to its end. A drain cut
+/// short (budget, cancel, early exit) commits nothing and its hop stays
+/// live, as does the last hop, which is never drained; readers walk the
+/// frozen lists sequentially and look into a live array only for those.
 #[derive(Clone, Debug, Default)]
 pub struct DenseResidues {
-    hops: Vec<EpochVec>,
+    /// Hop `k >= frozen_end.len()` lives in `live[k & 1]`; hops from
+    /// `frozen_end.len() + 2` up hold nothing yet.
+    live: [EpochVec; 2],
+    /// Survivors of the drained hops, hop-major, then — uncommitted —
+    /// those the last `sift` set aside for the first live
+    /// hop.
+    frozen: Vec<Frozen>,
+    /// `frozen[frozen_end[k - 1]..frozen_end[k]]` is hop `k`; one entry
+    /// per frozen hop.
+    frozen_end: Vec<usize>,
+    /// `max r/d` over the uncommitted survivors.
+    sifted_max: f64,
+    /// One sum per hop level in use.
     hop_sums: Vec<f64>,
-    active_hops: usize,
     n: usize,
 }
 
@@ -377,153 +472,203 @@ impl DenseResidues {
         Self::default()
     }
 
-    /// Start a fresh query with `num_hops` hop levels over `n` nodes.
-    /// Hop levels grow on demand via [`add`](Self::add).
-    pub fn begin(&mut self, num_hops: usize, n: usize) {
+    /// Start a fresh query with `num_hops` hop levels over `n` nodes:
+    /// hops 0 and 1 live and empty, nothing frozen. Hop levels grow on
+    /// demand via `drain_parts`.
+    pub(crate) fn begin(&mut self, num_hops: usize, n: usize) {
         self.n = n;
-        self.ensure_hops(num_hops);
-        self.active_hops = num_hops;
-        for h in &mut self.hops[..num_hops] {
-            h.begin(n);
+        for hop in &mut self.live {
+            hop.begin(n);
         }
-        self.hop_sums[..num_hops].fill(0.0);
-    }
-
-    fn ensure_hops(&mut self, num_hops: usize) {
-        if self.hops.len() < num_hops {
-            self.hops.resize_with(num_hops, EpochVec::new);
-        }
-        if self.hop_sums.len() < num_hops {
-            self.hop_sums.resize(num_hops, 0.0);
-        }
+        self.frozen.clear();
+        self.frozen_end.clear();
+        self.sifted_max = 0.0;
+        self.hop_sums.clear();
+        self.hop_sums.resize(num_hops, 0.0);
     }
 
     /// Number of hop levels in use (`K + 1`).
     pub fn num_hops(&self) -> usize {
-        self.active_hops
+        self.hop_sums.len()
     }
 
-    /// Residue `r^(k)[v]`; 0 if absent.
-    #[inline]
-    pub fn get(&self, k: usize, v: NodeId) -> f64 {
-        if k < self.active_hops {
-            self.hops[k].get(v)
-        } else {
-            0.0
-        }
+    /// The live array of hop `k`, if hop `k` is one of the two live hops.
+    pub(crate) fn live_hop(&self, k: usize) -> Option<&EpochVec> {
+        let first_live = self.frozen_end.len();
+        (first_live..first_live + 2)
+            .contains(&k)
+            .then(|| &self.live[k & 1])
     }
 
-    /// [`add`](Self::add) that memoizes `deg` in the entry's slot so
-    /// later scans ([`EpochVec::iter_nonzero_with_deg`]) skip the degree
-    /// lookup.
-    #[inline]
-    pub(crate) fn add_with_deg(&mut self, k: usize, v: NodeId, delta: f64, deg: u32) -> (f64, f64) {
-        let (old, new) = self.add(k, v, delta);
-        if let Some(hop) = self.hops.get_mut(k) {
-            let epoch_slot = &mut hop.slots[v as usize];
-            epoch_slot.deg = deg;
-        }
-        (old, new)
+    /// End of the committed part of `frozen`.
+    fn frozen_len(&self) -> usize {
+        self.frozen_end.last().copied().unwrap_or(0)
     }
 
-    /// Add `delta` to `r^(k)[v]`, growing hop levels if needed.
-    /// Returns `(old, new)`.
-    #[inline]
-    pub fn add(&mut self, k: usize, v: NodeId, delta: f64) -> (f64, f64) {
-        if k >= self.active_hops {
-            let n = self.n;
-            self.ensure_hops(k + 1);
-            for h in &mut self.hops[self.active_hops..k + 1] {
-                h.begin(n);
+    /// The survivors of hop `k`; empty unless hop `k` is frozen.
+    fn frozen_hop(&self, k: usize) -> &[Frozen] {
+        match self.frozen_end.get(k) {
+            Some(&end) => {
+                let start = k.checked_sub(1).map_or(0, |j| self.frozen_end[j]);
+                &self.frozen[start..end]
             }
-            self.hop_sums[self.active_hops..k + 1].fill(0.0);
-            self.active_hops = k + 1;
+            None => &[],
         }
-        self.hop_sums[k] += delta;
-        self.hops[k].add(v, delta)
     }
 
-    /// Remove and return `r^(k)[v]` (0 if absent).
-    #[inline]
-    pub fn take(&mut self, k: usize, v: NodeId) -> f64 {
-        if k >= self.active_hops {
-            return 0.0;
+    /// Residue `r^(k)[v]`; 0 if absent. O(1) on a live hop, a linear
+    /// search of the hop's survivors on a frozen one — for tests and
+    /// spot checks, not for loops.
+    pub fn get(&self, k: usize, v: NodeId) -> f64 {
+        match self.live_hop(k) {
+            Some(hop) => hop.get(v),
+            None => self
+                .frozen_hop(k)
+                .iter()
+                .find(|e| e.node == v)
+                .map_or(0.0, |e| e.value),
         }
-        let r = self.hops[k].take(v);
-        self.hop_sums[k] -= r;
-        r
+    }
+
+    /// Start the query's residue vector: `r^(0)[seed] = 1`. `degree` is
+    /// the seed's true degree, the one its worklist entry carries: hop
+    /// 0's drain pushes the seed unless `1 <= thr_coeff * degree`, which
+    /// is hop 0's `sift`. Like every later entry, the slot
+    /// memoizes the degree clamped to 1.
+    pub(crate) fn seed(&mut self, seed: NodeId, degree: usize, thr_coeff: f64) {
+        let deg = degree.max(1) as u32;
+        self.live[0].add_memo_deg(seed, 1.0, || deg);
+        self.hop_sums[0] += 1.0;
+        if 1.0 <= thr_coeff * degree as f64 {
+            self.frozen.push(Frozen {
+                node: seed,
+                deg,
+                value: 1.0,
+            });
+            self.sifted_max = 1.0 / deg as f64;
+        }
+    }
+
+    /// Split borrow for the drain of hop `k`: the arrays of hops `k` and
+    /// `k + 1` mutably plus the hop-sum row, all disjoint, growing the
+    /// hop levels to `k + 2` if needed. The drain batches its hop-sum
+    /// updates into locals and flushes them once.
+    pub(crate) fn drain_parts(&mut self, k: usize) -> (&mut EpochVec, &mut EpochVec, &mut [f64]) {
+        debug_assert_eq!(k, self.frozen_end.len(), "hops drain in order");
+        if self.hop_sums.len() < k + 2 {
+            self.hop_sums.resize(k + 2, 0.0);
+        }
+        let (even, odd) = self.live.split_at_mut(1);
+        let (cur, next) = if k & 1 == 0 {
+            (&mut even[0], &mut odd[0])
+        } else {
+            (&mut odd[0], &mut even[0])
+        };
+        (cur, next, &mut self.hop_sums)
+    }
+
+    /// Hop `k`'s drain ran to its end, so the survivors its
+    /// `sift` set aside are what is left of it: commit
+    /// them, hand its array to hop `k + 2`, and return `max_v r^(k)[v] /
+    /// d(v)` over them (the value a scan of the drained array with
+    /// [`EpochVec::max_value_over_deg`] would find).
+    pub(crate) fn freeze(&mut self, k: usize) -> f64 {
+        debug_assert_eq!(k, self.frozen_end.len(), "hops freeze in order");
+        debug_assert_eq!(
+            self.live[k & 1].iter_nonzero().count(),
+            self.frozen.len() - self.frozen_len(),
+            "a drained hop's non-zero slots are the ones its sift kept"
+        );
+        self.frozen_end.push(self.frozen.len());
+        self.live[k & 1].begin(self.n);
+        std::mem::take(&mut self.sifted_max)
+    }
+
+    /// Hop `k - 1` has just frozen, so hop `k` receives no more mass and
+    /// `thr_coeff` decides which of its nodes its own drain will push:
+    /// set the others aside as its survivors (see the type docs) and
+    /// return `max_v r^(k)[v] / d(v)` over all of it, bit for bit
+    /// [`EpochVec::max_value_over_deg`]. Not for a hop that will not be
+    /// drained.
+    pub(crate) fn sift(&mut self, k: usize, thr_coeff: f64) -> f64 {
+        debug_assert_eq!(k, self.frozen_end.len(), "the first live hop is sifted");
+        debug_assert_eq!(self.frozen.len(), self.frozen_len(), "one sift per hop");
+        let (max_all, max_kept) = self.live[k & 1].sift_into(thr_coeff, &mut self.frozen);
+        self.sifted_max = max_kept;
+        max_all
     }
 
     /// Sum of residues at hop `k` (incremental; ordinary fp drift applies).
     pub fn hop_sum(&self, k: usize) -> f64 {
-        if k < self.active_hops {
-            self.hop_sums[k]
-        } else {
-            0.0
-        }
+        self.hop_sums.get(k).copied().unwrap_or(0.0)
     }
 
     /// `alpha = sum_k sum_u r^(k)[u]` — total residue mass.
     pub fn total_sum(&self) -> f64 {
-        self.hop_sums[..self.active_hops].iter().sum()
+        self.hop_sums.iter().sum()
     }
 
-    /// Recompute the total from live entries (O(touched); drift bound for
+    /// Recompute the total from the entries (O(nnz); drift bound for
     /// tests).
     pub fn total_sum_exact(&self) -> f64 {
-        self.hops[..self.active_hops]
-            .iter()
-            .map(|h| h.iter_nonzero().map(|(_, r)| r).sum::<f64>())
+        (0..self.num_hops())
+            .map(|k| {
+                let mut sum = 0.0;
+                self.for_each_in_hop(k, |_, r, _| sum += r);
+                sum
+            })
             .sum()
     }
 
-    /// One hop level's live view.
-    pub fn hop(&self, k: usize) -> Option<&EpochVec> {
-        (k < self.active_hops).then(|| &self.hops[k])
+    /// Call `f(node, residue, degree)` for every non-zero entry of hop
+    /// `k` in first-touch order. The degree is the one the push kernels
+    /// memoized (`>= 1`), so residue consumers (TEA+ reduction) skip the
+    /// per-entry degree lookup.
+    pub fn for_each_in_hop(&self, k: usize, mut f: impl FnMut(NodeId, f64, u32)) {
+        match self.live_hop(k) {
+            Some(hop) => hop
+                .iter_nonzero_with_deg()
+                .for_each(|(v, r, deg)| f(v, r, deg)),
+            None => self
+                .frozen_hop(k)
+                .iter()
+                .for_each(|e| f(e.node, e.value, e.deg)),
+        }
     }
 
-    /// Split borrow for the push kernels: hops `k` and `k + 1` mutably,
-    /// plus the hop-sum slice, all disjoint. Requires `k + 1 <
-    /// num_hops()`. The kernels batch their hop-sum updates (one flush
-    /// per processed node set instead of one per touched neighbor).
-    pub(crate) fn push_kernel_parts(
-        &mut self,
-        k: usize,
-    ) -> (&mut EpochVec, &mut EpochVec, &mut [f64]) {
-        debug_assert!(k + 1 < self.active_hops);
-        let (cur, next) = self.hops.split_at_mut(k + 1);
-        (&mut cur[k], &mut next[0], &mut self.hop_sums)
-    }
-
-    /// Iterate all live `(k, v, r)` entries, hop-major, first-touch order
-    /// within a hop (deterministic for a fixed push schedule).
+    /// Iterate all non-zero `(k, v, r)` entries, hop-major, first-touch
+    /// order within a hop (deterministic for a fixed push schedule).
     pub fn entries(&self) -> impl Iterator<Item = (usize, NodeId, f64)> + '_ {
-        self.hops[..self.active_hops]
-            .iter()
-            .enumerate()
-            .flat_map(|(k, h)| h.iter_nonzero().map(move |(v, r)| (k, v, r)))
+        let first_live = self.frozen_end.len();
+        let frozen = (0..first_live)
+            .flat_map(|k| self.frozen_hop(k).iter().map(move |e| (k, e.node, e.value)));
+        let live = (first_live..first_live + 2)
+            .flat_map(|k| self.live[k & 1].iter_nonzero().map(move |(v, r)| (k, v, r)));
+        frozen.chain(live)
     }
 
-    /// Number of live (non-zero) entries.
+    /// Number of non-zero entries.
     pub fn nnz(&self) -> usize {
-        self.hops[..self.active_hops]
-            .iter()
-            .map(|h| h.iter_nonzero().count())
-            .sum()
+        self.frozen_len()
+            + self
+                .live
+                .iter()
+                .map(|hop| hop.iter_nonzero().count())
+                .sum::<usize>()
     }
 
-    /// Bytes held by the backing allocations (all hop levels ever grown).
+    /// Bytes held by the backing allocations: the two live arrays plus
+    /// the frozen survivors — independent of the hop count.
     pub fn memory_bytes(&self) -> usize {
-        self.hops.iter().map(EpochVec::memory_bytes).sum::<usize>()
+        self.live.iter().map(EpochVec::memory_bytes).sum::<usize>()
+            + self.frozen.capacity() * std::mem::size_of::<Frozen>()
+            + self.frozen_end.capacity() * std::mem::size_of::<usize>()
             + self.hop_sums.capacity() * std::mem::size_of::<f64>()
     }
 
     /// Release the backing allocations.
     fn release(&mut self) {
-        self.hops = Vec::new();
-        self.hop_sums = Vec::new();
-        self.active_hops = 0;
-        self.n = 0;
+        *self = Self::default();
     }
 }
 
@@ -755,9 +900,21 @@ impl QueryWorkspace {
         &self.residues
     }
 
+    /// The per-hop upper bounds on `max_v r^(k)[v] / d(v)` that the last
+    /// [`hk_push_plus_finalize`](crate::push_plus::hk_push_plus_finalize)
+    /// on this workspace published, hop `0..=K`: exact for every hop
+    /// whose drain ran to its end, and for hop `K`; a monotone
+    /// over-estimate for a hop a stop cut short. TEA+'s residue reduction
+    /// skips hop levels by them.
+    pub fn residue_bounds(&self) -> &[f64] {
+        &self.hop_max_frozen
+    }
+
     /// Bytes held by every backing allocation of this workspace. A
-    /// steady-state serving worker's footprint is `O(n)` dense slots plus
-    /// the touched lists; serving layers use this (together with the
+    /// steady-state serving worker's footprint is `O(n)` dense slots —
+    /// four arrays (reserve, endpoint counts, two live residue hops),
+    /// whatever the hop cap — plus the touched lists and the frozen
+    /// residue survivors; serving layers use this (together with the
     /// result-side accounting in `HkprEstimate::memory_bytes`) to budget
     /// cache memory against worker memory.
     pub fn memory_bytes(&self) -> usize {
@@ -803,6 +960,31 @@ impl QueryWorkspace {
         self.counts.begin(n);
         self.entries.clear();
         self.weights.clear();
+    }
+
+    /// Prepare for a push phase from `seed`: [`begin`](Self::begin), then
+    /// `r^(0)[seed] = 1` over `num_hops` hop levels and the seed alone on
+    /// hop 0's worklist. `thr_coeff` is the push threshold coefficient
+    /// every drain of the phase will use.
+    pub(crate) fn begin_push(
+        &mut self,
+        graph: &Graph,
+        seed: NodeId,
+        num_hops: usize,
+        thr_coeff: f64,
+    ) {
+        assert!((seed as usize) < graph.num_nodes(), "seed out of range");
+        let n = graph.num_nodes();
+        self.begin(n);
+        self.residues.begin(num_hops, n);
+        self.residues.seed(seed, graph.degree(seed), thr_coeff);
+        if self.queues.is_empty() {
+            self.queues.push(Vec::new());
+        }
+        for q in &mut self.queues {
+            q.clear();
+        }
+        self.queues[0].push((seed, graph.degree(seed) as u32));
     }
 
     /// Assemble the final sorted sparse estimate from the reserve plus
@@ -907,36 +1089,113 @@ mod tests {
         assert_eq!(a.get(2), 0);
     }
 
+    /// Drain hop `k` by hand the way the push kernels do: zero `pushed`,
+    /// add `spread` into hop `k + 1`, then freeze hop `k` and sift hop
+    /// `k + 1` at threshold `thr`. Returns `(frozen max, hop k+1 max)`.
+    fn drain_by_hand(
+        t: &mut DenseResidues,
+        k: usize,
+        pushed: &[NodeId],
+        spread: &[(NodeId, f64, u32)],
+        thr: f64,
+    ) -> (f64, f64) {
+        let (cur, next, sums) = t.drain_parts(k);
+        for &v in pushed {
+            sums[k] -= cur.take(v);
+        }
+        for &(u, share, deg) in spread {
+            next.add_memo_deg(u, share, || deg);
+            sums[k + 1] += share;
+        }
+        (t.freeze(k), t.sift(k + 1, thr))
+    }
+
     #[test]
     fn dense_residues_match_sparse_semantics() {
         let mut t = DenseResidues::new();
-        t.begin(2, 16);
-        let (old, new) = t.add(0, 5, 0.25);
-        assert_eq!((old, new), (0.0, 0.25));
-        t.add(0, 5, 0.5);
-        assert_eq!(t.get(0, 5), 0.75);
-        assert_eq!(t.take(0, 5), 0.75);
+        t.begin(1, 16);
+        t.seed(5, 2, 0.1);
+        assert_eq!(t.get(0, 5), 1.0);
+        assert_eq!(t.num_hops(), 1);
+        // Hop 0 drains into hop 1; hop levels grow on demand, and a
+        // repeat touch keeps the first touch's memoized degree.
+        let maxes = drain_by_hand(&mut t, 0, &[5], &[(9, 0.25, 3), (9, 0.5, 99)], 0.1);
+        assert_eq!(maxes, (0.0, 0.25));
+        assert_eq!(t.num_hops(), 2);
         assert_eq!(t.get(0, 5), 0.0);
-        // Grows on demand.
-        t.add(4, 9, 1.0);
-        assert_eq!(t.num_hops(), 5);
-        assert_eq!(t.get(4, 9), 1.0);
-        assert!((t.hop_sum(4) - 1.0).abs() < 1e-15);
-        assert!((t.total_sum() - 1.0).abs() < 1e-15);
+        assert_eq!(t.get(1, 9), 0.75);
+        assert!((t.hop_sum(1) - 0.75).abs() < 1e-15);
+        assert!((t.total_sum() - 0.75).abs() < 1e-15);
         assert!((t.total_sum() - t.total_sum_exact()).abs() < 1e-12);
         assert_eq!(t.nnz(), 1);
         let es: Vec<_> = t.entries().collect();
-        assert_eq!(es, vec![(4, 9, 1.0)]);
+        assert_eq!(es, vec![(1, 9, 0.75)]);
+    }
+
+    #[test]
+    fn frozen_hops_read_like_live_ones() {
+        // Hop 1 receives {9: 0.75/3, 4: 0.5/1, 2: 0.25/2, 6: 0}. At
+        // threshold 0.2 its drain pushes 9 and 4 and leaves 2, so once
+        // hops 0 and 1 have frozen every reader sees the same non-zero
+        // entries in the same first-touch order as while they were live,
+        // and hop 1's array serves hop 3.
+        let mut t = DenseResidues::new();
+        t.begin(1, 16);
+        t.seed(5, 2, 0.2);
+        let spread = [(9, 0.75, 3), (4, 0.5, 1), (2, 0.25, 2), (6, 0.0, 1)];
+        let maxes = drain_by_hand(&mut t, 0, &[5], &spread, 0.2);
+        assert_eq!(
+            maxes,
+            (0.0, 0.5),
+            "hop 0 drained to nothing; 0.5/1 tops hop 1"
+        );
+        let live: Vec<_> = t.entries().collect();
+        assert_eq!(live, vec![(1, 9, 0.75), (1, 4, 0.5), (1, 2, 0.25)]);
+        assert_eq!(t.nnz(), 3);
+
+        let maxes = drain_by_hand(&mut t, 1, &[9, 4], &[(7, 0.25, 5)], 0.2);
+        assert_eq!(maxes, (0.125, 0.05), "hop 1 froze at 0.25/2");
+        let frozen: Vec<_> = t.entries().collect();
+        assert_eq!(frozen, vec![(1, 2, 0.25), (2, 7, 0.25)]);
+        assert_eq!(t.get(1, 9), 0.0);
+        assert_eq!(t.get(1, 2), 0.25);
+        assert_eq!(t.get(2, 7), 0.25);
+        assert_eq!(t.get(3, 2), 0.0, "hop 1's array was handed to hop 3");
+        assert_eq!(t.nnz(), 2);
+        let mut hop1 = Vec::new();
+        t.for_each_in_hop(1, |v, r, deg| hop1.push((v, r, deg)));
+        assert_eq!(hop1, vec![(2, 0.25, 2)]);
+        assert!((t.total_sum() - t.total_sum_exact()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_seed_under_the_threshold_survives_hop_zero() {
+        // TEA with rmax >= 1/d(seed): nothing is pushed, and the seed is
+        // hop 0's one survivor. An isolated seed is pushed (settled)
+        // whatever the threshold: its worklist entry carries degree 0.
+        let mut t = DenseResidues::new();
+        t.begin(1, 4);
+        t.seed(3, 2, 0.5);
+        let maxes = drain_by_hand(&mut t, 0, &[], &[], 0.5);
+        assert_eq!(maxes, (0.5, 0.0));
+        assert_eq!(t.entries().collect::<Vec<_>>(), vec![(0, 3, 1.0)]);
+
+        t.begin(1, 4);
+        t.seed(3, 0, 5.0);
+        let maxes = drain_by_hand(&mut t, 0, &[3], &[], 5.0);
+        assert_eq!(maxes, (0.0, 0.0));
+        assert_eq!(t.nnz(), 0);
     }
 
     #[test]
     fn dense_residues_reset_between_queries() {
         let mut t = DenseResidues::new();
         t.begin(3, 8);
-        t.add(1, 2, 0.5);
-        t.add(2, 3, 0.25);
+        t.seed(2, 1, 0.1);
+        drain_by_hand(&mut t, 0, &[2], &[(3, 0.25, 1)], 0.1);
         t.begin(2, 8);
-        assert_eq!(t.get(1, 2), 0.0);
+        assert_eq!(t.get(0, 2), 0.0);
+        assert_eq!(t.get(1, 3), 0.0);
         assert_eq!(t.total_sum(), 0.0);
         assert_eq!(t.nnz(), 0);
         assert_eq!(t.num_hops(), 2);
@@ -975,7 +1234,7 @@ mod tests {
         ws.reserve.add(17, 1.0);
         ws.counts.inc(40, 2);
         ws.residues.begin(3, 4096);
-        ws.residues.add(1, 9, 0.5);
+        ws.residues.seed(9, 1, 0.5);
         let grown = ws.memory_bytes();
         assert!(
             grown >= fresh + 4096 * std::mem::size_of::<Slot<f64>>(),
@@ -1023,6 +1282,42 @@ mod tests {
         assert!(ws.memory_bytes() >= fresh + walk_bytes);
         ws.reset();
         assert_eq!(ws.memory_bytes(), fresh);
+    }
+
+    #[test]
+    fn footprint_does_not_grow_with_the_hop_cap() {
+        // `memory_bytes` promises O(n) dense slots. The hop cap K comes
+        // from delta and c, not from t (Equation 20), so the second query
+        // raises all three: over twice the hop levels, and not one more
+        // dense array.
+        use hk_graph::gen::holme_kim;
+        use rand::{rngs::SmallRng, SeedableRng};
+        let n = 100_000usize;
+        let g = holme_kim(n, 5, 0.4, &mut SmallRng::seed_from_u64(60)).unwrap();
+        let array = n * std::mem::size_of::<Slot<f64>>();
+        let footprint = |t: f64, delta: f64, c: f64| {
+            let params = crate::HkprParams::builder(&g)
+                .t(t)
+                .delta(delta)
+                .c(c)
+                .p_f(1e-3)
+                .build()
+                .unwrap();
+            let mut ws = QueryWorkspace::new();
+            let mut rng = SmallRng::seed_from_u64(61);
+            crate::tea_plus::tea_plus_in(&g, &params, 7, &mut rng, &mut ws).unwrap();
+            (params.hop_cap(), ws.memory_bytes())
+        };
+        let (k_low, low) = footprint(5.0, 1e-3, 2.5);
+        let (k_high, high) = footprint(40.0, 5e-4, 6.0);
+        assert!(k_high >= 2 * k_low, "hop caps {k_low} and {k_high}");
+        for bytes in [low, high] {
+            assert!(bytes >= 4 * array, "reserve, counts, two live hops");
+            assert!(bytes < 6 * array, "{bytes} bytes for n = {n}");
+        }
+        // Touched lists, worklists, frozen survivors and walk scratch grow
+        // with what a query touches; together they stay under one array.
+        assert!(low.abs_diff(high) < array, "{low} vs {high} bytes");
     }
 
     #[test]

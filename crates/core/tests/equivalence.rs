@@ -13,15 +13,18 @@ use hk_graph::builder::GraphBuilder;
 use hk_graph::gen::{erdos_renyi_gnm, holme_kim};
 use hk_graph::Graph;
 use hkpr_core::push::{hk_push, hk_push_ws};
-use hkpr_core::push_plus::{hk_push_plus, hk_push_plus_ws, PushPlusConfig};
+use hkpr_core::push_plus::{
+    hk_push_plus, hk_push_plus_begin, hk_push_plus_finalize, hk_push_plus_step, hk_push_plus_ws,
+    PushPlusConfig, PushPlusOutput, PushPlusWsStats, PushStepOutcome,
+};
 use hkpr_core::reference::{monte_carlo_reference, tea_plus_reference, tea_reference};
 use hkpr_core::tea::tea_in;
 use hkpr_core::tea_plus::{tea_plus_in, tea_plus_with_options_in, TeaPlusOptions};
 use hkpr_core::walk::{run_batched_walks_kernel, WalkScratch};
 use hkpr_core::workspace::EpochCounter;
 use hkpr_core::{
-    exact_hkpr, monte_carlo_in, AliasTable, HkprParams, PoissonTable, QueryWorkspace, TeaOutput,
-    WalkKernel,
+    exact_hkpr, monte_carlo_in, AliasTable, AnytimeControls, HkprParams, PoissonTable,
+    QueryWorkspace, TeaOutput, WalkKernel,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -71,7 +74,82 @@ fn assert_push_state_identical(
     ref_entries.sort_unstable_by_key(|&(k, v, _)| (k, v));
     assert_eq!(dense_entries, ref_entries, "residue entry sets differ");
 
+    // Order included: hop-major, first touch first within a hop, whether
+    // a hop is read off its frozen list or its live array.
+    let dense_order: Vec<(usize, u32, f64)> = ws.residues().entries().collect();
+    let ref_order: Vec<(usize, u32, f64)> = residues.entries_first_touch().collect();
+    assert_eq!(dense_order, ref_order, "residue entry order differs");
+    assert_eq!(ws.residues().nnz(), ref_order.len(), "nnz differs");
+
     let _ = g;
+}
+
+/// What the residue readers of a dense `HK-Push+` stop state see beyond
+/// the entries themselves, against the hash-map reference stopped at the
+/// same point: per-hop sums, and the published per-hop bounds.
+fn assert_plus_readers_match_reference(
+    g: &Graph,
+    cfg: &PushPlusConfig,
+    reference: &PushPlusOutput,
+    ws: &QueryWorkspace,
+) {
+    for k in 0..=cfg.hop_cap {
+        // The kernel batches a hop's sum per processed node, the table
+        // moves it per entry: one value, two associations.
+        let (dense, expect) = (ws.residues().hop_sum(k), reference.residues.hop_sum(k));
+        assert!(
+            (dense - expect).abs() <= 1e-12,
+            "hop_sum({k}): {dense} vs {expect}"
+        );
+    }
+    let bounds = ws.residue_bounds();
+    assert_eq!(bounds.len(), cfg.hop_cap + 1);
+    let mut exact = vec![0.0f64; cfg.hop_cap + 1];
+    for (k, v, r) in reference.residues.entries() {
+        exact[k] = exact[k].max(r / g.degree_nz(v) as f64);
+    }
+    for k in 0..=cfg.hop_cap {
+        assert!(
+            bounds[k] >= exact[k],
+            "published bound of hop {k} is not an upper bound: {} < {}",
+            bounds[k],
+            exact[k]
+        );
+    }
+    // Bit-exact for every drained hop, for the hop after the last drain
+    // (nothing of it consumed yet) and for the empty hops beyond: only
+    // the one hop a stop interrupted may keep a stale-high hint.
+    let loose = (0..=cfg.hop_cap).filter(|&k| bounds[k] != exact[k]).count();
+    assert!(loose <= 1, "{loose} hops publish an over-estimate");
+}
+
+/// Drive the resumable ladder to completion, pausing at every certified
+/// tier.
+fn push_plus_stepped(
+    g: &Graph,
+    p: &PoissonTable,
+    seed: u32,
+    cfg: &PushPlusConfig,
+    ws: &mut QueryWorkspace,
+) -> (PushPlusWsStats, usize) {
+    hk_push_plus_begin(g, seed, cfg, ws);
+    let mut pauses = 0usize;
+    let mut pause_at = 1u32;
+    loop {
+        let mut controls = AnytimeControls {
+            push_tier_cap: Some(pause_at),
+            ..Default::default()
+        };
+        match hk_push_plus_step(g, p, cfg, &mut controls, ws).unwrap() {
+            PushStepOutcome::Complete => break,
+            PushStepOutcome::Paused { tiers_certified } => {
+                pauses += 1;
+                pause_at = tiers_certified + 1;
+            }
+            PushStepOutcome::Cancelled { .. } => panic!("no cancel source"),
+        }
+    }
+    (hk_push_plus_finalize(cfg, ws), pauses)
 }
 
 /// Statistical agreement of two estimator outputs: deterministic stats
@@ -146,6 +224,19 @@ proptest! {
         prop_assert_eq!(stats.push_operations, reference.push_operations);
         prop_assert_eq!(stats.iterations, reference.iterations);
         assert_push_state_identical(&g, &reference.reserve, &reference.residues, &ws);
+        // Algorithm 1's hop sums move per entry in both, so alpha (and
+        // with it TEA's walk count) is the reference's bit for bit.
+        for k in 0..reference.residues.num_hops().max(ws.residues().num_hops()) {
+            prop_assert_eq!(
+                ws.residues().hop_sum(k).to_bits(),
+                reference.residues.hop_sum(k).to_bits(),
+                "hop_sum({})", k
+            );
+        }
+        prop_assert_eq!(
+            ws.residues().total_sum().to_bits(),
+            reference.residues.total_sum().to_bits()
+        );
     }
 
     /// Dense HK-Push+ is bit-identical to the hash-map reference —
@@ -167,6 +258,41 @@ proptest! {
         prop_assert_eq!(stats.push_operations, reference.push_operations);
         prop_assert_eq!(stats.satisfied_condition_11, reference.satisfied_condition_11);
         assert_push_state_identical(&g, &reference.reserve, &reference.residues, &ws);
+        assert_plus_readers_match_reference(&g, &cfg, &reference, &ws);
+    }
+
+    /// The same, on the stop states that leave some hops frozen and
+    /// others live: a budget that runs out part-way (mid-hop, unless it
+    /// happens to fall on a boundary), and a ladder paused at every
+    /// certified tier and resumed — on a workspace an unrelated query
+    /// has already used.
+    #[test]
+    fn push_plus_live_and_frozen_hops_read_like_the_reference(
+        edges in prop::collection::vec((any::<u8>(), any::<u8>()), 1..120),
+        eps_exp in 1.0f64..4.0,
+        hop_cap in 2usize..12,
+        spent in 0.02f64..0.98,
+    ) {
+        let g = build_graph(&edges);
+        let p = PoissonTable::new(5.0);
+        let mut cfg = PushPlusConfig { hop_cap, eps_abs: 10f64.powf(-eps_exp), budget: u64::MAX };
+        let mut ws = QueryWorkspace::new();
+        let _ = hk_push_plus_ws(&g, &p, 1, &cfg, &mut ws);
+
+        let full = hk_push_plus(&g, &p, 0, &cfg);
+        let (stats, _pauses) = push_plus_stepped(&g, &p, 0, &cfg, &mut ws);
+        prop_assert_eq!(stats.push_operations, full.push_operations);
+        prop_assert_eq!(stats.satisfied_condition_11, full.satisfied_condition_11);
+        assert_push_state_identical(&g, &full.reserve, &full.residues, &ws);
+        assert_plus_readers_match_reference(&g, &cfg, &full, &ws);
+
+        cfg.budget = (full.push_operations as f64 * spent) as u64;
+        let reference = hk_push_plus(&g, &p, 0, &cfg);
+        let stats = hk_push_plus_ws(&g, &p, 0, &cfg, &mut ws);
+        prop_assert_eq!(stats.push_operations, reference.push_operations);
+        prop_assert_eq!(stats.satisfied_condition_11, reference.satisfied_condition_11);
+        assert_push_state_identical(&g, &reference.reserve, &reference.residues, &ws);
+        assert_plus_readers_match_reference(&g, &cfg, &reference, &ws);
     }
 
     /// Workspace reuse never leaks state: running a query after an
@@ -201,6 +327,157 @@ proptest! {
         rb.sort_unstable_by_key(|&(v, _)| v);
         prop_assert_eq!(ra, rb);
     }
+}
+
+/// Both dense push phases from `seed`, on `ws`, against the hash-map
+/// references — bit for bit.
+fn assert_both_pushes_match_reference(g: &Graph, seed: u32, ws: &mut QueryWorkspace) {
+    let p = PoissonTable::new(5.0);
+    for rmax in [1e-1, 1e-4] {
+        let reference = hk_push(g, &p, seed, rmax);
+        let stats = hk_push_ws(g, &p, seed, rmax, ws);
+        assert_eq!(stats.push_operations, reference.push_operations);
+        assert_eq!(stats.iterations, reference.iterations);
+        assert_push_state_identical(g, &reference.reserve, &reference.residues, ws);
+    }
+    for (hop_cap, eps_abs) in [(1usize, 1e-1), (6, 1e-4)] {
+        let cfg = PushPlusConfig {
+            hop_cap,
+            eps_abs,
+            budget: u64::MAX,
+        };
+        let reference = hk_push_plus(g, &p, seed, &cfg);
+        let stats = hk_push_plus_ws(g, &p, seed, &cfg, ws);
+        assert_eq!(stats.push_operations, reference.push_operations);
+        assert_eq!(
+            stats.satisfied_condition_11,
+            reference.satisfied_condition_11
+        );
+        assert_push_state_identical(g, &reference.reserve, &reference.residues, ws);
+        assert_plus_readers_match_reference(g, &cfg, &reference, ws);
+    }
+}
+
+/// The drain looks ahead of the worklist entry it is processing and
+/// prefetches through the CSR arrays and the slot arrays. Every corner
+/// where "ahead" runs off an end — of the worklist, of the offsets, of the
+/// neighbor array, of a slot array sized for another graph — must be a
+/// declined hint, not a read.
+#[test]
+fn lookahead_declines_at_every_edge() {
+    let mut ws = QueryWorkspace::new();
+
+    // n = 1: the seed is the graph.
+    let mut b = GraphBuilder::new();
+    b.ensure_nodes(1);
+    let lone = b.build();
+    assert_eq!((lone.num_nodes(), lone.volume()), (1, 0));
+    assert_both_pushes_match_reference(&lone, 0, &mut ws);
+
+    // Worklists shorter than every lookahead distance (a path), isolated
+    // nodes between and after the connected ones, and an isolated last
+    // node: its CSR row starts at `volume()`, one past the neighbor array.
+    let mut b = GraphBuilder::new();
+    b.add_edge(0, 1);
+    b.add_edge(1, 3);
+    b.add_edge(3, 4);
+    b.ensure_nodes(7);
+    let path = b.build();
+    assert_eq!(path.neighbor_row(6), (path.volume(), 0));
+    for seed in [0, 1, 2, 4, 5, 6] {
+        assert_both_pushes_match_reference(&path, seed, &mut ws);
+    }
+
+    // Grow the workspace on a larger graph, then come back to the small
+    // ones: slot arrays longer than the graph, stamps of another graph.
+    let mut gen_rng = SmallRng::seed_from_u64(41);
+    let big = holme_kim(600, 4, 0.3, &mut gen_rng).unwrap();
+    for seed in [0, 599] {
+        assert_both_pushes_match_reference(&big, seed, &mut ws);
+    }
+    assert_both_pushes_match_reference(&path, 3, &mut ws);
+    assert_both_pushes_match_reference(&lone, 0, &mut ws);
+
+    // A hub whose row is far longer than any lookahead distance, hanging
+    // off a worklist of one.
+    let mut b = GraphBuilder::new();
+    for leaf in 1..200 {
+        b.add_edge(0, leaf);
+    }
+    let star = b.build();
+    for seed in [0, 199] {
+        assert_both_pushes_match_reference(&star, seed, &mut ws);
+    }
+}
+
+/// One workspace serving TEA, TEA+ and Monte-Carlo queries in turn, on
+/// graphs of different sizes, answers each of them as a fresh workspace
+/// does — bit for bit. The residue arrays change hands between hop levels
+/// inside a query and between estimators and graphs across queries; none
+/// of it may show.
+#[test]
+fn one_workspace_across_estimators_and_graphs_matches_fresh_ones() {
+    let mut gen_rng = SmallRng::seed_from_u64(43);
+    let small = holme_kim(300, 4, 0.3, &mut gen_rng).unwrap();
+    let large = holme_kim(1_500, 5, 0.4, &mut gen_rng).unwrap();
+    let graphs = [&large, &small, &large, &small];
+
+    #[derive(Clone, Copy, Debug)]
+    enum Estimator {
+        Tea,
+        TeaPlus,
+        MonteCarlo,
+    }
+    let run = |which: Estimator, g: &Graph, seed: u32, ws: &mut QueryWorkspace| -> TeaOutput {
+        // delta below 1/n on both graphs, so TEA+ walks on some of these
+        // and exits early on others.
+        let params = HkprParams::builder(g)
+            .t(5.0)
+            .delta(2e-4)
+            .p_f(1e-3)
+            .build()
+            .unwrap();
+        let mut rng = SmallRng::seed_from_u64(seed as u64 + 7);
+        match which {
+            Estimator::Tea => tea_in(g, &params, seed, None, &mut rng, ws),
+            Estimator::TeaPlus => tea_plus_in(g, &params, seed, &mut rng, ws),
+            Estimator::MonteCarlo => monte_carlo_in(g, &params, seed, Some(20_000), &mut rng, ws),
+        }
+        .unwrap()
+    };
+
+    let mut shared = QueryWorkspace::new();
+    let mut walked = 0usize;
+    for (i, g) in graphs.into_iter().enumerate() {
+        for which in [Estimator::TeaPlus, Estimator::Tea, Estimator::MonteCarlo] {
+            let seed = (i as u32 * 37 + 11) % g.num_nodes() as u32;
+            let reused = run(which, g, seed, &mut shared);
+            let fresh = run(which, g, seed, &mut QueryWorkspace::new());
+            assert_eq!(reused.stats, fresh.stats, "{which:?} on graph {i}");
+            assert_eq!(
+                reused.stats.alpha.to_bits(),
+                fresh.stats.alpha.to_bits(),
+                "{which:?} on graph {i}"
+            );
+            assert_eq!(
+                reused.estimate.offset_coeff().to_bits(),
+                fresh.estimate.offset_coeff().to_bits()
+            );
+            let a: Vec<(u32, u64)> = reused
+                .estimate
+                .support()
+                .map(|(v, x)| (v, x.to_bits()))
+                .collect();
+            let b: Vec<(u32, u64)> = fresh
+                .estimate
+                .support()
+                .map(|(v, x)| (v, x.to_bits()))
+                .collect();
+            assert_eq!(a, b, "{which:?} on graph {i}");
+            walked += usize::from(reused.stats.random_walks > 0);
+        }
+    }
+    assert!(walked >= 8, "the walk phase must run too ({walked} of 12)");
 }
 
 #[test]
@@ -525,8 +802,8 @@ fn presampled_kernels_distribution_matches_stepwise_baseline() {
     }
 }
 
-/// The `simd` feature's vector kernels only replace order-free reductions
-/// (the condition-(11) residue max, the sweep membership count), so a
+/// The `simd` feature's one vector kernel replaces an order-free
+/// reduction (the condition-(11) residue max over a live hop array), so a
 /// SIMD build must reproduce the scalar build's push state and end-to-end
 /// estimates **bit for bit** — same support, same values, same
 /// condition-(11) decisions, at every thread count. Uses the runtime
