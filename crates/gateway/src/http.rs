@@ -13,6 +13,8 @@
 //! (property-tested in `tests/fuzz_http.rs`), and every malformed input
 //! is a typed [`HttpError`], never a panic.
 
+use crate::json::write_u64;
+
 /// Bounds on one request. Exceeding either is a typed error, not an OOM.
 #[derive(Clone, Copy, Debug)]
 pub struct HttpLimits {
@@ -34,9 +36,21 @@ impl Default for HttpLimits {
     }
 }
 
+/// The protocol version of a request line. The two differ in what a
+/// missing `Connection` header means.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Version {
+    /// `HTTP/1.0`: the connection closes unless the client asks to keep it.
+    Http10,
+    /// `HTTP/1.1`: the connection stays open unless the client says `close`.
+    Http11,
+}
+
 /// One parsed request.
 #[derive(Clone, Debug)]
 pub struct Request {
+    /// Protocol version of the request line.
+    pub version: Version,
     /// Method token, as sent (`GET`, `POST`, …).
     pub method: String,
     /// Request target, as sent (no percent-decoding; graph names on this
@@ -58,12 +72,19 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Whether the client asked to keep the connection open (HTTP/1.1
-    /// default) or close it.
+    /// Whether the connection stays open after this request. `Connection`
+    /// is a comma-separated token list: `close` anywhere in it closes; an
+    /// HTTP/1.1 connection otherwise stays open, an HTTP/1.0 one only when
+    /// the list asks for `keep-alive`.
     pub fn keep_alive(&self) -> bool {
-        !self
-            .header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        let has = |token: &str| {
+            self.headers
+                .iter()
+                .filter(|(k, _)| k == "connection")
+                .flat_map(|(_, v)| v.split(','))
+                .any(|t| t.trim_matches([' ', '\t']).eq_ignore_ascii_case(token))
+        };
+        !has("close") && (self.version == Version::Http11 || has("keep-alive"))
     }
 }
 
@@ -178,7 +199,8 @@ impl RequestParser {
                 limit: self.limits.max_head_bytes,
             });
         }
-        let (method, path, headers) = parse_head(&self.buf[..head_len], self.limits.max_headers)?;
+        let (version, method, path, headers) =
+            parse_head(&self.buf[..head_len], self.limits.max_headers)?;
         if let Some(te) = headers
             .iter()
             .find(|(k, _)| k == "transfer-encoding")
@@ -219,6 +241,7 @@ impl RequestParser {
         let body = self.buf[head_len..total].to_vec();
         self.buf.drain(..total);
         Ok(Some(Request {
+            version,
             method,
             path,
             headers,
@@ -233,7 +256,7 @@ fn find_terminator(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
 }
 
-type Head = (String, String, Vec<(String, String)>);
+type Head = (Version, String, String, Vec<(String, String)>);
 
 fn parse_head(head: &[u8], max_headers: usize) -> Result<Head, HttpError> {
     let head =
@@ -257,9 +280,11 @@ fn parse_head(head: &[u8], max_headers: usize) -> Result<Head, HttpError> {
     if !path.starts_with('/') || path.bytes().any(|b| b <= b' ' || b == 0x7f) {
         return Err(HttpError::Malformed(format!("bad path {path:?}")));
     }
-    if version != "HTTP/1.1" && version != "HTTP/1.0" {
-        return Err(HttpError::Malformed(format!("bad version {version:?}")));
-    }
+    let version = match version {
+        "HTTP/1.1" => Version::Http11,
+        "HTTP/1.0" => Version::Http10,
+        _ => return Err(HttpError::Malformed(format!("bad version {version:?}"))),
+    };
     let mut headers = Vec::new();
     for line in lines {
         if headers.len() >= max_headers {
@@ -279,7 +304,7 @@ fn parse_head(head: &[u8], max_headers: usize) -> Result<Head, HttpError> {
         }
         headers.push((name.to_ascii_lowercase(), value.to_string()));
     }
-    Ok((method.to_string(), path.to_string(), headers))
+    Ok((version, method.to_string(), path.to_string(), headers))
 }
 
 /// RFC 9110 token bytes (header names, method).
@@ -287,8 +312,36 @@ fn is_token_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
 }
 
-/// Serialize one response. `content_type` of `""` omits the header (204s
+/// Append a response head. `content_type` of `""` omits the header (204s
 /// and error shells).
+fn write_head(
+    out: &mut Vec<u8>,
+    status: u16,
+    reason: &str,
+    content_type: &str,
+    body_len: usize,
+    keep_alive: bool,
+) {
+    out.extend_from_slice(b"HTTP/1.1 ");
+    write_u64(out, status as u64);
+    out.push(b' ');
+    out.extend_from_slice(reason.as_bytes());
+    if !content_type.is_empty() {
+        out.extend_from_slice(b"\r\nContent-Type: ");
+        out.extend_from_slice(content_type.as_bytes());
+    }
+    out.extend_from_slice(b"\r\nContent-Length: ");
+    write_u64(out, body_len as u64);
+    out.extend_from_slice(if keep_alive {
+        b"\r\nConnection: keep-alive\r\n\r\n"
+    } else {
+        b"\r\nConnection: close\r\n\r\n"
+    });
+}
+
+/// Serialize one response into a buffer of its own: error shells, and
+/// callers that hold a finished body. The connection loop streams into a
+/// [`ResponseBuf`] instead.
 pub fn response_bytes(
     status: u16,
     reason: &str,
@@ -296,19 +349,89 @@ pub fn response_bytes(
     body: &[u8],
     keep_alive: bool,
 ) -> Vec<u8> {
-    let mut head = format!("HTTP/1.1 {status} {reason}\r\n");
-    if !content_type.is_empty() {
-        head.push_str(&format!("Content-Type: {content_type}\r\n"));
-    }
-    head.push_str(&format!("Content-Length: {}\r\n", body.len()));
-    head.push_str(if keep_alive {
-        "Connection: keep-alive\r\n\r\n"
-    } else {
-        "Connection: close\r\n\r\n"
-    });
-    let mut out = head.into_bytes();
+    let mut out = Vec::with_capacity(HEAD_ROOM + body.len());
+    write_head(
+        &mut out,
+        status,
+        reason,
+        content_type,
+        body.len(),
+        keep_alive,
+    );
     out.extend_from_slice(body);
     out
+}
+
+/// Bytes kept free in front of a streamed body for the head, which can
+/// only be written once the body's length is known. The longest head this
+/// gateway writes is under 160 bytes.
+const HEAD_ROOM: usize = 256;
+
+/// Capacity a connection keeps between responses. A response that grew
+/// the buffer beyond this (a large `/batch`) gives the memory back once it
+/// is sent, instead of pinning it for the life of a keep-alive connection.
+const RETAINED_CAPACITY: usize = 8 << 20;
+
+/// One connection's reusable response buffer: the handler appends the
+/// body behind [`HEAD_ROOM`] free bytes, the head is written into that
+/// room once `Content-Length` is known, and head and body leave in a
+/// single write with no copy of the body in between.
+#[derive(Debug, Default)]
+pub(crate) struct ResponseBuf {
+    buf: Vec<u8>,
+}
+
+impl ResponseBuf {
+    /// Start a response and return the sink its body is appended to. The
+    /// sink already holds the head room, so handlers only ever append;
+    /// [`clear_body`](Self::clear_body) takes back a partly written body.
+    pub(crate) fn begin(&mut self) -> &mut Vec<u8> {
+        self.buf.clear();
+        self.buf.resize(HEAD_ROOM, 0);
+        &mut self.buf
+    }
+
+    /// Drop what was appended since [`begin`](Self::begin) (a handler that
+    /// failed half-way) and return the sink again.
+    pub(crate) fn clear_body(&mut self) -> &mut Vec<u8> {
+        self.buf.truncate(HEAD_ROOM);
+        &mut self.buf
+    }
+
+    /// Frame the body written since [`begin`](Self::begin) and send the
+    /// response in one `write_all`; returns the bytes written. The buffer
+    /// is emptied, and shrunk if this response outgrew what a connection
+    /// may retain.
+    pub(crate) fn send(
+        &mut self,
+        to: &mut impl std::io::Write,
+        status: u16,
+        reason: &str,
+        content_type: &str,
+        keep_alive: bool,
+    ) -> std::io::Result<usize> {
+        let body_len = self.buf.len() - HEAD_ROOM;
+        let mut head = Vec::with_capacity(HEAD_ROOM);
+        write_head(
+            &mut head,
+            status,
+            reason,
+            content_type,
+            body_len,
+            keep_alive,
+        );
+        let start = HEAD_ROOM
+            .checked_sub(head.len())
+            .expect("status lines and content types are short constants");
+        self.buf[start..HEAD_ROOM].copy_from_slice(&head);
+        let sent = to.write_all(&self.buf[start..]);
+        let written = self.buf.len() - start;
+        self.buf.clear();
+        if self.buf.capacity() > RETAINED_CAPACITY {
+            self.buf = Vec::new();
+        }
+        sent.map(|()| written)
+    }
 }
 
 #[cfg(test)]
@@ -332,6 +455,7 @@ mod tests {
         assert_eq!(req.path, "/query/demo");
         assert_eq!(req.header("x-deadline-ms"), Some("50"));
         assert_eq!(req.body, b"abcd");
+        assert_eq!(req.version, Version::Http11);
         assert!(req.keep_alive());
     }
 
@@ -389,11 +513,96 @@ mod tests {
     }
 
     #[test]
+    fn keep_alive_follows_version_and_connection_tokens() {
+        let keeps = |version: &str, connection: Option<&str>| {
+            let header = connection.map_or(String::new(), |v| format!("Connection: {v}\r\n"));
+            parse_one(format!("GET /healthz {version}\r\n{header}\r\n").as_bytes())
+                .unwrap()
+                .unwrap()
+                .keep_alive()
+        };
+        assert!(keeps("HTTP/1.1", None));
+        assert!(keeps("HTTP/1.1", Some("keep-alive")));
+        assert!(!keeps("HTTP/1.1", Some("close")));
+        assert!(!keeps("HTTP/1.1", Some("Close")));
+        assert!(!keeps("HTTP/1.1", Some("keep-alive, close")));
+        assert!(!keeps("HTTP/1.1", Some("TE ,\tclose")));
+        assert!(keeps("HTTP/1.1", Some("closed")));
+        // 1.0 closes unless asked to stay (ApacheBench sends no header).
+        assert!(!keeps("HTTP/1.0", None));
+        assert!(keeps("HTTP/1.0", Some("Keep-Alive")));
+        assert!(keeps("HTTP/1.0", Some("TE, keep-alive")));
+        assert!(!keeps("HTTP/1.0", Some("keep-alive, close")));
+        assert!(!keeps("HTTP/1.0", Some("TE")));
+    }
+
+    #[test]
     fn response_writer_frames_correctly() {
         let bytes = response_bytes(200, "OK", "application/json", b"{}", true);
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    #[test]
+    fn streamed_response_equals_the_copied_one() {
+        let mut response = ResponseBuf::default();
+        // The longest status line and content type the gateway sends, an
+        // empty content type, and a body-less answer.
+        for (status, reason, content_type, body, keep_alive) in [
+            (200, "OK", "application/json", &b"{\"a\":[1,2.5]}"[..], true),
+            (
+                431,
+                "Request Header Fields Too Large",
+                "text/plain; version=0.0.4",
+                &[b'x'; 70_000][..],
+                false,
+            ),
+            (204, "No Content", "", &b""[..], true),
+        ] {
+            response
+                .begin()
+                .extend_from_slice(b"half an answer, then a failure");
+            response.clear_body().extend_from_slice(body);
+            let mut wire = Vec::new();
+            let written = response
+                .send(&mut wire, status, reason, content_type, keep_alive)
+                .unwrap();
+            assert_eq!(written, wire.len());
+            assert_eq!(
+                wire,
+                response_bytes(status, reason, content_type, body, keep_alive)
+            );
+        }
+    }
+
+    #[test]
+    fn a_large_response_does_not_stay_with_the_connection() {
+        let mut response = ResponseBuf::default();
+        let mut sink = std::io::sink();
+        // A large batch ...
+        response
+            .begin()
+            .resize(HEAD_ROOM + 3 * RETAINED_CAPACITY, b'7');
+        let written = response
+            .send(&mut sink, 200, "OK", "application/json", true)
+            .unwrap();
+        assert!(written > 3 * RETAINED_CAPACITY);
+        assert!(response.buf.capacity() <= RETAINED_CAPACITY);
+        // ... followed by a small query on the same connection.
+        response.begin().extend_from_slice(b"{\"seed\":1}");
+        assert!(response.buf.capacity() <= RETAINED_CAPACITY);
+        let mut wire = Vec::new();
+        response
+            .send(&mut wire, 200, "OK", "application/json", true)
+            .unwrap();
+        assert!(wire.ends_with(b"\r\n\r\n{\"seed\":1}"));
+        // An ordinary answer's capacity is kept for the next one.
+        response.begin().resize(HEAD_ROOM + (600 << 10), b'7');
+        response
+            .send(&mut sink, 200, "OK", "application/json", true)
+            .unwrap();
+        assert!(response.buf.capacity() >= 600 << 10);
     }
 }

@@ -1,12 +1,26 @@
 //! A tiny in-tree JSON reader/writer — the wire format of the gateway.
 //!
 //! The build environment has no crates.io access, so (like `vendor/`
-//! stands in for `rand`) the gateway carries its own JSON support:
-//! a strict recursive-descent parser over UTF-8 bytes with a depth cap,
-//! and a writer whose `f64` rendering is Rust's shortest-round-trip
-//! `Display` — `parse(render(x))` returns the **identical bit pattern**
-//! for every finite `f64`, which is what lets the serving conformance
-//! suite assert *bitwise* equality of answers across the wire.
+//! stands in for `rand`) the gateway carries its own JSON support: a
+//! strict recursive-descent parser over UTF-8 bytes with a depth cap,
+//! and an append-only writer over `Vec<u8>` with two number printers.
+//!
+//! * [`write_u64`] prints integers (node ids, counters, sizes) two
+//!   digits per table lookup.
+//! * [`write_f64`] is a Schubfach-style shortest-round-trip printer: it
+//!   finds the shortest decimal inside the rounding interval of the
+//!   `f64` with three 64×128-bit multiplications against a table of
+//!   powers of ten, takes the candidate closest to the exact value
+//!   (exact ties go up), and lays the digits out in fixed notation —
+//!   never an exponent, `-0` keeps its sign. Its text is byte-identical
+//!   to Rust's `Display` for `f64`, which the answers were rendered
+//!   through before and which every recorded body, golden fixture and
+//!   client expects. `tests/printer.rs` pins that against
+//!   `format!("{v}")` over random bit patterns, ties, subnormals, powers
+//!   of two and integers, and pins `parse` of the text returning the
+//!   **identical bit pattern** for every finite `f64` — which is what
+//!   lets the serving conformance suite assert *bitwise* equality of
+//!   answers across the wire.
 //!
 //! Two deliberate wire-format bounds, both documented in the README:
 //!
@@ -17,7 +31,7 @@
 //! * non-finite floats have no JSON representation and are written as
 //!   `null`.
 
-use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 /// Maximum nesting depth the parser accepts (arrays + objects).
 pub const MAX_DEPTH: usize = 32;
@@ -25,7 +39,7 @@ pub const MAX_DEPTH: usize = 32;
 /// Largest integer exactly representable on the wire (2^53).
 pub const MAX_SAFE_INT: f64 = 9_007_199_254_740_992.0;
 
-/// A parsed JSON value.
+/// A JSON value: what [`parse`] returns and [`Json::render`] writes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -40,6 +54,12 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in source order (duplicate keys are rejected).
     Obj(Vec<(String, Json)>),
+    /// A pre-rendered fragment, trusted to be one valid JSON value:
+    /// [`Json::render`] copies it as it is, the accessors treat it as
+    /// opaque (every `as_*` and `get` answers `None`), and [`parse`]
+    /// never produces it. It lets a large answer rendered once by the
+    /// streaming writers in [`crate::wire`] sit inside a tree.
+    Raw(String),
 }
 
 /// A typed parse failure: byte offset + reason. Never a panic.
@@ -119,72 +139,295 @@ impl Json {
 
     /// Render to a compact JSON string.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write_into(&mut out);
-        out
+        String::from_utf8(out).expect("the writers emit UTF-8 only")
     }
 
-    fn write_into(&self, out: &mut String) {
+    /// Append the compact rendering to `out`.
+    pub(crate) fn write_into(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(true) => out.extend_from_slice(b"true"),
+            Json::Bool(false) => out.extend_from_slice(b"false"),
             Json::Num(v) => write_f64(out, *v),
             Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     item.write_into(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(fields) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_str(out, k);
-                    out.push(':');
+                    out.push(b':');
                     v.write_into(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
+            Json::Raw(text) => out.extend_from_slice(text.as_bytes()),
         }
     }
 }
 
-/// Write `v` in shortest-round-trip form (Rust `Display`, which
-/// guarantees `v.to_string().parse::<f64>() == v` bit-for-bit for finite
-/// values, `-0.0` included). Non-finite values become `null`.
-pub fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
+/// `"00"`, `"01"`, … `"99"`: two decimal digits per table lookup.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Write the decimal digits of `v` right-aligned into `buf` (at least 20
+/// bytes, the length of `u64::MAX`); returns the index of the first one.
+fn format_u64(buf: &mut [u8], mut v: u64) -> usize {
+    let mut at = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    at
+}
+
+/// Write an integer in decimal. For every value below 2^53 the text is
+/// what [`write_f64`] writes for `v as f64`.
+pub fn write_u64(out: &mut Vec<u8>, v: u64) {
+    let mut buf = [0u8; 20];
+    let at = format_u64(&mut buf, v);
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// Write `v` as the shortest decimal that parses back to the identical
+/// bit pattern (`-0.0` included), in fixed notation: byte for byte what
+/// `format!("{v}")` gives. Non-finite values become `null`.
+pub fn write_f64(out: &mut Vec<u8>, v: f64) {
+    if !v.is_finite() {
+        out.extend_from_slice(b"null");
+        return;
+    }
+    let bits = v.to_bits();
+    if bits >> 63 != 0 {
+        out.push(b'-');
+    }
+    let (mut digits, mut exp10) = shortest_decimal(bits & (u64::MAX >> 1));
+    // The decimal is found at the scale of the value's binade, so a short
+    // one comes back padded (1.5 as 1500000000000000 · 10^-15); zeros
+    // behind the point are not written.
+    while exp10 < 0 && digits % 10 == 0 {
+        digits /= 10;
+        exp10 += 1;
+    }
+    // The digits go at the end of a field of zeros, so the zeros between
+    // "0." and the first digit of a small value are already in place.
+    const FIELD: usize = 64;
+    let mut buf = [b'0'; FIELD];
+    let first = format_u64(&mut buf, digits);
+    if exp10 >= 0 {
+        out.extend_from_slice(&buf[first..]);
+        out.resize(out.len() + exp10 as usize, b'0');
+        return;
+    }
+    let len = FIELD - first;
+    let fraction = exp10.unsigned_abs() as usize;
+    if fraction < len {
+        // The point falls inside the digits: move the integer part up.
+        let point = FIELD - fraction - 1;
+        buf.copy_within(first..=point, first - 1);
+        buf[point] = b'.';
+        out.extend_from_slice(&buf[first - 1..]);
+    } else if fraction + 2 <= FIELD {
+        let start = FIELD - fraction - 2;
+        buf[start + 1] = b'.';
+        out.extend_from_slice(&buf[start..]);
+    } else {
+        out.extend_from_slice(b"0.");
+        out.resize(out.len() + fraction - len, b'0');
+        out.extend_from_slice(&buf[first..]);
+    }
+}
+
+/// Shortest decimal `digits · 10^exp10` that rounds to the non-negative
+/// finite `f64` with these bits, closest to it among the shortest, exact
+/// ties going up (as `Display`'s exact fallback decides them; round-half-
+/// even would print `…323.2` where `Display` prints `…323.3` for bits
+/// `0x43180467b3a7ed6d`). After R. Giulietti, "The Schubfach way to
+/// render doubles" (2020); variable names follow the paper.
+fn shortest_decimal(bits: u64) -> (u64, i32) {
+    let fraction = bits & ((1 << 52) - 1);
+    let biased = (bits >> 52) as i32;
+    // The value is c · 2^q.
+    let (c, q) = if biased != 0 {
+        let c = fraction | 1 << 52;
+        let q = biased - 1075;
+        // An integer below 2^53 is its own shortest decimal.
+        if (-52..=0).contains(&q) && c.trailing_zeros() >= q.unsigned_abs() {
+            return (c >> -q, 0);
+        }
+        (c, q)
+    } else if fraction != 0 {
+        (fraction, -1074)
+    } else {
+        return (0, 0);
+    };
+    // The rounding interval, scaled by 4 so its ends are integers. Below
+    // a power of two the spacing halves, so the lower end is closer.
+    let lower_is_closer = fraction == 0 && biased > 1;
+    let ends_inside = c & 1 == 0;
+    let cbl = 4 * c - 2 + lower_is_closer as u64;
+    let cb = 4 * c;
+    let cbr = 4 * c + 2;
+    // k = floor(log10(2^q)), or of 3/4 · 2^q for the lopsided interval:
+    // 10^k is the largest power of ten not above the interval's width.
+    let k = (q * 1_262_611 - if lower_is_closer { 524_031 } else { 0 }) >> 22;
+    // h = q + floor(log2(10^-k)) + 1, in 1..=4.
+    let h = q + ((-k * 1_741_647) >> 19) + 1;
+    let g = pow10_table()[(292 - k) as usize];
+    let vbl = round_to_odd(g, cbl << h);
+    let vb = round_to_odd(g, cb << h);
+    let vbr = round_to_odd(g, cbr << h);
+    let lower = vbl + !ends_inside as u64;
+    let upper = vbr - !ends_inside as u64;
+    // vb / 4 is the value in units of 10^k. One digit shorter first: at
+    // most one multiple of 10^(k+1) lies inside the interval.
+    let s = vb / 4;
+    if s >= 10 {
+        let sp = s / 10;
+        let down_inside = lower <= 40 * sp;
+        let up_inside = 40 * sp + 40 <= upper;
+        if down_inside != up_inside {
+            return (sp + up_inside as u64, k + 1);
+        }
+    }
+    let down_inside = lower <= 4 * s;
+    let up_inside = 4 * s + 4 <= upper;
+    if down_inside != up_inside {
+        return (s + up_inside as u64, k);
+    }
+    // Both neighbours are inside: the closer one, a tie going up.
+    let round_up = vb >= 4 * s + 2;
+    (s + round_up as u64, k)
+}
+
+/// The top 64 bits of `cp · g / 2^64` with every bit below them folded
+/// into the lowest one, so comparisons against the exact product hold.
+fn round_to_odd((g_hi, g_lo): (u64, u64), cp: u64) -> u64 {
+    let low = (cp as u128) * (g_lo as u128);
+    let high = (cp as u128) * (g_hi as u128) + (low >> 64);
+    (high >> 64) as u64 | ((high as u64) > 1) as u64
+}
+
+/// Entry `k + 292`, for `k` in -292..=324, is the 128-bit significand of
+/// `10^k` rounded up: `g = ceil(10^k · 2^-r)` as `(high, low)` words,
+/// with `r` putting it in `2^127 ≤ g < 2^128`. Every `f64` needs one of
+/// these 617 and no other.
+fn pow10_table() -> &'static [(u64, u64); 617] {
+    static TABLE: OnceLock<[(u64, u64); 617]> = OnceLock::new();
+    TABLE.get_or_init(build_pow10_table)
+}
+
+/// Build the table by exact integer arithmetic, one short multiplication
+/// or division per entry. `10^k = 5^k · 2^k` has the significand of
+/// `5^k`, so powers of five are enough.
+fn build_pow10_table() -> [(u64, u64); 617] {
+    // Little-endian 32-bit limbs; 864 bits hold 5^324 < 2^753 and leave
+    // 2^863 / 5^292 > 2^184, more than the 128 bits an entry takes.
+    const LIMBS: usize = 27;
+    let mut table = [(0u64, 0u64); 617];
+    // 5^k exactly, for k = 0, 1, …: the significand is exact while it
+    // fits 128 bits (k ≤ 55) and rounded up afterwards.
+    let mut x = [0u32; LIMBS];
+    x[0] = 1;
+    for entry in &mut table[292..] {
+        let (g, inexact) = top_128_bits(&x);
+        *entry = split(g + inexact as u128);
+        let mut carry = 0u64;
+        for limb in &mut x {
+            let wide = *limb as u64 * 5 + carry;
+            *limb = wide as u32;
+            carry = wide >> 32;
+        }
+    }
+    // floor(2^863 / 5^n) for n = 1, 2, …: dividing the previous floor by
+    // five is exact (floor(floor(a / b) / c) = floor(a / (b · c))), and
+    // its top 128 bits are floor(2^s / 5^n) for the s that normalizes it.
+    // 5^n never divides a power of two, so rounding up always adds one.
+    let mut x = [0u32; LIMBS];
+    x[LIMBS - 1] = 1 << 31;
+    for entry in table[..292].iter_mut().rev() {
+        let mut rem = 0u64;
+        for limb in x.iter_mut().rev() {
+            let wide = rem << 32 | *limb as u64;
+            *limb = (wide / 5) as u32;
+            rem = wide % 5;
+        }
+        *entry = split(top_128_bits(&x).0 + 1);
+    }
+    table
+}
+
+fn split(g: u128) -> (u64, u64) {
+    ((g >> 64) as u64, g as u64)
+}
+
+/// The 128 bits of a non-zero `x` from its highest set bit down (shifted
+/// up when `x` is shorter), and whether any set bit was left below them.
+fn top_128_bits(x: &[u32]) -> (u128, bool) {
+    let top = x
+        .iter()
+        .rposition(|&limb| limb != 0)
+        .expect("a power of five is not zero");
+    let limb = |below: usize| top.checked_sub(below).map_or(0, |i| x[i]);
+    let shift = x[top].leading_zeros();
+    let words = (limb(0) as u128) << 96
+        | (limb(1) as u128) << 64
+        | (limb(2) as u128) << 32
+        | limb(3) as u128;
+    // A fifth limb fills the bits the normalizing shift frees.
+    let fifth = (limb(4) as u64) << shift;
+    let g = words << shift | (fifth >> 32) as u128;
+    let rest = &x[..top.saturating_sub(4)];
+    (g, fifth as u32 != 0 || rest.iter().any(|&limb| limb != 0))
 }
 
 /// Write a JSON string literal with the mandatory escapes.
-pub fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+pub fn write_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    for &b in s.as_bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            0..=0x1f => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.extend_from_slice(b"\\u00");
+                out.push(HEX[(b >> 4) as usize]);
+                out.push(HEX[(b & 15) as usize]);
             }
-            c => out.push(c),
+            // Bytes of a multi-byte scalar are all above 0x7f.
+            _ => out.push(b),
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
 /// Parse one JSON document; trailing non-whitespace is an error.
@@ -467,6 +710,12 @@ mod tests {
         assert_eq!(v.get("s").unwrap().as_str().unwrap(), "q\"\\\n");
     }
 
+    fn printed(v: f64) -> String {
+        let mut out = Vec::new();
+        write_f64(&mut out, v);
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn f64_round_trip_is_bit_exact() {
         for v in [
@@ -479,14 +728,82 @@ mod tests {
             0.1 + 0.2,
             5.0,
         ] {
-            let mut s = String::new();
-            write_f64(&mut s, v);
+            let s = printed(v);
+            assert_eq!(s, format!("{v}"));
             let back = parse(s.as_bytes()).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v} rendered as {s}");
         }
-        let mut s = String::new();
-        write_f64(&mut s, f64::INFINITY);
-        assert_eq!(s, "null");
+        assert_eq!(printed(f64::INFINITY), "null");
+        assert_eq!(printed(f64::NAN), "null");
+    }
+
+    #[test]
+    fn every_layout_of_the_point() {
+        for (v, text) in [
+            (0.5, "0.5"),
+            (-1.5, "-1.5"),
+            (1234.5678, "1234.5678"),
+            (0.000123, "0.000123"),
+            (1e-7, "0.0000001"),
+            (123456789012345680000.0, "123456789012345680000"),
+            (1e23, "100000000000000000000000"),
+            (9007199254740993.0, "9007199254740992"),
+            (0.3, "0.3"),
+            (
+                2.5e-62,
+                "0.000000000000000000000000000000000000000000000000000000000000025",
+            ),
+        ] {
+            assert_eq!(printed(v), text);
+            assert_eq!(printed(v), format!("{v}"));
+        }
+        assert_eq!(printed(5e-324).len(), 2 + 323 + 1);
+        assert_eq!(printed(5e-324), format!("{}", 5e-324));
+        assert_eq!(printed(f64::MAX), format!("{}", f64::MAX));
+    }
+
+    #[test]
+    fn raw_fragments_render_verbatim_and_stay_opaque() {
+        let doc = Json::Obj(vec![
+            ("a".into(), Json::Raw("[1,{\"b\":2.5}]".into())),
+            ("c".into(), Json::Null),
+        ]);
+        assert_eq!(doc.render(), "{\"a\":[1,{\"b\":2.5}],\"c\":null}");
+        let raw = doc.get("a").unwrap();
+        assert!(raw.as_arr().is_none() && raw.get("b").is_none() && raw.as_str().is_none());
+        // A parsed document never holds one, so re-rendering what was
+        // parsed goes through the number writers again.
+        let parsed = parse(doc.render().as_bytes()).unwrap();
+        assert!(parsed.get("a").unwrap().as_arr().is_some());
+        assert_eq!(parsed.render(), doc.render());
+    }
+
+    #[test]
+    fn power_of_ten_table_matches_known_entries() {
+        let table = pow10_table();
+        for (k, g) in [
+            (-292, (0xFF77B1FCBEBCDC4F, 0x25E8E89C13BB0F7B)),
+            (-1, (0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCD)),
+            (0, (0x8000000000000000, 0)),
+            (1, (0xA000000000000000, 0)),
+            (27, (0xCECB8F27F4200F3A, 0)),
+            (55, (0xD0CF4B50CFE20765, 0xFFF4B4E3F741CF6D)),
+            (56, (0x82818F1281ED449F, 0xBFF8F10E7A8921A5)),
+            (28, (0x813F3978F8940984, 0x4000000000000000)),
+            (100, (0x924D692CA61BE758, 0x593C2626705F9C57)),
+            (-200, (0xC3F490AA77BD60FC, 0xBEDBFC4411068A9D)),
+            (324, (0x9E19DB92B4E31BA9, 0x6C07A2C26A8346D2)),
+        ] {
+            assert_eq!(table[(k + 292) as usize], g, "10^{k}");
+        }
+        // All 617 entries: FNV-1a over the words, against the digest of
+        // `ceil(10^k · 2^-r)` computed apart with arbitrary-precision
+        // integers.
+        let digest = table.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &(hi, lo)| {
+            let h = (h ^ hi).wrapping_mul(0x0100_0000_01b3);
+            (h ^ lo).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(digest, 0x2e57_6cef_fbf1_8a2a);
     }
 
     #[test]

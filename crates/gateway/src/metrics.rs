@@ -51,6 +51,11 @@ pub const OUTCOME_CLASSES: [&str; 7] = [
     "error",
 ];
 
+/// Endpoint classes a request is counted under: coarse names, never the
+/// raw path (raw paths would let clients mint unbounded label
+/// cardinality). Anything else files under `other`.
+pub const ENDPOINTS: [&str; 5] = ["query", "batch", "healthz", "metrics", "other"];
+
 /// Fixed-bucket latency histogram; lock-free recording.
 #[derive(Debug, Default)]
 pub struct Histogram {
@@ -64,19 +69,38 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Record one observation.
-    pub fn observe(&self, latency: Duration) {
+    fn bucket_of(latency: Duration) -> usize {
         let secs = latency.as_secs_f64();
-        let idx = LATENCY_BUCKETS
+        LATENCY_BUCKETS
             .iter()
             .position(|&ub| secs <= ub)
-            .unwrap_or(LATENCY_BUCKETS.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
+            .unwrap_or(LATENCY_BUCKETS.len())
+    }
+
+    fn nanos(latency: Duration) -> u64 {
+        latency.as_nanos().min(u64::MAX as u128) as u64
+    }
+
+    /// Record one observation.
+    pub fn observe(&self, latency: Duration) {
+        self.counts[Self::bucket_of(latency)].fetch_add(1, Ordering::Relaxed);
+        self.sum_ns
+            .fetch_add(Self::nanos(latency), Ordering::Relaxed);
+        self.total.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Lengthen an observation already recorded as `was` to `now`; the
+    /// count stays, the bucket and the sum follow.
+    pub fn extend(&self, was: Duration, now: Duration) {
+        let (from, to) = (Self::bucket_of(was), Self::bucket_of(now));
+        if from != to {
+            self.counts[to].fetch_add(1, Ordering::Relaxed);
+            self.counts[from].fetch_sub(1, Ordering::Relaxed);
+        }
         self.sum_ns.fetch_add(
-            latency.as_nanos().min(u64::MAX as u128) as u64,
+            Self::nanos(now).saturating_sub(Self::nanos(was)),
             Ordering::Relaxed,
         );
-        self.total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total observations.
@@ -112,11 +136,11 @@ impl Histogram {
 #[derive(Debug, Default)]
 pub struct GatewayMetrics {
     /// `(endpoint, status) -> count`; BTreeMap for sorted, deterministic
-    /// exposition. Endpoint is a coarse class (`query`, `batch`,
-    /// `healthz`, `metrics`, `other`), not the raw path — raw paths
-    /// would let clients mint unbounded label cardinality.
+    /// exposition. Endpoint is one of [`ENDPOINTS`].
     requests: Mutex<BTreeMap<(&'static str, u16), u64>>,
     latency: [Histogram; OUTCOME_CLASSES.len()],
+    /// Bytes written to sockets (head and body), in [`ENDPOINTS`] order.
+    response_bytes: [AtomicU64; ENDPOINTS.len()],
     conns_accepted: AtomicU64,
     conns_rejected: AtomicU64,
     conns_closed: AtomicU64,
@@ -129,25 +153,8 @@ impl GatewayMetrics {
         GatewayMetrics::default()
     }
 
-    /// Count one finished request and file its latency under `class`
-    /// (an [`OUTCOME_CLASSES`] entry; anything unknown files as
-    /// `error`).
-    pub fn record(&self, endpoint: &'static str, status: u16, class: &str, latency: Duration) {
-        *self
-            .requests
-            .lock()
-            .unwrap()
-            .entry((endpoint, status))
-            .or_insert(0) += 1;
-        let idx = OUTCOME_CLASSES
-            .iter()
-            .position(|&c| c == class)
-            .unwrap_or(OUTCOME_CLASSES.len() - 1);
-        self.latency[idx].observe(latency);
-    }
-
-    /// Count one finished request without filing a latency (healthz and
-    /// metrics scrapes: their timings would pollute the query classes).
+    /// Count one answered request. Called before the response is written,
+    /// so a client that has read its answer finds it counted.
     pub fn count(&self, endpoint: &'static str, status: u16) {
         *self
             .requests
@@ -155,6 +162,38 @@ impl GatewayMetrics {
             .unwrap()
             .entry((endpoint, status))
             .or_insert(0) += 1;
+    }
+
+    /// The histogram of `class` (an [`OUTCOME_CLASSES`] entry; anything
+    /// unknown files as `error`).
+    fn class_histogram(&self, class: &str) -> &Histogram {
+        self.latency_of(class)
+            .unwrap_or(&self.latency[OUTCOME_CLASSES.len() - 1])
+    }
+
+    /// File one request's latency so far under `class`. Like
+    /// [`count`](Self::count) this happens before the response is
+    /// written, so the class counts are settled when the client has its
+    /// answer. Healthz and metrics scrapes file none: their timings would
+    /// pollute the query classes.
+    pub fn observe(&self, class: &str, latency: Duration) {
+        self.class_histogram(class).observe(latency);
+    }
+
+    /// The response is on the wire: lengthen the latency filed as `was`
+    /// to `now`, so the time a slow reader costs is in the histogram.
+    pub fn wrote(&self, class: &str, was: Duration, now: Duration) {
+        self.class_histogram(class).extend(was, now);
+    }
+
+    /// One response of `bytes` bytes (head and body) written whole to its
+    /// socket.
+    pub fn sent(&self, endpoint: &str, bytes: usize) {
+        let idx = ENDPOINTS
+            .iter()
+            .position(|&e| e == endpoint)
+            .unwrap_or(ENDPOINTS.len() - 1);
+        self.response_bytes[idx].fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// One accepted connection.
@@ -478,6 +517,19 @@ pub fn render_prometheus(engine: &MultiEngine, gw: &GatewayMetrics) -> String {
     }
     family(
         &mut out,
+        "hk_gateway_response_bytes_total",
+        "Bytes of responses written whole to their sockets, head and body, \
+         by endpoint class.",
+        "counter",
+    );
+    for (endpoint, bytes) in ENDPOINTS.iter().zip(&gw.response_bytes) {
+        out.push_str(&format!(
+            "hk_gateway_response_bytes_total{{endpoint=\"{endpoint}\"}} {}\n",
+            bytes.load(Ordering::Relaxed)
+        ));
+    }
+    family(
+        &mut out,
         "hk_gateway_connections_total",
         "Connection lifecycle events.",
         "counter",
@@ -569,6 +621,8 @@ mod tests {
             "hk_hub_resident_bytes",
             "hk_gateway_requests_total",
             "hk_gateway_request_seconds_bucket",
+            "hk_gateway_response_bytes_total{endpoint=\"query\"} 0",
+            "hk_gateway_response_bytes_total{endpoint=\"other\"} 0",
             "hk_gateway_connections_total",
             "hk_gateway_header_timeouts_total",
             "hk_gateway_request_seconds_count{class=\"degraded_push\"}",
@@ -598,14 +652,30 @@ mod tests {
     fn request_recording_lands_in_the_right_class() {
         let engine = tiny_engine();
         let gw = GatewayMetrics::new();
-        gw.record("query", 200, "miss", Duration::from_millis(1));
-        gw.record("query", 408, "error", Duration::from_millis(9));
-        gw.record("query", 200, "not-a-class", Duration::from_millis(1));
+        for (status, class, ms) in [(200, "miss", 1), (408, "error", 9), (200, "not-a-class", 1)] {
+            gw.count("query", status);
+            gw.observe(class, Duration::from_millis(ms));
+        }
         let text = render_prometheus(&engine, &gw);
         assert!(text.contains("hk_gateway_requests_total{endpoint=\"query\",status=\"200\"} 2\n"));
         assert!(text.contains("hk_gateway_requests_total{endpoint=\"query\",status=\"408\"} 1\n"));
         assert!(text.contains("hk_gateway_request_seconds_count{class=\"miss\"} 1\n"));
         // Unknown classes file under `error` alongside the 408.
         assert!(text.contains("hk_gateway_request_seconds_count{class=\"error\"} 2\n"));
+        // A slow write moves the filed latency, not the count: 1 ms in the
+        // `le="0.001"` bucket becomes 40 ms in the `le="0.1"` one.
+        assert!(text.contains("hk_gateway_request_seconds_bucket{class=\"miss\",le=\"0.001\"} 1\n"));
+        gw.wrote("miss", Duration::from_millis(1), Duration::from_millis(40));
+        let text = render_prometheus(&engine, &gw);
+        assert!(text.contains("hk_gateway_request_seconds_bucket{class=\"miss\",le=\"0.03\"} 0\n"));
+        assert!(text.contains("hk_gateway_request_seconds_bucket{class=\"miss\",le=\"0.1\"} 1\n"));
+        assert!(text.contains("hk_gateway_request_seconds_sum{class=\"miss\"} 0.04\n"));
+        assert!(text.contains("hk_gateway_request_seconds_count{class=\"miss\"} 1\n"));
+        gw.sent("query", 700);
+        gw.sent("query", 300);
+        gw.sent("not-an-endpoint", 5);
+        let text = render_prometheus(&engine, &gw);
+        assert!(text.contains("hk_gateway_response_bytes_total{endpoint=\"query\"} 1000\n"));
+        assert!(text.contains("hk_gateway_response_bytes_total{endpoint=\"other\"} 5\n"));
     }
 }

@@ -31,8 +31,8 @@ use std::time::{Duration, Instant};
 
 use hk_serve::{MultiEngine, ServeError, Ticket};
 
-use crate::http::{response_bytes, HttpLimits, Request, RequestParser};
-use crate::json::Json;
+use crate::http::{response_bytes, HttpLimits, Request, RequestParser, ResponseBuf};
+use crate::json::{write_str, Json};
 use crate::metrics::{render_prometheus, GatewayMetrics};
 use crate::wire;
 
@@ -238,6 +238,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let _ = stream.set_nodelay(true);
     let mut parser = RequestParser::new(shared.config.limits);
+    let mut response = ResponseBuf::default();
     let mut buf = [0u8; 16 << 10];
     // When the first bytes of a request arrived; the cumulative
     // `header_deadline` budget runs from here until the request parses.
@@ -253,8 +254,9 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 // extend it.
                 let anchor = request_started.take().unwrap_or_else(Instant::now);
                 let keep_alive = req.keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
-                let bytes = handle_request(shared, &req, keep_alive, anchor);
-                if stream.write_all(&bytes).is_err() || !keep_alive {
+                let sent =
+                    handle_request(shared, &req, keep_alive, anchor, &mut response, &mut stream);
+                if !sent || !keep_alive {
                     return;
                 }
                 continue;
@@ -264,17 +266,16 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 // Typed parse failure: answer it and close — after a
                 // framing error the stream position is untrustworthy.
                 let (status, reason) = e.status();
-                let body = wire::error_body("malformed_request", &e.to_string());
-                shared
-                    .metrics
-                    .record("other", status, "error", Duration::ZERO);
-                let _ = stream.write_all(&response_bytes(
+                let detail = e.to_string();
+                refuse(
+                    &mut stream,
+                    shared,
                     status,
                     reason,
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                ));
+                    "malformed_request",
+                    &detail,
+                    Duration::ZERO,
+                );
                 return;
             }
         }
@@ -289,18 +290,15 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             let budget = shared.config.header_deadline;
             if elapsed >= budget {
                 shared.metrics.header_timeout();
-                shared.metrics.record("other", 408, "error", elapsed);
-                let body = wire::error_body(
-                    "header_timeout",
-                    "request dripped in slower than the per-request header budget",
-                );
-                let _ = stream.write_all(&response_bytes(
+                refuse(
+                    &mut stream,
+                    shared,
                     408,
                     "Request Timeout",
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                ));
+                    "header_timeout",
+                    "request dripped in slower than the per-request header budget",
+                    elapsed,
+                );
                 return;
             }
             shared.config.read_timeout.min(budget - elapsed)
@@ -325,18 +323,15 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                     )
                 {
                     shared.metrics.header_timeout();
-                    shared.metrics.record("other", 408, "error", Duration::ZERO);
-                    let body = wire::error_body(
-                        "header_timeout",
-                        "connection stalled mid-request past the read timeout",
-                    );
-                    let _ = stream.write_all(&response_bytes(
+                    refuse(
+                        &mut stream,
+                        shared,
                         408,
                         "Request Timeout",
-                        "application/json",
-                        body.as_bytes(),
-                        false,
-                    ));
+                        "header_timeout",
+                        "connection stalled mid-request past the read timeout",
+                        Duration::ZERO,
+                    );
                 }
                 return;
             }
@@ -344,33 +339,69 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Dispatch one parsed request to its endpoint; returns the serialized
-/// response and records request metrics.
-fn handle_request(shared: &Shared, req: &Request, keep_alive: bool, anchor: Instant) -> Vec<u8> {
-    let started = Instant::now();
-    let (endpoint, outcome) = route(shared, req, anchor);
-    let (status, reason, content_type, body) = match outcome {
-        Ok((content_type, body)) => (200, "OK", content_type, body),
-        Err(failure) => (
-            failure.status,
-            failure.reason,
-            "application/json",
-            wire::error_body(failure.code, &failure.detail),
-        ),
-    };
-    if endpoint.name == "query" || endpoint.name == "batch" {
-        let class = if status != 200 {
-            "error"
-        } else {
-            endpoint.class
-        };
-        shared
-            .metrics
-            .record(endpoint.name, status, class, started.elapsed());
-    } else {
-        shared.metrics.count(endpoint.name, status);
+/// Answer a request that never reached an endpoint (framing error, header
+/// budget spent) with an error shell; the caller closes the connection.
+fn refuse(
+    stream: &mut TcpStream,
+    shared: &Shared,
+    status: u16,
+    reason: &str,
+    code: &str,
+    detail: &str,
+    latency: Duration,
+) {
+    let body = wire::error_body(code, detail);
+    let bytes = response_bytes(status, reason, "application/json", body.as_bytes(), false);
+    shared.metrics.count("other", status);
+    shared.metrics.observe("error", latency);
+    if stream.write_all(&bytes).is_ok() {
+        shared.metrics.sent("other", bytes.len());
     }
-    response_bytes(status, reason, content_type, body.as_bytes(), keep_alive)
+}
+
+/// Dispatch one parsed request to its endpoint, stream the answer into
+/// the connection's buffer and send it. The request is counted and filed
+/// under its latency class before the write — a client holding its answer
+/// must find it in the next scrape — and the filed latency is lengthened
+/// after it, so the time a slow reader costs is in the histogram. Returns
+/// whether the response went out whole.
+fn handle_request(
+    shared: &Shared,
+    req: &Request,
+    keep_alive: bool,
+    anchor: Instant,
+    response: &mut ResponseBuf,
+    stream: &mut TcpStream,
+) -> bool {
+    let started = Instant::now();
+    let (endpoint, outcome) = route(shared, req, anchor, response.begin());
+    let (status, reason, content_type) = match outcome {
+        Ok(content_type) => (200, "OK", content_type),
+        Err(failure) => {
+            let body = wire::error_body(failure.code, &failure.detail);
+            response.clear_body().extend_from_slice(body.as_bytes());
+            (failure.status, failure.reason, "application/json")
+        }
+    };
+    shared.metrics.count(endpoint.name, status);
+    let timed = endpoint.name == "query" || endpoint.name == "batch";
+    let class = if status != 200 {
+        "error"
+    } else {
+        endpoint.class
+    };
+    let computed = started.elapsed();
+    if timed {
+        shared.metrics.observe(class, computed);
+    }
+    let sent = response.send(stream, status, reason, content_type, keep_alive);
+    if timed {
+        shared.metrics.wrote(class, computed, started.elapsed());
+    }
+    if let Ok(bytes) = sent {
+        shared.metrics.sent(endpoint.name, bytes);
+    }
+    sent.is_ok()
 }
 
 /// A non-2xx answer: HTTP line plus the machine-readable error body.
@@ -408,9 +439,15 @@ struct Endpoint {
     class: &'static str,
 }
 
-type Routed = Result<(&'static str, String), Failure>;
+/// The content type of the body a handler appended, or why there is none.
+type Routed = Result<&'static str, Failure>;
 
-fn route(shared: &Shared, req: &Request, anchor: Instant) -> (Endpoint, Routed) {
+fn route(
+    shared: &Shared,
+    req: &Request,
+    anchor: Instant,
+    body: &mut Vec<u8>,
+) -> (Endpoint, Routed) {
     let mut endpoint = Endpoint {
         name: "other",
         class: "miss",
@@ -419,30 +456,28 @@ fn route(shared: &Shared, req: &Request, anchor: Instant) -> (Endpoint, Routed) 
         if let Some(graph) = req.path.strip_prefix("/query/") {
             endpoint.name = "query";
             require_post(req)?;
-            let (text, class) = handle_query(shared, graph, req, anchor)?;
-            endpoint.class = class;
-            return Ok(("application/json", text));
+            endpoint.class = handle_query(shared, graph, req, anchor, body)?;
+            return Ok("application/json");
         }
         if let Some(graph) = req.path.strip_prefix("/batch/") {
             endpoint.name = "batch";
             require_post(req)?;
-            let (text, class) = handle_batch(shared, graph, req, anchor)?;
-            endpoint.class = class;
-            return Ok(("application/json", text));
+            endpoint.class = handle_batch(shared, graph, req, anchor, body)?;
+            return Ok("application/json");
         }
         match req.path.as_str() {
             "/healthz" => {
                 endpoint.name = "healthz";
                 require_get(req)?;
-                handle_healthz(shared)
+                handle_healthz(shared, body)
             }
             "/metrics" => {
                 endpoint.name = "metrics";
                 require_get(req)?;
-                Ok((
-                    "text/plain; version=0.0.4",
-                    render_prometheus(&shared.engine, &shared.metrics),
-                ))
+                body.extend_from_slice(
+                    render_prometheus(&shared.engine, &shared.metrics).as_bytes(),
+                );
+                Ok("text/plain; version=0.0.4")
             }
             other => Err(Failure::new(
                 404,
@@ -500,13 +535,15 @@ fn parse_body(req: &Request) -> Result<Json, Failure> {
         .map_err(|e| Failure::bad_request("invalid_body", format!("body is not valid JSON: {e}")))
 }
 
-/// `POST /query/{graph}` — one blocking query.
+/// `POST /query/{graph}` — one blocking query; appends the answer to
+/// `out` and returns its latency class.
 fn handle_query(
     shared: &Shared,
     graph: &str,
     req: &Request,
     anchor: Instant,
-) -> Result<(String, &'static str), Failure> {
+    out: &mut Vec<u8>,
+) -> Result<&'static str, Failure> {
     let body = parse_body(req)?;
     let mut query =
         wire::request_from_json(&body).map_err(|e| Failure::bad_request("invalid_body", e))?;
@@ -533,21 +570,21 @@ fn handle_query(
             _ => "miss",
         },
     };
-    Ok((
-        wire::response_json(graph, query.seed, &resp).render(),
-        class,
-    ))
+    wire::write_response(out, graph, query.seed, &resp);
+    Ok(class)
 }
 
 /// `POST /batch/{graph}` — submit-all-then-wait-all, one answer per
 /// seed, RNG stream `rng_seed + i` (the [`hk_serve::run_batch`]
 /// layout, so wire answers are bit-comparable against in-process runs).
+/// Each item is appended to `out` as its ticket completes.
 fn handle_batch(
     shared: &Shared,
     graph: &str,
     req: &Request,
     anchor: Instant,
-) -> Result<(String, &'static str), Failure> {
+    out: &mut Vec<u8>,
+) -> Result<&'static str, Failure> {
     let body = parse_body(req)?;
     let (seeds, template) =
         wire::batch_from_json(&body).map_err(|e| Failure::bad_request("invalid_body", e))?;
@@ -576,17 +613,21 @@ fn handle_batch(
     let mut any_degraded = false;
     let mut any_degraded_push = false;
     let mut any_error = false;
-    let items: Vec<Json> = tickets
-        .into_iter()
-        .zip(&seeds)
-        .map(|(ticket, &seed)| match ticket.and_then(Ticket::wait) {
+    out.extend_from_slice(b"{\"graph\":");
+    write_str(out, graph);
+    out.extend_from_slice(b",\"items\":[");
+    for (i, (ticket, &seed)) in tickets.into_iter().zip(&seeds).enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        match ticket.and_then(Ticket::wait) {
             Ok(resp) => {
                 if let Some(d) = &resp.degraded {
                     any_degraded = true;
                     any_degraded_push |=
                         d.achieved.push_tiers_completed < d.achieved.push_tiers_planned;
                 }
-                wire::response_json(graph, seed, &resp)
+                wire::write_response(out, graph, seed, &resp);
             }
             Err(e) => {
                 any_error = true;
@@ -597,10 +638,12 @@ fn handle_batch(
                     ("error".into(), Json::Str(code.into())),
                     ("detail".into(), Json::Str(e.to_string())),
                 ])
+                .write_into(out);
             }
-        })
-        .collect();
-    let class = if any_error {
+        }
+    }
+    out.extend_from_slice(b"]}");
+    Ok(if any_error {
         "error"
     } else if any_degraded_push {
         "degraded_push"
@@ -608,24 +651,18 @@ fn handle_batch(
         "degraded"
     } else {
         "miss"
-    };
-    let text = Json::Obj(vec![
-        ("graph".into(), Json::Str(graph.into())),
-        ("items".into(), Json::Arr(items)),
-    ])
-    .render();
-    Ok((text, class))
+    })
 }
 
 /// `GET /healthz` — `200` iff every configured scheduler worker is
 /// alive; reports registry residency alongside.
-fn handle_healthz(shared: &Shared) -> Routed {
+fn handle_healthz(shared: &Shared, out: &mut Vec<u8>) -> Routed {
     let engine = &shared.engine;
     let workers = engine.stats().workers;
     let live = engine.live_workers() as u64;
     let registry = engine.registry();
     let resident = registry.resident();
-    let body = Json::Obj(vec![
+    Json::Obj(vec![
         (
             "status".into(),
             Json::Str(
@@ -646,9 +683,9 @@ fn handle_healthz(shared: &Shared) -> Routed {
             Json::Num(resident.iter().map(|(_, b)| *b as u64).sum::<u64>() as f64),
         ),
     ])
-    .render();
+    .write_into(out);
     if live == workers && workers > 0 {
-        Ok(("application/json", body))
+        Ok("application/json")
     } else {
         Err(Failure::new(
             503,

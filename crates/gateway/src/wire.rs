@@ -22,13 +22,9 @@
 use std::time::Duration;
 
 use hk_cluster::{ClusterResult, Method};
-use hk_serve::{Degraded, Knobs, QueryRequest, QueryResponse, ServeError};
+use hk_serve::{Degraded, Knobs, QueryRequest, QueryResponse, QueryTiming, ServeError};
 
-use crate::json::Json;
-
-/// Largest `f64`-exact integer (2^53); node ids, seeds and counters
-/// above this cannot cross a JSON number unharmed.
-const MAX_EXACT: u64 = 1 << 53;
+use crate::json::{write_f64, write_str, write_u64, Json};
 
 /// Decode one query body: `{"seed": 7, "method": ..., "knobs": ...,
 /// "rng_seed": 42}`. Only `seed` is required. The deadline comes from
@@ -200,86 +196,88 @@ pub fn error_body(code: &str, detail: &str) -> String {
     .render()
 }
 
-/// Render one [`ClusterResult`] with every [`ClusterResult::bitwise_eq`]
+/// Append one [`ClusterResult`] with every [`ClusterResult::bitwise_eq`]
 /// field. Entry values and `conductance`/`offset_coeff` go through the
 /// shortest-round-trip writer, so the text is injective on result bits.
-pub fn result_json(r: &ClusterResult) -> Json {
-    debug_assert!(
-        r.cluster.iter().all(|&v| (v as u64) < MAX_EXACT),
-        "NodeId is u32, always f64-exact"
-    );
-    let stats = Json::Obj(vec![
-        (
-            "push_operations".into(),
-            Json::Num(r.stats.push_operations as f64),
-        ),
-        (
-            "random_walks".into(),
-            Json::Num(r.stats.random_walks as f64),
-        ),
-        ("walk_steps".into(), Json::Num(r.stats.walk_steps as f64)),
-        ("alpha".into(), Json::Num(r.stats.alpha)),
-        ("early_exit".into(), Json::Bool(r.stats.early_exit)),
-    ]);
-    let estimate = Json::Obj(vec![
-        ("offset_coeff".into(), Json::Num(r.estimate.offset_coeff())),
-        (
-            "entries".into(),
-            Json::Arr(
-                r.estimate
-                    .support()
-                    .map(|(v, x)| Json::Arr(vec![Json::Num(v as f64), Json::Num(x)]))
-                    .collect(),
-            ),
-        ),
-    ]);
-    Json::Obj(vec![
-        (
-            "cluster".into(),
-            Json::Arr(r.cluster.iter().map(|&v| Json::Num(v as f64)).collect()),
-        ),
-        ("conductance".into(), Json::Num(r.conductance)),
-        ("support_size".into(), Json::Num(r.support_size as f64)),
-        ("stats".into(), stats),
-        ("estimate".into(), estimate),
-    ])
+/// This is the only code that knows the field order of a result; the
+/// text is written straight from the sorted estimate, with no value tree
+/// in between.
+pub fn write_result(out: &mut Vec<u8>, r: &ClusterResult) {
+    // Enough for a node id, punctuation and a typical 20-byte value per
+    // entry: one growth instead of a doubling chain on a 0.5 MB answer.
+    out.reserve(64 + 12 * r.cluster.len() + 36 * r.estimate.nnz());
+    out.extend_from_slice(b"{\"cluster\":[");
+    for (i, &v) in r.cluster.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_u64(out, v as u64);
+    }
+    out.extend_from_slice(b"],\"conductance\":");
+    write_f64(out, r.conductance);
+    out.extend_from_slice(b",\"support_size\":");
+    write_u64(out, r.support_size as u64);
+    out.extend_from_slice(b",\"stats\":{\"push_operations\":");
+    write_u64(out, r.stats.push_operations);
+    out.extend_from_slice(b",\"random_walks\":");
+    write_u64(out, r.stats.random_walks);
+    out.extend_from_slice(b",\"walk_steps\":");
+    write_u64(out, r.stats.walk_steps);
+    out.extend_from_slice(b",\"alpha\":");
+    write_f64(out, r.stats.alpha);
+    out.extend_from_slice(if r.stats.early_exit {
+        b",\"early_exit\":true"
+    } else {
+        b",\"early_exit\":false"
+    });
+    out.extend_from_slice(b"},\"estimate\":{\"offset_coeff\":");
+    write_f64(out, r.estimate.offset_coeff());
+    out.extend_from_slice(b",\"entries\":[");
+    for (i, (v, x)) in r.estimate.support().enumerate() {
+        out.extend_from_slice(if i > 0 { b",[" } else { b"[" });
+        write_u64(out, v as u64);
+        out.push(b',');
+        write_f64(out, x);
+        out.push(b']');
+    }
+    out.extend_from_slice(b"]}}");
 }
 
-fn degraded_json(d: &Degraded) -> Json {
-    Json::Obj(vec![
-        (
-            "tiers_completed".into(),
-            Json::Num(d.achieved.tiers_completed as f64),
-        ),
-        (
-            "tiers_planned".into(),
-            Json::Num(d.achieved.tiers_planned as f64),
-        ),
-        (
-            "push_tiers_completed".into(),
-            Json::Num(d.achieved.push_tiers_completed as f64),
-        ),
-        (
-            "push_tiers_planned".into(),
-            Json::Num(d.achieved.push_tiers_planned as f64),
-        ),
-        ("walks_done".into(), Json::Num(d.achieved.walks_done as f64)),
-        (
-            "walks_planned".into(),
-            Json::Num(d.achieved.walks_planned as f64),
-        ),
-        (
-            "eps_r_requested".into(),
-            Json::Num(d.achieved.eps_r_requested),
-        ),
-        // INFINITY (no walk ran) renders as null by the writer's
-        // non-finite rule; clients read null as "no bound".
-        (
-            "eps_r_achieved".into(),
-            Json::Num(d.achieved.eps_r_achieved),
-        ),
-        ("after_ms".into(), Json::Num(d.after.as_secs_f64() * 1e3)),
-    ])
+fn write_degraded(out: &mut Vec<u8>, d: &Degraded) {
+    let a = &d.achieved;
+    out.extend_from_slice(b"{\"tiers_completed\":");
+    write_u64(out, a.tiers_completed as u64);
+    out.extend_from_slice(b",\"tiers_planned\":");
+    write_u64(out, a.tiers_planned as u64);
+    out.extend_from_slice(b",\"push_tiers_completed\":");
+    write_u64(out, a.push_tiers_completed as u64);
+    out.extend_from_slice(b",\"push_tiers_planned\":");
+    write_u64(out, a.push_tiers_planned as u64);
+    out.extend_from_slice(b",\"walks_done\":");
+    write_u64(out, a.walks_done);
+    out.extend_from_slice(b",\"walks_planned\":");
+    write_u64(out, a.walks_planned);
+    out.extend_from_slice(b",\"eps_r_requested\":");
+    write_f64(out, a.eps_r_requested);
+    // INFINITY (no walk ran) renders as null by the writer's non-finite
+    // rule; clients read null as "no bound".
+    out.extend_from_slice(b",\"eps_r_achieved\":");
+    write_f64(out, a.eps_r_achieved);
+    out.extend_from_slice(b",\"after_ms\":");
+    write_f64(out, d.after.as_secs_f64() * 1e3);
+    out.push(b'}');
+}
+
+fn write_timing(out: &mut Vec<u8>, t: &QueryTiming) {
+    out.extend_from_slice(b"{\"queue_ns\":");
+    write_u64(out, t.queue_ns);
+    out.extend_from_slice(b",\"estimate_ns\":");
+    write_u64(out, t.estimate_ns);
+    out.extend_from_slice(b",\"sweep_ns\":");
+    write_u64(out, t.sweep_ns);
+    out.extend_from_slice(b",\"total_ns\":");
+    write_u64(out, t.total_ns);
+    out.push(b'}');
 }
 
 /// Wire name of a cache outcome.
@@ -294,28 +292,44 @@ pub fn outcome_name(resp: &QueryResponse) -> &'static str {
     }
 }
 
-/// Render a full success body for one answered query.
+/// Append the full success body for one answered query: `graph`, `seed`,
+/// `outcome`, `degraded`, `result`, `timing`, in that order. What the
+/// server sends, for `/query` and for each `/batch` item.
+pub fn write_response(out: &mut Vec<u8>, graph: &str, seed: u32, resp: &QueryResponse) {
+    out.extend_from_slice(b"{\"graph\":");
+    write_str(out, graph);
+    out.extend_from_slice(b",\"seed\":");
+    write_u64(out, seed as u64);
+    out.extend_from_slice(b",\"outcome\":");
+    write_str(out, outcome_name(resp));
+    out.extend_from_slice(b",\"degraded\":");
+    match &resp.degraded {
+        Some(d) => write_degraded(out, d),
+        None => out.extend_from_slice(b"null"),
+    }
+    out.extend_from_slice(b",\"result\":");
+    write_result(out, &resp.result);
+    out.extend_from_slice(b",\"timing\":");
+    write_timing(out, &resp.timing);
+    out.push(b'}');
+}
+
+/// What a writer appends, as text.
+fn rendered(write: impl FnOnce(&mut Vec<u8>)) -> String {
+    let mut out = Vec::new();
+    write(&mut out);
+    String::from_utf8(out).expect("the writers emit UTF-8 only")
+}
+
+/// Canonical rendered text of a result — what `--smoke` compares.
+pub fn canonical_result_text(r: &ClusterResult) -> String {
+    rendered(|out| write_result(out, r))
+}
+
+/// A full success body as a value: the text of [`write_response`],
+/// pre-rendered, for callers that hold a [`Json`].
 pub fn response_json(graph: &str, seed: u32, resp: &QueryResponse) -> Json {
-    let timing = Json::Obj(vec![
-        ("queue_ns".into(), Json::Num(resp.timing.queue_ns as f64)),
-        (
-            "estimate_ns".into(),
-            Json::Num(resp.timing.estimate_ns as f64),
-        ),
-        ("sweep_ns".into(), Json::Num(resp.timing.sweep_ns as f64)),
-        ("total_ns".into(), Json::Num(resp.timing.total_ns as f64)),
-    ]);
-    Json::Obj(vec![
-        ("graph".into(), Json::Str(graph.into())),
-        ("seed".into(), Json::Num(seed as f64)),
-        ("outcome".into(), Json::Str(outcome_name(resp).into())),
-        (
-            "degraded".into(),
-            resp.degraded.as_ref().map_or(Json::Null, degraded_json),
-        ),
-        ("result".into(), result_json(&resp.result)),
-        ("timing".into(), timing),
-    ])
+    Json::Raw(rendered(|out| write_response(out, graph, seed, resp)))
 }
 
 /// Parse an `x-deadline-ms` header value into a duration. Strict
@@ -328,11 +342,6 @@ pub fn deadline_from_header(value: &str) -> Result<Duration, String> {
         return Err("x-deadline-ms must be >= 1".into());
     }
     Ok(Duration::from_millis(ms))
-}
-
-/// Canonical rendered text of a result — what `--smoke` compares.
-pub fn canonical_result_text(r: &ClusterResult) -> String {
-    result_json(r).render()
 }
 
 #[cfg(test)]
@@ -526,5 +535,315 @@ mod tests {
             Some(2)
         );
         assert_eq!(d.get("push_tiers_planned").and_then(Json::as_u64), Some(4));
+    }
+
+    /// The encoder this module had before the streaming writers: one
+    /// `Json` node per number, per entry and per field, floats printed by
+    /// `std`'s `Display`. Kept as the oracle the writers are held to.
+    mod oracle {
+        use super::*;
+        use std::fmt::Write as _;
+
+        pub fn result_json(r: &ClusterResult) -> Json {
+            let stats = Json::Obj(vec![
+                (
+                    "push_operations".into(),
+                    Json::Num(r.stats.push_operations as f64),
+                ),
+                (
+                    "random_walks".into(),
+                    Json::Num(r.stats.random_walks as f64),
+                ),
+                ("walk_steps".into(), Json::Num(r.stats.walk_steps as f64)),
+                ("alpha".into(), Json::Num(r.stats.alpha)),
+                ("early_exit".into(), Json::Bool(r.stats.early_exit)),
+            ]);
+            let estimate = Json::Obj(vec![
+                ("offset_coeff".into(), Json::Num(r.estimate.offset_coeff())),
+                (
+                    "entries".into(),
+                    Json::Arr(
+                        r.estimate
+                            .support()
+                            .map(|(v, x)| Json::Arr(vec![Json::Num(v as f64), Json::Num(x)]))
+                            .collect(),
+                    ),
+                ),
+            ]);
+            Json::Obj(vec![
+                (
+                    "cluster".into(),
+                    Json::Arr(r.cluster.iter().map(|&v| Json::Num(v as f64)).collect()),
+                ),
+                ("conductance".into(), Json::Num(r.conductance)),
+                ("support_size".into(), Json::Num(r.support_size as f64)),
+                ("stats".into(), stats),
+                ("estimate".into(), estimate),
+            ])
+        }
+
+        fn degraded_json(d: &Degraded) -> Json {
+            let a = &d.achieved;
+            Json::Obj(vec![
+                (
+                    "tiers_completed".into(),
+                    Json::Num(a.tiers_completed as f64),
+                ),
+                ("tiers_planned".into(), Json::Num(a.tiers_planned as f64)),
+                (
+                    "push_tiers_completed".into(),
+                    Json::Num(a.push_tiers_completed as f64),
+                ),
+                (
+                    "push_tiers_planned".into(),
+                    Json::Num(a.push_tiers_planned as f64),
+                ),
+                ("walks_done".into(), Json::Num(a.walks_done as f64)),
+                ("walks_planned".into(), Json::Num(a.walks_planned as f64)),
+                ("eps_r_requested".into(), Json::Num(a.eps_r_requested)),
+                ("eps_r_achieved".into(), Json::Num(a.eps_r_achieved)),
+                ("after_ms".into(), Json::Num(d.after.as_secs_f64() * 1e3)),
+            ])
+        }
+
+        pub fn response_json(graph: &str, seed: u32, resp: &QueryResponse) -> Json {
+            let timing = Json::Obj(vec![
+                ("queue_ns".into(), Json::Num(resp.timing.queue_ns as f64)),
+                (
+                    "estimate_ns".into(),
+                    Json::Num(resp.timing.estimate_ns as f64),
+                ),
+                ("sweep_ns".into(), Json::Num(resp.timing.sweep_ns as f64)),
+                ("total_ns".into(), Json::Num(resp.timing.total_ns as f64)),
+            ]);
+            Json::Obj(vec![
+                ("graph".into(), Json::Str(graph.into())),
+                ("seed".into(), Json::Num(seed as f64)),
+                ("outcome".into(), Json::Str(outcome_name(resp).into())),
+                (
+                    "degraded".into(),
+                    resp.degraded.as_ref().map_or(Json::Null, degraded_json),
+                ),
+                ("result".into(), result_json(&resp.result)),
+                ("timing".into(), timing),
+            ])
+        }
+
+        /// The renderer as it was: numbers through `{}`.
+        pub fn render(value: &Json, out: &mut String) {
+            match value {
+                Json::Null => out.push_str("null"),
+                Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Json::Num(v) if v.is_finite() => write!(out, "{v}").unwrap(),
+                Json::Num(_) => out.push_str("null"),
+                Json::Str(s) => render_str(s, out),
+                Json::Arr(items) => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        render(item, out);
+                    }
+                    out.push(']');
+                }
+                Json::Obj(fields) => {
+                    out.push('{');
+                    for (i, (k, v)) in fields.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        render_str(k, out);
+                        out.push(':');
+                        render(v, out);
+                    }
+                    out.push('}');
+                }
+                Json::Raw(_) => unreachable!("the tree encoder built no fragments"),
+            }
+        }
+
+        fn render_str(s: &str, out: &mut String) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+    }
+
+    /// All three renderings of one response: the streaming writer, the
+    /// public value's `render`, and the old tree encoder.
+    fn assert_encodings_agree(graph: &str, seed: u32, resp: &QueryResponse) -> String {
+        let mut streamed = Vec::new();
+        write_response(&mut streamed, graph, seed, resp);
+        let streamed = String::from_utf8(streamed).unwrap();
+        let mut old = String::new();
+        oracle::render(&oracle::response_json(graph, seed, resp), &mut old);
+        assert_eq!(streamed, old);
+        assert_eq!(response_json(graph, seed, resp).render(), old);
+        let mut old_result = String::new();
+        oracle::render(&oracle::result_json(&resp.result), &mut old_result);
+        assert_eq!(canonical_result_text(&resp.result), old_result);
+        // What a client parses and re-renders is the same text again.
+        let parsed = json::parse(streamed.as_bytes()).unwrap();
+        assert_eq!(parsed.get("result").unwrap().render(), old_result);
+        streamed
+    }
+
+    #[test]
+    fn streaming_writer_matches_the_tree_encoder_on_edge_cases() {
+        use hkpr_core::estimate::HkprEstimate;
+        use hkpr_core::AccuracyTier;
+        let empty = ClusterResult {
+            cluster: vec![],
+            conductance: 1.0,
+            estimate: HkprEstimate::from_sorted_entries(vec![]),
+            stats: Default::default(),
+            support_size: 0,
+        };
+        let mut signed_zeros = ClusterResult {
+            cluster: vec![0, u32::MAX],
+            conductance: 1.0 / 3.0,
+            estimate: HkprEstimate::from_sorted_entries(vec![
+                (0, -0.0),
+                (7, 0.0),
+                (u32::MAX, 5e-324),
+            ]),
+            stats: Default::default(),
+            support_size: 3,
+        };
+        signed_zeros.estimate.set_offset_coeff(-0.0);
+        signed_zeros.stats.alpha = 1.0e-9;
+        signed_zeros.stats.early_exit = true;
+        signed_zeros.stats.push_operations = (1 << 53) - 1;
+        // No walk ran: the achieved bound is infinite and renders as null.
+        let no_bound = Degraded {
+            achieved: AccuracyTier {
+                tiers_completed: 0,
+                tiers_planned: 3,
+                walks_done: 0,
+                walks_planned: 640,
+                eps_r_requested: 0.5,
+                eps_r_achieved: f64::INFINITY,
+                push_tiers_completed: 1,
+                push_tiers_planned: 4,
+            },
+            after: Duration::from_micros(8_250),
+        };
+        for (graph, result, degraded) in [
+            ("demo", empty, None),
+            (
+                "a \"quoted\\name\"\n\u{1}\u{e9}",
+                signed_zeros,
+                Some(no_bound),
+            ),
+        ] {
+            let resp = QueryResponse {
+                result: std::sync::Arc::new(result),
+                outcome: CacheOutcome::Hit,
+                degraded,
+                timing: hk_serve::QueryTiming {
+                    queue_ns: 1,
+                    total_ns: 123_456_789_012,
+                    ..Default::default()
+                },
+            };
+            let text = assert_encodings_agree(graph, u32::MAX, &resp);
+            if degraded.is_some() {
+                assert!(text.contains("\"eps_r_achieved\":null"), "{text}");
+                assert!(text.contains("[0,-0],[7,0],"), "{text}");
+                assert!(text.contains("\"offset_coeff\":-0,"), "{text}");
+            } else {
+                assert!(text.contains("\"cluster\":[],"), "{text}");
+                assert!(text.contains("\"entries\":[]}}"), "{text}");
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any result, marker and timing: the three encodings agree byte
+        /// for byte. Counters stay below 2^53, the wire's documented bound
+        /// (above it the old `as f64` detour rounded).
+        #[test]
+        fn streaming_writer_matches_the_tree_encoder(
+            graph in ".{0,12}",
+            seed in any::<u32>(),
+            cluster in prop::collection::vec(any::<u32>(), 0..10),
+            entries in prop::collection::vec((any::<u32>(), any::<u64>()), 0..40),
+            floats in prop::collection::vec(any::<f64>(), 5..6),
+            counters in prop::collection::vec(0u64..(1 << 53), 10..11),
+            tiers in prop::collection::vec(any::<u32>(), 4..5),
+            flags in any::<u8>(),
+        ) {
+            use hkpr_core::estimate::HkprEstimate;
+            use hkpr_core::AccuracyTier;
+            let mut entries: Vec<(u32, f64)> = entries
+                .into_iter()
+                .map(|(v, bits)| (v, if bits % 16 == 0 { -0.0 } else { f64::from_bits(bits) }))
+                .collect();
+            entries.sort_by_key(|e| e.0);
+            entries.dedup_by_key(|e| e.0);
+            let mut estimate = HkprEstimate::from_sorted_entries(entries);
+            estimate.set_offset_coeff(floats[2]);
+            let result = ClusterResult {
+                cluster,
+                conductance: floats[0],
+                estimate,
+                stats: hkpr_core::QueryStats {
+                    push_operations: counters[0],
+                    random_walks: counters[1],
+                    walk_steps: counters[2],
+                    alpha: floats[1],
+                    early_exit: flags & 1 != 0,
+                },
+                support_size: counters[3] as usize,
+            };
+            let degraded = (flags & 2 != 0).then_some(Degraded {
+                achieved: AccuracyTier {
+                    tiers_completed: tiers[0],
+                    tiers_planned: tiers[1],
+                    walks_done: counters[4],
+                    walks_planned: counters[5],
+                    eps_r_requested: floats[3],
+                    eps_r_achieved: floats[4],
+                    push_tiers_completed: tiers[2],
+                    push_tiers_planned: tiers[3],
+                },
+                after: Duration::from_nanos(counters[6] >> 16),
+            });
+            let outcome = [
+                CacheOutcome::Hit,
+                CacheOutcome::Miss,
+                CacheOutcome::Coalesced,
+                CacheOutcome::Precomputed,
+                CacheOutcome::Uncached,
+            ][(flags >> 2) as usize % 5];
+            let resp = QueryResponse {
+                result: std::sync::Arc::new(result),
+                outcome,
+                degraded,
+                timing: hk_serve::QueryTiming {
+                    queue_ns: counters[6],
+                    estimate_ns: counters[7],
+                    sweep_ns: counters[8],
+                    total_ns: counters[9],
+                    ..Default::default()
+                },
+            };
+            assert_encodings_agree(&graph, seed, &resp);
+        }
     }
 }

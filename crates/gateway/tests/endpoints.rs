@@ -238,6 +238,43 @@ fn metrics_scrape_contains_mandatory_families_and_counts_requests() {
 }
 
 #[test]
+fn response_bytes_are_counted_per_endpoint() {
+    let gw = start_gateway(demo_engine());
+    let mut stream = TcpStream::connect(gw.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .write_all(post("/query/demo", r#"{"seed": 5}"#).as_bytes())
+        .unwrap();
+    let (status, body) = read_response(&mut stream);
+    assert_eq!(status, 200);
+    // Bytes are counted once the write has returned, which a client that
+    // stops at Content-Length can outrun; the server closes the
+    // connection (`Connection: close`) only after counting them.
+    assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0, "expected EOF");
+    let (_, text) = roundtrip(
+        &gw,
+        "GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+    );
+    let counted = |endpoint: &str| -> usize {
+        let key = format!("hk_gateway_response_bytes_total{{endpoint=\"{endpoint}\"}} ");
+        let line = text.lines().find(|l| l.starts_with(&key)).unwrap();
+        line[key.len()..].parse().unwrap()
+    };
+    // Head and body of the one query answer; the scrape that reports it
+    // is itself still being written.
+    let query = counted("query");
+    assert!(
+        query > body.len() && query < body.len() + 256,
+        "{query} bytes counted for a {} byte body",
+        body.len()
+    );
+    assert_eq!(counted("batch"), 0);
+    assert_eq!(counted("metrics"), 0);
+}
+
+#[test]
 fn keep_alive_serves_sequential_requests_on_one_connection() {
     let gw = start_gateway(demo_engine());
     let mut stream = TcpStream::connect(gw.local_addr()).unwrap();
@@ -255,6 +292,43 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
         assert_eq!(status, 200, "{text}");
         let parsed = json::parse(text.as_bytes()).unwrap();
         assert_eq!(parsed.get("seed").and_then(Json::as_u64), Some(seed as u64));
+    }
+}
+
+#[test]
+fn http_10_without_keep_alive_is_answered_and_closed() {
+    // ApacheBench's default: HTTP/1.0, no Connection header. The client
+    // waits for EOF to delimit the exchange, so answering "keep-alive"
+    // and holding the socket open would hang it until the read timeout.
+    let gw = start_gateway(demo_engine());
+    let mut stream = TcpStream::connect(gw.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+        .write_all(b"GET /healthz HTTP/1.0\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let mut got = Vec::new();
+    // Reads to EOF; a connection left open would time out here instead.
+    stream
+        .read_to_end(&mut got)
+        .expect("server closed the connection");
+    let text = String::from_utf8(got).unwrap();
+    assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+    assert!(text.contains("\r\nConnection: close\r\n"), "{text}");
+    assert!(text.ends_with('}'), "{text}");
+
+    // A 1.0 client that asks to stay is kept, and told so.
+    let mut stream = TcpStream::connect(gw.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    for _ in 0..2 {
+        stream
+            .write_all(b"GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n")
+            .unwrap();
+        let (status, _) = read_response(&mut stream);
+        assert_eq!(status, 200);
     }
 }
 
