@@ -5,9 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hk_graph::gen::holme_kim;
 use hkpr_core::push_plus::{hk_push_plus_ws, PushPlusConfig};
-use hkpr_core::walk::{fixed_length_walk, k_random_walk, run_batched_walks_kernel, WalkScratch};
+use hkpr_core::walk::{fixed_length_walk, k_random_walk, run_batched_walks, WalkScratch};
 use hkpr_core::workspace::EpochCounter;
-use hkpr_core::{AliasTable, PoissonTable, QueryWorkspace, WalkKernel};
+use hkpr_core::{AliasTable, ExchangeSession, PoissonTable, QueryWorkspace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -40,9 +40,10 @@ fn bench_walks(c: &mut Criterion) {
         });
     });
 
-    // Walk-phase engine comparison on realistic TEA+ residue entries:
-    // sequential sample-walk loop vs batched grouped execution (1 and 4
-    // threads), 100k walks each.
+    // Walk-phase comparison on realistic TEA+ residue entries, 100k walks
+    // each: Algorithm 2 as a sequential sample-walk loop, then the
+    // presampled plan through its parkable executor (one owner, nothing
+    // parks) and through the lane kernel.
     let mut ws = QueryWorkspace::new();
     let cfg = PushPlusConfig {
         hop_cap: 12,
@@ -61,7 +62,7 @@ fn bench_walks(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("walk_phase_100k");
     group.sample_size(10);
-    group.bench_function("sequential_reference", |b| {
+    group.bench_function("sequential", |b| {
         let mut rng = SmallRng::seed_from_u64(7);
         b.iter(|| {
             let mut last = 0u32;
@@ -73,59 +74,34 @@ fn bench_walks(c: &mut Criterion) {
             black_box(last)
         });
     });
-    // Chunk-kernel comparison: the PR-1 per-step stop test vs exact
-    // length presampling vs presampling + interleaved prefetching lanes.
-    for (name, kernel) in [
-        ("stepwise", WalkKernel::Stepwise),
-        ("presampled", WalkKernel::Presampled),
-        ("lanes", WalkKernel::Lanes),
-    ] {
-        let mut counts = EpochCounter::new();
-        let mut scratch = WalkScratch::default();
-        group.bench_with_input(BenchmarkId::new(name, 1usize), &kernel, |b, &kernel| {
-            b.iter(|| {
-                black_box(run_batched_walks_kernel(
-                    &graph,
-                    &poisson,
-                    &entries,
-                    &table,
-                    nr,
-                    9,
-                    1,
-                    kernel,
-                    None,
-                    &mut counts,
-                    &mut scratch,
-                ))
-            });
+    group.bench_function("parkable", |b| {
+        b.iter(|| {
+            let mut session =
+                ExchangeSession::new(&graph, &poisson, &entries, &weights, nr, 9).unwrap();
+            for chunk in 0..session.num_chunks() {
+                session.drive(&mut session.initial_cursor(chunk), |_| true);
+            }
+            black_box(session.steps())
         });
-    }
-    // The production kernel with walk-phase thread fan-out.
-    for threads in [1usize, 4] {
-        let mut counts = EpochCounter::new();
-        let mut scratch = WalkScratch::default();
-        group.bench_with_input(
-            BenchmarkId::new("lanes_threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(run_batched_walks_kernel(
-                        &graph,
-                        &poisson,
-                        &entries,
-                        &table,
-                        nr,
-                        9,
-                        threads,
-                        WalkKernel::Lanes,
-                        None,
-                        &mut counts,
-                        &mut scratch,
-                    ))
-                });
-            },
-        );
-    }
+    });
+    let mut counts = EpochCounter::new();
+    let mut scratch = WalkScratch::default();
+    group.bench_function("lanes", |b| {
+        b.iter(|| {
+            black_box(run_batched_walks(
+                &graph,
+                &poisson,
+                &entries,
+                &table,
+                nr,
+                9,
+                1,
+                None,
+                &mut counts,
+                &mut scratch,
+            ))
+        });
+    });
     group.finish();
 }
 

@@ -11,19 +11,21 @@
 //!   (the serving configuration; acceptance gate is >= 2x the baseline);
 //! * `workspace_reuse_parallel4` — reuse + 4-thread batched walk fan-out.
 //!
-//! Walk-kernel variants (`walk_kernel` group; pure walk phase over a
-//! fixed TEA+-shaped residue entry set, no push/sweep):
+//! Walk-phase variants (`walk_kernel` group; pure walk phase over a
+//! fixed TEA+-shaped residue entry set, no push/sweep, public API only):
 //!
-//! * `stepwise`   — the PR-1 batched engine (per-step stop draw +
-//!   rejection-sampled neighbor pick);
-//! * `presampled` — exact Poisson-tail length presampling + Lemire u32
-//!   neighbor picks;
-//! * `lanes`      — presampling + interleaved prefetching lanes (the
-//!   production kernel; acceptance gate is >= 1.5x `stepwise`).
+//! * `sequential` — Algorithm 2 as printed: one alias sample and one
+//!   `k_random_walk` (per-step stop draw) per walk. The 1.00x row;
+//! * `parkable`   — the presampled plan (exact Poisson-tail lengths,
+//!   Lemire u32 neighbor picks) through a one-owner `ExchangeSession`,
+//!   one walk at a time, planning included — what a shard runs;
+//! * `lanes`      — the same plan through the interleaved prefetching
+//!   lane kernel — what a single process runs.
 //!
 //! Usage: `cargo run --release -p hk-bench --bin bench_snapshot --
 //! [--out FILE] [--seeds N] [--reps N]`
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use hk_cluster::reference::sweep_estimate_reference;
@@ -32,9 +34,9 @@ use hk_graph::gen::holme_kim;
 use hkpr_core::push_plus::{hk_push_plus_ws, PushPlusConfig};
 use hkpr_core::reference::tea_plus_reference;
 use hkpr_core::tea_plus::TeaPlusOptions;
-use hkpr_core::walk::{run_batched_walks_kernel, WalkScratch};
+use hkpr_core::walk::{k_random_walk, run_batched_walks, WalkScratch};
 use hkpr_core::workspace::EpochCounter;
-use hkpr_core::{AliasTable, HkprParams, QueryWorkspace, WalkKernel};
+use hkpr_core::{AliasTable, ExchangeSession, HkprParams, QueryWorkspace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -46,8 +48,8 @@ struct Variant {
     avg_ms: f64,
 }
 
-/// Time the pure walk phase (no push, no sweep) for each chunk kernel on
-/// a TEA+-shaped residue entry set, best-of-`reps` interleaved passes.
+/// Time the pure walk phase (no push, no sweep) three ways on a
+/// TEA+-shaped residue entry set, best-of-`reps` interleaved passes.
 /// Returns `(nr, steps_per_walk, variants)`.
 fn walk_kernel_snapshot(
     graph: &hk_graph::Graph,
@@ -70,106 +72,56 @@ fn walk_kernel_snapshot(
         .collect();
     let weights: Vec<f64> = ws.residues().entries().map(|(_, _, r)| r).collect();
     let table = AliasTable::new(&weights);
+    let poisson = params.poisson();
     let nr = 200_000u64;
 
-    let kernels = [
-        ("stepwise", WalkKernel::Stepwise),
-        ("presampled", WalkKernel::Presampled),
-        ("lanes", WalkKernel::Lanes),
-    ];
+    let names = ["sequential", "parkable", "lanes"];
+    let mut best = [f64::INFINITY; 3];
     let mut counts = EpochCounter::new();
     let mut scratch = WalkScratch::default();
-    let mut steps_per_walk = 0.0f64;
-    // Warm-up (also builds the Poisson length tables outside the timers).
-    for &(_, kernel) in &kernels {
-        let steps = run_batched_walks_kernel(
+    let mut steps = 0u64;
+    // Pass 0 is an untimed warm-up (it also builds the Poisson length
+    // tables); every pass runs the three variants back to back so host
+    // noise hits them alike.
+    for seed in 1..=1 + reps.max(1) as u64 {
+        let t0 = Instant::now();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..nr {
+            let (k, u) = entries[table.sample(&mut rng)];
+            black_box(k_random_walk(graph, poisson, u, k as usize, &mut rng));
+        }
+        let t1 = Instant::now();
+        let mut session = ExchangeSession::new(graph, poisson, &entries, &weights, nr, seed)
+            .expect("entries come from this graph");
+        for chunk in 0..session.num_chunks() {
+            session.drive(&mut session.initial_cursor(chunk), |_| true);
+        }
+        let t2 = Instant::now();
+        steps = run_batched_walks(
             graph,
-            params.poisson(),
+            poisson,
             &entries,
             &table,
             nr,
+            seed,
             1,
-            1,
-            kernel,
             None,
             &mut counts,
             &mut scratch,
         );
-        steps_per_walk = steps as f64 / nr as f64;
-    }
-    let mut best = [f64::INFINITY; 3];
-    for rep in 0..reps.max(1) {
-        for (vi, &(_, kernel)) in kernels.iter().enumerate() {
-            let t0 = Instant::now();
-            run_batched_walks_kernel(
-                graph,
-                params.poisson(),
-                &entries,
-                &table,
-                nr,
-                2 + rep as u64,
-                1,
-                kernel,
-                None,
-                &mut counts,
-                &mut scratch,
-            );
-            best[vi] = best[vi].min(t0.elapsed().as_secs_f64() * 1000.0);
+        let t3 = Instant::now();
+        for (best, took) in best.iter_mut().zip([t1 - t0, t2 - t1, t3 - t2]) {
+            if seed > 1 {
+                *best = best.min(took.as_secs_f64() * 1000.0);
+            }
         }
     }
-    let variants = kernels
+    let variants = names
         .iter()
-        .zip(&best)
-        .map(|(&(name, _), &avg_ms)| Variant { name, avg_ms })
+        .zip(best)
+        .map(|(&name, avg_ms)| Variant { name, avg_ms })
         .collect();
-    (nr, steps_per_walk, variants)
-}
-
-/// A/B-time the scan reduction the `simd` feature vectorizes — the push
-/// phase's residue threshold scan, through full HK-Push+ runs — with the
-/// vector body toggled via `set_simd_enabled` so both run in one binary
-/// on identical inputs. Results are bit-identical by construction; only
-/// the time moves. Scalar-only builds report the scalar entry alone.
-fn simd_snapshot(
-    graph: &hk_graph::Graph,
-    params: &HkprParams,
-    seeds: &[u32],
-    reps: usize,
-) -> Vec<Variant> {
-    use hkpr_core::simd::{set_simd_enabled, simd_active, simd_compiled};
-    let cfg = PushPlusConfig {
-        hop_cap: params.hop_cap(),
-        eps_abs: params.eps_abs(),
-        budget: u64::MAX,
-    };
-    let modes: &[(&'static str, bool)] = if simd_compiled() && simd_active() {
-        &[("push_scalar", false), ("push_simd", true)]
-    } else {
-        &[("push_scalar", false)]
-    };
-    let mut best = vec![f64::INFINITY; modes.len()];
-    let mut ws = QueryWorkspace::new();
-    // Pass 0 is an untimed warm-up; passes interleave the modes so host
-    // noise hits both alike, best-of-reps per mode.
-    for rep in 0..reps.max(1) + 1 {
-        for (mi, &(_, on)) in modes.iter().enumerate() {
-            set_simd_enabled(on);
-            let t0 = Instant::now();
-            for &s in seeds {
-                hk_push_plus_ws(graph, params.poisson(), s, &cfg, &mut ws);
-            }
-            let ms = t0.elapsed().as_secs_f64() * 1000.0 / seeds.len() as f64;
-            if rep > 0 {
-                best[mi] = best[mi].min(ms);
-            }
-        }
-    }
-    set_simd_enabled(true);
-    modes
-        .iter()
-        .zip(&best)
-        .map(|(&(name, _), &avg_ms)| Variant { name, avg_ms })
-        .collect()
+    (nr, steps as f64 / nr as f64, variants)
 }
 
 fn main() {
@@ -268,7 +220,6 @@ fn main() {
         .collect();
 
     let (walk_nr, steps_per_walk, walk_variants) = walk_kernel_snapshot(&graph, &params, reps);
-    let simd_push = simd_snapshot(&graph, &params, &seeds, reps);
 
     let baseline = variants[0].avg_ms;
     let mut json = String::new();
@@ -301,36 +252,19 @@ fn main() {
     json.push_str(&format!(
         "    \"avg_steps_per_walk\": {steps_per_walk:.3},\n"
     ));
+    json.push_str(
+        "    \"note\": \"sequential = alias sample + k_random_walk per walk (Algorithm 2); it replaced the stepwise row, the batched per-step kernel removed in PR 18. parkable = one-owner ExchangeSession, planning included\",\n",
+    );
     json.push_str("    \"variants\": [\n");
     let walk_baseline = walk_variants[0].avg_ms;
     for (i, v) in walk_variants.iter().enumerate() {
         json.push_str(&format!(
-            "      {{ \"name\": \"{}\", \"ms_per_{}k_walks\": {:.4}, \"speedup_vs_stepwise\": {:.2} }}{}\n",
+            "      {{ \"name\": \"{}\", \"ms_per_{}k_walks\": {:.4}, \"speedup_vs_sequential\": {:.2} }}{}\n",
             v.name,
             walk_nr / 1000,
             v.avg_ms,
             walk_baseline / v.avg_ms,
             if i + 1 < walk_variants.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("    ]\n  },\n");
-    // Scalar-vs-vector push scan (identical bits, different time). On a
-    // scalar-only build the group carries just the scalar entry.
-    json.push_str("  \"simd\": {\n");
-    json.push_str(&format!(
-        "    \"compiled\": {},\n    \"active\": {},\n",
-        hkpr_core::simd::simd_compiled(),
-        hkpr_core::simd::simd_active()
-    ));
-    json.push_str("    \"push\": [\n");
-    let scalar_ms = simd_push[0].avg_ms;
-    for (i, v) in simd_push.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{ \"name\": \"{}\", \"avg_ms_per_query\": {:.4}, \"speedup_vs_scalar\": {:.2} }}{}\n",
-            v.name,
-            v.avg_ms,
-            scalar_ms / v.avg_ms,
-            if i + 1 < simd_push.len() { "," } else { "" }
         ));
     }
     json.push_str("    ]\n  }\n}\n");

@@ -55,7 +55,8 @@
 //! over one committed snapshot, replays a walk-heavy TEA+ seed batch
 //! through a [`hk_shard::ShardCoordinator`] at each N, and records the
 //! scaling curve (replay seconds, QPS, speedup vs `N = 1`) next to the
-//! single-process `Presampled` reference. Bitwise conformance against
+//! single-process one-owner reference
+//! (`LocalClusterer::run_tea_plus_one_owner`). Bitwise conformance against
 //! that reference is asserted at **every** N as part of the run — the
 //! scaling numbers are only meaningful if the answers are identical.
 //! Requires `hk-shardd` to be built first
@@ -71,15 +72,15 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hk_bench::{pick_seeds, DatasetId, Datasets};
-use hk_cluster::{LocalClusterer, Method};
+use hk_cluster::{ClusterResult, LocalClusterer, Method, QueryScratch};
 use hk_gateway::{json::Json, Gateway, GatewayConfig};
 use hk_graph::Graph;
 use hk_serve::{
-    run_batch, run_batch_with_kernel, CacheOutcome, EngineConfig, Knobs, MultiEngine,
-    MultiEngineConfig, ParamsKey, QueryEngine, QueryRequest, ServeError,
+    run_batch, CacheOutcome, EngineConfig, Knobs, MultiEngine, MultiEngineConfig, ParamsKey,
+    QueryEngine, QueryRequest, ServeError,
 };
 use hk_shard::{QueryKnobs, ShardCoordinator};
-use hkpr_core::{HkprParams, WalkKernel};
+use hkpr_core::HkprParams;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -1666,7 +1667,7 @@ struct ShardReport {
 /// [`ShardCoordinator`] through the full Begin/Exec/Step/Collect/Finish
 /// protocol, frontier-exchange rounds included. The seed batch uses
 /// walk-forcing knobs so every query runs a real distributed walk phase;
-/// bitwise conformance against the single-process `Presampled` reference
+/// bitwise conformance against the single-process one-owner reference
 /// is asserted at every N (the scaling numbers are meaningless if the
 /// answers differ, so conformance *is* part of the benchmark).
 fn bench_shard(id: DatasetId, datasets: &Datasets, queries: usize, smoke: bool) -> ShardReport {
@@ -1697,23 +1698,24 @@ fn bench_shard(id: DatasetId, datasets: &Datasets, queries: usize, smoke: bool) 
         seeds.push(cand);
     }
 
-    // Single-process reference and conformance oracle: the Presampled
-    // kernel runs the exact walk order the exchange plan distributes.
+    // Single-process reference and conformance oracle: the parkable
+    // executor under a one-owner partition runs the exact walk order the
+    // exchange distributes. Query `i` runs on `RNG_SEED + i`, as in
+    // `run_batch`.
     let clusterer = LocalClusterer::new(&graph);
+    let mut scratch = QueryScratch::new();
     let t0 = Instant::now();
-    let oracle = run_batch_with_kernel(
-        &clusterer,
-        Method::TeaPlus,
-        &seeds,
-        &params,
-        RNG_SEED,
-        1,
-        WalkKernel::Presampled,
-    );
+    let oracle: Vec<ClusterResult> = (0u64..)
+        .zip(&seeds)
+        .map(|(i, &seed)| {
+            clusterer
+                .run_tea_plus_one_owner(seed, &params, RNG_SEED + i, &mut scratch)
+                .expect("oracle query")
+        })
+        .collect();
     let single_process_s = t0.elapsed().as_secs_f64();
     let (mut walks_total, mut steps_total) = (0u64, 0u64);
     for r in &oracle {
-        let r = r.as_ref().expect("oracle query");
         walks_total += r.stats.random_walks;
         steps_total += r.stats.walk_steps;
     }
@@ -1735,7 +1737,7 @@ fn bench_shard(id: DatasetId, datasets: &Datasets, queries: usize, smoke: bool) 
         let replay_s = t0.elapsed().as_secs_f64();
         for (i, (wire, want)) in got.iter().zip(&oracle).enumerate() {
             assert!(
-                wire.bitwise_matches(want.as_ref().expect("oracle query")),
+                wire.bitwise_matches(want),
                 "shard bench: seed {} diverged from the single-process oracle at N={shards}",
                 seeds[i]
             );
@@ -1756,7 +1758,7 @@ fn bench_shard(id: DatasetId, datasets: &Datasets, queries: usize, smoke: bool) 
     if smoke {
         eprintln!(
             "shard smoke OK: {} queries x N in {{1,2,4}} bitwise-identical to the \
-             single-process Presampled reference ({walks_total} walks, {steps_total} steps)",
+             single-process one-owner reference ({walks_total} walks, {steps_total} steps)",
             seeds.len()
         );
     }

@@ -62,7 +62,6 @@ pub mod push;
 pub mod push_plus;
 pub mod reference;
 pub mod shard_walk;
-pub mod simd;
 pub mod sparse;
 pub mod tea;
 pub mod tea_plus;
@@ -85,5 +84,4 @@ pub use tea_plus::{
     tea_plus, tea_plus_anytime_in, tea_plus_finalize, tea_plus_in, tea_plus_prepare,
     TeaPlusOptions, TeaPlusPrepared, TeaPlusWalkJob,
 };
-pub use walk::WalkKernel;
 pub use workspace::{EpochCounter, PhaseTimes, QueryWorkspace};

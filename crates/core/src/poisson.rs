@@ -34,11 +34,8 @@ pub struct PoissonTable {
     /// Cumulative distribution `cdf[k] = sum_{l <= k} eta(l)`, for inverse-
     /// transform sampling of walk lengths.
     cdf: Vec<f64>,
-    /// Dense stop probabilities `eta(k)/psi(k)` (1 beyond the table) —
-    /// the branch-free lookup the batched walk engine indexes directly.
-    stop: Vec<f64>,
     /// Per-start-hop walk-length alias tables, built lazily on first use
-    /// by the presampling walk kernel (see [`LengthTables`]). `OnceLock`
+    /// by the batched walk engine (see [`LengthTables`]). `OnceLock`
     /// keeps construction O(k_max) for the many callers — exact power
     /// iteration, HK-Relax, parameter validation — that never walk.
     lengths: OnceLock<LengthTables>,
@@ -120,7 +117,7 @@ impl LengthTables {
     }
 
     /// The length sampler for start hop `k`, or `None` beyond the Poisson
-    /// truncation (where a walk stops immediately). The walk kernels bind
+    /// truncation (where a walk stops immediately). Both walk executors bind
     /// this once per `(hop, node)` work group instead of re-resolving it
     /// per walk.
     #[inline]
@@ -201,17 +198,11 @@ impl PoissonTable {
             acc += x;
             cdf.push(acc);
         }
-        let stop = eta
-            .iter()
-            .zip(&psi)
-            .map(|(&e, &p)| if p > 0.0 { (e / p).min(1.0) } else { 1.0 })
-            .collect();
         PoissonTable {
             t,
             eta,
             psi,
             cdf,
-            stop,
             lengths: OnceLock::new(),
         }
     }
@@ -256,15 +247,6 @@ impl PoissonTable {
             (Some(&e), Some(&p)) if p > 0.0 => (e / p).min(1.0),
             _ => 1.0,
         }
-    }
-
-    /// Dense stop-probability slice: `stop_probs()[k] == stop_prob(k)` for
-    /// `k <= k_max`; indices beyond the slice mean certain stop. The
-    /// batched walk engine indexes this directly instead of paying the
-    /// per-step `Option` handling of [`stop_prob`](Self::stop_prob).
-    #[inline]
-    pub fn stop_probs(&self) -> &[f64] {
-        &self.stop
     }
 
     /// Sample a walk length from the Poisson distribution (inverse

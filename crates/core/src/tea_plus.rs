@@ -37,7 +37,7 @@ use crate::push_plus::{
     hk_push_plus_begin, hk_push_plus_finalize, hk_push_plus_step, PushPlusConfig, PushStepOutcome,
 };
 use crate::tea::TeaOutput;
-use crate::walk::{plan_batched_walks_kernel, run_planned_walks_kernel};
+use crate::walk::{plan_batched_walks, run_planned_walks};
 use crate::workspace::QueryWorkspace;
 
 /// Ablation switches for [`tea_plus_with_options`]. The defaults are the
@@ -371,15 +371,13 @@ fn walk_and_assemble(
     achieved.walks_planned = job.nr;
     let mut mass = 0.0;
     let threads = ws.threads();
-    let kernel = ws.walk_kernel();
     let cancel = ws.cancel_token().cloned();
-    let planned = plan_batched_walks_kernel(
+    let planned = plan_batched_walks(
         graph,
         &ws.entries,
         &table,
         job.nr,
         job.master_seed,
-        kernel,
         cancel.as_ref(),
         &mut ws.counts,
         &mut ws.walk_scratch,
@@ -394,13 +392,12 @@ fn walk_and_assemble(
     } else {
         let (cursor, tiers_completed, tiers_planned) =
             climb_walk_ladder(ws, job.nr, walk_tier_cap, |ws, bound, cursor| {
-                run_planned_walks_kernel(
+                run_planned_walks(
                     graph,
                     params.poisson(),
                     &ws.entries,
                     job.master_seed,
                     threads,
-                    kernel,
                     cancel.as_ref(),
                     bound,
                     cursor,
@@ -441,10 +438,10 @@ fn walk_and_assemble(
 /// before the walk phase — the same front half every other TEA+ entry
 /// point runs. Recomposing `prepare -> run walks -> finalize` on one
 /// process is bitwise identical to [`tea_plus_with_options_in`] for the
-/// same starting RNG state and workspace walk kernel; the distributed
-/// engine replaces the middle step with frontier-exchange rounds across
-/// shards. All or nothing, like the one-shot entry points: a fired cancel
-/// token is [`HkprError::Cancelled`].
+/// same starting RNG state; the distributed engine replaces the middle
+/// step with frontier-exchange rounds across shards. All or nothing, like
+/// the one-shot entry points: a fired cancel token is
+/// [`HkprError::Cancelled`].
 pub fn tea_plus_prepare<R: Rng>(
     graph: &Graph,
     params: &HkprParams,
@@ -777,9 +774,9 @@ mod tests {
     #[test]
     fn prepare_finalize_recomposes_bitwise() {
         // prepare -> run walks locally -> finalize must be bitwise
-        // identical to the monolithic call, for both walk kernels — the
-        // invariant the sharded serving mode is built on.
-        use crate::walk::{run_batched_walks_kernel, WalkKernel, WalkScratch};
+        // identical to the monolithic call — the invariant the sharded
+        // serving mode is built on.
+        use crate::walk::{run_batched_walks, WalkScratch};
         use crate::workspace::EpochCounter;
         let mut gen_rng = SmallRng::seed_from_u64(21);
         let g = holme_kim(600, 5, 0.3, &mut gen_rng).unwrap();
@@ -790,76 +787,71 @@ mod tests {
             .p_f(1e-3)
             .build()
             .unwrap();
-        for kernel in [WalkKernel::Lanes, WalkKernel::Presampled] {
-            for seed in [0u32, 17, 233] {
-                let mut mono_ws = QueryWorkspace::new();
-                mono_ws.set_walk_kernel(kernel);
-                let mut rng = SmallRng::seed_from_u64(77);
-                let mono = tea_plus_with_options_in(
-                    &g,
-                    &params,
-                    seed,
-                    TeaPlusOptions::default(),
-                    &mut rng,
-                    &mut mono_ws,
-                )
-                .unwrap();
+        for seed in [0u32, 17, 233] {
+            let mut mono_ws = QueryWorkspace::new();
+            let mut rng = SmallRng::seed_from_u64(77);
+            let mono = tea_plus_with_options_in(
+                &g,
+                &params,
+                seed,
+                TeaPlusOptions::default(),
+                &mut rng,
+                &mut mono_ws,
+            )
+            .unwrap();
 
-                let mut ws = QueryWorkspace::new();
-                ws.set_walk_kernel(kernel);
-                let mut rng2 = SmallRng::seed_from_u64(77);
-                let prepared = tea_plus_prepare(
-                    &g,
-                    &params,
-                    seed,
-                    TeaPlusOptions::default(),
-                    &mut rng2,
-                    &mut ws,
-                )
-                .unwrap();
-                let out = match prepared {
-                    TeaPlusPrepared::Done(out) => out,
-                    TeaPlusPrepared::NeedWalks(job) => {
-                        let table = AliasTable::try_new(ws.walk_weights()).unwrap();
-                        let mut counts = EpochCounter::new();
-                        let mut scratch = WalkScratch::default();
-                        let steps = run_batched_walks_kernel(
-                            &g,
-                            params.poisson(),
-                            ws.walk_entries(),
-                            &table,
-                            job.nr,
-                            job.master_seed,
-                            1,
-                            kernel,
-                            None,
-                            &mut counts,
-                            &mut scratch,
-                        );
-                        let merged: Vec<_> = counts.iter().collect();
-                        tea_plus_finalize(
-                            &g,
-                            &params,
-                            TeaPlusOptions::default(),
-                            &job,
-                            &merged,
-                            steps,
-                            &mut ws,
-                        )
-                    }
-                };
-                assert_eq!(out.stats, mono.stats, "kernel {kernel:?} seed {seed}");
-                assert_eq!(
-                    out.estimate.offset_coeff().to_bits(),
-                    mono.estimate.offset_coeff().to_bits()
-                );
-                for v in 0..g.num_nodes() as u32 {
-                    assert_eq!(
-                        out.estimate.raw(v).to_bits(),
-                        mono.estimate.raw(v).to_bits(),
-                        "kernel {kernel:?} seed {seed} node {v}"
+            let mut ws = QueryWorkspace::new();
+            let mut rng2 = SmallRng::seed_from_u64(77);
+            let prepared = tea_plus_prepare(
+                &g,
+                &params,
+                seed,
+                TeaPlusOptions::default(),
+                &mut rng2,
+                &mut ws,
+            )
+            .unwrap();
+            let out = match prepared {
+                TeaPlusPrepared::Done(out) => out,
+                TeaPlusPrepared::NeedWalks(job) => {
+                    let table = AliasTable::try_new(ws.walk_weights()).unwrap();
+                    let mut counts = EpochCounter::new();
+                    let mut scratch = WalkScratch::default();
+                    let steps = run_batched_walks(
+                        &g,
+                        params.poisson(),
+                        ws.walk_entries(),
+                        &table,
+                        job.nr,
+                        job.master_seed,
+                        1,
+                        None,
+                        &mut counts,
+                        &mut scratch,
                     );
+                    let merged: Vec<_> = counts.iter().collect();
+                    tea_plus_finalize(
+                        &g,
+                        &params,
+                        TeaPlusOptions::default(),
+                        &job,
+                        &merged,
+                        steps,
+                        &mut ws,
+                    )
                 }
+            };
+            assert_eq!(out.stats, mono.stats, "seed {seed}");
+            assert_eq!(
+                out.estimate.offset_coeff().to_bits(),
+                mono.estimate.offset_coeff().to_bits()
+            );
+            for v in 0..g.num_nodes() as u32 {
+                assert_eq!(
+                    out.estimate.raw(v).to_bits(),
+                    mono.estimate.raw(v).to_bits(),
+                    "seed {seed} node {v}"
+                );
             }
         }
     }

@@ -8,20 +8,27 @@
 //! is exactly the quantity TEA/TEA+ need to convert residues into HKPR
 //! mass (Lemma 1). Lemma 4 bounds the expected walk length by `t`.
 //!
-//! # Kernel strategy
+//! # One plan, two executors
 //!
 //! The per-step stop test is *mathematically removable*: the product of
 //! survival probabilities telescopes (`1 - eta(j)/psi(j) = psi(j+1)/psi(j)`),
 //! so a walk at hop `k` stops at hop `h` with probability `eta(h)/psi(k)`
 //! and its exact length can be drawn up front from a per-start-hop alias
-//! table ([`crate::poisson::LengthTables`]). The production kernel
-//! ([`WalkKernel::Lanes`]) presamples every length, then advances
-//! [`LANES`] walks in lockstep with each lane's next adjacency row
-//! software-prefetched one step ahead — the random CSR loads of different
-//! lanes overlap instead of serializing — and picks neighbors with a
-//! divisionless Lemire widening multiply on a single `u32` draw. The
-//! step-by-step kernel survives as [`WalkKernel::Stepwise`], the baseline
-//! of the statistical-agreement tests and the `walk_kernel` benchmarks.
+//! table ([`crate::poisson::LengthTables`]). The batched engine turns a
+//! walk phase into a *plan* — alias-sampled starts, grouped by start
+//! entry, cut into fixed `CHUNK_WALKS`-walk chunks, one RNG stream per
+//! chunk keyed by its absolute index — which has exactly two executors.
+//! `fill_walk_buf` + `run_lanes`, here, is the only one a single process
+//! runs: it presamples a chunk's lengths, then advances [`LANES`] walks in
+//! lockstep with each lane's next adjacency row software-prefetched one
+//! step ahead, picking neighbors with a divisionless Lemire multiply on a
+//! `u32` draw. [`crate::shard_walk::ExchangeSession`] steps the same
+//! chunks one walk at a time, so a chunk can park at any step and resume
+//! in another process: what a shard fleet runs and, under a one-owner
+//! partition, its own single-process reference. The two consume a chunk's
+//! RNG stream in different orders, so they draw different — equally
+//! distributed — samples; [`k_random_walk`], Algorithm 2 as printed, is
+//! the baseline tests and benchmarks hold both to.
 
 use hk_graph::{Graph, NodeId};
 use rand::{Rng, RngExt};
@@ -81,7 +88,7 @@ pub fn fixed_length_walk<R: Rng + ?Sized>(
 }
 
 /// Flat per-chunk walk list `(start node, presampled length)` — the unit
-/// the presampling kernels execute.
+/// the lane kernel executes.
 type WalkBuf = Vec<(NodeId, u32)>;
 
 /// Scratch buffers of the batched walk engine, owned by
@@ -105,7 +112,8 @@ pub struct WalkScratch {
     /// Per-worker endpoint accumulators for the parallel path.
     worker_counts: Vec<EpochCounter>,
     /// Per-worker presampled-walk buffers (`(start, length)` per walk of
-    /// the chunk in flight, at most [`CHUNK_WALKS`] entries each).
+    /// the chunk in flight; a chunk closes on the work item that takes it
+    /// to [`CHUNK_WALKS`], so up to `2 * CHUNK_WALKS - 1` entries each).
     lane_bufs: Vec<WalkBuf>,
 }
 
@@ -161,10 +169,10 @@ impl WalkScratch {
 }
 
 /// Progress cursor over a planned walk phase — the chunk decomposition
-/// [`plan_batched_walks_kernel`] / [`plan_batched_fixed_walks`] leave in
+/// [`plan_batched_walks`] / [`plan_batched_fixed_walks`] leave in
 /// the [`WalkScratch`] they planned on, valid until the next plan and
 /// executed, possibly in several chunk-prefix increments, by
-/// [`run_planned_walks_kernel`] / [`run_planned_fixed_walks`]. Executing chunks
+/// [`run_planned_walks`] / [`run_planned_fixed_walks`]. Executing chunks
 /// `[0, a)` then `[a, b)` deposits bit-identically to executing `[0, b)`
 /// in one call: chunk RNG streams are keyed by *absolute* chunk index and
 /// endpoint counts merge exactly (integer accumulators), which is what
@@ -185,7 +193,7 @@ pub(crate) struct WalkCursor {
 /// is a pure function of the sampled walk starts.
 const CHUNK_WALKS: u64 = 4096;
 
-/// Walks advanced in lockstep by [`WalkKernel::Lanes`]. Each lane's next
+/// Walks advanced in lockstep by `run_lanes`. Each lane's next
 /// adjacency row is prefetched one step ahead, so one round of the lane
 /// loop keeps up to `LANES` cache-line fills in flight; 8 covers typical
 /// DRAM latency at this loop's instruction count without spilling the
@@ -198,26 +206,9 @@ use crate::workspace::EpochCounter;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Chunk-execution kernel selector for [`run_batched_walks_kernel`].
-/// Kernels differ in RNG consumption, so their outputs are different
-/// (equally distributed) samples — the statistical-agreement tests and
-/// the `walk_kernel` bench group quantify this.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WalkKernel {
-    /// The PR-1 baseline: one `f64` stop draw plus one rejection-sampled
-    /// neighbor pick per step.
-    Stepwise,
-    /// Exact length presampling from the Poisson-tail alias tables, then
-    /// a tight fixed-length loop with Lemire `u32` neighbor picks — zero
-    /// per-step stop draws.
-    Presampled,
-    /// Presampled lengths plus interleaved lane execution with adjacency
-    /// prefetch — the production default.
-    Lanes,
-}
-
-/// Batched `k-RandomWalk` execution (the walk phase of TEA / TEA+) with
-/// the production kernel ([`WalkKernel::Lanes`]).
+/// Batched `k-RandomWalk` execution (the walk phase of TEA / TEA+): plan,
+/// then run every chunk through the lane kernel. The output is
+/// bit-identical to any tiered execution of the same plan.
 ///
 /// The sequential reference interleaves one alias sample, one walk and one
 /// hash-map deposit per iteration. This engine restructures the phase:
@@ -260,46 +251,12 @@ pub fn run_batched_walks(
     counts: &mut EpochCounter,
     scratch: &mut WalkScratch,
 ) -> u64 {
-    run_batched_walks_kernel(
-        graph,
-        poisson,
-        entries,
-        table,
-        nr,
-        master_seed,
-        threads,
-        WalkKernel::Lanes,
-        cancel,
-        counts,
-        scratch,
-    )
-}
-
-/// [`run_batched_walks`] with an explicit chunk kernel — the entry point
-/// of the `walk_kernel` benchmarks and the kernel-agreement tests. A thin
-/// plan-then-run-everything wrapper over the resumable engine; the output
-/// is bit-identical to any tiered execution of the same plan.
-#[allow(clippy::too_many_arguments)]
-pub fn run_batched_walks_kernel(
-    graph: &Graph,
-    poisson: &PoissonTable,
-    entries: &[(u32, NodeId)],
-    table: &AliasTable,
-    nr: u64,
-    master_seed: u64,
-    threads: usize,
-    kernel: WalkKernel,
-    cancel: Option<&CancelToken>,
-    counts: &mut EpochCounter,
-    scratch: &mut WalkScratch,
-) -> u64 {
-    if !plan_batched_walks_kernel(
+    if !plan_batched_walks(
         graph,
         entries,
         table,
         nr,
         master_seed,
-        kernel,
         cancel,
         counts,
         scratch,
@@ -308,13 +265,12 @@ pub fn run_batched_walks_kernel(
     }
     let mut cursor = WalkCursor::default();
     let all_chunks = scratch.chunks.len();
-    run_planned_walks_kernel(
+    run_planned_walks(
         graph,
         poisson,
         entries,
         master_seed,
         threads,
-        kernel,
         cancel,
         all_chunks,
         &mut cursor,
@@ -329,18 +285,19 @@ pub fn run_batched_walks_kernel(
 /// without executing anything. Returns `false` if the cancel token fired
 /// during start sampling (nothing is planned, the accumulator is empty).
 ///
-/// The plan is a pure function of `(entries, table, nr, master_seed,
-/// kernel)` — executing it in any sequence of chunk-prefix increments via
-/// [`run_planned_walks_kernel`] deposits bit-identically to a one-shot
-/// [`run_batched_walks_kernel`] call.
+/// The plan is a pure function of `(entries, table, nr, master_seed)` and
+/// is what both executors run: executing it in any sequence of
+/// chunk-prefix increments via [`run_planned_walks`] deposits
+/// bit-identically to a one-shot [`run_batched_walks`] call, and
+/// [`crate::shard_walk::ExchangeSession`] turns each of its chunks into a
+/// migrating cursor.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_batched_walks_kernel(
+pub(crate) fn plan_batched_walks(
     graph: &Graph,
     entries: &[(u32, NodeId)],
     table: &AliasTable,
     nr: u64,
     master_seed: u64,
-    kernel: WalkKernel,
     cancel: Option<&CancelToken>,
     counts: &mut EpochCounter,
     scratch: &mut WalkScratch,
@@ -363,29 +320,18 @@ pub(crate) fn plan_batched_walks_kernel(
         ..
     } = scratch;
 
-    // Phase 1: sample every walk start. The presampling kernels use the
-    // one-draw u32 path; Stepwise keeps the PR-1 two-draw sampling so the
-    // baseline stays byte-faithful for benchmarks.
+    // Phase 1: sample every walk start (one `u64` draw each).
     start_counts.clear();
     start_counts.resize(entries.len(), 0);
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
     let mut rng = SmallRng::seed_from_u64(master_seed);
     // The sampling loop polls the token every 64Ki draws so a huge `nr`
     // cannot delay cancellation until the chunk phase.
-    if kernel == WalkKernel::Stepwise {
-        for i in 0..nr {
-            if i & 0xFFFF == 0 && cancelled() {
-                return false;
-            }
-            start_counts[table.sample(&mut rng)] += 1;
+    for i in 0..nr {
+        if i & 0xFFFF == 0 && cancelled() {
+            return false;
         }
-    } else {
-        for i in 0..nr {
-            if i & 0xFFFF == 0 && cancelled() {
-                return false;
-            }
-            start_counts[table.sample_fast(&mut rng)] += 1;
-        }
+        start_counts[table.sample_fast(&mut rng)] += 1;
     }
 
     // Phase 2: group into work items and fixed-size chunks.
@@ -397,56 +343,33 @@ pub(crate) fn plan_batched_walks_kernel(
 }
 
 /// Execute planned chunks `[cursor.next_chunk, upto_chunk)` of the most
-/// recent [`plan_batched_walks_kernel`] on this scratch, advancing the
+/// recent [`plan_batched_walks`] on this scratch, advancing the
 /// cursor. Chunk RNG streams are keyed by absolute chunk index, so any
 /// prefix decomposition deposits bit-identically to a single full run.
 /// A fired cancel token makes remaining chunks skip (depositing nothing);
 /// the cursor's `walks_done` counts only chunks that actually ran, so the
 /// partial deposits remain exactly normalizable.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_planned_walks_kernel(
+pub(crate) fn run_planned_walks(
     graph: &Graph,
     poisson: &PoissonTable,
     entries: &[(u32, NodeId)],
     master_seed: u64,
     threads: usize,
-    kernel: WalkKernel,
     cancel: Option<&CancelToken>,
     upto_chunk: usize,
     cursor: &mut WalkCursor,
     counts: &mut EpochCounter,
     scratch: &mut WalkScratch,
 ) {
-    let lengths = (kernel != WalkKernel::Stepwise).then(|| poisson.length_tables());
-    let stop_probs = poisson.stop_probs();
+    let lengths = poisson.length_tables();
     let run_items = move |items: &[(u32, u64)],
                           rng: &mut SmallRng,
                           sink: &mut EpochCounter,
                           buf: &mut WalkBuf|
           -> u64 {
-        match kernel {
-            WalkKernel::Stepwise => {
-                let mut steps = 0u64;
-                for &(entry_idx, walk_count) in items {
-                    let (hop0, start) = entries[entry_idx as usize];
-                    for _ in 0..walk_count {
-                        let (end, s) = walk_dense(graph, stop_probs, start, hop0 as usize, rng);
-                        sink.inc(end, 1);
-                        steps += s as u64;
-                    }
-                }
-                steps
-            }
-            WalkKernel::Presampled => {
-                let lengths = lengths.expect("length tables resolved for presampling kernels");
-                run_presampled(graph, entries, lengths, items, rng, sink)
-            }
-            WalkKernel::Lanes => {
-                let lengths = lengths.expect("length tables resolved for presampling kernels");
-                fill_walk_buf(graph, entries, lengths, items, rng, sink, buf);
-                run_lanes(graph, buf, rng, sink)
-            }
-        }
+        fill_walk_buf(graph, entries, lengths, items, rng, sink, buf);
+        run_lanes(graph, buf, rng, sink)
     };
     execute_chunk_range(
         scratch,
@@ -600,59 +523,6 @@ fn fill_walk_buf(
 #[inline(always)]
 pub(crate) fn lemire_pick(r: u32, deg: u32) -> usize {
     ((r as u64 * deg as u64) >> 32) as usize
-}
-
-/// Execute presampled walks one at a time, fused with the length draw —
-/// the lane kernel minus the interleaving, isolated so benchmarks can
-/// price the lanes separately. Per work group the hop's length table and
-/// the start's row/degree are resolved once; zero-length, degree-0 and
-/// beyond-truncation walks batch-deposit exactly like
-/// [`fill_walk_buf`].
-fn run_presampled(
-    graph: &Graph,
-    entries: &[(u32, NodeId)],
-    lengths: &LengthTables,
-    items: &[(u32, u64)],
-    rng: &mut SmallRng,
-    sink: &mut EpochCounter,
-) -> u64 {
-    let mut steps = 0u64;
-    for &(entry_idx, walk_count) in items {
-        let (hop0, start) = entries[entry_idx as usize];
-        let (row0, deg0) = graph.neighbor_row(start);
-        let Some(table) = lengths.table(hop0 as usize).filter(|_| deg0 > 0) else {
-            sink.inc(start, walk_count);
-            continue;
-        };
-        let mut immediate = 0u64;
-        for _ in 0..walk_count {
-            let len = table.sample(rng);
-            if len == 0 {
-                immediate += 1;
-                continue;
-            }
-            let (mut row, mut deg) = (row0, deg0);
-            let mut node = start;
-            for _ in 0..len {
-                let idx = lemire_pick(rng.next_u32(), deg);
-                // SAFETY: idx < deg, so row + idx is inside node's row.
-                node = unsafe { graph.neighbor_flat_unchecked(row + idx) };
-                steps += 1;
-                // SAFETY: node was read out of the CSR arrays (< n).
-                let (nrow, ndeg) = unsafe { graph.neighbor_row_unchecked(node) };
-                if ndeg == 0 {
-                    break; // absorbed; remaining length is spent in place
-                }
-                row = nrow;
-                deg = ndeg;
-            }
-            sink.inc(node, 1);
-        }
-        if immediate > 0 {
-            sink.inc(start, immediate);
-        }
-    }
-    steps
 }
 
 /// The interleaved lane kernel: advance up to [`LANES`] presampled walks
@@ -893,7 +763,7 @@ pub(crate) fn plan_batched_fixed_walks(
 
 /// Execute planned chunks `[cursor.next_chunk, upto_chunk)` of the most
 /// recent [`plan_batched_fixed_walks`] on this scratch, advancing the
-/// cursor. Same resumability contract as [`run_planned_walks_kernel`].
+/// cursor. Same resumability contract as [`run_planned_walks`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_planned_fixed_walks(
     graph: &Graph,
@@ -946,34 +816,6 @@ pub(crate) fn chunk_rng(master_seed: u64, chunk_idx: u64) -> SmallRng {
     SmallRng::seed_from_u64(
         master_seed ^ (chunk_idx.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     )
-}
-
-/// `k-RandomWalk` against a dense stop-probability slice (index >= len
-/// means certain stop) — the inner loop of the [`WalkKernel::Stepwise`]
-/// baseline. Semantics match [`k_random_walk`].
-#[inline]
-fn walk_dense<R: Rng + ?Sized>(
-    graph: &Graph,
-    stop_probs: &[f64],
-    start: NodeId,
-    k: usize,
-    rng: &mut R,
-) -> (NodeId, u32) {
-    let mut cur = start;
-    let mut hop = k;
-    let mut steps = 0u32;
-    loop {
-        if hop >= stop_probs.len() || rng.random::<f64>() < stop_probs[hop] {
-            return (cur, steps);
-        }
-        let d = graph.degree(cur);
-        if d == 0 {
-            return (cur, steps);
-        }
-        cur = graph.neighbor_at(cur, rng.random_range(0..d));
-        hop += 1;
-        steps += 1;
-    }
 }
 
 #[cfg(test)]
@@ -1056,37 +898,63 @@ mod tests {
         assert_eq!(fixed_length_walk(&g, 2, 17, &mut rng), 2);
     }
 
-    /// Run `nr` walks from `(start, k)` through a chosen kernel of the
-    /// batched engine and return the endpoint frequencies.
-    fn kernel_distribution(
+    /// The ways a test runs a walk plan: through the fast executor, or the
+    /// parkable one under a one-owner partition (nothing ever parks) and
+    /// under the most hostile schedule there is — the session owns only the
+    /// node its cursor last parked at, so every `drive` call takes one step.
+    const EXECUTORS: [&str; 3] = ["lanes", "one-owner", "every-step-parks"];
+
+    /// Run `nr` walks from `(start, k)` through one of [`EXECUTORS`] and
+    /// return the endpoint frequencies.
+    fn endpoint_distribution(
         g: &Graph,
         p: &PoissonTable,
         start: NodeId,
         k: u32,
         nr: u64,
-        kernel: WalkKernel,
+        executor: &str,
         master_seed: u64,
     ) -> Vec<f64> {
+        use crate::shard_walk::{DriveOutcome, ExchangeSession};
         let entries = [(k, start)];
-        let table = AliasTable::new(&[1.0]);
-        let mut counts = EpochCounter::new();
-        let mut scratch = WalkScratch::default();
-        run_batched_walks_kernel(
-            g,
-            p,
-            &entries,
-            &table,
-            nr,
-            master_seed,
-            1,
-            kernel,
-            None,
-            &mut counts,
-            &mut scratch,
-        );
-        (0..g.num_nodes() as NodeId)
-            .map(|v| counts.get(v) as f64 / nr as f64)
-            .collect()
+        let deposits: Vec<(NodeId, u64)> = if executor == "lanes" {
+            let table = AliasTable::new(&[1.0]);
+            let mut counts = EpochCounter::new();
+            let mut scratch = WalkScratch::default();
+            run_batched_walks(
+                g,
+                p,
+                &entries,
+                &table,
+                nr,
+                master_seed,
+                1,
+                None,
+                &mut counts,
+                &mut scratch,
+            );
+            counts.iter().collect()
+        } else {
+            let mut session =
+                ExchangeSession::new(g, p, &entries, &[1.0], nr, master_seed).unwrap();
+            let owned = std::cell::Cell::new(start);
+            for c in 0..session.num_chunks() {
+                let mut cursor = session.initial_cursor(c);
+                owned.set(start);
+                while let DriveOutcome::Parked(at) =
+                    session.drive(&mut cursor, |v| executor == "one-owner" || v == owned.get())
+                {
+                    owned.set(at);
+                }
+            }
+            session.sparse_counts()
+        };
+        assert_eq!(deposits.iter().map(|&(_, c)| c).sum::<u64>(), nr);
+        let mut freq = vec![0.0; g.num_nodes()];
+        for (v, c) in deposits {
+            freq[v as usize] = c as f64 / nr as f64;
+        }
+        freq
     }
 
     /// Exact `h_u^(k)[v]` on a small graph via the dense backward
@@ -1123,10 +991,10 @@ mod tests {
     fn lemma_2_distribution_on_path() {
         // Path 0 - 1 - 2. h_u^(k)[v] computed by hand for k far beyond the
         // mode is concentrated at u (stop_prob ~ 1); near 0 it spreads.
-        // Every kernel — the per-step stop test and both presampling
-        // variants — must reproduce the exact backward-recursion
-        // distribution; this is the statistical conformance gate of the
-        // length-presampling rewrite.
+        // Algorithm 2 as printed and both executors of the presampled
+        // plan — the parkable one also with a park before every step —
+        // must reproduce the exact backward-recursion distribution; this
+        // is the statistical conformance gate of length presampling.
         let g = graph_from_edges([(0, 1), (1, 2)]);
         let p = PoissonTable::new(2.0);
         let n = 100_000usize;
@@ -1148,21 +1016,17 @@ mod tests {
             );
         }
 
-        // All three batched kernels, from several start hops.
-        for kernel in [
-            WalkKernel::Stepwise,
-            WalkKernel::Presampled,
-            WalkKernel::Lanes,
-        ] {
+        // Both executors, from several start hops.
+        for executor in EXECUTORS {
             for k in [0u32, 1, 2] {
-                let freq = kernel_distribution(&g, &p, 1, k, n as u64, kernel, 99 + k as u64);
+                let freq = endpoint_distribution(&g, &p, 1, k, n as u64, executor, 99 + k as u64);
                 // exact_h above is h^(0); recompute for start hop k by
                 // re-running the backward recursion only down to level k.
                 let expect = exact_h_at_hop(&g, &p, k as usize);
                 for (v, &got) in freq.iter().enumerate() {
                     assert!(
                         (got - expect[1][v]).abs() < 0.01,
-                        "{kernel:?} k={k} v={v}: empirical {got} vs exact {}",
+                        "{executor} k={k} v={v}: empirical {got} vs exact {}",
                         expect[1][v]
                     );
                 }
@@ -1200,22 +1064,19 @@ mod tests {
 
     #[test]
     fn presampling_kernels_handle_absorbing_and_out_of_table_starts() {
-        // Degree-0 start: every kernel deposits the walk at the start.
+        // Degree-0 start: every executor deposits the walk at the start.
         let mut b = hk_graph::GraphBuilder::new();
         b.add_edge(0, 1);
         b.ensure_nodes(3);
         let g = b.build();
         let p = PoissonTable::new(5.0);
-        for kernel in [
-            WalkKernel::Stepwise,
-            WalkKernel::Presampled,
-            WalkKernel::Lanes,
-        ] {
-            let freq = kernel_distribution(&g, &p, 2, 0, 500, kernel, 7);
-            assert_eq!(freq[2], 1.0, "{kernel:?}: degree-0 start must absorb");
+        for executor in EXECUTORS {
+            let freq = endpoint_distribution(&g, &p, 2, 0, 500, executor, 7);
+            assert_eq!(freq[2], 1.0, "{executor}: degree-0 start must absorb");
             // Start hop beyond the table: immediate stop at the start.
-            let freq = kernel_distribution(&g, &p, 0, (p.k_max() + 5) as u32, 500, kernel, 8);
-            assert_eq!(freq[0], 1.0, "{kernel:?}: out-of-table start must stop");
+            let hop = (p.k_max() + 5) as u32;
+            let freq = endpoint_distribution(&g, &p, 0, hop, 500, executor, 8);
+            assert_eq!(freq[0], 1.0, "{executor}: out-of-table start must stop");
         }
     }
 
@@ -1277,7 +1138,7 @@ mod tests {
         // What makes the tier ladders of `crate::anytime` free: chunk RNG
         // streams are keyed by absolute chunk index and counts merge
         // exactly, so where earlier calls stopped cannot show — for both
-        // planners, every kernel, any thread count.
+        // planners, any thread count.
         let mut gen_rng = SmallRng::seed_from_u64(41);
         let g = hk_graph::gen::holme_kim(1_500, 4, 0.3, &mut gen_rng).unwrap();
         let p = PoissonTable::new(5.0);
@@ -1285,42 +1146,29 @@ mod tests {
         let weights: Vec<f64> = (0..entries.len()).map(|i| 1.0 + i as f64).collect();
         let table = AliasTable::new(&weights);
         let lengths = [500u64, 4_000, 9_000, 7_000, 2_500, 0, 1_000];
-        let run = |splits: &[usize], threads: usize, kernel: Option<WalkKernel>| {
+        let run = |splits: &[usize], threads: usize, fixed: bool| {
             let mut counts = EpochCounter::new();
             let mut scratch = WalkScratch::default();
-            match kernel {
-                Some(kernel) => assert!(plan_batched_walks_kernel(
+            if fixed {
+                plan_batched_fixed_walks(&g, &lengths, &mut counts, &mut scratch);
+            } else {
+                assert!(plan_batched_walks(
                     &g,
                     &entries,
                     &table,
                     30_000,
                     5,
-                    kernel,
                     None,
                     &mut counts,
                     &mut scratch,
-                )),
-                None => plan_batched_fixed_walks(&g, &lengths, &mut counts, &mut scratch),
+                ));
             }
             let num_chunks = scratch.chunks().len();
             assert!(num_chunks >= 4, "fixture must span several chunks");
             let mut cursor = WalkCursor::default();
             for &upto in splits.iter().chain([&num_chunks]) {
-                match kernel {
-                    Some(kernel) => run_planned_walks_kernel(
-                        &g,
-                        &p,
-                        &entries,
-                        5,
-                        threads,
-                        kernel,
-                        None,
-                        upto,
-                        &mut cursor,
-                        &mut counts,
-                        &mut scratch,
-                    ),
-                    None => run_planned_fixed_walks(
+                if fixed {
+                    run_planned_fixed_walks(
                         &g,
                         3,
                         5,
@@ -1330,7 +1178,20 @@ mod tests {
                         &mut cursor,
                         &mut counts,
                         &mut scratch,
-                    ),
+                    );
+                } else {
+                    run_planned_walks(
+                        &g,
+                        &p,
+                        &entries,
+                        5,
+                        threads,
+                        None,
+                        upto,
+                        &mut cursor,
+                        &mut counts,
+                        &mut scratch,
+                    );
                 }
             }
             assert_eq!(cursor.walks_done, scratch.planned_walks_through(num_chunks));
@@ -1338,18 +1199,13 @@ mod tests {
             deposits.sort_unstable();
             (deposits, cursor.steps)
         };
-        for kernel in [
-            None,
-            Some(WalkKernel::Stepwise),
-            Some(WalkKernel::Presampled),
-            Some(WalkKernel::Lanes),
-        ] {
-            let one_call = run(&[], 1, kernel);
+        for fixed in [true, false] {
+            let one_call = run(&[], 1, fixed);
             for (splits, threads) in [(&[1usize][..], 1usize), (&[1, 2, 3], 2), (&[3, 3], 4)] {
                 assert_eq!(
-                    run(splits, threads, kernel),
+                    run(splits, threads, fixed),
                     one_call,
-                    "{kernel:?}: splits {splits:?} at {threads} threads"
+                    "fixed={fixed}: splits {splits:?} at {threads} threads"
                 );
             }
         }

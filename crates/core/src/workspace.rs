@@ -222,22 +222,7 @@ impl EpochVec {
     /// when none) — the TEA+ condition-(11) residue probe. Only
     /// meaningful when entries were written through
     /// [`add_memo_deg`](Self::add_memo_deg) (degree memoized, `deg >= 1`).
-    ///
-    /// A max over a NaN-free multiset is reduction-order-independent, so
-    /// the AVX2 path (compiled under the `simd` feature, dispatched at
-    /// runtime via [`crate::simd::simd_active`]) returns the identical
-    /// f64 bits as the scalar fold.
     pub fn max_value_over_deg(&self) -> f64 {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if crate::simd::simd_active() {
-            // SAFETY: AVX2 support was verified by `simd_active`, and
-            // every touched id indexes `slots` (pushed by the adds).
-            return unsafe { self.max_value_over_deg_avx2() };
-        }
-        self.max_value_over_deg_scalar()
-    }
-
-    fn max_value_over_deg_scalar(&self) -> f64 {
         let mut max = 0.0f64;
         for (_, r, deg) in self.iter_nonzero_with_deg() {
             let norm = r / deg as f64;
@@ -270,59 +255,6 @@ impl EpochVec {
             }
         }
         (max_all, max_kept)
-    }
-
-    /// Vector body of [`max_value_over_deg`]: gathers `(value, deg)`
-    /// pairs four slots at a time, masks out zero-value slots (matching
-    /// the scalar fold's `!= 0.0` filter, and keeping a stale `deg == 0`
-    /// from turning `0.0 / 0` into a lane-poisoning NaN), and folds with
-    /// `vmaxpd` — order-free, hence bit-identical to the scalar result.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available (checked by `simd_active`).
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    unsafe fn max_value_over_deg_avx2(&self) -> f64 {
-        use std::arch::x86_64::*;
-
-        let mut acc = _mm256_setzero_pd();
-        let zero = _mm256_setzero_pd();
-        let chunks = self.touched.len() / 4;
-        for c in 0..chunks {
-            let mut vals = [0.0f64; 4];
-            let mut degs = [0.0f64; 4];
-            for j in 0..4 {
-                // SAFETY: touched ids were pushed by the adds, which
-                // indexed `slots` in bounds.
-                let v = *self.touched.get_unchecked(c * 4 + j) as usize;
-                let s = self.slots.get_unchecked(v);
-                vals[j] = s.value;
-                degs[j] = s.deg as f64;
-            }
-            let value = _mm256_loadu_pd(vals.as_ptr());
-            let q = _mm256_div_pd(value, _mm256_loadu_pd(degs.as_ptr()));
-            let live = _mm256_cmp_pd::<_CMP_NEQ_OQ>(value, zero);
-            acc = _mm256_max_pd(acc, _mm256_and_pd(q, live));
-        }
-        let mut lanes = [0.0f64; 4];
-        _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-        let mut max = 0.0f64;
-        for &x in &lanes {
-            if x > max {
-                max = x;
-            }
-        }
-        for &v in &self.touched[chunks * 4..] {
-            // SAFETY: same touched-id invariant as above.
-            let s = self.slots.get_unchecked(v as usize);
-            if s.value != 0.0 {
-                let norm = s.value / s.deg as f64;
-                if norm > max {
-                    max = norm;
-                }
-            }
-        }
-        max
     }
 
     /// Bytes held by the backing allocations.
@@ -740,13 +672,6 @@ pub struct QueryWorkspace {
     cancel: Option<crate::cancel::CancelToken>,
     /// Walk-phase worker threads (1 = run chunks inline).
     threads: usize,
-    /// Chunk-execution kernel the TEA+ walk phase runs. Kernels differ in
-    /// RNG consumption, so this selects *which* (equally distributed)
-    /// sample a query produces; the sharded serving mode pins
-    /// [`crate::walk::WalkKernel::Presampled`] because its sequential
-    /// stepping is the one a partitioned walk can park and resume
-    /// bit-exactly.
-    walk_kernel: crate::walk::WalkKernel,
 }
 
 /// `Default` must agree with [`QueryWorkspace::new`]: in particular the
@@ -769,7 +694,6 @@ impl Default for QueryWorkspace {
             phase_times: PhaseTimes::default(),
             cancel: None,
             threads: 1,
-            walk_kernel: crate::walk::WalkKernel::Lanes,
         }
     }
 }
@@ -799,21 +723,6 @@ impl QueryWorkspace {
     pub fn threads(&self) -> usize {
         debug_assert!(self.threads >= 1);
         self.threads
-    }
-
-    /// Select the chunk-execution kernel for the TEA+ walk phase. The
-    /// default ([`crate::walk::WalkKernel::Lanes`]) is the production
-    /// kernel; [`crate::walk::WalkKernel::Presampled`] consumes the RNG in
-    /// strictly sequential per-walk order, which is what the distributed
-    /// frontier-exchange engine mirrors — a sharded answer is bitwise
-    /// identical to a single-process run *of the same kernel*.
-    pub fn set_walk_kernel(&mut self, kernel: crate::walk::WalkKernel) {
-        self.walk_kernel = kernel;
-    }
-
-    /// The chunk-execution kernel the TEA+ walk phase will use.
-    pub fn walk_kernel(&self) -> crate::walk::WalkKernel {
-        self.walk_kernel
     }
 
     /// Walk-start entries `(hop, node)` left in the workspace by the last

@@ -20,11 +20,11 @@ use hkpr_core::push_plus::{
 use hkpr_core::reference::{monte_carlo_reference, tea_plus_reference, tea_reference};
 use hkpr_core::tea::tea_in;
 use hkpr_core::tea_plus::{tea_plus_in, tea_plus_with_options_in, TeaPlusOptions};
-use hkpr_core::walk::{run_batched_walks_kernel, WalkScratch};
+use hkpr_core::walk::{k_random_walk, run_batched_walks, WalkScratch};
 use hkpr_core::workspace::EpochCounter;
 use hkpr_core::{
-    exact_hkpr, monte_carlo_in, AliasTable, AnytimeControls, HkprParams, PoissonTable,
-    QueryWorkspace, TeaOutput, WalkKernel,
+    exact_hkpr, monte_carlo_in, AliasTable, AnytimeControls, DriveOutcome, ExchangeSession,
+    HkprParams, PoissonTable, QueryWorkspace, TeaOutput,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -657,7 +657,7 @@ fn parallel_walks_bit_identical_to_single_thread() {
 
 /// TEA+-shaped walk-start entries (mixed hops, skewed weights) from a real
 /// HK-Push+ run on a generated PLC graph.
-fn walk_entry_fixture(n: usize) -> (Graph, PoissonTable, Vec<(u32, u32)>, AliasTable) {
+fn walk_entry_fixture(n: usize) -> (Graph, PoissonTable, Vec<(u32, u32)>, Vec<f64>) {
     let mut gen_rng = SmallRng::seed_from_u64(23);
     let g = holme_kim(n, 5, 0.4, &mut gen_rng).unwrap();
     let poisson = PoissonTable::new(5.0);
@@ -674,99 +674,115 @@ fn walk_entry_fixture(n: usize) -> (Graph, PoissonTable, Vec<(u32, u32)>, AliasT
         .map(|(k, v, _)| (k as u32, v))
         .collect();
     let weights: Vec<f64> = ws.residues().entries().map(|(_, _, r)| r).collect();
-    let table = AliasTable::new(&weights);
     assert!(!entries.is_empty());
-    (g, poisson, entries, table)
+    (g, poisson, entries, weights)
 }
 
-/// Every chunk kernel must be bit-identical across walk-phase thread
-/// counts: the chunk decomposition and per-chunk RNG streams are pure
-/// functions of the master seed, and endpoint counts merge exactly.
-#[test]
-fn every_walk_kernel_bit_identical_across_thread_counts() {
-    let (g, poisson, entries, table) = walk_entry_fixture(2_000);
-    let nr = 60_000u64;
-    for kernel in [
-        WalkKernel::Stepwise,
-        WalkKernel::Presampled,
-        WalkKernel::Lanes,
-    ] {
-        let mut base_counts = EpochCounter::new();
-        let mut scratch = WalkScratch::default();
-        let base_steps = run_batched_walks_kernel(
-            &g,
-            &poisson,
-            &entries,
-            &table,
-            nr,
-            77,
-            1,
-            kernel,
-            None,
-            &mut base_counts,
-            &mut scratch,
-        );
-        let mut base: Vec<(u32, u64)> = base_counts.iter().collect();
-        base.sort_unstable();
-        for threads in [2usize, 4] {
-            let mut counts = EpochCounter::new();
-            let mut scratch = WalkScratch::default();
-            let steps = run_batched_walks_kernel(
-                &g,
-                &poisson,
-                &entries,
-                &table,
-                nr,
-                77,
-                threads,
-                kernel,
-                None,
-                &mut counts,
-                &mut scratch,
-            );
-            assert_eq!(
-                steps, base_steps,
-                "{kernel:?}: steps diverge at {threads} threads"
-            );
-            let mut got: Vec<(u32, u64)> = counts.iter().collect();
-            got.sort_unstable();
-            assert_eq!(got, base, "{kernel:?}: counts diverge at {threads} threads");
+/// The walk plan through its fast executor: `(sorted counts, steps)`.
+fn run_lanes(
+    g: &Graph,
+    poisson: &PoissonTable,
+    entries: &[(u32, u32)],
+    weights: &[f64],
+    nr: u64,
+    master_seed: u64,
+    threads: usize,
+) -> (Vec<(u32, u64)>, u64) {
+    let mut counts = EpochCounter::new();
+    let steps = run_batched_walks(
+        g,
+        poisson,
+        entries,
+        &AliasTable::new(weights),
+        nr,
+        master_seed,
+        threads,
+        None,
+        &mut counts,
+        &mut WalkScratch::default(),
+    );
+    let mut counts: Vec<(u32, u64)> = counts.iter().collect();
+    counts.sort_unstable();
+    (counts, steps)
+}
+
+/// The same plan through its parkable executor, in one session that owns
+/// every row — or, with `every_step_parks`, only the row of the node the
+/// cursor last parked at, so each `drive` call takes a single step.
+fn run_parkable(
+    g: &Graph,
+    poisson: &PoissonTable,
+    entries: &[(u32, u32)],
+    weights: &[f64],
+    nr: u64,
+    master_seed: u64,
+    every_step_parks: bool,
+) -> (Vec<(u32, u64)>, u64) {
+    let mut session = ExchangeSession::new(g, poisson, entries, weights, nr, master_seed).unwrap();
+    let owned = std::cell::Cell::new(0);
+    for chunk in 0..session.num_chunks() {
+        let mut cursor = session.initial_cursor(chunk);
+        owned.set(session.initial_owner_node(chunk));
+        while let DriveOutcome::Parked(at) =
+            session.drive(&mut cursor, |v| !every_step_parks || v == owned.get())
+        {
+            owned.set(at);
         }
     }
+    assert_eq!(session.completed_walks(), nr);
+    let mut counts = session.sparse_counts();
+    counts.sort_unstable();
+    (counts, session.steps())
 }
 
-/// The presampling kernels consume different RNG streams than the
-/// stepwise baseline, so their outputs are different *samples* of the
-/// same distribution. On a real graph with a realistic entry mix the
-/// endpoint frequencies must agree within Monte-Carlo noise — the
-/// old-vs-new distribution-agreement gate of the kernel rewrite.
+/// Neither executor's schedule can show in its output: the chunk
+/// decomposition and per-chunk RNG streams are pure functions of the
+/// master seed and endpoint counts merge exactly, so the fast executor is
+/// bit-identical across walk-phase thread counts, and the parkable one
+/// across where (and how often) its cursors park.
+#[test]
+fn every_walk_kernel_bit_identical_across_thread_counts() {
+    let (g, poisson, entries, weights) = walk_entry_fixture(2_000);
+    let nr = 60_000u64;
+    let base = run_lanes(&g, &poisson, &entries, &weights, nr, 77, 1);
+    for threads in [2usize, 4] {
+        assert_eq!(
+            run_lanes(&g, &poisson, &entries, &weights, nr, 77, threads),
+            base,
+            "lanes: counts or steps diverge at {threads} threads"
+        );
+    }
+    assert_eq!(
+        run_parkable(&g, &poisson, &entries, &weights, nr, 77, true),
+        run_parkable(&g, &poisson, &entries, &weights, nr, 77, false),
+        "parkable: counts or steps diverge when every step parks"
+    );
+}
+
+/// Both executors of the presampled plan consume different RNG streams
+/// than Algorithm 2's step-by-step stop test, so their outputs are
+/// different *samples* of the same distribution. On a real graph with a
+/// realistic entry mix the endpoint frequencies must agree with a plain
+/// `k_random_walk` loop over the same alias table within Monte-Carlo
+/// noise — the distribution-agreement gate of length presampling.
 #[test]
 fn presampled_kernels_distribution_matches_stepwise_baseline() {
-    let (g, poisson, entries, table) = walk_entry_fixture(800);
+    let (g, poisson, entries, weights) = walk_entry_fixture(800);
     let nr = 300_000u64;
-    let run = |kernel: WalkKernel| -> Vec<f64> {
-        let mut counts = EpochCounter::new();
-        let mut scratch = WalkScratch::default();
-        run_batched_walks_kernel(
-            &g,
-            &poisson,
-            &entries,
-            &table,
-            nr,
-            5,
-            2,
-            kernel,
-            None,
-            &mut counts,
-            &mut scratch,
-        );
-        (0..g.num_nodes() as u32)
-            .map(|v| counts.get(v) as f64 / nr as f64)
-            .collect()
-    };
-    let stepwise = run(WalkKernel::Stepwise);
-    for kernel in [WalkKernel::Presampled, WalkKernel::Lanes] {
-        let freq = run(kernel);
+    let (table, mut rng) = (AliasTable::new(&weights), SmallRng::seed_from_u64(5));
+    let mut stepwise = vec![0u64; g.num_nodes()];
+    for _ in 0..nr {
+        let (k, u) = entries[table.sample(&mut rng)];
+        stepwise[k_random_walk(&g, &poisson, u, k as usize, &mut rng).0 as usize] += 1;
+    }
+    let stepwise: Vec<f64> = stepwise.iter().map(|&c| c as f64 / nr as f64).collect();
+    let parkable = run_parkable(&g, &poisson, &entries, &weights, nr, 5, false);
+    let lanes = run_lanes(&g, &poisson, &entries, &weights, nr, 5, 2);
+    for (executor, counts) in [("parkable", parkable.0), ("lanes", lanes.0)] {
+        let mut freq = vec![0.0; g.num_nodes()];
+        for (v, c) in counts {
+            freq[v as usize] = c as f64 / nr as f64;
+        }
         let mut total_var_dist = 0.0f64;
         for v in 0..g.num_nodes() {
             let diff = (freq[v] - stepwise[v]).abs();
@@ -775,7 +791,7 @@ fn presampled_kernels_distribution_matches_stepwise_baseline() {
             let sigma = (2.0 * p * (1.0 - p) / nr as f64).sqrt();
             assert!(
                 diff <= 6.0 * sigma + 1e-4,
-                "{kernel:?} node {v}: |{} - {}| = {diff} > 6 sigma ({sigma})",
+                "{executor} node {v}: |{} - {}| = {diff} > 6 sigma ({sigma})",
                 freq[v],
                 stepwise[v]
             );
@@ -786,7 +802,7 @@ fn presampled_kernels_distribution_matches_stepwise_baseline() {
         // nr-sample estimates of the same distribution differ per node by
         // E|diff| = sqrt(2 p(1-p)/nr) * sqrt(2/pi), so the expected TV is
         // half the sum of those — assert within 3x of that analytic
-        // noise floor (a systematically wrong kernel, e.g. an off-by-one
+        // noise floor (a systematically wrong executor, e.g. an off-by-one
         // walk length, lands an order of magnitude above it).
         let noise_floor: f64 = stepwise
             .iter()
@@ -796,82 +812,9 @@ fn presampled_kernels_distribution_matches_stepwise_baseline() {
             / 2.0;
         assert!(
             total_var_dist / 2.0 < 3.0 * noise_floor.max(1e-3),
-            "{kernel:?}: TV distance {} above noise floor {noise_floor}",
+            "{executor}: TV distance {} above noise floor {noise_floor}",
             total_var_dist / 2.0
         );
-    }
-}
-
-/// The `simd` feature's one vector kernel replaces an order-free
-/// reduction (the condition-(11) residue max over a live hop array), so a
-/// SIMD build must reproduce the scalar build's push state and end-to-end
-/// estimates **bit for bit** — same support, same values, same
-/// condition-(11) decisions, at every thread count. Uses the runtime
-/// toggle so one binary A/Bs both kernels directly.
-#[cfg(feature = "simd")]
-mod simd_differential {
-    use super::*;
-    use hkpr_core::simd::set_simd_enabled;
-    use hkpr_core::tea_plus::tea_plus_in;
-
-    #[test]
-    fn push_plus_state_bit_identical_scalar_vs_simd() {
-        let mut gen_rng = SmallRng::seed_from_u64(29);
-        let g = holme_kim(1_200, 5, 0.4, &mut gen_rng).unwrap();
-        let p = PoissonTable::new(5.0);
-        let run = |enabled: bool| {
-            set_simd_enabled(enabled);
-            let mut ws = QueryWorkspace::new();
-            let cfg = PushPlusConfig {
-                hop_cap: 10,
-                eps_abs: 1e-5,
-                budget: u64::MAX,
-            };
-            let stats = hk_push_plus_ws(&g, &p, 0, &cfg, &mut ws);
-            let mut residues: Vec<(usize, u32, f64)> = ws.residues().entries().collect();
-            residues.sort_unstable_by_key(|&(k, v, _)| (k, v));
-            let mut reserve: Vec<(u32, f64)> = ws.reserve().iter_nonzero().collect();
-            reserve.sort_unstable_by_key(|&(v, _)| v);
-            set_simd_enabled(true);
-            (stats, residues, reserve)
-        };
-        let scalar = run(false);
-        let simd = run(true);
-        assert_eq!(scalar.0, simd.0, "push stats diverge");
-        assert_eq!(scalar.1, simd.1, "residues diverge");
-        assert_eq!(scalar.2, simd.2, "reserve diverges");
-    }
-
-    #[test]
-    fn tea_plus_bit_identical_scalar_vs_simd_across_thread_counts() {
-        let mut gen_rng = SmallRng::seed_from_u64(31);
-        let g = holme_kim(1_500, 5, 0.4, &mut gen_rng).unwrap();
-        let params = HkprParams::builder(&g)
-            .t(5.0)
-            .delta(5e-5)
-            .p_f(1e-3)
-            .build()
-            .unwrap();
-        for threads in [1usize, 2, 4] {
-            let run = |enabled: bool| {
-                set_simd_enabled(enabled);
-                let mut ws = QueryWorkspace::with_threads(threads);
-                let out =
-                    tea_plus_in(&g, &params, 3, &mut SmallRng::seed_from_u64(32), &mut ws).unwrap();
-                set_simd_enabled(true);
-                out
-            };
-            let scalar = run(false);
-            let simd = run(true);
-            assert_eq!(
-                scalar.stats, simd.stats,
-                "stats diverge at {threads} threads"
-            );
-            assert_eq!(scalar.estimate.nnz(), simd.estimate.nnz());
-            for (x, y) in scalar.estimate.support().zip(simd.estimate.support()) {
-                assert_eq!(x, y, "estimate diverges at {threads} threads");
-            }
-        }
     }
 }
 

@@ -71,7 +71,7 @@ use std::time::{Duration, Instant};
 use hk_cluster::{ClusterResult, LocalClusterer, Method, QueryScratch};
 use hk_graph::{Graph, NodeId};
 use hkpr_core::fxhash::{FxHashMap, FxHasher};
-use hkpr_core::{AccuracyTier, AnytimeControls, CancelToken, HkprError, HkprParams, WalkKernel};
+use hkpr_core::{AccuracyTier, AnytimeControls, CancelToken, HkprError, HkprParams};
 
 use crate::cache::{
     CacheKey, CacheStats, FlightClaim, FlightResult, MethodKey, ParamsKey, ResultCache,
@@ -1542,31 +1542,6 @@ pub fn run_batch(
     rng_seed: u64,
     threads: usize,
 ) -> Vec<Result<ClusterResult, HkprError>> {
-    run_batch_with_kernel(
-        clusterer,
-        method,
-        seeds,
-        params,
-        rng_seed,
-        threads,
-        WalkKernel::Lanes,
-    )
-}
-
-/// [`run_batch`] with an explicit walk kernel on every worker's
-/// workspace. `WalkKernel::Lanes` reproduces `run_batch` exactly;
-/// `WalkKernel::Presampled` is the single-process conformance oracle for
-/// the sharded frontier-exchange path, which distributes the presampled
-/// chunk streams across processes.
-pub fn run_batch_with_kernel(
-    clusterer: &LocalClusterer<'_>,
-    method: Method,
-    seeds: &[NodeId],
-    params: &HkprParams,
-    rng_seed: u64,
-    threads: usize,
-    kernel: WalkKernel,
-) -> Vec<Result<ClusterResult, HkprError>> {
     let threads = threads.max(1).min(seeds.len().max(1));
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, Result<ClusterResult, HkprError>)>();
@@ -1574,7 +1549,6 @@ pub fn run_batch_with_kernel(
     // of (seed, params, rng_seed + index), so the schedule cannot show.
     let work = |tx: mpsc::Sender<(usize, Result<ClusterResult, HkprError>)>| {
         let mut scratch = QueryScratch::new();
-        scratch.workspace.set_walk_kernel(kernel);
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= seeds.len() {

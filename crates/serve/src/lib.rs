@@ -92,8 +92,8 @@ pub use cache::{
     CacheKey, CacheStats, FlightClaim, FlightResult, MethodKey, ParamsKey, ResultCache,
 };
 pub use engine::{
-    run_batch, run_batch_with_kernel, CacheOutcome, Degraded, EngineConfig, EngineStats, Knobs,
-    QueryEngine, QueryRequest, QueryResponse, QueryTiming, ServeError, Ticket,
+    run_batch, CacheOutcome, Degraded, EngineConfig, EngineStats, Knobs, QueryEngine, QueryRequest,
+    QueryResponse, QueryTiming, ServeError, Ticket,
 };
 pub use hkpr_core::AccuracyTier;
 pub use hub::HubStats;

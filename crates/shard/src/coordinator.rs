@@ -197,7 +197,8 @@ impl ShardCoordinator {
     }
 
     /// Run one TEA+ query across the fleet. Bitwise identical to the
-    /// single-process `Presampled` path for the same
+    /// single-process one-owner run
+    /// (`LocalClusterer::run_tea_plus_one_owner`) for the same
     /// `(seed, params, rng_seed)`.
     pub fn run_query(
         &mut self,

@@ -11,15 +11,16 @@
 //! The wire stack reuses the gateway's byte framing
 //! ([`hk_gateway::frame`]: `HKS1` magic, length prefix, CRC-32) with the
 //! message layer in [`proto`]. The walk distribution itself is
-//! [`hkpr_core::ExchangeSession`]: the push phase runs on the seed's
-//! owner shard, the planned walk chunks execute as migrating cursors
-//! that park at partition boundaries *before* consuming RNG, and the
-//! coordinator's batched frontier-exchange rounds ship parked cursors to
-//! their owners until the phase runs dry. Because parking is RNG-neutral
-//! and endpoint counts are integers, the distributed result is **bitwise
-//! identical** to a single-process run with
-//! [`hkpr_core::WalkKernel::Presampled`] — for any shard count,
-//! including `N = 1`.
+//! [`hkpr_core::ExchangeSession`], the parkable executor of the walk
+//! plan: the push phase runs on the seed's owner shard, the planned walk
+//! chunks execute as migrating cursors that park at partition boundaries
+//! *before* consuming RNG, and the coordinator's batched
+//! frontier-exchange rounds ship parked cursors to their owners until the
+//! phase runs dry. Because parking is RNG-neutral and endpoint counts are
+//! integers, the distributed result is **bitwise identical** to the same
+//! executor run in one process under a one-owner partition
+//! ([`hk_cluster::LocalClusterer::run_tea_plus_one_owner`]) — for any
+//! shard count, including `N = 1`.
 //!
 //! Process layout: `src/bin/hk_shardd.rs` is the shard daemon
 //! (`hk-shardd --snapshot g.hkg --shard-id 0 --shards 2 --port 0`);

@@ -101,7 +101,9 @@ pub struct Begin {
 }
 
 /// The replicated walk plan inputs: everything a shard needs to build an
-/// [`hkpr_core::ExchangeSession`] identical to every other shard's.
+/// [`hkpr_core::ExchangeSession`] identical to every other shard's. The
+/// codec checks framing only; the session checks entries against the
+/// graph, as it does every [`ShardCursor`] a `Step` carries.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WalkSpec {
     /// Planned walk count.

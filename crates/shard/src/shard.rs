@@ -10,7 +10,8 @@
 //! nodes inside its [`NodePartition`] range: a walk that reaches a
 //! foreign row parks and is shipped onward by the coordinator.
 //!
-//! Query errors (bad seed, bad knobs) travel as `Error` frames and leave
+//! Query errors (bad seed, bad knobs, a walk plan, cursor or endpoint
+//! count that does not fit the graph) travel as `Error` frames and leave
 //! the connection alive; transport errors drop the connection and the
 //! shard returns to `accept`, so a coordinator can reconnect.
 
@@ -22,7 +23,7 @@ use hk_gateway::frame::{read_frame, FrameLimits, FrameParser};
 use hk_graph::{Graph, NodePartition};
 use hkpr_core::{
     DriveOutcome, ExchangeSession, HkprError, HkprParams, ShardCursor, TeaPlusPrepared,
-    TeaPlusWalkJob, WalkKernel,
+    TeaPlusWalkJob,
 };
 
 use crate::proto::{
@@ -122,11 +123,8 @@ fn serve_conn(
 ) -> io::Result<ConnExit> {
     let clusterer = LocalClusterer::new(graph);
     let mut parser = FrameParser::new(FrameLimits::default());
-    // One scratch for the owner-side push/finalize work. The walk kernel
-    // matters: the sharded walk engine mirrors `Presampled`, and the
-    // kernel is part of the plan's RNG contract.
+    // One scratch for the owner-side push/finalize work.
     let mut scratch = QueryScratch::new();
-    scratch.workspace.set_walk_kernel(WalkKernel::Presampled);
     let mut pending: Option<Pending> = None;
 
     loop {
@@ -164,13 +162,19 @@ fn serve_conn(
             Msg::Exec(exec) => {
                 walk_phase(&mut stream, &mut parser, graph, partition, shard_id, &exec)?;
             }
-            Msg::Finish(fin) => match pending.take() {
-                Some(p) => {
-                    let result = finish(&clusterer, &p, &fin, &mut scratch);
-                    send(&mut stream, &Msg::Done(WireResult::from_result(&result)))?;
+            Msg::Finish(fin) => {
+                let n = graph.num_nodes();
+                match pending.take() {
+                    Some(_) if fin.counts.iter().any(|&(v, _)| v as usize >= n) => {
+                        send_error(&mut stream, "finish counts name a node out of range".into())?
+                    }
+                    Some(p) => {
+                        let result = finish(&clusterer, &p, &fin, &mut scratch);
+                        send(&mut stream, &Msg::Done(WireResult::from_result(&result)))?;
+                    }
+                    None => send_error(&mut stream, "finish without a pending query".into())?,
                 }
-                None => send_error(&mut stream, "finish without a pending query".into())?,
-            },
+            }
             Msg::Shutdown => return Ok(ConnExit::Shutdown),
             other => {
                 send_error(
@@ -244,7 +248,9 @@ fn finish(
 }
 
 /// The nested walk phase: build the replicated plan, seat this shard's
-/// initial cursors, then answer `Step` rounds until `Collect`.
+/// initial cursors, then answer `Step` rounds until `Collect`. A plan or
+/// a cursor that does not fit the graph ends the phase with an `Error`
+/// frame; the connection goes back to the top level.
 fn walk_phase(
     stream: &mut TcpStream,
     parser: &mut FrameParser,
@@ -288,6 +294,9 @@ fn walk_phase(
         };
         match msg {
             Msg::Step { cursors } => {
+                if let Err(e) = cursors.iter().try_for_each(|c| session.validate_cursor(c)) {
+                    return send_error(stream, format!("step: {e}"));
+                }
                 queue.extend(cursors);
                 let mut parked = Vec::new();
                 for mut cur in queue.drain(..) {
