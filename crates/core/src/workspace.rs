@@ -276,6 +276,13 @@ impl EpochVec {
 /// engine's endpoint accumulator. Counts (not `f64` masses) make parallel
 /// merging *exact*: integer addition is associative, so the merged result
 /// is bit-identical regardless of chunk-to-thread assignment.
+///
+/// The slots are sized by whoever is about to deposit
+/// ([`begin`](Self::begin): the two walk planners and
+/// `tea_plus_finalize`), never ahead of time: a counter that is only ever
+/// cleared and read holds no memory, so a workspace whose queries all end
+/// in the push phase never allocates — or zero-fills, or page-faults — an
+/// `n`-slot array it would not read.
 #[derive(Clone, Debug, Default)]
 pub struct EpochCounter {
     epoch: u32,
@@ -289,11 +296,19 @@ impl EpochCounter {
         Self::default()
     }
 
-    /// Start a fresh accumulation over `n` slots.
+    /// Start a fresh accumulation over `n` slots: grow to `n` if smaller,
+    /// then forget every count. Must precede the first
+    /// [`inc`](Self::inc) of an accumulation.
     pub fn begin(&mut self, n: usize) {
         if self.slots.len() < n {
             self.slots.resize(n, Slot::default());
         }
+        self.clear();
+    }
+
+    /// Forget every count in O(1) without sizing anything: afterwards
+    /// [`iter`](Self::iter) is empty whatever was deposited before.
+    fn clear(&mut self) {
         if self.epoch == u32::MAX {
             for s in &mut self.slots {
                 s.stamp = 0;
@@ -821,7 +836,8 @@ impl QueryWorkspace {
 
     /// Bytes held by every backing allocation of this workspace. A
     /// steady-state serving worker's footprint is `O(n)` dense slots —
-    /// four arrays (reserve, endpoint counts, two live residue hops),
+    /// three arrays (reserve, two live residue hops) and, once a query
+    /// on it has walked, a fourth (endpoint counts),
     /// whatever the hop cap — plus the touched lists and the frozen
     /// residue survivors; serving layers use this (together with the
     /// result-side accounting in `HkprEstimate::memory_bytes`) to budget
@@ -863,10 +879,14 @@ impl QueryWorkspace {
 
     /// Prepare for a query over an `n`-node graph: O(1) epoch bumps for
     /// the reserve and endpoint counters (residues are shaped by the push
-    /// routines, which know their hop count).
+    /// routines, which know their hop count). The reserve is sized here —
+    /// every query writes it; the endpoint counter is only emptied, so
+    /// that no earlier query's deposits can reach
+    /// [`assemble_estimate`](Self::assemble_estimate), and is sized by
+    /// the walk phase if one runs (see [`EpochCounter`]).
     pub(crate) fn begin(&mut self, n: usize) {
         self.reserve.begin(n);
-        self.counts.begin(n);
+        self.counts.clear();
         self.entries.clear();
         self.weights.clear();
     }
@@ -1116,6 +1136,7 @@ mod tests {
         ws.begin(16);
         ws.reserve.add(7, 0.5);
         ws.reserve.add(2, 0.25);
+        ws.counts.begin(16);
         ws.counts.inc(7, 2);
         ws.counts.inc(11, 1);
         let entries = ws.assemble_estimate(0.1);
@@ -1141,6 +1162,7 @@ mod tests {
         let fresh = ws.memory_bytes();
         ws.begin(4096);
         ws.reserve.add(17, 1.0);
+        ws.counts.begin(4096);
         ws.counts.inc(40, 2);
         ws.residues.begin(3, 4096);
         ws.residues.seed(9, 1, 0.5);
@@ -1194,6 +1216,73 @@ mod tests {
     }
 
     #[test]
+    fn endpoint_counter_is_sized_by_the_first_walk_and_never_leaks() {
+        use crate::estimate::QueryStats;
+        use hk_graph::gen::holme_kim;
+        use rand::{rngs::SmallRng, SeedableRng};
+        let n = 5_000usize;
+        let g = holme_kim(n, 5, 0.4, &mut SmallRng::seed_from_u64(70)).unwrap();
+        let params = |t: f64, delta: f64| {
+            crate::HkprParams::builder(&g)
+                .t(t)
+                .delta(delta)
+                .p_f(1e-3)
+                .build()
+                .unwrap()
+        };
+        let (walking, exiting) = (params(20.0, 2e-4), params(5.0, 1e-3));
+        type Bits = (QueryStats, u64, Vec<(NodeId, u64)>);
+        let bits = |out: crate::TeaOutput| -> Bits {
+            let support = out.estimate.support().map(|(v, x)| (v, x.to_bits()));
+            (
+                out.stats,
+                out.estimate.offset_coeff().to_bits(),
+                support.collect(),
+            )
+        };
+        let tea_plus = |p: &crate::HkprParams, seed: NodeId, ws: &mut QueryWorkspace| {
+            let mut rng = SmallRng::seed_from_u64(71 + seed as u64);
+            bits(crate::tea_plus::tea_plus_in(&g, p, seed, &mut rng, ws).unwrap())
+        };
+        let monte_carlo = |seed: NodeId, ws: &mut QueryWorkspace| {
+            let mut rng = SmallRng::seed_from_u64(72);
+            let walks = Some(5_000);
+            bits(crate::monte_carlo_in(&g, &exiting, seed, walks, &mut rng, ws).unwrap())
+        };
+
+        // A walk, then an early exit, then Monte-Carlo on one workspace:
+        // each answers as on a fresh one, so neither the walk's deposits
+        // nor the early exit's unsized counter reach the next assembly.
+        let mut shared = QueryWorkspace::new();
+        let walked = tea_plus(&walking, 3, &mut shared);
+        assert!(walked.0.random_walks > 0 && !walked.0.early_exit);
+        assert_eq!(walked, tea_plus(&walking, 3, &mut QueryWorkspace::new()));
+        let with_counter = shared.memory_bytes();
+        let exited = tea_plus(&exiting, 9, &mut shared);
+        assert!(exited.0.early_exit && exited.0.random_walks == 0);
+        assert_eq!(exited, tea_plus(&exiting, 9, &mut QueryWorkspace::new()));
+        let sampled = monte_carlo(5, &mut shared);
+        assert_eq!(sampled.0.random_walks, 5_000);
+        assert_eq!(sampled, monte_carlo(5, &mut QueryWorkspace::new()));
+
+        // A workspace that only ever exits early never pays for the
+        // counter; Monte-Carlo sizes it on first use like any walk.
+        let mut push_only = QueryWorkspace::new();
+        for seed in [9, 3, 11] {
+            assert!(tea_plus(&exiting, seed, &mut push_only).0.early_exit);
+        }
+        let counter = n * std::mem::size_of::<Slot<u64>>();
+        assert!(
+            push_only.memory_bytes() + counter <= with_counter,
+            "push-only {} vs walking {with_counter}",
+            push_only.memory_bytes()
+        );
+        assert_eq!(push_only.counts.memory_bytes(), 0);
+        assert_eq!(sampled, monte_carlo(5, &mut push_only));
+        assert!(push_only.counts.memory_bytes() >= counter);
+    }
+
+    #[test]
     fn footprint_does_not_grow_with_the_hop_cap() {
         // `memory_bytes` promises O(n) dense slots. The hop cap K comes
         // from delta and c, not from t (Equation 20), so the second query
@@ -1220,9 +1309,10 @@ mod tests {
         let (k_low, low) = footprint(5.0, 1e-3, 2.5);
         let (k_high, high) = footprint(40.0, 5e-4, 6.0);
         assert!(k_high >= 2 * k_low, "hop caps {k_low} and {k_high}");
+        // Both queries end in the push phase, so no endpoint counter.
         for bytes in [low, high] {
-            assert!(bytes >= 4 * array, "reserve, counts, two live hops");
-            assert!(bytes < 6 * array, "{bytes} bytes for n = {n}");
+            assert!(bytes >= 3 * array, "reserve, two live hops");
+            assert!(bytes < 4 * array, "{bytes} bytes for n = {n}");
         }
         // Touched lists, worklists, frozen survivors and walk scratch grow
         // with what a query touches; together they stay under one array.

@@ -398,6 +398,16 @@ pub fn render_prometheus(engine: &MultiEngine, gw: &GatewayMetrics) -> String {
     }
     family(
         &mut out,
+        "hk_registry_load_seconds_total",
+        "Wall-clock seconds spent in the loader runs that succeeded.",
+        "counter",
+    );
+    out.push_str(&format!(
+        "hk_registry_load_seconds_total {}\n",
+        r.load_ns as f64 / 1e9
+    ));
+    family(
+        &mut out,
         "hk_registry_resident_bytes",
         "Bytes of all resident graphs.",
         "gauge",
@@ -613,6 +623,7 @@ mod tests {
             "hk_cache_resident_bytes",
             "hk_registry_loads_total",
             "hk_registry_load_retries_total",
+            "hk_registry_load_seconds_total",
             "hk_registry_evictions_total",
             "hk_hub_hits_total",
             "hk_hub_builds_total",

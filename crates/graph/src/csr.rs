@@ -200,21 +200,21 @@ impl Graph {
 
     /// The offsets array (`n + 1` entries).
     #[inline]
-    fn offs(&self) -> &[usize] {
+    pub(crate) fn offs(&self) -> &[usize] {
         // SAFETY: view into storage owned by `self` (see `RawSlice::get`).
         unsafe { self.offsets.get() }
     }
 
     /// The flat neighbor array (`2m` entries).
     #[inline]
-    fn nbrs(&self) -> &[NodeId] {
+    pub(crate) fn nbrs(&self) -> &[NodeId] {
         // SAFETY: as above.
         unsafe { self.neighbors.get() }
     }
 
     /// The dense degree array (`n` entries).
     #[inline]
-    fn degs(&self) -> &[u32] {
+    pub(crate) fn degs(&self) -> &[u32] {
         // SAFETY: as above.
         unsafe { self.degrees.get() }
     }

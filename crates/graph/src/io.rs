@@ -14,7 +14,7 @@
 //! **v2** (`HKGRAPH2`) is the *servable* format: a fixed 64-byte header,
 //! a checksummed section table, and one 64-byte-aligned section per CSR
 //! array (offsets `u64`, neighbors `u32`, degrees `u32`), each with its
-//! own FNV-1a checksum. Because every section is aligned and already in
+//! own checksum. Because every section is aligned and already in
 //! the in-memory layout, a loader can read (or mmap) the whole file into
 //! one aligned arena and hand out slices *in place* — see
 //! [`crate::storage`]. That is what lets a multi-graph registry hold many
@@ -24,7 +24,9 @@
 //! offset  size  field
 //! 0x00    8     magic  "HKGRAPH2"
 //! 0x08    4     version (= 2), little-endian u32
-//! 0x0c    4     flags   (= 0, reserved)
+//! 0x0c    4     flags: bit 0 = the section checksums are lane sums
+//!               (clear: FNV-1a, as written before the lane sum
+//!               existed); every other bit must be 0
 //! 0x10    8     n       (node count, u64)
 //! 0x18    8     arcs    (2m, u64)
 //! 0x20    4     section count (= 3)
@@ -39,12 +41,76 @@
 //! ```
 //!
 //! Section kinds: 1 = offsets, 2 = neighbors, 3 = degrees. All integers
-//! little-endian. The v2 loader validates the header, the table checksum,
-//! section alignment/bounds/non-overlap, every per-section checksum, and
-//! the structural invariants that memory safety rests on — monotone
-//! offsets consistent with `n`/`arcs`, degree-array/offset agreement,
-//! neighbor ids in range — before constructing a graph, so the unchecked
-//! hot-path accessors stay sound even on arena-backed graphs. Adjacency
+//! little-endian.
+//!
+//! ## Checksums
+//!
+//! The 96-byte section table is guarded by byte-wise FNV-1a. A section is
+//! guarded by the checksum its image's `flags` name; which one is a
+//! property of the image, never of the caller. [`write_binary_v2`] always
+//! writes lane sums; images with `flags = 0` (FNV-1a section sums) keep
+//! loading, and re-saving one upgrades it.
+//!
+//! FNV-1a is one xor→multiply per byte on a single dependency chain — no
+//! CPU can overlap it, so it checks about half a gigabyte per second
+//! however fast the bytes arrive. The **lane sum** is defined over eight
+//! independent chains instead, one per 64-bit word of a 64-byte block, so
+//! its speed is that of the memory it reads. With all arithmetic
+//! wrapping in `u64`, `rotl` a left rotation, and the XXH64 primes
+//!
+//! ```text
+//! P1 = 0x9E3779B185EBCA87   P2 = 0xC2B2AE3D27D4EB4F   P3 = 0x165667B19E3779F9
+//! P4 = 0x85EBCA77C2B2AE63   P5 = 0x27D4EB2F165667C5
+//! round(acc, w) = rotl(acc + w * P2, 31) * P1
+//! ```
+//!
+//! the lane sum of a payload of `len` bytes is:
+//!
+//! 1. `acc[i] = (i + 1) * P3` for the lanes `i = 0..8`.
+//! 2. Split the payload into 64-byte blocks, padding a final partial
+//!    block with zero bytes (a payload whose length is a multiple of 64,
+//!    the empty one included, gets no padding block). For each block in
+//!    order and each lane, with `w[i]` the block's `i`-th little-endian
+//!    `u64`: `acc[i] = round(acc[i], w[i])`.
+//! 3. `h = P5 + len`; then for `i = 0..8` in order:
+//!    `h = (h ^ round(0, acc[i])) * P1 + P4`.
+//! 4. `h ^= h >> 33; h *= P2; h ^= h >> 29; h *= P3; h ^= h >> 32`.
+//!
+//! Every step is a bijection of the lane (or of `h`) for a fixed input
+//! word, so changing one word of the payload — any single bit flip —
+//! always changes the sum; `len` enters step 3 so that zero-extending a
+//! payload, or truncating trailing zeros to a block boundary, does too.
+//! The rotation carries high bits back down: with a bare
+//! `(acc ^ w) * P` round a flip of bit 63 would pass through every later
+//! round unchanged and two of them in one lane would cancel. Like
+//! FNV-1a it is not cryptographic; it detects the corruption classes that
+//! actually occur (truncation, bit rot, partial writes).
+//!
+//! ## Validation
+//!
+//! A graph is only ever constructed from a *fully validated* image: the
+//! header, the table checksum, section kinds/sizes/alignment/bounds/
+//! non-overlap, every per-section checksum, and the structural invariants
+//! that memory safety rests on — `offsets[0] = 0`, `offsets[n] = arcs`,
+//! monotone offsets whose differences fit `u32` and equal the degree
+//! section, neighbor ids below `n` — so the unchecked hot-path accessors
+//! stay sound even on arena-backed graphs. All three entry points
+//! ([`load_binary_v2`], [`read_binary`], `load_binary_mmap`) share one
+//! validator, and every check runs on every load.
+//!
+//! For a lane-sum image the checks cost one sweep at memory speed: the
+//! sections are checksummed a few KiB at a time and the structural tests
+//! read each piece again, branch-free, while it is still in L1 (per node
+//! `offsets[v+1] - offsets[v] == degrees[v]` folded into one flag, per
+//! neighbor a running maximum compared with `n` once). The sweep only
+//! answers "intact or not". When it says not — and for every `flags = 0`
+//! image — the sequential validator runs: table entry by table entry,
+//! sum by sum, node by node, with an early return that *names* the first
+//! failure in the order the format has always reported them (table
+//! errors before section errors, a section's `ChecksumMismatch` before
+//! any structural error, the first offending node or id).
+//!
+//! Adjacency
 //! *sortedness and symmetry* are trusted from the writer (exactly as the
 //! v1 loader trusts them): a nonconforming third-party writer produces a
 //! graph whose `has_edge`/sweep answers are wrong but whose memory
@@ -274,10 +340,10 @@ fn align64(x: u64) -> u64 {
     x.div_ceil(SECTION_ALIGN as u64) * SECTION_ALIGN as u64
 }
 
-/// FNV-1a over a byte slice — the checksum of the v2 format. Not
-/// cryptographic; it detects the corruption classes that actually occur
-/// (truncation, bit rot, partial writes), like the CRC of other columnar
-/// formats.
+/// FNV-1a over a byte slice — the checksum of the section table, and of
+/// the sections of a `flags = 0` image. One dependency chain through
+/// every byte: fine for 96 bytes, half a gigabyte per second for a
+/// section.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -286,33 +352,163 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Write the v2 snapshot representation (see the module docs for the
-/// layout). This is also the v1 → v2 conversion path: `load_binary` any
-/// existing file, then `write_binary_v2` it.
-pub fn write_binary_v2<W: Write>(graph: &Graph, writer: W) -> Result<(), GraphError> {
-    let n = graph.num_nodes() as u64;
-    let arcs = graph.volume() as u64;
+/// Header `flags` bit 0: the section checksums are lane sums.
+const FLAG_LANE_SUMS: u32 = 1;
 
-    // Materialize the three section payloads so their checksums are known
-    // before the header is emitted. (Snapshot writing is cold; one pass
-    // of buffering is the simple correct thing.)
-    let mut offsets = Vec::with_capacity(((n + 1) * 8) as usize);
+/// Lanes of the lane sum: one per little-endian `u64` of a 64-byte block.
+const LANES: usize = SECTION_ALIGN / 8;
+const LANE_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const LANE_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const LANE_P3: u64 = 0x1656_67B1_9E37_79F9;
+const LANE_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const LANE_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+#[inline(always)]
+fn lane_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(LANE_P2))
+        .rotate_left(31)
+        .wrapping_mul(LANE_P1)
+}
+
+/// The lane sum (module docs, *Checksums*) in streaming form, so that a
+/// sweep can checksum a section piece by piece and look at each piece
+/// again while it is in cache. No lane waits on another: a block costs
+/// one multiply-rotate-multiply of latency, whatever the payload's size.
+struct LaneSum {
+    acc: [u64; LANES],
+    len: u64,
+}
+
+impl LaneSum {
+    fn new() -> LaneSum {
+        LaneSum {
+            acc: std::array::from_fn(|i| (i as u64 + 1).wrapping_mul(LANE_P3)),
+            len: 0,
+        }
+    }
+
+    /// Absorb the payload's next bytes. Every call but the last must
+    /// bring a whole number of 64-byte blocks.
+    fn absorb(&mut self, bytes: &[u8]) {
+        debug_assert!(
+            self.len.is_multiple_of(SECTION_ALIGN as u64),
+            "only the last piece may end inside a block"
+        );
+        self.len += bytes.len() as u64;
+        // A local copy keeps the lanes in registers across the loop.
+        let mut acc = self.acc;
+        let mut absorb_block = |block: &[u8]| {
+            for (lane, word) in acc.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = lane_round(*lane, u64::from_le_bytes(word.try_into().unwrap()));
+            }
+        };
+        let mut blocks = bytes.chunks_exact(SECTION_ALIGN);
+        for block in &mut blocks {
+            absorb_block(block);
+        }
+        let tail = blocks.remainder();
+        if !tail.is_empty() {
+            let mut padded = [0u8; SECTION_ALIGN];
+            padded[..tail.len()].copy_from_slice(tail);
+            absorb_block(&padded);
+        }
+        self.acc = acc;
+    }
+
+    fn finish(self) -> u64 {
+        let mut h = LANE_P5.wrapping_add(self.len);
+        for acc in self.acc {
+            h = (h ^ lane_round(0, acc))
+                .wrapping_mul(LANE_P1)
+                .wrapping_add(LANE_P4);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(LANE_P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(LANE_P3);
+        h ^ (h >> 32)
+    }
+}
+
+/// Lane sum of a whole payload — the section checksum [`write_binary_v2`]
+/// records.
+fn lane_sum(bytes: &[u8]) -> u64 {
+    let mut sum = LaneSum::new();
+    sum.absorb(bytes);
+    sum.finish()
+}
+
+/// The bytes a slice of integers occupies — on a 64-bit little-endian
+/// target, for the CSR arrays, exactly the bytes of their v2 sections.
+///
+/// # Safety
+/// `T` must be an integer type: no padding, every byte initialised.
+#[cfg(all(target_pointer_width = "64", target_endian = "little"))]
+unsafe fn bytes_of<T>(words: &[T]) -> &[u8] {
+    // SAFETY: every byte of the slice is initialised (the caller's
+    // contract) and `u8` has alignment 1; the length is the slice's size
+    // in bytes and the borrow is the slice's.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), std::mem::size_of_val(words)) }
+}
+
+/// The three section payloads built element by element: the portable
+/// writer, and the reference the in-place writer is tested against.
+#[cfg(any(test, not(all(target_pointer_width = "64", target_endian = "little"))))]
+fn materialize_sections(graph: &Graph) -> [Vec<u8>; V2_SECTIONS] {
+    let mut offsets = Vec::with_capacity((graph.num_nodes() + 1) * 8);
     let mut running = 0u64;
     offsets.extend_from_slice(&running.to_le_bytes());
     for v in graph.nodes() {
         running += graph.degree(v) as u64;
         offsets.extend_from_slice(&running.to_le_bytes());
     }
-    let mut neighbors = Vec::with_capacity((arcs * 4) as usize);
+    let mut neighbors = Vec::with_capacity(graph.volume() * 4);
     for v in graph.nodes() {
         for &u in graph.neighbors(v) {
             neighbors.extend_from_slice(&u.to_le_bytes());
         }
     }
-    let mut degrees = Vec::with_capacity((n * 4) as usize);
+    let mut degrees = Vec::with_capacity(graph.num_nodes() * 4);
     for v in graph.nodes() {
         degrees.extend_from_slice(&(graph.degree(v) as u32).to_le_bytes());
     }
+    [offsets, neighbors, degrees]
+}
+
+/// Write the v2 snapshot representation (see the module docs for the
+/// layout). This is also the v1 → v2 conversion path: `load_binary` any
+/// existing file, then `write_binary_v2` it.
+pub fn write_binary_v2<W: Write>(graph: &Graph, writer: W) -> Result<(), GraphError> {
+    // The checksums precede the payloads in the file. Where the CSR
+    // arrays already are the section bytes they are summed and written in
+    // place; a second copy of the graph is only built where they are not.
+    #[cfg(all(target_pointer_width = "64", target_endian = "little"))]
+    // SAFETY: `usize` and `u32` are integer types.
+    let sections = unsafe {
+        [
+            bytes_of(graph.offs()),
+            bytes_of(graph.nbrs()),
+            bytes_of(graph.degs()),
+        ]
+    };
+    #[cfg(not(all(target_pointer_width = "64", target_endian = "little")))]
+    let owned = materialize_sections(graph);
+    #[cfg(not(all(target_pointer_width = "64", target_endian = "little")))]
+    let sections = [&owned[0][..], &owned[1][..], &owned[2][..]];
+    write_v2_sections(graph, sections, writer)
+}
+
+/// Header, table, and `[offsets, neighbors, degrees]` payloads of `graph`.
+fn write_v2_sections<W: Write>(
+    graph: &Graph,
+    [offsets, neighbors, degrees]: [&[u8]; V2_SECTIONS],
+    writer: W,
+) -> Result<(), GraphError> {
+    let n = graph.num_nodes() as u64;
+    let arcs = graph.volume() as u64;
+    debug_assert_eq!(offsets.len() as u64, (n + 1) * 8);
+    debug_assert_eq!(neighbors.len() as u64, arcs * 4);
+    debug_assert_eq!(degrees.len() as u64, n * 4);
 
     let data_start = align64((V2_HEADER_BYTES + V2_SECTIONS * V2_ENTRY_BYTES) as u64);
     let off_pos = data_start;
@@ -323,22 +519,22 @@ pub fn write_binary_v2<W: Write>(graph: &Graph, writer: W) -> Result<(), GraphEr
     // Section table.
     let mut table = Vec::with_capacity(V2_SECTIONS * V2_ENTRY_BYTES);
     for (kind, elem_size, pos, count, payload) in [
-        (KIND_OFFSETS, 8u32, off_pos, n + 1, &offsets),
-        (KIND_NEIGHBORS, 4, nbr_pos, arcs, &neighbors),
-        (KIND_DEGREES, 4, deg_pos, n, &degrees),
+        (KIND_OFFSETS, 8u32, off_pos, n + 1, offsets),
+        (KIND_NEIGHBORS, 4, nbr_pos, arcs, neighbors),
+        (KIND_DEGREES, 4, deg_pos, n, degrees),
     ] {
         table.extend_from_slice(&kind.to_le_bytes());
         table.extend_from_slice(&elem_size.to_le_bytes());
         table.extend_from_slice(&pos.to_le_bytes());
         table.extend_from_slice(&count.to_le_bytes());
-        table.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        table.extend_from_slice(&lane_sum(payload).to_le_bytes());
     }
 
     // Header.
     let mut header = [0u8; V2_HEADER_BYTES];
     header[0x00..0x08].copy_from_slice(MAGIC_V2);
     header[0x08..0x0c].copy_from_slice(&V2_VERSION.to_le_bytes());
-    // 0x0c..0x10: flags = 0
+    header[0x0c..0x10].copy_from_slice(&FLAG_LANE_SUMS.to_le_bytes());
     header[0x10..0x18].copy_from_slice(&n.to_le_bytes());
     header[0x18..0x20].copy_from_slice(&arcs.to_le_bytes());
     header[0x20..0x24].copy_from_slice(&(V2_SECTIONS as u32).to_le_bytes());
@@ -376,11 +572,11 @@ pub fn write_binary_v2<W: Write>(graph: &Graph, writer: W) -> Result<(), GraphEr
     emit(&mut w, &mut written, &header)?;
     emit(&mut w, &mut written, &table)?;
     pad_to(&mut w, &mut written, off_pos)?;
-    emit(&mut w, &mut written, &offsets)?;
+    emit(&mut w, &mut written, offsets)?;
     pad_to(&mut w, &mut written, nbr_pos)?;
-    emit(&mut w, &mut written, &neighbors)?;
+    emit(&mut w, &mut written, neighbors)?;
     pad_to(&mut w, &mut written, deg_pos)?;
-    emit(&mut w, &mut written, &degrees)?;
+    emit(&mut w, &mut written, degrees)?;
     pad_to(&mut w, &mut written, file_end)?;
     w.flush()?;
     Ok(())
@@ -391,15 +587,24 @@ pub fn save_binary_v2<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<(), Grap
     write_binary_v2(graph, File::create(path)?)
 }
 
-/// Fully validated byte layout of a v2 image: the three section ranges
-/// (in bytes) plus the logical sizes. Producing this value means every
-/// check listed in the module docs has passed.
+/// Byte layout of a v2 image: the three section ranges (in bytes) plus
+/// the logical sizes. [`validate_v2`] returning one means every check
+/// listed in the module docs has passed.
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct V2Layout {
     n: usize,
     arcs: usize,
     offsets: std::ops::Range<usize>,
     neighbors: std::ops::Range<usize>,
     degrees: std::ops::Range<usize>,
+}
+
+/// What the fixed header says, once it and the table checksum hold.
+struct V2Header {
+    n: u64,
+    arcs: u64,
+    /// `flags` bit 0: the section sums are lane sums (clear: FNV-1a).
+    lane_sums: bool,
 }
 
 fn v2_u32(buf: &[u8], at: usize) -> u32 {
@@ -410,10 +615,35 @@ fn v2_u64(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(buf[at..at + 8].try_into().unwrap())
 }
 
+/// The little-endian `u64`s of `bytes` (a whole number of them).
+fn le_u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+}
+
+/// The little-endian `u32`s of `bytes` (a whole number of them).
+fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+}
+
 /// Validate a v2 image end to end. Every failure is a typed
 /// [`GraphError`]; no access past `buf` ever occurs because all ranges
 /// are bounds-checked against `buf.len()` in `u64` arithmetic before use.
 fn validate_v2(buf: &[u8]) -> Result<V2Layout, GraphError> {
+    let header = v2_header(buf)?;
+    if header.lane_sums {
+        if let Some(layout) = sweep_v2(buf, &header) {
+            return Ok(layout);
+        }
+    }
+    rescan_v2(buf, &header)
+}
+
+/// The fixed header and the table checksum.
+fn v2_header(buf: &[u8]) -> Result<V2Header, GraphError> {
     let table_end = V2_HEADER_BYTES + V2_SECTIONS * V2_ENTRY_BYTES;
     if buf.len() < table_end {
         return Err(GraphError::Format(format!(
@@ -433,7 +663,7 @@ fn validate_v2(buf: &[u8]) -> Result<V2Layout, GraphError> {
         )));
     }
     let flags = v2_u32(buf, 0x0c);
-    if flags != 0 {
+    if flags & !FLAG_LANE_SUMS != 0 {
         return Err(GraphError::Format(format!(
             "unknown snapshot flags {flags:#x}"
         )));
@@ -464,7 +694,24 @@ fn validate_v2(buf: &[u8]) -> Result<V2Layout, GraphError> {
             actual: actual_table_sum,
         });
     }
+    Ok(V2Header {
+        n,
+        arcs,
+        lane_sums: flags & FLAG_LANE_SUMS != 0,
+    })
+}
 
+/// Walk the section table in file order: the checks of entry `i`, then
+/// `check_payload(name, payload, stored checksum)` for section `i`, then
+/// entry `i + 1`; last, that the file ends where the sections do. Returns
+/// the layout and the stored checksums.
+fn v2_sections(
+    buf: &[u8],
+    header: &V2Header,
+    mut check_payload: impl FnMut(&'static str, &[u8], u64) -> Result<(), GraphError>,
+) -> Result<(V2Layout, [u64; V2_SECTIONS]), GraphError> {
+    let &V2Header { n, arcs, .. } = header;
+    let table_end = V2_HEADER_BYTES + V2_SECTIONS * V2_ENTRY_BYTES;
     let expected: [(&'static str, u32, u32, u64); V2_SECTIONS] = [
         ("offsets", KIND_OFFSETS, 8, n + 1),
         ("neighbors", KIND_NEIGHBORS, 4, arcs),
@@ -473,6 +720,7 @@ fn validate_v2(buf: &[u8]) -> Result<V2Layout, GraphError> {
     let file_len = buf.len() as u64;
     let mut prev_end = align64(table_end as u64);
     let mut ranges = [0..0usize, 0..0, 0..0];
+    let mut sums = [0u64; V2_SECTIONS];
     for (i, (name, want_kind, want_elem, want_count)) in expected.into_iter().enumerate() {
         let at = V2_HEADER_BYTES + i * V2_ENTRY_BYTES;
         let kind = v2_u32(buf, at);
@@ -517,15 +765,9 @@ fn validate_v2(buf: &[u8]) -> Result<V2Layout, GraphError> {
             )));
         }
         let range = pos as usize..end as usize;
-        let actual_sum = fnv1a(&buf[range.clone()]);
-        if stored_sum != actual_sum {
-            return Err(GraphError::ChecksumMismatch {
-                section: name,
-                expected: stored_sum,
-                actual: actual_sum,
-            });
-        }
+        check_payload(name, &buf[range.clone()], stored_sum)?;
         ranges[i] = range;
+        sums[i] = stored_sum;
         prev_end = align64(end);
     }
     if prev_end != file_len {
@@ -533,15 +775,91 @@ fn validate_v2(buf: &[u8]) -> Result<V2Layout, GraphError> {
             "file has {file_len} bytes, sections (padded) end at {prev_end}"
         )));
     }
+    let [offsets, neighbors, degrees] = ranges;
+    let layout = V2Layout {
+        n: n as usize,
+        arcs: arcs as usize,
+        offsets,
+        neighbors,
+        degrees,
+    };
+    Ok((layout, sums))
+}
 
-    let [off_range, nbr_range, deg_range] = ranges;
-    let n = n as usize;
-    let arcs = arcs as usize;
+/// Nodes (or neighbor ids) per step of [`sweep_v2`]: 8 KiB of offsets
+/// plus 4 KiB of degrees, so a step's bytes are still in L1 when the
+/// structural loop reads them again, and a whole number of 64-byte blocks
+/// of every section, as [`LaneSum::absorb`] requires.
+const SWEEP_STEP: usize = 1024;
+
+/// The fast path for a lane-sum image: every check of [`rescan_v2`],
+/// answered together as "all hold" (the layout) or "something is wrong"
+/// (`None`) in one sweep over the payloads, with no branch on the data.
+fn sweep_v2(buf: &[u8], header: &V2Header) -> Option<V2Layout> {
+    let (layout, stored) = v2_sections(buf, header, |_, _, _| Ok(())).ok()?;
+    let n = layout.n;
+    let off = &buf[layout.offsets.clone()];
+    let nbr = &buf[layout.neighbors.clone()];
+    let deg = &buf[layout.degrees.clone()];
+
+    // Offsets and degrees side by side, a step of nodes at a time. Per
+    // node, `next - prev == degree` in wrapping arithmetic; any
+    // disagreement leaves a bit in `disagree`. With `offsets[0] == 0`
+    // (checked below) that is the sequential validator's three tests at
+    // once: every offset is then the exact sum of the `u32` degrees
+    // before it — a sum of at most `u32::MAX` of them cannot wrap — so
+    // the offsets are monotone and every difference fits `u32`.
+    let (mut off_sum, mut deg_sum) = (LaneSum::new(), LaneSum::new());
+    let mut disagree = 0u64;
+    for lo in (0..=n).step_by(SWEEP_STEP) {
+        let hi = (lo + SWEEP_STEP).min(n);
+        // `n + 1` offsets: the last step also takes the closing one.
+        off_sum.absorb(&off[8 * lo..8 * (lo + SWEEP_STEP).min(n + 1)]);
+        deg_sum.absorb(&deg[4 * lo..4 * hi]);
+        let prevs = le_u64s(&off[8 * lo..8 * hi]);
+        let nexts = le_u64s(&off[8 * lo + 8..8 * hi + 8]);
+        for ((prev, next), degree) in prevs.zip(nexts).zip(le_u32s(&deg[4 * lo..4 * hi])) {
+            disagree |= next.wrapping_sub(prev) ^ degree as u64;
+        }
+    }
+    let mut nbr_sum = LaneSum::new();
+    let mut max_id = 0u32;
+    for ids in nbr.chunks(4 * SWEEP_STEP) {
+        nbr_sum.absorb(ids);
+        max_id = le_u32s(ids).fold(max_id, u32::max);
+    }
+
+    let intact = [off_sum.finish(), nbr_sum.finish(), deg_sum.finish()] == stored
+        && v2_u64(off, 0) == 0
+        && v2_u64(off, 8 * n) == layout.arcs as u64
+        && disagree == 0
+        && (layout.arcs == 0 || (max_id as usize) < n);
+    intact.then_some(layout)
+}
+
+/// The sequential validator: every check in the format's order, each with
+/// an early return naming what failed. It validates `flags = 0` images
+/// (whose FNV-1a sums no sweep can make fast) and names the error of any
+/// image [`sweep_v2`] turned down.
+fn rescan_v2(buf: &[u8], header: &V2Header) -> Result<V2Layout, GraphError> {
+    let section_sum = if header.lane_sums { lane_sum } else { fnv1a };
+    let (layout, _) = v2_sections(buf, header, |section, payload, expected| {
+        let actual = section_sum(payload);
+        if expected != actual {
+            return Err(GraphError::ChecksumMismatch {
+                section,
+                expected,
+                actual,
+            });
+        }
+        Ok(())
+    })?;
+    let (n, arcs) = (layout.n, layout.arcs);
 
     // Structural validation — the same guarantees the v1 parser enforces,
     // plus degree-array consistency. These are what make the unchecked
     // accessors of the walk kernels sound on this graph.
-    let off_at = |i: usize| v2_u64(buf, off_range.start + i * 8);
+    let off_at = |i: usize| v2_u64(buf, layout.offsets.start + i * 8);
     if off_at(0) != 0 {
         return Err(GraphError::Format("inconsistent offsets".into()));
     }
@@ -562,7 +880,7 @@ fn validate_v2(buf: &[u8]) -> Result<V2Layout, GraphError> {
                 "degree {degree} exceeds u32 (corrupted file)"
             )));
         }
-        let stored_degree = v2_u32(buf, deg_range.start + v * 4);
+        let stored_degree = v2_u32(buf, layout.degrees.start + v * 4);
         if stored_degree as u64 != degree {
             return Err(GraphError::Format(format!(
                 "degree section disagrees with offsets at node {v}"
@@ -571,7 +889,7 @@ fn validate_v2(buf: &[u8]) -> Result<V2Layout, GraphError> {
         prev = next;
     }
     for i in 0..arcs {
-        let id = v2_u32(buf, nbr_range.start + i * 4);
+        let id = v2_u32(buf, layout.neighbors.start + i * 4);
         if id as usize >= n {
             return Err(GraphError::NodeOutOfRange {
                 node: id as u64,
@@ -580,13 +898,7 @@ fn validate_v2(buf: &[u8]) -> Result<V2Layout, GraphError> {
         }
     }
 
-    Ok(V2Layout {
-        n,
-        arcs,
-        offsets: off_range,
-        neighbors: nbr_range,
-        degrees: deg_range,
-    })
+    Ok(layout)
 }
 
 /// Load a v2 snapshot held in an aligned arena, validating it fully and
@@ -801,6 +1113,276 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    // -- v2 checksums and the validation sweep ------------------------------
+
+    /// 41 nodes (odd, so the degree section ends inside a 64-bit word) and
+    /// every section several 64-byte blocks long.
+    fn ring_with_chords() -> Graph {
+        let n = 41u32;
+        graph_from_edges((0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v + 7) % n)]))
+    }
+
+    fn image_of(g: &Graph) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_binary_v2(g, &mut buf).unwrap();
+        buf
+    }
+
+    /// Where table entry `i` of a (possibly tampered) image puts its payload.
+    fn payload_range(img: &[u8], i: usize) -> std::ops::Range<usize> {
+        let at = V2_HEADER_BYTES + i * V2_ENTRY_BYTES;
+        let elem = v2_u32(img, at + 4) as usize;
+        let pos = v2_u64(img, at + 8) as usize;
+        let count = v2_u64(img, at + 16) as usize;
+        pos..pos.saturating_add(count.saturating_mul(elem))
+    }
+
+    /// Re-record every checksum of a tampered image, in the flavour its
+    /// flags name, so that the checks behind the checksums are reached.
+    /// A section the table no longer places inside the file keeps its sum.
+    pub(super) fn resum(img: &mut [u8]) {
+        let table_end = V2_HEADER_BYTES + V2_SECTIONS * V2_ENTRY_BYTES;
+        if img.len() < table_end {
+            return;
+        }
+        let lanes = v2_u32(img, 0x0c) & FLAG_LANE_SUMS != 0;
+        for i in 0..V2_SECTIONS {
+            if let Some(payload) = img.get(payload_range(img, i)) {
+                let sum = if lanes {
+                    lane_sum(payload)
+                } else {
+                    fnv1a(payload)
+                };
+                let at = V2_HEADER_BYTES + i * V2_ENTRY_BYTES + 24;
+                img[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+            }
+        }
+        let sum = fnv1a(&img[V2_HEADER_BYTES..table_end]);
+        img[0x28..0x30].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// The image as written before the lane sum existed: `flags = 0`,
+    /// FNV-1a section sums.
+    fn legacy(mut img: Vec<u8>) -> Vec<u8> {
+        img[0x0c..0x10].fill(0);
+        resum(&mut img);
+        img
+    }
+
+    /// Every corruption class `tests/fuzz_io.rs` throws at the loader,
+    /// applied to `base`: each prefix, trailing bytes, three substitutions
+    /// of each single byte, sections moved off the grid / onto each other
+    /// / past the end of the file and of `u64`, and offsets, degrees and
+    /// neighbor ids rewritten. Every tampered image is visited twice:
+    /// with its sums left stale, and with them re-recorded.
+    fn for_each_corruption(base: &[u8], mut visit: impl FnMut(&[u8])) {
+        visit(base);
+        for len in 0..base.len() {
+            visit(&base[..len]);
+        }
+        let mut both = |img: &mut Vec<u8>| {
+            visit(img);
+            resum(img);
+            visit(img);
+        };
+        let mut img = base.to_vec();
+        img.extend_from_slice(&[0u8; SECTION_ALIGN]);
+        both(&mut img);
+        for pos in 0..base.len() {
+            for val in [base[pos] ^ 0x01, base[pos] ^ 0x80, !base[pos]] {
+                let mut img = base.to_vec();
+                img[pos] = val;
+                both(&mut img);
+            }
+        }
+        for i in 0..V2_SECTIONS {
+            let at = V2_HEADER_BYTES + i * V2_ENTRY_BYTES + 8;
+            let pos = v2_u64(base, at);
+            // Onto the previous section, or onto the header.
+            let before = pos.saturating_sub(5 * SECTION_ALIGN as u64);
+            for moved in [pos + 4, before, 1 << 40, u64::MAX - 63] {
+                let mut img = base.to_vec();
+                img[at..at + 8].copy_from_slice(&moved.to_le_bytes());
+                both(&mut img);
+            }
+        }
+        let [off, nbr, deg] = [0, 1, 2].map(|i| payload_range(base, i));
+        for at in off.clone().step_by(8) {
+            let word = v2_u64(base, at);
+            for rewritten in [word ^ 1, word + 2, 1 << 33, u64::MAX] {
+                let mut img = base.to_vec();
+                img[at..at + 8].copy_from_slice(&rewritten.to_le_bytes());
+                both(&mut img);
+            }
+        }
+        for at in deg.step_by(4).chain(nbr.step_by(4)) {
+            for rewritten in [v2_u32(base, at) + 1, 1234, u32::MAX] {
+                let mut img = base.to_vec();
+                img[at..at + 4].copy_from_slice(&rewritten.to_le_bytes());
+                both(&mut img);
+            }
+        }
+    }
+
+    fn corpus_graphs() -> [Graph; 4] {
+        [
+            sample(),
+            ring_with_chords(),
+            Graph::empty(0),
+            Graph::empty(3),
+        ]
+    }
+
+    fn corpus_bases() -> Vec<Vec<u8>> {
+        corpus_graphs().iter().map(image_of).collect()
+    }
+
+    #[test]
+    fn lane_sum_known_answers() {
+        // Pinned from an independent implementation of the definition in
+        // the module docs: the on-disk format cannot drift silently.
+        assert_eq!(lane_sum(b""), 0x2ca7_95d2_eb8c_e862);
+        assert_eq!(lane_sum(b"HKGRAPH2 lane sum"), 0x2e5f_594c_0cd5_4bb0);
+        let several_blocks: Vec<u8> = (0..200u32).map(|i| (i % 251) as u8).collect();
+        assert_eq!(lane_sum(&several_blocks), 0x1b42_5079_d8b9_9b75);
+    }
+
+    #[test]
+    fn lane_sum_covers_the_payload_length() {
+        // Zero-extension and truncation to a block boundary move no lane
+        // by anything but zero words; the length in the final mix tells
+        // them apart.
+        let payload: Vec<u8> = (1..=128u8).collect();
+        let mut extended = payload.clone();
+        extended.extend_from_slice(&[0u8; SECTION_ALIGN]);
+        assert_ne!(lane_sum(&payload), lane_sum(&extended));
+        let mut partial = payload.clone();
+        partial.extend_from_slice(&[7, 0, 0]);
+        let mut padded = partial.clone();
+        padded.resize(192, 0);
+        assert_ne!(lane_sum(&partial), lane_sum(&padded));
+        assert_ne!(lane_sum(&partial[..129]), lane_sum(&partial[..130]));
+        assert_ne!(lane_sum(b""), lane_sum(&[0u8; SECTION_ALIGN]));
+    }
+
+    #[test]
+    fn lane_sum_streams_in_whole_blocks() {
+        let payload: Vec<u8> = (0..1000u32).map(|i| (i * 7 % 256) as u8).collect();
+        for piece in [SECTION_ALIGN, 3 * SECTION_ALIGN, 4096] {
+            let mut sum = LaneSum::new();
+            for bytes in payload.chunks(piece) {
+                sum.absorb(bytes);
+            }
+            assert_eq!(sum.finish(), lane_sum(&payload), "pieces of {piece}");
+        }
+    }
+
+    #[test]
+    fn in_place_writer_matches_the_materialising_writer() {
+        for g in corpus_graphs() {
+            let owned = materialize_sections(&g);
+            let mut reference = Vec::new();
+            write_v2_sections(&g, [&owned[0], &owned[1], &owned[2]], &mut reference).unwrap();
+            assert_eq!(image_of(&g), reference);
+            // …from the arena backend too (what a convert of a v2 file reads).
+            assert_eq!(image_of(&read_binary(&reference[..]).unwrap()), reference);
+        }
+    }
+
+    #[test]
+    fn sweep_accepts_exactly_what_the_sequential_validator_accepts() {
+        let mut outcomes = std::collections::BTreeSet::new();
+        let mut visited = 0usize;
+        for base in corpus_bases() {
+            for_each_corruption(&base, |img| {
+                visited += 1;
+                let want = match v2_header(img) {
+                    Ok(header) => {
+                        let slow = rescan_v2(img, &header);
+                        if header.lane_sums {
+                            assert_eq!(sweep_v2(img, &header), slow.as_ref().ok().cloned());
+                        }
+                        slow
+                    }
+                    Err(e) => Err(e),
+                };
+                let got = validate_v2(img);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                outcomes.insert(match got {
+                    Ok(_) => "ok".to_string(),
+                    Err(GraphError::ChecksumMismatch { section, .. }) => section.to_string(),
+                    Err(GraphError::NodeOutOfRange { .. }) => "node out of range".to_string(),
+                    Err(e) => e.to_string(),
+                });
+            });
+        }
+        assert!(visited > 10_000, "corpus shrank to {visited} images");
+        // The corpus reaches every check of the validator.
+        for class in [
+            "ok",
+            "truncated v2 header",
+            "bad magic",
+            "unsupported snapshot version",
+            "unknown snapshot flags",
+            "exceeds u32 ids",
+            "odd arc count",
+            "sections, header claims",
+            "section table",
+            "offsets",
+            "neighbors",
+            "degrees",
+            "kind",
+            "element size",
+            "elements, header implies",
+            "aligned",
+            "overlaps the previous section",
+            "size overflow",
+            "(truncated?)",
+            "sections (padded) end at",
+            "inconsistent offsets",
+            "offsets not monotone",
+            "exceeds u32 (corrupted file)",
+            "degree section disagrees with offsets at node 0",
+            "degree section disagrees with offsets at node 40",
+            "node out of range",
+        ] {
+            assert!(
+                outcomes.iter().any(|o| o.contains(class)),
+                "no corpus image ends in {class:?}: {outcomes:#?}"
+            );
+        }
+    }
+
+    #[test]
+    fn both_flavours_report_the_same_error_for_the_same_corruption() {
+        // A `flags = 0` image takes the path — and the checksum — of every
+        // loader before the lane sum. Whatever that path says about a
+        // corruption, the lane-sum flavour says about the same corruption:
+        // same variant, same message, same first offending node.
+        fn outcomes(base: &[u8]) -> Vec<String> {
+            let mut all = Vec::new();
+            for_each_corruption(base, |img| {
+                all.push(match validate_v2(img) {
+                    Ok(layout) => format!("{layout:?}"),
+                    // The two flavours' sums and flags differ by design.
+                    Err(GraphError::ChecksumMismatch { section, .. }) => {
+                        format!("checksum mismatch in {section}")
+                    }
+                    Err(GraphError::Format(m)) if m.contains("flags") => "flags".into(),
+                    Err(e) => format!("{e:?}"),
+                });
+            });
+            all
+        }
+        for base in corpus_bases() {
+            let (lanes, fnv) = (outcomes(&base), outcomes(&legacy(base)));
+            assert_eq!(lanes.len(), fnv.len());
+            for (i, (lanes, fnv)) in lanes.iter().zip(&fnv).enumerate() {
+                assert_eq!(lanes, fnv, "corruption #{i}");
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -835,6 +1417,36 @@ mod proptests {
             prop_assert_eq!(&g2, &g);
             prop_assert_eq!(g2.fingerprint(), g.fingerprint());
             prop_assert!(g2.check_invariants().is_ok());
+        }
+
+        /// Arbitrary graphs under arbitrary few-byte tampering, checksums
+        /// left stale or re-recorded: the sweep accepts exactly the images
+        /// the sequential validator accepts.
+        #[test]
+        fn sweep_agrees_with_the_sequential_validator(
+            edges in prop::collection::vec((0u32..60, 0u32..60), 0..200),
+            tampers in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+            repair in any::<bool>(),
+        ) {
+            let mut b = GraphBuilder::new();
+            for (u, v) in edges {
+                b.add_edge(u, v);
+            }
+            let mut img = Vec::new();
+            write_binary_v2(&b.build(), &mut img).unwrap();
+            for (at, val) in tampers {
+                let at = at % img.len();
+                img[at] = val;
+            }
+            if repair {
+                super::tests::resum(&mut img);
+            }
+            if let Ok(header) = v2_header(&img) {
+                let slow = rescan_v2(&img, &header);
+                if header.lane_sums {
+                    prop_assert_eq!(sweep_v2(&img, &header), slow.ok());
+                }
+            }
         }
 
         #[test]

@@ -194,7 +194,8 @@ fn valid_v2_image() -> Vec<u8> {
     buf
 }
 
-/// FNV-1a (the v2 checksum) — reimplemented here so tests can *repair*
+/// FNV-1a (the v2 section-table checksum, and the section checksum of
+/// `flags = 0` images) — reimplemented here so tests can *repair*
 /// the table checksum after deliberately tampering with table fields,
 /// isolating the specific validation under test from the checksum that
 /// would otherwise fire first.
@@ -206,8 +207,44 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The lane sum (the section checksum of `flags = 1` images), written
+/// from the definition in `io`'s module docs and sharing no code with the
+/// crate's: it repairs section checksums below, and pins the definition.
+fn lane_sum(payload: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    let round = |acc: u64, w: u64| {
+        acc.wrapping_add(w.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    };
+    let mut padded = payload.to_vec();
+    padded.resize(payload.len().div_ceil(64) * 64, 0);
+    let mut acc = [0u64; 8];
+    for (i, lane) in acc.iter_mut().enumerate() {
+        *lane = (i as u64 + 1).wrapping_mul(P3);
+    }
+    for (w, word) in padded.chunks(8).enumerate() {
+        let word = u64::from_le_bytes(word.try_into().unwrap());
+        acc[w % 8] = round(acc[w % 8], word);
+    }
+    let mut h = P5.wrapping_add(payload.len() as u64);
+    for lane in acc {
+        h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
 const V2_TABLE_START: usize = 0x40;
 const V2_TABLE_LEN: usize = 3 * 32;
+const SECTION_NAMES: [&str; 3] = ["offsets", "neighbors", "degrees"];
 
 /// Recompute and patch the header's section-table checksum.
 fn fix_table_checksum(buf: &mut [u8]) {
@@ -219,6 +256,22 @@ fn fix_table_checksum(buf: &mut [u8]) {
 /// 3 = elem_count, 4 = checksum) in section-table entry `i`.
 fn entry_field(i: usize, field: usize) -> usize {
     V2_TABLE_START + i * 32 + [0, 4, 8, 16, 24][field]
+}
+
+/// Payload byte range of section `i`, as the table records it.
+fn section_payload(img: &[u8], i: usize) -> std::ops::Range<usize> {
+    let u64_at = |at: usize| u64::from_le_bytes(img[at..at + 8].try_into().unwrap()) as usize;
+    let elem = u32::from_le_bytes(img[entry_field(i, 1)..][..4].try_into().unwrap()) as usize;
+    let pos = u64_at(entry_field(i, 2));
+    pos..pos + u64_at(entry_field(i, 3)) * elem
+}
+
+/// Recompute and patch section `i`'s checksum with `sum` (and the table
+/// checksum over it).
+fn fix_section_checksum(img: &mut [u8], i: usize, sum: fn(&[u8]) -> u64) {
+    let sum = sum(&img[section_payload(img, i)]);
+    img[entry_field(i, 4)..][..8].copy_from_slice(&sum.to_le_bytes());
+    fix_table_checksum(img);
 }
 
 #[test]
@@ -245,10 +298,15 @@ fn v2_header_corruptions_are_typed() {
     assert!(
         matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("version"))
     );
-    // Unknown flags.
-    let mut img = buf.clone();
-    img[0x0c] = 1;
-    assert!(matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("flags")));
+    // Unknown flags: every bit but bit 0 (which the writer sets).
+    assert_eq!(buf[0x0c..0x10], [1, 0, 0, 0]);
+    for (byte, bit) in [(0x0c, 0x02), (0x0c, 0x80), (0x0d, 0x01), (0x0f, 0x80)] {
+        let mut img = buf.clone();
+        img[byte] |= bit;
+        assert!(
+            matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("flags"))
+        );
+    }
     // Node count exceeding u32 ids.
     let mut img = buf.clone();
     img[0x10..0x18].copy_from_slice(&(u32::MAX as u64 + 1).to_le_bytes());
@@ -345,18 +403,193 @@ fn v2_degree_section_must_agree_with_offsets() {
     // Rewrite a degree entry *and* repair its section checksum: the
     // cross-array consistency check must still catch it.
     let mut img = valid_v2_image();
-    let at = entry_field(2, 2);
-    let pos = u64::from_le_bytes(img[at..at + 8].try_into().unwrap()) as usize;
-    let at_count = entry_field(2, 3);
-    let count = u64::from_le_bytes(img[at_count..at_count + 8].try_into().unwrap()) as usize;
+    let pos = section_payload(&img, 2).start;
     img[pos..pos + 4].copy_from_slice(&99u32.to_le_bytes());
-    let sum = fnv1a(&img[pos..pos + count * 4]);
-    let at_sum = entry_field(2, 4);
-    img[at_sum..at_sum + 8].copy_from_slice(&sum.to_le_bytes());
-    fix_table_checksum(&mut img);
+    fix_section_checksum(&mut img, 2, lane_sum);
     assert!(
         matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("degree")),
     );
+}
+
+/// The definition of the lane sum, pinned from outside the crate: were
+/// the writer's sum to drift from the documented one, every image it
+/// wrote before would stop loading.
+#[test]
+fn v2_lane_sum_known_answers() {
+    assert_eq!(lane_sum(b""), 0x2ca7_95d2_eb8c_e862);
+    assert_eq!(lane_sum(b"HKGRAPH2 lane sum"), 0x2e5f_594c_0cd5_4bb0);
+    let several_blocks: Vec<u8> = (0..200u32).map(|i| (i % 251) as u8).collect();
+    assert_eq!(lane_sum(&several_blocks), 0x1b42_5079_d8b9_9b75);
+    // …and the writer records exactly this sum for each section.
+    for img in [valid_v2_image(), wide_v2_image()] {
+        for i in 0..3 {
+            let stored = u64::from_le_bytes(img[entry_field(i, 4)..][..8].try_into().unwrap());
+            assert_eq!(stored, lane_sum(&img[section_payload(&img, i)]));
+        }
+    }
+}
+
+/// A v2 image whose every section spans several 64-byte blocks, over an
+/// odd node count (the degree section ends inside a 64-bit word).
+fn wide_v2_image() -> Vec<u8> {
+    let n = 41u32;
+    let g = graph_from_edges((0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v + 7) % n)]));
+    let mut buf = Vec::new();
+    io::write_binary_v2(&g, &mut buf).unwrap();
+    buf
+}
+
+/// No single flipped bit of any section survives: each is a
+/// `ChecksumMismatch` naming the section it is in — never a load, and
+/// never a structural error reported ahead of the checksum.
+#[test]
+fn v2_every_single_bit_flip_in_a_section_names_that_section() {
+    for img in [valid_v2_image(), wide_v2_image()] {
+        for (i, name) in SECTION_NAMES.into_iter().enumerate() {
+            let payload = section_payload(&img, i);
+            if name == "degrees" {
+                assert!(
+                    !payload.len().is_multiple_of(8),
+                    "fixture: degrees end inside a word"
+                );
+            }
+            for pos in payload {
+                for bit in 0..8 {
+                    let mut bad = img.clone();
+                    bad[pos] ^= 1 << bit;
+                    match io::read_binary(&bad[..]) {
+                        Err(GraphError::ChecksumMismatch { section, .. }) => {
+                            assert_eq!(section, name, "byte {pos} bit {bit}")
+                        }
+                        other => panic!("byte {pos} bit {bit} of {name}: {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The lanes are position-blind within a block column, the rounds are
+/// not: moving whole 64-byte blocks around a section is detected.
+#[test]
+fn v2_swapped_blocks_are_detected() {
+    let img = wide_v2_image();
+    for (i, name) in SECTION_NAMES.into_iter().enumerate() {
+        let payload = section_payload(&img, i);
+        let blocks = payload.len() / 64;
+        assert!(blocks >= 2, "{name} must span several blocks");
+        for a in 0..blocks {
+            for b in a + 1..blocks {
+                let (a_at, b_at) = (payload.start + 64 * a, payload.start + 64 * b);
+                if img[a_at..a_at + 64] == img[b_at..b_at + 64] {
+                    continue;
+                }
+                let mut bad = img.clone();
+                bad.copy_within(b_at..b_at + 64, a_at);
+                bad[b_at..b_at + 64].copy_from_slice(&img[a_at..a_at + 64]);
+                match io::read_binary(&bad[..]) {
+                    Err(GraphError::ChecksumMismatch { section, .. }) => assert_eq!(section, name),
+                    other => panic!("{name}: blocks {a} and {b} swapped: {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+/// Images written before the lane sum — `flags = 0`, FNV-1a section
+/// sums — load bitwise-equal on every backend, and the checksum they
+/// carry still guards them.
+#[test]
+fn v2_legacy_fnv_images_still_load() {
+    let img = wide_v2_image();
+    let want = io::read_binary(&img[..]).unwrap();
+    let mut old = img.clone();
+    old[0x0c] = 0;
+    let mut relabelled = vec![old.clone()];
+    for i in 0..3 {
+        fix_section_checksum(&mut old, i, fnv1a);
+    }
+    // Relabelled but not re-summed, either way: the other checksum fires.
+    relabelled.push(old.clone());
+    relabelled[1][0x0c] = 1;
+    for bad in relabelled {
+        assert!(matches!(
+            io::read_binary(&bad[..]),
+            Err(GraphError::ChecksumMismatch {
+                section: "offsets",
+                ..
+            })
+        ));
+    }
+
+    let dir = std::env::temp_dir().join(format!("hk_fuzz_io_legacy_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("legacy.hkg");
+    std::fs::write(&path, &old).unwrap();
+    #[cfg_attr(
+        not(all(feature = "mmap", unix, target_pointer_width = "64")),
+        allow(unused_mut)
+    )]
+    let mut loads = vec![
+        io::read_binary(&old[..]).unwrap(),
+        io::load_binary(&path).unwrap(),
+        io::load_binary_v2(&path).unwrap(),
+    ];
+    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+    loads.push(io::load_binary_mmap(&path).unwrap());
+    for g in &loads {
+        assert_eq!(g, &want);
+        assert_eq!(g.fingerprint(), want.fingerprint());
+        assert!(g.check_invariants().is_ok());
+    }
+    // Converting (load, save) upgrades it to the image a fresh save writes.
+    let converted = dir.join("converted.hkg");
+    io::save_binary_v2(&loads[1], &converted).unwrap();
+    assert_eq!(std::fs::read(&converted).unwrap(), img);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let pos = section_payload(&old, 1).start;
+    old[pos] ^= 0x10;
+    assert!(matches!(
+        io::read_binary(&old[..]),
+        Err(GraphError::ChecksumMismatch {
+            section: "neighbors",
+            ..
+        })
+    ));
+}
+
+/// Sections whose byte length is no multiple of 8 (degrees over an odd
+/// node count, down to one node) and the sections of empty graphs: the
+/// checksum's zero-padded final block and its empty payload.
+#[test]
+fn v2_partial_and_empty_sections_roundtrip_and_are_guarded() {
+    for n in [0usize, 1, 3, 17] {
+        let g = hk_graph::Graph::empty(n);
+        let mut img = Vec::new();
+        io::write_binary_v2(&g, &mut img).unwrap();
+        assert_eq!(io::read_binary(&img[..]).unwrap(), g);
+        assert!(section_payload(&img, 1).is_empty());
+        for i in [0, 2] {
+            // The last payload byte sits in the padded final block.
+            let Some(last) = section_payload(&img, i).last() else {
+                continue;
+            };
+            let mut bad = img.clone();
+            bad[last] ^= 0x80;
+            match io::read_binary(&bad[..]) {
+                Err(GraphError::ChecksumMismatch { section, .. }) => {
+                    assert_eq!(section, SECTION_NAMES[i])
+                }
+                other => panic!("n = {n}, section {i}: {other:?}"),
+            }
+        }
+    }
+    let g = graph_from_edges([(0, 1), (1, 2)]);
+    let mut img = Vec::new();
+    io::write_binary_v2(&g, &mut img).unwrap();
+    assert_eq!(section_payload(&img, 2).len(), 12);
+    assert_eq!(io::read_binary(&img[..]).unwrap(), g);
 }
 
 #[test]

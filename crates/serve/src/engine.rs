@@ -671,8 +671,15 @@ pub(crate) fn admission_key_of(name: &str) -> u64 {
 }
 
 impl GraphFront {
-    pub(crate) fn new(graph: Arc<Graph>, admission_key: u64, hop_c: f64) -> GraphFront {
-        let fingerprint = graph.fingerprint();
+    /// `fingerprint` is `graph.fingerprint()`, computed by the caller: an
+    /// O(n + m) serial hash that a caller who needs the value itself
+    /// (the single-graph engine keys admission on it) must not pay twice.
+    pub(crate) fn new(
+        graph: Arc<Graph>,
+        fingerprint: u64,
+        admission_key: u64,
+        hop_c: f64,
+    ) -> GraphFront {
         GraphFront {
             graph,
             fingerprint,
@@ -1463,7 +1470,12 @@ impl QueryEngine {
         cache: Option<Arc<ResultCache>>,
     ) -> QueryEngine {
         let fingerprint = graph.fingerprint();
-        let front = Arc::new(GraphFront::new(graph, fingerprint, config.hop_c));
+        let front = Arc::new(GraphFront::new(
+            graph,
+            fingerprint,
+            fingerprint,
+            config.hop_c,
+        ));
         // One graph cannot starve itself: auto quota = the whole queue.
         let sched = Scheduler::new(config, cache, config.max_queue.max(1));
         QueryEngine { front, sched }

@@ -118,6 +118,10 @@ pub struct RegistryStats {
     /// Failed attempts that were retried after backoff (a load that
     /// succeeds on attempt `k` contributes `k - 1` here).
     pub load_retries: u64,
+    /// Wall-clock nanoseconds spent inside the loader runs counted by
+    /// `loads` (failed attempts and backoff sleeps excluded) — what cold
+    /// loads, and reloads after eviction, cost.
+    pub load_ns: u64,
     /// Graphs evicted to respect the byte budget (or explicitly).
     pub evictions: u64,
     /// `get`s answered from a resident graph.
@@ -139,6 +143,7 @@ pub struct GraphRegistry {
     loads: AtomicU64,
     load_attempts: AtomicU64,
     load_retries: AtomicU64,
+    load_ns: AtomicU64,
     evictions: AtomicU64,
     resident_hits: AtomicU64,
     /// Retry backoff schedule `(base, cap)` for failed loads —
@@ -163,6 +168,7 @@ impl GraphRegistry {
             loads: AtomicU64::new(0),
             load_attempts: AtomicU64::new(0),
             load_retries: AtomicU64::new(0),
+            load_ns: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             resident_hits: AtomicU64::new(0),
             load_backoff: Mutex::new((BACKOFF_BASE, BACKOFF_CAP)),
@@ -363,9 +369,10 @@ impl GraphRegistry {
         // held past their budget by the retry schedule.
         let (backoff_base, backoff_cap) = *self.load_backoff.lock().unwrap();
         let mut attempt = 0u32;
-        let result = loop {
+        let (result, load_time) = loop {
             attempt += 1;
             self.load_attempts.fetch_add(1, Ordering::Relaxed);
+            let started = std::time::Instant::now();
             let attempt_result = {
                 #[cfg(feature = "testing")]
                 {
@@ -399,7 +406,7 @@ impl GraphRegistry {
                         std::thread::sleep(sleep);
                     }
                 }
-                terminal => break terminal,
+                terminal => break (terminal, started.elapsed()),
             }
         };
         guard.armed = false;
@@ -427,6 +434,8 @@ impl GraphRegistry {
                     inner.resident_bytes += bytes;
                 }
                 self.loads.fetch_add(1, Ordering::Relaxed);
+                self.load_ns
+                    .fetch_add(load_time.as_nanos() as u64, Ordering::Relaxed);
                 self.loaded.notify_all();
                 let evicted = self.evict_over_budget(&mut inner, name);
                 Ok((graph, evicted))
@@ -509,6 +518,7 @@ impl GraphRegistry {
             loads: self.loads.load(Ordering::Relaxed),
             load_attempts: self.load_attempts.load(Ordering::Relaxed),
             load_retries: self.load_retries.load(Ordering::Relaxed),
+            load_ns: self.load_ns.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             resident_hits: self.resident_hits.load(Ordering::Relaxed),
             resident_bytes: inner.resident_bytes as u64,
@@ -674,8 +684,10 @@ impl MultiEngine {
                 return Ok(Arc::clone(front));
             }
         }
+        let fingerprint = snapshot.fingerprint();
         let front = Arc::new(GraphFront::new(
             snapshot,
+            fingerprint,
             admission_key_of(graph),
             self.hop_c,
         ));
@@ -825,6 +837,37 @@ mod tests {
         assert_eq!(reg.resident_bytes(), 0);
         let _ = reg.get("a").unwrap();
         assert_eq!(reg.stats().loads, 2);
+    }
+
+    #[test]
+    fn load_time_sums_the_successful_loader_runs() {
+        let reg = GraphRegistry::new(0);
+        reg.set_load_backoff(Duration::from_millis(1), Duration::from_millis(1));
+        let slow = Duration::from_millis(5);
+        reg.register("bad", move || {
+            std::thread::sleep(slow);
+            Err(GraphError::Format("synthetic failure".into()))
+        });
+        let g = graph(2);
+        reg.register("slow", move || {
+            std::thread::sleep(slow);
+            Ok(Arc::clone(&g))
+        });
+        // Failed attempts, however slow, are not load time.
+        assert!(reg.get("bad").is_err());
+        assert_eq!(reg.stats().load_ns, 0);
+        // Every load and every reload after an eviction is; a resident
+        // hit is not.
+        reg.get("slow").unwrap();
+        let first = reg.stats().load_ns;
+        assert!(first >= slow.as_nanos() as u64);
+        reg.get("slow").unwrap();
+        assert_eq!(reg.stats().load_ns, first);
+        assert!(reg.evict("slow"));
+        reg.get("slow").unwrap();
+        let s = reg.stats();
+        assert_eq!((s.loads, s.resident_hits), (2, 1));
+        assert!(s.load_ns >= first + slow.as_nanos() as u64);
     }
 
     #[test]
@@ -1227,6 +1270,35 @@ mod tests {
         assert_eq!(hog.admission_rejections, 1);
         assert_eq!(calm.admission_rejections, 0);
         assert_eq!(me.stats().shed_overload, 1);
+    }
+
+    #[test]
+    fn every_front_of_a_graph_carries_its_fingerprint() {
+        // `GraphFront::new` is handed the fingerprint (one O(n + m) hash
+        // per front, not two). The engine, the multi-engine's front and
+        // the graph must still agree — and so must the cache keys built
+        // from it: what the multi-engine cached is a hit for a
+        // single-graph engine over the same cache.
+        let g = graph(21);
+        let engine = EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        };
+        let me = MultiEngine::new(MultiEngineConfig {
+            engine,
+            ..MultiEngineConfig::default()
+        });
+        me.registry().register_graph("g", Arc::clone(&g));
+        let front = me.front_for("g", None).unwrap();
+        assert_eq!(front.fingerprint(), g.fingerprint());
+        let cold = me.query("g", QueryRequest::new(4)).unwrap();
+        assert_eq!(cold.outcome, CacheOutcome::Miss);
+
+        let single = crate::QueryEngine::with_cache(Arc::clone(&g), engine, me.cache().cloned());
+        assert_eq!(single.fingerprint(), g.fingerprint());
+        let warm = single.query(QueryRequest::new(4)).unwrap();
+        assert_eq!(warm.outcome, CacheOutcome::Hit);
+        assert!(warm.result.bitwise_eq(&cold.result));
     }
 
     #[test]
