@@ -24,12 +24,19 @@
 //!
 //! Run with `cargo run --release -p hk-bench --bin <name> -- [--quick]
 //! [--seeds N] [--datasets a,b] [--out DIR]`.
+//!
+//! Two more binaries write the committed `BENCH_*.json` reports beside
+//! the repo benchmark (`benchmark/`, the system-level instrument):
+//! `bench_snapshot` times the walk kernels (`BENCH_tea_plus.json`), and
+//! `serve_bench` the serving scenarios no `benchmark/` workload covers
+//! yet (`BENCH_serve.json`).
 
 pub mod cli;
 pub mod datasets;
 pub mod experiments;
 pub mod harness;
 pub mod memalloc;
+pub mod report;
 pub mod table;
 
 pub use cli::CommonArgs;

@@ -1,7 +1,7 @@
 //! Hash-map reference sweep — the seed implementation of the sweep cut,
-//! kept verbatim as the end-to-end benchmark baseline (paired with
-//! [`hkpr_core::reference`]'s estimators) and as a differential-testing
-//! oracle for the dense [`crate::conductance::SweepState`].
+//! kept verbatim (beside [`hkpr_core::reference`]'s estimators) as the
+//! differential-testing oracle for the dense
+//! [`crate::conductance::SweepState`].
 
 use hk_graph::{Graph, NodeId};
 use hkpr_core::fxhash::FxHashSet;

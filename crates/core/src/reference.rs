@@ -6,14 +6,10 @@
 //! on the dense epoch-stamped [`crate::workspace::QueryWorkspace`] with
 //! the batched walk engine. These reference versions keep the seed
 //! implementation alive verbatim — one alias sample, one sequential
-//! `k-RandomWalk` and one hash-map deposit per iteration — and serve two
-//! purposes:
-//!
-//! * **equivalence oracle**: `tests/equivalence.rs` asserts the dense
-//!   push phases are bit-identical and the end-to-end estimates agree
-//!   within the statistical tolerance of the approximation guarantee;
-//! * **benchmark baseline**: `benches/end_to_end.rs` prices the workspace
-//!   + batching rework against exactly the code it replaced.
+//! `k-RandomWalk` and one hash-map deposit per iteration — as the
+//! **equivalence oracle**: `tests/equivalence.rs` asserts the dense push
+//! phases are bit-identical and the end-to-end estimates agree within the
+//! statistical tolerance of the approximation guarantee.
 
 use hk_graph::{Graph, NodeId};
 use rand::Rng;

@@ -226,7 +226,7 @@ use rand::SeedableRng;
 ///    into dense epoch-stamped *counters* (integer, hence exactly
 ///    mergeable),
 /// 5. optionally fan chunks across `threads` workers
-///    (`std::thread::scope`, enabled by the `parallel` feature); the
+///    (`std::thread::scope`; `threads == 1` runs inline); the
 ///    result is bit-identical for every thread count because chunking and
 ///    RNG streams depend only on `master_seed` and counts merge exactly.
 ///
@@ -679,10 +679,8 @@ fn fill_chunk_walk_prefix(work: &[(u32, u64)], chunks: &[(u32, u32)], prefix: &m
     }
 }
 
-/// Execute chunk ranges on scoped worker threads (`parallel` feature).
-/// Slot `i` of `chunk_progress` holds the progress of absolute chunk
-/// `base + i`.
-#[cfg(feature = "parallel")]
+/// Execute chunk ranges on scoped worker threads. Slot `i` of
+/// `chunk_progress` holds the progress of absolute chunk `base + i`.
 fn run_chunks_parallel(
     base: usize,
     per_worker: usize,
@@ -706,30 +704,6 @@ fn run_chunks_parallel(
             });
         }
     });
-}
-
-/// Single-threaded fallback with identical results (chunk order and RNG
-/// streams are unchanged; only the execution venue differs).
-#[cfg(not(feature = "parallel"))]
-fn run_chunks_parallel(
-    base: usize,
-    per_worker: usize,
-    workers: &mut [EpochCounter],
-    bufs: &mut [WalkBuf],
-    chunk_progress: &mut [(u64, u32)],
-    run_chunk: &(dyn Fn(usize, &mut EpochCounter, &mut WalkBuf) -> (u64, u32) + Sync),
-) {
-    for (worker_idx, ((sink, buf), slots)) in workers
-        .iter_mut()
-        .zip(bufs.iter_mut())
-        .zip(chunk_progress.chunks_mut(per_worker))
-        .enumerate()
-    {
-        let first = base + worker_idx * per_worker;
-        for (off, slot) in slots.iter_mut().enumerate() {
-            *slot = run_chunk(first + off, sink, buf);
-        }
-    }
 }
 
 /// Plan the fixed-length walk phase (the Monte-Carlo walk phase: every

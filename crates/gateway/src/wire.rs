@@ -9,9 +9,9 @@
 //!   `offset_coeff` plus full support — through the shortest-round-trip
 //!   `f64` writer in [`crate::json`]. Rendering is injective on f64 bits
 //!   (including `-0.0`), so two answers render to the same string iff
-//!   they are bitwise equal: the bench's `--smoke` conformance check
-//!   compares the over-the-wire text against a locally rendered
-//!   [`hk_serve::run_batch`] answer by string equality.
+//!   they are bitwise equal: the endpoint suite and the repo benchmark's
+//!   wire-conformance check compare the over-the-wire text against a
+//!   locally rendered in-process answer by string equality.
 //! * **Typed failures.** Every [`ServeError`] maps to a fixed
 //!   `(status, code)` pair — clients dispatch on machine-readable
 //!   `code`, load balancers on status class. Degraded answers are *not*
@@ -321,7 +321,8 @@ fn rendered(write: impl FnOnce(&mut Vec<u8>)) -> String {
     String::from_utf8(out).expect("the writers emit UTF-8 only")
 }
 
-/// Canonical rendered text of a result — what `--smoke` compares.
+/// Canonical rendered text of a result — what the wire-conformance
+/// checks compare.
 pub fn canonical_result_text(r: &ClusterResult) -> String {
     rendered(|out| write_result(out, r))
 }

@@ -185,31 +185,6 @@ fn error_taxonomy_over_the_wire() {
 }
 
 #[test]
-fn immediate_deadline_is_a_408_shed() {
-    let gw = start_gateway(demo_engine());
-    // A heavy request (enormous walk budget), so the 1ms deadline
-    // lapses while it queues or runs.
-    let body = r#"{"seed": 2, "method": {"name": "monte_carlo", "max_walks": 4000000}, "knobs": {"t": 9.9}}"#;
-    let request = format!(
-        "POST /query/demo HTTP/1.1\r\nHost: t\r\nX-Deadline-Ms: 1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    // Either shed in queue (deadline_exceeded), cancelled with no tier,
-    // or answered degraded — all are legitimate outcomes of a 1ms
-    // deadline; what must never happen is a full-accuracy blocking wait.
-    let (status, body) = roundtrip(&gw, &request);
-    if status == 200 {
-        let parsed = json::parse(body.as_bytes()).unwrap();
-        assert!(
-            !matches!(parsed.get("degraded"), Some(Json::Null)),
-            "a met 1ms deadline on a 4M-walk query is implausible: {body}"
-        );
-    } else {
-        assert_eq!(status, 408, "{body}");
-    }
-}
-
-#[test]
 fn metrics_scrape_contains_mandatory_families_and_counts_requests() {
     let gw = start_gateway(demo_engine());
     let (s1, _) = roundtrip(&gw, &post("/query/demo", r#"{"seed": 5}"#));

@@ -1,16 +1,21 @@
-//! A deadline that expires during the *push phase* must come back as a
-//! 200 with the degraded push-tier marker — not a 408 — once the push
-//! has certified at least one coarsened eps_r tier.
+//! Deadline outcomes on the wire, each forced by a failpoint instead of
+//! a guess at how long a query takes:
+//!
+//! * a deadline that expires during the *push phase* must come back as a
+//!   200 with the degraded push-tier marker — not a 408 — once the push
+//!   has certified at least one coarsened eps_r tier (`core.push_tier`);
+//! * a deadline that expires while the request is still *queued* is a
+//!   408 `deadline_exceeded` shed (`sched.dequeue`).
 //!
 //! Runs in its own test binary: it arms the process-global failpoint
-//! registry (`core.push_tier`, testing feature), and endpoint tests in
-//! other binaries must never race on it.
+//! registry (testing feature), and endpoint tests in other binaries must
+//! never race on it; the tests in here take turns on [`FAULTS`].
 
 #![cfg(feature = "testing")]
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use hk_gateway::json::{self, Json};
@@ -20,14 +25,17 @@ use hk_serve::{EngineConfig, MultiEngine, MultiEngineConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn demo_engine() -> Arc<MultiEngine> {
+/// Serializes the tests of this binary over the failpoint registry.
+static FAULTS: Mutex<()> = Mutex::new(());
+
+fn demo_engine(workers: usize) -> Arc<MultiEngine> {
     let mut rng = SmallRng::seed_from_u64(7);
     let graph = hk_graph::gen::planted_partition(6, 60, 0.35, 0.01, &mut rng)
         .unwrap()
         .graph;
     let engine = Arc::new(MultiEngine::new(MultiEngineConfig {
         engine: EngineConfig {
-            workers: 2,
+            workers,
             cache_bytes: 4 << 20,
             ..EngineConfig::default()
         },
@@ -77,9 +85,18 @@ fn frame(buf: &[u8]) -> Option<(u16, usize, usize)> {
     Some((status, head_end, body_len))
 }
 
+/// A `POST /query/demo` with `headers` (each `\r\n`-terminated) and `body`.
+fn post(headers: &str, body: &str) -> String {
+    format!(
+        "POST /query/demo HTTP/1.1\r\nHost: t\r\n{headers}Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+}
+
 #[test]
 fn deadline_in_push_phase_returns_degraded_push_not_408() {
-    let gw = Gateway::start(demo_engine(), "127.0.0.1:0", GatewayConfig::default()).unwrap();
+    let _turn = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let gw = Gateway::start(demo_engine(2), "127.0.0.1:0", GatewayConfig::default()).unwrap();
     // Hold the push at its first eps_r certificate checkpoint for 400ms
     // against a 60ms deadline: the watchdog reliably fires *during the
     // push*, and the banked tier must convert the cancellation into a
@@ -91,11 +108,7 @@ fn deadline_in_push_phase_returns_degraded_push_not_408() {
         1,
     );
     let body = r#"{"seed": 2, "method": "tea_plus", "knobs": {"delta": 0.000001}}"#;
-    let request = format!(
-        "POST /query/demo HTTP/1.1\r\nHost: t\r\nX-Deadline-Ms: 60\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let (status, text) = roundtrip(&gw, &request);
+    let (status, text) = roundtrip(&gw, &post("X-Deadline-Ms: 60\r\n", body));
     let leaked = fault::armed();
     fault::clear_all();
     assert!(leaked.is_empty(), "failpoint never fired: {leaked:?}");
@@ -142,4 +155,41 @@ fn deadline_in_push_phase_returns_degraded_push_not_408() {
         "degraded_push class not filed:\n{scrape}"
     );
     assert!(scrape.contains("hk_engine_degraded_total 1"));
+}
+
+#[test]
+fn deadline_lapsed_in_the_queue_is_a_408_shed() {
+    let _turn = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    // One worker, held at job pickup for 400ms by a deadline-free
+    // request: the 20ms-deadline request behind it cannot be dequeued
+    // before its deadline has passed, whatever the build's speed.
+    let gw = Gateway::start(demo_engine(1), "127.0.0.1:0", GatewayConfig::default()).unwrap();
+    fault::clear_all();
+    fault::inject("sched.dequeue", Fault::Delay(Duration::from_millis(400)), 1);
+    let (status, text) = std::thread::scope(|scope| {
+        let blocker = scope.spawn(|| roundtrip(&gw, &post("", r#"{"seed": 1}"#)));
+        // The trigger is consumed as the worker enters the delay.
+        while !fault::armed().is_empty() {
+            std::thread::yield_now();
+        }
+        let shed = roundtrip(&gw, &post("X-Deadline-Ms: 20\r\n", r#"{"seed": 2}"#));
+        assert_eq!(
+            blocker.join().unwrap().0,
+            200,
+            "the blocker is only delayed"
+        );
+        shed
+    });
+    assert_eq!(status, 408, "{text}");
+    let parsed = json::parse(text.as_bytes()).unwrap();
+    assert_eq!(
+        parsed.get("error").and_then(Json::as_str),
+        Some("deadline_exceeded"),
+        "{text}"
+    );
+    let (_, scrape) = roundtrip(
+        &gw,
+        "GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+    );
+    assert!(scrape.contains("hk_engine_shed_queued_total 1"), "{scrape}");
 }

@@ -8,14 +8,18 @@
 //!    shed and served requests match a fresh engine's);
 //! 3. **Batch equivalence** — engine answers equal sequential
 //!    `run_batch` answers for any worker count, and `run_batch` itself is
-//!    thread-count invariant.
+//!    thread-count invariant; the same check runs over the two committed
+//!    snapshots served by one `MultiEngine`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hk_cluster::{LocalClusterer, Method, QueryScratch};
 use hk_graph::Graph;
-use hk_serve::{run_batch, CacheOutcome, EngineConfig, Knobs, QueryEngine, QueryRequest};
+use hk_serve::{
+    run_batch, CacheOutcome, EngineConfig, Knobs, MultiEngine, MultiEngineConfig, ParamsKey,
+    QueryEngine, QueryRequest, QueryResponse,
+};
 use hkpr_core::HkprParams;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -55,6 +59,74 @@ fn cached(graph: &Arc<Graph>, workers: usize) -> QueryEngine {
             ..EngineConfig::default()
         },
     )
+}
+
+/// Every engine answer must equal, byte for byte, sequential `run_batch`
+/// of the same seed on the same RNG stream. The engine canonicalizes
+/// knobs, so the reference params are built from the request's
+/// *canonical* bucket, exactly as the engine builds them.
+fn assert_equals_canonical_run_batch(
+    graph: &Graph,
+    requests: impl IntoIterator<Item = QueryRequest>,
+    query: impl Fn(QueryRequest) -> QueryResponse,
+) {
+    let clusterer = LocalClusterer::new(graph);
+    for req in requests {
+        let delta = req.knobs.delta.unwrap_or(1.0 / graph.num_nodes() as f64);
+        let canon = ParamsKey::new(req.knobs.t, req.knobs.eps_r, delta, req.knobs.p_f).canonical();
+        let params = HkprParams::builder(graph)
+            .t(canon.0)
+            .eps_r(canon.1)
+            .delta(canon.2)
+            .p_f(canon.3)
+            .c(2.5)
+            .build()
+            .unwrap();
+        let batch = run_batch(
+            &clusterer,
+            req.method,
+            &[req.seed],
+            &params,
+            req.rng_seed,
+            1,
+        );
+        assert!(
+            query(req).result.bitwise_eq(batch[0].as_ref().unwrap()),
+            "engine diverged from sequential run_batch on seed {}",
+            req.seed
+        );
+    }
+}
+
+/// The same equivalence where it ships: the two committed snapshots
+/// behind one `MultiEngine` (one shared pool, one shared cache), default
+/// knobs, the push-bound and the walk-bound estimator.
+#[test]
+fn multi_engine_over_committed_snapshots_equals_run_batch() {
+    let me = MultiEngine::new(MultiEngineConfig {
+        engine: EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        },
+        ..MultiEngineConfig::default()
+    });
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data");
+    for name in ["plc", "3d-grid"] {
+        me.registry()
+            .register_path(name, data.join(format!("{name}.x4.hkg")));
+    }
+    for name in ["plc", "3d-grid"] {
+        let (graph, _) = me.registry().get(name).unwrap();
+        let requests = [
+            Method::TeaPlus,
+            Method::MonteCarlo {
+                max_walks: Some(10_000),
+            },
+        ]
+        .into_iter()
+        .flat_map(|method| [0u32, 500, 999].map(|s| QueryRequest::new(s).method(method)));
+        assert_equals_canonical_run_batch(&graph, requests, |req| me.query(name, req).unwrap());
+    }
 }
 
 proptest! {
@@ -157,28 +229,12 @@ proptest! {
             }
         }
 
-        // The persistent engine with the same per-request streams. The
-        // engine canonicalizes knobs, so hand it the exact knob values and
-        // compare against run_batch over the *canonical* params it built.
+        // The persistent engine with the same per-request streams.
         let engine = cacheless(&graph, workers);
         let knobs = Knobs { delta: Some(1e-3), p_f: 0.01, ..Knobs::default() };
-        let engine_results: Vec<_> = seeds.iter().enumerate().map(|(i, &s)| {
-            engine.query(
-                QueryRequest::new(s).knobs(knobs).rng_seed(rng_seed.wrapping_add(i as u64)),
-            ).unwrap()
-        }).collect();
-        // Reference for the canonical bucket: sequential run_batch with
-        // params built exactly like the engine builds them.
-        let canon = hk_serve::ParamsKey::new(knobs.t, knobs.eps_r, 1e-3, knobs.p_f).canonical();
-        let canon_params = HkprParams::builder(&graph)
-            .t(canon.0).eps_r(canon.1).delta(canon.2).p_f(canon.3).c(2.5)
-            .build().unwrap();
-        let canon_batch = run_batch(
-            &clusterer, Method::TeaPlus, &seeds, &canon_params, rng_seed, 1,
-        );
-        for (e, b) in engine_results.iter().zip(canon_batch.iter()) {
-            prop_assert!(e.result.bitwise_eq(b.as_ref().unwrap()),
-                "engine diverged from sequential batch");
-        }
+        let requests = seeds.iter().enumerate().map(|(i, &s)| {
+            QueryRequest::new(s).knobs(knobs).rng_seed(rng_seed.wrapping_add(i as u64))
+        });
+        assert_equals_canonical_run_batch(&graph, requests, |req| engine.query(req).unwrap());
     }
 }

@@ -25,7 +25,7 @@
 //! Process layout: `src/bin/hk_shardd.rs` is the shard daemon
 //! (`hk-shardd --snapshot g.hkg --shard-id 0 --shards 2 --port 0`);
 //! the coordinator lives in-process with whatever is driving the fleet
-//! (a test, `serve_bench --shard`, or the CI smoke script).
+//! (the conformance suite or `serve_bench --shard`).
 
 pub mod coordinator;
 pub mod proto;
