@@ -1,5 +1,5 @@
-//! Walk-kernel snapshot: times the pure walk phase three ways on a
-//! ~100k-edge PLC graph and writes `BENCH_tea_plus.json`, the
+//! Walk-kernel snapshot: times the pure walk phase two ways on a
+//! ~100k-edge Holme–Kim graph and writes `BENCH_tea_plus.json`, the
 //! kernel-level instrument beside the repo benchmark (`benchmark/`, whose
 //! `direct-*` workloads time whole queries on a 1M-node graph).
 //!
@@ -8,11 +8,9 @@
 //!
 //! * `sequential` — Algorithm 2 as printed: one alias sample and one
 //!   `k_random_walk` (per-step stop draw) per walk. The 1.00x row;
-//! * `parkable`   — the presampled plan (exact Poisson-tail lengths,
-//!   Lemire u32 neighbor picks) through a one-owner `ExchangeSession`,
-//!   one walk at a time, planning included — what a shard runs;
-//! * `lanes`      — the same plan through the interleaved prefetching
-//!   lane kernel — what a single process runs.
+//! * `lanes`      — the presampled plan (exact Poisson-tail lengths,
+//!   Lemire u32 neighbor picks) through the interleaved prefetching lane
+//!   kernel, planning included — what every TEA / TEA+ query runs.
 //!
 //! Each row is the median of `--reps` interleaved passes with the
 //! fastest and slowest pass beside it, and speedups compare the fastest
@@ -31,21 +29,21 @@ use hk_graph::gen::holme_kim;
 use hkpr_core::push_plus::{hk_push_plus_ws, PushPlusConfig};
 use hkpr_core::walk::{k_random_walk, run_batched_walks, WalkScratch};
 use hkpr_core::workspace::EpochCounter;
-use hkpr_core::{AliasTable, ExchangeSession, HkprParams, QueryWorkspace};
+use hkpr_core::{AliasTable, HkprParams, QueryWorkspace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-const NAMES: [&str; 3] = ["sequential", "parkable", "lanes"];
+const NAMES: [&str; 2] = ["sequential", "lanes"];
 const WALKS: u64 = 200_000;
 
-/// Time the pure walk phase (no push, no sweep) three ways on a
+/// Time the pure walk phase (no push, no sweep) two ways on a
 /// TEA+-shaped residue entry set, `reps` interleaved passes. Returns
 /// `(steps_per_walk, ms[variant][pass])`.
 fn walk_kernel_snapshot(
     graph: &hk_graph::Graph,
     params: &HkprParams,
     reps: usize,
-) -> (f64, [Vec<f64>; 3]) {
+) -> (f64, [Vec<f64>; 2]) {
     // Residue entries from a real HK-Push+ run — the same shape TEA+
     // hands the walk engine (mixed hops, skewed weights).
     let mut ws = QueryWorkspace::new();
@@ -64,12 +62,12 @@ fn walk_kernel_snapshot(
     let table = AliasTable::new(&weights);
     let poisson = params.poisson();
 
-    let mut ms: [Vec<f64>; 3] = Default::default();
+    let mut ms: [Vec<f64>; 2] = Default::default();
     let mut counts = EpochCounter::new();
     let mut scratch = WalkScratch::default();
     let mut steps = 0u64;
     // Pass 0 is an untimed warm-up (it also builds the Poisson length
-    // tables); every pass runs the three variants back to back so host
+    // tables); every pass runs the two variants back to back so host
     // noise hits them alike.
     for seed in 1..=1 + reps as u64 {
         let t0 = Instant::now();
@@ -79,12 +77,6 @@ fn walk_kernel_snapshot(
             black_box(k_random_walk(graph, poisson, u, k as usize, &mut rng));
         }
         let t1 = Instant::now();
-        let mut session = ExchangeSession::new(graph, poisson, &entries, &weights, WALKS, seed)
-            .expect("entries come from this graph");
-        for chunk in 0..session.num_chunks() {
-            session.drive(&mut session.initial_cursor(chunk), |_| true);
-        }
-        let t2 = Instant::now();
         steps = run_batched_walks(
             graph,
             poisson,
@@ -97,9 +89,9 @@ fn walk_kernel_snapshot(
             &mut counts,
             &mut scratch,
         );
-        let t3 = Instant::now();
+        let t2 = Instant::now();
         if seed > 1 {
-            for (ms, took) in ms.iter_mut().zip([t1 - t0, t2 - t1, t3 - t2]) {
+            for (ms, took) in ms.iter_mut().zip([t1 - t0, t2 - t1]) {
                 ms.push(took.as_secs_f64() * 1000.0);
             }
         }
@@ -160,9 +152,9 @@ fn main() {
                     "median / min / max of `reps` interleaved passes over one entry set, in ms \
                      per `walks` walks; speedups compare the fastest passes, the reading a \
                      co-tenant disturbed least. sequential = alias sample + k_random_walk per walk \
-                     (Algorithm 2); parkable = one-owner ExchangeSession, planning included; \
-                     lanes = the single-process lane kernel. Whole-query timings are the repo \
-                     benchmark's direct-* workloads.",
+                     (Algorithm 2); lanes = the presampled plan through the lane kernel, \
+                     planning included. Whole-query timings are the repo benchmark's direct-* \
+                     workloads.",
                 ),
             ),
             (

@@ -1,7 +1,7 @@
 //! Serving-layer scenarios the repo benchmark (`benchmark/`) does not
 //! measure yet — registry churn, the scheduler under mixed deadlines, the
-//! anytime ladders, the hub store and the shard fleet — on the
-//! cache-resident `.hkg` datasets. Writes `BENCH_serve.json`.
+//! anytime ladders and the hub store — on the cache-resident `.hkg`
+//! datasets. Writes `BENCH_serve.json`.
 //!
 //! Latency and throughput of the served path, in process and over the
 //! wire, are the repo benchmark's `direct-*` and `wire-*` workloads on a
@@ -39,20 +39,8 @@
 //! result caches, with and without the hub store, and records the lift
 //! in instant-answer rate.
 //!
-//! The **shard mode** (`--shard`) measures the sharded multi-process
-//! tier: it spawns fleets of `N ∈ {1, 2, 4}` real `hk-shardd` processes
-//! over one committed snapshot, replays a walk-heavy TEA+ seed batch
-//! through a [`hk_shard::ShardCoordinator`] at each N, and records the
-//! scaling curve (replay seconds, QPS, speedup vs `N = 1`) next to the
-//! single-process one-owner reference
-//! (`LocalClusterer::run_tea_plus_one_owner`). Bitwise conformance against
-//! that reference is asserted at **every** N as part of the run — the
-//! scaling numbers are only meaningful if the answers are identical.
-//! Requires `hk-shardd` to be built first
-//! (`cargo build --release -p hk-shard`).
-//!
 //! Usage: `cargo run --release -p hk-bench --bin serve_bench --
-//! [--multi] [--sched] [--anytime] [--hubs] [--shard] [--out FILE]
+//! [--multi] [--sched] [--anytime] [--hubs] [--out FILE]
 //! [--queries N] [--pool K] [--zipf S] [--workers N] [--cache-mb M]
 //! [--datasets a,b] [--budget-mb M]`
 
@@ -63,15 +51,13 @@ use std::time::{Duration, Instant};
 
 use hk_bench::report::{self, fixed, int, obj, text};
 use hk_bench::{pick_seeds, DatasetId, Datasets};
-use hk_cluster::{ClusterResult, LocalClusterer, Method, QueryScratch};
+use hk_cluster::Method;
 use hk_gateway::json::Json;
 use hk_graph::{Graph, NodeId};
 use hk_serve::{
     CacheOutcome, EngineConfig, Knobs, MultiEngine, MultiEngineConfig, QueryEngine, QueryRequest,
     ServeError,
 };
-use hk_shard::{QueryKnobs, ShardCoordinator};
-use hkpr_core::HkprParams;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -893,176 +879,6 @@ fn bench_anytime_push(
     ])
 }
 
-/// A spawned `hk-shardd` process, killed on drop so a panicking bench
-/// cannot leak daemons.
-struct ShardProc {
-    child: std::process::Child,
-    port: u16,
-}
-
-impl Drop for ShardProc {
-    fn drop(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-/// Locate the `hk-shardd` binary next to this benchmark's own
-/// executable (same cargo target profile).
-fn shardd_binary() -> std::path::PathBuf {
-    let exe = std::env::current_exe().expect("current exe");
-    let bin = exe.parent().expect("exe dir").join("hk-shardd");
-    assert!(
-        bin.is_file(),
-        "hk-shardd not found at {} — build it first: cargo build --release -p hk-shard",
-        bin.display()
-    );
-    bin
-}
-
-fn spawn_shard_fleet(snapshot: &std::path::Path, shards: usize) -> Vec<ShardProc> {
-    use std::io::BufRead;
-    let bin = shardd_binary();
-    (0..shards)
-        .map(|i| {
-            let mut child = std::process::Command::new(&bin)
-                .args([
-                    "--snapshot",
-                    &snapshot.display().to_string(),
-                    "--shard-id",
-                    &i.to_string(),
-                    "--shards",
-                    &shards.to_string(),
-                    "--port",
-                    "0",
-                ])
-                .stdout(std::process::Stdio::piped())
-                .spawn()
-                .expect("spawn hk-shardd");
-            let stdout = child.stdout.take().expect("stdout piped");
-            let mut line = String::new();
-            std::io::BufReader::new(stdout)
-                .read_line(&mut line)
-                .expect("readiness line");
-            let port = line
-                .trim()
-                .strip_prefix("LISTENING ")
-                .and_then(|p| p.parse().ok())
-                .unwrap_or_else(|| panic!("unexpected readiness line: {line:?}"));
-            ShardProc { child, port }
-        })
-        .collect()
-}
-
-/// Sharded-serving scaling curve: fleets of `N ∈ {1, 2, 4}` real
-/// `hk-shardd` processes over one committed snapshot, driven by a
-/// [`ShardCoordinator`] through the full Begin/Exec/Step/Collect/Finish
-/// protocol, frontier-exchange rounds included. The seed batch uses
-/// walk-forcing knobs so every query runs a real distributed walk phase;
-/// bitwise conformance against the single-process one-owner reference
-/// is asserted at every N (the scaling numbers are meaningless if the
-/// answers differ, so conformance *is* part of the benchmark).
-fn bench_shard(id: DatasetId, datasets: &Datasets, queries: usize) -> Json {
-    const RNG_SEED: u64 = 0x5A4D;
-    const T: f64 = 10.0;
-    let graph = datasets.load(id); // generates + caches the snapshot file
-    let snapshot = datasets.path(id);
-    // Walk-forcing knobs (shared with the shard conformance suite):
-    // t = 10 pushes past the hop budget on the committed 3d-grid
-    // snapshot, so every seed gets a walk phase with boundary crossings.
-    let params = HkprParams::builder(&graph)
-        .t(T)
-        .eps_r(0.5)
-        .delta(1e-3)
-        .p_f(1e-3)
-        .c(2.5)
-        .build()
-        .expect("shard bench params");
-    // Seeds spread across the node range, so different shard counts
-    // route them to different owner shards.
-    let want = queries.min(24);
-    let n = graph.num_nodes() as u32;
-    let mut seeds = Vec::new();
-    for k in 0..want as u32 {
-        let mut cand = k * n / want as u32;
-        while params.validate_seed(cand).is_err() {
-            cand = (cand + 1) % n;
-        }
-        seeds.push(cand);
-    }
-
-    // Single-process reference and conformance oracle: the parkable
-    // executor under a one-owner partition runs the exact walk order the
-    // exchange distributes. Query `i` runs on `RNG_SEED + i`, as in
-    // `run_batch`.
-    let clusterer = LocalClusterer::new(&graph);
-    let mut scratch = QueryScratch::new();
-    let t0 = Instant::now();
-    let oracle: Vec<ClusterResult> = (0u64..)
-        .zip(&seeds)
-        .map(|(i, &seed)| {
-            clusterer
-                .run_tea_plus_one_owner(seed, &params, RNG_SEED + i, &mut scratch)
-                .expect("oracle query")
-        })
-        .collect();
-    let single_process_s = t0.elapsed().as_secs_f64();
-    let (mut walks_total, mut steps_total) = (0u64, 0u64);
-    for r in &oracle {
-        walks_total += r.stats.random_walks;
-        steps_total += r.stats.walk_steps;
-    }
-    assert!(
-        walks_total > 0,
-        "shard bench: every query early-exited; the scaling curve would measure nothing"
-    );
-
-    let mut replay_s = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let fleet = spawn_shard_fleet(&snapshot, shards);
-        let addrs: Vec<(&str, u16)> = fleet.iter().map(|s| ("127.0.0.1", s.port)).collect();
-        let mut coord = ShardCoordinator::connect(&addrs).expect("shard handshake");
-        assert_eq!(coord.fingerprint(), graph.fingerprint());
-        let t0 = Instant::now();
-        let got = coord
-            .run_batch(&seeds, QueryKnobs::from_params(&params), RNG_SEED)
-            .expect("sharded batch");
-        replay_s.push((shards, t0.elapsed().as_secs_f64()));
-        for (i, (wire, want)) in got.iter().zip(&oracle).enumerate() {
-            assert!(
-                wire.bitwise_matches(want),
-                "shard bench: seed {} diverged from the single-process oracle at N={shards}",
-                seeds[i]
-            );
-        }
-        coord.shutdown();
-    }
-    let base = replay_s[0].1;
-    let scaling = replay_s.iter().map(|&(shards, s)| {
-        obj([
-            ("shards", int(shards)),
-            ("replay_seconds", fixed(s, 3)),
-            ("throughput_qps", fixed(seeds.len() as f64 / s, 1)),
-            ("speedup_vs_one", fixed(base / s, 2)),
-        ])
-    });
-    obj([
-        ("graph", text(id.name())),
-        ("nodes", int(graph.num_nodes())),
-        ("edges", int(graph.num_edges())),
-        ("queries", int(seeds.len())),
-        ("t", Json::Num(T)),
-        ("walks_total", int(walks_total)),
-        ("walk_steps_total", int(steps_total)),
-        (
-            "single_process_presampled_seconds",
-            fixed(single_process_s, 3),
-        ),
-        ("conformance", text("bitwise, asserted at every N")),
-        ("scaling", Json::Arr(scaling.collect())),
-    ])
-}
-
 fn main() {
     let mut out_path = String::from("BENCH_serve.json");
     let mut w = Workload {
@@ -1078,8 +894,7 @@ fn main() {
         cache_mb: 32,
     };
     let mut dataset_names: Option<String> = None;
-    let (mut multi, mut sched, mut anytime, mut shard, mut hubs) =
-        (false, false, false, false, false);
+    let (mut multi, mut sched, mut anytime, mut hubs) = (false, false, false, false);
     let mut budget_mb: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -1095,15 +910,14 @@ fn main() {
             "--multi" => multi = true,
             "--sched" => sched = true,
             "--anytime" => anytime = true,
-            "--shard" => shard = true,
             "--hubs" => hubs = true,
             "--budget-mb" => budget_mb = Some(val().parse().expect("--budget-mb M")),
             other => panic!("unknown argument {other}"),
         }
     }
     assert!(
-        multi || sched || anytime || shard || hubs,
-        "pick at least one of --multi / --sched / --anytime / --hubs / --shard"
+        multi || sched || anytime || hubs,
+        "pick at least one of --multi / --sched / --anytime / --hubs"
     );
     // Dataset default, resolved after the whole command line is parsed
     // (flag order must not matter): the multi-graph modes default to the
@@ -1112,12 +926,8 @@ fn main() {
     let dataset_names = dataset_names.unwrap_or_else(|| {
         String::from(if multi || sched || hubs {
             "dblp,youtube,plc,3d-grid"
-        } else if anytime {
-            "plc,3d-grid"
         } else {
-            // The shard scaling curve runs on one snapshot; the 3d-grid
-            // is the one whose walk-forcing knobs are calibrated.
-            "3d-grid"
+            "plc,3d-grid"
         })
     });
 
@@ -1153,16 +963,6 @@ fn main() {
             "anytime",
             bench_anytime(&ids, &datasets, w.queries, w.workers),
         ));
-    }
-    if shard {
-        // The walk-forcing knobs are calibrated to the committed 3d-grid
-        // snapshot; prefer it whenever it is in the dataset list.
-        let id = ids
-            .iter()
-            .copied()
-            .find(|&id| id == DatasetId::Grid3d)
-            .unwrap_or(ids[0]);
-        sections.push(("shard", bench_shard(id, &datasets, w.queries)));
     }
     if hubs {
         sections.push(("hubs", bench_hubs(&ids, &datasets, &w)));

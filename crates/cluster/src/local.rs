@@ -8,9 +8,8 @@
 use hk_graph::{Graph, NodeId};
 use hkpr_core::{
     cluster_hkpr::cluster_hkpr, hk_relax::hk_relax, monte_carlo_anytime_in, ppr, tea::tea_in,
-    tea_plus_anytime_in, tea_plus_finalize, tea_plus_prepare, AccuracyTier, ExchangeSession,
-    HkprError, HkprEstimate, HkprParams, QueryStats, QueryWorkspace, TeaPlusOptions,
-    TeaPlusPrepared, TeaPlusWalkJob,
+    tea_plus_anytime_in, AccuracyTier, HkprError, HkprEstimate, HkprParams, QueryStats,
+    QueryWorkspace, TeaPlusOptions,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -329,92 +328,6 @@ impl<'g> LocalClusterer<'g> {
             },
         }
     }
-
-    /// Distributed TEA+ phase one: run push + residue reduction locally
-    /// and stop at the walk boundary. Pairs with
-    /// [`finalize_tea_plus`](Self::finalize_tea_plus); composing the two
-    /// around a walk execution that deposits the same per-node endpoint
-    /// totals as the lane kernel reproduces
-    /// [`run_in`](Self::run_in)`(Method::TeaPlus, ..)` bitwise. This is
-    /// the seed-owning shard's entry point.
-    pub fn prepare_tea_plus(
-        &self,
-        seed: NodeId,
-        params: &HkprParams,
-        rng_seed: u64,
-        ws: &mut QueryWorkspace,
-    ) -> Result<TeaPlusPrepared, HkprError> {
-        let mut rng = SmallRng::seed_from_u64(rng_seed);
-        tea_plus_prepare(
-            self.graph,
-            params,
-            seed,
-            TeaPlusOptions::default(),
-            &mut rng,
-            ws,
-        )
-    }
-
-    /// Distributed TEA+ phase three: fold externally merged walk endpoint
-    /// counts into the prepared query and sweep, completing what
-    /// [`prepare_tea_plus`](Self::prepare_tea_plus) started.
-    pub fn finalize_tea_plus(
-        &self,
-        seed: NodeId,
-        params: &HkprParams,
-        job: &TeaPlusWalkJob,
-        merged_counts: &[(NodeId, u64)],
-        steps: u64,
-        scratch: &mut QueryScratch,
-    ) -> ClusterResult {
-        let out = tea_plus_finalize(
-            self.graph,
-            params,
-            TeaPlusOptions::default(),
-            job,
-            merged_counts,
-            steps,
-            &mut scratch.workspace,
-        );
-        self.sweep_in(seed, out.estimate, out.stats, scratch)
-    }
-
-    /// TEA+ with the walk phase run by the plan's parkable executor under
-    /// a one-owner partition: [`prepare_tea_plus`](Self::prepare_tea_plus),
-    /// one [`ExchangeSession`] that owns every row (so no cursor ever
-    /// parks), [`finalize_tea_plus`](Self::finalize_tea_plus). This is the
-    /// answer every shard fleet must reproduce bit for bit, whatever its
-    /// size and partition. It is [`run_in`](Self::run_in)'s TEA+ on a
-    /// different — equally distributed — walk sample: the lane kernel feeds
-    /// one RNG draw to two walks and cannot stop between them.
-    pub fn run_tea_plus_one_owner(
-        &self,
-        seed: NodeId,
-        params: &HkprParams,
-        rng_seed: u64,
-        scratch: &mut QueryScratch,
-    ) -> Result<ClusterResult, HkprError> {
-        let ws = &mut scratch.workspace;
-        let job = match self.prepare_tea_plus(seed, params, rng_seed, ws)? {
-            TeaPlusPrepared::Done(out) => {
-                return Ok(self.sweep_in(seed, out.estimate, out.stats, scratch));
-            }
-            TeaPlusPrepared::NeedWalks(job) => job,
-        };
-        let mut session = ExchangeSession::new(
-            self.graph,
-            params.poisson(),
-            ws.walk_entries(),
-            ws.walk_weights(),
-            job.nr,
-            job.master_seed,
-        )?;
-        for chunk in 0..session.num_chunks() {
-            session.drive(&mut session.initial_cursor(chunk), |_| true);
-        }
-        let (counts, steps) = (session.sparse_counts(), session.steps());
-        Ok(self.finalize_tea_plus(seed, params, &job, &counts, steps, scratch))
-    }
 }
 
 thread_local! {
@@ -583,91 +496,5 @@ mod tests {
         assert!(clusterer
             .run(Method::HkRelax { eps_a: 0.0 }, 0, &params, 0)
             .is_err());
-    }
-
-    #[test]
-    fn distributed_prepare_exchange_finalize_matches_run_in_bitwise() {
-        // prepare -> exchange -> finalize, spelled out over two sessions
-        // that split the rows by parity (nearly every step parks), must
-        // reproduce the one-owner method bit for bit; and that method must
-        // be `run_in`'s TEA+ in everything but the walk sample.
-        use hkpr_core::{DriveOutcome, ExchangeSession, TeaPlusPrepared};
-
-        let pp = planted();
-        let g = &pp.graph;
-        let clusterer = LocalClusterer::new(g);
-        // At t = 5 every query exits early on condition (11); at t = 10
-        // each plans ~50k walks.
-        let cases = [(5.0, 1e-4, false), (10.0, 1e-3, true)];
-        let seeds = [(0u32, 0u64), (17, 5), (63, 99)];
-        for ((t, delta, walks), (seed, rng_seed)) in cases
-            .iter()
-            .flat_map(|&c| seeds.iter().map(move |&s| (c, s)))
-        {
-            let params = HkprParams::builder(g)
-                .t(t)
-                .eps_r(0.5)
-                .delta(delta)
-                .p_f(1e-3)
-                .build()
-                .unwrap();
-            let mut scratch = QueryScratch::new();
-            let want = clusterer
-                .run_tea_plus_one_owner(seed, &params, rng_seed, &mut scratch)
-                .unwrap();
-            let lanes = clusterer
-                .run_in(Method::TeaPlus, seed, &params, rng_seed, &mut scratch)
-                .unwrap();
-            assert_eq!(want.stats.random_walks, lanes.stats.random_walks);
-            assert_eq!(want.stats.random_walks > 0, walks, "t={t} seed={seed}");
-
-            let prepared = clusterer
-                .prepare_tea_plus(seed, &params, rng_seed, &mut scratch.workspace)
-                .unwrap();
-            let got = match prepared {
-                TeaPlusPrepared::Done(out) => {
-                    assert!(want.bitwise_eq(&lanes), "no walks, no second sample");
-                    clusterer.sweep_in(seed, out.estimate, out.stats, &mut scratch)
-                }
-                TeaPlusPrepared::NeedWalks(job) => {
-                    let entries = scratch.workspace.walk_entries().to_vec();
-                    let weights = scratch.workspace.walk_weights().to_vec();
-                    let mut sessions: Vec<ExchangeSession> = (0..2)
-                        .map(|_| {
-                            ExchangeSession::new(
-                                g,
-                                params.poisson(),
-                                &entries,
-                                &weights,
-                                job.nr,
-                                job.master_seed,
-                            )
-                            .unwrap()
-                        })
-                        .collect();
-                    let mut cursors: Vec<_> = (0..sessions[0].num_chunks())
-                        .map(|c| {
-                            let home = sessions[0].initial_owner_node(c) % 2;
-                            (home, sessions[0].initial_cursor(c))
-                        })
-                        .collect();
-                    while let Some((shard, mut cursor)) = cursors.pop() {
-                        let session = &mut sessions[shard as usize];
-                        if let DriveOutcome::Parked(at) =
-                            session.drive(&mut cursor, |v| v % 2 == shard)
-                        {
-                            cursors.push((at % 2, cursor));
-                        }
-                    }
-                    let counts: Vec<_> = sessions.iter().flat_map(|s| s.sparse_counts()).collect();
-                    let steps = sessions.iter().map(|s| s.steps()).sum();
-                    clusterer.finalize_tea_plus(seed, &params, &job, &counts, steps, &mut scratch)
-                }
-            };
-            assert!(
-                want.bitwise_eq(&got),
-                "t={t} seed={seed} rng_seed={rng_seed} diverged"
-            );
-        }
     }
 }

@@ -61,7 +61,6 @@ pub mod ppr;
 pub mod push;
 pub mod push_plus;
 pub mod reference;
-pub mod shard_walk;
 pub mod sparse;
 pub mod tea;
 pub mod tea_plus;
@@ -78,10 +77,6 @@ pub use params::{HkprParams, HkprParamsBuilder};
 pub use poisson::{LengthTables, PoissonTable};
 pub use power::{exact_hkpr, exact_normalized_hkpr};
 pub use ppr::{exact_ppr, fora, ppr_push};
-pub use shard_walk::{DriveOutcome, ExchangeSession, ShardCursor};
 pub use tea::{tea_in, TeaOutput};
-pub use tea_plus::{
-    tea_plus, tea_plus_anytime_in, tea_plus_finalize, tea_plus_in, tea_plus_prepare,
-    TeaPlusOptions, TeaPlusPrepared, TeaPlusWalkJob,
-};
+pub use tea_plus::{tea_plus, tea_plus_anytime_in, tea_plus_in, TeaPlusOptions};
 pub use workspace::{EpochCounter, PhaseTimes, QueryWorkspace};

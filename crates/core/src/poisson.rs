@@ -117,7 +117,7 @@ impl LengthTables {
     }
 
     /// The length sampler for start hop `k`, or `None` beyond the Poisson
-    /// truncation (where a walk stops immediately). Both walk executors bind
+    /// truncation (where a walk stops immediately). The walk engine binds
     /// this once per `(hop, node)` work group instead of re-resolving it
     /// per walk.
     #[inline]

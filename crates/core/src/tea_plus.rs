@@ -127,43 +127,21 @@ pub fn tea_plus_with_options_in<R: Rng>(
     tea_plus_anytime_in(graph, params, seed, opts, controls, rng, ws)?.into_complete()
 }
 
-/// Outcome of [`tea_plus_prepare`]: either the answer is already final,
-/// or a walk phase remains to be executed (possibly on other processes).
-#[derive(Debug)]
-pub enum TeaPlusPrepared {
-    /// The query completed during preparation — condition-(11) early exit,
-    /// or the residue reduction emptied the walk work. Final answer.
-    Done(TeaOutput),
-    /// Push + residue reduction are done and a walk phase is required.
-    /// The walk-start entries and weights stay in the workspace
-    /// ([`QueryWorkspace::walk_entries`] /
-    /// [`QueryWorkspace::walk_weights`]); execute the walks — locally or
-    /// distributed — merge the integer endpoint counts, and hand them to
-    /// [`tea_plus_finalize`] on the *same* workspace.
-    NeedWalks(TeaPlusWalkJob),
-}
-
-/// The walk phase split out of a prepared TEA+ query. Everything a remote
-/// executor needs beyond the entries/weights left in the workspace.
-#[derive(Clone, Copy, Debug)]
-pub struct TeaPlusWalkJob {
+/// A walk phase ready to execute on the workspace that prepared it (the
+/// walk-start entries and weights stay in the workspace).
+struct WalkPhase {
     /// Total reduced residue mass `alpha` (> 0).
-    pub alpha: f64,
+    alpha: f64,
     /// Planned walk count `ceil(alpha * omega)` (> 0).
-    pub nr: u64,
+    nr: u64,
     /// Master seed of the chunked walk RNG streams, drawn from the query
     /// RNG right after the walk weights validate — the only draw a TEA+
     /// query makes from it.
-    pub master_seed: u64,
+    master_seed: u64,
     /// Query stats accumulated through the push phase (including `alpha`).
-    pub stats: QueryStats,
-    /// Push-phase wall time (telemetry passthrough to finalize).
-    pub push_ns: u64,
-}
-
-/// A walk phase ready to execute on the workspace that prepared it.
-struct WalkPhase {
-    job: TeaPlusWalkJob,
+    stats: QueryStats,
+    /// Push-phase wall time.
+    push_ns: u64,
     /// Alias table over the workspace's walk weights.
     table: AliasTable,
     /// What the push achieved; the walk fields still read "no walks".
@@ -328,13 +306,11 @@ fn push_and_reduce<R: Rng>(
         // A degenerate weight vector fails *before* the master-seed draw.
         let table = AliasTable::try_new(&ws.weights)?;
         return Ok(Front::Walk(WalkPhase {
-            job: TeaPlusWalkJob {
-                alpha,
-                nr,
-                master_seed: rng.next_u64(),
-                stats,
-                push_ns,
-            },
+            alpha,
+            nr,
+            master_seed: rng.next_u64(),
+            stats,
+            push_ns,
             table,
             achieved,
             push_done,
@@ -362,13 +338,16 @@ fn walk_and_assemble(
     ws: &mut QueryWorkspace,
 ) -> AnytimeOutput {
     let WalkPhase {
-        job,
+        alpha,
+        nr,
+        master_seed,
+        mut stats,
+        push_ns,
         table,
         mut achieved,
         push_done,
     } = phase;
-    let mut stats = job.stats;
-    achieved.walks_planned = job.nr;
+    achieved.walks_planned = nr;
     let mut mass = 0.0;
     let threads = ws.threads();
     let cancel = ws.cancel_token().cloned();
@@ -376,8 +355,8 @@ fn walk_and_assemble(
         graph,
         &ws.entries,
         &table,
-        job.nr,
-        job.master_seed,
+        nr,
+        master_seed,
         cancel.as_ref(),
         &mut ws.counts,
         &mut ws.walk_scratch,
@@ -387,16 +366,16 @@ fn walk_and_assemble(
         // decomposition was never built, so only the nominal ladder depth
         // is known. The reserve-only estimate below is still sound (mass
         // stays 0.0).
-        achieved.tiers_planned = tier_targets(job.nr).len() as u32;
+        achieved.tiers_planned = tier_targets(nr).len() as u32;
         achieved.eps_r_achieved = f64::INFINITY;
     } else {
         let (cursor, tiers_completed, tiers_planned) =
-            climb_walk_ladder(ws, job.nr, walk_tier_cap, |ws, bound, cursor| {
+            climb_walk_ladder(ws, nr, walk_tier_cap, |ws, bound, cursor| {
                 run_planned_walks(
                     graph,
                     params.poisson(),
                     &ws.entries,
-                    job.master_seed,
+                    master_seed,
                     threads,
                     cancel.as_ref(),
                     bound,
@@ -408,9 +387,9 @@ fn walk_and_assemble(
         achieved.tiers_completed = tiers_completed;
         achieved.tiers_planned = tiers_planned;
         achieved.walks_done = cursor.walks_done;
-        achieved.eps_r_achieved = achieved_eps_r(params.eps_r(), job.nr, cursor.walks_done);
+        achieved.eps_r_achieved = achieved_eps_r(params.eps_r(), nr, cursor.walks_done);
         if cursor.walks_done > 0 {
-            mass = job.alpha / cursor.walks_done as f64;
+            mass = alpha / cursor.walks_done as f64;
             stats.random_walks = cursor.walks_done;
             stats.walk_steps = cursor.steps;
         }
@@ -428,68 +407,9 @@ fn walk_and_assemble(
     }
 
     AnytimeOutput {
-        estimate: assemble(ws, mass, opts.offset_coeff(params), job.push_ns, push_done),
+        estimate: assemble(ws, mass, opts.offset_coeff(params), push_ns, push_done),
         stats,
         achieved,
-    }
-}
-
-/// The push + residue-reduction half of a TEA+ query, stopping right
-/// before the walk phase — the same front half every other TEA+ entry
-/// point runs. Recomposing `prepare -> run walks -> finalize` on one
-/// process is bitwise identical to [`tea_plus_with_options_in`] for the
-/// same starting RNG state; the distributed engine replaces the middle
-/// step with frontier-exchange rounds across shards. All or nothing, like
-/// the one-shot entry points: a fired cancel token is
-/// [`HkprError::Cancelled`].
-pub fn tea_plus_prepare<R: Rng>(
-    graph: &Graph,
-    params: &HkprParams,
-    seed: NodeId,
-    opts: TeaPlusOptions,
-    rng: &mut R,
-    ws: &mut QueryWorkspace,
-) -> Result<TeaPlusPrepared, HkprError> {
-    let controls = AnytimeControls::default();
-    let front = push_and_reduce(graph, params, seed, opts, controls, rng, ws)?;
-    ws.check_cancelled()?;
-    Ok(match front {
-        Front::Done(out) => TeaPlusPrepared::Done(out.into_complete()?),
-        Front::Walk(phase) => TeaPlusPrepared::NeedWalks(phase.job),
-    })
-}
-
-/// Complete a prepared TEA+ query from externally executed walks. Must
-/// run on the workspace that ran [`tea_plus_prepare`], with no query in
-/// between (the reserve vector is still live in it). `merged_counts` are
-/// the summed integer endpoint deposits of all `job.nr` walks, in any
-/// order (integer totals per node fully determine the answer: the final
-/// assembly sorts by node and each node's value is at most one reserve
-/// entry plus one `count * mass` term, and two-operand f64 addition is
-/// commutative); `steps` is the total step count for stats.
-pub fn tea_plus_finalize(
-    graph: &Graph,
-    params: &HkprParams,
-    opts: TeaPlusOptions,
-    job: &TeaPlusWalkJob,
-    merged_counts: &[(NodeId, u64)],
-    steps: u64,
-    ws: &mut QueryWorkspace,
-) -> TeaOutput {
-    let clock = Instant::now();
-    let mut stats = job.stats;
-    stats.random_walks = job.nr;
-    stats.walk_steps = steps;
-    let mass = job.alpha / job.nr as f64;
-    ws.counts.begin(graph.num_nodes());
-    for &(v, c) in merged_counts {
-        if c > 0 {
-            ws.counts.inc(v, c);
-        }
-    }
-    TeaOutput {
-        estimate: assemble(ws, mass, opts.offset_coeff(params), job.push_ns, clock),
-        stats,
     }
 }
 
@@ -769,91 +689,6 @@ mod tests {
         )
         .unwrap();
         assert!((with_offset.estimate.offset_coeff() - params.eps_abs() / 2.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn prepare_finalize_recomposes_bitwise() {
-        // prepare -> run walks locally -> finalize must be bitwise
-        // identical to the monolithic call — the invariant the sharded
-        // serving mode is built on.
-        use crate::walk::{run_batched_walks, WalkScratch};
-        use crate::workspace::EpochCounter;
-        let mut gen_rng = SmallRng::seed_from_u64(21);
-        let g = holme_kim(600, 5, 0.3, &mut gen_rng).unwrap();
-        let params = HkprParams::builder(&g)
-            .t(5.0)
-            .eps_r(0.5)
-            .delta(1e-4)
-            .p_f(1e-3)
-            .build()
-            .unwrap();
-        for seed in [0u32, 17, 233] {
-            let mut mono_ws = QueryWorkspace::new();
-            let mut rng = SmallRng::seed_from_u64(77);
-            let mono = tea_plus_with_options_in(
-                &g,
-                &params,
-                seed,
-                TeaPlusOptions::default(),
-                &mut rng,
-                &mut mono_ws,
-            )
-            .unwrap();
-
-            let mut ws = QueryWorkspace::new();
-            let mut rng2 = SmallRng::seed_from_u64(77);
-            let prepared = tea_plus_prepare(
-                &g,
-                &params,
-                seed,
-                TeaPlusOptions::default(),
-                &mut rng2,
-                &mut ws,
-            )
-            .unwrap();
-            let out = match prepared {
-                TeaPlusPrepared::Done(out) => out,
-                TeaPlusPrepared::NeedWalks(job) => {
-                    let table = AliasTable::try_new(ws.walk_weights()).unwrap();
-                    let mut counts = EpochCounter::new();
-                    let mut scratch = WalkScratch::default();
-                    let steps = run_batched_walks(
-                        &g,
-                        params.poisson(),
-                        ws.walk_entries(),
-                        &table,
-                        job.nr,
-                        job.master_seed,
-                        1,
-                        None,
-                        &mut counts,
-                        &mut scratch,
-                    );
-                    let merged: Vec<_> = counts.iter().collect();
-                    tea_plus_finalize(
-                        &g,
-                        &params,
-                        TeaPlusOptions::default(),
-                        &job,
-                        &merged,
-                        steps,
-                        &mut ws,
-                    )
-                }
-            };
-            assert_eq!(out.stats, mono.stats, "seed {seed}");
-            assert_eq!(
-                out.estimate.offset_coeff().to_bits(),
-                mono.estimate.offset_coeff().to_bits()
-            );
-            for v in 0..g.num_nodes() as u32 {
-                assert_eq!(
-                    out.estimate.raw(v).to_bits(),
-                    mono.estimate.raw(v).to_bits(),
-                    "seed {seed} node {v}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! is exactly the quantity TEA/TEA+ need to convert residues into HKPR
 //! mass (Lemma 1). Lemma 4 bounds the expected walk length by `t`.
 //!
-//! # One plan, two executors
+//! # One plan, one executor
 //!
 //! The per-step stop test is *mathematically removable*: the product of
 //! survival probabilities telescopes (`1 - eta(j)/psi(j) = psi(j+1)/psi(j)`),
@@ -17,18 +17,14 @@
 //! table ([`crate::poisson::LengthTables`]). The batched engine turns a
 //! walk phase into a *plan* — alias-sampled starts, grouped by start
 //! entry, cut into fixed `CHUNK_WALKS`-walk chunks, one RNG stream per
-//! chunk keyed by its absolute index — which has exactly two executors.
-//! `fill_walk_buf` + `run_lanes`, here, is the only one a single process
-//! runs: it presamples a chunk's lengths, then advances [`LANES`] walks in
-//! lockstep with each lane's next adjacency row software-prefetched one
-//! step ahead, picking neighbors with a divisionless Lemire multiply on a
-//! `u32` draw. [`crate::shard_walk::ExchangeSession`] steps the same
-//! chunks one walk at a time, so a chunk can park at any step and resume
-//! in another process: what a shard fleet runs and, under a one-owner
-//! partition, its own single-process reference. The two consume a chunk's
-//! RNG stream in different orders, so they draw different — equally
-//! distributed — samples; [`k_random_walk`], Algorithm 2 as printed, is
-//! the baseline tests and benchmarks hold both to.
+//! chunk keyed by its absolute index — and runs every chunk through
+//! `fill_walk_buf` + `run_lanes`: presample the chunk's lengths, then
+//! advance [`LANES`] walks in lockstep with each lane's next adjacency row
+//! software-prefetched one step ahead, picking neighbors with a
+//! divisionless Lemire multiply on a `u32` draw. That consumes a chunk's
+//! RNG stream in another order than the per-step stop test, so it draws a
+//! different — equally distributed — sample; [`k_random_walk`], Algorithm
+//! 2 as printed, is the baseline tests and benchmarks hold it to.
 
 use hk_graph::{Graph, NodeId};
 use rand::{Rng, RngExt};
@@ -148,18 +144,6 @@ impl WalkScratch {
     /// (`prefix[c]` = walks in chunks `0..c`; `len == num_chunks + 1`).
     pub(crate) fn chunk_walk_prefix(&self) -> &[u64] {
         &self.chunk_walk_prefix
-    }
-
-    /// Flattened work items of the most recent plan (the distributed walk
-    /// engine re-derives per-chunk item slices from these).
-    pub(crate) fn work(&self) -> &[(u32, u64)] {
-        &self.work
-    }
-
-    /// Chunk boundaries of the most recent plan, as ranges into
-    /// [`work`](Self::work).
-    pub(crate) fn chunks(&self) -> &[(u32, u32)] {
-        &self.chunks
     }
 
     /// Release the backing allocations.
@@ -285,12 +269,10 @@ pub fn run_batched_walks(
 /// without executing anything. Returns `false` if the cancel token fired
 /// during start sampling (nothing is planned, the accumulator is empty).
 ///
-/// The plan is a pure function of `(entries, table, nr, master_seed)` and
-/// is what both executors run: executing it in any sequence of
-/// chunk-prefix increments via [`run_planned_walks`] deposits
-/// bit-identically to a one-shot [`run_batched_walks`] call, and
-/// [`crate::shard_walk::ExchangeSession`] turns each of its chunks into a
-/// migrating cursor.
+/// The plan is a pure function of `(entries, table, nr, master_seed)`:
+/// executing it in any sequence of chunk-prefix increments via
+/// [`run_planned_walks`] deposits bit-identically to a one-shot
+/// [`run_batched_walks`] call.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_batched_walks(
     graph: &Graph,
@@ -521,7 +503,7 @@ fn fill_walk_buf(
 /// Uniform index below `deg` from one `u32` draw: Lemire's widening
 /// multiply, rejection sliver dropped (bias < deg / 2^32).
 #[inline(always)]
-pub(crate) fn lemire_pick(r: u32, deg: u32) -> usize {
+fn lemire_pick(r: u32, deg: u32) -> usize {
     ((r as u64 * deg as u64) >> 32) as usize
 }
 
@@ -786,7 +768,7 @@ pub(crate) fn run_planned_fixed_walks(
 /// Independent RNG stream for one chunk (SplitMix64 expansion inside
 /// `seed_from_u64` decorrelates consecutive indices).
 #[inline]
-pub(crate) fn chunk_rng(master_seed: u64, chunk_idx: u64) -> SmallRng {
+fn chunk_rng(master_seed: u64, chunk_idx: u64) -> SmallRng {
     SmallRng::seed_from_u64(
         master_seed ^ (chunk_idx.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     )
@@ -872,60 +854,34 @@ mod tests {
         assert_eq!(fixed_length_walk(&g, 2, 17, &mut rng), 2);
     }
 
-    /// The ways a test runs a walk plan: through the fast executor, or the
-    /// parkable one under a one-owner partition (nothing ever parks) and
-    /// under the most hostile schedule there is — the session owns only the
-    /// node its cursor last parked at, so every `drive` call takes one step.
-    const EXECUTORS: [&str; 3] = ["lanes", "one-owner", "every-step-parks"];
-
-    /// Run `nr` walks from `(start, k)` through one of [`EXECUTORS`] and
-    /// return the endpoint frequencies.
+    /// Run `nr` walks from `(start, k)` through the lane kernel and return
+    /// the endpoint frequencies.
     fn endpoint_distribution(
         g: &Graph,
         p: &PoissonTable,
         start: NodeId,
         k: u32,
         nr: u64,
-        executor: &str,
         master_seed: u64,
     ) -> Vec<f64> {
-        use crate::shard_walk::{DriveOutcome, ExchangeSession};
-        let entries = [(k, start)];
-        let deposits: Vec<(NodeId, u64)> = if executor == "lanes" {
-            let table = AliasTable::new(&[1.0]);
-            let mut counts = EpochCounter::new();
-            let mut scratch = WalkScratch::default();
-            run_batched_walks(
-                g,
-                p,
-                &entries,
-                &table,
-                nr,
-                master_seed,
-                1,
-                None,
-                &mut counts,
-                &mut scratch,
-            );
-            counts.iter().collect()
-        } else {
-            let mut session =
-                ExchangeSession::new(g, p, &entries, &[1.0], nr, master_seed).unwrap();
-            let owned = std::cell::Cell::new(start);
-            for c in 0..session.num_chunks() {
-                let mut cursor = session.initial_cursor(c);
-                owned.set(start);
-                while let DriveOutcome::Parked(at) =
-                    session.drive(&mut cursor, |v| executor == "one-owner" || v == owned.get())
-                {
-                    owned.set(at);
-                }
-            }
-            session.sparse_counts()
-        };
-        assert_eq!(deposits.iter().map(|&(_, c)| c).sum::<u64>(), nr);
+        let table = AliasTable::new(&[1.0]);
+        let mut counts = EpochCounter::new();
+        let mut scratch = WalkScratch::default();
+        run_batched_walks(
+            g,
+            p,
+            &[(k, start)],
+            &table,
+            nr,
+            master_seed,
+            1,
+            None,
+            &mut counts,
+            &mut scratch,
+        );
+        assert_eq!(counts.iter().map(|(_, c)| c).sum::<u64>(), nr);
         let mut freq = vec![0.0; g.num_nodes()];
-        for (v, c) in deposits {
+        for (v, c) in counts.iter() {
             freq[v as usize] = c as f64 / nr as f64;
         }
         freq
@@ -934,26 +890,30 @@ mod tests {
     /// Exact `h_u^(k)[v]` on a small graph via the dense backward
     /// recursion `h^(k)_u[v] = stop(k)*[u==v] + (1-stop(k)) *
     /// avg_{w in N(u)} h^(k+1)_w[v]`, with `h` beyond the table being the
-    /// identity (stop prob 1).
-    fn exact_h<const N: usize>(g: &Graph, p: &PoissonTable) -> [[f64; N]; N] {
-        let kmax = p.k_max();
+    /// identity (stop prob 1). A degree-0 node absorbs: its `h` is the
+    /// identity at every hop.
+    fn exact_h_at_hop<const N: usize>(g: &Graph, p: &PoissonTable, k: usize) -> [[f64; N]; N] {
         let mut next = [[0.0f64; N]; N];
         for (u, row) in next.iter_mut().enumerate() {
             row[u] = 1.0;
         }
-        for hop in (0..=kmax).rev() {
+        for hop in (k..=p.k_max()).rev() {
             let s = p.stop_prob(hop);
             let mut now = [[0.0; N]; N];
-            for u in 0..N as u32 {
-                let nbrs = g.neighbors(u);
-                for v in 0..N {
-                    let mut avg = 0.0;
-                    for &w in nbrs {
-                        avg += next[w as usize][v];
-                    }
-                    avg /= nbrs.len() as f64;
-                    now[u as usize][v] =
-                        s * if u as usize == v { 1.0 } else { 0.0 } + (1.0 - s) * avg;
+            for (u, row) in now.iter_mut().enumerate() {
+                let nbrs = g.neighbors(u as NodeId);
+                for (v, h) in row.iter_mut().enumerate() {
+                    let stay = if u == v { 1.0 } else { 0.0 };
+                    *h = if nbrs.is_empty() {
+                        stay
+                    } else {
+                        let mut avg = 0.0;
+                        for &w in nbrs {
+                            avg += next[w as usize][v];
+                        }
+                        avg /= nbrs.len() as f64;
+                        s * stay + (1.0 - s) * avg
+                    };
                 }
             }
             next = now;
@@ -961,18 +921,25 @@ mod tests {
         next
     }
 
+    fn assert_matches_exact(what: &str, freq: &[f64], exact: &[f64]) {
+        for (v, (&got, &expect)) in freq.iter().zip(exact).enumerate() {
+            assert!(
+                (got - expect).abs() < 0.01,
+                "{what} v={v}: empirical {got} vs exact {expect}"
+            );
+        }
+    }
+
     #[test]
     fn lemma_2_distribution_on_path() {
         // Path 0 - 1 - 2. h_u^(k)[v] computed by hand for k far beyond the
         // mode is concentrated at u (stop_prob ~ 1); near 0 it spreads.
-        // Algorithm 2 as printed and both executors of the presampled
-        // plan — the parkable one also with a park before every step —
-        // must reproduce the exact backward-recursion distribution; this
-        // is the statistical conformance gate of length presampling.
+        // Algorithm 2 as printed and the lane kernel must reproduce the
+        // exact backward-recursion distribution; this is the statistical
+        // conformance gate of length presampling.
         let g = graph_from_edges([(0, 1), (1, 2)]);
         let p = PoissonTable::new(2.0);
         let n = 100_000usize;
-        let exact = exact_h::<3>(&g, &p);
 
         // The original sequential walk.
         let mut rng = SmallRng::seed_from_u64(6);
@@ -981,77 +948,46 @@ mod tests {
             let (end, _) = k_random_walk(&g, &p, 1, 0, &mut rng);
             counts[end as usize] += 1;
         }
-        for v in 0..3 {
-            let expect = exact[1][v];
-            let got = counts[v] as f64 / n as f64;
-            assert!(
-                (got - expect).abs() < 0.01,
-                "sequential v={v}: empirical {got} vs exact {expect}"
-            );
+        let freq = counts.map(|c| c as f64 / n as f64);
+        assert_matches_exact("sequential", &freq, &exact_h_at_hop::<3>(&g, &p, 0)[1]);
+
+        // The lane kernel, from several start hops.
+        for k in [0u32, 1, 2] {
+            let freq = endpoint_distribution(&g, &p, 1, k, n as u64, 99 + k as u64);
+            let exact = exact_h_at_hop::<3>(&g, &p, k as usize);
+            assert_matches_exact(&format!("lanes k={k}"), &freq, &exact[1]);
         }
 
-        // Both executors, from several start hops.
-        for executor in EXECUTORS {
-            for k in [0u32, 1, 2] {
-                let freq = endpoint_distribution(&g, &p, 1, k, n as u64, executor, 99 + k as u64);
-                // exact_h above is h^(0); recompute for start hop k by
-                // re-running the backward recursion only down to level k.
-                let expect = exact_h_at_hop(&g, &p, k as usize);
-                for (v, &got) in freq.iter().enumerate() {
-                    assert!(
-                        (got - expect[1][v]).abs() < 0.01,
-                        "{executor} k={k} v={v}: empirical {got} vs exact {}",
-                        expect[1][v]
-                    );
-                }
-            }
+        // Walks that end *mid-walk* on a degree-0 node: one-way arcs
+        // 1 -> 2 and 3 -> 2 (only a raw CSR can say that) lead into node 2,
+        // which has no row of its own, so only the lane kernel's absorb
+        // branch stops a walk there — without it the lane would read the
+        // next row's first neighbor (node 1) and walk on. Node 4, the last
+        // row, is isolated.
+        let g = Graph::from_csr(vec![0, 1, 4, 4, 6, 6], vec![1, 0, 2, 3, 1, 2]);
+        for (start, k) in [(1, 0u32), (1, 2), (3, 0), (3, 1), (4, 0)] {
+            let freq = endpoint_distribution(&g, &p, start, k, n as u64, 7 + k as u64);
+            let exact = exact_h_at_hop::<5>(&g, &p, k as usize);
+            assert!(start == 4 || exact[start as usize][2] > 0.2);
+            let what = format!("lanes into a sink, start {start} k={k}");
+            assert_matches_exact(&what, &freq, &exact[start as usize]);
         }
-    }
-
-    /// `h_u^(k)` for an arbitrary start hop: the backward recursion run
-    /// only down to level `k`.
-    fn exact_h_at_hop(g: &Graph, p: &PoissonTable, k: usize) -> [[f64; 3]; 3] {
-        let kmax = p.k_max();
-        let mut next = [[0.0f64; 3]; 3];
-        for (u, row) in next.iter_mut().enumerate() {
-            row[u] = 1.0;
-        }
-        for hop in (k..=kmax).rev() {
-            let s = p.stop_prob(hop);
-            let mut now = [[0.0; 3]; 3];
-            for u in 0..3u32 {
-                let nbrs = g.neighbors(u);
-                for v in 0..3 {
-                    let mut avg = 0.0;
-                    for &w in nbrs {
-                        avg += next[w as usize][v];
-                    }
-                    avg /= nbrs.len() as f64;
-                    now[u as usize][v] =
-                        s * if u as usize == v { 1.0 } else { 0.0 } + (1.0 - s) * avg;
-                }
-            }
-            next = now;
-        }
-        next
     }
 
     #[test]
     fn presampling_kernels_handle_absorbing_and_out_of_table_starts() {
-        // Degree-0 start: every executor deposits the walk at the start.
+        // Degree-0 start: the lane kernel deposits the walk at the start.
         let mut b = hk_graph::GraphBuilder::new();
         b.add_edge(0, 1);
         b.ensure_nodes(3);
         let g = b.build();
         let p = PoissonTable::new(5.0);
-        for executor in EXECUTORS {
-            let freq = endpoint_distribution(&g, &p, 2, 0, 500, executor, 7);
-            assert_eq!(freq[2], 1.0, "{executor}: degree-0 start must absorb");
-            // Start hop beyond the table: immediate stop at the start.
-            let hop = (p.k_max() + 5) as u32;
-            let freq = endpoint_distribution(&g, &p, 0, hop, 500, executor, 8);
-            assert_eq!(freq[0], 1.0, "{executor}: out-of-table start must stop");
-        }
+        let freq = endpoint_distribution(&g, &p, 2, 0, 500, 7);
+        assert_eq!(freq[2], 1.0, "degree-0 start must absorb");
+        // Start hop beyond the table: immediate stop at the start.
+        let hop = (p.k_max() + 5) as u32;
+        let freq = endpoint_distribution(&g, &p, 0, hop, 500, 8);
+        assert_eq!(freq[0], 1.0, "out-of-table start must stop");
     }
 
     #[test]
@@ -1137,7 +1073,7 @@ mod tests {
                     &mut scratch,
                 ));
             }
-            let num_chunks = scratch.chunks().len();
+            let num_chunks = scratch.chunks.len();
             assert!(num_chunks >= 4, "fixture must span several chunks");
             let mut cursor = WalkCursor::default();
             for &upto in splits.iter().chain([&num_chunks]) {

@@ -278,11 +278,10 @@ impl EpochVec {
 /// is bit-identical regardless of chunk-to-thread assignment.
 ///
 /// The slots are sized by whoever is about to deposit
-/// ([`begin`](Self::begin): the two walk planners and
-/// `tea_plus_finalize`), never ahead of time: a counter that is only ever
-/// cleared and read holds no memory, so a workspace whose queries all end
-/// in the push phase never allocates — or zero-fills, or page-faults — an
-/// `n`-slot array it would not read.
+/// ([`begin`](Self::begin): the two walk planners), never ahead of time:
+/// a counter that is only ever cleared and read holds no memory, so a
+/// workspace whose queries all end in the push phase never allocates — or
+/// zero-fills, or page-faults — an `n`-slot array it would not read.
 #[derive(Clone, Debug, Default)]
 pub struct EpochCounter {
     epoch: u32,
@@ -738,20 +737,6 @@ impl QueryWorkspace {
     pub fn threads(&self) -> usize {
         debug_assert!(self.threads >= 1);
         self.threads
-    }
-
-    /// Walk-start entries `(hop, node)` left in the workspace by the last
-    /// [`crate::tea_plus::tea_plus_prepare`] call — the shard coordinator
-    /// ships these to every shard so each can rebuild the identical walk
-    /// plan.
-    pub fn walk_entries(&self) -> &[(u32, NodeId)] {
-        &self.entries
-    }
-
-    /// Walk-start weights parallel to
-    /// [`walk_entries`](Self::walk_entries).
-    pub fn walk_weights(&self) -> &[f64] {
-        &self.weights
     }
 
     /// Wall-clock phase split of the last TEA / TEA+ / Monte-Carlo run on

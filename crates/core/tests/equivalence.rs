@@ -23,8 +23,8 @@ use hkpr_core::tea_plus::{tea_plus_in, tea_plus_with_options_in, TeaPlusOptions}
 use hkpr_core::walk::{k_random_walk, run_batched_walks, WalkScratch};
 use hkpr_core::workspace::EpochCounter;
 use hkpr_core::{
-    exact_hkpr, monte_carlo_in, AliasTable, AnytimeControls, DriveOutcome, ExchangeSession,
-    HkprParams, PoissonTable, QueryWorkspace, TeaOutput,
+    exact_hkpr, monte_carlo_in, AliasTable, AnytimeControls, HkprParams, PoissonTable,
+    QueryWorkspace, TeaOutput,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -678,7 +678,7 @@ fn walk_entry_fixture(n: usize) -> (Graph, PoissonTable, Vec<(u32, u32)>, Vec<f6
     (g, poisson, entries, weights)
 }
 
-/// The walk plan through its fast executor: `(sorted counts, steps)`.
+/// The walk plan through the lane kernel: `(sorted counts, steps)`.
 fn run_lanes(
     g: &Graph,
     poisson: &PoissonTable,
@@ -706,40 +706,10 @@ fn run_lanes(
     (counts, steps)
 }
 
-/// The same plan through its parkable executor, in one session that owns
-/// every row — or, with `every_step_parks`, only the row of the node the
-/// cursor last parked at, so each `drive` call takes a single step.
-fn run_parkable(
-    g: &Graph,
-    poisson: &PoissonTable,
-    entries: &[(u32, u32)],
-    weights: &[f64],
-    nr: u64,
-    master_seed: u64,
-    every_step_parks: bool,
-) -> (Vec<(u32, u64)>, u64) {
-    let mut session = ExchangeSession::new(g, poisson, entries, weights, nr, master_seed).unwrap();
-    let owned = std::cell::Cell::new(0);
-    for chunk in 0..session.num_chunks() {
-        let mut cursor = session.initial_cursor(chunk);
-        owned.set(session.initial_owner_node(chunk));
-        while let DriveOutcome::Parked(at) =
-            session.drive(&mut cursor, |v| !every_step_parks || v == owned.get())
-        {
-            owned.set(at);
-        }
-    }
-    assert_eq!(session.completed_walks(), nr);
-    let mut counts = session.sparse_counts();
-    counts.sort_unstable();
-    (counts, session.steps())
-}
-
-/// Neither executor's schedule can show in its output: the chunk
+/// The executor's schedule cannot show in its output: the chunk
 /// decomposition and per-chunk RNG streams are pure functions of the
-/// master seed and endpoint counts merge exactly, so the fast executor is
-/// bit-identical across walk-phase thread counts, and the parkable one
-/// across where (and how often) its cursors park.
+/// master seed and endpoint counts merge exactly, so the lane kernel is
+/// bit-identical across walk-phase thread counts.
 #[test]
 fn every_walk_kernel_bit_identical_across_thread_counts() {
     let (g, poisson, entries, weights) = walk_entry_fixture(2_000);
@@ -752,16 +722,11 @@ fn every_walk_kernel_bit_identical_across_thread_counts() {
             "lanes: counts or steps diverge at {threads} threads"
         );
     }
-    assert_eq!(
-        run_parkable(&g, &poisson, &entries, &weights, nr, 77, true),
-        run_parkable(&g, &poisson, &entries, &weights, nr, 77, false),
-        "parkable: counts or steps diverge when every step parks"
-    );
 }
 
-/// Both executors of the presampled plan consume different RNG streams
-/// than Algorithm 2's step-by-step stop test, so their outputs are
-/// different *samples* of the same distribution. On a real graph with a
+/// The lane kernel consumes a different RNG stream than Algorithm 2's
+/// step-by-step stop test, so its output is a different *sample* of the
+/// same distribution. On a real graph with a
 /// realistic entry mix the endpoint frequencies must agree with a plain
 /// `k_random_walk` loop over the same alias table within Monte-Carlo
 /// noise — the distribution-agreement gate of length presampling.
@@ -776,46 +741,42 @@ fn presampled_kernels_distribution_matches_stepwise_baseline() {
         stepwise[k_random_walk(&g, &poisson, u, k as usize, &mut rng).0 as usize] += 1;
     }
     let stepwise: Vec<f64> = stepwise.iter().map(|&c| c as f64 / nr as f64).collect();
-    let parkable = run_parkable(&g, &poisson, &entries, &weights, nr, 5, false);
-    let lanes = run_lanes(&g, &poisson, &entries, &weights, nr, 5, 2);
-    for (executor, counts) in [("parkable", parkable.0), ("lanes", lanes.0)] {
-        let mut freq = vec![0.0; g.num_nodes()];
-        for (v, c) in counts {
-            freq[v as usize] = c as f64 / nr as f64;
-        }
-        let mut total_var_dist = 0.0f64;
-        for v in 0..g.num_nodes() {
-            let diff = (freq[v] - stepwise[v]).abs();
-            // Per-node: two independent binomial estimates; 6 sigma.
-            let p = stepwise[v].max(freq[v]);
-            let sigma = (2.0 * p * (1.0 - p) / nr as f64).sqrt();
-            assert!(
-                diff <= 6.0 * sigma + 1e-4,
-                "{executor} node {v}: |{} - {}| = {diff} > 6 sigma ({sigma})",
-                freq[v],
-                stepwise[v]
-            );
-            total_var_dist += diff;
-        }
-        // Aggregate: total variation distance between the two empirical
-        // distributions stays at sampling-noise scale. Two independent
-        // nr-sample estimates of the same distribution differ per node by
-        // E|diff| = sqrt(2 p(1-p)/nr) * sqrt(2/pi), so the expected TV is
-        // half the sum of those — assert within 3x of that analytic
-        // noise floor (a systematically wrong executor, e.g. an off-by-one
-        // walk length, lands an order of magnitude above it).
-        let noise_floor: f64 = stepwise
-            .iter()
-            .map(|&p| (2.0 * p * (1.0 - p) / nr as f64).sqrt())
-            .sum::<f64>()
-            * (2.0 / std::f64::consts::PI).sqrt()
-            / 2.0;
-        assert!(
-            total_var_dist / 2.0 < 3.0 * noise_floor.max(1e-3),
-            "{executor}: TV distance {} above noise floor {noise_floor}",
-            total_var_dist / 2.0
-        );
+    let mut freq = vec![0.0; g.num_nodes()];
+    for (v, c) in run_lanes(&g, &poisson, &entries, &weights, nr, 5, 2).0 {
+        freq[v as usize] = c as f64 / nr as f64;
     }
+    let mut total_var_dist = 0.0f64;
+    for v in 0..g.num_nodes() {
+        let diff = (freq[v] - stepwise[v]).abs();
+        // Per-node: two independent binomial estimates; 6 sigma.
+        let p = stepwise[v].max(freq[v]);
+        let sigma = (2.0 * p * (1.0 - p) / nr as f64).sqrt();
+        assert!(
+            diff <= 6.0 * sigma + 1e-4,
+            "node {v}: |{} - {}| = {diff} > 6 sigma ({sigma})",
+            freq[v],
+            stepwise[v]
+        );
+        total_var_dist += diff;
+    }
+    // Aggregate: total variation distance between the two empirical
+    // distributions stays at sampling-noise scale. Two independent
+    // nr-sample estimates of the same distribution differ per node by
+    // E|diff| = sqrt(2 p(1-p)/nr) * sqrt(2/pi), so the expected TV is
+    // half the sum of those — assert within 3x of that analytic noise
+    // floor (a systematically wrong kernel, e.g. an off-by-one walk
+    // length, lands an order of magnitude above it).
+    let noise_floor: f64 = stepwise
+        .iter()
+        .map(|&p| (2.0 * p * (1.0 - p) / nr as f64).sqrt())
+        .sum::<f64>()
+        * (2.0 / std::f64::consts::PI).sqrt()
+        / 2.0;
+    assert!(
+        total_var_dist / 2.0 < 3.0 * noise_floor.max(1e-3),
+        "TV distance {} above noise floor {noise_floor}",
+        total_var_dist / 2.0
+    );
 }
 
 #[test]

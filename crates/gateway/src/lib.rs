@@ -15,10 +15,6 @@
 //!   Truncation at any byte is "need more", never an error; every
 //!   malformed input is a typed [`http::HttpError`] — property-tested
 //!   in `tests/fuzz_http.rs`.
-//! * [`frame`] — length-prefixed, CRC-32-checked binary framing for the
-//!   sharded serving tier's RPC (`crates/shard`), built with the same
-//!   hostile-input discipline and property-tested in
-//!   `tests/fuzz_shard.rs`.
 //! * [`json`] — a strict, bounded JSON reader/writer whose `f64` path
 //!   is shortest-round-trip in both directions, making rendered answers
 //!   injective on result *bits* — the foundation of the bench's
@@ -46,7 +42,6 @@
 //! println!("serving on {}", gw.local_addr());
 //! ```
 
-pub mod frame;
 pub mod http;
 pub mod json;
 pub mod metrics;

@@ -51,12 +51,10 @@ pub mod error;
 pub mod gen;
 pub mod io;
 pub mod metrics;
-pub mod partition;
 pub mod sample;
 pub mod storage;
 
 pub use builder::GraphBuilder;
 pub use csr::{Graph, NodeId};
 pub use error::GraphError;
-pub use partition::NodePartition;
 pub use storage::StorageBackend;
