@@ -9,6 +9,12 @@
 //! where `vol(S)` sums the degrees of `S` and `cut(S)` counts edges with
 //! exactly one endpoint in `S`. Smaller is better: the set is internally
 //! dense and externally sparse.
+//!
+//! The sweep's tracker, [`SweepState`], adds one node at a time and
+//! probes membership once per incident edge. Membership is a bitset over
+//! the node domain ([`MemberScratch`]), small enough to stay in L2 on a
+//! million-node graph, and cleared node by node, so a sweep costs work
+//! proportional to its support, never to the graph.
 
 use hk_graph::{Graph, NodeId};
 use hkpr_core::fxhash::FxHashSet;
@@ -39,13 +45,18 @@ pub fn conductance(graph: &Graph, nodes: &[NodeId]) -> f64 {
     }
 }
 
-/// Reusable epoch-stamped membership buffer for [`SweepState`]: clearing
-/// between sweeps is one integer bump, so batch serving pays no per-sweep
-/// allocation or memset.
+/// Reusable membership buffer for [`SweepState`]: one bit per node — 125
+/// KB at a million nodes, so the sweep's random membership probes stay in
+/// L2 — plus the list of nodes set since the last sweep began. Beginning
+/// a sweep clears exactly those bits, so the clear costs the previous
+/// sweep's support, not the graph, and a sweep stopped (or dropped)
+/// half way leaves nothing behind for the next one.
 #[derive(Clone, Debug, Default)]
 pub struct MemberScratch {
-    epoch: u32,
-    stamps: Vec<u32>,
+    /// Bit `v % 64` of word `v / 64` is set while `v` is a member.
+    bits: Vec<u64>,
+    /// Every node whose bit is set.
+    set: Vec<NodeId>,
 }
 
 impl MemberScratch {
@@ -55,26 +66,31 @@ impl MemberScratch {
     }
 
     fn begin(&mut self, n: usize) {
-        if self.stamps.len() < n {
-            self.stamps.resize(n, 0);
+        for &v in &self.set {
+            self.bits[v as usize / 64] = 0;
         }
-        if self.epoch == u32::MAX {
-            self.stamps.fill(0);
-            self.epoch = 0;
+        self.set.clear();
+        let words = n.div_ceil(64);
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
         }
-        self.epoch += 1;
+    }
+
+    #[inline]
+    fn contains(&self, v: NodeId) -> bool {
+        self.bits[v as usize / 64] >> (v % 64) & 1 != 0
     }
 }
 
 /// Incremental conductance tracker used by the sweep: nodes are added one
 /// at a time and the cut/volume update in O(d(v)) per insertion.
 ///
-/// Membership is a dense epoch-stamped array over the node domain rather
-/// than a hash set: the sweep probes membership once per incident edge,
-/// and on the support sizes real queries produce those probes dominate
-/// the whole sweep when they hash. The tracker borrows a
-/// [`MemberScratch`] so repeated sweeps reuse one buffer with O(1)
-/// logical clears.
+/// Membership is a dense bitset over the node domain rather than a hash
+/// set: the sweep probes membership once per incident edge, and on the
+/// support sizes real queries produce those probes dominate the whole
+/// sweep when they hash — or when they miss a cache the bitset fits in.
+/// The tracker borrows a [`MemberScratch`] so repeated sweeps reuse one
+/// buffer, cleared in time proportional to the last sweep.
 #[derive(Debug)]
 pub struct SweepState<'g> {
     graph: &'g Graph,
@@ -101,11 +117,10 @@ impl MemberOwnership<'_> {
 
     #[inline]
     fn contains(&self, v: NodeId) -> bool {
-        let m = match self {
-            MemberOwnership::Owned(m) => m,
-            MemberOwnership::Borrowed(m) => m,
-        };
-        m.stamps[v as usize] == m.epoch
+        match self {
+            MemberOwnership::Owned(m) => m.contains(v),
+            MemberOwnership::Borrowed(m) => m.contains(v),
+        }
     }
 }
 
@@ -160,22 +175,23 @@ impl<'g> SweepState<'g> {
         debug_assert!(!self.member.contains(v), "node {v} already in sweep set");
         // Every edge to an existing member stops being cut; every other
         // incident edge becomes cut. The membership probe per incident
-        // edge is the sweep's hot load: a branchless unchecked stamp
-        // compare (neighbor ids are < n by the CSR invariant and the
-        // stamp array is sized to n) keeps this one gather + one add per
-        // edge. Pure integer counting, so the result is exact regardless.
+        // edge is the sweep's hot load: a branchless unchecked bit test
+        // (neighbor ids are < n by the CSR invariant and the bitset holds
+        // n bits) keeps this one gather + one add per edge. Pure integer
+        // counting, so the result is exact regardless.
         let nbrs = self.graph.neighbors(v);
         // The row's length is d(v); the degree array would be one more
         // random read.
         let d = nbrs.len();
         let m = self.member.scratch();
-        let epoch = m.epoch;
         let mut internal = 0usize;
         for &u in nbrs {
-            // SAFETY: u < num_nodes() <= stamps.len().
-            internal += usize::from(unsafe { *m.stamps.get_unchecked(u as usize) } == epoch);
+            // SAFETY: u < num_nodes() <= 64 * bits.len().
+            let word = unsafe { *m.bits.get_unchecked(u as usize / 64) };
+            internal += (word >> (u % 64) & 1) as usize;
         }
-        m.stamps[v as usize] = epoch;
+        m.bits[v as usize / 64] |= 1 << (v % 64);
+        m.set.push(v);
         self.vol += d;
         self.cut = self.cut + d - 2 * internal;
         self.len += 1;
@@ -294,6 +310,27 @@ mod tests {
         assert_eq!(state.volume(), 7);
         assert_eq!(state.cut(), 1);
     }
+
+    #[test]
+    fn a_sweep_dropped_midway_leaves_no_member_behind() {
+        // Public callers may stop pushing at any point and drop the state;
+        // the next sweep on the same scratch must start from an empty set.
+        let g = barbell();
+        let mut member = MemberScratch::new();
+        let mut state = SweepState::with_scratch(&g, &mut member);
+        state.push(2);
+        state.push(3);
+        drop(state);
+        let mut state = SweepState::with_scratch(&g, &mut member);
+        // Node 2's neighbours are 0, 1 and 3: a stale 3 would make the
+        // bridge internal and the cut 1.
+        state.push(2);
+        assert_eq!((state.volume(), state.cut()), (3, 3));
+        drop(state);
+        member.begin(g.num_nodes());
+        assert!(member.bits.iter().all(|&w| w == 0));
+        assert!(member.set.is_empty());
+    }
 }
 
 #[cfg(test)]
@@ -326,6 +363,38 @@ mod proptests {
                 last = state.push(v);
             }
             prop_assert!((last - phi).abs() < 1e-12);
+        }
+
+        /// One scratch reused over sweeps on a big, a small and the big
+        /// graph again — some run to the end, some stopped part way —
+        /// tracks every prefix bit for bit like a fresh one.
+        #[test]
+        fn reused_scratch_tracks_like_a_fresh_one(
+            seed in 0u64..1_000,
+            stops in proptest::collection::vec(0usize..400, 3..12),
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let big = erdos_renyi_gnm(300, 1_200, &mut rng).unwrap();
+            let small = erdos_renyi_gnm(40, 80, &mut rng).unwrap();
+            let mut shared = MemberScratch::new();
+            for (i, &stop) in stops.iter().enumerate() {
+                let g = if i % 3 == 1 { &small } else { &big };
+                let n = g.num_nodes();
+                let mut order: Vec<u32> = (0..n as u32).collect();
+                for j in (1..n).rev() {
+                    let k = (seed as usize * 31 + i * 7 + j * 17) % (j + 1);
+                    order.swap(j, k);
+                }
+                let mut reused = SweepState::with_scratch(g, &mut shared);
+                let mut fresh = SweepState::new(g);
+                for &v in &order[..stop.min(n)] {
+                    prop_assert_eq!(reused.push(v).to_bits(), fresh.push(v).to_bits());
+                    prop_assert_eq!(
+                        (reused.volume(), reused.cut(), reused.len()),
+                        (fresh.volume(), fresh.cut(), fresh.len())
+                    );
+                }
+            }
         }
     }
 }

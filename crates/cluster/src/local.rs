@@ -345,7 +345,7 @@ pub struct QueryScratch {
     pub workspace: QueryWorkspace,
     /// Sweep ranking buffer.
     ranked: Vec<(NodeId, f64)>,
-    /// Sweep membership buffer (epoch-stamped).
+    /// Sweep membership buffer (a bitset over the nodes).
     member: MemberScratch,
 }
 

@@ -48,7 +48,7 @@ pub fn sweep_ranked_with(
 /// the node being added. The ranking is known in full after the sort, so
 /// the two dependent random reads that lead to a coming node's neighbours
 /// — its CSR offsets, then the row they locate — are asked for one stage
-/// at a time while earlier nodes are being counted. The membership stamps
+/// at a time while earlier nodes are being counted. The membership bits
 /// the row names are not: the counting loop is branchless, its loads
 /// already overlap, and a third stage measured slower than none.
 const AHEAD_OFFSETS: usize = 12;

@@ -18,13 +18,20 @@
 //! walk phase into a *plan* — alias-sampled starts, grouped by start
 //! entry, cut into fixed `CHUNK_WALKS`-walk chunks, one RNG stream per
 //! chunk keyed by its absolute index — and runs every chunk through
-//! `fill_walk_buf` + `run_lanes`: presample the chunk's lengths, then
+//! `fill_walk_buf` + `Lanes`: presample the chunk's lengths, then
 //! advance [`LANES`] walks in lockstep with each lane's next adjacency row
 //! software-prefetched one step ahead, picking neighbors with a
 //! divisionless Lemire multiply on a `u32` draw. That consumes a chunk's
 //! RNG stream in another order than the per-step stop test, so it draws a
 //! different — equally distributed — sample; [`k_random_walk`], Algorithm
 //! 2 as printed, is the baseline tests and benchmarks hold it to.
+//!
+//! `run_window` keeps up to [`WINDOW`] consecutive chunks in flight per
+//! worker, stepping their lane sets round-robin so their random loads
+//! overlap. A chunk's draws and deposits depend only on its own stream
+//! and walk list, so the window changes the schedule, never the counts:
+//! `tests::walk_engine_bits_are_pinned` holds digests taken with one
+//! chunk at a time.
 
 use hk_graph::{Graph, NodeId};
 use rand::{Rng, RngExt};
@@ -107,10 +114,11 @@ pub struct WalkScratch {
     chunk_walk_prefix: Vec<u64>,
     /// Per-worker endpoint accumulators for the parallel path.
     worker_counts: Vec<EpochCounter>,
-    /// Per-worker presampled-walk buffers (`(start, length)` per walk of
-    /// the chunk in flight; a chunk closes on the work item that takes it
-    /// to [`CHUNK_WALKS`], so up to `2 * CHUNK_WALKS - 1` entries each).
-    lane_bufs: Vec<WalkBuf>,
+    /// Per-worker presampled-walk buffers, one per window slot
+    /// (`(start, length)` per walk of the chunk in that slot; a chunk
+    /// closes on the work item that takes it to [`CHUNK_WALKS`], so up to
+    /// `2 * CHUNK_WALKS - 1` entries each).
+    lane_bufs: Vec<[WalkBuf; WINDOW]>,
 }
 
 impl WalkScratch {
@@ -130,6 +138,7 @@ impl WalkScratch {
             + self
                 .lane_bufs
                 .iter()
+                .flatten()
                 .map(|b| b.capacity() * std::mem::size_of::<(NodeId, u32)>())
                 .sum::<usize>()
     }
@@ -177,12 +186,19 @@ pub(crate) struct WalkCursor {
 /// is a pure function of the sampled walk starts.
 const CHUNK_WALKS: u64 = 4096;
 
-/// Walks advanced in lockstep by `run_lanes`. Each lane's next
-/// adjacency row is prefetched one step ahead, so one round of the lane
-/// loop keeps up to `LANES` cache-line fills in flight; 8 covers typical
-/// DRAM latency at this loop's instruction count without spilling the
-/// lane state out of registers/L1.
+/// Walks one chunk advances in lockstep ([`Lanes`]). The lane count fixes
+/// the order in which a chunk's stream is drawn — which walk takes which
+/// draw — so it is part of what every answer is, not a tuning knob:
+/// more loads in flight come from [`WINDOW`] instead.
 const LANES: usize = 8;
+
+/// Consecutive chunks a worker keeps in flight at once, each with its own
+/// lane set and RNG stream, stepped round-robin. A chunk's lanes depend
+/// only on its own stream and walk list, so the window moves no deposit;
+/// it multiplies the random loads in flight by up to four (32 lanes),
+/// which is what a walk over a graph far larger than the cache is bound
+/// by.
+const WINDOW: usize = 4;
 
 use crate::alias::AliasTable;
 use crate::cancel::CancelToken;
@@ -205,7 +221,8 @@ use rand::SeedableRng;
 /// 3. **presample every walk's exact length** per chunk (the stop-test
 ///    product telescopes to `eta(h)/psi(k)`; see
 ///    [`crate::poisson::LengthTables`]),
-/// 4. **run chunks** through the interleaved lane kernel with independent
+/// 4. **run chunks** through the interleaved lane kernel, up to
+///    [`WINDOW`] at a time per worker, with independent
 ///    `SmallRng` streams derived from `master_seed`, depositing endpoints
 ///    into dense epoch-stamped *counters* (integer, hence exactly
 ///    mergeable),
@@ -345,53 +362,59 @@ pub(crate) fn run_planned_walks(
     scratch: &mut WalkScratch,
 ) {
     let lengths = poisson.length_tables();
-    let run_items = move |items: &[(u32, u64)],
-                          rng: &mut SmallRng,
-                          sink: &mut EpochCounter,
-                          buf: &mut WalkBuf|
-          -> u64 {
+    let fill = move |items: &[(u32, u64)],
+                     rng: &mut SmallRng,
+                     sink: &mut EpochCounter,
+                     buf: &mut WalkBuf| {
         fill_walk_buf(graph, entries, lengths, items, rng, sink, buf);
-        run_lanes(graph, buf, rng, sink)
     };
     execute_chunk_range(
+        graph,
         scratch,
         upto_chunk,
         cursor,
         master_seed,
         threads,
         cancel,
-        graph.num_nodes(),
         counts,
-        &run_items,
+        &fill,
     );
 }
 
-/// One chunk's walks: `(work items, chunk RNG stream, endpoint sink,
-/// lane buffer) -> steps walked`.
-type RunItems<'a> =
-    dyn Fn(&[(u32, u64)], &mut SmallRng, &mut EpochCounter, &mut WalkBuf) -> u64 + Sync + 'a;
+/// Presample one chunk: `(work items, chunk RNG stream, endpoint sink,
+/// lane buffer)`. Deposits the walks that cannot move and leaves the
+/// movable ones in the buffer for the lanes, which go on drawing from the
+/// same stream.
+type FillChunk<'a> =
+    dyn Fn(&[(u32, u64)], &mut SmallRng, &mut EpochCounter, &mut WalkBuf) + Sync + 'a;
+
+/// Open chunk `chunk` for the window: `None` once the cancel token has
+/// fired, else its planned walk count and RNG stream, with its walk list
+/// presampled into the buffer.
+type OpenChunk<'a> =
+    dyn Fn(usize, &mut EpochCounter, &mut WalkBuf) -> Option<(u32, SmallRng)> + Sync + 'a;
 
 /// Run planned chunks `[cursor.next_chunk, upto_chunk)` of the plan on
 /// `scratch`, inline or across workers, and advance the cursor over them —
 /// the shared body of the two `run_planned_*` entry points. Each chunk
 /// that runs gets its own RNG stream, keyed by its absolute index; once
-/// `cancel` fires, remaining chunks are skipped whole (their walks are
-/// simply never deposited). For a full-range call this partitions chunks
-/// exactly like the pre-refactor engine (`per_worker =
-/// span.div_ceil(threads)`, contiguous ranges, merged in worker order);
-/// for partial ranges the partition differs per call, which is invisible
-/// in the output because integer merges are exact.
+/// `cancel` fires, chunks not yet opened are skipped whole (their walks
+/// are simply never deposited) and chunks already in a window finish.
+/// Workers take contiguous chunk ranges (`per_worker =
+/// span.div_ceil(threads)`), merged in worker order; the partition
+/// differs per call for partial ranges, which is invisible in the output
+/// because integer merges are exact.
 #[allow(clippy::too_many_arguments)]
 fn execute_chunk_range(
+    graph: &Graph,
     scratch: &mut WalkScratch,
     upto_chunk: usize,
     cursor: &mut WalkCursor,
     master_seed: u64,
     threads: usize,
     cancel: Option<&CancelToken>,
-    num_nodes: usize,
     counts: &mut EpochCounter,
-    run_items: &RunItems<'_>,
+    fill: &FillChunk<'_>,
 ) {
     let WalkScratch {
         work,
@@ -402,15 +425,16 @@ fn execute_chunk_range(
         ..
     } = scratch;
     let (work, chunks) = (&*work, &*chunks);
-    let run_chunk = |chunk_idx: usize, sink: &mut EpochCounter, buf: &mut WalkBuf| {
+    let open = |chunk_idx: usize, sink: &mut EpochCounter, buf: &mut WalkBuf| {
         if cancel.is_some_and(CancelToken::is_cancelled) {
-            return (0, 0);
+            return None;
         }
         let (lo, hi) = chunks[chunk_idx];
         let items = &work[lo as usize..hi as usize];
         let walks: u64 = items.iter().map(|&(_, c)| c).sum();
         let mut rng = chunk_rng(master_seed, chunk_idx as u64);
-        (run_items(items, &mut rng, sink, buf), walks as u32)
+        fill(items, &mut rng, sink, buf);
+        Some((walks as u32, rng))
     };
     let from = cursor.next_chunk;
     let upto = upto_chunk.min(chunk_progress.len());
@@ -420,13 +444,11 @@ fn execute_chunk_range(
     let span = upto - from;
     let threads = threads.max(1).min(span);
     if lane_bufs.len() < threads {
-        lane_bufs.resize_with(threads, Vec::new);
+        lane_bufs.resize_with(threads, Default::default);
     }
     if threads == 1 {
-        let buf = &mut lane_bufs[0];
-        for (off, slot) in chunk_progress[from..upto].iter_mut().enumerate() {
-            *slot = run_chunk(from + off, counts, buf);
-        }
+        let progress = &mut chunk_progress[from..upto];
+        run_window(graph, from, progress, counts, &mut lane_bufs[0], &open);
     } else {
         // Parallel fan-out: contiguous chunk ranges per worker, merged in
         // worker order. Exactness of the integer merge makes the outcome
@@ -437,15 +459,16 @@ fn execute_chunk_range(
         }
         let workers = &mut worker_counts[..threads];
         for w in workers.iter_mut() {
-            w.begin(num_nodes);
+            w.begin(graph.num_nodes());
         }
         run_chunks_parallel(
+            graph,
             from,
             per_worker,
             workers,
             &mut lane_bufs[..threads],
             &mut chunk_progress[from..upto],
-            &run_chunk,
+            &open,
         );
         for w in workers.iter() {
             counts.merge_from(w);
@@ -507,115 +530,220 @@ fn lemire_pick(r: u32, deg: u32) -> usize {
     ((r as u64 * deg as u64) >> 32) as usize
 }
 
-/// The interleaved lane kernel: advance up to [`LANES`] presampled walks
-/// in lockstep, refilling finished lanes from the pending list (every
+/// One chunk's lane set: up to [`LANES`] presampled walks advanced in
+/// lockstep, finished lanes refilled from the chunk's pending list (every
 /// pending walk is movable — [`fill_walk_buf`] already deposited the
-/// rest). Each round runs two sweeps over the live lanes:
+/// rest). A round is two sweeps over the live lanes, which [`run_window`]
+/// interleaves with the other chunks of its window:
 ///
-/// * **pick** — draw the neighbor index, load the next node from the
-///   adjacency row (prefetched one round ago) and prefetch that node's
-///   *offsets* line;
-/// * **advance** — resolve the next node's row (offsets now hot),
-///   prefetch its *adjacency* line for the following round, and deposit
-///   / refill finished lanes, compacting so dead lanes are never
+/// * [`pick`](Self::pick) — draw the neighbor index, load the next node
+///   from the adjacency row (prefetched one round ago) and prefetch that
+///   node's *offsets* line, plus its endpoint slot if this is the walk's
+///   last step;
+/// * [`advance`](Self::advance) — resolve the next node's row (offsets
+///   now hot), prefetch its *adjacency* line for the following round, and
+///   deposit / refill finished lanes, compacting so dead lanes are never
 ///   scanned.
 ///
-/// Both random loads of a step are therefore issued ahead of use, and up
-/// to `LANES` of them are in flight at once — the memory latency of one
-/// lane's dependent load chain is overlapped with the other lanes' work
-/// instead of stalling the walk.
-fn run_lanes(
-    graph: &Graph,
-    walks: &[(NodeId, u32)],
-    rng: &mut SmallRng,
-    sink: &mut EpochCounter,
-) -> u64 {
-    let mut steps = 0u64;
-    let mut cursor = 0usize;
-    // Lane state: current row start, degree, remaining steps, and the
-    // node picked by the current round's first sweep. Lanes 0..live are
-    // live; finished lanes are refilled in place or compacted away.
-    let mut row = [0usize; LANES];
-    let mut deg = [0u32; LANES];
-    let mut rem = [0u32; LANES];
-    let mut nxt = [0 as NodeId; LANES];
-    let mut live = 0usize;
+/// Both random loads of a step are therefore issued ahead of use, and the
+/// memory latency of one lane's dependent load chain is overlapped with
+/// the other lanes' — and the other chunks' — work instead of stalling
+/// the walk. The draws a lane set takes from its stream depend on nothing
+/// outside it.
+struct Lanes {
+    /// Current row start, degree, remaining steps, and the node picked by
+    /// the round's pick sweep. Lanes `0..live` are live.
+    row: [usize; LANES],
+    deg: [u32; LANES],
+    rem: [u32; LANES],
+    nxt: [NodeId; LANES],
+    live: usize,
+    /// Next pending walk of the chunk's list.
+    cursor: usize,
+    /// Steps walked so far.
+    steps: u64,
+}
 
-    while live < LANES && cursor < walks.len() {
-        let (start, len) = walks[cursor];
-        cursor += 1;
-        let (r0, d0) = graph.neighbor_row(start);
-        row[live] = r0;
-        deg[live] = d0;
-        rem[live] = len;
-        graph.prefetch_neighbor_row(r0);
-        live += 1;
+impl Lanes {
+    /// Load the first walks of `walks` into the lanes.
+    fn start(graph: &Graph, walks: &[(NodeId, u32)]) -> Lanes {
+        let mut lanes = Lanes {
+            row: [0; LANES],
+            deg: [0; LANES],
+            rem: [0; LANES],
+            nxt: [0; LANES],
+            live: 0,
+            cursor: 0,
+            steps: 0,
+        };
+        while lanes.live < LANES && lanes.cursor < walks.len() {
+            lanes.load(graph, lanes.live, walks[lanes.cursor]);
+            lanes.cursor += 1;
+            lanes.live += 1;
+        }
+        lanes
     }
 
-    while live > 0 {
-        // Sweep 1: pick every live lane's next node; prefetch its
-        // offsets line for sweep 2. One u64 draw feeds two lanes (each
-        // pick needs only 32 bits), halving the RNG cost of the sweep.
+    /// Put walk `(start, len)` on lane `i` and prefetch its first row.
+    #[inline(always)]
+    fn load(&mut self, graph: &Graph, i: usize, (start, len): (NodeId, u32)) {
+        let (r0, d0) = graph.neighbor_row(start);
+        self.row[i] = r0;
+        self.deg[i] = d0;
+        self.rem[i] = len;
+        graph.prefetch_neighbor_row(r0);
+    }
+
+    /// Sweep 1: pick every live lane's next node; prefetch its offsets
+    /// line for sweep 2, and the endpoint slot a finishing walk will
+    /// deposit into. One u64 draw feeds two lanes (each pick needs only
+    /// 32 bits), halving the RNG cost of the sweep.
+    ///
+    /// Not inlined, like [`advance`](Self::advance): `run_window` calls
+    /// both once per chunk per round, and copies of them in each window
+    /// slot measured slower on a graph that fits in cache.
+    #[inline(never)]
+    fn pick(&mut self, graph: &Graph, rng: &mut SmallRng, sink: &EpochCounter) {
+        let live = self.live;
         let mut i = 0;
         while i + 1 < live {
             let r = rng.next_u64();
-            let idx_hi = lemire_pick((r >> 32) as u32, deg[i]);
-            let idx_lo = lemire_pick(r as u32, deg[i + 1]);
+            let idx_hi = lemire_pick((r >> 32) as u32, self.deg[i]);
+            let idx_lo = lemire_pick(r as u32, self.deg[i + 1]);
             // SAFETY: each idx < its lane's degree, so the flat indices
             // stay inside their rows.
-            let a = unsafe { graph.neighbor_flat_unchecked(row[i] + idx_hi) };
-            let b = unsafe { graph.neighbor_flat_unchecked(row[i + 1] + idx_lo) };
-            nxt[i] = a;
-            nxt[i + 1] = b;
+            let a = unsafe { graph.neighbor_flat_unchecked(self.row[i] + idx_hi) };
+            let b = unsafe { graph.neighbor_flat_unchecked(self.row[i + 1] + idx_lo) };
+            self.nxt[i] = a;
+            self.nxt[i + 1] = b;
             graph.prefetch_node(a);
             graph.prefetch_node(b);
+            sink.prefetch(endpoint_or_zero(a, self.rem[i]));
+            sink.prefetch(endpoint_or_zero(b, self.rem[i + 1]));
             i += 2;
         }
         if i < live {
-            let idx = lemire_pick(rng.next_u32(), deg[i]);
+            let idx = lemire_pick(rng.next_u32(), self.deg[i]);
             // SAFETY: idx < deg[i], so row[i] + idx is inside the row.
-            let n = unsafe { graph.neighbor_flat_unchecked(row[i] + idx) };
-            nxt[i] = n;
+            let n = unsafe { graph.neighbor_flat_unchecked(self.row[i] + idx) };
+            self.nxt[i] = n;
             graph.prefetch_node(n);
+            sink.prefetch(endpoint_or_zero(n, self.rem[i]));
         }
-        steps += live as u64;
-        // Sweep 2: resolve rows, finish / refill / compact lanes.
+        self.steps += live as u64;
+    }
+
+    /// Sweep 2: resolve rows, finish / refill / compact lanes.
+    #[inline(never)]
+    fn advance(&mut self, graph: &Graph, walks: &[(NodeId, u32)], sink: &mut EpochCounter) {
+        let (mut live, mut cursor) = (self.live, self.cursor);
         let mut i = 0;
         while i < live {
-            rem[i] -= 1;
+            self.rem[i] -= 1;
             // SAFETY: nxt[i] was read out of the CSR arrays (< n).
-            let (nrow, ndeg) = unsafe { graph.neighbor_row_unchecked(nxt[i]) };
-            if rem[i] == 0 || ndeg == 0 {
+            let (nrow, ndeg) = unsafe { graph.neighbor_row_unchecked(self.nxt[i]) };
+            if self.rem[i] == 0 || ndeg == 0 {
                 // Finished, or absorbed at a degree-0 node.
-                sink.inc(nxt[i], 1);
-                if cursor < walks.len() {
-                    let (start, len) = walks[cursor];
+                sink.inc(self.nxt[i], 1);
+                if let Some(&walk) = walks.get(cursor) {
+                    self.load(graph, i, walk);
                     cursor += 1;
-                    let (r0, d0) = graph.neighbor_row(start);
-                    row[i] = r0;
-                    deg[i] = d0;
-                    rem[i] = len;
-                    graph.prefetch_neighbor_row(r0);
                     i += 1;
                 } else {
                     // Compact: move the last live lane down. It has had
                     // this round's pick but not its advance, so do NOT
                     // bump `i` — the moved lane is processed next.
                     live -= 1;
-                    row[i] = row[live];
-                    deg[i] = deg[live];
-                    rem[i] = rem[live];
-                    nxt[i] = nxt[live];
+                    self.row[i] = self.row[live];
+                    self.deg[i] = self.deg[live];
+                    self.rem[i] = self.rem[live];
+                    self.nxt[i] = self.nxt[live];
                 }
             } else {
-                row[i] = nrow;
-                deg[i] = ndeg;
+                self.row[i] = nrow;
+                self.deg[i] = ndeg;
                 graph.prefetch_neighbor_row(nrow);
                 i += 1;
             }
         }
+        (self.live, self.cursor) = (live, cursor);
     }
-    steps
+}
+
+/// `v` when a lane with `rem` steps left is taking its last step, node 0
+/// otherwise: the pick prefetches the endpoint slot of a finishing walk
+/// without a branch on its random length, which would mispredict.
+#[inline(always)]
+fn endpoint_or_zero(v: NodeId, rem: u32) -> NodeId {
+    v & 0u32.wrapping_sub((rem == 1) as u32)
+}
+
+/// A chunk in a window slot: its offset in the caller's progress slice,
+/// planned walk count, RNG stream and lanes.
+struct InFlight {
+    offset: usize,
+    walks: u32,
+    rng: SmallRng,
+    lanes: Lanes,
+}
+
+/// Run the chunks `first..first + progress.len()` through a window of up
+/// to [`WINDOW`] lane sets, recording each chunk's `(steps, walks)` in
+/// `progress`. Whenever a slot is free the next chunk is opened into it
+/// (a chunk whose walks all deposited at fill time finishes there); each
+/// round picks for every chunk in the window, then advances every chunk,
+/// so up to `WINDOW * LANES` random loads overlap. Every chunk draws from
+/// its own stream in exactly the order a lone chunk would — presampling,
+/// then its lanes — and deposits are integer counts, so which chunks share
+/// a window changes no bit of the output.
+fn run_window(
+    graph: &Graph,
+    first: usize,
+    progress: &mut [(u64, u32)],
+    sink: &mut EpochCounter,
+    bufs: &mut [WalkBuf; WINDOW],
+    open: &OpenChunk<'_>,
+) {
+    let mut window: [Option<InFlight>; WINDOW] = Default::default();
+    let mut next = 0usize;
+    loop {
+        for (entry, buf) in window.iter_mut().zip(bufs.iter_mut()) {
+            while entry.is_none() && next < progress.len() {
+                let offset = next;
+                next += 1;
+                let Some((walks, rng)) = open(first + offset, sink, buf) else {
+                    progress[offset] = (0, 0);
+                    continue;
+                };
+                let lanes = Lanes::start(graph, buf);
+                if lanes.live == 0 {
+                    progress[offset] = (0, walks);
+                } else {
+                    *entry = Some(InFlight {
+                        offset,
+                        walks,
+                        rng,
+                        lanes,
+                    });
+                }
+            }
+        }
+        if window.iter().all(Option::is_none) {
+            return;
+        }
+        for chunk in window.iter_mut().flatten() {
+            chunk.lanes.pick(graph, &mut chunk.rng, sink);
+        }
+        for (entry, buf) in window.iter_mut().zip(bufs.iter()) {
+            if let Some(chunk) = entry {
+                chunk.lanes.advance(graph, buf, sink);
+                if chunk.lanes.live == 0 {
+                    progress[chunk.offset] = (chunk.lanes.steps, chunk.walks);
+                    *entry = None;
+                }
+            }
+        }
+    }
 }
 
 /// Split grouped walk multiplicities into work items of at most
@@ -661,29 +789,27 @@ fn fill_chunk_walk_prefix(work: &[(u32, u64)], chunks: &[(u32, u32)], prefix: &m
     }
 }
 
-/// Execute chunk ranges on scoped worker threads. Slot `i` of
-/// `chunk_progress` holds the progress of absolute chunk `base + i`.
+/// Execute chunk ranges on scoped worker threads, each through a window
+/// of its own. Slot `i` of `chunk_progress` holds the progress of
+/// absolute chunk `base + i`.
 fn run_chunks_parallel(
+    graph: &Graph,
     base: usize,
     per_worker: usize,
     workers: &mut [EpochCounter],
-    bufs: &mut [WalkBuf],
+    bufs: &mut [[WalkBuf; WINDOW]],
     chunk_progress: &mut [(u64, u32)],
-    run_chunk: &(dyn Fn(usize, &mut EpochCounter, &mut WalkBuf) -> (u64, u32) + Sync),
+    open: &OpenChunk<'_>,
 ) {
     std::thread::scope(|scope| {
-        for (worker_idx, ((sink, buf), slots)) in workers
+        for (worker_idx, ((sink, bufs), progress)) in workers
             .iter_mut()
             .zip(bufs.iter_mut())
             .zip(chunk_progress.chunks_mut(per_worker))
             .enumerate()
         {
             let first = base + worker_idx * per_worker;
-            scope.spawn(move || {
-                for (off, slot) in slots.iter_mut().enumerate() {
-                    *slot = run_chunk(first + off, sink, buf);
-                }
-            });
+            scope.spawn(move || run_window(graph, first, progress, sink, bufs, open));
         }
     });
 }
@@ -733,12 +859,12 @@ pub(crate) fn run_planned_fixed_walks(
     scratch: &mut WalkScratch,
 ) {
     let seed_degree = graph.degree(seed);
-    // Work items are `(length, count)` here.
-    let run_items = move |items: &[(u32, u64)],
-                          rng: &mut SmallRng,
-                          sink: &mut EpochCounter,
-                          buf: &mut WalkBuf|
-          -> u64 {
+    // Work items are `(length, count)` here; no length is drawn, so the
+    // chunk's stream is the lanes' alone.
+    let fill = move |items: &[(u32, u64)],
+                     _: &mut SmallRng,
+                     sink: &mut EpochCounter,
+                     buf: &mut WalkBuf| {
         buf.clear();
         for &(len, walk_count) in items {
             if len == 0 || seed_degree == 0 {
@@ -750,18 +876,17 @@ pub(crate) fn run_planned_fixed_walks(
                 }
             }
         }
-        run_lanes(graph, buf, rng, sink)
     };
     execute_chunk_range(
+        graph,
         scratch,
         upto_chunk,
         cursor,
         master_seed,
         threads,
         cancel,
-        graph.num_nodes(),
         counts,
-        &run_items,
+        &fill,
     );
 }
 
@@ -1043,47 +1168,84 @@ mod tests {
         );
         assert!(scratch.memory_bytes() > baseline);
     }
+    /// What one execution of a plan left behind: sorted deposits, steps,
+    /// walks done and per-chunk progress.
+    type Outcome = (Vec<(NodeId, u64)>, u64, u64, Vec<(u64, u32)>);
+
+    fn outcome(counts: &EpochCounter, cursor: &WalkCursor, scratch: &WalkScratch) -> Outcome {
+        let mut deposits: Vec<(NodeId, u64)> = counts.iter().collect();
+        deposits.sort_unstable();
+        let progress = scratch.chunk_progress.clone();
+        (deposits, cursor.steps, cursor.walks_done, progress)
+    }
+
     #[test]
     fn executing_a_plan_in_prefix_increments_deposits_like_one_call() {
         // What makes the tier ladders of `crate::anytime` free: chunk RNG
         // streams are keyed by absolute chunk index and counts merge
         // exactly, so where earlier calls stopped cannot show — for both
-        // planners, any thread count.
+        // planners, any thread count, plans shorter and longer than the
+        // executor's window, and a stop at every chunk boundary. A token
+        // fired between chunks, by the caller or while a window is in
+        // flight, skips exactly the chunks not yet opened.
         let mut gen_rng = SmallRng::seed_from_u64(41);
         let g = hk_graph::gen::holme_kim(1_500, 4, 0.3, &mut gen_rng).unwrap();
         let p = PoissonTable::new(5.0);
         let entries: Vec<(u32, NodeId)> = (0..48).map(|i| (i % 3, i as NodeId)).collect();
         let weights: Vec<f64> = (0..entries.len()).map(|i| 1.0 + i as f64).collect();
         let table = AliasTable::new(&weights);
-        let lengths = [500u64, 4_000, 9_000, 7_000, 2_500, 0, 1_000];
-        let run = |splits: &[usize], threads: usize, fixed: bool| {
-            let mut counts = EpochCounter::new();
+        // A fixed-walk plan of exactly `k` chunks: a chunk closes on the
+        // item that takes it to CHUNK_WALKS, and the length-0 walks of the
+        // first item deposit at fill time.
+        let fixed_lengths = |k: usize| -> Vec<u64> {
+            if k == 1 {
+                return vec![1_000, 2_000];
+            }
+            let mut lengths = vec![1_000, CHUNK_WALKS - 1_000];
+            lengths.resize(k, CHUNK_WALKS);
+            lengths.push(2_000);
+            lengths
+        };
+        let plan = |fixed: bool, k: usize, nr: u64, counts: &mut EpochCounter| {
             let mut scratch = WalkScratch::default();
             if fixed {
-                plan_batched_fixed_walks(&g, &lengths, &mut counts, &mut scratch);
+                plan_batched_fixed_walks(&g, &fixed_lengths(k), counts, &mut scratch);
             } else {
-                assert!(plan_batched_walks(
-                    &g,
-                    &entries,
-                    &table,
-                    30_000,
-                    5,
-                    None,
-                    &mut counts,
-                    &mut scratch,
-                ));
+                let planned =
+                    plan_batched_walks(&g, &entries, &table, nr, 5, None, counts, &mut scratch);
+                assert!(planned);
             }
-            let num_chunks = scratch.chunks.len();
-            assert!(num_chunks >= 4, "fixture must span several chunks");
+            scratch
+        };
+        // The smallest multiple of 1000 walks the entry planner cuts into
+        // `k` chunks.
+        let entry_nr = |k: usize| -> u64 {
+            (1..100)
+                .map(|i| i * 1_000)
+                .find(|&nr| plan(false, k, nr, &mut EpochCounter::new()).chunks.len() == k)
+                .expect("some walk count plans k chunks")
+        };
+        // Execute the plan up to each of `stops` in turn; the token fires
+        // after the call that reached `cancel_after`.
+        let run = |fixed: bool,
+                   k: usize,
+                   nr: u64,
+                   stops: &[usize],
+                   threads: usize,
+                   cancel_after: Option<usize>| {
+            let mut counts = EpochCounter::new();
+            let mut scratch = plan(fixed, k, nr, &mut counts);
+            assert_eq!(scratch.chunks.len(), k);
+            let token = CancelToken::new();
             let mut cursor = WalkCursor::default();
-            for &upto in splits.iter().chain([&num_chunks]) {
+            for &upto in stops {
                 if fixed {
                     run_planned_fixed_walks(
                         &g,
                         3,
                         5,
                         threads,
-                        None,
+                        Some(&token),
                         upto,
                         &mut cursor,
                         &mut counts,
@@ -1096,27 +1258,246 @@ mod tests {
                         &entries,
                         5,
                         threads,
-                        None,
+                        Some(&token),
                         upto,
                         &mut cursor,
                         &mut counts,
                         &mut scratch,
                     );
                 }
+                if cancel_after == Some(upto) {
+                    token.cancel();
+                }
             }
-            assert_eq!(cursor.walks_done, scratch.planned_walks_through(num_chunks));
-            let mut deposits: Vec<(NodeId, u64)> = counts.iter().collect();
-            deposits.sort_unstable();
-            (deposits, cursor.steps)
+            outcome(&counts, &cursor, &scratch)
         };
-        for fixed in [true, false] {
-            let one_call = run(&[], 1, fixed);
-            for (splits, threads) in [(&[1usize][..], 1usize), (&[1, 2, 3], 2), (&[3, 3], 4)] {
-                assert_eq!(
-                    run(splits, threads, fixed),
-                    one_call,
-                    "fixed={fixed}: splits {splits:?} at {threads} threads"
+        for k in [1usize, 2, 3, 5, 9] {
+            for fixed in [true, false] {
+                let nr = if fixed { 0 } else { entry_nr(k) };
+                let one_call = run(fixed, k, nr, &[k], 1, None);
+                let planned = if fixed {
+                    fixed_lengths(k).iter().sum()
+                } else {
+                    nr
+                };
+                assert_eq!(one_call.2, planned, "k={k} fixed={fixed}");
+                let mut stop_sets: Vec<Vec<usize>> = (0..=k).map(|b| vec![b, k]).collect();
+                stop_sets.push((1..=k).collect());
+                for stops in &stop_sets {
+                    for threads in [1, 2, 3] {
+                        assert_eq!(
+                            run(fixed, k, nr, stops, threads, None),
+                            one_call,
+                            "k={k} fixed={fixed}: stops {stops:?} at {threads} threads"
+                        );
+                    }
+                }
+                for b in 0..=k {
+                    for threads in [1, 2, 3] {
+                        let what = format!("k={k} fixed={fixed}: cancel at {b}, {threads} threads");
+                        let cut = run(fixed, k, nr, &[b, k], threads, Some(b));
+                        let prefix = run(fixed, k, nr, &[b], threads, None);
+                        assert_eq!(cut, prefix, "{what}");
+                        assert_eq!(cut.3[..b], one_call.3[..b], "{what}");
+                        assert!(cut.3[b..].iter().all(|&c| c == (0, 0)), "{what}");
+                        let steps_before: u64 = one_call.3[..b].iter().map(|c| c.0).sum();
+                        assert_eq!(cut.1, steps_before, "{what}");
+                        let walks_before: u64 = one_call.3[..b].iter().map(|c| c.1 as u64).sum();
+                        assert_eq!(cut.2, walks_before, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_token_fired_inside_the_window_skips_only_unopened_chunks() {
+        // The executor opens chunks ahead of the one it is finishing. A
+        // token that fires while the m-th chunk is being opened lets the
+        // chunks already open run to their end and skips the rest whole:
+        // the outcome is that of running chunks [0, m).
+        let mut gen_rng = SmallRng::seed_from_u64(43);
+        let g = hk_graph::gen::holme_kim(1_500, 4, 0.3, &mut gen_rng).unwrap();
+        let p = PoissonTable::new(5.0);
+        let entries: Vec<(u32, NodeId)> = (0..32).map(|i| (i % 4, i * 7 as NodeId)).collect();
+        let table = AliasTable::new(&vec![1.0; entries.len()]);
+        let lengths = p.length_tables();
+        let plan = |counts: &mut EpochCounter| {
+            let mut scratch = WalkScratch::default();
+            assert!(plan_batched_walks(
+                &g,
+                &entries,
+                &table,
+                50_000,
+                9,
+                None,
+                counts,
+                &mut scratch
+            ));
+            scratch
+        };
+        let num_chunks = plan(&mut EpochCounter::new()).chunks.len();
+        assert!(num_chunks > 2 * WINDOW, "{num_chunks} chunks");
+        for m in 1..=num_chunks {
+            let mut counts = EpochCounter::new();
+            let mut scratch = plan(&mut counts);
+            let token = CancelToken::new();
+            let opened = std::sync::atomic::AtomicUsize::new(0);
+            let fill = |items: &[(u32, u64)],
+                        rng: &mut SmallRng,
+                        sink: &mut EpochCounter,
+                        buf: &mut WalkBuf| {
+                if opened.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1 == m {
+                    token.cancel();
+                }
+                fill_walk_buf(&g, &entries, lengths, items, rng, sink, buf);
+            };
+            let mut cursor = WalkCursor::default();
+            execute_chunk_range(
+                &g,
+                &mut scratch,
+                num_chunks,
+                &mut cursor,
+                9,
+                1,
+                Some(&token),
+                &mut counts,
+                &fill,
+            );
+            let cut = outcome(&counts, &cursor, &scratch);
+
+            let mut counts = EpochCounter::new();
+            let mut scratch = plan(&mut counts);
+            let mut cursor = WalkCursor::default();
+            run_planned_walks(
+                &g,
+                &p,
+                &entries,
+                9,
+                1,
+                None,
+                m,
+                &mut cursor,
+                &mut counts,
+                &mut scratch,
+            );
+            assert_eq!(
+                cut,
+                outcome(&counts, &cursor, &scratch),
+                "fired at chunk {m}"
+            );
+            assert_eq!(cut.2, scratch.planned_walks_through(m));
+        }
+    }
+
+    /// FNV-1a over sorted `(node, count)` deposits, then the step count.
+    fn deposit_digest(counts: &EpochCounter, steps: u64) -> u64 {
+        let mut deposits: Vec<(NodeId, u64)> = counts.iter().collect();
+        deposits.sort_unstable();
+        let words = deposits
+            .iter()
+            .flat_map(|&(v, c)| [v as u64, c])
+            .chain([steps]);
+        words.fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    #[test]
+    fn walk_engine_bits_are_pinned() {
+        // The goldens' datasets rarely plan more than two chunks, so they
+        // cannot see how the executor schedules chunks against each other.
+        // These digests pin every deposit and the step count of plans that
+        // span many chunks, for both planners and for a graph whose walks
+        // end mid-walk in a row-less node. Any thread count must agree.
+        let mut gen_rng = SmallRng::seed_from_u64(42);
+        let hk = hk_graph::gen::holme_kim(3_000, 4, 0.3, &mut gen_rng).unwrap();
+        let sink = Graph::from_csr(vec![0, 1, 4, 4, 6, 6], vec![1, 0, 2, 3, 1, 2]);
+        let p = PoissonTable::new(5.0);
+        let entries_on =
+            |n: u32| -> Vec<(u32, NodeId)> { (0..40u32).map(|i| (i % 7, (i * 37) % n)).collect() };
+        let lengths = [
+            3_000u64, 9_000, 8_000, 7_000, 6_000, 5_000, 4_000, 2_500, 1_000, 700, 300,
+        ];
+        let walk = |g: &Graph, fixed: bool, threads: usize| {
+            let mut counts = EpochCounter::new();
+            let mut scratch = WalkScratch::default();
+            let entries = entries_on(g.num_nodes() as u32);
+            let weights: Vec<f64> = (0..entries.len()).map(|i| 1.0 + (i % 5) as f64).collect();
+            let table = AliasTable::new(&weights);
+            if fixed {
+                plan_batched_fixed_walks(g, &lengths, &mut counts, &mut scratch);
+            } else {
+                assert!(plan_batched_walks(
+                    g,
+                    &entries,
+                    &table,
+                    50_000,
+                    17,
+                    None,
+                    &mut counts,
+                    &mut scratch
+                ));
+            }
+            let num_chunks = scratch.chunks.len();
+            let mut cursor = WalkCursor::default();
+            if fixed {
+                run_planned_fixed_walks(
+                    g,
+                    1,
+                    17,
+                    threads,
+                    None,
+                    num_chunks,
+                    &mut cursor,
+                    &mut counts,
+                    &mut scratch,
                 );
+            } else {
+                run_planned_walks(
+                    g,
+                    &p,
+                    &entries,
+                    17,
+                    threads,
+                    None,
+                    num_chunks,
+                    &mut cursor,
+                    &mut counts,
+                    &mut scratch,
+                );
+            }
+            (num_chunks, deposit_digest(&counts, cursor.steps))
+        };
+        let cases: [(&str, &Graph, bool, u64); 4] = [
+            (
+                "holme-kim, entry planner",
+                &hk,
+                false,
+                0x3dc7_dfb9_da65_0b2d,
+            ),
+            ("holme-kim, fixed planner", &hk, true, 0x3ae5_cc04_fcdc_e0ec),
+            (
+                "sink graph, entry planner",
+                &sink,
+                false,
+                0x602a_97e4_816c_6ced,
+            ),
+            (
+                "sink graph, fixed planner",
+                &sink,
+                true,
+                0xd44a_6f62_7ccf_0055,
+            ),
+        ];
+        for (what, g, fixed, digest) in cases {
+            let (num_chunks, got) = walk(g, fixed, 1);
+            assert!(num_chunks >= 9, "{what}: only {num_chunks} chunks");
+            assert_eq!(got, digest, "{what}: digest {got:#018x}");
+            for threads in [2, 3] {
+                assert_eq!(walk(g, fixed, threads), (num_chunks, digest), "{what}");
             }
         }
     }

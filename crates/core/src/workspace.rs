@@ -16,7 +16,10 @@
 //! * a [`QueryWorkspace`] owns all of the buffers an end-to-end query
 //!   needs (reserve, residues, walk-endpoint counters, worklists, walk
 //!   scratch), so a long-lived serving thread allocates once and runs
-//!   arbitrarily many queries allocation-free.
+//!   arbitrarily many queries allocation-free;
+//! * the output is assembled from the touched lists, sorted by node id
+//!   with an LSD radix sort whose scatter buffer the workspace keeps, so
+//!   assembly too is O(touched).
 //!
 //! The push phases work hop by hop, and while hop `k` drains only hops
 //! `k` and `k + 1` are ever written. [`DenseResidues`] therefore keeps
@@ -330,6 +333,13 @@ impl EpochCounter {
             s.value = by;
             self.touched.push(v);
         }
+    }
+
+    /// Hint the CPU to pull slot `v` into L1 ahead of an
+    /// [`inc`](Self::inc) on it. Bounds-checked; changes no state.
+    #[inline]
+    pub fn prefetch(&self, v: NodeId) {
+        prefetch_slot(&self.slots, v);
     }
 
     /// Current count of slot `v`.
@@ -671,6 +681,9 @@ pub struct QueryWorkspace {
     pub(crate) weights: Vec<f64>,
     /// Batched walk engine scratch (start multiplicities, chunk bounds).
     pub(crate) walk_scratch: crate::walk::WalkScratch,
+    /// Scatter buffer of [`assemble_estimate`](Self::assemble_estimate)'s
+    /// radix sort.
+    radix_tmp: Vec<(NodeId, f64)>,
     /// Monotone per-hop max hints for the condition-(11) scheduler.
     pub(crate) hop_max_hint: Vec<f64>,
     /// Exact per-hop maxima of hops whose processing has finished.
@@ -702,6 +715,7 @@ impl Default for QueryWorkspace {
             entries: Vec::new(),
             weights: Vec::new(),
             walk_scratch: crate::walk::WalkScratch::default(),
+            radix_tmp: Vec::new(),
             hop_max_hint: Vec::new(),
             hop_max_frozen: Vec::new(),
             push_resume: crate::push_plus::PushResumeState::default(),
@@ -839,6 +853,7 @@ impl QueryWorkspace {
             + self.entries.capacity() * std::mem::size_of::<(u32, NodeId)>()
             + self.weights.capacity() * std::mem::size_of::<f64>()
             + self.walk_scratch.memory_bytes()
+            + self.radix_tmp.capacity() * std::mem::size_of::<(NodeId, f64)>()
             + self.hop_max_hint.capacity() * std::mem::size_of::<f64>()
             + self.hop_max_frozen.capacity() * std::mem::size_of::<f64>()
     }
@@ -855,6 +870,7 @@ impl QueryWorkspace {
         self.entries = Vec::new();
         self.weights = Vec::new();
         self.walk_scratch.release();
+        self.radix_tmp = Vec::new();
         self.hop_max_hint = Vec::new();
         self.hop_max_frozen = Vec::new();
         self.push_resume = crate::push_plus::PushResumeState::default();
@@ -902,24 +918,83 @@ impl QueryWorkspace {
     }
 
     /// Assemble the final sorted sparse estimate from the reserve plus
-    /// `count * mass` walk deposits. O(touched log touched). The returned
-    /// vector is handed to the `HkprEstimate`, which owns its storage —
-    /// this is the one intrinsic allocation of a query's output.
+    /// `count * mass` walk deposits, in O(touched) (see [`sum_by_node`]).
+    /// The returned vector is handed to the `HkprEstimate`, which owns its
+    /// storage — this is the one intrinsic allocation of a query's output.
     pub(crate) fn assemble_estimate(&mut self, mass: f64) -> Vec<(NodeId, f64)> {
         // iter_nonzero's size hint is 0, so size the vec explicitly.
         let mut out = Vec::with_capacity(self.reserve.touched_len() + self.counts.iter().count());
         out.extend(self.reserve.iter_nonzero());
         out.extend(self.counts.iter().map(|(v, c)| (v, c as f64 * mass)));
-        out.sort_unstable_by_key(|&(v, _)| v);
-        out.dedup_by(|later, first| {
-            if later.0 == first.0 {
-                first.1 += later.1;
-                true
-            } else {
-                false
-            }
-        });
+        sum_by_node(&mut out, &mut self.radix_tmp);
         out
+    }
+}
+
+/// Sort `entries` by node id and fold the entries of each node into one
+/// by summing. Each node appears at most twice — once from the reserve,
+/// once from the endpoint counts — so its sum has two operands, and
+/// two-operand fp addition is commutative: the order the sort leaves
+/// them in cannot show.
+fn sum_by_node(entries: &mut Vec<(NodeId, f64)>, tmp: &mut Vec<(NodeId, f64)>) {
+    sort_by_node(entries, tmp);
+    entries.dedup_by(|later, first| {
+        if later.0 == first.0 {
+            first.1 += later.1;
+            true
+        } else {
+            false
+        }
+    });
+}
+
+/// Bits per digit of [`sort_by_node`]: 256 buckets, so a pass's
+/// histogram and scatter cursors stay in L1.
+const RADIX_BITS: u32 = 8;
+
+/// Sort `entries` by node id: an LSD radix sort over [`RADIX_BITS`]-bit
+/// digits through the scatter buffer `tmp`, skipping every digit all ids
+/// share (below 2^24 nodes, the top one). One pass counts every digit;
+/// each remaining pass is one sequential read and one scatter, with no
+/// comparisons.
+fn sort_by_node(entries: &mut [(NodeId, f64)], tmp: &mut Vec<(NodeId, f64)>) {
+    const DIGITS: usize = (NodeId::BITS / RADIX_BITS) as usize;
+    const MASK: NodeId = (1 << RADIX_BITS) - 1;
+    let Some(&(head, _)) = entries.first() else {
+        return;
+    };
+    let digit = |v: NodeId, d: usize| (v >> (d as u32 * RADIX_BITS) & MASK) as usize;
+    let mut hist = [[0usize; 1 << RADIX_BITS]; DIGITS];
+    for &(v, _) in entries.iter() {
+        for (d, h) in hist.iter_mut().enumerate() {
+            h[digit(v, d)] += 1;
+        }
+    }
+    tmp.clear();
+    tmp.resize(entries.len(), (0, 0.0));
+    let mut sorted_in_tmp = false;
+    for (d, h) in hist.iter_mut().enumerate() {
+        if h[digit(head, d)] == entries.len() {
+            continue;
+        }
+        let mut at = 0;
+        for count in h.iter_mut() {
+            (*count, at) = (at, at + *count);
+        }
+        let (src, dst) = if sorted_in_tmp {
+            (&tmp[..], &mut entries[..])
+        } else {
+            (&entries[..], &mut tmp[..])
+        };
+        for &e in src {
+            let slot = &mut h[digit(e.0, d)];
+            dst[*slot] = e;
+            *slot += 1;
+        }
+        sorted_in_tmp = !sorted_in_tmp;
+    }
+    if sorted_in_tmp {
+        entries.copy_from_slice(tmp);
     }
 }
 
@@ -1131,6 +1206,60 @@ mod tests {
         assert_eq!(entries[2], (11, 0.1));
     }
 
+    /// The assembly merge as it was before the radix sort.
+    fn sum_by_node_reference(entries: &mut Vec<(NodeId, f64)>) {
+        entries.sort_unstable_by_key(|&(v, _)| v);
+        entries.dedup_by(|later, first| {
+            if later.0 == first.0 {
+                first.1 += later.1;
+                true
+            } else {
+                false
+            }
+        });
+    }
+
+    fn bits(entries: &[(NodeId, f64)]) -> Vec<(NodeId, u64)> {
+        entries.iter().map(|&(v, x)| (v, x.to_bits())).collect()
+    }
+
+    #[test]
+    fn radix_assembly_edge_cases() {
+        let mut tmp = Vec::new();
+        for input in [
+            vec![],
+            vec![(7, 0.5)],
+            vec![(1 << 24, 0.5), (1 << 24, 0.25)],
+            vec![(u32::MAX, 1.0), (0, 2.0), (1 << 16, 3.0), (u32::MAX, 0.5)],
+            vec![(300, 0.1), (44, 0.2), (300, 0.3), ((1 << 16) + 44, 0.4)],
+        ] {
+            let (mut got, mut want) = (input.clone(), input.clone());
+            sum_by_node(&mut got, &mut tmp);
+            sum_by_node_reference(&mut want);
+            assert_eq!(bits(&got), bits(&want), "input {input:?}");
+        }
+    }
+
+    #[test]
+    fn assembly_buffer_is_accounted_and_released() {
+        let mut ws = QueryWorkspace::new();
+        let fresh = ws.memory_bytes();
+        ws.begin(4096);
+        ws.counts.begin(4096);
+        for v in 0..1_000 {
+            ws.reserve.add(v * 3, 0.5);
+            ws.counts.inc(v * 4, 1);
+        }
+        let before = ws.memory_bytes();
+        let entries = ws.assemble_estimate(0.25);
+        assert_eq!(entries.len(), 1_000 + 1_000 - 250);
+        let tmp = ws.radix_tmp.capacity() * std::mem::size_of::<(NodeId, f64)>();
+        assert!(tmp >= 2_000 * std::mem::size_of::<(NodeId, f64)>());
+        assert_eq!(ws.memory_bytes(), before + tmp);
+        ws.reset();
+        assert_eq!(ws.memory_bytes(), fresh);
+    }
+
     #[test]
     fn thread_configuration_clamped() {
         let mut ws = QueryWorkspace::with_threads(0);
@@ -1302,6 +1431,40 @@ mod tests {
         // Touched lists, worklists, frozen survivors and walk scratch grow
         // with what a query touches; together they stay under one array.
         assert!(low.abs_diff(high) < array, "{low} vs {high} bytes");
+    }
+
+    proptest::proptest! {
+        /// The radix merge equals the comparison sort + merge bit for bit,
+        /// on ids spread over every digit, with nodes in the reserve, the
+        /// counts or both.
+        #[test]
+        fn radix_assembly_matches_a_comparison_sort(
+            draws in proptest::collection::vec(
+                (0usize..4, 0u32..3_000, 0u32..3, 0.0f64..1.0),
+                0..400,
+            ),
+        ) {
+            let bases = [0, 1 << 16, 1 << 24, u32::MAX - 3_000];
+            let mut seen = std::collections::HashSet::new();
+            let (mut reserve, mut counts) = (Vec::new(), Vec::new());
+            for (base, low, source, x) in draws {
+                let v = bases[base] + low;
+                if !seen.insert(v) {
+                    continue;
+                }
+                if source != 1 {
+                    reserve.push((v, x));
+                }
+                if source != 0 {
+                    counts.push((v, x * 0.37 + 1e-3));
+                }
+            }
+            let input: Vec<(NodeId, f64)> = reserve.into_iter().chain(counts).collect();
+            let (mut got, mut want) = (input.clone(), input);
+            sum_by_node(&mut got, &mut Vec::new());
+            sum_by_node_reference(&mut want);
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]
