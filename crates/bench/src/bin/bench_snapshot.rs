@@ -84,7 +84,6 @@ fn walk_kernel_snapshot(
             &table,
             WALKS,
             seed,
-            1,
             None,
             &mut counts,
             &mut scratch,

@@ -152,8 +152,7 @@ impl<'g> LocalClusterer<'g> {
     }
 
     /// Compute only the HKPR estimate (phase one) on a reusable
-    /// [`QueryWorkspace`]. The workspace's thread count controls
-    /// TEA/TEA+/Monte-Carlo walk-phase parallelism.
+    /// [`QueryWorkspace`].
     ///
     /// [`estimate_anytime_in`](Self::estimate_anytime_in) refined to
     /// completion, all or nothing: an answer a fired cancel token left
@@ -350,18 +349,9 @@ pub struct QueryScratch {
 }
 
 impl QueryScratch {
-    /// Fresh scratch (single-threaded walk phase).
+    /// Fresh scratch; the first query sizes it.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Fresh scratch with a walk-phase thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        QueryScratch {
-            workspace: QueryWorkspace::with_threads(threads),
-            ranked: Vec::new(),
-            member: MemberScratch::new(),
-        }
     }
 }
 

@@ -7,7 +7,7 @@
 //!
 //! * a query plans a **ladder of accuracy tiers** — geometrically growing
 //!   walk-count targets snapped to the walk engine's chunk boundaries
-//!   (see [`plan_tier_bounds`]) — and executes them in order on one
+//!   (see `plan_tier_bounds`) — and executes them in order on one
 //!   resumable walk plan;
 //! * tier `k+1` costs only its increment: endpoint counts are additive
 //!   integer accumulators on chunk-indexed RNG streams, so resuming is

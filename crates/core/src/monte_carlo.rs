@@ -115,7 +115,6 @@ pub fn monte_carlo_anytime_in<R: Rng>(
     let push_ns = clock.elapsed().as_nanos() as u64;
 
     let master_seed = rng.next_u64();
-    let threads = ws.threads();
     let cancel = ws.cancel_token().cloned();
     plan_batched_fixed_walks(graph, &length_counts, &mut ws.counts, &mut ws.walk_scratch);
     let (cursor, tiers_completed, tiers_planned) =
@@ -124,7 +123,6 @@ pub fn monte_carlo_anytime_in<R: Rng>(
                 graph,
                 seed,
                 master_seed,
-                threads,
                 cancel.as_ref(),
                 bound,
                 cursor,

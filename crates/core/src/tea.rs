@@ -52,8 +52,7 @@ pub fn tea<R: Rng>(
 /// Run TEA from `seed` on a reusable workspace: the dense HK-Push
 /// ([`hk_push_ws`]) followed by the batched walk engine
 /// (`walk::run_batched_walks`). `rng` seeds the engine's deterministic
-/// per-chunk streams, so results are reproducible for a fixed RNG seed
-/// regardless of the workspace's thread count.
+/// per-chunk streams, so results are reproducible for a fixed RNG seed.
 pub fn tea_in<R: Rng>(
     graph: &Graph,
     params: &HkprParams,
@@ -99,7 +98,6 @@ pub fn tea_in<R: Rng>(
         if nr > 0 && !ws.entries.is_empty() {
             let table = AliasTable::try_new(&ws.weights)?;
             mass = alpha / nr as f64;
-            let threads = ws.threads();
             let cancel = ws.cancel_token().cloned();
             let steps = run_batched_walks(
                 graph,
@@ -108,7 +106,6 @@ pub fn tea_in<R: Rng>(
                 &table,
                 nr,
                 rng.next_u64(),
-                threads,
                 cancel.as_ref(),
                 &mut ws.counts,
                 &mut ws.walk_scratch,

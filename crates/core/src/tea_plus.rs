@@ -2,7 +2,8 @@
 //!
 //! TEA+ improves TEA with three ideas (§5):
 //!
-//! 1. **Budgeted push with early exit** — [`hk_push_plus`] runs with
+//! 1. **Budgeted push with early exit** —
+//!    [`hk_push_plus`](crate::push_plus::hk_push_plus) runs with
 //!    `np = omega * t / 2` push budget and hop cap
 //!    `K = c * ln(1/(eps_r delta)) / ln(d̄)`; if condition (11) already
 //!    holds, the reserve alone is `(d, eps_r, delta)`-approximate and the
@@ -106,15 +107,13 @@ pub fn tea_plus_in<R: Rng>(
 
 /// Full TEA+ (Algorithm 5) on a reusable workspace: dense budgeted push
 /// with the incremental condition-(11) check, residue reduction straight
-/// off the dense hop arrays, and the batched walk engine. The workspace's
-/// thread count controls the walk-phase fan-out; results are bit-identical
-/// across thread counts for a fixed `rng` state.
+/// off the dense hop arrays, and the batched walk engine. Results are
+/// bit-identical for a fixed `rng` state.
 ///
 /// This is [`tea_plus_anytime_in`] refined to completion with the
-/// [`AccuracyTier`](crate::anytime::AccuracyTier) dropped: all or
-/// nothing. A cancellation that cut either ladder short — which the
-/// anytime entry point would report as a degraded answer — is
-/// [`HkprError::Cancelled`] here.
+/// [`AccuracyTier`] dropped: all or nothing. A cancellation that cut
+/// either ladder short — which the anytime entry point would report as a
+/// degraded answer — is [`HkprError::Cancelled`] here.
 pub fn tea_plus_with_options_in<R: Rng>(
     graph: &Graph,
     params: &HkprParams,
@@ -349,7 +348,6 @@ fn walk_and_assemble(
     } = phase;
     achieved.walks_planned = nr;
     let mut mass = 0.0;
-    let threads = ws.threads();
     let cancel = ws.cancel_token().cloned();
     let planned = plan_batched_walks(
         graph,
@@ -376,7 +374,6 @@ fn walk_and_assemble(
                     params.poisson(),
                     &ws.entries,
                     master_seed,
-                    threads,
                     cancel.as_ref(),
                     bound,
                     cursor,

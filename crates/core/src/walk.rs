@@ -19,19 +19,19 @@
 //! entry, cut into fixed `CHUNK_WALKS`-walk chunks, one RNG stream per
 //! chunk keyed by its absolute index — and runs every chunk through
 //! `fill_walk_buf` + `Lanes`: presample the chunk's lengths, then
-//! advance [`LANES`] walks in lockstep with each lane's next adjacency row
+//! advance `LANES` walks in lockstep with each lane's next adjacency row
 //! software-prefetched one step ahead, picking neighbors with a
 //! divisionless Lemire multiply on a `u32` draw. That consumes a chunk's
 //! RNG stream in another order than the per-step stop test, so it draws a
 //! different — equally distributed — sample; [`k_random_walk`], Algorithm
 //! 2 as printed, is the baseline tests and benchmarks hold it to.
 //!
-//! `run_window` keeps up to [`WINDOW`] consecutive chunks in flight per
-//! worker, stepping their lane sets round-robin so their random loads
-//! overlap. A chunk's draws and deposits depend only on its own stream
-//! and walk list, so the window changes the schedule, never the counts:
-//! `tests::walk_engine_bits_are_pinned` holds digests taken with one
-//! chunk at a time.
+//! `run_window` keeps up to `WINDOW` consecutive chunks in flight on the
+//! thread that runs the query, stepping their lane sets round-robin so
+//! their random loads overlap. A chunk's draws and deposits depend only on
+//! its own stream and walk list, so the window changes the schedule, never
+//! the counts: `tests::walk_engine_bits_are_pinned` holds digests taken
+//! with one chunk at a time.
 
 use hk_graph::{Graph, NodeId};
 use rand::{Rng, RngExt};
@@ -104,21 +104,15 @@ pub struct WalkScratch {
     work: Vec<(u32, u64)>,
     /// Chunk boundaries: ranges into `work`.
     chunks: Vec<(u32, u32)>,
-    /// Per-chunk `(steps walked, walks deposited)`. A chunk skipped by a
-    /// fired cancel token records `(0, 0)`; a chunk that ran records its
-    /// full planned walk count (chunks are atomic).
-    chunk_progress: Vec<(u64, u32)>,
     /// Cumulative planned walks before each chunk boundary
     /// (`len == chunks.len() + 1`), filled at plan time so refinement
     /// tiers can be snapped to chunk prefixes.
     chunk_walk_prefix: Vec<u64>,
-    /// Per-worker endpoint accumulators for the parallel path.
-    worker_counts: Vec<EpochCounter>,
-    /// Per-worker presampled-walk buffers, one per window slot
-    /// (`(start, length)` per walk of the chunk in that slot; a chunk
-    /// closes on the work item that takes it to [`CHUNK_WALKS`], so up to
-    /// `2 * CHUNK_WALKS - 1` entries each).
-    lane_bufs: Vec<[WalkBuf; WINDOW]>,
+    /// Presampled-walk buffers, one per window slot (`(start, length)` per
+    /// walk of the chunk in that slot; a chunk closes on the work item
+    /// that takes it to [`CHUNK_WALKS`], so up to `2 * CHUNK_WALKS - 1`
+    /// entries each).
+    lane_bufs: [WalkBuf; WINDOW],
 }
 
 impl WalkScratch {
@@ -128,17 +122,10 @@ impl WalkScratch {
         self.start_counts.capacity() * std::mem::size_of::<u64>()
             + self.work.capacity() * std::mem::size_of::<(u32, u64)>()
             + self.chunks.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.chunk_progress.capacity() * std::mem::size_of::<(u64, u32)>()
             + self.chunk_walk_prefix.capacity() * std::mem::size_of::<u64>()
-            + self
-                .worker_counts
-                .iter()
-                .map(EpochCounter::memory_bytes)
-                .sum::<usize>()
             + self
                 .lane_bufs
                 .iter()
-                .flatten()
                 .map(|b| b.capacity() * std::mem::size_of::<(NodeId, u32)>())
                 .sum::<usize>()
     }
@@ -168,7 +155,7 @@ impl WalkScratch {
 /// [`run_planned_walks`] / [`run_planned_fixed_walks`]. Executing chunks
 /// `[0, a)` then `[a, b)` deposits bit-identically to executing `[0, b)`
 /// in one call: chunk RNG streams are keyed by *absolute* chunk index and
-/// endpoint counts merge exactly (integer accumulators), which is what
+/// endpoint counts add exactly (integer accumulators), which is what
 /// makes tiered anytime refinement conformant with one-shot runs.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct WalkCursor {
@@ -181,9 +168,9 @@ pub(crate) struct WalkCursor {
     pub steps: u64,
 }
 
-/// Target walks per execution chunk. Fixed (independent of thread count)
-/// so the chunk decomposition — and with it every per-chunk RNG stream —
-/// is a pure function of the sampled walk starts.
+/// Target walks per execution chunk. Fixed so the chunk decomposition —
+/// and with it every per-chunk RNG stream — is a pure function of the
+/// sampled walk starts.
 const CHUNK_WALKS: u64 = 4096;
 
 /// Walks one chunk advances in lockstep ([`Lanes`]). The lane count fixes
@@ -192,8 +179,8 @@ const CHUNK_WALKS: u64 = 4096;
 /// more loads in flight come from [`WINDOW`] instead.
 const LANES: usize = 8;
 
-/// Consecutive chunks a worker keeps in flight at once, each with its own
-/// lane set and RNG stream, stepped round-robin. A chunk's lanes depend
+/// Consecutive chunks the executor keeps in flight at once, each with its
+/// own lane set and RNG stream, stepped round-robin. A chunk's lanes depend
 /// only on its own stream and walk list, so the window moves no deposit;
 /// it multiplies the random loads in flight by up to four (32 lanes),
 /// which is what a walk over a graph far larger than the cache is bound
@@ -221,15 +208,11 @@ use rand::SeedableRng;
 /// 3. **presample every walk's exact length** per chunk (the stop-test
 ///    product telescopes to `eta(h)/psi(k)`; see
 ///    [`crate::poisson::LengthTables`]),
-/// 4. **run chunks** through the interleaved lane kernel, up to
-///    [`WINDOW`] at a time per worker, with independent
-///    `SmallRng` streams derived from `master_seed`, depositing endpoints
-///    into dense epoch-stamped *counters* (integer, hence exactly
-///    mergeable),
-/// 5. optionally fan chunks across `threads` workers
-///    (`std::thread::scope`; `threads == 1` runs inline); the
-///    result is bit-identical for every thread count because chunking and
-///    RNG streams depend only on `master_seed` and counts merge exactly.
+/// 4. **run chunks** through the interleaved lane kernel, up to four at a
+///    time on the calling thread, with independent `SmallRng` streams
+///    derived from `master_seed`, depositing endpoints into dense
+///    epoch-stamped *counters* (integers, so the order in which chunks
+///    finish cannot show).
 ///
 /// Returns total steps walked; endpoint multiplicities land in `counts`
 /// (caller converts to mass via `count * (alpha / nr)`).
@@ -247,7 +230,6 @@ pub fn run_batched_walks(
     table: &AliasTable,
     nr: u64,
     master_seed: u64,
-    threads: usize,
     cancel: Option<&CancelToken>,
     counts: &mut EpochCounter,
     scratch: &mut WalkScratch,
@@ -271,7 +253,6 @@ pub fn run_batched_walks(
         poisson,
         entries,
         master_seed,
-        threads,
         cancel,
         all_chunks,
         &mut cursor,
@@ -305,7 +286,6 @@ pub(crate) fn plan_batched_walks(
     counts.begin(graph.num_nodes());
     if nr == 0 || entries.is_empty() {
         scratch.chunks.clear();
-        scratch.chunk_progress.clear();
         scratch.chunk_walk_prefix.clear();
         scratch.chunk_walk_prefix.push(0);
         return true;
@@ -314,7 +294,6 @@ pub(crate) fn plan_batched_walks(
         start_counts,
         work,
         chunks,
-        chunk_progress,
         chunk_walk_prefix,
         ..
     } = scratch;
@@ -335,8 +314,6 @@ pub(crate) fn plan_batched_walks(
 
     // Phase 2: group into work items and fixed-size chunks.
     build_chunks(start_counts, work, chunks);
-    chunk_progress.clear();
-    chunk_progress.resize(chunks.len(), (0, 0));
     fill_chunk_walk_prefix(work, chunks, chunk_walk_prefix);
     true
 }
@@ -354,7 +331,6 @@ pub(crate) fn run_planned_walks(
     poisson: &PoissonTable,
     entries: &[(u32, NodeId)],
     master_seed: u64,
-    threads: usize,
     cancel: Option<&CancelToken>,
     upto_chunk: usize,
     cursor: &mut WalkCursor,
@@ -374,7 +350,6 @@ pub(crate) fn run_planned_walks(
         upto_chunk,
         cursor,
         master_seed,
-        threads,
         cancel,
         counts,
         &fill,
@@ -385,25 +360,19 @@ pub(crate) fn run_planned_walks(
 /// lane buffer)`. Deposits the walks that cannot move and leaves the
 /// movable ones in the buffer for the lanes, which go on drawing from the
 /// same stream.
-type FillChunk<'a> =
-    dyn Fn(&[(u32, u64)], &mut SmallRng, &mut EpochCounter, &mut WalkBuf) + Sync + 'a;
+type FillChunk<'a> = dyn Fn(&[(u32, u64)], &mut SmallRng, &mut EpochCounter, &mut WalkBuf) + 'a;
 
 /// Open chunk `chunk` for the window: `None` once the cancel token has
 /// fired, else its planned walk count and RNG stream, with its walk list
 /// presampled into the buffer.
-type OpenChunk<'a> =
-    dyn Fn(usize, &mut EpochCounter, &mut WalkBuf) -> Option<(u32, SmallRng)> + Sync + 'a;
+type OpenChunk<'a> = dyn Fn(usize, &mut EpochCounter, &mut WalkBuf) -> Option<(u64, SmallRng)> + 'a;
 
 /// Run planned chunks `[cursor.next_chunk, upto_chunk)` of the plan on
-/// `scratch`, inline or across workers, and advance the cursor over them —
-/// the shared body of the two `run_planned_*` entry points. Each chunk
-/// that runs gets its own RNG stream, keyed by its absolute index; once
-/// `cancel` fires, chunks not yet opened are skipped whole (their walks
-/// are simply never deposited) and chunks already in a window finish.
-/// Workers take contiguous chunk ranges (`per_worker =
-/// span.div_ceil(threads)`), merged in worker order; the partition
-/// differs per call for partial ranges, which is invisible in the output
-/// because integer merges are exact.
+/// `scratch` and advance the cursor over them — the shared body of the
+/// two `run_planned_*` entry points. Each chunk that runs gets its own
+/// RNG stream, keyed by its absolute index; once `cancel` fires, chunks
+/// not yet opened are skipped whole (their walks are simply never
+/// deposited) and chunks already in the window finish.
 #[allow(clippy::too_many_arguments)]
 fn execute_chunk_range(
     graph: &Graph,
@@ -411,7 +380,6 @@ fn execute_chunk_range(
     upto_chunk: usize,
     cursor: &mut WalkCursor,
     master_seed: u64,
-    threads: usize,
     cancel: Option<&CancelToken>,
     counts: &mut EpochCounter,
     fill: &FillChunk<'_>,
@@ -419,8 +387,6 @@ fn execute_chunk_range(
     let WalkScratch {
         work,
         chunks,
-        chunk_progress,
-        worker_counts,
         lane_bufs,
         ..
     } = scratch;
@@ -434,51 +400,10 @@ fn execute_chunk_range(
         let walks: u64 = items.iter().map(|&(_, c)| c).sum();
         let mut rng = chunk_rng(master_seed, chunk_idx as u64);
         fill(items, &mut rng, sink, buf);
-        Some((walks as u32, rng))
+        Some((walks, rng))
     };
-    let from = cursor.next_chunk;
-    let upto = upto_chunk.min(chunk_progress.len());
-    if from >= upto {
-        return;
-    }
-    let span = upto - from;
-    let threads = threads.max(1).min(span);
-    if lane_bufs.len() < threads {
-        lane_bufs.resize_with(threads, Default::default);
-    }
-    if threads == 1 {
-        let progress = &mut chunk_progress[from..upto];
-        run_window(graph, from, progress, counts, &mut lane_bufs[0], &open);
-    } else {
-        // Parallel fan-out: contiguous chunk ranges per worker, merged in
-        // worker order. Exactness of the integer merge makes the outcome
-        // independent of the split.
-        let per_worker = span.div_ceil(threads);
-        if worker_counts.len() < threads {
-            worker_counts.resize_with(threads, EpochCounter::new);
-        }
-        let workers = &mut worker_counts[..threads];
-        for w in workers.iter_mut() {
-            w.begin(graph.num_nodes());
-        }
-        run_chunks_parallel(
-            graph,
-            from,
-            per_worker,
-            workers,
-            &mut lane_bufs[..threads],
-            &mut chunk_progress[from..upto],
-            &open,
-        );
-        for w in workers.iter() {
-            counts.merge_from(w);
-        }
-    }
-    for &(steps, walks) in &chunk_progress[from..upto] {
-        cursor.steps += steps;
-        cursor.walks_done += walks as u64;
-    }
-    cursor.next_chunk = upto;
+    let upto = upto_chunk.min(chunks.len());
+    run_window(graph, upto, cursor, counts, lane_bufs, &open);
 }
 
 /// Presample one chunk's *movable* walks into `buf`: per work group
@@ -678,53 +603,47 @@ fn endpoint_or_zero(v: NodeId, rem: u32) -> NodeId {
     v & 0u32.wrapping_sub((rem == 1) as u32)
 }
 
-/// A chunk in a window slot: its offset in the caller's progress slice,
-/// planned walk count, RNG stream and lanes.
+/// A chunk in a window slot: its planned walk count, RNG stream and
+/// lanes.
 struct InFlight {
-    offset: usize,
-    walks: u32,
+    walks: u64,
     rng: SmallRng,
     lanes: Lanes,
 }
 
-/// Run the chunks `first..first + progress.len()` through a window of up
-/// to [`WINDOW`] lane sets, recording each chunk's `(steps, walks)` in
-/// `progress`. Whenever a slot is free the next chunk is opened into it
-/// (a chunk whose walks all deposited at fill time finishes there); each
-/// round picks for every chunk in the window, then advances every chunk,
-/// so up to `WINDOW * LANES` random loads overlap. Every chunk draws from
-/// its own stream in exactly the order a lone chunk would — presampling,
-/// then its lanes — and deposits are integer counts, so which chunks share
-/// a window changes no bit of the output.
+/// Run the chunks `cursor.next_chunk..upto` through a window of up to
+/// [`WINDOW`] lane sets, adding each finished chunk's steps and walks to
+/// the cursor. Whenever a slot is free the next chunk is opened into it
+/// (a chunk whose walks all deposited at fill time finishes there, and a
+/// chunk the cancel token skips adds nothing); each round picks for every
+/// chunk in the window, then advances every chunk, so up to
+/// `WINDOW * LANES` random loads overlap. Every chunk draws from its own
+/// stream in exactly the order a lone chunk would — presampling, then its
+/// lanes — and deposits and cursor totals are integer sums, so which
+/// chunks share a window, and in which order they finish, changes no bit
+/// of the output.
 fn run_window(
     graph: &Graph,
-    first: usize,
-    progress: &mut [(u64, u32)],
+    upto: usize,
+    cursor: &mut WalkCursor,
     sink: &mut EpochCounter,
     bufs: &mut [WalkBuf; WINDOW],
     open: &OpenChunk<'_>,
 ) {
     let mut window: [Option<InFlight>; WINDOW] = Default::default();
-    let mut next = 0usize;
     loop {
         for (entry, buf) in window.iter_mut().zip(bufs.iter_mut()) {
-            while entry.is_none() && next < progress.len() {
-                let offset = next;
-                next += 1;
-                let Some((walks, rng)) = open(first + offset, sink, buf) else {
-                    progress[offset] = (0, 0);
+            while entry.is_none() && cursor.next_chunk < upto {
+                let opened = open(cursor.next_chunk, sink, buf);
+                cursor.next_chunk += 1;
+                let Some((walks, rng)) = opened else {
                     continue;
                 };
                 let lanes = Lanes::start(graph, buf);
                 if lanes.live == 0 {
-                    progress[offset] = (0, walks);
+                    cursor.walks_done += walks;
                 } else {
-                    *entry = Some(InFlight {
-                        offset,
-                        walks,
-                        rng,
-                        lanes,
-                    });
+                    *entry = Some(InFlight { walks, rng, lanes });
                 }
             }
         }
@@ -738,7 +657,8 @@ fn run_window(
             if let Some(chunk) = entry {
                 chunk.lanes.advance(graph, buf, sink);
                 if chunk.lanes.live == 0 {
-                    progress[chunk.offset] = (chunk.lanes.steps, chunk.walks);
+                    cursor.steps += chunk.lanes.steps;
+                    cursor.walks_done += chunk.walks;
                     *entry = None;
                 }
             }
@@ -789,31 +709,6 @@ fn fill_chunk_walk_prefix(work: &[(u32, u64)], chunks: &[(u32, u32)], prefix: &m
     }
 }
 
-/// Execute chunk ranges on scoped worker threads, each through a window
-/// of its own. Slot `i` of `chunk_progress` holds the progress of
-/// absolute chunk `base + i`.
-fn run_chunks_parallel(
-    graph: &Graph,
-    base: usize,
-    per_worker: usize,
-    workers: &mut [EpochCounter],
-    bufs: &mut [[WalkBuf; WINDOW]],
-    chunk_progress: &mut [(u64, u32)],
-    open: &OpenChunk<'_>,
-) {
-    std::thread::scope(|scope| {
-        for (worker_idx, ((sink, bufs), progress)) in workers
-            .iter_mut()
-            .zip(bufs.iter_mut())
-            .zip(chunk_progress.chunks_mut(per_worker))
-            .enumerate()
-        {
-            let first = base + worker_idx * per_worker;
-            scope.spawn(move || run_window(graph, first, progress, sink, bufs, open));
-        }
-    });
-}
-
 /// Plan the fixed-length walk phase (the Monte-Carlo walk phase: every
 /// walk starts at the seed, lengths were already sampled into
 /// `length_counts[len] = multiplicity`): begin the endpoint accumulator and
@@ -831,15 +726,12 @@ pub(crate) fn plan_batched_fixed_walks(
     let WalkScratch {
         work,
         chunks,
-        chunk_progress,
         chunk_walk_prefix,
         ..
     } = scratch;
 
     // Reuse the chunk machinery with work items of (length, count).
     build_chunks(length_counts, work, chunks);
-    chunk_progress.clear();
-    chunk_progress.resize(chunks.len(), (0, 0));
     fill_chunk_walk_prefix(work, chunks, chunk_walk_prefix);
 }
 
@@ -851,7 +743,6 @@ pub(crate) fn run_planned_fixed_walks(
     graph: &Graph,
     seed: NodeId,
     master_seed: u64,
-    threads: usize,
     cancel: Option<&CancelToken>,
     upto_chunk: usize,
     cursor: &mut WalkCursor,
@@ -883,7 +774,6 @@ pub(crate) fn run_planned_fixed_walks(
         upto_chunk,
         cursor,
         master_seed,
-        threads,
         cancel,
         counts,
         &fill,
@@ -999,7 +889,6 @@ mod tests {
             &table,
             nr,
             master_seed,
-            1,
             None,
             &mut counts,
             &mut scratch,
@@ -1136,7 +1025,6 @@ mod tests {
             &table,
             50_000,
             11,
-            2,
             None,
             &mut counts,
             &mut scratch,
@@ -1161,31 +1049,30 @@ mod tests {
             &table,
             1_000,
             12,
-            1,
             None,
             &mut counts,
             &mut scratch,
         );
         assert!(scratch.memory_bytes() > baseline);
     }
-    /// What one execution of a plan left behind: sorted deposits, steps,
-    /// walks done and per-chunk progress.
-    type Outcome = (Vec<(NodeId, u64)>, u64, u64, Vec<(u64, u32)>);
 
-    fn outcome(counts: &EpochCounter, cursor: &WalkCursor, scratch: &WalkScratch) -> Outcome {
+    /// What one execution of a plan left behind: sorted deposits, steps
+    /// and walks done.
+    type Outcome = (Vec<(NodeId, u64)>, u64, u64);
+
+    fn outcome(counts: &EpochCounter, cursor: &WalkCursor) -> Outcome {
         let mut deposits: Vec<(NodeId, u64)> = counts.iter().collect();
         deposits.sort_unstable();
-        let progress = scratch.chunk_progress.clone();
-        (deposits, cursor.steps, cursor.walks_done, progress)
+        (deposits, cursor.steps, cursor.walks_done)
     }
 
     #[test]
     fn executing_a_plan_in_prefix_increments_deposits_like_one_call() {
         // What makes the tier ladders of `crate::anytime` free: chunk RNG
-        // streams are keyed by absolute chunk index and counts merge
+        // streams are keyed by absolute chunk index and counts add
         // exactly, so where earlier calls stopped cannot show — for both
-        // planners, any thread count, plans shorter and longer than the
-        // executor's window, and a stop at every chunk boundary. A token
+        // planners, plans shorter and longer than the executor's window,
+        // and a stop at every chunk boundary. A token
         // fired between chunks, by the caller or while a window is in
         // flight, skips exactly the chunks not yet opened.
         let mut gen_rng = SmallRng::seed_from_u64(41);
@@ -1227,12 +1114,7 @@ mod tests {
         };
         // Execute the plan up to each of `stops` in turn; the token fires
         // after the call that reached `cancel_after`.
-        let run = |fixed: bool,
-                   k: usize,
-                   nr: u64,
-                   stops: &[usize],
-                   threads: usize,
-                   cancel_after: Option<usize>| {
+        let run = |fixed: bool, k: usize, nr: u64, stops: &[usize], cancel_after: Option<usize>| {
             let mut counts = EpochCounter::new();
             let mut scratch = plan(fixed, k, nr, &mut counts);
             assert_eq!(scratch.chunks.len(), k);
@@ -1244,7 +1126,6 @@ mod tests {
                         &g,
                         3,
                         5,
-                        threads,
                         Some(&token),
                         upto,
                         &mut cursor,
@@ -1257,7 +1138,6 @@ mod tests {
                         &p,
                         &entries,
                         5,
-                        threads,
                         Some(&token),
                         upto,
                         &mut cursor,
@@ -1269,12 +1149,12 @@ mod tests {
                     token.cancel();
                 }
             }
-            outcome(&counts, &cursor, &scratch)
+            outcome(&counts, &cursor)
         };
         for k in [1usize, 2, 3, 5, 9] {
             for fixed in [true, false] {
                 let nr = if fixed { 0 } else { entry_nr(k) };
-                let one_call = run(fixed, k, nr, &[k], 1, None);
+                let one_call = run(fixed, k, nr, &[k], None);
                 let planned = if fixed {
                     fixed_lengths(k).iter().sum()
                 } else {
@@ -1284,27 +1164,19 @@ mod tests {
                 let mut stop_sets: Vec<Vec<usize>> = (0..=k).map(|b| vec![b, k]).collect();
                 stop_sets.push((1..=k).collect());
                 for stops in &stop_sets {
-                    for threads in [1, 2, 3] {
-                        assert_eq!(
-                            run(fixed, k, nr, stops, threads, None),
-                            one_call,
-                            "k={k} fixed={fixed}: stops {stops:?} at {threads} threads"
-                        );
-                    }
+                    assert_eq!(
+                        run(fixed, k, nr, stops, None),
+                        one_call,
+                        "k={k} fixed={fixed}: stops {stops:?}"
+                    );
                 }
+                let prefix_plan = plan(fixed, k, nr, &mut EpochCounter::new());
                 for b in 0..=k {
-                    for threads in [1, 2, 3] {
-                        let what = format!("k={k} fixed={fixed}: cancel at {b}, {threads} threads");
-                        let cut = run(fixed, k, nr, &[b, k], threads, Some(b));
-                        let prefix = run(fixed, k, nr, &[b], threads, None);
-                        assert_eq!(cut, prefix, "{what}");
-                        assert_eq!(cut.3[..b], one_call.3[..b], "{what}");
-                        assert!(cut.3[b..].iter().all(|&c| c == (0, 0)), "{what}");
-                        let steps_before: u64 = one_call.3[..b].iter().map(|c| c.0).sum();
-                        assert_eq!(cut.1, steps_before, "{what}");
-                        let walks_before: u64 = one_call.3[..b].iter().map(|c| c.1 as u64).sum();
-                        assert_eq!(cut.2, walks_before, "{what}");
-                    }
+                    let what = format!("k={k} fixed={fixed}: cancel at {b}");
+                    let cut = run(fixed, k, nr, &[b, k], Some(b));
+                    let prefix = run(fixed, k, nr, &[b], None);
+                    assert_eq!(cut, prefix, "{what}");
+                    assert_eq!(cut.2, prefix_plan.planned_walks_through(b), "{what}");
                 }
             }
         }
@@ -1342,12 +1214,13 @@ mod tests {
             let mut counts = EpochCounter::new();
             let mut scratch = plan(&mut counts);
             let token = CancelToken::new();
-            let opened = std::sync::atomic::AtomicUsize::new(0);
+            let opened = std::cell::Cell::new(0);
             let fill = |items: &[(u32, u64)],
                         rng: &mut SmallRng,
                         sink: &mut EpochCounter,
                         buf: &mut WalkBuf| {
-                if opened.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1 == m {
+                opened.set(opened.get() + 1);
+                if opened.get() == m {
                     token.cancel();
                 }
                 fill_walk_buf(&g, &entries, lengths, items, rng, sink, buf);
@@ -1359,12 +1232,11 @@ mod tests {
                 num_chunks,
                 &mut cursor,
                 9,
-                1,
                 Some(&token),
                 &mut counts,
                 &fill,
             );
-            let cut = outcome(&counts, &cursor, &scratch);
+            let cut = outcome(&counts, &cursor);
 
             let mut counts = EpochCounter::new();
             let mut scratch = plan(&mut counts);
@@ -1374,18 +1246,13 @@ mod tests {
                 &p,
                 &entries,
                 9,
-                1,
                 None,
                 m,
                 &mut cursor,
                 &mut counts,
                 &mut scratch,
             );
-            assert_eq!(
-                cut,
-                outcome(&counts, &cursor, &scratch),
-                "fired at chunk {m}"
-            );
+            assert_eq!(cut, outcome(&counts, &cursor), "fired at chunk {m}");
             assert_eq!(cut.2, scratch.planned_walks_through(m));
         }
     }
@@ -1411,7 +1278,7 @@ mod tests {
         // cannot see how the executor schedules chunks against each other.
         // These digests pin every deposit and the step count of plans that
         // span many chunks, for both planners and for a graph whose walks
-        // end mid-walk in a row-less node. Any thread count must agree.
+        // end mid-walk in a row-less node.
         let mut gen_rng = SmallRng::seed_from_u64(42);
         let hk = hk_graph::gen::holme_kim(3_000, 4, 0.3, &mut gen_rng).unwrap();
         let sink = Graph::from_csr(vec![0, 1, 4, 4, 6, 6], vec![1, 0, 2, 3, 1, 2]);
@@ -1421,7 +1288,7 @@ mod tests {
         let lengths = [
             3_000u64, 9_000, 8_000, 7_000, 6_000, 5_000, 4_000, 2_500, 1_000, 700, 300,
         ];
-        let walk = |g: &Graph, fixed: bool, threads: usize| {
+        let walk = |g: &Graph, fixed: bool| {
             let mut counts = EpochCounter::new();
             let mut scratch = WalkScratch::default();
             let entries = entries_on(g.num_nodes() as u32);
@@ -1448,7 +1315,6 @@ mod tests {
                     g,
                     1,
                     17,
-                    threads,
                     None,
                     num_chunks,
                     &mut cursor,
@@ -1461,7 +1327,6 @@ mod tests {
                     &p,
                     &entries,
                     17,
-                    threads,
                     None,
                     num_chunks,
                     &mut cursor,
@@ -1493,12 +1358,9 @@ mod tests {
             ),
         ];
         for (what, g, fixed, digest) in cases {
-            let (num_chunks, got) = walk(g, fixed, 1);
+            let (num_chunks, got) = walk(g, fixed);
             assert!(num_chunks >= 9, "{what}: only {num_chunks} chunks");
             assert_eq!(got, digest, "{what}: digest {got:#018x}");
-            for threads in [2, 3] {
-                assert_eq!(walk(g, fixed, threads), (num_chunks, digest), "{what}");
-            }
         }
     }
 }

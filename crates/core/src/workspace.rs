@@ -276,9 +276,10 @@ impl EpochVec {
 }
 
 /// Dense `u64` counter vector with epoch-stamped O(1) clear — the walk
-/// engine's endpoint accumulator. Counts (not `f64` masses) make parallel
-/// merging *exact*: integer addition is associative, so the merged result
-/// is bit-identical regardless of chunk-to-thread assignment.
+/// engine's endpoint accumulator. Counts (not `f64` masses) make deposits
+/// order-free: integer addition is associative and commutative, so the
+/// order in which the executor's window finishes chunks, and where a tier
+/// ladder pauses, cannot show in the result.
 ///
 /// The slots are sized by whoever is about to deposit
 /// ([`begin`](Self::begin): the two walk planners), never ahead of time:
@@ -360,13 +361,6 @@ impl EpochCounter {
             .map(move |&v| (v, self.slots[v as usize].value))
     }
 
-    /// Fold another counter into this one (exact integer merge).
-    pub fn merge_from(&mut self, other: &EpochCounter) {
-        for (v, c) in other.iter() {
-            self.inc(v, c);
-        }
-    }
-
     /// Bytes held by the backing allocations.
     pub fn memory_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot<u64>>()
@@ -423,7 +417,7 @@ pub struct DenseResidues {
 }
 
 impl DenseResidues {
-    /// Empty store; [`begin`](Self::begin) shapes it.
+    /// Empty store; the push phase's `begin` shapes it.
     pub fn new() -> Self {
         Self::default()
     }
@@ -632,7 +626,7 @@ impl DenseResidues {
 /// nanoseconds. Recorded by `tea_in`, `tea_plus_in` and `monte_carlo_in`
 /// for serving-layer telemetry; deliberately *not* part of
 /// [`crate::QueryStats`], whose fields are deterministic counters that
-/// serving tests compare bit-for-bit across thread counts.
+/// serving tests compare bit for bit across runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Time spent in the push phase (HK-Push / HK-Push+ / walk-length
@@ -663,7 +657,7 @@ pub struct PhaseTimes {
 ///     assert!(out.estimate.raw_sum() <= 1.0 + 1e-9);
 /// }
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct QueryWorkspace {
     /// Reserve vector `q_s`.
     pub(crate) reserve: EpochVec,
@@ -697,60 +691,13 @@ pub struct QueryWorkspace {
     /// Cooperative cancellation flag for the query in flight, polled at
     /// hop boundaries (push kernels) and chunk boundaries (walk engine).
     cancel: Option<crate::cancel::CancelToken>,
-    /// Walk-phase worker threads (1 = run chunks inline).
-    threads: usize,
-}
-
-/// `Default` must agree with [`QueryWorkspace::new`]: in particular the
-/// thread count starts at 1 (run walk chunks inline), not 0. The previous
-/// derived impl left the field at 0 and relied on every reader clamping —
-/// a `Debug`-visible inconsistency that this manual impl removes.
-impl Default for QueryWorkspace {
-    fn default() -> Self {
-        QueryWorkspace {
-            reserve: EpochVec::new(),
-            residues: DenseResidues::new(),
-            counts: EpochCounter::new(),
-            queues: Vec::new(),
-            entries: Vec::new(),
-            weights: Vec::new(),
-            walk_scratch: crate::walk::WalkScratch::default(),
-            radix_tmp: Vec::new(),
-            hop_max_hint: Vec::new(),
-            hop_max_frozen: Vec::new(),
-            push_resume: crate::push_plus::PushResumeState::default(),
-            phase_times: PhaseTimes::default(),
-            cancel: None,
-            threads: 1,
-        }
-    }
 }
 
 impl QueryWorkspace {
-    /// Workspace running the walk phase on the calling thread.
+    /// Empty workspace; the first query sizes it. Every phase of a query
+    /// runs on the thread that calls the estimator.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Workspace fanning walk chunks over `threads` workers (clamped to at
-    /// least 1). Results are bit-identical for any thread count: the chunk
-    /// decomposition and per-chunk RNG streams depend only on the master
-    /// seed, and endpoint *counts* merge exactly.
-    pub fn with_threads(threads: usize) -> Self {
-        let mut ws = Self::default();
-        ws.set_threads(threads);
-        ws
-    }
-
-    /// Change the walk-phase thread count.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Walk-phase thread count.
-    pub fn threads(&self) -> usize {
-        debug_assert!(self.threads >= 1);
-        self.threads
     }
 
     /// Wall-clock phase split of the last TEA / TEA+ / Monte-Carlo run on
@@ -859,9 +806,9 @@ impl QueryWorkspace {
     }
 
     /// Release every backing allocation, returning the workspace to its
-    /// freshly-constructed footprint (thread count is preserved). An idle
-    /// serving worker parked on a huge graph can call this to hand `O(n)`
-    /// slot memory back to the allocator; the next query re-grows.
+    /// freshly-constructed footprint. An idle serving worker parked on a
+    /// huge graph can call this to hand `O(n)` slot memory back to the
+    /// allocator; the next query re-grows.
     pub fn reset(&mut self) {
         self.reserve.release();
         self.residues.release();
@@ -1062,20 +1009,19 @@ mod tests {
     }
 
     #[test]
-    fn epoch_counter_counts_and_merges() {
+    fn epoch_counter_counts_and_clears() {
         let mut a = EpochCounter::new();
-        let mut b = EpochCounter::new();
         a.begin(8);
-        b.begin(8);
         a.inc(2, 3);
-        b.inc(2, 1);
-        b.inc(5, 7);
-        a.merge_from(&b);
+        a.inc(5, 7);
+        a.inc(2, 1);
         assert_eq!(a.get(2), 4);
         assert_eq!(a.get(5), 7);
         assert_eq!(a.get(0), 0);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![(2, 4), (5, 7)]);
         a.begin(8);
         assert_eq!(a.get(2), 0);
+        assert_eq!(a.iter().count(), 0);
     }
 
     /// Drain hop `k` by hand the way the push kernels do: zero `pushed`,
@@ -1261,16 +1207,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_configuration_clamped() {
-        let mut ws = QueryWorkspace::with_threads(0);
-        assert_eq!(ws.threads(), 1);
-        ws.set_threads(8);
-        assert_eq!(ws.threads(), 8);
-        // Default starts single-threaded, same as new().
-        assert_eq!(QueryWorkspace::default().threads(), 1);
-    }
-
-    #[test]
     fn memory_accounting_grows_and_resets() {
         let mut ws = QueryWorkspace::new();
         let fresh = ws.memory_bytes();
@@ -1285,10 +1221,8 @@ mod tests {
             grown >= fresh + 4096 * std::mem::size_of::<Slot<f64>>(),
             "grown {grown} vs fresh {fresh}"
         );
-        ws.set_threads(3);
         ws.reset();
         assert_eq!(ws.memory_bytes(), fresh);
-        assert_eq!(ws.threads(), 3, "reset preserves the thread count");
         // The workspace stays usable after a reset.
         ws.begin(16);
         ws.reserve.add(3, 0.5);

@@ -6,8 +6,8 @@
 //! (`hk-serve/tests/golden.rs`) and the hash-map references
 //! (`tests/equivalence.rs`), not here. This suite pins what only the
 //! ladder can get wrong: a completed run must not depend on whether a
-//! capped, observed or interrupted run used the workspace before it, at
-//! any walk-phase thread count; degraded runs (stopped by a tier cap)
+//! capped, observed or interrupted run used the workspace before it;
+//! degraded runs (stopped by a tier cap)
 //! must stay exactly normalized and report monotonically tightening
 //! accuracy as more tiers run; and only a completed run converts into the
 //! one-shot entry points' `Ok`.
@@ -79,23 +79,21 @@ fn monte_carlo_full_ladder_after_a_capped_run_matches_a_fresh_workspace() {
         let mut rng = SmallRng::seed_from_u64(22);
         monte_carlo_anytime_in(&g, &params, 0, Some(100_000), tier_cap, &mut rng, ws).unwrap()
     };
-    for threads in [1usize, 2, 4] {
-        let fresh = run(None, &mut QueryWorkspace::with_threads(threads));
-        assert!(!fresh.achieved.is_degraded());
-        assert_eq!(fresh.achieved.walks_done, fresh.achieved.walks_planned);
-        assert_eq!(fresh.achieved.tiers_completed, fresh.achieved.tiers_planned);
-        assert_eq!(
-            fresh.achieved.eps_r_achieved.to_bits(),
-            params.eps_r().to_bits()
-        );
-        // An abandoned ladder leaves a half-executed plan in the scratch;
-        // the next full run on it must not see any of it.
-        let mut ws = QueryWorkspace::with_threads(threads);
-        for cap in 1..fresh.achieved.tiers_planned {
-            assert!(run(Some(cap), &mut ws).achieved.is_degraded());
-            let reused = run(None, &mut ws);
-            assert_bitwise_identical(&fresh, &reused, &format!("MC {threads} threads cap {cap}"));
-        }
+    let fresh = run(None, &mut QueryWorkspace::new());
+    assert!(!fresh.achieved.is_degraded());
+    assert_eq!(fresh.achieved.walks_done, fresh.achieved.walks_planned);
+    assert_eq!(fresh.achieved.tiers_completed, fresh.achieved.tiers_planned);
+    assert_eq!(
+        fresh.achieved.eps_r_achieved.to_bits(),
+        params.eps_r().to_bits()
+    );
+    // An abandoned ladder leaves a half-executed plan in the scratch;
+    // the next full run on it must not see any of it.
+    let mut ws = QueryWorkspace::new();
+    for cap in 1..fresh.achieved.tiers_planned {
+        assert!(run(Some(cap), &mut ws).achieved.is_degraded());
+        let reused = run(None, &mut ws);
+        assert_bitwise_identical(&fresh, &reused, &format!("MC cap {cap}"));
     }
 }
 
@@ -121,53 +119,41 @@ fn tea_plus_full_ladder_is_independent_of_observers_and_earlier_capped_runs() {
         let mut rng = SmallRng::seed_from_u64(16);
         tea_plus_anytime_in(&g, &params, 0, opts, controls, &mut rng, ws).unwrap()
     };
-    // One way of cutting a ladder short per thread count.
-    let cases = [
-        (1usize, Some(1), None),
-        (2, None, Some(1)),
-        (4, Some(2), Some(2)),
-    ];
-    for (threads, walk_tier_cap, push_tier_cap) in cases {
-        let fresh = run(
-            AnytimeControls::default(),
-            &mut QueryWorkspace::with_threads(threads),
-        );
-        assert!(!fresh.achieved.is_degraded());
-        assert!(fresh.achieved.walks_planned > 0, "walk phase was empty");
-        assert!(fresh.achieved.tiers_planned > 1, "ladder collapsed");
-        assert_eq!(
-            fresh.achieved.push_tiers_completed, fresh.achieved.push_tiers_planned,
-            "natural termination is the final push tier"
-        );
+    let fresh = run(AnytimeControls::default(), &mut QueryWorkspace::new());
+    assert!(!fresh.achieved.is_degraded());
+    assert!(fresh.achieved.walks_planned > 0, "walk phase was empty");
+    assert!(fresh.achieved.tiers_planned > 1, "ladder collapsed");
+    assert_eq!(
+        fresh.achieved.push_tiers_completed, fresh.achieved.push_tiers_planned,
+        "natural termination is the final push tier"
+    );
 
-        // Observe the push ladder while running it: the observer must not
-        // perturb a single bit of the completed run.
-        let mut fired = Vec::new();
-        let mut hook = |t: u32| {
-            fired.push(t);
-            Ok(())
-        };
-        let observed = run(
-            AnytimeControls {
-                on_push_tier: Some(&mut hook),
-                ..Default::default()
-            },
-            &mut QueryWorkspace::with_threads(threads),
-        );
-        assert_eq!(
-            fired,
-            vec![1, 2, 3],
-            "fixture must certify every coarsened push tier"
-        );
-        assert_bitwise_identical(
-            &fresh,
-            &observed,
-            &format!("TEA+ observed, {threads} threads"),
-        );
+    // Observe the push ladder while running it: the observer must not
+    // perturb a single bit of the completed run.
+    let mut fired = Vec::new();
+    let mut hook = |t: u32| {
+        fired.push(t);
+        Ok(())
+    };
+    let observed = run(
+        AnytimeControls {
+            on_push_tier: Some(&mut hook),
+            ..Default::default()
+        },
+        &mut QueryWorkspace::new(),
+    );
+    assert_eq!(
+        fired,
+        vec![1, 2, 3],
+        "fixture must certify every coarsened push tier"
+    );
+    assert_bitwise_identical(&fresh, &observed, "TEA+ observed");
 
-        // Cut either ladder short, then refine fully on the same
-        // workspace: bitwise the fresh-workspace run.
-        let mut ws = QueryWorkspace::with_threads(threads);
+    // Cut either ladder short, or both, then refine fully on the same
+    // workspace: bitwise the fresh-workspace run.
+    let cases = [(Some(1), None), (None, Some(1)), (Some(2), Some(2))];
+    for (walk_tier_cap, push_tier_cap) in cases {
+        let mut ws = QueryWorkspace::new();
         let capped = run(
             AnytimeControls {
                 walk_tier_cap,
@@ -181,7 +167,7 @@ fn tea_plus_full_ladder_is_independent_of_observers_and_earlier_capped_runs() {
         assert_bitwise_identical(
             &fresh,
             &reused,
-            &format!("TEA+ after caps {walk_tier_cap:?}/{push_tier_cap:?}, {threads} threads"),
+            &format!("TEA+ after caps {walk_tier_cap:?}/{push_tier_cap:?}"),
         );
     }
 }
@@ -303,46 +289,44 @@ fn push_tier_cap_degrades_push_but_completes_walks() {
         early_exit: false,
         offset: false,
     };
-    for threads in [1usize, 2, 4] {
-        let mut ws = QueryWorkspace::with_threads(threads);
-        let out = tea_plus_anytime_in(
-            &g,
-            &params,
-            0,
-            opts,
-            AnytimeControls {
-                push_tier_cap: Some(1),
-                ..Default::default()
-            },
-            &mut SmallRng::seed_from_u64(16),
-            &mut ws,
-        )
-        .unwrap();
-        // The push paused at a certificate checkpoint: at least the first
-        // coarsened tier, never the exact final one.
-        assert!(out.achieved.is_degraded());
-        assert!(
-            out.achieved.push_tiers_completed >= 1
-                && out.achieved.push_tiers_completed < out.achieved.push_tiers_planned,
-            "push tiers {}/{}",
-            out.achieved.push_tiers_completed,
-            out.achieved.push_tiers_planned
-        );
-        // The walk phase still ran to completion on the coarsened reserve,
-        // so the statistical guarantee holds at the requested eps_r.
-        assert!(out.achieved.walks_planned > 0);
-        assert_eq!(out.achieved.walks_done, out.achieved.walks_planned);
-        assert_eq!(
-            out.achieved.eps_r_achieved.to_bits(),
-            params.eps_r().to_bits(),
-            "full walks on a coarsened push keep the eps_r guarantee"
-        );
-        assert!(
-            out.estimate.raw_sum() <= 1.0 + 1e-9,
-            "raw sum {}",
-            out.estimate.raw_sum()
-        );
-    }
+    let mut ws = QueryWorkspace::new();
+    let out = tea_plus_anytime_in(
+        &g,
+        &params,
+        0,
+        opts,
+        AnytimeControls {
+            push_tier_cap: Some(1),
+            ..Default::default()
+        },
+        &mut SmallRng::seed_from_u64(16),
+        &mut ws,
+    )
+    .unwrap();
+    // The push paused at a certificate checkpoint: at least the first
+    // coarsened tier, never the exact final one.
+    assert!(out.achieved.is_degraded());
+    assert!(
+        out.achieved.push_tiers_completed >= 1
+            && out.achieved.push_tiers_completed < out.achieved.push_tiers_planned,
+        "push tiers {}/{}",
+        out.achieved.push_tiers_completed,
+        out.achieved.push_tiers_planned
+    );
+    // The walk phase still ran to completion on the coarsened reserve,
+    // so the statistical guarantee holds at the requested eps_r.
+    assert!(out.achieved.walks_planned > 0);
+    assert_eq!(out.achieved.walks_done, out.achieved.walks_planned);
+    assert_eq!(
+        out.achieved.eps_r_achieved.to_bits(),
+        params.eps_r().to_bits(),
+        "full walks on a coarsened push keep the eps_r guarantee"
+    );
+    assert!(
+        out.estimate.raw_sum() <= 1.0 + 1e-9,
+        "raw sum {}",
+        out.estimate.raw_sum()
+    );
 }
 
 #[test]
@@ -360,71 +344,63 @@ fn hook_cancel_mid_ladder_degrades_and_leaves_workspace_reusable() {
         early_exit: false,
         offset: false,
     };
+    let fresh_cold = tea_plus_with_options_in(
+        &g,
+        &params,
+        0,
+        opts,
+        &mut SmallRng::seed_from_u64(16),
+        &mut QueryWorkspace::new(),
+    )
+    .unwrap();
     for cancel_at in [1u32, 2, 3] {
-        for threads in [1usize, 2, 4] {
-            let mut fresh_ws = QueryWorkspace::with_threads(threads);
-            let fresh_cold = tea_plus_with_options_in(
-                &g,
-                &params,
-                0,
-                opts,
-                &mut SmallRng::seed_from_u64(16),
-                &mut fresh_ws,
-            )
-            .unwrap();
+        let mut ws = QueryWorkspace::new();
+        let mut hook = |t: u32| {
+            if t >= cancel_at {
+                Err(HkprError::Cancelled)
+            } else {
+                Ok(())
+            }
+        };
+        let out = tea_plus_anytime_in(
+            &g,
+            &params,
+            0,
+            opts,
+            AnytimeControls {
+                on_push_tier: Some(&mut hook),
+                ..Default::default()
+            },
+            &mut SmallRng::seed_from_u64(16),
+            &mut ws,
+        )
+        .unwrap();
+        // The hook fires *at* a certification, so at least cancel_at
+        // coarsened tiers are certified in the stop state; the exact
+        // final tier can never be claimed by a cancelled push.
+        assert!(out.achieved.is_degraded());
+        assert!(
+            out.achieved.push_tiers_completed >= cancel_at
+                && out.achieved.push_tiers_completed < out.achieved.push_tiers_planned,
+            "cancel at {cancel_at}: push tiers {}/{}",
+            out.achieved.push_tiers_completed,
+            out.achieved.push_tiers_planned
+        );
+        assert_eq!(out.achieved.walks_done, out.achieved.walks_planned);
+        assert!(out.estimate.raw_sum() <= 1.0 + 1e-9);
 
-            let mut ws = QueryWorkspace::with_threads(threads);
-            let mut hook = |t: u32| {
-                if t >= cancel_at {
-                    Err(HkprError::Cancelled)
-                } else {
-                    Ok(())
-                }
-            };
-            let out = tea_plus_anytime_in(
-                &g,
-                &params,
-                0,
-                opts,
-                AnytimeControls {
-                    on_push_tier: Some(&mut hook),
-                    ..Default::default()
-                },
-                &mut SmallRng::seed_from_u64(16),
-                &mut ws,
-            )
-            .unwrap();
-            // The hook fires *at* a certification, so at least cancel_at
-            // coarsened tiers are certified in the stop state; the exact
-            // final tier can never be claimed by a cancelled push.
-            assert!(out.achieved.is_degraded());
-            assert!(
-                out.achieved.push_tiers_completed >= cancel_at
-                    && out.achieved.push_tiers_completed < out.achieved.push_tiers_planned,
-                "cancel at {cancel_at}: push tiers {}/{}",
-                out.achieved.push_tiers_completed,
-                out.achieved.push_tiers_planned
-            );
-            assert_eq!(out.achieved.walks_done, out.achieved.walks_planned);
-            assert!(out.estimate.raw_sum() <= 1.0 + 1e-9);
-
-            // The abandoned ladder must leave no residue behind: a cold
-            // run reusing the same workspace is bitwise the fresh one.
-            let reused_cold = tea_plus_with_options_in(
-                &g,
-                &params,
-                0,
-                opts,
-                &mut SmallRng::seed_from_u64(16),
-                &mut ws,
-            )
-            .unwrap();
-            assert_tea_outputs_identical(
-                &fresh_cold,
-                &reused_cold,
-                &format!("cancel_at={cancel_at} threads={threads}"),
-            );
-        }
+        // The abandoned ladder must leave no residue behind: a cold
+        // run reusing the same workspace is bitwise the fresh one.
+        let reused_cold = tea_plus_with_options_in(
+            &g,
+            &params,
+            0,
+            opts,
+            &mut SmallRng::seed_from_u64(16),
+            &mut ws,
+        )
+        .unwrap();
+        assert_tea_outputs_identical(&fresh_cold, &reused_cold, &format!("cancel_at={cancel_at}"));
     }
 }
 
@@ -438,7 +414,7 @@ fn capped_monte_carlo_run_is_degraded_but_exactly_normalized() {
         .p_f(0.01)
         .build()
         .unwrap();
-    let mut ws = QueryWorkspace::with_threads(2);
+    let mut ws = QueryWorkspace::new();
     let out = monte_carlo_anytime_in(
         &g,
         &params,
@@ -478,7 +454,7 @@ fn capped_tea_plus_run_is_degraded_and_mass_bounded() {
         early_exit: false,
         offset: false,
     };
-    let mut ws = QueryWorkspace::with_threads(2);
+    let mut ws = QueryWorkspace::new();
     let out = tea_plus_anytime_in(
         &g,
         &params,
@@ -552,7 +528,7 @@ proptest! {
 
     /// A ladder cut short at a random tier leaves nothing behind: the
     /// full ladder run next on the same workspace is bitwise the full
-    /// ladder on a fresh one, at any thread count. (That executing a plan
+    /// ladder on a fresh one. (That executing a plan
     /// in chunk-prefix increments deposits like executing it in one call
     /// is pinned at the engine, in `walk.rs`.)
     #[test]
@@ -560,7 +536,6 @@ proptest! {
         edges in prop::collection::vec((any::<u8>(), any::<u8>()), 20..120),
         rng_seed in any::<u64>(),
         cap in 1u32..4,
-        threads in 1usize..5,
     ) {
         let g = build_graph(&edges);
         let params = HkprParams::builder(&g)
@@ -569,12 +544,11 @@ proptest! {
             .p_f(0.01)
             .build()
             .unwrap();
-        let mut fresh_ws = QueryWorkspace::with_threads(threads);
         let fresh = monte_carlo_anytime_in(
             &g, &params, 0, Some(50_000), None,
-            &mut SmallRng::seed_from_u64(rng_seed), &mut fresh_ws,
+            &mut SmallRng::seed_from_u64(rng_seed), &mut QueryWorkspace::new(),
         ).unwrap();
-        let mut ws = QueryWorkspace::with_threads(threads);
+        let mut ws = QueryWorkspace::new();
         let capped = monte_carlo_anytime_in(
             &g, &params, 0, Some(50_000), Some(cap),
             &mut SmallRng::seed_from_u64(rng_seed), &mut ws,
@@ -596,14 +570,13 @@ proptest! {
     /// Interrupting the push ladder at a random point — via a tier hook
     /// that errors, or a pre-fired cancellation token — never corrupts
     /// the workspace: a cold run reusing it is bitwise a fresh-workspace
-    /// cold run, at any thread count.
+    /// cold run.
     #[test]
     fn interrupted_push_never_corrupts_workspace(
         edges in prop::collection::vec((any::<u8>(), any::<u8>()), 20..120),
         rng_seed in any::<u64>(),
         cancel_at in 1u32..4,
         pre_fired_token in any::<bool>(),
-        threads in 1usize..5,
     ) {
         let g = build_graph(&edges);
         let params = HkprParams::builder(&g)
@@ -617,13 +590,12 @@ proptest! {
             early_exit: false,
             offset: false,
         };
-        let mut fresh_ws = QueryWorkspace::with_threads(threads);
         let fresh_cold = tea_plus_with_options_in(
             &g, &params, 0, opts,
-            &mut SmallRng::seed_from_u64(rng_seed), &mut fresh_ws,
+            &mut SmallRng::seed_from_u64(rng_seed), &mut QueryWorkspace::new(),
         ).unwrap();
 
-        let mut ws = QueryWorkspace::with_threads(threads);
+        let mut ws = QueryWorkspace::new();
         if pre_fired_token {
             let token = CancelToken::new();
             token.cancel();

@@ -130,7 +130,6 @@ fn cancelled_walk_engine_skips_chunks() {
         &table,
         100_000,
         3,
-        1,
         Some(&token),
         &mut counts,
         &mut scratch,

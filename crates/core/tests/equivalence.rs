@@ -19,7 +19,7 @@ use hkpr_core::push_plus::{
 };
 use hkpr_core::reference::{monte_carlo_reference, tea_plus_reference, tea_reference};
 use hkpr_core::tea::tea_in;
-use hkpr_core::tea_plus::{tea_plus_in, tea_plus_with_options_in, TeaPlusOptions};
+use hkpr_core::tea_plus::{tea_plus_in, TeaPlusOptions};
 use hkpr_core::walk::{k_random_walk, run_batched_walks, WalkScratch};
 use hkpr_core::workspace::EpochCounter;
 use hkpr_core::{
@@ -611,50 +611,6 @@ fn batched_engine_deterministic_for_fixed_rng() {
     }
 }
 
-#[test]
-fn parallel_walks_bit_identical_to_single_thread() {
-    let mut gen_rng = SmallRng::seed_from_u64(15);
-    let g = holme_kim(2_000, 5, 0.4, &mut gen_rng).unwrap();
-    let params = HkprParams::builder(&g)
-        .t(5.0)
-        .delta(2e-5)
-        .p_f(1e-3)
-        .build()
-        .unwrap();
-    let opts = TeaPlusOptions {
-        early_exit: false,
-        ..TeaPlusOptions::default()
-    };
-
-    let mut single = QueryWorkspace::with_threads(1);
-    let a = tea_plus_with_options_in(
-        &g,
-        &params,
-        0,
-        opts,
-        &mut SmallRng::seed_from_u64(16),
-        &mut single,
-    )
-    .unwrap();
-    for threads in [2usize, 4, 7] {
-        let mut multi = QueryWorkspace::with_threads(threads);
-        let b = tea_plus_with_options_in(
-            &g,
-            &params,
-            0,
-            opts,
-            &mut SmallRng::seed_from_u64(16),
-            &mut multi,
-        )
-        .unwrap();
-        assert_eq!(a.stats, b.stats, "stats diverge at {threads} threads");
-        assert_eq!(a.estimate.nnz(), b.estimate.nnz());
-        for (x, y) in a.estimate.support().zip(b.estimate.support()) {
-            assert_eq!(x, y, "estimate diverges at {threads} threads");
-        }
-    }
-}
-
 /// TEA+-shaped walk-start entries (mixed hops, skewed weights) from a real
 /// HK-Push+ run on a generated PLC graph.
 fn walk_entry_fixture(n: usize) -> (Graph, PoissonTable, Vec<(u32, u32)>, Vec<f64>) {
@@ -686,7 +642,6 @@ fn run_lanes(
     weights: &[f64],
     nr: u64,
     master_seed: u64,
-    threads: usize,
 ) -> (Vec<(u32, u64)>, u64) {
     let mut counts = EpochCounter::new();
     let steps = run_batched_walks(
@@ -696,7 +651,6 @@ fn run_lanes(
         &AliasTable::new(weights),
         nr,
         master_seed,
-        threads,
         None,
         &mut counts,
         &mut WalkScratch::default(),
@@ -704,24 +658,6 @@ fn run_lanes(
     let mut counts: Vec<(u32, u64)> = counts.iter().collect();
     counts.sort_unstable();
     (counts, steps)
-}
-
-/// The executor's schedule cannot show in its output: the chunk
-/// decomposition and per-chunk RNG streams are pure functions of the
-/// master seed and endpoint counts merge exactly, so the lane kernel is
-/// bit-identical across walk-phase thread counts.
-#[test]
-fn every_walk_kernel_bit_identical_across_thread_counts() {
-    let (g, poisson, entries, weights) = walk_entry_fixture(2_000);
-    let nr = 60_000u64;
-    let base = run_lanes(&g, &poisson, &entries, &weights, nr, 77, 1);
-    for threads in [2usize, 4] {
-        assert_eq!(
-            run_lanes(&g, &poisson, &entries, &weights, nr, 77, threads),
-            base,
-            "lanes: counts or steps diverge at {threads} threads"
-        );
-    }
 }
 
 /// The lane kernel consumes a different RNG stream than Algorithm 2's
@@ -742,7 +678,7 @@ fn presampled_kernels_distribution_matches_stepwise_baseline() {
     }
     let stepwise: Vec<f64> = stepwise.iter().map(|&c| c as f64 / nr as f64).collect();
     let mut freq = vec![0.0; g.num_nodes()];
-    for (v, c) in run_lanes(&g, &poisson, &entries, &weights, nr, 5, 2).0 {
+    for (v, c) in run_lanes(&g, &poisson, &entries, &weights, nr, 5).0 {
         freq[v as usize] = c as f64 / nr as f64;
     }
     let mut total_var_dist = 0.0f64;
@@ -777,40 +713,4 @@ fn presampled_kernels_distribution_matches_stepwise_baseline() {
         "TV distance {} above noise floor {noise_floor}",
         total_var_dist / 2.0
     );
-}
-
-#[test]
-fn parallel_monte_carlo_bit_identical_to_single_thread() {
-    let mut gen_rng = SmallRng::seed_from_u64(17);
-    let g = holme_kim(1_000, 4, 0.3, &mut gen_rng).unwrap();
-    let params = HkprParams::builder(&g)
-        .t(5.0)
-        .delta(1e-3)
-        .p_f(0.01)
-        .build()
-        .unwrap();
-    let mut single = QueryWorkspace::with_threads(1);
-    let a = monte_carlo_in(
-        &g,
-        &params,
-        0,
-        Some(100_000),
-        &mut SmallRng::seed_from_u64(18),
-        &mut single,
-    )
-    .unwrap();
-    let mut multi = QueryWorkspace::with_threads(4);
-    let b = monte_carlo_in(
-        &g,
-        &params,
-        0,
-        Some(100_000),
-        &mut SmallRng::seed_from_u64(18),
-        &mut multi,
-    )
-    .unwrap();
-    assert_eq!(a.stats, b.stats);
-    for (x, y) in a.estimate.support().zip(b.estimate.support()) {
-        assert_eq!(x, y);
-    }
 }

@@ -341,7 +341,7 @@ fn write_head(
 
 /// Serialize one response into a buffer of its own: error shells, and
 /// callers that hold a finished body. The connection loop streams into a
-/// [`ResponseBuf`] instead.
+/// `ResponseBuf` instead.
 pub fn response_bytes(
     status: u16,
     reason: &str,

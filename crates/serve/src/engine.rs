@@ -4,7 +4,7 @@
 //!
 //! # Architecture
 //!
-//! A [`Scheduler`] owns a fixed pool of worker threads sized to the host
+//! A `Scheduler` owns a fixed pool of worker threads sized to the host
 //! (not to the number of graphs — a multi-graph [`crate::MultiEngine`]
 //! runs **one** pool across all resident graphs). Each worker owns one
 //! long-lived [`QueryScratch`] — the dense epoch-stamped workspace from
@@ -15,7 +15,7 @@
 //!
 //! Jobs carry `(graph, deadline, enqueue sequence)` and are popped
 //! **earliest-deadline-first** from a binary-heap queue
-//! ([`DeadlineQueue`]): requests with deadlines run in deadline order,
+//! (`DeadlineQueue`): requests with deadlines run in deadline order,
 //! deadline-free requests run FIFO after them. Admission is bounded twice
 //! — a total queue bound ([`EngineConfig::max_queue`]) and a per-graph
 //! quota ([`EngineConfig::per_graph_queue`]) so no single graph's burst
@@ -56,7 +56,7 @@
 //!
 //! # One scheduler, two entry modes
 //!
-//! [`run_batch`](crate::run_batch) runs the *same* [`execute`] core as
+//! [`run_batch`] runs the *same* `execute` core as
 //! the scheduler's workers, on scoped threads over a one-shot work list
 //! (no cache, no deadlines). The persistent and batch paths therefore
 //! cannot drift: every query, in either mode, executes
@@ -369,9 +369,10 @@ pub struct EngineConfig {
     /// graphs** — size it to the host, not to the number of graphs.
     /// Clamped to >= 1.
     pub workers: usize,
-    /// Walk-phase threads per query (intra-query parallelism); 1 keeps
-    /// each query on its worker, which is the right default when the
-    /// worker pool already saturates the machine.
+    /// Read by nothing: every query's walk phase runs on the worker that
+    /// took it. The field stays only because the repo benchmark
+    /// (`benchmark/`, frozen between its own revisions) sets it; its next
+    /// revision, ROADMAP item 9, removes it.
     pub walk_threads: usize,
     /// Bound on queued (not yet running) requests across all graphs;
     /// submits beyond it fail with [`ServeError::Overloaded`].
@@ -799,9 +800,6 @@ struct SchedShared {
     /// Per-graph admission-quota rejections, by admission key.
     admission: Mutex<FxHashMap<u64, u64>>,
     worker_count: usize,
-    /// Walk-phase threads per query; a worker rebuilds its scratch with
-    /// this after containing a panic.
-    walk_threads: usize,
 }
 
 impl SchedShared {
@@ -861,7 +859,6 @@ impl Scheduler {
             queue_hwm: AtomicU64::new(0),
             admission: Mutex::new(FxHashMap::default()),
             worker_count,
-            walk_threads: config.walk_threads.max(1),
         });
         let workers = (0..worker_count)
             .map(|i| {
@@ -869,7 +866,7 @@ impl Scheduler {
                 std::thread::Builder::new()
                     .name(format!("hk-serve-{i}"))
                     .spawn(move || {
-                        let mut scratch = QueryScratch::with_threads(shared.walk_threads);
+                        let mut scratch = QueryScratch::new();
                         worker_loop(&shared, &mut scratch);
                     })
                     .expect("spawn hk-serve worker")
@@ -1161,7 +1158,7 @@ fn worker_loop(shared: &SchedShared, scratch: &mut QueryScratch) {
                 }));
                 if let Err(payload) = unwound {
                     shared.panics.fetch_add(1, Ordering::Relaxed);
-                    *scratch = QueryScratch::with_threads(shared.walk_threads);
+                    *scratch = QueryScratch::new();
                     let err = ServeError::Internal {
                         detail: panic_detail(payload),
                     };
@@ -1435,8 +1432,8 @@ impl Ticket {
 // Single-graph engine façade
 // ---------------------------------------------------------------------------
 
-/// Persistent query engine over one graph: a [`GraphFront`] plus a
-/// private [`Scheduler`] pool. See the [module docs](self). Multi-graph
+/// Persistent query engine over one graph: a graph front plus a
+/// private scheduler pool. See the [module docs](self). Multi-graph
 /// deployments use [`crate::MultiEngine`], which shares one pool across
 /// all graphs instead of spawning one per graph.
 ///
@@ -1538,7 +1535,7 @@ impl std::fmt::Debug for QueryEngine {
 /// Results arrive in the same order as `seeds`. Each query derives its RNG
 /// stream from `rng_seed + index`, so a batch run is bit-identical to the
 /// equivalent sequential loop — and to the same requests served through a
-/// persistent engine, because both paths run the scheduler's [`execute`]
+/// persistent engine, because both paths run the scheduler's `execute`
 /// core (`estimate_anytime_in` + `sweep_in` on a per-worker scratch;
 /// with no deadline and no ladder observer here, always to completion). This
 /// one-shot mode uses scoped threads claiming indices from a shared

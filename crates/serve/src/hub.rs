@@ -4,7 +4,7 @@
 //! Diffusion-estimation cost concentrates on high-degree hubs (Vial &
 //! Subramanian), and hub seeds dominate real community-detection
 //! workloads (Kloster & Gleich) — exactly the Zipf traffic the serving
-//! benchmarks replay. The [`HubStore`] exploits that skew: when a graph
+//! benchmarks replay. The `HubStore` exploits that skew: when a graph
 //! becomes resident, a background build precomputes the full
 //! [`ClusterResult`] for its top-K highest-degree seeds under the
 //! engine's **default knobs** and pins the bytes under the same
@@ -17,13 +17,13 @@
 //!
 //! A precomputed answer must be indistinguishable from a cold
 //! recomputation. The build therefore runs the scheduler's own
-//! [`execute`] core — `estimate_anytime_in` + `sweep_in` on a scratch
-//! configured with the engine's walk-thread count, with no cancel token
-//! and no ladder observer, so always to completion — under the
-//! *canonicalized* default knobs (the same [`ParamsKey`] bucket snap the
-//! submit path applies) and RNG stream 0. Every ingredient of the cache
-//! key is reproduced exactly, so the stored bytes are byte-equal to what
-//! a worker would compute for the same request (property-tested).
+//! `execute` core — `estimate_anytime_in` + `sweep_in` on a fresh
+//! scratch, with no cancel token and no ladder observer, so always to
+//! completion — under the *canonicalized* default knobs (the same
+//! [`ParamsKey`](crate::ParamsKey) bucket snap the submit path applies)
+//! and RNG stream 0. Every ingredient of the cache key is reproduced
+//! exactly, so the stored bytes are byte-equal to what a worker would
+//! compute for the same request (property-tested).
 //!
 //! # Selection, budget, staleness
 //!
@@ -58,7 +58,7 @@ use hkpr_core::AnytimeControls;
 use crate::cache::{CacheKey, MethodKey};
 use crate::engine::{execute, GraphFront, Knobs};
 
-/// Counters of a [`HubStore`] (all zero when hub precomputation is
+/// Counters of the hub store (all zero when hub precomputation is
 /// disabled), surfaced by
 /// [`MultiEngine::hub_stats`](crate::MultiEngine::hub_stats) and the
 /// gateway's `/metrics`.
@@ -97,9 +97,6 @@ pub(crate) struct HubStore {
     top_k: usize,
     /// Byte budget across all graphs; 0 = unlimited.
     byte_budget: usize,
-    /// Walk-phase threads of the build scratch — must match the serving
-    /// pool's, or the stored bytes would diverge from a recomputation.
-    walk_threads: usize,
     pinned: Mutex<FxHashMap<CacheKey, Arc<ClusterResult>>>,
     state: Mutex<BuildState>,
     /// Signals `in_flight` reaching 0.
@@ -110,11 +107,10 @@ pub(crate) struct HubStore {
 }
 
 impl HubStore {
-    pub(crate) fn new(top_k: usize, byte_budget: usize, walk_threads: usize) -> HubStore {
+    pub(crate) fn new(top_k: usize, byte_budget: usize) -> HubStore {
         HubStore {
             top_k,
             byte_budget,
-            walk_threads: walk_threads.max(1),
             pinned: Mutex::new(FxHashMap::default()),
             state: Mutex::new(BuildState::default()),
             idle: Condvar::new(),
@@ -187,7 +183,7 @@ impl HubStore {
         // Deterministic hub selection: degree descending, id ascending.
         seeds.sort_unstable_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
         seeds.truncate(self.top_k);
-        let mut scratch = QueryScratch::with_threads(self.walk_threads);
+        let mut scratch = QueryScratch::new();
         let clusterer = LocalClusterer::new(graph);
         for seed in seeds {
             let Ok((result, _, _)) = execute(

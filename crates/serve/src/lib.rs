@@ -30,7 +30,7 @@
 //!   tier at all fails with [`ServeError::Cancelled`]. Degraded answers
 //!   are never cached;
 //! * **robustness**: worker panics are contained per-job
-//!   ([`ServeError::Internal`](ServeError::Internal), counted in
+//!   ([`ServeError::Internal`], counted in
 //!   [`EngineStats::panics`], the worker and its pool survive), transient
 //!   registry load failures retry with capped exponential backoff, and a
 //!   `testing` feature exposes failpoint-style fault injection

@@ -619,7 +619,6 @@ impl MultiEngine {
                 Arc::new(crate::hub::HubStore::new(
                     config.hub_top_k,
                     config.hub_bytes,
-                    config.engine.walk_threads,
                 ))
             }),
         }

@@ -13,8 +13,9 @@
 //! line.
 //!
 //! Queries run through `hk_serve::run_batch` (the engine's one-shot
-//! worker loop) at 2 threads; bit-identical thread-count behavior is the
-//! engine's contract, so the fixtures double as an end-to-end check of it.
+//! worker loop) on 2 workers, each query on the worker that claimed it;
+//! an answer must not depend on which worker computed it, so the fixtures
+//! double as an end-to-end check of that.
 //!
 //! To regenerate after an *intentional* change:
 //!
