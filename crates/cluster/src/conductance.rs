@@ -80,6 +80,12 @@ impl MemberScratch {
     fn contains(&self, v: NodeId) -> bool {
         self.bits[v as usize / 64] >> (v % 64) & 1 != 0
     }
+
+    /// Bytes held by the backing allocations.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.bits.capacity() * std::mem::size_of::<u64>()
+            + self.set.capacity() * std::mem::size_of::<NodeId>()
+    }
 }
 
 /// Incremental conductance tracker used by the sweep: nodes are added one

@@ -353,6 +353,15 @@ impl QueryScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Bytes held by every backing allocation: the estimator workspace
+    /// ([`QueryWorkspace::memory_bytes`]) plus the sweep's ranking and
+    /// membership buffers.
+    pub fn memory_bytes(&self) -> usize {
+        self.workspace.memory_bytes()
+            + self.ranked.capacity() * std::mem::size_of::<(NodeId, f64)>()
+            + self.member.memory_bytes()
+    }
 }
 
 #[cfg(test)]

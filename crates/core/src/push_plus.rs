@@ -51,11 +51,13 @@
 //! pushes only append to hop `k + 1`'s worklist, so hop `k`'s worklist is
 //! known in full and the loop is software-pipelined over it: a few
 //! entries ahead of the one being processed it prefetches that entry's
-//! residue and reserve slots and CSR offsets, then the head of its
-//! adjacency row, then the next-hop slot of each of its neighbours, so
-//! the dependent random reads of one entry overlap the arithmetic of the
-//! entries before it. Prefetches are hints: schedule and arithmetic are
-//! those of the hash-map references, bit for bit.
+//! reserve index slot and CSR offsets, then the head of its adjacency
+//! row, then the next-hop index slot of each of its neighbours, so the
+//! dependent random reads of one entry overlap the arithmetic of the
+//! entries before it. The entry's own residue needs no prefetch: the
+//! worklist carries its record position, and the drain reads and zeroes
+//! it there without an index lookup. Prefetches are hints: schedule and
+//! arithmetic are those of the hash-map references, bit for bit.
 
 use hk_graph::{Graph, NodeId};
 
@@ -293,8 +295,9 @@ pub enum PushStepOutcome {
 
 /// Lookahead distances of `drain_hop`'s pipeline, in worklist entries
 /// ahead of the one being processed. Each stage consumes what the stage
-/// before it fetched: slots and CSR offsets first, then the adjacency row
-/// those offsets locate, then the next-hop slots that row names.
+/// before it fetched: the reserve slot and CSR offsets first, then the
+/// adjacency row those offsets locate, then the next-hop slots that row
+/// names.
 const AHEAD_SLOTS: usize = 12;
 const AHEAD_ROW: usize = 7;
 const AHEAD_NEIGHBOURS: usize = 2;
@@ -409,23 +412,22 @@ pub(crate) fn drain_hop(
         i -= 1;
         // `i - AHEAD` wraps below zero near the bottom of the list, and
         // `get` then declines.
-        if let Some(&(ahead, _)) = queue.get(i.wrapping_sub(AHEAD_SLOTS)) {
-            cur.prefetch(ahead);
+        if let Some(&(ahead, _, _)) = queue.get(i.wrapping_sub(AHEAD_SLOTS)) {
             reserve.prefetch(ahead);
             graph.prefetch_node(ahead);
         }
-        if let Some(&(ahead, _)) = queue.get(i.wrapping_sub(AHEAD_ROW)) {
+        if let Some(&(ahead, _, _)) = queue.get(i.wrapping_sub(AHEAD_ROW)) {
             graph.prefetch_neighbor_row(graph.neighbor_row(ahead).0);
         }
-        if let Some(&(ahead, _)) = queue.get(i.wrapping_sub(AHEAD_NEIGHBOURS)) {
+        if let Some(&(ahead, _, _)) = queue.get(i.wrapping_sub(AHEAD_NEIGHBOURS)) {
             for &u in graph.neighbors(ahead) {
                 next.prefetch(u);
             }
         }
 
-        let (v, d32) = queue[i];
+        let (v, d32, at) = queue[i];
         let d = d32 as usize;
-        let r = cur.get(v);
+        let r = cur.get_at(v, at);
         if r <= thr_coeff * d as f64 {
             continue; // stale entry
         }
@@ -438,7 +440,7 @@ pub(crate) fn drain_hop(
         }
 
         counters.processed += 1;
-        cur.take(v);
+        cur.clear_at(at);
         if per_entry_sums {
             cur_sum -= r;
         } else {
@@ -457,14 +459,14 @@ pub(crate) fn drain_hop(
         sum_added += remain;
         counters.push_operations += d as u64;
         for &u in graph.neighbors(v) {
-            let (old, new, du32) = next.add_memo_deg(u, share, || graph.degree_nz(u) as u32);
+            let (old, new, du32, at) = next.add_memo_deg(u, share, || graph.degree_nz(u) as u32);
             if per_entry_sums {
                 next_sum += share;
             }
             if let Some(q) = next_queue.as_deref_mut() {
                 let thr = thr_coeff * du32 as f64;
                 if old <= thr && new > thr {
-                    q.push((u, du32));
+                    q.push((u, du32, at));
                 }
             }
         }

@@ -1,31 +1,37 @@
-//! Epoch-stamped dense per-query workspace.
+//! Epoch-stamped per-query workspace.
 //!
 //! The hot loops of TEA / TEA+ — residue propagation, reserve
 //! accumulation, and per-walk mass deposits — are all keyed by `u32` node
 //! ids. The seed implementation routed every one of those operations
 //! through an `FxHashMap`, paying hashing, probing and allocation on each
-//! touch. This module replaces the maps with **dense arrays + epoch
-//! stamps**:
+//! touch. This module replaces the maps with **a node index over a
+//! record list**:
 //!
-//! * each slot carries a `u32` stamp; a slot is *live* only when its stamp
-//!   equals the current epoch, so "clearing" the structure between queries
-//!   is one integer increment — no `memset`, no allocation;
-//! * every first touch of a slot is recorded in a *touched list*, which is
-//!   what converts the dense arrays back into the sparse outputs
-//!   (`HkprEstimate`, residue entries) in O(touched) rather than O(n);
+//! * the one per-node structure is an index of 8-byte `{stamp, at}`
+//!   slots; a slot is *live* only when its stamp equals the current
+//!   epoch, so "clearing" the structure between queries is one integer
+//!   increment — no `memset`, no allocation;
+//! * values live in a *record list* `{node, degree, value}`, appended on a
+//!   node's first touch in an epoch (the index slot keeps the record's
+//!   position), so lookups stay O(1) while the memory that holds values
+//!   grows with the query, not with the graph, and every scan of the
+//!   touched nodes (condition-(11) probes, hop sifts, sparse read-back) is
+//!   one sequential pass in first-touch order;
 //! * a [`QueryWorkspace`] owns all of the buffers an end-to-end query
 //!   needs (reserve, residues, walk-endpoint counters, worklists, walk
 //!   scratch), so a long-lived serving thread allocates once and runs
 //!   arbitrarily many queries allocation-free;
-//! * the output is assembled from the touched lists, sorted by node id
+//! * the output is assembled from the record lists, sorted by node id
 //!   with an LSD radix sort whose scatter buffer the workspace keeps, so
 //!   assembly too is O(touched).
 //!
 //! The push phases work hop by hop, and while hop `k` drains only hops
 //! `k` and `k + 1` are ever written. [`DenseResidues`] therefore keeps
-//! **two** dense arrays, whatever the hop count: a drained hop's
-//! survivors are compacted into a contiguous list and its array is
-//! reused two hops later. It answers the same questions as
+//! **two** [`EpochVec`]s, whatever the hop count: a drained hop's
+//! survivors are compacted into a contiguous list and its vector is
+//! reused two hops later. Worklist entries carry their node's record
+//! position, so the drain reads and zeroes a residue without touching the
+//! index. It answers the same questions as
 //! [`crate::sparse::ResidueTable`] (per-hop vectors `r^(0..K)` with
 //! incrementally maintained hop sums for `alpha` and `beta_k`), and the
 //! workspace additionally maintains the per-hop residue maxima that make
@@ -34,53 +40,109 @@
 
 use hk_graph::{Graph, NodeId};
 
-/// One dense slot: epoch stamp + payload, kept adjacent so a random
-/// access touches one cache line instead of two parallel arrays. For
-/// `f64` payloads the stamp's alignment padding holds a memoized node
-/// degree (see [`EpochVec::add_memo_deg`]) at no size cost.
+/// One slot of a [`NodeIndex`]: epoch stamp + the position of the node's
+/// record. The slot is live only when its stamp equals the current epoch,
+/// and only then is `at` meaningful.
 #[derive(Clone, Copy, Debug, Default)]
-struct Slot<T> {
+struct IndexSlot {
     stamp: u32,
-    deg: u32,
-    value: T,
+    at: u32,
 }
 
-/// How far ahead of their cursor the touched-list scans prefetch slots:
-/// the list is known in full, so the random slot read of entry `i + 32`
-/// overlaps the work on entry `i`.
-const SCAN_AHEAD: usize = 32;
+/// The one `n`-sized part of an [`EpochVec`] or [`EpochCounter`]: 8
+/// bytes per node, whatever the value type, mapping each node touched
+/// this epoch to its record. Logically cleared by an epoch bump.
+#[derive(Clone, Debug, Default)]
+struct NodeIndex {
+    epoch: u32,
+    slots: Vec<IndexSlot>,
+}
 
-/// Hint the CPU to pull slot `v` into L1. A no-op for an out-of-range
-/// `v` and on architectures without a stable prefetch intrinsic.
-#[inline(always)]
-fn prefetch_slot<T>(slots: &[Slot<T>], v: NodeId) {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(slot) = slots.get(v as usize) {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // SAFETY: the address is that of a live reference; prefetch has
-        // no other effect.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(slot as *const Slot<T> as *const i8) };
+impl NodeIndex {
+    /// Grow to `n` slots if smaller (new slots are stale).
+    fn grow(&mut self, n: usize) {
+        if self.slots.len() < n {
+            self.slots.resize(n, IndexSlot::default());
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (slots, v);
+
+    /// Forget every node in O(1): bump the epoch. When the stamp would
+    /// wrap (once per 4 billion epochs) every slot is hard-reset first,
+    /// so no stale stamp can ever match again.
+    fn bump(&mut self) {
+        if self.epoch == u32::MAX {
+            for s in &mut self.slots {
+                s.stamp = 0;
+            }
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    /// Position of `v`'s record, if `v` was touched this epoch.
+    #[inline(always)]
+    fn find(&self, v: NodeId) -> Option<usize> {
+        let s = self.slots[v as usize];
+        (s.stamp == self.epoch).then_some(s.at as usize)
+    }
+
+    /// [`find`](Self::find), except that an untouched `v` is stamped with
+    /// position `next` — where the caller appends its record — and
+    /// `None` is returned.
+    #[inline(always)]
+    fn find_or_claim(&mut self, v: NodeId, next: usize) -> Option<usize> {
+        let epoch = self.epoch;
+        let s = &mut self.slots[v as usize];
+        if s.stamp == epoch {
+            Some(s.at as usize)
+        } else {
+            *s = IndexSlot {
+                stamp: epoch,
+                at: next as u32,
+            };
+            None
+        }
+    }
+
+    /// Hint the CPU to pull `v`'s slot into L1. A no-op for an
+    /// out-of-range `v` and on architectures without a stable prefetch
+    /// intrinsic.
+    #[inline(always)]
+    fn prefetch(&self, v: NodeId) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(slot) = self.slots.get(v as usize) {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // SAFETY: the address is that of a live reference; prefetch
+            // has no other effect.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(slot as *const IndexSlot as *const i8) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = v;
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<IndexSlot>()
+    }
 }
 
-/// One surviving residue of a drained hop: what a slot held when its hop
-/// froze, in a form the residue readers walk sequentially.
+/// One node's entry in an [`EpochVec`], appended on its first touch in an
+/// epoch; a drained hop's survivors keep the same form.
 #[derive(Clone, Copy, Debug)]
-struct Frozen {
+struct Record {
     node: NodeId,
+    /// The degree [`EpochVec::add_memo_deg`] memoized (0 when the record
+    /// was created by [`EpochVec::add`]).
     deg: u32,
     value: f64,
 }
 
-/// Dense `f64` vector with O(1) logical clear via epoch stamps and a
-/// touched-node list for sparse read-back.
+/// Sparse `f64` vector over `n` nodes with O(1) access and O(1) logical
+/// clear: an 8-byte-per-node epoch-stamped index over a record list that
+/// holds only the nodes touched this epoch, in first-touch order.
 #[derive(Clone, Debug, Default)]
 pub struct EpochVec {
-    epoch: u32,
-    slots: Vec<Slot<f64>>,
-    touched: Vec<NodeId>,
+    index: NodeIndex,
+    records: Vec<Record>,
 }
 
 impl EpochVec {
@@ -89,139 +151,134 @@ impl EpochVec {
         Self::default()
     }
 
-    /// Start a fresh query over a domain of `n` slots: bump the epoch
-    /// (logically zeroing every slot) and grow the backing arrays if the
-    /// graph got bigger. O(1) unless growing.
+    /// Start a fresh query over a domain of `n` nodes: bump the epoch
+    /// (logically zeroing every node), empty the record list, and grow
+    /// the index if the graph got bigger. O(1) unless growing.
     pub fn begin(&mut self, n: usize) {
-        if self.slots.len() < n {
-            self.slots.resize(n, Slot::default());
-        }
-        if self.epoch == u32::MAX {
-            // Epoch wrap (once per 4 billion queries): hard-reset stamps.
-            for s in &mut self.slots {
-                s.stamp = 0;
-            }
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.touched.clear();
+        self.index.grow(n);
+        self.index.bump();
+        self.records.clear();
     }
 
-    /// Current value of slot `v` (0 when untouched this epoch).
+    /// Current value of node `v` (0 when untouched this epoch).
     #[inline]
     pub fn get(&self, v: NodeId) -> f64 {
-        let s = &self.slots[v as usize];
-        if s.stamp == self.epoch {
-            s.value
-        } else {
-            0.0
-        }
+        self.index.find(v).map_or(0.0, |at| self.records[at].value)
     }
 
-    /// Hint the CPU to pull slot `v` into L1 ahead of a
+    /// Value of `v` read at its record position `at` (as returned by
+    /// [`add_memo_deg`](Self::add_memo_deg) this epoch): no index lookup.
+    #[inline]
+    pub(crate) fn get_at(&self, v: NodeId, at: u32) -> f64 {
+        let r = &self.records[at as usize];
+        debug_assert_eq!(r.node, v, "record {at} belongs to another node");
+        r.value
+    }
+
+    /// Zero the value at record position `at`.
+    #[inline]
+    pub(crate) fn clear_at(&mut self, at: u32) {
+        self.records[at as usize].value = 0.0;
+    }
+
+    /// Hint the CPU to pull `v`'s index slot into L1 ahead of a
     /// [`get`](Self::get) / [`add`](Self::add) / [`take`](Self::take) on
     /// it. Bounds-checked; changes no state.
     #[inline]
     pub fn prefetch(&self, v: NodeId) {
-        prefetch_slot(&self.slots, v);
+        self.index.prefetch(v);
     }
 
-    /// Add `delta` to slot `v`; returns `(old, new)` so callers can detect
+    /// Add `delta` to node `v`; returns `(old, new)` so callers can detect
     /// threshold crossings.
     #[inline]
     pub fn add(&mut self, v: NodeId, delta: f64) -> (f64, f64) {
-        let epoch = self.epoch;
-        let s = &mut self.slots[v as usize];
-        if s.stamp == epoch {
-            let old = s.value;
-            s.value = old + delta;
-            (old, old + delta)
-        } else {
-            s.stamp = epoch;
-            s.value = delta;
-            self.touched.push(v);
-            (0.0, delta)
+        match self.index.find_or_claim(v, self.records.len()) {
+            Some(at) => {
+                let r = &mut self.records[at];
+                let old = r.value;
+                r.value = old + delta;
+                (old, old + delta)
+            }
+            None => {
+                self.records.push(Record {
+                    node: v,
+                    deg: 0,
+                    value: delta,
+                });
+                (0.0, delta)
+            }
         }
     }
 
-    /// [`add`](Self::add) that also memoizes the node's degree in the
-    /// slot's padding: `deg_of` runs on first touch only, and repeat
-    /// touches read the degree from the cache line the add already
-    /// loaded. The push kernels touch each frontier node `~d` times, so
-    /// this converts all but one of the per-neighbor degree lookups into
-    /// free reads.
+    /// [`add`](Self::add) that also memoizes the node's degree in its
+    /// record: `deg_of` runs on first touch only, and repeat touches read
+    /// the degree from the record the add already loaded. The push
+    /// kernels touch each frontier node `~d` times, so this converts all
+    /// but one of the per-neighbor degree lookups into free reads.
+    /// Returns `(old, new, degree, at)`, `at` being the record's position
+    /// for the crate's positional reads (`get_at`, `clear_at`).
     #[inline]
     pub fn add_memo_deg(
         &mut self,
         v: NodeId,
         delta: f64,
         deg_of: impl FnOnce() -> u32,
-    ) -> (f64, f64, u32) {
-        let epoch = self.epoch;
-        let s = &mut self.slots[v as usize];
-        if s.stamp == epoch {
-            let old = s.value;
-            s.value = old + delta;
-            (old, old + delta, s.deg)
-        } else {
-            s.stamp = epoch;
-            s.value = delta;
-            s.deg = deg_of();
-            self.touched.push(v);
-            (0.0, delta, s.deg)
+    ) -> (f64, f64, u32, u32) {
+        let next = self.records.len();
+        match self.index.find_or_claim(v, next) {
+            Some(at) => {
+                let r = &mut self.records[at];
+                let old = r.value;
+                r.value = old + delta;
+                (old, old + delta, r.deg, at as u32)
+            }
+            None => {
+                let deg = deg_of();
+                self.records.push(Record {
+                    node: v,
+                    deg,
+                    value: delta,
+                });
+                (0.0, delta, deg, next as u32)
+            }
         }
     }
 
-    /// Zero slot `v`, returning the previous value. The slot stays on the
-    /// touched list (its value is just 0).
+    /// Zero node `v`, returning the previous value. The node keeps its
+    /// record (its value is just 0).
     #[inline]
     pub fn take(&mut self, v: NodeId) -> f64 {
-        let epoch = self.epoch;
-        let s = &mut self.slots[v as usize];
-        if s.stamp == epoch {
-            let old = s.value;
-            s.value = 0.0;
-            old
-        } else {
-            0.0
+        match self.index.find(v) {
+            Some(at) => std::mem::take(&mut self.records[at].value),
+            None => 0.0,
         }
     }
 
-    /// Nodes touched this epoch, in first-touch order. Values may have
-    /// since returned to 0 (e.g. drained residues); read through
-    /// [`get`](Self::get).
-    #[inline]
-    pub fn touched(&self) -> &[NodeId] {
-        &self.touched
-    }
-
-    /// Iterate `(node, value)` for touched slots with non-zero value, in
+    /// Iterate `(node, value)` for touched nodes with non-zero value, in
     /// first-touch order.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
         self.iter_nonzero_with_deg().map(|(v, x, _)| (v, x))
     }
 
-    /// [`iter_nonzero`](Self::iter_nonzero) plus each slot's memoized
+    /// [`iter_nonzero`](Self::iter_nonzero) plus each node's memoized
     /// degree (only meaningful when entries were written through
     /// [`add_memo_deg`](Self::add_memo_deg)). Lets residue consumers
     /// (condition-(11) scans, TEA+ reduction) skip the per-entry degree
-    /// lookup — the value rides in the cache line already loaded.
+    /// lookup. One sequential pass over the records.
     pub fn iter_nonzero_with_deg(&self) -> impl Iterator<Item = (NodeId, f64, u32)> + '_ {
-        self.touched.iter().enumerate().filter_map(move |(i, &v)| {
-            if let Some(&ahead) = self.touched.get(i + SCAN_AHEAD) {
-                prefetch_slot(&self.slots, ahead);
-            }
-            let s = &self.slots[v as usize];
-            (s.value != 0.0).then_some((v, s.value, s.deg))
-        })
+        self.records
+            .iter()
+            .filter(|r| r.value != 0.0)
+            .map(|r| (r.node, r.value, r.deg))
     }
 
-    /// Number of touched slots this epoch (including re-zeroed ones).
+    /// Number of nodes touched this epoch (including re-zeroed ones).
     pub fn touched_len(&self) -> usize {
-        self.touched.len()
+        self.records.len()
     }
 
-    /// `max_v value[v] / deg[v]` over this epoch's non-zero slots (0.0
+    /// `max_v value[v] / deg[v]` over this epoch's non-zero nodes (0.0
     /// when none) — the TEA+ condition-(11) residue probe. Only
     /// meaningful when entries were written through
     /// [`add_memo_deg`](Self::add_memo_deg) (degree memoized, `deg >= 1`).
@@ -236,22 +293,22 @@ impl EpochVec {
         max
     }
 
-    /// One pass over the touched list for the two questions a hop level
-    /// raises once it has stopped receiving mass. Returns `(max_all,
-    /// max_kept)`: [`max_value_over_deg`](Self::max_value_over_deg), and
-    /// the same maximum over the slots with `value <= thr_coeff * deg` —
-    /// which are appended to `out`, non-zero ones only, in first-touch
-    /// order. The quotient and the `!= 0.0` filter are the scan's own and
-    /// a max is fold-order-free, so `max_all` is the scan's bit for bit.
-    fn sift_into(&self, thr_coeff: f64, out: &mut Vec<Frozen>) -> (f64, f64) {
+    /// One pass over the records for the two questions a hop level raises
+    /// once it has stopped receiving mass. Returns `(max_all, max_kept)`:
+    /// [`max_value_over_deg`](Self::max_value_over_deg), and the same
+    /// maximum over the records with `value <= thr_coeff * deg` — which
+    /// are appended to `out`, non-zero ones only, in first-touch order.
+    /// The quotient and the `!= 0.0` filter are the scan's own and a max
+    /// is fold-order-free, so `max_all` is the scan's bit for bit.
+    fn sift_into(&self, thr_coeff: f64, out: &mut Vec<Record>) -> (f64, f64) {
         let (mut max_all, mut max_kept) = (0.0f64, 0.0f64);
-        for (node, value, deg) in self.iter_nonzero_with_deg() {
-            let norm = value / deg as f64;
+        for r in self.records.iter().filter(|r| r.value != 0.0) {
+            let norm = r.value / r.deg as f64;
             if norm > max_all {
                 max_all = norm;
             }
-            if value <= thr_coeff * deg as f64 {
-                out.push(Frozen { node, deg, value });
+            if r.value <= thr_coeff * r.deg as f64 {
+                out.push(*r);
                 if norm > max_kept {
                     max_kept = norm;
                 }
@@ -260,37 +317,36 @@ impl EpochVec {
         (max_all, max_kept)
     }
 
-    /// Bytes held by the backing allocations.
+    /// Bytes held by the backing allocations: `8` per index slot plus the
+    /// record list's capacity.
     pub fn memory_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot<f64>>()
-            + self.touched.capacity() * std::mem::size_of::<NodeId>()
+        self.index.memory_bytes() + self.records.capacity() * std::mem::size_of::<Record>()
     }
 
     /// Release the backing allocations (next [`begin`](Self::begin)
     /// re-grows from empty).
     fn release(&mut self) {
-        self.slots = Vec::new();
-        self.touched = Vec::new();
-        self.epoch = 0;
+        *self = Self::default();
     }
 }
 
-/// Dense `u64` counter vector with epoch-stamped O(1) clear — the walk
+/// Sparse `u64` counter vector with epoch-stamped O(1) clear — the walk
 /// engine's endpoint accumulator. Counts (not `f64` masses) make deposits
 /// order-free: integer addition is associative and commutative, so the
 /// order in which the executor's window finishes chunks, and where a tier
-/// ladder pauses, cannot show in the result.
+/// ladder pauses, cannot show in the result. Same layout as [`EpochVec`]:
+/// an 8-byte-per-node index over `(node, count)` records in first-touch
+/// order.
 ///
-/// The slots are sized by whoever is about to deposit
+/// The index is sized by whoever is about to deposit
 /// ([`begin`](Self::begin): the two walk planners), never ahead of time:
 /// a counter that is only ever cleared and read holds no memory, so a
 /// workspace whose queries all end in the push phase never allocates — or
-/// zero-fills, or page-faults — an `n`-slot array it would not read.
+/// zero-fills, or page-faults — an `n`-slot index it would not read.
 #[derive(Clone, Debug, Default)]
 pub struct EpochCounter {
-    epoch: u32,
-    slots: Vec<Slot<u64>>,
-    touched: Vec<NodeId>,
+    index: NodeIndex,
+    records: Vec<(NodeId, u64)>,
 }
 
 impl EpochCounter {
@@ -299,79 +355,56 @@ impl EpochCounter {
         Self::default()
     }
 
-    /// Start a fresh accumulation over `n` slots: grow to `n` if smaller,
+    /// Start a fresh accumulation over `n` nodes: grow to `n` if smaller,
     /// then forget every count. Must precede the first
     /// [`inc`](Self::inc) of an accumulation.
     pub fn begin(&mut self, n: usize) {
-        if self.slots.len() < n {
-            self.slots.resize(n, Slot::default());
-        }
+        self.index.grow(n);
         self.clear();
     }
 
     /// Forget every count in O(1) without sizing anything: afterwards
     /// [`iter`](Self::iter) is empty whatever was deposited before.
     fn clear(&mut self) {
-        if self.epoch == u32::MAX {
-            for s in &mut self.slots {
-                s.stamp = 0;
-            }
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.touched.clear();
+        self.index.bump();
+        self.records.clear();
     }
 
-    /// Add `by` to slot `v`.
+    /// Add `by` to node `v`.
     #[inline]
     pub fn inc(&mut self, v: NodeId, by: u64) {
-        let epoch = self.epoch;
-        let s = &mut self.slots[v as usize];
-        if s.stamp == epoch {
-            s.value += by;
-        } else {
-            s.stamp = epoch;
-            s.value = by;
-            self.touched.push(v);
+        match self.index.find_or_claim(v, self.records.len()) {
+            Some(at) => self.records[at].1 += by,
+            None => self.records.push((v, by)),
         }
     }
 
-    /// Hint the CPU to pull slot `v` into L1 ahead of an
+    /// Hint the CPU to pull `v`'s index slot into L1 ahead of an
     /// [`inc`](Self::inc) on it. Bounds-checked; changes no state.
     #[inline]
     pub fn prefetch(&self, v: NodeId) {
-        prefetch_slot(&self.slots, v);
+        self.index.prefetch(v);
     }
 
-    /// Current count of slot `v`.
+    /// Current count of node `v`.
     #[inline]
     pub fn get(&self, v: NodeId) -> u64 {
-        let s = &self.slots[v as usize];
-        if s.stamp == self.epoch {
-            s.value
-        } else {
-            0
-        }
+        self.index.find(v).map_or(0, |at| self.records[at].1)
     }
 
-    /// Iterate `(node, count)` for touched slots, in first-touch order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.touched
-            .iter()
-            .map(move |&v| (v, self.slots[v as usize].value))
+    /// Iterate `(node, count)` for touched nodes, in first-touch order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (NodeId, u64)> + '_ {
+        self.records.iter().copied()
     }
 
     /// Bytes held by the backing allocations.
     pub fn memory_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot<u64>>()
-            + self.touched.capacity() * std::mem::size_of::<NodeId>()
+        self.index.memory_bytes() + self.records.capacity() * std::mem::size_of::<(NodeId, u64)>()
     }
 
     /// Release the backing allocations.
     fn release(&mut self) {
-        self.slots = Vec::new();
-        self.touched = Vec::new();
-        self.epoch = 0;
+        *self = Self::default();
     }
 }
 
@@ -381,12 +414,13 @@ impl EpochCounter {
 ///
 /// The push phases drain hop `0`, then hop `1`, … and while hop `k`
 /// drains they write hops `k` and `k + 1` only. So the store holds two
-/// dense arrays — hop `k` lives in `live[k & 1]` — and a drained hop's
+/// [`EpochVec`]s — hop `k` lives in `live[k & 1]` — and a drained hop's
 /// non-zero survivors sit, in first-touch order, on one contiguous list
-/// while its array serves hop `k + 2` after an epoch bump. The footprint
-/// is two arrays plus the survivors, whatever the hop count.
+/// while its vector serves hop `k + 2` after an epoch bump. The footprint
+/// is two node indexes plus the records and survivors, whatever the hop
+/// count.
 ///
-/// Each hop's array is scanned once, when the hop below it has drained
+/// Each hop's records are scanned once, when the hop below it has drained
 /// and it stops receiving mass (`sift`). A node is on hop
 /// `k`'s worklist exactly if its residue ended above the push threshold,
 /// and a drain zeroes every node on its worklist, so the entries at or
@@ -396,7 +430,7 @@ impl EpochCounter {
 /// merely commits them once the drain has run to its end. A drain cut
 /// short (budget, cancel, early exit) commits nothing and its hop stays
 /// live, as does the last hop, which is never drained; readers walk the
-/// frozen lists sequentially and look into a live array only for those.
+/// frozen lists, and for those the live records, sequentially.
 #[derive(Clone, Debug, Default)]
 pub struct DenseResidues {
     /// Hop `k >= frozen_end.len()` lives in `live[k & 1]`; hops from
@@ -405,7 +439,7 @@ pub struct DenseResidues {
     /// Survivors of the drained hops, hop-major, then — uncommitted —
     /// those the last `sift` set aside for the first live
     /// hop.
-    frozen: Vec<Frozen>,
+    frozen: Vec<Record>,
     /// `frozen[frozen_end[k - 1]..frozen_end[k]]` is hop `k`; one entry
     /// per frozen hop.
     frozen_end: Vec<usize>,
@@ -456,7 +490,7 @@ impl DenseResidues {
     }
 
     /// The survivors of hop `k`; empty unless hop `k` is frozen.
-    fn frozen_hop(&self, k: usize) -> &[Frozen] {
+    fn frozen_hop(&self, k: usize) -> &[Record] {
         match self.frozen_end.get(k) {
             Some(&end) => {
                 let start = k.checked_sub(1).map_or(0, |j| self.frozen_end[j]);
@@ -483,20 +517,22 @@ impl DenseResidues {
     /// Start the query's residue vector: `r^(0)[seed] = 1`. `degree` is
     /// the seed's true degree, the one its worklist entry carries: hop
     /// 0's drain pushes the seed unless `1 <= thr_coeff * degree`, which
-    /// is hop 0's `sift`. Like every later entry, the slot
-    /// memoizes the degree clamped to 1.
-    pub(crate) fn seed(&mut self, seed: NodeId, degree: usize, thr_coeff: f64) {
+    /// is hop 0's `sift`. Like every later entry, the record
+    /// memoizes the degree clamped to 1. Returns the seed's record
+    /// position in hop 0, which is 0.
+    pub(crate) fn seed(&mut self, seed: NodeId, degree: usize, thr_coeff: f64) -> u32 {
         let deg = degree.max(1) as u32;
-        self.live[0].add_memo_deg(seed, 1.0, || deg);
+        let (_, _, _, at) = self.live[0].add_memo_deg(seed, 1.0, || deg);
         self.hop_sums[0] += 1.0;
         if 1.0 <= thr_coeff * degree as f64 {
-            self.frozen.push(Frozen {
+            self.frozen.push(Record {
                 node: seed,
                 deg,
                 value: 1.0,
             });
             self.sifted_max = 1.0 / deg as f64;
         }
+        at
     }
 
     /// Split borrow for the drain of hop `k`: the arrays of hops `k` and
@@ -607,11 +643,11 @@ impl DenseResidues {
                 .sum::<usize>()
     }
 
-    /// Bytes held by the backing allocations: the two live arrays plus
+    /// Bytes held by the backing allocations: the two live vectors plus
     /// the frozen survivors — independent of the hop count.
     pub fn memory_bytes(&self) -> usize {
         self.live.iter().map(EpochVec::memory_bytes).sum::<usize>()
-            + self.frozen.capacity() * std::mem::size_of::<Frozen>()
+            + self.frozen.capacity() * std::mem::size_of::<Record>()
             + self.frozen_end.capacity() * std::mem::size_of::<usize>()
             + self.hop_sums.capacity() * std::mem::size_of::<f64>()
     }
@@ -665,10 +701,12 @@ pub struct QueryWorkspace {
     pub(crate) residues: DenseResidues,
     /// Walk-endpoint counts.
     pub(crate) counts: EpochCounter,
-    /// Per-hop push worklists (reused). Entries carry the node's degree —
-    /// known for free at the enqueue site — so a pop costs one sequential
-    /// load instead of an extra random read of the degree array.
-    pub(crate) queues: Vec<Vec<(NodeId, u32)>>,
+    /// Per-hop push worklists (reused). Entries `(node, degree, at)` carry
+    /// what the enqueue site knows for free — the node's degree and the
+    /// position of its record in its hop's [`EpochVec`] — so a pop reads
+    /// and zeroes the residue without a read of the degree array or of
+    /// the node index.
+    pub(crate) queues: Vec<Vec<(NodeId, u32, u32)>>,
     /// Walk-start entries `(hop, node)` for the alias table.
     pub(crate) entries: Vec<(u32, NodeId)>,
     /// Walk-start weights, parallel to `entries`.
@@ -780,14 +818,15 @@ impl QueryWorkspace {
         &self.hop_max_frozen
     }
 
-    /// Bytes held by every backing allocation of this workspace. A
-    /// steady-state serving worker's footprint is `O(n)` dense slots —
-    /// three arrays (reserve, two live residue hops) and, once a query
-    /// on it has walked, a fourth (endpoint counts),
-    /// whatever the hop cap — plus the touched lists and the frozen
-    /// residue survivors; serving layers use this (together with the
-    /// result-side accounting in `HkprEstimate::memory_bytes`) to budget
-    /// cache memory against worker memory.
+    /// Bytes held by every backing allocation of this workspace. The
+    /// only part sized by the graph is one 8-byte index slot per node in
+    /// each of three node indexes (reserve, two live residue hops) and,
+    /// once a query on it has walked, a fourth (endpoint counts),
+    /// whatever the hop cap; everything else — records, worklists, frozen
+    /// residue survivors, walk and assembly buffers — grows with what the
+    /// largest query so far touched. Serving layers use this (together
+    /// with the result-side accounting in `HkprEstimate::memory_bytes`)
+    /// to budget cache memory against worker memory.
     pub fn memory_bytes(&self) -> usize {
         self.reserve.memory_bytes()
             + self.residues.memory_bytes()
@@ -795,7 +834,7 @@ impl QueryWorkspace {
             + self
                 .queues
                 .iter()
-                .map(|q| q.capacity() * std::mem::size_of::<(NodeId, u32)>())
+                .map(|q| q.capacity() * std::mem::size_of::<(NodeId, u32, u32)>())
                 .sum::<usize>()
             + self.entries.capacity() * std::mem::size_of::<(u32, NodeId)>()
             + self.weights.capacity() * std::mem::size_of::<f64>()
@@ -807,7 +846,7 @@ impl QueryWorkspace {
 
     /// Release every backing allocation, returning the workspace to its
     /// freshly-constructed footprint. An idle serving worker parked on a
-    /// huge graph can call this to hand `O(n)` slot memory back to the
+    /// huge graph can call this to hand `O(n)` index memory back to the
     /// allocator; the next query re-grows.
     pub fn reset(&mut self) {
         self.reserve.release();
@@ -854,14 +893,15 @@ impl QueryWorkspace {
         let n = graph.num_nodes();
         self.begin(n);
         self.residues.begin(num_hops, n);
-        self.residues.seed(seed, graph.degree(seed), thr_coeff);
+        let degree = graph.degree(seed);
+        let at = self.residues.seed(seed, degree, thr_coeff);
         if self.queues.is_empty() {
             self.queues.push(Vec::new());
         }
         for q in &mut self.queues {
             q.clear();
         }
-        self.queues[0].push((seed, graph.degree(seed) as u32));
+        self.queues[0].push((seed, degree as u32, at));
     }
 
     /// Assemble the final sorted sparse estimate from the reserve plus
@@ -870,7 +910,7 @@ impl QueryWorkspace {
     /// storage — this is the one intrinsic allocation of a query's output.
     pub(crate) fn assemble_estimate(&mut self, mass: f64) -> Vec<(NodeId, f64)> {
         // iter_nonzero's size hint is 0, so size the vec explicitly.
-        let mut out = Vec::with_capacity(self.reserve.touched_len() + self.counts.iter().count());
+        let mut out = Vec::with_capacity(self.reserve.touched_len() + self.counts.iter().len());
         out.extend(self.reserve.iter_nonzero());
         out.extend(self.counts.iter().map(|(v, c)| (v, c as f64 * mass)));
         sum_by_node(&mut out, &mut self.radix_tmp);
@@ -970,6 +1010,16 @@ pub fn with_thread_workspace<T>(f: impl FnOnce(&mut QueryWorkspace) -> T) -> T {
 mod tests {
     use super::*;
 
+    /// Bytes per node of every node index — the only per-node memory a
+    /// workspace holds.
+    const INDEX_SLOT: usize = 8;
+
+    #[test]
+    fn an_index_slot_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<IndexSlot>(), INDEX_SLOT);
+        assert_eq!(std::mem::size_of::<Record>(), 16);
+    }
+
     #[test]
     fn epoch_vec_clear_is_logical() {
         let mut v = EpochVec::new();
@@ -977,12 +1027,14 @@ mod tests {
         assert_eq!(v.add(3, 0.5), (0.0, 0.5));
         assert_eq!(v.add(3, 0.25), (0.5, 0.75));
         assert_eq!(v.get(3), 0.75);
-        assert_eq!(v.touched(), &[3]);
+        assert_eq!(v.iter_nonzero().collect::<Vec<_>>(), vec![(3, 0.75)]);
         v.begin(8);
         assert_eq!(v.get(3), 0.0);
-        assert!(v.touched().is_empty());
-        // The stale slot revives cleanly.
+        assert_eq!(v.touched_len(), 0);
+        // The stale slot revives cleanly, as record 0 of the new epoch.
         assert_eq!(v.add(3, 1.0), (0.0, 1.0));
+        assert_eq!(v.add_memo_deg(5, 0.5, || 2), (0.0, 0.5, 2, 1));
+        assert_eq!(v.add_memo_deg(3, 0.5, || 9), (1.0, 1.5, 0, 0));
     }
 
     #[test]
@@ -990,11 +1042,19 @@ mod tests {
         let mut v = EpochVec::new();
         v.begin(4);
         v.add(1, 0.5);
+        v.add(2, 0.25);
         assert_eq!(v.take(1), 0.5);
         assert_eq!(v.get(1), 0.0);
         assert_eq!(v.take(1), 0.0);
-        assert_eq!(v.touched(), &[1]);
-        assert_eq!(v.iter_nonzero().count(), 0);
+        assert_eq!(v.touched_len(), 2);
+        assert_eq!(v.iter_nonzero().collect::<Vec<_>>(), vec![(2, 0.25)]);
+        // Re-adding lands in the first record: no duplicate, no reorder.
+        assert_eq!(v.add(1, 1.0), (0.0, 1.0));
+        assert_eq!(v.touched_len(), 2);
+        assert_eq!(
+            v.iter_nonzero().collect::<Vec<_>>(),
+            vec![(1, 1.0), (2, 0.25)]
+        );
     }
 
     #[test]
@@ -1216,9 +1276,15 @@ mod tests {
         ws.counts.inc(40, 2);
         ws.residues.begin(3, 4096);
         ws.residues.seed(9, 1, 0.5);
+        // Four indexes: reserve, endpoint counts, two live residue hops.
         let grown = ws.memory_bytes();
         assert!(
-            grown >= fresh + 4096 * std::mem::size_of::<Slot<f64>>(),
+            grown >= fresh + 4 * 4096 * INDEX_SLOT,
+            "grown {grown} vs fresh {fresh}"
+        );
+        // The records hold what was touched, not one value per node.
+        assert!(
+            grown < fresh + 5 * 4096 * INDEX_SLOT,
             "grown {grown} vs fresh {fresh}"
         );
         ws.reset();
@@ -1319,7 +1385,7 @@ mod tests {
         for seed in [9, 3, 11] {
             assert!(tea_plus(&exiting, seed, &mut push_only).0.early_exit);
         }
-        let counter = n * std::mem::size_of::<Slot<u64>>();
+        let counter = n * INDEX_SLOT;
         assert!(
             push_only.memory_bytes() + counter <= with_counter,
             "push-only {} vs walking {with_counter}",
@@ -1332,15 +1398,15 @@ mod tests {
 
     #[test]
     fn footprint_does_not_grow_with_the_hop_cap() {
-        // `memory_bytes` promises O(n) dense slots. The hop cap K comes
-        // from delta and c, not from t (Equation 20), so the second query
-        // raises all three: over twice the hop levels, and not one more
-        // dense array.
+        // `memory_bytes` promises three node indexes for a push-only
+        // query. The hop cap K comes from delta and c, not from t
+        // (Equation 20), so the second query raises c alone: the same
+        // reach, over twice the hop levels, and not one more index.
         use hk_graph::gen::holme_kim;
         use rand::{rngs::SmallRng, SeedableRng};
         let n = 100_000usize;
         let g = holme_kim(n, 5, 0.4, &mut SmallRng::seed_from_u64(60)).unwrap();
-        let array = n * std::mem::size_of::<Slot<f64>>();
+        let index = n * INDEX_SLOT;
         let footprint = |t: f64, delta: f64, c: f64| {
             let params = crate::HkprParams::builder(&g)
                 .t(t)
@@ -1355,19 +1421,236 @@ mod tests {
             (params.hop_cap(), ws.memory_bytes())
         };
         let (k_low, low) = footprint(5.0, 1e-3, 2.5);
-        let (k_high, high) = footprint(40.0, 5e-4, 6.0);
+        let (k_high, high) = footprint(5.0, 1e-3, 6.0);
         assert!(k_high >= 2 * k_low, "hop caps {k_low} and {k_high}");
         // Both queries end in the push phase, so no endpoint counter.
         for bytes in [low, high] {
-            assert!(bytes >= 3 * array, "reserve, two live hops");
-            assert!(bytes < 4 * array, "{bytes} bytes for n = {n}");
+            assert!(bytes >= 3 * index, "reserve, two live hops");
+            assert!(bytes < 4 * index, "{bytes} bytes for n = {n}");
         }
-        // Touched lists, worklists, frozen survivors and walk scratch grow
-        // with what a query touches; together they stay under one array.
-        assert!(low.abs_diff(high) < array, "{low} vs {high} bytes");
+        // Records, worklists, frozen survivors and walk scratch grow with
+        // what a query touches; together they stay under one index.
+        assert!(low.abs_diff(high) < index, "{low} vs {high} bytes");
+    }
+
+    #[test]
+    fn push_only_footprint_is_three_indexes_plus_what_the_query_touched() {
+        // The same push-only query on a graph and on the graph padded with
+        // isolated nodes touches the same nodes in the same order, so the
+        // two workspaces differ by exactly three indexes' worth of padding:
+        // nothing else a workspace holds is sized by the graph.
+        use crate::poisson::PoissonTable;
+        use crate::push_plus::{hk_push_plus_ws, PushPlusConfig};
+        use hk_graph::gen::holme_kim;
+        use rand::{rngs::SmallRng, SeedableRng};
+        let (n, pad) = (50_000usize, 50_000usize);
+        let g = holme_kim(n, 5, 0.4, &mut SmallRng::seed_from_u64(80)).unwrap();
+        let padded = |nodes: usize| {
+            let mut b = hk_graph::GraphBuilder::new();
+            for v in 0..n as NodeId {
+                for &u in g.neighbors(v) {
+                    b.add_edge(v, u);
+                }
+            }
+            b.ensure_nodes(nodes);
+            b.build()
+        };
+        let cfg = PushPlusConfig {
+            hop_cap: 8,
+            eps_abs: 1e-3,
+            budget: u64::MAX,
+        };
+        let poisson = PoissonTable::new(5.0);
+        let footprint = |graph: &Graph| {
+            let mut ws = QueryWorkspace::new();
+            let stats = hk_push_plus_ws(graph, &poisson, 7, &cfg, &mut ws);
+            (stats, ws)
+        };
+        let (stats, ws) = footprint(&padded(n));
+        let (padded_stats, padded_ws) = footprint(&padded(n + pad));
+        assert_eq!(stats, padded_stats);
+        assert!(stats.push_operations > 0 && stats.push_operations < n as u64);
+        assert_eq!(
+            padded_ws.memory_bytes() - ws.memory_bytes(),
+            3 * pad * INDEX_SLOT
+        );
+        // Past the three indexes, the lists hold what the query touched:
+        // per push operation (and for the seed) at most a reserve record,
+        // a record in either live hop, a survivor and a worklist entry —
+        // 76 bytes — at most twice over for vector doubling. And they
+        // hold less than a fourth index would.
+        let touched = stats.push_operations as usize + 1;
+        let rest = ws.memory_bytes() - 3 * n * INDEX_SLOT;
+        assert!(
+            rest <= 2 * 80 * touched,
+            "{rest} bytes for {touched} touches"
+        );
+        assert!(rest < n * INDEX_SLOT, "{rest} bytes beside the indexes");
+    }
+
+    #[test]
+    fn epoch_wrap_never_revives_a_stale_stamp() {
+        // Node 3 is stamped in epoch 1, node 5 in the last epoch before
+        // the wrap. The wrap restarts the epochs at 1, where node 3's
+        // stamp would match again — and point at a record that is gone —
+        // unless every stamp was reset.
+        let mut v = EpochVec::new();
+        v.begin(8);
+        v.add(3, 0.5);
+        v.index.epoch = u32::MAX - 1;
+        v.begin(8);
+        v.add(5, 0.25);
+        v.add(3, 0.125);
+        v.begin(8);
+        assert!((0..8).all(|node| v.get(node) == 0.0));
+        assert_eq!((v.touched_len(), v.take(3)), (0, 0.0));
+        assert_eq!(v.add_memo_deg(5, 1.0, || 4), (0.0, 1.0, 4, 0));
+        assert_eq!(v.add(3, 2.0), (0.0, 2.0));
+        assert_eq!(
+            v.iter_nonzero().collect::<Vec<_>>(),
+            vec![(5, 1.0), (3, 2.0)]
+        );
+
+        let mut c = EpochCounter::new();
+        c.begin(8);
+        c.inc(3, 2);
+        c.index.epoch = u32::MAX - 1;
+        c.begin(8);
+        c.inc(5, 1);
+        c.begin(8);
+        assert!((0..8).all(|node| c.get(node) == 0));
+        assert_eq!(c.iter().len(), 0);
+        c.inc(5, 4);
+        c.inc(3, 1);
+        assert_eq!(c.iter().collect::<Vec<_>>(), vec![(5, 4), (3, 1)]);
+    }
+
+    /// Domain sizes the model tests move between, growing and shrinking.
+    const DOMAINS: [usize; 4] = [1, 7, 64, 300];
+
+    /// The reference for [`EpochVec`]: one `(node, value, degree)` entry
+    /// per node touched since the last `begin`, in first-touch order.
+    #[derive(Default)]
+    struct VecModel(Vec<(NodeId, f64, u32)>);
+
+    impl VecModel {
+        fn at(&self, v: NodeId) -> Option<usize> {
+            self.0.iter().position(|e| e.0 == v)
+        }
+
+        fn get(&self, v: NodeId) -> f64 {
+            self.at(v).map_or(0.0, |i| self.0[i].1)
+        }
+
+        /// Add `delta` to `v` (first touch records `deg`); returns
+        /// `(old, new, memoized degree, position)`.
+        fn add(&mut self, v: NodeId, delta: f64, deg: u32) -> (f64, f64, u32, u32) {
+            match self.at(v) {
+                Some(i) => {
+                    let e = &mut self.0[i];
+                    let old = e.1;
+                    e.1 = old + delta;
+                    (old, e.1, e.2, i as u32)
+                }
+                None => {
+                    self.0.push((v, delta, deg));
+                    (0.0, delta, deg, self.0.len() as u32 - 1)
+                }
+            }
+        }
     }
 
     proptest::proptest! {
+        /// `EpochVec` against a list of first touches, under random
+        /// interleavings of `add`, `add_memo_deg`, `take` and `begin` over
+        /// domains that grow and shrink: every value, every memoized
+        /// degree and the iteration order agree, and a node taken to zero
+        /// and re-added keeps its first record.
+        #[test]
+        fn epoch_vec_matches_a_list_of_first_touches(
+            ops in proptest::collection::vec(
+                (0u32..8, 0u32..300, 0.0f64..1.0, 1u32..50),
+                1..300,
+            ),
+        ) {
+            let mut v = EpochVec::new();
+            let mut model = VecModel::default();
+            let mut n = DOMAINS[2];
+            v.begin(n);
+            for (op, raw, delta, deg) in ops {
+                let node = raw % n as NodeId;
+                match op {
+                    0..=1 => {
+                        let (old, new) = v.add(node, delta);
+                        let (m_old, m_new, _, _) = model.add(node, delta, 0);
+                        proptest::prop_assert_eq!((old.to_bits(), new.to_bits()), (m_old.to_bits(), m_new.to_bits()));
+                    }
+                    2..=4 => {
+                        let got = v.add_memo_deg(node, delta, || deg);
+                        let want = model.add(node, delta, deg);
+                        proptest::prop_assert_eq!(got.2, want.2);
+                        proptest::prop_assert_eq!(got.3, want.3);
+                        proptest::prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
+                        proptest::prop_assert_eq!(v.get_at(node, got.3).to_bits(), want.1.to_bits());
+                    }
+                    5..=6 => {
+                        let want = model.get(node);
+                        if let Some(i) = model.at(node) {
+                            model.0[i].1 = 0.0;
+                        }
+                        proptest::prop_assert_eq!(v.take(node).to_bits(), want.to_bits());
+                    }
+                    _ => {
+                        n = DOMAINS[raw as usize % DOMAINS.len()];
+                        v.begin(n);
+                        model.0.clear();
+                    }
+                }
+                proptest::prop_assert_eq!(v.get(node).to_bits(), model.get(node).to_bits());
+                proptest::prop_assert_eq!(v.touched_len(), model.0.len());
+                let got: Vec<_> = v.iter_nonzero_with_deg().collect();
+                let want: Vec<_> = model.0.iter().copied().filter(|e| e.1 != 0.0).collect();
+                proptest::prop_assert_eq!(got, want);
+            }
+        }
+
+        /// `EpochCounter` against a list of first touches, under random
+        /// interleavings of `inc`, `begin` and the workspace's unsized
+        /// `clear` over domains that grow and shrink.
+        #[test]
+        fn epoch_counter_matches_a_list_of_first_touches(
+            ops in proptest::collection::vec((0u32..8, 0u32..300, 1u64..9), 1..300),
+        ) {
+            let mut c = EpochCounter::new();
+            let mut model: Vec<(NodeId, u64)> = Vec::new();
+            let mut n = DOMAINS[2];
+            c.begin(n);
+            for (op, raw, by) in ops {
+                let node = raw % n as NodeId;
+                match op {
+                    0..=5 => {
+                        c.inc(node, by);
+                        match model.iter_mut().find(|e| e.0 == node) {
+                            Some(e) => e.1 += by,
+                            None => model.push((node, by)),
+                        }
+                    }
+                    6 => {
+                        c.clear();
+                        model.clear();
+                    }
+                    _ => {
+                        n = DOMAINS[raw as usize % DOMAINS.len()];
+                        c.begin(n);
+                        model.clear();
+                    }
+                }
+                let want = model.iter().find(|e| e.0 == node).map_or(0, |e| e.1);
+                proptest::prop_assert_eq!(c.get(node), want);
+                proptest::prop_assert_eq!(c.iter().collect::<Vec<_>>(), model.clone());
+            }
+        }
+
         /// The radix merge equals the comparison sort + merge bit for bit,
         /// on ids spread over every digit, with nodes in the reserve, the
         /// counts or both.

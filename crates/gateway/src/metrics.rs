@@ -315,6 +315,13 @@ pub fn render_prometheus(engine: &MultiEngine, gw: &GatewayMetrics) -> String {
         "hk_engine_live_workers",
         engine.live_workers() as u64,
     );
+    family(
+        &mut out,
+        "hk_engine_workspace_bytes",
+        "Bytes held in the workers' per-query scratch (estimator workspace and sweep buffers).",
+        "gauge",
+    );
+    sample(&mut out, "hk_engine_workspace_bytes", s.workspace_bytes);
 
     // Cache.
     let c = s.cache;
@@ -615,6 +622,7 @@ mod tests {
             "hk_engine_queue_high_water",
             "hk_engine_workers",
             "hk_engine_live_workers",
+            "hk_engine_workspace_bytes 0",
             "hk_cache_hits_total",
             "hk_cache_misses_total",
             "hk_cache_coalesced_total",

@@ -187,13 +187,27 @@ fn error_taxonomy_over_the_wire() {
 #[test]
 fn metrics_scrape_contains_mandatory_families_and_counts_requests() {
     let gw = start_gateway(demo_engine());
+    let scrape = || {
+        let (status, text) = roundtrip(
+            &gw,
+            "GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        );
+        assert_eq!(status, 200);
+        text
+    };
+    let workspace_bytes = |text: &str| -> u64 {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("hk_engine_workspace_bytes "))
+            .unwrap_or_else(|| panic!("scrape lacks hk_engine_workspace_bytes:\n{text}"));
+        line["hk_engine_workspace_bytes ".len()..].parse().unwrap()
+    };
+    // No worker has run a job yet, so no worker holds a workspace.
+    assert_eq!(workspace_bytes(&scrape()), 0);
     let (s1, _) = roundtrip(&gw, &post("/query/demo", r#"{"seed": 5}"#));
     assert_eq!(s1, 200);
-    let (status, text) = roundtrip(
-        &gw,
-        "GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
-    );
-    assert_eq!(status, 200);
+    let text = scrape();
+    assert!(workspace_bytes(&text) > 0, "the miss sized a workspace");
     for family in [
         "hk_engine_completed_total",
         "hk_engine_degraded_total",

@@ -355,6 +355,12 @@ pub struct EngineStats {
     pub queue_hwm: u64,
     /// Worker threads in the (shared) pool.
     pub workers: u64,
+    /// Bytes the pool's workers hold in their per-query scratch —
+    /// estimator workspace plus sweep buffers
+    /// ([`QueryScratch::memory_bytes`]), summed over the workers as each
+    /// last published it: after every job, and after a panic rebuild.
+    /// Zero until a worker has run a job; a gauge, not a counter.
+    pub workspace_bytes: u64,
     /// Cache counters (all zero when the cache is disabled);
     /// `cache.coalesced` counts single-flight followers.
     pub cache: CacheStats,
@@ -797,6 +803,8 @@ struct SchedShared {
     panics: AtomicU64,
     shed_overload: AtomicU64,
     queue_hwm: AtomicU64,
+    /// Each worker's [`QueryScratch::memory_bytes`], by worker index.
+    workspace_bytes: Box<[AtomicU64]>,
     /// Per-graph admission-quota rejections, by admission key.
     admission: Mutex<FxHashMap<u64, u64>>,
     worker_count: usize,
@@ -857,6 +865,7 @@ impl Scheduler {
             panics: AtomicU64::new(0),
             shed_overload: AtomicU64::new(0),
             queue_hwm: AtomicU64::new(0),
+            workspace_bytes: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
             admission: Mutex::new(FxHashMap::default()),
             worker_count,
         });
@@ -867,7 +876,7 @@ impl Scheduler {
                     .name(format!("hk-serve-{i}"))
                     .spawn(move || {
                         let mut scratch = QueryScratch::new();
-                        worker_loop(&shared, &mut scratch);
+                        worker_loop(&shared, &shared.workspace_bytes[i], &mut scratch);
                     })
                     .expect("spawn hk-serve worker")
             })
@@ -926,6 +935,11 @@ impl Scheduler {
             shed_overload: shared.shed_overload.load(Ordering::Relaxed),
             queue_hwm: shared.queue_hwm.load(Ordering::Relaxed),
             workers: shared.worker_count as u64,
+            workspace_bytes: shared
+                .workspace_bytes
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .sum(),
             cache: shared.cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
         }
     }
@@ -1135,7 +1149,10 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 /// followers get the same via flight settlement, the worker rebuilds its
 /// scratch (the unwound one may hold half-updated epochs) and keeps
 /// serving. A panicking query must never take the pool down with it.
-fn worker_loop(shared: &SchedShared, scratch: &mut QueryScratch) {
+/// `workspace_bytes` is the worker's slot of
+/// [`EngineStats::workspace_bytes`], refreshed by [`process`] and after a
+/// rebuild.
+fn worker_loop(shared: &SchedShared, workspace_bytes: &AtomicU64, scratch: &mut QueryScratch) {
     loop {
         let job = {
             let mut q = shared.queue.lock().unwrap();
@@ -1154,11 +1171,12 @@ fn worker_loop(shared: &SchedShared, scratch: &mut QueryScratch) {
                 let reply = job.reply.clone();
                 let cache_key = job.cache_key;
                 let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    process(shared, scratch, job)
+                    process(shared, workspace_bytes, scratch, job)
                 }));
                 if let Err(payload) = unwound {
                     shared.panics.fetch_add(1, Ordering::Relaxed);
                     *scratch = QueryScratch::new();
+                    workspace_bytes.store(scratch.memory_bytes() as u64, Ordering::Relaxed);
                     let err = ServeError::Internal {
                         detail: panic_detail(payload),
                     };
@@ -1223,8 +1241,15 @@ pub(crate) fn execute(
 /// still returns a typed best-effort answer
 /// ([`QueryResponse::degraded`]); only a cancellation that caught nothing
 /// usable (before the push certified its first coarsened tier) reports
-/// [`ServeError::Cancelled`].
-fn process(shared: &SchedShared, scratch: &mut QueryScratch, job: Job) {
+/// [`ServeError::Cancelled`]. The scratch footprint is published to
+/// `workspace_bytes` once the estimator returns, before any reply, so a
+/// caller that has its answer reads a current gauge.
+fn process(
+    shared: &SchedShared,
+    workspace_bytes: &AtomicU64,
+    scratch: &mut QueryScratch,
+    job: Job,
+) {
     let started = Instant::now();
     let queue_ns = started.saturating_duration_since(job.enqueued).as_nanos() as u64;
     #[cfg(feature = "testing")]
@@ -1277,6 +1302,7 @@ fn process(shared: &SchedShared, scratch: &mut QueryScratch, job: Job) {
         controls,
     );
     scratch.workspace.set_cancel_token(None);
+    workspace_bytes.store(scratch.memory_bytes() as u64, Ordering::Relaxed);
     match outcome {
         Ok((result, achieved, t)) => {
             let result = Arc::new(result);

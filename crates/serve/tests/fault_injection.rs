@@ -123,6 +123,11 @@ fn worker_panic_is_contained_and_the_pool_survives() {
         workers: 1,
         ..EngineConfig::default()
     });
+    e.query(QueryRequest::new(7)).expect("warm-up query");
+    assert!(
+        e.stats().workspace_bytes > 0,
+        "the worker sized its scratch"
+    );
     fault::inject("sched.dequeue", Fault::Panic, 1);
     let err = e
         .query(QueryRequest::new(2))
@@ -135,16 +140,24 @@ fn worker_panic_is_contained_and_the_pool_survives() {
     }
     let stats = e.stats();
     assert_eq!(stats.panics, 1);
+    assert_eq!(
+        stats.workspace_bytes, 0,
+        "the rebuilt scratch holds nothing"
+    );
     // The sole worker survived with a rebuilt scratch: the same engine
-    // answers the next query bit-identically to a fresh engine.
+    // answers the next query bit-identically to a fresh engine, from a
+    // scratch of the same size.
     let again = e.query(QueryRequest::new(2)).expect("pool survives");
-    let fresh = engine(EngineConfig {
+    let fresh_engine = engine(EngineConfig {
         workers: 1,
         ..EngineConfig::default()
-    })
-    .query(QueryRequest::new(2))
-    .unwrap();
+    });
+    let fresh = fresh_engine.query(QueryRequest::new(2)).unwrap();
     assert!(again.result.bitwise_eq(&fresh.result));
+    assert_eq!(
+        e.stats().workspace_bytes,
+        fresh_engine.stats().workspace_bytes
+    );
     assert_eq!(e.stats().panics, 1, "exactly one panic, ever");
 }
 
