@@ -1,8 +1,10 @@
 //! Convert a `.hkg` snapshot (v1 or v2, auto-detected) to the v2 aligned
 //! format and verify the conversion differentially: the written file is
 //! reloaded through the zero-copy arena path and must be bitwise equal to
-//! the source — same CSR, same fingerprint. Exits nonzero on any
-//! mismatch, so CI can use it as a convert-then-verify smoke step.
+//! the source — same CSR, same fingerprint. The fingerprint the new image
+//! records is checked against a hash of the reloaded arrays, never only
+//! against itself. Exits nonzero on any mismatch, so CI can use it as a
+//! convert-then-verify smoke step.
 //!
 //! Usage: `hkg_convert IN.hkg OUT.hkg`
 
@@ -50,15 +52,23 @@ fn main() {
         eprintln!("error: reloaded v2 CSR differs from the source");
         std::process::exit(1);
     }
-    let fp2 = reloaded.fingerprint();
-    if fp2 != fp {
-        eprintln!("error: fingerprint drift {fp:#018x} -> {fp2:#018x}");
+    let Some(recorded) = reloaded.recorded_fingerprint() else {
+        eprintln!("error: {output} records no fingerprint");
+        std::process::exit(1);
+    };
+    let recomputed = reloaded.compute_fingerprint();
+    if recorded != recomputed || recorded != fp {
+        eprintln!(
+            "error: fingerprint drift: source {fp:#018x}, recorded {recorded:#018x}, \
+             recomputed {recomputed:#018x}"
+        );
         std::process::exit(1);
     }
     let in_bytes = std::fs::metadata(&input).map(|m| m.len()).unwrap_or(0);
     let out_bytes = std::fs::metadata(&output).map(|m| m.len()).unwrap_or(0);
     eprintln!(
-        "wrote {output}: {out_bytes} bytes (v1 was {in_bytes}), backend {}, verified bitwise-equal",
+        "wrote {output}: {out_bytes} bytes (v1 was {in_bytes}), backend {}, verified bitwise-equal, \
+         fingerprint recorded",
         reloaded.backend(),
     );
     println!("{fp:#018x}");

@@ -1,6 +1,7 @@
 //! `hkg_convert` on a v2 image from before the lane sum: `flags = 0`,
-//! FNV-1a section checksums. It must load it, write the current flavour
-//! (`flags = 1`) and report the fingerprint unchanged — the upgrade path
+//! FNV-1a section checksums, no recorded fingerprint. It must load it,
+//! write the current flavour (`flags = 3`: lane sums and the recorded
+//! fingerprint) and report the fingerprint unchanged — the upgrade path
 //! for every snapshot written by an earlier release.
 
 use std::process::Command;
@@ -20,6 +21,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn downgrade(img: &mut [u8]) {
     let u64_at = |img: &[u8], at: usize| u64::from_le_bytes(img[at..at + 8].try_into().unwrap());
     img[0x0c..0x10].fill(0);
+    img[0x30..0x38].fill(0);
     for entry in (0x40..0xa0).step_by(32) {
         let elem = u32::from_le_bytes(img[entry + 4..entry + 8].try_into().unwrap()) as usize;
         let pos = u64_at(img, entry + 8) as usize;
@@ -59,10 +61,13 @@ fn hkg_convert_upgrades_a_pre_lane_sum_image() {
         String::from_utf8_lossy(&run.stdout).trim(),
         format!("{:#018x}", g.fingerprint())
     );
-    // The converted file is the image a fresh save writes: lane sums.
+    // The converted file is the image a fresh save writes: lane sums and
+    // the recorded fingerprint.
     let converted = std::fs::read(&output).unwrap();
-    assert_eq!(converted[0x0c], 1);
+    assert_eq!(converted[0x0c], 3);
     assert_eq!(converted, fresh);
-    assert_eq!(io::load_binary_v2(&output).unwrap(), g);
+    let reloaded = io::load_binary_v2(&output).unwrap();
+    assert_eq!(reloaded, g);
+    assert_eq!(reloaded.recorded_fingerprint(), Some(g.fingerprint()));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -372,7 +372,7 @@ pub fn render_prometheus(engine: &MultiEngine, gw: &GatewayMetrics) -> String {
     sample(&mut out, "hk_cache_resident_entries", c.resident_entries);
 
     // Registry.
-    let registry_counters: [(&str, &str, u64); 5] = [
+    let registry_counters: [(&str, &str, u64); 6] = [
         (
             "hk_registry_loads_total",
             "Loader invocations that succeeded.",
@@ -398,6 +398,12 @@ pub fn render_prometheus(engine: &MultiEngine, gw: &GatewayMetrics) -> String {
             "Gets answered from an already-resident graph.",
             r.resident_hits,
         ),
+        (
+            "hk_registry_fingerprints_computed_total",
+            "Graph fronts that hashed their fingerprint because the snapshot \
+             recorded none.",
+            r.fingerprints_computed,
+        ),
     ];
     for (name, help, v) in registry_counters {
         family(&mut out, name, help, "counter");
@@ -412,6 +418,17 @@ pub fn render_prometheus(engine: &MultiEngine, gw: &GatewayMetrics) -> String {
     out.push_str(&format!(
         "hk_registry_load_seconds_total {}\n",
         r.load_ns as f64 / 1e9
+    ));
+    family(
+        &mut out,
+        "hk_registry_fingerprint_seconds_total",
+        "Wall-clock seconds spent hashing the fingerprints counted by \
+         hk_registry_fingerprints_computed_total.",
+        "counter",
+    );
+    out.push_str(&format!(
+        "hk_registry_fingerprint_seconds_total {}\n",
+        r.fingerprint_ns as f64 / 1e9
     ));
     family(
         &mut out,
@@ -632,6 +649,8 @@ mod tests {
             "hk_registry_loads_total",
             "hk_registry_load_retries_total",
             "hk_registry_load_seconds_total",
+            "hk_registry_fingerprints_computed_total 0",
+            "hk_registry_fingerprint_seconds_total 0",
             "hk_registry_evictions_total",
             "hk_hub_hits_total",
             "hk_hub_builds_total",

@@ -216,6 +216,8 @@ fn metrics_scrape_contains_mandatory_families_and_counts_requests() {
         "hk_cache_misses_total",
         "hk_cache_coalesced_total",
         "hk_registry_loads_total",
+        "hk_registry_fingerprints_computed_total",
+        "hk_registry_fingerprint_seconds_total",
         "hk_gateway_requests_total",
         "hk_gateway_request_seconds_bucket",
         "hk_gateway_connections_total",

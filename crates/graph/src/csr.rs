@@ -19,7 +19,9 @@
 //! to the same loads as the old three-`Box` layout, with no per-access
 //! branch on the backend. All backends satisfy the same invariants and
 //! compare equal ([`PartialEq`] is over the array *contents*), and
-//! [`Graph::fingerprint`] is backend-independent by construction.
+//! [`Graph::fingerprint`] is backend-independent by construction: an
+//! arena loaded from a v2 image that records its fingerprint returns the
+//! recorded value, every other graph hashes its arrays, and the two agree.
 
 use std::ptr::NonNull;
 use std::sync::Arc;
@@ -76,7 +78,11 @@ enum Storage {
         degrees: Box<[u32]>,
     },
     /// One shared arena (a v2 snapshot); the views point into it.
-    Arena(Arc<Arena>),
+    Arena {
+        arena: Arc<Arena>,
+        /// The fingerprint the image's header records, if it records one.
+        fingerprint: Option<u64>,
+    },
 }
 
 /// An undirected, unweighted graph in CSR form.
@@ -131,6 +137,9 @@ impl Graph {
     }
 
     /// Assemble an arena-backend graph from views into `arena`.
+    /// `fingerprint` is the value the image records, which
+    /// [`fingerprint`](Self::fingerprint) then returns without hashing; it
+    /// is trusted from the writer like sortedness and symmetry are.
     ///
     /// # Safety
     /// The three slices must point into `arena`'s buffer, and the caller
@@ -143,13 +152,14 @@ impl Graph {
         offsets: &[usize],
         neighbors: &[NodeId],
         degrees: &[u32],
+        fingerprint: Option<u64>,
     ) -> Self {
         debug_assert_eq!(offsets.len(), degrees.len() + 1);
         Graph {
             offsets: RawSlice::of(offsets),
             neighbors: RawSlice::of(neighbors),
             degrees: RawSlice::of(degrees),
-            storage: Storage::Arena(arena),
+            storage: Storage::Arena { arena, fingerprint },
         }
     }
 
@@ -223,14 +233,15 @@ impl Graph {
     pub fn backend(&self) -> StorageBackend {
         match &self.storage {
             Storage::Owned { .. } => StorageBackend::Owned,
-            Storage::Arena(a) => a.backend(),
+            Storage::Arena { arena, .. } => arena.backend(),
         }
     }
 
     /// Copy this graph onto the owned backend (a no-op copy for a graph
     /// that is already owned). Used to detach a graph from its arena —
     /// e.g. to outlive an unlinked snapshot file — and by the
-    /// differential storage conformance suite.
+    /// differential storage conformance suite. The copy carries no
+    /// recorded fingerprint: like every owned graph it hashes its arrays.
     pub fn to_owned_backend(&self) -> Graph {
         Graph::from_owned_parts(self.offs().into(), self.nbrs().into(), self.degs().into())
     }
@@ -422,13 +433,13 @@ impl Graph {
                     + neighbors.len() * std::mem::size_of::<NodeId>()
                     + degrees.len() * std::mem::size_of::<u32>()
             }
-            Storage::Arena(a) => a.len(),
+            Storage::Arena { arena, .. } => arena.len(),
         }
     }
 
     /// Maximum degree (0 for an empty graph).
     pub fn max_degree(&self) -> usize {
-        self.nodes().map(|v| self.degree(v)).max().unwrap_or(0)
+        self.degs().iter().max().map_or(0, |&d| d as usize)
     }
 
     /// Node with the maximum degree (`None` for an empty graph). Ties break
@@ -451,9 +462,28 @@ impl Graph {
     /// against one graph can never be served for another (`hk-serve`'s
     /// cache key includes it) — which is also what lets a multi-graph
     /// registry evict and reload a snapshot without invalidating cached
-    /// results. O(n + m) per call; callers that need it repeatedly (the
-    /// engine) compute it once at bind time.
+    /// results. O(1) for a recorded image — a v2 snapshot whose header
+    /// carries the value [`crate::io::write_binary_v2`] computed when it
+    /// wrote the image ([`recorded_fingerprint`](Self::recorded_fingerprint));
+    /// O(n + m) per call otherwise ([`compute_fingerprint`](Self::compute_fingerprint)).
     pub fn fingerprint(&self) -> u64 {
+        self.recorded_fingerprint()
+            .unwrap_or_else(|| self.compute_fingerprint())
+    }
+
+    /// The fingerprint this graph's snapshot image records, if it was
+    /// loaded from one that does (`None` for every owned graph).
+    pub fn recorded_fingerprint(&self) -> Option<u64> {
+        match self.storage {
+            Storage::Arena { fingerprint, .. } => fingerprint,
+            Storage::Owned { .. } => None,
+        }
+    }
+
+    /// [`fingerprint`](Self::fingerprint) hashed from the arrays, whatever
+    /// the image records: the independent recompute that checks a recorded
+    /// value. O(n + m) per call.
+    pub fn compute_fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         #[inline]
@@ -519,11 +549,14 @@ impl Clone for Graph {
             Storage::Owned { .. } => self.to_owned_backend(),
             // Arena: share the buffer; the views stay valid because they
             // point into the same (Arc-pinned) allocation.
-            Storage::Arena(a) => Graph {
+            Storage::Arena { arena, fingerprint } => Graph {
                 offsets: self.offsets,
                 neighbors: self.neighbors,
                 degrees: self.degrees,
-                storage: Storage::Arena(Arc::clone(a)),
+                storage: Storage::Arena {
+                    arena: Arc::clone(arena),
+                    fingerprint: *fingerprint,
+                },
             },
         }
     }
@@ -674,6 +707,9 @@ mod tests {
         let o = g.to_owned_backend();
         assert_eq!(g, o);
         assert_eq!(g.fingerprint(), o.fingerprint());
+        // An owned graph records nothing: it always hashes.
+        assert_eq!(g.recorded_fingerprint(), None);
+        assert_eq!(g.fingerprint(), g.compute_fingerprint());
     }
 
     #[test]

@@ -26,13 +26,16 @@
 //! 0x08    4     version (= 2), little-endian u32
 //! 0x0c    4     flags: bit 0 = the section checksums are lane sums
 //!               (clear: FNV-1a, as written before the lane sum
-//!               existed); every other bit must be 0
+//!               existed); bit 1 = 0x30 records the fingerprint;
+//!               every other bit must be 0
 //! 0x10    8     n       (node count, u64)
 //! 0x18    8     arcs    (2m, u64)
 //! 0x20    4     section count (= 3)
 //! 0x24    4     reserved (= 0)
-//! 0x28    8     FNV-1a checksum of the section table bytes
-//! 0x30    16    reserved (= 0)
+//! 0x28    8     FNV-1a checksum of the section table bytes, followed
+//!               (flags bit 1) by the 8 bytes at 0x30
+//! 0x30    8     Graph::fingerprint of the CSR (flags bit 1; else 0)
+//! 0x38    8     reserved (= 0)
 //! 0x40    96    section table: 3 entries x 32 bytes
 //!               { kind u32, elem_size u32, byte_off u64, elem_count u64,
 //!                 checksum u64 }
@@ -45,11 +48,15 @@
 //!
 //! ## Checksums
 //!
-//! The 96-byte section table is guarded by byte-wise FNV-1a. A section is
+//! The 96-byte section table is guarded by byte-wise FNV-1a; in an image
+//! with `flags` bit 1 set the same FNV-1a chain runs on over the 8
+//! fingerprint bytes at `0x30`, so one checksum guards both. A section is
 //! guarded by the checksum its image's `flags` name; which one is a
 //! property of the image, never of the caller. [`write_binary_v2`] always
-//! writes lane sums; images with `flags = 0` (FNV-1a section sums) keep
-//! loading, and re-saving one upgrades it.
+//! writes lane sums and a recorded fingerprint (`flags = 3`); images with
+//! `flags = 0` (FNV-1a section sums) or `flags = 1` (lane sums, no
+//! fingerprint) keep loading and hash on demand, and re-saving one
+//! upgrades it.
 //!
 //! FNV-1a is one xor→multiply per byte on a single dependency chain — no
 //! CPU can overlap it, so it checks about half a gigabyte per second
@@ -117,6 +124,16 @@
 //! accesses are still in bounds; run
 //! [`Graph::check_invariants`](crate::Graph::check_invariants) on
 //! untrusted snapshots.
+//!
+//! The *recorded fingerprint* is trusted from the writer the same way:
+//! the table checksum catches a corrupted value, not a writer that
+//! recorded a wrong one, and a wrong one gives the graph wrong cache keys,
+//! never an out-of-bounds access.
+//! [`Graph::fingerprint`](crate::Graph::fingerprint) returns the recorded
+//! value in O(1);
+//! [`Graph::compute_fingerprint`](crate::Graph::compute_fingerprint)
+//! hashes the arrays, and `hkg_convert` checks every image it writes
+//! against it.
 //! [`save_binary_v2`] is the v1 → v2 conversion path: load any supported
 //! format, write v2.
 
@@ -345,15 +362,28 @@ fn align64(x: u64) -> u64 {
 /// every byte: fine for 96 bytes, half a gigabyte per second for a
 /// section.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Run the FNV-1a chain `h` on over `bytes`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
 
+/// The checksum at header `0x28`: FNV-1a over the section table, then
+/// over the recorded fingerprint's bytes when the image carries one.
+fn table_sum(table: &[u8], fingerprint: Option<u64>) -> u64 {
+    let h = fnv1a(table);
+    fingerprint.map_or(h, |fp| fnv1a_extend(h, &fp.to_le_bytes()))
+}
+
 /// Header `flags` bit 0: the section checksums are lane sums.
 const FLAG_LANE_SUMS: u32 = 1;
+/// Header `flags` bit 1: `0x30..0x38` records the graph's fingerprint.
+const FLAG_FINGERPRINT: u32 = 2;
 
 /// Lanes of the lane sum: one per little-endian `u64` of a 64-byte block.
 const LANES: usize = SECTION_ALIGN / 8;
@@ -477,7 +507,9 @@ fn materialize_sections(graph: &Graph) -> [Vec<u8>; V2_SECTIONS] {
 
 /// Write the v2 snapshot representation (see the module docs for the
 /// layout). This is also the v1 → v2 conversion path: `load_binary` any
-/// existing file, then `write_binary_v2` it.
+/// existing file, then `write_binary_v2` it. The header records
+/// [`Graph::compute_fingerprint`] — hashed here, never copied from a value
+/// the source image recorded — so loads of the image need not hash.
 pub fn write_binary_v2<W: Write>(graph: &Graph, writer: W) -> Result<(), GraphError> {
     // The checksums precede the payloads in the file. Where the CSR
     // arrays already are the section bytes they are summed and written in
@@ -498,7 +530,8 @@ pub fn write_binary_v2<W: Write>(graph: &Graph, writer: W) -> Result<(), GraphEr
     write_v2_sections(graph, sections, writer)
 }
 
-/// Header, table, and `[offsets, neighbors, degrees]` payloads of `graph`.
+/// Header, table, and `[offsets, neighbors, degrees]` payloads of `graph`,
+/// its fingerprint recorded.
 fn write_v2_sections<W: Write>(
     graph: &Graph,
     [offsets, neighbors, degrees]: [&[u8]; V2_SECTIONS],
@@ -531,16 +564,18 @@ fn write_v2_sections<W: Write>(
     }
 
     // Header.
+    let fingerprint = graph.compute_fingerprint();
     let mut header = [0u8; V2_HEADER_BYTES];
     header[0x00..0x08].copy_from_slice(MAGIC_V2);
     header[0x08..0x0c].copy_from_slice(&V2_VERSION.to_le_bytes());
-    header[0x0c..0x10].copy_from_slice(&FLAG_LANE_SUMS.to_le_bytes());
+    header[0x0c..0x10].copy_from_slice(&(FLAG_LANE_SUMS | FLAG_FINGERPRINT).to_le_bytes());
     header[0x10..0x18].copy_from_slice(&n.to_le_bytes());
     header[0x18..0x20].copy_from_slice(&arcs.to_le_bytes());
     header[0x20..0x24].copy_from_slice(&(V2_SECTIONS as u32).to_le_bytes());
     // 0x24..0x28: reserved = 0
-    header[0x28..0x30].copy_from_slice(&fnv1a(&table).to_le_bytes());
-    // 0x30..0x40: reserved = 0
+    header[0x28..0x30].copy_from_slice(&table_sum(&table, Some(fingerprint)).to_le_bytes());
+    header[0x30..0x38].copy_from_slice(&fingerprint.to_le_bytes());
+    // 0x38..0x40: reserved = 0
 
     fn emit<W: Write>(
         w: &mut BufWriter<W>,
@@ -597,6 +632,8 @@ struct V2Layout {
     offsets: std::ops::Range<usize>,
     neighbors: std::ops::Range<usize>,
     degrees: std::ops::Range<usize>,
+    /// The header's recorded fingerprint (`flags` bit 1).
+    fingerprint: Option<u64>,
 }
 
 /// What the fixed header says, once it and the table checksum hold.
@@ -605,6 +642,8 @@ struct V2Header {
     arcs: u64,
     /// `flags` bit 0: the section sums are lane sums (clear: FNV-1a).
     lane_sums: bool,
+    /// `flags` bit 1: the fingerprint at `0x30`.
+    fingerprint: Option<u64>,
 }
 
 fn v2_u32(buf: &[u8], at: usize) -> u32 {
@@ -663,7 +702,7 @@ fn v2_header(buf: &[u8]) -> Result<V2Header, GraphError> {
         )));
     }
     let flags = v2_u32(buf, 0x0c);
-    if flags & !FLAG_LANE_SUMS != 0 {
+    if flags & !(FLAG_LANE_SUMS | FLAG_FINGERPRINT) != 0 {
         return Err(GraphError::Format(format!(
             "unknown snapshot flags {flags:#x}"
         )));
@@ -684,9 +723,9 @@ fn v2_header(buf: &[u8]) -> Result<V2Header, GraphError> {
             "expected {V2_SECTIONS} sections, header claims {sections}"
         )));
     }
-    let table = &buf[V2_HEADER_BYTES..table_end];
+    let fingerprint = (flags & FLAG_FINGERPRINT != 0).then(|| v2_u64(buf, 0x30));
     let stored_table_sum = v2_u64(buf, 0x28);
-    let actual_table_sum = fnv1a(table);
+    let actual_table_sum = table_sum(&buf[V2_HEADER_BYTES..table_end], fingerprint);
     if stored_table_sum != actual_table_sum {
         return Err(GraphError::ChecksumMismatch {
             section: "section table",
@@ -698,6 +737,7 @@ fn v2_header(buf: &[u8]) -> Result<V2Header, GraphError> {
         n,
         arcs,
         lane_sums: flags & FLAG_LANE_SUMS != 0,
+        fingerprint,
     })
 }
 
@@ -710,7 +750,12 @@ fn v2_sections(
     header: &V2Header,
     mut check_payload: impl FnMut(&'static str, &[u8], u64) -> Result<(), GraphError>,
 ) -> Result<(V2Layout, [u64; V2_SECTIONS]), GraphError> {
-    let &V2Header { n, arcs, .. } = header;
+    let &V2Header {
+        n,
+        arcs,
+        fingerprint,
+        ..
+    } = header;
     let table_end = V2_HEADER_BYTES + V2_SECTIONS * V2_ENTRY_BYTES;
     let expected: [(&'static str, u32, u32, u64); V2_SECTIONS] = [
         ("offsets", KIND_OFFSETS, 8, n + 1),
@@ -782,6 +827,7 @@ fn v2_sections(
         offsets,
         neighbors,
         degrees,
+        fingerprint,
     };
     Ok((layout, sums))
 }
@@ -928,7 +974,13 @@ pub fn read_binary_v2_from_arena(arena: Arc<Arena>) -> Result<Graph, GraphError>
                 buf.as_ptr().add(layout.degrees.start) as *const u32,
                 layout.n,
             );
-            Graph::from_arena_parts(Arc::clone(&arena), offsets, neighbors, degrees)
+            Graph::from_arena_parts(
+                Arc::clone(&arena),
+                offsets,
+                neighbors,
+                degrees,
+                layout.fingerprint,
+            )
         };
         Ok(graph)
     }
@@ -1039,7 +1091,9 @@ mod tests {
         let g2 = read_binary(&buf[..]).unwrap();
         assert_eq!(g, g2);
         assert_eq!(g2.backend(), StorageBackend::Arena);
+        assert_eq!(g2.recorded_fingerprint(), Some(g.fingerprint()));
         assert_eq!(g.fingerprint(), g2.fingerprint());
+        assert_eq!(g2.compute_fingerprint(), g2.fingerprint());
         assert!(g2.check_invariants().is_ok());
     }
 
@@ -1139,14 +1193,17 @@ mod tests {
     }
 
     /// Re-record every checksum of a tampered image, in the flavour its
-    /// flags name, so that the checks behind the checksums are reached.
-    /// A section the table no longer places inside the file keeps its sum.
+    /// flags name, so that the checks behind the checksums are reached —
+    /// the table's over the fingerprint too when the flags say it is
+    /// recorded. A section the table no longer places inside the file
+    /// keeps its sum.
     pub(super) fn resum(img: &mut [u8]) {
         let table_end = V2_HEADER_BYTES + V2_SECTIONS * V2_ENTRY_BYTES;
         if img.len() < table_end {
             return;
         }
-        let lanes = v2_u32(img, 0x0c) & FLAG_LANE_SUMS != 0;
+        let flags = v2_u32(img, 0x0c);
+        let lanes = flags & FLAG_LANE_SUMS != 0;
         for i in 0..V2_SECTIONS {
             if let Some(payload) = img.get(payload_range(img, i)) {
                 let sum = if lanes {
@@ -1158,14 +1215,20 @@ mod tests {
                 img[at..at + 8].copy_from_slice(&sum.to_le_bytes());
             }
         }
-        let sum = fnv1a(&img[V2_HEADER_BYTES..table_end]);
+        let fingerprint = (flags & FLAG_FINGERPRINT != 0).then(|| v2_u64(img, 0x30));
+        let sum = table_sum(&img[V2_HEADER_BYTES..table_end], fingerprint);
         img[0x28..0x30].copy_from_slice(&sum.to_le_bytes());
     }
 
-    /// The image as written before the lane sum existed: `flags = 0`,
-    /// FNV-1a section sums.
-    fn legacy(mut img: Vec<u8>) -> Vec<u8> {
-        img[0x0c..0x10].fill(0);
+    /// `img` relabelled with `flags` and re-summed in that flavour. An
+    /// image without bit 1 gets the zeroed fingerprint field the writers
+    /// before the recorded fingerprint left there; without bit 0, FNV-1a
+    /// section sums, as written before the lane sum existed.
+    fn reflagged(mut img: Vec<u8>, flags: u32) -> Vec<u8> {
+        img[0x0c..0x10].copy_from_slice(&flags.to_le_bytes());
+        if flags & FLAG_FINGERPRINT == 0 {
+            img[0x30..0x38].fill(0);
+        }
         resum(&mut img);
         img
     }
@@ -1291,6 +1354,29 @@ mod tests {
     }
 
     #[test]
+    fn the_writer_records_the_fingerprint_and_old_flags_still_hash() {
+        for g in corpus_graphs() {
+            let img = image_of(&g);
+            assert_eq!(v2_u32(&img, 0x0c), FLAG_LANE_SUMS | FLAG_FINGERPRINT);
+            assert_eq!(v2_u64(&img, 0x30), g.compute_fingerprint());
+            assert_eq!(img[0x38..0x40], [0; 8]);
+            let loaded = read_binary(&img[..]).unwrap();
+            assert_eq!(loaded.recorded_fingerprint(), Some(g.compute_fingerprint()));
+            assert_eq!(loaded.compute_fingerprint(), g.compute_fingerprint());
+            // Without bit 1 the image records nothing and loads the same
+            // arrays, which hash to the same value.
+            for flags in [FLAG_LANE_SUMS, 0] {
+                let old = read_binary(&reflagged(img.clone(), flags)[..]).unwrap();
+                assert_eq!(old, g);
+                assert_eq!(old.recorded_fingerprint(), None);
+                assert_eq!(old.fingerprint(), g.fingerprint());
+                // Re-saving upgrades it to the image a fresh save writes.
+                assert_eq!(image_of(&old), img);
+            }
+        }
+    }
+
+    #[test]
     fn sweep_accepts_exactly_what_the_sequential_validator_accepts() {
         let mut outcomes = std::collections::BTreeSet::new();
         let mut visited = 0usize;
@@ -1356,10 +1442,11 @@ mod tests {
 
     #[test]
     fn both_flavours_report_the_same_error_for_the_same_corruption() {
-        // A `flags = 0` image takes the path — and the checksum — of every
-        // loader before the lane sum. Whatever that path says about a
-        // corruption, the lane-sum flavour says about the same corruption:
-        // same variant, same message, same first offending node.
+        // An image without flags bit 0 takes the path — and the checksum —
+        // of every loader before the lane sum. Whatever that path says
+        // about a corruption, the lane-sum flavour says about the same
+        // corruption: same variant, same message, same first offending
+        // node. Both with and without a recorded fingerprint.
         fn outcomes(base: &[u8]) -> Vec<String> {
             let mut all = Vec::new();
             for_each_corruption(base, |img| {
@@ -1376,10 +1463,16 @@ mod tests {
             all
         }
         for base in corpus_bases() {
-            let (lanes, fnv) = (outcomes(&base), outcomes(&legacy(base)));
-            assert_eq!(lanes.len(), fnv.len());
-            for (i, (lanes, fnv)) in lanes.iter().zip(&fnv).enumerate() {
-                assert_eq!(lanes, fnv, "corruption #{i}");
+            for recorded in [FLAG_FINGERPRINT, 0] {
+                let lanes = outcomes(&reflagged(base.clone(), FLAG_LANE_SUMS | recorded));
+                let fnv = outcomes(&reflagged(base.clone(), recorded));
+                assert_eq!(lanes.len(), fnv.len());
+                for (i, (lanes, fnv)) in lanes.iter().zip(&fnv).enumerate() {
+                    assert_eq!(
+                        lanes, fnv,
+                        "fingerprint flag {recorded:#x}, corruption #{i}"
+                    );
+                }
             }
         }
     }

@@ -246,9 +246,18 @@ const V2_TABLE_START: usize = 0x40;
 const V2_TABLE_LEN: usize = 3 * 32;
 const SECTION_NAMES: [&str; 3] = ["offsets", "neighbors", "degrees"];
 
-/// Recompute and patch the header's section-table checksum.
+/// `flags` bit 1: the header records the fingerprint at `0x30`.
+const FLAG_FINGERPRINT: u8 = 2;
+
+/// Recompute and patch the header's section-table checksum: FNV-1a over
+/// the table, then over the recorded fingerprint when `flags` bit 1 says
+/// there is one.
 fn fix_table_checksum(buf: &mut [u8]) {
-    let sum = fnv1a(&buf[V2_TABLE_START..V2_TABLE_START + V2_TABLE_LEN]);
+    let mut covered = buf[V2_TABLE_START..V2_TABLE_START + V2_TABLE_LEN].to_vec();
+    if buf[0x0c] & FLAG_FINGERPRINT != 0 {
+        covered.extend_from_slice(&buf[0x30..0x38]);
+    }
+    let sum = fnv1a(&covered);
     buf[0x28..0x30].copy_from_slice(&sum.to_le_bytes());
 }
 
@@ -298,9 +307,9 @@ fn v2_header_corruptions_are_typed() {
     assert!(
         matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("version"))
     );
-    // Unknown flags: every bit but bit 0 (which the writer sets).
-    assert_eq!(buf[0x0c..0x10], [1, 0, 0, 0]);
-    for (byte, bit) in [(0x0c, 0x02), (0x0c, 0x80), (0x0d, 0x01), (0x0f, 0x80)] {
+    // Unknown flags: every bit but bits 0 and 1 (which the writer sets).
+    assert_eq!(buf[0x0c..0x10], [3, 0, 0, 0]);
+    for (byte, bit) in [(0x0c, 0x04), (0x0c, 0x80), (0x0d, 0x01), (0x0f, 0x80)] {
         let mut img = buf.clone();
         img[byte] |= bit;
         assert!(
@@ -335,6 +344,69 @@ fn v2_table_checksum_guards_the_table() {
         }
         other => panic!("expected table checksum mismatch, got {other:?}"),
     }
+}
+
+/// The recorded fingerprint is under the table checksum: no flipped bit
+/// of it loads, on the sweep path (lane-sum sections) or the rescan path
+/// (FNV-1a sections).
+#[test]
+fn v2_recorded_fingerprint_bit_flips_name_the_table() {
+    let lanes = wide_v2_image();
+    let want = io::read_binary(&lanes[..]).unwrap();
+    assert_eq!(
+        want.recorded_fingerprint(),
+        Some(want.compute_fingerprint())
+    );
+    let mut fnv = lanes.clone();
+    fnv[0x0c] = FLAG_FINGERPRINT;
+    for i in 0..3 {
+        fix_section_checksum(&mut fnv, i, fnv1a);
+    }
+    assert_eq!(io::read_binary(&fnv[..]).unwrap(), want);
+    for img in [lanes, fnv] {
+        for bit in 0..64 {
+            let mut bad = img.clone();
+            bad[0x30 + bit / 8] ^= 1 << (bit % 8);
+            match io::read_binary(&bad[..]) {
+                Err(GraphError::ChecksumMismatch { section, .. }) => {
+                    assert_eq!(section, "section table", "bit {bit}")
+                }
+                other => panic!("fingerprint bit {bit}: {other:?}"),
+            }
+        }
+    }
+}
+
+/// An image with `flags` bit 1 cleared (and its table re-summed) records
+/// no fingerprint: it loads the same arrays, which hash to the value the
+/// writer recorded.
+#[test]
+fn v2_image_without_a_recorded_fingerprint_hashes_the_same() {
+    let img = wide_v2_image();
+    let want = io::read_binary(&img[..]).unwrap();
+    let mut old = img.clone();
+    old[0x0c] &= !FLAG_FINGERPRINT;
+    old[0x30..0x38].fill(0);
+    // Relabelled but not re-summed: the table checksum fires.
+    assert!(matches!(
+        io::read_binary(&old[..]),
+        Err(GraphError::ChecksumMismatch {
+            section: "section table",
+            ..
+        })
+    ));
+    fix_table_checksum(&mut old);
+    let g = io::read_binary(&old[..]).unwrap();
+    assert_eq!(g, want);
+    assert_eq!(g.recorded_fingerprint(), None);
+    assert_eq!(g.fingerprint(), want.fingerprint());
+    assert_eq!(g.fingerprint(), want.recorded_fingerprint().unwrap());
+    // The reserved field behind bit 1 is ignored, as it always was.
+    old[0x30] = 0xa5;
+    assert_eq!(
+        io::read_binary(&old[..]).unwrap().fingerprint(),
+        want.fingerprint()
+    );
 }
 
 #[test]
@@ -504,7 +576,10 @@ fn v2_legacy_fnv_images_still_load() {
     let img = wide_v2_image();
     let want = io::read_binary(&img[..]).unwrap();
     let mut old = img.clone();
+    // As written before the lane sum: no flags, no recorded fingerprint.
     old[0x0c] = 0;
+    old[0x30..0x38].fill(0);
+    fix_table_checksum(&mut old);
     let mut relabelled = vec![old.clone()];
     for i in 0..3 {
         fix_section_checksum(&mut old, i, fnv1a);
@@ -539,6 +614,7 @@ fn v2_legacy_fnv_images_still_load() {
     loads.push(io::load_binary_mmap(&path).unwrap());
     for g in &loads {
         assert_eq!(g, &want);
+        assert_eq!(g.recorded_fingerprint(), None);
         assert_eq!(g.fingerprint(), want.fingerprint());
         assert!(g.check_invariants().is_ok());
     }

@@ -103,6 +103,7 @@ fn every_load_path_is_bitwise_identical_on_committed_snapshots() {
                 "{label}: fingerprint drift for {}",
                 path.display()
             );
+            assert_eq!(loaded.recorded_fingerprint(), Some(fp), "{label}");
             assert_eq!(loaded.num_nodes(), reference.num_nodes(), "{label}");
             assert_eq!(loaded.num_edges(), reference.num_edges(), "{label}");
             // Spot-check the accessors the hot paths use, on a stride.
@@ -145,8 +146,54 @@ fn arena_graph_outlives_cheap_clones() {
     }
 }
 
+/// An arbitrary graph over `0..80` plus a tail of isolated nodes.
+fn build(edges: &[(u32, u32)], isolated_tail: usize) -> Graph {
+    let mut b = hk_graph::GraphBuilder::new();
+    for &(u, v) in edges {
+        b.add_edge(u, v);
+    }
+    let max_node = edges
+        .iter()
+        .map(|&(u, v)| u.max(v) as usize + 1)
+        .max()
+        .unwrap_or(0);
+    b.ensure_nodes(max_node + isolated_tail);
+    b.build()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A recorded fingerprint is checked against a recompute, never only
+    /// against itself: on every v2 load path the value the image records
+    /// is the hash of the arrays that path loaded, and the owned copy —
+    /// which always hashes — agrees with both.
+    #[test]
+    fn recorded_fingerprints_equal_the_recompute_on_every_load_path(
+        edges in prop::collection::vec((0u32..80, 0u32..80), 0..300),
+        isolated_tail in 0usize..5,
+    ) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let g = build(&edges, isolated_tail);
+        let dir = std::env::temp_dir().join(format!(
+            "hk_storage_conformance_fp_{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{}.hkg", CASE.fetch_add(1, Ordering::Relaxed)));
+        io::save_binary_v2(&g, &path).unwrap();
+        for (label, loaded, _) in v2_loads(&path) {
+            let recorded = loaded.recorded_fingerprint();
+            prop_assert_eq!(recorded, Some(loaded.compute_fingerprint()), "{}", label);
+            prop_assert_eq!(loaded.fingerprint(), g.compute_fingerprint(), "{}", label);
+            let owned = loaded.to_owned_backend();
+            prop_assert_eq!(owned.recorded_fingerprint(), None, "{}", label);
+            prop_assert_eq!(Some(owned.fingerprint()), recorded, "{}", label);
+        }
+        std::fs::remove_file(&path).unwrap();
+        let _ = std::fs::remove_dir(&dir);
+    }
 
     /// v1 and v2 images of an arbitrary graph load to bitwise-equal CSRs
     /// with equal fingerprints across all backends.
@@ -155,13 +202,7 @@ proptest! {
         edges in prop::collection::vec((0u32..80, 0u32..80), 0..300),
         isolated_tail in 0usize..5,
     ) {
-        let mut b = hk_graph::GraphBuilder::new();
-        for &(u, v) in &edges {
-            b.add_edge(u, v);
-        }
-        let max_node = edges.iter().map(|&(u, v)| u.max(v) as usize + 1).max().unwrap_or(0);
-        b.ensure_nodes(max_node + isolated_tail);
-        let g = b.build();
+        let g = build(&edges, isolated_tail);
 
         let mut v1 = Vec::new();
         io::write_binary(&g, &mut v1).unwrap();

@@ -678,9 +678,10 @@ pub(crate) fn admission_key_of(name: &str) -> u64 {
 }
 
 impl GraphFront {
-    /// `fingerprint` is `graph.fingerprint()`, computed by the caller: an
-    /// O(n + m) serial hash that a caller who needs the value itself
-    /// (the single-graph engine keys admission on it) must not pay twice.
+    /// `fingerprint` is `graph.fingerprint()`, resolved by the caller:
+    /// O(1) for a v2 image that records it, else an O(n + m) serial hash,
+    /// which the registry counts and the single-graph engine (it keys
+    /// admission on the value too) takes once.
     pub(crate) fn new(
         graph: Arc<Graph>,
         fingerprint: u64,
@@ -1486,7 +1487,9 @@ impl QueryEngine {
     /// [`EngineConfig::cache_bytes`]. Cache keys include the graph
     /// fingerprint, so entries from different graphs coexist (and survive
     /// a graph being evicted and reloaded, since the reloaded snapshot
-    /// fingerprints identically).
+    /// fingerprints identically). The fingerprint costs nothing for a
+    /// graph loaded from a v2 image, which records it, and one O(n + m)
+    /// hash here for any other.
     pub fn with_cache(
         graph: Arc<Graph>,
         config: EngineConfig,

@@ -40,7 +40,9 @@
 //!   served a stale answer, while evict/reload cycles of the *same*
 //!   structure keep their precomputed entries valid — the exact argument
 //!   the shared result cache already relies on. Builds dedupe per
-//!   fingerprint, so a reload never recomputes the hub set.
+//!   fingerprint, so a reload never recomputes the hub set. The store
+//!   reads the fingerprint off the front, which resolved it once —
+//!   recorded in a v2 image, or hashed for any other snapshot.
 //!
 //! Builds run on detached background threads **after** the graph is
 //! queryable — a load never waits on precomputation, and queries that

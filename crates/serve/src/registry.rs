@@ -122,6 +122,13 @@ pub struct RegistryStats {
     /// `loads` (failed attempts and backoff sleeps excluded) — what cold
     /// loads, and reloads after eviction, cost.
     pub load_ns: u64,
+    /// Fronts that hashed their graph's fingerprint because the snapshot
+    /// recorded none (owned graphs, `.hkg` images written before v2
+    /// headers recorded it). A front over an image that records it hashes
+    /// nothing.
+    pub fingerprints_computed: u64,
+    /// Wall-clock nanoseconds those hashes took.
+    pub fingerprint_ns: u64,
     /// Graphs evicted to respect the byte budget (or explicitly).
     pub evictions: u64,
     /// `get`s answered from a resident graph.
@@ -144,6 +151,8 @@ pub struct GraphRegistry {
     load_attempts: AtomicU64,
     load_retries: AtomicU64,
     load_ns: AtomicU64,
+    fingerprints_computed: AtomicU64,
+    fingerprint_ns: AtomicU64,
     evictions: AtomicU64,
     resident_hits: AtomicU64,
     /// Retry backoff schedule `(base, cap)` for failed loads —
@@ -169,6 +178,8 @@ impl GraphRegistry {
             load_attempts: AtomicU64::new(0),
             load_retries: AtomicU64::new(0),
             load_ns: AtomicU64::new(0),
+            fingerprints_computed: AtomicU64::new(0),
+            fingerprint_ns: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             resident_hits: AtomicU64::new(0),
             load_backoff: Mutex::new((BACKOFF_BASE, BACKOFF_CAP)),
@@ -501,6 +512,22 @@ impl GraphRegistry {
         self.evict_locked(&mut inner, name)
     }
 
+    /// `graph`'s fingerprint: the value its snapshot records, or else
+    /// an O(n + m) hash of its arrays, counted and timed in
+    /// [`RegistryStats::fingerprints_computed`] and
+    /// [`RegistryStats::fingerprint_ns`].
+    fn fingerprint_of(&self, graph: &Graph) -> u64 {
+        if let Some(recorded) = graph.recorded_fingerprint() {
+            return recorded;
+        }
+        let started = std::time::Instant::now();
+        let fingerprint = graph.compute_fingerprint();
+        self.fingerprint_ns
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.fingerprints_computed.fetch_add(1, Ordering::Relaxed);
+        fingerprint
+    }
+
     /// Bytes of all currently resident graphs (the budgeted quantity).
     pub fn resident_bytes(&self) -> usize {
         self.inner.lock().unwrap().resident_bytes
@@ -519,6 +546,8 @@ impl GraphRegistry {
             load_attempts: self.load_attempts.load(Ordering::Relaxed),
             load_retries: self.load_retries.load(Ordering::Relaxed),
             load_ns: self.load_ns.load(Ordering::Relaxed),
+            fingerprints_computed: self.fingerprints_computed.load(Ordering::Relaxed),
+            fingerprint_ns: self.fingerprint_ns.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             resident_hits: self.resident_hits.load(Ordering::Relaxed),
             resident_bytes: inner.resident_bytes as u64,
@@ -683,7 +712,9 @@ impl MultiEngine {
                 return Ok(Arc::clone(front));
             }
         }
-        let fingerprint = snapshot.fingerprint();
+        // O(1) for a v2 image, which records its fingerprint; other
+        // snapshots hash here, once per front (and again per reload).
+        let fingerprint = self.registry.fingerprint_of(&snapshot);
         let front = Arc::new(GraphFront::new(
             snapshot,
             fingerprint,
@@ -1273,11 +1304,11 @@ mod tests {
 
     #[test]
     fn every_front_of_a_graph_carries_its_fingerprint() {
-        // `GraphFront::new` is handed the fingerprint (one O(n + m) hash
-        // per front, not two). The engine, the multi-engine's front and
-        // the graph must still agree — and so must the cache keys built
-        // from it: what the multi-engine cached is a hit for a
-        // single-graph engine over the same cache.
+        // `GraphFront::new` is handed the fingerprint (recorded, or one
+        // O(n + m) hash per front, never two). The engine, the
+        // multi-engine's front and the graph must still agree — and so
+        // must the cache keys built from it: what the multi-engine cached
+        // is a hit for a single-graph engine over the same cache.
         let g = graph(21);
         let engine = EngineConfig {
             workers: 1,
@@ -1298,6 +1329,56 @@ mod tests {
         let warm = single.query(QueryRequest::new(4)).unwrap();
         assert_eq!(warm.outcome, CacheOutcome::Hit);
         assert!(warm.result.bitwise_eq(&cold.result));
+    }
+
+    #[test]
+    fn only_snapshots_without_a_recorded_fingerprint_are_hashed() {
+        let g = graph(23);
+        let dir = std::env::temp_dir().join(format!("hk_registry_fp_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (v1, v2) = (dir.join("g.v1.hkg"), dir.join("g.v2.hkg"));
+        io::save_binary(&g, &v1).unwrap();
+        io::save_binary_v2(&g, &v2).unwrap();
+        let me = MultiEngine::new(MultiEngineConfig {
+            engine: EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
+            ..MultiEngineConfig::default()
+        });
+        me.registry().register_path("v2", &v2);
+        me.registry().register_path("v1", &v1);
+        me.registry().register_graph("owned", Arc::clone(&g));
+        let counted = || {
+            let s = me.registry().stats();
+            (s.fingerprints_computed, s.fingerprint_ns > 0)
+        };
+        assert_eq!(counted(), (0, false));
+        // A `save_binary_v2` image hands its recorded value over, front
+        // after front: nothing is hashed.
+        for _ in 0..2 {
+            assert_eq!(
+                me.front_for("v2", None).unwrap().fingerprint(),
+                g.fingerprint()
+            );
+            assert!(me.registry().evict("v2"));
+        }
+        assert_eq!(counted(), (0, false));
+        // A legacy image and an owned graph hash once per front.
+        let mut want = 0;
+        for name in ["v1", "owned", "v1"] {
+            assert_eq!(
+                me.front_for(name, None).unwrap().fingerprint(),
+                g.fingerprint()
+            );
+            // The same resident snapshot keeps its front.
+            me.front_for(name, None).unwrap();
+            want += 1;
+            assert_eq!(me.registry().stats().fingerprints_computed, want);
+            assert!(me.registry().evict(name));
+        }
+        assert!(counted().1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
