@@ -6,7 +6,7 @@
 //! lower-conductance cuts, which is the premise of the entire paper.
 
 use hk_bench::{fmt_f, fmt_ms, run_over_seeds, AnyMethod, CommonArgs, Table};
-use hk_cluster::{CommunitySet, LocalClusterer, Method};
+use hk_cluster::{CommunitySet, Method};
 use hk_graph::gen::planted_partition;
 use hkpr_core::HkprParams;
 use rand::rngs::SmallRng;
@@ -36,25 +36,24 @@ fn main() {
         .collect();
 
     let methods = [
-        Method::TeaPlus,
-        Method::Tea,
-        Method::Fora { alpha: 0.15 },
-        Method::PrNibble {
+        AnyMethod::Hkpr(Method::TeaPlus),
+        AnyMethod::Hkpr(Method::Tea),
+        AnyMethod::Fora { alpha: 0.15 },
+        AnyMethod::PrNibble {
             alpha: 0.15,
             rmax: 1.0 / (10.0 * n),
         },
     ];
 
     let mut t = Table::new(["method", "avg_ms", "avg_conductance", "avg_f1"]);
-    let clusterer = LocalClusterer::new(g);
     for m in methods {
-        let agg = run_over_seeds(g, &AnyMethod::Hkpr(m), &params, &seeds, args.rng).unwrap();
+        let agg = run_over_seeds(g, &m, &params, &seeds, args.rng).unwrap();
         // F1 pass (separate loop so the timed loop stays pure).
         let mut f1 = 0.0;
         for (i, &s) in seeds.iter().enumerate() {
-            let res = clusterer.run(m, s, &params, args.rng + i as u64).unwrap();
+            let (cluster, _) = m.cluster(g, &params, s, args.rng + i as u64).unwrap();
             f1 += communities
-                .score_for_seed(s, &res.cluster)
+                .score_for_seed(s, &cluster)
                 .map_or(0.0, |x| x.f1);
         }
         t.row([

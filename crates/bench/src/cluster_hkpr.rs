@@ -13,13 +13,10 @@
 //! truncation bias by `eps/2` in every entry and grows with the same rate.
 
 use hk_graph::{Graph, NodeId};
+use hkpr_core::fxhash::FxHashMap;
+use hkpr_core::walk::fixed_length_walk;
+use hkpr_core::{HkprError, HkprEstimate, PoissonTable, QueryStats, TeaOutput};
 use rand::Rng;
-
-use crate::error::HkprError;
-use crate::estimate::{HkprEstimate, QueryStats};
-use crate::poisson::PoissonTable;
-use crate::tea::TeaOutput;
-use crate::walk::fixed_length_walk;
 
 /// Published walk count `16 ln(n) / eps^3`, saturated to `u64`.
 pub fn cluster_hkpr_walks(n: usize, eps: f64) -> u64 {
@@ -74,7 +71,7 @@ pub fn cluster_hkpr<R: Rng>(
 
     // Accumulate endpoint mass in a map: HkprEstimate stores a sorted
     // vec, so per-walk add_mass would pay an O(support) insert per walk.
-    let mut values: crate::fxhash::FxHashMap<NodeId, f64> = crate::fxhash::FxHashMap::default();
+    let mut values: FxHashMap<NodeId, f64> = FxHashMap::default();
     let mut stats = QueryStats {
         alpha: 1.0,
         ..QueryStats::default()
@@ -96,8 +93,8 @@ pub fn cluster_hkpr<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::power::exact_hkpr;
     use hk_graph::builder::graph_from_edges;
+    use hkpr_core::exact_hkpr;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

@@ -11,8 +11,7 @@
 //! the paper itself reports multi-minute queries for them — and rows note
 //! when the cap was active.
 
-use hk_cluster::{ndcg_at_k, CommunitySet, LocalClusterer, Method};
-use hk_flow::CrdParams;
+use hk_cluster::{ndcg_at_k, CommunitySet, Method};
 use hk_graph::gen::planted_partition;
 use hk_graph::{Graph, NodeId};
 use hkpr_core::{exact_normalized_hkpr, HkprParams};
@@ -20,12 +19,13 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::cli::CommonArgs;
+use crate::crd::CrdParams;
 use crate::datasets::{DatasetId, Datasets};
 use crate::harness::{pick_seeds, run_over_seeds, AnyMethod};
 use crate::table::{fmt_f, fmt_ms, Table};
 
-/// Constructor closure mapping an accuracy knob to a [`Method`].
-type MethodCtor = Box<dyn Fn(f64) -> Method>;
+/// Constructor closure mapping an accuracy knob to an [`AnyMethod`].
+type MethodCtor = Box<dyn Fn(f64) -> AnyMethod>;
 
 /// Walk cap for Monte-Carlo / ClusterHKPR (full mode).
 const WALK_CAP: u64 = 5_000_000;
@@ -191,17 +191,17 @@ fn tradeoff_grid(args: &CommonArgs) -> Vec<(AnyMethod, String, f64)> {
     }
     for &e in chk_eps {
         grid.push((
-            AnyMethod::Hkpr(Method::ClusterHkpr {
+            AnyMethod::ClusterHkpr {
                 eps: e,
                 max_walks: Some(cap),
-            }),
+            },
             format!("eps={e}"),
             e,
         ));
     }
     for &rm in relax_mults {
         grid.push((
-            AnyMethod::Hkpr(Method::HkRelax { eps_a: 1.0 }),
+            AnyMethod::HkRelax { eps_a: 1.0 },
             format!("eps_a={rm}/n"),
             rm,
         ));
@@ -214,16 +214,13 @@ fn tradeoff_grid(args: &CommonArgs) -> Vec<(AnyMethod, String, f64)> {
 fn resolve_entry(entry: &(AnyMethod, String, f64), n: usize) -> (AnyMethod, HkprDelta) {
     let inv_n = 1.0 / n as f64;
     match entry.0 {
-        AnyMethod::Hkpr(Method::HkRelax { .. }) => (
-            AnyMethod::Hkpr(Method::HkRelax {
+        AnyMethod::HkRelax { .. } => (
+            AnyMethod::HkRelax {
                 eps_a: entry.2 * inv_n,
-            }),
+            },
             HkprDelta(4.0 * inv_n),
         ),
-        AnyMethod::Hkpr(Method::ClusterHkpr { eps, max_walks }) => (
-            AnyMethod::Hkpr(Method::ClusterHkpr { eps, max_walks }),
-            HkprDelta(4.0 * inv_n),
-        ),
+        m @ AnyMethod::ClusterHkpr { .. } => (m, HkprDelta(4.0 * inv_n)),
         m => (m, HkprDelta(entry.2 * inv_n)),
     }
 }
@@ -350,7 +347,6 @@ pub fn fig5(args: &CommonArgs) -> Table {
 /// power-method ground truth, on the four small stand-ins.
 pub fn fig6(args: &CommonArgs) -> Table {
     let ds = datasets(args);
-    let cap = walk_cap(args);
     let mut t = Table::new(["dataset", "method", "knob", "avg_ms", "avg_ndcg@100"]);
     for id in args.dataset_list(&DatasetId::small_set()) {
         let g = ds.load(id);
@@ -364,15 +360,13 @@ pub fn fig6(args: &CommonArgs) -> Table {
 
         for entry in tradeoff_grid(args) {
             let (method, delta) = resolve_entry(&entry, g.num_nodes());
-            let AnyMethod::Hkpr(m) = method else { continue };
             let p = params(&g, 5.0, 0.5, delta.0, 2.5);
-            let clusterer = LocalClusterer::new(&g);
             let mut total_ms = 0.0;
             let mut total_ndcg = 0.0;
             for (i, &s) in seeds.iter().enumerate() {
                 let start = std::time::Instant::now();
-                let (est, _) = clusterer
-                    .estimate(m, s, &p, args.rng.wrapping_add(i as u64))
+                let (est, _) = method
+                    .estimate(&g, &p, s, args.rng.wrapping_add(i as u64))
                     .expect("seed valid");
                 total_ms += start.elapsed().as_secs_f64() * 1000.0;
                 let ranking: Vec<NodeId> = est
@@ -385,13 +379,12 @@ pub fn fig6(args: &CommonArgs) -> Table {
             let q = seeds.len() as f64;
             t.row([
                 id.name().to_string(),
-                m.label().to_string(),
+                method.label().to_string(),
                 entry.1.clone(),
                 fmt_ms(total_ms / q),
                 format!("{:.4}", total_ndcg / q),
             ]);
         }
-        let _ = cap;
     }
     t
 }
@@ -473,23 +466,25 @@ pub fn table8(args: &CommonArgs) -> Table {
         let methods: Vec<(&str, MethodCtor)> = vec![
             (
                 "ClusterHKPR",
-                Box::new(move |_d| Method::ClusterHkpr {
+                Box::new(move |_d| AnyMethod::ClusterHkpr {
                     eps: 0.1,
                     max_walks: Some(cap),
                 }),
             ),
             (
                 "Monte-Carlo",
-                Box::new(move |_d| Method::MonteCarlo {
-                    max_walks: Some(cap),
+                Box::new(move |_d| {
+                    AnyMethod::Hkpr(Method::MonteCarlo {
+                        max_walks: Some(cap),
+                    })
                 }),
             ),
             (
                 "HK-Relax",
-                Box::new(move |d| Method::HkRelax { eps_a: d / 2.0 }),
+                Box::new(move |d| AnyMethod::HkRelax { eps_a: d / 2.0 }),
             ),
-            ("TEA", Box::new(|_d| Method::Tea)),
-            ("TEA+", Box::new(|_d| Method::TeaPlus)),
+            ("TEA", Box::new(|_d| AnyMethod::Hkpr(Method::Tea))),
+            ("TEA+", Box::new(|_d| AnyMethod::Hkpr(Method::TeaPlus))),
         ];
 
         for (label, make) in &methods {
@@ -500,16 +495,15 @@ pub fn table8(args: &CommonArgs) -> Table {
                     let delta = (dm / comm_vol).min(0.5);
                     let p = params(g, tt, 0.5, delta, 2.5);
                     let method = make(delta);
-                    let clusterer = LocalClusterer::new(g);
                     let mut f1_sum = 0.0;
                     let mut ms_sum = 0.0;
                     for (i, &s) in seeds.iter().enumerate() {
                         let start = std::time::Instant::now();
-                        let res = clusterer
-                            .run(method, s, &p, args.rng.wrapping_add(i as u64))
+                        let (cluster, _) = method
+                            .cluster(g, &p, s, args.rng.wrapping_add(i as u64))
                             .expect("seed valid");
                         ms_sum += start.elapsed().as_secs_f64() * 1000.0;
-                        if let Some(score) = communities.score_for_seed(s, &res.cluster) {
+                        if let Some(score) = communities.score_for_seed(s, &cluster) {
                             f1_sum += score.f1;
                         }
                     }
@@ -565,14 +559,14 @@ pub fn fig7(args: &CommonArgs) -> Table {
         let inv_n = 1.0 / g.num_nodes() as f64;
         let p = params(&g, 5.0, 0.5, 4.0 * inv_n, 2.5);
         let methods = [
-            AnyMethod::Hkpr(Method::ClusterHkpr {
+            AnyMethod::ClusterHkpr {
                 eps: 0.1,
                 max_walks: Some(cap),
-            }),
+            },
             AnyMethod::Hkpr(Method::MonteCarlo {
                 max_walks: Some(cap),
             }),
-            AnyMethod::Hkpr(Method::HkRelax { eps_a: 2.0 * inv_n }),
+            AnyMethod::HkRelax { eps_a: 2.0 * inv_n },
             AnyMethod::Hkpr(Method::Tea),
             AnyMethod::Hkpr(Method::TeaPlus),
         ];
@@ -616,14 +610,14 @@ pub fn fig8_9(args: &CommonArgs) -> Table {
             let inv_n = 1.0 / g.num_nodes() as f64;
             let p = params(&g, tt, 0.5, 4.0 * inv_n, 2.5);
             let methods = [
-                AnyMethod::Hkpr(Method::ClusterHkpr {
+                AnyMethod::ClusterHkpr {
                     eps: 0.1,
                     max_walks: Some(cap),
-                }),
+                },
                 AnyMethod::Hkpr(Method::MonteCarlo {
                     max_walks: Some(cap),
                 }),
-                AnyMethod::Hkpr(Method::HkRelax { eps_a: 2.0 * inv_n }),
+                AnyMethod::HkRelax { eps_a: 2.0 * inv_n },
                 AnyMethod::Hkpr(Method::Tea),
                 AnyMethod::Hkpr(Method::TeaPlus),
             ];
@@ -677,13 +671,39 @@ mod tests {
     }
 
     #[test]
+    fn fig4_rows_cover_all_seven_methods() {
+        let t = fig4(&quick_args());
+        let csv = t.to_csv();
+        let methods: Vec<&str> = csv
+            .lines()
+            .skip(1)
+            .map(|line| line.split(',').nth(1).unwrap())
+            .collect();
+        // Quick mode: two knob settings per grid method, one per flow
+        // baseline (DBLP is one of the two datasets that runs them).
+        for (label, rows) in [
+            ("TEA", 2),
+            ("TEA+", 2),
+            ("Monte-Carlo", 2),
+            ("ClusterHKPR", 2),
+            ("HK-Relax", 2),
+            ("SimpleLocal", 1),
+            ("CRD", 1),
+        ] {
+            let got = methods.iter().filter(|&&m| m == label).count();
+            assert_eq!(got, rows, "{label} rows in\n{csv}");
+        }
+        assert_eq!(t.len(), 12);
+    }
+
+    #[test]
     fn resolve_entry_scales_knobs() {
         let a = quick_args();
         let grid = tradeoff_grid(&a);
         for entry in &grid {
             let (m, d) = resolve_entry(entry, 1000);
             assert!(d.0 > 0.0 && d.0 < 1.0);
-            if let AnyMethod::Hkpr(Method::HkRelax { eps_a }) = m {
+            if let AnyMethod::HkRelax { eps_a } = m {
                 assert!(eps_a > 0.0 && eps_a < 1.0);
             }
         }

@@ -27,12 +27,8 @@
 //! termination rule that cannot hand residuals to random walks.
 
 use hk_graph::{Graph, NodeId};
-
-use crate::error::HkprError;
-use crate::estimate::{HkprEstimate, QueryStats};
-use crate::fxhash::FxHashMap;
-use crate::poisson::PoissonTable;
-use crate::tea::TeaOutput;
+use hkpr_core::fxhash::FxHashMap;
+use hkpr_core::{HkprError, HkprEstimate, PoissonTable, QueryStats, TeaOutput};
 
 /// Output of [`hk_relax`]: estimate plus the Taylor degree used.
 #[derive(Clone, Debug)]
@@ -180,9 +176,9 @@ pub fn hk_relax(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::power::exact_hkpr;
     use hk_graph::builder::graph_from_edges;
     use hk_graph::gen::erdos_renyi_gnm;
+    use hkpr_core::exact_hkpr;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

@@ -30,14 +30,28 @@
 //! `bench_snapshot` times the walk kernels (`BENCH_tea_plus.json`), and
 //! `serve_bench` the serving scenarios no `benchmark/` workload covers
 //! yet (`BENCH_serve.json`).
+//!
+//! Serving offers only the paper's own estimators (TEA, TEA+,
+//! Monte-Carlo). The §7 competitors live here and reach the experiments
+//! through [`AnyMethod`]: [`cluster_hkpr`], [`hk_relax`], [`ppr`]
+//! (PR-Nibble, FORA), the flow baselines [`mod@simple_local`] (on
+//! [`dinic`]'s max-flow) and [`mod@crd`], and exact power iteration, which
+//! stays in core as the oracle ([`hkpr_core::power::exact_estimate`]).
 
 pub mod cli;
+pub mod cluster_hkpr;
+pub mod crd;
 pub mod datasets;
+pub mod dinic;
 pub mod experiments;
 pub mod harness;
+pub mod hk_relax;
 pub mod memalloc;
+pub mod ppr;
 pub mod report;
+pub mod simple_local;
 pub mod table;
+mod util;
 
 pub use cli::CommonArgs;
 pub use datasets::{DatasetId, Datasets};

@@ -17,15 +17,13 @@
 //! * [`fora`] — forward push followed by `ceil(r(u) * omega)` random
 //!   `alpha`-walks per remaining residue entry, FORA's combination rule.
 //!
-//! Both power the `PR-Nibble`-style clustering baseline in `hk-cluster`.
+//! Both power the PR-Nibble and FORA clustering baselines of
+//! [`crate::harness::AnyMethod`].
 
 use hk_graph::{Graph, NodeId};
+use hkpr_core::fxhash::FxHashMap;
+use hkpr_core::{HkprError, HkprEstimate, QueryStats, TeaOutput};
 use rand::{Rng, RngExt};
-
-use crate::error::HkprError;
-use crate::estimate::{HkprEstimate, QueryStats};
-use crate::fxhash::FxHashMap;
-use crate::tea::TeaOutput;
 
 /// Output of the PPR estimators (same shape as the HKPR ones).
 pub type PprOutput = TeaOutput;
@@ -95,8 +93,8 @@ pub fn ppr_push(graph: &Graph, seed: NodeId, alpha: f64, rmax: f64) -> PprPushRe
 /// Performs `ceil(alpha_sum * omega)` `alpha`-terminating walks distributed
 /// over residue entries, where `omega` controls accuracy (FORA's
 /// `omega = (2 eps/3 + 2) log(2/p_f) / (eps^2 delta)` — callers pass it
-/// directly; the `hk-cluster` façade derives it from [`crate::HkprParams`]
-/// for symmetric comparisons).
+/// directly; [`crate::harness::AnyMethod::Fora`] derives it from the
+/// shared `HkprParams` for symmetric comparisons).
 pub fn fora<R: Rng>(
     graph: &Graph,
     seed: NodeId,
@@ -274,8 +272,8 @@ mod tests {
         // on a path their mass profiles differ measurably.
         let g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         let pi = exact_ppr(&g, 0, 0.2, 400);
-        let p = crate::poisson::PoissonTable::new(5.0);
-        let rho = crate::power::exact_hkpr(&g, &p, 0);
+        let p = hkpr_core::PoissonTable::new(5.0);
+        let rho = hkpr_core::exact_hkpr(&g, &p, 0);
         let l1: f64 = pi.iter().zip(rho.iter()).map(|(a, b)| (a - b).abs()).sum();
         assert!(
             l1 > 0.2,

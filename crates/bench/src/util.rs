@@ -1,5 +1,4 @@
-//! Shared helpers for the flow-based baselines (kept crate-private-ish so
-//! `hk-flow` stays independent of `hk-cluster`).
+//! Shared helpers for the flow-based baselines (SimpleLocal, CRD).
 
 use hk_graph::{Graph, NodeId};
 

@@ -1,15 +1,16 @@
 //! End-to-end local clustering façade.
 //!
-//! Wraps every HKPR estimator behind one call: compute the approximate
-//! HKPR vector of a seed, sweep it, return the best-conductance prefix —
-//! the two-phase framework all heat-kernel local-clustering methods share
-//! (§2.2). Used by the examples and by every experiment binary.
+//! Wraps the paper's three estimators — TEA, TEA+ and Monte-Carlo —
+//! behind one call: compute the approximate HKPR vector of a seed, sweep
+//! it, return the best-conductance prefix — the two-phase framework all
+//! heat-kernel local-clustering methods share (§2.2). The §7 baselines
+//! live in `hk-bench`, which computes their vectors itself and reuses
+//! [`LocalClusterer::sweep_in`] for phase two.
 
 use hk_graph::{Graph, NodeId};
 use hkpr_core::{
-    cluster_hkpr::cluster_hkpr, hk_relax::hk_relax, monte_carlo_anytime_in, ppr, tea::tea_in,
-    tea_plus_anytime_in, AccuracyTier, HkprError, HkprEstimate, HkprParams, QueryStats,
-    QueryWorkspace, TeaPlusOptions,
+    monte_carlo_anytime_in, tea::tea_in, tea_plus_anytime_in, AccuracyTier, HkprError,
+    HkprEstimate, HkprParams, QueryStats, QueryWorkspace, TeaPlusOptions,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -17,8 +18,9 @@ use rand::SeedableRng;
 use crate::conductance::MemberScratch;
 use crate::sweep::{sweep_estimate_with, SweepResult};
 
-/// Which HKPR estimator powers the query.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Which HKPR estimator powers the query. `Eq + Hash`: it is the method
+/// part of the serving cache key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Method {
     /// TEA (Algorithm 3). Honors all of [`HkprParams`].
     Tea,
@@ -29,36 +31,6 @@ pub enum Method {
         /// Cap on the number of walks (`None` = the published count).
         max_walks: Option<u64>,
     },
-    /// ClusterHKPR (Chung–Simpson) with its own accuracy knob `eps`.
-    ClusterHkpr {
-        /// Relative/absolute error knob (paper sweeps 0.005–0.35).
-        eps: f64,
-        /// Cap on the number of walks (`None` = the published count).
-        max_walks: Option<u64>,
-    },
-    /// HK-Relax (Kloster–Gleich) with absolute error threshold `eps_a`.
-    HkRelax {
-        /// Absolute error threshold (paper sweeps 1e-8–1e-4).
-        eps_a: f64,
-    },
-    /// Exact HKPR by dense power iteration (ground truth; O(k_max * m)).
-    Exact,
-    /// PR-Nibble-style PPR forward push + sweep (Andersen–Chung–Lang) —
-    /// the personalized-PageRank predecessor the paper's §6 situates
-    /// HKPR against. `alpha` is the teleport probability.
-    PrNibble {
-        /// Teleport probability of the PPR walk.
-        alpha: f64,
-        /// Push threshold (smaller = more accurate, slower).
-        rmax: f64,
-    },
-    /// FORA (forward push + walks) over PPR. `omega` is derived from the
-    /// shared [`HkprParams`] accuracy knobs so HKPR/PPR comparisons use a
-    /// symmetric budget.
-    Fora {
-        /// Teleport probability of the PPR walk.
-        alpha: f64,
-    },
 }
 
 impl Method {
@@ -68,11 +40,6 @@ impl Method {
             Method::Tea => "TEA",
             Method::TeaPlus => "TEA+",
             Method::MonteCarlo { .. } => "Monte-Carlo",
-            Method::ClusterHkpr { .. } => "ClusterHKPR",
-            Method::HkRelax { .. } => "HK-Relax",
-            Method::Exact => "Exact",
-            Method::PrNibble { .. } => "PR-Nibble",
-            Method::Fora { .. } => "FORA",
         }
     }
 }
@@ -135,22 +102,6 @@ impl<'g> LocalClusterer<'g> {
         LocalClusterer { graph }
     }
 
-    /// Compute only the HKPR estimate (phase one), on a fresh workspace.
-    pub fn estimate(
-        &self,
-        method: Method,
-        seed: NodeId,
-        params: &HkprParams,
-        rng_seed: u64,
-    ) -> Result<(HkprEstimate, QueryStats), HkprError> {
-        THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut scratch) => {
-                self.estimate_in(method, seed, params, rng_seed, &mut scratch.workspace)
-            }
-            Err(_) => self.estimate_in(method, seed, params, rng_seed, &mut QueryWorkspace::new()),
-        })
-    }
-
     /// Compute only the HKPR estimate (phase one) on a reusable
     /// [`QueryWorkspace`].
     ///
@@ -179,8 +130,8 @@ impl<'g> LocalClusterer<'g> {
     /// ([`hkpr_core::anytime`]), so a cancellation fired mid-push or
     /// mid-walk stops refinement at the best reachable tier instead of
     /// erroring, and the returned [`AccuracyTier`] reports how far each
-    /// phase got. Methods without a tiered path return `None` (they keep
-    /// the all-or-nothing cancellation contract).
+    /// phase got. TEA has no tiered path: it returns `None` and keeps the
+    /// all-or-nothing cancellation contract.
     ///
     /// `controls` threads the caller's refinement caps and push-tier
     /// observer through to the estimator; TEA+ honors all of it,
@@ -198,58 +149,18 @@ impl<'g> LocalClusterer<'g> {
         let out = match method {
             Method::TeaPlus => {
                 let opts = TeaPlusOptions::default();
-                let out =
-                    tea_plus_anytime_in(self.graph, params, seed, opts, controls, &mut rng, ws)?;
-                return Ok((out.estimate, out.stats, Some(out.achieved)));
+                tea_plus_anytime_in(self.graph, params, seed, opts, controls, &mut rng, ws)?
             }
             Method::MonteCarlo { max_walks } => {
                 let tier_cap = controls.walk_tier_cap;
-                let out = monte_carlo_anytime_in(
-                    self.graph, params, seed, max_walks, tier_cap, &mut rng, ws,
-                )?;
-                return Ok((out.estimate, out.stats, Some(out.achieved)));
+                monte_carlo_anytime_in(self.graph, params, seed, max_walks, tier_cap, &mut rng, ws)?
             }
-            Method::Tea => tea_in(self.graph, params, seed, None, &mut rng, ws)?,
-            Method::ClusterHkpr { eps, max_walks } => {
-                cluster_hkpr(self.graph, params.poisson(), seed, eps, max_walks, &mut rng)?
-            }
-            Method::HkRelax { eps_a } => {
-                hk_relax(self.graph, params.poisson(), seed, eps_a)?.into()
-            }
-            Method::Exact => {
-                params.validate_seed(seed)?;
-                let rho = hkpr_core::exact_hkpr(self.graph, params.poisson(), seed);
-                let mut est = HkprEstimate::new();
-                for (v, &x) in rho.iter().enumerate() {
-                    if x > 1e-15 {
-                        est.add_mass(v as NodeId, x);
-                    }
-                }
-                hkpr_core::TeaOutput {
-                    estimate: est,
-                    stats: QueryStats::default(),
-                }
-            }
-            Method::PrNibble { alpha, rmax } => {
-                let (reserve, _, pushes) = ppr::ppr_push(self.graph, seed, alpha, rmax)?;
-                hkpr_core::TeaOutput {
-                    estimate: HkprEstimate::from_values(reserve),
-                    stats: QueryStats {
-                        push_operations: pushes,
-                        ..QueryStats::default()
-                    },
-                }
-            }
-            Method::Fora { alpha } => {
-                // FORA's omega = (2 eps/3 + 2) ln(2/p_f) / (eps^2 delta),
-                // built from the same knobs the HKPR methods use.
-                let eps = params.eps_r();
-                let omega = (2.0 * eps / 3.0 + 2.0) * (2.0 / params.p_f()).ln()
-                    / (eps * eps * params.delta());
-                ppr::fora(self.graph, seed, alpha, omega, &mut rng)?
+            Method::Tea => {
+                let out = tea_in(self.graph, params, seed, None, &mut rng, ws)?;
+                return Ok((out.estimate, out.stats, None));
             }
         };
-        Ok((out.estimate, out.stats, None))
+        Ok((out.estimate, out.stats, Some(out.achieved)))
     }
 
     /// Full query: estimate + sweep (phase two), on a fresh workspace.
@@ -393,17 +304,6 @@ mod tests {
             Method::MonteCarlo {
                 max_walks: Some(100_000),
             },
-            Method::ClusterHkpr {
-                eps: 0.05,
-                max_walks: Some(100_000),
-            },
-            Method::HkRelax { eps_a: 1e-5 },
-            Method::Exact,
-            Method::PrNibble {
-                alpha: 0.15,
-                rmax: 1e-7,
-            },
-            Method::Fora { alpha: 0.15 },
         ];
         for m in methods {
             let res = clusterer.run(m, 0, &params, 7).unwrap();
@@ -436,9 +336,13 @@ mod tests {
         let pp = planted();
         let g = &pp.graph;
         let params = HkprParams::builder(g).t(5.0).build().unwrap();
-        let res = LocalClusterer::new(g)
-            .run(Method::Exact, 5, &params, 0)
-            .unwrap();
+        let estimate = hkpr_core::exact_estimate(g, params.poisson(), 5);
+        let res = LocalClusterer::new(g).sweep_in(
+            5,
+            estimate,
+            QueryStats::default(),
+            &mut QueryScratch::new(),
+        );
         let score = crate::metrics::f1_score(&res.cluster, &pp.communities[0]);
         assert!(score.f1 > 0.8, "F1 {} too low", score.f1);
     }
@@ -465,25 +369,6 @@ mod tests {
             Method::MonteCarlo { max_walks: None }.label(),
             "Monte-Carlo"
         );
-        assert_eq!(
-            Method::ClusterHkpr {
-                eps: 0.1,
-                max_walks: None
-            }
-            .label(),
-            "ClusterHKPR"
-        );
-        assert_eq!(Method::HkRelax { eps_a: 0.1 }.label(), "HK-Relax");
-        assert_eq!(Method::Exact.label(), "Exact");
-        assert_eq!(
-            Method::PrNibble {
-                alpha: 0.1,
-                rmax: 1e-6
-            }
-            .label(),
-            "PR-Nibble"
-        );
-        assert_eq!(Method::Fora { alpha: 0.1 }.label(), "FORA");
     }
 
     #[test]
@@ -493,7 +378,7 @@ mod tests {
         let clusterer = LocalClusterer::new(&pp.graph);
         assert!(clusterer.run(Method::TeaPlus, 10_000, &params, 0).is_err());
         assert!(clusterer
-            .run(Method::HkRelax { eps_a: 0.0 }, 0, &params, 0)
+            .run(Method::MonteCarlo { max_walks: Some(0) }, 0, &params, 0)
             .is_err());
     }
 }

@@ -2,8 +2,8 @@
 //! (five blocks of 200 nodes), TEA and TEA+ must recover the seed's block
 //! about as well as exact HKPR does, at every mixing level — F1 against
 //! the block (the source paper's Table 8 score) within [`F1_MARGIN`] of
-//! `Method::Exact`'s, and sweep conductance within
-//! [`CONDUCTANCE_MARGIN`] of it.
+//! the sweep of the exact vector (`exact_estimate`), and sweep conductance
+//! within [`CONDUCTANCE_MARGIN`] of it.
 //!
 //! δ is pinned *below* the block's normalised HKPR, which is about
 //! 1/(|C|·d̄) ≈ 8e-5 here. Definition 1 bounds the relative error only
@@ -14,10 +14,10 @@
 //! so a quality test at δ = 1/n would test nothing.
 
 use hk_cluster::metrics::f1_score;
-use hk_cluster::{LocalClusterer, Method, QueryScratch};
+use hk_cluster::{ClusterResult, LocalClusterer, Method, QueryScratch};
 use hk_graph::gen::planted_partition;
 use hk_graph::NodeId;
-use hkpr_core::HkprParams;
+use hkpr_core::{exact_estimate, HkprParams, QueryStats};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -42,17 +42,18 @@ fn matches_exact_quality(p_in: f64, p_out: f64) {
     let mut scratch = QueryScratch::new();
     for seed in SEEDS {
         let block = &pp.communities[pp.community_of(seed)];
-        let mut quality = |method: Method| {
-            let result = clusterer
-                .run_in(method, seed, &params, seed as u64, &mut scratch)
-                .unwrap();
-            (f1_score(&result.cluster, block).f1, result.conductance)
-        };
-        let (exact_f1, exact_phi) = quality(Method::Exact);
+        let quality =
+            |result: ClusterResult| (f1_score(&result.cluster, block).f1, result.conductance);
+        let exact = exact_estimate(&pp.graph, params.poisson(), seed);
+        let exact = clusterer.sweep_in(seed, exact, QueryStats::default(), &mut scratch);
+        let (exact_f1, exact_phi) = quality(exact);
         let level = format!("p_in {p_in}, p_out {p_out}, seed {seed}");
         assert!(exact_f1 >= 0.95, "{level}: Exact F1 {exact_f1}");
         for method in [Method::Tea, Method::TeaPlus] {
-            let (f1, phi) = quality(method);
+            let result = clusterer
+                .run_in(method, seed, &params, seed as u64, &mut scratch)
+                .unwrap();
+            let (f1, phi) = quality(result);
             let what = format!("{level}, {}", method.label());
             assert!(
                 f1 >= exact_f1 - F1_MARGIN,

@@ -21,9 +21,11 @@
 //! | [`tea::tea`] | HK-Push + walks | `(d,eps_r,delta)`-approx, `O(t log(n/p_f)/(eps_r^2 delta))` |
 //! | [`tea_plus::tea_plus`] | HK-Push+ + residue reduction + walks | same bound, far faster in practice |
 //! | [`monte_carlo::monte_carlo`] | pure walks (§3) | same guarantee, `nr = 2(1+eps_r/3)ln(n/p_f)/(eps_r^2 delta)` walks |
-//! | [`cluster_hkpr::cluster_hkpr`] | Chung–Simpson walks | `16 ln n / eps^3` walks |
-//! | [`hk_relax::hk_relax`] | Kloster–Gleich push | absolute error `eps_a`, `O(t e^t log(1/eps_a)/eps_a)` |
 //! | [`power::exact_hkpr`] | dense power series | exact (ground truth) |
+//!
+//! The §7 baselines the paper compares against (ClusterHKPR, HK-Relax,
+//! PR-Nibble, FORA) live in the experiment crate, `hk-bench`; exact power
+//! iteration stays here as the test oracle.
 //!
 //! The building blocks are public: [`push::hk_push`] (Algorithm 1),
 //! [`walk::k_random_walk`] (Algorithm 2), [`push_plus::hk_push_plus`]
@@ -48,16 +50,13 @@
 pub mod alias;
 pub mod anytime;
 pub mod cancel;
-pub mod cluster_hkpr;
 pub mod error;
 pub mod estimate;
 pub mod fxhash;
-pub mod hk_relax;
 pub mod monte_carlo;
 pub mod params;
 pub mod poisson;
 pub mod power;
-pub mod ppr;
 pub mod push;
 pub mod push_plus;
 pub mod reference;
@@ -75,8 +74,7 @@ pub use estimate::{HkprEstimate, QueryStats};
 pub use monte_carlo::{monte_carlo_anytime_in, monte_carlo_in};
 pub use params::{HkprParams, HkprParamsBuilder};
 pub use poisson::{LengthTables, PoissonTable};
-pub use power::{exact_hkpr, exact_normalized_hkpr};
-pub use ppr::{exact_ppr, fora, ppr_push};
+pub use power::{exact_estimate, exact_hkpr, exact_normalized_hkpr};
 pub use tea::{tea_in, TeaOutput};
 pub use tea_plus::{tea_plus, tea_plus_anytime_in, tea_plus_in, TeaPlusOptions};
 pub use workspace::{EpochCounter, PhaseTimes, QueryWorkspace};

@@ -9,6 +9,7 @@
 
 use hk_graph::{Graph, NodeId};
 
+use crate::estimate::HkprEstimate;
 use crate::poisson::PoissonTable;
 
 /// Dense exact HKPR vector of `seed` (length `n`).
@@ -63,6 +64,20 @@ pub fn exact_hkpr_terms(
         }
     }
     rho
+}
+
+/// [`exact_hkpr`] as a sparse estimate: every entry above `1e-15`. This is
+/// the exact-HKPR "method" the experiments and the quality tests sweep;
+/// callers validate `seed` first.
+pub fn exact_estimate(graph: &Graph, poisson: &PoissonTable, seed: NodeId) -> HkprEstimate {
+    let rho = exact_hkpr(graph, poisson, seed);
+    let mut est = HkprEstimate::new();
+    for (v, &x) in rho.iter().enumerate() {
+        if x > 1e-15 {
+            est.add_mass(v as NodeId, x);
+        }
+    }
+    est
 }
 
 /// Dense exact *normalized* HKPR: `rho_s[v] / d(v)` (0 where `d(v) = 0`).

@@ -739,8 +739,7 @@ impl QueryWorkspace {
     }
 
     /// Wall-clock phase split of the last TEA / TEA+ / Monte-Carlo run on
-    /// this workspace. Zero for estimators that do not use the workspace
-    /// (ClusterHKPR, HK-Relax, exact power iteration, the PPR baselines).
+    /// this workspace (each records it on success).
     pub fn last_phase_times(&self) -> PhaseTimes {
         self.phase_times
     }
@@ -786,14 +785,6 @@ impl QueryWorkspace {
         } else {
             Ok(())
         }
-    }
-
-    /// Zero the recorded phase split. Serving loops call this before
-    /// dispatching to an arbitrary estimator so a method that does not
-    /// use the workspace (exact power iteration, HK-Relax, the PPR
-    /// baselines) cannot report the previous query's timings.
-    pub fn clear_phase_times(&mut self) {
-        self.phase_times = PhaseTimes::default();
     }
 
     /// Read access to the reserve vector of the last push phase run on

@@ -5,7 +5,7 @@ use hk_graph::builder::GraphBuilder;
 use hk_graph::Graph;
 use hkpr_core::push::hk_push;
 use hkpr_core::push_plus::{hk_push_plus, PushPlusConfig};
-use hkpr_core::{exact_hkpr, hk_relax, HkprParams, PoissonTable};
+use hkpr_core::{exact_hkpr, HkprParams, PoissonTable};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -64,24 +64,6 @@ proptest! {
                 per_hop[k] = per_hop[k].max(r / g.degree(v).max(1) as f64);
             }
             prop_assert!(per_hop.iter().sum::<f64>() <= cfg.eps_abs + 1e-12);
-        }
-    }
-
-    /// HK-Relax honors its absolute-error contract on arbitrary graphs.
-    #[test]
-    fn hk_relax_error_contract(
-        edges in prop::collection::vec((any::<u8>(), any::<u8>()), 1..100),
-        t in 1.0f64..8.0,
-    ) {
-        let g = build_graph(&edges);
-        let p = PoissonTable::new(t);
-        let eps_a = 1e-3;
-        let out = hk_relax::hk_relax(&g, &p, 0, eps_a).unwrap();
-        let exact = exact_hkpr(&g, &p, 0);
-        for v in 0..g.num_nodes() as u32 {
-            let d = g.degree(v).max(1) as f64;
-            let err = (out.estimate.raw(v) - exact[v as usize]).abs() / d;
-            prop_assert!(err <= eps_a + 1e-12, "v={v}: err {err}");
         }
     }
 

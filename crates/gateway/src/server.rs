@@ -546,7 +546,7 @@ fn handle_query(
 ) -> Result<&'static str, Failure> {
     let body = parse_body(req)?;
     let mut query =
-        wire::request_from_json(&body).map_err(|e| Failure::bad_request("invalid_body", e))?;
+        wire::request_from_json(&body).map_err(|e| Failure::bad_request(e.code, e.detail))?;
     query.deadline = deadline_of(req, anchor)?;
     let resp = shared
         .engine
@@ -587,7 +587,7 @@ fn handle_batch(
 ) -> Result<&'static str, Failure> {
     let body = parse_body(req)?;
     let (seeds, template) =
-        wire::batch_from_json(&body).map_err(|e| Failure::bad_request("invalid_body", e))?;
+        wire::batch_from_json(&body).map_err(|e| Failure::bad_request(e.code, e.detail))?;
     let deadline = deadline_of(req, anchor)?;
     let tickets: Vec<Result<Ticket, ServeError>> = seeds
         .iter()

@@ -26,11 +26,48 @@ use hk_serve::{Degraded, Knobs, QueryRequest, QueryResponse, QueryTiming, ServeE
 
 use crate::json::{write_f64, write_str, write_u64, Json};
 
+/// Why a request body was refused, and the wire `code` the 400 carries:
+/// `invalid_body` when the body's shape is wrong (missing or unknown
+/// fields, wrong types), `invalid_query` when it is well formed but asks
+/// for what the engine does not serve (a method other than `tea`,
+/// `tea_plus` or `monte_carlo`, or a malformed `max_walks`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BadRequest {
+    /// Machine-readable error code.
+    pub code: &'static str,
+    /// Human-readable reason.
+    pub detail: String,
+}
+
+impl BadRequest {
+    fn query(detail: String) -> BadRequest {
+        BadRequest {
+            code: "invalid_query",
+            detail,
+        }
+    }
+}
+
+impl std::fmt::Display for BadRequest {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.detail)
+    }
+}
+
+impl<S: Into<String>> From<S> for BadRequest {
+    fn from(detail: S) -> BadRequest {
+        BadRequest {
+            code: "invalid_body",
+            detail: detail.into(),
+        }
+    }
+}
+
 /// Decode one query body: `{"seed": 7, "method": ..., "knobs": ...,
 /// "rng_seed": 42}`. Only `seed` is required. The deadline comes from
 /// the `x-deadline-ms` *header*, not the body — apply it afterwards with
 /// [`QueryRequest::deadline_in`].
-pub fn request_from_json(body: &Json) -> Result<QueryRequest, String> {
+pub fn request_from_json(body: &Json) -> Result<QueryRequest, BadRequest> {
     if body.as_obj().is_none() {
         return Err("body must be a JSON object".into());
     }
@@ -39,7 +76,7 @@ pub fn request_from_json(body: &Json) -> Result<QueryRequest, String> {
             key.as_str(),
             "seed" | "method" | "knobs" | "rng_seed" | "seeds"
         ) {
-            return Err(format!("unknown field {key:?}"));
+            return Err(format!("unknown field {key:?}").into());
         }
     }
     let seed = body
@@ -68,11 +105,11 @@ pub fn request_from_json(body: &Json) -> Result<QueryRequest, String> {
 /// instead of `"seed"`. Returns the seed list plus the template request
 /// (item `i` runs as the template with seed `seeds[i]` and RNG stream
 /// `rng_seed + i`, matching [`hk_serve::run_batch`]'s stream layout).
-pub fn batch_from_json(body: &Json) -> Result<(Vec<u32>, QueryRequest), String> {
+pub fn batch_from_json(body: &Json) -> Result<(Vec<u32>, QueryRequest), BadRequest> {
     let obj = body.as_obj().ok_or("body must be a JSON object")?;
     for (key, _) in obj {
         if !matches!(key.as_str(), "seeds" | "method" | "knobs" | "rng_seed") {
-            return Err(format!("unknown field {key:?}"));
+            return Err(format!("unknown field {key:?}").into());
         }
     }
     let seeds_json = body
@@ -99,9 +136,9 @@ pub fn batch_from_json(body: &Json) -> Result<(Vec<u32>, QueryRequest), String> 
     Ok((seeds, req))
 }
 
-fn method_from_json(m: &Json) -> Result<Method, String> {
-    // Param-less methods may be a bare string; parameterized ones are
-    // objects with a "name" plus their knobs.
+/// Decode `"method"`: a bare name, or an object with a `"name"` plus the
+/// method's fields — `monte_carlo`'s optional `max_walks` is the only one.
+fn method_from_json(m: &Json) -> Result<Method, BadRequest> {
     let (name, obj): (&str, &[(String, Json)]) = match m {
         Json::Str(s) => (s.as_str(), &[]),
         Json::Obj(fields) => (
@@ -112,50 +149,40 @@ fn method_from_json(m: &Json) -> Result<Method, String> {
         ),
         _ => return Err("\"method\" must be a string or object".into()),
     };
-    let allowed: &[&str] = match name {
-        "monte_carlo" => &["name", "max_walks"],
-        "cluster_hkpr" => &["name", "eps", "max_walks"],
-        "hk_relax" => &["name", "eps_a"],
-        "pr_nibble" => &["name", "alpha", "rmax"],
-        "fora" => &["name", "alpha"],
+    let method = match name {
+        "tea" => Method::Tea,
+        "tea_plus" => Method::TeaPlus,
+        // A present `max_walks` must be an exact integer below 2^53; only
+        // an absent one means "the published walk count".
+        "monte_carlo" => Method::MonteCarlo {
+            max_walks: match m.get("max_walks") {
+                None => None,
+                Some(v) => Some(v.as_u64().ok_or_else(|| {
+                    BadRequest::query(
+                        "monte_carlo's \"max_walks\" must be an integer below 2^53".into(),
+                    )
+                })?),
+            },
+        },
+        other => {
+            return Err(BadRequest::query(format!(
+                "unknown method {other:?} (expected tea, tea_plus or monte_carlo)"
+            )))
+        }
+    };
+    let allowed: &[&str] = match method {
+        Method::MonteCarlo { .. } => &["name", "max_walks"],
         _ => &["name"],
     };
     for (key, _) in obj {
         if !allowed.contains(&key.as_str()) {
-            return Err(format!("method {name:?} has no field {key:?}"));
+            return Err(format!("method {name:?} has no field {key:?}").into());
         }
     }
-    let f = |key: &str| m.get(key).and_then(Json::as_f64);
-    let walks = |key: &str| m.get(key).and_then(Json::as_u64);
-    match name {
-        "tea" => Ok(Method::Tea),
-        "tea_plus" => Ok(Method::TeaPlus),
-        "exact" => Ok(Method::Exact),
-        "monte_carlo" => Ok(Method::MonteCarlo {
-            max_walks: walks("max_walks"),
-        }),
-        "cluster_hkpr" => Ok(Method::ClusterHkpr {
-            eps: f("eps").ok_or("cluster_hkpr needs numeric \"eps\"")?,
-            max_walks: walks("max_walks"),
-        }),
-        "hk_relax" => Ok(Method::HkRelax {
-            eps_a: f("eps_a").ok_or("hk_relax needs numeric \"eps_a\"")?,
-        }),
-        "pr_nibble" => Ok(Method::PrNibble {
-            alpha: f("alpha").ok_or("pr_nibble needs numeric \"alpha\"")?,
-            rmax: f("rmax").ok_or("pr_nibble needs numeric \"rmax\"")?,
-        }),
-        "fora" => Ok(Method::Fora {
-            alpha: f("alpha").ok_or("fora needs numeric \"alpha\"")?,
-        }),
-        other => Err(format!(
-            "unknown method {other:?} (expected tea, tea_plus, monte_carlo, \
-             cluster_hkpr, hk_relax, exact, pr_nibble or fora)"
-        )),
-    }
+    Ok(method)
 }
 
-fn knobs_from_json(k: &Json) -> Result<Knobs, String> {
+fn knobs_from_json(k: &Json) -> Result<Knobs, BadRequest> {
     let obj = k.as_obj().ok_or("\"knobs\" must be an object")?;
     let mut knobs = Knobs::default();
     for (key, value) in obj {
@@ -167,7 +194,7 @@ fn knobs_from_json(k: &Json) -> Result<Knobs, String> {
             "eps_r" => knobs.eps_r = num,
             "delta" => knobs.delta = Some(num),
             "p_f" => knobs.p_f = num,
-            other => return Err(format!("unknown knob {other:?}")),
+            other => return Err(format!("unknown knob {other:?}").into()),
         }
     }
     Ok(knobs)
@@ -355,17 +382,19 @@ mod tests {
     fn decodes_a_full_request() {
         let body = json::parse(
             br#"{"seed": 7, "rng_seed": 42,
-                 "method": {"name": "cluster_hkpr", "eps": 0.2, "max_walks": 1000},
+                 "method": {"name": "monte_carlo", "max_walks": 1000},
                  "knobs": {"t": 5.0, "eps_r": 0.25, "delta": 0.001, "p_f": 0.000001}}"#,
         )
         .unwrap();
         let req = request_from_json(&body).unwrap();
         assert_eq!(req.seed, 7);
         assert_eq!(req.rng_seed, 42);
-        assert!(matches!(
+        assert_eq!(
             req.method,
-            Method::ClusterHkpr { eps, max_walks: Some(1000) } if eps == 0.2
-        ));
+            Method::MonteCarlo {
+                max_walks: Some(1000)
+            }
+        );
         assert_eq!(req.knobs.eps_r, 0.25);
         assert_eq!(req.knobs.delta, Some(0.001));
         assert!(req.deadline.is_none());
@@ -381,22 +410,81 @@ mod tests {
 
     #[test]
     fn rejects_bad_requests_with_reasons() {
-        for (body, needle) in [
-            (&br#"{"method": "tea"}"#[..], "seed"),
-            (br#"{"seed": -1}"#, "seed"),
-            (br#"{"seed": 1, "method": "warp"}"#, "unknown method"),
-            (br#"{"seed": 1, "method": {"name": "hk_relax"}}"#, "eps_a"),
+        const SERVED: &str = "tea, tea_plus or monte_carlo";
+        let mut rows: Vec<(String, &str, &str)> = [
+            (r#"{"method": "tea"}"#, "invalid_body", "seed"),
+            (r#"{"seed": -1}"#, "invalid_body", "seed"),
+            (r#"{"seed": 1, "method": "warp"}"#, "invalid_query", SERVED),
             (
-                br#"{"seed": 1, "method": {"name": "tea", "eps": 1}}"#,
+                r#"{"seed": 1, "method": {"name": "tea", "eps": 1}}"#,
+                "invalid_body",
                 "no field",
             ),
-            (br#"{"seed": 1, "knobs": {"zeta": 2}}"#, "unknown knob"),
-            (br#"{"seed": 1, "frobnicate": true}"#, "unknown field"),
-            (br#"{"seed": 4294967296}"#, "exceeds u32"),
-        ] {
-            let parsed = json::parse(body).unwrap();
+            (
+                r#"{"seed": 1, "method": {"name": "monte_carlo", "eps": 1}}"#,
+                "invalid_body",
+                "no field",
+            ),
+            (
+                r#"{"seed": 1, "knobs": {"zeta": 2}}"#,
+                "invalid_body",
+                "unknown knob",
+            ),
+            (
+                r#"{"seed": 1, "frobnicate": true}"#,
+                "invalid_body",
+                "unknown field",
+            ),
+            (r#"{"seed": 4294967296}"#, "invalid_body", "exceeds u32"),
+        ]
+        .map(|(body, code, needle)| (body.to_string(), code, needle))
+        .into();
+        // A malformed cap is refused, never read as "no cap" (which would
+        // run the full published walk count).
+        for bad in ["1.5", "-1", "\"1000\"", "null", "9007199254740992", "1e300"] {
+            rows.push((
+                format!(
+                    r#"{{"seed": 1, "method": {{"name": "monte_carlo", "max_walks": {bad}}}}}"#
+                ),
+                "invalid_query",
+                "\"max_walks\"",
+            ));
+        }
+        // The §7 baselines are not served, in either form.
+        for name in ["exact", "cluster_hkpr", "hk_relax", "pr_nibble", "fora"] {
+            rows.push((
+                format!(r#"{{"seed": 1, "method": "{name}"}}"#),
+                "invalid_query",
+                SERVED,
+            ));
+            rows.push((
+                format!(r#"{{"seed": 1, "method": {{"name": "{name}", "eps": 0.1}}}}"#),
+                "invalid_query",
+                SERVED,
+            ));
+        }
+        for (body, code, needle) in rows {
+            let parsed = json::parse(body.as_bytes()).unwrap();
             let err = request_from_json(&parsed).unwrap_err();
-            assert!(err.contains(needle), "{err:?} should mention {needle:?}");
+            assert_eq!(err.code, code, "{body}: {err:?}");
+            assert!(
+                err.detail.contains(needle),
+                "{err:?} should mention {needle:?}"
+            );
+        }
+        // The largest exact cap decodes; 0 reaches the estimator, whose
+        // typed error is the engine's 400.
+        for (cap, want) in [("9007199254740991", (1u64 << 53) - 1), ("0", 0)] {
+            let body = format!(
+                r#"{{"seed": 1, "method": {{"name": "monte_carlo", "max_walks": {cap}}}}}"#
+            );
+            let req = request_from_json(&json::parse(body.as_bytes()).unwrap()).unwrap();
+            assert_eq!(
+                req.method,
+                Method::MonteCarlo {
+                    max_walks: Some(want)
+                }
+            );
         }
     }
 

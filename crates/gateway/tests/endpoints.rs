@@ -185,6 +185,34 @@ fn error_taxonomy_over_the_wire() {
 }
 
 #[test]
+fn removed_methods_are_refused_before_the_engine() {
+    // Exact power iteration is O(k_max * m) and polls no cancel token, so
+    // it is not served at all: a typed 400 that names the served methods,
+    // and no engine work.
+    let gw = start_gateway(demo_engine());
+    for request in [
+        post("/query/demo", r#"{"seed": 1, "method": "exact"}"#),
+        post("/batch/demo", r#"{"seeds": [1, 2], "method": "exact"}"#),
+    ] {
+        let (status, body) = roundtrip(&gw, &request);
+        assert_eq!(status, 400, "{body}");
+        let parsed = json::parse(body.as_bytes()).unwrap();
+        assert_eq!(
+            parsed.get("error").and_then(Json::as_str),
+            Some("invalid_query"),
+            "{body}"
+        );
+        let detail = parsed.get("detail").and_then(Json::as_str).unwrap();
+        assert!(detail.contains("tea, tea_plus or monte_carlo"), "{body}");
+    }
+    let (_, text) = roundtrip(
+        &gw,
+        "GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+    );
+    assert!(text.contains("hk_engine_completed_total 0"), "{text}");
+}
+
+#[test]
 fn metrics_scrape_contains_mandatory_families_and_counts_requests() {
     let gw = start_gateway(demo_engine());
     let scrape = || {

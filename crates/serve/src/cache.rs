@@ -12,10 +12,9 @@
 //! * the **seed node** and the **RNG stream seed** — the engine inherits
 //!   the workspace layer's bit-identical RNG-stream scheme, so the pair
 //!   `(seed, rng_seed)` pins the estimator's entire random trajectory;
-//! * the **method**, encoded *exactly* (discriminant plus the bit
-//!   patterns of its `f64`/`Option<u64>` fields). Method knobs like
-//!   HK-Relax's `eps_a` are deployment constants, not per-request dials,
-//!   so bucketing them would buy no extra hits and cost transparency;
+//! * the **method** itself ([`Method`] is `Eq + Hash`): TEA, TEA+, or
+//!   Monte-Carlo with its `max_walks` cap, where `None` (the published
+//!   walk count) and `Some(u64::MAX)` are different keys;
 //! * the **accuracy knobs** `(t, eps_r, delta, p_f)`, *quantized* to
 //!   1/16-decade log buckets ([`ParamsKey`]).
 //!
@@ -130,44 +129,6 @@ impl ParamsKey {
     }
 }
 
-/// Exact encoding of a [`Method`]: discriminant plus field bit patterns.
-/// `Option<u64>` fields encode as `(present, value)` so `Some(u64::MAX)`
-/// and `None` stay distinct.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct MethodKey {
-    tag: u8,
-    a: u64,
-    b: u64,
-    c: u64,
-}
-
-impl MethodKey {
-    /// Encode a method exactly (no quantization; see the module docs).
-    pub fn new(method: Method) -> MethodKey {
-        let opt = |o: Option<u64>| match o {
-            Some(v) => (1u64, v),
-            None => (0u64, 0u64),
-        };
-        let (tag, a, b, c) = match method {
-            Method::Tea => (0u8, 0, 0, 0),
-            Method::TeaPlus => (1, 0, 0, 0),
-            Method::MonteCarlo { max_walks } => {
-                let (p, v) = opt(max_walks);
-                (2, p, v, 0)
-            }
-            Method::ClusterHkpr { eps, max_walks } => {
-                let (p, v) = opt(max_walks);
-                (3, eps.to_bits(), p, v)
-            }
-            Method::HkRelax { eps_a } => (4, eps_a.to_bits(), 0, 0),
-            Method::Exact => (5, 0, 0, 0),
-            Method::PrNibble { alpha, rmax } => (6, alpha.to_bits(), rmax.to_bits(), 0),
-            Method::Fora { alpha } => (7, alpha.to_bits(), 0, 0),
-        };
-        MethodKey { tag, a, b, c }
-    }
-}
-
 /// Full identity of a cacheable query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
@@ -179,8 +140,8 @@ pub struct CacheKey {
     pub rng_seed: u64,
     /// Quantized accuracy knobs.
     pub params: ParamsKey,
-    /// Exactly-encoded method.
-    pub method: MethodKey,
+    /// Estimator (with Monte-Carlo's walk cap).
+    pub method: Method,
 }
 
 /// Hit/miss/eviction counters, readable while the cache is live.
@@ -468,7 +429,7 @@ mod tests {
             seed,
             rng_seed: 1,
             params: ParamsKey::new(5.0, 0.5, 1e-4, 1e-6),
-            method: MethodKey::new(Method::TeaPlus),
+            method: Method::TeaPlus,
         }
     }
 
@@ -506,27 +467,17 @@ mod tests {
 
     #[test]
     fn method_keys_distinguish_variants_and_fields() {
-        let mk = MethodKey::new;
-        assert_ne!(mk(Method::Tea), mk(Method::TeaPlus));
+        let with = |method: Method| CacheKey { method, ..key(0) };
+        assert_ne!(with(Method::Tea), with(Method::TeaPlus));
         assert_ne!(
-            mk(Method::MonteCarlo { max_walks: None }),
-            mk(Method::MonteCarlo {
+            with(Method::MonteCarlo { max_walks: None }),
+            with(Method::MonteCarlo {
                 max_walks: Some(u64::MAX)
             })
         );
-        assert_ne!(
-            mk(Method::HkRelax { eps_a: 1e-5 }),
-            mk(Method::HkRelax { eps_a: 1e-6 })
-        );
         assert_eq!(
-            mk(Method::PrNibble {
-                alpha: 0.15,
-                rmax: 1e-7
-            }),
-            mk(Method::PrNibble {
-                alpha: 0.15,
-                rmax: 1e-7
-            })
+            with(Method::MonteCarlo { max_walks: Some(7) }),
+            with(Method::MonteCarlo { max_walks: Some(7) })
         );
     }
 

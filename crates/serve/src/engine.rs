@@ -73,9 +73,7 @@ use hk_graph::{Graph, NodeId};
 use hkpr_core::fxhash::{FxHashMap, FxHasher};
 use hkpr_core::{AccuracyTier, AnytimeControls, CancelToken, HkprError, HkprParams};
 
-use crate::cache::{
-    CacheKey, CacheStats, FlightClaim, FlightResult, MethodKey, ParamsKey, ResultCache,
-};
+use crate::cache::{CacheKey, CacheStats, FlightClaim, FlightResult, ParamsKey, ResultCache};
 
 /// Typed serving errors — the engine's answer to overload, lateness and
 /// cancellation, distinct from the estimator's own [`HkprError`]s.
@@ -281,10 +279,11 @@ pub enum CacheOutcome {
 pub struct QueryTiming {
     /// Time between submit and a worker dequeuing the request.
     pub queue_ns: u64,
-    /// Estimator push phase (0 for cache hits and non-workspace methods).
+    /// Estimator push phase (0 for cache hits; Monte-Carlo's is its
+    /// walk-length sampling).
     pub push_ns: u64,
     /// Estimator walk phase, incl. residue reduction and assembly
-    /// (0 for cache hits and non-workspace methods).
+    /// (0 for cache hits).
     pub walk_ns: u64,
     /// Whole phase one (`estimate_in`), as timed by the worker.
     pub estimate_ns: u64,
@@ -981,7 +980,7 @@ impl Scheduler {
             seed: req.seed,
             rng_seed: req.rng_seed,
             params: params_key,
-            method: MethodKey::new(req.method),
+            method: req.method,
         };
         // Hub store before the cache: precomputed answers are pinned (the
         // cache may have evicted them) and counted separately, so the
@@ -1210,7 +1209,6 @@ pub(crate) fn execute(
     controls: AnytimeControls<'_>,
 ) -> Result<(ClusterResult, Option<AccuracyTier>, QueryTiming), HkprError> {
     let started = Instant::now();
-    scratch.workspace.clear_phase_times();
     let (estimate, stats, achieved) = clusterer.estimate_anytime_in(
         method,
         seed,
@@ -2198,10 +2196,9 @@ mod tests {
         assert!(r.timing.estimate_ns > 0);
         assert!(r.timing.estimate_ns >= r.timing.push_ns);
         assert!(r.timing.total_ns >= r.timing.estimate_ns + r.timing.sweep_ns);
-        // Exact power iteration bypasses the workspace: no push/walk split.
-        let r = e.query(QueryRequest::new(2).method(Method::Exact)).unwrap();
-        assert_eq!(r.timing.push_ns, 0);
-        assert_eq!(r.timing.walk_ns, 0);
-        assert!(r.timing.estimate_ns > 0);
+        // Every served method runs on the workspace and reports its split.
+        let r = e.query(QueryRequest::new(2).method(Method::Tea)).unwrap();
+        assert!(r.timing.estimate_ns >= r.timing.push_ns + r.timing.walk_ns);
+        assert!(r.timing.push_ns > 0);
     }
 }

@@ -57,7 +57,7 @@ use hk_graph::NodeId;
 use hkpr_core::fxhash::{FxHashMap, FxHashSet};
 use hkpr_core::AnytimeControls;
 
-use crate::cache::{CacheKey, MethodKey};
+use crate::cache::CacheKey;
 use crate::engine::{execute, GraphFront, Knobs};
 
 /// Counters of the hub store (all zero when hub precomputation is
@@ -214,7 +214,7 @@ impl HubStore {
                 seed,
                 rng_seed: 0,
                 params: params_key,
-                method: MethodKey::new(Method::TeaPlus),
+                method: Method::TeaPlus,
             };
             self.pinned.lock().unwrap().insert(key, Arc::new(result));
         }

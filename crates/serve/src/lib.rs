@@ -88,9 +88,7 @@ pub mod fault;
 pub mod hub;
 pub mod registry;
 
-pub use cache::{
-    CacheKey, CacheStats, FlightClaim, FlightResult, MethodKey, ParamsKey, ResultCache,
-};
+pub use cache::{CacheKey, CacheStats, FlightClaim, FlightResult, ParamsKey, ResultCache};
 pub use engine::{
     run_batch, CacheOutcome, Degraded, EngineConfig, EngineStats, Knobs, QueryEngine, QueryRequest,
     QueryResponse, QueryTiming, ServeError, Ticket,
