@@ -28,7 +28,7 @@
 //! 1. **submit** — an already-expired request is shed immediately;
 //! 2. **dequeue** — a worker re-checks the deadline before spending
 //!    anything on the job ([`EngineStats::shed_queued`]);
-//! 3. **during execution** — the job's [`CancelToken`] is registered with
+//! 3. **during execution** — the job's [`CancelToken`](hkpr_core::CancelToken) is registered with
 //!    the scheduler's deadline watchdog thread, which fires it the moment
 //!    the deadline passes; the estimators poll the token at hop/chunk
 //!    boundaries (a relaxed atomic load) and abort with a typed
@@ -63,17 +63,16 @@
 //! `estimate_anytime_in` + `sweep_in` on a per-worker scratch with a
 //! per-request RNG stream.
 
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use hk_cluster::{ClusterResult, LocalClusterer, Method, QueryScratch};
 use hk_graph::{Graph, NodeId};
-use hkpr_core::fxhash::{FxHashMap, FxHasher};
-use hkpr_core::{AccuracyTier, AnytimeControls, CancelToken, HkprError, HkprParams};
+use hkpr_core::{AccuracyTier, AnytimeControls, HkprError, HkprParams};
 
-use crate::cache::{CacheKey, CacheStats, FlightClaim, FlightResult, ParamsKey, ResultCache};
+use crate::cache::{CacheStats, FlightResult, ResultCache};
+use crate::sched::{execute, GraphFront, Scheduler};
 
 /// Typed serving errors — the engine's answer to overload, lateness and
 /// cancellation, distinct from the estimator's own [`HkprError`]s.
@@ -416,979 +415,15 @@ impl Default for EngineConfig {
 }
 
 // ---------------------------------------------------------------------------
-// EDF queue with per-graph admission quotas
-// ---------------------------------------------------------------------------
-
-/// What [`DeadlineQueue::push`] decided; rejections hand the item back.
-pub(crate) enum Admit<T> {
-    /// Queued; carries the depth after the push (for the high-water mark).
-    Queued(usize),
-    /// The total queue bound is full.
-    TotalFull(T),
-    /// The graph's admission quota is full.
-    QuotaFull(T),
-}
-
-struct HeapEntry<T> {
-    deadline: Option<Instant>,
-    /// Enqueue sequence number: FIFO tiebreak, and the total order that
-    /// makes heap entries distinguishable.
-    seq: u64,
-    graph_key: u64,
-    item: T,
-}
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    /// `BinaryHeap` is a max-heap, so "greater" pops first: greater =
-    /// more urgent = earlier deadline (no deadline = infinitely late),
-    /// then earlier enqueue sequence.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        use std::cmp::Ordering::*;
-        match (self.deadline, other.deadline) {
-            (None, Some(_)) => return Less,
-            (Some(_), None) => return Greater,
-            (Some(a), Some(b)) => match b.cmp(&a) {
-                Equal => {}
-                ord => return ord,
-            },
-            (None, None) => {}
-        }
-        other.seq.cmp(&self.seq)
-    }
-}
-
-/// Earliest-deadline-first priority queue with a total bound and a
-/// per-graph admission quota. Deadline-free items run FIFO after every
-/// deadlined item — attaching a deadline both bounds *and prioritizes* a
-/// request.
-pub(crate) struct DeadlineQueue<T> {
-    heap: BinaryHeap<HeapEntry<T>>,
-    /// Queued items per graph admission key (the quota's denominator).
-    per_graph: FxHashMap<u64, usize>,
-    seq: u64,
-    max_total: usize,
-    quota: usize,
-}
-
-impl<T> DeadlineQueue<T> {
-    pub(crate) fn new(max_total: usize, quota: usize) -> DeadlineQueue<T> {
-        DeadlineQueue {
-            heap: BinaryHeap::new(),
-            per_graph: FxHashMap::default(),
-            seq: 0,
-            max_total: max_total.max(1),
-            quota: quota.clamp(1, max_total.max(1)),
-        }
-    }
-
-    pub(crate) fn push(&mut self, graph_key: u64, deadline: Option<Instant>, item: T) -> Admit<T> {
-        if self.heap.len() >= self.max_total {
-            return Admit::TotalFull(item);
-        }
-        let count = self.per_graph.entry(graph_key).or_insert(0);
-        if *count >= self.quota {
-            return Admit::QuotaFull(item);
-        }
-        *count += 1;
-        self.seq += 1;
-        self.heap.push(HeapEntry {
-            deadline,
-            seq: self.seq,
-            graph_key,
-            item,
-        });
-        Admit::Queued(self.heap.len())
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<T> {
-        let entry = self.heap.pop()?;
-        if let Some(count) = self.per_graph.get_mut(&entry.graph_key) {
-            *count -= 1;
-            if *count == 0 {
-                self.per_graph.remove(&entry.graph_key);
-            }
-        }
-        Some(entry.item)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub(crate) fn total_limit(&self) -> usize {
-        self.max_total
-    }
-
-    pub(crate) fn quota(&self) -> usize {
-        self.quota
-    }
-
-    pub(crate) fn queued_for(&self, graph_key: u64) -> usize {
-        self.per_graph.get(&graph_key).copied().unwrap_or(0)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deadline watchdog
-// ---------------------------------------------------------------------------
-
-struct WatchEntry {
-    at: Instant,
-    seq: u64,
-    token: CancelToken,
-}
-
-impl PartialEq for WatchEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for WatchEntry {}
-impl PartialOrd for WatchEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for WatchEntry {
-    /// Max-heap: greater = earlier `at`, so `peek` is the next deadline.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-#[derive(Default)]
-struct WatchState {
-    heap: BinaryHeap<WatchEntry>,
-    seq: u64,
-    shutdown: bool,
-    /// Heap size at which [`Watchdog::register`] runs its next
-    /// settled-entry purge (re-derived after every purge).
-    purge_at: usize,
-}
-
-/// Purges run no earlier than this heap size — below it the heap is
-/// too small to be worth a sweep.
-const WATCHDOG_PURGE_MIN: usize = 64;
-
-/// The deadline watchdog: workers register `(deadline, CancelToken)` of
-/// the job they start; one monitor thread sleeps until the earliest
-/// registered deadline and fires the expired tokens. Entries of jobs that
-/// finish in time fire against a token nobody polls anymore — harmless to
-/// *fire*, but not free to *keep*: under high qps with long deadlines the
-/// heap would hold every settled job until its deadline lapsed. `register`
-/// therefore purges settled entries lazily, detected by token orphaning
-/// ([`CancelToken::is_orphaned`]: the job and its workspace dropped their
-/// clones, only the heap's remains). Each sweep is O(heap) but the
-/// threshold doubles past the surviving size, so the amortized cost per
-/// registration is O(1) and the heap stays within a constant factor of
-/// the *live* (unsettled) job count.
-struct Watchdog {
-    state: Mutex<WatchState>,
-    bell: Condvar,
-}
-
-impl Watchdog {
-    fn new() -> Watchdog {
-        Watchdog {
-            state: Mutex::new(WatchState::default()),
-            bell: Condvar::new(),
-        }
-    }
-
-    fn register(&self, at: Instant, token: CancelToken) {
-        let mut state = self.state.lock().unwrap();
-        state.seq += 1;
-        let seq = state.seq;
-        state.heap.push(WatchEntry { at, seq, token });
-        if state.heap.len() >= state.purge_at.max(WATCHDOG_PURGE_MIN) {
-            state.heap.retain(|e| !e.token.is_orphaned());
-            state.purge_at = state.heap.len().saturating_mul(2);
-        }
-        self.bell.notify_one();
-    }
-
-    fn shutdown(&self) {
-        self.state.lock().unwrap().shutdown = true;
-        self.bell.notify_all();
-    }
-
-    fn run(&self) {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if state.shutdown {
-                return;
-            }
-            let now = Instant::now();
-            while state.heap.peek().is_some_and(|e| e.at <= now) {
-                state.heap.pop().unwrap().token.cancel();
-            }
-            match state.heap.peek().map(|e| e.at) {
-                Some(at) => {
-                    let (s, _) = self
-                        .bell
-                        .wait_timeout(state, at.saturating_duration_since(now))
-                        .unwrap();
-                    state = s;
-                }
-                None => state = self.bell.wait(state).unwrap(),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Graph front: per-graph request preparation (params canonicalization)
-// ---------------------------------------------------------------------------
-
-/// Per-graph serving front: the graph pin plus the canonical-parameter
-/// memo table. Cheap (no threads) — the [`crate::MultiEngine`] keeps one
-/// per resident graph and drops it on eviction, releasing the pin.
-pub(crate) struct GraphFront {
-    graph: Arc<Graph>,
-    fingerprint: u64,
-    /// Key under which the scheduler accounts this graph's queue quota
-    /// and admission rejections.
-    admission_key: u64,
-    hop_c: f64,
-    /// Canonical parameter sets, built once per quantized-knob bucket.
-    params_table: Mutex<FxHashMap<ParamsKey, Arc<HkprParams>>>,
-}
-
-/// Admission key of a registry name (stable across reloads).
-pub(crate) fn admission_key_of(name: &str) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = FxHasher::default();
-    name.hash(&mut h);
-    h.finish()
-}
-
-impl GraphFront {
-    /// `fingerprint` is `graph.fingerprint()`, resolved by the caller:
-    /// O(1) for a v2 image that records it, else an O(n + m) serial hash,
-    /// which the registry counts and the single-graph engine (it keys
-    /// admission on the value too) takes once.
-    pub(crate) fn new(
-        graph: Arc<Graph>,
-        fingerprint: u64,
-        admission_key: u64,
-        hop_c: f64,
-    ) -> GraphFront {
-        GraphFront {
-            graph,
-            fingerprint,
-            admission_key,
-            hop_c,
-            params_table: Mutex::new(FxHashMap::default()),
-        }
-    }
-
-    pub(crate) fn graph(&self) -> &Arc<Graph> {
-        &self.graph
-    }
-
-    pub(crate) fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Resolve a request's knobs to the canonical parameter set of their
-    /// quantization bucket (building and memoizing it on first use).
-    pub(crate) fn canonical_params(
-        &self,
-        knobs: &Knobs,
-    ) -> Result<(Arc<HkprParams>, ParamsKey), ServeError> {
-        let delta = knobs.delta.unwrap_or_else(|| {
-            let n = self.graph.num_nodes().max(1);
-            1.0 / n as f64
-        });
-        for (name, v) in [
-            ("t", knobs.t),
-            ("eps_r", knobs.eps_r),
-            ("delta", delta),
-            ("p_f", knobs.p_f),
-        ] {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(ServeError::Query(HkprError::InvalidParameter(format!(
-                    "{name} must be positive and finite, got {v}"
-                ))));
-            }
-        }
-        let key = ParamsKey::new(knobs.t, knobs.eps_r, delta, knobs.p_f);
-        if let Some(params) = self.params_table.lock().unwrap().get(&key) {
-            return Ok((Arc::clone(params), key));
-        }
-        // Build outside the lock (degree-histogram scan is O(n)); a
-        // racing builder of the same bucket produces an identical value.
-        let (t, eps_r, delta, p_f) = key.canonical();
-        let params = Arc::new(
-            HkprParams::builder(&self.graph)
-                .t(t)
-                .eps_r(eps_r)
-                .delta(delta)
-                .p_f(p_f)
-                .c(self.hop_c)
-                .build()
-                .map_err(ServeError::Query)?,
-        );
-        let mut table = self.params_table.lock().unwrap();
-        // Knobs are caller-controlled in a multi-tenant engine, so the
-        // memo table must not grow unboundedly under a knob sweep. Real
-        // deployments use a handful of accuracy levels; past the cap we
-        // drop an arbitrary bucket (rebuilding one later costs a single
-        // O(n) histogram scan, and outstanding queries keep their Arc).
-        const MAX_PARAM_SETS: usize = 64;
-        if table.len() >= MAX_PARAM_SETS && !table.contains_key(&key) {
-            if let Some(&victim) = table.keys().next() {
-                table.remove(&victim);
-            }
-        }
-        let entry = table.entry(key).or_insert_with(|| Arc::clone(&params));
-        Ok((Arc::clone(entry), key))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The shared scheduler
-// ---------------------------------------------------------------------------
-
-/// One unit of work on the shared pool.
-struct Job {
-    graph: Arc<Graph>,
-    seed: NodeId,
-    method: Method,
-    params: Arc<HkprParams>,
-    rng_seed: u64,
-    deadline: Option<Instant>,
-    enqueued: Instant,
-    /// `Some` iff the result should be inserted into the cache (and the
-    /// key's single-flight settled).
-    cache_key: Option<CacheKey>,
-    /// Fired by the deadline watchdog; polled by the estimators.
-    cancel: CancelToken,
-    reply: mpsc::Sender<Result<QueryResponse, ServeError>>,
-}
-
-struct SchedQueue {
-    q: DeadlineQueue<Job>,
-    /// False once no further job will ever arrive; idle workers exit.
-    open: bool,
-}
-
-/// State shared between submitters, workers and the watchdog.
-struct SchedShared {
-    queue: Mutex<SchedQueue>,
-    available: Condvar,
-    /// `Arc` so a multi-graph front hands every graph one cache (keys
-    /// carry the graph fingerprint, so sharing is collision-free).
-    cache: Option<Arc<ResultCache>>,
-    watchdog: Watchdog,
-    completed: AtomicU64,
-    errors: AtomicU64,
-    shed_queued: AtomicU64,
-    cancelled_running: AtomicU64,
-    degraded: AtomicU64,
-    panics: AtomicU64,
-    shed_overload: AtomicU64,
-    queue_hwm: AtomicU64,
-    /// Each worker's [`QueryScratch::memory_bytes`], by worker index.
-    workspace_bytes: Box<[AtomicU64]>,
-    /// Per-graph admission-quota rejections, by admission key.
-    admission: Mutex<FxHashMap<u64, u64>>,
-    worker_count: usize,
-}
-
-impl SchedShared {
-    fn close(&self) {
-        self.queue.lock().unwrap().open = false;
-        self.available.notify_all();
-    }
-
-    /// Broadcast a terminal error to the job's coalesced followers.
-    fn settle_err(&self, job: &Job, err: &ServeError) {
-        if let (Some(cache), Some(key)) = (&self.cache, &job.cache_key) {
-            cache.settle_flight(key, Err(err.clone()));
-        }
-    }
-}
-
-/// The shared deadline-aware worker pool. See the [module docs](self).
-/// `QueryEngine` wraps one around a single graph; `MultiEngine` shares
-/// one across every resident graph.
-pub(crate) struct Scheduler {
-    shared: Arc<SchedShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    watchdog: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Scheduler {
-    /// Build the pool. `auto_quota` resolves `per_graph_queue == 0`:
-    /// single-graph engines pass `max_queue` (no sub-quota), the
-    /// multi-graph front passes `max(1, max_queue / 4)`.
-    pub(crate) fn new(
-        config: EngineConfig,
-        cache: Option<Arc<ResultCache>>,
-        auto_quota: usize,
-    ) -> Scheduler {
-        let worker_count = config.workers.max(1);
-        let max_queue = config.max_queue.max(1);
-        let quota = if config.per_graph_queue == 0 {
-            auto_quota.max(1)
-        } else {
-            config.per_graph_queue
-        };
-        let shared = Arc::new(SchedShared {
-            queue: Mutex::new(SchedQueue {
-                q: DeadlineQueue::new(max_queue, quota),
-                open: true,
-            }),
-            available: Condvar::new(),
-            cache,
-            watchdog: Watchdog::new(),
-            completed: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            shed_queued: AtomicU64::new(0),
-            cancelled_running: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            shed_overload: AtomicU64::new(0),
-            queue_hwm: AtomicU64::new(0),
-            workspace_bytes: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
-            admission: Mutex::new(FxHashMap::default()),
-            worker_count,
-        });
-        let workers = (0..worker_count)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("hk-serve-{i}"))
-                    .spawn(move || {
-                        let mut scratch = QueryScratch::new();
-                        worker_loop(&shared, &shared.workspace_bytes[i], &mut scratch);
-                    })
-                    .expect("spawn hk-serve worker")
-            })
-            .collect();
-        let watchdog = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("hk-serve-watchdog".into())
-                .spawn(move || shared.watchdog.run())
-                .expect("spawn hk-serve watchdog")
-        };
-        Scheduler {
-            shared,
-            workers,
-            watchdog: Some(watchdog),
-        }
-    }
-
-    pub(crate) fn cache(&self) -> Option<&Arc<ResultCache>> {
-        self.shared.cache.as_ref()
-    }
-
-    pub(crate) fn worker_count(&self) -> usize {
-        self.shared.worker_count
-    }
-
-    /// Worker threads still running. Workers only exit when the queue
-    /// closes (shutdown) — the panic guard contains per-job panics — so
-    /// a healthy pool reports `worker_count()`; anything less means
-    /// worker threads died outright and the pool is degraded. Health
-    /// endpoints surface this as scheduler liveness.
-    pub(crate) fn live_workers(&self) -> usize {
-        self.workers.iter().filter(|h| !h.is_finished()).count()
-    }
-
-    /// Quota rejections charged to one graph's admission key.
-    pub(crate) fn admission_rejections(&self, admission_key: u64) -> u64 {
-        self.shared
-            .admission
-            .lock()
-            .unwrap()
-            .get(&admission_key)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    pub(crate) fn stats(&self) -> EngineStats {
-        let shared = &self.shared;
-        EngineStats {
-            completed: shared.completed.load(Ordering::Relaxed),
-            errors: shared.errors.load(Ordering::Relaxed),
-            shed_queued: shared.shed_queued.load(Ordering::Relaxed),
-            cancelled_running: shared.cancelled_running.load(Ordering::Relaxed),
-            degraded: shared.degraded.load(Ordering::Relaxed),
-            panics: shared.panics.load(Ordering::Relaxed),
-            shed_overload: shared.shed_overload.load(Ordering::Relaxed),
-            queue_hwm: shared.queue_hwm.load(Ordering::Relaxed),
-            workers: shared.worker_count as u64,
-            workspace_bytes: shared
-                .workspace_bytes
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .sum(),
-            cache: shared.cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
-        }
-    }
-
-    /// [`Scheduler::submit_with_hubs`] without a hub store.
-    pub(crate) fn submit(
-        &self,
-        front: &GraphFront,
-        req: QueryRequest,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_with_hubs(front, req, None)
-    }
-
-    /// The full submit pipeline: deadline pre-check, canonicalization,
-    /// hub-store probe, cache probe, single-flight claim, EDF admission.
-    pub(crate) fn submit_with_hubs(
-        &self,
-        front: &GraphFront,
-        req: QueryRequest,
-        hubs: Option<&crate::hub::HubStore>,
-    ) -> Result<Ticket, ServeError> {
-        let shared = &self.shared;
-        let submitted = Instant::now();
-        // An already-expired request is dead on arrival — shed before
-        // spending anything on it, including the cache probe (a probe
-        // would skew hit/miss accounting for requests nobody awaits).
-        if let Some(deadline) = req.deadline {
-            if submitted > deadline {
-                shared.shed_queued.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::DeadlineExceeded {
-                    late_by: submitted - deadline,
-                });
-            }
-        }
-        let (params, params_key) = front.canonical_params(&req.knobs)?;
-        let key = CacheKey {
-            fingerprint: front.fingerprint,
-            seed: req.seed,
-            rng_seed: req.rng_seed,
-            params: params_key,
-            method: req.method,
-        };
-        // Hub store before the cache: precomputed answers are pinned (the
-        // cache may have evicted them) and counted separately, so the
-        // cold-start benefit is observable. Same key type — an exact
-        // match carries the full bitwise-identity guarantee.
-        if let Some(hubs) = hubs {
-            if let Some(result) = hubs.lookup(&key) {
-                return Ok(Ticket {
-                    inner: TicketInner::Ready(Box::new(Ok(QueryResponse {
-                        result,
-                        outcome: CacheOutcome::Precomputed,
-                        degraded: None,
-                        timing: QueryTiming {
-                            total_ns: submitted.elapsed().as_nanos() as u64,
-                            ..QueryTiming::default()
-                        },
-                    }))),
-                });
-            }
-        }
-        if let Some(cache) = &shared.cache {
-            if let Some(hit) = cache.get(&key) {
-                return Ok(Ticket {
-                    inner: TicketInner::Ready(Box::new(Ok(QueryResponse {
-                        result: hit,
-                        outcome: CacheOutcome::Hit,
-                        degraded: None,
-                        timing: QueryTiming {
-                            total_ns: submitted.elapsed().as_nanos() as u64,
-                            ..QueryTiming::default()
-                        },
-                    }))),
-                });
-            }
-            // Single-flight: coalesce onto an identical in-flight miss.
-            match cache.claim_flight(key) {
-                FlightClaim::Follower(rx) => {
-                    return Ok(Ticket {
-                        inner: TicketInner::Flight {
-                            rx,
-                            submitted,
-                            deadline: req.deadline,
-                        },
-                    })
-                }
-                FlightClaim::Leader => {
-                    // The previous leader may have inserted + settled
-                    // between our probe and the claim; re-probe so a
-                    // cached key is never recomputed ("coalesce or hit,
-                    // never recompute"). Settle the just-opened flight so
-                    // any instant followers get the bytes too.
-                    if let Some(hit) = cache.get(&key) {
-                        cache.settle_flight(&key, Ok((Arc::clone(&hit), None)));
-                        return Ok(Ticket {
-                            inner: TicketInner::Ready(Box::new(Ok(QueryResponse {
-                                result: hit,
-                                outcome: CacheOutcome::Hit,
-                                degraded: None,
-                                timing: QueryTiming {
-                                    total_ns: submitted.elapsed().as_nanos() as u64,
-                                    ..QueryTiming::default()
-                                },
-                            }))),
-                        });
-                    }
-                }
-            }
-        }
-        let (tx, rx) = mpsc::channel();
-        let job = Job {
-            graph: Arc::clone(&front.graph),
-            seed: req.seed,
-            method: req.method,
-            params,
-            rng_seed: req.rng_seed,
-            deadline: req.deadline,
-            enqueued: submitted,
-            cache_key: shared.cache.is_some().then_some(key),
-            cancel: CancelToken::new(),
-            reply: tx,
-        };
-        let admission_key = front.admission_key;
-        let admit = {
-            let mut q = shared.queue.lock().unwrap();
-            q.q.push(admission_key, req.deadline, job)
-        };
-        match admit {
-            Admit::Queued(depth) => {
-                shared.queue_hwm.fetch_max(depth as u64, Ordering::Relaxed);
-                shared.available.notify_one();
-                Ok(Ticket {
-                    inner: TicketInner::Pending(rx),
-                })
-            }
-            Admit::TotalFull(job) => {
-                let (queue_len, limit) = {
-                    let q = shared.queue.lock().unwrap();
-                    (q.q.len(), q.q.total_limit())
-                };
-                let err = ServeError::Overloaded { queue_len, limit };
-                shared.shed_overload.fetch_add(1, Ordering::Relaxed);
-                shared.settle_err(&job, &err);
-                Err(err)
-            }
-            Admit::QuotaFull(job) => {
-                let (queue_len, limit) = {
-                    let q = shared.queue.lock().unwrap();
-                    (q.q.queued_for(admission_key), q.q.quota())
-                };
-                let err = ServeError::Overloaded { queue_len, limit };
-                shared.shed_overload.fetch_add(1, Ordering::Relaxed);
-                *shared
-                    .admission
-                    .lock()
-                    .unwrap()
-                    .entry(admission_key)
-                    .or_insert(0) += 1;
-                shared.settle_err(&job, &err);
-                Err(err)
-            }
-        }
-    }
-}
-
-impl Drop for Scheduler {
-    fn drop(&mut self) {
-        // Close the queue: workers drain every queued job (replies and
-        // flight settlements delivered), then exit and join.
-        self.shared.close();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        self.shared.watchdog.shutdown();
-        if let Some(handle) = self.watchdog.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for Scheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scheduler")
-            .field("workers", &self.shared.worker_count)
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-/// Render a panic payload for [`ServeError::Internal`].
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Pull jobs (earliest deadline first) until the queue is closed *and*
-/// drained.
-///
-/// Each job runs under a panic guard: a panic anywhere in [`process`]
-/// (estimator bug, cache bug, injected fault) is contained here — the
-/// requester gets a typed [`ServeError::Internal`], any coalesced
-/// followers get the same via flight settlement, the worker rebuilds its
-/// scratch (the unwound one may hold half-updated epochs) and keeps
-/// serving. A panicking query must never take the pool down with it.
-/// `workspace_bytes` is the worker's slot of
-/// [`EngineStats::workspace_bytes`], refreshed by [`process`] and after a
-/// rebuild.
-fn worker_loop(shared: &SchedShared, workspace_bytes: &AtomicU64, scratch: &mut QueryScratch) {
-    loop {
-        let job = {
-            let mut q = shared.queue.lock().unwrap();
-            loop {
-                if let Some(job) = q.q.pop() {
-                    break Some(job);
-                }
-                if !q.open {
-                    break None;
-                }
-                q = shared.available.wait(q).unwrap();
-            }
-        };
-        match job {
-            Some(job) => {
-                let reply = job.reply.clone();
-                let cache_key = job.cache_key;
-                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    process(shared, workspace_bytes, scratch, job)
-                }));
-                if let Err(payload) = unwound {
-                    shared.panics.fetch_add(1, Ordering::Relaxed);
-                    *scratch = QueryScratch::new();
-                    workspace_bytes.store(scratch.memory_bytes() as u64, Ordering::Relaxed);
-                    let err = ServeError::Internal {
-                        detail: panic_detail(payload),
-                    };
-                    if let (Some(cache), Some(key)) = (&shared.cache, &cache_key) {
-                        cache.settle_flight(key, Err(err.clone()));
-                    }
-                    let _ = reply.send(Err(err));
-                }
-            }
-            None => return,
-        }
-    }
-}
-
-/// The execution core the scheduler's workers, [`run_batch`] and the hub
-/// build all share: phase one (`estimate_anytime_in`, the tiered
-/// refinement path, so a mid-run cancellation means "stop refining", not
-/// "discard everything") + phase two (`sweep_in`) on a reusable scratch.
-/// Cancellation, if armed, rides on the token installed in
-/// `scratch.workspace`; `controls` carries the caller's ladder observer.
-/// With neither, the returned tier is never degraded. The returned timing
-/// holds the per-phase split; queue and total are the caller's to add.
-pub(crate) fn execute(
-    clusterer: &LocalClusterer<'_>,
-    scratch: &mut QueryScratch,
-    seed: NodeId,
-    method: Method,
-    params: &HkprParams,
-    rng_seed: u64,
-    controls: AnytimeControls<'_>,
-) -> Result<(ClusterResult, Option<AccuracyTier>, QueryTiming), HkprError> {
-    let started = Instant::now();
-    let (estimate, stats, achieved) = clusterer.estimate_anytime_in(
-        method,
-        seed,
-        params,
-        rng_seed,
-        controls,
-        &mut scratch.workspace,
-    )?;
-    let estimate_done = Instant::now();
-    let phases = scratch.workspace.last_phase_times();
-    let result = clusterer.sweep_in(seed, estimate, stats, scratch);
-    Ok((
-        result,
-        achieved,
-        QueryTiming {
-            push_ns: phases.push_ns,
-            walk_ns: phases.walk_ns,
-            estimate_ns: (estimate_done - started).as_nanos() as u64,
-            sweep_ns: estimate_done.elapsed().as_nanos() as u64,
-            ..QueryTiming::default()
-        },
-    ))
-}
-
-/// Execute one job on a worker's scratch: deadline re-check, watchdog
-/// arming, the [`execute`] core, cache insert + flight
-/// settlement, reply. A job the watchdog cancelled after at least one
-/// accuracy tier completed — a certified push tier *or* a walk tier —
-/// still returns a typed best-effort answer
-/// ([`QueryResponse::degraded`]); only a cancellation that caught nothing
-/// usable (before the push certified its first coarsened tier) reports
-/// [`ServeError::Cancelled`]. The scratch footprint is published to
-/// `workspace_bytes` once the estimator returns, before any reply, so a
-/// caller that has its answer reads a current gauge.
-fn process(
-    shared: &SchedShared,
-    workspace_bytes: &AtomicU64,
-    scratch: &mut QueryScratch,
-    job: Job,
-) {
-    let started = Instant::now();
-    let queue_ns = started.saturating_duration_since(job.enqueued).as_nanos() as u64;
-    #[cfg(feature = "testing")]
-    if let Err(detail) = crate::fault::fire("sched.dequeue") {
-        let err = ServeError::Internal { detail };
-        shared.settle_err(&job, &err);
-        let _ = job.reply.send(Err(err));
-        return;
-    }
-    if let Some(deadline) = job.deadline {
-        // Re-check immediately before execution: the request may have
-        // expired while queued.
-        if started > deadline {
-            shared.shed_queued.fetch_add(1, Ordering::Relaxed);
-            let err = ServeError::DeadlineExceeded {
-                late_by: started - deadline,
-            };
-            shared.settle_err(&job, &err);
-            let _ = job.reply.send(Err(err));
-            return;
-        }
-        // Arm the watchdog: if the deadline passes mid-run, the token
-        // fires and the estimator aborts at the next hop/chunk boundary.
-        shared.watchdog.register(deadline, job.cancel.clone());
-    }
-    scratch.workspace.set_cancel_token(Some(job.cancel.clone()));
-    let clusterer = LocalClusterer::new(&job.graph);
-    // The `core.push_tier` failpoint rides the push-ladder observer of
-    // worker queries only (never `run_batch` or hub builds): an injected
-    // Error cancels refinement at the certifying hop boundary (→ typed
-    // degraded answer), an injected Panic unwinds into the worker's
-    // containment, a Delay holds the push at the boundary long enough
-    // for the deadline watchdog to fire deterministically.
-    #[cfg(feature = "testing")]
-    let mut on_push_tier = |_tier: u32| -> Result<(), HkprError> {
-        crate::fault::fire("core.push_tier").map_err(|_| HkprError::Cancelled)
-    };
-    let controls = AnytimeControls {
-        #[cfg(feature = "testing")]
-        on_push_tier: Some(&mut on_push_tier),
-        ..Default::default()
-    };
-    let outcome = execute(
-        &clusterer,
-        scratch,
-        job.seed,
-        job.method,
-        &job.params,
-        job.rng_seed,
-        controls,
-    );
-    scratch.workspace.set_cancel_token(None);
-    workspace_bytes.store(scratch.memory_bytes() as u64, Ordering::Relaxed);
-    match outcome {
-        Ok((result, achieved, t)) => {
-            let result = Arc::new(result);
-            let degraded = achieved
-                .filter(|tier| tier.is_degraded())
-                .map(|achieved| Degraded {
-                    achieved,
-                    after: started.elapsed(),
-                });
-            let outcome = match (&shared.cache, &job.cache_key, &degraded) {
-                (Some(cache), Some(key), None) => {
-                    // The miss is recorded here — at the insert — not at
-                    // the submit-time probe, so shed or errored requests
-                    // never skew the ratio: `misses == insertions` and
-                    // `hits + misses + coalesced` counts exactly the
-                    // *full-accuracy* answers of a cached engine. A
-                    // degraded answer (arm below) records no miss and
-                    // inserts nothing — it reports `Uncached` and counts
-                    // only in `EngineStats::degraded`, keeping the
-                    // invariant exact. Insert before settling the flight
-                    // so a racing request either coalesces or hits, never
-                    // recomputes.
-                    cache.record_miss();
-                    #[cfg(feature = "testing")]
-                    let insert = crate::fault::fire("cache.insert").is_ok();
-                    #[cfg(not(feature = "testing"))]
-                    let insert = true;
-                    if insert {
-                        cache.insert(*key, Arc::clone(&result));
-                    }
-                    cache.settle_flight(key, Ok((Arc::clone(&result), None)));
-                    CacheOutcome::Miss
-                }
-                (Some(cache), Some(key), Some(d)) => {
-                    // A degraded answer is never cached — the cache holds
-                    // only full-accuracy results, so later identical
-                    // requests recompute rather than inherit this one's
-                    // deadline. Followers coalesced onto the flight do
-                    // share its fate (bytes + degradation marker).
-                    cache.settle_flight(key, Ok((Arc::clone(&result), Some(*d))));
-                    CacheOutcome::Uncached
-                }
-                _ => CacheOutcome::Uncached,
-            };
-            if degraded.is_some() {
-                shared.degraded.fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            let _ = job.reply.send(Ok(QueryResponse {
-                result,
-                outcome,
-                degraded,
-                timing: QueryTiming {
-                    queue_ns,
-                    total_ns: queue_ns + started.elapsed().as_nanos() as u64,
-                    ..t
-                },
-            }));
-        }
-        Err(HkprError::Cancelled) => {
-            shared.cancelled_running.fetch_add(1, Ordering::Relaxed);
-            let err = ServeError::Cancelled {
-                after: started.elapsed(),
-            };
-            shared.settle_err(&job, &err);
-            let _ = job.reply.send(Err(err));
-        }
-        Err(e) => {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-            let err = ServeError::Query(e);
-            shared.settle_err(&job, &err);
-            let _ = job.reply.send(Err(err));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Tickets
 // ---------------------------------------------------------------------------
 
 /// Handle to an in-flight (or instantly answered) query.
 pub struct Ticket {
-    inner: TicketInner,
+    pub(crate) inner: TicketInner,
 }
 
-enum TicketInner {
+pub(crate) enum TicketInner {
     Ready(Box<Result<QueryResponse, ServeError>>),
     Pending(mpsc::Receiver<Result<QueryResponse, ServeError>>),
     /// Coalesced onto another request's computation (single-flight).
@@ -1466,7 +501,7 @@ impl Ticket {
 /// queries finish and joins the workers.
 pub struct QueryEngine {
     front: Arc<GraphFront>,
-    sched: Scheduler,
+    pub(crate) sched: Scheduler,
 }
 
 impl QueryEngine {
@@ -1624,7 +659,6 @@ pub fn run_batch(
         .map(|slot| slot.expect("every seed answered by a worker"))
         .collect()
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1643,46 +677,6 @@ mod tests {
 
     fn engine(config: EngineConfig) -> QueryEngine {
         QueryEngine::new(graph(), config)
-    }
-
-    #[test]
-    fn edf_queue_pops_earliest_deadline_first() {
-        let now = Instant::now();
-        let mut q: DeadlineQueue<&'static str> = DeadlineQueue::new(64, 64);
-        let at = |ms: u64| Some(now + Duration::from_millis(ms));
-        assert!(matches!(q.push(1, None, "fifo-1"), Admit::Queued(_)));
-        assert!(matches!(q.push(1, at(50), "late"), Admit::Queued(_)));
-        assert!(matches!(q.push(2, at(5), "urgent"), Admit::Queued(_)));
-        assert!(matches!(q.push(2, None, "fifo-2"), Admit::Queued(_)));
-        assert!(matches!(q.push(1, at(20), "middle"), Admit::Queued(_)));
-        assert!(matches!(q.push(3, at(5), "urgent-2"), Admit::Queued(_)));
-        // Deadlines first (earliest first, FIFO on ties), then the
-        // deadline-free items in FIFO order.
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(
-            order,
-            ["urgent", "urgent-2", "middle", "late", "fifo-1", "fifo-2"]
-        );
-    }
-
-    #[test]
-    fn queue_enforces_total_bound_and_per_graph_quota() {
-        let mut q: DeadlineQueue<u32> = DeadlineQueue::new(4, 2);
-        assert!(matches!(q.push(7, None, 0), Admit::Queued(1)));
-        assert!(matches!(q.push(7, None, 1), Admit::Queued(2)));
-        // Graph 7 is at quota; graph 8 still admits.
-        assert!(matches!(q.push(7, None, 2), Admit::QuotaFull(2)));
-        assert!(matches!(q.push(8, None, 3), Admit::Queued(3)));
-        assert!(matches!(q.push(9, None, 4), Admit::Queued(4)));
-        // Total bound fires before any quota once the queue is full.
-        assert!(matches!(q.push(10, None, 5), Admit::TotalFull(5)));
-        assert_eq!(q.queued_for(7), 2);
-        // Draining graph 7 reopens its quota.
-        q.pop();
-        q.pop();
-        q.pop();
-        assert!(q.queued_for(7) < 2);
-        assert!(matches!(q.push(7, None, 6), Admit::Queued(_)));
     }
 
     #[test]
@@ -1885,31 +879,6 @@ mod tests {
         if let Ok(again) = e.query(req.deadline_in(Duration::from_millis(ok_ms))) {
             assert_ne!(again.outcome, CacheOutcome::Hit);
         }
-    }
-
-    #[test]
-    fn watchdog_heap_purges_settled_entries() {
-        // Fast queries with long deadlines: every job registers a
-        // watchdog entry that outlives it by minutes. Without the lazy
-        // purge the heap would end at ~query count; with it, settled
-        // (orphaned-token) entries are swept whenever the heap reaches
-        // the purge threshold, so it stays bounded by that threshold
-        // regardless of traffic.
-        let e = engine(EngineConfig {
-            workers: 1,
-            cache_bytes: 0, // every query reaches a worker and registers
-            ..EngineConfig::default()
-        });
-        let queries = 4 * WATCHDOG_PURGE_MIN;
-        for i in 0..queries {
-            e.query(QueryRequest::new((i % 7) as NodeId).deadline_in(Duration::from_secs(600)))
-                .unwrap();
-        }
-        let len = e.sched.shared.watchdog.state.lock().unwrap().heap.len();
-        assert!(
-            len <= WATCHDOG_PURGE_MIN,
-            "watchdog heap kept {len} of {queries} settled entries"
-        );
     }
 
     #[test]

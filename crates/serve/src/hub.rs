@@ -58,7 +58,8 @@ use hkpr_core::fxhash::{FxHashMap, FxHashSet};
 use hkpr_core::AnytimeControls;
 
 use crate::cache::CacheKey;
-use crate::engine::{execute, GraphFront, Knobs};
+use crate::engine::Knobs;
+use crate::sched::{execute, GraphFront};
 
 /// Counters of the hub store (all zero when hub precomputation is
 /// disabled), surfaced by

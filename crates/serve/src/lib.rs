@@ -86,7 +86,10 @@ pub mod engine;
 #[cfg(feature = "testing")]
 pub mod fault;
 pub mod hub;
+mod queue;
 pub mod registry;
+mod sched;
+mod watchdog;
 
 pub use cache::{CacheKey, CacheStats, FlightClaim, FlightResult, ParamsKey, ResultCache};
 pub use engine::{

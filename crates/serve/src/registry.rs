@@ -57,10 +57,8 @@ use hk_graph::{io, Graph, GraphError};
 use hkpr_core::fxhash::FxHashMap;
 
 use crate::cache::ResultCache;
-use crate::engine::{
-    admission_key_of, EngineConfig, EngineStats, GraphFront, QueryRequest, QueryResponse,
-    Scheduler, ServeError, Ticket,
-};
+use crate::engine::{EngineConfig, EngineStats, QueryRequest, QueryResponse, ServeError, Ticket};
+use crate::sched::{admission_key_of, GraphFront, Scheduler};
 use crate::CacheOutcome;
 
 /// How a registry entry produces its graph. Loaders run outside the
