@@ -5,8 +5,8 @@
 //! budget-style knobs. HKPR's hop-count-aware weighting typically finds
 //! lower-conductance cuts, which is the premise of the entire paper.
 
-use hk_bench::{fmt_f, fmt_ms, run_over_seeds, AnyMethod, CommonArgs, Table};
-use hk_cluster::{CommunitySet, Method};
+use hk_bench::{fmt_f, fmt_ms, run_over_seeds, AnyMethod, CommonArgs, CommunitySet, Table};
+use hk_cluster::Method;
 use hk_graph::gen::planted_partition;
 use hkpr_core::HkprParams;
 use rand::rngs::SmallRng;

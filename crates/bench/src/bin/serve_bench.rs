@@ -400,7 +400,8 @@ fn bench_hubs(ids: &[DatasetId], datasets: &Datasets, w: &Workload) -> Json {
 
     let on_rate = on_instant as f64 / w.queries.max(1) as f64;
     let off_rate = off_instant as f64 / w.queries.max(1) as f64;
-    let store = hub_on.hub_stats();
+    let builds = hub_on.hub_stats();
+    let pins = hub_on.stats().cache;
     obj([
         ("graphs", names_json(ids)),
         ("queries", int(w.queries)),
@@ -413,11 +414,11 @@ fn bench_hubs(ids: &[DatasetId], datasets: &Datasets, w: &Workload) -> Json {
         (
             "store",
             obj([
-                ("hits", int(store.hits)),
-                ("precomputed_seeds", int(store.precomputed_seeds)),
-                ("builds", int(store.builds)),
-                ("build_ms", fixed(store.build_ns as f64 / 1e6, 1)),
-                ("resident_bytes", int(store.resident_bytes)),
+                ("hits", int(pins.precomputed)),
+                ("precomputed_seeds", int(pins.pinned_entries)),
+                ("builds", int(builds.builds)),
+                ("build_ms", fixed(builds.build_ns as f64 / 1e6, 1)),
+                ("resident_bytes", int(pins.pinned_bytes)),
             ]),
         ),
         ("replay_seconds", fixed(total_s, 3)),

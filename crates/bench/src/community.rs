@@ -7,7 +7,7 @@
 use hk_graph::NodeId;
 use hkpr_core::fxhash::FxHashMap;
 
-use crate::metrics::{f1_score, F1Score};
+use hk_cluster::{f1_score, F1Score};
 
 /// A set of (possibly overlapping) ground-truth communities.
 #[derive(Clone, Debug, Default)]

@@ -11,7 +11,7 @@
 //! the paper itself reports multi-minute queries for them — and rows note
 //! when the cap was active.
 
-use hk_cluster::{ndcg_at_k, CommunitySet, Method};
+use hk_cluster::{ndcg_at_k, Method};
 use hk_graph::gen::planted_partition;
 use hk_graph::{Graph, NodeId};
 use hkpr_core::{exact_normalized_hkpr, HkprParams};
@@ -19,6 +19,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::cli::CommonArgs;
+use crate::community::CommunitySet;
 use crate::crd::CrdParams;
 use crate::datasets::{DatasetId, Datasets};
 use crate::harness::{pick_seeds, run_over_seeds, AnyMethod};

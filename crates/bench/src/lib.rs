@@ -37,9 +37,12 @@
 //! (PR-Nibble, FORA), the flow baselines [`mod@simple_local`] (on
 //! [`dinic`]'s max-flow) and [`mod@crd`], and exact power iteration, which
 //! stays in core as the oracle ([`hkpr_core::power::exact_estimate`]).
+//! The §7.6 experiments score clusters against planted ground truth
+//! through [`CommunitySet`].
 
 pub mod cli;
 pub mod cluster_hkpr;
+pub mod community;
 pub mod crd;
 pub mod datasets;
 pub mod dinic;
@@ -51,9 +54,9 @@ pub mod ppr;
 pub mod report;
 pub mod simple_local;
 pub mod table;
-mod util;
 
 pub use cli::CommonArgs;
+pub use community::CommunitySet;
 pub use datasets::{DatasetId, Datasets};
 pub use harness::{pick_seeds, run_once, run_over_seeds, Aggregate, AnyMethod};
 pub use table::{fmt_f, fmt_ms, Table};

@@ -16,10 +16,10 @@
 //! high running time as well as poor cluster quality" for single-seed
 //! queries — it was designed for seed *sets*.
 
+use hk_cluster::conductance;
 use hk_graph::{Graph, NodeId};
 
 use crate::dinic::FlowNetwork;
-use crate::util::conductance_members;
 
 /// Result of a SimpleLocal run.
 #[derive(Clone, Debug)]
@@ -49,8 +49,8 @@ pub fn simple_local(graph: &Graph, r_set: &[NodeId], delta: f64) -> SimpleLocalR
     }
 
     let eps = 1.0 / delta;
-    let mut best_members = in_r.clone();
-    let mut alpha = conductance_members(graph, &best_members);
+    let mut best: Vec<NodeId> = graph.nodes().filter(|&v| in_r[v as usize]).collect();
+    let mut alpha = conductance(graph, &best);
     let mut flow_calls = 0u32;
 
     // Strictly decreasing alpha guarantees termination; cap rounds as a
@@ -75,24 +75,21 @@ pub fn simple_local(graph: &Graph, r_set: &[NodeId], delta: f64) -> SimpleLocalR
         net.max_flow(source, sink);
         flow_calls += 1;
         let side = net.min_cut_side(source);
-        let members: Vec<bool> = (0..n).map(|v| side[v]).collect();
-        if !members.iter().any(|&b| b) {
+        let members: Vec<NodeId> = graph.nodes().filter(|&v| side[v as usize]).collect();
+        if members.is_empty() {
             break; // cut collapsed to the empty set: no improvement
         }
-        let phi = conductance_members(graph, &members);
+        let phi = conductance(graph, &members);
         if phi < alpha - 1e-12 {
             alpha = phi;
-            best_members = members;
+            best = members;
         } else {
             break;
         }
     }
 
-    let cluster: Vec<NodeId> = (0..n as u32)
-        .filter(|&v| best_members[v as usize])
-        .collect();
     SimpleLocalResult {
-        cluster,
+        cluster: best,
         conductance: alpha,
         flow_calls,
     }
@@ -145,11 +142,7 @@ mod tests {
         // Reference set straddles the cut: {2, 3, 4}.
         let res = simple_local(&g, &[2, 3, 4], 0.05);
         // Must not be worse than the reference set's conductance.
-        let mut members = vec![false; g.num_nodes()];
-        for &v in &[2u32, 3, 4] {
-            members[v as usize] = true;
-        }
-        assert!(res.conductance <= conductance_members(&g, &members) + 1e-12);
+        assert!(res.conductance <= conductance(&g, &[2, 3, 4]) + 1e-12);
         assert!(res.flow_calls >= 1);
     }
 

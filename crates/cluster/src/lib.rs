@@ -12,8 +12,7 @@
 //! * [`sweep`] — the sweep cut over degree-normalized HKPR rankings;
 //! * [`local`] — the [`LocalClusterer`] façade dispatching to every
 //!   estimator in `hkpr-core`;
-//! * [`metrics`] — precision/recall/F1 (§7.6) and NDCG (§7.5);
-//! * [`community`] — ground-truth community bookkeeping.
+//! * [`metrics`] — precision/recall/F1 (§7.6) and NDCG (§7.5).
 //!
 //! Multi-query execution lives one layer up, in the `hk-serve` crate: its
 //! persistent `QueryEngine` (worker pool + result cache + deadlines) and
@@ -37,14 +36,12 @@
 //! assert!(result.conductance < 0.7);
 //! ```
 
-pub mod community;
 pub mod conductance;
 pub mod local;
 pub mod metrics;
 pub mod reference;
 pub mod sweep;
 
-pub use community::CommunitySet;
 pub use conductance::{conductance, MemberScratch, SweepState};
 pub use local::{ClusterResult, LocalClusterer, Method, QueryScratch};
 pub use metrics::{f1_score, ndcg_at_k, F1Score};

@@ -163,6 +163,13 @@ mod tests {
             );
         }
         assert_eq!(res.support_size, 6);
+        // Two triangles joined by the bridge 2-3: the minimum is the
+        // first triangle, cut 1 over volume 7.
+        let barbell = graph_from_edges([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]);
+        let ranked = [(0, 1.0), (1, 0.9), (2, 0.8), (3, 0.1), (4, 0.05)];
+        let res = sweep_ranked(&barbell, &ranked).unwrap();
+        assert_eq!(res.cluster, vec![0, 1, 2]);
+        assert!((res.conductance - 1.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub const LATENCY_BUCKETS: [f64; 13] = [
 /// Outcome classes a request latency is filed under. `hit`, `miss`,
 /// `coalesced` and `precomputed` mirror [`hk_serve::CacheOutcome`] (an
 /// `Uncached` full-accuracy answer files under `miss` — same compute
-/// path, the cache is just off; `precomputed` is a hub-store answer,
-/// pinned at load time for a top-degree seed); `degraded` is a
+/// path, the cache is just off; `precomputed` is an answer from the
+/// cache's pinned tier, built at load time for a top-degree seed); `degraded` is a
 /// successful best-effort answer whose *walk* ladder was cut short;
 /// `degraded_push` is one stopped even earlier — mid-push at an eps_r
 /// certificate checkpoint, the latency class of queries that previously
@@ -445,14 +445,15 @@ pub fn render_prometheus(engine: &MultiEngine, gw: &GatewayMetrics) -> String {
     );
     sample(&mut out, "hk_registry_resident_graphs", r.resident_graphs);
 
-    // Hub store (all zero when hub precomputation is disabled — the
-    // families still render so dashboards and alerts never see a gap).
+    // Hub builds and the cache's pinned tier they fill (all zero when hub
+    // precomputation is disabled — the families still render so
+    // dashboards and alerts never see a gap).
     let h = engine.hub_stats();
     let hub_counters: [(&str, &str, u64); 2] = [
         (
             "hk_hub_hits_total",
-            "Queries answered from the hub store's precomputed pins.",
-            h.hits,
+            "Queries answered from the cache's pinned hub answers.",
+            s.cache.precomputed,
         ),
         (
             "hk_hub_builds_total",
@@ -480,14 +481,14 @@ pub fn render_prometheus(engine: &MultiEngine, gw: &GatewayMetrics) -> String {
         "Precomputed seeds pinned across all graphs.",
         "gauge",
     );
-    sample(&mut out, "hk_hub_precomputed_seeds", h.precomputed_seeds);
+    sample(&mut out, "hk_hub_precomputed_seeds", s.cache.pinned_entries);
     family(
         &mut out,
         "hk_hub_resident_bytes",
         "Bytes pinned by precomputed hub results.",
         "gauge",
     );
-    sample(&mut out, "hk_hub_resident_bytes", h.resident_bytes);
+    sample(&mut out, "hk_hub_resident_bytes", s.cache.pinned_bytes);
 
     // Per-graph serving tallies (sorted by name already).
     family(

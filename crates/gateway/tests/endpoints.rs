@@ -257,6 +257,68 @@ fn metrics_scrape_contains_mandatory_families_and_counts_requests() {
 }
 
 #[test]
+fn hub_answers_are_precomputed_on_the_wire_and_counted_once() {
+    let mut rng = SmallRng::seed_from_u64(7);
+    let graph = hk_graph::gen::planted_partition(6, 60, 0.35, 0.01, &mut rng)
+        .unwrap()
+        .graph;
+    // The builder's selection: degree descending, id ascending.
+    let mut hubs: Vec<u32> = (0..graph.num_nodes() as u32)
+        .filter(|&v| graph.degree(v) > 0)
+        .collect();
+    hubs.sort_unstable_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
+    hubs.truncate(8);
+    let engine = Arc::new(MultiEngine::new(MultiEngineConfig {
+        engine: EngineConfig {
+            workers: 2,
+            cache_bytes: 4 << 20,
+            ..EngineConfig::default()
+        },
+        hub_top_k: 8,
+        ..MultiEngineConfig::default()
+    }));
+    engine.registry().register_graph("demo", Arc::new(graph));
+    let gw = start_gateway(Arc::clone(&engine));
+    // The first routed request spawns the build; its RNG stream keeps it
+    // off every hub key.
+    let (status, _) = roundtrip(&gw, &post("/query/demo", r#"{"seed": 0, "rng_seed": 1}"#));
+    assert_eq!(status, 200);
+    engine.wait_hub_builds();
+    for seed in &hubs {
+        let (status, body) =
+            roundtrip(&gw, &post("/query/demo", &format!(r#"{{"seed": {seed}}}"#)));
+        assert_eq!(status, 200, "{body}");
+        let parsed = json::parse(body.as_bytes()).unwrap();
+        assert_eq!(
+            parsed.get("outcome").and_then(Json::as_str),
+            Some("precomputed"),
+            "seed {seed}"
+        );
+    }
+    let (_, text) = roundtrip(
+        &gw,
+        "GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+    );
+    let sample = |series: &str| -> u64 {
+        let line = text
+            .lines()
+            .find(|l| l.strip_prefix(series).is_some_and(|v| v.starts_with(' ')))
+            .unwrap_or_else(|| panic!("scrape lacks {series}:\n{text}"));
+        line[series.len() + 1..].parse().unwrap()
+    };
+    assert_eq!(sample("hk_hub_builds_total"), 1);
+    assert_eq!(sample("hk_hub_precomputed_seeds"), 8);
+    assert_eq!(sample("hk_hub_hits_total"), 8);
+    assert_eq!(
+        sample("hk_hub_hits_total"),
+        sample("hk_graph_requests_total{graph=\"demo\",outcome=\"precomputed\"}")
+    );
+    assert!(sample("hk_hub_resident_bytes") > 0);
+    // Pinned hits are not LRU hits.
+    assert_eq!(sample("hk_cache_hits_total"), 0);
+}
+
+#[test]
 fn response_bytes_are_counted_per_endpoint() {
     let gw = start_gateway(demo_engine());
     let mut stream = TcpStream::connect(gw.local_addr()).unwrap();

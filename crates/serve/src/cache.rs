@@ -1,4 +1,4 @@
-//! Sharded, parameter-keyed LRU result cache.
+//! Sharded, parameter-keyed result cache: an LRU tier and a pinned tier.
 //!
 //! # Cache key and quantization
 //!
@@ -58,23 +58,39 @@
 //! ladder *or* mid-push at an eps_r certificate checkpoint — returns
 //! best-effort bytes that are *never cached* — the engine records no miss
 //! and inserts nothing for it (it reports
-//! [`CacheOutcome::Uncached`](crate::CacheOutcome::Uncached) and counts in
+//! [`CacheOutcome::Uncached`] and counts in
 //! `EngineStats::degraded` instead), so `misses == insertions` keeps
 //! counting exactly the full-accuracy compute path. Coalesced followers
 //! of a degraded leader receive the same bytes *and* the same
 //! [`Degraded`](crate::engine::Degraded) marker through flight
 //! settlement, so nobody mistakes a coarsened-push answer for a
 //! full-accuracy one.
+//!
+//! # The pinned tier
+//!
+//! Beside its LRU map each shard holds **pins**: the answers the hub
+//! builder ([`crate::hub`]) precomputed ([`ResultCache::pin`]).
+//! [`get`](ResultCache::get) probes them first, under the same lock, and
+//! names the tier that answered. Pins charge one global byte budget
+//! ([`with_pin_budget`](ResultCache::with_pin_budget)), so the builder
+//! stops in degree order once `pin` refuses. They never enter the LRU
+//! order and are never evicted, and a pinned hit counts only in
+//! [`CacheStats::precomputed`]: the LRU tier and its counters see exactly
+//! what they would see without pins. A cache with a zero LRU budget holds
+//! only pins, and the engine leaves its misses
+//! [`CacheOutcome::Uncached`].
 
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
 use hk_cluster::{ClusterResult, Method};
 use hk_graph::NodeId;
 use hkpr_core::fxhash::{FxHashMap, FxHasher};
 use std::sync::Arc;
+
+use crate::engine::CacheOutcome;
 
 /// Buckets per decade of the knob quantizer: `q(x) = round(16 log10 x)`.
 const BUCKETS_PER_DECADE: f64 = 16.0;
@@ -144,10 +160,11 @@ pub struct CacheKey {
     pub method: Method,
 }
 
-/// Hit/miss/eviction counters, readable while the cache is live.
+/// Hit/miss/eviction counters, readable while the cache is live. The last
+/// three fields are the pinned tier's, the rest the LRU tier's.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that returned a cached result.
+    /// Lookups the LRU tier answered.
     pub hits: u64,
     /// Queries that went to the compute path *and produced a cacheable
     /// (full-accuracy) result* — always equals `insertions`. Shed,
@@ -166,6 +183,12 @@ pub struct CacheStats {
     pub resident_bytes: u64,
     /// Entries currently resident across all shards.
     pub resident_entries: u64,
+    /// Lookups the pinned tier answered ([`CacheOutcome::Precomputed`]).
+    pub precomputed: u64,
+    /// Entries pinned across all shards.
+    pub pinned_entries: u64,
+    /// Bytes pinned across all shards (the quantity the pin budget caps).
+    pub pinned_bytes: u64,
 }
 
 struct Shard {
@@ -178,6 +201,8 @@ struct Shard {
     /// Occurrences of each key currently in `order`.
     pending: FxHashMap<CacheKey, u32>,
     bytes: usize,
+    /// The pinned tier: never in `order`, never evicted.
+    pinned: FxHashMap<CacheKey, Arc<ClusterResult>>,
 }
 
 impl Shard {
@@ -187,6 +212,7 @@ impl Shard {
             order: VecDeque::new(),
             pending: FxHashMap::default(),
             bytes: 0,
+            pinned: FxHashMap::default(),
         }
     }
 
@@ -243,13 +269,18 @@ impl Shard {
     }
 }
 
-/// Sharded LRU over `(CacheKey -> Arc<ClusterResult>)` with a global byte
-/// budget split evenly across shards. Sharding keeps the engine's worker
-/// pool from serializing on one mutex; the per-shard budget makes
-/// eviction a local decision.
+/// Sharded `(CacheKey -> Arc<ClusterResult>)` store: an LRU tier whose
+/// byte budget is split evenly across shards, and a pinned tier (see the
+/// [module docs](self)). Sharding keeps the worker pool from serializing
+/// on one mutex; the per-shard budget makes eviction a local decision.
 pub struct ResultCache {
     shards: Vec<Mutex<Shard>>,
     shard_budget: usize,
+    /// False when built with a zero LRU budget: the cache holds only pins.
+    lru: bool,
+    /// Pinned-tier byte budget across all shards; 0 = unlimited.
+    pin_budget: usize,
+    pinned_bytes: AtomicUsize,
     /// Keys whose computation is in flight, with the followers waiting on
     /// the leader's outcome. A key is present from the leader's
     /// [`claim_flight`](Self::claim_flight) until its
@@ -260,6 +291,7 @@ pub struct ResultCache {
     insertions: AtomicU64,
     evictions: AtomicU64,
     coalesced: AtomicU64,
+    precomputed: AtomicU64,
 }
 
 /// Terminal outcome of one in-flight computation, broadcast to every
@@ -281,21 +313,37 @@ pub enum FlightClaim {
 }
 
 impl ResultCache {
-    /// A cache spending at most ~`budget_bytes` across `shards` shards
-    /// (each shard holds at least one entry regardless, so a single
-    /// oversized result does not wedge the cache).
+    /// A cache whose LRU tier spends at most ~`budget_bytes` across
+    /// `shards` shards (each shard holds at least one entry regardless, so
+    /// a single oversized result does not wedge the cache). A zero budget
+    /// turns the LRU tier off; pins are unlimited until capped.
     pub fn new(budget_bytes: usize, shards: usize) -> ResultCache {
         let shards = shards.clamp(1, 1024);
         ResultCache {
             shard_budget: budget_bytes / shards,
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
+            lru: budget_bytes > 0,
+            pin_budget: 0,
+            pinned_bytes: AtomicUsize::new(0),
             flights: Mutex::new(FxHashMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
+            precomputed: AtomicU64::new(0),
         }
+    }
+
+    /// Cap the pinned tier at `bytes` across all shards (0 = unlimited).
+    pub fn with_pin_budget(mut self, bytes: usize) -> ResultCache {
+        self.pin_budget = bytes;
+        self
+    }
+
+    /// Whether the LRU tier is on (the engine caches no miss otherwise).
+    pub fn lru(&self) -> bool {
+        self.lru
     }
 
     fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
@@ -304,23 +352,45 @@ impl ResultCache {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    /// Look `key` up, refreshing its LRU position and counting a hit on
-    /// success. A probe that finds nothing is *not* counted as a miss —
-    /// the engine calls [`record_miss`](Self::record_miss) only when the
-    /// request is actually computed at full accuracy and inserted, so
-    /// shed, errored and degraded requests never skew the hit/miss ratio
-    /// (`misses == insertions` holds by construction).
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<ClusterResult>> {
+    /// Look `key` up in the pins, then the LRU map, under one shard lock,
+    /// and name the tier that answered. An LRU answer refreshes its
+    /// position and counts a hit; a pinned one counts in `precomputed`. A
+    /// probe that finds nothing is *not* a miss — the engine calls
+    /// [`record_miss`](Self::record_miss) only when it computes and
+    /// inserts, so `misses == insertions` holds by construction.
+    pub fn get(&self, key: &CacheKey) -> Option<(Arc<ClusterResult>, CacheOutcome)> {
         let mut shard = self.shard_of(key).lock().unwrap();
-        match shard.map.get(key).cloned() {
-            Some(entry) => {
-                shard.touch(*key);
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
-            }
-            None => None,
+        if let Some(entry) = shard.pinned.get(key).cloned() {
+            drop(shard);
+            self.precomputed.fetch_add(1, Ordering::Relaxed);
+            return Some((entry, CacheOutcome::Precomputed));
         }
+        let entry = shard.map.get(key).cloned()?;
+        shard.touch(*key);
+        drop(shard);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some((entry, CacheOutcome::Hit))
+    }
+
+    /// Pin `value` under `key`, charging the global pin budget. Returns
+    /// false, pinning nothing, once the value would not fit; pinning a key
+    /// that is already pinned keeps the first value and returns true.
+    pub fn pin(&self, key: CacheKey, value: Arc<ClusterResult>) -> bool {
+        let cost = value.memory_bytes();
+        let mut shard = self.shard_of(&key).lock().unwrap();
+        if shard.pinned.contains_key(&key) {
+            return true;
+        }
+        let charged =
+            self.pinned_bytes
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bytes| {
+                    let after = bytes + cost;
+                    (self.pin_budget == 0 || after <= self.pin_budget).then_some(after)
+                });
+        if charged.is_ok() {
+            shard.pinned.insert(key, value);
+        }
+        charged.is_ok()
     }
 
     /// Count one miss (a query that went to the compute path; see
@@ -388,13 +458,14 @@ impl ResultCache {
         }
     }
 
-    /// Snapshot the counters plus resident totals.
+    /// Snapshot the counters plus resident and pinned totals.
     pub fn stats(&self) -> CacheStats {
-        let (mut bytes, mut entries) = (0u64, 0u64);
+        let (mut bytes, mut entries, mut pinned) = (0u64, 0u64, 0u64);
         for shard in &self.shards {
             let s = shard.lock().unwrap();
             bytes += s.bytes as u64;
             entries += s.map.len() as u64;
+            pinned += s.pinned.len() as u64;
         }
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -404,6 +475,9 @@ impl ResultCache {
             coalesced: self.coalesced.load(Ordering::Relaxed),
             resident_bytes: bytes,
             resident_entries: entries,
+            precomputed: self.precomputed.load(Ordering::Relaxed),
+            pinned_entries: pinned,
+            pinned_bytes: self.pinned_bytes.load(Ordering::Relaxed) as u64,
         }
     }
 }
@@ -580,6 +654,135 @@ mod tests {
         assert_eq!(rx.recv().unwrap().unwrap_err(), err);
         // Settling an unknown key is a harmless no-op.
         cache.settle_flight(&key(99), Err(err));
+    }
+
+    /// A pinned-tier key (its own fingerprint, so it never collides with
+    /// the LRU keys of `key`).
+    fn pin_key(seed: NodeId) -> CacheKey {
+        CacheKey {
+            fingerprint: 8,
+            ..key(seed)
+        }
+    }
+
+    #[test]
+    fn pins_survive_a_budget_that_evicts_every_lru_entry() {
+        let per_entry = result_of_size(100).memory_bytes();
+        // Room for one LRU entry: every insert evicts the one before.
+        let cache = ResultCache::new(per_entry + per_entry / 2, 1);
+        assert!(cache.pin(pin_key(0), result_of_size(100)));
+        assert!(cache.pin(pin_key(1), result_of_size(100)));
+        for seed in 0..5 {
+            cache.insert(key(seed), result_of_size(100));
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.evictions, 4);
+        assert_eq!(stats.resident_entries, 1);
+        for seed in 0..2 {
+            let (_, tier) = cache.get(&pin_key(seed)).expect("pins are never evicted");
+            assert_eq!(tier, CacheOutcome::Precomputed);
+        }
+        assert_eq!(cache.get(&key(4)).unwrap().1, CacheOutcome::Hit);
+        assert!(cache.get(&key(0)).is_none());
+    }
+
+    #[test]
+    fn pins_never_move_the_lru_counters() {
+        let cache = ResultCache::new(1 << 20, 4);
+        cache.insert(key(0), result_of_size(10));
+        assert!(cache.get(&key(0)).is_some());
+        cache.record_miss();
+        let before = cache.stats();
+        let cost = result_of_size(30).memory_bytes() as u64;
+        for seed in 0..3 {
+            assert!(cache.pin(pin_key(seed), result_of_size(30)));
+        }
+        for _ in 0..5 {
+            for seed in 0..3 {
+                assert!(cache.get(&pin_key(seed)).is_some());
+            }
+        }
+        let after = cache.stats();
+        assert_eq!(
+            CacheStats {
+                precomputed: 0,
+                pinned_entries: 0,
+                pinned_bytes: 0,
+                ..after
+            },
+            before,
+            "pins moved an LRU counter"
+        );
+        assert_eq!(after.misses, after.insertions);
+        assert_eq!(after.precomputed, 15);
+        assert_eq!(after.pinned_entries, 3);
+        assert_eq!(after.pinned_bytes, 3 * cost);
+    }
+
+    #[test]
+    fn pinned_hits_leave_the_lru_eviction_sequence_unchanged() {
+        // The same LRU traffic twice — once with pinned hits interleaved
+        // — must evict the same entries at the same steps.
+        let per_entry = result_of_size(20).memory_bytes();
+        let run = |with_pins: bool| {
+            let cache = ResultCache::new(3 * per_entry, 1);
+            if with_pins {
+                assert!(cache.pin(pin_key(0), result_of_size(20)));
+                assert!(cache.pin(pin_key(1), result_of_size(20)));
+            }
+            let mut evictions = Vec::new();
+            for step in 0..40u32 {
+                let seed = (step * 7) % 9;
+                if cache.get(&key(seed)).is_none() {
+                    cache.insert(key(seed), result_of_size(20));
+                }
+                if with_pins {
+                    assert!(cache.get(&pin_key(step % 2)).is_some());
+                }
+                evictions.push(cache.stats().evictions);
+            }
+            let shard = cache.shards[0].lock().unwrap();
+            let mut resident: Vec<NodeId> = shard.map.keys().map(|k| k.seed).collect();
+            resident.sort_unstable();
+            (evictions, resident, shard.order.clone())
+        };
+        let (plain, pinned) = (run(false), run(true));
+        assert!(plain.0.last().unwrap() > &0, "the budget must evict");
+        assert_eq!(plain, pinned);
+    }
+
+    #[test]
+    fn pin_budget_is_global_across_shards() {
+        let cost = result_of_size(10).memory_bytes();
+        // Three results fit the global budget; a per-shard split of it
+        // (3 * cost / 16) would fit none.
+        let cache = ResultCache::new(1 << 20, 16).with_pin_budget(3 * cost);
+        let pinned: Vec<bool> = (0..10)
+            .map(|seed| cache.pin(pin_key(seed), result_of_size(10)))
+            .collect();
+        assert_eq!(
+            pinned,
+            [true, true, true, false, false, false, false, false, false, false]
+        );
+        let shards_used = cache
+            .shards
+            .iter()
+            .filter(|s| !s.lock().unwrap().pinned.is_empty())
+            .count();
+        assert!(shards_used > 1, "the pins landed in one shard");
+        // Re-pinning a pinned key charges nothing.
+        assert!(cache.pin(pin_key(0), result_of_size(10)));
+        let stats = cache.stats();
+        assert_eq!(stats.pinned_entries, 3);
+        assert_eq!(stats.pinned_bytes, 3 * cost as u64);
+        // A zero LRU budget keeps the pinned tier and turns the LRU off.
+        let pins_only = ResultCache::new(0, 4);
+        assert!(!pins_only.lru() && cache.lru());
+        assert!(pins_only.pin(pin_key(0), result_of_size(10)));
+        assert_eq!(
+            pins_only.get(&pin_key(0)).unwrap().1,
+            CacheOutcome::Precomputed
+        );
     }
 
     #[test]

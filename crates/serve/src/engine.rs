@@ -263,10 +263,9 @@ pub enum CacheOutcome {
     /// Coalesced onto a concurrent identical miss (single-flight): the
     /// bytes are the leader's, no extra compute happened.
     Coalesced,
-    /// Served from the hub store: the answer was precomputed in the
-    /// background at registry load time for a top-degree seed and is
-    /// bit-identical to what a cold recomputation would produce (see
-    /// [`crate::hub`]).
+    /// Served from the cache's pinned tier: precomputed in the background
+    /// at registry load time for a top-degree seed, and bit-identical to
+    /// what a cold recomputation would produce (see [`crate::hub`]).
     Precomputed,
     /// Not cached: the engine runs without a cache, the batch path, or
     /// the answer is degraded (only full-accuracy results are cached).

@@ -1,16 +1,16 @@
-//! Hub-aware precomputation: pinned full-accuracy answers for the
-//! highest-degree seeds of every resident graph.
+//! Hub-aware precomputation: the builder that pins full-accuracy answers
+//! for the highest-degree seeds of every resident graph.
 //!
 //! Diffusion-estimation cost concentrates on high-degree hubs (Vial &
 //! Subramanian), and hub seeds dominate real community-detection
 //! workloads (Kloster & Gleich) — exactly the Zipf traffic the serving
-//! benchmarks replay. The `HubStore` exploits that skew: when a graph
-//! becomes resident, a background build precomputes the full
-//! [`ClusterResult`] for its top-K highest-degree seeds under the
-//! engine's **default knobs** and pins the bytes under the same
-//! fingerprint-carrying [`CacheKey`] the shared result cache uses. The
-//! scheduler consults the store before its cache, so Zipf head traffic
-//! is answered instantly even on a completely cold cache — reported as
+//! benchmarks replay. When a graph becomes resident, a background build
+//! precomputes the full [`ClusterResult`](hk_cluster::ClusterResult) for
+//! its top-K highest-degree seeds under the engine's **default knobs** and
+//! pins each in the shared [`ResultCache`] ([`ResultCache::pin`]) under
+//! the [`CacheKey`] a request for it computes. The builder keeps no
+//! answers: the cache serves pins first, so Zipf head traffic is answered
+//! instantly even on a cold cache, as
 //! [`CacheOutcome::Precomputed`](crate::CacheOutcome::Precomputed).
 //!
 //! # Bitwise identity
@@ -31,113 +31,87 @@
 //!   descending, node id ascending), top K, zero-degree nodes skipped.
 //!   Processing follows that order too — the degree-sorted build
 //!   frontier touches the hottest adjacency rows while they are warm.
-//! * **Budget**: the store pins at most `byte_budget` bytes across all
-//!   graphs (0 = unlimited); a build stops adding entries once the next
-//!   result would not fit. First-come within the budget — size it as
-//!   `graphs x top_k x` typical result size.
-//! * **Staleness is free**: entries are keyed by graph fingerprint, so a
-//!   *different* snapshot registered under the same name can never be
-//!   served a stale answer, while evict/reload cycles of the *same*
-//!   structure keep their precomputed entries valid — the exact argument
-//!   the shared result cache already relies on. Builds dedupe per
-//!   fingerprint, so a reload never recomputes the hub set. The store
-//!   reads the fingerprint off the front, which resolved it once —
-//!   recorded in a v2 image, or hashed for any other snapshot.
+//! * **Budget**: the cache's pin budget
+//!   ([`MultiEngineConfig::hub_bytes`](crate::MultiEngineConfig::hub_bytes))
+//!   spans all graphs; a build stops once `pin` refuses the next result.
+//!   Size it as `graphs x top_k x` typical result size.
+//! * **Staleness is free**: keys carry the graph fingerprint, so a
+//!   *different* snapshot registered under the same name is never served
+//!   a stale answer, while evict/reload cycles of the *same* structure
+//!   keep their pins valid. Builds dedupe per fingerprint (read off the
+//!   front, which resolved it once), so a reload never rebuilds.
 //!
 //! Builds run on detached background threads **after** the graph is
 //! queryable — a load never waits on precomputation, and queries that
-//! arrive mid-build simply miss the store and take the normal path.
+//! arrive mid-build simply miss the pinned tier and take the normal path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use hk_cluster::{ClusterResult, LocalClusterer, Method, QueryScratch};
+use hk_cluster::{LocalClusterer, Method, QueryScratch};
 use hk_graph::NodeId;
-use hkpr_core::fxhash::{FxHashMap, FxHashSet};
+use hkpr_core::fxhash::FxHashSet;
 use hkpr_core::AnytimeControls;
 
-use crate::cache::CacheKey;
+use crate::cache::{CacheKey, ResultCache};
 use crate::engine::Knobs;
 use crate::sched::{execute, GraphFront};
 
-/// Counters of the hub store (all zero when hub precomputation is
+/// Counters of the hub builder (all zero when hub precomputation is
 /// disabled), surfaced by
 /// [`MultiEngine::hub_stats`](crate::MultiEngine::hub_stats) and the
-/// gateway's `/metrics`.
+/// gateway's `/metrics`. What the builds pinned, and how often pins
+/// answered, is in [`CacheStats`](crate::CacheStats).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HubStats {
-    /// Queries answered from the store
-    /// ([`CacheOutcome::Precomputed`](crate::CacheOutcome::Precomputed)).
-    pub hits: u64,
-    /// Precomputed seeds currently pinned, across all graphs.
-    pub precomputed_seeds: u64,
     /// Background builds completed (one per distinct graph fingerprint).
     pub builds: u64,
     /// Total wall-clock nanoseconds spent in completed builds.
     pub build_ns: u64,
-    /// Bytes pinned by precomputed results.
-    pub resident_bytes: u64,
 }
 
-/// Mutable build-side state (pinned bytes, dedupe set, idle tracking).
+/// Build-side state (dedupe set, idle tracking).
 #[derive(Default)]
 struct BuildState {
     /// Fingerprints claimed by a build (running or done) — the dedupe
     /// that makes evict/reload cycles free.
     claimed: FxHashSet<u64>,
-    /// Builds currently running ([`HubStore::wait_idle`] waits on 0).
+    /// Builds currently running ([`HubBuilder::wait_idle`] waits on 0).
     in_flight: usize,
-    /// Bytes pinned across all graphs (the budgeted quantity).
-    bytes: usize,
 }
 
-/// Pinned precomputed answers for top-degree seeds. See the
-/// [module docs](self). Owned by [`crate::MultiEngine`]; one store spans
-/// every resident graph (keys carry the fingerprint).
-pub(crate) struct HubStore {
+/// Precomputes top-degree seeds and pins them in the shared cache. See
+/// the [module docs](self). Owned by [`crate::MultiEngine`]; one builder
+/// spans every resident graph (keys carry the fingerprint).
+pub(crate) struct HubBuilder {
     /// Seeds precomputed per graph (the K of top-K).
     top_k: usize,
-    /// Byte budget across all graphs; 0 = unlimited.
-    byte_budget: usize,
-    pinned: Mutex<FxHashMap<CacheKey, Arc<ClusterResult>>>,
+    /// Where the answers are pinned (its pin budget caps them).
+    cache: Arc<ResultCache>,
     state: Mutex<BuildState>,
     /// Signals `in_flight` reaching 0.
     idle: Condvar,
-    hits: AtomicU64,
     builds: AtomicU64,
     build_ns: AtomicU64,
 }
 
-impl HubStore {
-    pub(crate) fn new(top_k: usize, byte_budget: usize) -> HubStore {
-        HubStore {
+impl HubBuilder {
+    pub(crate) fn new(top_k: usize, cache: Arc<ResultCache>) -> HubBuilder {
+        HubBuilder {
             top_k,
-            byte_budget,
-            pinned: Mutex::new(FxHashMap::default()),
+            cache,
             state: Mutex::new(BuildState::default()),
             idle: Condvar::new(),
-            hits: AtomicU64::new(0),
             builds: AtomicU64::new(0),
             build_ns: AtomicU64::new(0),
         }
     }
 
-    /// Probe the store for an exact key match, counting a hit on success.
-    /// The key's fingerprint/params/rng components make a stale or
-    /// differently-configured answer unmatchable by construction.
-    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<Arc<ClusterResult>> {
-        let hit = self.pinned.lock().unwrap().get(key).cloned();
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
     /// Start a background build for `front`'s graph unless its
     /// fingerprint was already claimed. Returns immediately — the graph
     /// serves normal (miss-path) queries while the build runs.
-    pub(crate) fn spawn_build(self: &Arc<HubStore>, front: &Arc<GraphFront>) {
+    pub(crate) fn spawn_build(self: &Arc<HubBuilder>, front: &Arc<GraphFront>) {
         if self.top_k == 0 {
             return;
         }
@@ -200,16 +174,6 @@ impl HubStore {
             ) else {
                 continue;
             };
-            let cost = result.memory_bytes();
-            {
-                let mut st = self.state.lock().unwrap();
-                if self.byte_budget > 0 && st.bytes + cost > self.byte_budget {
-                    // Budget full: later (lower-degree, colder) seeds are
-                    // the right ones to drop.
-                    break;
-                }
-                st.bytes += cost;
-            }
             let key = CacheKey {
                 fingerprint: front.fingerprint(),
                 seed,
@@ -217,7 +181,11 @@ impl HubStore {
                 params: params_key,
                 method: Method::TeaPlus,
             };
-            self.pinned.lock().unwrap().insert(key, Arc::new(result));
+            if !self.cache.pin(key, Arc::new(result)) {
+                // Budget full: later (lower-degree, colder) seeds are the
+                // right ones to drop.
+                break;
+            }
         }
         self.builds.fetch_add(1, Ordering::Relaxed);
         self.build_ns
@@ -234,27 +202,9 @@ impl HubStore {
     }
 
     pub(crate) fn stats(&self) -> HubStats {
-        let (seeds, bytes) = {
-            let pinned = self.pinned.lock().unwrap();
-            let st = self.state.lock().unwrap();
-            (pinned.len() as u64, st.bytes as u64)
-        };
         HubStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            precomputed_seeds: seeds,
             builds: self.builds.load(Ordering::Relaxed),
             build_ns: self.build_ns.load(Ordering::Relaxed),
-            resident_bytes: bytes,
         }
-    }
-}
-
-impl std::fmt::Debug for HubStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HubStore")
-            .field("top_k", &self.top_k)
-            .field("byte_budget", &self.byte_budget)
-            .field("stats", &self.stats())
-            .finish()
     }
 }

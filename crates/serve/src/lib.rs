@@ -35,9 +35,9 @@
 //!   registry load failures retry with capped exponential backoff, and a
 //!   `testing` feature exposes failpoint-style fault injection
 //!   (`fault` module) for the robustness test suite;
-//! * a sharded, parameter-keyed LRU result cache
-//!   ([`cache::ResultCache`]) keyed on seed + quantized accuracy knobs +
-//!   graph fingerprint, with **single-flight miss coalescing**:
+//! * one sharded result store ([`cache::ResultCache`]: an LRU tier and
+//!   a pinned tier) keyed on seed + quantized accuracy knobs + graph
+//!   fingerprint, with **single-flight miss coalescing**:
 //!   concurrent identical misses block on one computation and all
 //!   receive the identical bytes ([`CacheOutcome::Coalesced`], counted
 //!   in `CacheStats::coalesced`);
@@ -53,10 +53,10 @@
 //!   results);
 //! * **hub precomputation** ([`hub`]): with
 //!   [`MultiEngineConfig::hub_top_k`] set, loading a graph kicks off a
-//!   background build that pins full answers for its top-degree seeds,
-//!   so skewed (Zipf) traffic is answered instantly even on a cold cache
-//!   — reported as [`CacheOutcome::Precomputed`] and bit-identical to a
-//!   cold recomputation.
+//!   background build that pins full answers for its top-degree seeds in
+//!   the cache, so skewed (Zipf) traffic is answered instantly even on a
+//!   cold cache — reported as [`CacheOutcome::Precomputed`] and
+//!   bit-identical to a cold recomputation.
 //!
 //! Determinism is inherited from the workspace layer's bit-identical RNG
 //! streams, which is what makes the cache *and* coalescing sound: a

@@ -58,6 +58,7 @@ use hkpr_core::fxhash::FxHashMap;
 
 use crate::cache::ResultCache;
 use crate::engine::{EngineConfig, EngineStats, QueryRequest, QueryResponse, ServeError, Ticket};
+use crate::hub::{HubBuilder, HubStats};
 use crate::sched::{admission_key_of, GraphFront, Scheduler};
 use crate::CacheOutcome;
 
@@ -573,7 +574,7 @@ pub struct GraphServeStats {
     /// Queries coalesced onto a concurrent identical miss
     /// (single-flight followers).
     pub coalesced: u64,
-    /// Queries answered from the hub store's precomputed pins
+    /// Queries answered from the cache's pinned tier
     /// ([`CacheOutcome::Precomputed`]).
     pub precomputed: u64,
     /// Queries that returned an error (estimator, shed, cancel, load…).
@@ -595,11 +596,11 @@ pub struct MultiEngineConfig {
     /// Registry resident-byte budget (0 = unlimited).
     pub max_resident_bytes: usize,
     /// Hub precomputation: pin full answers for this many top-degree
-    /// seeds per graph, built in the background at load time. `0`
-    /// (default) disables the hub store. See [`crate::hub`].
+    /// seeds per graph in the cache, built in the background at load
+    /// time. `0` (default) disables it. See [`crate::hub`].
     pub hub_top_k: usize,
-    /// Byte budget of the hub store across all graphs (0 = unlimited).
-    /// Only meaningful when `hub_top_k > 0`.
+    /// Byte budget of the cache's pinned tier across all graphs
+    /// (0 = unlimited). Only meaningful when `hub_top_k > 0`.
     pub hub_bytes: usize,
 }
 
@@ -616,20 +617,26 @@ pub struct MultiEngine {
     /// releases the map's pin; in-flight jobs keep theirs.
     fronts: Mutex<FxHashMap<String, Arc<GraphFront>>>,
     per_graph: Mutex<FxHashMap<String, GraphServeStats>>,
-    /// Hub precomputation store ([`MultiEngineConfig::hub_top_k`] > 0).
-    hubs: Option<Arc<crate::hub::HubStore>>,
+    /// Hub builder ([`MultiEngineConfig::hub_top_k`] > 0).
+    hubs: Option<Arc<HubBuilder>>,
 }
 
 impl MultiEngine {
     /// An engine front over `registry`-style named graphs. Graphs are
     /// registered on the returned value's [`registry`](Self::registry).
     pub fn new(config: MultiEngineConfig) -> MultiEngine {
-        let cache = (config.engine.cache_bytes > 0).then(|| {
-            Arc::new(ResultCache::new(
-                config.engine.cache_bytes,
-                config.engine.cache_shards,
-            ))
+        // Hubs pin into the cache, so hubs on means a cache even with no
+        // LRU budget: one that holds only pins.
+        let cache = (config.engine.cache_bytes > 0 || config.hub_top_k > 0).then(|| {
+            Arc::new(
+                ResultCache::new(config.engine.cache_bytes, config.engine.cache_shards)
+                    .with_pin_budget(config.hub_bytes),
+            )
         });
+        let hubs = cache
+            .as_ref()
+            .filter(|_| config.hub_top_k > 0)
+            .map(|cache| Arc::new(HubBuilder::new(config.hub_top_k, Arc::clone(cache))));
         MultiEngine {
             registry: GraphRegistry::new(config.max_resident_bytes),
             // Multi-graph auto quota: a quarter of the queue per graph,
@@ -642,12 +649,7 @@ impl MultiEngine {
             hop_c: config.engine.hop_c,
             fronts: Mutex::new(FxHashMap::default()),
             per_graph: Mutex::new(FxHashMap::default()),
-            hubs: (config.hub_top_k > 0).then(|| {
-                Arc::new(crate::hub::HubStore::new(
-                    config.hub_top_k,
-                    config.hub_bytes,
-                ))
-            }),
+            hubs,
         }
     }
 
@@ -656,7 +658,7 @@ impl MultiEngine {
         &self.registry
     }
 
-    /// The shared result cache, if caching is enabled.
+    /// The shared result cache (pins only if `engine.cache_bytes` is 0).
     pub fn cache(&self) -> Option<&Arc<ResultCache>> {
         self.sched.cache()
     }
@@ -733,10 +735,8 @@ impl MultiEngine {
     /// probing and single-flight claiming happen on the calling thread;
     /// compute happens on the shared pool, earliest deadline first.
     pub fn submit(&self, graph: &str, req: QueryRequest) -> Result<Ticket, ServeError> {
-        self.front_for(graph, req.deadline).and_then(|front| {
-            self.sched
-                .submit_with_hubs(&front, req, self.hubs.as_deref())
-        })
+        self.front_for(graph, req.deadline)
+            .and_then(|front| self.sched.submit(&front, req))
     }
 
     /// Submit and block for the answer, tallying per-graph counters.
@@ -764,18 +764,18 @@ impl MultiEngine {
         self.query(graph, QueryRequest::new(seed).method(method))
     }
 
-    /// Hub-store counters (all zero when [`MultiEngineConfig::hub_top_k`]
-    /// is 0 — families still render, at zero, in `/metrics`).
-    pub fn hub_stats(&self) -> crate::hub::HubStats {
+    /// Hub-builder counters (all zero when [`MultiEngineConfig::hub_top_k`]
+    /// is 0). Pins and their hits are in [`EngineStats::cache`].
+    pub fn hub_stats(&self) -> HubStats {
         self.hubs
             .as_deref()
-            .map(crate::hub::HubStore::stats)
+            .map(HubBuilder::stats)
             .unwrap_or_default()
     }
 
     /// Block until every in-flight hub build has finished. Builds are
     /// asynchronous by design (loading never waits on them); tests and
-    /// benchmarks call this to make "the hub store is populated" a
+    /// benchmarks call this to make "the pinned tier is populated" a
     /// deterministic precondition. No-op when hubs are disabled.
     pub fn wait_hub_builds(&self) {
         if let Some(hubs) = &self.hubs {

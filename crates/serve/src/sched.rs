@@ -320,22 +320,12 @@ impl Scheduler {
         }
     }
 
-    /// [`Scheduler::submit_with_hubs`] without a hub store.
+    /// The submit pipeline: deadline pre-check, canonicalization, cache
+    /// probe (pinned tier, then LRU), single-flight claim, EDF admission.
     pub(crate) fn submit(
         &self,
         front: &GraphFront,
         req: QueryRequest,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_with_hubs(front, req, None)
-    }
-
-    /// The full submit pipeline: deadline pre-check, canonicalization,
-    /// hub-store probe, cache probe, single-flight claim, EDF admission.
-    pub(crate) fn submit_with_hubs(
-        &self,
-        front: &GraphFront,
-        req: QueryRequest,
-        hubs: Option<&crate::hub::HubStore>,
     ) -> Result<Ticket, ServeError> {
         let shared = &self.shared;
         let submitted = Instant::now();
@@ -358,16 +348,42 @@ impl Scheduler {
             params: params_key,
             method: req.method,
         };
-        // Hub store before the cache: precomputed answers are pinned (the
-        // cache may have evicted them) and counted separately, so the
-        // cold-start benefit is observable. Same key type — an exact
-        // match carries the full bitwise-identity guarantee.
-        if let Some(hubs) = hubs {
-            if let Some(result) = hubs.lookup(&key) {
+        // Only an LRU tier caches misses; a pins-only cache (hubs on, no
+        // cache budget) serves its pins and leaves every miss uncached.
+        let caches_misses = shared.cache.as_ref().is_some_and(|c| c.lru());
+        if let Some(cache) = &shared.cache {
+            let mut answer = cache.get(&key);
+            if answer.is_none() && caches_misses {
+                // Single-flight: coalesce onto an identical in-flight miss.
+                match cache.claim_flight(key) {
+                    FlightClaim::Follower(rx) => {
+                        return Ok(Ticket {
+                            inner: TicketInner::Flight {
+                                rx,
+                                submitted,
+                                deadline: req.deadline,
+                            },
+                        })
+                    }
+                    FlightClaim::Leader => {
+                        // The previous leader may have inserted + settled
+                        // between our probe and the claim; re-probe so a
+                        // cached key is never recomputed ("coalesce or
+                        // hit, never recompute"). Settle the just-opened
+                        // flight so any instant followers get the bytes
+                        // too.
+                        answer = cache.get(&key);
+                        if let Some((hit, _)) = &answer {
+                            cache.settle_flight(&key, Ok((Arc::clone(hit), None)));
+                        }
+                    }
+                }
+            }
+            if let Some((result, outcome)) = answer {
                 return Ok(Ticket {
                     inner: TicketInner::Ready(Box::new(Ok(QueryResponse {
                         result,
-                        outcome: CacheOutcome::Precomputed,
+                        outcome,
                         degraded: None,
                         timing: QueryTiming {
                             total_ns: submitted.elapsed().as_nanos() as u64,
@@ -375,54 +391,6 @@ impl Scheduler {
                         },
                     }))),
                 });
-            }
-        }
-        if let Some(cache) = &shared.cache {
-            if let Some(hit) = cache.get(&key) {
-                return Ok(Ticket {
-                    inner: TicketInner::Ready(Box::new(Ok(QueryResponse {
-                        result: hit,
-                        outcome: CacheOutcome::Hit,
-                        degraded: None,
-                        timing: QueryTiming {
-                            total_ns: submitted.elapsed().as_nanos() as u64,
-                            ..QueryTiming::default()
-                        },
-                    }))),
-                });
-            }
-            // Single-flight: coalesce onto an identical in-flight miss.
-            match cache.claim_flight(key) {
-                FlightClaim::Follower(rx) => {
-                    return Ok(Ticket {
-                        inner: TicketInner::Flight {
-                            rx,
-                            submitted,
-                            deadline: req.deadline,
-                        },
-                    })
-                }
-                FlightClaim::Leader => {
-                    // The previous leader may have inserted + settled
-                    // between our probe and the claim; re-probe so a
-                    // cached key is never recomputed ("coalesce or hit,
-                    // never recompute"). Settle the just-opened flight so
-                    // any instant followers get the bytes too.
-                    if let Some(hit) = cache.get(&key) {
-                        cache.settle_flight(&key, Ok((Arc::clone(&hit), None)));
-                        return Ok(Ticket {
-                            inner: TicketInner::Ready(Box::new(Ok(QueryResponse {
-                                result: hit,
-                                outcome: CacheOutcome::Hit,
-                                degraded: None,
-                                timing: QueryTiming {
-                                    total_ns: submitted.elapsed().as_nanos() as u64,
-                                    ..QueryTiming::default()
-                                },
-                            }))),
-                        });
-                    }
-                }
             }
         }
         let (tx, rx) = mpsc::channel();
@@ -434,7 +402,7 @@ impl Scheduler {
             rng_seed: req.rng_seed,
             deadline: req.deadline,
             enqueued: submitted,
-            cache_key: shared.cache.is_some().then_some(key),
+            cache_key: caches_misses.then_some(key),
             cancel: CancelToken::new(),
             reply: tx,
         };

@@ -81,10 +81,11 @@ fn hub_answers_bitwise_identical_to_cold_recompute() {
         );
     }
     let stats = hubbed.hub_stats();
-    assert_eq!(stats.precomputed_seeds, k as u64);
-    assert_eq!(stats.hits, k as u64);
+    let pins = hubbed.stats().cache;
+    assert_eq!(pins.pinned_entries, k as u64);
+    assert_eq!(pins.precomputed, k as u64);
     assert_eq!(stats.builds, 1);
-    assert!(stats.resident_bytes > 0);
+    assert!(pins.pinned_bytes > 0);
     assert!(stats.build_ns > 0);
 }
 
@@ -171,8 +172,8 @@ fn byte_budget_caps_pinned_seeds_in_degree_order() {
     let probe = hub_engine(2, 1 << 20);
     probe.registry().register_graph("g", Arc::clone(&g));
     populate(&probe, "g");
-    let full = probe.hub_stats();
-    assert_eq!(full.precomputed_seeds, 2);
+    let full = probe.stats().cache;
+    assert_eq!(full.pinned_entries, 2);
 
     // Now budget for roughly one result: the build must stop early and
     // keep the highest-degree seed (it is processed first).
@@ -183,18 +184,18 @@ fn byte_budget_caps_pinned_seeds_in_degree_order() {
             ..EngineConfig::default()
         },
         hub_top_k: 2,
-        hub_bytes: (full.resident_bytes as usize / 2).max(1),
+        hub_bytes: (full.pinned_bytes as usize / 2).max(1),
         ..MultiEngineConfig::default()
     });
     me.registry().register_graph("g", Arc::clone(&g));
     populate(&me, "g");
-    let capped = me.hub_stats();
+    let capped = me.stats().cache;
     assert!(
-        capped.precomputed_seeds < 2,
+        capped.pinned_entries < 2,
         "budget must drop at least the colder seed ({capped:?})"
     );
-    assert!(capped.resident_bytes <= full.resident_bytes);
-    if capped.precomputed_seeds == 1 {
+    assert!(capped.pinned_bytes <= full.pinned_bytes);
+    if capped.pinned_entries == 1 {
         let top = hub_seeds(&g, 1)[0];
         let resp = me.query("g", QueryRequest::new(top)).unwrap();
         assert_eq!(resp.outcome, CacheOutcome::Precomputed);
