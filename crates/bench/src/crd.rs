@@ -13,9 +13,10 @@
 //! The paper varies CRD's iteration count in {7, 10, 15, 20, 30} and keeps
 //! the other knobs at defaults; [`CrdParams::default`] mirrors that.
 
-use hk_cluster::sweep_ranked;
 use hk_graph::{Graph, NodeId};
 use rand::Rng;
+
+use crate::util::sweep_by_score;
 
 /// Tuning knobs of CRD.
 #[derive(Clone, Copy, Debug)]
@@ -92,17 +93,21 @@ pub fn crd<R: Rng>(graph: &Graph, seed: NodeId, params: &CrdParams, rng: &mut R)
         }
     }
 
-    // Sweep by settled mass per degree, descending (ties by node id).
-    let mut ranked: Vec<(NodeId, f64)> = touched
+    // Sweep by settled mass per degree.
+    let scored: Vec<(NodeId, f64)> = touched
         .iter()
         .filter(|&&v| mass[v as usize] > 0.0 && graph.degree(v) > 0)
         .map(|&v| (v, mass[v as usize] / graph.degree(v) as f64))
         .collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    let (cluster, conductance) = match sweep_ranked(graph, &ranked) {
-        Some(sweep) => (sweep.cluster, sweep.conductance),
-        None => (vec![seed], 1.0),
-    };
+    let (cluster, conductance) = sweep_by_score(graph, &scored);
+    if cluster.is_empty() {
+        return CrdResult {
+            cluster: vec![seed],
+            conductance: 1.0,
+            operations,
+            rounds,
+        };
+    }
     CrdResult {
         cluster,
         conductance,

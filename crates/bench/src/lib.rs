@@ -54,6 +54,7 @@ pub mod ppr;
 pub mod report;
 pub mod simple_local;
 pub mod table;
+mod util;
 
 pub use cli::CommonArgs;
 pub use community::CommunitySet;
