@@ -8,7 +8,7 @@
 //! 3D-grid use the paper's own generators verbatim (smaller `n`).
 //!
 //! Graphs are generated deterministically (fixed seed per dataset) on
-//! first use and cached in binary form under `data/`.
+//! first use and cached as `.hkg` snapshots under `data/`.
 
 use std::path::{Path, PathBuf};
 
@@ -153,7 +153,9 @@ impl Datasets {
         Datasets::new(dir, scale_div)
     }
 
-    /// Load (or generate + cache) a dataset.
+    /// Load (or generate + cache) a dataset. A cache file that does not
+    /// load — corrupt, or in a retired format — is regenerated and
+    /// overwritten.
     pub fn load(&self, id: DatasetId) -> Graph {
         let path = self.path(id);
         if path.exists() {
@@ -163,7 +165,7 @@ impl Datasets {
         }
         let g = id.generate(self.scale_div);
         if std::fs::create_dir_all(&self.dir).is_ok() {
-            let _ = io::save_binary(&g, &path);
+            let _ = io::save_binary_v2(&g, &path);
         }
         g
     }
@@ -225,11 +227,24 @@ mod tests {
     fn cache_roundtrip() {
         let dir = std::env::temp_dir().join("hk_bench_cache_test");
         let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A cache left by the retired streaming format (magic, n, arcs,
+        // offsets, neighbors) no longer loads; it is regenerated and
+        // replaced.
+        let stale = dir.join("dblp.x16.hkg");
+        let mut v1 = b"HKGRAPH1".to_vec();
+        for word in [2u64, 2, 0, 1, 2] {
+            v1.extend_from_slice(&word.to_le_bytes());
+        }
+        v1.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0]);
+        std::fs::write(&stale, &v1).unwrap();
         let ds = Datasets::new(&dir, 16);
         let g1 = ds.load(DatasetId::DblpLike);
-        assert!(dir.join("dblp.x16.hkg").exists());
+        assert_eq!(g1, DatasetId::DblpLike.generate(16));
+        assert_eq!(&std::fs::read(&stale).unwrap()[..8], b"HKGRAPH2");
         let g2 = ds.load(DatasetId::DblpLike);
         assert_eq!(g1, g2);
+        assert_eq!(g2.backend(), hk_graph::StorageBackend::Arena);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

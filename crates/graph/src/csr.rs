@@ -11,17 +11,17 @@
 //!
 //! # Storage backends
 //!
-//! Since the v2 snapshot work the CSR arrays are *views over a storage
-//! backend* ([`crate::storage`]): either three owned heap allocations
-//! (builders, generators, v1 files) or a single aligned arena holding a
-//! v2 snapshot read zero-copy (heap-read or mmap). The views are raw
-//! slices resolved once at construction — every accessor below compiles
-//! to the same loads as the old three-`Box` layout, with no per-access
-//! branch on the backend. All backends satisfy the same invariants and
-//! compare equal ([`PartialEq`] is over the array *contents*), and
+//! The CSR arrays are *views over a storage backend*
+//! ([`crate::storage`]): either three owned heap allocations (builders,
+//! generators) or a single aligned arena holding a `.hkg` snapshot read
+//! zero-copy (heap-read or mmap). The views are raw slices resolved once
+//! at construction — every accessor below compiles to the same loads as
+//! the old three-`Box` layout, with no per-access branch on the backend.
+//! All backends satisfy the same invariants and compare equal
+//! ([`PartialEq`] is over the array *contents*), and
 //! [`Graph::fingerprint`] is backend-independent by construction: an
-//! arena loaded from a v2 image that records its fingerprint returns the
-//! recorded value, every other graph hashes its arrays, and the two agree.
+//! arena returns the value its snapshot records, an owned graph hashes
+//! its arrays, and the two agree.
 
 use std::ptr::NonNull;
 use std::sync::Arc;
@@ -80,8 +80,8 @@ enum Storage {
     /// One shared arena (a v2 snapshot); the views point into it.
     Arena {
         arena: Arc<Arena>,
-        /// The fingerprint the image's header records, if it records one.
-        fingerprint: Option<u64>,
+        /// The fingerprint the image's header records.
+        fingerprint: u64,
     },
 }
 
@@ -152,7 +152,7 @@ impl Graph {
         offsets: &[usize],
         neighbors: &[NodeId],
         degrees: &[u32],
-        fingerprint: Option<u64>,
+        fingerprint: u64,
     ) -> Self {
         debug_assert_eq!(offsets.len(), degrees.len() + 1);
         Graph {
@@ -462,20 +462,20 @@ impl Graph {
     /// against one graph can never be served for another (`hk-serve`'s
     /// cache key includes it) — which is also what lets a multi-graph
     /// registry evict and reload a snapshot without invalidating cached
-    /// results. O(1) for a recorded image — a v2 snapshot whose header
+    /// results. O(1) for a graph loaded from a snapshot, whose header
     /// carries the value [`crate::io::write_binary_v2`] computed when it
     /// wrote the image ([`recorded_fingerprint`](Self::recorded_fingerprint));
-    /// O(n + m) per call otherwise ([`compute_fingerprint`](Self::compute_fingerprint)).
+    /// O(n + m) per call on the owned backend ([`compute_fingerprint`](Self::compute_fingerprint)).
     pub fn fingerprint(&self) -> u64 {
         self.recorded_fingerprint()
             .unwrap_or_else(|| self.compute_fingerprint())
     }
 
-    /// The fingerprint this graph's snapshot image records, if it was
-    /// loaded from one that does (`None` for every owned graph).
+    /// The fingerprint this graph's snapshot image records (`None` for
+    /// every owned graph, which was not loaded from one).
     pub fn recorded_fingerprint(&self) -> Option<u64> {
         match self.storage {
-            Storage::Arena { fingerprint, .. } => fingerprint,
+            Storage::Arena { fingerprint, .. } => Some(fingerprint),
             Storage::Owned { .. } => None,
         }
     }

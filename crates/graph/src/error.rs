@@ -26,10 +26,9 @@ pub enum GraphError {
     /// A generator was asked for an impossible configuration
     /// (e.g. more edges than the complete graph holds).
     InvalidParameter(String),
-    /// A part of a v2 snapshot failed its integrity checksum (FNV-1a for
-    /// the section table; for a section, the lane sum or FNV-1a as the
-    /// image's header flags say) — the file was corrupted or partially
-    /// written.
+    /// A part of a `.hkg` snapshot failed its integrity checksum (FNV-1a
+    /// for the section table, the lane sum for a section) — the file was
+    /// corrupted or partially written.
     ChecksumMismatch {
         /// Which part failed ("section table", "offsets", "neighbors",
         /// "degrees").

@@ -19,10 +19,9 @@
 //!   (Holme–Kim "PLC", 3D grid) plus standard families (Erdős–Rényi,
 //!   Barabási–Albert, Chung–Lu, planted partition with ground-truth
 //!   communities) used as stand-ins for the SNAP datasets;
-//! * [`io`] — text edge-list serialization plus two binary snapshot
-//!   formats: streaming v1 and the 64-byte-aligned, checksummed v2 that
-//!   loads zero-copy into an arena (or an mmap behind the `mmap`
-//!   feature) — see [`storage`];
+//! * [`io`] — text edge-list serialization plus the `.hkg` binary
+//!   snapshot: 64-byte-aligned, checksummed, and loaded zero-copy into an
+//!   arena (or an mmap behind the `mmap` feature) — see [`storage`];
 //! * [`storage`] — the backing-storage layer ([`StorageBackend`]):
 //!   owned heap arrays or a shared aligned arena;
 //! * [`components`], [`metrics`], [`sample`] — experiment plumbing

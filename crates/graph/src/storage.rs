@@ -5,9 +5,11 @@
 //!
 //! * **Owned** — three independent heap allocations, exactly what
 //!   [`crate::Graph::from_csr`] and [`crate::GraphBuilder`] have always
-//!   produced. Building, generating and v1 loading use this backend.
+//!   produced. Builders and generators use this backend, and so does a
+//!   snapshot load on a target that is not 64-bit little-endian, where
+//!   the section bytes are decoded instead of viewed.
 //! * **Arena** — one contiguous 64-byte-aligned buffer holding a whole
-//!   `.hkg` **v2** snapshot, with the CSR arrays read *in place* (the v2
+//!   `.hkg` snapshot, with the CSR arrays read *in place* (the
 //!   writer aligns every section to 64 bytes precisely so the loader can
 //!   cast section bytes to typed slices without copying). The buffer is
 //!   either an aligned heap allocation filled by one `read` pass, or —

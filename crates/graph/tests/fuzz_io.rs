@@ -16,14 +16,15 @@ proptest! {
         let _ = io::read_binary(&bytes[..]); // Err is fine, panic is not
     }
 
-    /// Arbitrary bytes with a valid magic prefix still never panic, and
-    /// any graph that does load satisfies the CSR invariants.
+    /// Arbitrary bytes behind a valid header and section table still
+    /// never panic, and any graph that does load satisfies the CSR
+    /// invariants.
     #[test]
     fn binary_loader_survives_bad_body(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        let mut buf = b"HKGRAPH1".to_vec();
+        let mut buf = valid_v2_image()[..V2_TABLE_START + V2_TABLE_LEN].to_vec();
         buf.extend_from_slice(&bytes);
         if let Ok(g) = io::read_binary(&buf[..]) {
-            prop_assert!(g.num_nodes() < 1_000_000);
+            prop_assert!(g.check_invariants().is_ok());
         }
     }
 
@@ -37,10 +38,10 @@ proptest! {
     /// yields a graph (flipping a neighbor id can still be valid) — but
     /// never panics.
     #[test]
-    fn single_byte_corruption(pos in 0usize..200, val in any::<u8>()) {
+    fn single_byte_corruption(pos in 0usize..400, val in any::<u8>()) {
         let g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]);
         let mut buf = Vec::new();
-        io::write_binary(&g, &mut buf).unwrap();
+        io::write_binary_v2(&g, &mut buf).unwrap();
         if pos < buf.len() {
             buf[pos] = val;
         }
@@ -48,31 +49,50 @@ proptest! {
     }
 }
 
-/// Build a valid binary image of a small fixed graph.
-fn valid_image() -> Vec<u8> {
-    let g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-    let mut buf = Vec::new();
-    io::write_binary(&g, &mut buf).unwrap();
-    buf
+/// A snapshot image assembled from raw arrays, with every checksum
+/// right: the header claims `n` and `arcs`, the table the element counts
+/// those imply, and the sections hold whatever bytes the arrays give (so
+/// a header larger than the arrays describes a truncated file).
+fn raw_image(n: u64, arcs: u64, offsets: &[u64], neighbors: &[u32], degrees: &[u32]) -> Vec<u8> {
+    let payloads: [Vec<u8>; 3] = [
+        offsets.iter().flat_map(|w| w.to_le_bytes()).collect(),
+        neighbors.iter().flat_map(|w| w.to_le_bytes()).collect(),
+        degrees.iter().flat_map(|w| w.to_le_bytes()).collect(),
+    ];
+    let mut img = vec![0u8; V2_TABLE_START + V2_TABLE_LEN];
+    img[..8].copy_from_slice(b"HKGRAPH2");
+    img[0x08..0x0c].copy_from_slice(&2u32.to_le_bytes());
+    img[0x0c..0x10].copy_from_slice(&3u32.to_le_bytes());
+    img[0x10..0x18].copy_from_slice(&n.to_le_bytes());
+    img[0x18..0x20].copy_from_slice(&arcs.to_le_bytes());
+    img[0x20..0x24].copy_from_slice(&3u32.to_le_bytes());
+    let counts = [n.wrapping_add(1), arcs, n];
+    for (i, payload) in payloads.iter().enumerate() {
+        img.resize(img.len().next_multiple_of(64), 0);
+        let entry = [
+            (i as u32 + 1).to_le_bytes().to_vec(),
+            [8u32, 4, 4][i].to_le_bytes().to_vec(),
+            (img.len() as u64).to_le_bytes().to_vec(),
+            counts[i].to_le_bytes().to_vec(),
+            lane_sum(payload).to_le_bytes().to_vec(),
+        ]
+        .concat();
+        img[entry_field(i, 0)..][..32].copy_from_slice(&entry);
+        img.extend_from_slice(payload);
+    }
+    img.resize(img.len().next_multiple_of(64), 0);
+    fix_table_checksum(&mut img);
+    img
 }
 
-/// Assemble a binary header (magic + n + arcs) followed by `body`.
-fn image_with_header(n: u64, arcs: u64, body: &[u8]) -> Vec<u8> {
-    let mut buf = b"HKGRAPH1".to_vec();
-    buf.extend_from_slice(&n.to_le_bytes());
-    buf.extend_from_slice(&arcs.to_le_bytes());
-    buf.extend_from_slice(body);
-    buf
-}
-
-/// Every header-level corruption maps to a *typed* error — `Io` for
-/// truncation (EOF mid-field), `Format` for internally inconsistent
-/// headers — never a panic and never a bogus graph.
+/// Every header-level corruption maps to a *typed* error — `Format` for
+/// truncated or internally inconsistent headers — never a panic and
+/// never a bogus graph.
 #[test]
 fn corrupted_headers_yield_typed_errors() {
-    // Truncated inside the magic / the node count / the arc count.
+    // Truncated inside the magic / the version / the flags / the node count.
     for len in [0, 4, 8, 12, 16, 20] {
-        let img = &valid_image()[..len];
+        let img = &valid_v2_image()[..len];
         assert!(
             matches!(
                 io::read_binary(img),
@@ -82,69 +102,54 @@ fn corrupted_headers_yield_typed_errors() {
         );
     }
     // Node count exceeding the u32 id space.
-    let img = image_with_header(u32::MAX as u64 + 1, 0, &[]);
+    let img = raw_image(u32::MAX as u64 + 1, 0, &[], &[], &[]);
     assert!(matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("u32")));
     // Odd arc count (an undirected graph stores each edge twice).
-    let img = image_with_header(2, 3, &[0u8; 64]);
+    let img = raw_image(2, 3, &[0, 2, 3], &[1, 0, 1], &[2, 1]);
     assert!(matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("odd")));
     // An offset table claiming a single degree beyond u32 (a huge total
     // arc count alone stays legal — only per-node degrees are bounded).
-    let degree = u32::MAX as u64 + 3; // even, > u32::MAX
-    let mut body = Vec::new();
-    for off in [0u64, degree] {
-        body.extend_from_slice(&off.to_le_bytes());
-    }
-    let img = image_with_header(1, degree, &body);
+    let img = raw_image(2, 2, &[0, u32::MAX as u64 + 3, 2], &[1, 0], &[0, 0]);
     assert!(
         matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("degree"))
     );
-    // Huge-but-plausible header over an empty body: EOF, not an OOM abort.
-    let img = image_with_header(1 << 30, 1 << 31, &[]);
-    assert!(matches!(io::read_binary(&img[..]), Err(GraphError::Io(_))));
+    // Huge-but-plausible header over an empty body: a typed error about
+    // the missing bytes, not an allocation sized by the header.
+    let img = raw_image(1 << 30, 1 << 31, &[], &[], &[]);
+    assert!(
+        matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("truncated"))
+    );
 }
 
 /// Offset-table corruption inside an otherwise valid file is detected.
 #[test]
 fn corrupted_offset_tables_yield_typed_errors() {
     // offsets[0] != 0.
-    let mut body = Vec::new();
-    for off in [1u64, 2, 2] {
-        body.extend_from_slice(&off.to_le_bytes());
-    }
-    body.extend_from_slice(&[0u8; 8]);
-    let img = image_with_header(2, 2, &body);
+    let img = raw_image(2, 2, &[1, 2, 2], &[1, 0], &[1, 0]);
     assert!(
         matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("offsets"))
     );
-    // Non-monotone offsets.
-    let mut body = Vec::new();
-    for off in [0u64, 2, 1, 2] {
-        body.extend_from_slice(&off.to_le_bytes());
-    }
-    body.extend_from_slice(&[0u8; 8]);
-    let img = image_with_header(3, 2, &body);
+    // Non-monotone offsets (node 0's degree agrees, node 1's goes back).
+    let img = raw_image(3, 2, &[0, 2, 1, 2], &[1, 0], &[2, 0, 1]);
     assert!(
         matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("monotone"))
     );
     // Final offset disagreeing with the header's arc count.
-    let mut body = Vec::new();
-    for off in [0u64, 1, 1] {
-        body.extend_from_slice(&off.to_le_bytes());
-    }
-    body.extend_from_slice(&[0u8; 8]);
-    let img = image_with_header(2, 2, &body);
+    let img = raw_image(2, 2, &[0, 1, 1], &[1, 0], &[1, 0]);
     assert!(
         matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("offsets"))
     );
 }
 
 /// A neighbor id pointing past `n` is reported as `NodeOutOfRange` with
-/// the offending id, not clamped or accepted.
+/// the offending id, not clamped or accepted — even under a checksum
+/// that matches it.
 #[test]
 fn out_of_range_neighbor_is_typed() {
-    let mut buf = valid_image();
-    let last = buf.len() - 4;
-    buf[last..].copy_from_slice(&1234u32.to_le_bytes());
+    let mut buf = valid_v2_image();
+    let last = section_payload(&buf, 1).end - 4;
+    buf[last..last + 4].copy_from_slice(&1234u32.to_le_bytes());
+    fix_section_checksum(&mut buf, 1);
     match io::read_binary(&buf[..]) {
         Err(GraphError::NodeOutOfRange { node, num_nodes }) => {
             assert_eq!(node, 1234);
@@ -154,32 +159,55 @@ fn out_of_range_neighbor_is_typed() {
     }
 }
 
-/// Truncating anywhere inside the neighbor section is an `Io` error (EOF),
-/// never a short graph.
+/// A stream that fails anywhere inside the neighbor section is an `Io`
+/// error, and a file cut there is a `Format` error naming the truncation
+/// — never a short graph.
 #[test]
 fn truncated_neighbor_sections_are_io_errors() {
-    let buf = valid_image();
-    let neighbors_start = 8 + 16 + 6 * 8; // magic + header + offsets
-    for len in neighbors_start..buf.len() {
+    struct Broken;
+    impl std::io::Read for Broken {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::UnexpectedEof.into())
+        }
+    }
+    let buf = valid_v2_image();
+    for len in section_payload(&buf, 1) {
         assert!(
-            matches!(io::read_binary(&buf[..len]), Err(GraphError::Io(_))),
-            "truncation at {len} must be an Io error"
+            matches!(
+                io::read_binary(std::io::Read::chain(&buf[..len], Broken)),
+                Err(GraphError::Io(_))
+            ),
+            "a stream failing at {len} must be an Io error"
+        );
+        assert!(
+            matches!(io::read_binary(&buf[..len]), Err(GraphError::Format(m)) if m.contains("truncated")),
+            "a cut at {len} must name the truncation"
         );
     }
 }
 
+/// Every prefix of a snapshot file fails to load, through every file
+/// loader.
 #[test]
 fn truncation_at_every_prefix_is_safe() {
-    let g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-    let mut buf = Vec::new();
-    io::write_binary(&g, &mut buf).unwrap();
-    for len in 0..buf.len() {
-        assert!(
-            io::read_binary(&buf[..len]).is_err(),
-            "prefix {len} must fail"
-        );
+    let buf = valid_v2_image();
+    let dir = std::env::temp_dir().join(format!("hk_fuzz_io_prefix_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("prefix.hkg");
+    for len in 0..=buf.len() {
+        std::fs::write(&path, &buf[..len]).unwrap();
+        #[cfg_attr(
+            not(all(feature = "mmap", unix, target_pointer_width = "64")),
+            allow(unused_mut)
+        )]
+        let mut loads = vec![io::load_binary(&path)];
+        #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+        loads.push(io::load_binary_mmap(&path));
+        for load in loads {
+            assert_eq!(load.is_ok(), len == buf.len(), "prefix {len}");
+        }
     }
-    assert!(io::read_binary(&buf[..]).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -194,11 +222,10 @@ fn valid_v2_image() -> Vec<u8> {
     buf
 }
 
-/// FNV-1a (the v2 section-table checksum, and the section checksum of
-/// `flags = 0` images) — reimplemented here so tests can *repair*
-/// the table checksum after deliberately tampering with table fields,
-/// isolating the specific validation under test from the checksum that
-/// would otherwise fire first.
+/// FNV-1a (the v2 section-table checksum) — reimplemented here so tests
+/// can *repair* the table checksum after deliberately tampering with
+/// table fields, isolating the specific validation under test from the
+/// checksum that would otherwise fire first.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -207,9 +234,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The lane sum (the section checksum of `flags = 1` images), written
-/// from the definition in `io`'s module docs and sharing no code with the
-/// crate's: it repairs section checksums below, and pins the definition.
+/// The lane sum (the section checksum), written from the definition in
+/// `io`'s module docs and sharing no code with the crate's: it repairs
+/// section checksums below, and pins the definition.
 fn lane_sum(payload: &[u8]) -> u64 {
     const P1: u64 = 0x9E37_79B1_85EB_CA87;
     const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -246,17 +273,11 @@ const V2_TABLE_START: usize = 0x40;
 const V2_TABLE_LEN: usize = 3 * 32;
 const SECTION_NAMES: [&str; 3] = ["offsets", "neighbors", "degrees"];
 
-/// `flags` bit 1: the header records the fingerprint at `0x30`.
-const FLAG_FINGERPRINT: u8 = 2;
-
 /// Recompute and patch the header's section-table checksum: FNV-1a over
-/// the table, then over the recorded fingerprint when `flags` bit 1 says
-/// there is one.
+/// the table, then over the recorded fingerprint at `0x30`.
 fn fix_table_checksum(buf: &mut [u8]) {
     let mut covered = buf[V2_TABLE_START..V2_TABLE_START + V2_TABLE_LEN].to_vec();
-    if buf[0x0c] & FLAG_FINGERPRINT != 0 {
-        covered.extend_from_slice(&buf[0x30..0x38]);
-    }
+    covered.extend_from_slice(&buf[0x30..0x38]);
     let sum = fnv1a(&covered);
     buf[0x28..0x30].copy_from_slice(&sum.to_le_bytes());
 }
@@ -275,10 +296,10 @@ fn section_payload(img: &[u8], i: usize) -> std::ops::Range<usize> {
     pos..pos + u64_at(entry_field(i, 3)) * elem
 }
 
-/// Recompute and patch section `i`'s checksum with `sum` (and the table
-/// checksum over it).
-fn fix_section_checksum(img: &mut [u8], i: usize, sum: fn(&[u8]) -> u64) {
-    let sum = sum(&img[section_payload(img, i)]);
+/// Recompute and patch section `i`'s checksum (and the table checksum
+/// over it).
+fn fix_section_checksum(img: &mut [u8], i: usize) {
+    let sum = lane_sum(&img[section_payload(img, i)]);
     img[entry_field(i, 4)..][..8].copy_from_slice(&sum.to_le_bytes());
     fix_table_checksum(img);
 }
@@ -316,6 +337,36 @@ fn v2_header_corruptions_are_typed() {
             matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("flags"))
         );
     }
+    // Retired flags: FNV-1a section sums (0), lane sums without a
+    // recorded fingerprint (1), a fingerprint over FNV-1a sums (2) — each
+    // refused even with its table re-summed.
+    for flags in [0u8, 1, 2] {
+        let mut img = buf.clone();
+        img[0x0c] = flags;
+        fix_table_checksum(&mut img);
+        assert!(
+            matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("flags")),
+            "flags {flags}"
+        );
+    }
+    // The retired streaming format (magic, n, arcs, u64 offsets, u32
+    // neighbor ids) is not a snapshot.
+    let g = io::read_binary(&wide_v2_image()[..]).unwrap();
+    let mut v1 = b"HKGRAPH1".to_vec();
+    let mut offset = 0u64;
+    for word in [g.num_nodes() as u64, g.volume() as u64, 0] {
+        v1.extend_from_slice(&word.to_le_bytes());
+    }
+    for v in g.nodes() {
+        offset += g.degree(v) as u64;
+        v1.extend_from_slice(&offset.to_le_bytes());
+    }
+    for v in g.nodes() {
+        for &u in g.neighbors(v) {
+            v1.extend_from_slice(&u.to_le_bytes());
+        }
+    }
+    assert!(matches!(io::read_binary(&v1[..]), Err(GraphError::Format(m)) if m.contains("magic")));
     // Node count exceeding u32 ids.
     let mut img = buf.clone();
     img[0x10..0x18].copy_from_slice(&(u32::MAX as u64 + 1).to_le_bytes());
@@ -347,66 +398,25 @@ fn v2_table_checksum_guards_the_table() {
 }
 
 /// The recorded fingerprint is under the table checksum: no flipped bit
-/// of it loads, on the sweep path (lane-sum sections) or the rescan path
-/// (FNV-1a sections).
+/// of it loads.
 #[test]
 fn v2_recorded_fingerprint_bit_flips_name_the_table() {
-    let lanes = wide_v2_image();
-    let want = io::read_binary(&lanes[..]).unwrap();
+    let img = wide_v2_image();
+    let want = io::read_binary(&img[..]).unwrap();
     assert_eq!(
         want.recorded_fingerprint(),
         Some(want.compute_fingerprint())
     );
-    let mut fnv = lanes.clone();
-    fnv[0x0c] = FLAG_FINGERPRINT;
-    for i in 0..3 {
-        fix_section_checksum(&mut fnv, i, fnv1a);
-    }
-    assert_eq!(io::read_binary(&fnv[..]).unwrap(), want);
-    for img in [lanes, fnv] {
-        for bit in 0..64 {
-            let mut bad = img.clone();
-            bad[0x30 + bit / 8] ^= 1 << (bit % 8);
-            match io::read_binary(&bad[..]) {
-                Err(GraphError::ChecksumMismatch { section, .. }) => {
-                    assert_eq!(section, "section table", "bit {bit}")
-                }
-                other => panic!("fingerprint bit {bit}: {other:?}"),
+    for bit in 0..64 {
+        let mut bad = img.clone();
+        bad[0x30 + bit / 8] ^= 1 << (bit % 8);
+        match io::read_binary(&bad[..]) {
+            Err(GraphError::ChecksumMismatch { section, .. }) => {
+                assert_eq!(section, "section table", "bit {bit}")
             }
+            other => panic!("fingerprint bit {bit}: {other:?}"),
         }
     }
-}
-
-/// An image with `flags` bit 1 cleared (and its table re-summed) records
-/// no fingerprint: it loads the same arrays, which hash to the value the
-/// writer recorded.
-#[test]
-fn v2_image_without_a_recorded_fingerprint_hashes_the_same() {
-    let img = wide_v2_image();
-    let want = io::read_binary(&img[..]).unwrap();
-    let mut old = img.clone();
-    old[0x0c] &= !FLAG_FINGERPRINT;
-    old[0x30..0x38].fill(0);
-    // Relabelled but not re-summed: the table checksum fires.
-    assert!(matches!(
-        io::read_binary(&old[..]),
-        Err(GraphError::ChecksumMismatch {
-            section: "section table",
-            ..
-        })
-    ));
-    fix_table_checksum(&mut old);
-    let g = io::read_binary(&old[..]).unwrap();
-    assert_eq!(g, want);
-    assert_eq!(g.recorded_fingerprint(), None);
-    assert_eq!(g.fingerprint(), want.fingerprint());
-    assert_eq!(g.fingerprint(), want.recorded_fingerprint().unwrap());
-    // The reserved field behind bit 1 is ignored, as it always was.
-    old[0x30] = 0xa5;
-    assert_eq!(
-        io::read_binary(&old[..]).unwrap().fingerprint(),
-        want.fingerprint()
-    );
 }
 
 #[test]
@@ -477,7 +487,7 @@ fn v2_degree_section_must_agree_with_offsets() {
     let mut img = valid_v2_image();
     let pos = section_payload(&img, 2).start;
     img[pos..pos + 4].copy_from_slice(&99u32.to_le_bytes());
-    fix_section_checksum(&mut img, 2, lane_sum);
+    fix_section_checksum(&mut img, 2);
     assert!(
         matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("degree")),
     );
@@ -566,73 +576,6 @@ fn v2_swapped_blocks_are_detected() {
             }
         }
     }
-}
-
-/// Images written before the lane sum — `flags = 0`, FNV-1a section
-/// sums — load bitwise-equal on every backend, and the checksum they
-/// carry still guards them.
-#[test]
-fn v2_legacy_fnv_images_still_load() {
-    let img = wide_v2_image();
-    let want = io::read_binary(&img[..]).unwrap();
-    let mut old = img.clone();
-    // As written before the lane sum: no flags, no recorded fingerprint.
-    old[0x0c] = 0;
-    old[0x30..0x38].fill(0);
-    fix_table_checksum(&mut old);
-    let mut relabelled = vec![old.clone()];
-    for i in 0..3 {
-        fix_section_checksum(&mut old, i, fnv1a);
-    }
-    // Relabelled but not re-summed, either way: the other checksum fires.
-    relabelled.push(old.clone());
-    relabelled[1][0x0c] = 1;
-    for bad in relabelled {
-        assert!(matches!(
-            io::read_binary(&bad[..]),
-            Err(GraphError::ChecksumMismatch {
-                section: "offsets",
-                ..
-            })
-        ));
-    }
-
-    let dir = std::env::temp_dir().join(format!("hk_fuzz_io_legacy_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("legacy.hkg");
-    std::fs::write(&path, &old).unwrap();
-    #[cfg_attr(
-        not(all(feature = "mmap", unix, target_pointer_width = "64")),
-        allow(unused_mut)
-    )]
-    let mut loads = vec![
-        io::read_binary(&old[..]).unwrap(),
-        io::load_binary(&path).unwrap(),
-        io::load_binary_v2(&path).unwrap(),
-    ];
-    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-    loads.push(io::load_binary_mmap(&path).unwrap());
-    for g in &loads {
-        assert_eq!(g, &want);
-        assert_eq!(g.recorded_fingerprint(), None);
-        assert_eq!(g.fingerprint(), want.fingerprint());
-        assert!(g.check_invariants().is_ok());
-    }
-    // Converting (load, save) upgrades it to the image a fresh save writes.
-    let converted = dir.join("converted.hkg");
-    io::save_binary_v2(&loads[1], &converted).unwrap();
-    assert_eq!(std::fs::read(&converted).unwrap(), img);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let pos = section_payload(&old, 1).start;
-    old[pos] ^= 0x10;
-    assert!(matches!(
-        io::read_binary(&old[..]),
-        Err(GraphError::ChecksumMismatch {
-            section: "neighbors",
-            ..
-        })
-    ));
 }
 
 /// Sections whose byte length is no multiple of 8 (degrees over an odd

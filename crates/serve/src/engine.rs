@@ -520,8 +520,8 @@ impl QueryEngine {
     /// fingerprint, so entries from different graphs coexist (and survive
     /// a graph being evicted and reloaded, since the reloaded snapshot
     /// fingerprints identically). The fingerprint costs nothing for a
-    /// graph loaded from a v2 image, which records it, and one O(n + m)
-    /// hash here for any other.
+    /// graph loaded from a snapshot, which records it, and one O(n + m)
+    /// hash here for an owned graph.
     pub fn with_cache(
         graph: Arc<Graph>,
         config: EngineConfig,

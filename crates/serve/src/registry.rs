@@ -121,10 +121,9 @@ pub struct RegistryStats {
     /// `loads` (failed attempts and backoff sleeps excluded) — what cold
     /// loads, and reloads after eviction, cost.
     pub load_ns: u64,
-    /// Fronts that hashed their graph's fingerprint because the snapshot
-    /// recorded none (owned graphs, `.hkg` images written before v2
-    /// headers recorded it). A front over an image that records it hashes
-    /// nothing.
+    /// Fronts that hashed their graph's fingerprint because no snapshot
+    /// recorded it (graphs registered as owned arrays). A front over a
+    /// loaded `.hkg` snapshot, which records it, hashes nothing.
     pub fingerprints_computed: u64,
     /// Wall-clock nanoseconds those hashes took.
     pub fingerprint_ns: u64,
@@ -226,8 +225,7 @@ impl GraphRegistry {
     }
 
     /// Register `name` as a snapshot file loaded via
-    /// [`hk_graph::io::load_binary`] (v1 or v2 by magic; v2 loads onto
-    /// the zero-copy arena backend).
+    /// [`hk_graph::io::load_binary`] onto the zero-copy arena backend.
     pub fn register_path<P: Into<std::path::PathBuf>>(&self, name: &str, path: P) {
         let path = path.into();
         self.register(name, move || io::load_binary(&path).map(Arc::new));
@@ -712,8 +710,8 @@ impl MultiEngine {
                 return Ok(Arc::clone(front));
             }
         }
-        // O(1) for a v2 image, which records its fingerprint; other
-        // snapshots hash here, once per front (and again per reload).
+        // O(1) for a loaded snapshot, which records its fingerprint; owned
+        // graphs hash here, once per front (and again per reload).
         let fingerprint = self.registry.fingerprint_of(&snapshot);
         let front = Arc::new(GraphFront::new(
             snapshot,
@@ -1334,8 +1332,7 @@ mod tests {
         let g = graph(23);
         let dir = std::env::temp_dir().join(format!("hk_registry_fp_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let (v1, v2) = (dir.join("g.v1.hkg"), dir.join("g.v2.hkg"));
-        io::save_binary(&g, &v1).unwrap();
+        let v2 = dir.join("g.v2.hkg");
         io::save_binary_v2(&g, &v2).unwrap();
         let me = MultiEngine::new(MultiEngineConfig {
             engine: EngineConfig {
@@ -1345,8 +1342,11 @@ mod tests {
             ..MultiEngineConfig::default()
         });
         me.registry().register_path("v2", &v2);
-        me.registry().register_path("v1", &v1);
         me.registry().register_graph("owned", Arc::clone(&g));
+        me.registry().register_graph(
+            "copy",
+            Arc::new(io::load_binary(&v2).unwrap().to_owned_backend()),
+        );
         let counted = || {
             let s = me.registry().stats();
             (s.fingerprints_computed, s.fingerprint_ns > 0)
@@ -1362,9 +1362,10 @@ mod tests {
             assert!(me.registry().evict("v2"));
         }
         assert_eq!(counted(), (0, false));
-        // A legacy image and an owned graph hash once per front.
+        // Owned graphs — built, or detached from a snapshot — hash once
+        // per front.
         let mut want = 0;
-        for name in ["v1", "owned", "v1"] {
+        for name in ["owned", "copy", "owned"] {
             assert_eq!(
                 me.front_for(name, None).unwrap().fingerprint(),
                 g.fingerprint()

@@ -39,25 +39,31 @@ fn repo_path(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
 }
 
+fn dataset_path(file: &str) -> PathBuf {
+    repo_path(&format!("../../data/{file}"))
+}
+
+/// The committed snapshot, loaded onto the zero-copy arena backend.
 fn load_dataset(file: &str) -> Graph {
-    let path = repo_path(&format!("../../data/{file}"));
+    let path = dataset_path(file);
     io::load_binary(&path).unwrap_or_else(|e| panic!("load {}: {e}", path.display()))
 }
 
-/// The same dataset converted to a v2 snapshot and loaded onto the
-/// zero-copy arena backend (plus mmap when the feature is on) — the
-/// storage half of the differential conformance suite. Results rendered
-/// from these graphs must be byte-identical to the owned-backend fixture.
+/// The same dataset on the other backends: detached onto owned heap
+/// arrays, and mapped from the committed file when the `mmap` feature is
+/// on — the storage half of the differential conformance suite. Results
+/// rendered from these graphs must be byte-identical to the fixture.
 fn load_dataset_alt_backends(file: &str) -> Vec<(String, Graph)> {
-    let owned = load_dataset(file);
-    let dir = std::env::temp_dir().join("hk_golden_backends");
-    std::fs::create_dir_all(&dir).unwrap();
-    let v2 = dir.join(file);
-    io::save_binary_v2(&owned, &v2).unwrap();
     #[cfg_attr(not(feature = "mmap"), allow(unused_mut))]
-    let mut graphs = vec![(format!("{file} [arena]"), io::load_binary_v2(&v2).unwrap())];
+    let mut graphs = vec![(
+        format!("{file} [owned]"),
+        load_dataset(file).to_owned_backend(),
+    )];
     #[cfg(feature = "mmap")]
-    graphs.push((format!("{file} [mmap]"), io::load_binary_mmap(&v2).unwrap()));
+    graphs.push((
+        format!("{file} [mmap]"),
+        io::load_binary_mmap(dataset_path(file)).unwrap(),
+    ));
     graphs
 }
 
@@ -263,14 +269,14 @@ fn golden_conformance() {
 }
 
 /// Differential backend conformance: the full golden suite, recomputed
-/// on the v2 arena (and mmap) backends, must reproduce the committed
-/// owned-backend fixtures **byte for byte** — same clusters, same float
+/// on the owned (and mmap) backends, must reproduce the fixtures rendered
+/// from the arena backend **byte for byte** — same clusters, same float
 /// bit patterns, same cost counters. No separate fixtures, no re-bless:
 /// the storage layer is not allowed to be observable.
 #[test]
 fn golden_conformance_across_storage_backends() {
     if std::env::var_os("GOLDEN_BLESS").is_some() {
-        return; // blessing is the owned-backend test's job
+        return; // blessing is the arena-backend test's job
     }
     let dir = repo_path("tests/golden");
     for case in CASES {
@@ -280,7 +286,7 @@ fn golden_conformance_across_storage_backends() {
             let actual = render_case(case, &graph);
             assert!(
                 expected == actual,
-                "storage backend {label} diverged from the owned-backend fixture {}: {}",
+                "storage backend {label} diverged from the fixture {}: {}",
                 case.fixture,
                 first_divergence(&expected, &actual)
             );
