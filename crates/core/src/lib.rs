@@ -54,6 +54,7 @@ pub mod error;
 pub mod estimate;
 pub mod fxhash;
 pub mod monte_carlo;
+mod node_index;
 pub mod params;
 pub mod poisson;
 pub mod power;

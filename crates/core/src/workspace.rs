@@ -40,373 +40,8 @@
 
 use hk_graph::{Graph, NodeId};
 
-/// One slot of a [`NodeIndex`]: epoch stamp + the position of the node's
-/// record. The slot is live only when its stamp equals the current epoch,
-/// and only then is `at` meaningful.
-#[derive(Clone, Copy, Debug, Default)]
-struct IndexSlot {
-    stamp: u32,
-    at: u32,
-}
-
-/// The one `n`-sized part of an [`EpochVec`] or [`EpochCounter`]: 8
-/// bytes per node, whatever the value type, mapping each node touched
-/// this epoch to its record. Logically cleared by an epoch bump.
-#[derive(Clone, Debug, Default)]
-struct NodeIndex {
-    epoch: u32,
-    slots: Vec<IndexSlot>,
-}
-
-impl NodeIndex {
-    /// Grow to `n` slots if smaller (new slots are stale).
-    fn grow(&mut self, n: usize) {
-        if self.slots.len() < n {
-            self.slots.resize(n, IndexSlot::default());
-        }
-    }
-
-    /// Forget every node in O(1): bump the epoch. When the stamp would
-    /// wrap (once per 4 billion epochs) every slot is hard-reset first,
-    /// so no stale stamp can ever match again.
-    fn bump(&mut self) {
-        if self.epoch == u32::MAX {
-            for s in &mut self.slots {
-                s.stamp = 0;
-            }
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-    }
-
-    /// Position of `v`'s record, if `v` was touched this epoch.
-    #[inline(always)]
-    fn find(&self, v: NodeId) -> Option<usize> {
-        let s = self.slots[v as usize];
-        (s.stamp == self.epoch).then_some(s.at as usize)
-    }
-
-    /// [`find`](Self::find), except that an untouched `v` is stamped with
-    /// position `next` — where the caller appends its record — and
-    /// `None` is returned.
-    #[inline(always)]
-    fn find_or_claim(&mut self, v: NodeId, next: usize) -> Option<usize> {
-        let epoch = self.epoch;
-        let s = &mut self.slots[v as usize];
-        if s.stamp == epoch {
-            Some(s.at as usize)
-        } else {
-            *s = IndexSlot {
-                stamp: epoch,
-                at: next as u32,
-            };
-            None
-        }
-    }
-
-    /// Hint the CPU to pull `v`'s slot into L1. A no-op for an
-    /// out-of-range `v` and on architectures without a stable prefetch
-    /// intrinsic.
-    #[inline(always)]
-    fn prefetch(&self, v: NodeId) {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(slot) = self.slots.get(v as usize) {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // SAFETY: the address is that of a live reference; prefetch
-            // has no other effect.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(slot as *const IndexSlot as *const i8) };
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = v;
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<IndexSlot>()
-    }
-}
-
-/// One node's entry in an [`EpochVec`], appended on its first touch in an
-/// epoch; a drained hop's survivors keep the same form.
-#[derive(Clone, Copy, Debug)]
-struct Record {
-    node: NodeId,
-    /// The degree [`EpochVec::add_memo_deg`] memoized (0 when the record
-    /// was created by [`EpochVec::add`]).
-    deg: u32,
-    value: f64,
-}
-
-/// Sparse `f64` vector over `n` nodes with O(1) access and O(1) logical
-/// clear: an 8-byte-per-node epoch-stamped index over a record list that
-/// holds only the nodes touched this epoch, in first-touch order.
-#[derive(Clone, Debug, Default)]
-pub struct EpochVec {
-    index: NodeIndex,
-    records: Vec<Record>,
-}
-
-impl EpochVec {
-    /// Empty vector; [`begin`](Self::begin) sizes it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Start a fresh query over a domain of `n` nodes: bump the epoch
-    /// (logically zeroing every node), empty the record list, and grow
-    /// the index if the graph got bigger. O(1) unless growing.
-    pub fn begin(&mut self, n: usize) {
-        self.index.grow(n);
-        self.index.bump();
-        self.records.clear();
-    }
-
-    /// Current value of node `v` (0 when untouched this epoch).
-    #[inline]
-    pub fn get(&self, v: NodeId) -> f64 {
-        self.index.find(v).map_or(0.0, |at| self.records[at].value)
-    }
-
-    /// Value of `v` read at its record position `at` (as returned by
-    /// [`add_memo_deg`](Self::add_memo_deg) this epoch): no index lookup.
-    #[inline]
-    pub(crate) fn get_at(&self, v: NodeId, at: u32) -> f64 {
-        let r = &self.records[at as usize];
-        debug_assert_eq!(r.node, v, "record {at} belongs to another node");
-        r.value
-    }
-
-    /// Zero the value at record position `at`.
-    #[inline]
-    pub(crate) fn clear_at(&mut self, at: u32) {
-        self.records[at as usize].value = 0.0;
-    }
-
-    /// Hint the CPU to pull `v`'s index slot into L1 ahead of a
-    /// [`get`](Self::get) / [`add`](Self::add) / [`take`](Self::take) on
-    /// it. Bounds-checked; changes no state.
-    #[inline]
-    pub fn prefetch(&self, v: NodeId) {
-        self.index.prefetch(v);
-    }
-
-    /// Add `delta` to node `v`; returns `(old, new)` so callers can detect
-    /// threshold crossings.
-    #[inline]
-    pub fn add(&mut self, v: NodeId, delta: f64) -> (f64, f64) {
-        match self.index.find_or_claim(v, self.records.len()) {
-            Some(at) => {
-                let r = &mut self.records[at];
-                let old = r.value;
-                r.value = old + delta;
-                (old, old + delta)
-            }
-            None => {
-                self.records.push(Record {
-                    node: v,
-                    deg: 0,
-                    value: delta,
-                });
-                (0.0, delta)
-            }
-        }
-    }
-
-    /// [`add`](Self::add) that also memoizes the node's degree in its
-    /// record: `deg_of` runs on first touch only, and repeat touches read
-    /// the degree from the record the add already loaded. The push
-    /// kernels touch each frontier node `~d` times, so this converts all
-    /// but one of the per-neighbor degree lookups into free reads.
-    /// Returns `(old, new, degree, at)`, `at` being the record's position
-    /// for the crate's positional reads (`get_at`, `clear_at`).
-    #[inline]
-    pub fn add_memo_deg(
-        &mut self,
-        v: NodeId,
-        delta: f64,
-        deg_of: impl FnOnce() -> u32,
-    ) -> (f64, f64, u32, u32) {
-        let next = self.records.len();
-        match self.index.find_or_claim(v, next) {
-            Some(at) => {
-                let r = &mut self.records[at];
-                let old = r.value;
-                r.value = old + delta;
-                (old, old + delta, r.deg, at as u32)
-            }
-            None => {
-                let deg = deg_of();
-                self.records.push(Record {
-                    node: v,
-                    deg,
-                    value: delta,
-                });
-                (0.0, delta, deg, next as u32)
-            }
-        }
-    }
-
-    /// Zero node `v`, returning the previous value. The node keeps its
-    /// record (its value is just 0).
-    #[inline]
-    pub fn take(&mut self, v: NodeId) -> f64 {
-        match self.index.find(v) {
-            Some(at) => std::mem::take(&mut self.records[at].value),
-            None => 0.0,
-        }
-    }
-
-    /// Iterate `(node, value)` for touched nodes with non-zero value, in
-    /// first-touch order.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.iter_nonzero_with_deg().map(|(v, x, _)| (v, x))
-    }
-
-    /// [`iter_nonzero`](Self::iter_nonzero) plus each node's memoized
-    /// degree (only meaningful when entries were written through
-    /// [`add_memo_deg`](Self::add_memo_deg)). Lets residue consumers
-    /// (condition-(11) scans, TEA+ reduction) skip the per-entry degree
-    /// lookup. One sequential pass over the records.
-    pub fn iter_nonzero_with_deg(&self) -> impl Iterator<Item = (NodeId, f64, u32)> + '_ {
-        self.records
-            .iter()
-            .filter(|r| r.value != 0.0)
-            .map(|r| (r.node, r.value, r.deg))
-    }
-
-    /// Number of nodes touched this epoch (including re-zeroed ones).
-    pub fn touched_len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `max_v value[v] / deg[v]` over this epoch's non-zero nodes (0.0
-    /// when none) — the TEA+ condition-(11) residue probe. Only
-    /// meaningful when entries were written through
-    /// [`add_memo_deg`](Self::add_memo_deg) (degree memoized, `deg >= 1`).
-    pub fn max_value_over_deg(&self) -> f64 {
-        let mut max = 0.0f64;
-        for (_, r, deg) in self.iter_nonzero_with_deg() {
-            let norm = r / deg as f64;
-            if norm > max {
-                max = norm;
-            }
-        }
-        max
-    }
-
-    /// One pass over the records for the two questions a hop level raises
-    /// once it has stopped receiving mass. Returns `(max_all, max_kept)`:
-    /// [`max_value_over_deg`](Self::max_value_over_deg), and the same
-    /// maximum over the records with `value <= thr_coeff * deg` — which
-    /// are appended to `out`, non-zero ones only, in first-touch order.
-    /// The quotient and the `!= 0.0` filter are the scan's own and a max
-    /// is fold-order-free, so `max_all` is the scan's bit for bit.
-    fn sift_into(&self, thr_coeff: f64, out: &mut Vec<Record>) -> (f64, f64) {
-        let (mut max_all, mut max_kept) = (0.0f64, 0.0f64);
-        for r in self.records.iter().filter(|r| r.value != 0.0) {
-            let norm = r.value / r.deg as f64;
-            if norm > max_all {
-                max_all = norm;
-            }
-            if r.value <= thr_coeff * r.deg as f64 {
-                out.push(*r);
-                if norm > max_kept {
-                    max_kept = norm;
-                }
-            }
-        }
-        (max_all, max_kept)
-    }
-
-    /// Bytes held by the backing allocations: `8` per index slot plus the
-    /// record list's capacity.
-    pub fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes() + self.records.capacity() * std::mem::size_of::<Record>()
-    }
-
-    /// Release the backing allocations (next [`begin`](Self::begin)
-    /// re-grows from empty).
-    fn release(&mut self) {
-        *self = Self::default();
-    }
-}
-
-/// Sparse `u64` counter vector with epoch-stamped O(1) clear — the walk
-/// engine's endpoint accumulator. Counts (not `f64` masses) make deposits
-/// order-free: integer addition is associative and commutative, so the
-/// order in which the executor's window finishes chunks, and where a tier
-/// ladder pauses, cannot show in the result. Same layout as [`EpochVec`]:
-/// an 8-byte-per-node index over `(node, count)` records in first-touch
-/// order.
-///
-/// The index is sized by whoever is about to deposit
-/// ([`begin`](Self::begin): the two walk planners), never ahead of time:
-/// a counter that is only ever cleared and read holds no memory, so a
-/// workspace whose queries all end in the push phase never allocates — or
-/// zero-fills, or page-faults — an `n`-slot index it would not read.
-#[derive(Clone, Debug, Default)]
-pub struct EpochCounter {
-    index: NodeIndex,
-    records: Vec<(NodeId, u64)>,
-}
-
-impl EpochCounter {
-    /// Empty counter; [`begin`](Self::begin) sizes it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Start a fresh accumulation over `n` nodes: grow to `n` if smaller,
-    /// then forget every count. Must precede the first
-    /// [`inc`](Self::inc) of an accumulation.
-    pub fn begin(&mut self, n: usize) {
-        self.index.grow(n);
-        self.clear();
-    }
-
-    /// Forget every count in O(1) without sizing anything: afterwards
-    /// [`iter`](Self::iter) is empty whatever was deposited before.
-    fn clear(&mut self) {
-        self.index.bump();
-        self.records.clear();
-    }
-
-    /// Add `by` to node `v`.
-    #[inline]
-    pub fn inc(&mut self, v: NodeId, by: u64) {
-        match self.index.find_or_claim(v, self.records.len()) {
-            Some(at) => self.records[at].1 += by,
-            None => self.records.push((v, by)),
-        }
-    }
-
-    /// Hint the CPU to pull `v`'s index slot into L1 ahead of an
-    /// [`inc`](Self::inc) on it. Bounds-checked; changes no state.
-    #[inline]
-    pub fn prefetch(&self, v: NodeId) {
-        self.index.prefetch(v);
-    }
-
-    /// Current count of node `v`.
-    #[inline]
-    pub fn get(&self, v: NodeId) -> u64 {
-        self.index.find(v).map_or(0, |at| self.records[at].1)
-    }
-
-    /// Iterate `(node, count)` for touched nodes, in first-touch order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (NodeId, u64)> + '_ {
-        self.records.iter().copied()
-    }
-
-    /// Bytes held by the backing allocations.
-    pub fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes() + self.records.capacity() * std::mem::size_of::<(NodeId, u64)>()
-    }
-
-    /// Release the backing allocations.
-    fn release(&mut self) {
-        *self = Self::default();
-    }
-}
+use crate::node_index::Record;
+pub use crate::node_index::{EpochCounter, EpochVec};
 
 /// Dense multi-hop residue store: the epoch-stamped counterpart of
 /// [`crate::sparse::ResidueTable`]. Hop sums are maintained incrementally
@@ -1001,79 +636,7 @@ pub fn with_thread_workspace<T>(f: impl FnOnce(&mut QueryWorkspace) -> T) -> T {
 mod tests {
     use super::*;
 
-    /// Bytes per node of every node index — the only per-node memory a
-    /// workspace holds.
-    const INDEX_SLOT: usize = 8;
-
-    #[test]
-    fn an_index_slot_is_eight_bytes() {
-        assert_eq!(std::mem::size_of::<IndexSlot>(), INDEX_SLOT);
-        assert_eq!(std::mem::size_of::<Record>(), 16);
-    }
-
-    #[test]
-    fn epoch_vec_clear_is_logical() {
-        let mut v = EpochVec::new();
-        v.begin(8);
-        assert_eq!(v.add(3, 0.5), (0.0, 0.5));
-        assert_eq!(v.add(3, 0.25), (0.5, 0.75));
-        assert_eq!(v.get(3), 0.75);
-        assert_eq!(v.iter_nonzero().collect::<Vec<_>>(), vec![(3, 0.75)]);
-        v.begin(8);
-        assert_eq!(v.get(3), 0.0);
-        assert_eq!(v.touched_len(), 0);
-        // The stale slot revives cleanly, as record 0 of the new epoch.
-        assert_eq!(v.add(3, 1.0), (0.0, 1.0));
-        assert_eq!(v.add_memo_deg(5, 0.5, || 2), (0.0, 0.5, 2, 1));
-        assert_eq!(v.add_memo_deg(3, 0.5, || 9), (1.0, 1.5, 0, 0));
-    }
-
-    #[test]
-    fn epoch_vec_take_keeps_touched() {
-        let mut v = EpochVec::new();
-        v.begin(4);
-        v.add(1, 0.5);
-        v.add(2, 0.25);
-        assert_eq!(v.take(1), 0.5);
-        assert_eq!(v.get(1), 0.0);
-        assert_eq!(v.take(1), 0.0);
-        assert_eq!(v.touched_len(), 2);
-        assert_eq!(v.iter_nonzero().collect::<Vec<_>>(), vec![(2, 0.25)]);
-        // Re-adding lands in the first record: no duplicate, no reorder.
-        assert_eq!(v.add(1, 1.0), (0.0, 1.0));
-        assert_eq!(v.touched_len(), 2);
-        assert_eq!(
-            v.iter_nonzero().collect::<Vec<_>>(),
-            vec![(1, 1.0), (2, 0.25)]
-        );
-    }
-
-    #[test]
-    fn epoch_vec_grows_for_bigger_graphs() {
-        let mut v = EpochVec::new();
-        v.begin(2);
-        v.add(1, 1.0);
-        v.begin(10);
-        assert_eq!(v.get(9), 0.0);
-        v.add(9, 2.0);
-        assert_eq!(v.get(9), 2.0);
-    }
-
-    #[test]
-    fn epoch_counter_counts_and_clears() {
-        let mut a = EpochCounter::new();
-        a.begin(8);
-        a.inc(2, 3);
-        a.inc(5, 7);
-        a.inc(2, 1);
-        assert_eq!(a.get(2), 4);
-        assert_eq!(a.get(5), 7);
-        assert_eq!(a.get(0), 0);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![(2, 4), (5, 7)]);
-        a.begin(8);
-        assert_eq!(a.get(2), 0);
-        assert_eq!(a.iter().count(), 0);
-    }
+    use crate::node_index::tests::INDEX_SLOT;
 
     /// Drain hop `k` by hand the way the push kernels do: zero `pushed`,
     /// add `spread` into hop `k + 1`, then freeze hop `k` and sift hop
@@ -1479,169 +1042,7 @@ mod tests {
         assert!(rest < n * INDEX_SLOT, "{rest} bytes beside the indexes");
     }
 
-    #[test]
-    fn epoch_wrap_never_revives_a_stale_stamp() {
-        // Node 3 is stamped in epoch 1, node 5 in the last epoch before
-        // the wrap. The wrap restarts the epochs at 1, where node 3's
-        // stamp would match again — and point at a record that is gone —
-        // unless every stamp was reset.
-        let mut v = EpochVec::new();
-        v.begin(8);
-        v.add(3, 0.5);
-        v.index.epoch = u32::MAX - 1;
-        v.begin(8);
-        v.add(5, 0.25);
-        v.add(3, 0.125);
-        v.begin(8);
-        assert!((0..8).all(|node| v.get(node) == 0.0));
-        assert_eq!((v.touched_len(), v.take(3)), (0, 0.0));
-        assert_eq!(v.add_memo_deg(5, 1.0, || 4), (0.0, 1.0, 4, 0));
-        assert_eq!(v.add(3, 2.0), (0.0, 2.0));
-        assert_eq!(
-            v.iter_nonzero().collect::<Vec<_>>(),
-            vec![(5, 1.0), (3, 2.0)]
-        );
-
-        let mut c = EpochCounter::new();
-        c.begin(8);
-        c.inc(3, 2);
-        c.index.epoch = u32::MAX - 1;
-        c.begin(8);
-        c.inc(5, 1);
-        c.begin(8);
-        assert!((0..8).all(|node| c.get(node) == 0));
-        assert_eq!(c.iter().len(), 0);
-        c.inc(5, 4);
-        c.inc(3, 1);
-        assert_eq!(c.iter().collect::<Vec<_>>(), vec![(5, 4), (3, 1)]);
-    }
-
-    /// Domain sizes the model tests move between, growing and shrinking.
-    const DOMAINS: [usize; 4] = [1, 7, 64, 300];
-
-    /// The reference for [`EpochVec`]: one `(node, value, degree)` entry
-    /// per node touched since the last `begin`, in first-touch order.
-    #[derive(Default)]
-    struct VecModel(Vec<(NodeId, f64, u32)>);
-
-    impl VecModel {
-        fn at(&self, v: NodeId) -> Option<usize> {
-            self.0.iter().position(|e| e.0 == v)
-        }
-
-        fn get(&self, v: NodeId) -> f64 {
-            self.at(v).map_or(0.0, |i| self.0[i].1)
-        }
-
-        /// Add `delta` to `v` (first touch records `deg`); returns
-        /// `(old, new, memoized degree, position)`.
-        fn add(&mut self, v: NodeId, delta: f64, deg: u32) -> (f64, f64, u32, u32) {
-            match self.at(v) {
-                Some(i) => {
-                    let e = &mut self.0[i];
-                    let old = e.1;
-                    e.1 = old + delta;
-                    (old, e.1, e.2, i as u32)
-                }
-                None => {
-                    self.0.push((v, delta, deg));
-                    (0.0, delta, deg, self.0.len() as u32 - 1)
-                }
-            }
-        }
-    }
-
     proptest::proptest! {
-        /// `EpochVec` against a list of first touches, under random
-        /// interleavings of `add`, `add_memo_deg`, `take` and `begin` over
-        /// domains that grow and shrink: every value, every memoized
-        /// degree and the iteration order agree, and a node taken to zero
-        /// and re-added keeps its first record.
-        #[test]
-        fn epoch_vec_matches_a_list_of_first_touches(
-            ops in proptest::collection::vec(
-                (0u32..8, 0u32..300, 0.0f64..1.0, 1u32..50),
-                1..300,
-            ),
-        ) {
-            let mut v = EpochVec::new();
-            let mut model = VecModel::default();
-            let mut n = DOMAINS[2];
-            v.begin(n);
-            for (op, raw, delta, deg) in ops {
-                let node = raw % n as NodeId;
-                match op {
-                    0..=1 => {
-                        let (old, new) = v.add(node, delta);
-                        let (m_old, m_new, _, _) = model.add(node, delta, 0);
-                        proptest::prop_assert_eq!((old.to_bits(), new.to_bits()), (m_old.to_bits(), m_new.to_bits()));
-                    }
-                    2..=4 => {
-                        let got = v.add_memo_deg(node, delta, || deg);
-                        let want = model.add(node, delta, deg);
-                        proptest::prop_assert_eq!(got.2, want.2);
-                        proptest::prop_assert_eq!(got.3, want.3);
-                        proptest::prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
-                        proptest::prop_assert_eq!(v.get_at(node, got.3).to_bits(), want.1.to_bits());
-                    }
-                    5..=6 => {
-                        let want = model.get(node);
-                        if let Some(i) = model.at(node) {
-                            model.0[i].1 = 0.0;
-                        }
-                        proptest::prop_assert_eq!(v.take(node).to_bits(), want.to_bits());
-                    }
-                    _ => {
-                        n = DOMAINS[raw as usize % DOMAINS.len()];
-                        v.begin(n);
-                        model.0.clear();
-                    }
-                }
-                proptest::prop_assert_eq!(v.get(node).to_bits(), model.get(node).to_bits());
-                proptest::prop_assert_eq!(v.touched_len(), model.0.len());
-                let got: Vec<_> = v.iter_nonzero_with_deg().collect();
-                let want: Vec<_> = model.0.iter().copied().filter(|e| e.1 != 0.0).collect();
-                proptest::prop_assert_eq!(got, want);
-            }
-        }
-
-        /// `EpochCounter` against a list of first touches, under random
-        /// interleavings of `inc`, `begin` and the workspace's unsized
-        /// `clear` over domains that grow and shrink.
-        #[test]
-        fn epoch_counter_matches_a_list_of_first_touches(
-            ops in proptest::collection::vec((0u32..8, 0u32..300, 1u64..9), 1..300),
-        ) {
-            let mut c = EpochCounter::new();
-            let mut model: Vec<(NodeId, u64)> = Vec::new();
-            let mut n = DOMAINS[2];
-            c.begin(n);
-            for (op, raw, by) in ops {
-                let node = raw % n as NodeId;
-                match op {
-                    0..=5 => {
-                        c.inc(node, by);
-                        match model.iter_mut().find(|e| e.0 == node) {
-                            Some(e) => e.1 += by,
-                            None => model.push((node, by)),
-                        }
-                    }
-                    6 => {
-                        c.clear();
-                        model.clear();
-                    }
-                    _ => {
-                        n = DOMAINS[raw as usize % DOMAINS.len()];
-                        c.begin(n);
-                        model.clear();
-                    }
-                }
-                let want = model.iter().find(|e| e.0 == node).map_or(0, |e| e.1);
-                proptest::prop_assert_eq!(c.get(node), want);
-                proptest::prop_assert_eq!(c.iter().collect::<Vec<_>>(), model.clone());
-            }
-        }
-
         /// The radix merge equals the comparison sort + merge bit for bit,
         /// on ids spread over every digit, with nodes in the reserve, the
         /// counts or both.
