@@ -12,7 +12,7 @@
 //!
 //! A cancelled query returns [`crate::HkprError::Cancelled`] and leaves
 //! its [`crate::QueryWorkspace`] fully reusable: every workspace
-//! structure is epoch-reset at the start of the next query, so a
+//! structure is cleared at the start of the next query, so a
 //! cancellation at *any* point cannot leak state into later queries
 //! (property-tested in `tests/cancel.rs` — the next query on the same
 //! workspace is bit-identical to a cold run).

@@ -1,70 +1,68 @@
 //! The per-node index behind the workspace's sparse vectors: [`EpochVec`]
-//! (reserve, live residue hops) and [`EpochCounter`] (walk endpoints),
-//! each an epoch-stamped node index over a list of the records touched
-//! this epoch. See [`crate::workspace`] for how the workspace uses them.
+//! (the reserve and the two live residue hops) and [`EpochCounter`] (walk
+//! endpoint counts).
+//!
+//! Each is a list of the records touched since the last `begin`, in
+//! first-touch order, plus a sparse-set index: one `u32` per graph node
+//! holding the position of that node's record. The index is never
+//! cleared. A slot is believed only when the record it names exists and
+//! names the node back (`slots[v] < len && records[slots[v]].node == v`);
+//! any other value, whether left over from an earlier `begin`, past the
+//! end of the list or pointing at another node's record, reads as
+//! "untouched". So `begin` is `records.clear()`, and the index costs 4
+//! bytes per node whatever the value type.
+//!
+//! The check is sound because each node has at most one record per
+//! `begin` (a node is only appended when the check failed) and records
+//! are **append-only** between two `begin`s: nothing sorts, truncates,
+//! removes or swaps them. Every method here keeps that invariant, and
+//! anything that breaks it must clear the index.
 
 use hk_graph::NodeId;
 
-/// One slot of a [`NodeIndex`]: epoch stamp + the position of the node's
-/// record. The slot is live only when its stamp equals the current epoch,
-/// and only then is `at` meaningful.
-#[derive(Clone, Copy, Debug, Default)]
-struct IndexSlot {
-    stamp: u32,
-    at: u32,
+/// A record a [`NodeIndex`] can point at: it names its node.
+trait Keyed {
+    fn node(&self) -> NodeId;
 }
 
-/// The one `n`-sized part of an [`EpochVec`] or [`EpochCounter`]: 8
-/// bytes per node, whatever the value type, mapping each node touched
-/// this epoch to its record. Logically cleared by an epoch bump.
+/// The one `n`-sized part of an [`EpochVec`] or [`EpochCounter`]: the
+/// position of each node's record, 4 bytes per node whatever the value
+/// type, checked against the record it names (see the module docs).
 #[derive(Clone, Debug, Default)]
 struct NodeIndex {
-    epoch: u32,
-    slots: Vec<IndexSlot>,
+    slots: Vec<u32>,
 }
 
 impl NodeIndex {
-    /// Grow to `n` slots if smaller (new slots are stale).
+    /// Make room for `n` nodes if there is less. The bigger index replaces
+    /// the old one instead of extending it: no slot value is trusted, so
+    /// nothing needs copying, and a zeroed allocation leaves the pages to
+    /// arrive as they are first touched.
     fn grow(&mut self, n: usize) {
         if self.slots.len() < n {
-            self.slots.resize(n, IndexSlot::default());
+            self.slots = Vec::new();
+            self.slots = vec![0; n];
         }
     }
 
-    /// Forget every node in O(1): bump the epoch. When the stamp would
-    /// wrap (once per 4 billion epochs) every slot is hard-reset first,
-    /// so no stale stamp can ever match again.
-    fn bump(&mut self) {
-        if self.epoch == u32::MAX {
-            for s in &mut self.slots {
-                s.stamp = 0;
-            }
-            self.epoch = 0;
-        }
-        self.epoch += 1;
+    /// Position of `v`'s record in `records`, if it has one.
+    #[inline(always)]
+    fn find<R: Keyed>(&self, v: NodeId, records: &[R]) -> Option<usize> {
+        let at = self.slots[v as usize] as usize;
+        records.get(at).is_some_and(|r| r.node() == v).then_some(at)
     }
 
-    /// Position of `v`'s record, if `v` was touched this epoch.
+    /// [`find`](Self::find), except that a `v` without a record is given
+    /// position `records.len()` — where the caller appends its record —
+    /// and `None` is returned.
     #[inline(always)]
-    fn find(&self, v: NodeId) -> Option<usize> {
-        let s = self.slots[v as usize];
-        (s.stamp == self.epoch).then_some(s.at as usize)
-    }
-
-    /// [`find`](Self::find), except that an untouched `v` is stamped with
-    /// position `next` — where the caller appends its record — and
-    /// `None` is returned.
-    #[inline(always)]
-    fn find_or_claim(&mut self, v: NodeId, next: usize) -> Option<usize> {
-        let epoch = self.epoch;
-        let s = &mut self.slots[v as usize];
-        if s.stamp == epoch {
-            Some(s.at as usize)
+    fn find_or_claim<R: Keyed>(&mut self, v: NodeId, records: &[R]) -> Option<usize> {
+        let slot = &mut self.slots[v as usize];
+        let at = *slot as usize;
+        if records.get(at).is_some_and(|r| r.node() == v) {
+            Some(at)
         } else {
-            *s = IndexSlot {
-                stamp: epoch,
-                at: next as u32,
-            };
+            *slot = records.len() as u32;
             None
         }
     }
@@ -79,19 +77,30 @@ impl NodeIndex {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
             // SAFETY: the address is that of a live reference; prefetch
             // has no other effect.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(slot as *const IndexSlot as *const i8) };
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(slot as *const u32 as *const i8) };
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = v;
     }
 
+    /// Allocated bytes, resident or not: pages of a zeroed allocation
+    /// that no query has touched cost address space only.
     fn memory_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<IndexSlot>()
+        self.slots.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Overwrite every slot with `garbage`, cycled: whatever an index
+    /// holds, the check must read it right.
+    #[cfg(test)]
+    fn scribble(&mut self, garbage: &[u32]) {
+        for (slot, &g) in self.slots.iter_mut().zip(garbage.iter().cycle()) {
+            *slot = g;
+        }
     }
 }
 
-/// One node's entry in an [`EpochVec`], appended on its first touch in an
-/// epoch; a drained hop's survivors keep the same form.
+/// One node's entry in an [`EpochVec`], appended on its first touch after
+/// a `begin`; a drained hop's survivors keep the same form.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Record {
     pub(crate) node: NodeId,
@@ -101,9 +110,26 @@ pub(crate) struct Record {
     pub(crate) value: f64,
 }
 
-/// Sparse `f64` vector over `n` nodes with O(1) access and O(1) logical
-/// clear: an 8-byte-per-node epoch-stamped index over a record list that
-/// holds only the nodes touched this epoch, in first-touch order.
+impl Keyed for Record {
+    #[inline(always)]
+    fn node(&self) -> NodeId {
+        self.node
+    }
+}
+
+impl Keyed for (NodeId, u64) {
+    #[inline(always)]
+    fn node(&self) -> NodeId {
+        self.0
+    }
+}
+
+/// Sparse `f64` vector over `n` nodes with O(1) access and O(1) clear: a
+/// 4-byte-per-node sparse-set index over a record list that holds only
+/// the nodes touched since the last [`begin`](Self::begin), in first-touch
+/// order. Records are append-only until the next `begin` (see the module
+/// docs): the crate's positional reads (`get_at`, `clear_at`) and the
+/// hop sift rely on positions staying put, and the index on nothing else.
 #[derive(Clone, Debug, Default)]
 pub struct EpochVec {
     index: NodeIndex,
@@ -116,23 +142,26 @@ impl EpochVec {
         Self::default()
     }
 
-    /// Start a fresh query over a domain of `n` nodes: bump the epoch
-    /// (logically zeroing every node), empty the record list, and grow
-    /// the index if the graph got bigger. O(1) unless growing.
+    /// Start a fresh query over a domain of `n` nodes: empty the record
+    /// list (which zeroes every node) and grow the index if the graph got
+    /// bigger. O(1) unless growing.
     pub fn begin(&mut self, n: usize) {
         self.index.grow(n);
-        self.index.bump();
         self.records.clear();
     }
 
-    /// Current value of node `v` (0 when untouched this epoch).
+    /// Current value of node `v` (0 when untouched since the last
+    /// [`begin`](Self::begin)).
     #[inline]
     pub fn get(&self, v: NodeId) -> f64 {
-        self.index.find(v).map_or(0.0, |at| self.records[at].value)
+        self.index
+            .find(v, &self.records)
+            .map_or(0.0, |at| self.records[at].value)
     }
 
     /// Value of `v` read at its record position `at` (as returned by
-    /// [`add_memo_deg`](Self::add_memo_deg) this epoch): no index lookup.
+    /// [`add_memo_deg`](Self::add_memo_deg) since the last `begin`): no
+    /// index lookup.
     #[inline]
     pub(crate) fn get_at(&self, v: NodeId, at: u32) -> f64 {
         let r = &self.records[at as usize];
@@ -158,7 +187,7 @@ impl EpochVec {
     /// threshold crossings.
     #[inline]
     pub fn add(&mut self, v: NodeId, delta: f64) -> (f64, f64) {
-        match self.index.find_or_claim(v, self.records.len()) {
+        match self.index.find_or_claim(v, &self.records) {
             Some(at) => {
                 let r = &mut self.records[at];
                 let old = r.value;
@@ -191,7 +220,7 @@ impl EpochVec {
         deg_of: impl FnOnce() -> u32,
     ) -> (f64, f64, u32, u32) {
         let next = self.records.len();
-        match self.index.find_or_claim(v, next) {
+        match self.index.find_or_claim(v, &self.records) {
             Some(at) => {
                 let r = &mut self.records[at];
                 let old = r.value;
@@ -214,7 +243,7 @@ impl EpochVec {
     /// record (its value is just 0).
     #[inline]
     pub fn take(&mut self, v: NodeId) -> f64 {
-        match self.index.find(v) {
+        match self.index.find(v, &self.records) {
             Some(at) => std::mem::take(&mut self.records[at].value),
             None => 0.0,
         }
@@ -238,13 +267,14 @@ impl EpochVec {
             .map(|r| (r.node, r.value, r.deg))
     }
 
-    /// Number of nodes touched this epoch (including re-zeroed ones).
+    /// Number of nodes touched since the last `begin` (including
+    /// re-zeroed ones).
     pub fn touched_len(&self) -> usize {
         self.records.len()
     }
 
-    /// `max_v value[v] / deg[v]` over this epoch's non-zero nodes (0.0
-    /// when none) — the TEA+ condition-(11) residue probe. Only
+    /// `max_v value[v] / deg[v]` over the non-zero nodes (0.0 when
+    /// none) — the TEA+ condition-(11) residue probe. Only
     /// meaningful when entries were written through
     /// [`add_memo_deg`](Self::add_memo_deg) (degree memoized, `deg >= 1`).
     pub fn max_value_over_deg(&self) -> f64 {
@@ -282,8 +312,9 @@ impl EpochVec {
         (max_all, max_kept)
     }
 
-    /// Bytes held by the backing allocations: `8` per index slot plus the
-    /// record list's capacity.
+    /// Bytes held by the backing allocations: 4 per index slot
+    /// (allocated, not necessarily resident) plus the record list's
+    /// capacity.
     pub fn memory_bytes(&self) -> usize {
         self.index.memory_bytes() + self.records.capacity() * std::mem::size_of::<Record>()
     }
@@ -295,13 +326,13 @@ impl EpochVec {
     }
 }
 
-/// Sparse `u64` counter vector with epoch-stamped O(1) clear — the walk
-/// engine's endpoint accumulator. Counts (not `f64` masses) make deposits
+/// Sparse `u64` counter vector with O(1) clear — the walk engine's
+/// endpoint accumulator. Counts (not `f64` masses) make deposits
 /// order-free: integer addition is associative and commutative, so the
 /// order in which the executor's window finishes chunks, and where a tier
 /// ladder pauses, cannot show in the result. Same layout as [`EpochVec`]:
-/// an 8-byte-per-node index over `(node, count)` records in first-touch
-/// order.
+/// a 4-byte-per-node sparse-set index over `(node, count)` records in
+/// first-touch order, append-only until the next clear.
 ///
 /// The index is sized by whoever is about to deposit
 /// ([`begin`](Self::begin): the two walk planners), never ahead of time:
@@ -331,14 +362,13 @@ impl EpochCounter {
     /// Forget every count in O(1) without sizing anything: afterwards
     /// [`iter`](Self::iter) is empty whatever was deposited before.
     pub(crate) fn clear(&mut self) {
-        self.index.bump();
         self.records.clear();
     }
 
     /// Add `by` to node `v`.
     #[inline]
     pub fn inc(&mut self, v: NodeId, by: u64) {
-        match self.index.find_or_claim(v, self.records.len()) {
+        match self.index.find_or_claim(v, &self.records) {
             Some(at) => self.records[at].1 += by,
             None => self.records.push((v, by)),
         }
@@ -354,7 +384,9 @@ impl EpochCounter {
     /// Current count of node `v`.
     #[inline]
     pub fn get(&self, v: NodeId) -> u64 {
-        self.index.find(v).map_or(0, |at| self.records[at].1)
+        self.index
+            .find(v, &self.records)
+            .map_or(0, |at| self.records[at].1)
     }
 
     /// Iterate `(node, count)` for touched nodes, in first-touch order.
@@ -362,7 +394,8 @@ impl EpochCounter {
         self.records.iter().copied()
     }
 
-    /// Bytes held by the backing allocations.
+    /// Bytes held by the backing allocations, counted as for
+    /// [`EpochVec::memory_bytes`].
     pub fn memory_bytes(&self) -> usize {
         self.index.memory_bytes() + self.records.capacity() * std::mem::size_of::<(NodeId, u64)>()
     }
@@ -379,11 +412,15 @@ pub(crate) mod tests {
 
     /// Bytes per node of every node index — the only per-node memory a
     /// workspace holds.
-    pub(crate) const INDEX_SLOT: usize = 8;
+    pub(crate) const INDEX_SLOT: usize = 4;
 
     #[test]
-    fn an_index_slot_is_eight_bytes() {
-        assert_eq!(std::mem::size_of::<IndexSlot>(), INDEX_SLOT);
+    fn an_index_slot_is_four_bytes() {
+        let (mut v, mut c) = (EpochVec::new(), EpochCounter::new());
+        v.begin(1_000);
+        c.begin(1_000);
+        assert_eq!(v.index.memory_bytes(), 1_000 * INDEX_SLOT);
+        assert_eq!(c.index.memory_bytes(), 1_000 * INDEX_SLOT);
         assert_eq!(std::mem::size_of::<Record>(), 16);
     }
 
@@ -398,7 +435,7 @@ pub(crate) mod tests {
         v.begin(8);
         assert_eq!(v.get(3), 0.0);
         assert_eq!(v.touched_len(), 0);
-        // The stale slot revives cleanly, as record 0 of the new epoch.
+        // The stale slot revives cleanly, as record 0 after the `begin`.
         assert_eq!(v.add(3, 1.0), (0.0, 1.0));
         assert_eq!(v.add_memo_deg(5, 0.5, || 2), (0.0, 0.5, 2, 1));
         assert_eq!(v.add_memo_deg(3, 0.5, || 9), (1.0, 1.5, 0, 0));
@@ -452,40 +489,50 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn epoch_wrap_never_revives_a_stale_stamp() {
-        // Node 3 is stamped in epoch 1, node 5 in the last epoch before
-        // the wrap. The wrap restarts the epochs at 1, where node 3's
-        // stamp would match again — and point at a record that is gone —
-        // unless every stamp was reset.
+    fn stale_slots_never_revive_a_record() {
+        // Nodes 3 and 4 take positions 0 and 1, and their slots keep them
+        // across the `begin`. After it node 5 takes position 0, so node
+        // 3's slot names another node's record, and node 4's slot (1) and
+        // node 6's (scribbled) lie past the end of the list. Node 3 then
+        // takes position 1, which node 4's slot names from then on.
         let mut v = EpochVec::new();
         v.begin(8);
         v.add(3, 0.5);
-        v.index.epoch = u32::MAX - 1;
+        v.add(4, 0.25);
         v.begin(8);
-        v.add(5, 0.25);
-        v.add(3, 0.125);
-        v.begin(8);
-        assert!((0..8).all(|node| v.get(node) == 0.0));
-        assert_eq!((v.touched_len(), v.take(3)), (0, 0.0));
+        v.index.slots[6] = u32::MAX;
         assert_eq!(v.add_memo_deg(5, 1.0, || 4), (0.0, 1.0, 4, 0));
+        for node in [3, 4, 6] {
+            assert_eq!((v.get(node), v.take(node)), (0.0, 0.0), "node {node}");
+        }
+        assert_eq!(v.touched_len(), 1);
         assert_eq!(v.add(3, 2.0), (0.0, 2.0));
+        assert_eq!(v.get(4), 0.0);
+        assert_eq!(v.add_memo_deg(4, 0.5, || 7), (0.0, 0.5, 7, 2));
+        assert_eq!(v.add(6, 0.125), (0.0, 0.125));
         assert_eq!(
             v.iter_nonzero().collect::<Vec<_>>(),
-            vec![(5, 1.0), (3, 2.0)]
+            vec![(5, 1.0), (3, 2.0), (4, 0.5), (6, 0.125)]
         );
 
         let mut c = EpochCounter::new();
         c.begin(8);
         c.inc(3, 2);
-        c.index.epoch = u32::MAX - 1;
-        c.begin(8);
+        c.inc(4, 3);
+        c.clear();
+        c.index.slots[6] = u32::MAX;
         c.inc(5, 1);
-        c.begin(8);
-        assert!((0..8).all(|node| c.get(node) == 0));
-        assert_eq!(c.iter().len(), 0);
-        c.inc(5, 4);
-        c.inc(3, 1);
-        assert_eq!(c.iter().collect::<Vec<_>>(), vec![(5, 4), (3, 1)]);
+        assert!([3, 4, 6].iter().all(|&node| c.get(node) == 0));
+        assert_eq!(c.iter().len(), 1);
+        c.inc(3, 4);
+        assert_eq!(c.get(4), 0);
+        c.inc(4, 1);
+        c.inc(6, 5);
+        c.inc(4, 1);
+        assert_eq!(
+            c.iter().collect::<Vec<_>>(),
+            vec![(5, 1), (3, 4), (4, 2), (6, 5)]
+        );
     }
 
     /// Domain sizes the model tests move between, growing and shrinking.
@@ -523,23 +570,38 @@ pub(crate) mod tests {
         }
     }
 
+    /// The garbage the model tests scribble into every slot after each
+    /// `begin`, cycled, from draws `(pick, near, any)`: a slot value near
+    /// the record positions (below 300 they can name a record, above lie
+    /// past any list) or an arbitrary one.
+    fn slot_values(draws: &[(u32, u32, u32)]) -> Vec<u32> {
+        draws
+            .iter()
+            .map(|&(pick, near, any)| if pick == 0 { near } else { any })
+            .collect()
+    }
+
     proptest::proptest! {
         /// `EpochVec` against a list of first touches, under random
         /// interleavings of `add`, `add_memo_deg`, `take` and `begin` over
-        /// domains that grow and shrink: every value, every memoized
-        /// degree and the iteration order agree, and a node taken to zero
-        /// and re-added keeps its first record.
+        /// domains that grow and shrink, with garbage scribbled into every
+        /// slot after each `begin`: every value, every memoized degree and
+        /// the iteration order agree, and a node taken to zero and
+        /// re-added keeps its first record.
         #[test]
         fn epoch_vec_matches_a_list_of_first_touches(
             ops in proptest::collection::vec(
                 (0u32..8, 0u32..300, 0.0f64..1.0, 1u32..50),
                 1..300,
             ),
+            garbage in proptest::collection::vec((0u32..2, 0u32..400, proptest::any::<u32>()), 1..64),
         ) {
+            let garbage = slot_values(&garbage);
             let mut v = EpochVec::new();
             let mut model = VecModel::default();
             let mut n = DOMAINS[2];
             v.begin(n);
+            v.index.scribble(&garbage);
             for (op, raw, delta, deg) in ops {
                 let node = raw % n as NodeId;
                 match op {
@@ -566,6 +628,7 @@ pub(crate) mod tests {
                     _ => {
                         n = DOMAINS[raw as usize % DOMAINS.len()];
                         v.begin(n);
+                        v.index.scribble(&garbage);
                         model.0.clear();
                     }
                 }
@@ -579,15 +642,19 @@ pub(crate) mod tests {
 
         /// `EpochCounter` against a list of first touches, under random
         /// interleavings of `inc`, `begin` and the workspace's unsized
-        /// `clear` over domains that grow and shrink.
+        /// `clear` over domains that grow and shrink, with garbage
+        /// scribbled into every slot after each `begin` and `clear`.
         #[test]
         fn epoch_counter_matches_a_list_of_first_touches(
             ops in proptest::collection::vec((0u32..8, 0u32..300, 1u64..9), 1..300),
+            garbage in proptest::collection::vec((0u32..2, 0u32..400, proptest::any::<u32>()), 1..64),
         ) {
+            let garbage = slot_values(&garbage);
             let mut c = EpochCounter::new();
             let mut model: Vec<(NodeId, u64)> = Vec::new();
             let mut n = DOMAINS[2];
             c.begin(n);
+            c.index.scribble(&garbage);
             for (op, raw, by) in ops {
                 let node = raw % n as NodeId;
                 match op {
@@ -600,11 +667,13 @@ pub(crate) mod tests {
                     }
                     6 => {
                         c.clear();
+                        c.index.scribble(&garbage);
                         model.clear();
                     }
                     _ => {
                         n = DOMAINS[raw as usize % DOMAINS.len()];
                         c.begin(n);
+                        c.index.scribble(&garbage);
                         model.clear();
                     }
                 }

@@ -115,7 +115,7 @@ pub struct PushWsStats {
     pub iterations: u64,
 }
 
-/// `HK-Push` over the dense epoch-stamped workspace: identical schedule
+/// `HK-Push` over the dense indexed workspace: identical schedule
 /// and arithmetic to [`hk_push`] (same hop-by-hop order, same threshold
 /// test, same reserve conversion), with the hash maps replaced by
 /// `ws.reserve` / `ws.residues`. Equivalence is asserted bit-for-bit by
@@ -129,7 +129,7 @@ pub struct PushWsStats {
 /// Polls the workspace's [`CancelToken`](crate::CancelToken) at hop
 /// boundaries and stops early when it fires; the driver (`tea_in`) then
 /// reports [`crate::HkprError::Cancelled`] and the partial state is
-/// discarded (the next `ws.begin` epoch-resets everything).
+/// discarded (the next `ws.begin` clears everything).
 pub fn hk_push_ws(
     graph: &Graph,
     poisson: &PoissonTable,

@@ -784,7 +784,7 @@ pub fn hk_push_plus_finalize(
     }
 }
 
-/// `HK-Push+` over the dense epoch-stamped workspace.
+/// `HK-Push+` over the dense indexed workspace.
 ///
 /// Same schedule, same arithmetic and same early-exit decisions as
 /// [`hk_push_plus`] (asserted bit-for-bit by `tests/equivalence.rs`), with

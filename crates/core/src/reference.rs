@@ -3,7 +3,7 @@
 //!
 //! The optimized entry points ([`crate::tea::tea`],
 //! [`crate::tea_plus::tea_plus`], [`crate::monte_carlo::monte_carlo`]) run
-//! on the dense epoch-stamped [`crate::workspace::QueryWorkspace`] with
+//! on the dense indexed [`crate::workspace::QueryWorkspace`] with
 //! the batched walk engine. These reference versions keep the seed
 //! implementation alive verbatim — one alias sample, one sequential
 //! `k-RandomWalk` and one hash-map deposit per iteration — as the

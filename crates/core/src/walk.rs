@@ -211,7 +211,7 @@ use rand::SeedableRng;
 /// 4. **run chunks** through the interleaved lane kernel, up to four at a
 ///    time on the calling thread, with independent `SmallRng` streams
 ///    derived from `master_seed`, depositing endpoints into dense
-///    epoch-stamped *counters* (integers, so the order in which chunks
+///    indexed *counters* (integers, so the order in which chunks
 ///    finish cannot show).
 ///
 /// Returns total steps walked; endpoint multiplicities land in `counts`

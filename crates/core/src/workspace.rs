@@ -1,4 +1,4 @@
-//! Epoch-stamped per-query workspace.
+//! Reusable per-query workspace.
 //!
 //! The hot loops of TEA / TEA+ — residue propagation, reserve
 //! accumulation, and per-walk mass deposits — are all keyed by `u32` node
@@ -7,12 +7,12 @@
 //! touch. This module replaces the maps with **a node index over a
 //! record list**:
 //!
-//! * the one per-node structure is an index of 8-byte `{stamp, at}`
-//!   slots; a slot is *live* only when its stamp equals the current
-//!   epoch, so "clearing" the structure between queries is one integer
-//!   increment — no `memset`, no allocation;
+//! * the one per-node structure is a sparse-set index of 4-byte record
+//!   positions, believed only when the record it names names the node
+//!   back, so "clearing" the structure between queries is emptying the
+//!   record list — no `memset`, no allocation (see `node_index.rs`);
 //! * values live in a *record list* `{node, degree, value}`, appended on a
-//!   node's first touch in an epoch (the index slot keeps the record's
+//!   node's first touch after a `begin` (the index slot keeps the record's
 //!   position), so lookups stay O(1) while the memory that holds values
 //!   grows with the query, not with the graph, and every scan of the
 //!   touched nodes (condition-(11) probes, hop sifts, sparse read-back) is
@@ -43,7 +43,7 @@ use hk_graph::{Graph, NodeId};
 use crate::node_index::Record;
 pub use crate::node_index::{EpochCounter, EpochVec};
 
-/// Dense multi-hop residue store: the epoch-stamped counterpart of
+/// Dense multi-hop residue store: the indexed counterpart of
 /// [`crate::sparse::ResidueTable`]. Hop sums are maintained incrementally
 /// (TEA's `alpha`, TEA+'s `beta_k`).
 ///
@@ -51,7 +51,7 @@ pub use crate::node_index::{EpochCounter, EpochVec};
 /// drains they write hops `k` and `k + 1` only. So the store holds two
 /// [`EpochVec`]s — hop `k` lives in `live[k & 1]` — and a drained hop's
 /// non-zero survivors sit, in first-touch order, on one contiguous list
-/// while its vector serves hop `k + 2` after an epoch bump. The footprint
+/// while its vector serves hop `k + 2` after a `begin`. The footprint
 /// is two node indexes plus the records and survivors, whatever the hop
 /// count.
 ///
@@ -445,14 +445,17 @@ impl QueryWorkspace {
     }
 
     /// Bytes held by every backing allocation of this workspace. The
-    /// only part sized by the graph is one 8-byte index slot per node in
+    /// only part sized by the graph is one 4-byte index slot per node in
     /// each of three node indexes (reserve, two live residue hops) and,
     /// once a query on it has walked, a fourth (endpoint counts),
-    /// whatever the hop cap; everything else — records, worklists, frozen
-    /// residue survivors, walk and assembly buffers — grows with what the
-    /// largest query so far touched. Serving layers use this (together
-    /// with the result-side accounting in `HkprEstimate::memory_bytes`)
-    /// to budget cache memory against worker memory.
+    /// whatever the hop cap. Those are allocated bytes, not resident
+    /// ones: an index comes zeroed from the allocator, and its pages only
+    /// become resident as queries touch them. Everything else — records,
+    /// worklists, frozen residue survivors, walk and assembly buffers —
+    /// grows with what the largest query so far touched. Serving layers
+    /// use this (together with the result-side accounting in
+    /// `HkprEstimate::memory_bytes`) to budget cache memory against
+    /// worker memory.
     pub fn memory_bytes(&self) -> usize {
         self.reserve.memory_bytes()
             + self.residues.memory_bytes()
@@ -490,8 +493,8 @@ impl QueryWorkspace {
         self.cancel = None;
     }
 
-    /// Prepare for a query over an `n`-node graph: O(1) epoch bumps for
-    /// the reserve and endpoint counters (residues are shaped by the push
+    /// Prepare for a query over an `n`-node graph: O(1) clears of the
+    /// reserve and endpoint counters (residues are shaped by the push
     /// routines, which know their hop count). The reserve is sized here —
     /// every query writes it; the endpoint counter is only emptied, so
     /// that no earlier query's deposits can reach
@@ -980,7 +983,7 @@ mod tests {
         // Both queries end in the push phase, so no endpoint counter.
         for bytes in [low, high] {
             assert!(bytes >= 3 * index, "reserve, two live hops");
-            assert!(bytes < 4 * index, "{bytes} bytes for n = {n}");
+            assert!(bytes - 3 * index < 8 * n, "{bytes} bytes for n = {n}");
         }
         // Records, worklists, frozen survivors and walk scratch grow with
         // what a query touches; together they stay under one index.

@@ -1,4 +1,4 @@
-//! Equivalence of the dense epoch-stamped workspace paths against the
+//! Equivalence of the dense indexed workspace paths against the
 //! hash-map reference implementations.
 //!
 //! The dense push phases are *schedule-identical* transcriptions of the

@@ -315,13 +315,31 @@ pub fn render_prometheus(engine: &MultiEngine, gw: &GatewayMetrics) -> String {
         "hk_engine_live_workers",
         engine.live_workers() as u64,
     );
+    // Both workspace families come from one read of the workers' slots,
+    // so a scrape's per-worker samples sum to its pool total.
+    let worker_bytes = engine.worker_workspace_bytes();
     family(
         &mut out,
         "hk_engine_workspace_bytes",
         "Bytes held in the workers' per-query scratch (estimator workspace and sweep buffers).",
         "gauge",
     );
-    sample(&mut out, "hk_engine_workspace_bytes", s.workspace_bytes);
+    sample(
+        &mut out,
+        "hk_engine_workspace_bytes",
+        worker_bytes.iter().sum(),
+    );
+    family(
+        &mut out,
+        "hk_engine_worker_workspace_bytes",
+        "Bytes held in one worker's per-query scratch; the workers sum to hk_engine_workspace_bytes.",
+        "gauge",
+    );
+    for (worker, bytes) in worker_bytes.iter().enumerate() {
+        out.push_str(&format!(
+            "hk_engine_worker_workspace_bytes{{worker=\"{worker}\"}} {bytes}\n"
+        ));
+    }
 
     // Cache.
     let c = s.cache;
@@ -641,6 +659,7 @@ mod tests {
             "hk_engine_workers",
             "hk_engine_live_workers",
             "hk_engine_workspace_bytes 0",
+            "hk_engine_worker_workspace_bytes{worker=\"0\"} 0",
             "hk_cache_hits_total",
             "hk_cache_misses_total",
             "hk_cache_coalesced_total",

@@ -257,6 +257,52 @@ fn metrics_scrape_contains_mandatory_families_and_counts_requests() {
 }
 
 #[test]
+fn per_worker_workspace_bytes_sum_to_the_pool_gauge() {
+    let engine = demo_engine();
+    let workers = engine.stats().workers as usize;
+    let gw = start_gateway(Arc::clone(&engine));
+    let scrape = || {
+        let (status, text) = roundtrip(
+            &gw,
+            "GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        );
+        assert_eq!(status, 200);
+        text
+    };
+    // (hk_engine_workspace_bytes, hk_engine_worker_workspace_bytes by worker)
+    let gauges = |text: &str| -> (u64, Vec<u64>) {
+        let mut total = None;
+        let mut per_worker = Vec::new();
+        for line in text.lines() {
+            if let Some(v) = line.strip_prefix("hk_engine_workspace_bytes ") {
+                total = Some(v.parse().unwrap());
+            }
+            if let Some(rest) = line.strip_prefix("hk_engine_worker_workspace_bytes{worker=\"") {
+                let (worker, v) = rest.split_once("\"} ").unwrap();
+                assert_eq!(worker.parse::<usize>().unwrap(), per_worker.len(), "{text}");
+                per_worker.push(v.parse().unwrap());
+            }
+        }
+        (
+            total.expect("scrape lacks hk_engine_workspace_bytes"),
+            per_worker,
+        )
+    };
+    assert_eq!(gauges(&scrape()), (0, vec![0; workers]));
+    for seed in [1, 5, 9, 13, 17, 21] {
+        let (status, body) = roundtrip(&gw, &post("/query/demo", &format!("{{\"seed\": {seed}}}")));
+        assert_eq!(status, 200, "{body}");
+    }
+    let (total, per_worker) = gauges(&scrape());
+    assert_eq!(per_worker.len(), workers);
+    assert!(total > 0, "the misses sized a workspace");
+    assert_eq!(per_worker.iter().sum::<u64>(), total);
+    // Workers publish before they reply, so the engine reads the same.
+    assert_eq!(engine.worker_workspace_bytes(), per_worker);
+    assert_eq!(engine.stats().workspace_bytes, total);
+}
+
+#[test]
 fn hub_answers_are_precomputed_on_the_wire_and_counted_once() {
     let mut rng = SmallRng::seed_from_u64(7);
     let graph = hk_graph::gen::planted_partition(6, 60, 0.35, 0.01, &mut rng)

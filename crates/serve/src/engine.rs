@@ -7,10 +7,10 @@
 //! A `Scheduler` owns a fixed pool of worker threads sized to the host
 //! (not to the number of graphs — a multi-graph [`crate::MultiEngine`]
 //! runs **one** pool across all resident graphs). Each worker owns one
-//! long-lived [`QueryScratch`] — the dense epoch-stamped workspace from
+//! long-lived [`QueryScratch`] — the dense indexed workspace from
 //! `hkpr-core` plus the sweep buffers — so steady-state serving performs
 //! no per-query allocation in the estimator hot path. The scratch is
-//! graph-agnostic (epoch-reset and re-sized per query), which is what
+//! graph-agnostic (cleared and re-sized per query), which is what
 //! lets one pool serve every graph.
 //!
 //! Jobs carry `(graph, deadline, enqueue sequence)` and are popped
@@ -33,7 +33,7 @@
 //!    the deadline passes; the estimators poll the token at hop/chunk
 //!    boundaries (a relaxed atomic load) and abort with a typed
 //!    [`ServeError::Cancelled`] ([`EngineStats::cancelled_running`]).
-//!    Cancellation never corrupts worker state — scratch is epoch-reset
+//!    Cancellation never corrupts worker state — scratch is cleared
 //!    at the start of every query (property-tested in `hkpr-core`).
 //!
 //! # Determinism
@@ -557,6 +557,14 @@ impl QueryEngine {
     /// Snapshot of the aggregate counters.
     pub fn stats(&self) -> EngineStats {
         self.sched.stats()
+    }
+
+    /// [`EngineStats::workspace_bytes`] split by worker: entry `i` is what
+    /// worker `i`'s scratch held when it last published (after every job,
+    /// and after a panic rebuild). One entry per worker; they sum to the
+    /// aggregate.
+    pub fn worker_workspace_bytes(&self) -> Vec<u64> {
+        self.sched.worker_workspace_bytes()
     }
 
     /// Submit a request. Returns immediately: with a [`Ticket`] holding

@@ -668,6 +668,14 @@ impl MultiEngine {
         self.sched.stats()
     }
 
+    /// [`EngineStats::workspace_bytes`] split by worker of the shared
+    /// pool, as [`QueryEngine::worker_workspace_bytes`] reports it.
+    ///
+    /// [`QueryEngine::worker_workspace_bytes`]: crate::QueryEngine::worker_workspace_bytes
+    pub fn worker_workspace_bytes(&self) -> Vec<u64> {
+        self.sched.worker_workspace_bytes()
+    }
+
     /// Worker threads of the shared pool still running — scheduler
     /// liveness for health endpoints. Equals [`EngineStats::workers`] in
     /// a healthy engine; less means worker threads died outright.

@@ -299,6 +299,16 @@ impl Scheduler {
             .unwrap_or(0)
     }
 
+    /// Each worker's slot of [`EngineStats::workspace_bytes`], by worker
+    /// index.
+    pub(crate) fn worker_workspace_bytes(&self) -> Vec<u64> {
+        self.shared
+            .workspace_bytes
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect()
+    }
+
     pub(crate) fn stats(&self) -> EngineStats {
         let shared = &self.shared;
         EngineStats {
@@ -491,8 +501,8 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 /// (estimator bug, cache bug, injected fault) is contained here — the
 /// requester gets a typed [`ServeError::Internal`], any coalesced
 /// followers get the same via flight settlement, the worker rebuilds its
-/// scratch (the unwound one may hold half-updated epochs) and keeps
-/// serving. A panicking query must never take the pool down with it.
+/// scratch (the unwound one may hold buffers a step left half-written)
+/// and keeps serving. A panicking query must never take the pool down with it.
 /// `workspace_bytes` is the worker's slot of
 /// [`EngineStats::workspace_bytes`], refreshed by [`process`] and after a
 /// rebuild.
