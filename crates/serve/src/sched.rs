@@ -321,11 +321,7 @@ impl Scheduler {
             shed_overload: shared.shed_overload.load(Ordering::Relaxed),
             queue_hwm: shared.queue_hwm.load(Ordering::Relaxed),
             workers: shared.worker_count as u64,
-            workspace_bytes: shared
-                .workspace_bytes
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .sum(),
+            workspace_bytes: self.worker_workspace_bytes().iter().sum(),
             cache: shared.cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
         }
     }
