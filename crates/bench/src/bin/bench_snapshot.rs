@@ -28,8 +28,7 @@ use hk_gateway::json::Json;
 use hk_graph::gen::holme_kim;
 use hkpr_core::push_plus::{hk_push_plus_ws, PushPlusConfig};
 use hkpr_core::walk::{k_random_walk, run_batched_walks, WalkScratch};
-use hkpr_core::workspace::EpochCounter;
-use hkpr_core::{AliasTable, HkprParams, QueryWorkspace};
+use hkpr_core::{AliasTable, HkprParams, QueryWorkspace, Reserve};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -63,7 +62,7 @@ fn walk_kernel_snapshot(
     let poisson = params.poisson();
 
     let mut ms: [Vec<f64>; 2] = Default::default();
-    let mut counts = EpochCounter::new();
+    let mut sink = Reserve::new();
     let mut scratch = WalkScratch::default();
     let mut steps = 0u64;
     // Pass 0 is an untimed warm-up (it also builds the Poisson length
@@ -77,6 +76,7 @@ fn walk_kernel_snapshot(
             black_box(k_random_walk(graph, poisson, u, k as usize, &mut rng));
         }
         let t1 = Instant::now();
+        sink.begin(graph.num_nodes());
         steps = run_batched_walks(
             graph,
             poisson,
@@ -85,7 +85,7 @@ fn walk_kernel_snapshot(
             WALKS,
             seed,
             None,
-            &mut counts,
+            &mut sink,
             &mut scratch,
         );
         let t2 = Instant::now();

@@ -78,4 +78,4 @@ pub use poisson::{LengthTables, PoissonTable};
 pub use power::{exact_estimate, exact_hkpr, exact_normalized_hkpr};
 pub use tea::{tea_in, TeaOutput};
 pub use tea_plus::{tea_plus, tea_plus_anytime_in, tea_plus_in, TeaPlusOptions};
-pub use workspace::{EpochCounter, PhaseTimes, QueryWorkspace};
+pub use workspace::{PhaseTimes, QueryWorkspace, Reserve};

@@ -116,7 +116,7 @@ pub fn monte_carlo_anytime_in<R: Rng>(
 
     let master_seed = rng.next_u64();
     let cancel = ws.cancel_token().cloned();
-    plan_batched_fixed_walks(graph, &length_counts, &mut ws.counts, &mut ws.walk_scratch);
+    plan_batched_fixed_walks(&length_counts, &mut ws.walk_scratch);
     let (cursor, tiers_completed, tiers_planned) =
         climb_walk_ladder(ws, nr, tier_cap, |ws, bound, cursor| {
             run_planned_fixed_walks(
@@ -126,7 +126,7 @@ pub fn monte_carlo_anytime_in<R: Rng>(
                 cancel.as_ref(),
                 bound,
                 cursor,
-                &mut ws.counts,
+                &mut ws.reserve,
                 &mut ws.walk_scratch,
             )
         });

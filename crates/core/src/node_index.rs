@@ -1,6 +1,6 @@
 //! The per-node index behind the workspace's sparse vectors: [`EpochVec`]
-//! (the reserve and the two live residue hops) and [`EpochCounter`] (walk
-//! endpoint counts).
+//! (the two live residue hops) and [`Reserve`] (the push reserve and the
+//! walk endpoint counts, one record per node).
 //!
 //! Each is a list of the records touched since the last `begin`, in
 //! first-touch order, plus a sparse-set index: one `u32` per graph node
@@ -36,7 +36,7 @@ trait Keyed {
     fn node(&self) -> NodeId;
 }
 
-/// The one `n`-sized part of an [`EpochVec`] or [`EpochCounter`]: the
+/// The one `n`-sized part of an [`EpochVec`] or a [`Reserve`]: the
 /// position of each node's record, 4 bytes per node whatever the value
 /// type, checked against the record it names (see the module docs).
 #[derive(Clone, Debug, Default)]
@@ -125,8 +125,7 @@ impl NodeIndex {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Record {
     pub(crate) node: NodeId,
-    /// The degree [`EpochVec::add_memo_deg`] memoized (0 when the record
-    /// was created by [`EpochVec::add`]).
+    /// The degree [`EpochVec::add_memo_deg`] memoized.
     pub(crate) deg: u32,
     pub(crate) value: f64,
 }
@@ -138,10 +137,20 @@ impl Keyed for Record {
     }
 }
 
-impl Keyed for (NodeId, u64) {
+/// One node's entry in a [`Reserve`]: its push reserve and the walks that
+/// ended at it, side by side, so that a walk's deposit and the assembly's
+/// read each touch one record rather than two arrays.
+#[derive(Clone, Copy, Debug)]
+struct ReserveRecord {
+    node: NodeId,
+    value: f64,
+    count: u64,
+}
+
+impl Keyed for ReserveRecord {
     #[inline(always)]
     fn node(&self) -> NodeId {
-        self.0
+        self.node
     }
 }
 
@@ -198,38 +207,16 @@ impl EpochVec {
     }
 
     /// Hint the CPU to pull `v`'s index slot into L1 ahead of a
-    /// [`get`](Self::get) / [`add`](Self::add) / [`take`](Self::take) on
-    /// it. Bounds-checked; changes no state.
+    /// [`get`](Self::get) / [`add_memo_deg`](Self::add_memo_deg) /
+    /// [`take`](Self::take) on it. Bounds-checked; changes no state.
     #[inline]
     pub fn prefetch(&self, v: NodeId) {
         self.index.prefetch(v);
     }
 
-    /// Add `delta` to node `v`; returns `(old, new)` so callers can detect
-    /// threshold crossings.
-    #[inline]
-    pub fn add(&mut self, v: NodeId, delta: f64) -> (f64, f64) {
-        match self.index.find_or_claim(v, &self.records) {
-            Some(at) => {
-                let r = &mut self.records[at];
-                let old = r.value;
-                r.value = old + delta;
-                (old, old + delta)
-            }
-            None => {
-                self.records.push(Record {
-                    node: v,
-                    deg: 0,
-                    value: delta,
-                });
-                (0.0, delta)
-            }
-        }
-    }
-
-    /// [`add`](Self::add) that also memoizes the node's degree in its
-    /// record: `deg_of` runs on first touch only, and repeat touches read
-    /// the degree from the record the add already loaded. The push
+    /// Add `delta` to node `v`, memoizing the node's degree in its record:
+    /// `deg_of` runs on first touch only, and repeat touches read the
+    /// degree from the record the add already loaded. The push
     /// kernels touch each frontier node `~d` times, so this converts all
     /// but one of the per-neighbor degree lookups into free reads.
     /// Returns `(old, new, degree, at)`, `at` being the record's position
@@ -289,12 +276,6 @@ impl EpochVec {
             .map(|r| (r.node, r.value, r.deg))
     }
 
-    /// Number of nodes touched since the last `begin` (including
-    /// re-zeroed ones).
-    pub fn touched_len(&self) -> usize {
-        self.records.len()
-    }
-
     /// `max_v value[v] / deg[v]` over the non-zero nodes (0.0 when
     /// none) — the TEA+ condition-(11) residue probe. Only
     /// meaningful when entries were written through
@@ -340,92 +321,99 @@ impl EpochVec {
     pub fn memory_bytes(&self) -> usize {
         self.index.memory_bytes() + self.records.capacity() * std::mem::size_of::<Record>()
     }
-
-    /// Release the backing allocations (next [`begin`](Self::begin)
-    /// re-grows from empty).
-    pub(crate) fn release(&mut self) {
-        *self = Self::default();
-    }
 }
 
-/// Sparse `u64` counter vector with O(1) clear — the walk engine's
-/// endpoint accumulator. Counts (not `f64` masses) make deposits
-/// order-free: integer addition is associative and commutative, so the
-/// order in which the executor's window finishes chunks, and where a tier
-/// ladder pauses, cannot show in the result. Same layout as [`EpochVec`]:
-/// a 4-byte-per-node sparse-set index over `(node, count)` records in
-/// first-touch order, append-only until the next clear.
+/// The query's answer before assembly, one record per touched node: the
+/// push reserve `q_s[v]` ([`add`](Self::add), from the push drains) and
+/// the number of walks that ended at `v` ([`inc`](Self::inc), from the
+/// walk engine), under one 4-byte-per-node index. TEA and TEA+ return
+/// `q_s[v] + count[v] * alpha / n_r`, so assembly reads each record once.
 ///
-/// The index is sized by whoever is about to deposit
-/// ([`begin`](Self::begin): the two walk planners), never ahead of time:
-/// a counter that is only ever cleared and read holds no memory, so a
-/// workspace whose queries all end in the push phase never allocates — or
-/// zero-fills, or page-faults — an `n`-slot index it would not read.
+/// Counts, not `f64` masses, make deposits order-free: integer addition is
+/// associative and commutative, so the order in which the executor's
+/// window finishes chunks, and where a tier ladder pauses, cannot show in
+/// the result. Records are in first-touch order and append-only until the
+/// next [`begin`](Self::begin) (see the module docs).
 #[derive(Clone, Debug, Default)]
-pub struct EpochCounter {
+pub struct Reserve {
     index: NodeIndex,
-    records: Vec<(NodeId, u64)>,
+    records: Vec<ReserveRecord>,
 }
 
-impl EpochCounter {
-    /// Empty counter; [`begin`](Self::begin) sizes it.
+impl Reserve {
+    /// Empty reserve; [`begin`](Self::begin) sizes it.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Start a fresh accumulation over `n` nodes: grow to `n` if smaller,
-    /// then forget every count. Must precede the first
-    /// [`inc`](Self::inc) of an accumulation.
+    /// Start a fresh query over `n` nodes: grow the index if the graph got
+    /// bigger, then forget every value and count. O(1) unless growing.
     pub fn begin(&mut self, n: usize) {
         self.index.grow(n);
-        self.clear();
-    }
-
-    /// Forget every count in O(1) without sizing anything: afterwards
-    /// [`iter`](Self::iter) is empty whatever was deposited before.
-    pub(crate) fn clear(&mut self) {
         self.index.discard(self.records.len());
         self.records.clear();
     }
 
-    /// Add `by` to node `v`.
+    /// Nodes the index covers: the largest `n` any
+    /// [`begin`](Self::begin) asked for.
+    pub fn nodes(&self) -> usize {
+        self.index.slots.len()
+    }
+
+    /// Add `delta` to node `v`'s reserve.
+    #[inline]
+    pub fn add(&mut self, v: NodeId, delta: f64) {
+        match self.index.find_or_claim(v, &self.records) {
+            Some(at) => self.records[at].value += delta,
+            None => self.records.push(ReserveRecord {
+                node: v,
+                value: delta,
+                count: 0,
+            }),
+        }
+    }
+
+    /// Add `by` walks to node `v`'s endpoint count.
     #[inline]
     pub fn inc(&mut self, v: NodeId, by: u64) {
         match self.index.find_or_claim(v, &self.records) {
-            Some(at) => self.records[at].1 += by,
-            None => self.records.push((v, by)),
+            Some(at) => self.records[at].count += by,
+            None => self.records.push(ReserveRecord {
+                node: v,
+                value: 0.0,
+                count: by,
+            }),
         }
     }
 
     /// Hint the CPU to pull `v`'s index slot into L1 ahead of an
-    /// [`inc`](Self::inc) on it. Bounds-checked; changes no state.
+    /// [`add`](Self::add) or [`inc`](Self::inc) on it. Bounds-checked;
+    /// changes no state.
     #[inline]
     pub fn prefetch(&self, v: NodeId) {
         self.index.prefetch(v);
     }
 
-    /// Current count of node `v`.
+    /// Node `v`'s `(reserve, endpoint count)`; `(0.0, 0)` when untouched
+    /// since the last [`begin`](Self::begin).
     #[inline]
-    pub fn get(&self, v: NodeId) -> u64 {
-        self.index
-            .find(v, &self.records)
-            .map_or(0, |at| self.records[at].1)
+    pub fn get(&self, v: NodeId) -> (f64, u64) {
+        self.index.find(v, &self.records).map_or((0.0, 0), |at| {
+            let r = &self.records[at];
+            (r.value, r.count)
+        })
     }
 
-    /// Iterate `(node, count)` for touched nodes, in first-touch order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (NodeId, u64)> + '_ {
-        self.records.iter().copied()
+    /// Iterate `(node, reserve, endpoint count)` for every touched node,
+    /// zeros included, in first-touch order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (NodeId, f64, u64)> + '_ {
+        self.records.iter().map(|r| (r.node, r.value, r.count))
     }
 
     /// Bytes held by the backing allocations, counted as for
     /// [`EpochVec::memory_bytes`].
     pub fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes() + self.records.capacity() * std::mem::size_of::<(NodeId, u64)>()
-    }
-
-    /// Release the backing allocations.
-    pub(crate) fn release(&mut self) {
-        *self = Self::default();
+        self.index.memory_bytes() + self.records.capacity() * std::mem::size_of::<ReserveRecord>()
     }
 }
 
@@ -439,45 +427,47 @@ pub(crate) mod tests {
 
     #[test]
     fn an_index_slot_is_four_bytes() {
-        let (mut v, mut c) = (EpochVec::new(), EpochCounter::new());
+        let (mut v, mut r) = (EpochVec::new(), Reserve::new());
         v.begin(1_000);
-        c.begin(1_000);
+        r.begin(1_000);
         assert_eq!(v.index.memory_bytes(), 1_000 * INDEX_SLOT);
-        assert_eq!(c.index.memory_bytes(), 1_000 * INDEX_SLOT);
+        assert_eq!(r.index.memory_bytes(), 1_000 * INDEX_SLOT);
+        assert_eq!(r.nodes(), 1_000);
         assert_eq!(std::mem::size_of::<Record>(), 16);
+        assert_eq!(std::mem::size_of::<ReserveRecord>(), 24);
     }
 
     #[test]
     fn epoch_vec_clear_is_logical() {
         let mut v = EpochVec::new();
         v.begin(8);
-        assert_eq!(v.add(3, 0.5), (0.0, 0.5));
-        assert_eq!(v.add(3, 0.25), (0.5, 0.75));
+        assert_eq!(v.add_memo_deg(3, 0.5, || 4), (0.0, 0.5, 4, 0));
+        assert_eq!(v.add_memo_deg(3, 0.25, || 9), (0.5, 0.75, 4, 0));
         assert_eq!(v.get(3), 0.75);
         assert_eq!(v.iter_nonzero().collect::<Vec<_>>(), vec![(3, 0.75)]);
         v.begin(8);
         assert_eq!(v.get(3), 0.0);
-        assert_eq!(v.touched_len(), 0);
+        assert_eq!(v.records.len(), 0);
         // The stale slot revives cleanly, as record 0 after the `begin`.
-        assert_eq!(v.add(3, 1.0), (0.0, 1.0));
+        assert_eq!(v.add_memo_deg(3, 1.0, || 1), (0.0, 1.0, 1, 0));
         assert_eq!(v.add_memo_deg(5, 0.5, || 2), (0.0, 0.5, 2, 1));
-        assert_eq!(v.add_memo_deg(3, 0.5, || 9), (1.0, 1.5, 0, 0));
+        assert_eq!(v.add_memo_deg(3, 0.5, || 9), (1.0, 1.5, 1, 0));
     }
 
     #[test]
     fn epoch_vec_take_keeps_touched() {
         let mut v = EpochVec::new();
         v.begin(4);
-        v.add(1, 0.5);
-        v.add(2, 0.25);
+        v.add_memo_deg(1, 0.5, || 1);
+        v.add_memo_deg(2, 0.25, || 1);
         assert_eq!(v.take(1), 0.5);
         assert_eq!(v.get(1), 0.0);
         assert_eq!(v.take(1), 0.0);
-        assert_eq!(v.touched_len(), 2);
+        assert_eq!(v.records.len(), 2);
         assert_eq!(v.iter_nonzero().collect::<Vec<_>>(), vec![(2, 0.25)]);
         // Re-adding lands in the first record: no duplicate, no reorder.
-        assert_eq!(v.add(1, 1.0), (0.0, 1.0));
-        assert_eq!(v.touched_len(), 2);
+        assert_eq!(v.add_memo_deg(1, 1.0, || 7), (0.0, 1.0, 1, 0));
+        assert_eq!(v.records.len(), 2);
         assert_eq!(
             v.iter_nonzero().collect::<Vec<_>>(),
             vec![(1, 1.0), (2, 0.25)]
@@ -488,27 +478,34 @@ pub(crate) mod tests {
     fn epoch_vec_grows_for_bigger_graphs() {
         let mut v = EpochVec::new();
         v.begin(2);
-        v.add(1, 1.0);
+        v.add_memo_deg(1, 1.0, || 1);
         v.begin(10);
         assert_eq!(v.get(9), 0.0);
-        v.add(9, 2.0);
+        v.add_memo_deg(9, 2.0, || 1);
         assert_eq!(v.get(9), 2.0);
     }
 
     #[test]
     fn epoch_counter_counts_and_clears() {
-        let mut a = EpochCounter::new();
-        a.begin(8);
-        a.inc(2, 3);
-        a.inc(5, 7);
-        a.inc(2, 1);
-        assert_eq!(a.get(2), 4);
-        assert_eq!(a.get(5), 7);
-        assert_eq!(a.get(0), 0);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![(2, 4), (5, 7)]);
-        a.begin(8);
-        assert_eq!(a.get(2), 0);
-        assert_eq!(a.iter().count(), 0);
+        // Reserve and walk deposits interleave on one record per node.
+        let mut r = Reserve::new();
+        r.begin(8);
+        r.inc(2, 3);
+        r.add(5, 0.5);
+        r.inc(5, 7);
+        r.add(2, 0.25);
+        r.inc(2, 1);
+        r.add(5, 0.125);
+        assert_eq!(r.get(2), (0.25, 4));
+        assert_eq!(r.get(5), (0.625, 7));
+        assert_eq!(r.get(0), (0.0, 0));
+        assert_eq!(
+            r.iter().collect::<Vec<_>>(),
+            vec![(2, 0.25, 4), (5, 0.625, 7)]
+        );
+        r.begin(8);
+        assert_eq!(r.get(2), (0.0, 0));
+        assert_eq!(r.iter().len(), 0);
     }
 
     #[test]
@@ -522,7 +519,7 @@ pub(crate) mod tests {
         let mut v = EpochVec::new();
         v.begin(8);
         v.index.offset = u32::MAX;
-        assert_eq!(v.add(3, 0.5), (0.0, 0.5));
+        assert_eq!(v.add_memo_deg(3, 0.5, || 1), (0.0, 0.5, 1, 0));
         assert_eq!(v.add_memo_deg(4, 0.25, || 2), (0.0, 0.25, 2, 1));
         assert_eq!((v.get(3), v.get(4)), (0.5, 0.25));
         v.begin(8);
@@ -532,7 +529,7 @@ pub(crate) mod tests {
         for node in [3, 4, 6, 7] {
             assert_eq!((v.get(node), v.take(node)), (0.0, 0.0), "node {node}");
         }
-        assert_eq!(v.touched_len(), 1);
+        assert_eq!(v.records.len(), 1);
         for (node, at) in [(3, 1), (4, 2), (6, 3), (7, 4)] {
             assert_eq!(v.add_memo_deg(node, 0.5, || 7), (0.0, 0.5, 7, at));
         }
@@ -541,24 +538,31 @@ pub(crate) mod tests {
             vec![(5, 1.0), (3, 0.5), (4, 0.5), (6, 0.5), (7, 0.5)]
         );
 
-        let mut c = EpochCounter::new();
-        c.begin(8);
-        c.index.offset = u32::MAX;
-        c.inc(3, 2);
-        c.inc(4, 3);
-        assert_eq!((c.get(3), c.get(4)), (2, 3));
-        c.clear();
-        c.inc(5, 1);
-        c.index.slots[6] = c.index.slots[5];
-        c.index.slots[7] = c.index.offset.wrapping_add(1);
-        assert!([3, 4, 6, 7].iter().all(|&node| c.get(node) == 0));
-        assert_eq!(c.iter().len(), 1);
+        let mut r = Reserve::new();
+        r.begin(8);
+        r.index.offset = u32::MAX;
+        r.inc(3, 2);
+        r.add(4, 0.5);
+        assert_eq!((r.get(3), r.get(4)), ((0.0, 2), (0.5, 0)));
+        r.begin(8);
+        r.inc(5, 1);
+        r.index.slots[6] = r.index.slots[5];
+        r.index.slots[7] = r.index.offset.wrapping_add(1);
+        assert!([3, 4, 6, 7].iter().all(|&node| r.get(node) == (0.0, 0)));
+        assert_eq!(r.iter().len(), 1);
         for node in [3, 4, 6, 7] {
-            c.inc(node, node as u64);
+            r.inc(node, node as u64);
         }
+        r.add(4, 0.25);
         assert_eq!(
-            c.iter().collect::<Vec<_>>(),
-            vec![(5, 1), (3, 3), (4, 4), (6, 6), (7, 7)]
+            r.iter().collect::<Vec<_>>(),
+            vec![
+                (5, 0.0, 1),
+                (3, 0.0, 3),
+                (4, 0.25, 4),
+                (6, 0.0, 6),
+                (7, 0.0, 7)
+            ]
         );
     }
 
@@ -610,7 +614,7 @@ pub(crate) mod tests {
 
     proptest::proptest! {
         /// `EpochVec` against a list of first touches, under random
-        /// interleavings of `add`, `add_memo_deg`, `take` and `begin` over
+        /// interleavings of `add_memo_deg`, `take` and `begin` over
         /// domains that grow and shrink, with garbage scribbled into every
         /// slot after each `begin`: every value, every memoized degree and
         /// the iteration order agree, and a node taken to zero and
@@ -632,16 +636,12 @@ pub(crate) mod tests {
             for (op, raw, delta, deg) in ops {
                 let node = raw % n as NodeId;
                 match op {
-                    0..=1 => {
-                        let (old, new) = v.add(node, delta);
-                        let (m_old, m_new, _, _) = model.add(node, delta, 0);
-                        proptest::prop_assert_eq!((old.to_bits(), new.to_bits()), (m_old.to_bits(), m_new.to_bits()));
-                    }
-                    2..=4 => {
+                    0..=4 => {
                         let got = v.add_memo_deg(node, delta, || deg);
                         let want = model.add(node, delta, deg);
                         proptest::prop_assert_eq!(got.2, want.2);
                         proptest::prop_assert_eq!(got.3, want.3);
+                        proptest::prop_assert_eq!(got.0.to_bits(), want.0.to_bits());
                         proptest::prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
                         proptest::prop_assert_eq!(v.get_at(node, got.3).to_bits(), want.1.to_bits());
                     }
@@ -660,53 +660,62 @@ pub(crate) mod tests {
                     }
                 }
                 proptest::prop_assert_eq!(v.get(node).to_bits(), model.get(node).to_bits());
-                proptest::prop_assert_eq!(v.touched_len(), model.0.len());
+                proptest::prop_assert_eq!(v.records.len(), model.0.len());
                 let got: Vec<_> = v.iter_nonzero_with_deg().collect();
                 let want: Vec<_> = model.0.iter().copied().filter(|e| e.1 != 0.0).collect();
                 proptest::prop_assert_eq!(got, want);
             }
         }
 
-        /// `EpochCounter` against a list of first touches, under random
-        /// interleavings of `inc`, `begin` and the workspace's unsized
-        /// `clear` over domains that grow and shrink, with garbage
-        /// scribbled into every slot after each `begin` and `clear`.
+        /// `Reserve` against a list of first touches, under random
+        /// interleavings of `add`, `inc` and `begin` over domains that
+        /// grow and shrink, with garbage scribbled into every slot after
+        /// each `begin`: every value and count, read through the index or
+        /// in first-touch order, agrees bit for bit.
         #[test]
         fn epoch_counter_matches_a_list_of_first_touches(
-            ops in proptest::collection::vec((0u32..8, 0u32..300, 1u64..9), 1..300),
+            ops in proptest::collection::vec((0u32..8, 0u32..300, 0.0f64..1.0, 1u64..9), 1..300),
             garbage in proptest::collection::vec((0u32..2, 0u32..400, proptest::any::<u32>()), 1..64),
         ) {
             let garbage = slot_values(&garbage);
-            let mut c = EpochCounter::new();
-            let mut model: Vec<(NodeId, u64)> = Vec::new();
+            let mut r = Reserve::new();
+            let mut model: Vec<(NodeId, f64, u64)> = Vec::new();
             let mut n = DOMAINS[2];
-            c.begin(n);
-            c.index.scribble(&garbage);
-            for (op, raw, by) in ops {
+            r.begin(n);
+            r.index.scribble(&garbage);
+            for (op, raw, delta, by) in ops {
                 let node = raw % n as NodeId;
+                let at = model.iter().position(|e| e.0 == node);
                 match op {
-                    0..=5 => {
-                        c.inc(node, by);
-                        match model.iter_mut().find(|e| e.0 == node) {
-                            Some(e) => e.1 += by,
-                            None => model.push((node, by)),
+                    0..=2 => {
+                        r.add(node, delta);
+                        match at {
+                            Some(i) => model[i].1 += delta,
+                            None => model.push((node, delta, 0)),
                         }
                     }
-                    6 => {
-                        c.clear();
-                        c.index.scribble(&garbage);
-                        model.clear();
+                    3..=5 => {
+                        r.inc(node, by);
+                        match at {
+                            Some(i) => model[i].2 += by,
+                            None => model.push((node, 0.0, by)),
+                        }
                     }
                     _ => {
                         n = DOMAINS[raw as usize % DOMAINS.len()];
-                        c.begin(n);
-                        c.index.scribble(&garbage);
+                        r.begin(n);
+                        r.index.scribble(&garbage);
                         model.clear();
                     }
                 }
-                let want = model.iter().find(|e| e.0 == node).map_or(0, |e| e.1);
-                proptest::prop_assert_eq!(c.get(node), want);
-                proptest::prop_assert_eq!(c.iter().collect::<Vec<_>>(), model.clone());
+                let bits = |(v, x, c): (NodeId, f64, u64)| (v, x.to_bits(), c);
+                let want = model.iter().find(|e| e.0 == node).map_or((0.0, 0), |e| (e.1, e.2));
+                let got = r.get(node);
+                proptest::prop_assert_eq!((got.0.to_bits(), got.1), (want.0.to_bits(), want.1));
+                proptest::prop_assert_eq!(
+                    r.iter().map(bits).collect::<Vec<_>>(),
+                    model.iter().copied().map(bits).collect::<Vec<_>>()
+                );
             }
         }
     }

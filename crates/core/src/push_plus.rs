@@ -1045,8 +1045,8 @@ mod tests {
             assert!(fired.len() < PUSH_TIER_DIVISORS.len());
             for v in 0..g.num_nodes() as u32 {
                 assert_eq!(
-                    cold.reserve().get(v).to_bits(),
-                    ws.reserve().get(v).to_bits(),
+                    cold.reserve().get(v).0.to_bits(),
+                    ws.reserve().get(v).0.to_bits(),
                     "reserve[{v}] eps_abs={eps_abs}"
                 );
                 for k in 0..=cfg.hop_cap {
@@ -1146,7 +1146,7 @@ mod tests {
             }
         }
         for (v, q) in reference.reserve {
-            assert_eq!(ws.reserve().get(v), q, "reserve[{v}]");
+            assert_eq!(ws.reserve().get(v), (q, 0), "reserve[{v}]");
         }
     }
 

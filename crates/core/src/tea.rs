@@ -107,7 +107,7 @@ pub fn tea_in<R: Rng>(
                 nr,
                 rng.next_u64(),
                 cancel.as_ref(),
-                &mut ws.counts,
+                &mut ws.reserve,
                 &mut ws.walk_scratch,
             );
             ws.check_cancelled()?;

@@ -350,13 +350,11 @@ fn walk_and_assemble(
     let mut mass = 0.0;
     let cancel = ws.cancel_token().cloned();
     let planned = plan_batched_walks(
-        graph,
         &ws.entries,
         &table,
         nr,
         master_seed,
         cancel.as_ref(),
-        &mut ws.counts,
         &mut ws.walk_scratch,
     );
     if !planned {
@@ -377,7 +375,7 @@ fn walk_and_assemble(
                     cancel.as_ref(),
                     bound,
                     cursor,
-                    &mut ws.counts,
+                    &mut ws.reserve,
                     &mut ws.walk_scratch,
                 )
             });

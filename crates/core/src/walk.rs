@@ -32,6 +32,12 @@
 //! its own stream and walk list, so the window changes the schedule, never
 //! the counts: `tests::walk_engine_bits_are_pinned` holds digests taken
 //! with one chunk at a time.
+//!
+//! A walk ends by adding one to its endpoint's count in the query's
+//! [`Reserve`], the record that also holds that node's push reserve, so
+//! assembly reads `q[v] + count[v] * alpha / n_r` off one record per node.
+//! The engine never sizes that sink: the estimators begin it with their
+//! workspace, and [`run_batched_walks`] checks that its caller did.
 
 use hk_graph::{Graph, NodeId};
 use rand::{Rng, RngExt};
@@ -189,7 +195,7 @@ const WINDOW: usize = 4;
 
 use crate::alias::AliasTable;
 use crate::cancel::CancelToken;
-use crate::workspace::EpochCounter;
+use crate::node_index::Reserve;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -210,12 +216,14 @@ use rand::SeedableRng;
 ///    [`crate::poisson::LengthTables`]),
 /// 4. **run chunks** through the interleaved lane kernel, up to four at a
 ///    time on the calling thread, with independent `SmallRng` streams
-///    derived from `master_seed`, depositing endpoints into dense
-///    indexed *counters* (integers, so the order in which chunks
-///    finish cannot show).
+///    derived from `master_seed`, depositing endpoints into the
+///    `sink`'s integer counts (so the order in which chunks finish
+///    cannot show).
 ///
-/// Returns total steps walked; endpoint multiplicities land in `counts`
-/// (caller converts to mass via `count * (alpha / nr)`).
+/// Returns total steps walked; endpoint multiplicities are added to the
+/// counts of `sink`, which the caller must have begun for the graph's
+/// nodes (checked; the caller converts a count to mass via `count *
+/// (alpha / nr)`).
 ///
 /// `cancel` is polled at chunk boundaries (and periodically during start
 /// sampling): when it fires, remaining chunks are skipped and the
@@ -231,19 +239,16 @@ pub fn run_batched_walks(
     nr: u64,
     master_seed: u64,
     cancel: Option<&CancelToken>,
-    counts: &mut EpochCounter,
+    sink: &mut Reserve,
     scratch: &mut WalkScratch,
 ) -> u64 {
-    if !plan_batched_walks(
-        graph,
-        entries,
-        table,
-        nr,
-        master_seed,
-        cancel,
-        counts,
-        scratch,
-    ) {
+    assert!(
+        sink.nodes() >= graph.num_nodes(),
+        "run_batched_walks: begin the sink for the graph's {} nodes (it covers {})",
+        graph.num_nodes(),
+        sink.nodes()
+    );
+    if !plan_batched_walks(entries, table, nr, master_seed, cancel, scratch) {
         return 0;
     }
     let mut cursor = WalkCursor::default();
@@ -256,34 +261,30 @@ pub fn run_batched_walks(
         cancel,
         all_chunks,
         &mut cursor,
-        counts,
+        sink,
         scratch,
     );
     cursor.steps
 }
 
-/// Plan the batched walk phase: begin the endpoint accumulator, sample
-/// every walk start (phase 1) and build the chunk decomposition (phase 2)
-/// without executing anything. Returns `false` if the cancel token fired
-/// during start sampling (nothing is planned, the accumulator is empty).
+/// Plan the batched walk phase: sample every walk start (phase 1) and
+/// build the chunk decomposition (phase 2) without executing anything.
+/// Returns `false` if the cancel token fired during start sampling
+/// (nothing is planned).
 ///
 /// The plan is a pure function of `(entries, table, nr, master_seed)`:
 /// executing it in any sequence of chunk-prefix increments via
 /// [`run_planned_walks`] deposits bit-identically to a one-shot
 /// [`run_batched_walks`] call.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_batched_walks(
-    graph: &Graph,
     entries: &[(u32, NodeId)],
     table: &AliasTable,
     nr: u64,
     master_seed: u64,
     cancel: Option<&CancelToken>,
-    counts: &mut EpochCounter,
     scratch: &mut WalkScratch,
 ) -> bool {
     debug_assert_eq!(table.len(), entries.len());
-    counts.begin(graph.num_nodes());
     if nr == 0 || entries.is_empty() {
         scratch.chunks.clear();
         scratch.chunk_walk_prefix.clear();
@@ -334,16 +335,14 @@ pub(crate) fn run_planned_walks(
     cancel: Option<&CancelToken>,
     upto_chunk: usize,
     cursor: &mut WalkCursor,
-    counts: &mut EpochCounter,
+    sink: &mut Reserve,
     scratch: &mut WalkScratch,
 ) {
     let lengths = poisson.length_tables();
-    let fill = move |items: &[(u32, u64)],
-                     rng: &mut SmallRng,
-                     sink: &mut EpochCounter,
-                     buf: &mut WalkBuf| {
-        fill_walk_buf(graph, entries, lengths, items, rng, sink, buf);
-    };
+    let fill =
+        move |items: &[(u32, u64)], rng: &mut SmallRng, sink: &mut Reserve, buf: &mut WalkBuf| {
+            fill_walk_buf(graph, entries, lengths, items, rng, sink, buf);
+        };
     execute_chunk_range(
         graph,
         scratch,
@@ -351,7 +350,7 @@ pub(crate) fn run_planned_walks(
         cursor,
         master_seed,
         cancel,
-        counts,
+        sink,
         &fill,
     );
 }
@@ -360,12 +359,12 @@ pub(crate) fn run_planned_walks(
 /// lane buffer)`. Deposits the walks that cannot move and leaves the
 /// movable ones in the buffer for the lanes, which go on drawing from the
 /// same stream.
-type FillChunk<'a> = dyn Fn(&[(u32, u64)], &mut SmallRng, &mut EpochCounter, &mut WalkBuf) + 'a;
+type FillChunk<'a> = dyn Fn(&[(u32, u64)], &mut SmallRng, &mut Reserve, &mut WalkBuf) + 'a;
 
 /// Open chunk `chunk` for the window: `None` once the cancel token has
 /// fired, else its planned walk count and RNG stream, with its walk list
 /// presampled into the buffer.
-type OpenChunk<'a> = dyn Fn(usize, &mut EpochCounter, &mut WalkBuf) -> Option<(u64, SmallRng)> + 'a;
+type OpenChunk<'a> = dyn Fn(usize, &mut Reserve, &mut WalkBuf) -> Option<(u64, SmallRng)> + 'a;
 
 /// Run planned chunks `[cursor.next_chunk, upto_chunk)` of the plan on
 /// `scratch` and advance the cursor over them — the shared body of the
@@ -381,7 +380,7 @@ fn execute_chunk_range(
     cursor: &mut WalkCursor,
     master_seed: u64,
     cancel: Option<&CancelToken>,
-    counts: &mut EpochCounter,
+    sink: &mut Reserve,
     fill: &FillChunk<'_>,
 ) {
     let WalkScratch {
@@ -391,7 +390,7 @@ fn execute_chunk_range(
         ..
     } = scratch;
     let (work, chunks) = (&*work, &*chunks);
-    let open = |chunk_idx: usize, sink: &mut EpochCounter, buf: &mut WalkBuf| {
+    let open = |chunk_idx: usize, sink: &mut Reserve, buf: &mut WalkBuf| {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return None;
         }
@@ -403,7 +402,7 @@ fn execute_chunk_range(
         Some((walks, rng))
     };
     let upto = upto_chunk.min(chunks.len());
-    run_window(graph, upto, cursor, counts, lane_bufs, &open);
+    run_window(graph, upto, cursor, sink, lane_bufs, &open);
 }
 
 /// Presample one chunk's *movable* walks into `buf`: per work group
@@ -422,7 +421,7 @@ fn fill_walk_buf(
     lengths: &LengthTables,
     items: &[(u32, u64)],
     rng: &mut SmallRng,
-    sink: &mut EpochCounter,
+    sink: &mut Reserve,
     buf: &mut WalkBuf,
 ) {
     buf.clear();
@@ -528,7 +527,7 @@ impl Lanes {
     /// both once per chunk per round, and copies of them in each window
     /// slot measured slower on a graph that fits in cache.
     #[inline(never)]
-    fn pick(&mut self, graph: &Graph, rng: &mut SmallRng, sink: &EpochCounter) {
+    fn pick(&mut self, graph: &Graph, rng: &mut SmallRng, sink: &Reserve) {
         let live = self.live;
         let mut i = 0;
         while i + 1 < live {
@@ -560,7 +559,7 @@ impl Lanes {
 
     /// Sweep 2: resolve rows, finish / refill / compact lanes.
     #[inline(never)]
-    fn advance(&mut self, graph: &Graph, walks: &[(NodeId, u32)], sink: &mut EpochCounter) {
+    fn advance(&mut self, graph: &Graph, walks: &[(NodeId, u32)], sink: &mut Reserve) {
         let (mut live, mut cursor) = (self.live, self.cursor);
         let mut i = 0;
         while i < live {
@@ -626,7 +625,7 @@ fn run_window(
     graph: &Graph,
     upto: usize,
     cursor: &mut WalkCursor,
-    sink: &mut EpochCounter,
+    sink: &mut Reserve,
     bufs: &mut [WalkBuf; WINDOW],
     open: &OpenChunk<'_>,
 ) {
@@ -711,18 +710,12 @@ fn fill_chunk_walk_prefix(work: &[(u32, u64)], chunks: &[(u32, u32)], prefix: &m
 
 /// Plan the fixed-length walk phase (the Monte-Carlo walk phase: every
 /// walk starts at the seed, lengths were already sampled into
-/// `length_counts[len] = multiplicity`): begin the endpoint accumulator and
-/// build the chunk decomposition of `length_counts` without executing
-/// anything. Unlike the entry-walk planner there is no sampling phase —
-/// the length histogram *is* the multiplicity table — so planning is
-/// infallible (cancellation only affects execution).
-pub(crate) fn plan_batched_fixed_walks(
-    graph: &Graph,
-    length_counts: &[u64],
-    counts: &mut EpochCounter,
-    scratch: &mut WalkScratch,
-) {
-    counts.begin(graph.num_nodes());
+/// `length_counts[len] = multiplicity`): build the chunk decomposition of
+/// `length_counts` without executing anything. Unlike the entry-walk
+/// planner there is no sampling phase — the length histogram *is* the
+/// multiplicity table — so planning is infallible (cancellation only
+/// affects execution).
+pub(crate) fn plan_batched_fixed_walks(length_counts: &[u64], scratch: &mut WalkScratch) {
     let WalkScratch {
         work,
         chunks,
@@ -746,28 +739,26 @@ pub(crate) fn run_planned_fixed_walks(
     cancel: Option<&CancelToken>,
     upto_chunk: usize,
     cursor: &mut WalkCursor,
-    counts: &mut EpochCounter,
+    sink: &mut Reserve,
     scratch: &mut WalkScratch,
 ) {
     let seed_degree = graph.degree(seed);
     // Work items are `(length, count)` here; no length is drawn, so the
     // chunk's stream is the lanes' alone.
-    let fill = move |items: &[(u32, u64)],
-                     _: &mut SmallRng,
-                     sink: &mut EpochCounter,
-                     buf: &mut WalkBuf| {
-        buf.clear();
-        for &(len, walk_count) in items {
-            if len == 0 || seed_degree == 0 {
-                // Immobile walks deposit at the seed without lane cost.
-                sink.inc(seed, walk_count);
-            } else {
-                for _ in 0..walk_count {
-                    buf.push((seed, len));
+    let fill =
+        move |items: &[(u32, u64)], _: &mut SmallRng, sink: &mut Reserve, buf: &mut WalkBuf| {
+            buf.clear();
+            for &(len, walk_count) in items {
+                if len == 0 || seed_degree == 0 {
+                    // Immobile walks deposit at the seed without lane cost.
+                    sink.inc(seed, walk_count);
+                } else {
+                    for _ in 0..walk_count {
+                        buf.push((seed, len));
+                    }
                 }
             }
-        }
-    };
+        };
     execute_chunk_range(
         graph,
         scratch,
@@ -775,7 +766,7 @@ pub(crate) fn run_planned_fixed_walks(
         cursor,
         master_seed,
         cancel,
-        counts,
+        sink,
         &fill,
     );
 }
@@ -869,6 +860,32 @@ mod tests {
         assert_eq!(fixed_length_walk(&g, 2, 17, &mut rng), 2);
     }
 
+    /// An empty walk sink begun for `g`'s nodes.
+    fn sink_for(g: &Graph) -> Reserve {
+        let mut sink = Reserve::new();
+        sink.begin(g.num_nodes());
+        sink
+    }
+
+    #[test]
+    #[should_panic(expected = "begin the sink for the graph's 3 nodes (it covers 2)")]
+    fn batched_walks_refuse_a_sink_not_begun_for_the_graph() {
+        let g = graph_from_edges([(0, 1), (1, 2)]);
+        let mut sink = Reserve::new();
+        sink.begin(2);
+        run_batched_walks(
+            &g,
+            &PoissonTable::new(5.0),
+            &[(0, 2)],
+            &AliasTable::new(&[1.0]),
+            10,
+            1,
+            None,
+            &mut sink,
+            &mut WalkScratch::default(),
+        );
+    }
+
     /// Run `nr` walks from `(start, k)` through the lane kernel and return
     /// the endpoint frequencies.
     fn endpoint_distribution(
@@ -880,7 +897,7 @@ mod tests {
         master_seed: u64,
     ) -> Vec<f64> {
         let table = AliasTable::new(&[1.0]);
-        let mut counts = EpochCounter::new();
+        let mut counts = sink_for(g);
         let mut scratch = WalkScratch::default();
         run_batched_walks(
             g,
@@ -893,9 +910,9 @@ mod tests {
             &mut counts,
             &mut scratch,
         );
-        assert_eq!(counts.iter().map(|(_, c)| c).sum::<u64>(), nr);
+        assert_eq!(counts.iter().map(|(_, _, c)| c).sum::<u64>(), nr);
         let mut freq = vec![0.0; g.num_nodes()];
-        for (v, c) in counts.iter() {
+        for (v, _, c) in counts.iter() {
             freq[v as usize] = c as f64 / nr as f64;
         }
         freq
@@ -1015,7 +1032,7 @@ mod tests {
         let entries: Vec<(u32, NodeId)> = (0..64).map(|i| (0u32, i as NodeId)).collect();
         let weights = vec![1.0; entries.len()];
         let table = AliasTable::new(&weights);
-        let mut counts = EpochCounter::new();
+        let mut counts = sink_for(&g);
         let mut scratch = WalkScratch::default();
         let baseline = scratch.memory_bytes();
         run_batched_walks(
@@ -1060,10 +1077,15 @@ mod tests {
     /// and walks done.
     type Outcome = (Vec<(NodeId, u64)>, u64, u64);
 
-    fn outcome(counts: &EpochCounter, cursor: &WalkCursor) -> Outcome {
-        let mut deposits: Vec<(NodeId, u64)> = counts.iter().collect();
+    fn outcome(counts: &Reserve, cursor: &WalkCursor) -> Outcome {
+        (deposits(counts), cursor.steps, cursor.walks_done)
+    }
+
+    /// A walk-only sink's `(node, count)` deposits, sorted.
+    fn deposits(counts: &Reserve) -> Vec<(NodeId, u64)> {
+        let mut deposits: Vec<(NodeId, u64)> = counts.iter().map(|(v, _, c)| (v, c)).collect();
         deposits.sort_unstable();
-        (deposits, cursor.steps, cursor.walks_done)
+        deposits
     }
 
     #[test]
@@ -1093,14 +1115,19 @@ mod tests {
             lengths.push(2_000);
             lengths
         };
-        let plan = |fixed: bool, k: usize, nr: u64, counts: &mut EpochCounter| {
+        let plan = |fixed: bool, k: usize, nr: u64| {
             let mut scratch = WalkScratch::default();
             if fixed {
-                plan_batched_fixed_walks(&g, &fixed_lengths(k), counts, &mut scratch);
+                plan_batched_fixed_walks(&fixed_lengths(k), &mut scratch);
             } else {
-                let planned =
-                    plan_batched_walks(&g, &entries, &table, nr, 5, None, counts, &mut scratch);
-                assert!(planned);
+                assert!(plan_batched_walks(
+                    &entries,
+                    &table,
+                    nr,
+                    5,
+                    None,
+                    &mut scratch
+                ));
             }
             scratch
         };
@@ -1109,14 +1136,14 @@ mod tests {
         let entry_nr = |k: usize| -> u64 {
             (1..100)
                 .map(|i| i * 1_000)
-                .find(|&nr| plan(false, k, nr, &mut EpochCounter::new()).chunks.len() == k)
+                .find(|&nr| plan(false, k, nr).chunks.len() == k)
                 .expect("some walk count plans k chunks")
         };
         // Execute the plan up to each of `stops` in turn; the token fires
         // after the call that reached `cancel_after`.
         let run = |fixed: bool, k: usize, nr: u64, stops: &[usize], cancel_after: Option<usize>| {
-            let mut counts = EpochCounter::new();
-            let mut scratch = plan(fixed, k, nr, &mut counts);
+            let mut counts = sink_for(&g);
+            let mut scratch = plan(fixed, k, nr);
             assert_eq!(scratch.chunks.len(), k);
             let token = CancelToken::new();
             let mut cursor = WalkCursor::default();
@@ -1170,7 +1197,7 @@ mod tests {
                         "k={k} fixed={fixed}: stops {stops:?}"
                     );
                 }
-                let prefix_plan = plan(fixed, k, nr, &mut EpochCounter::new());
+                let prefix_plan = plan(fixed, k, nr);
                 for b in 0..=k {
                     let what = format!("k={k} fixed={fixed}: cancel at {b}");
                     let cut = run(fixed, k, nr, &[b, k], Some(b));
@@ -1194,30 +1221,28 @@ mod tests {
         let entries: Vec<(u32, NodeId)> = (0..32).map(|i| (i % 4, i * 7 as NodeId)).collect();
         let table = AliasTable::new(&vec![1.0; entries.len()]);
         let lengths = p.length_tables();
-        let plan = |counts: &mut EpochCounter| {
+        let plan = || {
             let mut scratch = WalkScratch::default();
             assert!(plan_batched_walks(
-                &g,
                 &entries,
                 &table,
                 50_000,
                 9,
                 None,
-                counts,
                 &mut scratch
             ));
             scratch
         };
-        let num_chunks = plan(&mut EpochCounter::new()).chunks.len();
+        let num_chunks = plan().chunks.len();
         assert!(num_chunks > 2 * WINDOW, "{num_chunks} chunks");
         for m in 1..=num_chunks {
-            let mut counts = EpochCounter::new();
-            let mut scratch = plan(&mut counts);
+            let mut counts = sink_for(&g);
+            let mut scratch = plan();
             let token = CancelToken::new();
             let opened = std::cell::Cell::new(0);
             let fill = |items: &[(u32, u64)],
                         rng: &mut SmallRng,
-                        sink: &mut EpochCounter,
+                        sink: &mut Reserve,
                         buf: &mut WalkBuf| {
                 opened.set(opened.get() + 1);
                 if opened.get() == m {
@@ -1238,8 +1263,8 @@ mod tests {
             );
             let cut = outcome(&counts, &cursor);
 
-            let mut counts = EpochCounter::new();
-            let mut scratch = plan(&mut counts);
+            let mut counts = sink_for(&g);
+            let mut scratch = plan();
             let mut cursor = WalkCursor::default();
             run_planned_walks(
                 &g,
@@ -1258,12 +1283,10 @@ mod tests {
     }
 
     /// FNV-1a over sorted `(node, count)` deposits, then the step count.
-    fn deposit_digest(counts: &EpochCounter, steps: u64) -> u64 {
-        let mut deposits: Vec<(NodeId, u64)> = counts.iter().collect();
-        deposits.sort_unstable();
-        let words = deposits
-            .iter()
-            .flat_map(|&(v, c)| [v as u64, c])
+    fn deposit_digest(counts: &Reserve, steps: u64) -> u64 {
+        let words = deposits(counts)
+            .into_iter()
+            .flat_map(|(v, c)| [v as u64, c])
             .chain([steps]);
         words.fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
             w.to_le_bytes()
@@ -1289,22 +1312,20 @@ mod tests {
             3_000u64, 9_000, 8_000, 7_000, 6_000, 5_000, 4_000, 2_500, 1_000, 700, 300,
         ];
         let walk = |g: &Graph, fixed: bool| {
-            let mut counts = EpochCounter::new();
+            let mut counts = sink_for(g);
             let mut scratch = WalkScratch::default();
             let entries = entries_on(g.num_nodes() as u32);
             let weights: Vec<f64> = (0..entries.len()).map(|i| 1.0 + (i % 5) as f64).collect();
             let table = AliasTable::new(&weights);
             if fixed {
-                plan_batched_fixed_walks(g, &lengths, &mut counts, &mut scratch);
+                plan_batched_fixed_walks(&lengths, &mut scratch);
             } else {
                 assert!(plan_batched_walks(
-                    g,
                     &entries,
                     &table,
                     50_000,
                     17,
                     None,
-                    &mut counts,
                     &mut scratch
                 ));
             }

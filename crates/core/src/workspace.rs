@@ -11,19 +11,24 @@
 //!   positions, believed only when the record it names names the node
 //!   back, so "clearing" the structure between queries is emptying the
 //!   record list — no `memset`, no allocation (see `node_index.rs`);
-//! * values live in a *record list* `{node, degree, value}`, appended on a
-//!   node's first touch after a `begin` (the index slot keeps the record's
-//!   position), so lookups stay O(1) while the memory that holds values
-//!   grows with the query, not with the graph, and every scan of the
-//!   touched nodes (condition-(11) probes, hop sifts, sparse read-back) is
-//!   one sequential pass in first-touch order;
+//! * values live in a *record list*, appended on a node's first touch
+//!   after a `begin` (the index slot keeps the record's position), so
+//!   lookups stay O(1) while the memory that holds values grows with the
+//!   query, not with the graph, and every scan of the touched nodes
+//!   (condition-(11) probes, hop sifts, sparse read-back) is one
+//!   sequential pass in first-touch order. A residue hop's records are
+//!   `{node, degree, value}`; the [`Reserve`]'s are `{node, value,
+//!   count}`, the push reserve and the walks that ended at the node side
+//!   by side, since the answer is their sum;
 //! * a [`QueryWorkspace`] owns all of the buffers an end-to-end query
-//!   needs (reserve, residues, walk-endpoint counters, worklists, walk
-//!   scratch), so a long-lived serving thread allocates once and runs
-//!   arbitrarily many queries allocation-free;
-//! * the output is assembled from the record lists, sorted by node id
-//!   with an LSD radix sort whose scatter buffer the workspace keeps, so
-//!   assembly too is O(touched).
+//!   needs (reserve, residues, worklists, walk scratch), so a long-lived
+//!   serving thread allocates once and runs arbitrarily many queries
+//!   allocation-free. Its only per-node memory is at most three node
+//!   indexes — the reserve's and the two live residue hops' — walking or
+//!   not;
+//! * the output is assembled in one pass over the reserve's records,
+//!   sorted by node id with an LSD radix sort whose scatter buffer the
+//!   workspace keeps, so assembly too is O(touched).
 //!
 //! The push phases work hop by hop, and while hop `k` drains only hops
 //! `k` and `k + 1` are ever written. [`DenseResidues`] therefore keeps
@@ -41,7 +46,7 @@
 use hk_graph::{Graph, NodeId};
 
 use crate::node_index::Record;
-pub use crate::node_index::{EpochCounter, EpochVec};
+pub use crate::node_index::{EpochVec, Reserve};
 
 /// Dense multi-hop residue store: the indexed counterpart of
 /// [`crate::sparse::ResidueTable`]. Hop sums are maintained incrementally
@@ -330,12 +335,10 @@ pub struct PhaseTimes {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct QueryWorkspace {
-    /// Reserve vector `q_s`.
-    pub(crate) reserve: EpochVec,
+    /// Reserve vector `q_s` and the walk endpoint counts.
+    pub(crate) reserve: Reserve,
     /// Residue vectors `r^(0..K)`.
     pub(crate) residues: DenseResidues,
-    /// Walk-endpoint counts.
-    pub(crate) counts: EpochCounter,
     /// Per-hop push worklists (reused). Entries `(node, degree, at)` carry
     /// what the enqueue site knows for free — the node's degree and the
     /// position of its record in its hop's [`EpochVec`] — so a pop reads
@@ -422,9 +425,10 @@ impl QueryWorkspace {
         }
     }
 
-    /// Read access to the reserve vector of the last push phase run on
-    /// this workspace (equivalence tests and custom estimator assembly).
-    pub fn reserve(&self) -> &EpochVec {
+    /// Read access to the reserve vector of the last query run on this
+    /// workspace, and the walk endpoint counts beside it (equivalence
+    /// tests and custom estimator assembly).
+    pub fn reserve(&self) -> &Reserve {
         &self.reserve
     }
 
@@ -446,20 +450,19 @@ impl QueryWorkspace {
 
     /// Bytes held by every backing allocation of this workspace. The
     /// only part sized by the graph is one 4-byte index slot per node in
-    /// each of three node indexes (reserve, two live residue hops) and,
-    /// once a query on it has walked, a fourth (endpoint counts),
-    /// whatever the hop cap. Those are allocated bytes, not resident
-    /// ones: an index comes zeroed from the allocator, and its pages only
-    /// become resident as queries touch them. Everything else — records,
-    /// worklists, frozen residue survivors, walk and assembly buffers —
-    /// grows with what the largest query so far touched. Serving layers
-    /// use this (together with the result-side accounting in
-    /// `HkprEstimate::memory_bytes`) to budget cache memory against
-    /// worker memory.
+    /// each of at most three node indexes (the reserve, whose records also
+    /// hold the walk endpoint counts, and the two live residue hops, which
+    /// only a push sizes), whatever the hop cap and whether or not a query
+    /// walked. Those are allocated bytes, not resident ones: an index
+    /// comes zeroed from the allocator, and its pages only become resident
+    /// as queries touch them. Everything else — records, worklists, frozen
+    /// residue survivors, walk and assembly buffers — grows with what the
+    /// largest query so far touched. Serving layers use this (together
+    /// with the result-side accounting in `HkprEstimate::memory_bytes`) to
+    /// budget cache memory against worker memory.
     pub fn memory_bytes(&self) -> usize {
         self.reserve.memory_bytes()
             + self.residues.memory_bytes()
-            + self.counts.memory_bytes()
             + self
                 .queues
                 .iter()
@@ -478,9 +481,8 @@ impl QueryWorkspace {
     /// huge graph can call this to hand `O(n)` index memory back to the
     /// allocator; the next query re-grows.
     pub fn reset(&mut self) {
-        self.reserve.release();
+        self.reserve = Reserve::new();
         self.residues.release();
-        self.counts.release();
         self.queues = Vec::new();
         self.entries = Vec::new();
         self.weights = Vec::new();
@@ -493,16 +495,12 @@ impl QueryWorkspace {
         self.cancel = None;
     }
 
-    /// Prepare for a query over an `n`-node graph: O(1) clears of the
-    /// reserve and endpoint counters (residues are shaped by the push
-    /// routines, which know their hop count). The reserve is sized here —
-    /// every query writes it; the endpoint counter is only emptied, so
-    /// that no earlier query's deposits can reach
-    /// [`assemble_estimate`](Self::assemble_estimate), and is sized by
-    /// the walk phase if one runs (see [`EpochCounter`]).
+    /// Prepare for a query over an `n`-node graph: size the reserve and
+    /// clear it in O(1), values and endpoint counts alike, so the push and
+    /// the walk phase both deposit into it (residues are shaped by the
+    /// push routines, which know their hop count).
     pub(crate) fn begin(&mut self, n: usize) {
         self.reserve.begin(n);
-        self.counts.clear();
         self.entries.clear();
         self.weights.clear();
     }
@@ -533,35 +531,29 @@ impl QueryWorkspace {
         self.queues[0].push((seed, degree as u32, at));
     }
 
-    /// Assemble the final sorted sparse estimate from the reserve plus
-    /// `count * mass` walk deposits, in O(touched) (see [`sum_by_node`]).
-    /// The returned vector is handed to the `HkprEstimate`, which owns its
-    /// storage — this is the one intrinsic allocation of a query's output.
+    /// Assemble the final sorted sparse estimate, `q[v] + count[v] *
+    /// mass`, in one pass over the reserve's records and O(touched): a
+    /// node with a reserve and no walks emits `q`, one with walks and no
+    /// reserve `count * mass`, one with both their sum, and one with
+    /// neither nothing. That is the sum of the reserve's non-zero entries
+    /// and the walk deposits, merged by node, bit for bit: each node's sum
+    /// has at most two operands, so their order cannot show. The returned
+    /// vector is handed to the `HkprEstimate`, which owns its storage —
+    /// this is the one intrinsic allocation of a query's output.
     pub(crate) fn assemble_estimate(&mut self, mass: f64) -> Vec<(NodeId, f64)> {
-        // iter_nonzero's size hint is 0, so size the vec explicitly.
-        let mut out = Vec::with_capacity(self.reserve.touched_len() + self.counts.iter().len());
-        out.extend(self.reserve.iter_nonzero());
-        out.extend(self.counts.iter().map(|(v, c)| (v, c as f64 * mass)));
-        sum_by_node(&mut out, &mut self.radix_tmp);
+        let mut out = Vec::with_capacity(self.reserve.iter().len());
+        out.extend(self.reserve.iter().filter_map(|(v, q, count)| {
+            let x = match (q != 0.0, count) {
+                (false, 0) => return None,
+                (true, 0) => q,
+                (false, c) => c as f64 * mass,
+                (true, c) => q + c as f64 * mass,
+            };
+            Some((v, x))
+        }));
+        sort_by_node(&mut out, &mut self.radix_tmp);
         out
     }
-}
-
-/// Sort `entries` by node id and fold the entries of each node into one
-/// by summing. Each node appears at most twice — once from the reserve,
-/// once from the endpoint counts — so its sum has two operands, and
-/// two-operand fp addition is commutative: the order the sort leaves
-/// them in cannot show.
-fn sum_by_node(entries: &mut Vec<(NodeId, f64)>, tmp: &mut Vec<(NodeId, f64)>) {
-    sort_by_node(entries, tmp);
-    entries.dedup_by(|later, first| {
-        if later.0 == first.0 {
-            first.1 += later.1;
-            true
-        } else {
-            false
-        }
-    });
 }
 
 /// Bits per digit of [`sort_by_node`]: 256 buckets, so a pass's
@@ -759,17 +751,19 @@ mod tests {
         ws.begin(16);
         ws.reserve.add(7, 0.5);
         ws.reserve.add(2, 0.25);
-        ws.counts.begin(16);
-        ws.counts.inc(7, 2);
-        ws.counts.inc(11, 1);
+        ws.reserve.add(4, 0.0);
+        ws.reserve.inc(7, 2);
+        ws.reserve.inc(11, 1);
         let entries = ws.assemble_estimate(0.1);
-        assert_eq!(entries.len(), 3);
+        assert_eq!(entries.len(), 3, "node 4 has neither reserve nor walks");
         assert_eq!(entries[0].0, 2);
         assert!((entries[1].1 - 0.7).abs() < 1e-15); // 0.5 + 2 * 0.1
         assert_eq!(entries[2], (11, 0.1));
     }
 
-    /// The assembly merge as it was before the radix sort.
+    /// The assembly merge as it was before the reserve held the counts:
+    /// the reserve's non-zero entries and the `count * mass` deposits in
+    /// one list, sorted by node, each node's two entries summed.
     fn sum_by_node_reference(entries: &mut Vec<(NodeId, f64)>) {
         entries.sort_unstable_by_key(|&(v, _)| v);
         entries.dedup_by(|later, first| {
@@ -782,24 +776,64 @@ mod tests {
         });
     }
 
-    fn bits(entries: &[(NodeId, f64)]) -> Vec<(NodeId, u64)> {
+    /// Entries with their values as bits.
+    type EntryBits = Vec<(NodeId, u64)>;
+
+    fn bits(entries: &[(NodeId, f64)]) -> EntryBits {
         entries.iter().map(|&(v, x)| (v, x.to_bits())).collect()
+    }
+
+    /// Node ids below this span all four radix digits.
+    const SPAN: NodeId = 1 << 25;
+
+    /// `(assemble_estimate, sum_by_node_reference)` over one reserve
+    /// filled from `reserve` and then `counts` (one entry per node in
+    /// each), as bits.
+    fn assembled_and_reference(
+        reserve: &[(NodeId, f64)],
+        counts: &[(NodeId, u64)],
+        mass: f64,
+    ) -> (EntryBits, EntryBits) {
+        let mut ws = QueryWorkspace::new();
+        ws.begin(SPAN as usize);
+        for &(v, q) in reserve {
+            ws.reserve.add(v, q);
+        }
+        for &(v, c) in counts {
+            ws.reserve.inc(v, c);
+        }
+        let got = ws.assemble_estimate(mass);
+        let deposits = counts.iter().map(|&(v, c)| (v, c as f64 * mass));
+        let mut want: Vec<_> = reserve.iter().copied().filter(|e| e.1 != 0.0).collect();
+        want.extend(deposits);
+        sum_by_node_reference(&mut want);
+        (bits(&got), bits(&want))
     }
 
     #[test]
     fn radix_assembly_edge_cases() {
-        let mut tmp = Vec::new();
-        for input in [
-            vec![],
-            vec![(7, 0.5)],
-            vec![(1 << 24, 0.5), (1 << 24, 0.25)],
-            vec![(u32::MAX, 1.0), (0, 2.0), (1 << 16, 3.0), (u32::MAX, 0.5)],
-            vec![(300, 0.1), (44, 0.2), (300, 0.3), ((1 << 16) + 44, 0.4)],
-        ] {
-            let (mut got, mut want) = (input.clone(), input.clone());
-            sum_by_node(&mut got, &mut tmp);
-            sum_by_node_reference(&mut want);
-            assert_eq!(bits(&got), bits(&want), "input {input:?}");
+        let top = SPAN - 1;
+        type Case<'a> = (&'a [(NodeId, f64)], &'a [(NodeId, u64)]);
+        let cases: [Case; 7] = [
+            (&[], &[]),
+            (&[(7, 0.5)], &[]),
+            (&[], &[(7, 3)]),
+            (&[(9, 0.0)], &[]),
+            (&[(1 << 24, 0.5)], &[(1 << 24, 2)]),
+            (
+                &[(top, 1.0), (0, 2.0), (1 << 16, 3.0)],
+                &[(top, 5), (1 << 8, 1)],
+            ),
+            (
+                &[(300, 0.1), (44, 0.0), ((1 << 16) + 44, 0.4)],
+                &[(300, 3), (44, 2), (1 << 24, 1)],
+            ),
+        ];
+        for (reserve, counts) in cases {
+            for mass in [0.0, 0.1, 1.0 / 3.0, 2.5] {
+                let (got, want) = assembled_and_reference(reserve, counts, mass);
+                assert_eq!(got, want, "{reserve:?} {counts:?} mass {mass}");
+            }
         }
     }
 
@@ -808,16 +842,15 @@ mod tests {
         let mut ws = QueryWorkspace::new();
         let fresh = ws.memory_bytes();
         ws.begin(4096);
-        ws.counts.begin(4096);
         for v in 0..1_000 {
             ws.reserve.add(v * 3, 0.5);
-            ws.counts.inc(v * 4, 1);
+            ws.reserve.inc(v * 4, 1);
         }
         let before = ws.memory_bytes();
         let entries = ws.assemble_estimate(0.25);
         assert_eq!(entries.len(), 1_000 + 1_000 - 250);
         let tmp = ws.radix_tmp.capacity() * std::mem::size_of::<(NodeId, f64)>();
-        assert!(tmp >= 2_000 * std::mem::size_of::<(NodeId, f64)>());
+        assert!(tmp >= entries.len() * std::mem::size_of::<(NodeId, f64)>());
         assert_eq!(ws.memory_bytes(), before + tmp);
         ws.reset();
         assert_eq!(ws.memory_bytes(), fresh);
@@ -829,19 +862,19 @@ mod tests {
         let fresh = ws.memory_bytes();
         ws.begin(4096);
         ws.reserve.add(17, 1.0);
-        ws.counts.begin(4096);
-        ws.counts.inc(40, 2);
+        ws.reserve.inc(40, 2);
         ws.residues.begin(3, 4096);
         ws.residues.seed(9, 1, 0.5);
-        // Four indexes: reserve, endpoint counts, two live residue hops.
+        // Three indexes: the reserve (which holds the endpoint counts
+        // too) and two live residue hops.
         let grown = ws.memory_bytes();
         assert!(
-            grown >= fresh + 4 * 4096 * INDEX_SLOT,
+            grown >= fresh + 3 * 4096 * INDEX_SLOT,
             "grown {grown} vs fresh {fresh}"
         );
         // The records hold what was touched, not one value per node.
         assert!(
-            grown < fresh + 5 * 4096 * INDEX_SLOT,
+            grown < fresh + 4 * 4096 * INDEX_SLOT,
             "grown {grown} vs fresh {fresh}"
         );
         ws.reset();
@@ -849,7 +882,7 @@ mod tests {
         // The workspace stays usable after a reset.
         ws.begin(16);
         ws.reserve.add(3, 0.5);
-        assert_eq!(ws.reserve.get(3), 0.5);
+        assert_eq!(ws.reserve.get(3), (0.5, 0));
     }
 
     #[test]
@@ -891,8 +924,7 @@ mod tests {
         use crate::estimate::QueryStats;
         use hk_graph::gen::holme_kim;
         use rand::{rngs::SmallRng, SeedableRng};
-        let n = 5_000usize;
-        let g = holme_kim(n, 5, 0.4, &mut SmallRng::seed_from_u64(70)).unwrap();
+        let g = holme_kim(5_000, 5, 0.4, &mut SmallRng::seed_from_u64(70)).unwrap();
         let params = |t: f64, delta: f64| {
             crate::HkprParams::builder(&g)
                 .t(t)
@@ -923,34 +955,19 @@ mod tests {
 
         // A walk, then an early exit, then Monte-Carlo on one workspace:
         // each answers as on a fresh one, so neither the walk's deposits
-        // nor the early exit's unsized counter reach the next assembly.
+        // nor the early exit's reserve reach the next assembly.
         let mut shared = QueryWorkspace::new();
         let walked = tea_plus(&walking, 3, &mut shared);
         assert!(walked.0.random_walks > 0 && !walked.0.early_exit);
         assert_eq!(walked, tea_plus(&walking, 3, &mut QueryWorkspace::new()));
-        let with_counter = shared.memory_bytes();
         let exited = tea_plus(&exiting, 9, &mut shared);
         assert!(exited.0.early_exit && exited.0.random_walks == 0);
         assert_eq!(exited, tea_plus(&exiting, 9, &mut QueryWorkspace::new()));
         let sampled = monte_carlo(5, &mut shared);
         assert_eq!(sampled.0.random_walks, 5_000);
         assert_eq!(sampled, monte_carlo(5, &mut QueryWorkspace::new()));
-
-        // A workspace that only ever exits early never pays for the
-        // counter; Monte-Carlo sizes it on first use like any walk.
-        let mut push_only = QueryWorkspace::new();
-        for seed in [9, 3, 11] {
-            assert!(tea_plus(&exiting, seed, &mut push_only).0.early_exit);
-        }
-        let counter = n * INDEX_SLOT;
-        assert!(
-            push_only.memory_bytes() + counter <= with_counter,
-            "push-only {} vs walking {with_counter}",
-            push_only.memory_bytes()
-        );
-        assert_eq!(push_only.counts.memory_bytes(), 0);
-        assert_eq!(sampled, monte_carlo(5, &mut push_only));
-        assert!(push_only.counts.memory_bytes() >= counter);
+        // And back: a walk after Monte-Carlo reads none of its counts.
+        assert_eq!(walked, tea_plus(&walking, 3, &mut shared));
     }
 
     #[test]
@@ -980,7 +997,8 @@ mod tests {
         let (k_low, low) = footprint(5.0, 1e-3, 2.5);
         let (k_high, high) = footprint(5.0, 1e-3, 6.0);
         assert!(k_high >= 2 * k_low, "hop caps {k_low} and {k_high}");
-        // Both queries end in the push phase, so no endpoint counter.
+        // Both queries end in the push phase; walking or not, a
+        // workspace holds three indexes.
         for bytes in [low, high] {
             assert!(bytes >= 3 * index, "reserve, two live hops");
             assert!(bytes - 3 * index < 8 * n, "{bytes} bytes for n = {n}");
@@ -988,6 +1006,18 @@ mod tests {
         // Records, worklists, frozen survivors and walk scratch grow with
         // what a query touches; together they stay under one index.
         assert!(low.abs_diff(high) < index, "{low} vs {high} bytes");
+    }
+
+    /// `g` rebuilt with isolated nodes up to `nodes`.
+    fn padded(g: &Graph, nodes: usize) -> Graph {
+        let mut b = hk_graph::GraphBuilder::new();
+        for v in 0..g.num_nodes() as NodeId {
+            for &u in g.neighbors(v) {
+                b.add_edge(v, u);
+            }
+        }
+        b.ensure_nodes(nodes);
+        b.build()
     }
 
     #[test]
@@ -1002,16 +1032,6 @@ mod tests {
         use rand::{rngs::SmallRng, SeedableRng};
         let (n, pad) = (50_000usize, 50_000usize);
         let g = holme_kim(n, 5, 0.4, &mut SmallRng::seed_from_u64(80)).unwrap();
-        let padded = |nodes: usize| {
-            let mut b = hk_graph::GraphBuilder::new();
-            for v in 0..n as NodeId {
-                for &u in g.neighbors(v) {
-                    b.add_edge(v, u);
-                }
-            }
-            b.ensure_nodes(nodes);
-            b.build()
-        };
         let cfg = PushPlusConfig {
             hop_cap: 8,
             eps_abs: 1e-3,
@@ -1023,8 +1043,8 @@ mod tests {
             let stats = hk_push_plus_ws(graph, &poisson, 7, &cfg, &mut ws);
             (stats, ws)
         };
-        let (stats, ws) = footprint(&padded(n));
-        let (padded_stats, padded_ws) = footprint(&padded(n + pad));
+        let (stats, ws) = footprint(&padded(&g, n));
+        let (padded_stats, padded_ws) = footprint(&padded(&g, n + pad));
         assert_eq!(stats, padded_stats);
         assert!(stats.push_operations > 0 && stats.push_operations < n as u64);
         assert_eq!(
@@ -1032,50 +1052,94 @@ mod tests {
             3 * pad * INDEX_SLOT
         );
         // Past the three indexes, the lists hold what the query touched:
-        // per push operation (and for the seed) at most a reserve record,
-        // a record in either live hop, a survivor and a worklist entry —
-        // 76 bytes — at most twice over for vector doubling. And they
-        // hold less than a fourth index would.
+        // per push operation (and for the seed) at most a reserve record
+        // (24 bytes, with room for a walk count), a record in either live
+        // hop, a survivor and a worklist entry — 84 bytes — at most twice
+        // over for vector doubling. And they hold less than another index
+        // would.
         let touched = stats.push_operations as usize + 1;
         let rest = ws.memory_bytes() - 3 * n * INDEX_SLOT;
         assert!(
-            rest <= 2 * 80 * touched,
+            rest <= 2 * 84 * touched,
             "{rest} bytes for {touched} touches"
         );
         assert!(rest < n * INDEX_SLOT, "{rest} bytes beside the indexes");
     }
 
+    #[test]
+    fn walking_footprint_is_three_indexes_plus_what_the_query_touched() {
+        // The walking counterpart of the push-only test: a TEA+ query that
+        // walks and a Monte-Carlo query, each on a graph and on the graph
+        // padded with isolated nodes. The params are built once, so both
+        // runs plan the same walks, and no walk reaches an isolated node,
+        // so both touch the same nodes. TEA+ then differs by its three
+        // indexes' worth of padding — the endpoint counts add none — and
+        // Monte-Carlo, which never pushes, by the reserve's alone.
+        use hk_graph::gen::holme_kim;
+        use rand::{rngs::SmallRng, SeedableRng};
+        let (n, pad) = (5_000usize, 5_000usize);
+        let g = holme_kim(n, 5, 0.4, &mut SmallRng::seed_from_u64(70)).unwrap();
+        let params = crate::HkprParams::builder(&g)
+            .t(20.0)
+            .delta(2e-4)
+            .p_f(1e-3)
+            .build()
+            .unwrap();
+        let footprint = |graph: &Graph, push: bool| {
+            let mut ws = QueryWorkspace::new();
+            let mut rng = SmallRng::seed_from_u64(71);
+            let out = if push {
+                crate::tea_plus::tea_plus_in(graph, &params, 3, &mut rng, &mut ws)
+            } else {
+                crate::monte_carlo_in(graph, &params, 3, Some(5_000), &mut rng, &mut ws)
+            };
+            (out.unwrap().stats, ws.memory_bytes())
+        };
+        for (push, indexes) in [(true, 3), (false, 1)] {
+            let (stats, bytes) = footprint(&padded(&g, n), push);
+            let (padded_stats, padded_bytes) = footprint(&padded(&g, n + pad), push);
+            assert_eq!(stats, padded_stats);
+            assert!(stats.random_walks > 0 && !stats.early_exit);
+            assert_eq!(
+                padded_bytes - bytes,
+                indexes * pad * INDEX_SLOT,
+                "push {push}"
+            );
+        }
+    }
+
     proptest::proptest! {
-        /// The radix merge equals the comparison sort + merge bit for bit,
-        /// on ids spread over every digit, with nodes in the reserve, the
-        /// counts or both.
+        /// The folded assembly equals the comparison sort + two-operand
+        /// merge of the reserve's non-zero entries and the walk deposits
+        /// bit for bit: on ids spread over every digit, with nodes in the
+        /// reserve (zero reserves among them), the counts or both, at
+        /// several masses, 0 included.
         #[test]
         fn radix_assembly_matches_a_comparison_sort(
             draws in proptest::collection::vec(
-                (0usize..4, 0u32..3_000, 0u32..3, 0.0f64..1.0),
+                (0usize..4, 0u32..3_000, 0u32..3, 0.0f64..1.0, 1u64..50),
                 0..400,
             ),
+            mass in 0usize..4,
         ) {
-            let bases = [0, 1 << 16, 1 << 24, u32::MAX - 3_000];
+            let bases = [0, 1 << 16, 1 << 24, SPAN - 3_000];
             let mut seen = std::collections::HashSet::new();
             let (mut reserve, mut counts) = (Vec::new(), Vec::new());
-            for (base, low, source, x) in draws {
+            for (base, low, source, x, c) in draws {
                 let v = bases[base] + low;
                 if !seen.insert(v) {
                     continue;
                 }
                 if source != 1 {
-                    reserve.push((v, x));
+                    reserve.push((v, if c % 7 == 0 { 0.0 } else { x }));
                 }
                 if source != 0 {
-                    counts.push((v, x * 0.37 + 1e-3));
+                    counts.push((v, c));
                 }
             }
-            let input: Vec<(NodeId, f64)> = reserve.into_iter().chain(counts).collect();
-            let (mut got, mut want) = (input.clone(), input);
-            sum_by_node(&mut got, &mut Vec::new());
-            sum_by_node_reference(&mut want);
-            proptest::prop_assert_eq!(bits(&got), bits(&want));
+            let mass = [0.0, 1e-3, 0.37, 1.0 / 3.0][mass];
+            let (got, want) = assembled_and_reference(&reserve, &counts, mass);
+            proptest::prop_assert_eq!(got, want);
         }
     }
 

@@ -113,13 +113,13 @@ fn cancelled_walk_engine_skips_chunks() {
     // walk engine return without walking (the driver-level error is
     // covered by the estimator tests above).
     use hkpr_core::walk::{run_batched_walks, WalkScratch};
-    use hkpr_core::workspace::EpochCounter;
-    use hkpr_core::{AliasTable, PoissonTable};
+    use hkpr_core::{AliasTable, PoissonTable, Reserve};
     let g = fixture_graph();
     let p = PoissonTable::new(5.0);
     let entries = [(0u32, 0u32), (0u32, 1u32)];
     let table = AliasTable::new(&[1.0, 1.0]);
-    let mut counts = EpochCounter::new();
+    let mut sink = Reserve::new();
+    sink.begin(g.num_nodes());
     let mut scratch = WalkScratch::default();
     let token = CancelToken::new();
     token.cancel();
@@ -131,7 +131,7 @@ fn cancelled_walk_engine_skips_chunks() {
         100_000,
         3,
         Some(&token),
-        &mut counts,
+        &mut sink,
         &mut scratch,
     );
     assert_eq!(steps, 0, "cancelled engine must not walk");

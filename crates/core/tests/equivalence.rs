@@ -21,10 +21,9 @@ use hkpr_core::reference::{monte_carlo_reference, tea_plus_reference, tea_refere
 use hkpr_core::tea::tea_in;
 use hkpr_core::tea_plus::{tea_plus_in, TeaPlusOptions};
 use hkpr_core::walk::{k_random_walk, run_batched_walks, WalkScratch};
-use hkpr_core::workspace::EpochCounter;
 use hkpr_core::{
     exact_hkpr, monte_carlo_in, AliasTable, AnytimeControls, HkprParams, PoissonTable,
-    QueryWorkspace, TeaOutput,
+    QueryWorkspace, Reserve, TeaOutput,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -39,6 +38,13 @@ fn build_graph(edges: &[(u8, u8)]) -> Graph {
     b.build()
 }
 
+/// The non-zero entries of the workspace's push reserve, in first-touch
+/// order.
+fn reserve_nonzero(ws: &QueryWorkspace) -> Vec<(u32, f64)> {
+    let nonzero = ws.reserve().iter().filter(|&(_, q, _)| q != 0.0);
+    nonzero.map(|(v, q, _)| (v, q)).collect()
+}
+
 /// Assert the dense push state equals the hash-map push output exactly.
 fn assert_push_state_identical(
     g: &Graph,
@@ -48,7 +54,7 @@ fn assert_push_state_identical(
 ) {
     // Reserve: equal supports, bit-equal values.
     let dense_reserve: Vec<(u32, f64)> = {
-        let mut v: Vec<(u32, f64)> = ws.reserve().iter_nonzero().collect();
+        let mut v: Vec<(u32, f64)> = reserve_nonzero(ws);
         v.sort_unstable_by_key(|&(u, _)| u);
         v
     };
@@ -321,8 +327,8 @@ proptest! {
         a.sort_unstable_by_key(|&(k, v, _)| (k, v));
         b.sort_unstable_by_key(|&(k, v, _)| (k, v));
         prop_assert_eq!(a, b);
-        let mut ra: Vec<(u32, f64)> = reused.reserve().iter_nonzero().collect();
-        let mut rb: Vec<(u32, f64)> = fresh.reserve().iter_nonzero().collect();
+        let mut ra: Vec<(u32, f64)> = reserve_nonzero(&reused);
+        let mut rb: Vec<(u32, f64)> = reserve_nonzero(&fresh);
         ra.sort_unstable_by_key(|&(v, _)| v);
         rb.sort_unstable_by_key(|&(v, _)| v);
         prop_assert_eq!(ra, rb);
@@ -643,7 +649,8 @@ fn run_lanes(
     nr: u64,
     master_seed: u64,
 ) -> (Vec<(u32, u64)>, u64) {
-    let mut counts = EpochCounter::new();
+    let mut sink = Reserve::new();
+    sink.begin(g.num_nodes());
     let steps = run_batched_walks(
         g,
         poisson,
@@ -652,10 +659,10 @@ fn run_lanes(
         nr,
         master_seed,
         None,
-        &mut counts,
+        &mut sink,
         &mut WalkScratch::default(),
     );
-    let mut counts: Vec<(u32, u64)> = counts.iter().collect();
+    let mut counts: Vec<(u32, u64)> = sink.iter().map(|(v, _, c)| (v, c)).collect();
     counts.sort_unstable();
     (counts, steps)
 }
