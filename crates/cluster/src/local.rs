@@ -81,12 +81,16 @@ impl ClusterResult {
                 .all(|((u, x), (v, y))| u == v && x.to_bits() == y.to_bits())
     }
 
-    /// Bytes held by this result (cluster members + estimate entries +
-    /// struct overhead) — the unit the serving cache's byte budget counts.
+    /// Bytes held by this result (cluster members + the estimate's columns
+    /// and header + struct overhead) — the unit the serving cache's byte
+    /// budget counts. The estimate's header sits inline in `Self`, so it
+    /// is counted once: [`HkprEstimate::memory_bytes`] includes it, and
+    /// only the rest of `Self` is added here.
     pub fn memory_bytes(&self) -> usize {
         self.cluster.capacity() * std::mem::size_of::<NodeId>()
             + self.estimate.memory_bytes()
             + std::mem::size_of::<Self>()
+            - std::mem::size_of::<HkprEstimate>()
     }
 }
 
@@ -285,6 +289,28 @@ mod tests {
     fn planted() -> hk_graph::gen::PlantedPartition {
         let mut rng = SmallRng::seed_from_u64(3);
         planted_partition(4, 40, 0.35, 0.01, &mut rng).unwrap()
+    }
+
+    #[test]
+    fn result_bytes_count_the_estimate_header_once() {
+        use std::mem::size_of;
+        let result = ClusterResult {
+            cluster: Vec::with_capacity(3),
+            conductance: 1.0,
+            estimate: HkprEstimate::from_sorted_columns(vec![1, 4], vec![0.5, 0.25]),
+            stats: QueryStats::default(),
+            support_size: 2,
+        };
+        assert_eq!(
+            result.estimate.memory_bytes(),
+            2 * 12 + size_of::<HkprEstimate>()
+        );
+        // The struct (estimate header inline), the three member slots and
+        // the two pairs' columns: no second header.
+        assert_eq!(
+            result.memory_bytes(),
+            size_of::<ClusterResult>() + 3 * size_of::<NodeId>() + 2 * 12
+        );
     }
 
     #[test]

@@ -15,15 +15,19 @@ use crate::fxhash::FxHashMap;
 /// *normalized* value by the same constant, so rankings (and therefore
 /// sweeps) may ignore it.
 ///
-/// Internally the entries live in a single node-id-sorted vector (built in
+/// Internally the entries live in two columns of equal length, built in
 /// one pass from the dense [`crate::workspace::QueryWorkspace`] touched
-/// lists), so `support()` iterates in deterministic ascending-id order and
-/// the sweep's ranking pass reads a contiguous slice instead of walking a
+/// lists: the node ids, ascending and unique, and their raw values. A
+/// pair costs 12 bytes, not the 16 of a padded `(NodeId, f64)`, and
+/// `support()` still iterates in deterministic ascending-id order, so the
+/// sweep's ranking pass reads two contiguous slices instead of walking a
 /// hash map.
 #[derive(Clone, Debug, Default)]
 pub struct HkprEstimate {
-    /// `(node, raw value)` sorted by node id, unique ids.
-    entries: Vec<(NodeId, f64)>,
+    /// Node ids, ascending and unique.
+    nodes: Vec<NodeId>,
+    /// `values[i]` is the raw value of `nodes[i]`.
+    values: Vec<f64>,
     offset_coeff: f64,
 }
 
@@ -37,22 +41,24 @@ impl HkprEstimate {
     pub fn from_values(values: FxHashMap<NodeId, f64>) -> Self {
         let mut entries: Vec<(NodeId, f64)> = values.into_iter().collect();
         entries.sort_unstable_by_key(|&(v, _)| v);
-        HkprEstimate {
-            entries,
-            offset_coeff: 0.0,
-        }
+        Self::from_sorted_columns(
+            entries.iter().map(|e| e.0).collect(),
+            entries.iter().map(|e| e.1).collect(),
+        )
     }
 
-    /// Wrap a pre-sorted, duplicate-free `(node, value)` list — the output
-    /// shape of the dense query workspace. Sortedness is a debug-checked
-    /// precondition.
-    pub fn from_sorted_entries(entries: Vec<(NodeId, f64)>) -> Self {
+    /// Wrap two equal-length columns: node ids, ascending and unique, and
+    /// their raw values — the output shape of the dense query workspace.
+    /// Both are debug-checked preconditions.
+    pub fn from_sorted_columns(nodes: Vec<NodeId>, values: Vec<f64>) -> Self {
+        debug_assert_eq!(nodes.len(), values.len(), "columns of equal length");
         debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "entries must be sorted/unique"
+            nodes.windows(2).all(|w| w[0] < w[1]),
+            "node ids must be sorted/unique"
         );
         HkprEstimate {
-            entries,
+            nodes,
+            values,
             offset_coeff: 0.0,
         }
     }
@@ -65,18 +71,16 @@ impl HkprEstimate {
     /// arrays instead of calling this per walk.
     #[inline]
     pub fn add_mass(&mut self, v: NodeId, mass: f64) {
-        if let Some(&(last, _)) = self.entries.last() {
-            if v > last {
-                self.entries.push((v, mass));
-                return;
+        let at = match self.nodes.last() {
+            Some(&last) if v <= last => self.nodes.binary_search(&v),
+            _ => Err(self.nodes.len()),
+        };
+        match at {
+            Ok(i) => self.values[i] += mass,
+            Err(i) => {
+                self.nodes.insert(i, v);
+                self.values.insert(i, mass);
             }
-        } else {
-            self.entries.push((v, mass));
-            return;
-        }
-        match self.entries.binary_search_by_key(&v, |&(u, _)| u) {
-            Ok(i) => self.entries[i].1 += mass,
-            Err(i) => self.entries.insert(i, (v, mass)),
         }
     }
 
@@ -93,8 +97,8 @@ impl HkprEstimate {
     /// Explicit (offset-free) value of `v`.
     #[inline]
     pub fn raw(&self, v: NodeId) -> f64 {
-        match self.entries.binary_search_by_key(&v, |&(u, _)| u) {
-            Ok(i) => self.entries[i].1,
+        match self.nodes.binary_search(&v) {
+            Ok(i) => self.values[i],
             Err(_) => 0.0,
         }
     }
@@ -118,24 +122,28 @@ impl HkprEstimate {
 
     /// Number of explicitly stored entries.
     pub fn nnz(&self) -> usize {
-        self.entries.len()
+        self.nodes.len()
     }
 
-    /// Bytes held by the entry storage (serving-layer cache budgeting).
+    /// Bytes held by this estimate (serving-layer cache budgeting): both
+    /// columns, 12 bytes per pair when they are exact-length, plus the
+    /// header.
     pub fn memory_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(NodeId, f64)>() + std::mem::size_of::<Self>()
+        self.nodes.capacity() * std::mem::size_of::<NodeId>()
+            + self.values.capacity() * std::mem::size_of::<f64>()
+            + std::mem::size_of::<Self>()
     }
 
     /// Iterate explicit `(node, raw_value)` entries in ascending node id
     /// order.
     pub fn support(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.entries.iter().copied()
+        self.nodes.iter().copied().zip(self.values.iter().copied())
     }
 
     /// Sum of explicit values (excludes offsets; for a TEA/TEA+ output this
     /// is the estimated probability mass accounted for).
     pub fn raw_sum(&self) -> f64 {
-        self.entries.iter().map(|&(_, x)| x).sum()
+        self.values.iter().sum()
     }
 
     /// Support sorted by normalized value, descending (ties toward smaller
@@ -152,10 +160,9 @@ impl HkprEstimate {
     pub fn ranked_by_normalized_into(&self, graph: &Graph, out: &mut Vec<(NodeId, f64)>) {
         out.clear();
         out.extend(
-            self.entries
-                .iter()
-                .filter(|&&(v, _)| graph.degree(v) > 0)
-                .map(|&(v, x)| (v, x / graph.degree(v) as f64)),
+            self.support()
+                .filter(|&(v, _)| graph.degree(v) > 0)
+                .map(|(v, x)| (v, x / graph.degree(v) as f64)),
         );
         // For the non-negative finite values stored here, IEEE-754 bit
         // patterns order exactly like total_cmp (sign bit clear, then
@@ -268,10 +275,50 @@ mod tests {
 
     #[test]
     fn from_sorted_entries_roundtrip() {
-        let e = HkprEstimate::from_sorted_entries(vec![(2, 0.5), (7, 0.25)]);
+        let e = HkprEstimate::from_sorted_columns(vec![2, 7], vec![0.5, 0.25]);
         assert_eq!(e.raw(2), 0.5);
         assert_eq!(e.raw(7), 0.25);
         assert_eq!(e.raw(3), 0.0);
         assert_eq!(e.nnz(), 2);
+    }
+
+    proptest::proptest! {
+        /// The two columns answer like a `BTreeMap` from id to value
+        /// built by the same calls: `add_mass` with ids out of order and
+        /// repeated (each node's masses summed in call order), `raw` on
+        /// stored and absent ids, `support` in ascending id order, `nnz`
+        /// and `raw_sum`, all bit for bit.
+        #[test]
+        fn columns_match_a_btree_map_model(
+            adds in proptest::collection::vec((0u32..64, -1.0f64..1.0, 0u32..8), 0..200),
+            probes in proptest::collection::vec(0u32..80, 0..20),
+        ) {
+            let mut e = HkprEstimate::new();
+            let mut model = std::collections::BTreeMap::new();
+            for (v, x, zero) in adds {
+                // Signed zeros too: a first add keeps -0.0 as it is.
+                let x = match zero {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => x,
+                };
+                e.add_mass(v, x);
+                model.entry(v).and_modify(|y: &mut f64| *y += x).or_insert(x);
+            }
+            let bits = |it: &mut dyn Iterator<Item = (NodeId, f64)>| {
+                it.map(|(v, x)| (v, x.to_bits())).collect::<Vec<_>>()
+            };
+            proptest::prop_assert_eq!(
+                bits(&mut e.support()),
+                bits(&mut model.iter().map(|(&v, &x)| (v, x)))
+            );
+            proptest::prop_assert_eq!(e.nnz(), model.len());
+            let model_sum: f64 = model.values().sum();
+            proptest::prop_assert_eq!(e.raw_sum().to_bits(), model_sum.to_bits());
+            for v in probes.into_iter().chain(model.keys().copied()) {
+                let want = model.get(&v).copied().unwrap_or(0.0);
+                proptest::prop_assert_eq!(e.raw(v).to_bits(), want.to_bits(), "node {}", v);
+            }
+        }
     }
 }

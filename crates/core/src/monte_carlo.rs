@@ -12,7 +12,7 @@ use rand::Rng;
 
 use crate::anytime::{achieved_eps_r, climb_walk_ladder, AccuracyTier, AnytimeOutput};
 use crate::error::HkprError;
-use crate::estimate::{HkprEstimate, QueryStats};
+use crate::estimate::QueryStats;
 use crate::params::HkprParams;
 use crate::tea::TeaOutput;
 use crate::walk::{plan_batched_fixed_walks, run_planned_fixed_walks};
@@ -153,7 +153,7 @@ pub fn monte_carlo_anytime_in<R: Rng>(
         cursor.steps
     };
 
-    let entries = ws.assemble_estimate(mass);
+    let estimate = ws.assemble_estimate(mass);
     ws.set_phase_times(push_ns, clock.elapsed().as_nanos() as u64 - push_ns);
     let achieved = AccuracyTier {
         tiers_completed,
@@ -167,7 +167,7 @@ pub fn monte_carlo_anytime_in<R: Rng>(
         eps_r_achieved: achieved_eps_r(params.eps_r(), nr, walks_done),
     };
     Ok(AnytimeOutput {
-        estimate: HkprEstimate::from_sorted_entries(entries),
+        estimate,
         stats,
         achieved,
     })

@@ -116,12 +116,9 @@ pub fn tea_in<R: Rng>(
         }
     }
 
-    let entries = ws.assemble_estimate(mass);
+    let estimate = ws.assemble_estimate(mass);
     ws.set_phase_times(push_ns, clock.elapsed().as_nanos() as u64 - push_ns);
-    Ok(TeaOutput {
-        estimate: HkprEstimate::from_sorted_entries(entries),
-        stats,
-    })
+    Ok(TeaOutput { estimate, stats })
 }
 
 #[cfg(test)]

@@ -175,9 +175,8 @@ fn assemble(
     push_ns: u64,
     since: Instant,
 ) -> HkprEstimate {
-    let entries = ws.assemble_estimate(mass);
+    let mut estimate = ws.assemble_estimate(mass);
     ws.set_phase_times(push_ns, since.elapsed().as_nanos() as u64);
-    let mut estimate = HkprEstimate::from_sorted_entries(entries);
     if let Some(coeff) = offset_coeff {
         estimate.set_offset_coeff(coeff);
     }

@@ -26,9 +26,11 @@
 //!   allocation-free. Its only per-node memory is at most three node
 //!   indexes — the reserve's and the two live residue hops' — walking or
 //!   not;
-//! * the output is assembled in one pass over the reserve's records,
-//!   sorted by node id with an LSD radix sort whose scatter buffer the
-//!   workspace keeps, so assembly too is O(touched).
+//! * the output is sorted by node id straight from the reserve's records
+//!   with an LSD radix sort whose scatter buffer the workspace keeps, and
+//!   its last pass writes the estimate's two exact-length columns (ids,
+//!   values), so assembly too is O(touched) and allocates only the
+//!   answer.
 //!
 //! The push phases work hop by hop, and while hop `k` drains only hops
 //! `k` and `k + 1` are ever written. [`DenseResidues`] therefore keeps
@@ -45,6 +47,7 @@
 
 use hk_graph::{Graph, NodeId};
 
+use crate::estimate::HkprEstimate;
 use crate::node_index::Record;
 pub use crate::node_index::{EpochVec, Reserve};
 
@@ -532,27 +535,30 @@ impl QueryWorkspace {
     }
 
     /// Assemble the final sorted sparse estimate, `q[v] + count[v] *
-    /// mass`, in one pass over the reserve's records and O(touched): a
-    /// node with a reserve and no walks emits `q`, one with walks and no
-    /// reserve `count * mass`, one with both their sum, and one with
-    /// neither nothing. That is the sum of the reserve's non-zero entries
-    /// and the walk deposits, merged by node, bit for bit: each node's sum
-    /// has at most two operands, so their order cannot show. The returned
-    /// vector is handed to the `HkprEstimate`, which owns its storage —
-    /// this is the one intrinsic allocation of a query's output.
-    pub(crate) fn assemble_estimate(&mut self, mass: f64) -> Vec<(NodeId, f64)> {
-        let mut out = Vec::with_capacity(self.reserve.iter().len());
-        out.extend(self.reserve.iter().filter_map(|(v, q, count)| {
-            let x = match (q != 0.0, count) {
-                (false, 0) => return None,
-                (true, 0) => q,
-                (false, c) => c as f64 * mass,
-                (true, c) => q + c as f64 * mass,
-            };
-            Some((v, x))
-        }));
-        sort_by_node(&mut out, &mut self.radix_tmp);
-        out
+    /// mass`, in O(touched) from the reserve's records: a node with a
+    /// reserve and no walks emits `q`, one with walks and no reserve
+    /// `count * mass`, one with both their sum, and one with neither
+    /// nothing. That is the sum of the reserve's non-zero entries and the
+    /// walk deposits, merged by node, bit for bit: each node's sum has at
+    /// most two operands, so their order cannot show. The sort's passes
+    /// read the records where they are and end in the estimate's two
+    /// exact-length columns — the one intrinsic allocation of a query's
+    /// output.
+    pub(crate) fn assemble_estimate(&mut self, mass: f64) -> HkprEstimate {
+        let reserve = &self.reserve;
+        let entries = || {
+            reserve.iter().filter_map(move |(v, q, count)| {
+                let x = match (q != 0.0, count) {
+                    (false, 0) => return None,
+                    (true, 0) => q,
+                    (false, c) => c as f64 * mass,
+                    (true, c) => q + c as f64 * mass,
+                };
+                Some((v, x))
+            })
+        };
+        let (nodes, values) = sort_by_node(entries, &mut self.radix_tmp);
+        HkprEstimate::from_sorted_columns(nodes, values)
     }
 }
 
@@ -560,49 +566,88 @@ impl QueryWorkspace {
 /// histogram and scatter cursors stay in L1.
 const RADIX_BITS: u32 = 8;
 
-/// Sort `entries` by node id: an LSD radix sort over [`RADIX_BITS`]-bit
-/// digits through the scatter buffer `tmp`, skipping every digit all ids
-/// share (below 2^24 nodes, the top one). One pass counts every digit;
-/// each remaining pass is one sequential read and one scatter, with no
-/// comparisons.
-fn sort_by_node(entries: &mut [(NodeId, f64)], tmp: &mut Vec<(NodeId, f64)>) {
+/// Sort what `entries` yields (the same entries on every call, unique
+/// ids) by node id into two exact-length columns: an LSD radix sort over
+/// [`RADIX_BITS`]-bit digits, skipping every digit all ids share (below
+/// 2^24 nodes, the top one). One pass counts every digit; each remaining
+/// pass is one sequential read and one scatter, with no comparisons. The
+/// passes alternate between the columns and the scratch `tmp` and end in
+/// the columns, so the first reads the entries where they are and none
+/// copies.
+fn sort_by_node<I: Iterator<Item = (NodeId, f64)>>(
+    entries: impl Fn() -> I,
+    tmp: &mut Vec<(NodeId, f64)>,
+) -> (Vec<NodeId>, Vec<f64>) {
     const DIGITS: usize = (NodeId::BITS / RADIX_BITS) as usize;
-    const MASK: NodeId = (1 << RADIX_BITS) - 1;
-    let Some(&(head, _)) = entries.first() else {
-        return;
-    };
-    let digit = |v: NodeId, d: usize| (v >> (d as u32 * RADIX_BITS) & MASK) as usize;
     let mut hist = [[0usize; 1 << RADIX_BITS]; DIGITS];
-    for &(v, _) in entries.iter() {
+    let mut len = 0;
+    for (v, _) in entries() {
+        len += 1;
         for (d, h) in hist.iter_mut().enumerate() {
             h[digit(v, d)] += 1;
         }
     }
-    tmp.clear();
-    tmp.resize(entries.len(), (0, 0.0));
-    let mut sorted_in_tmp = false;
-    for (d, h) in hist.iter_mut().enumerate() {
-        if h[digit(head, d)] == entries.len() {
-            continue;
+    // The digits the ids do not all share. Below two entries there are
+    // none, and one pass over the lowest digit places the entry.
+    let head = entries().next().map_or(0, |e| e.0);
+    let (mut passes, mut count) = ([0; DIGITS], 0);
+    for d in 0..DIGITS {
+        if hist[d][digit(head, d)] != len {
+            passes[count] = d;
+            count += 1;
         }
-        let mut at = 0;
-        for count in h.iter_mut() {
-            (*count, at) = (at, at + *count);
-        }
-        let (src, dst) = if sorted_in_tmp {
-            (&tmp[..], &mut entries[..])
-        } else {
-            (&entries[..], &mut tmp[..])
-        };
-        for &e in src {
-            let slot = &mut h[digit(e.0, d)];
-            dst[*slot] = e;
-            *slot += 1;
-        }
-        sorted_in_tmp = !sorted_in_tmp;
     }
-    if sorted_in_tmp {
-        entries.copy_from_slice(tmp);
+    let count = count.max(1);
+    if count > 1 && tmp.len() < len {
+        tmp.resize(len, (0, 0.0));
+    }
+    let (mut nodes, mut values) = (vec![0; len], vec![0.0; len]);
+    for (i, &d) in passes[..count].iter().enumerate() {
+        let h = &mut hist[d];
+        // Counted back from the last pass, which writes the columns.
+        let into_tmp = (count - i) % 2 == 0;
+        match (i, into_tmp) {
+            (0, false) => scatter(entries(), h, d, |at, (v, x)| {
+                nodes[at] = v;
+                values[at] = x;
+            }),
+            (0, true) => scatter(entries(), h, d, |at, e| tmp[at] = e),
+            (_, false) => scatter(tmp[..len].iter().copied(), h, d, |at, (v, x)| {
+                nodes[at] = v;
+                values[at] = x;
+            }),
+            (_, true) => {
+                let columns = nodes.iter().copied().zip(values.iter().copied());
+                scatter(columns, h, d, |at, e| tmp[at] = e)
+            }
+        }
+    }
+    (nodes, values)
+}
+
+/// Digit `d` of `v`, least significant first.
+#[inline]
+fn digit(v: NodeId, d: usize) -> usize {
+    (v >> (d as u32 * RADIX_BITS) & ((1 << RADIX_BITS) - 1)) as usize
+}
+
+/// One radix pass over digit `d`, whose histogram is `hist`: hand each
+/// entry of `src`, in order, to `put` with its position in the output.
+#[inline]
+fn scatter(
+    src: impl Iterator<Item = (NodeId, f64)>,
+    hist: &mut [usize; 1 << RADIX_BITS],
+    d: usize,
+    mut put: impl FnMut(usize, (NodeId, f64)),
+) {
+    let mut at = 0;
+    for count in hist.iter_mut() {
+        (*count, at) = (at, at + *count);
+    }
+    for e in src {
+        let slot = &mut hist[digit(e.0, d)];
+        put(*slot, e);
+        *slot += 1;
     }
 }
 
@@ -754,7 +799,7 @@ mod tests {
         ws.reserve.add(4, 0.0);
         ws.reserve.inc(7, 2);
         ws.reserve.inc(11, 1);
-        let entries = ws.assemble_estimate(0.1);
+        let entries: Vec<_> = ws.assemble_estimate(0.1).support().collect();
         assert_eq!(entries.len(), 3, "node 4 has neither reserve nor walks");
         assert_eq!(entries[0].0, 2);
         assert!((entries[1].1 - 0.7).abs() < 1e-15); // 0.5 + 2 * 0.1
@@ -776,11 +821,11 @@ mod tests {
         });
     }
 
-    /// Entries with their values as bits.
-    type EntryBits = Vec<(NodeId, u64)>;
+    /// The id column and the value column as bits.
+    type ColumnBits = (Vec<NodeId>, Vec<u64>);
 
-    fn bits(entries: &[(NodeId, f64)]) -> EntryBits {
-        entries.iter().map(|&(v, x)| (v, x.to_bits())).collect()
+    fn bits(entries: impl Iterator<Item = (NodeId, f64)>) -> ColumnBits {
+        entries.map(|(v, x)| (v, x.to_bits())).unzip()
     }
 
     /// Node ids below this span all four radix digits.
@@ -788,12 +833,12 @@ mod tests {
 
     /// `(assemble_estimate, sum_by_node_reference)` over one reserve
     /// filled from `reserve` and then `counts` (one entry per node in
-    /// each), as bits.
+    /// each), as columns of bits. The assembled columns are exact-length.
     fn assembled_and_reference(
         reserve: &[(NodeId, f64)],
         counts: &[(NodeId, u64)],
         mass: f64,
-    ) -> (EntryBits, EntryBits) {
+    ) -> (ColumnBits, ColumnBits) {
         let mut ws = QueryWorkspace::new();
         ws.begin(SPAN as usize);
         for &(v, q) in reserve {
@@ -803,11 +848,12 @@ mod tests {
             ws.reserve.inc(v, c);
         }
         let got = ws.assemble_estimate(mass);
+        assert_eq!(got.memory_bytes(), estimate_bytes(got.nnz()));
         let deposits = counts.iter().map(|&(v, c)| (v, c as f64 * mass));
         let mut want: Vec<_> = reserve.iter().copied().filter(|e| e.1 != 0.0).collect();
         want.extend(deposits);
         sum_by_node_reference(&mut want);
-        (bits(&got), bits(&want))
+        (bits(got.support()), bits(want.into_iter()))
     }
 
     #[test]
@@ -847,10 +893,12 @@ mod tests {
             ws.reserve.inc(v * 4, 1);
         }
         let before = ws.memory_bytes();
-        let entries = ws.assemble_estimate(0.25);
-        assert_eq!(entries.len(), 1_000 + 1_000 - 250);
+        let estimate = ws.assemble_estimate(0.25);
+        assert_eq!(estimate.nnz(), 1_000 + 1_000 - 250);
+        // The scatter buffer stays with the workspace; the estimate takes
+        // only its columns.
         let tmp = ws.radix_tmp.capacity() * std::mem::size_of::<(NodeId, f64)>();
-        assert!(tmp >= entries.len() * std::mem::size_of::<(NodeId, f64)>());
+        assert!(tmp >= estimate.nnz() * std::mem::size_of::<(NodeId, f64)>());
         assert_eq!(ws.memory_bytes(), before + tmp);
         ws.reset();
         assert_eq!(ws.memory_bytes(), fresh);
@@ -1105,6 +1153,45 @@ mod tests {
                 indexes * pad * INDEX_SLOT,
                 "push {push}"
             );
+        }
+    }
+
+    /// What an exact-length estimate of `nnz` pairs holds: 12 bytes a
+    /// pair, no padding, plus its header.
+    fn estimate_bytes(nnz: usize) -> usize {
+        12 * nnz + std::mem::size_of::<HkprEstimate>()
+    }
+
+    #[test]
+    fn assembled_estimates_hold_twelve_bytes_per_pair() {
+        // The serving cache charges `memory_bytes`; an estimate fresh from
+        // the workspace must hold exactly its pairs — no spare capacity
+        // and no padding — after a push-only TEA+ query, a walking one
+        // and a Monte-Carlo one.
+        use hk_graph::gen::holme_kim;
+        use rand::{rngs::SmallRng, SeedableRng};
+        let g = holme_kim(5_000, 5, 0.4, &mut SmallRng::seed_from_u64(70)).unwrap();
+        let params = |t: f64, delta: f64| {
+            crate::HkprParams::builder(&g)
+                .t(t)
+                .delta(delta)
+                .p_f(1e-3)
+                .build()
+                .unwrap()
+        };
+        let (walking, exiting) = (params(20.0, 2e-4), params(5.0, 1e-3));
+        let mut ws = QueryWorkspace::new();
+        let mut rng = SmallRng::seed_from_u64(73);
+        let push_only = crate::tea_plus::tea_plus_in(&g, &exiting, 9, &mut rng, &mut ws).unwrap();
+        assert!(push_only.stats.early_exit && push_only.stats.random_walks == 0);
+        let walked = crate::tea_plus::tea_plus_in(&g, &walking, 3, &mut rng, &mut ws).unwrap();
+        assert!(walked.stats.random_walks > 0 && !walked.stats.early_exit);
+        let sampled = crate::monte_carlo_in(&g, &exiting, 5, Some(5_000), &mut rng, &mut ws);
+        let sampled = sampled.unwrap();
+        for out in [push_only, walked, sampled] {
+            let e = &out.estimate;
+            assert!(e.nnz() > 1);
+            assert_eq!(e.memory_bytes(), estimate_bytes(e.nnz()), "{:?}", out.stats);
         }
     }
 

@@ -6,8 +6,12 @@
 //! reserve values, same residues, same push counts, same condition-(11)
 //! decisions. The walk phases are randomized, so end-to-end estimates are
 //! compared statistically: identical deterministic stats (push counts,
-//! `alpha`, walk counts), identical total mass, and the same
-//! `(d, eps_r, delta)` guarantee against the exact power-series vector.
+//! `alpha`, walk counts), identical total mass, and strict Definition 1
+//! against the exact power-series vector (the conformance harness's
+//! check, `definition1/check.rs`).
+
+#[path = "definition1/check.rs"]
+mod definition1;
 
 use hk_graph::builder::GraphBuilder;
 use hk_graph::gen::{erdos_renyi_gnm, holme_kim};
@@ -180,33 +184,6 @@ fn assert_outputs_agree(dense: &TeaOutput, reference: &TeaOutput) {
     assert_eq!(
         dense.estimate.offset_coeff(),
         reference.estimate.offset_coeff()
-    );
-}
-
-/// Both outputs honor the `(d, eps_r, delta)` guarantee against the exact
-/// vector (tiny per-node slack for the randomized walk phase).
-fn assert_guarantee(g: &Graph, params: &HkprParams, seed: u32, out: &TeaOutput, label: &str) {
-    let exact = exact_hkpr(g, params.poisson(), seed);
-    let mut violations = 0usize;
-    for v in 0..g.num_nodes() as u32 {
-        let d = g.degree(v) as f64;
-        if d == 0.0 {
-            continue;
-        }
-        let approx = out.estimate.rho(g, v) / d;
-        let truth = exact[v as usize] / d;
-        let ok = if truth > params.delta() {
-            (approx - truth).abs() <= params.eps_r() * truth + 0.05 * truth
-        } else {
-            (approx - truth).abs() <= params.eps_r() * params.delta() + 1e-6
-        };
-        if !ok {
-            violations += 1;
-        }
-    }
-    assert!(
-        violations <= 2,
-        "{label}: {violations} nodes violate the guarantee"
     );
 }
 
@@ -511,8 +488,11 @@ fn tea_dense_agrees_with_reference_on_er_graph() {
         let reference =
             tea_reference(&g, &params, seed, None, &mut SmallRng::seed_from_u64(2)).unwrap();
         assert_outputs_agree(&dense, &reference);
-        assert_guarantee(&g, &params, seed, &dense, "tea dense");
-        assert_guarantee(&g, &params, seed, &reference, "tea reference");
+        let exact = exact_hkpr(&g, params.poisson(), seed);
+        for (out, label) in [(&dense, "tea dense"), (&reference, "tea reference")] {
+            let check = definition1::check(&g, &params, &exact, &out.estimate);
+            assert!(check.holds(), "{label}, seed {seed}: {check}");
+        }
     }
 }
 
@@ -556,7 +536,9 @@ fn tea_plus_dense_honors_guarantee_on_er_graph() {
         .unwrap();
     let mut ws = QueryWorkspace::new();
     let dense = tea_plus_in(&g, &params, 7, &mut SmallRng::seed_from_u64(10), &mut ws).unwrap();
-    assert_guarantee(&g, &params, 7, &dense, "tea+ dense");
+    let exact = exact_hkpr(&g, params.poisson(), 7);
+    let check = definition1::check(&g, &params, &exact, &dense.estimate);
+    assert!(check.holds(), "tea+ dense: {check}");
 }
 
 #[test]

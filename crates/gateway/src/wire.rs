@@ -548,7 +548,7 @@ mod tests {
         let result = ClusterResult {
             cluster: vec![1, 5, 9],
             conductance: 0.125,
-            estimate: HkprEstimate::from_sorted_entries(vec![(1, 0.5), (5, -0.0)]),
+            estimate: HkprEstimate::from_sorted_columns(vec![1, 5], vec![0.5, -0.0]),
             stats: Default::default(),
             support_size: 2,
         };
@@ -580,7 +580,7 @@ mod tests {
         let result = ClusterResult {
             cluster: vec![1],
             conductance: 0.5,
-            estimate: HkprEstimate::from_sorted_entries(vec![(1, 0.5)]),
+            estimate: HkprEstimate::from_sorted_columns(vec![1], vec![0.5]),
             stats: Default::default(),
             support_size: 1,
         };
@@ -795,18 +795,17 @@ mod tests {
         let empty = ClusterResult {
             cluster: vec![],
             conductance: 1.0,
-            estimate: HkprEstimate::from_sorted_entries(vec![]),
+            estimate: HkprEstimate::from_sorted_columns(vec![], vec![]),
             stats: Default::default(),
             support_size: 0,
         };
         let mut signed_zeros = ClusterResult {
             cluster: vec![0, u32::MAX],
             conductance: 1.0 / 3.0,
-            estimate: HkprEstimate::from_sorted_entries(vec![
-                (0, -0.0),
-                (7, 0.0),
-                (u32::MAX, 5e-324),
-            ]),
+            estimate: HkprEstimate::from_sorted_columns(
+                vec![0, 7, u32::MAX],
+                vec![-0.0, 0.0, 5e-324],
+            ),
             stats: Default::default(),
             support_size: 3,
         };
@@ -885,7 +884,10 @@ mod tests {
                 .collect();
             entries.sort_by_key(|e| e.0);
             entries.dedup_by_key(|e| e.0);
-            let mut estimate = HkprEstimate::from_sorted_entries(entries);
+            let mut estimate = HkprEstimate::from_sorted_columns(
+                entries.iter().map(|e| e.0).collect(),
+                entries.iter().map(|e| e.1).collect(),
+            );
             estimate.set_offset_coeff(floats[2]);
             let result = ClusterResult {
                 cluster,
