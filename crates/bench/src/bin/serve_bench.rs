@@ -55,8 +55,7 @@ use hk_cluster::Method;
 use hk_gateway::json::Json;
 use hk_graph::{Graph, NodeId};
 use hk_serve::{
-    CacheOutcome, EngineConfig, Knobs, MultiEngine, MultiEngineConfig, QueryEngine, QueryRequest,
-    ServeError,
+    CacheOutcome, EngineConfig, Knobs, MultiEngine, MultiEngineConfig, QueryRequest, ServeError,
 };
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -535,6 +534,22 @@ fn bench_sched(ids: &[DatasetId], datasets: &Datasets, w: &Workload) -> Json {
     ])
 }
 
+/// An engine serving `graph` alone, under `id`'s name, with `workers`
+/// workers and no result cache.
+fn uncached_engine(id: DatasetId, graph: &Arc<Graph>, workers: usize) -> MultiEngine {
+    let me = MultiEngine::new(MultiEngineConfig {
+        engine: EngineConfig {
+            workers,
+            cache_bytes: 0,
+            max_queue: 4096,
+            ..EngineConfig::default()
+        },
+        ..MultiEngineConfig::default()
+    });
+    me.registry().register_graph(id.name(), Arc::clone(graph));
+    me
+}
+
 /// Anytime-query replay: walk-heavy Monte Carlo queries under a deadline
 /// calibrated to land mid-walk, so the watchdog interrupts refinement
 /// instead of completing. Each interrupted query should come back as a
@@ -553,15 +568,7 @@ fn bench_anytime(ids: &[DatasetId], datasets: &Datasets, queries: usize, workers
     // No result cache: every query computes, so every tight deadline is a
     // real interruption opportunity (degraded answers are never cached
     // anyway, and cache hits would dilute the measured rate).
-    let engine = QueryEngine::new(
-        Arc::clone(&graph),
-        EngineConfig {
-            workers,
-            cache_bytes: 0,
-            max_queue: 4096,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = uncached_engine(id, &graph, workers);
     let seeds = pick_seeds(&graph, 64.min(graph.num_nodes()), 7);
     // Walk-heavy configuration: a tiny delta makes the planned walk count
     // hit the cap, and a large heat constant t makes the walks long, so
@@ -592,7 +599,10 @@ fn bench_anytime(ids: &[DatasetId], datasets: &Datasets, queries: usize, workers
     for i in 0..3u64 {
         let q0 = Instant::now();
         let resp = engine
-            .query(request(seeds[i as usize % seeds.len()], 1_000 + i))
+            .query(
+                id.name(),
+                request(seeds[i as usize % seeds.len()], 1_000 + i),
+            )
             .expect("anytime calibration query");
         assert!(resp.degraded.is_none(), "calibration run had no deadline");
         full_us = full_us.min(q0.elapsed().as_secs_f64() * 1e6);
@@ -615,7 +625,7 @@ fn bench_anytime(ids: &[DatasetId], datasets: &Datasets, queries: usize, workers
         let req = request(seeds[i % seeds.len()], 10_000 + i as u64)
             .deadline_in(deadline_at(WALK_FRACS[i % WALK_FRACS.len()]));
         let q0 = Instant::now();
-        match engine.query(req) {
+        match engine.query(id.name(), req) {
             Ok(resp) => {
                 let us = q0.elapsed().as_secs_f64() * 1e6;
                 match resp.degraded {
@@ -713,33 +723,24 @@ fn bench_anytime_push(
         delta: Some(1e-8),
         ..Knobs::default()
     };
-    // One worker, one workspace: the replay is serial anyway, and a
-    // single warmed workspace keeps per-seed push wall-clock stable
-    // enough for fraction-of-push deadlines to land where aimed.
-    let one_worker = |graph: &Arc<Graph>| {
-        QueryEngine::new(
-            Arc::clone(graph),
-            EngineConfig {
-                workers: 1,
-                cache_bytes: 0,
-                max_queue: 4096,
-                ..EngineConfig::default()
-            },
-        )
-    };
     let request = |seed, rng_seed: u64| {
         QueryRequest::new(seed)
             .method(Method::TeaPlus)
             .knobs(knobs)
             .rng_seed(rng_seed)
     };
-    let cold_push_us = |graph: &Arc<Graph>| {
-        let probe = one_worker(graph);
+    // One worker, one workspace: the replay is serial anyway, and a
+    // single warmed workspace keeps per-seed push wall-clock stable
+    // enough for fraction-of-push deadlines to land where aimed.
+    let cold_push_us = |id: DatasetId, graph: &Arc<Graph>| {
+        let probe = uncached_engine(id, graph, 1);
         let seed = pick_seeds(graph, 1, 7)[0];
         probe
-            .query(request(seed, 0))
+            .query(id.name(), request(seed, 0))
             .expect("push dataset probe (warmup)");
-        let resp = probe.query(request(seed, 0)).expect("push dataset probe");
+        let resp = probe
+            .query(id.name(), request(seed, 0))
+            .expect("push dataset probe");
         resp.timing.push_ns as f64 / 1e3
     };
     let (id, graph) = ids
@@ -750,14 +751,14 @@ fn bench_anytime_push(
             } else {
                 Arc::new(datasets.load(id))
             };
-            let us = cold_push_us(&graph);
+            let us = cold_push_us(id, &graph);
             (id, graph, us)
         })
         .max_by(|a, b| a.2.total_cmp(&b.2))
         .map(|(id, graph, _)| (id, graph))
         .expect("at least one dataset");
     let seeds = pick_seeds(&graph, 64.min(graph.num_nodes()), 7);
-    let engine = one_worker(&graph);
+    let engine = uncached_engine(id, &graph, 1);
 
     // Per-seed calibration: one cold (deadline-free) query per seed
     // records that seed's push duration; the submit-to-push overhead
@@ -766,13 +767,13 @@ fn bench_anytime_push(
     // calibrated seed is not measured against cold allocations.
     let push_seeds = &seeds[..12.min(seeds.len())];
     engine
-        .query(request(push_seeds[0], 1_999))
+        .query(id.name(), request(push_seeds[0], 1_999))
         .expect("push anytime warmup query");
     let mut push_us = vec![0.0f64; push_seeds.len()];
     let (mut push_full_us, mut overhead_us_max) = (f64::INFINITY, 0.0f64);
     for (j, &seed) in push_seeds.iter().enumerate() {
         let resp = engine
-            .query(request(seed, 2_000 + j as u64))
+            .query(id.name(), request(seed, 2_000 + j as u64))
             .expect("push anytime calibration query");
         assert!(resp.degraded.is_none(), "calibration run had no deadline");
         push_us[j] = resp.timing.push_ns as f64 / 1e3;
@@ -816,7 +817,7 @@ fn bench_anytime_push(
             scale,
         ));
         let q0 = Instant::now();
-        match engine.query(req) {
+        match engine.query(id.name(), req) {
             Ok(resp) => {
                 let us = q0.elapsed().as_secs_f64() * 1e6;
                 match resp.degraded {

@@ -15,7 +15,7 @@
 //! * [`metrics`] — precision/recall/F1 (§7.6) and NDCG (§7.5).
 //!
 //! Multi-query execution lives one layer up, in the `hk-serve` crate: its
-//! persistent `QueryEngine` (worker pool + result cache + deadlines) and
+//! persistent `MultiEngine` (worker pool + result cache + deadlines) and
 //! the one-shot `hk_serve::run_batch` both drive [`LocalClusterer`]
 //! through per-worker [`QueryScratch`] reuse.
 //!

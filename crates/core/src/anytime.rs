@@ -14,9 +14,20 @@
 //!   free and the final tier's deposits do not depend on where the
 //!   earlier tiers stopped;
 //! * if refinement stops early (cancellation or an explicit tier cap),
-//!   the deposited walks are exactly normalizable (`mass = alpha /
-//!   walks_done`), so the caller gets an unbiased estimate plus an
-//!   [`AccuracyTier`] describing how far refinement got.
+//!   the deposited walks are renormalized (`mass = alpha / walks_done`)
+//!   and the caller gets that estimate plus an [`AccuracyTier`]
+//!   describing how far refinement got.
+//!
+//! **A walk ladder cut short is biased.** The plan orders its chunks by
+//! work item — walk length for Monte-Carlo, residue entry for TEA+ — so
+//! the first tiers run the shortest walks (or the first entries' walks),
+//! not a uniform sample of the plan. A cut answer's mass therefore sits
+//! too close to its start, and its `eps_r_achieved` is not a certificate:
+//! Monte-Carlo cut at walk tier 1–3 misses its own bound in most runs on
+//! a 3,000-node Holme–Kim graph. Only an answer whose walk ladder
+//! completed (a full-accuracy answer, or one degraded in the push alone)
+//! is held to Definition 1 at its `eps_r_achieved`
+//! (`tests/definition1.rs`).
 //!
 //! [`monte_carlo_anytime_in`](crate::monte_carlo::monte_carlo_anytime_in)
 //! and [`tea_plus_anytime_in`](crate::tea_plus::tea_plus_anytime_in) are
@@ -77,10 +88,14 @@ pub struct AccuracyTier {
     pub push_tiers_planned: u32,
     /// The relative-error parameter the query was asked for.
     pub eps_r_requested: f64,
-    /// The relative-error bound the executed walk count supports, scaled
-    /// from the request by the walk-sampling error's `1/sqrt(nr)` law —
-    /// see [`achieved_eps_r`]. Equals `eps_r_requested` exactly when the
-    /// query completed; `f64::INFINITY` when no walk ran.
+    /// The relative-error bound the executed walk count would support if
+    /// those walks were a uniform sample of the plan, scaled from the
+    /// request by the walk-sampling error's `1/sqrt(nr)` law — see
+    /// [`achieved_eps_r`]. They are not (a cut ladder keeps the shortest
+    /// walks; see the [module docs](self)), so after a walk-ladder cut
+    /// this is a nominal figure, not a certificate. Equals
+    /// `eps_r_requested` exactly when the walk ladder completed;
+    /// `f64::INFINITY` when no walk ran.
     pub eps_r_achieved: f64,
 }
 
@@ -138,9 +153,10 @@ pub struct AnytimeControls<'a> {
     pub on_push_tier: Option<&'a mut dyn FnMut(u32) -> Result<(), crate::HkprError>>,
 }
 
-/// An anytime estimator's result: the (possibly degraded, always
-/// unbiased) estimate, the usual cost counters, and the accuracy
-/// actually achieved.
+/// An anytime estimator's result: the (possibly degraded) estimate, the
+/// usual cost counters, and how far refinement got. An estimate whose
+/// walk ladder was cut short is biased toward short walks (see the
+/// [module docs](self)).
 ///
 /// When `achieved.is_degraded()` is false, `estimate` and `stats` are the
 /// canonical answer for the parameters and RNG state — what the golden
@@ -267,11 +283,14 @@ pub(crate) fn climb_walk_ladder(
     (cursor, tiers_completed, tiers_planned)
 }
 
-/// The relative-error bound supported by `walks_done` out of
-/// `walks_planned` walks, scaled from the requested `eps_r` by the
-/// `1/sqrt(nr)` walk-sampling law (the Chernoff bound behind the
-/// published `nr ∝ 1/eps_r^2` is inverted: running a fraction `f` of the
-/// walks supports `eps_r / sqrt(f)`).
+/// The relative-error bound `walks_done` out of `walks_planned` walks
+/// would support as a uniform sample of the plan, scaled from the
+/// requested `eps_r` by the `1/sqrt(nr)` walk-sampling law (the Chernoff
+/// bound behind the published `nr ∝ 1/eps_r^2` is inverted: running a
+/// fraction `f` of the walks supports `eps_r / sqrt(f)`). The walks a
+/// cut ladder ran are its shortest ones, not a uniform sample, so for a
+/// partial run this is a nominal figure the answer does not meet (see
+/// the [module docs](self)).
 ///
 /// Exactly `eps_r` when the plan completed (`sqrt(1.0) == 1.0` and
 /// `x * 1.0 == x` bitwise), `f64::INFINITY` when nothing ran.

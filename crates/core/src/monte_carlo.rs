@@ -137,8 +137,10 @@ pub fn monte_carlo_anytime_in<R: Rng>(
         // plan is never empty, nr >= 1).
         return Err(HkprError::Cancelled);
     }
-    // Renormalize over executed walks — unbiased because every chunk is
-    // an independent batch of walk samples.
+    // Renormalize over executed walks. Exact for a complete run; a cut
+    // ladder ran the first chunks, which hold the shortest walks (the plan
+    // orders its work items by length), so a partial estimate is biased
+    // toward the seed and its `eps_r_achieved` is nominal.
     let mass = 1.0 / walks_done as f64;
     stats.random_walks = walks_done;
     stats.walk_steps = if walks_done == nr {

@@ -428,12 +428,15 @@ fn walk_and_assemble(
 ///   [`HkprError::Cancelled`];
 /// * a cancellation during the *walk* phase stops refinement at the next
 ///   chunk boundary; the deposited walks are renormalized
-///   (`mass = alpha/walks_done`, unbiased). With zero walks deposited
-///   the reserve alone is returned, and `eps_r_achieved` reports the
-///   coarsest surviving guarantee: `D * eps_r` for the tightest
-///   certified push divisor `D` (Theorem 2 at the coarsened threshold),
-///   or infinity when the push completed uncertified (its reserve alone
-///   bounds nothing — the missing mass sat in the residues);
+///   (`mass = alpha/walks_done`). The chunks follow the residue entries'
+///   order, so a cut ladder's walks are not a uniform sample and its
+///   `eps_r_achieved` is nominal (see [`crate::anytime`]). With zero
+///   walks deposited the reserve alone is returned, and `eps_r_achieved`
+///   reports the coarsest surviving guarantee: `D * eps_r` for the
+///   tightest certified push divisor `D` (Theorem 2 at the coarsened
+///   threshold), or infinity when the push completed uncertified (its
+///   reserve alone bounds nothing — the missing mass sat in the
+///   residues);
 /// * `controls.push_tier_cap` / `controls.walk_tier_cap` stop the
 ///   respective ladder deterministically after that many tiers — a
 ///   reproducible degraded run for tests and benches;

@@ -10,7 +10,15 @@
 //! p_f each would give. Per case it reports the runs, the failures, the
 //! worst |error| / allowance over all runs and nodes, how many nodes sit
 //! above delta (a case with none is trivial: every node is held to the
-//! absolute bound alone), and how many TEA+ runs walked.
+//! absolute bound alone), how many runs walked and how many were degraded.
+//!
+//! Besides the three full-accuracy methods, every point runs TEA+ with its
+//! push ladder cut after k in {1, 2, 3} certified tiers
+//! (`AnytimeControls::push_tier_cap`) and its walk ladder uncapped. Such an
+//! answer is degraded, and is held to the `eps_r_achieved` it reports.
+//! Answers cut in the walk ladder are not checked here: a cut ladder keeps
+//! the shortest walks, so its estimate is biased and its `eps_r_achieved`
+//! is not a certificate (recorded as an open defect in ROADMAP.md).
 //!
 //! The grid: `holme_kim(3000, 3, 0.3)` at (t, delta, p_f) in {(5, 1e-3,
 //! 0.05), (5, 2e-4, 0.05), (5, 2e-4, 1e-6), (10, 2e-4, 0.05)}, and
@@ -31,7 +39,10 @@ use hk_graph::gen::{holme_kim, planted_partition};
 use hk_graph::{Graph, NodeId};
 use hkpr_core::tea::tea_in;
 use hkpr_core::tea_plus::tea_plus_in;
-use hkpr_core::{exact_hkpr, monte_carlo_in, HkprParams, QueryWorkspace, TeaOutput};
+use hkpr_core::{
+    exact_hkpr, monte_carlo_in, tea_plus_anytime_in, AnytimeControls, HkprEstimate, HkprParams,
+    QueryWorkspace, TeaOutput, TeaPlusOptions,
+};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -52,9 +63,19 @@ enum Method {
     Tea,
     TeaPlus,
     MonteCarlo,
+    /// TEA+ with its push ladder cut after this many certified tiers and
+    /// its walk ladder uncapped.
+    TeaPlusPushCut(u32),
 }
 
-const METHODS: [Method; 3] = [Method::Tea, Method::TeaPlus, Method::MonteCarlo];
+const METHODS: [Method; 6] = [
+    Method::Tea,
+    Method::TeaPlus,
+    Method::MonteCarlo,
+    Method::TeaPlusPushCut(1),
+    Method::TeaPlusPushCut(2),
+    Method::TeaPlusPushCut(3),
+];
 
 /// One point of the grid: a graph family at `(t, delta, p_f)`.
 #[derive(Clone, Copy)]
@@ -124,12 +145,22 @@ struct Case {
     above_delta: (usize, usize),
     /// Runs that walked (TEA+ may exit after its push).
     walked: usize,
+    /// Runs whose answer is degraded (`AccuracyTier::is_degraded`).
+    degraded: usize,
 }
 
 impl Case {
     fn trivial(&self) -> bool {
         self.above_delta.1 == 0
     }
+}
+
+/// One run's answer, with the eps_r it is held to.
+struct Answer {
+    estimate: HkprEstimate,
+    eps_r: f64,
+    walked: bool,
+    degraded: bool,
 }
 
 fn run(
@@ -139,13 +170,32 @@ fn run(
     node: NodeId,
     rng: &mut SmallRng,
     ws: &mut QueryWorkspace,
-) -> TeaOutput {
+) -> Answer {
+    let full = |out: TeaOutput| Answer {
+        walked: out.stats.random_walks > 0,
+        estimate: out.estimate,
+        eps_r: params.eps_r(),
+        degraded: false,
+    };
     match method {
-        Method::Tea => tea_in(graph, params, node, None, rng, ws),
-        Method::TeaPlus => tea_plus_in(graph, params, node, rng, ws),
-        Method::MonteCarlo => monte_carlo_in(graph, params, node, None, rng, ws),
+        Method::Tea => full(tea_in(graph, params, node, None, rng, ws).unwrap()),
+        Method::TeaPlus => full(tea_plus_in(graph, params, node, rng, ws).unwrap()),
+        Method::MonteCarlo => full(monte_carlo_in(graph, params, node, None, rng, ws).unwrap()),
+        Method::TeaPlusPushCut(tiers) => {
+            let controls = AnytimeControls {
+                push_tier_cap: Some(tiers),
+                ..Default::default()
+            };
+            let opts = TeaPlusOptions::default();
+            let out = tea_plus_anytime_in(graph, params, node, opts, controls, rng, ws).unwrap();
+            Answer {
+                walked: out.stats.random_walks > 0,
+                estimate: out.estimate,
+                eps_r: out.achieved.eps_r_achieved,
+                degraded: out.achieved.is_degraded(),
+            }
+        }
     }
-    .unwrap()
 }
 
 /// Run every grid point with every method at each of `seeds`, `streams`
@@ -164,6 +214,7 @@ fn run_grid(seeds: &[u64], streams: u64) -> Vec<Case> {
                 worst_ratio: 0.0,
                 above_delta: (usize::MAX, 0),
                 walked: 0,
+                degraded: 0,
             })
             .collect();
         for &seed in seeds {
@@ -180,13 +231,14 @@ fn run_grid(seeds: &[u64], streams: u64) -> Vec<Case> {
                 for stream in 0..streams {
                     let mut rng = SmallRng::seed_from_u64(seed << 32 | stream);
                     let out = run(case.method, &graph, &params, node, &mut rng, &mut ws);
-                    let c = check::check(&graph, &params, &exact, &out.estimate);
+                    let c = check::check(&graph, &params, out.eps_r, &exact, &out.estimate);
                     case.runs += 1;
                     case.failures += usize::from(!c.holds());
                     case.worst_ratio = case.worst_ratio.max(c.worst_ratio);
                     case.above_delta.0 = case.above_delta.0.min(c.above_delta);
                     case.above_delta.1 = case.above_delta.1.max(c.above_delta);
-                    case.walked += usize::from(out.stats.random_walks > 0);
+                    case.walked += usize::from(out.walked);
+                    case.degraded += usize::from(out.degraded);
                 }
             }
         }
@@ -196,7 +248,7 @@ fn run_grid(seeds: &[u64], streams: u64) -> Vec<Case> {
         let p = c.point;
         eprintln!(
             "{:?} t={} delta={:e} p_f={:e} {:?}: {} runs, {} failed, worst |error|/allowance {:.3}, \
-             {}..={} nodes above delta{}, {} walked",
+             {}..={} nodes above delta{}, {} walked, {} degraded",
             p.family,
             p.t,
             p.delta,
@@ -209,6 +261,7 @@ fn run_grid(seeds: &[u64], streams: u64) -> Vec<Case> {
             c.above_delta.1,
             if c.trivial() { " (trivial)" } else { "" },
             c.walked,
+            c.degraded,
         );
     }
     cases
@@ -232,7 +285,8 @@ fn failure_allowance(ps: &[f64], alpha: f64) -> usize {
 }
 
 /// Assert the grid's failures are consistent with p_f, and that it
-/// covers a non-trivial case in which TEA+ walks.
+/// covers a non-trivial case in which TEA+ walks and a non-trivial case
+/// whose push-cut answers are degraded.
 fn assert_conforms(cases: &[Case]) {
     let p_fs: Vec<f64> = cases
         .iter()
@@ -254,6 +308,14 @@ fn assert_conforms(cases: &[Case]) {
             .iter()
             .any(|c| c.method == Method::TeaPlus && !c.trivial() && c.walked > 0),
         "no non-trivial case in which TEA+ walks"
+    );
+    assert!(
+        cases
+            .iter()
+            .any(|c| matches!(c.method, Method::TeaPlusPushCut(_))
+                && !c.trivial()
+                && c.degraded > 0),
+        "no non-trivial case with a degraded push-cut answer"
     );
 }
 

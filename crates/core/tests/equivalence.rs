@@ -490,7 +490,7 @@ fn tea_dense_agrees_with_reference_on_er_graph() {
         assert_outputs_agree(&dense, &reference);
         let exact = exact_hkpr(&g, params.poisson(), seed);
         for (out, label) in [(&dense, "tea dense"), (&reference, "tea reference")] {
-            let check = definition1::check(&g, &params, &exact, &out.estimate);
+            let check = definition1::check(&g, &params, params.eps_r(), &exact, &out.estimate);
             assert!(check.holds(), "{label}, seed {seed}: {check}");
         }
     }
@@ -537,7 +537,7 @@ fn tea_plus_dense_honors_guarantee_on_er_graph() {
     let mut ws = QueryWorkspace::new();
     let dense = tea_plus_in(&g, &params, 7, &mut SmallRng::seed_from_u64(10), &mut ws).unwrap();
     let exact = exact_hkpr(&g, params.poisson(), 7);
-    let check = definition1::check(&g, &params, &exact, &dense.estimate);
+    let check = definition1::check(&g, &params, params.eps_r(), &exact, &dense.estimate);
     assert!(check.holds(), "tea+ dense: {check}");
 }
 

@@ -68,11 +68,11 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use hk_cluster::{ClusterResult, LocalClusterer, Method, QueryScratch};
-use hk_graph::{Graph, NodeId};
+use hk_graph::NodeId;
 use hkpr_core::{AccuracyTier, AnytimeControls, HkprError, HkprParams};
 
-use crate::cache::{CacheStats, FlightResult, ResultCache};
-use crate::sched::{execute, GraphFront, Scheduler};
+use crate::cache::{CacheStats, FlightResult};
+use crate::sched::execute;
 
 /// Typed serving errors — the engine's answer to overload, lateness and
 /// cancellation, distinct from the estimator's own [`HkprError`]s.
@@ -292,11 +292,15 @@ pub struct QueryTiming {
 }
 
 /// Marker on an answer whose refinement was cut short by the deadline
-/// watchdog: the result is an exactly-normalized, unbiased estimate at
-/// the best accuracy tier completed before cancellation — not the
-/// requested accuracy. Degraded answers are never cached (the cache only
-/// stores full-accuracy results), so a retry without a deadline
-/// recomputes at full accuracy.
+/// watchdog: the result is the estimate at the best accuracy tier
+/// completed before cancellation — not the requested accuracy. An answer
+/// cut in the push ladder alone, with its walks complete, meets
+/// `achieved.eps_r_achieved`. One cut in the walk ladder ran the plan's
+/// shortest walks first, so it is biased and its `eps_r_achieved` is a
+/// nominal figure, not a certificate (see [`hkpr_core::anytime`]).
+/// Degraded answers are never cached (the cache only stores
+/// full-accuracy results), so a retry without a deadline recomputes at
+/// full accuracy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Degraded {
     /// How far the tier ladder got (walks done vs planned, achieved
@@ -382,9 +386,8 @@ pub struct EngineConfig {
     pub max_queue: usize,
     /// Per-graph admission quota: at most this many queued requests per
     /// graph, so one graph's burst cannot starve the others. `0` = auto:
-    /// `max(1, max_queue / 4)` in a multi-graph [`crate::MultiEngine`];
-    /// the whole `max_queue` in a single-graph [`QueryEngine`] (one graph
-    /// cannot starve itself, so no sub-quota applies).
+    /// `max(1, max_queue / 4)`, however many graphs are registered — set
+    /// it to `max_queue` to let one graph fill the whole queue.
     pub per_graph_queue: usize,
     /// Result-cache budget in bytes; 0 disables caching (and with it
     /// single-flight coalescing).
@@ -488,114 +491,6 @@ impl Ticket {
 }
 
 // ---------------------------------------------------------------------------
-// Single-graph engine façade
-// ---------------------------------------------------------------------------
-
-/// Persistent query engine over one graph: a graph front plus a
-/// private scheduler pool. See the [module docs](self). Multi-graph
-/// deployments use [`crate::MultiEngine`], which shares one pool across
-/// all graphs instead of spawning one per graph.
-///
-/// Dropping the engine closes the queue, lets queued and in-flight
-/// queries finish and joins the workers.
-pub struct QueryEngine {
-    front: Arc<GraphFront>,
-    pub(crate) sched: Scheduler,
-}
-
-impl QueryEngine {
-    /// Build an engine over `graph` with the given configuration and
-    /// start its workers. The engine owns a private result cache sized by
-    /// [`EngineConfig::cache_bytes`]; use [`with_cache`](Self::with_cache)
-    /// to share one cache across engines.
-    pub fn new(graph: Arc<Graph>, config: EngineConfig) -> QueryEngine {
-        let cache = (config.cache_bytes > 0)
-            .then(|| Arc::new(ResultCache::new(config.cache_bytes, config.cache_shards)));
-        QueryEngine::with_cache(graph, config, cache)
-    }
-
-    /// Build an engine over `graph` using a caller-provided (possibly
-    /// shared) result cache — `None` disables caching regardless of
-    /// [`EngineConfig::cache_bytes`]. Cache keys include the graph
-    /// fingerprint, so entries from different graphs coexist (and survive
-    /// a graph being evicted and reloaded, since the reloaded snapshot
-    /// fingerprints identically). The fingerprint costs nothing for a
-    /// graph loaded from a snapshot, which records it, and one O(n + m)
-    /// hash here for an owned graph.
-    pub fn with_cache(
-        graph: Arc<Graph>,
-        config: EngineConfig,
-        cache: Option<Arc<ResultCache>>,
-    ) -> QueryEngine {
-        let fingerprint = graph.fingerprint();
-        let front = Arc::new(GraphFront::new(
-            graph,
-            fingerprint,
-            fingerprint,
-            config.hop_c,
-        ));
-        // One graph cannot starve itself: auto quota = the whole queue.
-        let sched = Scheduler::new(config, cache, config.max_queue.max(1));
-        QueryEngine { front, sched }
-    }
-
-    /// An engine with [`EngineConfig::default`].
-    pub fn with_defaults(graph: Arc<Graph>) -> QueryEngine {
-        QueryEngine::new(graph, EngineConfig::default())
-    }
-
-    /// The graph this engine serves.
-    pub fn graph(&self) -> &Arc<Graph> {
-        self.front.graph()
-    }
-
-    /// The graph fingerprint baked into every cache key.
-    pub fn fingerprint(&self) -> u64 {
-        self.front.fingerprint()
-    }
-
-    /// Snapshot of the aggregate counters.
-    pub fn stats(&self) -> EngineStats {
-        self.sched.stats()
-    }
-
-    /// [`EngineStats::workspace_bytes`] split by worker: entry `i` is what
-    /// worker `i`'s scratch held when it last published (after every job,
-    /// and after a panic rebuild). One entry per worker; they sum to the
-    /// aggregate.
-    pub fn worker_workspace_bytes(&self) -> Vec<u64> {
-        self.sched.worker_workspace_bytes()
-    }
-
-    /// Submit a request. Returns immediately: with a [`Ticket`] holding
-    /// the (possibly already cached or coalesced) answer, or with a typed
-    /// shed error.
-    pub fn submit(&self, req: QueryRequest) -> Result<Ticket, ServeError> {
-        self.sched.submit(&self.front, req)
-    }
-
-    /// Submit and block for the answer.
-    pub fn query(&self, req: QueryRequest) -> Result<QueryResponse, ServeError> {
-        self.submit(req)?.wait()
-    }
-}
-
-impl std::fmt::Debug for QueryEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryEngine")
-            .field("nodes", &self.front.graph().num_nodes())
-            .field("edges", &self.front.graph().num_edges())
-            .field(
-                "fingerprint",
-                &format_args!("{:#018x}", self.front.fingerprint()),
-            )
-            .field("workers", &self.sched.worker_count())
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // One-shot batch mode
 // ---------------------------------------------------------------------------
 
@@ -669,7 +564,9 @@ pub fn run_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MultiEngine, MultiEngineConfig};
     use hk_graph::gen::planted_partition;
+    use hk_graph::Graph;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -682,8 +579,16 @@ mod tests {
         )
     }
 
-    fn engine(config: EngineConfig) -> QueryEngine {
-        QueryEngine::new(graph(), config)
+    /// The registry name of the one graph every test engine serves.
+    const G: &str = "g";
+
+    fn engine(config: EngineConfig) -> MultiEngine {
+        let e = MultiEngine::new(MultiEngineConfig {
+            engine: config,
+            ..MultiEngineConfig::default()
+        });
+        e.registry().register_graph(G, graph());
+        e
     }
 
     #[test]
@@ -692,15 +597,15 @@ mod tests {
             workers: 2,
             ..EngineConfig::default()
         });
-        let a = e.query(QueryRequest::new(3)).unwrap();
+        let a = e.query(G, QueryRequest::new(3)).unwrap();
         assert_eq!(a.outcome, CacheOutcome::Miss);
-        let b = e.query(QueryRequest::new(3)).unwrap();
+        let b = e.query(G, QueryRequest::new(3)).unwrap();
         assert_eq!(b.outcome, CacheOutcome::Hit);
         // A hit bypasses the workers entirely.
         assert_eq!(b.timing.queue_ns, 0);
         assert!(a.result.bitwise_eq(&b.result));
         // Different rng stream => different key => miss.
-        let c = e.query(QueryRequest::new(3).rng_seed(9)).unwrap();
+        let c = e.query(G, QueryRequest::new(3).rng_seed(9)).unwrap();
         assert_eq!(c.outcome, CacheOutcome::Miss);
         let stats = e.stats();
         assert_eq!(stats.cache.hits, 1);
@@ -719,7 +624,7 @@ mod tests {
             ..EngineConfig::default()
         });
         for _ in 0..2 {
-            let r = e.query(QueryRequest::new(0)).unwrap();
+            let r = e.query(G, QueryRequest::new(0)).unwrap();
             assert_eq!(r.outcome, CacheOutcome::Uncached);
         }
         assert_eq!(e.stats().cache, CacheStats::default());
@@ -731,16 +636,19 @@ mod tests {
             workers: 1,
             ..EngineConfig::default()
         });
-        let err = e.query(QueryRequest::new(100_000)).unwrap_err();
+        let err = e.query(G, QueryRequest::new(100_000)).unwrap_err();
         assert!(matches!(
             err,
             ServeError::Query(HkprError::SeedOutOfRange { .. })
         ));
         let err = e
-            .query(QueryRequest::new(0).knobs(Knobs {
-                t: -1.0,
-                ..Knobs::default()
-            }))
+            .query(
+                G,
+                QueryRequest::new(0).knobs(Knobs {
+                    t: -1.0,
+                    ..Knobs::default()
+                }),
+            )
             .unwrap_err();
         assert!(matches!(err, ServeError::Query(_)));
         assert_eq!(e.stats().errors, 1); // knob validation fails pre-queue
@@ -754,7 +662,7 @@ mod tests {
         });
         let mut req = QueryRequest::new(1);
         req.deadline = Some(Instant::now() - Duration::from_millis(5));
-        match e.query(req) {
+        match e.query(G, req) {
             Err(ServeError::DeadlineExceeded { late_by }) => {
                 assert!(late_by >= Duration::from_millis(5));
             }
@@ -764,7 +672,7 @@ mod tests {
         assert_eq!(stats.shed_queued, 1);
         assert_eq!(stats.cancelled_running, 0);
         // A generous deadline passes.
-        let ok = e.query(QueryRequest::new(1).deadline_in(Duration::from_secs(60)));
+        let ok = e.query(G, QueryRequest::new(1).deadline_in(Duration::from_secs(60)));
         assert!(ok.is_ok());
     }
 
@@ -793,7 +701,7 @@ mod tests {
                 ..Knobs::default()
             })
             .deadline_in(Duration::from_millis(30));
-        match e.query(req) {
+        match e.query(G, req) {
             Err(ServeError::Cancelled { after }) => {
                 assert!(after >= Duration::from_millis(25), "ran only {after:?}");
             }
@@ -818,13 +726,13 @@ mod tests {
         assert_eq!(stats.completed, 0);
         // The worker scratch survives: the same engine answers the next
         // query bit-identically to a fresh engine.
-        let again = e.query(QueryRequest::new(2)).unwrap();
+        let again = e.query(G, QueryRequest::new(2)).unwrap();
         let fresh = engine(EngineConfig {
             workers: 1,
             cache_bytes: 0,
             ..EngineConfig::default()
         })
-        .query(QueryRequest::new(2))
+        .query(G, QueryRequest::new(2))
         .unwrap();
         assert!(again.result.bitwise_eq(&fresh.result));
     }
@@ -855,7 +763,7 @@ mod tests {
         let mut resp = None;
         let mut ok_ms = 0u64;
         for ms in [100u64, 250, 500, 1_000, 2_000, 4_000, 8_000] {
-            match e.query(req.deadline_in(Duration::from_millis(ms))) {
+            match e.query(G, req.deadline_in(Duration::from_millis(ms))) {
                 Ok(r) => {
                     resp = Some(r);
                     ok_ms = ms;
@@ -883,7 +791,7 @@ mod tests {
         assert_eq!(stats.completed, 0);
         // Not cached: an identical request under the same deadline must
         // compute again (a poisoned cache would answer `Hit` instantly).
-        if let Ok(again) = e.query(req.deadline_in(Duration::from_millis(ok_ms))) {
+        if let Ok(again) = e.query(G, req.deadline_in(Duration::from_millis(ok_ms))) {
             assert_ne!(again.outcome, CacheOutcome::Hit);
         }
     }
@@ -899,8 +807,8 @@ mod tests {
             ..EngineConfig::default()
         });
         // Baseline: one full-accuracy miss, then a hit on it.
-        e.query(QueryRequest::new(1)).unwrap();
-        let hit = e.query(QueryRequest::new(1)).unwrap();
+        e.query(G, QueryRequest::new(1)).unwrap();
+        let hit = e.query(G, QueryRequest::new(1)).unwrap();
         assert_eq!(hit.outcome, CacheOutcome::Hit);
         // A degraded miss (escalating deadlines until the cancel lands
         // inside the walk phase — see the degraded-answer test above).
@@ -914,7 +822,7 @@ mod tests {
             });
         let mut resp = None;
         for ms in [100u64, 250, 500, 1_000, 2_000, 4_000, 8_000] {
-            match e.query(req.deadline_in(Duration::from_millis(ms))) {
+            match e.query(G, req.deadline_in(Duration::from_millis(ms))) {
                 Ok(r) => {
                     resp = Some(r);
                     break;
@@ -954,7 +862,7 @@ mod tests {
                 delta: Some(1e-8),
                 ..Knobs::default()
             });
-        let tickets: Vec<Ticket> = (0..4).map(|_| e.submit(req).unwrap()).collect();
+        let tickets: Vec<Ticket> = (0..4).map(|_| e.submit(G, req).unwrap()).collect();
         let responses: Vec<QueryResponse> =
             tickets.into_iter().map(|t| t.wait().unwrap()).collect();
         let misses = responses
@@ -980,47 +888,53 @@ mod tests {
         assert_eq!(stats.cache.coalesced, 3);
         assert_eq!(stats.completed, 1);
         // And afterwards the entry is a plain hit.
-        assert_eq!(e.query(req).unwrap().outcome, CacheOutcome::Hit);
+        assert_eq!(e.query(G, req).unwrap().outcome, CacheOutcome::Hit);
     }
 
     #[test]
     fn single_graph_engine_admits_up_to_max_queue() {
-        // The auto per-graph quota must NOT sub-divide a single-graph
-        // engine's queue: with per_graph_queue = 0 the whole max_queue is
-        // admissible (regression test for the quota resolution).
-        let e = engine(EngineConfig {
-            workers: 1,
-            max_queue: 8,
-            per_graph_queue: 0,
-            cache_bytes: 0,
-            ..EngineConfig::default()
-        });
-        // Occupy the worker so subsequent submits stay queued.
-        let slow = e
-            .submit(
-                QueryRequest::new(0)
-                    .method(Method::MonteCarlo {
-                        max_walks: Some(3_000_000),
+        // One quota rule, however many graphs are registered:
+        // `per_graph_queue: 0` gives even a lone graph max(1, max_queue /
+        // 4) queued requests, and a graph that may fill the whole queue
+        // says so with `per_graph_queue: max_queue`.
+        for (per_graph_queue, admitted) in [(0, 2), (8, 8)] {
+            let e = engine(EngineConfig {
+                workers: 1,
+                max_queue: 8,
+                per_graph_queue,
+                cache_bytes: 0,
+                ..EngineConfig::default()
+            });
+            // Occupy the worker so subsequent submits stay queued.
+            let slow = e
+                .submit(
+                    G,
+                    QueryRequest::new(0)
+                        .method(Method::MonteCarlo {
+                            max_walks: Some(3_000_000),
+                        })
+                        .knobs(Knobs {
+                            delta: Some(1e-8),
+                            ..Knobs::default()
+                        }),
+                )
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            let queued: Vec<Ticket> = (0..admitted)
+                .map(|s| {
+                    e.submit(G, QueryRequest::new(s)).unwrap_or_else(|err| {
+                        panic!("submit {s} of {admitted} shed at per_graph_queue={per_graph_queue}: {err}")
                     })
-                    .knobs(Knobs {
-                        delta: Some(1e-8),
-                        ..Knobs::default()
-                    }),
-            )
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        let queued: Vec<Ticket> = (0..8)
-            .map(|s| {
-                e.submit(QueryRequest::new(s))
-                    .unwrap_or_else(|err| panic!("submit {s} of 8 shed under max_queue=8: {err}"))
-            })
-            .collect();
-        assert!(matches!(
-            e.submit(QueryRequest::new(9)),
-            Err(ServeError::Overloaded { limit: 8, .. })
-        ));
-        for t in std::iter::once(slow).chain(queued) {
-            t.wait().unwrap();
+                })
+                .collect();
+            match e.submit(G, QueryRequest::new(9)) {
+                Err(ServeError::Overloaded { limit, .. }) => assert_eq!(limit, admitted as usize),
+                Err(other) => panic!("expected Overloaded, got {other}"),
+                Ok(_) => panic!("admitted past {admitted} at per_graph_queue={per_graph_queue}"),
+            }
+            for t in std::iter::once(slow).chain(queued) {
+                t.wait().unwrap();
+            }
         }
     }
 
@@ -1040,10 +954,10 @@ mod tests {
                 delta: Some(1e-8),
                 ..Knobs::default()
             });
-        let leader = e.submit(slow).unwrap();
+        let leader = e.submit(G, slow).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         let follower = e
-            .submit(slow.deadline_in(Duration::from_millis(25)))
+            .submit(G, slow.deadline_in(Duration::from_millis(25)))
             .unwrap();
         match follower.wait() {
             Err(ServeError::DeadlineExceeded { .. }) => {}
@@ -1058,12 +972,13 @@ mod tests {
         let e = engine(EngineConfig {
             workers: 1,
             max_queue: 2,
+            per_graph_queue: 2,
             cache_bytes: 0,
             ..EngineConfig::default()
         });
         // Submit a burst without waiting: either all fit or some shed
         // with the *typed* error, and the counter matches.
-        let tickets: Vec<_> = (0..8).map(|s| e.submit(QueryRequest::new(s))).collect();
+        let tickets: Vec<_> = (0..8).map(|s| e.submit(G, QueryRequest::new(s))).collect();
         let shed = tickets.iter().filter(|t| t.is_err()).count();
         for t in tickets {
             match t {
@@ -1083,27 +998,36 @@ mod tests {
             ..EngineConfig::default()
         });
         let a = e
-            .query(QueryRequest::new(5).knobs(Knobs {
-                delta: Some(1e-3),
-                ..Knobs::default()
-            }))
+            .query(
+                G,
+                QueryRequest::new(5).knobs(Knobs {
+                    delta: Some(1e-3),
+                    ..Knobs::default()
+                }),
+            )
             .unwrap();
         // Sub-percent knob jitter lands in the same bucket: a hit, and
         // byte-equal because both computed with the canonical knobs.
         let b = e
-            .query(QueryRequest::new(5).knobs(Knobs {
-                delta: Some(1.004e-3),
-                ..Knobs::default()
-            }))
+            .query(
+                G,
+                QueryRequest::new(5).knobs(Knobs {
+                    delta: Some(1.004e-3),
+                    ..Knobs::default()
+                }),
+            )
             .unwrap();
         assert_eq!(b.outcome, CacheOutcome::Hit);
         assert!(a.result.bitwise_eq(&b.result));
         // A 2x knob change is a genuinely different query.
         let c = e
-            .query(QueryRequest::new(5).knobs(Knobs {
-                delta: Some(2e-3),
-                ..Knobs::default()
-            }))
+            .query(
+                G,
+                QueryRequest::new(5).knobs(Knobs {
+                    delta: Some(2e-3),
+                    ..Knobs::default()
+                }),
+            )
             .unwrap();
         assert_eq!(c.outcome, CacheOutcome::Miss);
     }
@@ -1120,7 +1044,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut out = Vec::new();
                 for s in 0..8 {
-                    out.push(e.query(QueryRequest::new((c * 8 + s) % 40)).unwrap());
+                    out.push(e.query(G, QueryRequest::new((c * 8 + s) % 40)).unwrap());
                 }
                 out
             }));
@@ -1153,10 +1077,16 @@ mod tests {
                 p_f: 10f64.powf(-1.0 - 7.0 * i as f64 / 99.0),
                 ..Knobs::default()
             };
-            e.query(QueryRequest::new(0).knobs(knobs)).unwrap();
+            e.query(G, QueryRequest::new(0).knobs(knobs)).unwrap();
         }
         assert!(
-            e.front.params_table.lock().unwrap().len() <= 64,
+            e.front_for(G, None)
+                .unwrap()
+                .params_table
+                .lock()
+                .unwrap()
+                .len()
+                <= 64,
             "params table must stay bounded"
         );
     }
@@ -1168,12 +1098,14 @@ mod tests {
             cache_bytes: 0,
             ..EngineConfig::default()
         });
-        let r = e.query(QueryRequest::new(2)).unwrap();
+        let r = e.query(G, QueryRequest::new(2)).unwrap();
         assert!(r.timing.estimate_ns > 0);
         assert!(r.timing.estimate_ns >= r.timing.push_ns);
         assert!(r.timing.total_ns >= r.timing.estimate_ns + r.timing.sweep_ns);
         // Every served method runs on the workspace and reports its split.
-        let r = e.query(QueryRequest::new(2).method(Method::Tea)).unwrap();
+        let r = e
+            .query(G, QueryRequest::new(2).method(Method::Tea))
+            .unwrap();
         assert!(r.timing.estimate_ns >= r.timing.push_ns + r.timing.walk_ns);
         assert!(r.timing.push_ns > 0);
     }

@@ -3,9 +3,9 @@
 //! # hk-serve
 //!
 //! The serving layer of the TEA/TEA+ reproduction: a persistent,
-//! multi-tenant [`QueryEngine`] that amortizes work across a stream of
-//! local-clustering queries, plus the one-shot [`run_batch`] built on the
-//! same execution core.
+//! multi-tenant [`MultiEngine`] that amortizes work across a stream of
+//! local-clustering queries on named graphs, plus the one-shot
+//! [`run_batch`] built on the same execution core.
 //!
 //! The paper frames TEA/TEA+ as interactive query primitives and notes
 //! (§6) that query streams parallelize embarrassingly. PR 1 made a single
@@ -14,8 +14,7 @@
 //!
 //! * **one shared, deadline-aware worker pool** sized to the host, each
 //!   worker owning a long-lived [`hk_cluster::QueryScratch`] that serves
-//!   every graph (a multi-graph [`MultiEngine`] runs one pool, not one
-//!   per graph);
+//!   every graph (one pool, not one per graph);
 //! * an **earliest-deadline-first** work queue with a total bound and
 //!   per-graph admission quotas — overflow is shed with
 //!   [`ServeError::Overloaded`], late requests with
@@ -66,16 +65,20 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use hk_serve::{EngineConfig, QueryEngine, QueryRequest, CacheOutcome};
+//! use hk_serve::{CacheOutcome, EngineConfig, MultiEngine, MultiEngineConfig, QueryRequest};
 //! use hk_graph::gen::planted_partition;
 //! use rand::{rngs::SmallRng, SeedableRng};
 //!
 //! let mut rng = SmallRng::seed_from_u64(1);
 //! let graph = Arc::new(planted_partition(4, 40, 0.4, 0.02, &mut rng).unwrap().graph);
-//! let engine = QueryEngine::new(graph, EngineConfig { workers: 2, ..EngineConfig::default() });
+//! let engine = MultiEngine::new(MultiEngineConfig {
+//!     engine: EngineConfig { workers: 2, ..EngineConfig::default() },
+//!     ..MultiEngineConfig::default()
+//! });
+//! engine.registry().register_graph("blocks", graph);
 //!
-//! let cold = engine.query(QueryRequest::new(7)).unwrap();
-//! let warm = engine.query(QueryRequest::new(7)).unwrap();
+//! let cold = engine.query("blocks", QueryRequest::new(7)).unwrap();
+//! let warm = engine.query("blocks", QueryRequest::new(7)).unwrap();
 //! assert_eq!(warm.outcome, CacheOutcome::Hit);
 //! assert!(cold.result.bitwise_eq(&warm.result));
 //! assert!(cold.result.cluster.contains(&7));
@@ -93,7 +96,7 @@ mod watchdog;
 
 pub use cache::{CacheKey, CacheStats, FlightClaim, FlightResult, ParamsKey, ResultCache};
 pub use engine::{
-    run_batch, CacheOutcome, Degraded, EngineConfig, EngineStats, Knobs, QueryEngine, QueryRequest,
+    run_batch, CacheOutcome, Degraded, EngineConfig, EngineStats, Knobs, QueryRequest,
     QueryResponse, QueryTiming, ServeError, Ticket,
 };
 pub use hkpr_core::AccuracyTier;

@@ -52,7 +52,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use hk_cluster::Method;
 use hk_graph::{io, Graph, GraphError};
 use hkpr_core::fxhash::FxHashMap;
 
@@ -608,7 +607,7 @@ pub struct MultiEngineConfig {
 pub struct MultiEngine {
     registry: GraphRegistry,
     /// The one shared pool. Jobs carry their own graph pin.
-    sched: Scheduler,
+    pub(crate) sched: Scheduler,
     hop_c: f64,
     /// Lightweight per-resident-graph fronts (graph pin + canonical
     /// params). A front leaves this map when its graph is evicted, which
@@ -637,13 +636,7 @@ impl MultiEngine {
             .map(|cache| Arc::new(HubBuilder::new(config.hub_top_k, Arc::clone(cache))));
         MultiEngine {
             registry: GraphRegistry::new(config.max_resident_bytes),
-            // Multi-graph auto quota: a quarter of the queue per graph,
-            // so one graph's burst cannot occupy every slot.
-            sched: Scheduler::new(
-                config.engine,
-                cache,
-                (config.engine.max_queue.max(1) / 4).max(1),
-            ),
+            sched: Scheduler::new(config.engine, cache),
             hop_c: config.engine.hop_c,
             fronts: Mutex::new(FxHashMap::default()),
             per_graph: Mutex::new(FxHashMap::default()),
@@ -669,9 +662,9 @@ impl MultiEngine {
     }
 
     /// [`EngineStats::workspace_bytes`] split by worker of the shared
-    /// pool, as [`QueryEngine::worker_workspace_bytes`] reports it.
-    ///
-    /// [`QueryEngine::worker_workspace_bytes`]: crate::QueryEngine::worker_workspace_bytes
+    /// pool: entry `i` is what worker `i`'s scratch held when it last
+    /// published (after every job, and after a panic rebuild). One entry
+    /// per worker; they sum to the aggregate.
     pub fn worker_workspace_bytes(&self) -> Vec<u64> {
         self.sched.worker_workspace_bytes()
     }
@@ -688,7 +681,7 @@ impl MultiEngine {
     /// resident (releasing their pins — the shared pool is untouched).
     /// `deadline` bounds any wait behind a concurrent load of the same
     /// graph (the request must not sleep through its own deadline).
-    fn front_for(
+    pub(crate) fn front_for(
         &self,
         graph: &str,
         deadline: Option<std::time::Instant>,
@@ -721,12 +714,7 @@ impl MultiEngine {
         // O(1) for a loaded snapshot, which records its fingerprint; owned
         // graphs hash here, once per front (and again per reload).
         let fingerprint = self.registry.fingerprint_of(&snapshot);
-        let front = Arc::new(GraphFront::new(
-            snapshot,
-            fingerprint,
-            admission_key_of(graph),
-            self.hop_c,
-        ));
+        let front = Arc::new(GraphFront::new(graph, snapshot, fingerprint, self.hop_c));
         fronts.insert(graph.to_string(), Arc::clone(&front));
         // First sighting of this snapshot: kick off the background hub
         // build. Runs after the front is routable, so loading never waits
@@ -758,16 +746,6 @@ impl MultiEngine {
             Err(_) => stats.errors += 1,
         }
         outcome
-    }
-
-    /// Convenience: a default TEA+ query for `seed` on `graph`.
-    pub fn query_seed(
-        &self,
-        graph: &str,
-        seed: hk_graph::NodeId,
-        method: Method,
-    ) -> Result<QueryResponse, ServeError> {
-        self.query(graph, QueryRequest::new(seed).method(method))
     }
 
     /// Hub-builder counters (all zero when [`MultiEngineConfig::hub_top_k`]
@@ -1309,17 +1287,15 @@ mod tests {
     #[test]
     fn every_front_of_a_graph_carries_its_fingerprint() {
         // `GraphFront::new` is handed the fingerprint (recorded, or one
-        // O(n + m) hash per front, never two). The engine, the
-        // multi-engine's front and the graph must still agree — and so
-        // must the cache keys built from it: what the multi-engine cached
-        // is a hit for a single-graph engine over the same cache.
+        // O(n + m) hash per front, never two). The front and the graph
+        // must agree, and the answer served under that key must be the
+        // reference path's at the front's canonical params.
         let g = graph(21);
-        let engine = EngineConfig {
-            workers: 1,
-            ..EngineConfig::default()
-        };
         let me = MultiEngine::new(MultiEngineConfig {
-            engine,
+            engine: EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
             ..MultiEngineConfig::default()
         });
         me.registry().register_graph("g", Arc::clone(&g));
@@ -1328,11 +1304,10 @@ mod tests {
         let cold = me.query("g", QueryRequest::new(4)).unwrap();
         assert_eq!(cold.outcome, CacheOutcome::Miss);
 
-        let single = crate::QueryEngine::with_cache(Arc::clone(&g), engine, me.cache().cloned());
-        assert_eq!(single.fingerprint(), g.fingerprint());
-        let warm = single.query(QueryRequest::new(4)).unwrap();
-        assert_eq!(warm.outcome, CacheOutcome::Hit);
-        assert!(warm.result.bitwise_eq(&cold.result));
+        let (params, _) = front.canonical_params(&crate::Knobs::default()).unwrap();
+        let clusterer = hk_cluster::LocalClusterer::new(&g);
+        let batch = crate::run_batch(&clusterer, hk_cluster::Method::TeaPlus, &[4], &params, 0, 1);
+        assert!(cold.result.bitwise_eq(batch[0].as_ref().unwrap()));
     }
 
     #[test]

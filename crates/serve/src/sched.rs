@@ -1,7 +1,6 @@
-//! The shared scheduler behind [`QueryEngine`](crate::QueryEngine) and
-//! [`MultiEngine`](crate::MultiEngine): per-graph fronts, the worker pool,
-//! the submit pipeline and the execution core. The
-//! [`engine` module docs](crate::engine) describe the architecture.
+//! The scheduler behind [`MultiEngine`](crate::MultiEngine): per-graph
+//! fronts, the worker pool, the submit pipeline and the execution core.
+//! The [`engine` module docs](crate::engine) describe the architecture.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -31,7 +30,7 @@ pub(crate) struct GraphFront {
     graph: Arc<Graph>,
     fingerprint: u64,
     /// Key under which the scheduler accounts this graph's queue quota
-    /// and admission rejections.
+    /// and admission rejections: [`admission_key_of`] its registry name.
     admission_key: u64,
     hop_c: f64,
     /// Canonical parameter sets, built once per quantized-knob bucket.
@@ -47,20 +46,15 @@ pub(crate) fn admission_key_of(name: &str) -> u64 {
 }
 
 impl GraphFront {
-    /// `fingerprint` is `graph.fingerprint()`, resolved by the caller:
-    /// O(1) for a v2 image that records it, else an O(n + m) serial hash,
-    /// which the registry counts and the single-graph engine (it keys
-    /// admission on the value too) takes once.
-    pub(crate) fn new(
-        graph: Arc<Graph>,
-        fingerprint: u64,
-        admission_key: u64,
-        hop_c: f64,
-    ) -> GraphFront {
+    /// The front of the graph registered as `name`. `fingerprint` is
+    /// `graph.fingerprint()`, resolved by the caller: O(1) for a v2 image
+    /// that records it, else an O(n + m) serial hash, which the registry
+    /// counts.
+    pub(crate) fn new(name: &str, graph: Arc<Graph>, fingerprint: u64, hop_c: f64) -> GraphFront {
         GraphFront {
             graph,
             fingerprint,
-            admission_key,
+            admission_key: admission_key_of(name),
             hop_c,
             params_table: Mutex::new(FxHashMap::default()),
         }
@@ -161,8 +155,9 @@ struct SchedQueue {
 struct SchedShared {
     queue: Mutex<SchedQueue>,
     available: Condvar,
-    /// `Arc` so a multi-graph front hands every graph one cache (keys
-    /// carry the graph fingerprint, so sharing is collision-free).
+    /// `Arc` so the hub builder pins into the same cache every graph is
+    /// served from (keys carry the graph fingerprint, so sharing is
+    /// collision-free).
     cache: Option<Arc<ResultCache>>,
     watchdog: Watchdog,
     completed: AtomicU64,
@@ -195,9 +190,8 @@ impl SchedShared {
 }
 
 /// The shared deadline-aware worker pool. See the
-/// [`engine` module docs](crate::engine).
-/// `QueryEngine` wraps one around a single graph; `MultiEngine` shares
-/// one across every resident graph.
+/// [`engine` module docs](crate::engine). A `MultiEngine` runs one across
+/// every resident graph.
 pub(crate) struct Scheduler {
     shared: Arc<SchedShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -205,18 +199,13 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    /// Build the pool. `auto_quota` resolves `per_graph_queue == 0`:
-    /// single-graph engines pass `max_queue` (no sub-quota), the
-    /// multi-graph front passes `max(1, max_queue / 4)`.
-    pub(crate) fn new(
-        config: EngineConfig,
-        cache: Option<Arc<ResultCache>>,
-        auto_quota: usize,
-    ) -> Scheduler {
+    /// Build the pool. `per_graph_queue == 0` resolves to a quarter of
+    /// the queue per graph, so one graph's burst cannot occupy every slot.
+    pub(crate) fn new(config: EngineConfig, cache: Option<Arc<ResultCache>>) -> Scheduler {
         let worker_count = config.workers.max(1);
         let max_queue = config.max_queue.max(1);
         let quota = if config.per_graph_queue == 0 {
-            auto_quota.max(1)
+            (max_queue / 4).max(1)
         } else {
             config.per_graph_queue
         };
@@ -275,13 +264,9 @@ impl Scheduler {
         self.shared.cache.as_ref()
     }
 
-    pub(crate) fn worker_count(&self) -> usize {
-        self.shared.worker_count
-    }
-
     /// Worker threads still running. Workers only exit when the queue
     /// closes (shutdown) — the panic guard contains per-job panics — so
-    /// a healthy pool reports `worker_count()`; anything less means
+    /// a healthy pool reports [`EngineStats::workers`]; anything less means
     /// worker threads died outright and the pool is degraded. Health
     /// endpoints surface this as scheduler liveness.
     pub(crate) fn live_workers(&self) -> usize {

@@ -117,7 +117,7 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EngineConfig, QueryEngine, QueryRequest};
+    use crate::{EngineConfig, MultiEngine, MultiEngineConfig, QueryRequest};
     use hk_graph::gen::planted_partition;
     use hk_graph::NodeId;
     use rand::rngs::SmallRng;
@@ -137,18 +137,19 @@ mod tests {
         let graph = planted_partition(4, 40, 0.35, 0.01, &mut rng)
             .unwrap()
             .graph;
-        let e = QueryEngine::new(
-            Arc::new(graph),
-            EngineConfig {
+        let e = MultiEngine::new(MultiEngineConfig {
+            engine: EngineConfig {
                 workers: 1,
                 cache_bytes: 0, // every query reaches a worker and registers
                 ..EngineConfig::default()
             },
-        );
+            ..MultiEngineConfig::default()
+        });
+        e.registry().register_graph("g", Arc::new(graph));
         let queries = 4 * WATCHDOG_PURGE_MIN;
         for i in 0..queries {
-            e.query(QueryRequest::new((i % 7) as NodeId).deadline_in(Duration::from_secs(600)))
-                .unwrap();
+            let req = QueryRequest::new((i % 7) as NodeId).deadline_in(Duration::from_secs(600));
+            e.query("g", req).unwrap();
         }
         let len = e.sched.watchdog().state.lock().unwrap().heap.len();
         assert!(

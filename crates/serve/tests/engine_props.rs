@@ -18,7 +18,7 @@ use hk_cluster::{LocalClusterer, Method, QueryScratch};
 use hk_graph::Graph;
 use hk_serve::{
     run_batch, CacheOutcome, EngineConfig, Knobs, MultiEngine, MultiEngineConfig, ParamsKey,
-    QueryEngine, QueryRequest, QueryResponse,
+    QueryRequest, QueryResponse,
 };
 use hkpr_core::HkprParams;
 use proptest::prelude::*;
@@ -40,9 +40,21 @@ fn test_graph(case: u64) -> Arc<Graph> {
     Arc::new(g)
 }
 
-fn cacheless(graph: &Arc<Graph>, workers: usize) -> QueryEngine {
-    QueryEngine::new(
-        Arc::clone(graph),
+/// The registry name of the one graph `cacheless` and `cached` serve.
+const G: &str = "g";
+
+fn single_graph(graph: &Arc<Graph>, engine: EngineConfig) -> MultiEngine {
+    let me = MultiEngine::new(MultiEngineConfig {
+        engine,
+        ..MultiEngineConfig::default()
+    });
+    me.registry().register_graph(G, Arc::clone(graph));
+    me
+}
+
+fn cacheless(graph: &Arc<Graph>, workers: usize) -> MultiEngine {
+    single_graph(
+        graph,
         EngineConfig {
             workers,
             cache_bytes: 0,
@@ -51,9 +63,9 @@ fn cacheless(graph: &Arc<Graph>, workers: usize) -> QueryEngine {
     )
 }
 
-fn cached(graph: &Arc<Graph>, workers: usize) -> QueryEngine {
-    QueryEngine::new(
-        Arc::clone(graph),
+fn cached(graph: &Arc<Graph>, workers: usize) -> MultiEngine {
+    single_graph(
+        graph,
         EngineConfig {
             workers,
             ..EngineConfig::default()
@@ -152,15 +164,15 @@ proptest! {
         let req = QueryRequest::new(seed).method(method).knobs(knobs).rng_seed(rng_seed);
 
         let warm_engine = cached(&graph, 2);
-        let miss = warm_engine.query(req).unwrap();
+        let miss = warm_engine.query(G, req).unwrap();
         prop_assert_eq!(miss.outcome, CacheOutcome::Miss);
-        let hit = warm_engine.query(req).unwrap();
+        let hit = warm_engine.query(G, req).unwrap();
         prop_assert_eq!(hit.outcome, CacheOutcome::Hit);
         prop_assert!(miss.result.bitwise_eq(&hit.result), "hit differs from its own miss");
 
         // A cold engine (no cache, fresh workers) recomputes the same bytes.
         let cold_engine = cacheless(&graph, 1);
-        let cold = cold_engine.query(req).unwrap();
+        let cold = cold_engine.query(G, req).unwrap();
         prop_assert_eq!(cold.outcome, CacheOutcome::Uncached);
         prop_assert!(hit.result.bitwise_eq(&cold.result), "hit differs from cold recompute");
     }
@@ -185,16 +197,16 @@ proptest! {
                 // check — force it by building the request by hand).
                 let mut req = QueryRequest::new(seed);
                 req.deadline = Some(Instant::now() - Duration::from_millis(1));
-                prop_assert!(engine.query(req).is_err());
+                prop_assert!(engine.query(G, req).is_err());
                 // And an estimator error through the same worker.
-                prop_assert!(engine.query(QueryRequest::new(u32::MAX)).is_err());
+                prop_assert!(engine.query(G, QueryRequest::new(u32::MAX)).is_err());
             }
-            served.push((seed, engine.query(QueryRequest::new(seed).rng_seed(i as u64)).unwrap()));
+            served.push((seed, engine.query(G, QueryRequest::new(seed).rng_seed(i as u64)).unwrap()));
         }
         // A fresh engine, no shedding, must reproduce every served byte.
         let fresh = cacheless(&graph, 1);
         for (i, (seed, resp)) in served.iter().enumerate() {
-            let again = fresh.query(QueryRequest::new(*seed).rng_seed(i as u64)).unwrap();
+            let again = fresh.query(G, QueryRequest::new(*seed).rng_seed(i as u64)).unwrap();
             prop_assert!(resp.result.bitwise_eq(&again.result),
                 "seed {seed} diverged after shed interleaving");
         }
@@ -235,6 +247,6 @@ proptest! {
         let requests = seeds.iter().enumerate().map(|(i, &s)| {
             QueryRequest::new(s).knobs(knobs).rng_seed(rng_seed.wrapping_add(i as u64))
         });
-        assert_equals_canonical_run_batch(&graph, requests, |req| engine.query(req).unwrap());
+        assert_equals_canonical_run_batch(&graph, requests, |req| engine.query(G, req).unwrap());
     }
 }

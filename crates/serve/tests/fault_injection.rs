@@ -23,7 +23,7 @@ use hk_graph::{Graph, NodeId};
 use hk_serve::fault::{self, Fault};
 use hk_serve::{
     run_batch, CacheOutcome, EngineConfig, GraphRegistry, Knobs, MultiEngine, MultiEngineConfig,
-    QueryEngine, QueryRequest, ServeError,
+    QueryRequest, ServeError,
 };
 use hkpr_core::HkprParams;
 use rand::rngs::SmallRng;
@@ -59,8 +59,16 @@ fn graph() -> Arc<Graph> {
     )
 }
 
-fn engine(config: EngineConfig) -> QueryEngine {
-    QueryEngine::new(graph(), config)
+/// The registry name of the one graph every test engine serves.
+const G: &str = "g";
+
+fn engine(config: EngineConfig) -> MultiEngine {
+    let e = MultiEngine::new(MultiEngineConfig {
+        engine: config,
+        ..MultiEngineConfig::default()
+    });
+    e.registry().register_graph(G, graph());
+    e
 }
 
 /// A loader that counts its invocations (the *loader's* count excludes
@@ -123,14 +131,14 @@ fn worker_panic_is_contained_and_the_pool_survives() {
         workers: 1,
         ..EngineConfig::default()
     });
-    e.query(QueryRequest::new(7)).expect("warm-up query");
+    e.query(G, QueryRequest::new(7)).expect("warm-up query");
     assert!(
         e.stats().workspace_bytes > 0,
         "the worker sized its scratch"
     );
     fault::inject("sched.dequeue", Fault::Panic, 1);
     let err = e
-        .query(QueryRequest::new(2))
+        .query(G, QueryRequest::new(2))
         .expect_err("injected panic must surface as an error");
     match &err {
         ServeError::Internal { detail } => {
@@ -147,12 +155,12 @@ fn worker_panic_is_contained_and_the_pool_survives() {
     // The sole worker survived with a rebuilt scratch: the same engine
     // answers the next query bit-identically to a fresh engine, from a
     // scratch of the same size.
-    let again = e.query(QueryRequest::new(2)).expect("pool survives");
+    let again = e.query(G, QueryRequest::new(2)).expect("pool survives");
     let fresh_engine = engine(EngineConfig {
         workers: 1,
         ..EngineConfig::default()
     });
-    let fresh = fresh_engine.query(QueryRequest::new(2)).unwrap();
+    let fresh = fresh_engine.query(G, QueryRequest::new(2)).unwrap();
     assert!(again.result.bitwise_eq(&fresh.result));
     assert_eq!(
         e.stats().workspace_bytes,
@@ -169,12 +177,15 @@ fn dequeue_fault_yields_internal_without_a_panic() {
         ..EngineConfig::default()
     });
     fault::inject("sched.dequeue", Fault::Error, 1);
-    let err = e.query(QueryRequest::new(3)).expect_err("injected error");
+    let err = e
+        .query(G, QueryRequest::new(3))
+        .expect_err("injected error");
     assert!(matches!(err, ServeError::Internal { .. }), "got {err:?}");
     let stats = e.stats();
     assert_eq!(stats.panics, 0);
     assert_eq!(stats.completed, 0);
-    e.query(QueryRequest::new(3)).expect("engine still serves");
+    e.query(G, QueryRequest::new(3))
+        .expect("engine still serves");
 }
 
 #[test]
@@ -195,7 +206,7 @@ fn cache_insert_panic_fails_leader_and_followers_alike() {
             delta: Some(1e-8),
             ..Knobs::default()
         });
-    let tickets: Vec<_> = (0..3).map(|_| e.submit(req).unwrap()).collect();
+    let tickets: Vec<_> = (0..3).map(|_| e.submit(G, req).unwrap()).collect();
     let mut internals = 0;
     for t in tickets {
         match t.wait() {
@@ -208,7 +219,7 @@ fn cache_insert_panic_fails_leader_and_followers_alike() {
     assert_eq!(stats.panics, 1);
     assert_eq!(stats.cache.insertions, 0);
     // Survival + no poisoned cache entry: recompute is a Miss, then Ok.
-    let resp = e.query(req).expect("engine survives the insert panic");
+    let resp = e.query(G, req).expect("engine survives the insert panic");
     assert_eq!(resp.outcome, CacheOutcome::Miss);
 }
 
@@ -221,18 +232,20 @@ fn cache_insert_error_degrades_to_miss_behavior() {
     });
     fault::inject("cache.insert", Fault::Error, 1);
     // The insert is skipped but the computed answer is still served.
-    let first = e.query(QueryRequest::new(7)).expect("answer still served");
+    let first = e
+        .query(G, QueryRequest::new(7))
+        .expect("answer still served");
     assert_eq!(first.outcome, CacheOutcome::Miss);
     assert_eq!(e.stats().cache.insertions, 0);
     // Degraded cleanly to miss behavior: the repeat recomputes (no Hit),
     // inserts normally, and is bit-identical.
-    let second = e.query(QueryRequest::new(7)).expect("repeat");
+    let second = e.query(G, QueryRequest::new(7)).expect("repeat");
     assert_eq!(second.outcome, CacheOutcome::Miss);
     assert!(second.result.bitwise_eq(&first.result));
     assert_eq!(e.stats().cache.insertions, 1);
     // Third time really is the cache.
     assert_eq!(
-        e.query(QueryRequest::new(7)).unwrap().outcome,
+        e.query(G, QueryRequest::new(7)).unwrap().outcome,
         CacheOutcome::Hit
     );
 }
@@ -248,7 +261,7 @@ fn dequeue_delay_makes_single_flight_coalescing_deterministic() {
     });
     fault::inject("sched.dequeue", Fault::Delay(Duration::from_millis(100)), 1);
     let req = QueryRequest::new(9);
-    let tickets: Vec<_> = (0..3).map(|_| e.submit(req).unwrap()).collect();
+    let tickets: Vec<_> = (0..3).map(|_| e.submit(G, req).unwrap()).collect();
     let responses: Vec<_> = tickets
         .into_iter()
         .map(|t| t.wait().expect("delayed flight completes"))
@@ -290,7 +303,7 @@ fn push_tier_fault_degrades_typed_and_never_caches() {
     // error, and never a cache entry.
     fault::inject("core.push_tier", Fault::Error, 1);
     let resp = e
-        .query(push_heavy_request(2))
+        .query(G, push_heavy_request(2))
         .expect("one certified tier converts the fault into a degraded answer");
     let d = resp.degraded.as_ref().expect("degraded marker present");
     assert!(
@@ -310,14 +323,14 @@ fn push_tier_fault_degrades_typed_and_never_caches() {
     assert_eq!(stats.cache.insertions, 0, "degraded push is never cached");
     // The fault left the worker's scratch clean: the clean re-query on
     // the same worker is full accuracy and bitwise a fresh engine's.
-    let clean = e.query(push_heavy_request(2)).expect("clean re-query");
+    let clean = e.query(G, push_heavy_request(2)).expect("clean re-query");
     assert!(clean.degraded.is_none());
     assert_eq!(clean.outcome, CacheOutcome::Miss);
     let fresh = engine(EngineConfig {
         workers: 1,
         ..EngineConfig::default()
     })
-    .query(push_heavy_request(2))
+    .query(G, push_heavy_request(2))
     .unwrap();
     assert!(clean.result.bitwise_eq(&fresh.result));
 }
@@ -331,7 +344,7 @@ fn push_tier_panic_is_contained_and_scratch_rebuilt() {
     });
     fault::inject("core.push_tier", Fault::Panic, 1);
     let err = e
-        .query(push_heavy_request(2))
+        .query(G, push_heavy_request(2))
         .expect_err("mid-ladder panic surfaces as an error");
     match &err {
         ServeError::Internal { detail } => {
@@ -343,13 +356,13 @@ fn push_tier_panic_is_contained_and_scratch_rebuilt() {
     assert_eq!(stats.panics, 1);
     assert_eq!(stats.cache.insertions, 0);
     // The worker rebuilt its scratch: same engine, bitwise-fresh answer.
-    let again = e.query(push_heavy_request(2)).expect("pool survives");
+    let again = e.query(G, push_heavy_request(2)).expect("pool survives");
     assert!(again.degraded.is_none());
     let fresh = engine(EngineConfig {
         workers: 1,
         ..EngineConfig::default()
     })
-    .query(push_heavy_request(2))
+    .query(G, push_heavy_request(2))
     .unwrap();
     assert!(again.result.bitwise_eq(&fresh.result));
 }
@@ -371,7 +384,10 @@ fn push_tier_delay_lets_the_watchdog_degrade_mid_push() {
         1,
     );
     let resp = e
-        .query(push_heavy_request(2).deadline_in(Duration::from_millis(50)))
+        .query(
+            G,
+            push_heavy_request(2).deadline_in(Duration::from_millis(50)),
+        )
         .expect("certified tier converts mid-push cancellation");
     let d = resp.degraded.as_ref().expect("degraded marker present");
     assert!(d.achieved.is_degraded());
@@ -399,7 +415,7 @@ fn push_tier_fault_marker_is_shared_by_coalesced_followers() {
     fault::inject("sched.dequeue", Fault::Delay(Duration::from_millis(100)), 1);
     fault::inject("core.push_tier", Fault::Error, 1);
     let req = push_heavy_request(2);
-    let tickets: Vec<_> = (0..3).map(|_| e.submit(req).unwrap()).collect();
+    let tickets: Vec<_> = (0..3).map(|_| e.submit(G, req).unwrap()).collect();
     let responses: Vec<_> = tickets
         .into_iter()
         .map(|t| t.wait().expect("degraded flight completes"))
@@ -427,7 +443,7 @@ fn push_tier_fault_marker_is_shared_by_coalesced_followers() {
     assert_eq!(e.stats().cache.insertions, 0, "nothing cached");
     // The degraded flight left no cache entry behind: a clean repeat is
     // a Miss (recomputed at full accuracy), not a Hit on degraded bytes.
-    let clean = e.query(req).expect("clean repeat");
+    let clean = e.query(G, req).expect("clean repeat");
     assert_eq!(clean.outcome, CacheOutcome::Miss);
     assert!(clean.degraded.is_none());
 }
@@ -445,14 +461,14 @@ fn hub_answers(g: &Arc<Graph>, seeds: &[NodeId]) -> Vec<Arc<ClusterResult>> {
         hub_top_k: seeds.len(),
         ..MultiEngineConfig::default()
     });
-    me.registry().register_graph("g", Arc::clone(g));
-    me.query("g", QueryRequest::new(0).method(Method::Tea))
+    me.registry().register_graph(G, Arc::clone(g));
+    me.query(G, QueryRequest::new(0).method(Method::Tea))
         .unwrap();
     me.wait_hub_builds();
     seeds
         .iter()
         .map(|&seed| {
-            let resp = me.query("g", QueryRequest::new(seed)).unwrap();
+            let resp = me.query(G, QueryRequest::new(seed)).unwrap();
             assert_eq!(resp.outcome, CacheOutcome::Precomputed, "seed {seed}");
             resp.result
         })
@@ -502,7 +518,7 @@ fn push_tier_fault_never_reaches_run_batch_or_hub_builds() {
     });
     for req in [QueryRequest::new(seeds[0]), push_heavy_request(seeds[0])] {
         fault::inject("core.push_tier", Fault::Error, 1);
-        let resp = e.query(req).unwrap();
+        let resp = e.query(G, req).unwrap();
         assert!(resp.degraded.is_some(), "worker queries keep the failpoint");
         assert!(fault::armed().is_empty());
     }
