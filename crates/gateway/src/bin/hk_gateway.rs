@@ -12,6 +12,8 @@
 //! registers a small generated planted-partition graph under the name
 //! `demo` — enough to exercise every endpoint with no dataset on disk.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 

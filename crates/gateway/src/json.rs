@@ -5,14 +5,20 @@
 //! strict recursive-descent parser over UTF-8 bytes with a depth cap,
 //! and an append-only writer over `Vec<u8>` with two number printers.
 //!
-//! * [`write_u64`] prints integers (node ids, counters, sizes) two
-//!   digits per table lookup.
+//! * [`write_u64`] prints integers (node ids, counters, sizes) eight
+//!   digits per SWAR block, with no loop over the digits.
 //! * [`write_f64`] is a Schubfach-style shortest-round-trip printer: it
 //!   finds the shortest decimal inside the rounding interval of the
 //!   `f64` with three 64×128-bit multiplications against a table of
 //!   powers of ten, takes the candidate closest to the exact value
-//!   (exact ties go up), and lays the digits out in fixed notation —
-//!   never an exponent, `-0` keeps its sign. Its text is byte-identical
+//!   (exact ties go up) with selects rather than branches, and lays the
+//!   digits out in fixed notation — never an exponent, `-0` keeps its
+//!   sign. A non-zero value in (-1, 1) whose digits end at most 46
+//!   places behind the point (every `|v| ≥ 1e-29`: what an estimate is
+//!   made of) is written into a field of zeros with no branch on its
+//!   digits; the rest take a general layout. The answer
+//!   writer in [`crate::wire`] calls the same code per entry, into space
+//!   it reserved for many at once. Its text is byte-identical
 //!   to Rust's `Display` for `f64`, which the answers were rendered
 //!   through before and which every recorded body, golden fixture and
 //!   client expects. `tests/printer.rs` pins that against
@@ -179,46 +185,173 @@ impl Json {
     }
 }
 
-/// `"00"`, `"01"`, … `"99"`: two decimal digits per table lookup.
-const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
-2021222324252627282930313233343536373839\
-4041424344454647484950515253545556575859\
-6061626364656667686970717273747576777879\
-8081828384858687888990919293949596979899";
+/// The digits of `n < 10^8`, zero-padded to eight, one per byte with the
+/// first in the lowest: SWAR arithmetic splits the number 4 + 4 into two
+/// 32-bit lanes, each lane 2 + 2 into 16-bit lanes and each pair 1 + 1
+/// into bytes, one multiply-shift per step for all lanes at once
+/// (`x · 10486 >> 20` is `x / 100` below 10^4, `x · 103 >> 10` is `x / 10`
+/// below 100, and neither product crosses into the next lane).
+fn digit_block(n: u32) -> u64 {
+    debug_assert!(n < 100_000_000);
+    let n = n as u64;
+    let high = n / 10_000;
+    let quads = high | (n - high * 10_000) << 32;
+    let high = ((quads * 10_486) >> 20) & 0x0000_007f_0000_007f;
+    let pairs = high | (quads - high * 100) << 16;
+    let high = ((pairs * 103) >> 10) & 0x000f_000f_000f_000f;
+    high | (pairs - high * 10) << 8
+}
 
-/// Write the decimal digits of `v` right-aligned into `buf` (at least 20
-/// bytes, the length of `u64::MAX`); returns the index of the first one.
-fn format_u64(buf: &mut [u8], mut v: u64) -> usize {
-    let mut at = buf.len();
-    while v >= 100 {
-        let pair = (v % 100) as usize * 2;
-        v /= 100;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+/// `'0'` in every byte: or-ed onto a [`digit_block`], the ASCII digits.
+const ASCII_ZEROS: u64 = 0x3030_3030_3030_3030;
+
+/// A [`digit_block`] as the ASCII bytes it is written as.
+fn ascii_block(n: u32) -> [u8; 8] {
+    (digit_block(n) | ASCII_ZEROS).to_le_bytes()
+}
+
+/// `10^i` for every `i` a `u64` holds.
+const POW10: [u64; 20] = {
+    let mut table = [1u64; 20];
+    let mut i = 1;
+    while i < 20 {
+        table[i] = table[i - 1] * 10;
+        i += 1;
     }
-    if v >= 10 {
-        let pair = v as usize * 2;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    } else {
-        at -= 1;
-        buf[at] = b'0' + v as u8;
-    }
-    at
+    table
+};
+
+/// Number of decimal digits of `v`, one for zero. The leading-zero count
+/// gives `floor(log10(2^bits))` (`1233 / 4096` is `log10(2)` to four
+/// places), which is the count or one short of it; the table of powers of
+/// ten decides which.
+fn decimal_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros();
+    let floor = ((bits * 1233) >> 12) as usize;
+    floor + (v | 1 >= POW10[floor]) as usize
+}
+
+/// Write `v` right-aligned at the end of `buf` (at least 24 bytes: three
+/// eight-digit blocks, zero-padded) and return the index of its first
+/// digit.
+fn format_u64(buf: &mut [u8], v: u64) -> usize {
+    let end = buf.len();
+    let rest = v % POW10[16];
+    // u64::MAX / 10^16 is 1844: the top block never overflows.
+    buf[end - 24..end - 16].copy_from_slice(&ascii_block((v / POW10[16]) as u32));
+    buf[end - 16..end - 8].copy_from_slice(&ascii_block((rest / POW10[8]) as u32));
+    buf[end - 8..].copy_from_slice(&ascii_block((rest % POW10[8]) as u32));
+    end - decimal_len(v)
 }
 
 /// Write an integer in decimal. For every value below 2^53 the text is
 /// what [`write_f64`] writes for `v as f64`.
 pub fn write_u64(out: &mut Vec<u8>, v: u64) {
-    let mut buf = [0u8; 20];
-    let at = format_u64(&mut buf, v);
-    out.extend_from_slice(&buf[at..]);
+    let mut buf = [0u8; 24];
+    let first = format_u64(&mut buf, v);
+    out.extend_from_slice(&buf[first..]);
+}
+
+/// Bytes [`write_u32_into`] may touch.
+pub(crate) const U32_ROOM: usize = 10;
+
+/// Write `v` in decimal at the front of `w` (at least [`U32_ROOM`] bytes)
+/// and return its length; bytes behind it may be overwritten. Below 10^8,
+/// which every node id of a graph that fits in memory is, the number is
+/// one [`digit_block`] shifted past its leading zeros (its lowest zero
+/// bytes; zero keeps one), with no branch on the digits.
+#[inline(always)]
+pub(crate) fn write_u32_into(w: &mut [u8], v: u32) -> usize {
+    if v >= 100_000_000 {
+        let mut buf = [0u8; 24];
+        let first = format_u64(&mut buf, v as u64);
+        w[..24 - first].copy_from_slice(&buf[first..]);
+        return 24 - first;
+    }
+    let block = digit_block(v);
+    let leading = (block.trailing_zeros() / 8).min(7);
+    w[..8].copy_from_slice(&((block | ASCII_ZEROS) >> (8 * leading)).to_le_bytes());
+    8 - leading as usize
+}
+
+/// Bytes [`write_f64_into`] may touch: a sign, `0.` and 46 fraction
+/// digits.
+pub(crate) const F64_ROOM: usize = 49;
+
+/// `0.` and the 46 zeros a fraction in the fast layout can start with.
+const FRACTION_FIELD: [u8; 48] = {
+    let mut field = [b'0'; 48];
+    field[1] = b'.';
+    field
+};
+
+/// Write `v` at the front of `w` (at least [`F64_ROOM`] bytes) and return
+/// its length if it has the layout of an estimate value: `0 < |v| < 1`,
+/// written `0.`, zeros and digits, with the last of the shortest
+/// decimal's 15 to 17 digits (trailing zeros included) at most 46 places
+/// behind the point — every `|v| ≥ 10^-29`, no `|v| < 10^-32`. Anything
+/// else (zero, `|v| ≥ 1`, smaller values, non-finite) returns `None` for
+/// [`write_f64`]'s general layout; the bytes of `w` are then garbage.
+///
+/// The significand (at most 17 digits) is written 1 + 8 + 8 into a field
+/// of zeros so that its last digit lands on the last fraction digit; its
+/// padding zeros fall on the field's zeros or on the `0.`, which is
+/// written after it. Trailing zeros are counted in the digit blocks, not
+/// divided away.
+#[inline(always)]
+pub(crate) fn write_f64_into(w: &mut [u8], v: f64) -> Option<usize> {
+    let bits = v.to_bits();
+    let abs = bits & (u64::MAX >> 1);
+    // Zero, and everything from 1.0 up (infinity and NaN included).
+    if abs.wrapping_sub(1) >= 1f64.to_bits() - 1 {
+        return None;
+    }
+    let (digits, exp10) = shortest_decimal(abs);
+    // Every normal value below one has 15 fraction digits at least.
+    let fraction = exp10.unsigned_abs() as usize;
+    if exp10 >= 0 || !(15..=46).contains(&fraction) || digits >= POW10[17] {
+        return None;
+    }
+    let negative = (bits >> 63) as usize;
+    w[0] = b'-';
+    let w = &mut w[negative..negative + FRACTION_FIELD.len()];
+    w.copy_from_slice(&FRACTION_FIELD);
+    // One 64-bit division; the nine digits above the low block fit a u32.
+    let upper = digits / POW10[8];
+    let low = digit_block((digits - upper * POW10[8]) as u32);
+    let upper = upper as u32;
+    let top = upper / 100_000_000;
+    let middle = digit_block(upper - top * 100_000_000);
+    let end = 2 + fraction;
+    w[end - 17] = b'0' + top as u8;
+    w[end - 16..end - 8].copy_from_slice(&(middle | ASCII_ZEROS).to_le_bytes());
+    w[end - 8..end].copy_from_slice(&(low | ASCII_ZEROS).to_le_bytes());
+    w[..2].copy_from_slice(b"0.");
+    // The last digit sits in a block's highest byte, so a block's trailing
+    // zero digits are its leading zero bytes; an all-zero low block (8)
+    // adds the middle block's.
+    let low_zeros = low.leading_zeros() / 8;
+    let zeros = low_zeros + (low_zeros == 8) as u32 * (middle.leading_zeros() / 8);
+    Some(negative + end - zeros as usize)
 }
 
 /// Write `v` as the shortest decimal that parses back to the identical
 /// bit pattern (`-0.0` included), in fixed notation: byte for byte what
 /// `format!("{v}")` gives. Non-finite values become `null`.
 pub fn write_f64(out: &mut Vec<u8>, v: f64) {
+    let at = out.len();
+    out.resize(at + F64_ROOM, 0);
+    match write_f64_into(&mut out[at..], v) {
+        Some(len) => out.truncate(at + len),
+        None => {
+            out.truncate(at);
+            write_f64_general(out, v);
+        }
+    }
+}
+
+/// [`write_f64`] for the values [`write_f64_into`] leaves out.
+fn write_f64_general(out: &mut Vec<u8>, v: f64) {
     if !v.is_finite() {
         out.extend_from_slice(b"null");
         return;
@@ -270,6 +403,7 @@ pub fn write_f64(out: &mut Vec<u8>, v: f64) {
 /// even would print `…323.2` where `Display` prints `…323.3` for bits
 /// `0x43180467b3a7ed6d`). After R. Giulietti, "The Schubfach way to
 /// render doubles" (2020); variable names follow the paper.
+#[inline(always)]
 fn shortest_decimal(bits: u64) -> (u64, i32) {
     let fraction = bits & ((1 << 52) - 1);
     let biased = (bits >> 52) as i32;
@@ -305,25 +439,30 @@ fn shortest_decimal(bits: u64) -> (u64, i32) {
     let vbr = round_to_odd(g, cbr << h);
     let lower = vbl + !ends_inside as u64;
     let upper = vbr - !ends_inside as u64;
-    // vb / 4 is the value in units of 10^k. One digit shorter first: at
-    // most one multiple of 10^(k+1) lies inside the interval.
+    // vb / 4 is the value in units of 10^k. One digit shorter wins if
+    // exactly one of its two neighbours is inside the interval (at most
+    // one multiple of 10^(k+1) is).
     let s = vb / 4;
-    if s >= 10 {
-        let sp = s / 10;
-        let down_inside = lower <= 40 * sp;
-        let up_inside = 40 * sp + 40 <= upper;
-        if down_inside != up_inside {
-            return (sp + up_inside as u64, k + 1);
-        }
-    }
-    let down_inside = lower <= 4 * s;
-    let up_inside = 4 * s + 4 <= upper;
-    if down_inside != up_inside {
-        return (s + up_inside as u64, k);
-    }
-    // Both neighbours are inside: the closer one, a tie going up.
-    let round_up = vb >= 4 * s + 2;
-    (s + round_up as u64, k)
+    let sp = s / 10;
+    let short_down = lower <= 40 * sp;
+    let short_up = 40 * sp + 40 <= upper;
+    let short = (s >= 10) & (short_down != short_up);
+    // Otherwise the inside neighbour at full length, or, when both are
+    // inside, the closer one, a tie going up.
+    let down = lower <= 4 * s;
+    let up = 4 * s + 4 <= upper;
+    let round_up = (up & !down) | (up == down) & (vb >= 4 * s + 2);
+    // Every test above is data the branch predictor cannot learn, so the
+    // candidates are picked with selects, not branches.
+    let digits = select(short, sp + short_up as u64, s + round_up as u64);
+    (digits, k + short as i32)
+}
+
+/// `if pick { a } else { b }` as arithmetic on a mask, which the compiler
+/// keeps free of branches.
+fn select(pick: bool, a: u64, b: u64) -> u64 {
+    let mask = (pick as u64).wrapping_neg();
+    a & mask | b & !mask
 }
 
 /// The top 64 bits of `cp · g / 2^64` with every bit below them folded
@@ -676,12 +815,14 @@ impl Parser<'_> {
             }
         }
         // The token is ASCII by construction; std's float parsing is
-        // correctly rounded, so Display output round-trips bit-exactly.
+        // correctly rounded, so Display output round-trips bit-exactly. It
+        // reads an overflowing token (`1e400`) as infinity, which JSON has
+        // no number for; an underflowing one is a finite zero.
         let token = std::str::from_utf8(&self.input[start..self.pos]).unwrap();
-        token
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("number out of range"))
+        match token.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            _ => Err(self.err("number out of range")),
+        }
     }
 }
 
@@ -763,6 +904,62 @@ mod tests {
     }
 
     #[test]
+    fn digit_blocks_and_lengths_are_exact() {
+        // The two lane divisions hold over their whole lane range.
+        assert!((0..10_000u64).all(|x| (x * 10_486) >> 20 == x / 100));
+        assert!((0..100u64).all(|x| (x * 103) >> 10 == x / 10));
+        for n in (0..100_000_000)
+            .step_by(9_973)
+            .chain([0, 1, 9, 10, 99_999_999])
+        {
+            assert_eq!(ascii_block(n), *format!("{n:08}").as_bytes(), "{n}");
+        }
+        for v in POW10
+            .iter()
+            .flat_map(|&p| [p - 1, p, p + 1])
+            .chain([0, u64::MAX])
+        {
+            assert_eq!(decimal_len(v), v.to_string().len(), "{v}");
+        }
+        let mut w = [0u8; U32_ROOM];
+        for v in [0, 7, 10, 99_999_999, 100_000_000, 1_234_567_890, u32::MAX] {
+            let len = write_u32_into(&mut w, v);
+            assert_eq!(&w[..len], v.to_string().as_bytes());
+        }
+    }
+
+    #[test]
+    fn the_fast_layout_takes_what_it_claims() {
+        let below_one = f64::from_bits(1f64.to_bits() - 1);
+        let mut w = [0u8; F64_ROOM];
+        for (v, fast) in [
+            (0.5, true),
+            (-0.5, true),
+            (below_one, true),
+            (-below_one, true),
+            // The 15 to 17 digits end at most 46 places behind the point
+            // from 10^-29 up, at least 47 places behind it below 10^-32.
+            (1.0001e-29, true),
+            (-0.9e-4, true),
+            (9.9e-33, false),
+            (1e-46, false),
+            (f64::MIN_POSITIVE, false),
+            (0.0, false),
+            (-0.0, false),
+            (1.0, false),
+            (-1.0, false),
+            (f64::INFINITY, false),
+            (f64::NAN, false),
+        ] {
+            let written = write_f64_into(&mut w, v);
+            assert_eq!(written.is_some(), fast, "{v}");
+            if let Some(len) = written {
+                assert_eq!(&w[..len], format!("{v}").as_bytes());
+            }
+        }
+    }
+
+    #[test]
     fn raw_fragments_render_verbatim_and_stay_opaque() {
         let doc = Json::Obj(vec![
             ("a".into(), Json::Raw("[1,{\"b\":2.5}]".into())),
@@ -823,9 +1020,14 @@ mod tests {
             b"\"\\x\"",
             b"",
             b"\xff",
+            b"1e400",
+            b"-1e400",
+            b"1e309",
         ] {
             assert!(parse(bad).is_err(), "{:?} should fail", bad);
         }
+        // Underflow is a finite value, not an error.
+        assert_eq!(parse(b"1e-400").unwrap(), Json::Num(0.0));
     }
 
     #[test]

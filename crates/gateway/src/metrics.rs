@@ -56,6 +56,10 @@ pub const OUTCOME_CLASSES: [&str; 7] = [
 /// cardinality). Anything else files under `other`.
 pub const ENDPOINTS: [&str; 5] = ["query", "batch", "healthz", "metrics", "other"];
 
+/// Endpoint classes whose answers are encoded and timed (see
+/// [`GatewayMetrics::encoded`]).
+pub const ENCODING_ENDPOINTS: [&str; 2] = ["query", "batch"];
+
 /// Fixed-bucket latency histogram; lock-free recording.
 #[derive(Debug, Default)]
 pub struct Histogram {
@@ -141,6 +145,10 @@ pub struct GatewayMetrics {
     latency: [Histogram; OUTCOME_CLASSES.len()],
     /// Bytes written to sockets (head and body), in [`ENDPOINTS`] order.
     response_bytes: [AtomicU64; ENDPOINTS.len()],
+    /// Nanoseconds spent writing answers, in [`ENCODING_ENDPOINTS`] order.
+    encode_ns: [AtomicU64; ENCODING_ENDPOINTS.len()],
+    /// Estimate entries in those answers, in the same order.
+    encoded_entries: [AtomicU64; ENCODING_ENDPOINTS.len()],
     conns_accepted: AtomicU64,
     conns_rejected: AtomicU64,
     conns_closed: AtomicU64,
@@ -194,6 +202,17 @@ impl GatewayMetrics {
             .position(|&e| e == endpoint)
             .unwrap_or(ENDPOINTS.len() - 1);
         self.response_bytes[idx].fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    /// One answer of `entries` estimate entries written in `took` for
+    /// `endpoint` (an [`ENCODING_ENDPOINTS`] entry; anything else is not
+    /// counted). Called before the response is written, like
+    /// [`count`](Self::count).
+    pub fn encoded(&self, endpoint: &str, took: Duration, entries: usize) {
+        if let Some(i) = ENCODING_ENDPOINTS.iter().position(|&e| e == endpoint) {
+            self.encode_ns[i].fetch_add(Histogram::nanos(took), Ordering::Relaxed);
+            self.encoded_entries[i].fetch_add(entries as u64, Ordering::Relaxed);
+        }
     }
 
     /// One accepted connection.
@@ -583,6 +602,31 @@ pub fn render_prometheus(engine: &MultiEngine, gw: &GatewayMetrics) -> String {
     }
     family(
         &mut out,
+        "hk_gateway_encode_seconds_total",
+        "Seconds spent writing answer bodies, by endpoint class.",
+        "counter",
+    );
+    for (endpoint, ns) in ENCODING_ENDPOINTS.iter().zip(&gw.encode_ns) {
+        out.push_str(&format!(
+            "hk_gateway_encode_seconds_total{{endpoint=\"{endpoint}\"}} {}\n",
+            ns.load(Ordering::Relaxed) as f64 / 1e9
+        ));
+    }
+    family(
+        &mut out,
+        "hk_gateway_encoded_entries_total",
+        "Estimate entries in the answer bodies counted by \
+         hk_gateway_encode_seconds_total, by endpoint class.",
+        "counter",
+    );
+    for (endpoint, n) in ENCODING_ENDPOINTS.iter().zip(&gw.encoded_entries) {
+        out.push_str(&format!(
+            "hk_gateway_encoded_entries_total{{endpoint=\"{endpoint}\"}} {}\n",
+            n.load(Ordering::Relaxed)
+        ));
+    }
+    family(
+        &mut out,
         "hk_gateway_connections_total",
         "Connection lifecycle events.",
         "counter",
@@ -681,6 +725,10 @@ mod tests {
             "hk_gateway_request_seconds_bucket",
             "hk_gateway_response_bytes_total{endpoint=\"query\"} 0",
             "hk_gateway_response_bytes_total{endpoint=\"other\"} 0",
+            "hk_gateway_encode_seconds_total{endpoint=\"query\"} 0",
+            "hk_gateway_encode_seconds_total{endpoint=\"batch\"} 0",
+            "hk_gateway_encoded_entries_total{endpoint=\"query\"} 0",
+            "hk_gateway_encoded_entries_total{endpoint=\"batch\"} 0",
             "hk_gateway_connections_total",
             "hk_gateway_header_timeouts_total",
             "hk_gateway_request_seconds_count{class=\"degraded_push\"}",
@@ -735,5 +783,14 @@ mod tests {
         let text = render_prometheus(&engine, &gw);
         assert!(text.contains("hk_gateway_response_bytes_total{endpoint=\"query\"} 1000\n"));
         assert!(text.contains("hk_gateway_response_bytes_total{endpoint=\"other\"} 5\n"));
+        gw.encoded("query", Duration::from_micros(300), 1000);
+        gw.encoded("query", Duration::from_micros(200), 500);
+        gw.encoded("batch", Duration::from_millis(2), 7);
+        gw.encoded("healthz", Duration::from_secs(1), 1);
+        let text = render_prometheus(&engine, &gw);
+        assert!(text.contains("hk_gateway_encode_seconds_total{endpoint=\"query\"} 0.0005\n"));
+        assert!(text.contains("hk_gateway_encode_seconds_total{endpoint=\"batch\"} 0.002\n"));
+        assert!(text.contains("hk_gateway_encoded_entries_total{endpoint=\"query\"} 1500\n"));
+        assert!(text.contains("hk_gateway_encoded_entries_total{endpoint=\"batch\"} 7\n"));
     }
 }

@@ -570,7 +570,11 @@ fn handle_query(
             _ => "miss",
         },
     };
+    let encoding = Instant::now();
     wire::write_response(out, graph, query.seed, &resp);
+    shared
+        .metrics
+        .encoded("query", encoding.elapsed(), resp.result.estimate.nnz());
     Ok(class)
 }
 
@@ -627,7 +631,11 @@ fn handle_batch(
                     any_degraded_push |=
                         d.achieved.push_tiers_completed < d.achieved.push_tiers_planned;
                 }
+                let encoding = Instant::now();
                 wire::write_response(out, graph, seed, &resp);
+                shared
+                    .metrics
+                    .encoded("batch", encoding.elapsed(), resp.result.estimate.nnz());
             }
             Err(e) => {
                 any_error = true;

@@ -24,7 +24,9 @@ use std::time::Duration;
 use hk_cluster::{ClusterResult, Method};
 use hk_serve::{Degraded, Knobs, QueryRequest, QueryResponse, QueryTiming, ServeError};
 
-use crate::json::{write_f64, write_str, write_u64, Json};
+use crate::json::{
+    write_f64, write_f64_into, write_str, write_u32_into, write_u64, Json, F64_ROOM, U32_ROOM,
+};
 
 /// Why a request body was refused, and the wire `code` the 400 carries:
 /// `invalid_body` when the body's shape is wrong (missing or unknown
@@ -260,14 +262,59 @@ pub fn write_result(out: &mut Vec<u8>, r: &ClusterResult) {
     out.extend_from_slice(b"},\"estimate\":{\"offset_coeff\":");
     write_f64(out, r.estimate.offset_coeff());
     out.extend_from_slice(b",\"entries\":[");
-    for (i, (v, x)) in r.estimate.support().enumerate() {
-        out.extend_from_slice(if i > 0 { b",[" } else { b"[" });
-        write_u64(out, v as u64);
-        out.push(b',');
-        write_f64(out, x);
-        out.push(b']');
-    }
+    write_entries(out, r.estimate.nnz(), r.estimate.support());
     out.extend_from_slice(b"]}}");
+}
+
+/// Bytes one `[id,value],` may take: the id's and the value's room and
+/// four bytes of punctuation.
+const PAIR_ROOM: usize = U32_ROOM + F64_ROOM + 4;
+
+/// Most pairs written per growth of the buffer.
+const CHUNK: usize = 256;
+
+/// Append `[id,value]` for each of the `len` pairs, comma-separated, in
+/// one pass: the buffer grows by a chunk's worst case, each pair is
+/// written through slice indexing at a running offset, and the chunk is
+/// cut back to what was written. A chunk takes no more pairs than the
+/// buffer's spare capacity has worst-case room for (but at least one), so
+/// the worst-case room never reallocates a buffer the text itself fits
+/// in. A value outside the fast layout of [`write_f64_into`] goes through
+/// [`write_f64`] and the chunk's rest gets room anew.
+fn write_entries(out: &mut Vec<u8>, len: usize, mut pairs: impl Iterator<Item = (u32, f64)>) {
+    let mut left = len;
+    while left > 0 {
+        let mut at = out.len();
+        let spare = (out.capacity() - at) / PAIR_ROOM;
+        let chunk = left.min(CHUNK).min(spare.max(1));
+        left -= chunk;
+        out.resize(at + chunk * PAIR_ROOM, 0);
+        for (i, (id, x)) in pairs.by_ref().take(chunk).enumerate() {
+            let w = &mut out[at..at + PAIR_ROOM];
+            w[0] = b'[';
+            let comma = 1 + write_u32_into(&mut w[1..], id);
+            w[comma] = b',';
+            match write_f64_into(&mut w[comma + 1..], x) {
+                Some(n) => {
+                    let end = comma + 1 + n;
+                    w[end..end + 2].copy_from_slice(b"],");
+                    at += end + 2;
+                }
+                None => {
+                    out.truncate(at + comma + 1);
+                    write_f64(out, x);
+                    out.extend_from_slice(b"],");
+                    at = out.len();
+                    out.resize(at + (chunk - i - 1) * PAIR_ROOM, 0);
+                }
+            }
+        }
+        out.truncate(at);
+    }
+    // The last pair's comma.
+    if len > 0 {
+        out.pop();
+    }
 }
 
 fn write_degraded(out: &mut Vec<u8>, d: &Degraded) {
@@ -827,14 +874,68 @@ mod tests {
             },
             after: Duration::from_micros(8_250),
         };
-        for (graph, result, degraded) in [
-            ("demo", empty, None),
+        // Ids at every digit-count edge of the id writer, and values in
+        // and out of the fast layout between them.
+        let id_edges = ClusterResult {
+            cluster: vec![9, 10, 99_999_999, 100_000_000],
+            conductance: 0.0,
+            estimate: HkprEstimate::from_sorted_columns(
+                vec![0, 9, 10, 99_999_999, 100_000_000, u32::MAX],
+                vec![0.5, 1.5, -0.25, 1e-300, f64::MAX, 0.1],
+            ),
+            stats: Default::default(),
+            support_size: 6,
+        };
+        // More pairs than one growth of the buffer covers, with general
+        // layouts at and around the chunk seams.
+        let values: Vec<f64> = (0..700u32)
+            .map(|i| match i % 7 {
+                0 => i as f64,
+                3 => -1.0 / (i as f64 + 3.0),
+                5 => 1e-50 * i as f64,
+                _ => 1.0 / (i as f64 + 2.0),
+            })
+            .collect();
+        let chunked = ClusterResult {
+            cluster: vec![],
+            conductance: 0.5,
+            estimate: HkprEstimate::from_sorted_columns(
+                (0..700).map(|i| i * 7919).collect(),
+                values,
+            ),
+            stats: Default::default(),
+            support_size: 700,
+        };
+        let cases: [(&str, ClusterResult, Option<Degraded>, &[&str]); 4] = [
+            (
+                "demo",
+                empty,
+                None,
+                &["\"cluster\":[],", "\"entries\":[]}}"],
+            ),
             (
                 "a \"quoted\\name\"\n\u{1}\u{e9}",
                 signed_zeros,
                 Some(no_bound),
+                &[
+                    "\"eps_r_achieved\":null",
+                    "[0,-0],[7,0],",
+                    "\"offset_coeff\":-0,",
+                ],
             ),
-        ] {
+            (
+                "demo",
+                id_edges,
+                None,
+                &[
+                    "\"cluster\":[9,10,99999999,100000000],",
+                    "\"entries\":[[0,0.5],[9,1.5],[10,-0.25],[99999999,0.",
+                    "[4294967295,0.1]]}}",
+                ],
+            ),
+            ("demo", chunked, None, &["[0,0],[7919,0.3333333333333333],"]),
+        ];
+        for (graph, result, degraded, needles) in cases {
             let resp = QueryResponse {
                 result: std::sync::Arc::new(result),
                 outcome: CacheOutcome::Hit,
@@ -846,14 +947,34 @@ mod tests {
                 },
             };
             let text = assert_encodings_agree(graph, u32::MAX, &resp);
-            if degraded.is_some() {
-                assert!(text.contains("\"eps_r_achieved\":null"), "{text}");
-                assert!(text.contains("[0,-0],[7,0],"), "{text}");
-                assert!(text.contains("\"offset_coeff\":-0,"), "{text}");
-            } else {
-                assert!(text.contains("\"cluster\":[],"), "{text}");
-                assert!(text.contains("\"entries\":[]}}"), "{text}");
+            for needle in needles {
+                assert!(text.contains(needle), "{needle} not in {text}");
             }
+        }
+    }
+
+    #[test]
+    fn entries_fit_the_reserve_without_growing_it() {
+        use hkpr_core::estimate::HkprEstimate;
+        // Values of an estimate's usual length (17 digits, a few zeros
+        // behind the point) under 7-digit ids: about 31 bytes a pair, so
+        // the 36-byte reserve holds the text and the writer's worst-case
+        // room must not reallocate it.
+        for n in [100u32, 257, 700, 5_000] {
+            let result = ClusterResult {
+                cluster: vec![],
+                conductance: 0.5,
+                estimate: HkprEstimate::from_sorted_columns(
+                    (0..n).map(|i| 1_000_000 + i).collect(),
+                    (0..n).map(|i| 1.0 / (4_000.0 + i as f64)).collect(),
+                ),
+                stats: Default::default(),
+                support_size: 0,
+            };
+            let mut out = Vec::new();
+            write_result(&mut out, &result);
+            assert!(out.len() < 64 + 36 * n as usize);
+            assert_eq!(out.capacity(), 64 + 36 * n as usize, "{n} pairs");
         }
     }
 

@@ -166,6 +166,13 @@ fn error_taxonomy_over_the_wire() {
             400,
             "invalid_query",
         ),
+        // A knob that overflows f64 is refused by the parser, not read as
+        // infinity and refused later by the engine.
+        (
+            post("/query/demo", r#"{"seed": 1, "knobs": {"t": 1e400}}"#),
+            400,
+            "invalid_body",
+        ),
         (post("/nowhere", "{}"), 404, "unknown_endpoint"),
         (
             "GET /query/demo HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n".to_string(),
@@ -232,10 +239,28 @@ fn metrics_scrape_contains_mandatory_families_and_counts_requests() {
     };
     // No worker has run a job yet, so no worker holds a workspace.
     assert_eq!(workspace_bytes(&scrape()), 0);
-    let (s1, _) = roundtrip(&gw, &post("/query/demo", r#"{"seed": 5}"#));
+    let (s1, answer) = roundtrip(&gw, &post("/query/demo", r#"{"seed": 5}"#));
     assert_eq!(s1, 200);
     let text = scrape();
     assert!(workspace_bytes(&text) > 0, "the miss sized a workspace");
+    // The answer's entries are counted under its endpoint, before it is
+    // sent.
+    let entries = json::parse(answer.as_bytes()).unwrap();
+    let entries = ["result", "estimate", "entries"]
+        .iter()
+        .fold(&entries, |doc, key| doc.get(key).unwrap())
+        .as_arr()
+        .unwrap()
+        .len();
+    assert!(entries > 0);
+    assert!(
+        text.contains(&format!(
+            "hk_gateway_encoded_entries_total{{endpoint=\"query\"}} {entries}\n"
+        )),
+        "{text}"
+    );
+    assert!(text.contains("hk_gateway_encoded_entries_total{endpoint=\"batch\"} 0\n"));
+    assert!(!text.contains("hk_gateway_encode_seconds_total{endpoint=\"query\"} 0\n"));
     for family in [
         "hk_engine_completed_total",
         "hk_engine_degraded_total",

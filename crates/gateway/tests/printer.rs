@@ -11,7 +11,10 @@
 //! two and their neighbours (the lopsided rounding interval), subnormals
 //! and the extremes.
 
+use hk_cluster::ClusterResult;
 use hk_gateway::json::{self, write_f64, write_u64};
+use hk_gateway::wire::write_result;
+use hkpr_core::estimate::HkprEstimate;
 use proptest::prelude::*;
 
 /// One value through every check; `Err` names the first that failed.
@@ -167,6 +170,54 @@ fn fixed_edge_cases_match_display() {
     }
 }
 
+/// The edges of the fast `0.ddd…` layout every estimate value takes: its
+/// 17-digit significand field, the 46 fraction digits it has room for,
+/// and the point between it and the general layout.
+#[test]
+fn fast_layout_edges_match_display() {
+    let mut cases = vec![
+        f64::from_bits(1f64.to_bits() - 1), // the largest value below 1.0
+        f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        f64::from_bits(f64::MIN_POSITIVE.to_bits() - 1),
+        f64::from_bits(0x000a_bcde_f012_3456),
+        0.0,
+    ];
+    // Fraction-digit counts on both sides of the field's 15-17 digits and
+    // of its 46-digit room, each with significands of 1 to 17 digits.
+    const DIGITS: &str = "12345678912345678";
+    for fraction in [14, 15, 16, 17, 46, 47] {
+        for len in 1..=17.min(fraction) {
+            let text = format!("0.{}{}", "0".repeat(fraction - len), &DIGITS[..len]);
+            let v: f64 = text.parse().unwrap();
+            // Up to 15 significant digits always survive the round trip.
+            if len <= 15 {
+                assert_eq!(format!("{v}"), text);
+            }
+            cases.extend([
+                v,
+                f64::from_bits(v.to_bits() - 1),
+                f64::from_bits(v.to_bits() + 1),
+            ]);
+        }
+    }
+    // 1e-1 … 1e-30 and one ulp either side.
+    for e in 1..=30 {
+        let v: f64 = format!("1e-{e}").parse().unwrap();
+        cases.extend([
+            f64::from_bits(v.to_bits() - 1),
+            v,
+            f64::from_bits(v.to_bits() + 1),
+        ]);
+    }
+    for v in cases {
+        // Negatives in (-1, 0) and -0.0 come from the sign flip.
+        for v in [v, -v] {
+            check(v).unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+}
+
 #[test]
 fn the_half_way_tie_goes_up_like_display() {
     let v = f64::from_bits(0x4318_0467_b3a7_ed6d);
@@ -215,23 +266,91 @@ proptest! {
     }
 }
 
-/// The same differential over 50M values — minutes in a debug build, so
-/// CI runs it optimized: `cargo test --release -p hk-gateway -- --ignored`.
-#[test]
-#[ignore = "50M-value differential; run with --release -- --ignored"]
-fn fifty_million_values_match_display() {
-    // SplitMix64: the run is the same everywhere.
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
+/// SplitMix64: a differential's run is the same everywhere.
+fn split_mix(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
-    };
+    }
+}
+
+/// The same differential over 50M values — minutes in a debug build, so
+/// CI runs it optimized: `cargo test --release -p hk-gateway -- --ignored`.
+#[test]
+#[ignore = "50M-value differential; run with --release -- --ignored"]
+fn fifty_million_values_match_display() {
+    let mut next = split_mix(0);
     for i in 0..50_000_000u64 {
         let v = draw(i, next(), next());
         check(v).unwrap_or_else(|e| panic!("value {i}: {e}"));
         check(-v).unwrap_or_else(|e| panic!("value {i} negated: {e}"));
+    }
+}
+
+/// 5M `(id, value)` pairs through the answer writer's fused entries pass,
+/// each against `[{id},{value}]` as `Display` renders it: values of every
+/// class above with either sign, ids crossing every digit-count edge up
+/// to `u32::MAX`, 100 answers of 50,000 pairs. Run with the 50M-value
+/// differential: `cargo test --release -p hk-gateway --test printer --
+/// --ignored`.
+#[test]
+#[ignore = "5M-pair differential; run with --release -- --ignored"]
+fn five_million_entries_match_display() {
+    const PAIRS: u32 = 50_000;
+    let mut next = split_mix(1);
+    let mut out = Vec::new();
+    for answer in 0..100u32 {
+        // Ids climb in steps of 1 to 16 from just below a power of ten,
+        // or from where they reach toward u32::MAX.
+        let first = match answer % 11 {
+            10 => u32::MAX - 16 * (PAIRS - 1),
+            e => 10u32.pow(e).saturating_sub(PAIRS),
+        };
+        let mut ids = vec![first];
+        for _ in 1..PAIRS {
+            ids.push(ids[ids.len() - 1] + 1 + (next() % 16) as u32);
+        }
+        let values: Vec<f64> = (0..PAIRS)
+            .map(|_| {
+                let v = draw(next(), next(), next());
+                if next() & 1 == 0 {
+                    v
+                } else {
+                    -v
+                }
+            })
+            .collect();
+        let mut want = String::from("\"entries\":[");
+        for (i, (id, v)) in ids.iter().zip(&values).enumerate() {
+            want.push_str(&format!("{}[{id},{v}]", if i > 0 { "," } else { "" }));
+        }
+        want.push_str("]}}");
+        let result = ClusterResult {
+            cluster: vec![],
+            conductance: 0.0,
+            estimate: HkprEstimate::from_sorted_columns(ids, values),
+            stats: Default::default(),
+            support_size: 0,
+        };
+        out.clear();
+        write_result(&mut out, &result);
+        let text = std::str::from_utf8(&out).unwrap();
+        let got = &text[text.find("\"entries\":").unwrap()..];
+        if got != want {
+            let at = got
+                .bytes()
+                .zip(want.bytes())
+                .take_while(|(a, b)| a == b)
+                .count();
+            let from = got[..at].rfind('[').unwrap_or(0);
+            panic!(
+                "answer {answer}: wrote {:?}, Display writes {:?}",
+                &got[from..(from + 80).min(got.len())],
+                &want[from..(from + 80).min(want.len())]
+            );
+        }
     }
 }
