@@ -28,7 +28,7 @@ use hk_gateway::json::Json;
 use hk_graph::gen::holme_kim;
 use hkpr_core::push_plus::{hk_push_plus_ws, PushPlusConfig};
 use hkpr_core::walk::{k_random_walk, run_batched_walks, WalkScratch};
-use hkpr_core::{AliasTable, HkprParams, QueryWorkspace, Reserve};
+use hkpr_core::{AliasTable, AnytimeControls, HkprParams, QueryWorkspace, Reserve};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -51,7 +51,8 @@ fn walk_kernel_snapshot(
         eps_abs: params.eps_abs(),
         budget: u64::MAX,
     };
-    hk_push_plus_ws(graph, params.poisson(), 0, &cfg, &mut ws);
+    let controls = &mut AnytimeControls::default();
+    hk_push_plus_ws(graph, params.poisson(), 0, &cfg, controls, &mut ws);
     let entries: Vec<(u32, u32)> = ws
         .residues()
         .entries()

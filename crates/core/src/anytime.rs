@@ -56,7 +56,7 @@ pub const TIER_DIVISORS: [u64; 4] = [64, 16, 4, 1];
 /// threshold). The final divisor (1) is not a certificate: it stands for
 /// the push's natural termination (drained, satisfied, or budget
 /// exhausted), after which the walk phase carries the full guarantee.
-/// See [`crate::push_plus::hk_push_plus_step`].
+/// See [`crate::push_plus::hk_push_plus_ws`].
 pub const PUSH_TIER_DIVISORS: [u64; 4] = [64, 16, 4, 1];
 
 /// How far an anytime query's refinement got, and what accuracy that
@@ -129,28 +129,26 @@ impl AccuracyTier {
 
 /// Caller-side controls threaded through one anytime TEA+ run
 /// ([`tea_plus_anytime_in`](crate::tea_plus::tea_plus_anytime_in)) down
-/// to its push steps ([`crate::push_plus::hk_push_plus_step`], which
-/// reads the two push fields). `Default` means "refine both ladders to
-/// completion, observe nothing".
+/// to its push ([`crate::push_plus::hk_push_plus_ws`], which reads the
+/// two push fields). `Default` means "refine both ladders to completion,
+/// observe nothing".
 #[derive(Default)]
 pub struct AnytimeControls<'a> {
     /// Stop the walk ladder after this many walk tiers (deterministic
     /// degradation for tests; `None` = run the full ladder).
     pub walk_tier_cap: Option<u32>,
     /// Stop the push ladder once this many push tiers are certified
-    /// (clamped to at least 1): the push pauses at the certifying hop
+    /// (clamped to at least 1): the push is cut at the certifying hop
     /// boundary and the query proceeds to the walk phase as a degraded
     /// answer. `None` = push to natural termination.
     pub push_tier_cap: Option<u32>,
     /// Fired once per newly-certified push tier with the new 1-based
     /// count — at most `PUSH_TIER_DIVISORS.len() - 1` times, since the
-    /// final tier is natural termination, not a certificate.
-    /// `Err(HkprError::Cancelled)` stops push refinement exactly like a
-    /// fired cancel token; other errors abort the query (the workspace
-    /// stays consistent — hooks only run at hop boundaries, after the
-    /// per-hop sum flush). Serving layers hang failpoints and deadline
-    /// probes here.
-    pub on_push_tier: Option<&'a mut dyn FnMut(u32) -> Result<(), crate::HkprError>>,
+    /// final tier is natural termination, not a certificate. Returning
+    /// `false` cuts the push at that hop boundary, like `push_tier_cap`.
+    /// Serving layers hang failpoints here; deadlines reach the push
+    /// through the workspace's cancel token instead.
+    pub on_push_tier: Option<&'a mut dyn FnMut(u32) -> bool>,
 }
 
 /// An anytime estimator's result: the (possibly degraded) estimate, the

@@ -3,12 +3,13 @@
 //! A [`CancelToken`] is a shared flag a *controller* (a serving
 //! scheduler's deadline watchdog, a client that hung up) raises to ask a
 //! running estimator to stop. The estimators poll it **cooperatively** at
-//! coarse natural boundaries — hop boundaries in the push kernels
-//! ([`crate::push::hk_push_ws`], [`crate::push_plus::hk_push_plus_ws`])
-//! and chunk boundaries in the batched walk engine — so the check is one
-//! relaxed atomic load amortized over thousands of operations: zero
-//! measurable cost when the token is unset, bounded reaction latency when
-//! it fires.
+//! coarse natural boundaries — hop boundaries and every `CHECK_INTERVAL`
+//! (8192) processed nodes in the push kernels ([`crate::push::hk_push_ws`],
+//! [`crate::push_plus::hk_push_plus_ws`]), chunk boundaries in the
+//! batched walk engine — so the check is one relaxed atomic load
+//! amortized over thousands of operations: zero measurable cost when the
+//! token is unset, bounded reaction latency when it fires, however large
+//! a hop grows.
 //!
 //! A cancelled query returns [`crate::HkprError::Cancelled`] and leaves
 //! its [`crate::QueryWorkspace`] fully reusable: every workspace

@@ -23,7 +23,7 @@ use hk_graph::{Graph, NodeId};
 
 use crate::fxhash::FxHashMap;
 use crate::poisson::PoissonTable;
-use crate::push_plus::{drain_hop, DrainCounters, HopDrain};
+use crate::push_plus::{drain_hop, DrainCounters, HopDrain, HopOutcome};
 use crate::sparse::ResidueTable;
 
 /// Output of [`hk_push`]: the reserve vector `q_s`, the residue vectors
@@ -127,9 +127,10 @@ pub struct PushWsStats {
 /// threshold into the next.
 ///
 /// Polls the workspace's [`CancelToken`](crate::CancelToken) at hop
-/// boundaries and stops early when it fires; the driver (`tea_in`) then
-/// reports [`crate::HkprError::Cancelled`] and the partial state is
-/// discarded (the next `ws.begin` clears everything).
+/// boundaries and every `CHECK_INTERVAL` processed nodes, and stops early
+/// when it fires; the driver (`tea_in`) then reports
+/// [`crate::HkprError::Cancelled`] and the partial state is discarded
+/// (the next `ws.begin` clears everything).
 pub fn hk_push_ws(
     graph: &Graph,
     poisson: &PoissonTable,
@@ -140,6 +141,7 @@ pub fn hk_push_ws(
     assert!(rmax > 0.0, "rmax must be positive");
 
     ws.begin_push(graph, seed, 1, rmax);
+    let cancel = ws.cancel_token().cloned();
     let mut counters = DrainCounters::default();
     let mut k = 0usize;
     while !ws.is_cancelled() {
@@ -148,9 +150,12 @@ pub fn hk_push_ws(
             stop: poisson.stop_prob(k),
             thr_coeff: rmax,
             enqueue: true,
+            cancel: cancel.as_ref(),
             plus: None,
         };
-        drain_hop(graph, &drain, &mut counters, ws);
+        if let HopOutcome::Cancelled = drain_hop(graph, &drain, &mut counters, ws) {
+            break;
+        }
         k += 1;
         if ws.queues[k].is_empty() {
             break;
@@ -170,6 +175,46 @@ mod tests {
 
     fn small() -> Graph {
         graph_from_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
+    }
+
+    #[test]
+    fn fired_token_stops_a_hop_drain_at_the_poll() {
+        // TEA's drain polls the token every CHECK_INTERVAL processed nodes,
+        // as HK-Push+'s does, so a hop larger than that is cut inside
+        // rather than after it drained.
+        use crate::cancel::CancelToken;
+        use crate::push_plus::{HopOutcome, CHECK_INTERVAL};
+        use crate::workspace::QueryWorkspace;
+        use hk_graph::gen::holme_kim;
+        use rand::{rngs::SmallRng, SeedableRng};
+        let g = holme_kim(30_000, 5, 0.3, &mut SmallRng::seed_from_u64(3)).unwrap();
+        let p = PoissonTable::new(5.0);
+        let rmax = 1e-7;
+        let fired = CancelToken::new();
+        fired.cancel();
+
+        let mut ws = QueryWorkspace::new();
+        ws.begin_push(&g, 0, 1, rmax);
+        let mut counters = DrainCounters::default();
+        let mut k = 0usize;
+        loop {
+            assert!(!ws.queues[k].is_empty(), "drained before the first poll");
+            let drain = HopDrain {
+                k,
+                stop: p.stop_prob(k),
+                thr_coeff: rmax,
+                enqueue: true,
+                cancel: Some(&fired),
+                plus: None,
+            };
+            match drain_hop(&g, &drain, &mut counters, &mut ws) {
+                HopOutcome::Drained { .. } => k += 1,
+                HopOutcome::Cancelled => break,
+                HopOutcome::Satisfied | HopOutcome::Budget => panic!("no such stop in HK-Push"),
+            }
+        }
+        assert_eq!(counters.processed, CHECK_INTERVAL, "stopped at the poll");
+        assert!(!ws.queues[k].is_empty(), "mid-hop");
     }
 
     #[test]

@@ -24,24 +24,21 @@
 //! processed nodes when the hint sum is under the threshold. The exact
 //! check preserves Theorem 2; the hint only schedules it. (DESIGN.md §6.)
 //!
-//! ## The resumable push ladder
+//! ## The certificate ladder
 //!
-//! The dense-workspace path is factored into [`hk_push_plus_begin`] /
-//! [`hk_push_plus_step`] / [`hk_push_plus_finalize`], with the loop state
-//! checkpointed in a [`PushResumeState`] resident in the workspace. A
-//! step pauses only at *hop boundaries* (where the per-hop sum flush has
-//! already happened), so a resumed ladder replays the cold schedule's
-//! arithmetic exactly: a ladder run to completion is bitwise identical
-//! to a cold [`hk_push_plus_ws`] call — which is itself just the three
-//! calls composed. At each drained-hop boundary the incremental
-//! condition-(11) sum is compared (pure reads) against the coarsened
-//! thresholds `D * eps_abs` for the non-final divisors of
-//! [`PUSH_TIER_DIVISORS`]; each newly satisfied threshold *certifies* a
-//! push accuracy tier (Theorem 2 at `eps_r' = D * eps_r`: the reserve
-//! alone is already a `(d, D * eps_r, delta)`-approximation). The final
-//! tier is natural termination itself — drained, satisfied, or budget
-//! exhausted, all of which the downstream walk phase compensates exactly
-//! as Algorithm 5 already specifies for the budget stop.
+//! [`hk_push_plus_ws`] is the one dense `HK-Push+`: a single call runs
+//! the hop loop to its stop, with the loop state in locals. At each
+//! drained-hop boundary the incremental condition-(11) sum is compared
+//! (pure reads) against the coarsened thresholds `D * eps_abs` for the
+//! non-final divisors of [`PUSH_TIER_DIVISORS`]; each newly satisfied
+//! threshold *certifies* a push accuracy tier (Theorem 2 at `eps_r' = D *
+//! eps_r`: the reserve alone is already a `(d, D * eps_r,
+//! delta)`-approximation). The final tier is natural termination itself
+//! — drained, satisfied, or budget exhausted, all of which the
+//! downstream walk phase compensates exactly as Algorithm 5 already
+//! specifies for the budget stop. Anything else cuts the push short: the
+//! cancel token (at a hop boundary or a probe), the tier hook, or
+//! `push_tier_cap`.
 //!
 //! ## The hop drain
 //!
@@ -63,10 +60,10 @@ use hk_graph::{Graph, NodeId};
 
 use crate::anytime::{AnytimeControls, PUSH_TIER_DIVISORS};
 use crate::cancel::CancelToken;
-use crate::error::HkprError;
 use crate::fxhash::FxHashMap;
 use crate::poisson::PoissonTable;
 use crate::sparse::ResidueTable;
+use crate::workspace::EpochVec;
 
 /// Inputs of `HK-Push+` beyond the graph/seed (Algorithm 4's parameter
 /// list: `eps_r`, `delta`, `K`, `np`).
@@ -94,9 +91,10 @@ pub struct PushPlusOutput {
     pub satisfied_condition_11: bool,
 }
 
-/// How often (in processed nodes) the exact condition-(11) sum is
-/// recomputed while the hint sum sits below the threshold.
-const CHECK_INTERVAL: u64 = 8192;
+/// How often (in processed nodes) a push drain polls its cancel token
+/// and, in `HK-Push+`, recomputes the exact condition-(11) sum while the
+/// hint sum sits below the threshold.
+pub(crate) const CHECK_INTERVAL: u64 = 8192;
 
 /// Run `HK-Push+` from `seed`.
 pub fn hk_push_plus(
@@ -210,87 +208,19 @@ pub fn hk_push_plus(
 pub struct PushPlusWsStats {
     /// Push operations performed.
     pub push_operations: u64,
-    /// Whether condition (11) held on exit.
+    /// Whether condition (11) held on exit. A push cut short never
+    /// claims it, even when its stop state satisfies the threshold: its
+    /// reserve is not the cold run's, and serving layers cache only
+    /// full-accuracy answers.
     pub satisfied_condition_11: bool,
-}
-
-/// Checkpoint of a dense `HK-Push+` run between refinement steps — the
-/// push-phase half of the anytime accuracy ladder (see
-/// [`crate::anytime`]). Plain scalar data resident in the
-/// [`QueryWorkspace`](crate::workspace::QueryWorkspace) next to the
-/// worklists, residues and hint rows it indexes, so cloning the
-/// workspace clones a coherent checkpoint.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PushResumeState {
-    /// Next hop level to process.
-    k: usize,
-    /// Push operations and processed nodes so far. The processed count
-    /// drives the `CHECK_INTERVAL` probe cadence and is carried across
-    /// resumes, so a resumed ladder probes at exactly the cold
-    /// schedule's points.
-    counters: DrainCounters,
-    /// Left-fold of frozen per-hop maxima over drained hops (the
-    /// incremental condition-(11) prefix sum).
-    frozen_sum: f64,
-    /// Condition (11) certified mid-run (`Satisfied` hop outcome).
-    satisfied: bool,
-    /// Hop whose worklist was interrupted (budget or cancel), if any.
-    broke_at_hop: Option<usize>,
-    /// First hop that did not drain (frozen-bound publication start).
-    stopped_at_hop: Option<usize>,
-    /// Push certificate tiers certified at hop boundaries so far.
-    tiers_certified: u32,
-    /// The run reached a natural termination (drained / satisfied /
-    /// budget exhausted): stepping again is a no-op.
-    finished: bool,
-    /// The run was stopped by cancellation (token or tier hook). The
-    /// final exact check must then never claim condition (11): a
-    /// cancelled push is degraded by definition whatever its stop-state
-    /// sum says, because serving layers cache only full-accuracy answers
-    /// and a cancelled run's output is not the cold run's.
-    cancelled: bool,
-}
-
-impl PushResumeState {
-    /// Certificate tiers certified at hop boundaries so far.
-    pub fn tiers_certified(&self) -> u32 {
-        self.tiers_certified
-    }
-
-    /// Whether the push reached a natural termination.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Whether the push was stopped by cancellation.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled
-    }
-}
-
-/// Why one [`hk_push_plus_step`] call returned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PushStepOutcome {
-    /// Natural termination (worklists drained, condition (11) satisfied,
-    /// or push budget exhausted): the push phase is *complete* — call
-    /// [`hk_push_plus_finalize`] and proceed exactly like a cold run.
-    Complete,
-    /// Paused at a hop boundary with `push_tier_cap` satisfied. Step
-    /// again to keep refining, or finalize to stop here (degraded).
-    Paused {
-        /// Certificate tiers certified so far.
-        tiers_certified: u32,
-    },
-    /// Stopped by the cancel token or a tier hook's `Cancelled`.
-    Cancelled {
-        /// The honest *stop-state* certificate count: how many coarsened
-        /// condition-(11) thresholds `D * eps_abs` (non-final divisors of
-        /// [`PUSH_TIER_DIVISORS`]) hold for the state the push actually
-        /// stopped in — possibly fewer than the tiers certified at
-        /// earlier boundaries (the frontier max can grow mid-hop), and
-        /// possibly 0 (nothing usable).
-        tiers_certified: u32,
-    },
+    /// Push tiers reached: `PUSH_TIER_DIVISORS.len()` when the push ended
+    /// naturally (drained, satisfied or out of budget); for a push cut
+    /// short, how many coarsened condition-(11) thresholds `D * eps_abs`
+    /// (non-final divisors of [`PUSH_TIER_DIVISORS`]) its stop state
+    /// satisfies — possibly fewer than were certified at an earlier hop
+    /// boundary (the frontier max can grow mid-hop), and possibly 0
+    /// (nothing usable).
+    pub tiers_completed: u32,
 }
 
 /// Lookahead distances of `drain_hop`'s pipeline, in worklist entries
@@ -304,7 +234,7 @@ const AHEAD_NEIGHBOURS: usize = 2;
 
 /// Push operations and node-processing iterations of a push phase,
 /// accumulated over its hop drains.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct DrainCounters {
     /// Push operations (`d(v)` per processed node).
     pub(crate) push_operations: u64,
@@ -323,24 +253,25 @@ pub(crate) struct HopDrain<'a> {
     /// Whether hop `k + 1` will itself be drained, i.e. whether threshold
     /// crossings there are worth a worklist entry (false at a hop cap).
     pub(crate) enqueue: bool,
+    /// Polled every `CHECK_INTERVAL` processed nodes: pure control flow,
+    /// so a never-fired token changes nothing, and cancel latency on a
+    /// huge hop is bounded by `CHECK_INTERVAL` processed nodes instead of
+    /// the hop.
+    pub(crate) cancel: Option<&'a CancelToken>,
     /// `HK-Push+`'s additions; `None` drains as Algorithm 1 does.
-    pub(crate) plus: Option<PlusDrain<'a>>,
+    pub(crate) plus: Option<PlusDrain>,
 }
 
 /// What `HK-Push+` adds to a hop drain: the push budget, and every
-/// `CHECK_INTERVAL` processed nodes a cancellation poll and the
-/// condition-(11) probe (which keep `hop_max_hint` current).
-pub(crate) struct PlusDrain<'a> {
+/// `CHECK_INTERVAL` processed nodes the condition-(11) probe (which keeps
+/// `hop_max_hint` current).
+pub(crate) struct PlusDrain {
     /// Condition (11)'s right-hand side.
     pub(crate) eps_abs: f64,
     /// Push-operation budget `np`.
     pub(crate) budget: u64,
     /// Condition-(11) sum over the hops already frozen.
     pub(crate) frozen_sum: f64,
-    /// Polled at the probe: pure control flow, so a never-fired token
-    /// changes nothing, and cancel latency on a huge hop is bounded by
-    /// `CHECK_INTERVAL` processed nodes instead of the hop.
-    pub(crate) cancel: Option<&'a CancelToken>,
 }
 
 /// Why one hop level's drain stopped.
@@ -353,7 +284,7 @@ pub(crate) enum HopOutcome {
     Satisfied,
     /// The next push would exceed the budget.
     Budget,
-    /// The cancel token fired at a probe.
+    /// The cancel token fired at a poll.
     Cancelled,
 }
 
@@ -381,6 +312,7 @@ pub(crate) fn drain_hop(
         stop,
         thr_coeff,
         enqueue,
+        cancel,
         ref plus,
     } = *drain;
     if enqueue && ws.queues.len() < k + 2 {
@@ -471,31 +403,9 @@ pub(crate) fn drain_hop(
             }
         }
 
-        if let Some(plus) = plus {
-            if counters.processed.is_multiple_of(CHECK_INTERVAL) {
-                if plus.cancel.is_some_and(|c| c.is_cancelled()) {
-                    break Some(HopOutcome::Cancelled);
-                }
-                // The reference maintains max_hint[k+1] per traversal;
-                // hop k+1 only ever receives positive additions while
-                // hop k drains, so each node's running quotient is
-                // maximized by its current value and the running max
-                // equals a scan of the current values — the same f64
-                // bit for bit (max of the same quotient multiset, fold
-                // order irrelevant). Recomputing it here, at the rare
-                // probe, moves the r/d division out of the
-                // per-traversal hot loop entirely.
-                hint[k + 1] = next.max_value_over_deg();
-                let hint_sum: f64 = hint.iter().sum();
-                if hint_sum <= plus.eps_abs {
-                    // Incremental exact evaluation: frozen hops + one
-                    // scan of the current hop + the (exact) running
-                    // max of hop k+1; hops beyond k+1 hold no mass yet.
-                    let exact = plus.frozen_sum + cur.max_value_over_deg() + hint[k + 1];
-                    if exact <= plus.eps_abs {
-                        break Some(HopOutcome::Satisfied);
-                    }
-                }
+        if counters.processed.is_multiple_of(CHECK_INTERVAL) {
+            if let Some(polled) = poll(cancel, plus.as_ref(), k, cur, next, hint) {
+                break Some(polled);
             }
         }
     };
@@ -519,11 +429,11 @@ pub(crate) fn drain_hop(
             let next_max = if enqueue {
                 ws.residues.sift(k + 1, thr_coeff)
             } else {
-                next_hop_max(ws, k)
+                live_hop_max(ws, k + 1)
             };
             (HopOutcome::Drained { max }, next_max)
         }
-        Some(cut_short) => (cut_short, next_hop_max(ws, k)),
+        Some(cut_short) => (cut_short, live_hop_max(ws, k + 1)),
     };
     if plus.is_some() {
         ws.hop_max_hint[k + 1] = next_max;
@@ -531,260 +441,77 @@ pub(crate) fn drain_hop(
     outcome
 }
 
-/// `max_v r^(k+1)[v] / d(v)` by a scan of hop `k + 1`'s live array.
-fn next_hop_max(ws: &crate::workspace::QueryWorkspace, k: usize) -> f64 {
+/// The drain's poll, every `CHECK_INTERVAL` processed nodes: the cancel
+/// token, then `HK-Push+`'s condition-(11) probe. Kept out of line: with
+/// this code in the drain loop, `HK-Push+` ran ≈2% slower (same-process
+/// A/B on a 2-vCPU x86-64 guest, `holme_kim(10^6, 3, 0.3)` at t = 5,
+/// delta = 2e-5).
+#[cold]
+#[inline(never)]
+fn poll(
+    cancel: Option<&CancelToken>,
+    plus: Option<&PlusDrain>,
+    k: usize,
+    cur: &EpochVec,
+    next: &EpochVec,
+    hint: &mut [f64],
+) -> Option<HopOutcome> {
+    if cancel.is_some_and(|c| c.is_cancelled()) {
+        return Some(HopOutcome::Cancelled);
+    }
+    let plus = plus?;
+    // The reference maintains max_hint[k+1] per traversal; hop k+1 only
+    // ever receives positive additions while hop k drains, so each node's
+    // running quotient is maximized by its current value and the running
+    // max equals a scan of the current values — the same f64 bit for bit
+    // (max of the same quotient multiset, fold order irrelevant).
+    // Recomputing it here, at the rare probe, moves the r/d division out
+    // of the per-traversal hot loop entirely.
+    hint[k + 1] = next.max_value_over_deg();
+    let hint_sum: f64 = hint.iter().sum();
+    if hint_sum <= plus.eps_abs {
+        // Incremental exact evaluation: frozen hops + one scan of the
+        // current hop + the (exact) running max of hop k+1; hops beyond
+        // k+1 hold no mass yet.
+        let exact = plus.frozen_sum + cur.max_value_over_deg() + hint[k + 1];
+        if exact <= plus.eps_abs {
+            return Some(HopOutcome::Satisfied);
+        }
+    }
+    None
+}
+
+/// `max_v r^(k)[v] / d(v)` by a scan of hop `k`'s live array (0 when hop
+/// `k` is not live).
+fn live_hop_max(ws: &crate::workspace::QueryWorkspace, k: usize) -> f64 {
     ws.residues
-        .live_hop(k + 1)
+        .live_hop(k)
         .map_or(0.0, |hop| hop.max_value_over_deg())
 }
 
-/// The exact condition-(11) sum of the current stop state, by the same
-/// incremental formula the final check uses: frozen prefix + a scan of
-/// the interrupted hop (if any) + the exact running max of the next hop.
-/// Pure reads of already-maintained values.
-fn stop_state_sum(
-    cfg: &PushPlusConfig,
-    st: &PushResumeState,
-    ws: &crate::workspace::QueryWorkspace,
-) -> f64 {
-    match st.broke_at_hop.or((!st.finished).then_some(st.k)) {
-        Some(k) => {
-            st.frozen_sum
-                + ws.residues
-                    .live_hop(k)
-                    .map_or(0.0, |hop| hop.max_value_over_deg())
-                + ws.hop_max_hint.get(k + 1).copied().unwrap_or(0.0)
-        }
-        None => st.frozen_sum + ws.hop_max_hint[cfg.hop_cap],
-    }
+/// The exact condition-(11) sum of a stop state: the frozen prefix of
+/// the drained hops, a scan of hop `k` (the first hop that did not drain;
+/// `K` when every hop below the cap drained) and the exact running max of
+/// hop `k + 1`. At a hop boundary hop `k + 1` holds nothing yet, so the
+/// sum is bit for bit the boundary's certification sum. Pure reads of
+/// already-maintained values.
+fn stop_state_sum(frozen_sum: f64, k: usize, ws: &crate::workspace::QueryWorkspace) -> f64 {
+    frozen_sum + live_hop_max(ws, k) + ws.hop_max_hint.get(k + 1).copied().unwrap_or(0.0)
 }
 
-/// Count the coarsened condition-(11) thresholds the stop state
-/// satisfies — the honest certificate tally a cancelled push reports.
-fn stop_state_tiers(
-    cfg: &PushPlusConfig,
-    st: &PushResumeState,
-    ws: &crate::workspace::QueryWorkspace,
-) -> u32 {
-    let exact = stop_state_sum(cfg, st, ws);
-    PUSH_TIER_DIVISORS[..PUSH_TIER_DIVISORS.len() - 1]
-        .iter()
-        .filter(|&&d| exact <= d as f64 * cfg.eps_abs)
-        .count() as u32
+/// How a dense `HK-Push+` run ended.
+enum PushEnd {
+    /// A probe found condition (11) satisfied.
+    Satisfied,
+    /// The worklists drained or the budget ran out: condition (11) is
+    /// decided on the stop state.
+    Stopped,
+    /// Cut short by the cancel token, the tier hook or `push_tier_cap`.
+    Cut,
 }
 
-/// Initialize the workspace and checkpoint for a resumable `HK-Push+`
-/// run from `seed`. After `begin`, call [`hk_push_plus_step`] until it
-/// reports [`PushStepOutcome::Complete`] (or stop earlier), then
-/// [`hk_push_plus_finalize`].
-pub fn hk_push_plus_begin(
-    graph: &Graph,
-    seed: NodeId,
-    cfg: &PushPlusConfig,
-    ws: &mut crate::workspace::QueryWorkspace,
-) {
-    assert!(cfg.hop_cap >= 1, "hop cap K must be at least 1");
-    assert!(cfg.eps_abs > 0.0, "eps_abs must be positive");
-
-    let k_cap = cfg.hop_cap;
-    ws.begin_push(graph, seed, k_cap + 1, cfg.eps_abs / k_cap as f64);
-
-    // Monotone per-hop max hints (scheduler) and frozen exact maxima of
-    // finished hops (incremental condition evaluation).
-    ws.hop_max_hint.clear();
-    ws.hop_max_hint.resize(k_cap + 1, 0.0);
-    ws.hop_max_frozen.clear();
-    ws.hop_max_frozen.resize(k_cap + 1, 0.0);
-    ws.hop_max_hint[0] = 1.0 / graph.degree_nz(seed) as f64;
-
-    ws.push_resume = PushResumeState::default();
-}
-
-/// Advance a resumable `HK-Push+` run until it pauses (a certificate
-/// tier satisfied `controls.push_tier_cap`), is cancelled, or terminates
-/// naturally. Pauses only happen at hop boundaries, where the per-hop
-/// sums are flushed and the hint row is exact — so a ladder resumed to
-/// completion replays the cold schedule bit-for-bit.
-///
-/// Errors propagate only from the tier hook (and never leave the
-/// checkpoint mid-hop); the cancel token and a hook's
-/// `Err(HkprError::Cancelled)` both map to [`PushStepOutcome::Cancelled`].
-pub fn hk_push_plus_step(
-    graph: &Graph,
-    poisson: &PoissonTable,
-    cfg: &PushPlusConfig,
-    controls: &mut AnytimeControls<'_>,
-    ws: &mut crate::workspace::QueryWorkspace,
-) -> Result<PushStepOutcome, HkprError> {
-    let k_cap = cfg.hop_cap;
-    let thr_coeff = cfg.eps_abs / k_cap as f64;
-    let cancel = ws.cancel_token().cloned();
-    let mut st = ws.push_resume;
-
-    if st.finished {
-        return Ok(PushStepOutcome::Complete);
-    }
-    if st.cancelled {
-        let tiers_certified = stop_state_tiers(cfg, &st, ws);
-        return Ok(PushStepOutcome::Cancelled { tiers_certified });
-    }
-
-    while st.k < k_cap {
-        let k = st.k;
-        // Cooperative cancellation at hop boundaries: pure control flow,
-        // so an uncancelled run is bit-identical with or without a token.
-        if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            st.broke_at_hop = Some(k);
-            st.stopped_at_hop = Some(k);
-            st.cancelled = true;
-            ws.push_resume = st;
-            let tiers_certified = stop_state_tiers(cfg, &st, ws);
-            return Ok(PushStepOutcome::Cancelled { tiers_certified });
-        }
-        let drain = HopDrain {
-            k,
-            stop: poisson.stop_prob(k),
-            thr_coeff,
-            enqueue: k + 1 < k_cap,
-            plus: Some(PlusDrain {
-                eps_abs: cfg.eps_abs,
-                budget: cfg.budget,
-                frozen_sum: st.frozen_sum,
-                cancel: cancel.as_ref(),
-            }),
-        };
-        match drain_hop(graph, &drain, &mut st.counters, ws) {
-            HopOutcome::Satisfied => {
-                st.satisfied = true;
-                st.stopped_at_hop = Some(k);
-                st.finished = true;
-                ws.push_resume = st;
-                return Ok(PushStepOutcome::Complete);
-            }
-            HopOutcome::Budget => {
-                st.broke_at_hop = Some(k);
-                st.stopped_at_hop = Some(k);
-                st.finished = true;
-                ws.push_resume = st;
-                return Ok(PushStepOutcome::Complete);
-            }
-            HopOutcome::Cancelled => {
-                st.broke_at_hop = Some(k);
-                st.stopped_at_hop = Some(k);
-                st.cancelled = true;
-                ws.push_resume = st;
-                let tiers_certified = stop_state_tiers(cfg, &st, ws);
-                return Ok(PushStepOutcome::Cancelled { tiers_certified });
-            }
-            HopOutcome::Drained { max } => {
-                // Hop k's surviving residues are final: fold their max
-                // into the running prefix sum and move to the next hop
-                // level.
-                ws.hop_max_frozen[k] = max;
-                st.frozen_sum += max;
-                st.k = k + 1;
-
-                // Certificate checkpoint (pure reads): at this boundary
-                // the exact condition-(11) sum is the frozen prefix plus
-                // hop k+1's exact running max — hops beyond hold nothing.
-                // Each coarsened threshold it satisfies certifies one
-                // push tier; the hook fires once per new tier, in order.
-                let cert_sum = st.frozen_sum + ws.hop_max_hint[k + 1];
-                let max_certs = (PUSH_TIER_DIVISORS.len() - 1) as u32;
-                while st.tiers_certified < max_certs
-                    && cert_sum
-                        <= PUSH_TIER_DIVISORS[st.tiers_certified as usize] as f64 * cfg.eps_abs
-                {
-                    st.tiers_certified += 1;
-                    if let Some(on_tier) = controls.on_push_tier.as_mut() {
-                        if let Err(e) = on_tier(st.tiers_certified) {
-                            match e {
-                                HkprError::Cancelled => {
-                                    st.broke_at_hop = Some(st.k);
-                                    st.stopped_at_hop = Some(st.k);
-                                    st.cancelled = true;
-                                    ws.push_resume = st;
-                                    let tiers_certified = stop_state_tiers(cfg, &st, ws);
-                                    return Ok(PushStepOutcome::Cancelled { tiers_certified });
-                                }
-                                other => {
-                                    // The checkpoint is consistent (hop
-                                    // boundary); the caller may resume,
-                                    // finalize degraded, or abort.
-                                    ws.push_resume = st;
-                                    return Err(other);
-                                }
-                            }
-                        }
-                    }
-                }
-                if st.k < k_cap {
-                    if let Some(pause) = controls.push_tier_cap {
-                        if st.tiers_certified >= pause.max(1) {
-                            ws.push_resume = st;
-                            return Ok(PushStepOutcome::Paused {
-                                tiers_certified: st.tiers_certified,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Every hop below the cap drained.
-    st.finished = true;
-    ws.push_resume = st;
-    Ok(PushStepOutcome::Complete)
-}
-
-/// The final condition-(11) check and frozen-bound publication — the
-/// epilogue a cold [`hk_push_plus_ws`] run performs after its loop. Runs
-/// on natural termination *and* when a paused or cancelled ladder is
-/// abandoned to the degraded path: either way the published per-hop
-/// bounds stay conservative upper bounds on `max_v r^(k)[v]/d(v)`, so
-/// TEA+'s residue-reduction skip remains sound on the stop state.
-///
-/// A cancelled run never claims `satisfied_condition_11`, even when its
-/// stop-state sum happens to satisfy the threshold: claiming would turn
-/// a cancelled (bitwise non-cold) answer into a cacheable full-accuracy
-/// one. Forcing the degraded walk path keeps cache contents ≡ cold.
-pub fn hk_push_plus_finalize(
-    cfg: &PushPlusConfig,
-    ws: &mut crate::workspace::QueryWorkspace,
-) -> PushPlusWsStats {
-    let k_cap = cfg.hop_cap;
-    let st = ws.push_resume;
-    // An unfinished (paused / abandoned) ladder stopped at the top of hop
-    // `st.k`: account it exactly like the budget interrupt the cold final
-    // check already handles.
-    let stopped_at_hop = st.stopped_at_hop.or((!st.finished).then_some(st.k));
-
-    let mut satisfied = st.satisfied;
-    // Only a naturally-finished run may claim condition (11) here: a
-    // paused or cancelled stop state can satisfy the threshold too, but
-    // its reserve is not the cold run's — claiming would let the serving
-    // layer cache it as the canonical full-accuracy answer.
-    if !satisfied && st.finished && !st.cancelled {
-        satisfied = stop_state_sum(cfg, &st, ws) <= cfg.eps_abs;
-    }
-
-    // Publish per-hop upper bounds on max_v r^(k)[v]/d(v): exact (frozen)
-    // for drained hops, the monotone hint otherwise. TEA+'s residue
-    // reduction uses these to skip whole hop levels whose entries all
-    // reduce to zero — without scanning them.
-    let drained_hops = stopped_at_hop.unwrap_or(k_cap);
-    for k in drained_hops..=k_cap {
-        ws.hop_max_frozen[k] = ws.hop_max_hint[k];
-    }
-
-    PushPlusWsStats {
-        push_operations: st.counters.push_operations,
-        satisfied_condition_11: satisfied,
-    }
-}
-
-/// `HK-Push+` over the dense indexed workspace.
+/// `HK-Push+` over the dense indexed workspace, run in one call to its
+/// stop (see the module docs for the certificate ladder).
 ///
 /// Same schedule, same arithmetic and same early-exit decisions as
 /// [`hk_push_plus`] (asserted bit-for-bit by `tests/equivalence.rs`), with
@@ -805,30 +532,141 @@ pub fn hk_push_plus_finalize(
 ///   `O(total nnz)` full-table rescan, while producing a bit-identical
 ///   sum (identical per-hop maxima folded in identical hop order).
 ///
-/// Implemented as [`hk_push_plus_begin`] + one uncontrolled
-/// [`hk_push_plus_step`] + [`hk_push_plus_finalize`] — the push phase of
-/// a TEA+ query run to its natural stop, on its own (the equivalence
-/// suite's and the push benches' entry point; TEA+ itself drives the
-/// three calls directly). A fired cancel token stops the step early; the
-/// returned stats stay internally consistent (budget-style stop,
-/// `satisfied_condition_11` never claimed), and a caller that installed
-/// a token must check it before trusting them.
+/// `controls` reads the two push fields: `on_push_tier` hears of every
+/// certified tier and cuts the push by returning `false`, and
+/// `push_tier_cap` cuts it at the hop boundary that certifies that many
+/// tiers. The workspace's cancel token cuts it at the next hop boundary
+/// or probe. A cut push reports the tiers its stop state certifies
+/// ([`PushPlusWsStats::tiers_completed`]) and never claims condition
+/// (11); an uncut run is bit-identical with or without controls and
+/// token. Either way the published [`residue_bounds`] stay conservative
+/// upper bounds, so TEA+'s residue-reduction skip remains sound on the
+/// stop state.
+///
+/// [`residue_bounds`]: crate::workspace::QueryWorkspace::residue_bounds
 pub fn hk_push_plus_ws(
     graph: &Graph,
     poisson: &PoissonTable,
     seed: NodeId,
     cfg: &PushPlusConfig,
+    controls: &mut AnytimeControls<'_>,
     ws: &mut crate::workspace::QueryWorkspace,
 ) -> PushPlusWsStats {
-    hk_push_plus_begin(graph, seed, cfg, ws);
-    let step = hk_push_plus_step(graph, poisson, cfg, &mut AnytimeControls::default(), ws);
-    debug_assert!(step.is_ok(), "no tier hook installed");
-    hk_push_plus_finalize(cfg, ws)
+    assert!(cfg.hop_cap >= 1, "hop cap K must be at least 1");
+    assert!(cfg.eps_abs > 0.0, "eps_abs must be positive");
+
+    let k_cap = cfg.hop_cap;
+    let thr_coeff = cfg.eps_abs / k_cap as f64;
+    ws.begin_push(graph, seed, k_cap + 1, thr_coeff);
+
+    // Monotone per-hop max hints (scheduler) and frozen exact maxima of
+    // finished hops (incremental condition evaluation).
+    ws.hop_max_hint.clear();
+    ws.hop_max_hint.resize(k_cap + 1, 0.0);
+    ws.hop_max_frozen.clear();
+    ws.hop_max_frozen.resize(k_cap + 1, 0.0);
+    ws.hop_max_hint[0] = 1.0 / graph.degree_nz(seed) as f64;
+
+    let cancel = ws.cancel_token().cloned();
+    let full = PUSH_TIER_DIVISORS.len() as u32;
+    let mut counters = DrainCounters::default();
+    // Left fold of the drained hops' frozen maxima (the incremental
+    // condition-(11) prefix sum).
+    let mut frozen_sum = 0.0f64;
+    // Push tiers certified at hop boundaries so far.
+    let mut certified = 0u32;
+    // The first hop that has not drained.
+    let mut k = 0usize;
+    let end = 'hops: loop {
+        if k == k_cap {
+            break PushEnd::Stopped;
+        }
+        // Cooperative cancellation at hop boundaries: pure control flow,
+        // so an uncancelled run is bit-identical with or without a token.
+        if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+            break PushEnd::Cut;
+        }
+        let drain = HopDrain {
+            k,
+            stop: poisson.stop_prob(k),
+            thr_coeff,
+            enqueue: k + 1 < k_cap,
+            cancel: cancel.as_ref(),
+            plus: Some(PlusDrain {
+                eps_abs: cfg.eps_abs,
+                budget: cfg.budget,
+                frozen_sum,
+            }),
+        };
+        let max = match drain_hop(graph, &drain, &mut counters, ws) {
+            HopOutcome::Drained { max } => max,
+            HopOutcome::Satisfied => break PushEnd::Satisfied,
+            HopOutcome::Budget => break PushEnd::Stopped,
+            HopOutcome::Cancelled => break PushEnd::Cut,
+        };
+        // Hop k's surviving residues are final: fold their max into the
+        // prefix sum and move to the next hop level.
+        ws.hop_max_frozen[k] = max;
+        frozen_sum += max;
+        k += 1;
+
+        // Certificate checkpoint (pure reads): at this boundary the exact
+        // condition-(11) sum is the frozen prefix plus hop k's exact
+        // running max — hops beyond hold nothing. Each coarsened
+        // threshold it satisfies certifies one push tier; the hook hears
+        // of each new tier, in order.
+        let cert_sum = frozen_sum + ws.hop_max_hint[k];
+        while certified + 1 < full
+            && cert_sum <= PUSH_TIER_DIVISORS[certified as usize] as f64 * cfg.eps_abs
+        {
+            certified += 1;
+            if let Some(on_tier) = controls.on_push_tier.as_mut() {
+                if !on_tier(certified) {
+                    break 'hops PushEnd::Cut;
+                }
+            }
+        }
+        if k < k_cap
+            && controls
+                .push_tier_cap
+                .is_some_and(|cap| certified >= cap.max(1))
+        {
+            break PushEnd::Cut;
+        }
+    };
+
+    // `k` is now the hop the push stopped in. Only a push that ended
+    // naturally may claim condition (11).
+    let (satisfied_condition_11, tiers_completed) = match end {
+        PushEnd::Satisfied => (true, full),
+        PushEnd::Stopped => (stop_state_sum(frozen_sum, k, ws) <= cfg.eps_abs, full),
+        PushEnd::Cut => {
+            let sum = stop_state_sum(frozen_sum, k, ws);
+            let thresholds = &PUSH_TIER_DIVISORS[..full as usize - 1];
+            let tiers = thresholds
+                .iter()
+                .filter(|&&d| sum <= d as f64 * cfg.eps_abs);
+            (false, tiers.count() as u32)
+        }
+    };
+
+    // Publish per-hop upper bounds on max_v r^(k)[v]/d(v): exact (frozen)
+    // for drained hops, the monotone hint from the stop hop on. TEA+'s
+    // residue reduction uses these to skip whole hop levels whose entries
+    // all reduce to zero — without scanning them.
+    ws.hop_max_frozen[k..].copy_from_slice(&ws.hop_max_hint[k..]);
+
+    PushPlusWsStats {
+        push_operations: counters.push_operations,
+        satisfied_condition_11,
+        tiers_completed,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::QueryWorkspace;
     use hk_graph::builder::graph_from_edges;
 
     /// The §5.4 graph G' (Figure 1): s=0, v1=1, …, v7=7.
@@ -1001,48 +839,63 @@ mod tests {
     }
 
     #[test]
-    fn stepped_ladder_matches_one_shot_exactly() {
-        // Pausing at every certified tier and resuming must reproduce the
-        // cold run's reserve, residues, stats and published bounds
-        // bit-for-bit (same loop, same checkpoints).
+    fn cut_ladder_stops_on_the_reference_state() {
+        // A push cut by `push_tier_cap` stops at the hop boundary that
+        // certifies the cap: the hook has heard of tiers 1..=n, the stop
+        // state certifies at least the cap and claims no condition (11),
+        // and it is the state the reference reaches on the same push
+        // operations. An uncut push on the same workspace is then the
+        // cold run, bit for bit.
         let g = example_graph();
         let p = PoissonTable::new(3.0);
-        for eps_abs in [0.5, 1e-1, 1e-2, 1e-3] {
+        let full = PUSH_TIER_DIVISORS.len() as u32;
+        // At a hop cap of 12 every cap below is reached before the push
+        // ends naturally, at each of these targets.
+        for eps_abs in [0.5, 1e-1, 1e-2, 1e-3, 1e-4] {
             let cfg = PushPlusConfig {
-                hop_cap: 6,
+                hop_cap: 12,
                 eps_abs,
                 budget: u64::MAX,
             };
-            let mut cold = crate::workspace::QueryWorkspace::new();
-            let cold_stats = hk_push_plus_ws(&g, &p, 0, &cfg, &mut cold);
-
-            let mut ws = crate::workspace::QueryWorkspace::new();
-            hk_push_plus_begin(&g, 0, &cfg, &mut ws);
-            let mut fired = Vec::new();
-            let mut steps = 0usize;
-            loop {
-                let next_pause = fired.len() as u32 + 1;
+            let mut ws = QueryWorkspace::new();
+            for cap in 1..full {
+                let mut fired = Vec::new();
                 let mut hook = |t: u32| {
                     fired.push(t);
-                    Ok(())
+                    true
                 };
                 let mut controls = AnytimeControls {
-                    push_tier_cap: Some(next_pause),
+                    push_tier_cap: Some(cap),
                     on_push_tier: Some(&mut hook),
                     ..Default::default()
                 };
-                steps += 1;
-                match hk_push_plus_step(&g, &p, &cfg, &mut controls, &mut ws).unwrap() {
-                    PushStepOutcome::Complete => break,
-                    PushStepOutcome::Paused { .. } => continue,
-                    PushStepOutcome::Cancelled { .. } => panic!("no cancel source"),
+                let stats = hk_push_plus_ws(&g, &p, 0, &cfg, &mut controls, &mut ws);
+                let case = format!("eps_abs={eps_abs} cap={cap}");
+                assert!(fired.iter().copied().eq(1..=fired.len() as u32), "{case}");
+                assert!(
+                    (cap..full).contains(&stats.tiers_completed),
+                    "{case}: {stats:?}"
+                );
+                assert!(!stats.satisfied_condition_11, "{case}");
+
+                let budget = stats.push_operations;
+                let reference = hk_push_plus(&g, &p, 0, &PushPlusConfig { budget, ..cfg });
+                assert_eq!(reference.push_operations, budget, "{case}");
+                let dense: Vec<_> = ws.residues().entries().collect();
+                let expect: Vec<_> = reference.residues.entries_first_touch().collect();
+                assert_eq!(dense, expect, "{case}: entries(), order included");
+                for v in 0..g.num_nodes() as u32 {
+                    let q = reference.reserve.get(&v).copied().unwrap_or(0.0);
+                    assert_eq!(ws.reserve().get(v), (q, 0), "{case}: reserve[{v}]");
                 }
             }
-            let stats = hk_push_plus_finalize(&cfg, &mut ws);
-            assert_eq!(stats, cold_stats, "eps_abs={eps_abs} ({steps} steps)");
-            // Hook fires are strictly increasing 1..=n, n <= 3.
-            assert!(fired.iter().enumerate().all(|(i, &t)| t == i as u32 + 1));
-            assert!(fired.len() < PUSH_TIER_DIVISORS.len());
+
+            let controls = &mut AnytimeControls::default();
+            let stats = hk_push_plus_ws(&g, &p, 0, &cfg, controls, &mut ws);
+            let mut cold = QueryWorkspace::new();
+            let cold_stats = hk_push_plus_ws(&g, &p, 0, &cfg, controls, &mut cold);
+            assert_eq!(stats, cold_stats, "eps_abs={eps_abs}");
+            assert_eq!(stats.tiers_completed, full);
             for v in 0..g.num_nodes() as u32 {
                 assert_eq!(
                     cold.reserve().get(v).0.to_bits(),
@@ -1057,17 +910,19 @@ mod tests {
                     );
                 }
             }
+            assert_eq!(ws.residue_bounds(), cold.residue_bounds());
         }
     }
 
     #[test]
     fn token_fired_at_a_probe_stops_mid_hop_on_the_reference_state() {
-        // The drain polls its token at the CHECK_INTERVAL probe only (hop
-        // boundaries are the step's business), so driving the hops by
-        // hand with a fired token stops the push, deterministically, at
-        // the first probe: mid-hop, the hops below frozen, that hop and
-        // the next live. Every reader must then see what the hash-map
-        // reference holds after the same number of push operations.
+        // The drain polls its token at the CHECK_INTERVAL probe (hop
+        // boundaries are `hk_push_plus_ws`'s business), so driving the
+        // hops by hand with a fired token stops the push,
+        // deterministically, at the first probe: mid-hop, the hops below
+        // frozen, that hop and the next live. Every reader must then see
+        // what the hash-map reference holds after the same number of push
+        // operations.
         use hk_graph::gen::holme_kim;
         use rand::{rngs::SmallRng, SeedableRng};
         let g = holme_kim(30_000, 5, 0.3, &mut SmallRng::seed_from_u64(3)).unwrap();
@@ -1080,52 +935,50 @@ mod tests {
         let fired = CancelToken::new();
         fired.cancel();
 
-        let mut ws = crate::workspace::QueryWorkspace::new();
-        hk_push_plus_begin(&g, 0, &cfg, &mut ws);
-        let mut st = PushResumeState::default();
-        let k = loop {
-            let k = st.k;
+        // What `hk_push_plus_ws` sets up before its hop loop.
+        let mut ws = QueryWorkspace::new();
+        let thr_coeff = cfg.eps_abs / cfg.hop_cap as f64;
+        ws.begin_push(&g, 0, cfg.hop_cap + 1, thr_coeff);
+        ws.hop_max_hint = vec![0.0; cfg.hop_cap + 1];
+        ws.hop_max_hint[0] = 1.0 / g.degree_nz(0) as f64;
+        ws.hop_max_frozen = vec![0.0; cfg.hop_cap + 1];
+
+        let mut counters = DrainCounters::default();
+        let mut frozen_sum = 0.0f64;
+        let mut k = 0usize;
+        loop {
             let drain = HopDrain {
                 k,
                 stop: p.stop_prob(k),
-                thr_coeff: cfg.eps_abs / cfg.hop_cap as f64,
+                thr_coeff,
                 enqueue: k + 1 < cfg.hop_cap,
+                cancel: Some(&fired),
                 plus: Some(PlusDrain {
                     eps_abs: cfg.eps_abs,
                     budget: cfg.budget,
-                    frozen_sum: st.frozen_sum,
-                    cancel: Some(&fired),
+                    frozen_sum,
                 }),
             };
-            match drain_hop(&g, &drain, &mut st.counters, &mut ws) {
+            match drain_hop(&g, &drain, &mut counters, &mut ws) {
                 HopOutcome::Drained { max } => {
                     ws.hop_max_frozen[k] = max;
-                    st.frozen_sum += max;
-                    st.k = k + 1;
+                    frozen_sum += max;
+                    k += 1;
                 }
-                HopOutcome::Cancelled => break k,
+                HopOutcome::Cancelled => break,
                 HopOutcome::Satisfied | HopOutcome::Budget => panic!("no such stop configured"),
             }
-        };
-        assert_eq!(
-            st.counters.processed, CHECK_INTERVAL,
-            "stopped at the probe"
-        );
+        }
+        assert_eq!(counters.processed, CHECK_INTERVAL, "stopped at the probe");
         assert!(
             k >= 2 && !ws.queues[k].is_empty(),
             "mid-hop, past frozen hops"
         );
-        st.broke_at_hop = Some(k);
-        st.stopped_at_hop = Some(k);
-        st.cancelled = true;
-        ws.push_resume = st;
-        let stats = hk_push_plus_finalize(&cfg, &mut ws);
-        assert!(!stats.satisfied_condition_11);
 
         // The reference, out of budget at the same node.
-        cfg.budget = stats.push_operations;
+        cfg.budget = counters.push_operations;
         let reference = hk_push_plus(&g, &p, 0, &cfg);
-        assert_eq!(reference.push_operations, stats.push_operations);
+        assert_eq!(reference.push_operations, counters.push_operations);
         let dense: Vec<_> = ws.residues().entries().collect();
         let expect: Vec<_> = reference.residues.entries_first_touch().collect();
         assert_eq!(dense, expect, "entries(), order included");
@@ -1137,14 +990,21 @@ mod tests {
         for (j, &exact) in exact.iter().enumerate() {
             let (dense, expect) = (ws.residues().hop_sum(j), reference.residues.hop_sum(j));
             assert!((dense - expect).abs() <= 1e-12, "hop_sum({j})");
-            // Exact below and above the interrupted hop, whose hint may
-            // be stale-high by what the drain consumed.
-            if j == k {
-                assert!(ws.residue_bounds()[j] >= exact);
+            // Frozen exactly below the interrupted hop; the hint (which
+            // `hk_push_plus_ws` publishes from the stop hop on) exact
+            // above it, and at it stale-high by what the drain consumed.
+            if j < k {
+                assert_eq!(ws.hop_max_frozen[j], exact, "frozen max of hop {j}");
+            } else if j == k {
+                assert!(ws.hop_max_hint[j] >= exact);
             } else {
-                assert_eq!(ws.residue_bounds()[j], exact, "bound of hop {j}");
+                assert_eq!(ws.hop_max_hint[j], exact, "hint of hop {j}");
             }
         }
+        // The stop-state sum scans the interrupted hop: the exact
+        // condition-(11) sum, folded in hop order.
+        let stop_sum = stop_state_sum(frozen_sum, k, &ws);
+        assert_eq!(stop_sum, exact.iter().sum::<f64>());
         for (v, q) in reference.reserve {
             assert_eq!(ws.reserve().get(v), (q, 0), "reserve[{v}]");
         }
@@ -1152,9 +1012,9 @@ mod tests {
 
     #[test]
     fn hook_cancel_reports_honest_stop_state() {
-        // Cancelling from the tier hook stops at the certifying boundary;
-        // the reported stop-state count covers at least the tier that
-        // fired, and the finalize never claims condition (11).
+        // A hook that returns false cuts the push at the certifying
+        // boundary; the reported stop-state count covers at least the
+        // tier that fired, and the push never claims condition (11).
         let g = example_graph();
         let p = PoissonTable::new(3.0);
         let cfg = PushPlusConfig {
@@ -1162,24 +1022,17 @@ mod tests {
             eps_abs: 1e-2,
             budget: u64::MAX,
         };
-        let mut ws = crate::workspace::QueryWorkspace::new();
-        hk_push_plus_begin(&g, 0, &cfg, &mut ws);
-        let mut hook = |_t: u32| Err(HkprError::Cancelled);
+        let mut ws = QueryWorkspace::new();
+        let mut hook = |_t: u32| false;
         let mut controls = AnytimeControls {
             on_push_tier: Some(&mut hook),
             ..Default::default()
         };
-        match hk_push_plus_step(&g, &p, &cfg, &mut controls, &mut ws).unwrap() {
-            PushStepOutcome::Cancelled { tiers_certified } => {
-                assert!(tiers_certified >= 1, "stop state covers the fired tier");
-            }
-            other => panic!("expected Cancelled, got {other:?}"),
-        }
-        assert!(ws.push_resume.is_cancelled());
-        let stats = hk_push_plus_finalize(&cfg, &mut ws);
+        let stats = hk_push_plus_ws(&g, &p, 0, &cfg, &mut controls, &mut ws);
         assert!(
-            !stats.satisfied_condition_11,
-            "cancelled runs never claim (11)"
+            (1..PUSH_TIER_DIVISORS.len() as u32).contains(&stats.tiers_completed),
+            "stop state covers the fired tier: {stats:?}"
         );
+        assert!(!stats.satisfied_condition_11, "cut pushes never claim (11)");
     }
 }

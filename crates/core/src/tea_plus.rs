@@ -34,9 +34,7 @@ use crate::anytime::{
 use crate::error::HkprError;
 use crate::estimate::{HkprEstimate, QueryStats};
 use crate::params::HkprParams;
-use crate::push_plus::{
-    hk_push_plus_begin, hk_push_plus_finalize, hk_push_plus_step, PushPlusConfig, PushStepOutcome,
-};
+use crate::push_plus::{hk_push_plus_ws, PushPlusConfig};
 use crate::tea::TeaOutput;
 use crate::walk::{plan_batched_walks, run_planned_walks};
 use crate::workspace::QueryWorkspace;
@@ -183,13 +181,11 @@ fn assemble(
     estimate
 }
 
-/// The front half of every TEA+ run: the push ladder
-/// ([`hk_push_plus_begin`] / [`hk_push_plus_step`] /
-/// [`hk_push_plus_finalize`]) and the lines 8-11 residue reduction,
-/// ending in an early exit, an empty walk phase, or a [`WalkPhase`] whose
-/// entries and weights sit in the workspace. Honors
-/// `controls.push_tier_cap` and `controls.on_push_tier`; a push
-/// cancelled before it certified any tier is [`HkprError::Cancelled`].
+/// The front half of every TEA+ run: the push ([`hk_push_plus_ws`]) and
+/// the lines 8-11 residue reduction, ending in an early exit, an empty
+/// walk phase, or a [`WalkPhase`] whose entries and weights sit in the
+/// workspace. Honors `controls.push_tier_cap` and `controls.on_push_tier`;
+/// a push cut before it certified any tier is [`HkprError::Cancelled`].
 fn push_and_reduce<R: Rng>(
     graph: &Graph,
     params: &HkprParams,
@@ -206,20 +202,11 @@ fn push_and_reduce<R: Rng>(
         budget: params.push_budget(),
     };
     let clock = Instant::now();
-    let full_push = PUSH_TIER_DIVISORS.len() as u32;
-    hk_push_plus_begin(graph, seed, &cfg, ws);
-    let push_tiers_completed =
-        match hk_push_plus_step(graph, params.poisson(), &cfg, &mut controls, ws)? {
-            // Natural termination — including a budget stop — is the
-            // final tier: the walk phase compensates whatever residues
-            // remain, exactly as Algorithm 5 specifies.
-            PushStepOutcome::Complete => full_push,
-            PushStepOutcome::Paused { tiers_certified } => tiers_certified,
-            // Nothing usable: the reserve certifies no tier.
-            PushStepOutcome::Cancelled { tiers_certified: 0 } => return Err(HkprError::Cancelled),
-            PushStepOutcome::Cancelled { tiers_certified } => tiers_certified,
-        };
-    let push = hk_push_plus_finalize(&cfg, ws);
+    let push = hk_push_plus_ws(graph, params.poisson(), seed, &cfg, &mut controls, ws);
+    if push.tiers_completed == 0 {
+        // Cut before certifying anything: the reserve bounds nothing.
+        return Err(HkprError::Cancelled);
+    }
     let push_done = Instant::now();
     let push_ns = (push_done - clock).as_nanos() as u64;
     let mut stats = QueryStats {
@@ -229,14 +216,17 @@ fn push_and_reduce<R: Rng>(
     };
 
     let achieved = AccuracyTier {
-        push_tiers_completed,
-        push_tiers_planned: full_push,
+        // Natural termination — including a budget stop — is the final
+        // tier: the walk phase compensates whatever residues remain,
+        // exactly as Algorithm 5 specifies.
+        push_tiers_completed: push.tiers_completed,
+        push_tiers_planned: PUSH_TIER_DIVISORS.len() as u32,
         ..AccuracyTier::complete_without_walks(params.eps_r())
     };
 
     // Line 7: condition (11) held — the reserve is already good enough.
-    // Only naturally-finished pushes can claim it (see finalize), so the
-    // push ladder is complete here by construction.
+    // Only naturally-finished pushes can claim it, so the push ladder is
+    // complete here by construction.
     if stats.early_exit {
         return Ok(Front::Done(AnytimeOutput {
             estimate: assemble(ws, 0.0, None, push_ns, push_done),
@@ -408,10 +398,9 @@ fn walk_and_assemble(
 }
 
 /// TEA+ with **both** phases executed as ladders of accuracy tiers — the
-/// one implementation behind every TEA+ entry point. The push runs
-/// through the resumable certificate checkpoints of
-/// [`hk_push_plus_step`], the walks through the resumable walk engine
-/// (see [`crate::anytime`]).
+/// one implementation behind every TEA+ entry point. The push certifies
+/// its tiers at hop boundaries ([`hk_push_plus_ws`]), the walks run
+/// through the resumable walk engine (see [`crate::anytime`]).
 ///
 /// Semantics:
 ///
@@ -419,8 +408,8 @@ fn walk_and_assemble(
 ///   published Algorithm 5 and `achieved.is_degraded()` is false;
 /// * a cancellation fired during the *push* stops refinement at the next
 ///   probe or hop boundary. If the stop state certifies at least one
-///   coarsened condition-(11) tier, the query keeps going — finalize,
-///   residue reduction on the stop state, then the walk phase on whatever
+///   coarsened condition-(11) tier, the query keeps going — residue
+///   reduction on the stop state, then the walk phase on whatever
 ///   deadline remains — and returns a degraded answer with
 ///   `push_tiers_completed < push_tiers_planned` (it is not the canonical
 ///   answer and must never be cached, even when the walk phase then
@@ -441,7 +430,7 @@ fn walk_and_assemble(
 ///   respective ladder deterministically after that many tiers — a
 ///   reproducible degraded run for tests and benches;
 /// * `controls.on_push_tier` observes every certified push tier and may
-///   cancel refinement at a hop boundary (serving deadline probes and
+///   cut refinement at a hop boundary by returning `false` (serving
 ///   failpoints).
 pub fn tea_plus_anytime_in<R: Rng>(
     graph: &Graph,

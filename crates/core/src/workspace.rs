@@ -361,14 +361,11 @@ pub struct QueryWorkspace {
     pub(crate) hop_max_hint: Vec<f64>,
     /// Exact per-hop maxima of hops whose processing has finished.
     pub(crate) hop_max_frozen: Vec<f64>,
-    /// Checkpoint of the resumable push ladder over the buffers above
-    /// (see [`crate::push_plus::PushResumeState`]): plain scalars, valid
-    /// only between `hk_push_plus_begin` and the next `begin`.
-    pub(crate) push_resume: crate::push_plus::PushResumeState,
     /// Phase-time split of the last estimator run (telemetry only).
     pub(crate) phase_times: PhaseTimes,
     /// Cooperative cancellation flag for the query in flight, polled at
-    /// hop boundaries (push kernels) and chunk boundaries (walk engine).
+    /// hop boundaries and every `CHECK_INTERVAL` processed nodes (push
+    /// kernels) and at chunk boundaries (walk engine).
     cancel: Option<crate::cancel::CancelToken>,
 }
 
@@ -442,8 +439,8 @@ impl QueryWorkspace {
     }
 
     /// The per-hop upper bounds on `max_v r^(k)[v] / d(v)` that the last
-    /// [`hk_push_plus_finalize`](crate::push_plus::hk_push_plus_finalize)
-    /// on this workspace published, hop `0..=K`: exact for every hop
+    /// [`hk_push_plus_ws`](crate::push_plus::hk_push_plus_ws) on this
+    /// workspace published, hop `0..=K`: exact for every hop
     /// whose drain ran to its end, and for hop `K`; a monotone
     /// over-estimate for a hop a stop cut short. TEA+'s residue reduction
     /// skips hop levels by them.
@@ -493,7 +490,6 @@ impl QueryWorkspace {
         self.radix_tmp = Vec::new();
         self.hop_max_hint = Vec::new();
         self.hop_max_frozen = Vec::new();
-        self.push_resume = crate::push_plus::PushResumeState::default();
         self.phase_times = PhaseTimes::default();
         self.cancel = None;
     }
@@ -1074,6 +1070,7 @@ mod tests {
         // isolated nodes touches the same nodes in the same order, so the
         // two workspaces differ by exactly three indexes' worth of padding:
         // nothing else a workspace holds is sized by the graph.
+        use crate::anytime::AnytimeControls;
         use crate::poisson::PoissonTable;
         use crate::push_plus::{hk_push_plus_ws, PushPlusConfig};
         use hk_graph::gen::holme_kim;
@@ -1088,7 +1085,8 @@ mod tests {
         let poisson = PoissonTable::new(5.0);
         let footprint = |graph: &Graph| {
             let mut ws = QueryWorkspace::new();
-            let stats = hk_push_plus_ws(graph, &poisson, 7, &cfg, &mut ws);
+            let controls = &mut AnytimeControls::default();
+            let stats = hk_push_plus_ws(graph, &poisson, 7, &cfg, controls, &mut ws);
             (stats, ws)
         };
         let (stats, ws) = footprint(&padded(&g, n));

@@ -133,7 +133,7 @@ fn tea_plus_full_ladder_is_independent_of_observers_and_earlier_capped_runs() {
     let mut fired = Vec::new();
     let mut hook = |t: u32| {
         fired.push(t);
-        Ok(())
+        true
     };
     let observed = run(
         AnytimeControls {
@@ -355,13 +355,7 @@ fn hook_cancel_mid_ladder_degrades_and_leaves_workspace_reusable() {
     .unwrap();
     for cancel_at in [1u32, 2, 3] {
         let mut ws = QueryWorkspace::new();
-        let mut hook = |t: u32| {
-            if t >= cancel_at {
-                Err(HkprError::Cancelled)
-            } else {
-                Ok(())
-            }
-        };
+        let mut hook = |t: u32| t < cancel_at;
         let out = tea_plus_anytime_in(
             &g,
             &params,
@@ -601,9 +595,7 @@ proptest! {
             token.cancel();
             ws.set_cancel_token(Some(token));
         }
-        let mut hook = |t: u32| {
-            if t >= cancel_at { Err(HkprError::Cancelled) } else { Ok(()) }
-        };
+        let mut hook = |t: u32| t < cancel_at;
         let interrupted = tea_plus_anytime_in(
             &g, &params, 0, opts,
             AnytimeControls { on_push_tier: Some(&mut hook), ..Default::default() },

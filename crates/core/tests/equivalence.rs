@@ -16,11 +16,9 @@ mod definition1;
 use hk_graph::builder::GraphBuilder;
 use hk_graph::gen::{erdos_renyi_gnm, holme_kim};
 use hk_graph::Graph;
+use hkpr_core::anytime::PUSH_TIER_DIVISORS;
 use hkpr_core::push::{hk_push, hk_push_ws};
-use hkpr_core::push_plus::{
-    hk_push_plus, hk_push_plus_begin, hk_push_plus_finalize, hk_push_plus_step, hk_push_plus_ws,
-    PushPlusConfig, PushPlusOutput, PushPlusWsStats, PushStepOutcome,
-};
+use hkpr_core::push_plus::{hk_push_plus, hk_push_plus_ws, PushPlusConfig, PushPlusOutput};
 use hkpr_core::reference::{monte_carlo_reference, tea_plus_reference, tea_reference};
 use hkpr_core::tea::tea_in;
 use hkpr_core::tea_plus::{tea_plus_in, TeaPlusOptions};
@@ -133,35 +131,6 @@ fn assert_plus_readers_match_reference(
     assert!(loose <= 1, "{loose} hops publish an over-estimate");
 }
 
-/// Drive the resumable ladder to completion, pausing at every certified
-/// tier.
-fn push_plus_stepped(
-    g: &Graph,
-    p: &PoissonTable,
-    seed: u32,
-    cfg: &PushPlusConfig,
-    ws: &mut QueryWorkspace,
-) -> (PushPlusWsStats, usize) {
-    hk_push_plus_begin(g, seed, cfg, ws);
-    let mut pauses = 0usize;
-    let mut pause_at = 1u32;
-    loop {
-        let mut controls = AnytimeControls {
-            push_tier_cap: Some(pause_at),
-            ..Default::default()
-        };
-        match hk_push_plus_step(g, p, cfg, &mut controls, ws).unwrap() {
-            PushStepOutcome::Complete => break,
-            PushStepOutcome::Paused { tiers_certified } => {
-                pauses += 1;
-                pause_at = tiers_certified + 1;
-            }
-            PushStepOutcome::Cancelled { .. } => panic!("no cancel source"),
-        }
-    }
-    (hk_push_plus_finalize(cfg, ws), pauses)
-}
-
 /// Statistical agreement of two estimator outputs: deterministic stats
 /// bit-equal (except fp-accumulation-ordered `alpha`), calibrated mass.
 fn assert_outputs_agree(dense: &TeaOutput, reference: &TeaOutput) {
@@ -237,7 +206,7 @@ proptest! {
         let cfg = PushPlusConfig { hop_cap, eps_abs: 10f64.powf(-eps_exp), budget };
         let reference = hk_push_plus(&g, &p, 0, &cfg);
         let mut ws = QueryWorkspace::new();
-        let stats = hk_push_plus_ws(&g, &p, 0, &cfg, &mut ws);
+        let stats = hk_push_plus_ws(&g, &p, 0, &cfg, &mut AnytimeControls::default(), &mut ws);
         prop_assert_eq!(stats.push_operations, reference.push_operations);
         prop_assert_eq!(stats.satisfied_condition_11, reference.satisfied_condition_11);
         assert_push_state_identical(&g, &reference.reserve, &reference.residues, &ws);
@@ -246,9 +215,10 @@ proptest! {
 
     /// The same, on the stop states that leave some hops frozen and
     /// others live: a budget that runs out part-way (mid-hop, unless it
-    /// happens to fall on a boundary), and a ladder paused at every
-    /// certified tier and resumed — on a workspace an unrelated query
-    /// has already used.
+    /// happens to fall on a boundary), and a push cut at a hop boundary
+    /// by `push_tier_cap` 1–3 — on a workspace an unrelated query has
+    /// already used. A cut push is held to the reference stopped at the
+    /// cut's budget.
     #[test]
     fn push_plus_live_and_frozen_hops_read_like_the_reference(
         edges in prop::collection::vec((any::<u8>(), any::<u8>()), 1..120),
@@ -260,18 +230,28 @@ proptest! {
         let p = PoissonTable::new(5.0);
         let mut cfg = PushPlusConfig { hop_cap, eps_abs: 10f64.powf(-eps_exp), budget: u64::MAX };
         let mut ws = QueryWorkspace::new();
-        let _ = hk_push_plus_ws(&g, &p, 1, &cfg, &mut ws);
+        let _ = hk_push_plus_ws(&g, &p, 1, &cfg, &mut AnytimeControls::default(), &mut ws);
+
+        for cap in 1..PUSH_TIER_DIVISORS.len() as u32 {
+            let mut controls = AnytimeControls { push_tier_cap: Some(cap), ..Default::default() };
+            let stats = hk_push_plus_ws(&g, &p, 0, &cfg, &mut controls, &mut ws);
+            let at_cut = PushPlusConfig { budget: stats.push_operations, ..cfg };
+            let reference = hk_push_plus(&g, &p, 0, &at_cut);
+            prop_assert_eq!(stats.push_operations, reference.push_operations);
+            if stats.tiers_completed < PUSH_TIER_DIVISORS.len() as u32 {
+                prop_assert!(stats.tiers_completed >= cap);
+                prop_assert!(!stats.satisfied_condition_11);
+            } else {
+                prop_assert_eq!(stats.satisfied_condition_11, reference.satisfied_condition_11);
+            }
+            assert_push_state_identical(&g, &reference.reserve, &reference.residues, &ws);
+            assert_plus_readers_match_reference(&g, &cfg, &reference, &ws);
+        }
 
         let full = hk_push_plus(&g, &p, 0, &cfg);
-        let (stats, _pauses) = push_plus_stepped(&g, &p, 0, &cfg, &mut ws);
-        prop_assert_eq!(stats.push_operations, full.push_operations);
-        prop_assert_eq!(stats.satisfied_condition_11, full.satisfied_condition_11);
-        assert_push_state_identical(&g, &full.reserve, &full.residues, &ws);
-        assert_plus_readers_match_reference(&g, &cfg, &full, &ws);
-
         cfg.budget = (full.push_operations as f64 * spent) as u64;
         let reference = hk_push_plus(&g, &p, 0, &cfg);
-        let stats = hk_push_plus_ws(&g, &p, 0, &cfg, &mut ws);
+        let stats = hk_push_plus_ws(&g, &p, 0, &cfg, &mut AnytimeControls::default(), &mut ws);
         prop_assert_eq!(stats.push_operations, reference.push_operations);
         prop_assert_eq!(stats.satisfied_condition_11, reference.satisfied_condition_11);
         assert_push_state_identical(&g, &reference.reserve, &reference.residues, &ws);
@@ -292,11 +272,11 @@ proptest! {
         let warm = (warm_seed as u32) % g.num_nodes() as u32;
 
         let mut reused = QueryWorkspace::new();
-        let _ = hk_push_plus_ws(&g, &p, warm, &cfg, &mut reused);
-        let stats_reused = hk_push_plus_ws(&g, &p, 0, &cfg, &mut reused);
+        let _ = hk_push_plus_ws(&g, &p, warm, &cfg, &mut AnytimeControls::default(), &mut reused);
+        let stats_reused = hk_push_plus_ws(&g, &p, 0, &cfg, &mut AnytimeControls::default(), &mut reused);
 
         let mut fresh = QueryWorkspace::new();
-        let stats_fresh = hk_push_plus_ws(&g, &p, 0, &cfg, &mut fresh);
+        let stats_fresh = hk_push_plus_ws(&g, &p, 0, &cfg, &mut AnytimeControls::default(), &mut fresh);
 
         prop_assert_eq!(stats_reused, stats_fresh);
         let mut a: Vec<(usize, u32, f64)> = reused.residues().entries().collect();
@@ -330,7 +310,7 @@ fn assert_both_pushes_match_reference(g: &Graph, seed: u32, ws: &mut QueryWorksp
             budget: u64::MAX,
         };
         let reference = hk_push_plus(g, &p, seed, &cfg);
-        let stats = hk_push_plus_ws(g, &p, seed, &cfg, ws);
+        let stats = hk_push_plus_ws(g, &p, seed, &cfg, &mut AnytimeControls::default(), ws);
         assert_eq!(stats.push_operations, reference.push_operations);
         assert_eq!(
             stats.satisfied_condition_11,
@@ -611,7 +591,14 @@ fn walk_entry_fixture(n: usize) -> (Graph, PoissonTable, Vec<(u32, u32)>, Vec<f6
         budget: u64::MAX,
     };
     let mut ws = QueryWorkspace::new();
-    hk_push_plus_ws(&g, &poisson, 0, &cfg, &mut ws);
+    hk_push_plus_ws(
+        &g,
+        &poisson,
+        0,
+        &cfg,
+        &mut AnytimeControls::default(),
+        &mut ws,
+    );
     let entries: Vec<(u32, u32)> = ws
         .residues()
         .entries()

@@ -606,21 +606,19 @@ fn process(
             return;
         }
         // Arm the watchdog: if the deadline passes mid-run, the token
-        // fires and the estimator aborts at the next hop/chunk boundary.
+        // fires and the estimator stops at its next cancel poll.
         shared.watchdog.register(deadline, job.cancel.clone());
     }
     scratch.workspace.set_cancel_token(Some(job.cancel.clone()));
     let clusterer = LocalClusterer::new(&job.graph);
     // The `core.push_tier` failpoint rides the push-ladder observer of
     // worker queries only (never `run_batch` or hub builds): an injected
-    // Error cancels refinement at the certifying hop boundary (→ typed
+    // Error cuts the push at the certifying hop boundary (→ typed
     // degraded answer), an injected Panic unwinds into the worker's
     // containment, a Delay holds the push at the boundary long enough
     // for the deadline watchdog to fire deterministically.
     #[cfg(feature = "testing")]
-    let mut on_push_tier = |_tier: u32| -> Result<(), HkprError> {
-        crate::fault::fire("core.push_tier").map_err(|_| HkprError::Cancelled)
-    };
+    let mut on_push_tier = |_tier: u32| crate::fault::fire("core.push_tier").is_ok();
     let controls = AnytimeControls {
         #[cfg(feature = "testing")]
         on_push_tier: Some(&mut on_push_tier),
