@@ -8,8 +8,9 @@ use std::time::Instant;
 
 use hk_bench::{fmt_f, fmt_ms, pick_seeds, CommonArgs, DatasetId, Datasets, Table};
 use hk_cluster::sweep_estimate;
-use hkpr_core::tea_plus::{tea_plus_with_options, TeaPlusOptions};
-use hkpr_core::HkprParams;
+use hkpr_core::{
+    estimate_in, AnytimeControls, Estimator, HkprParams, QueryWorkspace, TeaPlusOptions,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -55,6 +56,7 @@ fn main() {
         "avg_walks",
         "avg_conductance",
     ]);
+    let mut ws = QueryWorkspace::new();
     for id in args.dataset_list(&DatasetId::small_set()) {
         let g = ds.load(id);
         let seeds = pick_seeds(&g, args.seeds, args.rng);
@@ -72,7 +74,9 @@ fn main() {
             for (i, &s) in seeds.iter().enumerate() {
                 let mut rng = SmallRng::seed_from_u64(args.rng + i as u64);
                 let start = Instant::now();
-                let out = tea_plus_with_options(&g, &params, s, opts, &mut rng).unwrap();
+                let (estimator, controls) = (Estimator::TeaPlus(opts), AnytimeControls::default());
+                let out =
+                    estimate_in(&g, &params, s, estimator, controls, &mut rng, &mut ws).unwrap();
                 let sw = sweep_estimate(&g, &out.estimate);
                 ms += start.elapsed().as_secs_f64() * 1000.0;
                 walks += out.stats.random_walks;

@@ -9,8 +9,8 @@
 
 use hk_graph::{Graph, NodeId};
 use hkpr_core::{
-    monte_carlo_anytime_in, tea::tea_in, tea_plus_anytime_in, AccuracyTier, HkprError,
-    HkprEstimate, HkprParams, QueryStats, QueryWorkspace, TeaPlusOptions,
+    estimate_in, AnytimeControls, AnytimeOutput, Estimator, HkprError, HkprEstimate, HkprParams,
+    QueryStats, QueryWorkspace,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -120,51 +120,39 @@ impl<'g> LocalClusterer<'g> {
         rng_seed: u64,
         ws: &mut QueryWorkspace,
     ) -> Result<(HkprEstimate, QueryStats), HkprError> {
-        let controls = hkpr_core::AnytimeControls::default();
-        let (estimate, stats, achieved) =
-            self.estimate_anytime_in(method, seed, params, rng_seed, controls, ws)?;
-        if achieved.is_some_and(|tier| tier.is_degraded()) {
-            return Err(HkprError::Cancelled);
-        }
-        Ok((estimate, stats))
+        let controls = AnytimeControls::default();
+        let out = self.estimate_anytime_in(method, seed, params, rng_seed, controls, ws)?;
+        let out = out.into_complete()?;
+        Ok((out.estimate, out.stats))
     }
 
-    /// Phase one of every query — the serving-loop entry point. TEA+ and
-    /// Monte-Carlo run on the tiered refinement path
-    /// ([`hkpr_core::anytime`]), so a cancellation fired mid-push or
-    /// mid-walk stops refinement at the best reachable tier instead of
-    /// erroring, and the returned [`AccuracyTier`] reports how far each
-    /// phase got. TEA has no tiered path: it returns `None` and keeps the
-    /// all-or-nothing cancellation contract.
+    /// Phase one of every query — the serving-loop entry point. Every
+    /// method runs on the tiered refinement path
+    /// ([`hkpr_core::estimate_in`]), so a cancellation fired mid-walk (or
+    /// mid-push, for TEA+) stops refinement at the best reachable tier
+    /// instead of erroring, and the returned
+    /// [`AccuracyTier`](hkpr_core::AccuracyTier) reports how far each
+    /// phase got.
     ///
     /// `controls` threads the caller's refinement caps and push-tier
-    /// observer through to the estimator; TEA+ honors all of it,
-    /// Monte-Carlo (no push phase) honors `walk_tier_cap` only.
+    /// observer through to the estimator; TEA+ honors all of it, TEA and
+    /// Monte-Carlo (no push ladder) honor `walk_tier_cap` only.
     pub fn estimate_anytime_in(
         &self,
         method: Method,
         seed: NodeId,
         params: &HkprParams,
         rng_seed: u64,
-        controls: hkpr_core::AnytimeControls<'_>,
+        controls: AnytimeControls<'_>,
         ws: &mut QueryWorkspace,
-    ) -> Result<(HkprEstimate, QueryStats, Option<AccuracyTier>), HkprError> {
-        let mut rng = SmallRng::seed_from_u64(rng_seed);
-        let out = match method {
-            Method::TeaPlus => {
-                let opts = TeaPlusOptions::default();
-                tea_plus_anytime_in(self.graph, params, seed, opts, controls, &mut rng, ws)?
-            }
-            Method::MonteCarlo { max_walks } => {
-                let tier_cap = controls.walk_tier_cap;
-                monte_carlo_anytime_in(self.graph, params, seed, max_walks, tier_cap, &mut rng, ws)?
-            }
-            Method::Tea => {
-                let out = tea_in(self.graph, params, seed, None, &mut rng, ws)?;
-                return Ok((out.estimate, out.stats, None));
-            }
+    ) -> Result<AnytimeOutput, HkprError> {
+        let estimator = match method {
+            Method::Tea => Estimator::Tea { rmax: None },
+            Method::TeaPlus => Estimator::TeaPlus(Default::default()),
+            Method::MonteCarlo { max_walks } => Estimator::MonteCarlo { max_walks },
         };
-        Ok((out.estimate, out.stats, Some(out.achieved)))
+        let mut rng = SmallRng::seed_from_u64(rng_seed);
+        estimate_in(self.graph, params, seed, estimator, controls, &mut rng, ws)
     }
 
     /// Full query: estimate + sweep (phase two), on a fresh workspace.
@@ -355,6 +343,23 @@ mod tests {
                 res.conductance
             );
         }
+    }
+
+    #[test]
+    fn tea_cut_in_the_walks_is_degraded_not_an_error() {
+        let g = hk_graph::gen::holme_kim(20_000, 3, 0.3, &mut SmallRng::seed_from_u64(20)).unwrap();
+        let params = HkprParams::builder(&g).t(10.0).delta(1e-4).build().unwrap();
+        let controls = AnytimeControls {
+            walk_tier_cap: Some(1),
+            ..Default::default()
+        };
+        let mut ws = QueryWorkspace::new();
+        let out = LocalClusterer::new(&g)
+            .estimate_anytime_in(Method::Tea, 0, &params, 100, controls, &mut ws)
+            .unwrap();
+        assert!(out.achieved.is_degraded(), "{:?}", out.achieved);
+        assert!(out.achieved.walks_done > 0);
+        assert_eq!(out.achieved.push_tiers_planned, 0);
     }
 
     #[test]

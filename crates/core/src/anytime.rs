@@ -19,9 +19,9 @@
 //!   describing how far refinement got.
 //!
 //! **A walk ladder cut short is biased.** The plan orders its chunks by
-//! work item — walk length for Monte-Carlo, residue entry for TEA+ — so
-//! the first tiers run the shortest walks (or the first entries' walks),
-//! not a uniform sample of the plan. A cut answer's mass therefore sits
+//! work item — walk length for Monte-Carlo, residue entry for TEA and
+//! TEA+ — so the first tiers run the shortest walks (or the first
+//! entries' walks), not a uniform sample of the plan. A cut answer's mass therefore sits
 //! too close to its start, and its `eps_r_achieved` is not a certificate:
 //! Monte-Carlo cut at walk tier 1–3 misses its own bound in most runs on
 //! a 3,000-node Holme–Kim graph. Only an answer whose walk ladder
@@ -29,16 +29,15 @@
 //! is held to Definition 1 at its `eps_r_achieved`
 //! (`tests/definition1.rs`).
 //!
-//! [`monte_carlo_anytime_in`](crate::monte_carlo::monte_carlo_anytime_in)
-//! and [`tea_plus_anytime_in`](crate::tea_plus::tea_plus_anytime_in) are
-//! the only TEA+ / Monte-Carlo drivers: the one-shot entry points
-//! (`tea_plus_in`, `monte_carlo_in`) run them to completion and return
-//! [`AnytimeOutput::into_complete`], and `hk-serve` uses them directly to
-//! turn watchdog cancellation into "stop refining" rather than "discard
+//! Every query climbs this ladder: [`estimate_in`](crate::estimate_in),
+//! the one driver of TEA, TEA+ and Monte-Carlo, runs its walk phase
+//! through it. An all-or-nothing caller takes
+//! [`AnytimeOutput::into_complete`]; `hk-serve` keeps the tier, which
+//! turns watchdog cancellation into "stop refining" rather than "discard
 //! everything".
 
+use crate::driver::TeaOutput;
 use crate::estimate::{HkprEstimate, QueryStats};
-use crate::tea::TeaOutput;
 use crate::walk::WalkCursor;
 use crate::workspace::QueryWorkspace;
 
@@ -84,7 +83,7 @@ pub struct AccuracyTier {
     pub push_tiers_completed: u32,
     /// Push-ladder tiers a full run reaches: `PUSH_TIER_DIVISORS.len()`
     /// for every TEA+ query that enters the push phase, 0 for estimators
-    /// without one (Monte-Carlo).
+    /// without a push ladder (TEA, Monte-Carlo).
     pub push_tiers_planned: u32,
     /// The relative-error parameter the query was asked for.
     pub eps_r_requested: f64,
@@ -102,8 +101,8 @@ pub struct AccuracyTier {
 impl AccuracyTier {
     /// A tier describing a query that needed no walk phase (early exit or
     /// zero residue mass): complete by construction. Push-tier fields
-    /// start at 0/0 (no push phase, e.g. Monte-Carlo with zero walks);
-    /// TEA+ overwrites them with what its push reached.
+    /// start at 0/0 (no push ladder: TEA, Monte-Carlo); TEA+ overwrites
+    /// them with what its push reached.
     pub fn complete_without_walks(eps_r: f64) -> Self {
         AccuracyTier {
             tiers_completed: 0,
@@ -127,11 +126,12 @@ impl AccuracyTier {
     }
 }
 
-/// Caller-side controls threaded through one anytime TEA+ run
-/// ([`tea_plus_anytime_in`](crate::tea_plus::tea_plus_anytime_in)) down
-/// to its push ([`crate::push_plus::hk_push_plus_ws`], which reads the
-/// two push fields). `Default` means "refine both ladders to completion,
-/// observe nothing".
+/// Caller-side controls threaded through one query
+/// ([`estimate_in`](crate::estimate_in)): the driver reads
+/// `walk_tier_cap`, and TEA+'s push
+/// ([`crate::push_plus::hk_push_plus_ws`]) the two push fields — TEA's
+/// push and Monte-Carlo have no push ladder. `Default` means "refine
+/// both ladders to completion, observe nothing".
 #[derive(Default)]
 pub struct AnytimeControls<'a> {
     /// Stop the walk ladder after this many walk tiers (deterministic
@@ -171,8 +171,8 @@ pub struct AnytimeOutput {
 }
 
 impl AnytimeOutput {
-    /// The all-or-nothing view the one-shot entry points return: the
-    /// estimate and stats of a run refined to completion, or
+    /// The all-or-nothing view of a query: the estimate and stats of a
+    /// run refined to completion, or
     /// [`HkprError::Cancelled`](crate::HkprError::Cancelled) if either
     /// ladder was cut short (a degraded answer is discarded, never
     /// returned as if it were the full-accuracy one).

@@ -1,0 +1,337 @@
+//! The query driver: TEA, TEA+ and Monte-Carlo are one estimator that
+//! differs only in its push stage.
+//!
+//! Every estimator writes `rho_s = q_s + sum_{u,k} r^(k)[u] * h^(k)_u`
+//! (Lemma 1): a push stage settles the reserve `q_s` and leaves residues
+//! `r^(k)`, and the walk phase estimates the residue sum with `nr`
+//! `k-RandomWalk`s whose endpoint counts are scaled by `alpha / walks`.
+//! The three estimators differ only in that first stage:
+//!
+//! * TEA (Algorithm 3) runs HK-Push ([`crate::push::hk_push_ws`]) at
+//!   threshold `rmax` and walks from its residues;
+//! * TEA+ (Algorithm 5) runs the budgeted HK-Push+
+//!   ([`crate::push_plus::hk_push_plus_ws`]), exits early when condition
+//!   (11) holds, and walks from the reduced residues;
+//! * Monte-Carlo (§3) pushes nothing: the residue vector is
+//!   `r^(0)[s] = 1`, so every walk starts at the seed — Chung–Simpson's
+//!   estimator. It samples its walk lengths up front and plans them as a
+//!   length histogram.
+//!
+//! [`estimate_in`] runs the stage, climbs the walk ladder (see
+//! [`crate::anytime`]) and assembles the estimate. It is the only
+//! estimator entry point: an all-or-nothing caller takes
+//! [`AnytimeOutput::into_complete`].
+
+use std::time::Instant;
+
+use hk_graph::{Graph, NodeId};
+use rand::Rng;
+
+use crate::alias::AliasTable;
+use crate::anytime::{
+    achieved_eps_r, climb_walk_ladder, tier_targets, AccuracyTier, AnytimeControls, AnytimeOutput,
+    PUSH_TIER_DIVISORS,
+};
+use crate::error::HkprError;
+use crate::estimate::{HkprEstimate, QueryStats};
+use crate::params::HkprParams;
+use crate::tea_plus::TeaPlusOptions;
+use crate::walk::{
+    plan_batched_fixed_walks, plan_batched_walks, run_planned_fixed_walks, run_planned_walks,
+    WalkCursor,
+};
+use crate::workspace::QueryWorkspace;
+use crate::{monte_carlo, tea, tea_plus};
+
+/// Which estimator a query runs — which push stage precedes the walks.
+#[derive(Clone, Copy, Debug)]
+pub enum Estimator {
+    /// TEA (Algorithm 3): HK-Push at threshold `rmax` (`None` is the
+    /// balanced default `1/(omega t)` of §4.2), then walks from every
+    /// residue. `(d, eps_r, delta)`-approximate (Theorem 1) in expected
+    /// time `O(t log(n/p_f) / (eps_r^2 delta))`.
+    Tea {
+        /// Residue threshold of the push; `None` = the default.
+        rmax: Option<f64>,
+    },
+    /// TEA+ (Algorithm 5): budgeted HK-Push+ with the condition-(11)
+    /// early exit, residue reduction and the half offset (§5), each of
+    /// which the options can switch off. Same guarantee (Theorem 3), far
+    /// fewer walks in practice.
+    TeaPlus(TeaPlusOptions),
+    /// Monte-Carlo (§3): no push, `nr = 2(1 + eps_r/3) ln(n/p_f) /
+    /// (eps_r^2 delta)` walks from the seed.
+    MonteCarlo {
+        /// Cap on the walk count; `None` runs the published count, which
+        /// is astronomically large for small `delta`.
+        max_walks: Option<u64>,
+    },
+}
+
+/// The result of a query refined to completion
+/// ([`AnytimeOutput::into_complete`]), and of the `hk-bench` baselines.
+#[derive(Clone, Debug)]
+pub struct TeaOutput {
+    /// The `(d, eps_r, delta)`-approximate HKPR vector.
+    pub estimate: HkprEstimate,
+    /// Cost counters.
+    pub stats: QueryStats,
+}
+
+/// Where a push stage leaves a query: the reserve sits in the workspace,
+/// and `starts` says how to walk the residue mass `stats.alpha`.
+pub(crate) struct Front {
+    /// Query stats through the push stage; `alpha` is the mass the walks
+    /// carry (0 when the reserve alone is the answer).
+    pub stats: QueryStats,
+    /// What the push achieved; the walk fields still read "no walks".
+    pub achieved: AccuracyTier,
+    /// Push wall time (0 without a push).
+    pub push_ns: u64,
+    /// When the push ended: the walk phase's time runs from here, so
+    /// residue reduction and walk planning count as walk time.
+    pub push_done: Instant,
+    /// The offset coefficient the estimate carries (TEA+ lines 18-19).
+    pub offset_coeff: Option<f64>,
+    /// Where the walks start.
+    pub starts: Starts,
+}
+
+/// Where a query's walks start.
+pub(crate) enum Starts {
+    /// `ceil(alpha * omega)` walks from the residue entries and weights
+    /// the stage left in the workspace (TEA, TEA+), their starts sampled
+    /// by the entry planner.
+    Entries {
+        /// Walks per unit of residue mass.
+        omega: f64,
+    },
+    /// `lengths[len]` walks of length `len` from the seed (Monte-Carlo's
+    /// length histogram).
+    Lengths(Vec<u64>),
+}
+
+/// Run one query from `seed` on a reusable workspace: the estimator's
+/// push stage, then the walk phase as a ladder of accuracy tiers, then
+/// assembly. Results are bit-identical for a fixed `rng` state; the walk
+/// phase draws its master seed from `rng` (Monte-Carlo first draws every
+/// walk length from it).
+///
+/// Semantics:
+///
+/// * run to completion (or to TEA+'s condition-(11) early exit), the
+///   answer is the published algorithm's and `achieved.is_degraded()` is
+///   false;
+/// * a cancellation fired during TEA+'s push stops refinement at the next
+///   probe or hop boundary. If the stop state certifies at least one
+///   coarsened condition-(11) tier, the query goes on — residue reduction
+///   on the stop state, then the walks on whatever deadline remains — and
+///   returns a degraded answer with `push_tiers_completed <
+///   push_tiers_planned` (never the canonical answer, never cached, even
+///   when the walks then complete). With no certified tier the reserve
+///   bounds nothing: [`HkprError::Cancelled`]. TEA's push has no ladder,
+///   so a cancellation that stops it is [`HkprError::Cancelled`]; so is
+///   one during Monte-Carlo's length sampling;
+/// * a cancellation during the walks stops refinement at the next chunk
+///   boundary, and the deposited walks are renormalized (`mass =
+///   alpha/walks_done`). The chunks follow the plan's work-item order, so
+///   a cut ladder's walks are not a uniform sample and its
+///   `eps_r_achieved` is nominal (see [`crate::anytime`]). With no walk
+///   deposited, TEA and TEA+ return the reserve alone, and
+///   `eps_r_achieved` is `D * eps_r` for the tightest certified push
+///   divisor `D` after a cut push (Theorem 2 at the coarsened threshold),
+///   else infinity; Monte-Carlo, which reserves nothing, returns
+///   [`HkprError::Cancelled`];
+/// * `controls.walk_tier_cap` and (TEA+ only) `controls.push_tier_cap`
+///   stop their ladder after that many tiers — a reproducible degraded
+///   run for tests and benches; `controls.on_push_tier` observes every
+///   certified TEA+ push tier and may cut the push by returning `false`.
+pub fn estimate_in<R: Rng>(
+    graph: &Graph,
+    params: &HkprParams,
+    seed: NodeId,
+    estimator: Estimator,
+    mut controls: AnytimeControls<'_>,
+    rng: &mut R,
+    ws: &mut QueryWorkspace,
+) -> Result<AnytimeOutput, HkprError> {
+    params.validate_seed(seed)?;
+    let mut front = match estimator {
+        Estimator::Tea { rmax } => tea::push_stage(graph, params, seed, rmax, ws)?,
+        Estimator::TeaPlus(opts) => {
+            tea_plus::push_stage(graph, params, seed, opts, &mut controls, ws)?
+        }
+        Estimator::MonteCarlo { max_walks } => {
+            monte_carlo::length_stage(graph, params, max_walks, rng, ws)?
+        }
+    };
+    let mass = walk_phase(
+        graph,
+        params,
+        seed,
+        &mut front,
+        controls.walk_tier_cap,
+        rng,
+        ws,
+    )?;
+    let mut estimate = ws.assemble_estimate(mass);
+    ws.set_phase_times(front.push_ns, front.push_done.elapsed().as_nanos() as u64);
+    if let Some(coeff) = front.offset_coeff {
+        estimate.set_offset_coeff(coeff);
+    }
+    Ok(AnytimeOutput {
+        estimate,
+        stats: front.stats,
+        achieved: front.achieved,
+    })
+}
+
+/// TEA lines 8-12 / TEA+ lines 12-17 / Monte-Carlo's walks: plan the
+/// walks, climb the tier ladder over the plan until it completes, the
+/// tier cap, or the workspace's cancel token stops it, and record what
+/// ran in `front`. Returns the mass of one deposited walk (`alpha /
+/// walks_done`; 0 when none ran).
+fn walk_phase<R: Rng>(
+    graph: &Graph,
+    params: &HkprParams,
+    seed: NodeId,
+    front: &mut Front,
+    tier_cap: Option<u32>,
+    rng: &mut R,
+    ws: &mut QueryWorkspace,
+) -> Result<f64, HkprError> {
+    let alpha = front.stats.alpha;
+    let nr = match &front.starts {
+        Starts::Entries { omega } => (alpha * omega).ceil() as u64,
+        Starts::Lengths(lengths) => lengths.iter().sum(),
+    };
+    let cancel = ws.cancel_token().cloned();
+    let (cursor, tiers_completed, tiers_planned) = match &front.starts {
+        Starts::Entries { .. } => {
+            if !(alpha > 0.0 && !ws.entries.is_empty() && nr > 0) {
+                return Ok(0.0); // nothing to walk: the reserve is the answer
+            }
+            // A degenerate weight vector fails *before* the master-seed draw.
+            let table = AliasTable::try_new(&ws.weights)?;
+            let master_seed = rng.next_u64();
+            let (entries, scratch) = (&ws.entries, &mut ws.walk_scratch);
+            if plan_batched_walks(entries, &table, nr, master_seed, cancel.as_ref(), scratch) {
+                climb_walk_ladder(ws, nr, tier_cap, |ws, bound, cursor| {
+                    run_planned_walks(
+                        graph,
+                        params.poisson(),
+                        &ws.entries,
+                        master_seed,
+                        cancel.as_ref(),
+                        bound,
+                        cursor,
+                        &mut ws.reserve,
+                        &mut ws.walk_scratch,
+                    )
+                })
+            } else {
+                // Cancelled while sampling walk starts: the plan's chunk
+                // decomposition was never built, so only the nominal
+                // ladder depth is known.
+                (WalkCursor::default(), 0, tier_targets(nr).len() as u32)
+            }
+        }
+        Starts::Lengths(lengths) => {
+            let master_seed = rng.next_u64();
+            plan_batched_fixed_walks(lengths, &mut ws.walk_scratch);
+            climb_walk_ladder(ws, nr, tier_cap, |ws, bound, cursor| {
+                run_planned_fixed_walks(
+                    graph,
+                    seed,
+                    master_seed,
+                    cancel.as_ref(),
+                    bound,
+                    cursor,
+                    &mut ws.reserve,
+                    &mut ws.walk_scratch,
+                )
+            })
+        }
+    };
+    let (walks_done, achieved) = (cursor.walks_done, &mut front.achieved);
+    *achieved = AccuracyTier {
+        tiers_completed,
+        tiers_planned,
+        walks_done,
+        walks_planned: nr,
+        eps_r_achieved: achieved_eps_r(params.eps_r(), nr, walks_done),
+        ..*achieved
+    };
+    if walks_done == 0 {
+        if let Starts::Lengths(_) = front.starts {
+            // Monte-Carlo reserves nothing: with no walk deposited there
+            // is nothing to normalize.
+            return Err(HkprError::Cancelled);
+        }
+        if achieved.push_tiers_completed < achieved.push_tiers_planned {
+            // Reserve-only answer off a cut-short push: the tightest
+            // certified divisor is the surviving guarantee, which beats
+            // the infinite bound the walk shortfall alone would advertise.
+            let divisor = PUSH_TIER_DIVISORS[(achieved.push_tiers_completed - 1) as usize];
+            achieved.eps_r_achieved = divisor as f64 * params.eps_r();
+        }
+        return Ok(0.0);
+    }
+    front.stats.random_walks = walks_done;
+    front.stats.walk_steps = match &front.starts {
+        // A complete Monte-Carlo run reports the analytic step total: it
+        // knows every sampled length, including those of walks that could
+        // not move.
+        Starts::Lengths(lengths) if walks_done == nr => lengths
+            .iter()
+            .enumerate()
+            .map(|(len, &c)| len as u64 * c)
+            .sum(),
+        _ => cursor.steps,
+    };
+    // Renormalize over the executed walks: exact for a complete run.
+    Ok(alpha / walks_done as f64)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use hk_graph::gen::holme_kim;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    /// The published TEA+ (`TeaPlusOptions::default()`).
+    pub(crate) const TEA_PLUS: Estimator = Estimator::TeaPlus(TeaPlusOptions {
+        residue_reduction: true,
+        early_exit: true,
+        offset: true,
+    });
+
+    /// One query on `ws`, refined to completion.
+    pub(crate) fn complete<R: Rng>(
+        graph: &Graph,
+        params: &HkprParams,
+        seed: NodeId,
+        estimator: Estimator,
+        rng: &mut R,
+        ws: &mut QueryWorkspace,
+    ) -> Result<TeaOutput, HkprError> {
+        let controls = AnytimeControls::default();
+        estimate_in(graph, params, seed, estimator, controls, rng, ws)?.into_complete()
+    }
+
+    #[test]
+    fn monte_carlo_records_its_length_sampling_as_walk_time() {
+        let g = holme_kim(2_000, 3, 0.3, &mut SmallRng::seed_from_u64(3)).unwrap();
+        let params = HkprParams::builder(&g).delta(1e-4).build().unwrap();
+        let mut ws = QueryWorkspace::new();
+        let mc = Estimator::MonteCarlo {
+            max_walks: Some(50_000),
+        };
+        let out = complete(&g, &params, 5, mc, &mut SmallRng::seed_from_u64(4), &mut ws).unwrap();
+        assert_eq!(out.stats.random_walks, 50_000);
+        let times = ws.last_phase_times();
+        assert_eq!(times.push_ns, 0, "Monte-Carlo pushes nothing");
+        assert!(times.walk_ns > 0);
+    }
+}

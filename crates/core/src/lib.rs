@@ -16,11 +16,14 @@
 //! (Definition 1): relative error `eps_r` wherever `rho_s[v]/d(v) > delta`,
 //! absolute error `eps_r * delta` elsewhere, with probability `1 - p_f`.
 //!
+//! One driver, [`estimate_in`], runs all three estimators: they differ
+//! only in the push stage before the shared walk phase (see [`driver`]).
+//!
 //! | Estimator | Technique | Guarantee / complexity (paper Table 1) |
 //! |---|---|---|
-//! | [`tea::tea`] | HK-Push + walks | `(d,eps_r,delta)`-approx, `O(t log(n/p_f)/(eps_r^2 delta))` |
-//! | [`tea_plus::tea_plus`] | HK-Push+ + residue reduction + walks | same bound, far faster in practice |
-//! | [`monte_carlo::monte_carlo`] | pure walks (§3) | same guarantee, `nr = 2(1+eps_r/3)ln(n/p_f)/(eps_r^2 delta)` walks |
+//! | [`Estimator::Tea`] | HK-Push + walks | `(d,eps_r,delta)`-approx, `O(t log(n/p_f)/(eps_r^2 delta))` |
+//! | [`Estimator::TeaPlus`] | HK-Push+ + residue reduction + walks | same bound, far faster in practice |
+//! | [`Estimator::MonteCarlo`] | pure walks (§3) | same guarantee, `nr = 2(1+eps_r/3)ln(n/p_f)/(eps_r^2 delta)` walks |
 //! | [`power::exact_hkpr`] | dense power series | exact (ground truth) |
 //!
 //! The §7 baselines the paper compares against (ClusterHKPR, HK-Relax,
@@ -36,13 +39,17 @@
 //!
 //! ```
 //! use hk_graph::builder::graph_from_edges;
-//! use hkpr_core::{HkprParams, tea_plus};
+//! use hkpr_core::{estimate_in, AnytimeControls, Estimator, HkprParams, QueryWorkspace};
 //! use rand::{rngs::SmallRng, SeedableRng};
 //!
 //! let g = graph_from_edges([(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)]);
 //! let params = HkprParams::builder(&g).t(5.0).eps_r(0.5).delta(0.01).build().unwrap();
 //! let mut rng = SmallRng::seed_from_u64(42);
-//! let out = tea_plus::tea_plus(&g, &params, 0, &mut rng).unwrap();
+//! let mut ws = QueryWorkspace::new();
+//! let tea_plus = Estimator::TeaPlus(Default::default());
+//! let controls = AnytimeControls::default();
+//! let out = estimate_in(&g, &params, 0, tea_plus, controls, &mut rng, &mut ws).unwrap();
+//! assert!(!out.achieved.is_degraded());
 //! // Probability mass near the seed dominates.
 //! assert!(out.estimate.rho(&g, 0) > out.estimate.rho(&g, 4));
 //! ```
@@ -50,10 +57,11 @@
 pub mod alias;
 pub mod anytime;
 pub mod cancel;
+pub mod driver;
 pub mod error;
 pub mod estimate;
 pub mod fxhash;
-pub mod monte_carlo;
+mod monte_carlo;
 mod node_index;
 pub mod params;
 pub mod poisson;
@@ -62,20 +70,19 @@ pub mod push;
 pub mod push_plus;
 pub mod reference;
 pub mod sparse;
-pub mod tea;
-pub mod tea_plus;
+mod tea;
+mod tea_plus;
 pub mod walk;
 pub mod workspace;
 
 pub use alias::AliasTable;
 pub use anytime::{achieved_eps_r, AccuracyTier, AnytimeControls, AnytimeOutput};
 pub use cancel::CancelToken;
+pub use driver::{estimate_in, Estimator, TeaOutput};
 pub use error::HkprError;
 pub use estimate::{HkprEstimate, QueryStats};
-pub use monte_carlo::{monte_carlo_anytime_in, monte_carlo_in};
 pub use params::{HkprParams, HkprParamsBuilder};
 pub use poisson::{LengthTables, PoissonTable};
 pub use power::{exact_estimate, exact_hkpr, exact_normalized_hkpr};
-pub use tea::{tea_in, TeaOutput};
-pub use tea_plus::{tea_plus, tea_plus_anytime_in, tea_plus_in, TeaPlusOptions};
+pub use tea_plus::TeaPlusOptions;
 pub use workspace::{PhaseTimes, QueryWorkspace, Reserve};

@@ -6,86 +6,41 @@
 //! `(d, eps_r, delta)`-approximation with probability `1 - p_f`. The paper
 //! uses this both as a correctness yardstick and as the slowest baseline
 //! (Figures 4–9): the walk count explodes as `delta` shrinks.
+//!
+//! It is TEA's estimator with no push — the residue vector is
+//! `r^(0)[s] = 1` — so this module holds only the stage that samples the
+//! walk lengths; [`crate::driver::estimate_in`] runs it with
+//! [`Estimator::MonteCarlo`](crate::Estimator::MonteCarlo), then the
+//! walks. All `nr` lengths are grouped into a histogram and executed by
+//! the batched engine with endpoint counts accumulated densely.
 
-use hk_graph::{Graph, NodeId};
+use std::time::Instant;
+
+use hk_graph::Graph;
 use rand::Rng;
 
-use crate::anytime::{achieved_eps_r, climb_walk_ladder, AccuracyTier, AnytimeOutput};
+use crate::anytime::AccuracyTier;
+use crate::driver::{Front, Starts};
 use crate::error::HkprError;
 use crate::estimate::QueryStats;
 use crate::params::HkprParams;
-use crate::tea::TeaOutput;
-use crate::walk::{plan_batched_fixed_walks, run_planned_fixed_walks};
 use crate::workspace::QueryWorkspace;
 
-/// Run the Monte-Carlo estimator.
-///
-/// `max_walks` optionally caps the walk count — the published count is
-/// astronomically large for small `delta` (multi-minute queries in the
-/// paper); harness code caps it and records that the cap was hit. `None`
-/// runs the full published count.
-///
-/// Runs on this thread's cached [`QueryWorkspace`]; serving loops that
-/// want an explicitly owned workspace call [`monte_carlo_in`].
-pub fn monte_carlo<R: Rng>(
+/// Monte-Carlo's stage, which pushes nothing: `nr` (the published count,
+/// capped by `max_walks`) walk lengths sampled up front into a Poisson
+/// histogram, every walk from the seed, which carries the whole residue
+/// mass `alpha = 1`.
+/// Sampling is walk-phase work, so the stage records `push_ns == 0`. The
+/// published count can reach tens of millions, so the loop polls the
+/// workspace's cancel token every 64Ki draws; a cancel here is
+/// [`HkprError::Cancelled`], with nothing deposited.
+pub(crate) fn length_stage<R: Rng>(
     graph: &Graph,
     params: &HkprParams,
-    seed: NodeId,
-    max_walks: Option<u64>,
-    rng: &mut R,
-) -> Result<TeaOutput, HkprError> {
-    crate::workspace::with_thread_workspace(|ws| {
-        monte_carlo_in(graph, params, seed, max_walks, rng, ws)
-    })
-}
-
-/// Monte-Carlo estimation on a reusable workspace —
-/// [`monte_carlo_anytime_in`] refined to completion with the
-/// [`AccuracyTier`] dropped: all or nothing, a cancellation that cut the
-/// walk ladder short is [`HkprError::Cancelled`].
-pub fn monte_carlo_in<R: Rng>(
-    graph: &Graph,
-    params: &HkprParams,
-    seed: NodeId,
     max_walks: Option<u64>,
     rng: &mut R,
     ws: &mut QueryWorkspace,
-) -> Result<TeaOutput, HkprError> {
-    monte_carlo_anytime_in(graph, params, seed, max_walks, None, rng, ws)?.into_complete()
-}
-
-/// Monte-Carlo estimation as a ladder of accuracy tiers on the resumable
-/// walk engine (see [`crate::anytime`]) — the one Monte-Carlo driver. All
-/// `nr` walk lengths are sampled up front, grouped by length, and
-/// executed by the batched engine with endpoint counts accumulated
-/// densely (the per-walk hash-map deposit of the reference becomes one
-/// `count * mass` conversion at the end).
-///
-/// Semantics:
-///
-/// * run to completion, `achieved.is_degraded()` is false and the answer
-///   is the published estimator's;
-/// * a cancellation fired mid-walk stops refinement at the next chunk
-///   boundary instead of erroring — the walks already deposited are
-///   renormalized (`mass = 1/walks_done`, still unbiased) and
-///   `achieved.is_degraded()` reports the shortfall;
-/// * cancellation before any walk deposited (during length sampling or
-///   at the very first chunk) yields [`HkprError::Cancelled`] — with zero
-///   walks there is nothing to normalize;
-/// * `tier_cap` (`Some(k)`, clamped to at least 1) stops after `k`
-///   ladder tiers regardless of cancellation — a deterministic degraded
-///   run for tests and benches. `None` runs the full ladder.
-#[allow(clippy::too_many_arguments)]
-pub fn monte_carlo_anytime_in<R: Rng>(
-    graph: &Graph,
-    params: &HkprParams,
-    seed: NodeId,
-    max_walks: Option<u64>,
-    tier_cap: Option<u32>,
-    rng: &mut R,
-    ws: &mut QueryWorkspace,
-) -> Result<AnytimeOutput, HkprError> {
-    params.validate_seed(seed)?;
+) -> Result<Front, HkprError> {
     let published = params.monte_carlo_walks();
     let nr = match max_walks {
         Some(0) => return Err(HkprError::InvalidParameter("max_walks must be >= 1".into())),
@@ -93,95 +48,50 @@ pub fn monte_carlo_anytime_in<R: Rng>(
         None => published,
     };
 
-    let clock = std::time::Instant::now();
+    let push_done = Instant::now();
     ws.begin(graph.num_nodes());
-    let mut stats = QueryStats {
-        alpha: 1.0,
-        ..QueryStats::default()
-    };
     let poisson = params.poisson();
-
-    // Sample every walk length up front into a Poisson histogram. The
-    // published count can reach tens of millions, so the loop polls the
-    // workspace's cancellation token every 64Ki draws; a cancel here
-    // aborts with nothing deposited.
-    let mut length_counts = vec![0u64; poisson.k_max() + 1];
+    let mut lengths = vec![0u64; poisson.k_max() + 1];
     for i in 0..nr {
         if i & 0xFFFF == 0 {
             ws.check_cancelled()?;
         }
-        length_counts[poisson.sample_length(rng)] += 1;
+        lengths[poisson.sample_length(rng)] += 1;
     }
-    let push_ns = clock.elapsed().as_nanos() as u64;
-
-    let master_seed = rng.next_u64();
-    let cancel = ws.cancel_token().cloned();
-    plan_batched_fixed_walks(&length_counts, &mut ws.walk_scratch);
-    let (cursor, tiers_completed, tiers_planned) =
-        climb_walk_ladder(ws, nr, tier_cap, |ws, bound, cursor| {
-            run_planned_fixed_walks(
-                graph,
-                seed,
-                master_seed,
-                cancel.as_ref(),
-                bound,
-                cursor,
-                &mut ws.reserve,
-                &mut ws.walk_scratch,
-            )
-        });
-
-    let walks_done = cursor.walks_done;
-    if walks_done == 0 {
-        // Nothing deposited: cancelled before the first chunk ran (the
-        // plan is never empty, nr >= 1).
-        return Err(HkprError::Cancelled);
-    }
-    // Renormalize over executed walks. Exact for a complete run; a cut
-    // ladder ran the first chunks, which hold the shortest walks (the plan
-    // orders its work items by length), so a partial estimate is biased
-    // toward the seed and its `eps_r_achieved` is nominal.
-    let mass = 1.0 / walks_done as f64;
-    stats.random_walks = walks_done;
-    stats.walk_steps = if walks_done == nr {
-        // A complete run reports the analytic step total (it knows every
-        // sampled length, including those of walks that could not move).
-        length_counts
-            .iter()
-            .enumerate()
-            .map(|(len, &c)| len as u64 * c)
-            .sum()
-    } else {
-        cursor.steps
-    };
-
-    let estimate = ws.assemble_estimate(mass);
-    ws.set_phase_times(push_ns, clock.elapsed().as_nanos() as u64 - push_ns);
-    let achieved = AccuracyTier {
-        tiers_completed,
-        tiers_planned,
-        walks_done,
-        walks_planned: nr,
-        // Monte-Carlo has no push phase: 0 planned, trivially complete.
-        push_tiers_completed: 0,
-        push_tiers_planned: 0,
-        eps_r_requested: params.eps_r(),
-        eps_r_achieved: achieved_eps_r(params.eps_r(), nr, walks_done),
-    };
-    Ok(AnytimeOutput {
-        estimate,
-        stats,
-        achieved,
+    Ok(Front {
+        stats: QueryStats {
+            alpha: 1.0,
+            ..QueryStats::default()
+        },
+        achieved: AccuracyTier::complete_without_walks(params.eps_r()),
+        push_ns: 0,
+        push_done,
+        offset_coeff: None,
+        starts: Starts::Lengths(lengths),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::tests::complete;
     use crate::power::exact_hkpr;
+    use crate::{Estimator, TeaOutput};
     use hk_graph::builder::graph_from_edges;
+    use hk_graph::NodeId;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    fn monte_carlo(
+        g: &Graph,
+        params: &HkprParams,
+        seed: NodeId,
+        max_walks: Option<u64>,
+        rng: &mut SmallRng,
+    ) -> Result<TeaOutput, HkprError> {
+        let estimator = Estimator::MonteCarlo { max_walks };
+        complete(g, params, seed, estimator, rng, &mut QueryWorkspace::new())
+    }
 
     fn diamond() -> Graph {
         graph_from_edges([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])

@@ -128,7 +128,7 @@ pub struct PushWsStats {
 ///
 /// Polls the workspace's [`CancelToken`](crate::CancelToken) at hop
 /// boundaries and every `CHECK_INTERVAL` processed nodes, and stops early
-/// when it fires; the driver (`tea_in`) then reports
+/// when it fires; the query driver ([`crate::estimate_in`]) then reports
 /// [`crate::HkprError::Cancelled`] and the partial state is discarded
 /// (the next `ws.begin` clears everything).
 pub fn hk_push_ws(

@@ -1,8 +1,7 @@
 //! Straight-line reference implementations of TEA, TEA+ and Monte-Carlo —
 //! the original hash-map-backed transcriptions of Algorithms 3 / 5 / §3.
 //!
-//! The optimized entry points ([`crate::tea::tea`],
-//! [`crate::tea_plus::tea_plus`], [`crate::monte_carlo::monte_carlo`]) run
+//! The optimized driver ([`crate::estimate_in`]) runs
 //! on the dense indexed [`crate::workspace::QueryWorkspace`] with
 //! the batched walk engine. These reference versions keep the seed
 //! implementation alive verbatim — one alias sample, one sequential
@@ -15,13 +14,13 @@ use hk_graph::{Graph, NodeId};
 use rand::Rng;
 
 use crate::alias::AliasTable;
+use crate::driver::TeaOutput;
 use crate::error::HkprError;
 use crate::estimate::{HkprEstimate, QueryStats};
 use crate::fxhash::FxHashMap;
 use crate::params::HkprParams;
 use crate::push::hk_push;
 use crate::push_plus::{hk_push_plus, PushPlusConfig, PushPlusOutput};
-use crate::tea::TeaOutput;
 use crate::tea_plus::TeaPlusOptions;
 use crate::walk::{fixed_length_walk, k_random_walk};
 

@@ -10,58 +10,34 @@
 //! table. Theorem 1: the result is `(d, eps_r, delta)`-approximate with
 //! probability at least `1 - p_f`; total expected time
 //! `O(t log(n/p_f) / (eps_r^2 delta))`.
+//!
+//! This module holds TEA's push stage; [`crate::driver::estimate_in`]
+//! runs it with [`Estimator::Tea`](crate::Estimator::Tea), then the walks.
+
+use std::time::Instant;
 
 use hk_graph::{Graph, NodeId};
-use rand::Rng;
 
-use crate::alias::AliasTable;
+use crate::anytime::AccuracyTier;
+use crate::driver::{Front, Starts};
 use crate::error::HkprError;
-use crate::estimate::{HkprEstimate, QueryStats};
+use crate::estimate::QueryStats;
 use crate::params::HkprParams;
 use crate::push::hk_push_ws;
-use crate::walk::run_batched_walks;
 use crate::workspace::QueryWorkspace;
 
-/// Result of a TEA (or TEA+) query.
-#[derive(Clone, Debug)]
-pub struct TeaOutput {
-    /// The `(d, eps_r, delta)`-approximate HKPR vector.
-    pub estimate: HkprEstimate,
-    /// Cost counters.
-    pub stats: QueryStats,
-}
-
-/// Run TEA from `seed`.
-///
-/// `rmax` overrides the residue threshold; `None` uses the balanced
-/// default `1/(omega t)` from §4.2. The walk phase consumes `rng`, so a
-/// fixed seed makes queries reproducible.
-///
-/// Runs on this thread's cached [`QueryWorkspace`]; serving loops that
-/// want an explicitly owned workspace call [`tea_in`].
-pub fn tea<R: Rng>(
+/// TEA's push stage: the dense HK-Push ([`hk_push_ws`]) at `rmax`
+/// (`None` = [`HkprParams::rmax_default`]), leaving every residue entry
+/// to line 10's sampler, `alpha * omega` walks over the total residue
+/// mass `alpha`. The push has no tier ladder, so a push the cancel token
+/// stopped is [`HkprError::Cancelled`].
+pub(crate) fn push_stage(
     graph: &Graph,
     params: &HkprParams,
     seed: NodeId,
     rmax: Option<f64>,
-    rng: &mut R,
-) -> Result<TeaOutput, HkprError> {
-    crate::workspace::with_thread_workspace(|ws| tea_in(graph, params, seed, rmax, rng, ws))
-}
-
-/// Run TEA from `seed` on a reusable workspace: the dense HK-Push
-/// ([`hk_push_ws`]) followed by the batched walk engine
-/// (`walk::run_batched_walks`). `rng` seeds the engine's deterministic
-/// per-chunk streams, so results are reproducible for a fixed RNG seed.
-pub fn tea_in<R: Rng>(
-    graph: &Graph,
-    params: &HkprParams,
-    seed: NodeId,
-    rmax: Option<f64>,
-    rng: &mut R,
     ws: &mut QueryWorkspace,
-) -> Result<TeaOutput, HkprError> {
-    params.validate_seed(seed)?;
+) -> Result<Front, HkprError> {
     let rmax = match rmax {
         Some(r) if r.is_nan() || r <= 0.0 => {
             return Err(HkprError::InvalidParameter(format!(
@@ -72,63 +48,52 @@ pub fn tea_in<R: Rng>(
         None => params.rmax_default(),
     };
 
-    let clock = std::time::Instant::now();
+    let clock = Instant::now();
     let push = hk_push_ws(graph, params.poisson(), seed, rmax, ws);
     ws.check_cancelled()?;
-    let push_ns = clock.elapsed().as_nanos() as u64;
-    let mut stats = QueryStats {
-        push_operations: push.push_operations,
-        ..QueryStats::default()
-    };
-
-    // alpha = total residue mass (Algorithm 3 line 7).
-    let alpha = ws.residues.total_sum();
-    stats.alpha = alpha;
-    let mut mass = 0.0;
-    if alpha > 0.0 {
-        let omega = params.omega_tea();
-        let nr = (alpha * omega).ceil() as u64;
-        // Alias table over non-zero residue entries (line 10's sampler).
-        ws.entries.clear();
-        ws.weights.clear();
-        for (k, v, r) in ws.residues.entries() {
-            ws.entries.push((k as u32, v));
-            ws.weights.push(r);
-        }
-        if nr > 0 && !ws.entries.is_empty() {
-            let table = AliasTable::try_new(&ws.weights)?;
-            mass = alpha / nr as f64;
-            let cancel = ws.cancel_token().cloned();
-            let steps = run_batched_walks(
-                graph,
-                params.poisson(),
-                &ws.entries,
-                &table,
-                nr,
-                rng.next_u64(),
-                cancel.as_ref(),
-                &mut ws.reserve,
-                &mut ws.walk_scratch,
-            );
-            ws.check_cancelled()?;
-            stats.random_walks = nr;
-            stats.walk_steps = steps;
-        }
+    let push_done = Instant::now();
+    for (k, v, r) in ws.residues.entries() {
+        ws.entries.push((k as u32, v));
+        ws.weights.push(r);
     }
-
-    let estimate = ws.assemble_estimate(mass);
-    ws.set_phase_times(push_ns, clock.elapsed().as_nanos() as u64 - push_ns);
-    Ok(TeaOutput { estimate, stats })
+    Ok(Front {
+        stats: QueryStats {
+            push_operations: push.push_operations,
+            // alpha = total residue mass (Algorithm 3 line 7).
+            alpha: ws.residues.total_sum(),
+            ..QueryStats::default()
+        },
+        achieved: AccuracyTier::complete_without_walks(params.eps_r()),
+        push_ns: (push_done - clock).as_nanos() as u64,
+        push_done,
+        offset_coeff: None,
+        starts: Starts::Entries {
+            omega: params.omega_tea(),
+        },
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::tests::complete;
     use crate::power::exact_hkpr;
+    use crate::Estimator;
     use hk_graph::builder::graph_from_edges;
     use hk_graph::gen::erdos_renyi_gnm;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    fn tea(
+        g: &Graph,
+        params: &HkprParams,
+        seed: NodeId,
+        rmax: Option<f64>,
+        rng: &mut SmallRng,
+    ) -> Result<crate::TeaOutput, HkprError> {
+        let estimator = Estimator::Tea { rmax };
+        complete(g, params, seed, estimator, rng, &mut QueryWorkspace::new())
+    }
 
     fn ring_with_chords() -> Graph {
         graph_from_edges([

@@ -36,7 +36,7 @@
 //! A walk ends by adding one to its endpoint's count in the query's
 //! [`Reserve`], the record that also holds that node's push reserve, so
 //! assembly reads `q[v] + count[v] * alpha / n_r` off one record per node.
-//! The engine never sizes that sink: the estimators begin it with their
+//! The engine never sizes that sink: the push stages begin it with their
 //! workspace, and [`run_batched_walks`] checks that its caller did.
 
 use hk_graph::{Graph, NodeId};
@@ -199,9 +199,12 @@ use crate::node_index::Reserve;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Batched `k-RandomWalk` execution (the walk phase of TEA / TEA+): plan,
-/// then run every chunk through the lane kernel. The output is
-/// bit-identical to any tiered execution of the same plan.
+/// Batched `k-RandomWalk` execution in one call: plan, then run every
+/// chunk through the lane kernel. The query driver
+/// ([`crate::estimate_in`]) does not call it — it plans the same way and
+/// climbs the tier ladder over the plan — but a complete ladder deposits
+/// bit for bit what this does, so the walk-kernel snapshot and the tests
+/// drive the engine through it.
 ///
 /// The sequential reference interleaves one alias sample, one walk and one
 /// hash-map deposit per iteration. This engine restructures the phase:

@@ -302,17 +302,18 @@ impl DenseResidues {
 }
 
 /// Wall-clock split of the last estimator run on a workspace, in
-/// nanoseconds. Recorded by `tea_in`, `tea_plus_in` and `monte_carlo_in`
-/// for serving-layer telemetry; deliberately *not* part of
+/// nanoseconds. Recorded by [`crate::estimate_in`] for serving-layer
+/// telemetry; deliberately *not* part of
 /// [`crate::QueryStats`], whose fields are deterministic counters that
 /// serving tests compare bit for bit across runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Time spent in the push phase (HK-Push / HK-Push+ / walk-length
-    /// pre-sampling for Monte-Carlo).
+    /// Time spent in the push (HK-Push / HK-Push+; 0 for Monte-Carlo,
+    /// which pushes nothing).
     pub push_ns: u64,
-    /// Time spent after the push phase: residue reduction (TEA+), the
-    /// batched walk engine, and estimate assembly.
+    /// Time spent after the push: residue reduction (TEA+), walk
+    /// planning (Monte-Carlo's length sampling included), the batched
+    /// walk engine, and estimate assembly.
     pub walk_ns: u64,
 }
 
@@ -322,7 +323,7 @@ pub struct PhaseTimes {
 ///
 /// ```
 /// use hk_graph::gen::holme_kim;
-/// use hkpr_core::{tea_plus_in, HkprParams, QueryWorkspace};
+/// use hkpr_core::{estimate_in, AnytimeControls, Estimator, HkprParams, QueryWorkspace};
 /// use rand::{rngs::SmallRng, SeedableRng};
 ///
 /// let mut rng = SmallRng::seed_from_u64(5);
@@ -332,7 +333,9 @@ pub struct PhaseTimes {
 /// // One workspace serves any number of queries, allocation-free after
 /// // the first.
 /// for seed in [0u32, 17, 401] {
-///     let out = tea_plus_in(&g, &params, seed, &mut rng, &mut ws).unwrap();
+///     let tea_plus = Estimator::TeaPlus(Default::default());
+///     let controls = AnytimeControls::default();
+///     let out = estimate_in(&g, &params, seed, tea_plus, controls, &mut rng, &mut ws).unwrap();
 ///     assert!(out.estimate.raw_sum() <= 1.0 + 1e-9);
 /// }
 /// ```
@@ -647,32 +650,13 @@ fn scatter(
     }
 }
 
-thread_local! {
-    /// Per-thread cached workspace backing the one-shot public APIs
-    /// (`tea`, `tea_plus`, `monte_carlo` without an explicit workspace).
-    /// First call on a thread pays the allocation; every later one-shot
-    /// call reuses it, so casual callers get the serving-path speed.
-    static THREAD_WORKSPACE: std::cell::RefCell<QueryWorkspace> =
-        std::cell::RefCell::new(QueryWorkspace::new());
-}
-
-/// Run `f` with this thread's cached [`QueryWorkspace`].
-///
-/// Falls back to a fresh workspace if the cached one is already borrowed
-/// (an estimator invoked from inside an estimator callback), so nesting
-/// degrades to an allocation instead of a panic.
-pub fn with_thread_workspace<T>(f: impl FnOnce(&mut QueryWorkspace) -> T) -> T {
-    THREAD_WORKSPACE.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut ws) => f(&mut ws),
-        Err(_) => f(&mut QueryWorkspace::new()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::driver::tests::{complete, TEA_PLUS};
     use crate::node_index::tests::INDEX_SLOT;
+    use crate::Estimator;
 
     /// Drain hop `k` by hand the way the push kernels do: zero `pushed`,
     /// add `spread` into hop `k + 1`, then freeze hop `k` and sift hop
@@ -943,15 +927,13 @@ mod tests {
             .p_f(1e-3)
             .build()
             .unwrap();
-        let opts = crate::tea_plus::TeaPlusOptions {
+        let opts = crate::TeaPlusOptions {
             early_exit: false,
             ..Default::default()
         };
         let mut ws = QueryWorkspace::new();
         let fresh = ws.memory_bytes();
-        let out =
-            crate::tea_plus::tea_plus_with_options_in(&g, &params, 0, opts, &mut rng, &mut ws)
-                .unwrap();
+        let out = complete(&g, &params, 0, Estimator::TeaPlus(opts), &mut rng, &mut ws).unwrap();
         assert!(
             out.stats.random_walks > 0,
             "fixture must exercise the walk phase"
@@ -989,12 +971,13 @@ mod tests {
         };
         let tea_plus = |p: &crate::HkprParams, seed: NodeId, ws: &mut QueryWorkspace| {
             let mut rng = SmallRng::seed_from_u64(71 + seed as u64);
-            bits(crate::tea_plus::tea_plus_in(&g, p, seed, &mut rng, ws).unwrap())
+            bits(complete(&g, p, seed, TEA_PLUS, &mut rng, ws).unwrap())
         };
         let monte_carlo = |seed: NodeId, ws: &mut QueryWorkspace| {
             let mut rng = SmallRng::seed_from_u64(72);
             let walks = Some(5_000);
-            bits(crate::monte_carlo_in(&g, &exiting, seed, walks, &mut rng, ws).unwrap())
+            let mc = Estimator::MonteCarlo { max_walks: walks };
+            bits(complete(&g, &exiting, seed, mc, &mut rng, ws).unwrap())
         };
 
         // A walk, then an early exit, then Monte-Carlo on one workspace:
@@ -1035,7 +1018,7 @@ mod tests {
                 .unwrap();
             let mut ws = QueryWorkspace::new();
             let mut rng = SmallRng::seed_from_u64(61);
-            crate::tea_plus::tea_plus_in(&g, &params, 7, &mut rng, &mut ws).unwrap();
+            complete(&g, &params, 7, TEA_PLUS, &mut rng, &mut ws).unwrap();
             (params.hop_cap(), ws.memory_bytes())
         };
         let (k_low, low) = footprint(5.0, 1e-3, 2.5);
@@ -1135,9 +1118,12 @@ mod tests {
             let mut ws = QueryWorkspace::new();
             let mut rng = SmallRng::seed_from_u64(71);
             let out = if push {
-                crate::tea_plus::tea_plus_in(graph, &params, 3, &mut rng, &mut ws)
+                complete(graph, &params, 3, TEA_PLUS, &mut rng, &mut ws)
             } else {
-                crate::monte_carlo_in(graph, &params, 3, Some(5_000), &mut rng, &mut ws)
+                let mc = Estimator::MonteCarlo {
+                    max_walks: Some(5_000),
+                };
+                complete(graph, &params, 3, mc, &mut rng, &mut ws)
             };
             (out.unwrap().stats, ws.memory_bytes())
         };
@@ -1180,11 +1166,14 @@ mod tests {
         let (walking, exiting) = (params(20.0, 2e-4), params(5.0, 1e-3));
         let mut ws = QueryWorkspace::new();
         let mut rng = SmallRng::seed_from_u64(73);
-        let push_only = crate::tea_plus::tea_plus_in(&g, &exiting, 9, &mut rng, &mut ws).unwrap();
+        let push_only = complete(&g, &exiting, 9, TEA_PLUS, &mut rng, &mut ws).unwrap();
         assert!(push_only.stats.early_exit && push_only.stats.random_walks == 0);
-        let walked = crate::tea_plus::tea_plus_in(&g, &walking, 3, &mut rng, &mut ws).unwrap();
+        let walked = complete(&g, &walking, 3, TEA_PLUS, &mut rng, &mut ws).unwrap();
         assert!(walked.stats.random_walks > 0 && !walked.stats.early_exit);
-        let sampled = crate::monte_carlo_in(&g, &exiting, 5, Some(5_000), &mut rng, &mut ws);
+        let mc = Estimator::MonteCarlo {
+            max_walks: Some(5_000),
+        };
+        let sampled = complete(&g, &exiting, 5, mc, &mut rng, &mut ws);
         let sampled = sampled.unwrap();
         for out in [push_only, walked, sampled] {
             let e = &out.estimate;

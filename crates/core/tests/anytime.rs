@@ -1,8 +1,9 @@
 //! Anytime-execution conformance and refinement-monotonicity suite.
 //!
-//! The tiered ladder is the only TEA+ / Monte-Carlo driver (`tea_plus_in`
-//! and `monte_carlo_in` are its run-to-completion views), so what a
-//! completed ladder returns is pinned by the golden fixtures
+//! Every query climbs the tiered ladder (`estimate_in` is the one driver
+//! of TEA, TEA+ and Monte-Carlo, and `into_complete` its
+//! run-to-completion view), so what a completed ladder returns is pinned
+//! by the golden fixtures
 //! (`hk-serve/tests/golden.rs`) and the hash-map references
 //! (`tests/equivalence.rs`), not here. This suite pins what only the
 //! ladder can get wrong: a completed run must not depend on whether a
@@ -10,19 +11,46 @@
 //! degraded runs (stopped by a tier cap)
 //! must stay exactly normalized and report monotonically tightening
 //! accuracy as more tiers run; and only a completed run converts into the
-//! one-shot entry points' `Ok`.
+//! one-shot `Ok`.
 
 use hk_graph::builder::GraphBuilder;
 use hk_graph::gen::holme_kim;
 use hk_graph::Graph;
-use hkpr_core::tea_plus::{tea_plus_anytime_in, tea_plus_with_options_in, TeaPlusOptions};
 use hkpr_core::{
-    monte_carlo_anytime_in, monte_carlo_in, AnytimeControls, AnytimeOutput, CancelToken, HkprError,
-    HkprParams, QueryWorkspace, TeaOutput,
+    estimate_in, AnytimeControls, AnytimeOutput, CancelToken, Estimator, HkprError, HkprParams,
+    QueryWorkspace, TeaPlusOptions,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// TEA+ with every §5 shortcut off — TEA over HK-Push+ — so it walks.
+const TEA_OVER_PUSH_PLUS: TeaPlusOptions = TeaPlusOptions {
+    residue_reduction: false,
+    early_exit: false,
+    offset: false,
+};
+
+/// One query from node 0 with a fresh `SmallRng` from `rng_seed`.
+fn query(
+    g: &Graph,
+    params: &HkprParams,
+    estimator: Estimator,
+    controls: AnytimeControls<'_>,
+    rng_seed: u64,
+    ws: &mut QueryWorkspace,
+) -> Result<AnytimeOutput, HkprError> {
+    let mut rng = SmallRng::seed_from_u64(rng_seed);
+    estimate_in(g, params, 0, estimator, controls, &mut rng, ws)
+}
+
+/// Controls that stop the walk ladder after `cap` tiers.
+fn walk_cap(cap: Option<u32>) -> AnytimeControls<'static> {
+    AnytimeControls {
+        walk_tier_cap: cap,
+        ..Default::default()
+    }
+}
 
 fn build_graph(edges: &[(u8, u8)]) -> Graph {
     let mut b = GraphBuilder::new();
@@ -75,9 +103,11 @@ fn monte_carlo_full_ladder_after_a_capped_run_matches_a_fresh_workspace() {
         .p_f(0.01)
         .build()
         .unwrap();
+    let mc = Estimator::MonteCarlo {
+        max_walks: Some(100_000),
+    };
     let run = |tier_cap: Option<u32>, ws: &mut QueryWorkspace| {
-        let mut rng = SmallRng::seed_from_u64(22);
-        monte_carlo_anytime_in(&g, &params, 0, Some(100_000), tier_cap, &mut rng, ws).unwrap()
+        query(&g, &params, mc, walk_cap(tier_cap), 22, ws).unwrap()
     };
     let fresh = run(None, &mut QueryWorkspace::new());
     assert!(!fresh.achieved.is_degraded());
@@ -110,14 +140,9 @@ fn tea_plus_full_ladder_is_independent_of_observers_and_earlier_capped_runs() {
     // Residue reduction empties the walk phase on this fixture (Example
     // 1's effect); disabling it (and the early exit) leaves a ~160k-walk
     // phase so the tier ladder is actually exercised.
-    let opts = TeaPlusOptions {
-        residue_reduction: false,
-        early_exit: false,
-        offset: false,
-    };
+    let tea_plus = Estimator::TeaPlus(TEA_OVER_PUSH_PLUS);
     let run = |controls: AnytimeControls<'_>, ws: &mut QueryWorkspace| {
-        let mut rng = SmallRng::seed_from_u64(16);
-        tea_plus_anytime_in(&g, &params, 0, opts, controls, &mut rng, ws).unwrap()
+        query(&g, &params, tea_plus, controls, 16, ws).unwrap()
     };
     let fresh = run(AnytimeControls::default(), &mut QueryWorkspace::new());
     assert!(!fresh.achieved.is_degraded());
@@ -188,16 +213,8 @@ fn tea_plus_early_exit_reports_a_complete_ladder_without_walks() {
         .build()
         .unwrap();
     let mut ws = QueryWorkspace::new();
-    let anytime = tea_plus_anytime_in(
-        &g,
-        &params,
-        0,
-        TeaPlusOptions::default(),
-        AnytimeControls::default(),
-        &mut SmallRng::seed_from_u64(12),
-        &mut ws,
-    )
-    .unwrap();
+    let tea_plus = Estimator::TeaPlus(TeaPlusOptions::default());
+    let anytime = query(&g, &params, tea_plus, walk_cap(None), 12, &mut ws).unwrap();
     assert!(anytime.stats.early_exit);
     assert!(!anytime.achieved.is_degraded());
     assert_eq!(anytime.achieved.walks_planned, 0);
@@ -222,9 +239,11 @@ fn only_a_completed_ladder_converts_into_the_one_shot_answer() {
         .build()
         .unwrap();
     let mut ws = QueryWorkspace::new();
+    let mc = Estimator::MonteCarlo {
+        max_walks: Some(50_000),
+    };
     let run = |tier_cap: Option<u32>, ws: &mut QueryWorkspace| {
-        let mut rng = SmallRng::seed_from_u64(32);
-        monte_carlo_anytime_in(&g, &params, 0, Some(50_000), tier_cap, &mut rng, ws).unwrap()
+        query(&g, &params, mc, walk_cap(tier_cap), 32, ws).unwrap()
     };
     // Walks deposited, ladder cut short: the one-shot contract discards
     // the partial answer.
@@ -232,46 +251,13 @@ fn only_a_completed_ladder_converts_into_the_one_shot_answer() {
     assert!(partial.achieved.walks_done > 0);
     assert!(matches!(partial.into_complete(), Err(HkprError::Cancelled)));
     let full = run(None, &mut ws);
+    // ... which is what a query on a fresh workspace returns.
+    let fresh = run(None, &mut QueryWorkspace::new());
+    assert_bitwise_identical(&full, &fresh, "full after a cut vs fresh");
     let (stats, raw_sum) = (full.stats, full.estimate.raw_sum());
     let complete = full.into_complete().unwrap();
     assert_eq!(complete.stats, stats);
     assert_eq!(complete.estimate.raw_sum().to_bits(), raw_sum.to_bits());
-    // ... which is what `monte_carlo_in` returns.
-    let one_shot = monte_carlo_in(
-        &g,
-        &params,
-        0,
-        Some(50_000),
-        &mut SmallRng::seed_from_u64(32),
-        &mut ws,
-    )
-    .unwrap();
-    assert_tea_outputs_identical(&complete, &one_shot, "into_complete vs monte_carlo_in");
-}
-
-/// Bitwise equality of two cold outputs (workspace-reuse probes).
-fn assert_tea_outputs_identical(a: &TeaOutput, b: &TeaOutput, label: &str) {
-    assert_eq!(a.stats, b.stats, "{label}: stats diverge");
-    assert_eq!(a.estimate.nnz(), b.estimate.nnz(), "{label}: support sizes");
-    for (x, y) in a.estimate.support().zip(b.estimate.support()) {
-        assert_eq!(x.0, y.0, "{label}: support node diverges");
-        assert_eq!(
-            x.1.to_bits(),
-            y.1.to_bits(),
-            "{label}: value bits diverge at node {}",
-            x.0
-        );
-    }
-    assert_eq!(
-        a.estimate.raw_sum().to_bits(),
-        b.estimate.raw_sum().to_bits(),
-        "{label}: raw sums diverge"
-    );
-    assert_eq!(
-        a.estimate.offset_coeff().to_bits(),
-        b.estimate.offset_coeff().to_bits(),
-        "{label}: offset coefficients diverge"
-    );
 }
 
 #[test]
@@ -284,25 +270,13 @@ fn push_tier_cap_degrades_push_but_completes_walks() {
         .p_f(1e-3)
         .build()
         .unwrap();
-    let opts = TeaPlusOptions {
-        residue_reduction: false,
-        early_exit: false,
-        offset: false,
-    };
+    let tea_plus = Estimator::TeaPlus(TEA_OVER_PUSH_PLUS);
     let mut ws = QueryWorkspace::new();
-    let out = tea_plus_anytime_in(
-        &g,
-        &params,
-        0,
-        opts,
-        AnytimeControls {
-            push_tier_cap: Some(1),
-            ..Default::default()
-        },
-        &mut SmallRng::seed_from_u64(16),
-        &mut ws,
-    )
-    .unwrap();
+    let controls = AnytimeControls {
+        push_tier_cap: Some(1),
+        ..Default::default()
+    };
+    let out = query(&g, &params, tea_plus, controls, 16, &mut ws).unwrap();
     // The push paused at a certificate checkpoint: at least the first
     // coarsened tier, never the exact final one.
     assert!(out.achieved.is_degraded());
@@ -339,36 +313,18 @@ fn hook_cancel_mid_ladder_degrades_and_leaves_workspace_reusable() {
         .p_f(1e-3)
         .build()
         .unwrap();
-    let opts = TeaPlusOptions {
-        residue_reduction: false,
-        early_exit: false,
-        offset: false,
-    };
-    let fresh_cold = tea_plus_with_options_in(
-        &g,
-        &params,
-        0,
-        opts,
-        &mut SmallRng::seed_from_u64(16),
-        &mut QueryWorkspace::new(),
-    )
-    .unwrap();
+    let tea_plus = Estimator::TeaPlus(TEA_OVER_PUSH_PLUS);
+    let cold =
+        |ws: &mut QueryWorkspace| query(&g, &params, tea_plus, walk_cap(None), 16, ws).unwrap();
+    let fresh_cold = cold(&mut QueryWorkspace::new());
     for cancel_at in [1u32, 2, 3] {
         let mut ws = QueryWorkspace::new();
         let mut hook = |t: u32| t < cancel_at;
-        let out = tea_plus_anytime_in(
-            &g,
-            &params,
-            0,
-            opts,
-            AnytimeControls {
-                on_push_tier: Some(&mut hook),
-                ..Default::default()
-            },
-            &mut SmallRng::seed_from_u64(16),
-            &mut ws,
-        )
-        .unwrap();
+        let controls = AnytimeControls {
+            on_push_tier: Some(&mut hook),
+            ..Default::default()
+        };
+        let out = query(&g, &params, tea_plus, controls, 16, &mut ws).unwrap();
         // The hook fires *at* a certification, so at least cancel_at
         // coarsened tiers are certified in the stop state; the exact
         // final tier can never be claimed by a cancelled push.
@@ -385,16 +341,8 @@ fn hook_cancel_mid_ladder_degrades_and_leaves_workspace_reusable() {
 
         // The abandoned ladder must leave no residue behind: a cold
         // run reusing the same workspace is bitwise the fresh one.
-        let reused_cold = tea_plus_with_options_in(
-            &g,
-            &params,
-            0,
-            opts,
-            &mut SmallRng::seed_from_u64(16),
-            &mut ws,
-        )
-        .unwrap();
-        assert_tea_outputs_identical(&fresh_cold, &reused_cold, &format!("cancel_at={cancel_at}"));
+        let reused_cold = cold(&mut ws);
+        assert_bitwise_identical(&fresh_cold, &reused_cold, &format!("cancel_at={cancel_at}"));
     }
 }
 
@@ -409,16 +357,10 @@ fn capped_monte_carlo_run_is_degraded_but_exactly_normalized() {
         .build()
         .unwrap();
     let mut ws = QueryWorkspace::new();
-    let out = monte_carlo_anytime_in(
-        &g,
-        &params,
-        0,
-        Some(200_000),
-        Some(1),
-        &mut SmallRng::seed_from_u64(32),
-        &mut ws,
-    )
-    .unwrap();
+    let mc = Estimator::MonteCarlo {
+        max_walks: Some(200_000),
+    };
+    let out = query(&g, &params, mc, walk_cap(Some(1)), 32, &mut ws).unwrap();
     assert!(out.achieved.is_degraded());
     assert_eq!(out.achieved.tiers_completed, 1);
     assert!(out.achieved.walks_done < out.achieved.walks_planned);
@@ -443,25 +385,9 @@ fn capped_tea_plus_run_is_degraded_and_mass_bounded() {
         .p_f(1e-3)
         .build()
         .unwrap();
-    let opts = TeaPlusOptions {
-        residue_reduction: false,
-        early_exit: false,
-        offset: false,
-    };
+    let tea_plus = Estimator::TeaPlus(TEA_OVER_PUSH_PLUS);
     let mut ws = QueryWorkspace::new();
-    let out = tea_plus_anytime_in(
-        &g,
-        &params,
-        0,
-        opts,
-        AnytimeControls {
-            walk_tier_cap: Some(1),
-            ..Default::default()
-        },
-        &mut SmallRng::seed_from_u64(42),
-        &mut ws,
-    )
-    .unwrap();
+    let out = query(&g, &params, tea_plus, walk_cap(Some(1)), 42, &mut ws).unwrap();
     assert!(out.achieved.is_degraded());
     assert!(out.achieved.walks_done > 0);
     assert!(out.achieved.walks_done < out.achieved.walks_planned);
@@ -472,6 +398,18 @@ fn capped_tea_plus_run_is_degraded_and_mass_bounded() {
         "raw sum {}",
         out.estimate.raw_sum()
     );
+}
+
+/// TEA, TEA+ with its shortcuts off, and Monte-Carlo: the three push
+/// stages, each of which leaves a walk ladder on the proptest graphs.
+fn walking_estimators() -> [Estimator; 3] {
+    [
+        Estimator::Tea { rmax: None },
+        Estimator::TeaPlus(TEA_OVER_PUSH_PLUS),
+        Estimator::MonteCarlo {
+            max_walks: Some(50_000),
+        },
+    ]
 }
 
 proptest! {
@@ -493,31 +431,30 @@ proptest! {
             .build()
             .unwrap();
         let mut ws = QueryWorkspace::new();
-        let full = monte_carlo_anytime_in(
-            &g, &params, 0, Some(50_000), None,
-            &mut SmallRng::seed_from_u64(rng_seed), &mut ws,
-        ).unwrap();
-        let tiers = full.achieved.tiers_planned;
-        prop_assert!(tiers >= 1);
-        let mut prev_eps = f64::INFINITY;
-        let mut prev_walks = 0u64;
-        for cap in 1..=tiers {
-            let out = monte_carlo_anytime_in(
-                &g, &params, 0, Some(50_000), Some(cap),
-                &mut SmallRng::seed_from_u64(rng_seed), &mut ws,
-            ).unwrap();
-            prop_assert_eq!(out.achieved.tiers_completed, cap);
-            prop_assert!(out.achieved.walks_done >= prev_walks,
-                "tier {} shrank walks: {} < {}", cap, out.achieved.walks_done, prev_walks);
-            prop_assert!(out.achieved.eps_r_achieved <= prev_eps,
-                "tier {} loosened eps: {} > {}", cap, out.achieved.eps_r_achieved, prev_eps);
-            prev_eps = out.achieved.eps_r_achieved;
-            prev_walks = out.achieved.walks_done;
-            // Every capped run stays exactly normalized.
-            prop_assert!((out.estimate.raw_sum() - 1.0).abs() < 1e-9);
+        for estimator in walking_estimators() {
+            let full = query(&g, &params, estimator, walk_cap(None), rng_seed, &mut ws).unwrap();
+            let tiers = full.achieved.tiers_planned;
+            prop_assert!(tiers >= 1, "{:?}: no walk ladder", estimator);
+            let mut prev_eps = f64::INFINITY;
+            let mut prev_walks = 0u64;
+            for cap in 1..=tiers {
+                let out =
+                    query(&g, &params, estimator, walk_cap(Some(cap)), rng_seed, &mut ws).unwrap();
+                prop_assert_eq!(out.achieved.tiers_completed, cap);
+                prop_assert!(out.achieved.walks_done >= prev_walks,
+                    "tier {} shrank walks: {} < {}", cap, out.achieved.walks_done, prev_walks);
+                prop_assert!(out.achieved.eps_r_achieved <= prev_eps,
+                    "tier {} loosened eps: {} > {}", cap, out.achieved.eps_r_achieved, prev_eps);
+                prev_eps = out.achieved.eps_r_achieved;
+                prev_walks = out.achieved.walks_done;
+                // Every capped run stays exactly normalized: reserve plus
+                // `alpha` spread over the walks that ran.
+                prop_assert!((out.estimate.raw_sum() - 1.0).abs() < 1e-9,
+                    "{:?} tier {}: raw sum {}", estimator, cap, out.estimate.raw_sum());
+            }
+            prop_assert_eq!(prev_eps.to_bits(), params.eps_r().to_bits());
+            prop_assert_eq!(prev_walks, full.achieved.walks_planned);
         }
-        prop_assert_eq!(prev_eps.to_bits(), params.eps_r().to_bits());
-        prop_assert_eq!(prev_walks, full.achieved.walks_planned);
     }
 
     /// A ladder cut short at a random tier leaves nothing behind: the
@@ -538,26 +475,23 @@ proptest! {
             .p_f(0.01)
             .build()
             .unwrap();
-        let fresh = monte_carlo_anytime_in(
-            &g, &params, 0, Some(50_000), None,
-            &mut SmallRng::seed_from_u64(rng_seed), &mut QueryWorkspace::new(),
-        ).unwrap();
-        let mut ws = QueryWorkspace::new();
-        let capped = monte_carlo_anytime_in(
-            &g, &params, 0, Some(50_000), Some(cap),
-            &mut SmallRng::seed_from_u64(rng_seed), &mut ws,
-        ).unwrap();
-        prop_assert!(capped.achieved.walks_done <= fresh.achieved.walks_done);
-        let reused = monte_carlo_anytime_in(
-            &g, &params, 0, Some(50_000), None,
-            &mut SmallRng::seed_from_u64(rng_seed), &mut ws,
-        ).unwrap();
-        prop_assert_eq!(&fresh.stats, &reused.stats);
-        prop_assert_eq!(&fresh.achieved, &reused.achieved);
-        prop_assert_eq!(fresh.estimate.nnz(), reused.estimate.nnz());
-        for (a, b) in fresh.estimate.support().zip(reused.estimate.support()) {
-            prop_assert_eq!(a.0, b.0);
-            prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
+        for estimator in walking_estimators() {
+            let run = |controls, ws: &mut QueryWorkspace| {
+                query(&g, &params, estimator, controls, rng_seed, ws).unwrap()
+            };
+            let fresh = run(walk_cap(None), &mut QueryWorkspace::new());
+            prop_assert!(fresh.achieved.walks_done > 0, "{:?}: no walks", estimator);
+            let mut ws = QueryWorkspace::new();
+            let capped = run(walk_cap(Some(cap)), &mut ws);
+            prop_assert!(capped.achieved.walks_done <= fresh.achieved.walks_done);
+            let reused = run(walk_cap(None), &mut ws);
+            prop_assert_eq!(&fresh.stats, &reused.stats);
+            prop_assert_eq!(&fresh.achieved, &reused.achieved);
+            prop_assert_eq!(fresh.estimate.nnz(), reused.estimate.nnz());
+            for (a, b) in fresh.estimate.support().zip(reused.estimate.support()) {
+                prop_assert_eq!(a.0, b.0);
+                prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
+            }
         }
     }
 
@@ -579,15 +513,12 @@ proptest! {
             .p_f(0.01)
             .build()
             .unwrap();
-        let opts = TeaPlusOptions {
-            residue_reduction: false,
-            early_exit: false,
-            offset: false,
+        let tea_plus = Estimator::TeaPlus(TEA_OVER_PUSH_PLUS);
+        let cold = |ws: &mut QueryWorkspace| {
+            let out = query(&g, &params, tea_plus, walk_cap(None), rng_seed, ws);
+            out.unwrap().into_complete().unwrap()
         };
-        let fresh_cold = tea_plus_with_options_in(
-            &g, &params, 0, opts,
-            &mut SmallRng::seed_from_u64(rng_seed), &mut QueryWorkspace::new(),
-        ).unwrap();
+        let fresh_cold = cold(&mut QueryWorkspace::new());
 
         let mut ws = QueryWorkspace::new();
         if pre_fired_token {
@@ -596,11 +527,8 @@ proptest! {
             ws.set_cancel_token(Some(token));
         }
         let mut hook = |t: u32| t < cancel_at;
-        let interrupted = tea_plus_anytime_in(
-            &g, &params, 0, opts,
-            AnytimeControls { on_push_tier: Some(&mut hook), ..Default::default() },
-            &mut SmallRng::seed_from_u64(rng_seed), &mut ws,
-        );
+        let controls = AnytimeControls { on_push_tier: Some(&mut hook), ..Default::default() };
+        let interrupted = query(&g, &params, tea_plus, controls, rng_seed, &mut ws);
         match interrupted {
             // A stop that certified at least one coarsened tier degrades
             // honestly; completing outright (too few tiers to reach
@@ -619,10 +547,7 @@ proptest! {
 
         // Whatever happened above, the workspace must be fully reusable.
         ws.set_cancel_token(None);
-        let reused_cold = tea_plus_with_options_in(
-            &g, &params, 0, opts,
-            &mut SmallRng::seed_from_u64(rng_seed), &mut ws,
-        ).unwrap();
+        let reused_cold = cold(&mut ws);
         prop_assert_eq!(&fresh_cold.stats, &reused_cold.stats);
         prop_assert_eq!(fresh_cold.estimate.nnz(), reused_cold.estimate.nnz());
         for (a, b) in fresh_cold.estimate.support().zip(reused_cold.estimate.support()) {

@@ -7,10 +7,9 @@
 //!    checks are pure control flow, which is what keeps the serving
 //!    layer's golden fixtures stable);
 //! 3. **A token fired once the walk phase is reached is still all or
-//!    nothing for the one-shot entry points** — `tea_plus_in` and
-//!    `monte_carlo_in` are the resumable ladder run to completion, and
-//!    what the ladder would hand back as a degraded answer they report
-//!    as `Cancelled`;
+//!    nothing for a one-shot caller** — `estimate_in(..).into_complete()`
+//!    reports what the ladder hands back as a degraded answer as
+//!    `Cancelled`, for TEA, TEA+ and Monte-Carlo alike;
 //! 4. **Cancellation at arbitrary points never corrupts scratch** — a
 //!    query raced by an asynchronous cancel (fired after a random delay)
 //!    either completes normally or reports `Cancelled`, and either way
@@ -18,8 +17,8 @@
 //!    cold-workspace run.
 
 use hkpr_core::{
-    monte_carlo_in, tea_in, tea_plus_in, CancelToken, HkprError, HkprEstimate, HkprParams,
-    QueryWorkspace,
+    estimate_in, AnytimeControls, CancelToken, Estimator, HkprError, HkprEstimate, HkprParams,
+    QueryWorkspace, TeaOutput,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -40,6 +39,25 @@ fn heavy_params(g: &hk_graph::Graph) -> HkprParams {
         .unwrap()
 }
 
+const TEA: Estimator = Estimator::Tea { rmax: None };
+
+fn tea_plus() -> Estimator {
+    Estimator::TeaPlus(Default::default())
+}
+
+/// One query on `ws`, refined to completion: all or nothing.
+fn run<R: Rng>(
+    g: &hk_graph::Graph,
+    params: &HkprParams,
+    seed: u32,
+    estimator: Estimator,
+    rng: &mut R,
+    ws: &mut QueryWorkspace,
+) -> Result<TeaOutput, HkprError> {
+    let controls = AnytimeControls::default();
+    estimate_in(g, params, seed, estimator, controls, rng, ws)?.into_complete()
+}
+
 fn estimates_bitwise_eq(a: &HkprEstimate, b: &HkprEstimate) -> bool {
     a.nnz() == b.nnz()
         && a.offset_coeff().to_bits() == b.offset_coeff().to_bits()
@@ -57,21 +75,17 @@ fn pre_cancelled_token_short_circuits_every_estimator() {
     let mut ws = QueryWorkspace::new();
     ws.set_cancel_token(Some(token));
     let mut rng = SmallRng::seed_from_u64(1);
-    assert!(matches!(
-        tea_in(&g, &params, 0, None, &mut rng, &mut ws),
-        Err(HkprError::Cancelled)
-    ));
-    assert!(matches!(
-        tea_plus_in(&g, &params, 0, &mut rng, &mut ws),
-        Err(HkprError::Cancelled)
-    ));
-    assert!(matches!(
-        monte_carlo_in(&g, &params, 0, Some(1_000_000), &mut rng, &mut ws),
-        Err(HkprError::Cancelled)
-    ));
+    let mc = Estimator::MonteCarlo {
+        max_walks: Some(1_000_000),
+    };
+    for estimator in [TEA, tea_plus(), mc] {
+        let out = run(&g, &params, 0, estimator, &mut rng, &mut ws);
+        assert!(matches!(out, Err(HkprError::Cancelled)), "{estimator:?}");
+    }
     // The workspace recovers the moment the token is cleared.
     ws.set_cancel_token(None);
-    let out = tea_plus_in(&g, &params, 0, &mut SmallRng::seed_from_u64(2), &mut ws).unwrap();
+    let mut rng = SmallRng::seed_from_u64(2);
+    let out = run(&g, &params, 0, tea_plus(), &mut rng, &mut ws).unwrap();
     assert!(out.estimate.raw_sum() > 0.0);
 }
 
@@ -83,22 +97,11 @@ fn unfired_token_is_bitwise_invisible() {
     let mut token_ws = QueryWorkspace::new();
     token_ws.set_cancel_token(Some(CancelToken::new()));
     for seed in [0u32, 17, 401] {
-        let plain = tea_plus_in(
-            &g,
-            &params,
-            seed,
-            &mut SmallRng::seed_from_u64(9),
-            &mut plain_ws,
-        )
-        .unwrap();
-        let tokened = tea_plus_in(
-            &g,
-            &params,
-            seed,
-            &mut SmallRng::seed_from_u64(9),
-            &mut token_ws,
-        )
-        .unwrap();
+        let query = |ws: &mut QueryWorkspace| {
+            let mut rng = SmallRng::seed_from_u64(9);
+            run(&g, &params, seed, tea_plus(), &mut rng, ws).unwrap()
+        };
+        let (plain, tokened) = (query(&mut plain_ws), query(&mut token_ws));
         assert_eq!(plain.stats, tokened.stats);
         assert!(
             estimates_bitwise_eq(&plain.estimate, &tokened.estimate),
@@ -139,8 +142,8 @@ fn cancelled_walk_engine_skips_chunks() {
 
 /// Query RNG that counts its draws and fires a cancel token on draw
 /// number `fire_at` — a deterministic stand-in for a watchdog firing at
-/// a known point of a query. Both estimators draw the walk phase's
-/// master seed last, after the push (TEA+) or the length sampling
+/// a known point of a query. Every estimator draws the walk phase's
+/// master seed last, after the push (TEA, TEA+) or the length sampling
 /// (Monte-Carlo), so "fire on the last draw" is "fire as the walk phase
 /// starts".
 struct FiringRng {
@@ -163,7 +166,8 @@ impl Rng for FiringRng {
 #[test]
 fn token_fired_at_the_walk_phase_is_cancelled_and_leaves_the_workspace_reusable() {
     // A sparse graph and a long diffusion: condition (11) fails at the hop
-    // cap, so TEA+ cannot exit early and must walk (~32k walks).
+    // cap, so TEA+ cannot exit early and must walk (~32k walks). TEA's
+    // walk phase is the same ladder since it has one.
     let g = hk_graph::gen::holme_kim(3_000, 3, 0.3, &mut SmallRng::seed_from_u64(15)).unwrap();
     let params = HkprParams::builder(&g)
         .t(30.0)
@@ -172,43 +176,61 @@ fn token_fired_at_the_walk_phase_is_cancelled_and_leaves_the_workspace_reusable(
         .p_f(1e-3)
         .build()
         .unwrap();
-    type Estimator =
-        fn(&hk_graph::Graph, &HkprParams, &mut FiringRng, &mut QueryWorkspace) -> QueryOutcome;
-    type QueryOutcome = Result<hkpr_core::TeaOutput, HkprError>;
-    let estimators: [(&str, Estimator); 2] = [
-        ("TEA+", |g, params, rng, ws| {
-            tea_plus_in(g, params, 3, rng, ws)
-        }),
-        ("Monte-Carlo", |g, params, rng, ws| {
-            monte_carlo_in(g, params, 3, Some(40_000), rng, ws)
-        }),
+    let estimators = [
+        ("TEA", TEA),
+        ("TEA+", tea_plus()),
+        (
+            "Monte-Carlo",
+            Estimator::MonteCarlo {
+                max_walks: Some(40_000),
+            },
+        ),
     ];
-    for (label, estimate) in estimators {
+    for (label, estimator) in estimators {
         let mut ws = QueryWorkspace::new();
-        let token = CancelToken::new();
-        ws.set_cancel_token(Some(token.clone()));
-        let rng = |fire_at: u64| FiringRng {
-            inner: SmallRng::seed_from_u64(21),
-            draws: 0,
-            fire_at,
-            token: token.clone(),
+        // A fresh token on `ws`, fired by the RNG's draw number `fire_at`.
+        let arm = |fire_at: u64, ws: &mut QueryWorkspace| {
+            let token = CancelToken::new();
+            ws.set_cancel_token(Some(token.clone()));
+            FiringRng {
+                inner: SmallRng::seed_from_u64(21),
+                draws: 0,
+                fire_at,
+                token,
+            }
         };
         // Dry run: never fires; counts the draws and is the reference.
-        let mut counting = rng(u64::MAX);
-        let reference = estimate(&g, &params, &mut counting, &mut ws).unwrap();
+        let mut counting = arm(u64::MAX, &mut ws);
+        let reference = run(&g, &params, 3, estimator, &mut counting, &mut ws).unwrap();
         assert!(reference.stats.random_walks > 0, "{label}: no walk phase");
-        assert!(!token.is_cancelled());
+        assert!(!counting.token.is_cancelled());
 
-        let raced = estimate(&g, &params, &mut rng(counting.draws), &mut ws);
-        assert!(token.is_cancelled(), "{label}: the token never fired");
+        let mut racing = arm(counting.draws, &mut ws);
+        let controls = AnytimeControls::default();
+        let raced = estimate_in(&g, &params, 3, estimator, controls, &mut racing, &mut ws);
         assert!(
-            matches!(raced, Err(HkprError::Cancelled)),
-            "{label}: one-shot entry points are all or nothing, got {raced:?}"
+            racing.token.is_cancelled(),
+            "{label}: the token never fired"
         );
+        // TEA and TEA+ answer with their reserve alone (TEA with no push
+        // ladder to report), which a one-shot caller sees as cancelled;
+        // Monte-Carlo, which reserves nothing, is cancelled.
+        match (estimator, raced) {
+            (Estimator::MonteCarlo { .. }, Err(HkprError::Cancelled)) => {}
+            (Estimator::Tea { .. } | Estimator::TeaPlus(_), Ok(out)) => {
+                let tier = out.achieved;
+                let push_tiers = 4 * u32::from(matches!(estimator, Estimator::TeaPlus(_)));
+                assert_eq!((tier.walks_done, tier.tiers_completed), (0, 0), "{label}");
+                assert_eq!(tier.push_tiers_planned, push_tiers, "{label}");
+                assert!(tier.is_degraded() && tier.eps_r_achieved.is_infinite());
+                assert!(matches!(out.into_complete(), Err(HkprError::Cancelled)));
+            }
+            (_, raced) => panic!("{label}: got {raced:?}"),
+        }
 
         // Nothing of the abandoned ladder survives in the workspace.
-        ws.set_cancel_token(None);
-        let reused = estimate(&g, &params, &mut rng(u64::MAX), &mut ws).unwrap();
+        let mut quiet = arm(u64::MAX, &mut ws);
+        let reused = run(&g, &params, 3, estimator, &mut quiet, &mut ws).unwrap();
         assert_eq!(reused.stats, reference.stats, "{label}");
         assert!(
             estimates_bitwise_eq(&reused.estimate, &reference.estimate),
@@ -240,8 +262,8 @@ proptest! {
                 std::thread::sleep(std::time::Duration::from_micros(delay_us));
                 token.cancel();
             });
-            let raced = tea_plus_in(
-                &g, &params, victim_seed, &mut SmallRng::seed_from_u64(5), &mut ws,
+            let raced = run(
+                &g, &params, victim_seed, tea_plus(), &mut SmallRng::seed_from_u64(5), &mut ws,
             );
             // Either outcome is legal; corruption is not.
             prop_assert!(
@@ -252,11 +274,11 @@ proptest! {
         })?;
 
         ws.set_cancel_token(None);
-        let reused = tea_plus_in(
-            &g, &params, probe_seed, &mut SmallRng::seed_from_u64(6), &mut ws,
+        let reused = run(
+            &g, &params, probe_seed, tea_plus(), &mut SmallRng::seed_from_u64(6), &mut ws,
         ).unwrap();
-        let cold = tea_plus_in(
-            &g, &params, probe_seed, &mut SmallRng::seed_from_u64(6),
+        let cold = run(
+            &g, &params, probe_seed, tea_plus(), &mut SmallRng::seed_from_u64(6),
             &mut QueryWorkspace::new(),
         ).unwrap();
         prop_assert_eq!(&reused.stats, &cold.stats);

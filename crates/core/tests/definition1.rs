@@ -37,11 +37,8 @@ mod check;
 
 use hk_graph::gen::{holme_kim, planted_partition};
 use hk_graph::{Graph, NodeId};
-use hkpr_core::tea::tea_in;
-use hkpr_core::tea_plus::tea_plus_in;
 use hkpr_core::{
-    exact_hkpr, monte_carlo_in, tea_plus_anytime_in, AnytimeControls, HkprEstimate, HkprParams,
-    QueryWorkspace, TeaOutput, TeaPlusOptions,
+    estimate_in, exact_hkpr, AnytimeControls, Estimator, HkprEstimate, HkprParams, QueryWorkspace,
 };
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -171,30 +168,26 @@ fn run(
     rng: &mut SmallRng,
     ws: &mut QueryWorkspace,
 ) -> Answer {
-    let full = |out: TeaOutput| Answer {
+    let tea_plus = Estimator::TeaPlus(Default::default());
+    let (estimator, push_tier_cap) = match method {
+        Method::Tea => (Estimator::Tea { rmax: None }, None),
+        Method::TeaPlus => (tea_plus, None),
+        Method::MonteCarlo => (Estimator::MonteCarlo { max_walks: None }, None),
+        Method::TeaPlusPushCut(tiers) => (tea_plus, Some(tiers)),
+    };
+    let controls = AnytimeControls {
+        push_tier_cap,
+        ..Default::default()
+    };
+    let out = estimate_in(graph, params, node, estimator, controls, rng, ws).unwrap();
+    // Only a push cut may degrade an answer here; it is held to its own
+    // `eps_r_achieved`, which is `eps_r` for a complete one.
+    assert!(push_tier_cap.is_some() || !out.achieved.is_degraded());
+    Answer {
         walked: out.stats.random_walks > 0,
         estimate: out.estimate,
-        eps_r: params.eps_r(),
-        degraded: false,
-    };
-    match method {
-        Method::Tea => full(tea_in(graph, params, node, None, rng, ws).unwrap()),
-        Method::TeaPlus => full(tea_plus_in(graph, params, node, rng, ws).unwrap()),
-        Method::MonteCarlo => full(monte_carlo_in(graph, params, node, None, rng, ws).unwrap()),
-        Method::TeaPlusPushCut(tiers) => {
-            let controls = AnytimeControls {
-                push_tier_cap: Some(tiers),
-                ..Default::default()
-            };
-            let opts = TeaPlusOptions::default();
-            let out = tea_plus_anytime_in(graph, params, node, opts, controls, rng, ws).unwrap();
-            Answer {
-                walked: out.stats.random_walks > 0,
-                estimate: out.estimate,
-                eps_r: out.achieved.eps_r_achieved,
-                degraded: out.achieved.is_degraded(),
-            }
-        }
+        eps_r: out.achieved.eps_r_achieved,
+        degraded: out.achieved.is_degraded(),
     }
 }
 

@@ -20,16 +20,33 @@ use hkpr_core::anytime::PUSH_TIER_DIVISORS;
 use hkpr_core::push::{hk_push, hk_push_ws};
 use hkpr_core::push_plus::{hk_push_plus, hk_push_plus_ws, PushPlusConfig, PushPlusOutput};
 use hkpr_core::reference::{monte_carlo_reference, tea_plus_reference, tea_reference};
-use hkpr_core::tea::tea_in;
-use hkpr_core::tea_plus::{tea_plus_in, TeaPlusOptions};
 use hkpr_core::walk::{k_random_walk, run_batched_walks, WalkScratch};
 use hkpr_core::{
-    exact_hkpr, monte_carlo_in, AliasTable, AnytimeControls, HkprParams, PoissonTable,
-    QueryWorkspace, Reserve, TeaOutput,
+    estimate_in, exact_hkpr, AliasTable, AnytimeControls, Estimator, HkprError, HkprParams,
+    PoissonTable, QueryWorkspace, Reserve, TeaOutput, TeaPlusOptions,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+const TEA: Estimator = Estimator::Tea { rmax: None };
+
+fn tea_plus() -> Estimator {
+    Estimator::TeaPlus(TeaPlusOptions::default())
+}
+
+/// One query on `ws`, refined to completion.
+fn run(
+    g: &Graph,
+    params: &HkprParams,
+    seed: u32,
+    estimator: Estimator,
+    rng: &mut SmallRng,
+    ws: &mut QueryWorkspace,
+) -> Result<TeaOutput, HkprError> {
+    let controls = AnytimeControls::default();
+    estimate_in(g, params, seed, estimator, controls, rng, ws)?.into_complete()
+}
 
 fn build_graph(edges: &[(u8, u8)]) -> Graph {
     let mut b = GraphBuilder::new();
@@ -385,13 +402,7 @@ fn one_workspace_across_estimators_and_graphs_matches_fresh_ones() {
     let large = holme_kim(1_500, 5, 0.4, &mut gen_rng).unwrap();
     let graphs = [&large, &small, &large, &small];
 
-    #[derive(Clone, Copy, Debug)]
-    enum Estimator {
-        Tea,
-        TeaPlus,
-        MonteCarlo,
-    }
-    let run = |which: Estimator, g: &Graph, seed: u32, ws: &mut QueryWorkspace| -> TeaOutput {
+    let query = |which: Estimator, g: &Graph, seed: u32, ws: &mut QueryWorkspace| -> TeaOutput {
         // delta below 1/n on both graphs, so TEA+ walks on some of these
         // and exits early on others.
         let params = HkprParams::builder(g)
@@ -401,21 +412,19 @@ fn one_workspace_across_estimators_and_graphs_matches_fresh_ones() {
             .build()
             .unwrap();
         let mut rng = SmallRng::seed_from_u64(seed as u64 + 7);
-        match which {
-            Estimator::Tea => tea_in(g, &params, seed, None, &mut rng, ws),
-            Estimator::TeaPlus => tea_plus_in(g, &params, seed, &mut rng, ws),
-            Estimator::MonteCarlo => monte_carlo_in(g, &params, seed, Some(20_000), &mut rng, ws),
-        }
-        .unwrap()
+        run(g, &params, seed, which, &mut rng, ws).unwrap()
+    };
+    let mc = Estimator::MonteCarlo {
+        max_walks: Some(20_000),
     };
 
     let mut shared = QueryWorkspace::new();
     let mut walked = 0usize;
     for (i, g) in graphs.into_iter().enumerate() {
-        for which in [Estimator::TeaPlus, Estimator::Tea, Estimator::MonteCarlo] {
+        for which in [tea_plus(), TEA, mc] {
             let seed = (i as u32 * 37 + 11) % g.num_nodes() as u32;
-            let reused = run(which, g, seed, &mut shared);
-            let fresh = run(which, g, seed, &mut QueryWorkspace::new());
+            let reused = query(which, g, seed, &mut shared);
+            let fresh = query(which, g, seed, &mut QueryWorkspace::new());
             assert_eq!(reused.stats, fresh.stats, "{which:?} on graph {i}");
             assert_eq!(
                 reused.stats.alpha.to_bits(),
@@ -443,6 +452,67 @@ fn one_workspace_across_estimators_and_graphs_matches_fresh_ones() {
     assert!(walked >= 8, "the walk phase must run too ({walked} of 12)");
 }
 
+/// TEA's walks climb the tier ladder; run to completion they must deposit
+/// bit for bit what the one-shot engine deposits. The goldens' TEA cases
+/// fit in one chunk and one tier, so this pins a multi-tier plan: the
+/// driver against HK-Push and `run_batched_walks` composed by hand, with
+/// the driver's master-seed draw and assembly.
+#[test]
+fn tea_multi_tier_ladder_matches_the_one_shot_engine_bitwise() {
+    let mut gen_rng = SmallRng::seed_from_u64(20);
+    let g = holme_kim(20_000, 3, 0.3, &mut gen_rng).unwrap();
+    let params = HkprParams::builder(&g).t(10.0).delta(1e-4).build().unwrap();
+    let mut ws = QueryWorkspace::new();
+    for seed in [0u32, 4_321, 9_999, 17_000] {
+        let rng_seed = 100 + seed as u64;
+        let controls = AnytimeControls::default();
+        let mut rng = SmallRng::seed_from_u64(rng_seed);
+        let out = estimate_in(&g, &params, seed, TEA, controls, &mut rng, &mut ws).unwrap();
+        assert!(!out.achieved.is_degraded());
+        assert!(
+            out.achieved.tiers_planned >= 2,
+            "seed {seed}: one chunk, one tier"
+        );
+
+        let mut by_hand = QueryWorkspace::new();
+        let push = hk_push_ws(
+            &g,
+            params.poisson(),
+            seed,
+            params.rmax_default(),
+            &mut by_hand,
+        );
+        let residues = by_hand.residues();
+        let alpha = residues.total_sum();
+        let entries: Vec<(u32, u32)> = residues.entries().map(|(k, v, _)| (k as u32, v)).collect();
+        let weights: Vec<f64> = residues.entries().map(|(_, _, r)| r).collect();
+        let nr = (alpha * params.omega_tea()).ceil() as u64;
+        let master_seed = SmallRng::seed_from_u64(rng_seed).next_u64();
+        let (counts, steps) = run_lanes(&g, params.poisson(), &entries, &weights, nr, master_seed);
+        assert_eq!(out.stats.push_operations, push.push_operations);
+        assert_eq!(out.stats.alpha.to_bits(), alpha.to_bits());
+        assert_eq!((out.stats.random_walks, out.stats.walk_steps), (nr, steps));
+
+        // q[v] + count[v] * alpha / nr per node, as assembly sums them
+        // (`0.0 + x` is `x` bit for bit when no reserve was touched).
+        let mass = alpha / nr as f64;
+        let mut want = std::collections::BTreeMap::new();
+        for (v, q, _) in by_hand.reserve().iter().filter(|&(_, q, _)| q != 0.0) {
+            want.insert(v, q);
+        }
+        for (v, count) in counts {
+            *want.entry(v).or_insert(0.0) += count as f64 * mass;
+        }
+        let want: Vec<(u32, u64)> = want.into_iter().map(|(v, x)| (v, x.to_bits())).collect();
+        let got: Vec<(u32, u64)> = out
+            .estimate
+            .support()
+            .map(|(v, x)| (v, x.to_bits()))
+            .collect();
+        assert_eq!(got, want, "seed {seed}");
+    }
+}
+
 #[test]
 fn tea_dense_agrees_with_reference_on_er_graph() {
     let mut gen_rng = SmallRng::seed_from_u64(7);
@@ -456,11 +526,11 @@ fn tea_dense_agrees_with_reference_on_er_graph() {
         .unwrap();
     let mut ws = QueryWorkspace::new();
     for seed in [0u32, 3, 17] {
-        let dense = tea_in(
+        let dense = run(
             &g,
             &params,
             seed,
-            None,
+            TEA,
             &mut SmallRng::seed_from_u64(2),
             &mut ws,
         )
@@ -489,8 +559,8 @@ fn tea_plus_dense_agrees_with_reference_on_plc_graph() {
         .unwrap();
     let mut ws = QueryWorkspace::new();
     for seed in [0u32, 101, 555] {
-        let dense =
-            tea_plus_in(&g, &params, seed, &mut SmallRng::seed_from_u64(6), &mut ws).unwrap();
+        let mut rng = SmallRng::seed_from_u64(6);
+        let dense = run(&g, &params, seed, tea_plus(), &mut rng, &mut ws).unwrap();
         let reference = tea_plus_reference(
             &g,
             &params,
@@ -515,7 +585,8 @@ fn tea_plus_dense_honors_guarantee_on_er_graph() {
         .build()
         .unwrap();
     let mut ws = QueryWorkspace::new();
-    let dense = tea_plus_in(&g, &params, 7, &mut SmallRng::seed_from_u64(10), &mut ws).unwrap();
+    let mut rng = SmallRng::seed_from_u64(10);
+    let dense = run(&g, &params, 7, tea_plus(), &mut rng, &mut ws).unwrap();
     let exact = exact_hkpr(&g, params.poisson(), 7);
     let check = definition1::check(&g, &params, params.eps_r(), &exact, &dense.estimate);
     assert!(check.holds(), "tea+ dense: {check}");
@@ -532,11 +603,14 @@ fn monte_carlo_dense_agrees_with_reference() {
         .build()
         .unwrap();
     let mut ws = QueryWorkspace::new();
-    let dense = monte_carlo_in(
+    let mc = Estimator::MonteCarlo {
+        max_walks: Some(30_000),
+    };
+    let dense = run(
         &g,
         &params,
         0,
-        Some(30_000),
+        mc,
         &mut SmallRng::seed_from_u64(12),
         &mut ws,
     )
@@ -570,8 +644,24 @@ fn batched_engine_deterministic_for_fixed_rng() {
         .build()
         .unwrap();
     let mut ws = QueryWorkspace::new();
-    let a = tea_plus_in(&g, &params, 0, &mut SmallRng::seed_from_u64(14), &mut ws).unwrap();
-    let b = tea_plus_in(&g, &params, 0, &mut SmallRng::seed_from_u64(14), &mut ws).unwrap();
+    let a = run(
+        &g,
+        &params,
+        0,
+        tea_plus(),
+        &mut SmallRng::seed_from_u64(14),
+        &mut ws,
+    )
+    .unwrap();
+    let b = run(
+        &g,
+        &params,
+        0,
+        tea_plus(),
+        &mut SmallRng::seed_from_u64(14),
+        &mut ws,
+    )
+    .unwrap();
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.estimate.nnz(), b.estimate.nnz());
     for (x, y) in a.estimate.support().zip(b.estimate.support()) {

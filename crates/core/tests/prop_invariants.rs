@@ -5,7 +5,10 @@ use hk_graph::builder::GraphBuilder;
 use hk_graph::Graph;
 use hkpr_core::push::hk_push;
 use hkpr_core::push_plus::{hk_push_plus, PushPlusConfig};
-use hkpr_core::{exact_hkpr, HkprParams, PoissonTable};
+use hkpr_core::{
+    estimate_in, exact_hkpr, AnytimeControls, Estimator, HkprParams, PoissonTable, QueryWorkspace,
+    TeaOutput,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -19,6 +22,13 @@ fn build_graph(edges: &[(u8, u8)]) -> Graph {
         b.add_edge(u as u32 % 40, v as u32 % 40);
     }
     b.build()
+}
+
+/// One query from node 0, refined to completion.
+fn run(g: &Graph, params: &HkprParams, estimator: Estimator, rng: &mut SmallRng) -> TeaOutput {
+    let (controls, mut ws) = (AnytimeControls::default(), QueryWorkspace::new());
+    let out = estimate_in(g, params, 0, estimator, controls, rng, &mut ws).unwrap();
+    out.into_complete().unwrap()
 }
 
 proptest! {
@@ -83,7 +93,7 @@ proptest! {
             .build()
             .unwrap();
         let mut rng = SmallRng::seed_from_u64(rng_seed);
-        let out = hkpr_core::tea::tea(&g, &params, 0, None, &mut rng).unwrap();
+        let out = run(&g, &params, Estimator::Tea { rmax: None }, &mut rng);
         prop_assert!((out.estimate.raw_sum() - 1.0).abs() < 1e-9);
     }
 
@@ -103,7 +113,7 @@ proptest! {
             .build()
             .unwrap();
         let mut rng = SmallRng::seed_from_u64(rng_seed);
-        let out = hkpr_core::tea_plus(&g, &params, 0, &mut rng).unwrap();
+        let out = run(&g, &params, Estimator::TeaPlus(Default::default()), &mut rng);
         prop_assert!(out.estimate.raw_sum() <= 1.0 + 1e-9);
         if !out.stats.early_exit {
             prop_assert!(

@@ -9,7 +9,7 @@ use std::time::Instant;
 use hk_cluster::{ClusterResult, LocalClusterer, Method, QueryScratch};
 use hk_graph::{Graph, NodeId};
 use hkpr_core::fxhash::{FxHashMap, FxHasher};
-use hkpr_core::{AccuracyTier, AnytimeControls, CancelToken, HkprError, HkprParams};
+use hkpr_core::{AccuracyTier, AnytimeControls, AnytimeOutput, CancelToken, HkprError, HkprParams};
 
 use crate::cache::{CacheKey, FlightClaim, ParamsKey, ResultCache};
 use crate::engine::{
@@ -542,9 +542,13 @@ pub(crate) fn execute(
     params: &HkprParams,
     rng_seed: u64,
     controls: AnytimeControls<'_>,
-) -> Result<(ClusterResult, Option<AccuracyTier>, QueryTiming), HkprError> {
+) -> Result<(ClusterResult, AccuracyTier, QueryTiming), HkprError> {
     let started = Instant::now();
-    let (estimate, stats, achieved) = clusterer.estimate_anytime_in(
+    let AnytimeOutput {
+        estimate,
+        stats,
+        achieved,
+    } = clusterer.estimate_anytime_in(
         method,
         seed,
         params,
@@ -638,12 +642,10 @@ fn process(
     match outcome {
         Ok((result, achieved, t)) => {
             let result = Arc::new(result);
-            let degraded = achieved
-                .filter(|tier| tier.is_degraded())
-                .map(|achieved| Degraded {
-                    achieved,
-                    after: started.elapsed(),
-                });
+            let degraded = achieved.is_degraded().then(|| Degraded {
+                achieved,
+                after: started.elapsed(),
+            });
             let outcome = match (&shared.cache, &job.cache_key, &degraded) {
                 (Some(cache), Some(key), None) => {
                     // The miss is recorded here — at the insert — not at
