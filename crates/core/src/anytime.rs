@@ -7,12 +7,12 @@
 //!
 //! * a query plans a **ladder of accuracy tiers** — geometrically growing
 //!   walk-count targets snapped to the walk engine's chunk boundaries
-//!   (see `plan_tier_bounds`) — and executes them in order on one
-//!   resumable walk plan;
-//! * tier `k+1` costs only its increment: endpoint counts are additive
-//!   integer accumulators on chunk-indexed RNG streams, so resuming is
-//!   free and the final tier's deposits do not depend on where the
-//!   earlier tiers stopped;
+//!   (see `plan_tier_bounds`) — and runs the plan's chunks up to the
+//!   last tier it may reach in one pass, in plan order;
+//! * the tiers are prefixes of that pass: endpoint counts are additive
+//!   integer accumulators on chunk-indexed RNG streams, so a pass cut at
+//!   any chunk deposits what running the plan up to that chunk would, and
+//!   a tier is complete once its prefix ran;
 //! * if refinement stops early (cancellation or an explicit tier cap),
 //!   the deposited walks are renormalized (`mass = alpha / walks_done`)
 //!   and the caller gets that estimate plus an [`AccuracyTier`]
@@ -252,33 +252,34 @@ fn plan_tier_bounds(total: u64, chunk_walk_prefix: &[u64]) -> TierLadder<usize> 
 }
 
 /// Climb the walk ladder of the plan most recently built on `ws` (`total`
-/// planned walks): execute its chunks tier by tier — `run_through(ws,
-/// bound, cursor)` runs the not-yet-run chunks below `bound` — until the
-/// ladder completes, `tier_cap` tiers (clamped to at least 1) ran, or the
-/// workspace's cancel token stopped a tier short. Returns the cursor and
-/// `(tiers_completed, tiers_planned)`.
+/// planned walks) in one pass: `run_through(ws, bound, cursor)` runs the
+/// plan's chunks below the last bound the ladder may reach — the one of
+/// tier `tier_cap` (clamped to at least 1), or the plan's end — unless the
+/// workspace's cancel token stops it short. The chunks that ran are a
+/// prefix of the plan, so a tier is complete iff the walks deposited reach
+/// its bound's planned prefix. Returns the cursor and `(tiers_completed,
+/// tiers_planned)`.
+///
+/// One pass, not one call per tier: a tier's chunks are too few to keep
+/// both executor threads busy (the first tier of a 10–17-chunk plan is a
+/// single chunk), and the tiers' bounds would be barriers between them.
 pub(crate) fn climb_walk_ladder(
     ws: &mut QueryWorkspace,
     total: u64,
     tier_cap: Option<u32>,
-    mut run_through: impl FnMut(&mut QueryWorkspace, usize, &mut WalkCursor),
+    run_through: impl FnOnce(&mut QueryWorkspace, usize, &mut WalkCursor),
 ) -> (WalkCursor, u32, u32) {
     let bounds = plan_tier_bounds(total, ws.walk_scratch.chunk_walk_prefix());
     let tiers_planned = bounds.len() as u32;
     let run_tiers = tier_cap.map_or(tiers_planned, |cap| cap.clamp(1, tiers_planned));
+    let bounds = &bounds.as_slice()[..run_tiers as usize];
     let mut cursor = WalkCursor::default();
-    let mut tiers_completed = 0;
-    for &bound in &bounds.as_slice()[..run_tiers as usize] {
-        if ws.is_cancelled() {
-            break;
-        }
-        run_through(ws, bound, &mut cursor);
-        if cursor.walks_done < ws.walk_scratch.planned_walks_through(bound) {
-            break; // cancel skipped chunks inside this tier
-        }
-        tiers_completed += 1;
+    if let Some(&last) = bounds.last() {
+        run_through(ws, last, &mut cursor);
     }
-    (cursor, tiers_completed, tiers_planned)
+    let prefix = ws.walk_scratch.chunk_walk_prefix();
+    let tiers_completed = bounds.partition_point(|&b| prefix[b] <= cursor.walks_done);
+    (cursor, tiers_completed as u32, tiers_planned)
 }
 
 /// The relative-error bound `walks_done` out of `walks_planned` walks
@@ -325,6 +326,43 @@ mod tests {
         // Targets 8, 32, 125, 500 -> chunk bounds 1, 1, 2, 5 -> dedup.
         assert_eq!(bounds.as_slice(), [1, 2, 5]);
         assert_eq!(plan_tier_bounds(0, &[0]).len(), 0);
+    }
+
+    #[test]
+    fn one_pass_ladder_counts_the_bounds_a_cut_reached() {
+        // A fixed-walk plan of 17 chunks: 16 full ones and a short tail.
+        let mut ws = QueryWorkspace::new();
+        let mut lengths = vec![4_096u64; 16];
+        lengths.push(1_000);
+        crate::walk::plan_batched_fixed_walks(&lengths, &mut ws.walk_scratch);
+        let total: u64 = lengths.iter().sum();
+        let prefix = ws.walk_scratch.chunk_walk_prefix().to_vec();
+        let bounds = plan_tier_bounds(total, &prefix);
+        assert_eq!(bounds.as_slice(), [1, 2, 5, 17]);
+        // The pass runs once, to the bound of the last tier it may reach,
+        // and a cut leaves the prefix [0, c) of that pass: every tier whose
+        // bound is at most c is complete, and no other.
+        for cap in [None, Some(0), Some(1), Some(2), Some(3), Some(4), Some(9)] {
+            let run_tiers = cap.map_or(4, |c: u32| c.clamp(1, 4)) as usize;
+            let last = bounds.as_slice()[run_tiers - 1];
+            for (c, &deposited) in prefix[..=last].iter().enumerate() {
+                let mut calls = 0;
+                let (cursor, completed, planned) =
+                    climb_walk_ladder(&mut ws, total, cap, |_, bound, cursor| {
+                        calls += 1;
+                        assert_eq!(bound, last, "cap {cap:?}");
+                        cursor.walks_done = deposited;
+                    });
+                assert_eq!(calls, 1);
+                assert_eq!(planned, 4);
+                assert_eq!(cursor.walks_done, deposited);
+                let reached = bounds.as_slice()[..run_tiers]
+                    .iter()
+                    .filter(|&&b| b <= c)
+                    .count();
+                assert_eq!(completed as usize, reached, "cap {cap:?}, cut at {c}");
+            }
+        }
     }
 
     #[test]

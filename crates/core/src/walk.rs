@@ -26,18 +26,34 @@
 //! different — equally distributed — sample; [`k_random_walk`], Algorithm
 //! 2 as printed, is the baseline tests and benchmarks hold it to.
 //!
-//! `run_window` keeps up to `WINDOW` consecutive chunks in flight on the
-//! thread that runs the query, stepping their lane sets round-robin so
-//! their random loads overlap. A chunk's draws and deposits depend only on
-//! its own stream and walk list, so the window changes the schedule, never
-//! the counts: `tests::walk_engine_bits_are_pinned` holds digests taken
-//! with one chunk at a time.
+//! A walk phase runs its chunks in one pass, on the thread that runs the
+//! query and, when the process may use a second core that no other walk
+//! is using and the pass has at least two chunks, on one scoped helper
+//! thread beside it (a phase of more than `PASS_WALKS` walks runs as
+//! consecutive passes of at most that many). The two claim chunk indices
+//! from one shared counter, each reading the cancel token before it
+//! claims, so the chunks that ran are always a prefix of the pass. Each
+//! thread keeps up to `WINDOW` claimed chunks in flight
+//! (`Pass::run_window`), stepping their lane sets round-robin so their
+//! random loads overlap. A walk over a graph far larger than the cache is
+//! bound by memory latency, and each core has its own load pipeline, so
+//! the second thread nearly doubles the loads in flight.
+//!
+//! A chunk's draws and deposits depend only on its own stream and walk
+//! list, so neither the window nor which thread ran a chunk shows in the
+//! counts: `tests::walk_engine_bits_are_pinned` holds digests taken with
+//! one chunk at a time on one thread.
 //!
 //! A walk ends by adding one to its endpoint's count in the query's
 //! [`Reserve`], the record that also holds that node's push reserve, so
 //! assembly reads `q[v] + count[v] * alpha / n_r` off one record per node.
-//! The engine never sizes that sink: the push stages begin it with their
+//! The helper never touches the reserve: it logs its endpoints, and the
+//! calling thread adds the log to the reserve after the join. The engine
+//! never sizes the reserve: the push stages begin it with their
 //! workspace, and [`run_batched_walks`] checks that its caller did.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use hk_graph::{Graph, NodeId};
 use rand::{Rng, RngExt};
@@ -96,9 +112,69 @@ pub fn fixed_length_walk<R: Rng + ?Sized>(
     cur
 }
 
-/// Flat per-chunk walk list `(start node, presampled length)` — the unit
-/// the lane kernel executes.
-type WalkBuf = Vec<(NodeId, u32)>;
+/// One chunk's movable walks, presampled — the unit the lane kernel
+/// executes: every walk's length, in order, and the runs of consecutive
+/// walks that share a start node. A work item's walks all share one, so a
+/// walk costs its length's four bytes, and a run eight.
+#[derive(Clone, Debug, Default)]
+struct WalkBuf {
+    lens: Vec<u32>,
+    runs: Vec<(NodeId, u32)>,
+}
+
+impl WalkBuf {
+    fn clear(&mut self) {
+        self.lens.clear();
+        self.runs.clear();
+    }
+
+    /// Close the run of the walks pushed since `lens.len()` was `from`:
+    /// they all start at `start`.
+    fn end_run(&mut self, start: NodeId, from: usize) {
+        let walks = self.lens.len() - from;
+        if walks > 0 {
+            self.runs.push((start, walks as u32));
+        }
+    }
+
+    /// Make room for a chunk of up to `walks` movable walks in up to
+    /// `runs` runs, the way [`fit`] does.
+    fn fit(&mut self, walks: usize, runs: usize) {
+        self.clear();
+        fit(&mut self.lens, walks);
+        fit(&mut self.runs, runs);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.lens.capacity() * std::mem::size_of::<u32>()
+            + self.runs.capacity() * std::mem::size_of::<(NodeId, u32)>()
+    }
+}
+
+/// Where the lanes stand in a chunk's [`WalkBuf`]: the next walk's length
+/// and run, and what is left of that run.
+#[derive(Clone, Copy, Debug, Default)]
+struct ListCursor {
+    len_at: usize,
+    run_at: usize,
+    run_left: u32,
+    start: NodeId,
+}
+
+impl ListCursor {
+    /// The next pending walk `(start, length)`, if any.
+    #[inline(always)]
+    fn pop(&mut self, walks: &WalkBuf) -> Option<(NodeId, u32)> {
+        let &len = walks.lens.get(self.len_at)?;
+        self.len_at += 1;
+        if self.run_left == 0 {
+            (self.start, self.run_left) = walks.runs[self.run_at];
+            self.run_at += 1;
+        }
+        self.run_left -= 1;
+        Some((self.start, len))
+    }
+}
 
 /// Scratch buffers of the batched walk engine, owned by
 /// [`crate::workspace::QueryWorkspace`] so repeated queries reuse them.
@@ -114,11 +190,17 @@ pub struct WalkScratch {
     /// (`len == chunks.len() + 1`), filled at plan time so refinement
     /// tiers can be snapped to chunk prefixes.
     chunk_walk_prefix: Vec<u64>,
-    /// Presampled-walk buffers, one per window slot (`(start, length)` per
-    /// walk of the chunk in that slot; a chunk closes on the work item
-    /// that takes it to [`CHUNK_WALKS`], so up to `2 * CHUNK_WALKS - 1`
-    /// entries each).
+    /// Presampled-walk buffers, one per window slot (the walk list of the
+    /// chunk in that slot; a chunk closes on the work item that takes it
+    /// to [`CHUNK_WALKS`], so up to `2 * CHUNK_WALKS - 1` walks each).
     lane_bufs: [WalkBuf; WINDOW],
+    /// The helper thread's window buffers, sized by the calling thread to
+    /// a chunk's worst case before the helper first starts (and so are
+    /// `lane_bufs` then).
+    helper_bufs: [WalkBuf; WINDOW],
+    /// The helper thread's walk endpoints, sized by the calling thread to
+    /// a pass's most walks ([`PASS_WALKS`]).
+    helper_log: EndpointLog,
 }
 
 impl WalkScratch {
@@ -132,12 +214,26 @@ impl WalkScratch {
             + self
                 .lane_bufs
                 .iter()
-                .map(|b| b.capacity() * std::mem::size_of::<(NodeId, u32)>())
+                .chain(&self.helper_bufs)
+                .map(WalkBuf::memory_bytes)
                 .sum::<usize>()
+            + self.helper_log.0.capacity() * std::mem::size_of::<NodeId>()
+    }
+
+    /// Bytes of the helper thread's window buffers and endpoint log, which
+    /// [`memory_bytes`](Self::memory_bytes) includes.
+    #[cfg(test)]
+    pub(crate) fn helper_bytes(&self) -> usize {
+        self.helper_bufs
+            .iter()
+            .map(WalkBuf::memory_bytes)
+            .sum::<usize>()
+            + self.helper_log.0.capacity() * std::mem::size_of::<NodeId>()
     }
 
     /// Cumulative planned walks strictly before chunk `chunk` of the most
     /// recent plan (`chunk == num_chunks` gives the plan's total).
+    #[cfg(test)]
     pub(crate) fn planned_walks_through(&self, chunk: usize) -> u64 {
         self.chunk_walk_prefix[chunk]
     }
@@ -146,6 +242,24 @@ impl WalkScratch {
     /// (`prefix[c]` = walks in chunks `0..c`; `len == num_chunks + 1`).
     pub(crate) fn chunk_walk_prefix(&self) -> &[u64] {
         &self.chunk_walk_prefix
+    }
+
+    /// Size the helper's window buffers and endpoint log for a pass over
+    /// chunks `[from, upto)` of at most [`PASS_WALKS`] walks, before the
+    /// helper starts. The calling thread's buffers too: which thread opens
+    /// which chunk varies from run to run, and the capacities
+    /// `memory_bytes` reports must not. A chunk's walk list has at most
+    /// one run per work item.
+    fn fit_helper(&mut self, from: usize, upto: usize) {
+        let prefix = &self.chunk_walk_prefix;
+        debug_assert!(prefix[upto] - prefix[from] <= PASS_WALKS);
+        self.helper_log.0.clear();
+        fit(&mut self.helper_log.0, PASS_WALKS as usize);
+        let range = &self.chunks[from..upto];
+        let items = range.iter().map(|&(lo, hi)| (hi - lo) as usize).max();
+        for buf in self.lane_bufs.iter_mut().chain(&mut self.helper_bufs) {
+            buf.fit(MAX_CHUNK_BUF, items.unwrap_or(0));
+        }
     }
 
     /// Release the backing allocations.
@@ -185,13 +299,32 @@ const CHUNK_WALKS: u64 = 4096;
 /// more loads in flight come from [`WINDOW`] instead.
 const LANES: usize = 8;
 
-/// Consecutive chunks the executor keeps in flight at once, each with its
-/// own lane set and RNG stream, stepped round-robin. A chunk's lanes depend
-/// only on its own stream and walk list, so the window moves no deposit;
-/// it multiplies the random loads in flight by up to four (32 lanes),
-/// which is what a walk over a graph far larger than the cache is bound
-/// by.
+/// Consecutive chunks each executor thread keeps in flight at once, each
+/// with its own lane set and RNG stream, stepped round-robin. A chunk's
+/// lanes depend only on its own stream and walk list, so the window moves
+/// no deposit; it multiplies the random loads in flight by up to four (32
+/// lanes per thread), which is what a walk over a graph far larger than
+/// the cache is bound by. The window overlaps only the chunks one thread
+/// claimed; the second thread of a pass brings its own.
 const WINDOW: usize = 4;
+
+/// Most walks one chunk's walk list can hold: a chunk closes on the work
+/// item that takes it to [`CHUNK_WALKS`], and no item holds more than
+/// [`CHUNK_WALKS`] walks.
+const MAX_CHUNK_BUF: usize = 2 * CHUNK_WALKS as usize - 1;
+
+/// Most walks one pass of a two-thread range holds: a longer range runs
+/// as consecutive passes of at most this many (see
+/// [`execute_chunk_range`]). The helper's endpoint log takes one entry per
+/// walk it ran, so this bounds the log to 512 KiB whatever the query's
+/// walk count, allocated once per workspace. A pass is 32 or more chunks,
+/// enough that the ends of a pass, where fewer chunks are left than the
+/// two threads' windows hold, are a small part of it.
+const PASS_WALKS: u64 = 1 << 17;
+
+/// Stack of the helper thread. It runs one window, whose state is a few
+/// hundred bytes per slot, and calls nothing recursive.
+const HELPER_STACK: usize = 128 << 10;
 
 use crate::alias::AliasTable;
 use crate::cancel::CancelToken;
@@ -218,10 +351,10 @@ use rand::SeedableRng;
 ///    product telescopes to `eta(h)/psi(k)`; see
 ///    [`crate::poisson::LengthTables`]),
 /// 4. **run chunks** through the interleaved lane kernel, up to four at a
-///    time on the calling thread, with independent `SmallRng` streams
-///    derived from `master_seed`, depositing endpoints into the
-///    `sink`'s integer counts (so the order in which chunks finish
-///    cannot show).
+///    time per thread on the calling thread and one helper, with
+///    independent `SmallRng` streams derived from `master_seed`,
+///    depositing endpoints into the `sink`'s integer counts (so the order
+///    in which chunks finish, and on which thread, cannot show).
 ///
 /// Returns total steps walked; endpoint multiplicities are added to the
 /// counts of `sink`, which the caller must have begun for the graph's
@@ -327,8 +460,9 @@ pub(crate) fn plan_batched_walks(
 /// cursor. Chunk RNG streams are keyed by absolute chunk index, so any
 /// prefix decomposition deposits bit-identically to a single full run.
 /// A fired cancel token makes remaining chunks skip (depositing nothing);
-/// the cursor's `walks_done` counts only chunks that actually ran, so the
-/// partial deposits remain exactly normalizable.
+/// the chunks that ran are a prefix of the range, and the cursor's
+/// `walks_done` counts only them, so the partial deposits remain exactly
+/// normalizable.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_planned_walks(
     graph: &Graph,
@@ -341,11 +475,11 @@ pub(crate) fn run_planned_walks(
     sink: &mut Reserve,
     scratch: &mut WalkScratch,
 ) {
-    let lengths = poisson.length_tables();
-    let fill =
-        move |items: &[(u32, u64)], rng: &mut SmallRng, sink: &mut Reserve, buf: &mut WalkBuf| {
-            fill_walk_buf(graph, entries, lengths, items, rng, sink, buf);
-        };
+    let fill = EntryWalks {
+        graph,
+        entries,
+        lengths: poisson.length_tables(),
+    };
     execute_chunk_range(
         graph,
         scratch,
@@ -358,25 +492,129 @@ pub(crate) fn run_planned_walks(
     );
 }
 
-/// Presample one chunk: `(work items, chunk RNG stream, endpoint sink,
-/// lane buffer)`. Deposits the walks that cannot move and leaves the
-/// movable ones in the buffer for the lanes, which go on drawing from the
-/// same stream.
-type FillChunk<'a> = dyn Fn(&[(u32, u64)], &mut SmallRng, &mut Reserve, &mut WalkBuf) + 'a;
+/// Where the walks of a chunk end: the query's [`Reserve`] on the calling
+/// thread, an [`EndpointLog`] on the helper.
+trait EndpointSink {
+    /// Add `by` walks to `v`'s endpoint count.
+    fn inc(&mut self, v: NodeId, by: u64);
+    /// Hint that `v` is about to be [`inc`](Self::inc)remented.
+    fn prefetch(&self, v: NodeId);
+}
 
-/// Open chunk `chunk` for the window: `None` once the cancel token has
-/// fired, else its planned walk count and RNG stream, with its walk list
-/// presampled into the buffer.
-type OpenChunk<'a> = dyn Fn(usize, &mut Reserve, &mut WalkBuf) -> Option<(u64, SmallRng)> + 'a;
+impl EndpointSink for Reserve {
+    #[inline(always)]
+    fn inc(&mut self, v: NodeId, by: u64) {
+        Reserve::inc(self, v, by);
+    }
+
+    #[inline(always)]
+    fn prefetch(&self, v: NodeId) {
+        Reserve::prefetch(self, v);
+    }
+}
+
+/// The helper thread's deposits, one endpoint per walk in the order it
+/// made them; the calling thread adds them to the reserve after the join.
+/// Appends are sequential, so there is nothing to prefetch.
+#[derive(Clone, Debug, Default)]
+struct EndpointLog(Vec<NodeId>);
+
+impl EndpointSink for EndpointLog {
+    #[inline(always)]
+    fn inc(&mut self, v: NodeId, by: u64) {
+        debug_assert!(
+            self.0.len() + by as usize <= self.0.capacity(),
+            "the log holds every walk of the pass"
+        );
+        for _ in 0..by {
+            self.0.push(v);
+        }
+    }
+
+    #[inline(always)]
+    fn prefetch(&self, _: NodeId) {}
+}
+
+/// Presamples one chunk: deposits the walks that cannot move into the
+/// sink and leaves the movable ones in the buffer for the lanes, which go
+/// on drawing from the same stream. Shared by both threads of a pass.
+trait FillChunk: Sync {
+    fn fill<S: EndpointSink>(
+        &self,
+        items: &[(u32, u64)],
+        rng: &mut SmallRng,
+        sink: &mut S,
+        buf: &mut WalkBuf,
+    );
+}
+
+/// The entry planner's chunks: work items are `(entry index, walks)`.
+struct EntryWalks<'a> {
+    graph: &'a Graph,
+    entries: &'a [(u32, NodeId)],
+    lengths: &'a LengthTables,
+}
+
+impl FillChunk for EntryWalks<'_> {
+    fn fill<S: EndpointSink>(
+        &self,
+        items: &[(u32, u64)],
+        rng: &mut SmallRng,
+        sink: &mut S,
+        buf: &mut WalkBuf,
+    ) {
+        fill_walk_buf(
+            self.graph,
+            self.entries,
+            self.lengths,
+            items,
+            rng,
+            sink,
+            buf,
+        );
+    }
+}
+
+/// The fixed planner's chunks: work items are `(length, walks)` from the
+/// seed. No length is drawn, so the chunk's stream is the lanes' alone.
+struct FixedWalks {
+    seed: NodeId,
+    seed_degree: usize,
+}
+
+impl FillChunk for FixedWalks {
+    fn fill<S: EndpointSink>(
+        &self,
+        items: &[(u32, u64)],
+        _: &mut SmallRng,
+        sink: &mut S,
+        buf: &mut WalkBuf,
+    ) {
+        buf.clear();
+        for &(len, walk_count) in items {
+            if len == 0 || self.seed_degree == 0 {
+                // Immobile walks deposit at the seed without lane cost.
+                sink.inc(self.seed, walk_count);
+            } else {
+                let from = buf.lens.len();
+                buf.lens
+                    .extend(std::iter::repeat_n(len, walk_count as usize));
+                buf.end_run(self.seed, from);
+            }
+        }
+    }
+}
 
 /// Run planned chunks `[cursor.next_chunk, upto_chunk)` of the plan on
 /// `scratch` and advance the cursor over them — the shared body of the
-/// two `run_planned_*` entry points. Each chunk that runs gets its own
-/// RNG stream, keyed by its absolute index; once `cancel` fires, chunks
-/// not yet opened are skipped whole (their walks are simply never
-/// deposited) and chunks already in the window finish.
+/// two `run_planned_*` entry points. Where the process may run on a
+/// second core ([`second_core`]), the range runs as consecutive passes of
+/// at most [`PASS_WALKS`] walks, and a pass of two or more chunks takes a
+/// helper thread if a core is spare ([`Walker::spare`]); elsewhere it runs
+/// as one pass on the calling thread. Once the cancel token has fired, no
+/// further pass starts.
 #[allow(clippy::too_many_arguments)]
-fn execute_chunk_range(
+fn execute_chunk_range<F: FillChunk>(
     graph: &Graph,
     scratch: &mut WalkScratch,
     upto_chunk: usize,
@@ -384,47 +622,226 @@ fn execute_chunk_range(
     master_seed: u64,
     cancel: Option<&CancelToken>,
     sink: &mut Reserve,
-    fill: &FillChunk<'_>,
+    fill: &F,
+) {
+    let upto = upto_chunk.min(scratch.chunks.len());
+    if !second_core() {
+        return run_pass(
+            graph,
+            scratch,
+            upto,
+            cursor,
+            master_seed,
+            cancel,
+            sink,
+            fill,
+            false,
+        );
+    }
+    let _walking = Walker::enter();
+    while cursor.next_chunk < upto && !cancel.is_some_and(CancelToken::is_cancelled) {
+        let end = pass_end(&scratch.chunk_walk_prefix, cursor.next_chunk, upto);
+        let helper = if end >= cursor.next_chunk + 2 {
+            // Sized whether or not a core is spare: what `memory_bytes`
+            // reports must not depend on other queries.
+            scratch.fit_helper(cursor.next_chunk, end);
+            Walker::spare()
+        } else {
+            None
+        };
+        run_pass(
+            graph,
+            scratch,
+            end,
+            cursor,
+            master_seed,
+            cancel,
+            sink,
+            fill,
+            helper.is_some(),
+        );
+    }
+}
+
+/// End of the pass that starts at chunk `from` of a range ending at
+/// `upto`, given the plan's walk prefix: as many chunks as fit in
+/// [`PASS_WALKS`] walks, and one at least.
+fn pass_end(prefix: &[u64], from: usize, upto: usize) -> usize {
+    let fit = prefix[from + 1..=upto].partition_point(|&p| p - prefix[from] <= PASS_WALKS);
+    from + fit.max(1)
+}
+
+/// Cores this process may run on: read once, since the answer costs file
+/// reads on Linux.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Whether this process may run on at least two cores. A process pinned
+/// to one core (`taskset`) reads false and never spawns a helper.
+pub(crate) fn second_core() -> bool {
+    cores() >= 2
+}
+
+/// Threads of this process walking a range right now: the callers of
+/// [`execute_chunk_range`] on a multi-core host, and their helpers. A
+/// count that publishes no data, so its operations are `Relaxed`.
+static WALKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// One thread counted in [`WALKERS`], for as long as it lives.
+struct Walker(());
+
+impl Walker {
+    /// Count the calling thread.
+    fn enter() -> Walker {
+        WALKERS.fetch_add(1, Ordering::Relaxed);
+        Walker(())
+    }
+
+    /// Count a helper, if fewer threads walk than the process has cores.
+    /// When every core already walks — an engine's workers all in their
+    /// walk phases, say — a helper could only take a core from another
+    /// query, and a pass without one is the faster for the host.
+    fn spare() -> Option<Walker> {
+        WALKERS
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < cores()).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| Walker(()))
+    }
+}
+
+impl Drop for Walker {
+    fn drop(&mut self) {
+        WALKERS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// One pass over chunks `[cursor.next_chunk, upto)`, on the calling thread
+/// alone or, with `helper`, together with one scoped helper. Both run
+/// [`Pass::run_window`] over the same claim counter; the helper deposits
+/// into its [`EndpointLog`], which is added to `sink` after the join, and
+/// its steps and walks are added to the cursor. All of these are integer
+/// sums, so which thread ran a chunk changes no bit of the outcome. The
+/// helper's buffers must have been sized for the pass
+/// ([`WalkScratch::fit_helper`]): it allocates nothing. If the helper
+/// cannot be spawned, the calling thread runs the whole pass.
+#[allow(clippy::too_many_arguments)]
+fn run_pass<F: FillChunk>(
+    graph: &Graph,
+    scratch: &mut WalkScratch,
+    upto: usize,
+    cursor: &mut WalkCursor,
+    master_seed: u64,
+    cancel: Option<&CancelToken>,
+    sink: &mut Reserve,
+    fill: &F,
+    helper: bool,
 ) {
     let WalkScratch {
         work,
         chunks,
+        chunk_walk_prefix,
         lane_bufs,
+        helper_bufs,
+        helper_log,
         ..
     } = scratch;
-    let (work, chunks) = (&*work, &*chunks);
-    let open = |chunk_idx: usize, sink: &mut Reserve, buf: &mut WalkBuf| {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return None;
-        }
-        let (lo, hi) = chunks[chunk_idx];
-        let items = &work[lo as usize..hi as usize];
-        let walks: u64 = items.iter().map(|&(_, c)| c).sum();
-        let mut rng = chunk_rng(master_seed, chunk_idx as u64);
-        fill(items, &mut rng, sink, buf);
-        Some((walks, rng))
+    let pass = Pass {
+        graph,
+        work,
+        chunks,
+        prefix: chunk_walk_prefix,
+        master_seed,
+        cancel,
+        fill,
+        next: AtomicUsize::new(cursor.next_chunk),
+        upto,
     };
-    let upto = upto_chunk.min(chunks.len());
-    run_window(graph, upto, cursor, sink, lane_bufs, &open);
+    helper_log.0.clear();
+    let theirs = if helper {
+        debug_assert!(
+            chunk_walk_prefix[upto] - chunk_walk_prefix[cursor.next_chunk]
+                <= helper_log.0.capacity() as u64,
+            "the helper's log holds every walk of the pass"
+        );
+        std::thread::scope(|s| {
+            let spawned = std::thread::Builder::new()
+                .stack_size(HELPER_STACK)
+                .spawn_scoped(s, || {
+                    let mut theirs = WalkCursor::default();
+                    pass.run_window(helper_log, helper_bufs, &mut theirs);
+                    theirs
+                });
+            pass.run_window(sink, lane_bufs, cursor);
+            spawned.map_or(WalkCursor::default(), |h| {
+                h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+            })
+        })
+    } else {
+        pass.run_window(sink, lane_bufs, cursor);
+        WalkCursor::default()
+    };
+    // The endpoints are random nodes: prefetching the index slot of the
+    // one sixteen entries on cut the loop from ≈12 to ≈9 ns an entry.
+    let log = &helper_log.0;
+    for (i, &v) in log.iter().enumerate() {
+        if let Some(&ahead) = log.get(i + 16) {
+            sink.prefetch(ahead);
+        }
+        sink.inc(v, 1);
+    }
+    cursor.steps += theirs.steps;
+    cursor.walks_done += theirs.walks_done;
+    cursor.next_chunk = pass.next.into_inner().min(upto);
+}
+
+/// Make room for `len` entries in the empty `buf`: a new allocation of at
+/// least twice the old one, never a grown one, which would copy the old
+/// bytes in and so make pages resident that the helper may never write.
+fn fit<T>(buf: &mut Vec<T>, len: usize) {
+    if buf.capacity() < len {
+        *buf = Vec::with_capacity(len.max(2 * buf.capacity()));
+    }
+}
+
+/// What the threads of one pass share: the plan, the fill, and the
+/// counter they claim chunk indices from.
+struct Pass<'a, F> {
+    graph: &'a Graph,
+    work: &'a [(u32, u64)],
+    chunks: &'a [(u32, u32)],
+    /// The plan's cumulative walk prefix: chunk `c` holds
+    /// `prefix[c + 1] - prefix[c]` walks.
+    prefix: &'a [u64],
+    master_seed: u64,
+    cancel: Option<&'a CancelToken>,
+    fill: &'a F,
+    /// The next chunk to claim; runs past `upto` once the range is out.
+    next: AtomicUsize,
+    upto: usize,
 }
 
 /// Presample one chunk's *movable* walks into `buf`: per work group
 /// (shared `(hop, node)`), bind the hop's length table and the start
 /// row once, draw every walk's exact length (one `u64` each), and push
-/// `(start, length)` for the walks that will actually move. Walks that
+/// the lengths of the walks that will actually move, closed by one run at
+/// the group's start. Walks that
 /// cannot move — zero sampled length, degree-0 start, or a start hop
 /// beyond the Poisson truncation — deposit into `sink` here, batched per
 /// group, without costing the lane kernel anything. Degree-0 and
 /// beyond-truncation groups consume no RNG at all (their outcome does not
 /// depend on it); the consumption rule is a fixed function of the work
 /// list, so chunk streams stay pure functions of `(master_seed, chunk)`.
-fn fill_walk_buf(
+fn fill_walk_buf<S: EndpointSink>(
     graph: &Graph,
     entries: &[(u32, NodeId)],
     lengths: &LengthTables,
     items: &[(u32, u64)],
     rng: &mut SmallRng,
-    sink: &mut Reserve,
+    sink: &mut S,
     buf: &mut WalkBuf,
 ) {
     buf.clear();
@@ -435,15 +852,16 @@ fn fill_walk_buf(
             sink.inc(start, walk_count);
             continue;
         };
-        let mut immediate = 0u64;
+        let (from, mut immediate) = (buf.lens.len(), 0u64);
         for _ in 0..walk_count {
             let len = table.sample(rng);
             if len == 0 {
                 immediate += 1;
             } else {
-                buf.push((start, len as u32));
+                buf.lens.push(len as u32);
             }
         }
+        buf.end_run(start, from);
         if immediate > 0 {
             sink.inc(start, immediate);
         }
@@ -460,7 +878,7 @@ fn lemire_pick(r: u32, deg: u32) -> usize {
 /// One chunk's lane set: up to [`LANES`] presampled walks advanced in
 /// lockstep, finished lanes refilled from the chunk's pending list (every
 /// pending walk is movable — [`fill_walk_buf`] already deposited the
-/// rest). A round is two sweeps over the live lanes, which [`run_window`]
+/// rest). A round is two sweeps over the live lanes, which [`Pass::run_window`]
 /// interleaves with the other chunks of its window:
 ///
 /// * [`pick`](Self::pick) — draw the neighbor index, load the next node
@@ -486,26 +904,28 @@ struct Lanes {
     nxt: [NodeId; LANES],
     live: usize,
     /// Next pending walk of the chunk's list.
-    cursor: usize,
+    next: ListCursor,
     /// Steps walked so far.
     steps: u64,
 }
 
 impl Lanes {
     /// Load the first walks of `walks` into the lanes.
-    fn start(graph: &Graph, walks: &[(NodeId, u32)]) -> Lanes {
+    fn start(graph: &Graph, walks: &WalkBuf) -> Lanes {
         let mut lanes = Lanes {
             row: [0; LANES],
             deg: [0; LANES],
             rem: [0; LANES],
             nxt: [0; LANES],
             live: 0,
-            cursor: 0,
+            next: ListCursor::default(),
             steps: 0,
         };
-        while lanes.live < LANES && lanes.cursor < walks.len() {
-            lanes.load(graph, lanes.live, walks[lanes.cursor]);
-            lanes.cursor += 1;
+        while lanes.live < LANES {
+            let Some(walk) = lanes.next.pop(walks) else {
+                break;
+            };
+            lanes.load(graph, lanes.live, walk);
             lanes.live += 1;
         }
         lanes
@@ -530,7 +950,7 @@ impl Lanes {
     /// both once per chunk per round, and copies of them in each window
     /// slot measured slower on a graph that fits in cache.
     #[inline(never)]
-    fn pick(&mut self, graph: &Graph, rng: &mut SmallRng, sink: &Reserve) {
+    fn pick<S: EndpointSink>(&mut self, graph: &Graph, rng: &mut SmallRng, sink: &S) {
         let live = self.live;
         let mut i = 0;
         while i + 1 < live {
@@ -562,8 +982,8 @@ impl Lanes {
 
     /// Sweep 2: resolve rows, finish / refill / compact lanes.
     #[inline(never)]
-    fn advance(&mut self, graph: &Graph, walks: &[(NodeId, u32)], sink: &mut Reserve) {
-        let (mut live, mut cursor) = (self.live, self.cursor);
+    fn advance<S: EndpointSink>(&mut self, graph: &Graph, walks: &WalkBuf, sink: &mut S) {
+        let (mut live, mut next) = (self.live, self.next);
         let mut i = 0;
         while i < live {
             self.rem[i] -= 1;
@@ -572,9 +992,8 @@ impl Lanes {
             if self.rem[i] == 0 || ndeg == 0 {
                 // Finished, or absorbed at a degree-0 node.
                 sink.inc(self.nxt[i], 1);
-                if let Some(&walk) = walks.get(cursor) {
+                if let Some(walk) = next.pop(walks) {
                     self.load(graph, i, walk);
-                    cursor += 1;
                     i += 1;
                 } else {
                     // Compact: move the last live lane down. It has had
@@ -593,7 +1012,7 @@ impl Lanes {
                 i += 1;
             }
         }
-        (self.live, self.cursor) = (live, cursor);
+        (self.live, self.next) = (live, next);
     }
 }
 
@@ -613,55 +1032,88 @@ struct InFlight {
     lanes: Lanes,
 }
 
-/// Run the chunks `cursor.next_chunk..upto` through a window of up to
-/// [`WINDOW`] lane sets, adding each finished chunk's steps and walks to
-/// the cursor. Whenever a slot is free the next chunk is opened into it
-/// (a chunk whose walks all deposited at fill time finishes there, and a
-/// chunk the cancel token skips adds nothing); each round picks for every
-/// chunk in the window, then advances every chunk, so up to
-/// `WINDOW * LANES` random loads overlap. Every chunk draws from its own
-/// stream in exactly the order a lone chunk would — presampling, then its
-/// lanes — and deposits and cursor totals are integer sums, so which
-/// chunks share a window, and in which order they finish, changes no bit
-/// of the output.
-fn run_window(
-    graph: &Graph,
-    upto: usize,
-    cursor: &mut WalkCursor,
-    sink: &mut Reserve,
-    bufs: &mut [WalkBuf; WINDOW],
-    open: &OpenChunk<'_>,
-) {
-    let mut window: [Option<InFlight>; WINDOW] = Default::default();
-    loop {
-        for (entry, buf) in window.iter_mut().zip(bufs.iter_mut()) {
-            while entry.is_none() && cursor.next_chunk < upto {
-                let opened = open(cursor.next_chunk, sink, buf);
-                cursor.next_chunk += 1;
-                let Some((walks, rng)) = opened else {
-                    continue;
-                };
-                let lanes = Lanes::start(graph, buf);
-                if lanes.live == 0 {
-                    cursor.walks_done += walks;
-                } else {
-                    *entry = Some(InFlight { walks, rng, lanes });
+impl<F: FillChunk> Pass<'_, F> {
+    /// Claim the next chunk of the range: `None` once the cancel token
+    /// has fired or the range is out. The token is read *before* the
+    /// claim, and every claimed chunk runs to its end, so the chunks that
+    /// ran are always the prefix of the range below the counter. The
+    /// counter publishes no data (the plan was written before the helper
+    /// was spawned, and the helper's results reach the caller through the
+    /// join), so it is `Relaxed`.
+    fn claim(&self) -> Option<usize> {
+        if self.cancel.is_some_and(CancelToken::is_cancelled) {
+            return None;
+        }
+        let chunk = self.next.fetch_add(1, Ordering::Relaxed);
+        (chunk < self.upto).then_some(chunk)
+    }
+
+    /// Open claimed chunk `chunk`: presample its walk list into `buf` and
+    /// return its planned walk count and RNG stream.
+    fn open<S: EndpointSink>(
+        &self,
+        chunk: usize,
+        sink: &mut S,
+        buf: &mut WalkBuf,
+    ) -> (u64, SmallRng) {
+        let (lo, hi) = self.chunks[chunk];
+        let items = &self.work[lo as usize..hi as usize];
+        let mut rng = chunk_rng(self.master_seed, chunk as u64);
+        self.fill.fill(items, &mut rng, sink, buf);
+        (self.prefix[chunk + 1] - self.prefix[chunk], rng)
+    }
+
+    /// Run chunks claimed from the pass through a window of up to
+    /// [`WINDOW`] lane sets, adding each finished chunk's steps and walks
+    /// to `tally`. Whenever a slot is free the next chunk is claimed and
+    /// opened into it (a chunk whose walks all deposited at fill time
+    /// finishes there); once a claim fails, the chunks in the window
+    /// finish and nothing more is opened. Each round picks for every chunk
+    /// in the window, then advances every chunk, so up to
+    /// `WINDOW * LANES` random loads overlap. Every chunk draws from its
+    /// own stream in exactly the order a lone chunk would — presampling,
+    /// then its lanes — and deposits and tallies are integer sums, so
+    /// which chunks share a window, and in which order they finish,
+    /// changes no bit of the output.
+    fn run_window<S: EndpointSink>(
+        &self,
+        sink: &mut S,
+        bufs: &mut [WalkBuf; WINDOW],
+        tally: &mut WalkCursor,
+    ) {
+        let graph = self.graph;
+        let mut window: [Option<InFlight>; WINDOW] = Default::default();
+        let mut claiming = true;
+        loop {
+            for (entry, buf) in window.iter_mut().zip(bufs.iter_mut()) {
+                while claiming && entry.is_none() {
+                    let Some(chunk) = self.claim() else {
+                        claiming = false;
+                        break;
+                    };
+                    let (walks, rng) = self.open(chunk, sink, buf);
+                    let lanes = Lanes::start(graph, buf);
+                    if lanes.live == 0 {
+                        tally.walks_done += walks;
+                    } else {
+                        *entry = Some(InFlight { walks, rng, lanes });
+                    }
                 }
             }
-        }
-        if window.iter().all(Option::is_none) {
-            return;
-        }
-        for chunk in window.iter_mut().flatten() {
-            chunk.lanes.pick(graph, &mut chunk.rng, sink);
-        }
-        for (entry, buf) in window.iter_mut().zip(bufs.iter()) {
-            if let Some(chunk) = entry {
-                chunk.lanes.advance(graph, buf, sink);
-                if chunk.lanes.live == 0 {
-                    cursor.steps += chunk.lanes.steps;
-                    cursor.walks_done += chunk.walks;
-                    *entry = None;
+            if window.iter().all(Option::is_none) {
+                return;
+            }
+            for chunk in window.iter_mut().flatten() {
+                chunk.lanes.pick(graph, &mut chunk.rng, sink);
+            }
+            for (entry, buf) in window.iter_mut().zip(bufs.iter()) {
+                if let Some(chunk) = entry {
+                    chunk.lanes.advance(graph, buf, sink);
+                    if chunk.lanes.live == 0 {
+                        tally.steps += chunk.lanes.steps;
+                        tally.walks_done += chunk.walks;
+                        *entry = None;
+                    }
                 }
             }
         }
@@ -745,23 +1197,10 @@ pub(crate) fn run_planned_fixed_walks(
     sink: &mut Reserve,
     scratch: &mut WalkScratch,
 ) {
-    let seed_degree = graph.degree(seed);
-    // Work items are `(length, count)` here; no length is drawn, so the
-    // chunk's stream is the lanes' alone.
-    let fill =
-        move |items: &[(u32, u64)], _: &mut SmallRng, sink: &mut Reserve, buf: &mut WalkBuf| {
-            buf.clear();
-            for &(len, walk_count) in items {
-                if len == 0 || seed_degree == 0 {
-                    // Immobile walks deposit at the seed without lane cost.
-                    sink.inc(seed, walk_count);
-                } else {
-                    for _ in 0..walk_count {
-                        buf.push((seed, len));
-                    }
-                }
-            }
-        };
+    let fill = FixedWalks {
+        seed,
+        seed_degree: graph.degree(seed),
+    };
     execute_chunk_range(
         graph,
         scratch,
@@ -1025,6 +1464,57 @@ mod tests {
     }
 
     #[test]
+    fn no_helper_is_spared_while_every_core_walks() {
+        // Other tests walk in this process too, so only this direction is
+        // certain: with as many threads counted as the process has cores,
+        // no helper is counted in.
+        let walking: Vec<Walker> = (0..cores()).map(|_| Walker::enter()).collect();
+        assert!(Walker::spare().is_none());
+        drop(walking);
+    }
+
+    #[test]
+    fn a_long_walk_phase_holds_walk_buffers_of_a_fixed_size() {
+        // A Monte-Carlo-sized plan of 2M fixed-length walks: a two-thread
+        // range runs as passes of at most PASS_WALKS walks, so the
+        // helper's endpoint log and the eight window buffers stay within a
+        // size that does not depend on the walk count. Only the plan grows,
+        // by a few words a chunk.
+        let mut gen_rng = SmallRng::seed_from_u64(45);
+        let g = hk_graph::gen::holme_kim(2_000, 4, 0.3, &mut gen_rng).unwrap();
+        let walks = 2_000_000u64;
+        let mut scratch = WalkScratch::default();
+        plan_batched_fixed_walks(&[0, walks / 2, walks / 2], &mut scratch);
+        let num_chunks = scratch.chunks.len();
+        let (mut counts, mut cursor) = (sink_for(&g), WalkCursor::default());
+        run_planned_fixed_walks(
+            &g,
+            1,
+            5,
+            None,
+            num_chunks,
+            &mut cursor,
+            &mut counts,
+            &mut scratch,
+        );
+        assert_eq!(cursor.walks_done, walks);
+        assert_eq!(cursor.steps, walks / 2 * 3);
+        let plan = scratch.start_counts.capacity() * std::mem::size_of::<u64>()
+            + scratch.work.capacity() * std::mem::size_of::<(u32, u64)>()
+            + scratch.chunks.capacity() * std::mem::size_of::<(u32, u32)>()
+            + scratch.chunk_walk_prefix.capacity() * std::mem::size_of::<u64>();
+        let buffers = scratch.memory_bytes() - plan;
+        // A chunk's worst-case walk list (and a few runs) per window slot
+        // of each thread, and the log's four bytes per walk of one pass.
+        let window = 2 * WINDOW * (MAX_CHUNK_BUF * 4 + 8 * 8);
+        let bound = window + PASS_WALKS as usize * 4;
+        assert!(buffers <= bound, "{buffers} > {bound}");
+        if second_core() {
+            assert_eq!(scratch.helper_log.0.capacity(), PASS_WALKS as usize);
+        }
+    }
+
+    #[test]
     fn walk_scratch_memory_grows_then_releases() {
         // The serve cache budgets against QueryWorkspace::memory_bytes,
         // which folds in this scratch — the lane/length buffers must be
@@ -1056,8 +1546,43 @@ mod tests {
         );
         // The presampled-walk buffer for a full chunk must be visible.
         assert!(
-            grown >= CHUNK_WALKS as usize * std::mem::size_of::<(NodeId, u32)>(),
+            grown >= CHUNK_WALKS as usize * std::mem::size_of::<u32>(),
             "lane buffers unaccounted: {grown}"
+        );
+        // A pass on two threads sizes the helper's four window buffers
+        // and its endpoint log before the helper starts; they count too.
+        let num_chunks = scratch.chunks.len();
+        assert!(num_chunks >= 2, "{num_chunks} chunks");
+        let fill = EntryWalks {
+            graph: &g,
+            entries: &entries,
+            lengths: p.length_tables(),
+        };
+        scratch.fit_helper(0, num_chunks);
+        let mut cursor = WalkCursor::default();
+        run_pass(
+            &g,
+            &mut scratch,
+            num_chunks,
+            &mut cursor,
+            11,
+            None,
+            &mut counts,
+            &fill,
+            true,
+        );
+        assert_eq!(cursor.walks_done, 50_000);
+        assert_eq!(scratch.helper_log.0.capacity(), PASS_WALKS as usize);
+        assert!(scratch
+            .helper_bufs
+            .iter()
+            .all(|b| b.lens.capacity() >= MAX_CHUNK_BUF));
+        let helper_bytes = scratch.helper_bytes();
+        let lane_bytes: usize = scratch.lane_bufs.iter().map(WalkBuf::memory_bytes).sum();
+        assert!(
+            scratch.memory_bytes() >= helper_bytes + lane_bytes,
+            "helper buffers unaccounted: {} vs {helper_bytes} + {lane_bytes}",
+            scratch.memory_bytes()
         );
         scratch.release();
         assert_eq!(scratch.memory_bytes(), baseline);
@@ -1212,18 +1737,43 @@ mod tests {
         }
     }
 
+    /// The entry planner's fill, firing `token` as the `m`-th chunk of
+    /// the pass is opened, on whichever thread opens it.
+    struct CancelAtOpen<'a> {
+        walks: EntryWalks<'a>,
+        opened: AtomicUsize,
+        m: usize,
+        token: &'a CancelToken,
+    }
+
+    impl FillChunk for CancelAtOpen<'_> {
+        fn fill<S: EndpointSink>(
+            &self,
+            items: &[(u32, u64)],
+            rng: &mut SmallRng,
+            sink: &mut S,
+            buf: &mut WalkBuf,
+        ) {
+            if self.opened.fetch_add(1, Ordering::Relaxed) + 1 == self.m {
+                self.token.cancel();
+            }
+            self.walks.fill(items, rng, sink, buf);
+        }
+    }
+
     #[test]
     fn a_token_fired_inside_the_window_skips_only_unopened_chunks() {
-        // The executor opens chunks ahead of the one it is finishing. A
-        // token that fires while the m-th chunk is being opened lets the
-        // chunks already open run to their end and skips the rest whole:
-        // the outcome is that of running chunks [0, m).
+        // Both threads of a pass open chunks ahead of the ones they are
+        // finishing. A token that fires while the m-th chunk is being
+        // opened lets every chunk already claimed run to its end and skips
+        // the rest whole: the chunks that ran are a prefix [0, c) with
+        // c >= m, and the outcome is that of running chunks [0, c). On one
+        // thread, c == m.
         let mut gen_rng = SmallRng::seed_from_u64(43);
         let g = hk_graph::gen::holme_kim(1_500, 4, 0.3, &mut gen_rng).unwrap();
         let p = PoissonTable::new(5.0);
         let entries: Vec<(u32, NodeId)> = (0..32).map(|i| (i % 4, i * 7 as NodeId)).collect();
         let table = AliasTable::new(&vec![1.0; entries.len()]);
-        let lengths = p.length_tables();
         let plan = || {
             let mut scratch = WalkScratch::default();
             assert!(plan_batched_walks(
@@ -1238,50 +1788,128 @@ mod tests {
         };
         let num_chunks = plan().chunks.len();
         assert!(num_chunks > 2 * WINDOW, "{num_chunks} chunks");
-        for m in 1..=num_chunks {
-            let mut counts = sink_for(&g);
-            let mut scratch = plan();
-            let token = CancelToken::new();
-            let opened = std::cell::Cell::new(0);
-            let fill = |items: &[(u32, u64)],
-                        rng: &mut SmallRng,
-                        sink: &mut Reserve,
-                        buf: &mut WalkBuf| {
-                opened.set(opened.get() + 1);
-                if opened.get() == m {
-                    token.cancel();
+        for helper in [false, true] {
+            for m in 1..=num_chunks {
+                let mut counts = sink_for(&g);
+                let mut scratch = plan();
+                let token = CancelToken::new();
+                let fill = CancelAtOpen {
+                    walks: EntryWalks {
+                        graph: &g,
+                        entries: &entries,
+                        lengths: p.length_tables(),
+                    },
+                    opened: AtomicUsize::new(0),
+                    m,
+                    token: &token,
+                };
+                if helper {
+                    scratch.fit_helper(0, num_chunks);
                 }
-                fill_walk_buf(&g, &entries, lengths, items, rng, sink, buf);
-            };
-            let mut cursor = WalkCursor::default();
-            execute_chunk_range(
-                &g,
-                &mut scratch,
-                num_chunks,
-                &mut cursor,
-                9,
-                Some(&token),
-                &mut counts,
-                &fill,
-            );
-            let cut = outcome(&counts, &cursor);
+                let mut cursor = WalkCursor::default();
+                run_pass(
+                    &g,
+                    &mut scratch,
+                    num_chunks,
+                    &mut cursor,
+                    9,
+                    Some(&token),
+                    &mut counts,
+                    &fill,
+                    helper,
+                );
+                let cut = outcome(&counts, &cursor);
+                let what = format!("helper {helper}, fired at chunk {m}");
+                let c = cursor.next_chunk;
+                assert!(c >= m, "{what}: only {c} chunks ran");
+                if !helper {
+                    assert_eq!(c, m, "{what}");
+                }
+                assert_eq!(cut.2, scratch.planned_walks_through(c), "{what}");
 
-            let mut counts = sink_for(&g);
-            let mut scratch = plan();
-            let mut cursor = WalkCursor::default();
-            run_planned_walks(
-                &g,
-                &p,
-                &entries,
-                9,
-                None,
-                m,
-                &mut cursor,
-                &mut counts,
-                &mut scratch,
-            );
-            assert_eq!(cut, outcome(&counts, &cursor), "fired at chunk {m}");
-            assert_eq!(cut.2, scratch.planned_walks_through(m));
+                let mut counts = sink_for(&g);
+                let mut scratch = plan();
+                let mut cursor = WalkCursor::default();
+                run_planned_walks(
+                    &g,
+                    &p,
+                    &entries,
+                    9,
+                    None,
+                    c,
+                    &mut cursor,
+                    &mut counts,
+                    &mut scratch,
+                );
+                assert_eq!(cut, outcome(&counts, &cursor), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_thread_and_two_deposit_the_same_bits() {
+        // Which thread runs a chunk cannot show: for both planners, on a
+        // graph whose walks end mid-walk in a row-less node too, a pass
+        // with the helper deposits, steps and counts exactly what the
+        // calling thread alone does, from any starting chunk — whether or
+        // not this machine would spawn the helper by itself.
+        let mut gen_rng = SmallRng::seed_from_u64(44);
+        let hk = hk_graph::gen::holme_kim(2_000, 4, 0.3, &mut gen_rng).unwrap();
+        let sink_graph = Graph::from_csr(vec![0, 1, 4, 4, 6, 6], vec![1, 0, 2, 3, 1, 2]);
+        let p = PoissonTable::new(5.0);
+        let lengths = [
+            2_000u64, 7_000, 9_000, 4_000, 6_000, 3_000, 5_000, 4_000, 2_500, 1_500, 800, 200,
+        ];
+        for g in [&hk, &sink_graph] {
+            let entries: Vec<(u32, NodeId)> = (0..24u32)
+                .map(|i| (i % 5, (i * 13) % g.num_nodes() as u32))
+                .collect();
+            let table = AliasTable::new(&vec![1.0; entries.len()]);
+            for fixed in [false, true] {
+                let run = |from: usize, helper: bool| {
+                    let mut counts = sink_for(g);
+                    let mut scratch = WalkScratch::default();
+                    if fixed {
+                        plan_batched_fixed_walks(&lengths, &mut scratch);
+                    } else {
+                        let planned =
+                            plan_batched_walks(&entries, &table, 40_000, 3, None, &mut scratch);
+                        assert!(planned);
+                    }
+                    let num_chunks = scratch.chunks.len();
+                    let mut cursor = WalkCursor {
+                        next_chunk: from,
+                        ..WalkCursor::default()
+                    };
+                    if helper {
+                        scratch.fit_helper(from, num_chunks);
+                    }
+                    if fixed {
+                        let fill = FixedWalks {
+                            seed: 1,
+                            seed_degree: g.degree(1),
+                        };
+                        let (s, c, k) = (&mut scratch, &mut cursor, &mut counts);
+                        run_pass(g, s, num_chunks, c, 3, None, k, &fill, helper);
+                    } else {
+                        let fill = EntryWalks {
+                            graph: g,
+                            entries: &entries,
+                            lengths: p.length_tables(),
+                        };
+                        let (s, c, k) = (&mut scratch, &mut cursor, &mut counts);
+                        run_pass(g, s, num_chunks, c, 3, None, k, &fill, helper);
+                    }
+                    assert_eq!(cursor.next_chunk, num_chunks);
+                    (num_chunks, outcome(&counts, &cursor))
+                };
+                let (num_chunks, _) = run(0, false);
+                assert!(num_chunks >= 2 * WINDOW, "{num_chunks} chunks");
+                for from in [0, 1, num_chunks - 2, num_chunks - 1] {
+                    let what = format!("fixed {fixed}, {} nodes, from {from}", g.num_nodes());
+                    assert_eq!(run(from, true), run(from, false), "{what}");
+                }
+            }
         }
     }
 

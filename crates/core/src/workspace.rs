@@ -916,8 +916,9 @@ mod tests {
     #[test]
     fn workspace_accounts_walk_engine_buffers() {
         // The serve cache budgets worker memory via memory_bytes(); the
-        // walk engine's presampled-walk lane buffers must be visible in
-        // it after a real query, and reset() must hand everything back.
+        // walk engine's presampled-walk lane buffers — the helper
+        // thread's, with its endpoint log, too — must be visible in it
+        // after a real query, and reset() must hand everything back.
         use hk_graph::gen::holme_kim;
         use rand::{rngs::SmallRng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(50);
@@ -941,8 +942,25 @@ mod tests {
         let walk_bytes = ws.walk_scratch.memory_bytes();
         assert!(walk_bytes > 0, "walk scratch must have grown");
         assert!(ws.memory_bytes() >= fresh + walk_bytes);
+        // A plan of two or more chunks ran on two threads wherever the
+        // process may use a second core: the helper's four window buffers,
+        // each sized to a chunk's worst case, and its log of one entry per
+        // walk of a pass (2^17 walks at most), are part of the walk scratch.
+        let chunks = ws.walk_scratch.chunk_walk_prefix().len() - 1;
+        assert!(chunks >= 2, "fixture must plan two chunks: {chunks}");
+        let helper_bytes = ws.walk_scratch.helper_bytes();
+        if crate::walk::second_core() {
+            // A walk's length in a window buffer, its endpoint in the log:
+            // four bytes each.
+            let least = (4 * (2 * 4096 - 1) + (1 << 17)) * 4;
+            assert!(helper_bytes >= least, "{helper_bytes} < {least}");
+            assert!(walk_bytes >= helper_bytes);
+        } else {
+            assert_eq!(helper_bytes, 0);
+        }
         ws.reset();
         assert_eq!(ws.memory_bytes(), fresh);
+        assert_eq!(ws.walk_scratch.helper_bytes(), 0);
     }
 
     #[test]

@@ -376,8 +376,12 @@ pub struct EngineConfig {
     /// graphs** — size it to the host, not to the number of graphs.
     /// Clamped to >= 1.
     pub workers: usize,
-    /// Read by nothing: every query's walk phase runs on the worker that
-    /// took it. The field stays only because the repo benchmark
+    /// Read by nothing. A query's walk phase runs on the worker that took
+    /// it plus, without any setting, one helper thread for that pass when
+    /// the process may use two cores, the pass has two chunks or more and
+    /// fewer of the process's threads walk than it has cores
+    /// (`hkpr_core`'s walk engine decides; a process pinned to one core
+    /// never spawns it). The field stays only because the repo benchmark
     /// (`benchmark/`, frozen between its own revisions) sets it; its next
     /// revision, ROADMAP item 9, removes it.
     pub walk_threads: usize,
@@ -562,7 +566,7 @@ pub fn run_batch(
         .collect()
 }
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{MultiEngine, MultiEngineConfig};
     use hk_graph::gen::planted_partition;
@@ -737,6 +741,46 @@ mod tests {
         assert!(again.result.bitwise_eq(&fresh.result));
     }
 
+    /// A Monte-Carlo query whose walk phase outlasts its length sampling
+    /// by more than the widest step of the degraded tests' deadline ladder
+    /// (2.5x), in any build profile: a length costs one binary search over
+    /// the Poisson table (`O(log t)`), a walk `t` steps, so at `t = 400`
+    /// the 2M walks take tens of times longer than drawing their lengths:
+    /// the whole query reads ≈0.9 s optimized on two threads, far past the
+    /// ladder's first rung of 100 ms, and ≈23 s unoptimized. Whichever
+    /// rung first outlasts the sampling cuts the walks.
+    fn degrading_monte_carlo() -> QueryRequest {
+        QueryRequest::new(3)
+            .method(Method::MonteCarlo {
+                max_walks: Some(2_000_000),
+            })
+            .knobs(Knobs {
+                t: 400.0,
+                delta: Some(1e-8),
+                ..Knobs::default()
+            })
+    }
+
+    /// A query that holds a lone worker far past the 20 ms the admission
+    /// tests sleep before they submit, in any build profile: 500k walks
+    /// at `t = 400` (≈0.2 s optimized on two threads, on these tests'
+    /// graphs), cut by a 1 s deadline where an unoptimized build would
+    /// walk for seconds. Its length sampling, which a deadline cannot
+    /// degrade, takes a small part of that second even unoptimized, so
+    /// the answer is complete or degraded, never an error.
+    pub(crate) fn occupying_monte_carlo() -> QueryRequest {
+        QueryRequest::new(0)
+            .method(Method::MonteCarlo {
+                max_walks: Some(500_000),
+            })
+            .knobs(Knobs {
+                t: 400.0,
+                delta: Some(1e-8),
+                ..Knobs::default()
+            })
+            .deadline_in(Duration::from_secs(1))
+    }
+
     #[test]
     fn degraded_answer_carries_achieved_tier_and_is_not_cached() {
         // Cache ON: a degraded answer must come back `Uncached` and must
@@ -745,19 +789,10 @@ mod tests {
             workers: 1,
             ..EngineConfig::default()
         });
-        // 4M walks: the up-front length sampling (which cannot degrade —
-        // a cancel there is a hard `Cancelled`) stays well under the
-        // deadline ladder even on a loaded debug host, while the walk
-        // phase still runs long enough that a full completion inside the
-        // first rung would need an implausibly fast machine.
-        let req = QueryRequest::new(3)
-            .method(Method::MonteCarlo {
-                max_walks: Some(4_000_000),
-            })
-            .knobs(Knobs {
-                delta: Some(1e-8),
-                ..Knobs::default()
-            });
+        // The up-front length sampling cannot degrade (a cancel there is
+        // a hard `Cancelled`), so the walk phase must outlast it by more
+        // than a rung of the deadline ladder, in both build profiles.
+        let req = degrading_monte_carlo();
         // Escalate the deadline until the cancel lands in the walk phase
         // (anything deposited makes an Ok degraded answer).
         let mut resp = None;
@@ -776,7 +811,7 @@ mod tests {
         let resp = resp.expect("no walk chunk completed within 8s");
         let d = resp
             .degraded
-            .expect("4M walks cannot finish inside the deadline");
+            .expect("the walks cannot finish inside the deadline");
         let tier = d.achieved;
         assert!(tier.is_degraded());
         assert!(tier.tiers_completed < tier.tiers_planned);
@@ -812,14 +847,7 @@ mod tests {
         assert_eq!(hit.outcome, CacheOutcome::Hit);
         // A degraded miss (escalating deadlines until the cancel lands
         // inside the walk phase — see the degraded-answer test above).
-        let req = QueryRequest::new(3)
-            .method(Method::MonteCarlo {
-                max_walks: Some(4_000_000),
-            })
-            .knobs(Knobs {
-                delta: Some(1e-8),
-                ..Knobs::default()
-            });
+        let req = degrading_monte_carlo();
         let mut resp = None;
         for ms in [100u64, 250, 500, 1_000, 2_000, 4_000, 8_000] {
             match e.query(G, req.deadline_in(Duration::from_millis(ms))) {
@@ -906,19 +934,7 @@ mod tests {
                 ..EngineConfig::default()
             });
             // Occupy the worker so subsequent submits stay queued.
-            let slow = e
-                .submit(
-                    G,
-                    QueryRequest::new(0)
-                        .method(Method::MonteCarlo {
-                            max_walks: Some(3_000_000),
-                        })
-                        .knobs(Knobs {
-                            delta: Some(1e-8),
-                            ..Knobs::default()
-                        }),
-                )
-                .unwrap();
+            let slow = e.submit(G, occupying_monte_carlo()).unwrap();
             std::thread::sleep(Duration::from_millis(20));
             let queued: Vec<Ticket> = (0..admitted)
                 .map(|s| {

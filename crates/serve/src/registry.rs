@@ -1235,7 +1235,6 @@ mod tests {
 
     #[test]
     fn admission_quota_rejections_are_per_graph() {
-        use hk_cluster::Method;
         let me = MultiEngine::new(MultiEngineConfig {
             engine: EngineConfig {
                 workers: 1,
@@ -1251,20 +1250,8 @@ mod tests {
         me.registry().register_graph("calm", graph(52));
         // Occupy the single worker with a slow query so later submits
         // stay queued.
-        // delta = 1e-8 inflates the published Monte-Carlo walk count so
-        // the cap binds and the query reliably outlives the submits.
         let slow = me
-            .submit(
-                "hog",
-                QueryRequest::new(0)
-                    .method(Method::MonteCarlo {
-                        max_walks: Some(2_000_000),
-                    })
-                    .knobs(crate::Knobs {
-                        delta: Some(1e-8),
-                        ..Default::default()
-                    }),
-            )
+            .submit("hog", crate::engine::tests::occupying_monte_carlo())
             .unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
         // One queued request fits hog's quota; the next is rejected —
