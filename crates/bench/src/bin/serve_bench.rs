@@ -572,8 +572,7 @@ fn bench_anytime(ids: &[DatasetId], datasets: &Datasets, queries: usize, workers
     let seeds = pick_seeds(&graph, 64.min(graph.num_nodes()), 7);
     // Walk-heavy configuration: a tiny delta makes the planned walk count
     // hit the cap, and a large heat constant t makes the walks long, so
-    // the dominant share of the query is refinable walk work rather than
-    // the (non-resumable) up-front length sampling.
+    // nearly all of the query is refinable walk work.
     const MAX_WALKS: u64 = 1_500_000;
     let knobs = Knobs {
         t: 15.0,
@@ -590,12 +589,10 @@ fn bench_anytime(ids: &[DatasetId], datasets: &Datasets, queries: usize, workers
             .rng_seed(rng_seed)
     };
 
-    // Calibrate a deadline that lands *inside the walk phase*. The walk
-    // ladder cannot help a cancel that fires during up-front length
-    // sampling (nothing is deposited yet, so that is still a hard
-    // `Cancelled`), so the deadline must clear the sampling phase with
-    // margin and then sit a fraction of the way into the walks.
-    let (mut full_us, mut sample_us_max, mut walk_us_min) = (f64::INFINITY, 0.0f64, f64::INFINITY);
+    // Calibrate a deadline that lands *inside the walk phase*: a
+    // fraction of the way into the walks. Monte-Carlo pushes nothing
+    // (`push_ns == 0`), so its whole query is walk time.
+    let (mut full_us, mut walk_us_min) = (f64::INFINITY, f64::INFINITY);
     for i in 0..3u64 {
         let q0 = Instant::now();
         let resp = engine
@@ -606,16 +603,12 @@ fn bench_anytime(ids: &[DatasetId], datasets: &Datasets, queries: usize, workers
             .expect("anytime calibration query");
         assert!(resp.degraded.is_none(), "calibration run had no deadline");
         full_us = full_us.min(q0.elapsed().as_secs_f64() * 1e6);
-        // Monte Carlo reports length sampling as its "push" phase.
-        sample_us_max = sample_us_max.max(resp.timing.push_ns as f64 / 1e3);
         walk_us_min = walk_us_min.min(resp.timing.walk_ns as f64 / 1e3);
     }
     // Cycle the deadline through the walk phase so interruptions land in
     // different ladder tiers (the per-tier latency report needs spread).
     const WALK_FRACS: [f64; 4] = [0.05, 0.15, 0.35, 0.7];
-    let deadline_at = |frac: f64| {
-        Duration::from_micros((sample_us_max * 1.25 + walk_us_min * frac).max(2_000.0) as u64)
-    };
+    let deadline_at = |frac: f64| Duration::from_micros((walk_us_min * frac).max(2_000.0) as u64);
 
     let n = queries.min(200);
     let mut tier_lat: BTreeMap<u32, Vec<f64>> = BTreeMap::new();

@@ -18,16 +18,18 @@
 //!   and the caller gets that estimate plus an [`AccuracyTier`]
 //!   describing how far refinement got.
 //!
-//! **A walk ladder cut short is biased.** The plan orders its chunks by
-//! work item — walk length for Monte-Carlo, residue entry for TEA and
-//! TEA+ — so the first tiers run the shortest walks (or the first
-//! entries' walks), not a uniform sample of the plan. A cut answer's mass therefore sits
-//! too close to its start, and its `eps_r_achieved` is not a certificate:
-//! Monte-Carlo cut at walk tier 1–3 misses its own bound in most runs on
-//! a 3,000-node Holme–Kim graph. Only an answer whose walk ladder
-//! completed (a full-accuracy answer, or one degraded in the push alone)
-//! is held to Definition 1 at its `eps_r_achieved`
-//! (`tests/definition1.rs`).
+//! **Monte-Carlo's cut ladder is an i.i.d. sample; TEA's and TEA+'s is
+//! not.** Monte-Carlo plans all its walks from the one entry `(0, seed)`,
+//! and each chunk draws its walks' lengths from its own stream, so every
+//! chunk prefix is an i.i.d. sample of the phase: a Monte-Carlo answer
+//! cut at walk tier 1–3 is held to Definition 1 at its `eps_r_achieved`
+//! (`tests/definition1.rs`), and none of 3,000 such runs on a 3,000-node
+//! Holme–Kim graph missed it. TEA's and TEA+'s plans order their chunks
+//! by residue entry, so their first tiers run the first entries' walks,
+//! not a uniform sample of the plan; such a cut answer's
+//! `eps_r_achieved` is nominal, not a certificate. Of their answers only
+//! those whose walk ladder completed (a full-accuracy answer, or one
+//! degraded in the push alone) are held to Definition 1.
 //!
 //! Every query climbs this ladder: [`estimate_in`](crate::estimate_in),
 //! the one driver of TEA, TEA+ and Monte-Carlo, runs its walk phase
@@ -90,9 +92,10 @@ pub struct AccuracyTier {
     /// The relative-error bound the executed walk count would support if
     /// those walks were a uniform sample of the plan, scaled from the
     /// request by the walk-sampling error's `1/sqrt(nr)` law — see
-    /// [`achieved_eps_r`]. They are not (a cut ladder keeps the shortest
-    /// walks; see the [module docs](self)), so after a walk-ladder cut
-    /// this is a nominal figure, not a certificate. Equals
+    /// [`achieved_eps_r`]. They are for Monte-Carlo; TEA's and TEA+'s cut
+    /// ladder keeps the first entries' walks (see the [module
+    /// docs](self)), so after their walk-ladder cut this is a nominal
+    /// figure, not a certificate. Equals
     /// `eps_r_requested` exactly when the walk ladder completed;
     /// `f64::INFINITY` when no walk ran.
     pub eps_r_achieved: f64,
@@ -152,9 +155,9 @@ pub struct AnytimeControls<'a> {
 }
 
 /// An anytime estimator's result: the (possibly degraded) estimate, the
-/// usual cost counters, and how far refinement got. An estimate whose
-/// walk ladder was cut short is biased toward short walks (see the
-/// [module docs](self)).
+/// usual cost counters, and how far refinement got. A TEA or TEA+
+/// estimate whose walk ladder was cut short is biased toward the plan's
+/// first entries (see the [module docs](self)).
 ///
 /// When `achieved.is_degraded()` is false, `estimate` and `stats` are the
 /// canonical answer for the parameters and RNG state — what the golden
@@ -286,10 +289,10 @@ pub(crate) fn climb_walk_ladder(
 /// would support as a uniform sample of the plan, scaled from the
 /// requested `eps_r` by the `1/sqrt(nr)` walk-sampling law (the Chernoff
 /// bound behind the published `nr ∝ 1/eps_r^2` is inverted: running a
-/// fraction `f` of the walks supports `eps_r / sqrt(f)`). The walks a
-/// cut ladder ran are its shortest ones, not a uniform sample, so for a
-/// partial run this is a nominal figure the answer does not meet (see
-/// the [module docs](self)).
+/// fraction `f` of the walks supports `eps_r / sqrt(f)`). Only
+/// Monte-Carlo's cut ladder runs a uniform sample; TEA's and TEA+'s runs
+/// the plan's first entries' walks, so for their partial runs this is a
+/// nominal figure (see the [module docs](self)).
 ///
 /// Exactly `eps_r` when the plan completed (`sqrt(1.0) == 1.0` and
 /// `x * 1.0 == x` bitwise), `f64::INFINITY` when nothing ran.
@@ -306,6 +309,8 @@ pub fn achieved_eps_r(eps_r: f64, walks_planned: u64, walks_done: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alias::AliasTable;
+    use crate::walk::plan_batched_walks;
 
     #[test]
     fn targets_are_ascending_and_end_at_total() {
@@ -330,12 +335,12 @@ mod tests {
 
     #[test]
     fn one_pass_ladder_counts_the_bounds_a_cut_reached() {
-        // A fixed-walk plan of 17 chunks: 16 full ones and a short tail.
+        // A one-entry plan of 17 chunks: 16 full ones and a short tail.
         let mut ws = QueryWorkspace::new();
-        let mut lengths = vec![4_096u64; 16];
-        lengths.push(1_000);
-        crate::walk::plan_batched_fixed_walks(&lengths, &mut ws.walk_scratch);
-        let total: u64 = lengths.iter().sum();
+        let (entries, table) = ([(0, 0)], AliasTable::new(&[1.0]));
+        let total = 16 * 4_096 + 1_000;
+        let planned = plan_batched_walks(&entries, &table, total, 7, None, &mut ws.walk_scratch);
+        assert!(planned);
         let prefix = ws.walk_scratch.chunk_walk_prefix().to_vec();
         let bounds = plan_tier_bounds(total, &prefix);
         assert_eq!(bounds.as_slice(), [1, 2, 5, 17]);

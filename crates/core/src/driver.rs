@@ -13,14 +13,16 @@
 //!   ([`crate::push_plus::hk_push_plus_ws`]), exits early when condition
 //!   (11) holds, and walks from the reduced residues;
 //! * Monte-Carlo (§3) pushes nothing: the residue vector is
-//!   `r^(0)[s] = 1`, so every walk starts at the seed — Chung–Simpson's
-//!   estimator. It samples its walk lengths up front and plans them as a
-//!   length histogram.
+//!   `r^(0)[s] = 1`, the single walk entry `(0, seed)` — Chung–Simpson's
+//!   estimator.
 //!
-//! [`estimate_in`] runs the stage, climbs the walk ladder (see
-//! [`crate::anytime`]) and assembles the estimate. It is the only
-//! estimator entry point: an all-or-nothing caller takes
-//! [`AnytimeOutput::into_complete`].
+//! Each stage leaves its walk entries and weights in the workspace and
+//! says how many walks to run. [`estimate_in`] runs the stage, then the
+//! one walk phase — plan the starts (`walk::plan_batched_walks`), climb the
+//! walk ladder over the plan (see [`crate::anytime`]), each chunk drawing
+//! its walks' lengths from its entries' hop tables — and assembles the
+//! estimate. It is the only estimator entry point: an all-or-nothing
+//! caller takes [`AnytimeOutput::into_complete`].
 
 use std::time::Instant;
 
@@ -36,10 +38,7 @@ use crate::error::HkprError;
 use crate::estimate::{HkprEstimate, QueryStats};
 use crate::params::HkprParams;
 use crate::tea_plus::TeaPlusOptions;
-use crate::walk::{
-    plan_batched_fixed_walks, plan_batched_walks, run_planned_fixed_walks, run_planned_walks,
-    WalkCursor,
-};
+use crate::walk::{plan_batched_walks, run_planned_walks, WalkCursor};
 use crate::workspace::QueryWorkspace;
 use crate::{monte_carlo, tea, tea_plus};
 
@@ -78,8 +77,9 @@ pub struct TeaOutput {
     pub stats: QueryStats,
 }
 
-/// Where a push stage leaves a query: the reserve sits in the workspace,
-/// and `starts` says how to walk the residue mass `stats.alpha`.
+/// Where a push stage leaves a query: the reserve, and the walk entries
+/// and weights that carry the residue mass `stats.alpha`, sit in the
+/// workspace.
 pub(crate) struct Front {
     /// Query stats through the push stage; `alpha` is the mass the walks
     /// carry (0 when the reserve alone is the answer).
@@ -93,29 +93,15 @@ pub(crate) struct Front {
     pub push_done: Instant,
     /// The offset coefficient the estimate carries (TEA+ lines 18-19).
     pub offset_coeff: Option<f64>,
-    /// Where the walks start.
-    pub starts: Starts,
-}
-
-/// Where a query's walks start.
-pub(crate) enum Starts {
-    /// `ceil(alpha * omega)` walks from the residue entries and weights
-    /// the stage left in the workspace (TEA, TEA+), their starts sampled
-    /// by the entry planner.
-    Entries {
-        /// Walks per unit of residue mass.
-        omega: f64,
-    },
-    /// `lengths[len]` walks of length `len` from the seed (Monte-Carlo's
-    /// length histogram).
-    Lengths(Vec<u64>),
+    /// Walks a complete walk phase runs: `ceil(alpha * omega)` for TEA and
+    /// TEA+, the published count capped by `max_walks` for Monte-Carlo.
+    pub walks: u64,
 }
 
 /// Run one query from `seed` on a reusable workspace: the estimator's
 /// push stage, then the walk phase as a ladder of accuracy tiers, then
 /// assembly. Results are bit-identical for a fixed `rng` state; the walk
-/// phase draws its master seed from `rng` (Monte-Carlo first draws every
-/// walk length from it).
+/// phase draws its master seed from `rng`, the query's only draw.
 ///
 /// Semantics:
 ///
@@ -130,13 +116,13 @@ pub(crate) enum Starts {
 ///   push_tiers_planned` (never the canonical answer, never cached, even
 ///   when the walks then complete). With no certified tier the reserve
 ///   bounds nothing: [`HkprError::Cancelled`]. TEA's push has no ladder,
-///   so a cancellation that stops it is [`HkprError::Cancelled`]; so is
-///   one during Monte-Carlo's length sampling;
+///   so a cancellation that stops it is [`HkprError::Cancelled`];
 /// * a cancellation during the walks stops refinement at the next chunk
 ///   boundary, and the deposited walks are renormalized (`mass =
-///   alpha/walks_done`). The chunks follow the plan's work-item order, so
-///   a cut ladder's walks are not a uniform sample and its
-///   `eps_r_achieved` is nominal (see [`crate::anytime`]). With no walk
+///   alpha/walks_done`). Monte-Carlo's chunks are i.i.d. samples of its
+///   walk phase; TEA's and TEA+'s follow the plan's entry order, so their
+///   cut ladder's walks are not a uniform sample and its `eps_r_achieved`
+///   is nominal (see [`crate::anytime`]). With no walk
 ///   deposited, TEA and TEA+ return the reserve alone, and
 ///   `eps_r_achieved` is `D * eps_r` for the tightest certified push
 ///   divisor `D` after a cut push (Theorem 2 at the coarsened threshold),
@@ -162,18 +148,15 @@ pub fn estimate_in<R: Rng>(
             tea_plus::push_stage(graph, params, seed, opts, &mut controls, ws)?
         }
         Estimator::MonteCarlo { max_walks } => {
-            monte_carlo::length_stage(graph, params, max_walks, rng, ws)?
+            monte_carlo::walk_stage(graph, params, seed, max_walks, ws)?
         }
     };
-    let mass = walk_phase(
-        graph,
-        params,
-        seed,
-        &mut front,
-        controls.walk_tier_cap,
-        rng,
-        ws,
-    )?;
+    let mass = walk_phase(graph, params, &mut front, controls.walk_tier_cap, rng, ws)?;
+    if front.achieved.walks_done == 0 && matches!(estimator, Estimator::MonteCarlo { .. }) {
+        // Monte-Carlo reserves nothing: with no walk deposited there is
+        // nothing to normalize.
+        return Err(HkprError::Cancelled);
+    }
     let mut estimate = ws.assemble_estimate(mass);
     ws.set_phase_times(front.push_ns, front.push_done.elapsed().as_nanos() as u64);
     if let Some(coeff) = front.offset_coeff {
@@ -187,62 +170,34 @@ pub fn estimate_in<R: Rng>(
 }
 
 /// TEA lines 8-12 / TEA+ lines 12-17 / Monte-Carlo's walks: plan the
-/// walks, climb the tier ladder over the plan until it completes, the
-/// tier cap, or the workspace's cancel token stops it, and record what
-/// ran in `front`. Returns the mass of one deposited walk (`alpha /
-/// walks_done`; 0 when none ran).
+/// walks from the entries the stage left, climb the tier ladder over the
+/// plan until it completes, the tier cap, or the workspace's cancel token
+/// stops it, and record what ran in `front`. Returns the mass of one
+/// deposited walk (`alpha / walks_done`; 0 when none ran).
 fn walk_phase<R: Rng>(
     graph: &Graph,
     params: &HkprParams,
-    seed: NodeId,
     front: &mut Front,
     tier_cap: Option<u32>,
     rng: &mut R,
     ws: &mut QueryWorkspace,
 ) -> Result<f64, HkprError> {
-    let alpha = front.stats.alpha;
-    let nr = match &front.starts {
-        Starts::Entries { omega } => (alpha * omega).ceil() as u64,
-        Starts::Lengths(lengths) => lengths.iter().sum(),
-    };
+    let (alpha, nr) = (front.stats.alpha, front.walks);
+    if !(alpha > 0.0 && !ws.entries.is_empty() && nr > 0) {
+        return Ok(0.0); // nothing to walk: the reserve is the answer
+    }
+    // A degenerate weight vector fails *before* the master-seed draw.
+    let table = AliasTable::try_new(&ws.weights)?;
+    let master_seed = rng.next_u64();
     let cancel = ws.cancel_token().cloned();
-    let (cursor, tiers_completed, tiers_planned) = match &front.starts {
-        Starts::Entries { .. } => {
-            if !(alpha > 0.0 && !ws.entries.is_empty() && nr > 0) {
-                return Ok(0.0); // nothing to walk: the reserve is the answer
-            }
-            // A degenerate weight vector fails *before* the master-seed draw.
-            let table = AliasTable::try_new(&ws.weights)?;
-            let master_seed = rng.next_u64();
-            let (entries, scratch) = (&ws.entries, &mut ws.walk_scratch);
-            if plan_batched_walks(entries, &table, nr, master_seed, cancel.as_ref(), scratch) {
-                climb_walk_ladder(ws, nr, tier_cap, |ws, bound, cursor| {
-                    run_planned_walks(
-                        graph,
-                        params.poisson(),
-                        &ws.entries,
-                        master_seed,
-                        cancel.as_ref(),
-                        bound,
-                        cursor,
-                        &mut ws.reserve,
-                        &mut ws.walk_scratch,
-                    )
-                })
-            } else {
-                // Cancelled while sampling walk starts: the plan's chunk
-                // decomposition was never built, so only the nominal
-                // ladder depth is known.
-                (WalkCursor::default(), 0, tier_targets(nr).len() as u32)
-            }
-        }
-        Starts::Lengths(lengths) => {
-            let master_seed = rng.next_u64();
-            plan_batched_fixed_walks(lengths, &mut ws.walk_scratch);
+    let (entries, scratch) = (&ws.entries, &mut ws.walk_scratch);
+    let (cursor, tiers_completed, tiers_planned) =
+        if plan_batched_walks(entries, &table, nr, master_seed, cancel.as_ref(), scratch) {
             climb_walk_ladder(ws, nr, tier_cap, |ws, bound, cursor| {
-                run_planned_fixed_walks(
+                run_planned_walks(
                     graph,
-                    seed,
+                    params.poisson(),
+                    &ws.entries,
                     master_seed,
                     cancel.as_ref(),
                     bound,
@@ -251,8 +206,12 @@ fn walk_phase<R: Rng>(
                     &mut ws.walk_scratch,
                 )
             })
-        }
-    };
+        } else {
+            // Cancelled while sampling walk starts: the plan's chunk
+            // decomposition was never built, so only the nominal ladder
+            // depth is known.
+            (WalkCursor::default(), 0, tier_targets(nr).len() as u32)
+        };
     let (walks_done, achieved) = (cursor.walks_done, &mut front.achieved);
     *achieved = AccuracyTier {
         tiers_completed,
@@ -263,11 +222,6 @@ fn walk_phase<R: Rng>(
         ..*achieved
     };
     if walks_done == 0 {
-        if let Starts::Lengths(_) = front.starts {
-            // Monte-Carlo reserves nothing: with no walk deposited there
-            // is nothing to normalize.
-            return Err(HkprError::Cancelled);
-        }
         if achieved.push_tiers_completed < achieved.push_tiers_planned {
             // Reserve-only answer off a cut-short push: the tightest
             // certified divisor is the surviving guarantee, which beats
@@ -278,17 +232,7 @@ fn walk_phase<R: Rng>(
         return Ok(0.0);
     }
     front.stats.random_walks = walks_done;
-    front.stats.walk_steps = match &front.starts {
-        // A complete Monte-Carlo run reports the analytic step total: it
-        // knows every sampled length, including those of walks that could
-        // not move.
-        Starts::Lengths(lengths) if walks_done == nr => lengths
-            .iter()
-            .enumerate()
-            .map(|(len, &c)| len as u64 * c)
-            .sum(),
-        _ => cursor.steps,
-    };
+    front.stats.walk_steps = cursor.steps;
     // Renormalize over the executed walks: exact for a complete run.
     Ok(alpha / walks_done as f64)
 }
@@ -321,7 +265,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn monte_carlo_records_its_length_sampling_as_walk_time() {
+    fn monte_carlo_records_its_walk_planning_as_walk_time() {
         let g = holme_kim(2_000, 3, 0.3, &mut SmallRng::seed_from_u64(3)).unwrap();
         let params = HkprParams::builder(&g).delta(1e-4).build().unwrap();
         let mut ws = QueryWorkspace::new();

@@ -18,12 +18,15 @@
 //!
 //! One driver, [`estimate_in`], runs all three estimators: they differ
 //! only in the push stage before the shared walk phase (see [`driver`]).
+//! One planner serves that phase: Monte-Carlo's walks are the plan of
+//! the single residue entry `(0, seed)`, TEA's and TEA+'s that of their
+//! push's residues.
 //!
 //! | Estimator | Technique | Guarantee / complexity (paper Table 1) |
 //! |---|---|---|
 //! | [`Estimator::Tea`] | HK-Push + walks | `(d,eps_r,delta)`-approx, `O(t log(n/p_f)/(eps_r^2 delta))` |
 //! | [`Estimator::TeaPlus`] | HK-Push+ + residue reduction + walks | same bound, far faster in practice |
-//! | [`Estimator::MonteCarlo`] | pure walks (§3) | same guarantee, `nr = 2(1+eps_r/3)ln(n/p_f)/(eps_r^2 delta)` walks |
+//! | [`Estimator::MonteCarlo`] | pure walks from `(0, seed)` (§3) | same guarantee, `nr = 2(1+eps_r/3)ln(n/p_f)/(eps_r^2 delta)` walks |
 //! | [`power::exact_hkpr`] | dense power series | exact (ground truth) |
 //!
 //! The §7 baselines the paper compares against (ClusterHKPR, HK-Relax,

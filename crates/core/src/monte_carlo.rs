@@ -8,37 +8,36 @@
 //! (Figures 4–9): the walk count explodes as `delta` shrinks.
 //!
 //! It is TEA's estimator with no push — the residue vector is
-//! `r^(0)[s] = 1` — so this module holds only the stage that samples the
-//! walk lengths; [`crate::driver::estimate_in`] runs it with
-//! [`Estimator::MonteCarlo`](crate::Estimator::MonteCarlo), then the
-//! walks. All `nr` lengths are grouped into a histogram and executed by
-//! the batched engine with endpoint counts accumulated densely.
+//! `r^(0)[s] = 1`, Chung–Simpson's estimator — so this module holds only
+//! the stage that sets up that vector; [`crate::driver::estimate_in`]
+//! runs it with [`Estimator::MonteCarlo`](crate::Estimator::MonteCarlo),
+//! then the walks, on the one planner TEA and TEA+ use: `nr` walks from
+//! the single entry `(0, seed)`, each chunk drawing its walks' lengths
+//! from hop 0's table (Lemma 2). Every chunk is then an i.i.d. sample of
+//! the phase, so a walk ladder cut at a chunk boundary keeps an unbiased
+//! prefix.
 
 use std::time::Instant;
 
-use hk_graph::Graph;
-use rand::Rng;
+use hk_graph::{Graph, NodeId};
 
 use crate::anytime::AccuracyTier;
-use crate::driver::{Front, Starts};
+use crate::driver::Front;
 use crate::error::HkprError;
 use crate::estimate::QueryStats;
 use crate::params::HkprParams;
 use crate::workspace::QueryWorkspace;
 
-/// Monte-Carlo's stage, which pushes nothing: `nr` (the published count,
-/// capped by `max_walks`) walk lengths sampled up front into a Poisson
-/// histogram, every walk from the seed, which carries the whole residue
-/// mass `alpha = 1`.
-/// Sampling is walk-phase work, so the stage records `push_ns == 0`. The
-/// published count can reach tens of millions, so the loop polls the
-/// workspace's cancel token every 64Ki draws; a cancel here is
-/// [`HkprError::Cancelled`], with nothing deposited.
-pub(crate) fn length_stage<R: Rng>(
+/// Monte-Carlo's stage, which pushes nothing: the single walk entry
+/// `(0, seed)` of weight 1, which carries the whole residue mass
+/// `alpha = 1`, and `nr` walks (the published count, capped by
+/// `max_walks`). Walk planning is walk-phase work, so the query records
+/// `push_ns == 0`.
+pub(crate) fn walk_stage(
     graph: &Graph,
     params: &HkprParams,
+    seed: NodeId,
     max_walks: Option<u64>,
-    rng: &mut R,
     ws: &mut QueryWorkspace,
 ) -> Result<Front, HkprError> {
     let published = params.monte_carlo_walks();
@@ -47,17 +46,10 @@ pub(crate) fn length_stage<R: Rng>(
         Some(cap) => published.min(cap),
         None => published,
     };
-
     let push_done = Instant::now();
     ws.begin(graph.num_nodes());
-    let poisson = params.poisson();
-    let mut lengths = vec![0u64; poisson.k_max() + 1];
-    for i in 0..nr {
-        if i & 0xFFFF == 0 {
-            ws.check_cancelled()?;
-        }
-        lengths[poisson.sample_length(rng)] += 1;
-    }
+    ws.entries.push((0, seed));
+    ws.weights.push(1.0);
     Ok(Front {
         stats: QueryStats {
             alpha: 1.0,
@@ -67,7 +59,7 @@ pub(crate) fn length_stage<R: Rng>(
         push_ns: 0,
         push_done,
         offset_coeff: None,
-        starts: Starts::Lengths(lengths),
+        walks: nr,
     })
 }
 

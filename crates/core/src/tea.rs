@@ -19,7 +19,7 @@ use std::time::Instant;
 use hk_graph::{Graph, NodeId};
 
 use crate::anytime::AccuracyTier;
-use crate::driver::{Front, Starts};
+use crate::driver::Front;
 use crate::error::HkprError;
 use crate::estimate::QueryStats;
 use crate::params::HkprParams;
@@ -56,20 +56,19 @@ pub(crate) fn push_stage(
         ws.entries.push((k as u32, v));
         ws.weights.push(r);
     }
+    // alpha = total residue mass (Algorithm 3 line 7).
+    let alpha = ws.residues.total_sum();
     Ok(Front {
         stats: QueryStats {
             push_operations: push.push_operations,
-            // alpha = total residue mass (Algorithm 3 line 7).
-            alpha: ws.residues.total_sum(),
+            alpha,
             ..QueryStats::default()
         },
         achieved: AccuracyTier::complete_without_walks(params.eps_r()),
         push_ns: (push_done - clock).as_nanos() as u64,
         push_done,
         offset_coeff: None,
-        starts: Starts::Entries {
-            omega: params.omega_tea(),
-        },
+        walks: (alpha * params.omega_tea()).ceil() as u64,
     })
 }
 

@@ -31,7 +31,7 @@ use std::time::Instant;
 use hk_graph::{Graph, NodeId};
 
 use crate::anytime::{AccuracyTier, AnytimeControls, PUSH_TIER_DIVISORS};
-use crate::driver::{Front, Starts};
+use crate::driver::Front;
 use crate::error::HkprError;
 use crate::estimate::QueryStats;
 use crate::params::HkprParams;
@@ -116,9 +116,7 @@ pub(crate) fn push_stage(
         push_ns: (push_done - clock).as_nanos() as u64,
         push_done,
         offset_coeff: None,
-        starts: Starts::Entries {
-            omega: params.omega_tea_plus(),
-        },
+        walks: 0,
     };
 
     // Line 7: condition (11) held — the reserve is already good enough.
@@ -182,6 +180,7 @@ pub(crate) fn push_stage(
     // push stop + a complete walk phase carries the full statistical
     // guarantee.
     front.stats.alpha = alpha;
+    front.walks = (alpha * params.omega_tea_plus()).ceil() as u64;
     front.offset_coeff = opts.offset_coeff(params);
     Ok(front)
 }

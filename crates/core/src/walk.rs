@@ -26,6 +26,12 @@
 //! different — equally distributed — sample; [`k_random_walk`], Algorithm
 //! 2 as printed, is the baseline tests and benchmarks hold it to.
 //!
+//! There is one planner for every estimator. Monte-Carlo's walks are the
+//! plan of the single entry `(0, seed)`: every chunk draws its walks'
+//! lengths from hop 0's table, so its chunks are i.i.d. samples of the
+//! whole phase. [`fixed_length_walk`] is only the reference Monte-Carlo's
+//! walk.
+//!
 //! A walk phase runs its chunks in one pass, on the thread that runs the
 //! query and, when the process may use a second core that no other walk
 //! is using and the pass has at least two chunks, on one scoped helper
@@ -92,8 +98,8 @@ pub fn k_random_walk<R: Rng + ?Sized>(
 }
 
 /// Run a plain heat-kernel walk of exactly `len` steps from `start`
-/// (used by the Monte-Carlo and ClusterHKPR baselines, which sample the
-/// Poisson length up front). Degree-0 nodes absorb the walk.
+/// (used by the reference Monte-Carlo and the ClusterHKPR baseline, which
+/// sample the Poisson length up front). Degree-0 nodes absorb the walk.
 #[inline]
 pub fn fixed_length_walk<R: Rng + ?Sized>(
     graph: &Graph,
@@ -269,10 +275,9 @@ impl WalkScratch {
 }
 
 /// Progress cursor over a planned walk phase — the chunk decomposition
-/// [`plan_batched_walks`] / [`plan_batched_fixed_walks`] leave in
-/// the [`WalkScratch`] they planned on, valid until the next plan and
-/// executed, possibly in several chunk-prefix increments, by
-/// [`run_planned_walks`] / [`run_planned_fixed_walks`]. Executing chunks
+/// [`plan_batched_walks`] leaves in the [`WalkScratch`] it planned on,
+/// valid until the next plan and executed, possibly in several
+/// chunk-prefix increments, by [`run_planned_walks`]. Executing chunks
 /// `[0, a)` then `[a, b)` deposits bit-identically to executing `[0, b)`
 /// in one call: chunk RNG streams are keyed by *absolute* chunk index and
 /// endpoint counts add exactly (integer accumulators), which is what
@@ -315,7 +320,7 @@ const MAX_CHUNK_BUF: usize = 2 * CHUNK_WALKS as usize - 1;
 
 /// Most walks one pass of a two-thread range holds: a longer range runs
 /// as consecutive passes of at most this many (see
-/// [`execute_chunk_range`]). The helper's endpoint log takes one entry per
+/// [`run_planned_walks`]). The helper's endpoint log takes one entry per
 /// walk it ran, so this bounds the log to 512 KiB whatever the query's
 /// walk count, allocated once per workspace. A pass is 32 or more chunks,
 /// enough that the ends of a pass, where fewer chunks are left than the
@@ -463,6 +468,12 @@ pub(crate) fn plan_batched_walks(
 /// the chunks that ran are a prefix of the range, and the cursor's
 /// `walks_done` counts only them, so the partial deposits remain exactly
 /// normalizable.
+///
+/// Where the process may run on a second core ([`second_core`]), the
+/// range runs as consecutive passes of at most [`PASS_WALKS`] walks, and
+/// a pass of two or more chunks takes a helper thread if a core is spare
+/// ([`Walker::spare`]); elsewhere it runs as one pass on the calling
+/// thread. Once the cancel token has fired, no further pass starts.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_planned_walks(
     graph: &Graph,
@@ -475,21 +486,46 @@ pub(crate) fn run_planned_walks(
     sink: &mut Reserve,
     scratch: &mut WalkScratch,
 ) {
-    let fill = EntryWalks {
-        graph,
-        entries,
-        lengths: poisson.length_tables(),
-    };
-    execute_chunk_range(
-        graph,
-        scratch,
-        upto_chunk,
-        cursor,
-        master_seed,
-        cancel,
-        sink,
-        &fill,
-    );
+    let lengths = poisson.length_tables();
+    let upto = upto_chunk.min(scratch.chunks.len());
+    if !second_core() {
+        return run_pass(
+            graph,
+            lengths,
+            entries,
+            scratch,
+            upto,
+            cursor,
+            master_seed,
+            cancel,
+            sink,
+            false,
+        );
+    }
+    let _walking = Walker::enter();
+    while cursor.next_chunk < upto && !cancel.is_some_and(CancelToken::is_cancelled) {
+        let end = pass_end(&scratch.chunk_walk_prefix, cursor.next_chunk, upto);
+        let helper = if end >= cursor.next_chunk + 2 {
+            // Sized whether or not a core is spare: what `memory_bytes`
+            // reports must not depend on other queries.
+            scratch.fit_helper(cursor.next_chunk, end);
+            Walker::spare()
+        } else {
+            None
+        };
+        run_pass(
+            graph,
+            lengths,
+            entries,
+            scratch,
+            end,
+            cursor,
+            master_seed,
+            cancel,
+            sink,
+            helper.is_some(),
+        );
+    }
 }
 
 /// Where the walks of a chunk end: the query's [`Reserve`] on the calling
@@ -535,134 +571,6 @@ impl EndpointSink for EndpointLog {
     fn prefetch(&self, _: NodeId) {}
 }
 
-/// Presamples one chunk: deposits the walks that cannot move into the
-/// sink and leaves the movable ones in the buffer for the lanes, which go
-/// on drawing from the same stream. Shared by both threads of a pass.
-trait FillChunk: Sync {
-    fn fill<S: EndpointSink>(
-        &self,
-        items: &[(u32, u64)],
-        rng: &mut SmallRng,
-        sink: &mut S,
-        buf: &mut WalkBuf,
-    );
-}
-
-/// The entry planner's chunks: work items are `(entry index, walks)`.
-struct EntryWalks<'a> {
-    graph: &'a Graph,
-    entries: &'a [(u32, NodeId)],
-    lengths: &'a LengthTables,
-}
-
-impl FillChunk for EntryWalks<'_> {
-    fn fill<S: EndpointSink>(
-        &self,
-        items: &[(u32, u64)],
-        rng: &mut SmallRng,
-        sink: &mut S,
-        buf: &mut WalkBuf,
-    ) {
-        fill_walk_buf(
-            self.graph,
-            self.entries,
-            self.lengths,
-            items,
-            rng,
-            sink,
-            buf,
-        );
-    }
-}
-
-/// The fixed planner's chunks: work items are `(length, walks)` from the
-/// seed. No length is drawn, so the chunk's stream is the lanes' alone.
-struct FixedWalks {
-    seed: NodeId,
-    seed_degree: usize,
-}
-
-impl FillChunk for FixedWalks {
-    fn fill<S: EndpointSink>(
-        &self,
-        items: &[(u32, u64)],
-        _: &mut SmallRng,
-        sink: &mut S,
-        buf: &mut WalkBuf,
-    ) {
-        buf.clear();
-        for &(len, walk_count) in items {
-            if len == 0 || self.seed_degree == 0 {
-                // Immobile walks deposit at the seed without lane cost.
-                sink.inc(self.seed, walk_count);
-            } else {
-                let from = buf.lens.len();
-                buf.lens
-                    .extend(std::iter::repeat_n(len, walk_count as usize));
-                buf.end_run(self.seed, from);
-            }
-        }
-    }
-}
-
-/// Run planned chunks `[cursor.next_chunk, upto_chunk)` of the plan on
-/// `scratch` and advance the cursor over them — the shared body of the
-/// two `run_planned_*` entry points. Where the process may run on a
-/// second core ([`second_core`]), the range runs as consecutive passes of
-/// at most [`PASS_WALKS`] walks, and a pass of two or more chunks takes a
-/// helper thread if a core is spare ([`Walker::spare`]); elsewhere it runs
-/// as one pass on the calling thread. Once the cancel token has fired, no
-/// further pass starts.
-#[allow(clippy::too_many_arguments)]
-fn execute_chunk_range<F: FillChunk>(
-    graph: &Graph,
-    scratch: &mut WalkScratch,
-    upto_chunk: usize,
-    cursor: &mut WalkCursor,
-    master_seed: u64,
-    cancel: Option<&CancelToken>,
-    sink: &mut Reserve,
-    fill: &F,
-) {
-    let upto = upto_chunk.min(scratch.chunks.len());
-    if !second_core() {
-        return run_pass(
-            graph,
-            scratch,
-            upto,
-            cursor,
-            master_seed,
-            cancel,
-            sink,
-            fill,
-            false,
-        );
-    }
-    let _walking = Walker::enter();
-    while cursor.next_chunk < upto && !cancel.is_some_and(CancelToken::is_cancelled) {
-        let end = pass_end(&scratch.chunk_walk_prefix, cursor.next_chunk, upto);
-        let helper = if end >= cursor.next_chunk + 2 {
-            // Sized whether or not a core is spare: what `memory_bytes`
-            // reports must not depend on other queries.
-            scratch.fit_helper(cursor.next_chunk, end);
-            Walker::spare()
-        } else {
-            None
-        };
-        run_pass(
-            graph,
-            scratch,
-            end,
-            cursor,
-            master_seed,
-            cancel,
-            sink,
-            fill,
-            helper.is_some(),
-        );
-    }
-}
-
 /// End of the pass that starts at chunk `from` of a range ending at
 /// `upto`, given the plan's walk prefix: as many chunks as fit in
 /// [`PASS_WALKS`] walks, and one at least.
@@ -685,7 +593,7 @@ pub(crate) fn second_core() -> bool {
 }
 
 /// Threads of this process walking a range right now: the callers of
-/// [`execute_chunk_range`] on a multi-core host, and their helpers. A
+/// [`run_planned_walks`] on a multi-core host, and their helpers. A
 /// count that publishes no data, so its operations are `Relaxed`.
 static WALKERS: AtomicUsize = AtomicUsize::new(0);
 
@@ -729,15 +637,16 @@ impl Drop for Walker {
 /// ([`WalkScratch::fit_helper`]): it allocates nothing. If the helper
 /// cannot be spawned, the calling thread runs the whole pass.
 #[allow(clippy::too_many_arguments)]
-fn run_pass<F: FillChunk>(
+fn run_pass(
     graph: &Graph,
+    lengths: &LengthTables,
+    entries: &[(u32, NodeId)],
     scratch: &mut WalkScratch,
     upto: usize,
     cursor: &mut WalkCursor,
     master_seed: u64,
     cancel: Option<&CancelToken>,
     sink: &mut Reserve,
-    fill: &F,
     helper: bool,
 ) {
     let WalkScratch {
@@ -751,12 +660,13 @@ fn run_pass<F: FillChunk>(
     } = scratch;
     let pass = Pass {
         graph,
+        entries,
+        lengths,
         work,
         chunks,
         prefix: chunk_walk_prefix,
         master_seed,
         cancel,
-        fill,
         next: AtomicUsize::new(cursor.next_chunk),
         upto,
     };
@@ -807,10 +717,14 @@ fn fit<T>(buf: &mut Vec<T>, len: usize) {
     }
 }
 
-/// What the threads of one pass share: the plan, the fill, and the
-/// counter they claim chunk indices from.
-struct Pass<'a, F> {
+/// What the threads of one pass share: the plan, what its chunks are
+/// filled from, and the counter they claim chunk indices from.
+struct Pass<'a> {
     graph: &'a Graph,
+    /// The plan's start entries `(hop, node)`, which its work items index.
+    entries: &'a [(u32, NodeId)],
+    /// Each start hop's walk-length table.
+    lengths: &'a LengthTables,
     work: &'a [(u32, u64)],
     chunks: &'a [(u32, u32)],
     /// The plan's cumulative walk prefix: chunk `c` holds
@@ -818,7 +732,6 @@ struct Pass<'a, F> {
     prefix: &'a [u64],
     master_seed: u64,
     cancel: Option<&'a CancelToken>,
-    fill: &'a F,
     /// The next chunk to claim; runs past `upto` once the range is out.
     next: AtomicUsize,
     upto: usize,
@@ -1032,7 +945,7 @@ struct InFlight {
     lanes: Lanes,
 }
 
-impl<F: FillChunk> Pass<'_, F> {
+impl Pass<'_> {
     /// Claim the next chunk of the range: `None` once the cancel token
     /// has fired or the range is out. The token is read *before* the
     /// claim, and every claimed chunk runs to its end, so the chunks that
@@ -1059,7 +972,17 @@ impl<F: FillChunk> Pass<'_, F> {
         let (lo, hi) = self.chunks[chunk];
         let items = &self.work[lo as usize..hi as usize];
         let mut rng = chunk_rng(self.master_seed, chunk as u64);
-        self.fill.fill(items, &mut rng, sink, buf);
+        #[cfg(test)]
+        tests::opening(self.master_seed, self.cancel);
+        fill_walk_buf(
+            self.graph,
+            self.entries,
+            self.lengths,
+            items,
+            &mut rng,
+            sink,
+            buf,
+        );
         (self.prefix[chunk + 1] - self.prefix[chunk], rng)
     }
 
@@ -1163,56 +1086,6 @@ fn fill_chunk_walk_prefix(work: &[(u32, u64)], chunks: &[(u32, u32)], prefix: &m
     }
 }
 
-/// Plan the fixed-length walk phase (the Monte-Carlo walk phase: every
-/// walk starts at the seed, lengths were already sampled into
-/// `length_counts[len] = multiplicity`): build the chunk decomposition of
-/// `length_counts` without executing anything. Unlike the entry-walk
-/// planner there is no sampling phase — the length histogram *is* the
-/// multiplicity table — so planning is infallible (cancellation only
-/// affects execution).
-pub(crate) fn plan_batched_fixed_walks(length_counts: &[u64], scratch: &mut WalkScratch) {
-    let WalkScratch {
-        work,
-        chunks,
-        chunk_walk_prefix,
-        ..
-    } = scratch;
-
-    // Reuse the chunk machinery with work items of (length, count).
-    build_chunks(length_counts, work, chunks);
-    fill_chunk_walk_prefix(work, chunks, chunk_walk_prefix);
-}
-
-/// Execute planned chunks `[cursor.next_chunk, upto_chunk)` of the most
-/// recent [`plan_batched_fixed_walks`] on this scratch, advancing the
-/// cursor. Same resumability contract as [`run_planned_walks`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_planned_fixed_walks(
-    graph: &Graph,
-    seed: NodeId,
-    master_seed: u64,
-    cancel: Option<&CancelToken>,
-    upto_chunk: usize,
-    cursor: &mut WalkCursor,
-    sink: &mut Reserve,
-    scratch: &mut WalkScratch,
-) {
-    let fill = FixedWalks {
-        seed,
-        seed_degree: graph.degree(seed),
-    };
-    execute_chunk_range(
-        graph,
-        scratch,
-        upto_chunk,
-        cursor,
-        master_seed,
-        cancel,
-        sink,
-        &fill,
-    );
-}
-
 /// Independent RNG stream for one chunk (SplitMix64 expansion inside
 /// `seed_from_u64` decorrelates consecutive indices).
 #[inline]
@@ -1228,6 +1101,7 @@ mod tests {
     use hk_graph::builder::graph_from_edges;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::sync::Mutex;
 
     #[test]
     fn walk_stays_on_graph() {
@@ -1475,21 +1349,32 @@ mod tests {
 
     #[test]
     fn a_long_walk_phase_holds_walk_buffers_of_a_fixed_size() {
-        // A Monte-Carlo-sized plan of 2M fixed-length walks: a two-thread
-        // range runs as passes of at most PASS_WALKS walks, so the
-        // helper's endpoint log and the eight window buffers stay within a
-        // size that does not depend on the walk count. Only the plan grows,
-        // by a few words a chunk.
+        // A Monte-Carlo-sized plan of 2M walks from one entry: a
+        // two-thread range runs as passes of at most PASS_WALKS walks, so
+        // the helper's endpoint log and the eight window buffers stay
+        // within a size that does not depend on the walk count. Only the
+        // plan grows, by a few words a chunk.
         let mut gen_rng = SmallRng::seed_from_u64(45);
         let g = hk_graph::gen::holme_kim(2_000, 4, 0.3, &mut gen_rng).unwrap();
-        let walks = 2_000_000u64;
+        let (walks, entries) = (2_000_000u64, [(0u32, 1 as NodeId)]);
+        // Short walks (t = 1) keep 2M of them cheap in a debug build.
+        let p = PoissonTable::new(1.0);
         let mut scratch = WalkScratch::default();
-        plan_batched_fixed_walks(&[0, walks / 2, walks / 2], &mut scratch);
+        let table = AliasTable::new(&[1.0]);
+        assert!(plan_batched_walks(
+            &entries,
+            &table,
+            walks,
+            5,
+            None,
+            &mut scratch
+        ));
         let num_chunks = scratch.chunks.len();
         let (mut counts, mut cursor) = (sink_for(&g), WalkCursor::default());
-        run_planned_fixed_walks(
+        run_planned_walks(
             &g,
-            1,
+            &p,
+            &entries,
             5,
             None,
             num_chunks,
@@ -1498,7 +1383,6 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(cursor.walks_done, walks);
-        assert_eq!(cursor.steps, walks / 2 * 3);
         let plan = scratch.start_counts.capacity() * std::mem::size_of::<u64>()
             + scratch.work.capacity() * std::mem::size_of::<(u32, u64)>()
             + scratch.chunks.capacity() * std::mem::size_of::<(u32, u32)>()
@@ -1553,22 +1437,18 @@ mod tests {
         // and its endpoint log before the helper starts; they count too.
         let num_chunks = scratch.chunks.len();
         assert!(num_chunks >= 2, "{num_chunks} chunks");
-        let fill = EntryWalks {
-            graph: &g,
-            entries: &entries,
-            lengths: p.length_tables(),
-        };
         scratch.fit_helper(0, num_chunks);
         let mut cursor = WalkCursor::default();
         run_pass(
             &g,
+            p.length_tables(),
+            &entries,
             &mut scratch,
             num_chunks,
             &mut cursor,
             11,
             None,
             &mut counts,
-            &fill,
             true,
         );
         assert_eq!(cursor.walks_done, 50_000);
@@ -1620,78 +1500,48 @@ mod tests {
     fn executing_a_plan_in_prefix_increments_deposits_like_one_call() {
         // What makes the tier ladders of `crate::anytime` free: chunk RNG
         // streams are keyed by absolute chunk index and counts add
-        // exactly, so where earlier calls stopped cannot show — for both
-        // planners, plans shorter and longer than the executor's window,
-        // and a stop at every chunk boundary. A token
-        // fired between chunks, by the caller or while a window is in
-        // flight, skips exactly the chunks not yet opened.
+        // exactly, so where earlier calls stopped cannot show — for a
+        // plan over many entries and a one-entry (Monte-Carlo) plan,
+        // plans shorter and longer than the executor's window, and a stop
+        // at every chunk boundary. A token fired between chunks, by the
+        // caller or while a window is in flight, skips exactly the chunks
+        // not yet opened.
         let mut gen_rng = SmallRng::seed_from_u64(41);
         let g = hk_graph::gen::holme_kim(1_500, 4, 0.3, &mut gen_rng).unwrap();
         let p = PoissonTable::new(5.0);
-        let entries: Vec<(u32, NodeId)> = (0..48).map(|i| (i % 3, i as NodeId)).collect();
-        let weights: Vec<f64> = (0..entries.len()).map(|i| 1.0 + i as f64).collect();
-        let table = AliasTable::new(&weights);
-        // A fixed-walk plan of exactly `k` chunks: a chunk closes on the
-        // item that takes it to CHUNK_WALKS, and the length-0 walks of the
-        // first item deposit at fill time.
-        let fixed_lengths = |k: usize| -> Vec<u64> {
-            if k == 1 {
-                return vec![1_000, 2_000];
-            }
-            let mut lengths = vec![1_000, CHUNK_WALKS - 1_000];
-            lengths.resize(k, CHUNK_WALKS);
-            lengths.push(2_000);
-            lengths
-        };
-        let plan = |fixed: bool, k: usize, nr: u64| {
-            let mut scratch = WalkScratch::default();
-            if fixed {
-                plan_batched_fixed_walks(&fixed_lengths(k), &mut scratch);
-            } else {
+        let many: Vec<(u32, NodeId)> = (0..48).map(|i| (i % 3, i as NodeId)).collect();
+        let weights: Vec<f64> = (0..many.len()).map(|i| 1.0 + i as f64).collect();
+        let one = [(0u32, 3 as NodeId)];
+        let plans = [
+            (&many[..], AliasTable::new(&weights)),
+            (&one[..], AliasTable::new(&[1.0])),
+        ];
+        for (entries, table) in &plans {
+            let plan = |nr: u64| {
+                let mut scratch = WalkScratch::default();
                 assert!(plan_batched_walks(
-                    &entries,
-                    &table,
+                    entries,
+                    table,
                     nr,
                     5,
                     None,
                     &mut scratch
                 ));
-            }
-            scratch
-        };
-        // The smallest multiple of 1000 walks the entry planner cuts into
-        // `k` chunks.
-        let entry_nr = |k: usize| -> u64 {
-            (1..100)
-                .map(|i| i * 1_000)
-                .find(|&nr| plan(false, k, nr).chunks.len() == k)
-                .expect("some walk count plans k chunks")
-        };
-        // Execute the plan up to each of `stops` in turn; the token fires
-        // after the call that reached `cancel_after`.
-        let run = |fixed: bool, k: usize, nr: u64, stops: &[usize], cancel_after: Option<usize>| {
-            let mut counts = sink_for(&g);
-            let mut scratch = plan(fixed, k, nr);
-            assert_eq!(scratch.chunks.len(), k);
-            let token = CancelToken::new();
-            let mut cursor = WalkCursor::default();
-            for &upto in stops {
-                if fixed {
-                    run_planned_fixed_walks(
-                        &g,
-                        3,
-                        5,
-                        Some(&token),
-                        upto,
-                        &mut cursor,
-                        &mut counts,
-                        &mut scratch,
-                    );
-                } else {
+                scratch
+            };
+            // Execute the plan of `nr` walks up to each of `stops` in
+            // turn; the token fires after the call that reached
+            // `cancel_after`.
+            let run = |nr: u64, stops: &[usize], cancel_after: Option<usize>| {
+                let mut counts = sink_for(&g);
+                let mut scratch = plan(nr);
+                let token = CancelToken::new();
+                let mut cursor = WalkCursor::default();
+                for &upto in stops {
                     run_planned_walks(
                         &g,
                         &p,
-                        &entries,
+                        entries,
                         5,
                         Some(&token),
                         upto,
@@ -1699,65 +1549,54 @@ mod tests {
                         &mut counts,
                         &mut scratch,
                     );
+                    if cancel_after == Some(upto) {
+                        token.cancel();
+                    }
                 }
-                if cancel_after == Some(upto) {
-                    token.cancel();
-                }
-            }
-            outcome(&counts, &cursor)
-        };
-        for k in [1usize, 2, 3, 5, 9] {
-            for fixed in [true, false] {
-                let nr = if fixed { 0 } else { entry_nr(k) };
-                let one_call = run(fixed, k, nr, &[k], None);
-                let planned = if fixed {
-                    fixed_lengths(k).iter().sum()
-                } else {
-                    nr
-                };
-                assert_eq!(one_call.2, planned, "k={k} fixed={fixed}");
+                outcome(&counts, &cursor)
+            };
+            for k in [1usize, 2, 3, 5, 9] {
+                // The smallest multiple of 1000 walks cut into `k` chunks.
+                let nr = (1..100)
+                    .map(|i| i * 1_000)
+                    .find(|&nr| plan(nr).chunks.len() == k)
+                    .expect("some walk count plans k chunks");
+                let what = format!("{} entries, k={k}", entries.len());
+                let one_call = run(nr, &[k], None);
+                assert_eq!(one_call.2, nr, "{what}");
                 let mut stop_sets: Vec<Vec<usize>> = (0..=k).map(|b| vec![b, k]).collect();
                 stop_sets.push((1..=k).collect());
                 for stops in &stop_sets {
-                    assert_eq!(
-                        run(fixed, k, nr, stops, None),
-                        one_call,
-                        "k={k} fixed={fixed}: stops {stops:?}"
-                    );
+                    assert_eq!(run(nr, stops, None), one_call, "{what}: stops {stops:?}");
                 }
-                let prefix_plan = plan(fixed, k, nr);
+                let prefix_plan = plan(nr);
                 for b in 0..=k {
-                    let what = format!("k={k} fixed={fixed}: cancel at {b}");
-                    let cut = run(fixed, k, nr, &[b, k], Some(b));
-                    let prefix = run(fixed, k, nr, &[b], None);
-                    assert_eq!(cut, prefix, "{what}");
+                    let what = format!("{what}: cancel at {b}");
+                    let cut = run(nr, &[b, k], Some(b));
+                    assert_eq!(cut, run(nr, &[b], None), "{what}");
                     assert_eq!(cut.2, prefix_plan.planned_walks_through(b), "{what}");
                 }
             }
         }
     }
 
-    /// The entry planner's fill, firing `token` as the `m`-th chunk of
-    /// the pass is opened, on whichever thread opens it.
-    struct CancelAtOpen<'a> {
-        walks: EntryWalks<'a>,
-        opened: AtomicUsize,
-        m: usize,
-        token: &'a CancelToken,
-    }
+    /// The master seed of the passes [`opening`] watches; no other test
+    /// plans with it.
+    const WATCHED_SEED: u64 = 0x0bad_5eed_0f0c_a11d;
 
-    impl FillChunk for CancelAtOpen<'_> {
-        fn fill<S: EndpointSink>(
-            &self,
-            items: &[(u32, u64)],
-            rng: &mut SmallRng,
-            sink: &mut S,
-            buf: &mut WalkBuf,
-        ) {
-            if self.opened.fetch_add(1, Ordering::Relaxed) + 1 == self.m {
-                self.token.cancel();
+    /// For passes with [`WATCHED_SEED`]: the ordinal of the chunk whose
+    /// opening fires the pass's token (0: none), and the chunks opened.
+    static FIRE_AT_OPEN: Mutex<(usize, usize)> = Mutex::new((0, 0));
+
+    /// `Pass::open` calls this as it opens a chunk, on whichever thread
+    /// opens it.
+    pub(super) fn opening(master_seed: u64, cancel: Option<&CancelToken>) {
+        if master_seed == WATCHED_SEED {
+            let mut at = FIRE_AT_OPEN.lock().unwrap();
+            at.1 += 1;
+            if at.1 == at.0 {
+                cancel.expect("a watched pass has a token").cancel();
             }
-            self.walks.fill(items, rng, sink, buf);
         }
     }
 
@@ -1774,13 +1613,14 @@ mod tests {
         let p = PoissonTable::new(5.0);
         let entries: Vec<(u32, NodeId)> = (0..32).map(|i| (i % 4, i * 7 as NodeId)).collect();
         let table = AliasTable::new(&vec![1.0; entries.len()]);
+        let seed = WATCHED_SEED;
         let plan = || {
             let mut scratch = WalkScratch::default();
             assert!(plan_batched_walks(
                 &entries,
                 &table,
                 50_000,
-                9,
+                seed,
                 None,
                 &mut scratch
             ));
@@ -1793,34 +1633,27 @@ mod tests {
                 let mut counts = sink_for(&g);
                 let mut scratch = plan();
                 let token = CancelToken::new();
-                let fill = CancelAtOpen {
-                    walks: EntryWalks {
-                        graph: &g,
-                        entries: &entries,
-                        lengths: p.length_tables(),
-                    },
-                    opened: AtomicUsize::new(0),
-                    m,
-                    token: &token,
-                };
+                *FIRE_AT_OPEN.lock().unwrap() = (m, 0);
                 if helper {
                     scratch.fit_helper(0, num_chunks);
                 }
                 let mut cursor = WalkCursor::default();
                 run_pass(
                     &g,
+                    p.length_tables(),
+                    &entries,
                     &mut scratch,
                     num_chunks,
                     &mut cursor,
-                    9,
+                    seed,
                     Some(&token),
                     &mut counts,
-                    &fill,
                     helper,
                 );
                 let cut = outcome(&counts, &cursor);
                 let what = format!("helper {helper}, fired at chunk {m}");
                 let c = cursor.next_chunk;
+                assert!(token.is_cancelled(), "{what}: the token never fired");
                 assert!(c >= m, "{what}: only {c} chunks ran");
                 if !helper {
                     assert_eq!(c, m, "{what}");
@@ -1830,11 +1663,12 @@ mod tests {
                 let mut counts = sink_for(&g);
                 let mut scratch = plan();
                 let mut cursor = WalkCursor::default();
+                *FIRE_AT_OPEN.lock().unwrap() = (0, 0);
                 run_planned_walks(
                     &g,
                     &p,
                     &entries,
-                    9,
+                    seed,
                     None,
                     c,
                     &mut cursor,
@@ -1848,34 +1682,28 @@ mod tests {
 
     #[test]
     fn one_thread_and_two_deposit_the_same_bits() {
-        // Which thread runs a chunk cannot show: for both planners, on a
-        // graph whose walks end mid-walk in a row-less node too, a pass
-        // with the helper deposits, steps and counts exactly what the
-        // calling thread alone does, from any starting chunk — whether or
-        // not this machine would spawn the helper by itself.
+        // Which thread runs a chunk cannot show: for a plan over many
+        // entries and a one-entry (Monte-Carlo) plan, on a graph whose
+        // walks end mid-walk in a row-less node too, a pass with the
+        // helper deposits, steps and counts exactly what the calling
+        // thread alone does, from any starting chunk — whether or not this
+        // machine would spawn the helper by itself.
         let mut gen_rng = SmallRng::seed_from_u64(44);
         let hk = hk_graph::gen::holme_kim(2_000, 4, 0.3, &mut gen_rng).unwrap();
         let sink_graph = Graph::from_csr(vec![0, 1, 4, 4, 6, 6], vec![1, 0, 2, 3, 1, 2]);
         let p = PoissonTable::new(5.0);
-        let lengths = [
-            2_000u64, 7_000, 9_000, 4_000, 6_000, 3_000, 5_000, 4_000, 2_500, 1_500, 800, 200,
-        ];
         for g in [&hk, &sink_graph] {
-            let entries: Vec<(u32, NodeId)> = (0..24u32)
+            let many: Vec<(u32, NodeId)> = (0..24u32)
                 .map(|i| (i % 5, (i * 13) % g.num_nodes() as u32))
                 .collect();
-            let table = AliasTable::new(&vec![1.0; entries.len()]);
-            for fixed in [false, true] {
+            for entries in [&many[..], &[(0, 1)]] {
+                let table = AliasTable::new(&vec![1.0; entries.len()]);
                 let run = |from: usize, helper: bool| {
                     let mut counts = sink_for(g);
                     let mut scratch = WalkScratch::default();
-                    if fixed {
-                        plan_batched_fixed_walks(&lengths, &mut scratch);
-                    } else {
-                        let planned =
-                            plan_batched_walks(&entries, &table, 40_000, 3, None, &mut scratch);
-                        assert!(planned);
-                    }
+                    let planned =
+                        plan_batched_walks(entries, &table, 40_000, 3, None, &mut scratch);
+                    assert!(planned);
                     let num_chunks = scratch.chunks.len();
                     let mut cursor = WalkCursor {
                         next_chunk: from,
@@ -1884,29 +1712,30 @@ mod tests {
                     if helper {
                         scratch.fit_helper(from, num_chunks);
                     }
-                    if fixed {
-                        let fill = FixedWalks {
-                            seed: 1,
-                            seed_degree: g.degree(1),
-                        };
-                        let (s, c, k) = (&mut scratch, &mut cursor, &mut counts);
-                        run_pass(g, s, num_chunks, c, 3, None, k, &fill, helper);
-                    } else {
-                        let fill = EntryWalks {
-                            graph: g,
-                            entries: &entries,
-                            lengths: p.length_tables(),
-                        };
-                        let (s, c, k) = (&mut scratch, &mut cursor, &mut counts);
-                        run_pass(g, s, num_chunks, c, 3, None, k, &fill, helper);
-                    }
+                    let (s, c, k) = (&mut scratch, &mut cursor, &mut counts);
+                    run_pass(
+                        g,
+                        p.length_tables(),
+                        entries,
+                        s,
+                        num_chunks,
+                        c,
+                        3,
+                        None,
+                        k,
+                        helper,
+                    );
                     assert_eq!(cursor.next_chunk, num_chunks);
                     (num_chunks, outcome(&counts, &cursor))
                 };
                 let (num_chunks, _) = run(0, false);
                 assert!(num_chunks >= 2 * WINDOW, "{num_chunks} chunks");
                 for from in [0, 1, num_chunks - 2, num_chunks - 1] {
-                    let what = format!("fixed {fixed}, {} nodes, from {from}", g.num_nodes());
+                    let what = format!(
+                        "{} entries, {} nodes, from {from}",
+                        entries.len(),
+                        g.num_nodes()
+                    );
                     assert_eq!(run(from, true), run(from, false), "{what}");
                 }
             }
@@ -1931,86 +1760,68 @@ mod tests {
         // The goldens' datasets rarely plan more than two chunks, so they
         // cannot see how the executor schedules chunks against each other.
         // These digests pin every deposit and the step count of plans that
-        // span many chunks, for both planners and for a graph whose walks
-        // end mid-walk in a row-less node.
+        // span many chunks: over many entries, on a Holme–Kim graph and on
+        // a graph whose walks end mid-walk in a row-less node, and from
+        // the one entry (0, 1), the plan of a Monte-Carlo query.
         let mut gen_rng = SmallRng::seed_from_u64(42);
         let hk = hk_graph::gen::holme_kim(3_000, 4, 0.3, &mut gen_rng).unwrap();
         let sink = Graph::from_csr(vec![0, 1, 4, 4, 6, 6], vec![1, 0, 2, 3, 1, 2]);
         let p = PoissonTable::new(5.0);
         let entries_on =
             |n: u32| -> Vec<(u32, NodeId)> { (0..40u32).map(|i| (i % 7, (i * 37) % n)).collect() };
-        let lengths = [
-            3_000u64, 9_000, 8_000, 7_000, 6_000, 5_000, 4_000, 2_500, 1_000, 700, 300,
-        ];
-        let walk = |g: &Graph, fixed: bool| {
+        let walk = |g: &Graph, entries: &[(u32, NodeId)], nr: u64| {
             let mut counts = sink_for(g);
             let mut scratch = WalkScratch::default();
-            let entries = entries_on(g.num_nodes() as u32);
             let weights: Vec<f64> = (0..entries.len()).map(|i| 1.0 + (i % 5) as f64).collect();
             let table = AliasTable::new(&weights);
-            if fixed {
-                plan_batched_fixed_walks(&lengths, &mut scratch);
-            } else {
-                assert!(plan_batched_walks(
-                    &entries,
-                    &table,
-                    50_000,
-                    17,
-                    None,
-                    &mut scratch
-                ));
-            }
+            assert!(plan_batched_walks(
+                entries,
+                &table,
+                nr,
+                17,
+                None,
+                &mut scratch
+            ));
             let num_chunks = scratch.chunks.len();
             let mut cursor = WalkCursor::default();
-            if fixed {
-                run_planned_fixed_walks(
-                    g,
-                    1,
-                    17,
-                    None,
-                    num_chunks,
-                    &mut cursor,
-                    &mut counts,
-                    &mut scratch,
-                );
-            } else {
-                run_planned_walks(
-                    g,
-                    &p,
-                    &entries,
-                    17,
-                    None,
-                    num_chunks,
-                    &mut cursor,
-                    &mut counts,
-                    &mut scratch,
-                );
-            }
+            run_planned_walks(
+                g,
+                &p,
+                entries,
+                17,
+                None,
+                num_chunks,
+                &mut cursor,
+                &mut counts,
+                &mut scratch,
+            );
             (num_chunks, deposit_digest(&counts, cursor.steps))
         };
-        let cases: [(&str, &Graph, bool, u64); 4] = [
+        let cases = [
             (
-                "holme-kim, entry planner",
+                "holme-kim, 40 entries",
                 &hk,
-                false,
-                0x3dc7_dfb9_da65_0b2d,
+                entries_on(3_000),
+                50_000,
+                0x3dc7_dfb9_da65_0b2d_u64,
             ),
-            ("holme-kim, fixed planner", &hk, true, 0x3ae5_cc04_fcdc_e0ec),
             (
-                "sink graph, entry planner",
+                "sink graph, 40 entries",
                 &sink,
-                false,
+                entries_on(5),
+                50_000,
                 0x602a_97e4_816c_6ced,
             ),
             (
-                "sink graph, fixed planner",
-                &sink,
-                true,
-                0xd44a_6f62_7ccf_0055,
+                "holme-kim, one entry",
+                &hk,
+                vec![(0, 1)],
+                40_000,
+                0xff89_2e99_0bb6_6475,
             ),
         ];
-        for (what, g, fixed, digest) in cases {
-            let (num_chunks, got) = walk(g, fixed);
+        for (what, g, entries, nr, digest) in cases {
+            let (num_chunks, got) = walk(g, &entries, nr);
             assert!(num_chunks >= 9, "{what}: only {num_chunks} chunks");
             assert_eq!(got, digest, "{what}: digest {got:#018x}");
         }

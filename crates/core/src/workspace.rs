@@ -312,8 +312,8 @@ pub struct PhaseTimes {
     /// which pushes nothing).
     pub push_ns: u64,
     /// Time spent after the push: residue reduction (TEA+), walk
-    /// planning (Monte-Carlo's length sampling included), the batched
-    /// walk engine, and estimate assembly.
+    /// planning (the sampling of every walk's start included), the
+    /// batched walk engine, and estimate assembly.
     pub walk_ns: u64,
 }
 

@@ -14,7 +14,10 @@
 //!    query raced by an asynchronous cancel (fired after a random delay)
 //!    either completes normally or reports `Cancelled`, and either way
 //!    the *next* query on the same workspace is bit-identical to a
-//!    cold-workspace run.
+//!    cold-workspace run;
+//! 5. **No walk count is too large to cancel** — an uncapped Monte-Carlo
+//!    query planning ~10^10 walks stops soon after its token fires,
+//!    without having grown its workspace with the walk count.
 
 use hkpr_core::{
     estimate_in, AnytimeControls, CancelToken, Estimator, HkprError, HkprEstimate, HkprParams,
@@ -143,7 +146,7 @@ fn cancelled_walk_engine_skips_chunks() {
 /// Query RNG that counts its draws and fires a cancel token on draw
 /// number `fire_at` — a deterministic stand-in for a watchdog firing at
 /// a known point of a query. Every estimator draws the walk phase's
-/// master seed last, after the push (TEA, TEA+) or the length sampling
+/// master seed last, after the push (TEA, TEA+) or right away
 /// (Monte-Carlo), so "fire on the last draw" is "fire as the walk phase
 /// starts".
 struct FiringRng {
@@ -237,6 +240,62 @@ fn token_fired_at_the_walk_phase_is_cancelled_and_leaves_the_workspace_reusable(
             "{label}: query after a cancelled walk phase diverged"
         );
     }
+}
+
+#[test]
+fn an_astronomical_monte_carlo_walk_count_stays_cancellable_in_bounded_memory() {
+    // The wire accepts any delta in (0, 1) and no walk cap, so the
+    // published count can be ~1e10 walks. Drawing their starts would take
+    // tens of seconds and planning them would allocate a work item per
+    // 4096 walks; the start-drawing loop polls the token every 64Ki draws,
+    // so a token fired mid-draw stops the query before any of that.
+    let g = hk_graph::gen::holme_kim(200, 3, 0.3, &mut SmallRng::seed_from_u64(7)).unwrap();
+    let params = HkprParams::builder(&g)
+        .t(5.0)
+        .eps_r(0.5)
+        .delta(2e-8)
+        .p_f(1e-6)
+        .build()
+        .unwrap();
+    assert!(params.monte_carlo_walks() > 5_000_000_000);
+    let mut ws = QueryWorkspace::new();
+    // What a query of 100k walks leaves the workspace holding: the
+    // bound, whatever the walk count.
+    let capped = Estimator::MonteCarlo {
+        max_walks: Some(100_000),
+    };
+    run(
+        &g,
+        &params,
+        0,
+        capped,
+        &mut SmallRng::seed_from_u64(1),
+        &mut ws,
+    )
+    .unwrap();
+    let bound = ws.memory_bytes();
+
+    let token = CancelToken::new();
+    ws.set_cancel_token(Some(token.clone()));
+    let uncapped = Estimator::MonteCarlo { max_walks: None };
+    let started = std::time::Instant::now();
+    let raced = std::thread::scope(|s| {
+        s.spawn(|| {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            token.cancel();
+        });
+        let controls = AnytimeControls::default();
+        let mut rng = SmallRng::seed_from_u64(2);
+        estimate_in(&g, &params, 0, uncapped, controls, &mut rng, &mut ws)
+    });
+    let elapsed = started.elapsed();
+    assert!(matches!(raced, Err(HkprError::Cancelled)), "{raced:?}");
+    assert!(elapsed.as_secs_f64() < 1.0, "returned after {elapsed:?}");
+    let held = ws.memory_bytes();
+    assert!(
+        held <= bound,
+        "{held} bytes held, above the {bound} of 100k walks"
+    );
 }
 
 proptest! {

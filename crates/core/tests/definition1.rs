@@ -14,19 +14,25 @@
 //!
 //! Besides the three full-accuracy methods, every point runs TEA+ with its
 //! push ladder cut after k in {1, 2, 3} certified tiers
-//! (`AnytimeControls::push_tier_cap`) and its walk ladder uncapped. Such an
-//! answer is degraded, and is held to the `eps_r_achieved` it reports.
-//! Answers cut in the walk ladder are not checked here: a cut ladder keeps
-//! the shortest walks, so its estimate is biased and its `eps_r_achieved`
-//! is not a certificate (recorded as an open defect in ROADMAP.md).
+//! (`AnytimeControls::push_tier_cap`) and its walk ladder uncapped, and
+//! Monte-Carlo with its walk ladder cut after k in {1, 2, 3} tiers
+//! (`AnytimeControls::walk_tier_cap`). Such an answer is degraded, and is
+//! held to the `eps_r_achieved` it reports. Monte-Carlo's walks come from
+//! one entry, so a cut ladder keeps an i.i.d. sample of them. TEA's and
+//! TEA+'s walk-cut answers are not checked here: their plan orders its
+//! chunks by residue entry, so a cut ladder keeps the first entries'
+//! walks, its estimate is biased and its `eps_r_achieved` is not a
+//! certificate (recorded as an open defect in ROADMAP.md).
 //!
 //! The grid: `holme_kim(3000, 3, 0.3)` at (t, delta, p_f) in {(5, 1e-3,
 //! 0.05), (5, 2e-4, 0.05), (5, 2e-4, 1e-6), (10, 2e-4, 0.05)}, and
 //! `planted_partition(5, 200, 0.05, 0.005)` at (5, 1e-3, 0.05), all at
 //! eps_r = 0.5. A graph seed fixes the graph and its query node; each run
 //! draws the estimator's randomness from its own stream. Tier-1 runs a
-//! slice of the grid sized for a debug build; the full grid (five seeds
-//! times 40 streams) is `#[ignore]`d, for release builds:
+//! slice of the grid sized for a debug build (two seeds times two
+//! streams, 180 runs, ≈4 s on a 2-vCPU guest); the full grid (five seeds
+//! times 40 streams, 9,000 runs, ≈16 s optimized on the same guest) is
+//! `#[ignore]`d, for release builds:
 //!
 //! ```sh
 //! cargo test -q --release -p hkpr-core --test definition1 -- --include-ignored --nocapture
@@ -63,15 +69,20 @@ enum Method {
     /// TEA+ with its push ladder cut after this many certified tiers and
     /// its walk ladder uncapped.
     TeaPlusPushCut(u32),
+    /// Monte-Carlo with its walk ladder cut after this many tiers.
+    MonteCarloWalkCut(u32),
 }
 
-const METHODS: [Method; 6] = [
+const METHODS: [Method; 9] = [
     Method::Tea,
     Method::TeaPlus,
     Method::MonteCarlo,
     Method::TeaPlusPushCut(1),
     Method::TeaPlusPushCut(2),
     Method::TeaPlusPushCut(3),
+    Method::MonteCarloWalkCut(1),
+    Method::MonteCarloWalkCut(2),
+    Method::MonteCarloWalkCut(3),
 ];
 
 /// One point of the grid: a graph family at `(t, delta, p_f)`.
@@ -169,20 +180,24 @@ fn run(
     ws: &mut QueryWorkspace,
 ) -> Answer {
     let tea_plus = Estimator::TeaPlus(Default::default());
-    let (estimator, push_tier_cap) = match method {
-        Method::Tea => (Estimator::Tea { rmax: None }, None),
-        Method::TeaPlus => (tea_plus, None),
-        Method::MonteCarlo => (Estimator::MonteCarlo { max_walks: None }, None),
-        Method::TeaPlusPushCut(tiers) => (tea_plus, Some(tiers)),
+    let monte_carlo = Estimator::MonteCarlo { max_walks: None };
+    let (estimator, push_tier_cap, walk_tier_cap) = match method {
+        Method::Tea => (Estimator::Tea { rmax: None }, None, None),
+        Method::TeaPlus => (tea_plus, None, None),
+        Method::MonteCarlo => (monte_carlo, None, None),
+        Method::TeaPlusPushCut(tiers) => (tea_plus, Some(tiers), None),
+        Method::MonteCarloWalkCut(tiers) => (monte_carlo, None, Some(tiers)),
     };
     let controls = AnytimeControls {
         push_tier_cap,
+        walk_tier_cap,
         ..Default::default()
     };
     let out = estimate_in(graph, params, node, estimator, controls, rng, ws).unwrap();
-    // Only a push cut may degrade an answer here; it is held to its own
+    // Only a cut may degrade an answer here; it is held to its own
     // `eps_r_achieved`, which is `eps_r` for a complete one.
-    assert!(push_tier_cap.is_some() || !out.achieved.is_degraded());
+    let cut = push_tier_cap.is_some() || walk_tier_cap.is_some();
+    assert!(cut || !out.achieved.is_degraded());
     Answer {
         walked: out.stats.random_walks > 0,
         estimate: out.estimate,
@@ -278,8 +293,8 @@ fn failure_allowance(ps: &[f64], alpha: f64) -> usize {
 }
 
 /// Assert the grid's failures are consistent with p_f, and that it
-/// covers a non-trivial case in which TEA+ walks and a non-trivial case
-/// whose push-cut answers are degraded.
+/// covers a non-trivial case in which TEA+ walks and non-trivial cases
+/// whose push-cut and Monte-Carlo walk-cut answers are degraded.
 fn assert_conforms(cases: &[Case]) {
     let p_fs: Vec<f64> = cases
         .iter()
@@ -309,6 +324,14 @@ fn assert_conforms(cases: &[Case]) {
                 && !c.trivial()
                 && c.degraded > 0),
         "no non-trivial case with a degraded push-cut answer"
+    );
+    assert!(
+        cases
+            .iter()
+            .any(|c| matches!(c.method, Method::MonteCarloWalkCut(_))
+                && !c.trivial()
+                && c.degraded > 0),
+        "no non-trivial case with a degraded Monte-Carlo walk-cut answer"
     );
 }
 

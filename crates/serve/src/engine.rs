@@ -277,8 +277,8 @@ pub enum CacheOutcome {
 pub struct QueryTiming {
     /// Time between submit and a worker dequeuing the request.
     pub queue_ns: u64,
-    /// Estimator push phase (0 for cache hits; Monte-Carlo's is its
-    /// walk-length sampling).
+    /// Estimator push phase (0 for cache hits and for Monte-Carlo, which
+    /// pushes nothing).
     pub push_ns: u64,
     /// Estimator walk phase, incl. residue reduction and assembly
     /// (0 for cache hits).
@@ -295,9 +295,11 @@ pub struct QueryTiming {
 /// watchdog: the result is the estimate at the best accuracy tier
 /// completed before cancellation — not the requested accuracy. An answer
 /// cut in the push ladder alone, with its walks complete, meets
-/// `achieved.eps_r_achieved`. One cut in the walk ladder ran the plan's
-/// shortest walks first, so it is biased and its `eps_r_achieved` is a
-/// nominal figure, not a certificate (see [`hkpr_core::anytime`]).
+/// `achieved.eps_r_achieved`, and so does a Monte-Carlo answer cut in its
+/// walk ladder, whose walks are an i.i.d. sample. A TEA or TEA+ answer
+/// cut in the walk ladder ran the plan's first residue entries' walks
+/// first, so it is biased and its `eps_r_achieved` is a nominal figure,
+/// not a certificate (see [`hkpr_core::anytime`]).
 /// Degraded answers are never cached (the cache only stores
 /// full-accuracy results), so a retry without a deadline recomputes at
 /// full accuracy.
@@ -741,14 +743,14 @@ pub(crate) mod tests {
         assert!(again.result.bitwise_eq(&fresh.result));
     }
 
-    /// A Monte-Carlo query whose walk phase outlasts its length sampling
-    /// by more than the widest step of the degraded tests' deadline ladder
-    /// (2.5x), in any build profile: a length costs one binary search over
-    /// the Poisson table (`O(log t)`), a walk `t` steps, so at `t = 400`
-    /// the 2M walks take tens of times longer than drawing their lengths:
-    /// the whole query reads ≈0.9 s optimized on two threads, far past the
-    /// ladder's first rung of 100 ms, and ≈23 s unoptimized. Whichever
-    /// rung first outlasts the sampling cuts the walks.
+    /// A Monte-Carlo query whose walks outlast the sampling of their
+    /// starts by more than the widest step of the degraded tests'
+    /// deadline ladder (2.5x), in any build profile: a start costs one
+    /// alias draw, a walk `t` steps, so at `t = 400` the 2M walks take
+    /// tens of times longer than drawing their starts: the whole query
+    /// reads ≈0.9 s optimized on two threads, far past the ladder's first
+    /// rung of 100 ms, and ≈23 s unoptimized. Whichever rung first
+    /// outlasts the sampling cuts the walks.
     fn degrading_monte_carlo() -> QueryRequest {
         QueryRequest::new(3)
             .method(Method::MonteCarlo {
@@ -765,9 +767,10 @@ pub(crate) mod tests {
     /// tests sleep before they submit, in any build profile: 500k walks
     /// at `t = 400` (≈0.2 s optimized on two threads, on these tests'
     /// graphs), cut by a 1 s deadline where an unoptimized build would
-    /// walk for seconds. Its length sampling, which a deadline cannot
-    /// degrade, takes a small part of that second even unoptimized, so
-    /// the answer is complete or degraded, never an error.
+    /// walk for seconds. The sampling of its walks' starts, which a
+    /// deadline cannot degrade, takes a small part of that second even
+    /// unoptimized, so the answer is complete or degraded, never an
+    /// error.
     pub(crate) fn occupying_monte_carlo() -> QueryRequest {
         QueryRequest::new(0)
             .method(Method::MonteCarlo {
@@ -789,9 +792,10 @@ pub(crate) mod tests {
             workers: 1,
             ..EngineConfig::default()
         });
-        // The up-front length sampling cannot degrade (a cancel there is
-        // a hard `Cancelled`), so the walk phase must outlast it by more
-        // than a rung of the deadline ladder, in both build profiles.
+        // The up-front sampling of the walks' starts cannot degrade (a
+        // cancel there is a hard `Cancelled`), so the walks must outlast
+        // it by more than a rung of the deadline ladder, in both build
+        // profiles.
         let req = degrading_monte_carlo();
         // Escalate the deadline until the cancel lands in the walk phase
         // (anything deposited makes an Ok degraded answer).
