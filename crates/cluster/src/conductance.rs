@@ -15,6 +15,16 @@
 //! the node domain ([`MemberScratch`]), small enough to stay in L2 on a
 //! million-node graph, and cleared node by node, so a sweep costs work
 //! proportional to its support, never to the graph.
+//!
+//! Adding a node is two steps with one seam between them: count what
+//! its edges see (`d(v)` and the edges into the set, integers read off
+//! one bitset), then fold those two counts into the set's cut and volume
+//! and turn them into `Phi`. A sweep split over two threads
+//! ([`crate::sweep`]) counts the ranking's tail on a helper, against
+//! that thread's own bitset holding the same members, and folds the
+//! counts on the calling thread in rank order, so both halves run the
+//! same integer arithmetic and the same float expression as one thread
+//! does.
 
 use hk_graph::{Graph, NodeId};
 use hkpr_core::fxhash::FxHashSet;
@@ -65,6 +75,8 @@ impl MemberScratch {
         Self::default()
     }
 
+    /// Empty the set, clearing exactly the bits the last sweep set, and
+    /// size the bitset for an `n`-node graph.
     fn begin(&mut self, n: usize) {
         for &v in &self.set {
             self.bits[v as usize / 64] = 0;
@@ -81,11 +93,43 @@ impl MemberScratch {
         self.bits[v as usize / 64] >> (v % 64) & 1 != 0
     }
 
+    /// Add `v` to the set (it must not be a member yet).
+    #[inline]
+    fn insert(&mut self, v: NodeId) {
+        self.bits[v as usize / 64] |= 1 << (v % 64);
+        self.set.push(v);
+    }
+
     /// Bytes held by the backing allocations.
     pub(crate) fn memory_bytes(&self) -> usize {
         self.bits.capacity() * std::mem::size_of::<u64>()
             + self.set.capacity() * std::mem::size_of::<NodeId>()
     }
+}
+
+/// Count `v`'s edges against the membership bitset `bits`: `d(v)` and
+/// how many lead into the set. The probe per incident edge is the sweep's
+/// hot load: a branchless unchecked bit test keeps it one gather + one add
+/// per edge.
+///
+/// # Safety
+///
+/// `bits` must hold a bit for every node of `graph`: `64 * bits.len() >=
+/// graph.num_nodes()`. Neighbor ids are below `num_nodes()` by the CSR
+/// invariant, so every load is then in bounds.
+#[inline]
+pub(crate) unsafe fn count_edges(bits: &[u64], graph: &Graph, v: NodeId) -> (usize, usize) {
+    debug_assert!(bits.len() * 64 >= graph.num_nodes());
+    let nbrs = graph.neighbors(v);
+    let mut internal = 0usize;
+    for &u in nbrs {
+        // SAFETY: u < num_nodes() <= 64 * bits.len().
+        let word = unsafe { *bits.get_unchecked(u as usize / 64) };
+        internal += (word >> (u % 64) & 1) as usize;
+    }
+    // The row's length is d(v); the degree array would be one more
+    // random read.
+    (nbrs.len(), internal)
 }
 
 /// Incremental conductance tracker used by the sweep: nodes are added one
@@ -157,47 +201,25 @@ impl<'g> SweepState<'g> {
         }
     }
 
-    /// Hint the CPU to pull what a coming [`push`](Self::push) of `v`
-    /// reads first: `v`'s CSR offsets. Hints only — no state changes.
-    #[inline]
-    pub fn prefetch_offsets(&self, v: NodeId) {
-        self.graph.prefetch_node(v);
-    }
-
-    /// Second hint for a coming push of `v`: the head of its adjacency
-    /// row (reads the offsets [`prefetch_offsets`](Self::prefetch_offsets)
-    /// asked for).
-    #[inline]
-    pub fn prefetch_row(&self, v: NodeId) {
-        if (v as usize) < self.graph.num_nodes() {
-            self.graph
-                .prefetch_neighbor_row(self.graph.neighbor_row(v).0);
-        }
-    }
-
     /// Add `v` (must not already be a member) and return the new
     /// conductance.
     pub fn push(&mut self, v: NodeId) -> f64 {
         debug_assert!(!self.member.contains(v), "node {v} already in sweep set");
-        // Every edge to an existing member stops being cut; every other
-        // incident edge becomes cut. The membership probe per incident
-        // edge is the sweep's hot load: a branchless unchecked bit test
-        // (neighbor ids are < n by the CSR invariant and the bitset holds
-        // n bits) keeps this one gather + one add per edge. Pure integer
-        // counting, so the result is exact regardless.
-        let nbrs = self.graph.neighbors(v);
-        // The row's length is d(v); the degree array would be one more
-        // random read.
-        let d = nbrs.len();
         let m = self.member.scratch();
-        let mut internal = 0usize;
-        for &u in nbrs {
-            // SAFETY: u < num_nodes() <= 64 * bits.len().
-            let word = unsafe { *m.bits.get_unchecked(u as usize / 64) };
-            internal += (word >> (u % 64) & 1) as usize;
-        }
-        m.bits[v as usize / 64] |= 1 << (v % 64);
-        m.set.push(v);
+        // SAFETY: `begin`, run by both constructors, sized the bitset for
+        // `self.graph`'s nodes, and it never shrinks.
+        let (d, internal) = unsafe { count_edges(&m.bits, self.graph, v) };
+        m.insert(v);
+        self.add_counted(d, internal)
+    }
+
+    /// Fold one node's counts — its degree `d` and its `internal` edges
+    /// into the set — into the cut and volume and return the new
+    /// conductance. Every edge to an existing member stops being cut;
+    /// every other incident edge becomes cut. Pure integer counting, so
+    /// the result is exact regardless of which thread counted.
+    #[inline]
+    pub(crate) fn add_counted(&mut self, d: usize, internal: usize) -> f64 {
         self.vol += d;
         self.cut = self.cut + d - 2 * internal;
         self.len += 1;

@@ -45,6 +45,4 @@ pub mod sweep;
 pub use conductance::{conductance, MemberScratch, SweepState};
 pub use local::{ClusterResult, LocalClusterer, Method, QueryScratch};
 pub use metrics::{f1_score, ndcg_at_k, F1Score};
-pub use sweep::{
-    sweep_estimate, sweep_estimate_with, sweep_ranked, sweep_ranked_with, SweepResult,
-};
+pub use sweep::{sweep_estimate, sweep_ranked, sweep_ranked_with, SweepResult};

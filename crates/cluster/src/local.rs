@@ -15,8 +15,7 @@ use hkpr_core::{
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::conductance::MemberScratch;
-use crate::sweep::{sweep_estimate_with, SweepResult};
+use crate::sweep::{SweepResult, SweepScratch};
 
 /// Which HKPR estimator powers the query. `Eq + Hash`: it is the method
 /// part of the serving cache key.
@@ -174,8 +173,11 @@ impl<'g> LocalClusterer<'g> {
     }
 
     /// Full query on reusable scratch: the estimator's [`QueryWorkspace`]
-    /// plus the sweep's ranking buffer. One [`QueryScratch`] per serving
-    /// worker makes the whole query path allocation-free after warm-up.
+    /// plus the sweep's buffers. With one [`QueryScratch`] per serving
+    /// worker, what a query allocates after warm-up is its answer's
+    /// columns (the estimate's ids and values, the cluster) and the
+    /// ranking sort's buffers for its small buckets, 64 KiB at most
+    /// ([`HkprEstimate::ranked_by_normalized_into`]).
     ///
     /// Exactly `estimate_in` followed by [`sweep_in`](Self::sweep_in) —
     /// serving layers that need per-phase timing call the two halves
@@ -203,12 +205,7 @@ impl<'g> LocalClusterer<'g> {
         stats: QueryStats,
         scratch: &mut QueryScratch,
     ) -> ClusterResult {
-        match sweep_estimate_with(
-            self.graph,
-            &estimate,
-            &mut scratch.ranked,
-            &mut scratch.member,
-        ) {
+        match scratch.sweep.sweep(self.graph, &estimate) {
             Some(SweepResult {
                 cluster,
                 conductance,
@@ -240,15 +237,14 @@ thread_local! {
 }
 
 /// Reusable per-worker scratch for [`LocalClusterer::run_in`]: the dense
-/// estimator workspace plus the sweep's ranking buffer.
+/// estimator workspace plus the sweep's buffers.
 #[derive(Clone, Debug, Default)]
 pub struct QueryScratch {
     /// Estimator workspace (dense push/walk buffers).
     pub workspace: QueryWorkspace,
-    /// Sweep ranking buffer.
-    ranked: Vec<(NodeId, f64)>,
-    /// Sweep membership buffer (a bitset over the nodes).
-    member: MemberScratch,
+    /// The sweep's ranking, membership bitsets and, for a sweep split
+    /// over two threads, the helper's counts.
+    sweep: SweepScratch,
 }
 
 impl QueryScratch {
@@ -258,12 +254,13 @@ impl QueryScratch {
     }
 
     /// Bytes held by every backing allocation: the estimator workspace
-    /// ([`QueryWorkspace::memory_bytes`]) plus the sweep's ranking and
-    /// membership buffers.
+    /// ([`QueryWorkspace::memory_bytes`]) plus the sweep's ranking,
+    /// membership bitsets and helper buffers. The helper's are sized for
+    /// every sweep long enough to split on a host with a second core,
+    /// whether or not a core was spare for it, so this does not depend on
+    /// what other queries are doing.
     pub fn memory_bytes(&self) -> usize {
-        self.workspace.memory_bytes()
-            + self.ranked.capacity() * std::mem::size_of::<(NodeId, f64)>()
-            + self.member.memory_bytes()
+        self.workspace.memory_bytes() + self.sweep.memory_bytes()
     }
 }
 
@@ -299,6 +296,46 @@ mod tests {
             result.memory_bytes(),
             size_of::<ClusterResult>() + 3 * size_of::<NodeId>() + 2 * 12
         );
+    }
+
+    #[test]
+    fn a_split_sweep_counts_its_helper_buffers_and_stays_flat() {
+        use crate::sweep::{CALLER_EIGHTHS, MIN_SPLIT};
+        let g = hk_graph::gen::holme_kim(20_000, 3, 0.3, &mut SmallRng::seed_from_u64(9)).unwrap();
+        let params = HkprParams::builder(&g).t(5.0).build().unwrap();
+        let method = Method::MonteCarlo {
+            max_walks: Some(60_000),
+        };
+        let clusterer = LocalClusterer::new(&g);
+        let mut scratch = QueryScratch::new();
+        let first = clusterer
+            .run_in(method, 0, &params, 1, &mut scratch)
+            .unwrap();
+        let len = first.support_size;
+        assert!(len >= MIN_SPLIT, "fixture must split: {len} ranked nodes");
+        // Bit for bit the one-thread sweep of the same ranking.
+        let one = crate::sweep_estimate(&g, &first.estimate).unwrap();
+        assert_eq!(first.cluster, one.cluster);
+        assert_eq!(first.conductance.to_bits(), one.conductance.to_bits());
+        let bytes = scratch.memory_bytes();
+        let helper = scratch.sweep.helper_bytes();
+        if hkpr_core::cores::second_core() {
+            // Sized whether or not a core was spare: the helper's bitset
+            // and a pair per tail node.
+            let tail = len - len * CALLER_EIGHTHS / 8;
+            let least = g.num_nodes().div_ceil(64) * 8 + tail * 8;
+            assert!(helper >= least, "{helper} < {least}");
+            assert!(bytes >= scratch.workspace.memory_bytes() + helper);
+        } else {
+            assert_eq!(helper, 0);
+        }
+        for _ in 0..20 {
+            let again = clusterer
+                .run_in(method, 0, &params, 1, &mut scratch)
+                .unwrap();
+            assert!(again.bitwise_eq(&first));
+            assert_eq!(scratch.memory_bytes(), bytes);
+        }
     }
 
     #[test]

@@ -149,6 +149,7 @@ impl HkprEstimate {
     /// Support sorted by normalized value, descending (ties toward smaller
     /// id for determinism) — the ordering the sweep consumes. The offset is
     /// deliberately ignored: it shifts all normalized values equally.
+    /// Degree-0 nodes are left out.
     pub fn ranked_by_normalized(&self, graph: &Graph) -> Vec<(NodeId, f64)> {
         let mut out = Vec::new();
         self.ranked_by_normalized_into(graph, &mut out);
@@ -157,21 +158,173 @@ impl HkprEstimate {
 
     /// [`ranked_by_normalized`](Self::ranked_by_normalized) into a caller
     /// buffer, so repeated sweeps (batch serving) reuse one allocation.
+    /// The buffer also holds the sort's scratch, so its capacity ends at
+    /// least twice the support's size; past that, a call allocates only
+    /// `slice::sort_by_key`'s buffers for buckets of at most 4,096
+    /// entries (64 KiB at most, from the heap and handed back to it).
+    ///
+    /// Ties go to the smaller id without the id in the sort key: the
+    /// support is laid out in ascending-id order, and the sort on the
+    /// value alone is stable, so equal values keep that order.
     pub fn ranked_by_normalized_into(&self, graph: &Graph, out: &mut Vec<(NodeId, f64)>) {
-        out.clear();
-        out.extend(
-            self.support()
-                .filter(|&(v, _)| graph.degree(v) > 0)
-                .map(|(v, x)| (v, x / graph.degree(v) as f64)),
-        );
-        // For the non-negative finite values stored here, IEEE-754 bit
-        // patterns order exactly like total_cmp (sign bit clear, then
-        // magnitude), so sorting on the raw bits descending + id ascending
-        // performs the *same comparisons* as the f64 comparator — same
-        // algorithm, same decisions, bit-identical permutation — with a
-        // two-integer key the sort kernel handles much faster than an f64
-        // branch chain.
-        out.sort_unstable_by_key(|&(v, x)| (std::cmp::Reverse(x.to_bits()), v));
+        // The lower `nnz` slots receive the ranking; the support is laid
+        // out above them in ascending-id order, as the sort's input.
+        // Every lower slot is overwritten, so only slots past the last
+        // call's ranking need a value now.
+        let nnz = self.nnz();
+        out.resize(nnz, (0, 0.0));
+        out.extend(self.support().filter_map(|(v, x)| match graph.degree(v) {
+            0 => None,
+            d => Some((v, x / d as f64)),
+        }));
+        let len = out.len() - nnz;
+        let (ranked, support) = out.split_at_mut(nnz);
+        rank(support, &mut ranked[..len]);
+        out.truncate(len);
+    }
+}
+
+/// A ranked entry: node and normalized value.
+type Ranked = (NodeId, f64);
+
+/// The sort key: ascending `!bits` is descending bits. For the
+/// non-negative finite values ranked here, IEEE-754 bit patterns order
+/// exactly like `total_cmp` (sign bit clear, then magnitude), so this is
+/// the value order, largest first.
+#[inline(always)]
+fn key(e: &Ranked) -> u64 {
+    !e.1.to_bits()
+}
+
+/// Buckets of at most this many entries are sorted by `slice::sort_by_key`,
+/// whose scratch buffer for them (≤ 64 KiB) comes from the heap and is
+/// handed back to it; larger ones are split further.
+const SMALL_BUCKET: usize = 4096;
+
+/// Bits of the key one distribution pass splits on.
+const DIGIT: u32 = 11;
+
+/// Sort `support` (in ascending-id order) into `ranked` by value,
+/// descending, ties in ascending-id order; `support` is clobbered.
+///
+/// One sort on the value alone, stable, so equal values keep their id
+/// order: the same permutation as sorting on `(value, id)`. Ties are the
+/// rule, not the exception — a node only walks reached holds `count ·
+/// mass / d`, so a walk-bound ranking has few distinct values (4.6 % of
+/// them at the benchmark's `direct-walk` point) — and a one-key sort
+/// can run on equal keys, which a unique `(value, id)` key never has.
+/// The sort is a most-significant-digit distribution on the key's
+/// varying bits into `ranked`, stable, then each bucket sorted in place
+/// with `support`'s slots of the same positions as scratch: a bucket
+/// that one value holds most of is split three ways around it, a small
+/// one goes to `slice::sort_by_key`, a large one to the next digit. So
+/// the scratch the sort needs is the support's own slots, and no
+/// ranking-sized buffer is allocated per call: `sort_by_key` on the
+/// whole ranking allocates one, and under glibc's malloc those ≈1 MB
+/// transients raised the repo benchmark's `direct-walk` `peak_rss_mb` by
+/// ≈2.8 MB on a 2-vCPU x86-64 guest.
+fn rank(support: &mut [Ranked], ranked: &mut [Ranked]) {
+    if support.len() <= SMALL_BUCKET || !distribute(support, ranked, 64) {
+        ranked.copy_from_slice(support);
+        ranked.sort_by_key(key);
+    }
+}
+
+/// Sort `v` in place, stably, on its keys' low `bits` bits (the higher
+/// ones are equal throughout), with `scratch` of the same length.
+fn sort_bucket(v: &mut [Ranked], scratch: &mut [Ranked], bits: u32) {
+    if v.len() <= SMALL_BUCKET {
+        v.sort_by_key(key);
+    } else if distribute(v, scratch, bits) {
+        v.copy_from_slice(scratch);
+    }
+}
+
+/// Stably distribute `src` into `dst` (same length) and sort each part
+/// in place, on the keys' low `bits` bits; `src` is clobbered. Returns
+/// false, leaving both untouched, when those bits are equal throughout.
+fn distribute(src: &mut [Ranked], dst: &mut [Ranked], bits: u32) -> bool {
+    let mask = u64::MAX.checked_shr(64 - bits).unwrap_or(0);
+    let pivot = key(&src[src.len() / 2]) & mask;
+    let (mut and, mut or, mut below, mut equal) = (u64::MAX, 0u64, 0usize, 0usize);
+    for e in src.iter() {
+        let k = key(e) & mask;
+        and &= k;
+        or |= k;
+        below += (k < pivot) as usize;
+        equal += (k == pivot) as usize;
+    }
+    let varying = and ^ or;
+    if varying == 0 {
+        return false;
+    }
+    if 2 * equal >= src.len() {
+        split_three_ways(src, dst, bits, pivot, below, equal);
+    } else {
+        split_on_digit(src, dst, 64 - varying.leading_zeros());
+    }
+    true
+}
+
+/// [`distribute`] around `pivot`, the key most entries share: entries
+/// below it, equal to it and above it, each in input order, then the two
+/// outer parts sorted.
+fn split_three_ways(
+    src: &mut [Ranked],
+    dst: &mut [Ranked],
+    bits: u32,
+    pivot: u64,
+    below: usize,
+    equal: usize,
+) {
+    let mask = u64::MAX.checked_shr(64 - bits).unwrap_or(0);
+    let (mut lo, mut mid, mut hi) = (0, below, below + equal);
+    for &e in src.iter() {
+        let k = key(&e) & mask;
+        let at = if k < pivot {
+            &mut lo
+        } else if k == pivot {
+            &mut mid
+        } else {
+            &mut hi
+        };
+        dst[*at] = e;
+        *at += 1;
+    }
+    let above = below + equal;
+    sort_bucket(&mut dst[..below], &mut src[..below], bits);
+    sort_bucket(&mut dst[above..], &mut src[above..], bits);
+}
+
+/// [`distribute`] on the [`DIGIT`] bits below bit `top`, the highest
+/// varying one, then each bucket sorted on the bits below them. Its own
+/// function, so only its frames hold the counters.
+#[inline(never)]
+fn split_on_digit(src: &mut [Ranked], dst: &mut [Ranked], top: u32) {
+    let shift = top.saturating_sub(DIGIT);
+    let digit_mask = (1usize << (top - shift)) - 1;
+    let digit = |e: &Ranked| (key(e) >> shift) as usize & digit_mask;
+    let mut next = [0u32; 1 << DIGIT];
+    for e in src.iter() {
+        next[digit(e)] += 1;
+    }
+    let mut start = [0u32; 1 << DIGIT];
+    let mut sum = 0;
+    for (s, n) in start.iter_mut().zip(next.iter_mut()) {
+        *s = sum;
+        sum += *n;
+        *n = *s;
+    }
+    for &e in src.iter() {
+        let d = digit(&e);
+        dst[next[d] as usize] = e;
+        next[d] += 1;
+    }
+    for (&a, &b) in start.iter().zip(&next).take(digit_mask + 1) {
+        let (a, b) = (a as usize, b as usize);
+        if b - a > 1 {
+            sort_bucket(&mut dst[a..b], &mut src[a..b], shift);
+        }
     }
 }
 
@@ -282,7 +435,161 @@ mod tests {
         assert_eq!(e.nnz(), 2);
     }
 
+    /// The ranking by its definition: normalized value descending by
+    /// `f64::total_cmp`, then id ascending, degree-0 nodes left out.
+    fn reference_ranking(e: &HkprEstimate, g: &Graph) -> Vec<(NodeId, u64)> {
+        let mut r: Vec<(NodeId, f64)> = e
+            .support()
+            .filter(|&(v, _)| g.degree(v) > 0)
+            .map(|(v, x)| (v, x / g.degree(v) as f64))
+            .collect();
+        r.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        r.into_iter().map(|(v, x)| (v, x.to_bits())).collect()
+    }
+
+    fn ranking_bits(e: &HkprEstimate, g: &Graph) -> Vec<(NodeId, u64)> {
+        let mut out = vec![(7, 0.5)]; // stale contents are replaced
+        e.ranked_by_normalized_into(g, &mut out);
+        out.into_iter().map(|(v, x)| (v, x.to_bits())).collect()
+    }
+
+    /// An estimate over `nodes` of `g` whose values come from `pairs`
+    /// `(count, mass)` — `count · mass`, as a walk-only node holds — so
+    /// nodes of one degree and one pair tie.
+    fn tied_estimate(
+        nodes: &[NodeId],
+        pairs: &[(u32, f64)],
+        pick: impl Fn(usize) -> usize,
+    ) -> HkprEstimate {
+        let mut e = HkprEstimate::new();
+        for (i, &v) in nodes.iter().enumerate() {
+            let (count, mass) = pairs[pick(i) % pairs.len()];
+            e.add_mass(v, count as f64 * mass);
+        }
+        e
+    }
+
+    #[test]
+    fn short_rankings_match_the_reference() {
+        // Lengths 0, 1 and 2, ties and a degree-0 node among them.
+        let mut b = hk_graph::GraphBuilder::new();
+        for (u, v) in [(0, 1), (1, 2), (2, 0), (3, 4)] {
+            b.add_edge(u, v);
+        }
+        b.ensure_nodes(6);
+        let g = b.build();
+        let pairs = [(1, 0.25), (2, 0.25)];
+        for nodes in [
+            &[][..],
+            &[5],
+            &[4],
+            &[0, 1],
+            &[1, 3],
+            &[3, 4],
+            &[4, 5],
+            &[2, 0],
+        ] {
+            for offset in [0.0, 0.3] {
+                let mut e = tied_estimate(nodes, &pairs, |_| 0);
+                e.set_offset_coeff(offset);
+                assert_eq!(ranking_bits(&e, &g), reference_ranking(&e, &g), "{nodes:?}");
+            }
+        }
+    }
+
     proptest::proptest! {
+        /// The one-key stable sort ranks exactly like the reference
+        /// order, on estimates whose values are built from a few
+        /// `(count, mass)` pairs (heavy ties) or drawn freely, over
+        /// graphs with degree-0 nodes, with and without an offset.
+        #[test]
+        fn ranking_matches_total_cmp_then_id(
+            seed in 0u64..100_000,
+            len in 0usize..60,
+            distinct in 1usize..5,
+            offset in 0u32..2,
+        ) {
+            use rand::{RngExt, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let n = 80u32;
+            let mut b = hk_graph::GraphBuilder::new();
+            for _ in 0..60 {
+                let (u, v) = (rng.random_range(0..n - 10), rng.random_range(0..n - 10));
+                if u != v {
+                    b.add_edge(u, v);
+                }
+            }
+            b.ensure_nodes(n as usize); // nodes n - 10.. have no edges
+            let g = b.build();
+            let mut nodes: Vec<NodeId> = (0..n).collect();
+            for i in (1..nodes.len()).rev() {
+                nodes.swap(i, rng.random_range(0..=i));
+            }
+            nodes.truncate(len);
+            let pairs: Vec<(u32, f64)> = (0..distinct)
+                .map(|_| (rng.random_range(1..4u32), rng.random_range(0.0..1.0)))
+                .collect();
+            let free: Vec<usize> = (0..len).map(|_| rng.random_range(0..usize::MAX)).collect();
+            let mut e = if distinct == 4 {
+                // Free values: mostly distinct keys.
+                let mut e = HkprEstimate::new();
+                for (&v, &r) in nodes.iter().zip(&free) {
+                    e.add_mass(v, r as f64 / usize::MAX as f64);
+                }
+                e
+            } else {
+                tied_estimate(&nodes, &pairs, |i| free[i])
+            };
+            e.set_offset_coeff(offset as f64 * 0.125);
+            proptest::prop_assert_eq!(ranking_bits(&e, &g), reference_ranking(&e, &g));
+        }
+
+        /// `rank` sorts like `slice::sort_by_key` on the value's bits,
+        /// descending, over lengths past every bucket threshold: values
+        /// from a handful (ties that fill whole buckets), free values, a
+        /// few values one ulp apart (the splits descend to the key's last
+        /// bits, and past them), one value holding most entries among
+        /// free ones (the three-way split), and two far-apart groups of
+        /// values that differ only in their last bits (digit buckets too
+        /// large for the small sort, split again).
+        #[test]
+        fn rank_sorts_like_a_stable_sort(
+            seed in 0u64..100_000,
+            len in 0usize..20_000,
+            shape in 0u32..5,
+            distinct in 1u64..6,
+        ) {
+            use rand::{RngExt, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let base: f64 = rng.random_range(1e-9..1.0);
+            let support: Vec<Ranked> = (0..len as NodeId)
+                .map(|v| {
+                    let x = match shape {
+                        0 => base * rng.random_range(1..=distinct) as f64 / 3.0,
+                        1 => rng.random_range(0.0..1.0),
+                        2 => f64::from_bits(base.to_bits() + rng.random_range(0..distinct)),
+                        3 if rng.random_range(0..10u32) < 6 => base,
+                        3 => rng.random_range(0.0..1.0),
+                        _ => {
+                            let group = rng.random_range(0..2u64) << 20;
+                            f64::from_bits(base.to_bits() + group + rng.random_range(0..distinct + 1))
+                        }
+                    };
+                    (v, x)
+                })
+                .collect();
+            let mut want = support.clone();
+            want.sort_by_key(|&(_, x)| std::cmp::Reverse(x.to_bits()));
+            let mut scratch = support.clone();
+            let mut got = vec![(0, 0.0); len];
+            rank(&mut scratch, &mut got);
+            let first_difference = got
+                .iter()
+                .zip(&want)
+                .position(|(a, b)| a.0 != b.0 || a.1.to_bits() != b.1.to_bits());
+            proptest::prop_assert_eq!(first_difference, None, "len {}, shape {}", len, shape);
+        }
+
         /// The two columns answer like a `BTreeMap` from id to value
         /// built by the same calls: `add_mass` with ids out of order and
         /// repeated (each node's masses summed in call order), `raw` on

@@ -60,6 +60,7 @@
 pub mod alias;
 pub mod anytime;
 pub mod cancel;
+pub mod cores;
 pub mod driver;
 pub mod error;
 pub mod estimate;

@@ -33,9 +33,9 @@
 //! walk.
 //!
 //! A walk phase runs its chunks in one pass, on the thread that runs the
-//! query and, when the process may use a second core that no other walk
-//! is using and the pass has at least two chunks, on one scoped helper
-//! thread beside it (a phase of more than `PASS_WALKS` walks runs as
+//! query and, when the process may use a second core that no other
+//! two-thread phase is using ([`crate::cores`]) and the pass has at least
+//! two chunks, on one scoped helper thread beside it (a phase of more than `PASS_WALKS` walks runs as
 //! consecutive passes of at most that many). The two claim chunk indices
 //! from one shared counter, each reading the cancel token before it
 //! claims, so the chunks that ran are always a prefix of the pass. Each
@@ -59,11 +59,11 @@
 //! workspace, and [`run_batched_walks`] checks that its caller did.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use hk_graph::{Graph, NodeId};
 use rand::{Rng, RngExt};
 
+use crate::cores::{second_core, Busy};
 use crate::poisson::{LengthTables, PoissonTable};
 
 /// Run one `k-RandomWalk` from `start` whose hop counter begins at `k`.
@@ -472,7 +472,7 @@ pub(crate) fn plan_batched_walks(
 /// Where the process may run on a second core ([`second_core`]), the
 /// range runs as consecutive passes of at most [`PASS_WALKS`] walks, and
 /// a pass of two or more chunks takes a helper thread if a core is spare
-/// ([`Walker::spare`]); elsewhere it runs as one pass on the calling
+/// ([`Busy::spare`]); elsewhere it runs as one pass on the calling
 /// thread. Once the cancel token has fired, no further pass starts.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_planned_walks(
@@ -502,14 +502,14 @@ pub(crate) fn run_planned_walks(
             false,
         );
     }
-    let _walking = Walker::enter();
+    let _walking = Busy::enter();
     while cursor.next_chunk < upto && !cancel.is_some_and(CancelToken::is_cancelled) {
         let end = pass_end(&scratch.chunk_walk_prefix, cursor.next_chunk, upto);
         let helper = if end >= cursor.next_chunk + 2 {
             // Sized whether or not a core is spare: what `memory_bytes`
             // reports must not depend on other queries.
             scratch.fit_helper(cursor.next_chunk, end);
-            Walker::spare()
+            Busy::spare()
         } else {
             None
         };
@@ -577,54 +577,6 @@ impl EndpointSink for EndpointLog {
 fn pass_end(prefix: &[u64], from: usize, upto: usize) -> usize {
     let fit = prefix[from + 1..=upto].partition_point(|&p| p - prefix[from] <= PASS_WALKS);
     from + fit.max(1)
-}
-
-/// Cores this process may run on: read once, since the answer costs file
-/// reads on Linux.
-fn cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Whether this process may run on at least two cores. A process pinned
-/// to one core (`taskset`) reads false and never spawns a helper.
-pub(crate) fn second_core() -> bool {
-    cores() >= 2
-}
-
-/// Threads of this process walking a range right now: the callers of
-/// [`run_planned_walks`] on a multi-core host, and their helpers. A
-/// count that publishes no data, so its operations are `Relaxed`.
-static WALKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// One thread counted in [`WALKERS`], for as long as it lives.
-struct Walker(());
-
-impl Walker {
-    /// Count the calling thread.
-    fn enter() -> Walker {
-        WALKERS.fetch_add(1, Ordering::Relaxed);
-        Walker(())
-    }
-
-    /// Count a helper, if fewer threads walk than the process has cores.
-    /// When every core already walks — an engine's workers all in their
-    /// walk phases, say — a helper could only take a core from another
-    /// query, and a pass without one is the faster for the host.
-    fn spare() -> Option<Walker> {
-        WALKERS
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < cores()).then_some(n + 1)
-            })
-            .ok()
-            .map(|_| Walker(()))
-    }
-}
-
-impl Drop for Walker {
-    fn drop(&mut self) {
-        WALKERS.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 /// One pass over chunks `[cursor.next_chunk, upto)`, on the calling thread
@@ -1342,8 +1294,8 @@ mod tests {
         // Other tests walk in this process too, so only this direction is
         // certain: with as many threads counted as the process has cores,
         // no helper is counted in.
-        let walking: Vec<Walker> = (0..cores()).map(|_| Walker::enter()).collect();
-        assert!(Walker::spare().is_none());
+        let walking: Vec<Busy> = (0..crate::cores::cores()).map(|_| Busy::enter()).collect();
+        assert!(Busy::spare().is_none());
         drop(walking);
     }
 

@@ -949,7 +949,7 @@ mod tests {
         let chunks = ws.walk_scratch.chunk_walk_prefix().len() - 1;
         assert!(chunks >= 2, "fixture must plan two chunks: {chunks}");
         let helper_bytes = ws.walk_scratch.helper_bytes();
-        if crate::walk::second_core() {
+        if crate::cores::second_core() {
             // A walk's length in a window buffer, its endpoint in the log:
             // four bytes each.
             let least = (4 * (2 * 4096 - 1) + (1 << 17)) * 4;

@@ -378,12 +378,14 @@ pub struct EngineConfig {
     /// graphs** — size it to the host, not to the number of graphs.
     /// Clamped to >= 1.
     pub workers: usize,
-    /// Read by nothing. A query's walk phase runs on the worker that took
-    /// it plus, without any setting, one helper thread for that pass when
-    /// the process may use two cores, the pass has two chunks or more and
-    /// fewer of the process's threads walk than it has cores
-    /// (`hkpr_core`'s walk engine decides; a process pinned to one core
-    /// never spawns it). The field stays only because the repo benchmark
+    /// Read by nothing. A query runs on the worker that took it plus,
+    /// without any setting, one scoped helper thread for each walk pass of
+    /// two chunks or more and for a sweep of 8,192 ranked nodes or more,
+    /// when the process may use two cores and fewer of its threads run
+    /// such a phase than it has cores. `hkpr_core`'s walk engine and
+    /// `hk_cluster`'s sweep spawn the helpers, each asking the one gate
+    /// in `hkpr_core::cores`; a process pinned to one core never spawns
+    /// one. The field stays only because the repo benchmark
     /// (`benchmark/`, frozen between its own revisions) sets it; its next
     /// revision, ROADMAP item 9, removes it.
     pub walk_threads: usize,
@@ -1109,6 +1111,60 @@ pub(crate) mod tests {
                 <= 64,
             "params table must stay bounded"
         );
+    }
+
+    #[test]
+    fn the_worker_gauge_counts_the_sweep_helper_buffers() {
+        // A Monte-Carlo answer whose ranking is long enough for the sweep
+        // to split: the worker's gauge is its scratch's `memory_bytes`,
+        // the helper's buffers included, exactly what a scratch that ran
+        // the same query alone reports.
+        let g = Arc::new(
+            hk_graph::gen::holme_kim(20_000, 3, 0.3, &mut SmallRng::seed_from_u64(9)).unwrap(),
+        );
+        let e = MultiEngine::new(MultiEngineConfig {
+            engine: EngineConfig {
+                workers: 1,
+                cache_bytes: 0,
+                ..EngineConfig::default()
+            },
+            ..MultiEngineConfig::default()
+        });
+        e.registry().register_graph(G, Arc::clone(&g));
+        let method = Method::MonteCarlo {
+            max_walks: Some(60_000),
+        };
+        let r = e.query(G, QueryRequest::new(0).method(method)).unwrap();
+        let knobs = Knobs::default();
+        let delta = 1.0 / g.num_nodes() as f64;
+        let canon = crate::ParamsKey::new(knobs.t, knobs.eps_r, delta, knobs.p_f).canonical();
+        let params = HkprParams::builder(&g)
+            .t(canon.0)
+            .eps_r(canon.1)
+            .delta(canon.2)
+            .p_f(canon.3)
+            .c(2.5)
+            .build()
+            .unwrap();
+        let mut alone = QueryScratch::new();
+        let want = LocalClusterer::new(&g)
+            .run_in(method, 0, &params, 0, &mut alone)
+            .unwrap();
+        assert!(r.result.bitwise_eq(&want));
+        assert_eq!(
+            e.worker_workspace_bytes(),
+            vec![alone.memory_bytes() as u64]
+        );
+        let sweep_bytes = alone.memory_bytes() - alone.workspace.memory_bytes();
+        // The ranking, then one bitset on one core and two on two.
+        let bitsets = if hkpr_core::cores::second_core() {
+            2
+        } else {
+            1
+        };
+        let least = want.support_size * 16 + bitsets * g.num_nodes().div_ceil(64) * 8;
+        assert!(want.support_size >= 8192, "fixture must split");
+        assert!(sweep_bytes >= least, "{sweep_bytes} < {least}");
     }
 
     #[test]
