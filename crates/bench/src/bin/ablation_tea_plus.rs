@@ -1,5 +1,6 @@
-//! Ablation study: price each of TEA+'s three optimizations separately
-//! (the design choices DESIGN.md calls out).
+//! Ablation study: price each of TEA+'s three optimizations over TEA
+//! separately (the paper's §5: residue reduction, the condition-(11)
+//! early exit and the half offset).
 //!
 //! Variants: full Algorithm 5; no residue reduction; no early exit; no
 //! offset; none (degenerates to TEA-over-HK-Push+).

@@ -10,7 +10,9 @@
 //!   `k_random_walk` (per-step stop draw) per walk. The 1.00x row;
 //! * `lanes`      — the presampled plan (exact Poisson-tail lengths,
 //!   Lemire u32 neighbor picks) through the interleaved prefetching lane
-//!   kernel, planning included — what every TEA / TEA+ query runs.
+//!   kernel, planning included — what every TEA / TEA+ / Monte-Carlo
+//!   query runs, on two threads (the caller and one helper) wherever a
+//!   core is spare, so its speedup is not a one-thread figure.
 //!
 //! Each row is the median of `--reps` interleaved passes with the
 //! fastest and slowest pass beside it, and speedups compare the fastest
@@ -152,9 +154,10 @@ fn main() {
                     "median / min / max of `reps` interleaved passes over one entry set, in ms \
                      per `walks` walks; speedups compare the fastest passes, the reading a \
                      co-tenant disturbed least. sequential = alias sample + k_random_walk per walk \
-                     (Algorithm 2); lanes = the presampled plan through the lane kernel, \
-                     planning included. Whole-query timings are the repo benchmark's direct-* \
-                     workloads.",
+                     (Algorithm 2), on one thread; lanes = the presampled plan through the lane \
+                     kernel's chunk window, planning included, on two threads (the caller and one \
+                     helper) wherever a core is spare, as every query's walk phase runs. \
+                     Whole-query timings are the repo benchmark's direct-* workloads.",
                 ),
             ),
             (

@@ -1,8 +1,10 @@
 //! Ground-truth community handling for the §7.6 experiment.
 //!
 //! The paper scores each algorithm's output cluster against the known
-//! community of the seed node (SNAP top-5000 communities there; planted
-//! partitions here — see DESIGN.md §3).
+//! community of the seed node (SNAP top-5000 communities there). Here the
+//! communities are the blocks of a planted-partition stand-in per
+//! dataset (`experiments::table8`), the only ground truth a generator can
+//! supply.
 
 use hk_graph::NodeId;
 use hkpr_core::fxhash::FxHashMap;

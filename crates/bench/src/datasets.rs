@@ -1,8 +1,8 @@
 //! Dataset registry: scaled synthetic stand-ins for the paper's Table 7.
 //!
 //! The SNAP snapshots the paper uses (up to 65.6M nodes / 1.8B edges) are
-//! neither redistributable nor laptop-sized. Following DESIGN.md §3, each
-//! dataset is replaced by a generator configuration that preserves the
+//! neither redistributable nor laptop-sized, so each dataset is
+//! replaced by a generator configuration that preserves the
 //! properties the evaluation depends on — average degree, degree-tail
 //! family and clustering level — at roughly 1/10–1/500 scale. PLC and
 //! 3D-grid use the paper's own generators verbatim (smaller `n`).
@@ -153,11 +153,13 @@ impl Datasets {
         Datasets::new(dir, scale_div)
     }
 
-    /// Load (or generate + cache) a dataset. A cache file that does not
-    /// load — corrupt, or in a retired format — is regenerated and
-    /// overwritten.
+    /// Load (or generate + cache) a dataset, cached as
+    /// `<dir>/<name>.x<scale_div>.hkg`. A cache file that does not load —
+    /// corrupt, or in a retired format — is regenerated and overwritten.
     pub fn load(&self, id: DatasetId) -> Graph {
-        let path = self.path(id);
+        let path = self
+            .dir
+            .join(format!("{}.x{}.hkg", id.name(), self.scale_div));
         if path.exists() {
             if let Ok(g) = io::load_binary(&path) {
                 return g;
@@ -168,16 +170,6 @@ impl Datasets {
             let _ = io::save_binary_v2(&g, &path);
         }
         g
-    }
-
-    /// On-disk cache path of a dataset (may not exist yet; [`load`]
-    /// creates it) — for consumers that register snapshots by path (e.g.
-    /// a serving `GraphRegistry`).
-    ///
-    /// [`load`]: Self::load
-    pub fn path(&self, id: DatasetId) -> PathBuf {
-        self.dir
-            .join(format!("{}.x{}.hkg", id.name(), self.scale_div))
     }
 }
 

@@ -3,9 +3,9 @@
 //! # hk-bench
 //!
 //! Experiment harness regenerating every table and figure of the SIGMOD
-//! 2019 TEA/TEA+ evaluation (§7) on scaled synthetic stand-ins (see
-//! DESIGN.md §3/§4 for the substitution rationale and the experiment
-//! index).
+//! 2019 TEA/TEA+ evaluation (§7) on scaled synthetic stand-ins ([`datasets`]
+//! says why and how each of the paper's datasets is replaced; the table
+//! below is the experiment index).
 //!
 //! One binary per experiment:
 //!
@@ -25,11 +25,11 @@
 //! Run with `cargo run --release -p hk-bench --bin <name> -- [--quick]
 //! [--seeds N] [--datasets a,b] [--out DIR]`.
 //!
-//! Two more binaries write the committed `BENCH_*.json` reports beside
-//! the repo benchmark (`benchmark/`, the system-level instrument):
-//! `bench_snapshot` times the walk kernels (`BENCH_tea_plus.json`), and
-//! `serve_bench` the serving scenarios no `benchmark/` workload covers
-//! yet (`BENCH_serve.json`).
+//! One more binary, `bench_snapshot`, times the walk kernels and writes
+//! the committed `BENCH_tea_plus.json` beside the repo benchmark
+//! (`benchmark/`, the system-level instrument). Serving is measured
+//! there, not here: hk-bench depends on the estimators, not on the
+//! serving stack.
 //!
 //! Serving offers only the paper's own estimators (TEA, TEA+,
 //! Monte-Carlo). The §7 competitors live here and reach the experiments

@@ -1,11 +1,12 @@
-//! The committed `BENCH_*.json` reports: a [`Json`] tree per report,
-//! rendered by the gateway's writer, one top-level section per line.
+//! `bench_snapshot`'s committed report, `BENCH_tea_plus.json`: a
+//! [`Json`] tree rendered by the gateway's writer, one top-level section
+//! per line.
 
 use std::path::Path;
 
 use hk_gateway::json::Json;
 
-/// Written into every report: why its numbers do not travel.
+/// Written into the report: why its numbers do not travel.
 pub const DRIFT_NOTE: &str = "Every number in this file was taken in one sitting. This guest \
     drifts from day to day by more than most changes move anything (tens of percent), so \
     numbers taken on different days are not comparable: regenerate the whole file and read \
@@ -26,7 +27,7 @@ pub fn text(s: &str) -> Json {
     Json::Str(s.to_string())
 }
 
-/// A counter or size. Everything these reports count is far below 2^53,
+/// A counter or size. Everything the report counts is far below 2^53,
 /// where the wire's numbers stop being exact.
 pub fn int(v: impl TryInto<u64>) -> Json {
     Json::Num(v.try_into().unwrap_or(u64::MAX) as f64)

@@ -34,7 +34,7 @@
 //! ranking's length: there is one scan routine, not two.
 
 use hk_graph::{Graph, NodeId};
-use hkpr_core::cores::{second_core, Busy};
+use hkpr_core::cores::{second_core, with_helper, Busy};
 use hkpr_core::HkprEstimate;
 
 use crate::conductance::{count_edges, MemberScratch, SweepState};
@@ -98,10 +98,6 @@ pub(crate) const MIN_SPLIT: usize = 8192;
 /// 2.11 ms against the count split's 1.91 at half (with an earlier
 /// ranking sort).
 pub(crate) const CALLER_EIGHTHS: usize = 5;
-
-/// Stack of the sweep's helper thread: it runs one scan loop and calls
-/// nothing recursive.
-const HELPER_STACK: usize = 64 << 10;
 
 /// The sweep's reusable buffers: the ranking, the calling thread's
 /// membership bits and, for a split sweep, the helper's bits and the
@@ -227,7 +223,7 @@ fn run_sweep(
     graph: &Graph,
     ranked: &[(NodeId, f64)],
     mut state: SweepState<'_>,
-    split: Option<Split<'_>>,
+    mut split: Option<Split<'_>>,
 ) -> Option<SweepResult> {
     if ranked.is_empty() {
         return None;
@@ -236,26 +232,18 @@ fn run_sweep(
         phi: f64::INFINITY,
         prefix: 0,
     };
-    match split {
-        None => count_prefix(graph, ranked, &mut state, &mut best),
-        Some(Split { h, bits, counted }) => {
-            let helped = std::thread::scope(|s| {
-                let helper = std::thread::Builder::new()
-                    .stack_size(HELPER_STACK)
-                    .spawn_scoped(s, || count_tail(graph, ranked, h, bits, counted));
-                // A helper that could not be spawned leaves the whole
-                // ranking to this thread.
-                let end = if helper.is_ok() { h } else { ranked.len() };
-                count_prefix(graph, &ranked[..end], &mut state, &mut best);
-                helper
-                    .map(|j| j.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .is_ok()
-            });
-            if helped {
-                for (i, &(d, internal)) in counted.iter().enumerate() {
-                    best.offer(state.add_counted(d as usize, internal as usize), h + i + 1);
-                }
-            }
+    let h = split.as_ref().map_or(ranked.len(), |s| s.h);
+    let helper = split
+        .as_mut()
+        .map(|s| || count_tail(graph, ranked, h, s.bits, s.counted));
+    let (_, helped) = with_helper(helper, |started| {
+        // Without a helper this thread counts the whole ranking.
+        let end = if started { h } else { ranked.len() };
+        count_prefix(graph, &ranked[..end], &mut state, &mut best);
+    });
+    if let (Some(()), Some(split)) = (helped, split) {
+        for (i, &(d, internal)) in split.counted.iter().enumerate() {
+            best.offer(state.add_counted(d as usize, internal as usize), h + i + 1);
         }
     }
     let mut cluster: Vec<NodeId> = ranked[..best.prefix].iter().map(|&(v, _)| v).collect();

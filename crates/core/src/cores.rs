@@ -12,8 +12,10 @@
 //! from another query. A process that may use one core only
 //! ([`second_core`] reads false, as under `taskset -c 0`) never asks.
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::thread::{Builder, ScopedJoinHandle};
 
 /// Cores this process may run on: read once, since the answer costs file
 /// reads on Linux.
@@ -59,4 +61,28 @@ impl Drop for Busy {
     fn drop(&mut self) {
         BUSY.fetch_sub(1, Ordering::Relaxed);
     }
+}
+
+/// Stack of a helper thread: it runs one loop (a walk window, a sweep
+/// scan) and calls nothing recursive.
+const HELPER_STACK: usize = 128 << 10;
+
+/// Run `caller` here and `helper`, if any, on a scoped thread beside it;
+/// the helper's result is `None` if it did not run. `caller` learns
+/// whether the helper started (if not, its share is the caller's). A
+/// helper's panic is raised again once `caller` is done.
+pub fn with_helper<T: Send, R>(
+    helper: Option<impl FnOnce() -> T + Send>,
+    caller: impl FnOnce(bool) -> R,
+) -> (R, Option<T>) {
+    let Some(helper) = helper else {
+        return (caller(false), None);
+    };
+    std::thread::scope(|s| {
+        let builder = Builder::new().stack_size(HELPER_STACK);
+        let spawned = builder.spawn_scoped(s, helper).ok();
+        let mine = caller(spawned.is_some());
+        let join = |h: ScopedJoinHandle<T>| h.join().unwrap_or_else(|p| resume_unwind(p));
+        (mine, spawned.map(join))
+    })
 }

@@ -240,6 +240,7 @@ fn walk_phase<R: Rng>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use hk_graph::gen::holme_kim;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -277,5 +278,74 @@ pub(crate) mod tests {
         let times = ws.last_phase_times();
         assert_eq!(times.push_ns, 0, "Monte-Carlo pushes nothing");
         assert!(times.walk_ns > 0);
+    }
+
+    /// An `Rng` whose every draw is `self.0`: a query's one draw is its
+    /// walk phase's master seed.
+    struct MasterSeed(u64);
+
+    impl Rng for MasterSeed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn a_cancel_after_planning_never_costs_a_monte_carlo_answer() {
+        // Once the plan is built, a fired token only stops chunks from
+        // being claimed: every claimed chunk runs to its end (`Pass::claim`),
+        // so the walks that ran are a prefix of the plan and renormalize
+        // to an answer of mass 1. The token fires while the m-th chunk is
+        // being opened, on whichever thread opens it; no timing decides
+        // where the cut lands.
+        const SEED: u64 = 0x0c1a_1ed5_0a11_0ff5; // watched by no other test
+        let g = holme_kim(2_000, 3, 0.3, &mut SmallRng::seed_from_u64(6)).unwrap();
+        let params = HkprParams::builder(&g).t(3.0).delta(1e-4).build().unwrap();
+        let mc = Estimator::MonteCarlo {
+            max_walks: Some(60_000),
+        };
+        let mut ws = QueryWorkspace::new();
+        let mut query = |token: &CancelToken| {
+            ws.set_cancel_token(Some(token.clone()));
+            let controls = AnytimeControls::default();
+            let out = estimate_in(&g, &params, 7, mc, controls, &mut MasterSeed(SEED), &mut ws);
+            (out, ws.walk_scratch.chunk_walk_prefix().to_vec())
+        };
+        let (full, prefix) = query(&CancelToken::new());
+        let full = full.unwrap();
+        let chunks = prefix.len() - 1;
+        assert!(!full.achieved.is_degraded());
+        assert_eq!(full.achieved.walks_done, 60_000);
+        assert!(chunks >= 8, "{chunks} chunks");
+        for m in [1, 2, chunks / 2, chunks] {
+            crate::walk::tests::fire_at_open(SEED, m);
+            let token = CancelToken::new();
+            let (out, _) = query(&token);
+            let what = format!("token fired opening chunk {m} of {chunks}");
+            let out = out.unwrap_or_else(|e| panic!("{what}: {e:?}"));
+            let achieved = out.achieved;
+            assert!(token.is_cancelled(), "{what}: the token never fired");
+            // The claimed chunks ran whole: at least m of them, and two
+            // threads claim at most one more than they have opened.
+            let done = achieved.walks_done;
+            assert!(prefix.contains(&done), "{what}: {done} walks");
+            let most = prefix[(m + 1).min(chunks)];
+            assert!(done >= prefix[m] && done <= most, "{what}: {done} walks");
+            assert!(done > 0);
+            if m < chunks {
+                assert!(achieved.is_degraded(), "{what}");
+            } else {
+                // Every chunk was claimed before the token fired.
+                assert!(!achieved.is_degraded(), "{what}");
+            }
+            let mass = out.estimate.raw_sum();
+            assert!((mass - 1.0).abs() < 1e-9, "{what}: mass {mass}");
+        }
+        // Fired before planning, the token leaves no walk to answer with.
+        crate::walk::tests::fire_at_open(SEED, 0);
+        let token = CancelToken::new();
+        token.cancel();
+        let (out, _) = query(&token);
+        assert!(matches!(out, Err(HkprError::Cancelled)), "{out:?}");
     }
 }

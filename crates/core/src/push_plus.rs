@@ -22,7 +22,7 @@
 //! decision based on the *exact* recomputation is taken only when (a) the
 //! worklists drain, (b) the budget expires, or (c) every `CHECK_INTERVAL`
 //! processed nodes when the hint sum is under the threshold. The exact
-//! check preserves Theorem 2; the hint only schedules it. (DESIGN.md §6.)
+//! check preserves Theorem 2; the hint only schedules it.
 //!
 //! ## The certificate ladder
 //!

@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use hk_graph::{Graph, NodeId};
 use rand::{Rng, RngExt};
 
-use crate::cores::{second_core, Busy};
+use crate::cores::{second_core, with_helper, Busy};
 use crate::poisson::{LengthTables, PoissonTable};
 
 /// Run one `k-RandomWalk` from `start` whose hop counter begins at `k`.
@@ -326,10 +326,6 @@ const MAX_CHUNK_BUF: usize = 2 * CHUNK_WALKS as usize - 1;
 /// enough that the ends of a pass, where fewer chunks are left than the
 /// two threads' windows hold, are a small part of it.
 const PASS_WALKS: u64 = 1 << 17;
-
-/// Stack of the helper thread. It runs one window, whose state is a few
-/// hundred bytes per slot, and calls nothing recursive.
-const HELPER_STACK: usize = 128 << 10;
 
 use crate::alias::AliasTable;
 use crate::cancel::CancelToken;
@@ -623,29 +619,15 @@ fn run_pass(
         upto,
     };
     helper_log.0.clear();
-    let theirs = if helper {
-        debug_assert!(
-            chunk_walk_prefix[upto] - chunk_walk_prefix[cursor.next_chunk]
+    debug_assert!(
+        !helper
+            || chunk_walk_prefix[upto] - chunk_walk_prefix[cursor.next_chunk]
                 <= helper_log.0.capacity() as u64,
-            "the helper's log holds every walk of the pass"
-        );
-        std::thread::scope(|s| {
-            let spawned = std::thread::Builder::new()
-                .stack_size(HELPER_STACK)
-                .spawn_scoped(s, || {
-                    let mut theirs = WalkCursor::default();
-                    pass.run_window(helper_log, helper_bufs, &mut theirs);
-                    theirs
-                });
-            pass.run_window(sink, lane_bufs, cursor);
-            spawned.map_or(WalkCursor::default(), |h| {
-                h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
-            })
-        })
-    } else {
-        pass.run_window(sink, lane_bufs, cursor);
-        WalkCursor::default()
-    };
+        "the helper's log holds every walk of the pass"
+    );
+    let mut theirs = WalkCursor::default();
+    let second = helper.then_some(|| pass.run_window(helper_log, helper_bufs, &mut theirs));
+    with_helper(second, |_| pass.run_window(sink, lane_bufs, cursor));
     // The endpoints are random nodes: prefetching the index slot of the
     // one sixteen entries on cut the loop from ≈12 to ≈9 ns an entry.
     let log = &helper_log.0;
@@ -1048,7 +1030,7 @@ fn chunk_rng(master_seed: u64, chunk_idx: u64) -> SmallRng {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hk_graph::builder::graph_from_edges;
     use rand::rngs::SmallRng;
@@ -1532,21 +1514,31 @@ mod tests {
         }
     }
 
-    /// The master seed of the passes [`opening`] watches; no other test
-    /// plans with it.
+    /// The master seed of the passes this module's test watches; no
+    /// other test plans with it.
     const WATCHED_SEED: u64 = 0x0bad_5eed_0f0c_a11d;
 
-    /// For passes with [`WATCHED_SEED`]: the ordinal of the chunk whose
-    /// opening fires the pass's token (0: none), and the chunks opened.
-    static FIRE_AT_OPEN: Mutex<(usize, usize)> = Mutex::new((0, 0));
+    /// The passes [`opening`] watches, by master seed: the ordinal of the
+    /// chunk whose opening fires the pass's token (0: none), and the
+    /// chunks opened since [`fire_at_open`]. Each test watches a seed of
+    /// its own, so tests running side by side count only their own chunks.
+    static WATCHED: Mutex<Vec<(u64, usize, usize)>> = Mutex::new(Vec::new());
+
+    /// Watch the passes planned with `master_seed`: fire the token while
+    /// the `m`-th chunk opened from now on is being opened (0: never).
+    pub(crate) fn fire_at_open(master_seed: u64, m: usize) {
+        let mut watched = WATCHED.lock().unwrap();
+        watched.retain(|w| w.0 != master_seed);
+        watched.push((master_seed, m, 0));
+    }
 
     /// `Pass::open` calls this as it opens a chunk, on whichever thread
     /// opens it.
     pub(super) fn opening(master_seed: u64, cancel: Option<&CancelToken>) {
-        if master_seed == WATCHED_SEED {
-            let mut at = FIRE_AT_OPEN.lock().unwrap();
-            at.1 += 1;
-            if at.1 == at.0 {
+        let mut watched = WATCHED.lock().unwrap();
+        if let Some((_, at, opened)) = watched.iter_mut().find(|w| w.0 == master_seed) {
+            *opened += 1;
+            if opened == at {
                 cancel.expect("a watched pass has a token").cancel();
             }
         }
@@ -1585,7 +1577,7 @@ mod tests {
                 let mut counts = sink_for(&g);
                 let mut scratch = plan();
                 let token = CancelToken::new();
-                *FIRE_AT_OPEN.lock().unwrap() = (m, 0);
+                fire_at_open(seed, m);
                 if helper {
                     scratch.fit_helper(0, num_chunks);
                 }
@@ -1615,7 +1607,7 @@ mod tests {
                 let mut counts = sink_for(&g);
                 let mut scratch = plan();
                 let mut cursor = WalkCursor::default();
-                *FIRE_AT_OPEN.lock().unwrap() = (0, 0);
+                fire_at_open(seed, 0);
                 run_planned_walks(
                     &g,
                     &p,

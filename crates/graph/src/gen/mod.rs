@@ -12,7 +12,8 @@
 //!
 //! The remaining families (Erdős–Rényi, Barabási–Albert, Chung–Lu,
 //! planted partition) serve as scaled stand-ins for the SNAP datasets and
-//! as ground-truth-community workloads (see DESIGN.md §3).
+//! as ground-truth-community workloads (`hk_bench::datasets` maps each of
+//! the paper's Table 7 datasets to one).
 //!
 //! Every generator takes an explicit [`rand::Rng`] so experiments are
 //! reproducible from a single `u64` seed.
