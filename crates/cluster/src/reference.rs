@@ -5,7 +5,6 @@
 
 use hk_graph::{Graph, NodeId};
 use hkpr_core::fxhash::FxHashSet;
-use hkpr_core::HkprEstimate;
 
 use crate::sweep::SweepResult;
 
@@ -72,12 +71,6 @@ pub fn sweep_ranked_reference(graph: &Graph, ranked: &[(NodeId, f64)]) -> Option
         support_size: ranked.len(),
         best_prefix,
     })
-}
-
-/// [`crate::sweep::sweep_estimate`] over the hash-set tracker.
-pub fn sweep_estimate_reference(graph: &Graph, estimate: &HkprEstimate) -> Option<SweepResult> {
-    let ranked = estimate.ranked_by_normalized(graph);
-    sweep_ranked_reference(graph, &ranked)
 }
 
 #[cfg(test)]

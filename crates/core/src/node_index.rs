@@ -1,33 +1,48 @@
-//! The per-node index behind the workspace's sparse vectors: [`EpochVec`]
-//! (the two live residue hops) and [`Reserve`] (the push reserve and the
-//! walk endpoint counts, one record per node).
+//! The per-node index of a query workspace and the record lists it
+//! indexes: [`Reserve`] (the push reserve and the walk endpoint counts,
+//! one record per node) and [`EpochVec`] (one residue hop).
 //!
-//! Each is a list of the records touched since the last `begin`, in
-//! first-touch order, plus a sparse-set index: one `u32` per graph node
-//! holding the position of that node's record. The index is never
-//! cleared. A slot is believed only when the record it names exists and
-//! names the node back (`at < len && records[at].node == v`); any other
-//! value, whether left over from an earlier `begin`, past the end of the
-//! list or pointing at another node's record, reads as "untouched". So
-//! `begin` empties the list without touching a slot, and the index costs
-//! 4 bytes per node whatever the value type.
+//! Each list holds the records touched since its last `begin`, in
+//! first-touch order. The index ([`NodeIndex`]) is one `u32` per graph
+//! node holding the position of that node's record in whichever list it
+//! serves. It is never cleared. A slot is believed only when the record it
+//! names exists and names the node back (`at < len && records[at].node ==
+//! v`); any other value, whether left over from an earlier `begin` or
+//! from another list, past the end of the list or pointing at another
+//! node's record, reads as "untouched". So `begin` empties a list without
+//! touching a slot, and the index costs 4 bytes per node whatever the
+//! value type.
 //!
-//! The check is sound because each node has at most one record per
-//! `begin` (a node is only appended when the check failed) and records
-//! are **append-only** between two `begin`s: nothing sorts, truncates,
-//! removes or swaps them. Every method here keeps that invariant, and
-//! anything that breaks it must clear the index.
+//! The check is sound because each node has at most one record per list
+//! between two `begin`s (a node is only appended when the check failed)
+//! and records are **append-only** between two `begin`s: nothing sorts,
+//! truncates, removes or swaps them. Every method here keeps that
+//! invariant, and anything that breaks it must clear the index. A slot
+//! that another list wrote and that happens to name `v`'s record here
+//! names the right record: `v` has no other.
+//!
+//! A workspace has one index, the reserve's, and only one list is ever
+//! looked up by node at a time. A push never writes the reserve while it
+//! runs (its drains log what they settle in their worklists, and the
+//! workspace folds the log into the reserve when the push ends), so the
+//! reserve lends its index to the residue hop being filled; the hop being
+//! drained is read at the positions its worklist entries carry, and a
+//! drained or frozen hop only in order. Each hop boundary hands the index
+//! to the next hop, and the end of the push hands it back to the reserve
+//! for the fold and the walk deposits.
 //!
 //! A slot stores `at` plus an offset, the number of records the index has
-//! seen discarded (mod 2^32), so `at = slots[v] - offset`. A slot left by
-//! an earlier `begin` then names a position before the new list — past
-//! its end once the subtraction wraps — and fails the range test without
-//! a read of the record it would name. Without the offset such slots
-//! name live positions: a node's first touch in a hop or a query would
-//! read a random record, which made a push-bound query 4–16 % slower
-//! (TEA+ on a 1M-node Holme–Kim graph, 2-vCPU x86-64 guest).
-//! Nothing relies on the offset for correctness (the record check
-//! decides), so its wrap needs no handling.
+//! seen discarded (mod 2^32), so `at = slots[v] - offset`. Every hand-over
+//! and every `begin` discards at least the records of the list the index
+//! leaves, so a slot written for an earlier list names a position before
+//! the new one — past its end once the subtraction wraps — and fails the
+//! range test without a read of the record it would name. Without the
+//! offset such slots name live positions: a node's first touch in a hop
+//! or a query would read a random record, which made a push-bound query
+//! 4–16 % slower (TEA+ on a 1M-node Holme–Kim graph, 2-vCPU x86-64
+//! guest). Nothing relies on the offset for correctness (the record check
+//! decides), so its wrap needs no handling, and discarding more than the
+//! list held costs nothing.
 
 use hk_graph::NodeId;
 
@@ -36,11 +51,11 @@ trait Keyed {
     fn node(&self) -> NodeId;
 }
 
-/// The one `n`-sized part of an [`EpochVec`] or a [`Reserve`]: the
-/// position of each node's record, 4 bytes per node whatever the value
+/// The one `n`-sized part of a workspace: the position of each node's
+/// record in the list being filled, 4 bytes per node whatever the value
 /// type, checked against the record it names (see the module docs).
 #[derive(Clone, Debug, Default)]
-struct NodeIndex {
+pub(crate) struct NodeIndex {
     slots: Vec<u32>,
     /// Added to every position stored (see the module docs).
     offset: u32,
@@ -50,7 +65,8 @@ impl NodeIndex {
     /// Make room for `n` nodes if there is less. The bigger index replaces
     /// the old one instead of extending it: no slot value is trusted, so
     /// nothing needs copying, and a zeroed allocation leaves the pages to
-    /// arrive as they are first touched.
+    /// arrive as they are first touched. Only while no list it serves has
+    /// records: a record whose slot was dropped would be appended again.
     fn grow(&mut self, n: usize) {
         if self.slots.len() < n {
             self.slots = Vec::new(); // freed before the new one is mapped
@@ -58,9 +74,10 @@ impl NodeIndex {
         }
     }
 
-    /// The caller is about to empty its list of `len` records: store
-    /// later positions past them.
-    fn discard(&mut self, len: usize) {
+    /// The index leaves a list of (at most) `len` records, which is
+    /// emptied or no longer looked up by node: store later positions past
+    /// them.
+    pub(crate) fn discard(&mut self, len: usize) {
         self.offset = self.offset.wrapping_add(len as u32);
     }
 
@@ -91,7 +108,7 @@ impl NodeIndex {
     /// out-of-range `v` and on architectures without a stable prefetch
     /// intrinsic.
     #[inline(always)]
-    fn prefetch(&self, v: NodeId) {
+    pub(crate) fn prefetch(&self, v: NodeId) {
         #[cfg(target_arch = "x86_64")]
         if let Some(slot) = self.slots.get(v as usize) {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
@@ -113,7 +130,7 @@ impl NodeIndex {
     /// relative to the offset (0 names position 0): whatever an index
     /// holds, the check must read it right.
     #[cfg(test)]
-    fn scribble(&mut self, garbage: &[u32]) {
+    pub(crate) fn scribble(&mut self, garbage: &[u32]) {
         for (slot, &g) in self.slots.iter_mut().zip(garbage.iter().cycle()) {
             *slot = self.offset.wrapping_add(g);
         }
@@ -154,40 +171,56 @@ impl Keyed for ReserveRecord {
     }
 }
 
-/// Sparse `f64` vector over `n` nodes with O(1) access and O(1) clear: a
-/// 4-byte-per-node sparse-set index over a record list that holds only
-/// the nodes touched since the last [`begin`](Self::begin), in first-touch
-/// order. Records are append-only until the next `begin` (see the module
-/// docs): the crate's positional reads (`get_at`, `clear_at`) and the
-/// hop sift rely on positions staying put, and the index on nothing else.
+/// One residue hop: a sparse `f64` vector holding only the nodes touched
+/// since the last [`begin`](Self::begin), in first-touch order, each with
+/// its memoized degree. It has no index of its own: it is filled through
+/// the workspace's (`add_memo_deg`) while the hop
+/// below it drains, and read afterwards at record positions (`get_at`,
+/// `clear_at`) or in order. Records are append-only until the next
+/// `begin` (see the module docs): the positional reads and the hop sift
+/// rely on positions staying put, and the index on nothing else.
 #[derive(Clone, Debug, Default)]
 pub struct EpochVec {
-    index: NodeIndex,
     records: Vec<Record>,
 }
 
 impl EpochVec {
-    /// Empty vector; [`begin`](Self::begin) sizes it.
+    /// Empty vector.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Start a fresh query over a domain of `n` nodes: empty the record
-    /// list (which zeroes every node) and grow the index if the graph got
-    /// bigger. O(1) unless growing.
-    pub fn begin(&mut self, n: usize) {
-        self.index.grow(n);
-        self.index.discard(self.records.len());
+    /// Start afresh: empty the record list, which zeroes every node. O(1).
+    pub fn begin(&mut self) {
         self.records.clear();
     }
 
+    /// Records since the last [`begin`](Self::begin), zeros included.
+    pub(crate) fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Give `v` the first record of a vector just begun, with its degree
+    /// memoized: no index lookup, since nothing can precede it. Returns
+    /// its position, 0.
+    pub(crate) fn seed(&mut self, v: NodeId, value: f64, deg: u32) -> u32 {
+        debug_assert!(self.records.is_empty(), "a seed is the first record");
+        self.records.push(Record {
+            node: v,
+            deg,
+            value,
+        });
+        0
+    }
+
     /// Current value of node `v` (0 when untouched since the last
-    /// [`begin`](Self::begin)).
-    #[inline]
+    /// [`begin`](Self::begin)): a linear search of the records, for tests
+    /// and spot checks, not for loops.
     pub fn get(&self, v: NodeId) -> f64 {
-        self.index
-            .find(v, &self.records)
-            .map_or(0.0, |at| self.records[at].value)
+        self.records
+            .iter()
+            .find(|r| r.node == v)
+            .map_or(0.0, |r| r.value)
     }
 
     /// Value of `v` read at its record position `at` (as returned by
@@ -206,30 +239,25 @@ impl EpochVec {
         self.records[at as usize].value = 0.0;
     }
 
-    /// Hint the CPU to pull `v`'s index slot into L1 ahead of a
-    /// [`get`](Self::get) / [`add_memo_deg`](Self::add_memo_deg) /
-    /// [`take`](Self::take) on it. Bounds-checked; changes no state.
+    /// Add `delta` to node `v`, looked up through `index`, which must
+    /// serve this vector alone since it last began (see the module docs),
+    /// memoizing the node's degree in its record: `deg_of` runs on first
+    /// touch only, and repeat touches read the degree from the record the
+    /// add already loaded. The push kernels touch each frontier node `~d`
+    /// times, so this converts all but one of the per-neighbor degree
+    /// lookups into free reads. Returns `(old, new, degree, at)`, `at`
+    /// being the record's position for the positional reads (`get_at`,
+    /// `clear_at`).
     #[inline]
-    pub fn prefetch(&self, v: NodeId) {
-        self.index.prefetch(v);
-    }
-
-    /// Add `delta` to node `v`, memoizing the node's degree in its record:
-    /// `deg_of` runs on first touch only, and repeat touches read the
-    /// degree from the record the add already loaded. The push
-    /// kernels touch each frontier node `~d` times, so this converts all
-    /// but one of the per-neighbor degree lookups into free reads.
-    /// Returns `(old, new, degree, at)`, `at` being the record's position
-    /// for the crate's positional reads (`get_at`, `clear_at`).
-    #[inline]
-    pub fn add_memo_deg(
+    pub(crate) fn add_memo_deg(
         &mut self,
+        index: &mut NodeIndex,
         v: NodeId,
         delta: f64,
         deg_of: impl FnOnce() -> u32,
     ) -> (f64, f64, u32, u32) {
         let next = self.records.len();
-        match self.index.find_or_claim(v, &self.records) {
+        match index.find_or_claim(v, &self.records) {
             Some(at) => {
                 let r = &mut self.records[at];
                 let old = r.value;
@@ -249,13 +277,13 @@ impl EpochVec {
     }
 
     /// Zero node `v`, returning the previous value. The node keeps its
-    /// record (its value is just 0).
-    #[inline]
+    /// record (its value is just 0). A linear search, like
+    /// [`get`](Self::get).
     pub fn take(&mut self, v: NodeId) -> f64 {
-        match self.index.find(v, &self.records) {
-            Some(at) => std::mem::take(&mut self.records[at].value),
-            None => 0.0,
-        }
+        self.records
+            .iter_mut()
+            .find(|r| r.node == v)
+            .map_or(0.0, |r| std::mem::take(&mut r.value))
     }
 
     /// Iterate `(node, value)` for touched nodes with non-zero value, in
@@ -265,10 +293,9 @@ impl EpochVec {
     }
 
     /// [`iter_nonzero`](Self::iter_nonzero) plus each node's memoized
-    /// degree (only meaningful when entries were written through
-    /// [`add_memo_deg`](Self::add_memo_deg)). Lets residue consumers
-    /// (condition-(11) scans, TEA+ reduction) skip the per-entry degree
-    /// lookup. One sequential pass over the records.
+    /// degree. Lets residue consumers (condition-(11) scans, TEA+
+    /// reduction) skip the per-entry degree lookup. One sequential pass
+    /// over the records.
     pub fn iter_nonzero_with_deg(&self) -> impl Iterator<Item = (NodeId, f64, u32)> + '_ {
         self.records
             .iter()
@@ -277,9 +304,8 @@ impl EpochVec {
     }
 
     /// `max_v value[v] / deg[v]` over the non-zero nodes (0.0 when
-    /// none) — the TEA+ condition-(11) residue probe. Only
-    /// meaningful when entries were written through
-    /// [`add_memo_deg`](Self::add_memo_deg) (degree memoized, `deg >= 1`).
+    /// none) — the TEA+ condition-(11) residue probe. The push kernels
+    /// memoize degrees clamped to 1, so the quotient is finite.
     pub fn max_value_over_deg(&self) -> f64 {
         let mut max = 0.0f64;
         for (_, r, deg) in self.iter_nonzero_with_deg() {
@@ -315,19 +341,20 @@ impl EpochVec {
         (max_all, max_kept)
     }
 
-    /// Bytes held by the backing allocations: 4 per index slot
-    /// (allocated, not necessarily resident) plus the record list's
-    /// capacity.
+    /// Bytes held by the record list's capacity: a hop has no per-node
+    /// part.
     pub fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes() + self.records.capacity() * std::mem::size_of::<Record>()
+        self.records.capacity() * std::mem::size_of::<Record>()
     }
 }
 
 /// The query's answer before assembly, one record per touched node: the
-/// push reserve `q_s[v]` ([`add`](Self::add), from the push drains) and
-/// the number of walks that ended at `v` ([`inc`](Self::inc), from the
-/// walk engine), under one 4-byte-per-node index. TEA and TEA+ return
-/// `q_s[v] + count[v] * alpha / n_r`, so assembly reads each record once.
+/// push reserve `q_s[v]` ([`add`](Self::add), folded in from the push
+/// drains' logs) and the number of walks that ended at `v`
+/// ([`inc`](Self::inc), from the walk engine), under the workspace's one
+/// 4-byte-per-node index, which a push borrows while the reserve is
+/// empty (see the module docs). TEA and TEA+ return `q_s[v] + count[v] *
+/// alpha / n_r`, so assembly reads each record once.
 ///
 /// Counts, not `f64` masses, make deposits order-free: integer addition is
 /// associative and commutative, so the order in which the executor's
@@ -358,6 +385,17 @@ impl Reserve {
     /// [`begin`](Self::begin) asked for.
     pub fn nodes(&self) -> usize {
         self.index.slots.len()
+    }
+
+    /// The index, for the residue hop a push is filling. The reserve must
+    /// be empty, and stays so until the push hands the index back by
+    /// discarding the hop's records.
+    pub(crate) fn lend_index(&mut self) -> &mut NodeIndex {
+        debug_assert!(
+            self.records.is_empty(),
+            "a push lends an empty reserve's index"
+        );
+        &mut self.index
     }
 
     /// Add `delta` to node `v`'s reserve.
@@ -410,10 +448,17 @@ impl Reserve {
         self.records.iter().map(|r| (r.node, r.value, r.count))
     }
 
-    /// Bytes held by the backing allocations, counted as for
-    /// [`EpochVec::memory_bytes`].
+    /// Bytes held by the backing allocations: 4 per index slot
+    /// (allocated, not necessarily resident) plus the record list's
+    /// capacity.
     pub fn memory_bytes(&self) -> usize {
         self.index.memory_bytes() + self.records.capacity() * std::mem::size_of::<ReserveRecord>()
+    }
+
+    /// [`NodeIndex::scribble`] on the reserve's index.
+    #[cfg(test)]
+    pub(crate) fn scribble(&mut self, garbage: &[u32]) {
+        self.index.scribble(garbage);
     }
 }
 
@@ -421,53 +466,61 @@ impl Reserve {
 pub(crate) mod tests {
     use super::*;
 
-    /// Bytes per node of every node index — the only per-node memory a
+    /// Bytes per node of the node index — the only per-node memory a
     /// workspace holds.
     pub(crate) const INDEX_SLOT: usize = 4;
 
+    /// An index over `n` nodes, as a reserve's `begin` leaves it.
+    fn index_over(n: usize) -> NodeIndex {
+        let mut index = NodeIndex::default();
+        index.grow(n);
+        index
+    }
+
     #[test]
     fn an_index_slot_is_four_bytes() {
-        let (mut v, mut r) = (EpochVec::new(), Reserve::new());
-        v.begin(1_000);
+        let mut r = Reserve::new();
         r.begin(1_000);
-        assert_eq!(v.index.memory_bytes(), 1_000 * INDEX_SLOT);
         assert_eq!(r.index.memory_bytes(), 1_000 * INDEX_SLOT);
         assert_eq!(r.nodes(), 1_000);
+        // A hop has no per-node part.
+        let mut v = EpochVec::new();
+        v.begin();
+        assert_eq!(v.memory_bytes(), 0);
         assert_eq!(std::mem::size_of::<Record>(), 16);
         assert_eq!(std::mem::size_of::<ReserveRecord>(), 24);
     }
 
     #[test]
     fn epoch_vec_clear_is_logical() {
-        let mut v = EpochVec::new();
-        v.begin(8);
-        assert_eq!(v.add_memo_deg(3, 0.5, || 4), (0.0, 0.5, 4, 0));
-        assert_eq!(v.add_memo_deg(3, 0.25, || 9), (0.5, 0.75, 4, 0));
+        let (mut v, mut index) = (EpochVec::new(), index_over(8));
+        assert_eq!(v.add_memo_deg(&mut index, 3, 0.5, || 4), (0.0, 0.5, 4, 0));
+        assert_eq!(v.add_memo_deg(&mut index, 3, 0.25, || 9), (0.5, 0.75, 4, 0));
         assert_eq!(v.get(3), 0.75);
         assert_eq!(v.iter_nonzero().collect::<Vec<_>>(), vec![(3, 0.75)]);
-        v.begin(8);
+        index.discard(v.len());
+        v.begin();
         assert_eq!(v.get(3), 0.0);
-        assert_eq!(v.records.len(), 0);
+        assert_eq!(v.len(), 0);
         // The stale slot revives cleanly, as record 0 after the `begin`.
-        assert_eq!(v.add_memo_deg(3, 1.0, || 1), (0.0, 1.0, 1, 0));
-        assert_eq!(v.add_memo_deg(5, 0.5, || 2), (0.0, 0.5, 2, 1));
-        assert_eq!(v.add_memo_deg(3, 0.5, || 9), (1.0, 1.5, 1, 0));
+        assert_eq!(v.add_memo_deg(&mut index, 3, 1.0, || 1), (0.0, 1.0, 1, 0));
+        assert_eq!(v.add_memo_deg(&mut index, 5, 0.5, || 2), (0.0, 0.5, 2, 1));
+        assert_eq!(v.add_memo_deg(&mut index, 3, 0.5, || 9), (1.0, 1.5, 1, 0));
     }
 
     #[test]
     fn epoch_vec_take_keeps_touched() {
-        let mut v = EpochVec::new();
-        v.begin(4);
-        v.add_memo_deg(1, 0.5, || 1);
-        v.add_memo_deg(2, 0.25, || 1);
+        let (mut v, mut index) = (EpochVec::new(), index_over(4));
+        v.add_memo_deg(&mut index, 1, 0.5, || 1);
+        v.add_memo_deg(&mut index, 2, 0.25, || 1);
         assert_eq!(v.take(1), 0.5);
         assert_eq!(v.get(1), 0.0);
         assert_eq!(v.take(1), 0.0);
-        assert_eq!(v.records.len(), 2);
+        assert_eq!(v.len(), 2);
         assert_eq!(v.iter_nonzero().collect::<Vec<_>>(), vec![(2, 0.25)]);
         // Re-adding lands in the first record: no duplicate, no reorder.
-        assert_eq!(v.add_memo_deg(1, 1.0, || 7), (0.0, 1.0, 1, 0));
-        assert_eq!(v.records.len(), 2);
+        assert_eq!(v.add_memo_deg(&mut index, 1, 1.0, || 7), (0.0, 1.0, 1, 0));
+        assert_eq!(v.len(), 2);
         assert_eq!(
             v.iter_nonzero().collect::<Vec<_>>(),
             vec![(1, 1.0), (2, 0.25)]
@@ -476,13 +529,19 @@ pub(crate) mod tests {
 
     #[test]
     fn epoch_vec_grows_for_bigger_graphs() {
+        // A hop is sized by nothing: the reserve's `begin` grows the one
+        // index, and the hops it serves then reach every node.
+        let mut r = Reserve::new();
         let mut v = EpochVec::new();
-        v.begin(2);
-        v.add_memo_deg(1, 1.0, || 1);
-        v.begin(10);
+        r.begin(2);
+        v.add_memo_deg(r.lend_index(), 1, 1.0, || 1);
+        r.lend_index().discard(v.len());
+        v.begin();
+        r.begin(10);
         assert_eq!(v.get(9), 0.0);
-        v.add_memo_deg(9, 2.0, || 1);
+        v.add_memo_deg(r.lend_index(), 9, 2.0, || 1);
         assert_eq!(v.get(9), 2.0);
+        assert_eq!(r.nodes(), 10);
     }
 
     #[test]
@@ -512,31 +571,32 @@ pub(crate) mod tests {
     fn stale_slots_never_revive_a_record() {
         // Nodes 3 and 4 take positions 0 and 1 with the offset about to
         // wrap, so their stored positions straddle it, and keep those
-        // slots across the `begin`. After it node 5 takes position 0;
-        // node 6's slot is set to name that position, and node 7's to name
-        // position 1, past the end of the list until node 3 takes it. None
-        // of the four reads as touched, and each takes the next position.
-        let mut v = EpochVec::new();
-        v.begin(8);
-        v.index.offset = u32::MAX;
-        assert_eq!(v.add_memo_deg(3, 0.5, || 1), (0.0, 0.5, 1, 0));
-        assert_eq!(v.add_memo_deg(4, 0.25, || 2), (0.0, 0.25, 2, 1));
-        assert_eq!((v.get(3), v.get(4)), (0.5, 0.25));
-        v.begin(8);
-        assert_eq!(v.add_memo_deg(5, 1.0, || 4), (0.0, 1.0, 4, 0));
-        v.index.slots[6] = v.index.slots[5];
-        v.index.slots[7] = v.index.offset.wrapping_add(1);
+        // slots as the index moves to a second hop. There node 5 takes
+        // position 0; node 6's slot is set to name that position, and node
+        // 7's to name position 1, past the end of the list until node 3
+        // takes it. None of the four reads as touched, and each takes the
+        // next position.
+        let (mut a, mut b, mut index) = (EpochVec::new(), EpochVec::new(), index_over(8));
+        index.offset = u32::MAX;
+        assert_eq!(a.add_memo_deg(&mut index, 3, 0.5, || 1), (0.0, 0.5, 1, 0));
+        assert_eq!(a.add_memo_deg(&mut index, 4, 0.25, || 2), (0.0, 0.25, 2, 1));
+        index.discard(a.len());
+        assert_eq!(b.add_memo_deg(&mut index, 5, 1.0, || 4), (0.0, 1.0, 4, 0));
+        index.slots[6] = index.slots[5];
+        index.slots[7] = index.offset.wrapping_add(1);
         for node in [3, 4, 6, 7] {
-            assert_eq!((v.get(node), v.take(node)), (0.0, 0.0), "node {node}");
+            assert_eq!(index.find(node, &b.records), None, "node {node}");
         }
-        assert_eq!(v.records.len(), 1);
         for (node, at) in [(3, 1), (4, 2), (6, 3), (7, 4)] {
-            assert_eq!(v.add_memo_deg(node, 0.5, || 7), (0.0, 0.5, 7, at));
+            let got = b.add_memo_deg(&mut index, node, 0.5, || 7);
+            assert_eq!(got, (0.0, 0.5, 7, at));
         }
         assert_eq!(
-            v.iter_nonzero().collect::<Vec<_>>(),
+            b.iter_nonzero().collect::<Vec<_>>(),
             vec![(5, 1.0), (3, 0.5), (4, 0.5), (6, 0.5), (7, 0.5)]
         );
+        // The hop the index left keeps its records, read in order.
+        assert_eq!((a.get(3), a.get(4), a.get(5)), (0.5, 0.25, 0.0));
 
         let mut r = Reserve::new();
         r.begin(8);
@@ -605,7 +665,7 @@ pub(crate) mod tests {
     /// `begin`, cycled, from draws `(pick, near, any)`: a slot value near
     /// the record positions (below 300 they can name a record, above lie
     /// past any list) or an arbitrary one.
-    fn slot_values(draws: &[(u32, u32, u32)]) -> Vec<u32> {
+    pub(crate) fn slot_values(draws: &[(u32, u32, u32)]) -> Vec<u32> {
         draws
             .iter()
             .map(|&(pick, near, any)| if pick == 0 { near } else { any })
@@ -613,12 +673,15 @@ pub(crate) mod tests {
     }
 
     proptest::proptest! {
-        /// `EpochVec` against a list of first touches, under random
-        /// interleavings of `add_memo_deg`, `take` and `begin` over
-        /// domains that grow and shrink, with garbage scribbled into every
-        /// slot after each `begin`: every value, every memoized degree and
-        /// the iteration order agree, and a node taken to zero and
-        /// re-added keeps its first record.
+        /// Two `EpochVec`s sharing one index, as two live hops do,
+        /// against two lists of first touches, under random interleavings
+        /// of `add_memo_deg` on the vector the index serves, `take`, and
+        /// hand-overs — the index leaves its vector for the other one,
+        /// which begins, while the one it left stays readable — with
+        /// garbage scribbled into every slot at each hand-over, over
+        /// domains that grow and shrink between queries: every value,
+        /// every memoized degree and the iteration order of both agree,
+        /// and a node taken to zero and re-added keeps its first record.
         #[test]
         fn epoch_vec_matches_a_list_of_first_touches(
             ops in proptest::collection::vec(
@@ -628,16 +691,18 @@ pub(crate) mod tests {
             garbage in proptest::collection::vec((0u32..2, 0u32..400, proptest::any::<u32>()), 1..64),
         ) {
             let garbage = slot_values(&garbage);
-            let mut v = EpochVec::new();
-            let mut model = VecModel::default();
+            let mut hops = [EpochVec::new(), EpochVec::new()];
+            let mut models = [VecModel::default(), VecModel::default()];
             let mut n = DOMAINS[2];
-            v.begin(n);
-            v.index.scribble(&garbage);
+            let mut index = index_over(n);
+            index.scribble(&garbage);
+            let mut filled = 0;
             for (op, raw, delta, deg) in ops {
                 let node = raw % n as NodeId;
+                let (v, model) = (&mut hops[filled], &mut models[filled]);
                 match op {
                     0..=4 => {
-                        let got = v.add_memo_deg(node, delta, || deg);
+                        let got = v.add_memo_deg(&mut index, node, delta, || deg);
                         let want = model.add(node, delta, deg);
                         proptest::prop_assert_eq!(got.2, want.2);
                         proptest::prop_assert_eq!(got.3, want.3);
@@ -653,17 +718,30 @@ pub(crate) mod tests {
                         proptest::prop_assert_eq!(v.take(node).to_bits(), want.to_bits());
                     }
                     _ => {
-                        n = DOMAINS[raw as usize % DOMAINS.len()];
-                        v.begin(n);
-                        v.index.scribble(&garbage);
-                        model.0.clear();
+                        index.discard(v.len());
+                        filled ^= 1;
+                        hops[filled].begin();
+                        models[filled].0.clear();
+                        if raw % 3 == 0 {
+                            // A new query, on a graph of another size:
+                            // every list the index served begins.
+                            hops[filled ^ 1].begin();
+                            models[filled ^ 1].0.clear();
+                            n = DOMAINS[(raw / 3) as usize % DOMAINS.len()];
+                            index.grow(n);
+                        }
+                        index.scribble(&garbage);
                     }
                 }
-                proptest::prop_assert_eq!(v.get(node).to_bits(), model.get(node).to_bits());
-                proptest::prop_assert_eq!(v.records.len(), model.0.len());
-                let got: Vec<_> = v.iter_nonzero_with_deg().collect();
-                let want: Vec<_> = model.0.iter().copied().filter(|e| e.1 != 0.0).collect();
-                proptest::prop_assert_eq!(got, want);
+                for (v, model) in hops.iter().zip(&models) {
+                    for node in [node, raw % 7] {
+                        proptest::prop_assert_eq!(v.get(node).to_bits(), model.get(node).to_bits());
+                    }
+                    proptest::prop_assert_eq!(v.len(), model.0.len());
+                    let got: Vec<_> = v.iter_nonzero_with_deg().collect();
+                    let want: Vec<_> = model.0.iter().copied().filter(|e| e.1 != 0.0).collect();
+                    proptest::prop_assert_eq!(got, want);
+                }
             }
         }
 

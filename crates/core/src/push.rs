@@ -161,6 +161,7 @@ pub fn hk_push_ws(
             break;
         }
     }
+    ws.fold_settled();
 
     PushWsStats {
         push_operations: counters.push_operations,
@@ -214,7 +215,12 @@ mod tests {
             }
         }
         assert_eq!(counters.processed, CHECK_INTERVAL, "stopped at the poll");
-        assert!(!ws.queues[k].is_empty(), "mid-hop");
+        // Hop k still holds residues its drain would push.
+        let hop = ws.residues().live_hop(k).unwrap();
+        let left = hop
+            .iter_nonzero_with_deg()
+            .any(|(_, r, d)| r > rmax * d as f64);
+        assert!(left, "mid-hop");
     }
 
     #[test]

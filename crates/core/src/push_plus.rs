@@ -48,12 +48,16 @@
 //! pushes only append to hop `k + 1`'s worklist, so hop `k`'s worklist is
 //! known in full and the loop is software-pipelined over it: a few
 //! entries ahead of the one being processed it prefetches that entry's
-//! reserve index slot and CSR offsets, then the head of its adjacency
-//! row, then the next-hop index slot of each of its neighbours, so the
-//! dependent random reads of one entry overlap the arithmetic of the
-//! entries before it. The entry's own residue needs no prefetch: the
-//! worklist carries its record position, and the drain reads and zeroes
-//! it there without an index lookup. Prefetches are hints: schedule and
+//! CSR offsets, then the head of its adjacency row, then the index slot
+//! of each of its neighbours, so the dependent random reads of one entry
+//! overlap the arithmetic of the entries before it. The entry's own
+//! residue needs no prefetch: the worklist carries its record position,
+//! and the drain reads and zeroes it there without an index lookup. Nor
+//! does the drain touch the reserve: it overwrites each entry it
+//! processes with the mass that entry settles, and the workspace folds
+//! that log into the reserve when the push ends
+//! (`QueryWorkspace::fold_settled`), so the workspace's one node index
+//! serves hop `k + 1` alone. Prefetches are hints: schedule and
 //! arithmetic are those of the hash-map references, bit for bit.
 
 use hk_graph::{Graph, NodeId};
@@ -63,7 +67,7 @@ use crate::cancel::CancelToken;
 use crate::fxhash::FxHashMap;
 use crate::poisson::PoissonTable;
 use crate::sparse::ResidueTable;
-use crate::workspace::EpochVec;
+use crate::workspace::{settled, EpochVec};
 
 /// Inputs of `HK-Push+` beyond the graph/seed (Algorithm 4's parameter
 /// list: `eps_r`, `delta`, `K`, `np`).
@@ -225,10 +229,9 @@ pub struct PushPlusWsStats {
 
 /// Lookahead distances of `drain_hop`'s pipeline, in worklist entries
 /// ahead of the one being processed. Each stage consumes what the stage
-/// before it fetched: the reserve slot and CSR offsets first, then the
-/// adjacency row those offsets locate, then the next-hop slots that row
-/// names.
-const AHEAD_SLOTS: usize = 12;
+/// before it fetched: the CSR offsets first, then the adjacency row those
+/// offsets locate, then the next-hop slots that row names.
+const AHEAD_NODE: usize = 12;
 const AHEAD_ROW: usize = 7;
 const AHEAD_NEIGHBOURS: usize = 2;
 
@@ -318,14 +321,16 @@ pub(crate) fn drain_hop(
     if enqueue && ws.queues.len() < k + 2 {
         ws.queues.resize_with(k + 2, Vec::new);
     }
-    // Hoisted split borrows: current hop, next hop, reserve, the two
+    // Hoisted split borrows: current hop, next hop, the index, the two
     // worklists and the hint row are each resolved once per hop level
     // instead of once per touched neighbor.
     let (cur, next, hop_sums) = ws.residues.drain_parts(k);
+    // The index leaves hop k, which the drain below filled, for hop k+1.
+    let index = ws.reserve.lend_index();
+    index.discard(cur.len());
     let (cur_queues, next_queues) = ws.queues.split_at_mut(k + 1);
     let queue = &mut cur_queues[k];
     let mut next_queue = next_queues.first_mut().filter(|_| enqueue);
-    let reserve = &mut ws.reserve;
     let hint = &mut ws.hop_max_hint;
     let per_entry_sums = plus.is_none();
     // Algorithm 1: the two hop sums themselves. Algorithm 4: what left
@@ -335,8 +340,11 @@ pub(crate) fn drain_hop(
     let mut sum_removed = 0.0f64;
     let mut sum_added = 0.0f64;
 
-    // LIFO, like the references' `pop`; `i` is the entry being processed.
+    // LIFO, like the references' `pop`; `i` is the entry being processed,
+    // and `queue[log..]` the log of what the processed entries settled,
+    // written over entries already visited.
     let mut i = queue.len();
+    let mut log = queue.len();
     let outcome = loop {
         if i == 0 {
             break None;
@@ -344,8 +352,7 @@ pub(crate) fn drain_hop(
         i -= 1;
         // `i - AHEAD` wraps below zero near the bottom of the list, and
         // `get` then declines.
-        if let Some(&(ahead, _, _)) = queue.get(i.wrapping_sub(AHEAD_SLOTS)) {
-            reserve.prefetch(ahead);
+        if let Some(&(ahead, _, _)) = queue.get(i.wrapping_sub(AHEAD_NODE)) {
             graph.prefetch_node(ahead);
         }
         if let Some(&(ahead, _, _)) = queue.get(i.wrapping_sub(AHEAD_ROW)) {
@@ -353,7 +360,7 @@ pub(crate) fn drain_hop(
         }
         if let Some(&(ahead, _, _)) = queue.get(i.wrapping_sub(AHEAD_NEIGHBOURS)) {
             for &u in graph.neighbors(ahead) {
-                next.prefetch(u);
+                index.prefetch(u);
             }
         }
 
@@ -378,11 +385,12 @@ pub(crate) fn drain_hop(
         } else {
             sum_removed += r;
         }
+        log -= 1;
         if d == 0 {
-            reserve.add(v, r);
+            queue[log] = settled(v, r);
             continue;
         }
-        reserve.add(v, stop * r);
+        queue[log] = settled(v, stop * r);
         let remain = (1.0 - stop) * r;
         if per_entry_sums && remain <= 0.0 {
             continue;
@@ -391,7 +399,8 @@ pub(crate) fn drain_hop(
         sum_added += remain;
         counters.push_operations += d as u64;
         for &u in graph.neighbors(v) {
-            let (old, new, du32, at) = next.add_memo_deg(u, share, || graph.degree_nz(u) as u32);
+            let (old, new, du32, at) =
+                next.add_memo_deg(index, u, share, || graph.degree_nz(u) as u32);
             if per_entry_sums {
                 next_sum += share;
             }
@@ -409,7 +418,12 @@ pub(crate) fn drain_hop(
             }
         }
     };
-    queue.truncate(i);
+    // Keep the log alone, at the front, for the fold. Under it lie the
+    // stale entries and, after a stop, the unprocessed ones: usually
+    // nothing.
+    queue.drain(..log);
+    debug_assert_eq!(ws.drained, k, "hops drain in order, once");
+    ws.drained = k + 1;
 
     if per_entry_sums {
         hop_sums[k] = cur_sum;
@@ -655,6 +669,7 @@ pub fn hk_push_plus_ws(
     // residue reduction uses these to skip whole hop levels whose entries
     // all reduce to zero — without scanning them.
     ws.hop_max_frozen[k..].copy_from_slice(&ws.hop_max_hint[k..]);
+    ws.fold_settled();
 
     PushPlusWsStats {
         push_operations: counters.push_operations,
@@ -970,10 +985,14 @@ mod tests {
             }
         }
         assert_eq!(counters.processed, CHECK_INTERVAL, "stopped at the probe");
-        assert!(
-            k >= 2 && !ws.queues[k].is_empty(),
-            "mid-hop, past frozen hops"
-        );
+        // Hop k still holds residues its drain would push.
+        let hop = ws.residues().live_hop(k).unwrap();
+        let left = hop
+            .iter_nonzero_with_deg()
+            .any(|(_, r, d)| r > thr_coeff * d as f64);
+        assert!(k >= 2 && left, "mid-hop, past frozen hops");
+        // What `hk_push_plus_ws` does when its hop loop stops.
+        ws.fold_settled();
 
         // The reference, out of budget at the same node.
         cfg.budget = counters.push_operations;

@@ -11,7 +11,7 @@
 //!   positions, believed only when the record it names names the node
 //!   back, so "clearing" the structure between queries is emptying the
 //!   record list — no `memset`, no allocation (see `node_index.rs`);
-//! * values live in a *record list*, appended on a node's first touch
+//! * values live in *record lists*, appended on a node's first touch
 //!   after a `begin` (the index slot keeps the record's position), so
 //!   lookups stay O(1) while the memory that holds values grows with the
 //!   query, not with the graph, and every scan of the touched nodes
@@ -23,9 +23,11 @@
 //! * a [`QueryWorkspace`] owns all of the buffers an end-to-end query
 //!   needs (reserve, residues, worklists, walk scratch), so a long-lived
 //!   serving thread allocates once and runs arbitrarily many queries
-//!   allocation-free. Its only per-node memory is at most three node
-//!   indexes — the reserve's and the two live residue hops' — walking or
-//!   not;
+//!   allocation-free. Its only per-node memory is one node index, the
+//!   reserve's, walking or not: only one list is looked up by node at a
+//!   time, so the push lends it to the residue hop being filled and logs
+//!   the mass it settles in its worklists, which `fold_settled` adds to
+//!   the reserve when the push ends;
 //! * the output is sorted by node id straight from the reserve's records
 //!   with an LSD radix sort whose scatter buffer the workspace keeps, and
 //!   its last pass writes the estimate's two exact-length columns (ids,
@@ -37,9 +39,9 @@
 //! **two** [`EpochVec`]s, whatever the hop count: a drained hop's
 //! survivors are compacted into a contiguous list and its vector is
 //! reused two hops later. Worklist entries carry their node's record
-//! position, so the drain reads and zeroes a residue without touching the
-//! index. It answers the same questions as
-//! [`crate::sparse::ResidueTable`] (per-hop vectors `r^(0..K)` with
+//! position, so the drain reads and zeroes a residue without the index,
+//! which serves the hop being filled alone. It answers the same questions
+//! as [`crate::sparse::ResidueTable`] (per-hop vectors `r^(0..K)` with
 //! incrementally maintained hop sums for `alpha` and `beta_k`), and the
 //! workspace additionally maintains the per-hop residue maxima that make
 //! the TEA+ condition-(11) check incremental (see
@@ -59,9 +61,11 @@ pub use crate::node_index::{EpochVec, Reserve};
 /// drains they write hops `k` and `k + 1` only. So the store holds two
 /// [`EpochVec`]s — hop `k` lives in `live[k & 1]` — and a drained hop's
 /// non-zero survivors sit, in first-touch order, on one contiguous list
-/// while its vector serves hop `k + 2` after a `begin`. The footprint
-/// is two node indexes plus the records and survivors, whatever the hop
-/// count.
+/// while its vector serves hop `k + 2` after a `begin`. Only hop `k + 1`
+/// is looked up by node, through the workspace's one index; hop `k` is
+/// read at the positions its worklist carries. The footprint is the
+/// records and survivors, whatever the hop count: nothing here is sized
+/// by the graph.
 ///
 /// Each hop's records are scanned once, when the hop below it has drained
 /// and it stops receiving mass (`sift`). A node is on hop
@@ -90,7 +94,6 @@ pub struct DenseResidues {
     sifted_max: f64,
     /// One sum per hop level in use.
     hop_sums: Vec<f64>,
-    n: usize,
 }
 
 impl DenseResidues {
@@ -99,13 +102,12 @@ impl DenseResidues {
         Self::default()
     }
 
-    /// Start a fresh query with `num_hops` hop levels over `n` nodes:
-    /// hops 0 and 1 live and empty, nothing frozen. Hop levels grow on
-    /// demand via `drain_parts`.
-    pub(crate) fn begin(&mut self, num_hops: usize, n: usize) {
-        self.n = n;
+    /// Start a fresh query with `num_hops` hop levels: hops 0 and 1 live
+    /// and empty, nothing frozen. Hop levels grow on demand via
+    /// `drain_parts`.
+    pub(crate) fn begin(&mut self, num_hops: usize) {
         for hop in &mut self.live {
-            hop.begin(n);
+            hop.begin();
         }
         self.frozen.clear();
         self.frozen_end.clear();
@@ -143,9 +145,9 @@ impl DenseResidues {
         }
     }
 
-    /// Residue `r^(k)[v]`; 0 if absent. O(1) on a live hop, a linear
-    /// search of the hop's survivors on a frozen one — for tests and
-    /// spot checks, not for loops.
+    /// Residue `r^(k)[v]`; 0 if absent. A linear search of the hop's
+    /// records, live or frozen — for tests and spot checks, not for
+    /// loops.
     pub fn get(&self, k: usize, v: NodeId) -> f64 {
         match self.live_hop(k) {
             Some(hop) => hop.get(v),
@@ -165,7 +167,7 @@ impl DenseResidues {
     /// position in hop 0, which is 0.
     pub(crate) fn seed(&mut self, seed: NodeId, degree: usize, thr_coeff: f64) -> u32 {
         let deg = degree.max(1) as u32;
-        let (_, _, _, at) = self.live[0].add_memo_deg(seed, 1.0, || deg);
+        let at = self.live[0].seed(seed, 1.0, deg);
         self.hop_sums[0] += 1.0;
         if 1.0 <= thr_coeff * degree as f64 {
             self.frozen.push(Record {
@@ -209,7 +211,7 @@ impl DenseResidues {
             "a drained hop's non-zero slots are the ones its sift kept"
         );
         self.frozen_end.push(self.frozen.len());
-        self.live[k & 1].begin(self.n);
+        self.live[k & 1].begin();
         std::mem::take(&mut self.sifted_max)
     }
 
@@ -225,6 +227,12 @@ impl DenseResidues {
         let (max_all, max_kept) = self.live[k & 1].sift_into(thr_coeff, &mut self.frozen);
         self.sifted_max = max_kept;
         max_all
+    }
+
+    /// Records in the two live hops, zeros included: at least as many as
+    /// the workspace's index names in whichever of them it serves.
+    pub(crate) fn live_records(&self) -> usize {
+        self.live.iter().map(EpochVec::len).sum()
     }
 
     /// Sum of residues at hop `k` (incremental; ordinary fp drift applies).
@@ -286,8 +294,9 @@ impl DenseResidues {
                 .sum::<usize>()
     }
 
-    /// Bytes held by the backing allocations: the two live vectors plus
-    /// the frozen survivors — independent of the hop count.
+    /// Bytes held by the backing allocations: the two live hops' records
+    /// plus the frozen survivors — independent of the hop count and of
+    /// the graph.
     pub fn memory_bytes(&self) -> usize {
         self.live.iter().map(EpochVec::memory_bytes).sum::<usize>()
             + self.frozen.capacity() * std::mem::size_of::<Record>()
@@ -345,12 +354,12 @@ pub struct QueryWorkspace {
     pub(crate) reserve: Reserve,
     /// Residue vectors `r^(0..K)`.
     pub(crate) residues: DenseResidues,
-    /// Per-hop push worklists (reused). Entries `(node, degree, at)` carry
-    /// what the enqueue site knows for free — the node's degree and the
-    /// position of its record in its hop's [`EpochVec`] — so a pop reads
-    /// and zeroes the residue without a read of the degree array or of
-    /// the node index.
-    pub(crate) queues: Vec<Vec<(NodeId, u32, u32)>>,
+    /// Per-hop push worklists (reused); see [`WorkItem`].
+    pub(crate) queues: Vec<Vec<WorkItem>>,
+    /// How many hops' drains have run in this push: their worklists hold
+    /// nothing but their logs of settled masses, which
+    /// [`fold_settled`](Self::fold_settled) reads.
+    pub(crate) drained: usize,
     /// Walk-start entries `(hop, node)` for the alias table.
     pub(crate) entries: Vec<(u32, NodeId)>,
     /// Walk-start weights, parallel to `entries`.
@@ -452,24 +461,25 @@ impl QueryWorkspace {
     }
 
     /// Bytes held by every backing allocation of this workspace. The
-    /// only part sized by the graph is one 4-byte index slot per node in
-    /// each of at most three node indexes (the reserve, whose records also
-    /// hold the walk endpoint counts, and the two live residue hops, which
-    /// only a push sizes), whatever the hop cap and whether or not a query
-    /// walked. Those are allocated bytes, not resident ones: an index
-    /// comes zeroed from the allocator, and its pages only become resident
-    /// as queries touch them. Everything else — records, worklists, frozen
-    /// residue survivors, walk and assembly buffers — grows with what the
-    /// largest query so far touched. Serving layers use this (together
-    /// with the result-side accounting in `HkprEstimate::memory_bytes`) to
-    /// budget cache memory against worker memory.
+    /// only part sized by the graph is the one node index, a 4-byte slot
+    /// per node: the reserve's, whose records also hold the walk endpoint
+    /// counts, and which a push lends to the residue hop it is filling.
+    /// That holds whatever the hop cap, whichever the estimator and
+    /// whether or not a query walked. These are allocated bytes, not
+    /// resident ones: the index comes zeroed from the allocator, and its
+    /// pages only become resident as queries touch them. Everything else
+    /// — records, worklists, frozen residue survivors, walk and assembly
+    /// buffers — grows with what the largest query so far touched.
+    /// Serving layers use this (together with the result-side accounting
+    /// in `HkprEstimate::memory_bytes`) to budget cache memory against
+    /// worker memory.
     pub fn memory_bytes(&self) -> usize {
         self.reserve.memory_bytes()
             + self.residues.memory_bytes()
             + self
                 .queues
                 .iter()
-                .map(|q| q.capacity() * std::mem::size_of::<(NodeId, u32, u32)>())
+                .map(|q| q.capacity() * std::mem::size_of::<WorkItem>())
                 .sum::<usize>()
             + self.entries.capacity() * std::mem::size_of::<(u32, NodeId)>()
             + self.weights.capacity() * std::mem::size_of::<f64>()
@@ -481,12 +491,13 @@ impl QueryWorkspace {
 
     /// Release every backing allocation, returning the workspace to its
     /// freshly-constructed footprint. An idle serving worker parked on a
-    /// huge graph can call this to hand `O(n)` index memory back to the
-    /// allocator; the next query re-grows.
+    /// huge graph can call this to hand the `O(n)` node index back to the
+    /// allocator; the next query re-grows it.
     pub fn reset(&mut self) {
         self.reserve = Reserve::new();
         self.residues.release();
         self.queues = Vec::new();
+        self.drained = 0;
         self.entries = Vec::new();
         self.weights = Vec::new();
         self.walk_scratch.release();
@@ -497,10 +508,11 @@ impl QueryWorkspace {
         self.cancel = None;
     }
 
-    /// Prepare for a query over an `n`-node graph: size the reserve and
-    /// clear it in O(1), values and endpoint counts alike, so the push and
-    /// the walk phase both deposit into it (residues are shaped by the
-    /// push routines, which know their hop count).
+    /// Prepare for a query over an `n`-node graph: size the reserve's
+    /// index, the workspace's one, and clear the reserve in O(1), values
+    /// and endpoint counts alike, so the push's fold and the walk phase
+    /// both deposit into it (residues are shaped by the push routines,
+    /// which know their hop count).
     pub(crate) fn begin(&mut self, n: usize) {
         self.reserve.begin(n);
         self.entries.clear();
@@ -510,7 +522,8 @@ impl QueryWorkspace {
     /// Prepare for a push phase from `seed`: [`begin`](Self::begin), then
     /// `r^(0)[seed] = 1` over `num_hops` hop levels and the seed alone on
     /// hop 0's worklist. `thr_coeff` is the push threshold coefficient
-    /// every drain of the phase will use.
+    /// every drain of the phase will use. The phase ends in
+    /// [`fold_settled`](Self::fold_settled).
     pub(crate) fn begin_push(
         &mut self,
         graph: &Graph,
@@ -519,9 +532,8 @@ impl QueryWorkspace {
         thr_coeff: f64,
     ) {
         assert!((seed as usize) < graph.num_nodes(), "seed out of range");
-        let n = graph.num_nodes();
-        self.begin(n);
-        self.residues.begin(num_hops, n);
+        self.begin(graph.num_nodes());
+        self.residues.begin(num_hops);
         let degree = graph.degree(seed);
         let at = self.residues.seed(seed, degree, thr_coeff);
         if self.queues.is_empty() {
@@ -531,6 +543,30 @@ impl QueryWorkspace {
             q.clear();
         }
         self.queues[0].push((seed, degree as u32, at));
+        self.drained = 0;
+    }
+
+    /// End a push phase, however it stopped: hand the index back from the
+    /// residue hops to the reserve, and add to the reserve the masses the
+    /// drains logged in their worklists, in the order the drains settled
+    /// them. Those are the adds, in the order, that a drain writing the
+    /// reserve itself would make, so the reserve's records, their
+    /// first-touch order and every bit are that drain's.
+    pub(crate) fn fold_settled(&mut self) {
+        let reserve = &mut self.reserve;
+        reserve.lend_index().discard(self.residues.live_records());
+        for log in &self.queues[..self.drained] {
+            // A drain works from the top of its worklist down, logging
+            // downwards from the top: its first settlement is the last.
+            for i in (0..log.len()).rev() {
+                // `i - FOLD_AHEAD` wraps below zero, and `get` declines.
+                if let Some(&(ahead, _, _)) = log.get(i.wrapping_sub(FOLD_AHEAD)) {
+                    reserve.prefetch(ahead);
+                }
+                let (v, mass) = settlement(log[i]);
+                reserve.add(v, mass);
+            }
+        }
     }
 
     /// Assemble the final sorted sparse estimate, `q[v] + count[v] *
@@ -560,6 +596,32 @@ impl QueryWorkspace {
         HkprEstimate::from_sorted_columns(nodes, values)
     }
 }
+
+/// A push worklist entry. Queued, it is `(node, degree, at)`: what the
+/// enqueue site knows for free — the node's degree and the position of
+/// its record in its hop's [`EpochVec`] — so the drain reads and zeroes
+/// the residue without a read of the degree array or of the node index.
+/// Once the drain has settled part of that residue into the reserve, an
+/// entry of the worklist's log is `(node, low, high)`, the halves of the
+/// settled mass's bits ([`settled`]).
+pub(crate) type WorkItem = (NodeId, u32, u32);
+
+/// The log entry of `v` settling `mass` into the reserve.
+#[inline]
+pub(crate) fn settled(v: NodeId, mass: f64) -> WorkItem {
+    let bits = mass.to_bits();
+    (v, bits as u32, (bits >> 32) as u32)
+}
+
+/// The node and the mass of a [`settled`] log entry.
+#[inline]
+fn settlement((v, low, high): WorkItem) -> (NodeId, f64) {
+    (v, f64::from_bits(u64::from(high) << 32 | u64::from(low)))
+}
+
+/// How many log entries ahead of the one it adds
+/// [`QueryWorkspace::fold_settled`] prefetches a reserve index slot.
+const FOLD_AHEAD: usize = 12;
 
 /// Bits per digit of [`sort_by_node`]: 256 buckets, so a pass's
 /// histogram and scatter cursors stay in L1.
@@ -656,24 +718,28 @@ mod tests {
 
     use crate::driver::tests::{complete, TEA_PLUS};
     use crate::node_index::tests::INDEX_SLOT;
+    use crate::node_index::NodeIndex;
     use crate::Estimator;
 
-    /// Drain hop `k` by hand the way the push kernels do: zero `pushed`,
-    /// add `spread` into hop `k + 1`, then freeze hop `k` and sift hop
-    /// `k + 1` at threshold `thr`. Returns `(frozen max, hop k+1 max)`.
+    /// Drain hop `k` by hand the way the push kernels do: hand `index`
+    /// to hop `k + 1`, zero `pushed`, add `spread` into hop `k + 1`, then
+    /// freeze hop `k` and sift hop `k + 1` at threshold `thr`. Returns
+    /// `(frozen max, hop k+1 max)`.
     fn drain_by_hand(
         t: &mut DenseResidues,
+        index: &mut NodeIndex,
         k: usize,
         pushed: &[NodeId],
         spread: &[(NodeId, f64, u32)],
         thr: f64,
     ) -> (f64, f64) {
         let (cur, next, sums) = t.drain_parts(k);
+        index.discard(cur.len());
         for &v in pushed {
             sums[k] -= cur.take(v);
         }
         for &(u, share, deg) in spread {
-            next.add_memo_deg(u, share, || deg);
+            next.add_memo_deg(index, u, share, || deg);
             sums[k + 1] += share;
         }
         (t.freeze(k), t.sift(k + 1, thr))
@@ -681,14 +747,22 @@ mod tests {
 
     #[test]
     fn dense_residues_match_sparse_semantics() {
-        let mut t = DenseResidues::new();
-        t.begin(1, 16);
+        let (mut t, mut r) = (DenseResidues::new(), Reserve::new());
+        r.begin(16);
+        t.begin(1);
         t.seed(5, 2, 0.1);
         assert_eq!(t.get(0, 5), 1.0);
         assert_eq!(t.num_hops(), 1);
         // Hop 0 drains into hop 1; hop levels grow on demand, and a
         // repeat touch keeps the first touch's memoized degree.
-        let maxes = drain_by_hand(&mut t, 0, &[5], &[(9, 0.25, 3), (9, 0.5, 99)], 0.1);
+        let maxes = drain_by_hand(
+            &mut t,
+            r.lend_index(),
+            0,
+            &[5],
+            &[(9, 0.25, 3), (9, 0.5, 99)],
+            0.1,
+        );
         assert_eq!(maxes, (0.0, 0.25));
         assert_eq!(t.num_hops(), 2);
         assert_eq!(t.get(0, 5), 0.0);
@@ -708,11 +782,12 @@ mod tests {
         // hops 0 and 1 have frozen every reader sees the same non-zero
         // entries in the same first-touch order as while they were live,
         // and hop 1's array serves hop 3.
-        let mut t = DenseResidues::new();
-        t.begin(1, 16);
+        let (mut t, mut r) = (DenseResidues::new(), Reserve::new());
+        r.begin(16);
+        t.begin(1);
         t.seed(5, 2, 0.2);
         let spread = [(9, 0.75, 3), (4, 0.5, 1), (2, 0.25, 2), (6, 0.0, 1)];
-        let maxes = drain_by_hand(&mut t, 0, &[5], &spread, 0.2);
+        let maxes = drain_by_hand(&mut t, r.lend_index(), 0, &[5], &spread, 0.2);
         assert_eq!(
             maxes,
             (0.0, 0.5),
@@ -722,7 +797,7 @@ mod tests {
         assert_eq!(live, vec![(1, 9, 0.75), (1, 4, 0.5), (1, 2, 0.25)]);
         assert_eq!(t.nnz(), 3);
 
-        let maxes = drain_by_hand(&mut t, 1, &[9, 4], &[(7, 0.25, 5)], 0.2);
+        let maxes = drain_by_hand(&mut t, r.lend_index(), 1, &[9, 4], &[(7, 0.25, 5)], 0.2);
         assert_eq!(maxes, (0.125, 0.05), "hop 1 froze at 0.25/2");
         let frozen: Vec<_> = t.entries().collect();
         assert_eq!(frozen, vec![(1, 2, 0.25), (2, 7, 0.25)]);
@@ -742,27 +817,29 @@ mod tests {
         // TEA with rmax >= 1/d(seed): nothing is pushed, and the seed is
         // hop 0's one survivor. An isolated seed is pushed (settled)
         // whatever the threshold: its worklist entry carries degree 0.
-        let mut t = DenseResidues::new();
-        t.begin(1, 4);
+        let (mut t, mut r) = (DenseResidues::new(), Reserve::new());
+        r.begin(4);
+        t.begin(1);
         t.seed(3, 2, 0.5);
-        let maxes = drain_by_hand(&mut t, 0, &[], &[], 0.5);
+        let maxes = drain_by_hand(&mut t, r.lend_index(), 0, &[], &[], 0.5);
         assert_eq!(maxes, (0.5, 0.0));
         assert_eq!(t.entries().collect::<Vec<_>>(), vec![(0, 3, 1.0)]);
 
-        t.begin(1, 4);
+        t.begin(1);
         t.seed(3, 0, 5.0);
-        let maxes = drain_by_hand(&mut t, 0, &[3], &[], 5.0);
+        let maxes = drain_by_hand(&mut t, r.lend_index(), 0, &[3], &[], 5.0);
         assert_eq!(maxes, (0.0, 0.0));
         assert_eq!(t.nnz(), 0);
     }
 
     #[test]
     fn dense_residues_reset_between_queries() {
-        let mut t = DenseResidues::new();
-        t.begin(3, 8);
+        let (mut t, mut r) = (DenseResidues::new(), Reserve::new());
+        r.begin(8);
+        t.begin(3);
         t.seed(2, 1, 0.1);
-        drain_by_hand(&mut t, 0, &[2], &[(3, 0.25, 1)], 0.1);
-        t.begin(2, 8);
+        drain_by_hand(&mut t, r.lend_index(), 0, &[2], &[(3, 0.25, 1)], 0.1);
+        t.begin(2);
         assert_eq!(t.get(0, 2), 0.0);
         assert_eq!(t.get(1, 3), 0.0);
         assert_eq!(t.total_sum(), 0.0);
@@ -891,18 +968,18 @@ mod tests {
         ws.begin(4096);
         ws.reserve.add(17, 1.0);
         ws.reserve.inc(40, 2);
-        ws.residues.begin(3, 4096);
+        ws.residues.begin(3);
         ws.residues.seed(9, 1, 0.5);
-        // Three indexes: the reserve (which holds the endpoint counts
-        // too) and two live residue hops.
+        // One index, the reserve's (which holds the endpoint counts too);
+        // the residue hops have none.
         let grown = ws.memory_bytes();
         assert!(
-            grown >= fresh + 3 * 4096 * INDEX_SLOT,
+            grown >= fresh + 4096 * INDEX_SLOT,
             "grown {grown} vs fresh {fresh}"
         );
         // The records hold what was touched, not one value per node.
         assert!(
-            grown < fresh + 4 * 4096 * INDEX_SLOT,
+            grown < fresh + 2 * 4096 * INDEX_SLOT,
             "grown {grown} vs fresh {fresh}"
         );
         ws.reset();
@@ -1016,37 +1093,47 @@ mod tests {
     }
 
     #[test]
-    fn footprint_does_not_grow_with_the_hop_cap() {
-        // `memory_bytes` promises three node indexes for a push-only
-        // query. The hop cap K comes from delta and c, not from t
-        // (Equation 20), so the second query raises c alone: the same
-        // reach, over twice the hop levels, and not one more index.
+    fn footprint_holds_one_index_whatever_the_hop_cap() {
+        // `memory_bytes` promises one node index for a push-only query.
+        // The hop cap K comes from delta and c, not from t (Equation 20),
+        // so the second query raises c alone: the same reach, over twice
+        // the hop levels, and not one more index. Each query runs on the
+        // graph and on the graph padded with isolated nodes (the params
+        // built once), which it answers alike: the two footprints differ
+        // by one index's worth of padding.
         use hk_graph::gen::holme_kim;
         use rand::{rngs::SmallRng, SeedableRng};
-        let n = 100_000usize;
+        let (n, pad) = (100_000usize, 20_000usize);
         let g = holme_kim(n, 5, 0.4, &mut SmallRng::seed_from_u64(60)).unwrap();
+        let padded_g = padded(&g, n + pad);
         let index = n * INDEX_SLOT;
-        let footprint = |t: f64, delta: f64, c: f64| {
+        let footprint = |c: f64| {
             let params = crate::HkprParams::builder(&g)
-                .t(t)
-                .delta(delta)
+                .t(5.0)
+                .delta(1e-3)
                 .c(c)
                 .p_f(1e-3)
                 .build()
                 .unwrap();
-            let mut ws = QueryWorkspace::new();
-            let mut rng = SmallRng::seed_from_u64(61);
-            complete(&g, &params, 7, TEA_PLUS, &mut rng, &mut ws).unwrap();
-            (params.hop_cap(), ws.memory_bytes())
+            let run = |graph: &Graph| {
+                let mut ws = QueryWorkspace::new();
+                let mut rng = SmallRng::seed_from_u64(61);
+                let out = complete(graph, &params, 7, TEA_PLUS, &mut rng, &mut ws).unwrap();
+                (out.stats, ws.memory_bytes())
+            };
+            let ((stats, bytes), (padded_stats, padded_bytes)) = (run(&g), run(&padded_g));
+            assert_eq!(stats, padded_stats, "c = {c}");
+            assert_eq!(padded_bytes - bytes, pad * INDEX_SLOT, "c = {c}");
+            (params.hop_cap(), bytes)
         };
-        let (k_low, low) = footprint(5.0, 1e-3, 2.5);
-        let (k_high, high) = footprint(5.0, 1e-3, 6.0);
+        let (k_low, low) = footprint(2.5);
+        let (k_high, high) = footprint(6.0);
         assert!(k_high >= 2 * k_low, "hop caps {k_low} and {k_high}");
         // Both queries end in the push phase; walking or not, a
-        // workspace holds three indexes.
+        // workspace holds one index.
         for bytes in [low, high] {
-            assert!(bytes >= 3 * index, "reserve, two live hops");
-            assert!(bytes - 3 * index < 8 * n, "{bytes} bytes for n = {n}");
+            assert!(bytes >= index, "the reserve's index");
+            assert!(bytes - index < 8 * n, "{bytes} bytes for n = {n}");
         }
         // Records, worklists, frozen survivors and walk scratch grow with
         // what a query touches; together they stay under one index.
@@ -1066,10 +1153,10 @@ mod tests {
     }
 
     #[test]
-    fn push_only_footprint_is_three_indexes_plus_what_the_query_touched() {
+    fn push_only_footprint_is_one_index_plus_what_the_query_touched() {
         // The same push-only query on a graph and on the graph padded with
         // isolated nodes touches the same nodes in the same order, so the
-        // two workspaces differ by exactly three indexes' worth of padding:
+        // two workspaces differ by exactly one index's worth of padding:
         // nothing else a workspace holds is sized by the graph.
         use crate::anytime::AnytimeControls;
         use crate::poisson::PoissonTable;
@@ -1096,32 +1183,32 @@ mod tests {
         assert!(stats.push_operations > 0 && stats.push_operations < n as u64);
         assert_eq!(
             padded_ws.memory_bytes() - ws.memory_bytes(),
-            3 * pad * INDEX_SLOT
+            pad * INDEX_SLOT
         );
-        // Past the three indexes, the lists hold what the query touched:
-        // per push operation (and for the seed) at most a reserve record
-        // (24 bytes, with room for a walk count), a record in either live
-        // hop, a survivor and a worklist entry — 84 bytes — at most twice
-        // over for vector doubling. And they hold less than another index
-        // would.
+        // Past the index, the lists hold what the query touched: per push
+        // operation (and for the seed) at most a reserve record (24 bytes,
+        // with room for a walk count), a record in either live hop, a
+        // survivor and a worklist entry, which later holds the log of the
+        // mass its node settled — 84 bytes — at most twice over for vector
+        // doubling. And they hold less than another index would.
         let touched = stats.push_operations as usize + 1;
-        let rest = ws.memory_bytes() - 3 * n * INDEX_SLOT;
+        let rest = ws.memory_bytes() - n * INDEX_SLOT;
         assert!(
             rest <= 2 * 84 * touched,
             "{rest} bytes for {touched} touches"
         );
-        assert!(rest < n * INDEX_SLOT, "{rest} bytes beside the indexes");
+        assert!(rest < n * INDEX_SLOT, "{rest} bytes beside the index");
     }
 
     #[test]
-    fn walking_footprint_is_three_indexes_plus_what_the_query_touched() {
+    fn walking_footprint_is_one_index_plus_what_the_query_touched() {
         // The walking counterpart of the push-only test: a TEA+ query that
         // walks and a Monte-Carlo query, each on a graph and on the graph
         // padded with isolated nodes. The params are built once, so both
         // runs plan the same walks, and no walk reaches an isolated node,
-        // so both touch the same nodes. TEA+ then differs by its three
-        // indexes' worth of padding — the endpoint counts add none — and
-        // Monte-Carlo, which never pushes, by the reserve's alone.
+        // so both touch the same nodes. Each then differs by one index's
+        // worth of padding: the push's residue hops and the endpoint
+        // counts add none.
         use hk_graph::gen::holme_kim;
         use rand::{rngs::SmallRng, SeedableRng};
         let (n, pad) = (5_000usize, 5_000usize);
@@ -1145,16 +1232,12 @@ mod tests {
             };
             (out.unwrap().stats, ws.memory_bytes())
         };
-        for (push, indexes) in [(true, 3), (false, 1)] {
+        for push in [true, false] {
             let (stats, bytes) = footprint(&padded(&g, n), push);
             let (padded_stats, padded_bytes) = footprint(&padded(&g, n + pad), push);
             assert_eq!(stats, padded_stats);
             assert!(stats.random_walks > 0 && !stats.early_exit);
-            assert_eq!(
-                padded_bytes - bytes,
-                indexes * pad * INDEX_SLOT,
-                "push {push}"
-            );
+            assert_eq!(padded_bytes - bytes, pad * INDEX_SLOT, "push {push}");
         }
     }
 
@@ -1232,6 +1315,118 @@ mod tests {
             let mass = [0.0, 1e-3, 0.37, 1.0 / 3.0][mass];
             let (got, want) = assembled_and_reference(&reserve, &counts, mass);
             proptest::prop_assert_eq!(got, want);
+        }
+    }
+
+    /// A reserve record as bits: `(node, reserve, endpoint count)`.
+    type ReserveBits = (NodeId, u64, u64);
+
+    /// What a query left behind, as bits: its answer (or error); the
+    /// reserve's records with a push reserve, in first-touch order, and
+    /// those without, by node; the residue entries. The push's records
+    /// come first, in the order its fold added them; a walk pass finds the
+    /// rest in the order its two threads happen to finish their chunks,
+    /// which two fresh workspaces need not share.
+    type Trace = (
+        String,
+        Vec<ReserveBits>,
+        Vec<ReserveBits>,
+        Vec<(usize, NodeId, u64)>,
+    );
+
+    /// Query `kind` from `raw` (mod n) on `ws` — TEA, TEA+ plain, TEA+ cut
+    /// at its first push tier, TEA+'s push alone under a budget of `raw`
+    /// push operations (whose stop falls inside a hop), Monte-Carlo — and
+    /// what it left in `ws`.
+    fn trace(g: &Graph, kind: usize, raw: u32, ws: &mut QueryWorkspace) -> Trace {
+        use crate::anytime::AnytimeControls;
+        use crate::push_plus::{hk_push_plus_ws, PushPlusConfig};
+        use rand::{rngs::SmallRng, SeedableRng};
+        let params = crate::HkprParams::builder(g)
+            .t(8.0)
+            .delta(2e-3)
+            .p_f(1e-2)
+            .build()
+            .unwrap();
+        let seed = raw % g.num_nodes() as NodeId;
+        let mut rng = SmallRng::seed_from_u64(raw as u64);
+        let mut controls = AnytimeControls::default();
+        let estimator = match kind {
+            0 => Estimator::Tea { rmax: Some(1e-4) },
+            1 => TEA_PLUS,
+            2 => {
+                controls.push_tier_cap = Some(1);
+                TEA_PLUS
+            }
+            3 => {
+                let cfg = PushPlusConfig {
+                    hop_cap: params.hop_cap(),
+                    eps_abs: params.eps_abs(),
+                    budget: raw as u64,
+                };
+                let stats = hk_push_plus_ws(g, params.poisson(), seed, &cfg, &mut controls, ws);
+                return traced(format!("{stats:?}"), ws);
+            }
+            _ => Estimator::MonteCarlo {
+                max_walks: Some(3_000),
+            },
+        };
+        let out = crate::estimate_in(g, &params, seed, estimator, controls, &mut rng, ws);
+        let answer = out.map(|out| {
+            let e = &out.estimate;
+            let support: Vec<_> = e.support().map(|(v, x)| (v, x.to_bits())).collect();
+            let offset = e.offset_coeff().to_bits();
+            format!("{:?} {:?} {offset} {support:?}", out.stats, out.achieved)
+        });
+        let mut trace = traced(format!("{answer:?}"), ws);
+        if kind == 4 {
+            trace.3.clear(); // Monte-Carlo leaves the residues alone
+        }
+        trace
+    }
+
+    fn traced(answer: String, ws: &QueryWorkspace) -> Trace {
+        let reserve = ws.reserve().iter().map(|(v, q, c)| (v, q.to_bits(), c));
+        let (pushed, mut walked): (Vec<_>, Vec<_>) = reserve.partition(|r| r.1 != 0);
+        walked.sort_unstable();
+        let residues = ws.residues().entries().map(|(k, v, r)| (k, v, r.to_bits()));
+        (answer, pushed, walked, residues.collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// One workspace runs TEA, TEA+ (plain, cut at its first push
+        /// tier, and its push alone stopped by the budget inside a hop)
+        /// and Monte-Carlo over graphs whose n grows and shrinks, with
+        /// garbage scribbled into its node index before every query. Each
+        /// query leaves the answer, the reserve (order included) and the
+        /// residues a fresh workspace leaves, bit for bit: wherever the
+        /// push lent the index and whatever the index held, no slot
+        /// reads as another list's record.
+        #[test]
+        fn one_index_hands_over_like_fresh_workspaces(
+            queries in proptest::collection::vec((0usize..3, 0usize..5, 1u32..6_000), 1..10),
+            garbage in proptest::collection::vec(
+                (0u32..2, 0u32..3_000, proptest::any::<u32>()),
+                1..32,
+            ),
+        ) {
+            use hk_graph::gen::holme_kim;
+            use rand::{rngs::SmallRng, SeedableRng};
+            let graphs: Vec<Graph> = [(600, 3), (2_000, 4), (60, 2)]
+                .iter()
+                .map(|&(n, m)| holme_kim(n, m, 0.3, &mut SmallRng::seed_from_u64(n as u64)).unwrap())
+                .collect();
+            let garbage = crate::node_index::tests::slot_values(&garbage);
+            let mut shared = QueryWorkspace::new();
+            for (graph, kind, raw) in queries {
+                let g = &graphs[graph];
+                shared.reserve.scribble(&garbage);
+                let got = trace(g, kind, raw, &mut shared);
+                let want = trace(g, kind, raw, &mut QueryWorkspace::new());
+                proptest::prop_assert_eq!(got, want, "graph {} kind {} raw {}", graph, kind, raw);
+            }
         }
     }
 
