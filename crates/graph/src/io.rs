@@ -1,8 +1,5 @@
-//! Graph serialization: SNAP-style text edge lists and the `.hkg` binary
-//! snapshot.
-//!
-//! The text format is one `u v` pair per line, whitespace separated, with
-//! `#` / `%` comment lines — the format of the SNAP dumps the paper uses.
+//! Graph serialization: SNAP-style text edge lists (in `edge_list.rs`,
+//! re-exported here) and the `.hkg` binary snapshot.
 //!
 //! # Binary snapshots
 //!
@@ -125,14 +122,16 @@
 //! copied from the image a graph was loaded from.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::builder::GraphBuilder;
 use crate::csr::{Graph, NodeId};
 use crate::error::GraphError;
 use crate::storage::{Arena, SECTION_ALIGN};
+
+mod edge_list;
+pub use edge_list::{load_edge_list, read_edge_list, save_edge_list, write_edge_list};
 
 /// Magic prefix of the snapshot format.
 const MAGIC_V2: &[u8; 8] = b"HKGRAPH2";
@@ -151,61 +150,6 @@ const V2_SECTIONS: usize = 3;
 const KIND_OFFSETS: u32 = 1;
 const KIND_NEIGHBORS: u32 = 2;
 const KIND_DEGREES: u32 = 3;
-
-/// Parse a text edge list from a reader. Lines starting with `#` or `%` and
-/// blank lines are skipped; node ids must fit in `u32`.
-pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, GraphError> {
-    let mut b = GraphBuilder::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let u = parse_node(it.next(), idx + 1)?;
-        let v = parse_node(it.next(), idx + 1)?;
-        b.add_edge(u, v);
-    }
-    Ok(b.build())
-}
-
-fn parse_node(tok: Option<&str>, line: usize) -> Result<NodeId, GraphError> {
-    let tok = tok.ok_or_else(|| GraphError::Parse {
-        line,
-        msg: "expected two node ids per line".into(),
-    })?;
-    tok.parse::<NodeId>().map_err(|e| GraphError::Parse {
-        line,
-        msg: format!("bad node id {tok:?}: {e}"),
-    })
-}
-
-/// Load a text edge list from a file path.
-pub fn load_edge_list<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError> {
-    read_edge_list(BufReader::new(File::open(path)?))
-}
-
-/// Write a graph as a text edge list (`u v` with `u < v`, one per line).
-pub fn write_edge_list<W: Write>(graph: &Graph, writer: W) -> Result<(), GraphError> {
-    let mut w = BufWriter::new(writer);
-    writeln!(
-        w,
-        "# undirected graph: {} nodes, {} edges",
-        graph.num_nodes(),
-        graph.num_edges()
-    )?;
-    for (u, v) in graph.edges() {
-        writeln!(w, "{u} {v}")?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Save a text edge list to a file path.
-pub fn save_edge_list<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<(), GraphError> {
-    write_edge_list(graph, File::create(path)?)
-}
 
 // ---------------------------------------------------------------------------
 // Snapshots: the aligned, checksummed v2 image
