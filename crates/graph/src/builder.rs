@@ -1,6 +1,7 @@
 //! Edge-list ingestion and CSR assembly.
 
-use crate::csr::{Graph, NodeId};
+use crate::csr::{Graph, NodeId, MAX_ARCS};
+use crate::error::GraphError;
 
 /// Accumulates an undirected edge list and assembles a [`Graph`].
 ///
@@ -61,10 +62,23 @@ impl GraphBuilder {
 
     /// Assemble the CSR graph: drop self-loops, dedup, symmetrize, sort.
     /// O(m log m) time, two passes of O(n + m) assembly.
-    pub fn build(mut self) -> Graph {
+    ///
+    /// # Panics
+    /// When the distinct edges take more than [`MAX_ARCS`] adjacency
+    /// entries (the offsets are `u32`). The generators return
+    /// [`GraphError::InvalidParameter`] instead.
+    pub fn build(self) -> Graph {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`build`](Self::build), returning the arc bound's error instead of
+    /// panicking on it — decided after the dedup, before the CSR arrays
+    /// are allocated.
+    pub(crate) fn try_build(mut self) -> Result<Graph, GraphError> {
         self.edges.retain(|&(u, v)| u != v);
         self.edges.sort_unstable();
         self.edges.dedup();
+        check_arcs(2 * self.edges.len() as u64)?;
 
         let n = self
             .edges
@@ -75,7 +89,7 @@ impl GraphBuilder {
             .max(self.min_nodes);
 
         // Counting pass: degree of every node.
-        let mut offsets = vec![0usize; n + 1];
+        let mut offsets = vec![0u32; n + 1];
         for &(u, v) in &self.edges {
             offsets[u as usize + 1] += 1;
             offsets[v as usize + 1] += 1;
@@ -88,9 +102,9 @@ impl GraphBuilder {
         let mut neighbors = vec![0 as NodeId; self.edges.len() * 2];
         let mut cursor = offsets.clone();
         for &(u, v) in &self.edges {
-            neighbors[cursor[u as usize]] = v;
+            neighbors[cursor[u as usize] as usize] = v;
             cursor[u as usize] += 1;
-            neighbors[cursor[v as usize]] = u;
+            neighbors[cursor[v as usize] as usize] = u;
             cursor[v as usize] += 1;
         }
 
@@ -99,11 +113,26 @@ impl GraphBuilder {
         // as well, but the two interleave, so sort each list. Lists are
         // short on average; this is O(m log dmax) worst case.
         for v in 0..n {
-            neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
+            neighbors[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
         }
 
-        Graph::from_csr(offsets, neighbors)
+        Ok(Graph::from_owned_parts(
+            offsets.into_boxed_slice(),
+            neighbors.into_boxed_slice(),
+        ))
     }
+}
+
+/// Whether `arcs` adjacency entries fit a graph's `u32` offsets
+/// ([`MAX_ARCS`]); a [`GraphError::InvalidParameter`] naming the count if
+/// not.
+pub(crate) fn check_arcs(arcs: u64) -> Result<(), GraphError> {
+    if arcs > MAX_ARCS as u64 {
+        return Err(GraphError::InvalidParameter(format!(
+            "{arcs} arcs exceed the u32 offsets' {MAX_ARCS}"
+        )));
+    }
+    Ok(())
 }
 
 /// Convenience: build a graph straight from an iterator of edges.
@@ -164,6 +193,16 @@ mod tests {
         b.add_edge(0, 1);
         b.add_edge(0, 1);
         assert_eq!(b.raw_edge_count(), 2);
+    }
+
+    #[test]
+    fn the_arc_bound_is_the_u32_offsets() {
+        assert!(check_arcs(0).is_ok());
+        assert!(check_arcs(MAX_ARCS as u64).is_ok());
+        assert!(matches!(
+            check_arcs(MAX_ARCS as u64 + 1),
+            Err(GraphError::InvalidParameter(m)) if m.contains("4294967296 arcs")
+        ));
     }
 
     #[test]

@@ -7,16 +7,17 @@
 //! * O(1) `degree`, O(1) neighbor indexing (uniform sampling),
 //! * O(log d(v)) `has_edge` via binary search (used by the sweep's
 //!   incremental cut maintenance),
-//! * two flat allocations for the whole graph.
+//! * two flat allocations for the whole graph: `4(n + 1) + 4·arcs`
+//!   bytes, the offsets `u32` like the neighbor ids.
 //!
 //! # Storage backends
 //!
 //! The CSR arrays are *views over a storage backend*
-//! ([`crate::storage`]): either three owned heap allocations (builders,
+//! ([`crate::storage`]): either two owned heap allocations (builders,
 //! generators) or a single aligned arena holding a `.hkg` snapshot read
 //! zero-copy (heap-read or mmap). The views are raw slices resolved once
 //! at construction — every accessor below compiles to the same loads as
-//! the old three-`Box` layout, with no per-access branch on the backend.
+//! a two-`Box` layout, with no per-access branch on the backend.
 //! All backends satisfy the same invariants and compare equal
 //! ([`PartialEq`] is over the array *contents*), and
 //! [`Graph::fingerprint`] is backend-independent by construction: an
@@ -32,6 +33,10 @@ use crate::storage::{Arena, StorageBackend};
 /// paper's largest dataset (Friendster, 65.6M nodes) with room to spare
 /// while halving index memory relative to `usize`.
 pub type NodeId = u32;
+
+/// The most arcs (`2m`, adjacency entries) a graph holds: its offsets are
+/// `u32`. Friendster, the paper's largest graph, has ≈3.6·10⁹.
+pub const MAX_ARCS: usize = u32::MAX as usize;
 
 /// A raw, immutable view of `[T]` whose backing memory is owned by the
 /// `Graph` that holds it (heap boxes or an arena kept alive by `Arc`).
@@ -71,11 +76,10 @@ impl<T> RawSlice<T> {
 
 /// What keeps a graph's array memory alive.
 enum Storage {
-    /// Three independent heap allocations (the historical layout).
+    /// Two independent heap allocations.
     Owned {
-        offsets: Box<[usize]>,
+        offsets: Box<[u32]>,
         neighbors: Box<[NodeId]>,
-        degrees: Box<[u32]>,
     },
     /// One shared arena (a v2 snapshot); the views point into it.
     Arena {
@@ -89,23 +93,24 @@ enum Storage {
 ///
 /// Invariants (maintained by [`crate::GraphBuilder`] and checked by the
 /// property tests in this crate; the snapshot loaders validate the
-/// memory-safety subset — monotone offsets, degree consistency, neighbor
-/// range — and trust sortedness/symmetry from the writer, see
+/// memory-safety subset — monotone offsets, `offsets[n] == arcs`,
+/// neighbor range — and trust sortedness/symmetry from the writer, see
 /// [`crate::io`]):
 ///
-/// * `offsets.len() == num_nodes + 1`, `offsets[0] == 0`, monotone;
+/// * `offsets.len() == num_nodes + 1`, `offsets[0] == 0`, monotone,
+///   `offsets[num_nodes] == arcs <= MAX_ARCS`;
 /// * `neighbors[offsets[v]..offsets[v+1]]` is strictly increasing
 ///   (no duplicate edges, no self-loops);
 /// * adjacency is symmetric: `u ∈ neighbors(v) ⇔ v ∈ neighbors(u)`.
 pub struct Graph {
-    offsets: RawSlice<usize>,
+    /// Where each adjacency row starts in `neighbors`, `n + 1` entries.
+    /// A degree is the difference of two adjacent entries, so
+    /// [`degree`](Self::degree) reads the line that
+    /// [`neighbor_row`](Self::neighbor_row) and
+    /// [`prefetch_node`](Self::prefetch_node) read too; 16 nodes share it.
+    offsets: RawSlice<u32>,
+    /// The adjacency rows, back to back (`arcs` entries).
     neighbors: RawSlice<NodeId>,
-    /// Per-node degree, precomputed from `offsets`. Redundant 4 bytes per
-    /// node that turn the hot `degree(v)` lookup (every push touches every
-    /// neighbor's degree; every walk step samples one) into a single
-    /// dense `u32` load instead of two adjacent `usize` loads — 4x more
-    /// degrees per cache line.
-    degrees: RawSlice<u32>,
     storage: Storage,
 }
 
@@ -119,20 +124,12 @@ impl Graph {
     /// Assemble an owned-backend graph from pre-built arrays. The boxes'
     /// heap blocks are address-stable under struct moves, so views taken
     /// here stay valid for the graph's lifetime.
-    fn from_owned_parts(
-        offsets: Box<[usize]>,
-        neighbors: Box<[NodeId]>,
-        degrees: Box<[u32]>,
-    ) -> Self {
+    pub(crate) fn from_owned_parts(offsets: Box<[u32]>, neighbors: Box<[NodeId]>) -> Self {
+        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(neighbors.len()));
         Graph {
             offsets: RawSlice::of(&offsets),
             neighbors: RawSlice::of(&neighbors),
-            degrees: RawSlice::of(&degrees),
-            storage: Storage::Owned {
-                offsets,
-                neighbors,
-                degrees,
-            },
+            storage: Storage::Owned { offsets, neighbors },
         }
     }
 
@@ -142,23 +139,19 @@ impl Graph {
     /// is trusted from the writer like sortedness and symmetry are.
     ///
     /// # Safety
-    /// The three slices must point into `arena`'s buffer, and the caller
-    /// must have validated everything the unchecked accessors rely on:
-    /// offsets monotone with `offsets[0] == 0` and
-    /// `offsets[n] == neighbors.len()`, every neighbor id below `n`, and
-    /// `degrees[v] == offsets[v+1] - offsets[v]` (the v2 loader does).
+    /// Both slices must point into `arena`'s buffer, and the caller must
+    /// have validated everything the unchecked accessors rely on: offsets
+    /// monotone with `offsets[0] == 0` and `offsets[n] == neighbors.len()`,
+    /// and every neighbor id below `n` (the snapshot loader does).
     pub(crate) unsafe fn from_arena_parts(
         arena: Arc<Arena>,
-        offsets: &[usize],
+        offsets: &[u32],
         neighbors: &[NodeId],
-        degrees: &[u32],
         fingerprint: u64,
     ) -> Self {
-        debug_assert_eq!(offsets.len(), degrees.len() + 1);
         Graph {
             offsets: RawSlice::of(offsets),
             neighbors: RawSlice::of(neighbors),
-            degrees: RawSlice::of(degrees),
             storage: Storage::Arena { arena, fingerprint },
         }
     }
@@ -171,6 +164,10 @@ impl Graph {
     /// conforming input; this constructor validates the cheap structural
     /// invariants and panics on violation (programmer error, not input
     /// error).
+    ///
+    /// # Panics
+    /// Also when `neighbors.len()` exceeds [`MAX_ARCS`]: the offsets are
+    /// stored as `u32`.
     pub fn from_csr(offsets: Vec<usize>, neighbors: Vec<NodeId>) -> Self {
         assert!(!offsets.is_empty(), "offsets must contain at least [0]");
         assert_eq!(offsets[0], 0, "offsets[0] must be 0");
@@ -178,6 +175,11 @@ impl Graph {
             *offsets.last().unwrap(),
             neighbors.len(),
             "last offset must equal neighbor array length"
+        );
+        assert!(
+            neighbors.len() <= MAX_ARCS,
+            "{} arcs exceed the u32 offsets' {MAX_ARCS}",
+            neighbors.len()
         );
         debug_assert!(
             offsets.windows(2).all(|w| w[0] <= w[1]),
@@ -188,29 +190,19 @@ impl Graph {
             0,
             "undirected graph must have even arc count"
         );
-        let degrees = offsets
-            .windows(2)
-            .map(|w| u32::try_from(w[1] - w[0]).expect("degree exceeds u32"))
-            .collect();
-        Graph::from_owned_parts(
-            offsets.into_boxed_slice(),
-            neighbors.into_boxed_slice(),
-            degrees,
-        )
+        // Monotone and ending at `neighbors.len()`, so every entry fits.
+        let offsets = offsets.into_iter().map(|o| o as u32).collect();
+        Graph::from_owned_parts(offsets, neighbors.into_boxed_slice())
     }
 
     /// An empty graph with `n` isolated nodes.
     pub fn empty(n: usize) -> Self {
-        Graph::from_owned_parts(
-            vec![0; n + 1].into_boxed_slice(),
-            Box::new([]),
-            vec![0; n].into_boxed_slice(),
-        )
+        Graph::from_owned_parts(vec![0; n + 1].into_boxed_slice(), Box::new([]))
     }
 
     /// The offsets array (`n + 1` entries).
     #[inline]
-    pub(crate) fn offs(&self) -> &[usize] {
+    pub(crate) fn offs(&self) -> &[u32] {
         // SAFETY: view into storage owned by `self` (see `RawSlice::get`).
         unsafe { self.offsets.get() }
     }
@@ -222,11 +214,9 @@ impl Graph {
         unsafe { self.neighbors.get() }
     }
 
-    /// The dense degree array (`n` entries).
-    #[inline]
-    pub(crate) fn degs(&self) -> &[u32] {
-        // SAFETY: as above.
-        unsafe { self.degrees.get() }
+    /// Every node's degree, in id order: differences of adjacent offsets.
+    pub(crate) fn degrees(&self) -> impl Iterator<Item = usize> + '_ {
+        self.offs().windows(2).map(|w| (w[1] - w[0]) as usize)
     }
 
     /// Which storage backend holds this graph's arrays.
@@ -243,7 +233,7 @@ impl Graph {
     /// differential storage conformance suite. The copy carries no
     /// recorded fingerprint: like every owned graph it hashes its arrays.
     pub fn to_owned_backend(&self) -> Graph {
-        Graph::from_owned_parts(self.offs().into(), self.nbrs().into(), self.degs().into())
+        Graph::from_owned_parts(self.offs().into(), self.nbrs().into())
     }
 
     /// Number of nodes `n`.
@@ -273,10 +263,10 @@ impl Graph {
         }
     }
 
-    /// Degree of `v`.
+    /// Degree of `v`: `offsets[v+1] - offsets[v]`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        self.degs()[v as usize] as usize
+        self.neighbor_row(v).1 as usize
     }
 
     /// Degree of `v`, clamped to at least 1 — the denominator form every
@@ -289,9 +279,8 @@ impl Graph {
     /// Sorted adjacency list of `v`.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        let v = v as usize;
-        let offs = self.offs();
-        &self.nbrs()[offs[v]..offs[v + 1]]
+        let (start, degree) = self.neighbor_row(v);
+        &self.nbrs()[start..start + degree as usize]
     }
 
     /// The `i`-th neighbor of `v` (`i < degree(v)`); O(1), used for uniform
@@ -299,11 +288,11 @@ impl Graph {
     #[inline]
     pub fn neighbor_at(&self, v: NodeId, i: usize) -> NodeId {
         debug_assert!(i < self.degree(v));
-        self.nbrs()[self.offs()[v as usize] + i]
+        self.nbrs()[self.offs()[v as usize] as usize + i]
     }
 
     /// Start of `v`'s adjacency row in the flat neighbor array, plus its
-    /// degree, in one call. The two loads are adjacent `usize`s
+    /// degree, in one call. The two loads are adjacent `u32`s
     /// (`offsets[v]`, `offsets[v+1]`), so a random access usually costs a
     /// single cache line — the walk kernels carry the returned pair in
     /// registers instead of re-deriving it per step.
@@ -312,7 +301,7 @@ impl Graph {
         let v = v as usize;
         let offs = self.offs();
         let start = offs[v];
-        (start, (offs[v + 1] - start) as u32)
+        (start as usize, offs[v + 1] - start)
     }
 
     /// Read the flat neighbor array at `i` without a bounds check — the
@@ -341,7 +330,7 @@ impl Graph {
         let offs = self.offs();
         let start = *offs.get_unchecked(v);
         let end = *offs.get_unchecked(v + 1);
-        (start, (end - start) as u32)
+        (start as usize, end - start)
     }
 
     /// Hint the CPU to pull `v`'s offsets cache line (the input of the
@@ -419,19 +408,14 @@ impl Graph {
     /// Approximate resident memory of the CSR storage in bytes (used by
     /// the Figure 5 memory experiment to separate graph storage from
     /// per-query working memory, and by the serving registry's
-    /// resident-byte budget). For the owned backend this is the three
-    /// arrays; for an arena it is the whole snapshot buffer (header and
-    /// padding included — they are resident too).
+    /// resident-byte budget). For the owned backend this is the two
+    /// arrays, `4(n + 1) + 4·arcs`; for an arena it is the whole snapshot
+    /// buffer (header and padding included — they are resident too).
     pub fn memory_bytes(&self) -> usize {
         match &self.storage {
-            Storage::Owned {
-                offsets,
-                neighbors,
-                degrees,
-            } => {
-                offsets.len() * std::mem::size_of::<usize>()
-                    + neighbors.len() * std::mem::size_of::<NodeId>()
-                    + degrees.len() * std::mem::size_of::<u32>()
+            Storage::Owned { offsets, neighbors } => {
+                std::mem::size_of_val::<[u32]>(offsets)
+                    + std::mem::size_of_val::<[NodeId]>(neighbors)
             }
             Storage::Arena { arena, .. } => arena.len(),
         }
@@ -439,7 +423,7 @@ impl Graph {
 
     /// Maximum degree (0 for an empty graph).
     pub fn max_degree(&self) -> usize {
-        self.degs().iter().max().map_or(0, |&d| d as usize)
+        self.degrees().max().unwrap_or(0)
     }
 
     /// Node with the maximum degree (`None` for an empty graph). Ties break
@@ -512,16 +496,13 @@ impl Graph {
     /// Validate the full CSR invariant set (sortedness, symmetry, loop
     /// freedom). O(m log d); intended for tests and debug assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if *self.offs().last().unwrap() != self.neighbors.len {
+        if *self.offs().last().unwrap() as usize != self.neighbors.len {
             return Err("offset/neighbor length mismatch".into());
         }
-        if self.degrees.len + 1 != self.offsets.len {
-            return Err("degree/offset length mismatch".into());
+        if let Some(v) = self.offs().windows(2).position(|w| w[0] > w[1]) {
+            return Err(format!("offsets not monotone at {v}"));
         }
         for v in self.nodes() {
-            if self.degree(v) != self.offs()[v as usize + 1] - self.offs()[v as usize] {
-                return Err(format!("degree of {v} disagrees with offsets"));
-            }
             let adj = self.neighbors(v);
             if !adj.windows(2).all(|w| w[0] < w[1]) {
                 return Err(format!("adjacency of {v} not strictly sorted"));
@@ -552,7 +533,6 @@ impl Clone for Graph {
             Storage::Arena { arena, fingerprint } => Graph {
                 offsets: self.offsets,
                 neighbors: self.neighbors,
-                degrees: self.degrees,
                 storage: Storage::Arena {
                     arena: Arc::clone(arena),
                     fingerprint: *fingerprint,

@@ -2,7 +2,7 @@
 
 use rand::{Rng, RngExt};
 
-use crate::builder::GraphBuilder;
+use crate::builder::{check_arcs, GraphBuilder};
 use crate::csr::{Graph, NodeId};
 use crate::error::GraphError;
 
@@ -27,6 +27,8 @@ pub fn barabasi_albert<R: Rng>(n: usize, m_per: usize, rng: &mut R) -> Result<Gr
             "n={n} exceeds u32 node ids"
         )));
     }
+    // A star on m_per + 1 nodes, then m_per distinct links per node.
+    check_arcs(2 * (m_per as u64) * (n - m_per) as u64)?;
 
     let mut b = GraphBuilder::with_capacity(n * m_per);
     b.ensure_nodes(n);
@@ -57,7 +59,7 @@ pub fn barabasi_albert<R: Rng>(n: usize, m_per: usize, rng: &mut R) -> Result<Gr
             endpoints.push(t);
         }
     }
-    Ok(b.build())
+    b.try_build()
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ pub fn chung_lu<R: Rng>(weights: &[f64], rng: &mut R) -> Result<Graph, GraphErro
     let mut b = GraphBuilder::new();
     b.ensure_nodes(n);
     if s <= 0.0 || n < 2 {
-        return Ok(b.build());
+        return b.try_build();
     }
 
     for i in 0..n - 1 {
@@ -85,7 +85,7 @@ pub fn chung_lu<R: Rng>(weights: &[f64], rng: &mut R) -> Result<Graph, GraphErro
             j += 1 + geometric_skip(rng, p);
         }
     }
-    Ok(b.build())
+    b.try_build()
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 use rand::{Rng, RngExt};
 
 use super::geometric_skip;
-use crate::builder::GraphBuilder;
+use crate::builder::{check_arcs, GraphBuilder};
 use crate::csr::{Graph, NodeId};
 use crate::error::GraphError;
 
@@ -24,6 +24,7 @@ pub fn erdos_renyi_gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> Result<Graph,
             "n={n} exceeds u32 node ids"
         )));
     }
+    check_arcs(2 * m as u64)?;
     let mut chosen: HashSet<u64> = HashSet::with_capacity(m * 2);
     let mut b = GraphBuilder::with_capacity(m);
     b.ensure_nodes(n);
@@ -39,7 +40,7 @@ pub fn erdos_renyi_gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> Result<Graph,
             b.add_edge(a, c);
         }
     }
-    Ok(b.build())
+    b.try_build()
 }
 
 /// G(n, p): every pair appears independently with probability `p`.
@@ -58,7 +59,7 @@ pub fn erdos_renyi_gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> Result<Graph, G
     let mut b = GraphBuilder::new();
     b.ensure_nodes(n);
     if p == 0.0 || n < 2 {
-        return Ok(b.build());
+        return b.try_build();
     }
     // Enumerate pairs (u, v), u < v, as a flat index; jump geometric gaps.
     let total = n as u128 * (n as u128 - 1) / 2;
@@ -68,7 +69,7 @@ pub fn erdos_renyi_gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> Result<Graph, G
         b.add_edge(u, v);
         idx += 1 + geometric_skip(rng, p) as u128;
     }
-    Ok(b.build())
+    b.try_build()
 }
 
 /// Map a flat pair index in `[0, n(n-1)/2)` back to `(u, v)` with `u < v`.

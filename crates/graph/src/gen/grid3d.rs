@@ -58,7 +58,7 @@ pub fn grid3d(nx: usize, ny: usize, nz: usize, torus: bool) -> Result<Graph, Gra
             }
         }
     }
-    Ok(b.build())
+    b.try_build()
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 
 use rand::{Rng, RngExt};
 
-use crate::builder::GraphBuilder;
+use crate::builder::{check_arcs, GraphBuilder};
 use crate::csr::{Graph, NodeId};
 use crate::error::GraphError;
 
@@ -43,6 +43,8 @@ pub fn holme_kim<R: Rng>(
             "n={n} exceeds u32 node ids"
         )));
     }
+    // A star on m_per + 1 nodes, then m_per distinct links per node.
+    check_arcs(2 * (m_per as u64) * (n - m_per) as u64)?;
 
     let mut b = GraphBuilder::with_capacity(n * m_per);
     b.ensure_nodes(n);
@@ -103,7 +105,7 @@ pub fn holme_kim<R: Rng>(
             }
         }
     }
-    Ok(b.build())
+    b.try_build()
 }
 
 /// Preferential-attachment draw avoiding the new node itself (it enters

@@ -72,6 +72,23 @@ mod tests {
     }
 
     #[test]
+    fn graphs_past_the_u32_offsets_are_refused_before_generation() {
+        // Each asks for more than u32::MAX arcs and is turned down before
+        // a byte of it is allocated or a single draw taken.
+        let mut rng = SmallRng::seed_from_u64(1);
+        for refused in [
+            holme_kim(1 << 31, 3, 0.3, &mut rng),
+            barabasi_albert(1 << 31, 3, &mut rng),
+            erdos_renyi_gnm(1 << 20, 1 << 31, &mut rng),
+        ] {
+            assert!(matches!(
+                refused,
+                Err(crate::GraphError::InvalidParameter(m)) if m.contains("arcs exceed the u32 offsets")
+            ));
+        }
+    }
+
+    #[test]
     fn geometric_skip_mean_matches() {
         // E[skip] = (1-p)/p.
         let mut rng = SmallRng::seed_from_u64(7);

@@ -103,7 +103,7 @@ pub fn planted_partition<R: Rng>(
         .map(|c| (0..community_size).map(|i| base(c) + i as NodeId).collect())
         .collect();
     Ok(PlantedPartition {
-        graph: b.build(),
+        graph: b.try_build()?,
         communities,
     })
 }

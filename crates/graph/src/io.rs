@@ -3,41 +3,44 @@
 //!
 //! # Binary snapshots
 //!
-//! A snapshot (`HKGRAPH2`, "v2") is the *servable* image: a fixed 64-byte
-//! header, a checksummed section table, and one 64-byte-aligned section
-//! per CSR array (offsets `u64`, neighbors `u32`, degrees `u32`), each
-//! with its own checksum. Because every section is aligned and already in
-//! the in-memory layout, a loader can read (or mmap) the whole file into
-//! one aligned arena and hand out slices *in place* — see
-//! [`crate::storage`]. That is what lets a multi-graph registry hold many
-//! snapshots resident for the price of one buffer each.
+//! A snapshot (`HKGRAPH2`, version 3) is the *servable* image: a fixed
+//! 64-byte header, a checksummed section table, and one 64-byte-aligned
+//! section per CSR array (offsets `u32`, neighbors `u32`), each with its
+//! own checksum. Because every section is aligned and already in the
+//! in-memory layout, a loader can read (or mmap) the whole file into one
+//! aligned arena and hand out slices *in place* — see [`crate::storage`].
+//! That is what lets a multi-graph registry hold many snapshots resident
+//! for the price of one buffer each: `4(n + 1) + 4·arcs` bytes of
+//! sections, plus at most 64 bytes of padding after each and 128 of
+//! header and table.
 //!
 //! ```text
 //! offset  size  field
 //! 0x00    8     magic  "HKGRAPH2"
-//! 0x08    4     version (= 2), little-endian u32
+//! 0x08    4     version (= 3), little-endian u32
 //! 0x0c    4     flags (= 3): bit 0 = the section checksums are lane
 //!               sums; bit 1 = 0x30 records the fingerprint
-//! 0x10    8     n       (node count, u64)
-//! 0x18    8     arcs    (2m, u64)
-//! 0x20    4     section count (= 3)
+//! 0x10    8     n       (node count, u64, at most u32::MAX)
+//! 0x18    8     arcs    (2m, u64, even, at most u32::MAX)
+//! 0x20    4     section count (= 2)
 //! 0x24    4     reserved (= 0)
 //! 0x28    8     FNV-1a checksum of the section table bytes followed by
 //!               the 8 bytes at 0x30
 //! 0x30    8     Graph::fingerprint of the CSR
 //! 0x38    8     reserved (= 0)
-//! 0x40    96    section table: 3 entries x 32 bytes
+//! 0x40    64    section table: 2 entries x 32 bytes
 //!               { kind u32, elem_size u32, byte_off u64, elem_count u64,
 //!                 checksum u64 }
-//! 0xc0    ...   sections (offsets, neighbors, degrees), each starting on
-//!               a 64-byte boundary, zero-padded between and after
+//! 0x80    ...   sections (offsets, neighbors), each starting on a
+//!               64-byte boundary, zero-padded between and after
 //! ```
 //!
-//! Section kinds: 1 = offsets, 2 = neighbors, 3 = degrees. All integers
-//! little-endian. [`write_binary_v2`] writes exactly this image and the
-//! loaders accept nothing else: any other magic (the retired streaming
-//! v1 format's included), version or `flags` value is a
-//! [`GraphError::Format`].
+//! Section kinds: 1 = offsets, 2 = neighbors. All integers little-endian.
+//! [`write_binary_v2`] writes exactly this image and the loaders accept
+//! nothing else: any other magic (the retired streaming v1 format's
+//! included), version or `flags` value is a [`GraphError::Format`] —
+//! version 2's images, which carried a third section of degrees and
+//! offsets as `u64`, among them.
 //!
 //! ## Checksums
 //!
@@ -86,17 +89,20 @@
 //! header, the table checksum, section kinds/sizes/alignment/bounds/
 //! non-overlap, every per-section checksum, and the structural invariants
 //! that memory safety rests on — `offsets[0] = 0`, `offsets[n] = arcs`,
-//! monotone offsets whose differences fit `u32` and equal the degree
-//! section, neighbor ids below `n` — so the unchecked hot-path accessors
-//! stay sound even on arena-backed graphs. All three entry points
-//! ([`load_binary`], [`read_binary`], `load_binary_mmap`) share one
-//! validator, and every check runs on every load.
+//! monotone offsets, neighbor ids below `n` — so the unchecked hot-path
+//! accessors stay sound even on arena-backed graphs. All three entry
+//! points ([`load_binary`], [`read_binary`], `load_binary_mmap`) share
+//! one validator, and every check runs on every load. Each of them first
+//! reads the header and table alone (128 bytes) and checks them, so an
+//! image whose header no graph can have — more than `u32::MAX` arcs, say
+//! — is refused before anything the size of the file is allocated or
+//! mapped.
 //!
 //! The checks cost one sweep at memory speed: the sections are
 //! checksummed a few KiB at a time and the structural tests read each
 //! piece again, branch-free, while it is still in L1 (per node
-//! `offsets[v+1] - offsets[v] == degrees[v]` folded into one flag, per
-//! neighbor a running maximum compared with `n` once). The sweep only
+//! `offsets[v+1] < offsets[v]` folded into one flag, per neighbor a
+//! running maximum compared with `n` once). The sweep only
 //! answers "intact or not". When it says not, the sequential validator
 //! runs: table entry by table entry, sum by sum, node by node, with an
 //! early return that *names* the first failure in the order the format
@@ -126,7 +132,7 @@ use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::csr::{Graph, NodeId};
+use crate::csr::{Graph, NodeId, MAX_ARCS};
 use crate::error::GraphError;
 use crate::storage::{Arena, SECTION_ALIGN};
 
@@ -135,8 +141,9 @@ pub use edge_list::{load_edge_list, read_edge_list, save_edge_list, write_edge_l
 
 /// Magic prefix of the snapshot format.
 const MAGIC_V2: &[u8; 8] = b"HKGRAPH2";
-/// Version field value of the snapshot format.
-const V2_VERSION: u32 = 2;
+/// Version field value of the snapshot format: 3 since the degree section
+/// went and the offsets became `u32`.
+const V2_VERSION: u32 = 3;
 /// The one accepted `flags` value: bit 0, lane-sum section checksums;
 /// bit 1, the fingerprint recorded at `0x30`.
 const V2_FLAGS: u32 = 3;
@@ -145,11 +152,13 @@ const V2_HEADER_BYTES: usize = 0x40;
 /// Bytes per section-table entry.
 const V2_ENTRY_BYTES: usize = 32;
 /// Section count of the v2 format.
-const V2_SECTIONS: usize = 3;
+const V2_SECTIONS: usize = 2;
+/// Where the section table ends: the header and table, all a loader
+/// reads before it decides to read the rest.
+const V2_TABLE_END: usize = V2_HEADER_BYTES + V2_SECTIONS * V2_ENTRY_BYTES;
 /// Section kinds, in file order.
 const KIND_OFFSETS: u32 = 1;
 const KIND_NEIGHBORS: u32 = 2;
-const KIND_DEGREES: u32 = 3;
 
 // ---------------------------------------------------------------------------
 // Snapshots: the aligned, checksummed v2 image
@@ -264,28 +273,25 @@ fn lane_sum(bytes: &[u8]) -> u64 {
     sum.finish()
 }
 
-/// The bytes a slice of integers occupies — on a 64-bit little-endian
-/// target, for the CSR arrays, exactly the bytes of their v2 sections.
-///
-/// # Safety
-/// `T` must be an integer type: no padding, every byte initialised.
-#[cfg(all(target_pointer_width = "64", target_endian = "little"))]
-unsafe fn bytes_of<T>(words: &[T]) -> &[u8] {
-    // SAFETY: every byte of the slice is initialised (the caller's
-    // contract) and `u8` has alignment 1; the length is the slice's size
-    // in bytes and the borrow is the slice's.
+/// The bytes of a slice of `u32`s — on a little-endian target, for the
+/// CSR arrays, exactly the bytes of their sections.
+#[cfg(target_endian = "little")]
+fn bytes_of(words: &[u32]) -> &[u8] {
+    // SAFETY: every byte of a `u32` slice is initialised and `u8` has
+    // alignment 1; the length is the slice's size in bytes and the borrow
+    // is the slice's.
     unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), std::mem::size_of_val(words)) }
 }
 
-/// The three section payloads built element by element: the portable
-/// writer, and the reference the in-place writer is tested against.
-#[cfg(any(test, not(all(target_pointer_width = "64", target_endian = "little"))))]
+/// The section payloads built element by element: the portable writer,
+/// and the reference the in-place writer is tested against.
+#[cfg(any(test, not(target_endian = "little")))]
 fn materialize_sections(graph: &Graph) -> [Vec<u8>; V2_SECTIONS] {
-    let mut offsets = Vec::with_capacity((graph.num_nodes() + 1) * 8);
-    let mut running = 0u64;
+    let mut offsets = Vec::with_capacity((graph.num_nodes() + 1) * 4);
+    let mut running = 0u32;
     offsets.extend_from_slice(&running.to_le_bytes());
     for v in graph.nodes() {
-        running += graph.degree(v) as u64;
+        running += graph.degree(v) as u32;
         offsets.extend_from_slice(&running.to_le_bytes());
     }
     let mut neighbors = Vec::with_capacity(graph.volume() * 4);
@@ -294,11 +300,7 @@ fn materialize_sections(graph: &Graph) -> [Vec<u8>; V2_SECTIONS] {
             neighbors.extend_from_slice(&u.to_le_bytes());
         }
     }
-    let mut degrees = Vec::with_capacity(graph.num_nodes() * 4);
-    for v in graph.nodes() {
-        degrees.extend_from_slice(&(graph.degree(v) as u32).to_le_bytes());
-    }
-    [offsets, neighbors, degrees]
+    [offsets, neighbors]
 }
 
 /// Write the snapshot image (see the module docs for the layout). The
@@ -309,47 +311,36 @@ pub fn write_binary_v2<W: Write>(graph: &Graph, writer: W) -> Result<(), GraphEr
     // The checksums precede the payloads in the file. Where the CSR
     // arrays already are the section bytes they are summed and written in
     // place; a second copy of the graph is only built where they are not.
-    #[cfg(all(target_pointer_width = "64", target_endian = "little"))]
-    // SAFETY: `usize` and `u32` are integer types.
-    let sections = unsafe {
-        [
-            bytes_of(graph.offs()),
-            bytes_of(graph.nbrs()),
-            bytes_of(graph.degs()),
-        ]
-    };
-    #[cfg(not(all(target_pointer_width = "64", target_endian = "little")))]
+    #[cfg(target_endian = "little")]
+    let sections = [bytes_of(graph.offs()), bytes_of(graph.nbrs())];
+    #[cfg(not(target_endian = "little"))]
     let owned = materialize_sections(graph);
-    #[cfg(not(all(target_pointer_width = "64", target_endian = "little")))]
-    let sections = [&owned[0][..], &owned[1][..], &owned[2][..]];
+    #[cfg(not(target_endian = "little"))]
+    let sections = [&owned[0][..], &owned[1][..]];
     write_v2_sections(graph, sections, writer)
 }
 
-/// Header, table, and `[offsets, neighbors, degrees]` payloads of `graph`,
-/// its fingerprint recorded.
+/// Header, table, and `[offsets, neighbors]` payloads of `graph`, its
+/// fingerprint recorded.
 fn write_v2_sections<W: Write>(
     graph: &Graph,
-    [offsets, neighbors, degrees]: [&[u8]; V2_SECTIONS],
+    [offsets, neighbors]: [&[u8]; V2_SECTIONS],
     writer: W,
 ) -> Result<(), GraphError> {
     let n = graph.num_nodes() as u64;
     let arcs = graph.volume() as u64;
-    debug_assert_eq!(offsets.len() as u64, (n + 1) * 8);
+    debug_assert_eq!(offsets.len() as u64, (n + 1) * 4);
     debug_assert_eq!(neighbors.len() as u64, arcs * 4);
-    debug_assert_eq!(degrees.len() as u64, n * 4);
 
-    let data_start = align64((V2_HEADER_BYTES + V2_SECTIONS * V2_ENTRY_BYTES) as u64);
-    let off_pos = data_start;
+    let off_pos = align64(V2_TABLE_END as u64);
     let nbr_pos = align64(off_pos + offsets.len() as u64);
-    let deg_pos = align64(nbr_pos + neighbors.len() as u64);
-    let file_end = align64(deg_pos + degrees.len() as u64);
+    let file_end = align64(nbr_pos + neighbors.len() as u64);
 
     // Section table.
     let mut table = Vec::with_capacity(V2_SECTIONS * V2_ENTRY_BYTES);
     for (kind, elem_size, pos, count, payload) in [
-        (KIND_OFFSETS, 8u32, off_pos, n + 1, offsets),
+        (KIND_OFFSETS, 4u32, off_pos, n + 1, offsets),
         (KIND_NEIGHBORS, 4, nbr_pos, arcs, neighbors),
-        (KIND_DEGREES, 4, deg_pos, n, degrees),
     ] {
         table.extend_from_slice(&kind.to_le_bytes());
         table.extend_from_slice(&elem_size.to_le_bytes());
@@ -405,8 +396,6 @@ fn write_v2_sections<W: Write>(
     emit(&mut w, &mut written, offsets)?;
     pad_to(&mut w, &mut written, nbr_pos)?;
     emit(&mut w, &mut written, neighbors)?;
-    pad_to(&mut w, &mut written, deg_pos)?;
-    emit(&mut w, &mut written, degrees)?;
     pad_to(&mut w, &mut written, file_end)?;
     w.flush()?;
     Ok(())
@@ -417,8 +406,8 @@ pub fn save_binary_v2<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<(), Grap
     write_binary_v2(graph, File::create(path)?)
 }
 
-/// Byte layout of a v2 image: the three section ranges (in bytes) plus
-/// the logical sizes. [`validate_v2`] returning one means every check
+/// Byte layout of a v2 image: the two section ranges (in bytes) plus the
+/// logical sizes. [`validate_v2`] returning one means every check
 /// listed in the module docs has passed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct V2Layout {
@@ -426,7 +415,6 @@ struct V2Layout {
     arcs: usize,
     offsets: std::ops::Range<usize>,
     neighbors: std::ops::Range<usize>,
-    degrees: std::ops::Range<usize>,
     /// The header's recorded fingerprint.
     fingerprint: u64,
 }
@@ -447,13 +435,6 @@ fn v2_u64(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(buf[at..at + 8].try_into().unwrap())
 }
 
-/// The little-endian `u64`s of `bytes` (a whole number of them).
-fn le_u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    bytes
-        .chunks_exact(8)
-        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
-}
-
 /// The little-endian `u32`s of `bytes` (a whole number of them).
 fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
     bytes
@@ -472,14 +453,17 @@ fn validate_v2(buf: &[u8]) -> Result<V2Layout, GraphError> {
     }
 }
 
-/// The fixed header and the table checksum.
+/// The fixed header and the table checksum: everything a loader checks
+/// before it reads the sections.
 fn v2_header(buf: &[u8]) -> Result<V2Header, GraphError> {
-    let table_end = V2_HEADER_BYTES + V2_SECTIONS * V2_ENTRY_BYTES;
-    if buf.len() < table_end {
-        return Err(GraphError::Format(format!(
-            "truncated v2 header: {} bytes, need at least {table_end}",
+    let truncated = || {
+        GraphError::Format(format!(
+            "truncated v2 header: {} bytes, need at least {V2_TABLE_END}",
             buf.len()
-        )));
+        ))
+    };
+    if buf.len() < V2_HEADER_BYTES {
+        return Err(truncated());
     }
     if &buf[..8] != MAGIC_V2 {
         return Err(GraphError::Format(
@@ -508,15 +492,23 @@ fn v2_header(buf: &[u8]) -> Result<V2Header, GraphError> {
     if !arcs.is_multiple_of(2) {
         return Err(GraphError::Format(format!("odd arc count {arcs}")));
     }
+    if arcs > MAX_ARCS as u64 {
+        return Err(GraphError::Format(format!(
+            "arc count {arcs} exceeds the u32 offsets' {MAX_ARCS}"
+        )));
+    }
     let sections = v2_u32(buf, 0x20);
     if sections as usize != V2_SECTIONS {
         return Err(GraphError::Format(format!(
             "expected {V2_SECTIONS} sections, header claims {sections}"
         )));
     }
+    if buf.len() < V2_TABLE_END {
+        return Err(truncated());
+    }
     let fingerprint = v2_u64(buf, 0x30);
     let stored_table_sum = v2_u64(buf, 0x28);
-    let actual_table_sum = table_sum(&buf[V2_HEADER_BYTES..table_end], fingerprint);
+    let actual_table_sum = table_sum(&buf[V2_HEADER_BYTES..V2_TABLE_END], fingerprint);
     if stored_table_sum != actual_table_sum {
         return Err(GraphError::ChecksumMismatch {
             section: "section table",
@@ -545,15 +537,13 @@ fn v2_sections(
         arcs,
         fingerprint,
     } = header;
-    let table_end = V2_HEADER_BYTES + V2_SECTIONS * V2_ENTRY_BYTES;
     let expected: [(&'static str, u32, u32, u64); V2_SECTIONS] = [
-        ("offsets", KIND_OFFSETS, 8, n + 1),
+        ("offsets", KIND_OFFSETS, 4, n + 1),
         ("neighbors", KIND_NEIGHBORS, 4, arcs),
-        ("degrees", KIND_DEGREES, 4, n),
     ];
     let file_len = buf.len() as u64;
-    let mut prev_end = align64(table_end as u64);
-    let mut ranges = [0..0usize, 0..0, 0..0];
+    let mut prev_end = align64(V2_TABLE_END as u64);
+    let mut ranges = [0..0usize, 0..0];
     let mut sums = [0u64; V2_SECTIONS];
     for (i, (name, want_kind, want_elem, want_count)) in expected.into_iter().enumerate() {
         let at = V2_HEADER_BYTES + i * V2_ENTRY_BYTES;
@@ -609,23 +599,22 @@ fn v2_sections(
             "file has {file_len} bytes, sections (padded) end at {prev_end}"
         )));
     }
-    let [offsets, neighbors, degrees] = ranges;
+    let [offsets, neighbors] = ranges;
     let layout = V2Layout {
         n: n as usize,
         arcs: arcs as usize,
         offsets,
         neighbors,
-        degrees,
         fingerprint,
     };
     Ok((layout, sums))
 }
 
-/// Nodes (or neighbor ids) per step of [`sweep_v2`]: 8 KiB of offsets
-/// plus 4 KiB of degrees, so a step's bytes are still in L1 when the
-/// structural loop reads them again, and a whole number of 64-byte blocks
-/// of every section, as [`LaneSum::absorb`] requires.
-const SWEEP_STEP: usize = 1024;
+/// Nodes (or neighbor ids) per step of [`sweep_v2`]: 8 KiB of offsets,
+/// so a step's bytes are still in L1 when the structural loop reads them
+/// again, and a whole number of 64-byte blocks of every section, as
+/// [`LaneSum::absorb`] requires.
+const SWEEP_STEP: usize = 2048;
 
 /// The fast path: every check of [`rescan_v2`],
 /// answered together as "all hold" (the layout) or "something is wrong"
@@ -635,26 +624,21 @@ fn sweep_v2(buf: &[u8], header: &V2Header) -> Option<V2Layout> {
     let n = layout.n;
     let off = &buf[layout.offsets.clone()];
     let nbr = &buf[layout.neighbors.clone()];
-    let deg = &buf[layout.degrees.clone()];
 
-    // Offsets and degrees side by side, a step of nodes at a time. Per
-    // node, `next - prev == degree` in wrapping arithmetic; any
-    // disagreement leaves a bit in `disagree`. With `offsets[0] == 0`
-    // (checked below) that is the sequential validator's three tests at
-    // once: every offset is then the exact sum of the `u32` degrees
-    // before it — a sum of at most `u32::MAX` of them cannot wrap — so
-    // the offsets are monotone and every difference fits `u32`.
-    let (mut off_sum, mut deg_sum) = (LaneSum::new(), LaneSum::new());
-    let mut disagree = 0u64;
+    // The offsets a step of nodes at a time; any node whose offset is
+    // below its predecessor's sets `descends`. With `offsets[0] == 0` and
+    // `offsets[n] == arcs` (checked below) that is the sequential
+    // validator's monotonicity test.
+    let mut off_sum = LaneSum::new();
+    let mut descends = false;
     for lo in (0..=n).step_by(SWEEP_STEP) {
         let hi = (lo + SWEEP_STEP).min(n);
         // `n + 1` offsets: the last step also takes the closing one.
-        off_sum.absorb(&off[8 * lo..8 * (lo + SWEEP_STEP).min(n + 1)]);
-        deg_sum.absorb(&deg[4 * lo..4 * hi]);
-        let prevs = le_u64s(&off[8 * lo..8 * hi]);
-        let nexts = le_u64s(&off[8 * lo + 8..8 * hi + 8]);
-        for ((prev, next), degree) in prevs.zip(nexts).zip(le_u32s(&deg[4 * lo..4 * hi])) {
-            disagree |= next.wrapping_sub(prev) ^ degree as u64;
+        off_sum.absorb(&off[4 * lo..4 * (lo + SWEEP_STEP).min(n + 1)]);
+        let prevs = le_u32s(&off[4 * lo..4 * hi]);
+        let nexts = le_u32s(&off[4 * lo + 4..4 * hi + 4]);
+        for (prev, next) in prevs.zip(nexts) {
+            descends |= next < prev;
         }
     }
     let mut nbr_sum = LaneSum::new();
@@ -664,10 +648,10 @@ fn sweep_v2(buf: &[u8], header: &V2Header) -> Option<V2Layout> {
         max_id = le_u32s(ids).fold(max_id, u32::max);
     }
 
-    let intact = [off_sum.finish(), nbr_sum.finish(), deg_sum.finish()] == stored
-        && v2_u64(off, 0) == 0
-        && v2_u64(off, 8 * n) == layout.arcs as u64
-        && disagree == 0
+    let intact = [off_sum.finish(), nbr_sum.finish()] == stored
+        && v2_u32(off, 0) == 0
+        && v2_u32(off, 4 * n) as usize == layout.arcs
+        && !descends
         && (layout.arcs == 0 || (max_id as usize) < n);
     intact.then_some(layout)
 }
@@ -689,36 +673,20 @@ fn rescan_v2(buf: &[u8], header: &V2Header) -> Result<V2Layout, GraphError> {
     })?;
     let (n, arcs) = (layout.n, layout.arcs);
 
-    // Structural validation: monotone offsets, degrees that fit `u32` and
-    // agree with the degree section, neighbor ids below `n`. These are
-    // what make the unchecked accessors of the walk kernels sound on this
-    // graph.
-    let off_at = |i: usize| v2_u64(buf, layout.offsets.start + i * 8);
-    if off_at(0) != 0 {
+    // Structural validation: monotone offsets from 0 to `arcs`, neighbor
+    // ids below `n`. These are what make the unchecked accessors of the
+    // walk kernels sound on this graph.
+    let off_at = |i: usize| v2_u32(buf, layout.offsets.start + i * 4);
+    if off_at(0) != 0 || off_at(n) as usize != arcs {
         return Err(GraphError::Format("inconsistent offsets".into()));
     }
-    if off_at(n) != arcs as u64 {
-        return Err(GraphError::Format("inconsistent offsets".into()));
-    }
-    let mut prev = 0u64;
-    for v in 0..n {
-        let next = off_at(v + 1);
+    let mut prev = 0;
+    for v in 1..=n {
+        let next = off_at(v);
         if next < prev {
             return Err(GraphError::Format(
                 "offsets not monotone (corrupted file)".into(),
             ));
-        }
-        let degree = next - prev;
-        if degree > u32::MAX as u64 {
-            return Err(GraphError::Format(format!(
-                "degree {degree} exceeds u32 (corrupted file)"
-            )));
-        }
-        let stored_degree = v2_u32(buf, layout.degrees.start + v * 4);
-        if stored_degree as u64 != degree {
-            return Err(GraphError::Format(format!(
-                "degree section disagrees with offsets at node {v}"
-            )));
         }
         prev = next;
     }
@@ -736,84 +704,81 @@ fn rescan_v2(buf: &[u8], header: &V2Header) -> Result<V2Layout, GraphError> {
 }
 
 /// Load a snapshot held in an aligned arena, validating it fully and
-/// viewing the CSR sections in place (zero-copy on 64-bit little-endian
-/// targets; a parse-and-copy fallback keeps other targets correct).
+/// viewing the CSR sections in place (zero-copy on little-endian targets;
+/// a parse-and-copy fallback keeps other targets correct).
 pub fn read_binary_v2_from_arena(arena: Arc<Arena>) -> Result<Graph, GraphError> {
     let layout = validate_v2(arena.as_slice())?;
-    #[cfg(all(target_pointer_width = "64", target_endian = "little"))]
-    {
-        let buf = arena.as_slice();
-        // SAFETY: `validate_v2` proved each range in-bounds, 64-byte
-        // aligned (so >= the element alignment; the arena base itself is
-        // 64-byte aligned) and exactly `count * elem_size` long. On a
-        // 64-bit little-endian target, `u64` file words are bit-identical
-        // to `usize` memory words, and the structural checks above
-        // established every invariant `Graph` requires.
-        let graph = unsafe {
-            let offsets = std::slice::from_raw_parts(
-                buf.as_ptr().add(layout.offsets.start) as *const usize,
-                layout.n + 1,
-            );
-            let neighbors = std::slice::from_raw_parts(
-                buf.as_ptr().add(layout.neighbors.start) as *const NodeId,
-                layout.arcs,
-            );
-            let degrees = std::slice::from_raw_parts(
-                buf.as_ptr().add(layout.degrees.start) as *const u32,
-                layout.n,
-            );
-            Graph::from_arena_parts(
-                Arc::clone(&arena),
-                offsets,
-                neighbors,
-                degrees,
-                layout.fingerprint,
-            )
-        };
-        Ok(graph)
-    }
-    #[cfg(not(all(target_pointer_width = "64", target_endian = "little")))]
-    {
-        // Portable fallback: decode into owned arrays.
-        let buf = arena.as_slice();
-        let offsets: Vec<usize> = (0..=layout.n)
-            .map(|i| v2_u64(buf, layout.offsets.start + i * 8) as usize)
-            .collect();
-        let neighbors: Vec<NodeId> = (0..layout.arcs)
-            .map(|i| v2_u32(buf, layout.neighbors.start + i * 4))
-            .collect();
-        Ok(Graph::from_csr(offsets, neighbors))
-    }
+    let buf = arena.as_slice();
+    #[cfg(target_endian = "little")]
+    // SAFETY: `validate_v2` proved each range in-bounds, 64-byte aligned
+    // (so >= the `u32` alignment; the arena base itself is 64-byte
+    // aligned) and exactly `count * 4` bytes long. On a little-endian
+    // target the file's `u32` words are the memory's, and the structural
+    // checks established every invariant `Graph` requires.
+    let graph = unsafe {
+        let offsets = std::slice::from_raw_parts(
+            buf.as_ptr().add(layout.offsets.start) as *const u32,
+            layout.n + 1,
+        );
+        let neighbors = std::slice::from_raw_parts(
+            buf.as_ptr().add(layout.neighbors.start) as *const NodeId,
+            layout.arcs,
+        );
+        Graph::from_arena_parts(Arc::clone(&arena), offsets, neighbors, layout.fingerprint)
+    };
+    // Portable fallback: decode into owned arrays.
+    #[cfg(not(target_endian = "little"))]
+    let graph = Graph::from_owned_parts(
+        le_u32s(&buf[layout.offsets]).collect(),
+        le_u32s(&buf[layout.neighbors]).collect(),
+    );
+    Ok(graph)
 }
 
-/// Read a snapshot from a reader: the stream is read to its end, copied
-/// into one aligned arena and loaded from there. For files, prefer
-/// [`load_binary`] / `load_binary_mmap`, which avoid the intermediate
-/// buffer.
+/// Read an image's header and section table — its first
+/// [`V2_TABLE_END`] bytes, fewer if it is shorter — and check them. Every
+/// loader does this before it allocates or maps anything the size of the
+/// image.
+fn read_head<R: Read>(reader: R) -> Result<Vec<u8>, GraphError> {
+    let mut head = Vec::with_capacity(V2_TABLE_END);
+    reader.take(V2_TABLE_END as u64).read_to_end(&mut head)?;
+    v2_header(&head)?;
+    Ok(head)
+}
+
+/// Read a snapshot from a reader: the header and table are read and
+/// checked, then the stream is read to its end, copied into one aligned
+/// arena and loaded from there. For files, prefer [`load_binary`] /
+/// `load_binary_mmap`, which avoid the intermediate buffer.
 pub fn read_binary<R: Read>(mut reader: R) -> Result<Graph, GraphError> {
-    let mut bytes = Vec::new();
+    let mut bytes = read_head(&mut reader)?;
     reader.read_to_end(&mut bytes)?;
     read_binary_v2_from_arena(Arc::new(Arena::from_bytes(&bytes)))
 }
 
-/// Load a snapshot from a file path onto the heap-arena backend: one
-/// `read` pass into one aligned buffer, then in-place section views.
+/// Load a snapshot from a file path onto the heap-arena backend: the
+/// header and table checked, then one `read` pass into one aligned
+/// buffer, then in-place section views.
 pub fn load_binary<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError> {
     let mut f = File::open(path)?;
+    let head = read_head(&mut f)?;
     let len = usize::try_from(f.metadata()?.len())
         .map_err(|_| GraphError::Format("file exceeds address space".into()))?;
-    let mut arena = Arena::zeroed(len);
-    f.read_exact(arena.as_mut_slice())?;
+    let mut arena = Arena::zeroed(len.max(head.len()));
+    let (read, rest) = arena.as_mut_slice().split_at_mut(head.len());
+    read.copy_from_slice(&head);
+    f.read_exact(rest)?;
     read_binary_v2_from_arena(Arc::new(arena))
 }
 
 /// Map a snapshot read-only and view the CSR sections in place
-/// (demand-paged; no read pass, no heap copy). Validation still touches
-/// every byte once, which doubles as page warm-up. See the `mmap` caveats
-/// in [`crate::storage`].
+/// (demand-paged; no read pass, no heap copy) once its header and table
+/// check. Validation still touches every byte once, which doubles as page
+/// warm-up. See the `mmap` caveats in [`crate::storage`].
 #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
 pub fn load_binary_mmap<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError> {
-    let f = File::open(path)?;
+    let mut f = File::open(path)?;
+    read_head(&mut f)?;
     let arena = Arena::map_file(&f)?;
     read_binary_v2_from_arena(Arc::new(arena))
 }
@@ -910,7 +875,7 @@ mod tests {
         let mut buf = b"HKGRAPH1".to_vec();
         let words = [g.num_nodes(), g.volume()]
             .into_iter()
-            .chain(g.offs().iter().copied());
+            .chain(g.offs().iter().map(|&off| off as usize));
         for word in words {
             buf.extend_from_slice(&(word as u64).to_le_bytes());
         }
@@ -992,10 +957,10 @@ mod tests {
 
     // -- v2 checksums and the validation sweep ------------------------------
 
-    /// 41 nodes (odd, so the degree section ends inside a 64-bit word) and
-    /// every section several 64-byte blocks long.
+    /// 42 nodes (43 offsets, so the offsets section ends inside a 64-bit
+    /// word) and every section several 64-byte blocks long.
     fn ring_with_chords() -> Graph {
-        let n = 41u32;
+        let n = 42u32;
         graph_from_edges((0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v + 7) % n)]))
     }
 
@@ -1019,8 +984,7 @@ mod tests {
     /// fingerprint too. A section the table no longer places inside the
     /// file keeps its sum.
     pub(super) fn resum(img: &mut [u8]) {
-        let table_end = V2_HEADER_BYTES + V2_SECTIONS * V2_ENTRY_BYTES;
-        if img.len() < table_end {
+        if img.len() < V2_TABLE_END {
             return;
         }
         for i in 0..V2_SECTIONS {
@@ -1030,15 +994,15 @@ mod tests {
                 img[at..at + 8].copy_from_slice(&sum.to_le_bytes());
             }
         }
-        let sum = table_sum(&img[V2_HEADER_BYTES..table_end], v2_u64(img, 0x30));
+        let sum = table_sum(&img[V2_HEADER_BYTES..V2_TABLE_END], v2_u64(img, 0x30));
         img[0x28..0x30].copy_from_slice(&sum.to_le_bytes());
     }
 
     /// Every corruption class `tests/fuzz_io.rs` throws at the loader,
     /// applied to `base`: each prefix, trailing bytes, three substitutions
     /// of each single byte, sections moved off the grid / onto each other
-    /// / past the end of the file and of `u64`, and offsets, degrees and
-    /// neighbor ids rewritten. Every tampered image is visited twice:
+    /// / past the end of the file and of `u64`, and offsets and neighbor
+    /// ids rewritten. Every tampered image is visited twice:
     /// with its sums left stale, and with them re-recorded.
     fn for_each_corruption(base: &[u8], mut visit: impl FnMut(&[u8])) {
         visit(base);
@@ -1071,16 +1035,16 @@ mod tests {
                 both(&mut img);
             }
         }
-        let [off, nbr, deg] = [0, 1, 2].map(|i| payload_range(base, i));
-        for at in off.clone().step_by(8) {
-            let word = v2_u64(base, at);
-            for rewritten in [word ^ 1, word + 2, 1 << 33, u64::MAX] {
+        let [off, nbr] = [0, 1].map(|i| payload_range(base, i));
+        for at in off.step_by(4) {
+            let word = v2_u32(base, at);
+            for rewritten in [word ^ 1, word + 2, word.wrapping_sub(1), u32::MAX] {
                 let mut img = base.to_vec();
-                img[at..at + 8].copy_from_slice(&rewritten.to_le_bytes());
+                img[at..at + 4].copy_from_slice(&rewritten.to_le_bytes());
                 both(&mut img);
             }
         }
-        for at in deg.step_by(4).chain(nbr.step_by(4)) {
+        for at in nbr.step_by(4) {
             for rewritten in [v2_u32(base, at) + 1, 1234, u32::MAX] {
                 let mut img = base.to_vec();
                 img[at..at + 4].copy_from_slice(&rewritten.to_le_bytes());
@@ -1147,7 +1111,7 @@ mod tests {
         for g in corpus_graphs() {
             let owned = materialize_sections(&g);
             let mut reference = Vec::new();
-            write_v2_sections(&g, [&owned[0], &owned[1], &owned[2]], &mut reference).unwrap();
+            write_v2_sections(&g, [&owned[0], &owned[1]], &mut reference).unwrap();
             assert_eq!(image_of(&g), reference);
             // …from the arena backend too (what re-saving a loaded snapshot reads).
             assert_eq!(image_of(&read_binary(&reference[..]).unwrap()), reference);
@@ -1204,11 +1168,11 @@ mod tests {
             "unsupported snapshot flags",
             "exceeds u32 ids",
             "odd arc count",
+            "exceeds the u32 offsets",
             "sections, header claims",
             "section table",
             "offsets",
             "neighbors",
-            "degrees",
             "kind",
             "element size",
             "elements, header implies",
@@ -1219,9 +1183,6 @@ mod tests {
             "sections (padded) end at",
             "inconsistent offsets",
             "offsets not monotone",
-            "exceeds u32 (corrupted file)",
-            "degree section disagrees with offsets at node 0",
-            "degree section disagrees with offsets at node 40",
             "node out of range",
         ] {
             assert!(

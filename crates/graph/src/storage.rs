@@ -1,13 +1,13 @@
 //! Backing storage for [`crate::Graph`]'s CSR arrays.
 //!
-//! A graph's three arrays (`offsets: [usize]`, `neighbors: [u32]`,
-//! `degrees: [u32]`) can live in one of two backends:
+//! A graph's two arrays (`offsets: [u32]`, `neighbors: [u32]`) can live
+//! in one of two backends:
 //!
-//! * **Owned** — three independent heap allocations, exactly what
-//!   [`crate::Graph::from_csr`] and [`crate::GraphBuilder`] have always
-//!   produced. Builders and generators use this backend, and so does a
-//!   snapshot load on a target that is not 64-bit little-endian, where
-//!   the section bytes are decoded instead of viewed.
+//! * **Owned** — two independent heap allocations, what
+//!   [`crate::Graph::from_csr`] and [`crate::GraphBuilder`] produce.
+//!   Builders and generators use this backend, and so does a snapshot
+//!   load on a big-endian target, where the section bytes are decoded
+//!   instead of viewed.
 //! * **Arena** — one contiguous 64-byte-aligned buffer holding a whole
 //!   `.hkg` snapshot, with the CSR arrays read *in place* (the
 //!   writer aligns every section to 64 bytes precisely so the loader can
@@ -20,8 +20,8 @@
 //! The backend is invisible to every `Graph` accessor: the hot paths
 //! (`degree`, `neighbor_row`, the walk kernels' unchecked loads) read
 //! through raw slice views resolved once at construction, so there is no
-//! per-access branch on the backend — identical codegen to the old
-//! three-`Box` layout.
+//! per-access branch on the backend — identical codegen to a two-`Box`
+//! layout.
 //!
 //! # mmap shim
 //!
@@ -43,7 +43,7 @@ pub const SECTION_ALIGN: usize = 64;
 /// Which backend a [`crate::Graph`]'s CSR arrays live in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StorageBackend {
-    /// Three independent heap allocations (`Box<[_]>`).
+    /// Two independent heap allocations (`Box<[_]>`).
     Owned,
     /// One aligned heap buffer holding a v2 snapshot, arrays read in place.
     Arena,
@@ -233,9 +233,8 @@ impl std::fmt::Debug for Arena {
 /// `extern "C"` declarations suffice; the constants below hold on every
 /// tier-1 unix target (Linux, macOS, the BSDs). Gated to 64-bit pointer
 /// width: the declared `offset: i64` matches `off_t` there, while 32-bit
-/// ABIs pass a 32-bit `off_t` (mismatched stack layout) — and those
-/// targets take the owned-decode fallback anyway, so mapping buys
-/// nothing.
+/// ABIs pass a 32-bit `off_t` (mismatched stack layout), so those
+/// targets load snapshots into a heap arena.
 #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
 mod mmap_sys {
     use std::ffi::c_void;

@@ -53,27 +53,36 @@ proptest! {
 /// right: the header claims `n` and `arcs`, the table the element counts
 /// those imply, and the sections hold whatever bytes the arrays give (so
 /// a header larger than the arrays describes a truncated file).
-fn raw_image(n: u64, arcs: u64, offsets: &[u64], neighbors: &[u32], degrees: &[u32]) -> Vec<u8> {
-    let payloads: [Vec<u8>; 3] = [
-        offsets.iter().flat_map(|w| w.to_le_bytes()).collect(),
-        neighbors.iter().flat_map(|w| w.to_le_bytes()).collect(),
-        degrees.iter().flat_map(|w| w.to_le_bytes()).collect(),
-    ];
-    let mut img = vec![0u8; V2_TABLE_START + V2_TABLE_LEN];
+fn raw_image(n: u64, arcs: u64, offsets: &[u32], neighbors: &[u32]) -> Vec<u8> {
+    let words = |ws: &[u32]| ws.iter().flat_map(|w| w.to_le_bytes()).collect();
+    image(
+        3,
+        n,
+        arcs,
+        &[
+            (4, n.wrapping_add(1), words(offsets)),
+            (4, arcs, words(neighbors)),
+        ],
+    )
+}
+
+/// An image of any version, sections `(elem_size, elem_count, payload)`
+/// in order (kinds 1, 2, …), laid out and summed as the format does.
+fn image(version: u32, n: u64, arcs: u64, sections: &[(u32, u64, Vec<u8>)]) -> Vec<u8> {
+    let mut img = vec![0u8; V2_TABLE_START + 32 * sections.len()];
     img[..8].copy_from_slice(b"HKGRAPH2");
-    img[0x08..0x0c].copy_from_slice(&2u32.to_le_bytes());
+    img[0x08..0x0c].copy_from_slice(&version.to_le_bytes());
     img[0x0c..0x10].copy_from_slice(&3u32.to_le_bytes());
     img[0x10..0x18].copy_from_slice(&n.to_le_bytes());
     img[0x18..0x20].copy_from_slice(&arcs.to_le_bytes());
-    img[0x20..0x24].copy_from_slice(&3u32.to_le_bytes());
-    let counts = [n.wrapping_add(1), arcs, n];
-    for (i, payload) in payloads.iter().enumerate() {
+    img[0x20..0x24].copy_from_slice(&(sections.len() as u32).to_le_bytes());
+    for (i, (elem, count, payload)) in sections.iter().enumerate() {
         img.resize(img.len().next_multiple_of(64), 0);
         let entry = [
             (i as u32 + 1).to_le_bytes().to_vec(),
-            [8u32, 4, 4][i].to_le_bytes().to_vec(),
+            elem.to_le_bytes().to_vec(),
             (img.len() as u64).to_le_bytes().to_vec(),
-            counts[i].to_le_bytes().to_vec(),
+            count.to_le_bytes().to_vec(),
             lane_sum(payload).to_le_bytes().to_vec(),
         ]
         .concat();
@@ -81,7 +90,11 @@ fn raw_image(n: u64, arcs: u64, offsets: &[u64], neighbors: &[u32], degrees: &[u
         img.extend_from_slice(payload);
     }
     img.resize(img.len().next_multiple_of(64), 0);
-    fix_table_checksum(&mut img);
+    let table_end = V2_TABLE_START + 32 * sections.len();
+    let mut covered = img[V2_TABLE_START..table_end].to_vec();
+    covered.extend_from_slice(&img[0x30..0x38]);
+    let sum = fnv1a(&covered);
+    img[0x28..0x30].copy_from_slice(&sum.to_le_bytes());
     img
 }
 
@@ -102,20 +115,19 @@ fn corrupted_headers_yield_typed_errors() {
         );
     }
     // Node count exceeding the u32 id space.
-    let img = raw_image(u32::MAX as u64 + 1, 0, &[], &[], &[]);
+    let img = raw_image(u32::MAX as u64 + 1, 0, &[], &[]);
     assert!(matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("u32")));
     // Odd arc count (an undirected graph stores each edge twice).
-    let img = raw_image(2, 3, &[0, 2, 3], &[1, 0, 1], &[2, 1]);
+    let img = raw_image(2, 3, &[0, 2, 3], &[1, 0, 1]);
     assert!(matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("odd")));
-    // An offset table claiming a single degree beyond u32 (a huge total
-    // arc count alone stays legal — only per-node degrees are bounded).
-    let img = raw_image(2, 2, &[0, u32::MAX as u64 + 3, 2], &[1, 0], &[0, 0]);
+    // More arcs than u32 offsets address.
+    let img = raw_image(2, u32::MAX as u64 + 1, &[0, 2, 4], &[1, 0, 1, 0]);
     assert!(
-        matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("degree"))
+        matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("arc count 4294967296"))
     );
     // Huge-but-plausible header over an empty body: a typed error about
     // the missing bytes, not an allocation sized by the header.
-    let img = raw_image(1 << 30, 1 << 31, &[], &[], &[]);
+    let img = raw_image(1 << 30, 1 << 31, &[], &[]);
     assert!(
         matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("truncated"))
     );
@@ -125,17 +137,18 @@ fn corrupted_headers_yield_typed_errors() {
 #[test]
 fn corrupted_offset_tables_yield_typed_errors() {
     // offsets[0] != 0.
-    let img = raw_image(2, 2, &[1, 2, 2], &[1, 0], &[1, 0]);
+    let img = raw_image(2, 2, &[1, 2, 2], &[1, 0]);
     assert!(
         matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("offsets"))
     );
-    // Non-monotone offsets (node 0's degree agrees, node 1's goes back).
-    let img = raw_image(3, 2, &[0, 2, 1, 2], &[1, 0], &[2, 0, 1]);
+    // Non-monotone offsets (from 0 to the arc count, but node 1's row
+    // would end before it starts).
+    let img = raw_image(3, 2, &[0, 2, 1, 2], &[1, 0]);
     assert!(
         matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("monotone"))
     );
     // Final offset disagreeing with the header's arc count.
-    let img = raw_image(2, 2, &[0, 1, 1], &[1, 0], &[1, 0]);
+    let img = raw_image(2, 2, &[0, 1, 1], &[1, 0]);
     assert!(
         matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("offsets"))
     );
@@ -270,8 +283,8 @@ fn lane_sum(payload: &[u8]) -> u64 {
 }
 
 const V2_TABLE_START: usize = 0x40;
-const V2_TABLE_LEN: usize = 3 * 32;
-const SECTION_NAMES: [&str; 3] = ["offsets", "neighbors", "degrees"];
+const V2_TABLE_LEN: usize = 2 * 32;
+const SECTION_NAMES: [&str; 2] = ["offsets", "neighbors"];
 
 /// Recompute and patch the header's section-table checksum: FNV-1a over
 /// the table, then over the recorded fingerprint at `0x30`.
@@ -383,6 +396,77 @@ fn v2_header_corruptions_are_typed() {
     );
 }
 
+/// An image in the version-2 layout — offsets as `u64`, a third section
+/// of `u32` degrees — with every checksum right is refused by a `Format`
+/// error that names its version: there is no reader for the old layout.
+#[test]
+fn a_version_2_image_is_refused_by_name() {
+    let g = io::read_binary(&wide_v2_image()[..]).unwrap();
+    let degrees: Vec<u32> = g.nodes().map(|v| g.degree(v) as u32).collect();
+    let mut offsets = vec![0u64];
+    for &d in &degrees {
+        offsets.push(offsets.last().unwrap() + d as u64);
+    }
+    let neighbors: Vec<u32> = g.nodes().flat_map(|v| g.neighbors(v).to_vec()).collect();
+    let (n, arcs) = (g.num_nodes() as u64, g.volume() as u64);
+    let old = image(
+        2,
+        n,
+        arcs,
+        &[
+            (
+                8,
+                n + 1,
+                offsets.iter().flat_map(|w| w.to_le_bytes()).collect(),
+            ),
+            (
+                4,
+                arcs,
+                neighbors.iter().flat_map(|w| w.to_le_bytes()).collect(),
+            ),
+            (4, n, degrees.iter().flat_map(|w| w.to_le_bytes()).collect()),
+        ],
+    );
+    let is_refused = |loaded: Result<hk_graph::Graph, GraphError>| matches!(loaded, Err(GraphError::Format(m)) if m.contains("version 2 (expected 3)"));
+    assert!(is_refused(io::read_binary(&old[..])));
+    let dir = std::env::temp_dir().join(format!("hk_fuzz_io_v2_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("old.hkg");
+    std::fs::write(&path, &old).unwrap();
+    assert!(is_refused(io::load_binary(&path)));
+    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+    assert!(is_refused(io::load_binary_mmap(&path)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A header claiming more arcs than `u32` offsets address is refused from
+/// the header alone: a stream that fails on any read past the 128 bytes
+/// of header and table still gets the `Format` error, and so do files
+/// that hold nothing else, through every file loader.
+#[test]
+fn more_arcs_than_u32_offsets_are_refused_from_the_header() {
+    struct Unreadable;
+    impl std::io::Read for Unreadable {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("read past the header"))
+        }
+    }
+    let arcs = u32::MAX as u64 + 1;
+    let head = &raw_image(1000, arcs, &[], &[])[..V2_TABLE_START + V2_TABLE_LEN];
+    let is_refused = |loaded: Result<hk_graph::Graph, GraphError>| matches!(loaded, Err(GraphError::Format(m)) if m.contains("arc count 4294967296"));
+    assert!(is_refused(io::read_binary(std::io::Read::chain(
+        head, Unreadable
+    ))));
+    let dir = std::env::temp_dir().join(format!("hk_fuzz_io_arcs_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("head.hkg");
+    std::fs::write(&path, head).unwrap();
+    assert!(is_refused(io::load_binary(&path)));
+    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+    assert!(is_refused(io::load_binary_mmap(&path)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn v2_table_checksum_guards_the_table() {
     // Any tamper with a table field without repairing the checksum is a
@@ -449,9 +533,9 @@ fn v2_overlapping_sections_are_typed() {
 #[test]
 fn v2_out_of_bounds_section_is_typed_not_oob() {
     let mut img = valid_v2_image();
-    // Degrees section claimed far past EOF: must be a typed error, not a
-    // read past the buffer.
-    let at = entry_field(2, 2);
+    // Neighbors section claimed far past EOF: must be a typed error, not
+    // a read past the buffer.
+    let at = entry_field(1, 2);
     img[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
     fix_table_checksum(&mut img);
     assert!(
@@ -462,7 +546,7 @@ fn v2_out_of_bounds_section_is_typed_not_oob() {
 #[test]
 fn v2_section_checksums_catch_payload_corruption() {
     let img = valid_v2_image();
-    for (i, name) in [(0, "offsets"), (1, "neighbors"), (2, "degrees")] {
+    for (i, name) in [(0, "offsets"), (1, "neighbors")] {
         let at = entry_field(i, 2);
         let pos = u64::from_le_bytes(img[at..at + 8].try_into().unwrap()) as usize;
         let mut bad = img.clone();
@@ -480,19 +564,6 @@ fn v2_section_checksums_catch_payload_corruption() {
     }
 }
 
-#[test]
-fn v2_degree_section_must_agree_with_offsets() {
-    // Rewrite a degree entry *and* repair its section checksum: the
-    // cross-array consistency check must still catch it.
-    let mut img = valid_v2_image();
-    let pos = section_payload(&img, 2).start;
-    img[pos..pos + 4].copy_from_slice(&99u32.to_le_bytes());
-    fix_section_checksum(&mut img, 2);
-    assert!(
-        matches!(io::read_binary(&img[..]), Err(GraphError::Format(m)) if m.contains("degree")),
-    );
-}
-
 /// The definition of the lane sum, pinned from outside the crate: were
 /// the writer's sum to drift from the documented one, every image it
 /// wrote before would stop loading.
@@ -504,7 +575,7 @@ fn v2_lane_sum_known_answers() {
     assert_eq!(lane_sum(&several_blocks), 0x1b42_5079_d8b9_9b75);
     // …and the writer records exactly this sum for each section.
     for img in [valid_v2_image(), wide_v2_image()] {
-        for i in 0..3 {
+        for i in 0..2 {
             let stored = u64::from_le_bytes(img[entry_field(i, 4)..][..8].try_into().unwrap());
             assert_eq!(stored, lane_sum(&img[section_payload(&img, i)]));
         }
@@ -512,9 +583,9 @@ fn v2_lane_sum_known_answers() {
 }
 
 /// A v2 image whose every section spans several 64-byte blocks, over an
-/// odd node count (the degree section ends inside a 64-bit word).
+/// even node count (the `n + 1` offsets end inside a 64-bit word).
 fn wide_v2_image() -> Vec<u8> {
-    let n = 41u32;
+    let n = 42u32;
     let g = graph_from_edges((0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v + 7) % n)]));
     let mut buf = Vec::new();
     io::write_binary_v2(&g, &mut buf).unwrap();
@@ -526,16 +597,13 @@ fn wide_v2_image() -> Vec<u8> {
 /// never a structural error reported ahead of the checksum.
 #[test]
 fn v2_every_single_bit_flip_in_a_section_names_that_section() {
+    assert!(
+        !section_payload(&wide_v2_image(), 0).len().is_multiple_of(8),
+        "fixture: the wide image's offsets end inside a word"
+    );
     for img in [valid_v2_image(), wide_v2_image()] {
         for (i, name) in SECTION_NAMES.into_iter().enumerate() {
-            let payload = section_payload(&img, i);
-            if name == "degrees" {
-                assert!(
-                    !payload.len().is_multiple_of(8),
-                    "fixture: degrees end inside a word"
-                );
-            }
-            for pos in payload {
+            for pos in section_payload(&img, i) {
                 for bit in 0..8 {
                     let mut bad = img.clone();
                     bad[pos] ^= 1 << bit;
@@ -578,8 +646,8 @@ fn v2_swapped_blocks_are_detected() {
     }
 }
 
-/// Sections whose byte length is no multiple of 8 (degrees over an odd
-/// node count, down to one node) and the sections of empty graphs: the
+/// Sections whose byte length is no multiple of 8 (offsets over an even
+/// node count, down to none) and the sections of empty graphs: the
 /// checksum's zero-padded final block and its empty payload.
 #[test]
 fn v2_partial_and_empty_sections_roundtrip_and_are_guarded() {
@@ -589,25 +657,19 @@ fn v2_partial_and_empty_sections_roundtrip_and_are_guarded() {
         io::write_binary_v2(&g, &mut img).unwrap();
         assert_eq!(io::read_binary(&img[..]).unwrap(), g);
         assert!(section_payload(&img, 1).is_empty());
-        for i in [0, 2] {
-            // The last payload byte sits in the padded final block.
-            let Some(last) = section_payload(&img, i).last() else {
-                continue;
-            };
-            let mut bad = img.clone();
-            bad[last] ^= 0x80;
-            match io::read_binary(&bad[..]) {
-                Err(GraphError::ChecksumMismatch { section, .. }) => {
-                    assert_eq!(section, SECTION_NAMES[i])
-                }
-                other => panic!("n = {n}, section {i}: {other:?}"),
-            }
+        // The last payload byte sits in the padded final block.
+        let last = section_payload(&img, 0).end - 1;
+        let mut bad = img.clone();
+        bad[last] ^= 0x80;
+        match io::read_binary(&bad[..]) {
+            Err(GraphError::ChecksumMismatch { section, .. }) => assert_eq!(section, "offsets"),
+            other => panic!("n = {n}: {other:?}"),
         }
     }
-    let g = graph_from_edges([(0, 1), (1, 2)]);
+    let g = graph_from_edges([(0, 1), (1, 2), (2, 3)]);
     let mut img = Vec::new();
     io::write_binary_v2(&g, &mut img).unwrap();
-    assert_eq!(section_payload(&img, 2).len(), 12);
+    assert_eq!(section_payload(&img, 0).len(), 20);
     assert_eq!(io::read_binary(&img[..]).unwrap(), g);
 }
 
