@@ -359,8 +359,14 @@ impl EpochVec {
 /// Counts, not `f64` masses, make deposits order-free: integer addition is
 /// associative and commutative, so the order in which the executor's
 /// window finishes chunks, and where a tier ladder pauses, cannot show in
-/// the result. Records are in first-touch order and append-only until the
-/// next [`begin`](Self::begin) (see the module docs).
+/// the result. Records are append-only until the next
+/// [`begin`](Self::begin) (see the module docs), in the order nodes were
+/// first touched. That order is reproducible for a push and a walk pass
+/// on one thread, but not once a pass ran on two: the calling thread
+/// deposits the chunks it claims as it walks them and the helper's
+/// endpoints are added after the join, so which walk touches a node first
+/// depends on which thread claimed which chunk. Each node's value and
+/// count do not, and neither does anything assembled from them.
 #[derive(Clone, Debug, Default)]
 pub struct Reserve {
     index: NodeIndex,
@@ -443,7 +449,9 @@ impl Reserve {
     }
 
     /// Iterate `(node, reserve, endpoint count)` for every touched node,
-    /// zeros included, in first-touch order.
+    /// zeros included, in first-touch order — which, after a two-thread
+    /// walk pass, depends on how the threads shared the chunks (see the
+    /// type docs).
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (NodeId, f64, u64)> + '_ {
         self.records.iter().map(|r| (r.node, r.value, r.count))
     }

@@ -484,7 +484,10 @@ pub(crate) fn run_planned_walks(
 ) {
     let lengths = poisson.length_tables();
     let upto = upto_chunk.min(scratch.chunks.len());
-    if !second_core() {
+    let one_core = !second_core();
+    #[cfg(test)]
+    let one_core = one_core && tests::forced_helper() != Some(true);
+    if one_core {
         return run_pass(
             graph,
             lengths,
@@ -501,7 +504,8 @@ pub(crate) fn run_planned_walks(
     let _walking = Busy::enter();
     while cursor.next_chunk < upto && !cancel.is_some_and(CancelToken::is_cancelled) {
         let end = pass_end(&scratch.chunk_walk_prefix, cursor.next_chunk, upto);
-        let helper = if end >= cursor.next_chunk + 2 {
+        let two_or_more = end >= cursor.next_chunk + 2;
+        let spare = if two_or_more {
             // Sized whether or not a core is spare: what `memory_bytes`
             // reports must not depend on other queries.
             scratch.fit_helper(cursor.next_chunk, end);
@@ -509,6 +513,9 @@ pub(crate) fn run_planned_walks(
         } else {
             None
         };
+        let helper = spare.is_some();
+        #[cfg(test)]
+        let helper = tests::forced_helper().map_or(helper, |forced| forced && two_or_more);
         run_pass(
             graph,
             lengths,
@@ -519,7 +526,7 @@ pub(crate) fn run_planned_walks(
             master_seed,
             cancel,
             sink,
-            helper.is_some(),
+            helper,
         );
     }
 }
@@ -1035,7 +1042,64 @@ pub(crate) mod tests {
     use hk_graph::builder::graph_from_edges;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::cell::Cell;
     use std::sync::Mutex;
+
+    thread_local! {
+        /// Whether the walk passes a query on this thread runs take a
+        /// helper, whatever the host and the other threads say (`None`
+        /// leaves it to them).
+        static FORCED_HELPER: Cell<Option<bool>> = const { Cell::new(None) };
+    }
+
+    /// [`run_planned_walks`] reads this before it asks for a core.
+    pub(super) fn forced_helper() -> Option<bool> {
+        FORCED_HELPER.get()
+    }
+
+    #[test]
+    fn a_walking_query_assembles_the_same_bits_with_and_without_the_helper() {
+        // After a two-thread pass the reserve's records are in an order
+        // that depends on which thread claimed which chunk (`Reserve`'s
+        // docs), so `iter()` order is not compared here. Everything
+        // assembled from the records is: walking TEA+ queries of many
+        // chunks, each on a fresh workspace, with the helper forced on
+        // and forced off.
+        use crate::driver::tests::{complete, TEA_PLUS};
+        use crate::QueryWorkspace;
+        let g = hk_graph::gen::holme_kim(5_000, 5, 0.4, &mut SmallRng::seed_from_u64(70)).unwrap();
+        let params = crate::HkprParams::builder(&g)
+            .t(20.0)
+            .delta(2e-4)
+            .p_f(1e-3)
+            .build()
+            .unwrap();
+        for seed in [3, 1_234, 4_321] {
+            let run = |helper: bool| {
+                FORCED_HELPER.set(Some(helper));
+                let mut ws = QueryWorkspace::new();
+                let mut rng = SmallRng::seed_from_u64(seed as u64);
+                let out = complete(&g, &params, seed, TEA_PLUS, &mut rng, &mut ws).unwrap();
+                FORCED_HELPER.set(None);
+                let e = &out.estimate;
+                let answer: Vec<_> = e.support().map(|(v, x)| (v, x.to_bits())).collect();
+                let mut records: Vec<_> = ws
+                    .reserve()
+                    .iter()
+                    .map(|(v, q, c)| (v, q.to_bits(), c))
+                    .collect();
+                records.sort_unstable();
+                (out.stats, e.offset_coeff().to_bits(), answer, records)
+            };
+            let (one, two) = (run(false), run(true));
+            assert!(
+                one.0.random_walks > 2 * CHUNK_WALKS,
+                "seed {seed}: {:?}",
+                one.0
+            );
+            assert!(one == two, "seed {seed}");
+        }
+    }
 
     #[test]
     fn walk_stays_on_graph() {

@@ -183,6 +183,48 @@ proptest! {
         let _ = std::fs::remove_dir(&dir);
     }
 
+    /// On every backend a degree is what its row holds: `degree(v)`,
+    /// `neighbors(v).len()` and `neighbor_row(v).1` agree for every node,
+    /// the trailing isolated ones included. An owned graph holds exactly
+    /// its two arrays, `4(n + 1) + 4·arcs` bytes; a snapshot loaded into
+    /// an arena or mapped holds its file.
+    #[test]
+    fn degrees_are_row_lengths_and_bytes_are_the_arrays_on_every_backend(
+        edges in prop::collection::vec((0u32..80, 0u32..80), 0..300),
+        isolated_tail in 0usize..5,
+    ) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let g = build(&edges, isolated_tail);
+        let dir = std::env::temp_dir().join(format!(
+            "hk_storage_conformance_bytes_{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{}.hkg", CASE.fetch_add(1, Ordering::Relaxed)));
+        io::save_binary_v2(&g, &path).unwrap();
+        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+        let arrays = 4 * (g.num_nodes() + 1) + 4 * g.volume();
+        let mut graphs = vec![("built", g.clone(), arrays)];
+        for (label, loaded, _) in v2_loads(&path) {
+            graphs.push(("detached", loaded.to_owned_backend(), arrays));
+            graphs.push((label, loaded, file_len));
+        }
+        for (label, graph, bytes) in &graphs {
+            prop_assert_eq!(graph.memory_bytes(), *bytes, "{}", label);
+            for v in graph.nodes() {
+                let d = graph.degree(v);
+                prop_assert_eq!(graph.neighbors(v).len(), d, "{} node {}", label, v);
+                prop_assert_eq!(graph.neighbor_row(v).1 as usize, d, "{} node {}", label, v);
+                prop_assert_eq!(graph.degree_nz(v), d.max(1), "{} node {}", label, v);
+            }
+            let tail = graph.num_nodes() - isolated_tail..graph.num_nodes();
+            prop_assert!(tail.into_iter().all(|v| graph.degree(v as u32) == 0), "{}", label);
+        }
+        std::fs::remove_file(&path).unwrap();
+        let _ = std::fs::remove_dir(&dir);
+    }
+
     /// An arbitrary graph as built, loaded from its snapshot, and
     /// detached from that snapshot again: bitwise-equal CSRs with equal
     /// fingerprints on all three.
