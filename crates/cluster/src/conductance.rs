@@ -127,8 +127,8 @@ pub(crate) unsafe fn count_edges(bits: &[u64], graph: &Graph, v: NodeId) -> (usi
         let word = unsafe { *bits.get_unchecked(u as usize / 64) };
         internal += (word >> (u % 64) & 1) as usize;
     }
-    // The row's length is d(v); the degree array would be one more
-    // random read.
+    // The row's length is d(v), read off the offsets `neighbors` just
+    // loaded.
     (nbrs.len(), internal)
 }
 

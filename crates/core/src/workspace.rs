@@ -600,7 +600,8 @@ impl QueryWorkspace {
 /// A push worklist entry. Queued, it is `(node, degree, at)`: what the
 /// enqueue site knows for free — the node's degree and the position of
 /// its record in its hop's [`EpochVec`] — so the drain reads and zeroes
-/// the residue without a read of the degree array or of the node index.
+/// the residue without first looking up the node's degree in the graph
+/// or its slot in the node index.
 /// Once the drain has settled part of that residue into the reserve, an
 /// entry of the worklist's log is `(node, low, high)`, the halves of the
 /// settled mass's bits ([`settled`]).

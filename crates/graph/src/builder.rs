@@ -1,6 +1,6 @@
 //! Edge-list ingestion and CSR assembly.
 
-use crate::csr::{Graph, NodeId, MAX_ARCS};
+use crate::csr::{check_arcs, Graph, NodeId};
 use crate::error::GraphError;
 
 /// Accumulates an undirected edge list and assembles a [`Graph`].
@@ -64,9 +64,10 @@ impl GraphBuilder {
     /// O(m log m) time, two passes of O(n + m) assembly.
     ///
     /// # Panics
-    /// When the distinct edges take more than [`MAX_ARCS`] adjacency
-    /// entries (the offsets are `u32`). The generators return
-    /// [`GraphError::InvalidParameter`] instead.
+    /// When the distinct edges take more than
+    /// [`MAX_ARCS`](crate::csr::MAX_ARCS) adjacency entries (the offsets
+    /// are `u32`). The generators return [`GraphError::InvalidParameter`]
+    /// instead.
     pub fn build(self) -> Graph {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -121,18 +122,6 @@ impl GraphBuilder {
             neighbors.into_boxed_slice(),
         ))
     }
-}
-
-/// Whether `arcs` adjacency entries fit a graph's `u32` offsets
-/// ([`MAX_ARCS`]); a [`GraphError::InvalidParameter`] naming the count if
-/// not.
-pub(crate) fn check_arcs(arcs: u64) -> Result<(), GraphError> {
-    if arcs > MAX_ARCS as u64 {
-        return Err(GraphError::InvalidParameter(format!(
-            "{arcs} arcs exceed the u32 offsets' {MAX_ARCS}"
-        )));
-    }
-    Ok(())
 }
 
 /// Convenience: build a graph straight from an iterator of edges.
@@ -193,16 +182,6 @@ mod tests {
         b.add_edge(0, 1);
         b.add_edge(0, 1);
         assert_eq!(b.raw_edge_count(), 2);
-    }
-
-    #[test]
-    fn the_arc_bound_is_the_u32_offsets() {
-        assert!(check_arcs(0).is_ok());
-        assert!(check_arcs(MAX_ARCS as u64).is_ok());
-        assert!(matches!(
-            check_arcs(MAX_ARCS as u64 + 1),
-            Err(GraphError::InvalidParameter(m)) if m.contains("4294967296 arcs")
-        ));
     }
 
     #[test]

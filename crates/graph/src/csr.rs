@@ -27,6 +27,7 @@
 use std::ptr::NonNull;
 use std::sync::Arc;
 
+use crate::error::GraphError;
 use crate::storage::{Arena, StorageBackend};
 
 /// Node identifier. Graphs are limited to `u32::MAX` nodes, which covers the
@@ -37,6 +38,18 @@ pub type NodeId = u32;
 /// The most arcs (`2m`, adjacency entries) a graph holds: its offsets are
 /// `u32`. Friendster, the paper's largest graph, has ≈3.6·10⁹.
 pub const MAX_ARCS: usize = u32::MAX as usize;
+
+/// Whether `arcs` adjacency entries fit a graph's `u32` offsets
+/// ([`MAX_ARCS`]); a [`GraphError::InvalidParameter`] naming the count if
+/// not.
+pub(crate) fn check_arcs(arcs: u64) -> Result<(), GraphError> {
+    if arcs > MAX_ARCS as u64 {
+        return Err(GraphError::InvalidParameter(format!(
+            "{arcs} arcs exceed the u32 offsets' {MAX_ARCS}"
+        )));
+    }
+    Ok(())
+}
 
 /// A raw, immutable view of `[T]` whose backing memory is owned by the
 /// `Graph` that holds it (heap boxes or an arena kept alive by `Arc`).
@@ -176,11 +189,7 @@ impl Graph {
             neighbors.len(),
             "last offset must equal neighbor array length"
         );
-        assert!(
-            neighbors.len() <= MAX_ARCS,
-            "{} arcs exceed the u32 offsets' {MAX_ARCS}",
-            neighbors.len()
-        );
+        check_arcs(neighbors.len() as u64).unwrap_or_else(|e| panic!("{e}"));
         debug_assert!(
             offsets.windows(2).all(|w| w[0] <= w[1]),
             "offsets must be monotone"
@@ -642,6 +651,16 @@ mod tests {
         let g = triangle_plus_tail();
         assert_eq!(g.set_volume(&[0, 2]), 2 + 3);
         assert_eq!(g.set_volume(&[]), 0);
+    }
+
+    #[test]
+    fn the_arc_bound_is_the_u32_offsets() {
+        assert!(check_arcs(0).is_ok());
+        assert!(check_arcs(MAX_ARCS as u64).is_ok());
+        assert!(matches!(
+            check_arcs(MAX_ARCS as u64 + 1),
+            Err(GraphError::InvalidParameter(m)) if m.contains("4294967296 arcs")
+        ));
     }
 
     #[test]

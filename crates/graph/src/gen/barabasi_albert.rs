@@ -2,8 +2,8 @@
 
 use rand::{Rng, RngExt};
 
-use crate::builder::{check_arcs, GraphBuilder};
-use crate::csr::{Graph, NodeId};
+use crate::builder::GraphBuilder;
+use crate::csr::{check_arcs, Graph, NodeId};
 use crate::error::GraphError;
 
 /// Barabási–Albert scale-free graph: start from a star on `m_per + 1`

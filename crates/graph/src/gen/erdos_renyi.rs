@@ -5,8 +5,8 @@ use std::collections::HashSet;
 use rand::{Rng, RngExt};
 
 use super::geometric_skip;
-use crate::builder::{check_arcs, GraphBuilder};
-use crate::csr::{Graph, NodeId};
+use crate::builder::GraphBuilder;
+use crate::csr::{check_arcs, Graph, NodeId};
 use crate::error::GraphError;
 
 /// G(n, m): exactly `m` distinct undirected edges chosen uniformly among

@@ -6,8 +6,8 @@
 
 use rand::{Rng, RngExt};
 
-use crate::builder::{check_arcs, GraphBuilder};
-use crate::csr::{Graph, NodeId};
+use crate::builder::GraphBuilder;
+use crate::csr::{check_arcs, Graph, NodeId};
 use crate::error::GraphError;
 
 /// Holme–Kim growing network with triad formation.

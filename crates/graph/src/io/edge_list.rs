@@ -12,7 +12,8 @@ use crate::csr::{Graph, NodeId};
 use crate::error::GraphError;
 
 /// Parse a text edge list from a reader. Lines starting with `#` or `%` and
-/// blank lines are skipped; node ids must fit in `u32`.
+/// blank lines are skipped; node ids must fit in `u32`, and a list of more
+/// distinct edges than `u32` offsets address is a [`GraphError::Format`].
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new();
     for (idx, line) in reader.lines().enumerate() {
@@ -26,7 +27,8 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, GraphError> {
         let v = parse_node(it.next(), idx + 1)?;
         b.add_edge(u, v);
     }
-    Ok(b.build())
+    b.try_build()
+        .map_err(|e| GraphError::Format(format!("edge list: {e}")))
 }
 
 fn parse_node(tok: Option<&str>, line: usize) -> Result<NodeId, GraphError> {
